@@ -338,6 +338,12 @@ fn print_outcome(outcome: &RunOutcome, k: u32, quiet: bool) {
         for (name, v) in &outcome.report.counters {
             eprintln!("counter {name}: {v}");
         }
+        if outcome.report.counter("paging_budget_bytes") > 0 {
+            eprintln!(
+                "paging: {:.4} faults/edge",
+                outcome.report.counter("paging_faults") as f64 / outcome.metrics.num_edges as f64
+            );
+        }
     }
 }
 
@@ -362,6 +368,9 @@ pub fn partition(args: &[String]) -> i32 {
             return Err("--k is required and must be >= 1".into());
         }
         let quiet = flags.has("quiet");
+        // The engine's own mid-run notes (a thrashing page table) follow
+        // the same switch as the front-end's.
+        tps_obs::set_notices(!quiet);
         let note = |msg: &str| {
             if !quiet {
                 eprintln!("note: {msg}");

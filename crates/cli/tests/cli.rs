@@ -268,6 +268,54 @@ fn partition_text_format() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A paged run over an order with no locality says so after the first
+/// clustering pass, and every paged run reports its fault rate; `--quiet`
+/// silences both.
+#[test]
+fn thrashing_paged_run_explains_itself() {
+    let dir = tmpdir("thrash");
+    let txt = dir.join("scattered.txt");
+    // 40 k edges between pseudo-random vertices out of 120 k: ~1.4 MB of
+    // cluster state against the 512 KiB page share of a 1 MiB budget.
+    let mut x = 12345u64;
+    let mut next = || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) % 120_000
+    };
+    let text: String = (0..40_000)
+        .map(|_| format!("{} {}\n", next(), next()))
+        .collect();
+    std::fs::write(&txt, text).unwrap();
+    let run = |quiet: bool| {
+        let mut cmd = tps();
+        cmd.args(["partition", "--input"]).arg(&txt).args([
+            "--k",
+            "4",
+            "--format",
+            "text",
+            "--threads",
+            "serial",
+            "--mem-budget-mb",
+            "1",
+        ]);
+        if quiet {
+            cmd.arg("--quiet");
+        }
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        stderr
+    };
+    let loud = run(false);
+    assert!(loud.contains("note: cluster paging is thrashing"), "{loud}");
+    assert!(loud.contains("Sort your input first"), "{loud}");
+    assert!(loud.contains("faults/edge"), "{loud}");
+    assert_eq!(run(true), "", "--quiet must silence the engine's notes");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn threads_one_matches_serial_bit_for_bit() {
     let dir = tmpdir("threads1");

@@ -12,6 +12,13 @@
 //! which `tps-clustering` cannot depend on — the trait points the
 //! dependency the right way round).
 //!
+//! Cost model: a hit is an array index — one direct-indexed page table
+//! per array (page number → frame), shift/mask addressing into one
+//! contiguous frame pool, one LRU-stamp store. Everything else (victim
+//! scan, write-back staging, backing I/O) lives in the `#[cold]` fault
+//! path, so the four accessors inline into the clustering and assignment
+//! loops.
+//!
 //! Determinism: page faults and evictions are a pure function of the access
 //! sequence (LRU order is tracked by a monotonic counter, never by wall
 //! time), so two runs over the same stream issue identical reads and
@@ -143,14 +150,11 @@ pub struct PagingStats {
     pub writebacks: u64,
 }
 
-struct Frame {
-    key: u64,
-    data: Vec<u8>,
-    dirty: bool,
-    /// Monotonic last-use stamp — the LRU order. Deterministic: stamps come
-    /// from an access counter, never from time.
-    last_use: u64,
-}
+/// Page-table entry of a page that is not resident.
+const ABSENT: u32 = u32::MAX;
+
+/// Low 40 bits of a page key: the page number within its kind.
+const PAGE_NO_MASK: u64 = (1 << 40) - 1;
 
 /// The paged cluster table: `v2c`, `vol` and `c2p` behind one LRU frame
 /// pool bounded by a byte budget.
@@ -169,12 +173,30 @@ pub struct PagedClustering {
     num_vertices: u64,
     next_id: u32,
     page_size: usize,
+    /// `log2(page_size)`: byte offset → page number by shift, frame index →
+    /// pool offset by shift.
+    page_shift: u32,
     max_frames: usize,
-    frames: Vec<Frame>,
-    /// Page key → index into `frames`.
-    resident: HashMap<u64, usize>,
+    /// Per kind, page number → frame index ([`ABSENT`] when not resident).
+    /// Grown on fault to the highest page touched: `O(|V|·16 / page_size)`
+    /// entries in total.
+    tables: [Vec<u32>; 3],
+    /// The frame pool: frame `i` is `pool[i << page_shift..][..page_size]`.
+    /// Grows one frame per cold fault up to `max_frames`, so it is bounded
+    /// by the pages actually touched, never sized by the budget up front.
+    pool: Vec<u8>,
+    /// Per frame: the page it holds.
+    keys: Vec<u64>,
+    /// Per frame: monotonic last-use stamp — the LRU order. Deterministic:
+    /// stamps come from an access counter, never from time.
+    stamps: Vec<u64>,
+    /// Per frame: modified since it was loaded.
+    dirty: Vec<bool>,
     /// Evicted dirty pages staged for the next batched write.
     pending: Vec<(u64, Vec<u8>)>,
+    /// Page buffers recycled between `pending` rounds (at most
+    /// [`WRITE_BATCH_PAGES`]).
+    spare: Vec<Vec<u8>>,
     backing: Box<dyn PageBacking>,
     clock: u64,
     stats: PagingStats,
@@ -188,7 +210,7 @@ impl std::fmt::Debug for PagedClustering {
             .field("next_id", &self.next_id)
             .field("page_size", &self.page_size)
             .field("max_frames", &self.max_frames)
-            .field("resident", &self.resident.len())
+            .field("resident", &self.keys.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -204,7 +226,8 @@ impl PagedClustering {
 
     /// [`PagedClustering::new`] with an explicit page size (tests use tiny
     /// pages to force eviction on small graphs). `page_size` must be a
-    /// multiple of 8 so no entry straddles a page boundary.
+    /// power of two ≥ 8: pages are addressed by shift and mask, and no
+    /// entry may straddle a page boundary.
     pub fn with_page_size(
         num_vertices: u64,
         budget_bytes: u64,
@@ -212,18 +235,23 @@ impl PagedClustering {
         backing: Box<dyn PageBacking>,
     ) -> Self {
         assert!(
-            page_size >= 8 && page_size.is_multiple_of(8),
-            "page size must be a positive multiple of 8"
+            page_size >= 8 && page_size.is_power_of_two(),
+            "page size must be a power of two >= 8"
         );
-        let max_frames = ((budget_bytes / page_size as u64) as usize).max(1);
+        let max_frames = (budget_bytes / page_size as u64).clamp(1, ABSENT as u64 - 1) as usize;
         PagedClustering {
             num_vertices,
             next_id: 0,
             page_size,
+            page_shift: page_size.trailing_zeros(),
             max_frames,
-            frames: Vec::new(),
-            resident: HashMap::new(),
+            tables: [Vec::new(), Vec::new(), Vec::new()],
+            pool: Vec::new(),
+            keys: Vec::new(),
+            stamps: Vec::new(),
+            dirty: Vec::new(),
             pending: Vec::new(),
+            spare: Vec::new(),
             backing,
             clock: 0,
             stats: PagingStats::default(),
@@ -243,7 +271,7 @@ impl PagedClustering {
 
     /// Resident page-pool bytes (≤ budget, modulo the one-frame floor).
     pub fn resident_bytes(&self) -> u64 {
-        (self.frames.len() * self.page_size) as u64
+        self.pool.len() as u64
     }
 
     /// Fault/eviction statistics so far.
@@ -261,118 +289,130 @@ impl PagedClustering {
         }
     }
 
-    fn fail(&mut self, e: io::Error) {
-        if self.error.is_none() {
-            self.error = Some(e);
-        }
-    }
-
     fn flush_pending(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.pending);
-        if let Err(e) = self.backing.write_pages(&batch) {
-            self.fail(e);
+        if let Err(e) = self.backing.write_pages(&self.pending) {
+            // Only the first error is kept.
+            self.error.get_or_insert(e);
         }
+        self.spare
+            .extend(self.pending.drain(..).map(|(_, data)| data));
     }
 
-    /// Bring page `key` resident and return its frame index.
-    fn frame_for(&mut self, key: u64) -> usize {
+    /// Pool offset of the entry at byte `byte` of array `kind`, with its
+    /// page brought resident and stamped most-recently-used. The hit path
+    /// is a table index and a stamp store; a miss goes through
+    /// [`fault`](Self::fault).
+    #[inline]
+    fn locate(&mut self, kind: u8, byte: u64) -> usize {
         self.clock += 1;
-        if let Some(&idx) = self.resident.get(&key) {
-            self.frames[idx].last_use = self.clock;
-            return idx;
-        }
+        let page_no = (byte >> self.page_shift) as usize;
+        let frame = match self.tables[kind as usize].get(page_no) {
+            Some(&frame) if frame != ABSENT => {
+                self.stamps[frame as usize] = self.clock;
+                frame as usize
+            }
+            _ => self.fault(kind, page_no),
+        };
+        (frame << self.page_shift) | (byte as usize & (self.page_size - 1))
+    }
+
+    /// Bring page `page_no` of `kind` resident — evicting the
+    /// least-recently-used frame if the pool is full — and return its
+    /// frame index.
+    #[cold]
+    #[inline(never)]
+    fn fault(&mut self, kind: u8, page_no: usize) -> usize {
+        let key = page_key(kind, page_no as u64);
         self.stats.faults += 1;
-        let idx = if self.frames.len() < self.max_frames {
-            self.frames.push(Frame {
-                key,
-                data: vec![0; self.page_size],
-                dirty: false,
-                last_use: self.clock,
-            });
-            self.frames.len() - 1
+        let frame = if self.keys.len() < self.max_frames {
+            self.pool.resize(self.pool.len() + self.page_size, 0);
+            self.keys.push(key);
+            self.stamps.push(self.clock);
+            self.dirty.push(false);
+            self.keys.len() - 1
         } else {
             // Evict the least-recently-used frame (stamps are unique, so
             // the victim — and therefore the whole I/O sequence — is
             // deterministic).
-            let idx = self
-                .frames
+            let frame = self
+                .stamps
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, f)| f.last_use)
+                .min_by_key(|&(_, stamp)| *stamp)
                 .map(|(i, _)| i)
                 .expect("frame pool is non-empty once full");
-            let old_key = self.frames[idx].key;
-            self.resident.remove(&old_key);
+            let old_key = self.keys[frame];
+            self.tables[(old_key >> 40) as usize][(old_key & PAGE_NO_MASK) as usize] = ABSENT;
             self.stats.evictions += 1;
-            if self.frames[idx].dirty {
+            if self.dirty[frame] {
                 self.stats.writebacks += 1;
-                let data = self.frames[idx].data.clone();
+                let mut data = self.spare.pop().unwrap_or_else(|| vec![0; self.page_size]);
+                data.copy_from_slice(&self.pool[frame << self.page_shift..][..self.page_size]);
                 self.pending.push((old_key, data));
                 if self.pending.len() >= WRITE_BATCH_PAGES {
                     self.flush_pending();
                 }
             }
-            self.frames[idx].key = key;
-            self.frames[idx].last_use = self.clock;
-            idx
+            self.keys[frame] = key;
+            self.stamps[frame] = self.clock;
+            frame
         };
+        let page = &mut self.pool[frame << self.page_shift..][..self.page_size];
         // Load: newest data may still sit in the write-back buffer.
         if let Some(pos) = self.pending.iter().position(|(k, _)| *k == key) {
             let (_, data) = self.pending.swap_remove(pos);
-            self.frames[idx].data.copy_from_slice(&data);
+            page.copy_from_slice(&data);
+            self.spare.push(data);
             // Never reached the backing — must stay dirty or it is lost.
-            self.frames[idx].dirty = true;
+            self.dirty[frame] = true;
         } else {
-            let kind = (key >> 40) as u8;
-            let mut buf = std::mem::take(&mut self.frames[idx].data);
-            let found = match self.backing.read_page(key, &mut buf) {
+            let found = match self.backing.read_page(key, page) {
                 Ok(found) => found,
                 Err(e) => {
-                    self.fail(e);
+                    self.error.get_or_insert(e);
                     false
                 }
             };
             if !found {
-                buf.fill(fill_byte(kind));
+                page.fill(fill_byte(kind));
             }
-            self.frames[idx].data = buf;
-            self.frames[idx].dirty = false;
+            self.dirty[frame] = false;
         }
-        self.resident.insert(key, idx);
-        idx
+        let table = &mut self.tables[kind as usize];
+        if page_no >= table.len() {
+            table.resize(page_no + 1, ABSENT);
+        }
+        table[page_no] = frame as u32;
+        frame
     }
 
+    #[inline]
     fn load_u32(&mut self, kind: u8, index: u64) -> u32 {
-        let per_page = (self.page_size / 4) as u64;
-        let idx = self.frame_for(page_key(kind, index / per_page));
-        let off = (index % per_page) as usize * 4;
-        u32::from_le_bytes(self.frames[idx].data[off..off + 4].try_into().unwrap())
+        let off = self.locate(kind, index << 2);
+        u32::from_le_bytes(self.pool[off..off + 4].try_into().expect("4-byte slice"))
     }
 
+    #[inline]
     fn store_u32(&mut self, kind: u8, index: u64, value: u32) {
-        let per_page = (self.page_size / 4) as u64;
-        let idx = self.frame_for(page_key(kind, index / per_page));
-        let off = (index % per_page) as usize * 4;
-        self.frames[idx].data[off..off + 4].copy_from_slice(&value.to_le_bytes());
-        self.frames[idx].dirty = true;
+        let off = self.locate(kind, index << 2);
+        self.pool[off..off + 4].copy_from_slice(&value.to_le_bytes());
+        self.dirty[off >> self.page_shift] = true;
     }
 
+    #[inline]
     fn load_u64(&mut self, kind: u8, index: u64) -> u64 {
-        let per_page = (self.page_size / 8) as u64;
-        let idx = self.frame_for(page_key(kind, index / per_page));
-        let off = (index % per_page) as usize * 8;
-        u64::from_le_bytes(self.frames[idx].data[off..off + 8].try_into().unwrap())
+        let off = self.locate(kind, index << 3);
+        u64::from_le_bytes(self.pool[off..off + 8].try_into().expect("8-byte slice"))
     }
 
+    #[inline]
     fn store_u64(&mut self, kind: u8, index: u64, value: u64) {
-        let per_page = (self.page_size / 8) as u64;
-        let idx = self.frame_for(page_key(kind, index / per_page));
-        let off = (index % per_page) as usize * 8;
-        self.frames[idx].data[off..off + 8].copy_from_slice(&value.to_le_bytes());
-        self.frames[idx].dirty = true;
+        let off = self.locate(kind, index << 3);
+        self.pool[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        self.dirty[off >> self.page_shift] = true;
     }
 
     /// Raw cluster id of `v` (`NO_CLUSTER` when unassigned).
@@ -633,6 +673,173 @@ mod tests {
         let b = io_log(5);
         assert!(!a.is_empty(), "tiny budget must hit the backing");
         assert_eq!(a, b, "same input must issue the identical I/O sequence");
+    }
+
+    /// The table this one replaced, kept as the reference for its policy:
+    /// a `HashMap` from page key to frame, exact LRU by access stamp,
+    /// write-back in batches of [`WRITE_BATCH_PAGES`], `pending` consulted
+    /// before the backing. It tracks residency only — entries live in a
+    /// flat [`Clustering`] — and logs the backing calls the old table made.
+    struct ReferenceModel {
+        flat: Clustering,
+        page_size: u64,
+        max_frames: usize,
+        /// Per frame: (key, dirty, last use).
+        frames: Vec<(u64, bool, u64)>,
+        resident: HashMap<u64, usize>,
+        pending: Vec<u64>,
+        clock: u64,
+        stats: PagingStats,
+        log: Vec<String>,
+    }
+
+    impl ReferenceModel {
+        fn new(num_vertices: u64, budget: u64, page_size: usize) -> Self {
+            ReferenceModel {
+                flat: Clustering::empty(num_vertices),
+                page_size: page_size as u64,
+                max_frames: ((budget / page_size as u64) as usize).max(1),
+                frames: Vec::new(),
+                resident: HashMap::new(),
+                pending: Vec::new(),
+                clock: 0,
+                stats: PagingStats::default(),
+                log: Vec::new(),
+            }
+        }
+
+        fn touch(&mut self, kind: u8, index: u64, entry_bytes: u64, write: bool) {
+            let key = page_key(kind, index / (self.page_size / entry_bytes));
+            self.clock += 1;
+            if let Some(&idx) = self.resident.get(&key) {
+                self.frames[idx].2 = self.clock;
+                self.frames[idx].1 |= write;
+                return;
+            }
+            self.stats.faults += 1;
+            let idx = if self.frames.len() < self.max_frames {
+                self.frames.push((key, false, self.clock));
+                self.frames.len() - 1
+            } else {
+                let idx = (0..self.frames.len())
+                    .min_by_key(|&i| self.frames[i].2)
+                    .unwrap();
+                let (old_key, dirty, _) = self.frames[idx];
+                self.resident.remove(&old_key);
+                self.stats.evictions += 1;
+                if dirty {
+                    self.stats.writebacks += 1;
+                    self.pending.push(old_key);
+                    if self.pending.len() >= WRITE_BATCH_PAGES {
+                        self.log
+                            .extend(self.pending.drain(..).map(|k| format!("w{k:x}")));
+                    }
+                }
+                idx
+            };
+            let dirty = match self.pending.iter().position(|&k| k == key) {
+                Some(pos) => {
+                    self.pending.swap_remove(pos);
+                    true
+                }
+                None => {
+                    self.log.push(format!("r{key:x}"));
+                    false
+                }
+            };
+            self.frames[idx] = (key, dirty || write, self.clock);
+            self.resident.insert(key, idx);
+        }
+    }
+
+    /// The old accessors' touches, in their order.
+    impl ClusterTable for ReferenceModel {
+        fn cluster_of(&mut self, v: VertexId) -> ClusterId {
+            self.touch(KIND_V2C, v as u64, 4, false);
+            self.flat.raw_cluster_of(v)
+        }
+        fn volume(&mut self, c: ClusterId) -> u64 {
+            self.touch(KIND_VOL, c as u64, 8, false);
+            self.flat.volume(c)
+        }
+        fn create_cluster(&mut self, v: VertexId, vol: u64) -> ClusterId {
+            let id = self.flat.create_cluster(v, vol);
+            self.touch(KIND_VOL, id as u64, 8, true);
+            self.touch(KIND_V2C, v as u64, 4, true);
+            id
+        }
+        fn migrate(&mut self, v: VertexId, d: u64, to: ClusterId) {
+            let from = self.flat.raw_cluster_of(v);
+            self.touch(KIND_V2C, v as u64, 4, false);
+            self.touch(KIND_VOL, from as u64, 8, false);
+            self.touch(KIND_VOL, from as u64, 8, true);
+            self.touch(KIND_VOL, to as u64, 8, false);
+            self.touch(KIND_VOL, to as u64, 8, true);
+            self.touch(KIND_V2C, v as u64, 4, true);
+            self.flat.migrate(v, d, to);
+        }
+    }
+
+    /// The replacement policy did not move: over seeds × budgets × page
+    /// sizes, the page-table implementation issues the reference model's
+    /// exact backing reads and writes and counts the same faults,
+    /// evictions and write-backs.
+    #[test]
+    fn io_sequence_and_stats_match_the_reference_model() {
+        for seed in [2u64, 9, 31] {
+            let g = planted::generate(&PlantedConfig::web(300 + seed * 20, 2000), seed);
+            for page_size in [16usize, 64, 1024] {
+                for budget in [0u64, 5 * page_size as u64, 1 << 30] {
+                    let mut model = ReferenceModel::new(g.num_vertices(), budget, page_size);
+                    run_pass(&mut model, &g, 2);
+                    let log = Arc::new(Mutex::new(Vec::new()));
+                    let backing = RecordingBacking {
+                        inner: MemPageBacking::new(),
+                        log: Arc::clone(&log),
+                    };
+                    let mut paged = PagedClustering::with_page_size(
+                        g.num_vertices(),
+                        budget,
+                        page_size,
+                        Box::new(backing),
+                    );
+                    run_pass(&mut paged, &g, 2);
+                    paged.check_io().unwrap();
+                    let case = format!("seed {seed}, page {page_size}, budget {budget}");
+                    assert_eq!(paged.stats(), model.stats, "{case}");
+                    assert_eq!(*log.lock().unwrap(), model.log, "{case}");
+                }
+            }
+        }
+    }
+
+    /// Fault, eviction and write-back counts of one fixed graph, as the
+    /// `HashMap` table produced them at the commit before this one.
+    #[test]
+    fn paging_counts_are_pinned() {
+        let g = planted::generate(&PlantedConfig::web(500, 2500), 5);
+        for (budget, page_size, faults, evictions, writebacks) in [
+            (0u64, 16usize, 22_755u64, 22_754u64, 5_139u64),
+            (6 * 32, 32, 14_085, 14_079, 3_194),
+            (8 * 64, 64, 12_094, 12_086, 3_212),
+            (1 << 20, 1024, 6, 0, 0),
+        ] {
+            let mut paged = mem_table(g.num_vertices(), budget, page_size);
+            run_pass(&mut paged, &g, 2);
+            paged.check_io().unwrap();
+            let expected = PagingStats {
+                faults,
+                evictions,
+                writebacks,
+            };
+            assert_eq!(paged.stats(), expected, "budget {budget}, page {page_size}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_page_size_is_rejected() {
+        mem_table(100, 1024, 24);
     }
 
     #[test]

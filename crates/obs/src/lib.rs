@@ -56,9 +56,9 @@ pub use hist::{
     Hist, HistSnapshot, MIN_VALUE, NUM_BUCKETS,
 };
 pub use recorder::{
-    drain_local, enabled, instant, instant_with, record_remote, record_remote_counters,
-    reset_events, set_enabled, span, take_events, take_remote_counters, take_thread_events,
-    EventKind, Span, TraceEvent,
+    drain_local, enabled, instant, instant_with, notice, record_remote, record_remote_counters,
+    reset_events, set_enabled, set_notices, span, take_events, take_remote_counters,
+    take_thread_events, EventKind, Span, TraceEvent,
 };
 pub use report::{build_span_forest, render_report, SpanNode, ThreadSpans};
 pub use timer::PhaseTimer;

@@ -49,6 +49,7 @@ pub struct TraceEvent {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+static NOTICES: AtomicBool = AtomicBool::new(false);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 static COLLECTED: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
@@ -145,6 +146,22 @@ pub fn instant_with(name: &'static str, detail: String) {
     if enabled() {
         push(EventKind::Mark, name, Some(detail));
     }
+}
+
+/// Let [`notice`] print to stderr (off by default: a library stays silent
+/// unless the front-end that owns the terminal turns this on).
+pub fn set_notices(on: bool) {
+    NOTICES.store(on, Ordering::Relaxed);
+}
+
+/// Something the operator should know *while the run is going*: printed
+/// as one `note:` line on stderr if the front-end enabled notices, and
+/// recorded as a point event if recording is enabled.
+pub fn notice(name: &'static str, message: String) {
+    if NOTICES.load(Ordering::Relaxed) {
+        eprintln!("note: {message}");
+    }
+    instant_with(name, message);
 }
 
 /// Flush this thread's ring into the global buffer (a barrier drain).

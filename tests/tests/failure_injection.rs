@@ -143,3 +143,111 @@ fn truncated_binary_file_is_an_error_not_a_panic() {
     assert!(result.is_err(), "truncated file must error");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The page store of a `--mem-budget-mb` job is a file like any other: a
+/// slot that rots between write-back and re-fault must fail the job with
+/// `InvalidData`, never feed it wrong cluster state.
+#[test]
+fn corrupt_page_store_slot_fails_the_budgeted_job() {
+    use std::os::unix::fs::FileExt;
+    use std::path::{Path, PathBuf};
+    use std::sync::Arc;
+    use tps_clustering::paged::{PageBacking, PageStoreProvider};
+    use tps_core::job::{InputProvider, JobSpec, ReaderKind, ThreadMode};
+    use tps_core::sink::SpoolFactory;
+    use tps_graph::ranged::RangedEdgeSource;
+    use tps_io::{FileInput, FilePageStore};
+
+    /// A `FilePageStore` that, once `after` pages have been written back,
+    /// flips one payload byte of the first slot behind the store's back.
+    struct RottingStore {
+        inner: FilePageStore,
+        path: PathBuf,
+        written: usize,
+        after: usize,
+    }
+    impl PageBacking for RottingStore {
+        fn read_page(&mut self, key: u64, buf: &mut [u8]) -> io::Result<bool> {
+            self.inner.read_page(key, buf)
+        }
+        fn write_pages(&mut self, pages: &[(u64, Vec<u8>)]) -> io::Result<()> {
+            self.inner.write_pages(pages)?;
+            let before = self.written;
+            self.written += pages.len();
+            if before < self.after && self.written >= self.after {
+                let f = std::fs::OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .open(&self.path)?;
+                // Past the 20-byte slot header, inside the first payload.
+                let mut byte = [0u8];
+                f.read_exact_at(&mut byte, 100)?;
+                f.write_all_at(&[byte[0] ^ 0x10], 100)?;
+            }
+            Ok(())
+        }
+    }
+    struct RottingProvider(PathBuf, usize);
+    impl PageStoreProvider for RottingProvider {
+        fn open_store(&self, page_size: usize) -> io::Result<Box<dyn PageBacking>> {
+            Ok(Box::new(RottingStore {
+                inner: FilePageStore::create(&self.0, page_size)?,
+                path: self.0.clone(),
+                written: 0,
+                after: self.1,
+            }))
+        }
+    }
+    /// `FileInput` with the page store swapped for the rotting one.
+    struct RottingInput(PathBuf, usize);
+    impl InputProvider for RottingInput {
+        fn open_stream(&self, path: &Path, reader: ReaderKind) -> io::Result<Box<dyn EdgeStream>> {
+            FileInput.open_stream(path, reader)
+        }
+        fn open_ranged(
+            &self,
+            path: &Path,
+            reader: ReaderKind,
+        ) -> io::Result<Box<dyn RangedEdgeSource>> {
+            FileInput.open_ranged(path, reader)
+        }
+        fn spool_factory(
+            &self,
+            budget_bytes: u64,
+            threads: usize,
+        ) -> io::Result<Arc<dyn SpoolFactory + Send + Sync>> {
+            FileInput.spool_factory(budget_bytes, threads)
+        }
+        fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {
+            Ok(Arc::new(RottingProvider(self.0.clone(), self.1)))
+        }
+    }
+
+    // A 150 k-vertex path: ~1.8 MB of cluster state sweeps through the
+    // 512 KiB page share of a 1 MiB budget once per pass, so every slot is
+    // written back in one pass and re-faulted in the next.
+    let dir = std::env::temp_dir().join(format!("tps-rot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("path.bel");
+    tps_graph::formats::binary::write_binary_edge_list(
+        &input,
+        150_001,
+        (0..150_000).map(|i| Edge::new(i, i + 1)),
+    )
+    .unwrap();
+    let run = |after: usize| {
+        JobSpec::path(&input)
+            .k(8)
+            .threads(ThreadMode::Serial)
+            .mem_budget_mb(1)
+            .run_with(&RottingInput(dir.join("pages.tpspage"), after))
+    };
+    // Never rotting, the job succeeds through the same provider …
+    let clean = run(usize::MAX).unwrap();
+    assert!(clean.report.counter("paging_writebacks") > 100);
+    // … and rotting after 50 write-backs, it fails loudly.
+    let err = run(50).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("checksum"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
