@@ -21,10 +21,12 @@
 //!   a Fig. 4 data point: 2PS-L's two-phase structure is what makes it
 //!   parallelise without that loss.
 //!
-//! Every commit is also recorded in the shared [`AtomicLoads`] ledger, which
-//! is where the merged per-partition loads in the report come from — the
-//! same lock-free accounting the 2PS parallel runner uses (the baselines
-//! enforce no hard cap, so the ledger's cap is only a reporting reference).
+//! Each worker counts its placements per partition and commits the counts
+//! to the shared [`AtomicLoads`] ledger once, after its loop — which is
+//! where the merged per-partition loads in the report come from. It is the
+//! same off-the-edge-path accounting the 2PS parallel runner uses (the
+//! baselines enforce no hard cap, so the ledger's cap is only a reporting
+//! reference).
 
 use std::io;
 
@@ -132,12 +134,13 @@ impl ParallelBaselineRunner {
         let algo = self.algo;
         let buffers = run_workers(&ranges, |_, (a, b)| {
             let mut out: Vec<(Edge, PartitionId)> = Vec::with_capacity((b - a) as usize);
+            let mut placed = vec![0u64; params.k as usize];
             let mut stream = source.open_range(a, b)?;
             match algo {
                 StreamingBaseline::Dbh { seed } => {
                     while let Some(e) = stream.next_edge()? {
                         let p = dbh_target(&degrees, e, seed, params.k);
-                        ledger.reserve(p);
+                        placed[p as usize] += 1;
                         out.push((e, p));
                     }
                 }
@@ -147,10 +150,13 @@ impl ParallelBaselineRunner {
                         let du = degrees.degree(e.src) as u64;
                         let dv = degrees.degree(e.dst) as u64;
                         let p = scorer.place(e, du, dv);
-                        ledger.reserve(p);
+                        placed[p as usize] += 1;
                         out.push((e, p));
                     }
                 }
+            }
+            for (p, &n) in placed.iter().enumerate() {
+                ledger.commit(p as PartitionId, n);
             }
             Ok(out)
         })?;

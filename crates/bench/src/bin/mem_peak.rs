@@ -24,6 +24,14 @@
 //! budget) so the `O(|E|)` replay buffers do not mask the matrix term —
 //! the same `--spill-budget-mb` mechanism the CLI exposes.
 //!
+//! The same graph at k = 32 drives the **low-k pair** (`k32_serial`,
+//! `k32_t8`): at k ≤ 64 a replica row is one word and each in-process
+//! worker holds a dense private copy of the rows after the freeze
+//! (8 B/vertex/worker — see `tps_metrics::atomic`). The `k32_t8` ceiling
+//! holds that term at `O(T·|V|)` words: a regression to per-worker
+//! `O(|V|·k)` state passes here but fails `t4`/`t8`, and a per-worker term
+//! that outgrows one word per vertex fails here.
+//!
 //! A second, vertex-heavy graph (mean degree 2, small k) drives the
 //! **out-of-core pair**: `oc_unpaged` runs the plain serial job, `oc_paged`
 //! the identical job under `--mem-budget-mb` (cluster state paged through
@@ -51,6 +59,11 @@ static ALLOC: tps_metrics::alloc::CountingAllocator = tps_metrics::alloc::Counti
 
 /// The measured modes, in report order.
 const MODES: [&str; 4] = ["serial", "t4", "t8", "dist2"];
+
+/// The low-k pair: the bench graph again, at [`LOW_K`] — the regime where
+/// in-process workers keep dense private replica rows.
+const LOW_K_MODES: [&str; 2] = ["k32_serial", "k32_t8"];
+const LOW_K: u32 = 32;
 
 /// The out-of-core modes: same serial pipeline over a second, vertex-heavy
 /// graph, with and without a `--mem-budget-mb` budget. Gated as a pair —
@@ -217,6 +230,7 @@ fn run_parent(quick: bool, k: u32) {
     let children = MODES
         .iter()
         .map(|m| (*m, &input, k))
+        .chain(LOW_K_MODES.iter().map(|m| (*m, &input, LOW_K)))
         .chain(OC_MODES.iter().map(|m| (*m, &oc_input, OC_K)));
     for (mode, input, k) in children {
         let out = std::process::Command::new(&exe)
@@ -242,7 +256,9 @@ fn run_parent(quick: bool, k: u32) {
         eprintln!("kept {}", input.display());
     }
     println!("{{");
-    println!("  \"graph\": {{\"vertices\": {vertices}, \"edges\": {edges}, \"k\": {k}}},");
+    println!(
+        "  \"graph\": {{\"vertices\": {vertices}, \"edges\": {edges}, \"k\": {k}, \"low_k\": {LOW_K}}},"
+    );
     println!(
         "  \"oc_graph\": {{\"vertices\": {oc_vertices}, \"edges\": {oc_edges}, \"k\": {OC_K}, \"mem_budget_mb\": {OC_BUDGET_MB}}},"
     );
@@ -268,13 +284,13 @@ fn run_child(mode: &str, input: &str, k: u32) {
     let start = Instant::now();
     let mut sink = NullSink;
     match mode {
-        "serial" => {
+        "serial" | "k32_serial" => {
             let mut stream = source.open_range(0, info.num_edges).expect("full range");
             TwoPhasePartitioner::new(config)
                 .partition(&mut *stream, &params, &mut sink)
                 .expect("serial partition");
         }
-        "t4" | "t8" => {
+        "t4" | "t8" | "k32_t8" => {
             let threads = if mode == "t4" { 4 } else { 8 };
             let factory = SpillSpoolFactory::new(&spill_dir, mode, SPILL_BUDGET_BYTES, threads)
                 .expect("spill factory");
@@ -304,7 +320,7 @@ fn run_child(mode: &str, input: &str, k: u32) {
             tps_io::run_job(spec).expect("out-of-core partition");
         }
         other => die(&format!(
-            "unknown mode {other:?} (serial|t4|t8|dist2|oc_unpaged|oc_paged)"
+            "unknown mode {other:?} (serial|t4|t8|dist2|k32_serial|k32_t8|oc_unpaged|oc_paged)"
         )),
     }
     let seconds = start.elapsed().as_secs_f64();

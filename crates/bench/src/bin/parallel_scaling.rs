@@ -17,8 +17,16 @@
 //! * `dbh` — `ParallelBaselineRunner` vs serial DBH (whose output the
 //!   parallel runner reproduces identically at every thread count).
 //!
-//! For the default `2ps` algorithm the report also carries a
-//! `trace_overhead` section: the same 4-thread run measured untraced and
+//! For the default `2ps` algorithm serial and T = 1 — the same kernels over
+//! the same edges — are timed in alternation, and the report carries their
+//! ratio as `t1_vs_serial` (serial seconds ÷ T = 1 seconds; 1.0 = the
+//! one-worker runner costs nothing over the serial one). Like
+//! `io_readers`' `v2_vs_v1` it cancels machine-speed drift, and the perf
+//! gate holds it above the committed `parallel_scaling.t1_vs_serial.ratio`
+//! floor.
+//!
+//! The `2ps` report also carries a `trace_overhead` section: the same
+//! 4-thread run measured untraced and
 //! with `tps-obs` event recording enabled, plus their wall-time ratio
 //! (`slowdown`) — the CI perf gate holds that ratio under the committed
 //! `parallel_scaling.trace_overhead.slowdown` ceiling. `--trace FILE`
@@ -58,7 +66,8 @@ fn main() {
     let graph = Dataset::Ok.generate_scaled(args.scale);
     let params = PartitionParams::new(K);
 
-    let (serial, rows) = match algo.as_str() {
+    let is_2ps = matches!(algo.as_str(), "2ps" | "2ps-l");
+    let (serial, parallel) = match algo.as_str() {
         "2ps" | "2ps-l" => run_2ps(&graph, &params, &args),
         "hdrf" => run_baseline(StreamingBaseline::hdrf(), &graph, &params, &args),
         "dbh" => run_baseline(StreamingBaseline::dbh(), &graph, &params, &args),
@@ -88,14 +97,26 @@ fn main() {
         serial.metrics.replication_factor,
         serial.metrics.alpha
     );
+    let rows: Vec<String> = parallel
+        .iter()
+        .map(|(threads, out)| row(*threads, out, &serial, medges))
+        .collect();
     println!("  \"parallel\": [\n{}\n  ],", rows.join(",\n"));
-    if matches!(algo.as_str(), "2ps" | "2ps-l") {
+    if is_2ps {
+        let t1 = &parallel[0].1; // THREAD_COUNTS starts at 1
+        println!(
+            "  \"t1_vs_serial\": {{\"serial_seconds\": {:.6}, \"t1_seconds\": {:.6}, \"ratio\": {:.4}}},",
+            serial.seconds,
+            t1.seconds,
+            serial.seconds / t1.seconds
+        );
         println!(
             "  {}",
             trace_overhead(&graph, &params, &args, trace_path.as_deref())
         );
     } else {
         // Keep the document shape stable across algorithms.
+        println!("  \"t1_vs_serial\": null,");
         println!("  \"trace_overhead\": null");
     }
     println!("}}");
@@ -113,13 +134,16 @@ fn take_value(argv: &mut Vec<String>, name: &str) -> Option<String> {
     }
 }
 
+fn keep_faster(best: &mut Option<Measured>, out: Measured) {
+    if best.as_ref().is_none_or(|b| out.seconds < b.seconds) {
+        *best = Some(out);
+    }
+}
+
 fn best_of<F: FnMut() -> Measured>(repeats: u32, mut run: F) -> Measured {
-    let mut best: Option<Measured> = None;
+    let mut best = None;
     for _ in 0..repeats {
-        let out = run();
-        if best.as_ref().is_none_or(|b| out.seconds < b.seconds) {
-            best = Some(out);
-        }
+        keep_faster(&mut best, run());
     }
     best.expect("at least one repeat")
 }
@@ -141,8 +165,8 @@ fn run_2ps(
     graph: &InMemoryGraph,
     params: &PartitionParams,
     args: &BenchArgs,
-) -> (Measured, Vec<String>) {
-    let serial = best_of(args.repeats, || {
+) -> (Measured, Vec<(usize, Measured)>) {
+    let run_serial = || {
         let mut stream = graph.stream();
         let out = JobSpec::stream(&mut stream)
             .two_phase(TwoPhaseConfig::default())
@@ -155,27 +179,36 @@ fn run_2ps(
             metrics: out.metrics,
             report: out.report,
         }
-    });
-    let medges = graph.num_edges() as f64 / 1e6;
-    let mut rows = Vec::new();
-    for threads in THREAD_COUNTS {
-        let out = best_of(args.repeats, || {
-            let out = JobSpec::ranged(graph)
-                .two_phase(TwoPhaseConfig::default())
-                .params(params)
-                .threads(ThreadMode::Count(threads))
-                .run()
-                .expect("parallel partition");
-            Measured {
-                seconds: out.seconds(),
-                metrics: out.metrics,
-                report: out.report,
-            }
-        });
-        check_row(&out, &serial, graph, threads);
-        rows.push(row(threads, &out, &serial, medges));
+    };
+    let run_parallel = |threads: usize| {
+        let out = JobSpec::ranged(graph)
+            .two_phase(TwoPhaseConfig::default())
+            .params(params)
+            .threads(ThreadMode::Count(threads))
+            .run()
+            .expect("parallel partition");
+        Measured {
+            seconds: out.seconds(),
+            metrics: out.metrics,
+            report: out.report,
+        }
+    };
+    // Serial and T = 1 alternate, so machine-load drift hits both sides of
+    // `t1_vs_serial`; a lone `--quick` pair is too noisy for a ratio.
+    let (mut serial, mut t1) = (None, None);
+    for _ in 0..args.repeats.max(3) {
+        keep_faster(&mut serial, run_serial());
+        keep_faster(&mut t1, run_parallel(1));
     }
-    (serial, rows)
+    let serial = serial.expect("at least one repeat");
+    let mut parallel = vec![(1, t1.expect("at least one repeat"))];
+    for &threads in &THREAD_COUNTS[1..] {
+        parallel.push((threads, best_of(args.repeats, || run_parallel(threads))));
+    }
+    for (threads, out) in &parallel {
+        check_row(out, &serial, graph, *threads);
+    }
+    (serial, parallel)
 }
 
 fn run_baseline(
@@ -183,7 +216,7 @@ fn run_baseline(
     graph: &InMemoryGraph,
     params: &PartitionParams,
     args: &BenchArgs,
-) -> (Measured, Vec<String>) {
+) -> (Measured, Vec<(usize, Measured)>) {
     let serial = best_of(args.repeats, || {
         let mut sink = QualitySink::new(graph.num_vertices(), params.k);
         let start = Instant::now();
@@ -206,8 +239,7 @@ fn run_baseline(
             report,
         }
     });
-    let medges = graph.num_edges() as f64 / 1e6;
-    let mut rows = Vec::new();
+    let mut parallel = Vec::new();
     for threads in THREAD_COUNTS {
         let runner = ParallelBaselineRunner::new(algo, threads);
         let out = best_of(args.repeats, || {
@@ -223,9 +255,9 @@ fn run_baseline(
             }
         });
         check_row(&out, &serial, graph, threads);
-        rows.push(row(threads, &out, &serial, medges));
+        parallel.push((threads, out));
     }
-    (serial, rows)
+    (serial, parallel)
 }
 
 fn check_row(out: &Measured, serial: &Measured, graph: &InMemoryGraph, threads: usize) {

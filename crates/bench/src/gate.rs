@@ -321,6 +321,15 @@ pub fn extract_metrics(report: &Json) -> BTreeMap<String, f64> {
                 out.insert(format!("{section}.t{}.rf_vs_serial", t as u64), v);
             }
         }
+        // One-worker parity floor: serial ÷ T = 1 wall time, interleaved
+        // in one process like the v2/v1 ratios above.
+        if let Some(v) = par
+            .get("t1_vs_serial")
+            .and_then(|t| t.get("ratio"))
+            .and_then(Json::as_f64)
+        {
+            out.insert(format!("{section}.t1_vs_serial.ratio"), v);
+        }
         // Tracing-overhead ceiling: traced ÷ untraced wall time.
         if let Some(v) = par
             .get("trace_overhead")
@@ -571,7 +580,8 @@ mod tests {
                 "parallel": [
                   {"threads": 1, "medges_per_sec": 14.0, "rf_vs_serial": 1.0},
                   {"threads": 4, "medges_per_sec": 50.0, "rf_vs_serial": 1.24}
-                ]
+                ],
+                "t1_vs_serial": {"serial_seconds": 1.0, "t1_seconds": 1.25, "ratio": 0.8}
               }
             }"#,
         )
@@ -588,11 +598,16 @@ mod tests {
         assert_eq!(m["parallel_scaling.t1.rf_vs_serial"], 1.0);
         assert_eq!(m["parallel_scaling.t4.rf_vs_serial"], 1.24);
         assert_eq!(m["io_readers.v2_vs_v1.mmap.ratio"], 1.05);
-        assert_eq!(m.len(), 8);
+        assert_eq!(m["parallel_scaling.t1_vs_serial.ratio"], 0.8);
+        assert_eq!(m.len(), 9);
         // The v2/v1 parity ratio is a floor (higher = v2 faster = better);
         // note the distinct `.update_scale_ratio` suffix stays a ceiling.
         assert_eq!(
             direction("io_readers.v2_vs_v1.mmap.ratio"),
+            Direction::Floor
+        );
+        assert_eq!(
+            direction("parallel_scaling.t1_vs_serial.ratio"),
             Direction::Floor
         );
     }

@@ -15,11 +15,12 @@
 //!   runner. Worker threads *reserve* capacity deterministically up front
 //!   (each thread `t` of `T` owns the quota slice
 //!   `⌊(t+1)·cap/T⌋ − ⌊t·cap/T⌋` of every partition's cap, so the quotas
-//!   sum to the cap exactly) and then `reserve` each placement here with a
-//!   single relaxed `fetch_add`. Because the quota slices partition the cap,
-//!   a worker that respects its quota can never push the ledger past the
-//!   cap — the atomic counter is the runtime witness of that invariant and
-//!   the source of the merged per-partition loads, not a lock.
+//!   sum to the cap exactly), count their placements locally, and `commit`
+//!   the counts here once per pass — `k` relaxed `fetch_add`s, none on the
+//!   per-edge path. Because the quota slices partition the cap, a worker
+//!   that respects its quota can never push the ledger past the cap — the
+//!   atomic counter is the runtime witness of that invariant and the source
+//!   of the merged per-partition loads, not a lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -77,7 +78,7 @@ impl LoadTracker for PartitionLoads {
 ///
 /// All mutation is a single `fetch_add` with relaxed ordering — worker
 /// threads never contend on a lock and never observe torn counts. The
-/// structure reports whether each reservation stayed within the cap; the
+/// structure reports how much of each commit landed past the cap; the
 /// deterministic quota slices held by the workers (see module docs)
 /// guarantee it except in counted degenerate cases (`|E|` not much larger
 /// than `k × threads`), which the parallel runner surfaces as a
@@ -118,12 +119,17 @@ impl AtomicLoads {
         self.loads[p as usize].load(Ordering::Relaxed)
     }
 
-    /// Reserve one edge slot on `p`. Returns `false` when the reservation
-    /// pushed `p` past the cap (the slot is still recorded — every edge must
-    /// be placed somewhere; callers count the overshoot instead).
+    /// Record `delta` edges on `p` with one relaxed `fetch_add` and return
+    /// how many of them landed past the cap: `max(0, old+δ − max(old, cap))`.
+    /// Every edge is recorded either way — it must be placed somewhere;
+    /// callers count the overshoot instead. Commits claim disjoint intervals
+    /// `[old, old+δ)` of the counter, so the overshoots of all commits on `p`
+    /// sum to `max(0, load_p − cap)` for every interleaving and every
+    /// batching — one commit per edge and one per pass count the same total.
     #[inline]
-    pub fn reserve(&self, p: PartitionId) -> bool {
-        self.loads[p as usize].fetch_add(1, Ordering::Relaxed) < self.cap
+    pub fn commit(&self, p: PartitionId, delta: u64) -> u64 {
+        let old = self.loads[p as usize].fetch_add(delta, Ordering::Relaxed);
+        (old + delta).saturating_sub(old.max(self.cap))
     }
 
     /// The quota slice of the cap owned by thread `t` of `threads`:
@@ -324,9 +330,9 @@ mod tests {
     fn atomic_reserve_reports_cap() {
         let l = AtomicLoads::new(2, 4, 1.0);
         assert_eq!(l.cap(), 2);
-        assert!(l.reserve(0));
-        assert!(l.reserve(0));
-        assert!(!l.reserve(0), "third reservation exceeds the cap");
+        assert_eq!(l.commit(0, 1), 0);
+        assert_eq!(l.commit(0, 1), 0);
+        assert_eq!(l.commit(0, 1), 1, "third reservation exceeds the cap");
         assert_eq!(l.load(0), 3, "overshoot is still recorded");
         assert_eq!(l.load(1), 0);
         assert_eq!(l.total(), 3);
@@ -363,11 +369,27 @@ mod tests {
         let l = AtomicLoads::new(1, 1000, 1.0);
         let in_cap: u64 = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| (0..500).filter(|_| l.reserve(0)).count() as u64))
+                .map(|_| s.spawn(|| (0..500).filter(|_| l.commit(0, 1) == 0).count() as u64))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(in_cap, 1000);
         assert_eq!(l.load(0), 2000);
+    }
+
+    #[test]
+    fn batched_commits_count_the_same_overshoot_as_unit_commits() {
+        // cap 5; the batches straddle it below, across and above.
+        let batches = [3u64, 0, 4, 2, 6];
+        let batched = AtomicLoads::new(1, 5, 1.0);
+        let unit = AtomicLoads::new(1, 5, 1.0);
+        let (mut over_batched, mut over_unit) = (0, 0);
+        for &d in &batches {
+            over_batched += batched.commit(0, d);
+            over_unit += (0..d).map(|_| unit.commit(0, 1)).sum::<u64>();
+        }
+        assert_eq!(batched.load(0), 15);
+        assert_eq!(over_batched, 10);
+        assert_eq!(over_unit, 10);
     }
 }

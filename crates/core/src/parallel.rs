@@ -50,9 +50,10 @@
 //!    shared matrix *is* the OR-merge of the old per-worker shards — OR is
 //!    commutative, associative and idempotent — with no merge pass and no
 //!    copies. Each worker's view is then **frozen**: scoring-subpass
-//!    writes land in a private sparse overlay, so every worker scores
+//!    writes stay private to the worker (dense one-word rows at k ≤ 64, a
+//!    sparse overlay above — see `# Memory`), so every worker scores
 //!    against "merged state ∪ its own scoring replicas" — exactly the
-//!    sharded semantics, bit for bit, at `O(|V|·k)` total instead of
+//!    sharded semantics, bit for bit, at `O(|V|·k)` bits total instead of
 //!    `O(T·|V|·k)`.
 //! 5. **emit** — per-worker assignment spools are replayed into the caller's
 //!    [`AssignmentSink`] in worker order, so downstream files and metrics
@@ -66,15 +67,20 @@
 //! cross-thread timing dependences: each worker `t` owns the deterministic
 //! quota slice `⌊(t+1)·cap/T⌋ − ⌊t·cap/T⌋` of every partition's capacity
 //! (slices sum to the cap exactly), treats a partition as *full* when its
-//! own slice is exhausted, and records every commit in a shared
-//! [`AtomicLoads`] ledger with one relaxed `fetch_add`. Within-quota commits
-//! can never push the ledger past the cap; the ledger verifies this at run
-//! time and yields the merged per-partition loads for the report. Because
-//! every *decision* reads only the worker-local slice ([`ShardLoads`]), the
-//! ledger is optional: a distributed worker runs the identical decision path
-//! with [`ShardLoads::standalone`] and the coordinator recomputes the
-//! overshoot from the merged loads (`Σ_p max(0, load_p − cap)` — exactly
-//! what the in-process ledger counts, independent of interleaving).
+//! own slice is exhausted, and counts its commits locally. Every *decision*
+//! reads only that worker-local slice ([`ShardLoads`]), so the per-edge
+//! path touches no shared cache line. The shared [`AtomicLoads`] ledger
+//! only *verifies* the cap and yields the merged per-partition loads, and
+//! it is fed once per pass: at the end of
+//! [`prepartition_pass`](ShardAssigner::prepartition_pass) and of
+//! [`remaining_pass`](ShardAssigner::remaining_pass) a worker commits its
+//! `k` per-partition deltas with one relaxed `fetch_add` each. Each commit
+//! claims a disjoint interval of the partition's counter, so the units
+//! beyond the cap sum to `Σ_p max(0, load_p − cap)` for every interleaving
+//! — what one `fetch_add` per edge counted, and what a ledger-free run
+//! reconstructs: a distributed worker runs the identical decision path with
+//! [`ShardLoads::standalone`] and the coordinator recomputes the overshoot
+//! from the merged loads ([`overshoot_from_loads`]).
 //!
 //! # Determinism and quality bounds
 //!
@@ -102,10 +108,16 @@
 //! # Memory
 //!
 //! Phase 2 keeps the paper's Table II replication bound at any thread
-//! count: **one** shared `O(|V|·k)`-bit [`AtomicReplicationMatrix`] plus a
-//! per-worker sparse overlay proportional to the worker's own
-//! scoring-time replicas (measured by the `mem_peak` bench and gated in
-//! CI). The remaining per-worker state is transient — degree tables and
+//! count: **one** shared `O(|V|·k)`-bit [`AtomicReplicationMatrix`] plus
+//! each worker's private post-freeze state, whose form follows the row
+//! width (see [`tps_metrics::atomic`]): at k ≤ 64 a dense copy of the
+//! one-word rows — 8 B/vertex/worker, below the 16 B/vertex (degree table
+//! and clustering) the worker held through phases 0–1, so the job's peak
+//! does not move — and at k > 64 a sparse overlay proportional to the
+//! worker's own scoring-time replicas, never `O(T·|V|·k)`. Both regimes
+//! are measured by the `mem_peak` bench and gated in CI
+//! ([`ShardAssigner::private_bytes`] reports the term). The remaining
+//! per-worker state is transient — degree tables and
 //! clustering maps during their phases — plus the assignment spools until
 //! the emit barrier (`O(|E|)` with the default in-memory spools;
 //! **bounded** when a spill-backed [`SpoolFactory`] is installed — the CLI
@@ -137,11 +149,14 @@ use crate::two_phase::{AssignCounters, EdgeAssigner, MappingStrategy, TwoPhaseCo
 /// Decisions (`is_full`, `least_loaded`, scoring reads) depend **only** on
 /// the local slice, so a tracker with and without the ledger takes identical
 /// decisions — the ledger adds run-time cap verification and overshoot
-/// counting for in-process runs.
+/// counting for in-process runs, fed once per pass by the [`ShardAssigner`]
+/// that owns the tracker (`add` itself touches no atomic).
 pub struct ShardLoads<'a> {
     local: Vec<u64>,
     quota: u64,
     ledger: Option<&'a AtomicLoads>,
+    /// `local` as of the last ledger commit (unused without a ledger).
+    committed: Vec<u64>,
     overshoot: u64,
 }
 
@@ -152,6 +167,7 @@ impl<'a> ShardLoads<'a> {
             local: vec![0; ledger.k() as usize],
             quota: AtomicLoads::quota_slice(ledger.cap(), shard, shards),
             ledger: Some(ledger),
+            committed: vec![0; ledger.k() as usize],
             overshoot: 0,
         }
     }
@@ -164,6 +180,7 @@ impl<'a> ShardLoads<'a> {
             local: vec![0; k as usize],
             quota: AtomicLoads::quota_slice(cap, shard, shards),
             ledger: None,
+            committed: Vec::new(),
             overshoot: 0,
         }
     }
@@ -178,11 +195,25 @@ impl<'a> ShardLoads<'a> {
         &self.local
     }
 
-    /// Ledger-witnessed cap overshoots (always 0 without a ledger; the
-    /// coordinator of a ledger-free run recomputes the total from the merged
-    /// loads instead).
+    /// Ledger-witnessed cap overshoots as of the last per-pass commit
+    /// (always 0 without a ledger; the coordinator of a ledger-free run
+    /// recomputes the total from the merged loads instead).
     pub fn overshoot(&self) -> u64 {
         self.overshoot
+    }
+
+    /// Publish the edges added since the last commit to the ledger — `k`
+    /// `fetch_add`s, called once at the end of each phase-2 pass so the
+    /// per-edge path shares no cache line with other workers.
+    fn commit_to_ledger(&mut self) {
+        let Some(ledger) = self.ledger else { return };
+        for (p, (&now, done)) in self.local.iter().zip(&mut self.committed).enumerate() {
+            // Only reachable past the cap through the degenerate
+            // all-quotas-exhausted fallback; counted and reported, never
+            // silent.
+            self.overshoot += ledger.commit(p as PartitionId, now - *done);
+            *done = now;
+        }
     }
 }
 
@@ -198,13 +229,6 @@ impl LoadTracker for ShardLoads<'_> {
     }
     fn add(&mut self, p: PartitionId) {
         self.local[p as usize] += 1;
-        if let Some(ledger) = self.ledger {
-            if !ledger.reserve(p) {
-                // Only reachable through the degenerate all-quotas-exhausted
-                // fallback; counted and reported, never silent.
-                self.overshoot += 1;
-            }
-        }
     }
     fn least_loaded(&self) -> PartitionId {
         let mut best = 0u32;
@@ -312,6 +336,8 @@ pub fn cluster_placement(
 /// [`SharedReplicaView`] (the in-process runner): the barrier is just
 /// [`freeze_replication`](ShardAssigner::freeze_replication) — the shared
 /// matrix already holds the union of every worker's pre-partition writes.
+/// Each pass ends by committing the shard's load deltas to the ledger, if
+/// its [`ShardLoads`] has one.
 pub struct ShardAssigner<'a, R: ReplicaSet = ReplicationMatrix> {
     config: TwoPhaseConfig,
     inner: EdgeAssigner<'a, ShardLoads<'a>, R>,
@@ -348,6 +374,7 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         while let Some(edge) = stream.next_edge()? {
             self.inner.prepartition_edge(edge, sink)?;
         }
+        self.inner.loads.commit_to_ledger();
         Ok(())
     }
 
@@ -366,6 +393,7 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
             self.inner
                 .assign_remaining(edge, self.config.strategy, sink)?;
         }
+        self.inner.loads.commit_to_ledger();
         Ok(())
     }
 
@@ -409,17 +437,17 @@ impl<'a> ShardAssigner<'a, ReplicationMatrix> {
 impl<'a> ShardAssigner<'a, SharedReplicaView<'a>> {
     /// The in-process replication barrier: stop writing through to the
     /// shared matrix (it now holds the union of every worker's
-    /// pre-partition replicas) and keep scoring-subpass writes in this
-    /// worker's private overlay. Must be called after *all* workers'
+    /// pre-partition replicas) and keep scoring-subpass writes private to
+    /// this worker. Must be called after *all* workers'
     /// pre-partition passes have joined.
     pub fn freeze_replication(&mut self) {
         self.inner.v2p.freeze();
     }
 
-    /// Words held privately by this worker's post-freeze overlay (memory
-    /// accounting: the worker's own scoring-time replicas).
-    pub fn overlay_words(&self) -> usize {
-        self.inner.v2p.overlay_words()
+    /// Heap bytes of this worker's private post-freeze replica state
+    /// (memory accounting; see [`SharedReplicaView::private_bytes`]).
+    pub fn private_bytes(&self) -> usize {
+        self.inner.v2p.private_bytes()
     }
 }
 
@@ -582,11 +610,11 @@ impl ParallelRunner {
         })?;
         report.phases.record("prepartition", s3.end());
 
-        // Barrier: freeze every worker's view. No merge and no copies —
-        // the shared matrix already holds the union; scoring-subpass
-        // writes go to per-worker sparse overlays so each worker sees
-        // exactly "merged ∪ its own scoring replicas" (the sharded-path
-        // semantics, at the serial memory bound).
+        // Barrier: freeze every worker's view. No merge — the shared
+        // matrix already holds the union; scoring-subpass writes stay
+        // private to each worker, so it sees exactly "merged ∪ its own
+        // scoring replicas" (the sharded-path semantics, at the serial
+        // memory bound in bits).
         for (assigner, _) in &mut states {
             assigner.freeze_replication();
         }
@@ -644,8 +672,8 @@ pub fn record_clustering_counters(report: &mut RunReport, clustering: &Clusterin
 /// The cap-overshoot total a ledger-free (distributed) run reconstructs
 /// from the merged per-partition loads: `Σ_p max(0, load_p − cap)`. For any
 /// interleaving this equals the sum of the in-process ledger's per-worker
-/// overshoot counts, because each reservation increments exactly one
-/// counter once.
+/// overshoot counts, because each commit claims a disjoint interval of
+/// exactly one counter.
 pub fn overshoot_from_loads(loads: &[u64], k: u32, num_edges: u64, alpha: f64) -> u64 {
     let cap = PartitionLoads::new(k, num_edges, alpha).cap();
     loads.iter().map(|&l| l.saturating_sub(cap)).sum()

@@ -119,8 +119,20 @@ mod tests {
     // global allocator in a lib's test build would affect every test). These
     // tests cover the bookkeeping arithmetic through the public hooks.
 
+    /// `CURRENT` and `PEAK` are process-global and `cargo test` runs tests
+    /// on parallel threads: every test that touches them holds this lock,
+    /// so none sees another's bytes between its reads.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_counters() -> std::sync::MutexGuard<'static, ()> {
+        // A failed assertion in one test must not fail the others: the
+        // guarded data is `()`, so a poisoned lock is still valid.
+        COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn add_sub_roundtrip() {
+        let _guard = lock_counters();
         let before = current_bytes();
         CountingAllocator::add(1024);
         assert_eq!(current_bytes(), before + 1024);
@@ -131,6 +143,7 @@ mod tests {
 
     #[test]
     fn reset_peak_drops_to_current() {
+        let _guard = lock_counters();
         CountingAllocator::add(4096);
         CountingAllocator::sub(4096);
         reset_peak();
@@ -139,6 +152,7 @@ mod tests {
 
     #[test]
     fn measure_peak_reports_growth() {
+        let _guard = lock_counters();
         let ((), growth) = measure_peak(|| {
             CountingAllocator::add(10_000);
             CountingAllocator::sub(10_000);

@@ -17,13 +17,31 @@
 //! * [`SharedReplicaView`] — one worker's handle on the shared matrix.
 //!   Before [`freeze`](SharedReplicaView::freeze) (the pre-partitioning
 //!   subpass) inserts write through to the shared words. After freeze (the
-//!   scoring subpass) inserts land in a private **sparse overlay** and
-//!   reads see `shared ∪ overlay` — exactly the "merged matrix plus my own
-//!   scoring-time replicas" view a sharded worker had, which is what keeps
-//!   the output bit-identical to the sharded path (and to `tps-dist`,
-//!   whose workers still run owned per-shard matrices). The overlay holds
-//!   only words this worker's scoring commits touch, so per-worker state
-//!   is proportional to its own new replicas, not to `|V|·k`.
+//!   scoring subpass) inserts stay private and reads see `shared ∪ private`
+//!   — exactly the "merged matrix plus my own scoring-time replicas" view a
+//!   sharded worker had, which is what keeps the output bit-identical to
+//!   the sharded path (and to `tps-dist`, whose workers still run owned
+//!   per-shard matrices).
+//!
+//! # Memory
+//!
+//! The private state after the freeze has two representations, chosen from
+//! the row width alone:
+//!
+//! * **k ≤ 64 — dense private rows.** A row is one word, so `freeze` copies
+//!   the now-immutable shared words into a private `Vec<u64>` and every
+//!   later `contains`/`insert` is one array access, as cheap as the serial
+//!   [`ReplicationMatrix`]. That is 8 B/vertex/worker — `O(|V|)` words, not
+//!   `O(|V|·k)` bits — and half of the 16 B/vertex (degree table +
+//!   clustering) the same worker held through phases 0–1, so it does not
+//!   raise the job's peak.
+//! * **k > 64 — sparse overlay.** A dense copy would be the `O(T·|V|·k)`
+//!   bits this module exists to avoid, so inserts land in a word-index →
+//!   bits hash (`WordOverlay`) holding only words this worker's scoring
+//!   commits touch: per-worker state proportional to its own new replicas.
+//!
+//! [`SharedReplicaView::private_bytes`] reports either; the `mem_peak` bench
+//! gates both regimes in CI.
 //!
 //! Memory ordering: relaxed operations suffice. All workers join at the
 //! barrier between the two subpasses (thread join is a happens-before
@@ -214,14 +232,25 @@ impl AtomicReplicationMatrix {
     }
 }
 
+/// What a [`SharedReplicaView`] holds privately (see the module docs'
+/// `# Memory` section).
+enum Private {
+    /// Thawed: inserts write through, nothing is private.
+    Nothing,
+    /// Frozen, one-word rows (k ≤ 64): the frozen shared rows plus this
+    /// worker's own scoring-time replicas, one word per vertex.
+    Dense(Vec<u64>),
+    /// Frozen, wider rows: word index → additional bits, only for words
+    /// this worker's own scoring commits touch.
+    Sparse(WordOverlay),
+}
+
 /// One worker's view of the shared matrix: write-through before the
-/// barrier, private sparse overlay after it (see the module docs).
+/// barrier, private rows or a private sparse overlay after it (see the
+/// module docs).
 pub struct SharedReplicaView<'m> {
     shared: &'m AtomicReplicationMatrix,
-    /// Post-freeze writes: word index → additional bits. Sparse — only
-    /// words this worker's own scoring commits touch.
-    overlay: WordOverlay,
-    frozen: bool,
+    private: Private,
 }
 
 impl<'m> SharedReplicaView<'m> {
@@ -229,26 +258,39 @@ impl<'m> SharedReplicaView<'m> {
     pub fn new(shared: &'m AtomicReplicationMatrix) -> Self {
         SharedReplicaView {
             shared,
-            overlay: WordOverlay::new(),
-            frozen: false,
+            private: Private::Nothing,
         }
     }
 
-    /// Stop writing through: subsequent inserts stay in this view's
-    /// private overlay. Called at the pre-partition/scoring barrier, after
-    /// every worker's write-through pass has joined.
+    /// Stop writing through: subsequent inserts stay private to this view.
+    /// Called at the pre-partition/scoring barrier, after every worker's
+    /// write-through pass has joined — the shared words are immutable from
+    /// here on, which is what makes the dense snapshot sound.
     pub fn freeze(&mut self) {
-        self.frozen = true;
+        if self.is_frozen() {
+            return;
+        }
+        self.private = if self.shared.words_per_vertex == 1 {
+            let rows = self.shared.bits.iter();
+            Private::Dense(rows.map(|w| w.load(Ordering::Relaxed)).collect())
+        } else {
+            Private::Sparse(WordOverlay::new())
+        };
     }
 
-    /// Whether the view is frozen (overlay-writing).
+    /// Whether the view is frozen (keeping inserts private).
     pub fn is_frozen(&self) -> bool {
-        self.frozen
+        !matches!(self.private, Private::Nothing)
     }
 
-    /// Words held privately by this view's overlay.
-    pub fn overlay_words(&self) -> usize {
-        self.overlay.len
+    /// Heap bytes this view holds privately: 0 while thawed, 8 B/vertex
+    /// for dense rows, 12 B per allocated slot for the sparse overlay.
+    pub fn private_bytes(&self) -> usize {
+        match &self.private {
+            Private::Nothing => 0,
+            Private::Dense(rows) => rows.len() * 8,
+            Private::Sparse(overlay) => overlay.keys.len() * 12,
+        }
     }
 }
 
@@ -266,26 +308,33 @@ impl ReplicaSet for SharedReplicaView<'_> {
     #[inline]
     fn contains(&self, v: VertexId, p: PartitionId) -> bool {
         let (word, mask) = self.shared.index(v, p);
-        if self.shared.bits[word].load(Ordering::Relaxed) & mask != 0 {
-            return true;
+        match &self.private {
+            Private::Dense(rows) => rows[word] & mask != 0,
+            Private::Sparse(overlay) => {
+                self.shared.bits[word].load(Ordering::Relaxed) & mask != 0
+                    || overlay.get(word as u32) & mask != 0
+            }
+            Private::Nothing => self.shared.bits[word].load(Ordering::Relaxed) & mask != 0,
         }
-        self.overlay.get(word as u32) & mask != 0
     }
 
     #[inline]
     fn insert(&mut self, v: VertexId, p: PartitionId) {
-        if self.frozen {
-            let (word, mask) = self.shared.index(v, p);
-            // A bit the frozen shared matrix already holds needs no
-            // private copy — `contains` reads `shared ∪ overlay` either
-            // way, and on prepartition-heavy graphs this keeps the
-            // overlay near-empty.
-            if self.shared.bits[word].load(Ordering::Relaxed) & mask != 0 {
-                return;
+        let (word, mask) = self.shared.index(v, p);
+        match &mut self.private {
+            Private::Dense(rows) => rows[word] |= mask,
+            Private::Sparse(overlay) => {
+                // A bit the frozen shared matrix already holds needs no
+                // private copy — `contains` reads `shared ∪ overlay` either
+                // way, and on prepartition-heavy graphs this keeps the
+                // overlay near-empty.
+                if self.shared.bits[word].load(Ordering::Relaxed) & mask == 0 {
+                    overlay.or_insert(word as u32, mask);
+                }
             }
-            self.overlay.or_insert(word as u32, mask);
-        } else {
-            self.shared.set(v, p);
+            Private::Nothing => {
+                self.shared.bits[word].fetch_or(mask, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -361,13 +410,91 @@ mod tests {
         assert!(!shared.get(3, 1), "frozen insert stays private");
         assert!(view.contains(3, 1), "…but is visible to this view");
         assert!(view.contains(1, 2), "shared bits stay visible");
-        assert_eq!(view.overlay_words(), 1);
 
         // A second frozen view does not see the first view's overlay —
         // the sharded-path semantics the bit-identity proptests pin.
         let other = SharedReplicaView::new(&shared);
         assert!(!other.contains(3, 1));
         assert!(other.contains(1, 2));
+    }
+
+    #[test]
+    fn private_bytes_follow_the_row_width() {
+        // k ≤ 64: one private word per vertex from the freeze on, however
+        // few inserts follow. k > 64: nothing until the first private
+        // insert, then 12 B per allocated overlay slot — never a dense copy.
+        let narrow = AtomicReplicationMatrix::new(1000, 64);
+        let wide = AtomicReplicationMatrix::new(1000, 65);
+        let mut dense = SharedReplicaView::new(&narrow);
+        let mut sparse = SharedReplicaView::new(&wide);
+        assert_eq!((dense.private_bytes(), sparse.private_bytes()), (0, 0));
+        dense.freeze();
+        sparse.freeze();
+        assert!(dense.is_frozen() && sparse.is_frozen());
+        assert_eq!((dense.private_bytes(), sparse.private_bytes()), (8000, 0));
+        dense.insert(7, 63);
+        sparse.insert(7, 64);
+        assert_eq!(dense.private_bytes(), 8000);
+        assert_eq!(sparse.private_bytes(), 64 * 12);
+        assert!(sparse.private_bytes() < wide.heap_bytes());
+        // A second freeze keeps what the view already holds.
+        dense.freeze();
+        sparse.freeze();
+        assert!(dense.contains(7, 63) && sparse.contains(7, 64));
+    }
+
+    #[test]
+    fn dense_and_sparse_views_answer_like_an_owned_matrix() {
+        // One random insert/contains script against three replica states
+        // holding the same bits: a frozen dense view (k = 40), a frozen
+        // sparse view (the same partitions, k padded past one word) and an
+        // owned matrix seeded with the shared bits — the sharded-path
+        // reference. A bystander view frozen at the same barrier must never
+        // see the scripted views' private writes.
+        const N: u32 = 300;
+        const K: u32 = 40;
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 33) as u32 % bound
+        };
+        let narrow = AtomicReplicationMatrix::new(N as u64, K);
+        let wide = AtomicReplicationMatrix::new(N as u64, K + 64);
+        let mut owned = ReplicationMatrix::new(N as u64, K);
+        let mut dense = SharedReplicaView::new(&narrow);
+        let mut sparse = SharedReplicaView::new(&wide);
+        for _ in 0..400 {
+            let (v, p) = (next(N), next(K));
+            dense.insert(v, p);
+            sparse.insert(v, p);
+            owned.set(v, p);
+        }
+        let frozen = narrow.snapshot();
+        let mut bystanders = [
+            SharedReplicaView::new(&narrow),
+            SharedReplicaView::new(&wide),
+        ];
+        for view in [&mut dense, &mut sparse].into_iter().chain(&mut bystanders) {
+            view.freeze();
+        }
+        for step in 0..4000 {
+            let (v, p) = (next(N), next(K));
+            if next(3) == 0 {
+                dense.insert(v, p);
+                sparse.insert(v, p);
+                owned.set(v, p);
+            }
+            let want = owned.get(v, p);
+            assert_eq!(dense.contains(v, p), want, "dense, step {step}");
+            assert_eq!(sparse.contains(v, p), want, "sparse, step {step}");
+            for other in &bystanders {
+                assert_eq!(other.contains(v, p), frozen.get(v, p), "step {step}");
+            }
+        }
+        assert_eq!(narrow.snapshot().total_replicas(), frozen.total_replicas());
+        assert!(owned.total_replicas() > frozen.total_replicas());
     }
 
     #[test]

@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use tps_clustering::merge::merge_clusterings;
 use tps_core::balance::PartitionLoads;
 use tps_core::parallel::{
-    cluster_placement, merge_degree_tables, resolve_volume_cap, shard_clustering, shard_degrees,
-    ParallelRunner, ShardAssigner, ShardLoads,
+    cluster_placement, merge_degree_tables, overshoot_from_loads, resolve_volume_cap,
+    shard_clustering, shard_degrees, ParallelRunner, ShardAssigner, ShardLoads,
 };
 use tps_core::partitioner::{PartitionParams, Partitioner};
 use tps_core::sink::{QualitySink, VecSink};
@@ -51,6 +51,14 @@ fn parallel_assignments(source: &dyn RangedEdgeSource, k: u32, threads: usize) -
 fn arb_graph() -> impl Strategy<Value = InMemoryGraph> {
     proptest::collection::vec((0u32..64, 0u32..64), 1..200)
         .prop_map(|pairs| InMemoryGraph::from_edges(pairs.into_iter().map(Edge::from).collect()))
+}
+
+/// Partition counts on both sides of the one-word replica-row boundary: the
+/// in-process workers' frozen views are dense private rows at k ≤ 64 and a
+/// sparse overlay above, and both must reproduce the sharded reference.
+fn arb_k_across_row_widths() -> impl Strategy<Value = u32> {
+    const KS: [u32; 6] = [1, 8, 63, 64, 65, 130];
+    (0..KS.len()).prop_map(|i| KS[i])
 }
 
 /// The pre-atomic **sharded** phase 2, hand-driven through the public
@@ -175,13 +183,14 @@ proptest! {
 
     /// The tentpole invariant of the shared `AtomicReplicationMatrix`
     /// design: phase 2 over one shared `O(|V|·k)` matrix (write-through
-    /// prepartition, frozen + private overlays for scoring) is
+    /// prepartition, frozen + private rows or overlays for scoring) is
     /// **bit-identical** to the old sharded+`merge_from` path, at every
-    /// thread count and for every storage backend.
+    /// thread count, for every storage backend and for both private
+    /// representations.
     #[test]
     fn atomic_phase2_is_bit_identical_to_the_sharded_merge_path(
         graph in arb_graph(),
-        k in 1u32..9,
+        k in arb_k_across_row_widths(),
     ) {
         let dir = std::env::temp_dir().join(format!(
             "tps-atomic-shard-{}-{:x}",
@@ -267,6 +276,56 @@ fn rmat_replication_factor_within_epsilon_of_serial() {
             serial.replication_factor
         );
     }
+}
+
+#[test]
+fn per_pass_ledger_commits_count_the_overshoot_a_dist_run_reconstructs() {
+    // The degenerate regime (|E| ≲ k·T): quota slices round to zero, workers
+    // overshoot, and the count must not depend on who counts it — the
+    // in-process workers' per-pass ledger commits (summed into the report),
+    // the merged loads of the output, and a ledger-free dist-local run all
+    // agree, for every thread interleaving.
+    let edges: Vec<Edge> = (0..40u32)
+        .map(|i| Edge::new(i % 13, (i * 7 + 1) % 13))
+        .collect();
+    let g = InMemoryGraph::from_edges(edges);
+    let k = 16;
+    let params = PartitionParams::new(k);
+    let mut saw_overshoot = false;
+    for threads in [2usize, 3, 8] {
+        let mut sink = VecSink::new();
+        let report = ParallelRunner::new(TwoPhaseConfig::default(), threads)
+            .partition(&g, &params, &mut sink)
+            .unwrap();
+        let mut loads = vec![0u64; k as usize];
+        for &(_, p) in sink.assignments() {
+            loads[p as usize] += 1;
+        }
+        let from_loads = overshoot_from_loads(&loads, k, g.num_edges(), params.alpha);
+        assert_eq!(
+            report.counter("cap_overshoot"),
+            from_loads,
+            "threads {threads}"
+        );
+
+        let mut dist_sink = VecSink::new();
+        let dist_report = tps_dist::run_dist_local(
+            &g,
+            &TwoPhaseConfig::default(),
+            &params,
+            threads,
+            &mut dist_sink,
+        )
+        .unwrap();
+        assert_eq!(dist_sink.assignments(), sink.assignments());
+        assert_eq!(
+            dist_report.counter("cap_overshoot"),
+            from_loads,
+            "dist-local, {threads} workers"
+        );
+        saw_overshoot |= from_loads > 0;
+    }
+    assert!(saw_overshoot, "the regime under test never overshot");
 }
 
 #[test]
