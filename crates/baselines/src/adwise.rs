@@ -21,7 +21,7 @@
 use std::io;
 
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
-use tps_core::sink::AssignmentSink;
+use tps_core::sink::{AssignmentSink, SinkBatch};
 use tps_core::two_phase::scoring::HdrfParams;
 use tps_graph::stream::{discover_info, EdgeStream};
 use tps_graph::types::Edge;
@@ -112,12 +112,19 @@ impl Partitioner for AdwisePartitioner {
         let mut cursor = 0usize; // round-robin probe start
         stream.reset()?;
         let mut exhausted = false;
+        // The unread rest of the run the stream last lent.
+        let (mut scratch, mut run) = (Vec::new(), &[][..]);
+        let mut out = SinkBatch::new(sink);
 
         loop {
             // Refill the window from the stream.
             while window.len() < self.window && !exhausted {
-                match stream.next_edge()? {
-                    Some(e) => {
+                if run.is_empty() {
+                    run = stream.next_chunk(&mut scratch)?;
+                }
+                match run.split_first() {
+                    Some((&e, rest)) => {
+                        run = rest;
                         degrees[e.src as usize] += 1;
                         degrees[e.dst as usize] += 1;
                         window.push(e);
@@ -152,8 +159,9 @@ impl Partitioner for AdwisePartitioner {
             v2p.set(edge.dst, p);
             loads[p as usize] += 1;
             max_load = max_load.max(loads[p as usize]);
-            sink.assign(edge, p)?;
+            out.push_flushing(edge, p)?;
         }
+        out.flush()?;
         report.phases.record("partition", t.end());
         report.count("window", self.window as u64);
         report.count("probe", self.probe as u64);

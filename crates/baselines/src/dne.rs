@@ -19,7 +19,7 @@ use std::io;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
-use tps_core::sink::AssignmentSink;
+use tps_core::sink::{assign_in_runs, AssignmentSink};
 use tps_graph::csr::Csr;
 use tps_graph::stream::{discover_info, for_each_edge, EdgeStream};
 use tps_graph::types::{Edge, PartitionId, VertexId};
@@ -264,9 +264,7 @@ impl Partitioner for DnePartitioner {
         // Emit claimed edges, then sweep leftovers to least-loaded parts.
         let t2 = tps_obs::span("sweep");
         for out in outputs {
-            for (e, p) in out {
-                sink.assign(e, p)?;
-            }
+            assign_in_runs(sink, &out)?;
         }
         let mut final_loads: Vec<u64> = loads.iter().map(|l| l.load(Ordering::Relaxed)).collect();
         let mut swept = 0u64;

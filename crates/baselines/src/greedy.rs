@@ -18,7 +18,7 @@
 use std::io;
 
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
-use tps_core::sink::AssignmentSink;
+use tps_core::sink::{batched_pass, AssignmentSink};
 use tps_graph::stream::{discover_info, EdgeStream};
 use tps_graph::types::PartitionId;
 use tps_metrics::bitmatrix::ReplicationMatrix;
@@ -64,8 +64,7 @@ impl Partitioner for GreedyPartitioner {
         let mut v2p = ReplicationMatrix::new(info.num_vertices, k);
         let mut loads = vec![0u64; k as usize];
 
-        stream.reset()?;
-        while let Some(e) = stream.next_edge()? {
+        batched_pass(stream, sink, |e, out| {
             let a_u: Vec<PartitionId> = v2p.partitions_of(e.src).collect();
             let a_v: Vec<PartitionId> = v2p.partitions_of(e.dst).collect();
             let inter: Vec<PartitionId> = a_u.iter().copied().filter(|p| a_v.contains(p)).collect();
@@ -92,8 +91,8 @@ impl Partitioner for GreedyPartitioner {
             v2p.set(e.src, target);
             v2p.set(e.dst, target);
             loads[target as usize] += 1;
-            sink.assign(e, target)?;
-        }
+            out.push(e, target);
+        })?;
         report.phases.record("partition", t.end());
         Ok(report)
     }

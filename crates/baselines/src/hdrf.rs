@@ -10,7 +10,7 @@
 use std::io;
 
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
-use tps_core::sink::AssignmentSink;
+use tps_core::sink::{batched_pass, AssignmentSink};
 use tps_core::two_phase::scoring::HdrfParams;
 use tps_graph::stream::{discover_info, EdgeStream};
 use tps_graph::types::{Edge, PartitionId, VertexId};
@@ -129,17 +129,15 @@ impl Partitioner for HdrfPartitioner {
 
         let t = tps_obs::span("partition");
         let mut scorer = HdrfScorer::new(info.num_vertices, k, self.params);
-        stream.reset()?;
-        while let Some(e) = stream.next_edge()? {
+        batched_pass(stream, sink, |e, out| {
             if self.partial_degrees {
                 degrees[e.src as usize] += 1;
                 degrees[e.dst as usize] += 1;
             }
             let du = degrees[e.src as usize];
             let dv = degrees[e.dst as usize];
-            let p = scorer.place(e, du, dv);
-            sink.assign(e, p)?;
-        }
+            out.push(e, scorer.place(e, du, dv));
+        })?;
         report.phases.record("partition", t.end());
         Ok(report)
     }

@@ -17,7 +17,7 @@
 use std::io;
 
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
-use tps_core::sink::AssignmentSink;
+use tps_core::sink::{batched_pass, AssignmentSink};
 use tps_core::two_phase::scoring::HdrfParams;
 use tps_graph::csr::Csr;
 use tps_graph::degree::DegreeTable;
@@ -153,10 +153,9 @@ impl Partitioner for HepPartitioner {
         let lambda = self.hdrf.lambda;
         let epsilon = self.hdrf.epsilon;
         let mut streamed = 0u64;
-        stream.reset()?;
-        while let Some(e) = stream.next_edge()? {
+        batched_pass(stream, sink, |e, out| {
             if degrees.degree(e.src) <= threshold && degrees.degree(e.dst) <= threshold {
-                continue; // handled by the in-memory phase
+                return; // handled by the in-memory phase
             }
             streamed += 1;
             let du = degrees.degree(e.src) as f64;
@@ -197,8 +196,8 @@ impl Partitioner for HepPartitioner {
             v2p.set(e.src, p);
             v2p.set(e.dst, p);
             loads[p as usize] += 1;
-            sink.assign(e, p)?;
-        }
+            out.push(e, p);
+        })?;
         report.phases.record("stream_phase", t3.end());
         report.count("low_degree_edges", low_count);
         report.count("streamed_edges", streamed);

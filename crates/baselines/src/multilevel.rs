@@ -18,7 +18,8 @@ use std::collections::HashMap;
 use std::io;
 
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
-use tps_core::sink::AssignmentSink;
+use tps_core::sink::{batched_pass, AssignmentSink};
+use tps_graph::ranged::EdgeSliceStream;
 use tps_graph::stream::{discover_info, for_each_edge, EdgeStream};
 use tps_graph::types::{Edge, PartitionId};
 
@@ -323,7 +324,8 @@ impl Partitioner for MultilevelPartitioner {
         // of the two endpoint parts.
         let t3 = tps_obs::span("derive");
         let mut loads = vec![0u64; k as usize];
-        for &e in &edges {
+        let mut loaded = EdgeSliceStream::new(&edges, info.num_vertices);
+        batched_pass(&mut loaded, sink, |e, out| {
             let (pu, pv) = (part[e.src as usize], part[e.dst as usize]);
             let p = if pu == pv || loads[pu as usize] <= loads[pv as usize] {
                 pu
@@ -331,8 +333,8 @@ impl Partitioner for MultilevelPartitioner {
                 pv
             };
             loads[p as usize] += 1;
-            sink.assign(e, p)?;
-        }
+            out.push(e, p);
+        })?;
         report.phases.record("derive", t3.end());
         report.count("levels", levels.len() as u64);
         report.count(

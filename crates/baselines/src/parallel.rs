@@ -33,11 +33,12 @@ use std::io;
 use tps_core::balance::AtomicLoads;
 use tps_core::parallel::{merge_degree_tables, run_workers, shard_degrees};
 use tps_core::partitioner::{PartitionParams, RunReport};
-use tps_core::sink::AssignmentSink;
+use tps_core::sink::{assign_in_runs, AssignmentSink};
 use tps_core::two_phase::scoring::HdrfParams;
 use tps_graph::degree::DegreeTable;
 use tps_graph::hash::seeded_hash_to_partition;
 use tps_graph::ranged::{split_even, RangedEdgeSource};
+use tps_graph::stream::for_each_edge;
 use tps_graph::types::{Edge, PartitionId};
 
 use crate::hdrf::HdrfScorer;
@@ -138,21 +139,21 @@ impl ParallelBaselineRunner {
             let mut stream = source.open_range(a, b)?;
             match algo {
                 StreamingBaseline::Dbh { seed } => {
-                    while let Some(e) = stream.next_edge()? {
+                    for_each_edge(&mut *stream, |e| {
                         let p = dbh_target(&degrees, e, seed, params.k);
                         placed[p as usize] += 1;
                         out.push((e, p));
-                    }
+                    })?;
                 }
                 StreamingBaseline::Hdrf(hdrf) => {
                     let mut scorer = HdrfScorer::new(info.num_vertices, params.k, hdrf);
-                    while let Some(e) = stream.next_edge()? {
+                    for_each_edge(&mut *stream, |e| {
                         let du = degrees.degree(e.src) as u64;
                         let dv = degrees.degree(e.dst) as u64;
                         let p = scorer.place(e, du, dv);
                         placed[p as usize] += 1;
                         out.push((e, p));
-                    }
+                    })?;
                 }
             }
             for (p, &n) in placed.iter().enumerate() {
@@ -165,9 +166,7 @@ impl ParallelBaselineRunner {
         // Emit in worker order (= input order: the ranges are contiguous).
         let t2 = tps_obs::span("emit");
         for buf in buffers {
-            for (e, p) in buf {
-                sink.assign(e, p)?;
-            }
+            assign_in_runs(sink, &buf)?;
         }
         report.phases.record("emit", t2.end());
 

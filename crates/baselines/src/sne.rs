@@ -84,16 +84,21 @@ impl Partitioner for SnePartitioner {
         stream.reset()?;
         let mut exhausted = false;
         let mut chunk: Vec<Edge> = Vec::with_capacity(self.chunk_edges);
+        // The unread rest of the run the stream last lent.
+        let (mut scratch, mut run) = (Vec::new(), &[][..]);
         while !exhausted {
             chunk.clear();
             while chunk.len() < self.chunk_edges {
-                match stream.next_edge()? {
-                    Some(e) => chunk.push(e),
-                    None => {
+                if run.is_empty() {
+                    run = stream.next_chunk(&mut scratch)?;
+                    if run.is_empty() {
                         exhausted = true;
                         break;
                     }
                 }
+                let (head, rest) = run.split_at(run.len().min(self.chunk_edges - chunk.len()));
+                chunk.extend_from_slice(head);
+                run = rest;
             }
             if chunk.is_empty() {
                 break;

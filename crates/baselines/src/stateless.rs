@@ -17,7 +17,7 @@
 use std::io;
 
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
-use tps_core::sink::AssignmentSink;
+use tps_core::sink::{batched_pass, AssignmentSink};
 use tps_graph::degree::DegreeTable;
 use tps_graph::hash::{mix64, seeded_hash_to_partition};
 use tps_graph::stream::{discover_info, EdgeStream};
@@ -48,13 +48,12 @@ impl Partitioner for RandomPartitioner {
     ) -> io::Result<RunReport> {
         let mut report = RunReport::default();
         let t = tps_obs::span("partition");
-        stream.reset()?;
-        while let Some(e) = stream.next_edge()? {
+        batched_pass(stream, sink, |e, out| {
             let c = e.canonical();
             let key = ((c.src as u64) << 32) | c.dst as u64;
             let p = seeded_hash_to_partition((key ^ key >> 32) as u32, self.seed, params.k);
-            sink.assign(e, p)?;
-        }
+            out.push(e, p);
+        })?;
         report.phases.record("partition", t.end());
         Ok(report)
     }
@@ -92,8 +91,7 @@ impl Partitioner for DbhPartitioner {
         report.phases.record("degree", t0.end());
 
         let t1 = tps_obs::span("partition");
-        stream.reset()?;
-        while let Some(e) = stream.next_edge()? {
+        batched_pass(stream, sink, |e, out| {
             // Hash the lower-degree endpoint; ties keep the first endpoint,
             // so the choice is deterministic for a given stream.
             let v = if degrees.degree(e.src) <= degrees.degree(e.dst) {
@@ -101,9 +99,8 @@ impl Partitioner for DbhPartitioner {
             } else {
                 e.dst
             };
-            let p = seeded_hash_to_partition(v, self.seed, params.k);
-            sink.assign(e, p)?;
-        }
+            out.push(e, seeded_hash_to_partition(v, self.seed, params.k));
+        })?;
         report.phases.record("partition", t1.end());
         Ok(report)
     }
@@ -145,12 +142,11 @@ impl Partitioner for GridPartitioner {
         let mut report = RunReport::default();
         let r = Self::side(params.k);
         let t = tps_obs::span("partition");
-        stream.reset()?;
-        while let Some(e) = stream.next_edge()? {
+        batched_pass(stream, sink, |e, out| {
             let row = (mix64(e.src as u64 ^ self.seed) % r as u64) as u32;
             let col = (mix64(e.dst as u64 ^ self.seed.rotate_left(17)) % r as u64) as u32;
-            sink.assign(e, row * r + col)?;
-        }
+            out.push(e, row * r + col);
+        })?;
         report.phases.record("partition", t.end());
         report.count("grid_side", r as u64);
         Ok(report)

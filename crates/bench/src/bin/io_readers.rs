@@ -31,21 +31,21 @@ use tps_core::sink::NullSink;
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::datasets::Dataset;
 use tps_graph::formats::binary::write_binary_edge_list;
-use tps_graph::stream::EdgeStream;
+use tps_graph::stream::{for_each_edge, EdgeStream};
 use tps_io::{open_edge_stream, write_v2_edge_list, ReaderBackend};
 
-/// Order-sensitive stream fingerprint (FNV-1a over the edge byte sequence).
+/// Order-sensitive stream fingerprint (FNV-1a over the edge byte sequence),
+/// drained through the bulk read — the read the engine's passes use.
 fn stream_fingerprint(stream: &mut dyn EdgeStream) -> std::io::Result<(u64, u64)> {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     let mut n = 0u64;
-    stream.reset()?;
-    while let Some(e) = stream.next_edge()? {
+    for_each_edge(stream, |e| {
         for b in e.src.to_le_bytes().into_iter().chain(e.dst.to_le_bytes()) {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         n += 1;
-    }
+    })?;
     Ok((h, n))
 }
 

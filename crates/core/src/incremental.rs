@@ -30,7 +30,7 @@ use tps_clustering::model::{Clustering, NO_CLUSTER};
 use tps_clustering::streaming::{clustering_pass, VolumeCap};
 use tps_graph::degree::DegreeTable;
 use tps_graph::hash::seeded_hash_to_partition;
-use tps_graph::stream::{discover_info, EdgeStream};
+use tps_graph::stream::{discover_info, for_each_edge, EdgeStream};
 use tps_graph::types::{Edge, PartitionId, VertexId};
 
 use crate::two_phase::mapping::ClusterPlacement;
@@ -162,19 +162,13 @@ impl IncrementalTwoPhase {
             bootstrap_edges: info.num_edges,
         };
         // Assign the bootstrap edges with the standard two passes.
-        stream.reset()?;
-        while let Some(e) = stream.next_edge()? {
-            if this.prepartition_target(e).is_some() {
-                let p = this.choose_partition(e);
-                this.commit(e, p);
-            }
-        }
-        stream.reset()?;
-        while let Some(e) = stream.next_edge()? {
-            if this.prepartition_target(e).is_none() {
-                let p = this.choose_partition(e);
-                this.commit(e, p);
-            }
+        for prepartition in [true, false] {
+            for_each_edge(stream, |e| {
+                if this.prepartition_target(e).is_some() == prepartition {
+                    let p = this.choose_partition(e);
+                    this.commit(e, p);
+                }
+            })?;
         }
         Ok(this)
     }

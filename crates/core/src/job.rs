@@ -2,12 +2,11 @@
 //! mode (serial, chunk-parallel, distributed coordinator front-ends, the
 //! serving daemon) uses to describe a partitioning run.
 //!
-//! Historically the workspace grew four ad-hoc entry points
-//! (`run_partitioner`, `run_partitioner_with_sink`, `run_partitioner_auto`,
-//! `run_parallel_partitioner`) plus per-subcommand flag plumbing in the CLI.
-//! `JobSpec` replaces them: callers state *what* to run (input, algorithm,
-//! `k`/`α`) and *how* (threads, reader backend, spill budget, trace) and the
-//! spec resolves the execution plan itself.
+//! It is the only entry point: callers state *what* to run (input,
+//! algorithm, `k`/`α`) and *how* (threads, reader backend, spill budget,
+//! trace) and the spec resolves the execution plan itself. Each run ends
+//! with a `tps_obs::drain_local()` barrier so span events recorded on the
+//! calling thread are flushed before the caller snapshots the trace.
 //!
 //! ```
 //! use tps_core::job::JobSpec;
@@ -632,6 +631,46 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(out.name, "2PS-L");
+        assert_eq!(out.metrics.num_edges, g.num_edges());
+    }
+
+    #[test]
+    fn custom_partitioner_job_collects_metrics_and_report() {
+        let g = Dataset::Ok.generate_scaled(0.01);
+        let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
+        let mut stream = g.stream();
+        let out = JobSpec::stream(&mut stream)
+            .partitioner(&mut p)
+            .params(&PartitionParams::new(4))
+            .num_vertices(g.num_vertices())
+            .run()
+            .unwrap();
+        assert_eq!(out.name, "2PS-L");
+        assert_eq!(out.metrics.num_edges, g.num_edges());
+        assert!(out.wall_time > std::time::Duration::ZERO);
+        assert!(!out.report.phases.phases().is_empty());
+    }
+
+    #[test]
+    fn stream_job_resolves_vertex_count_from_hints() {
+        let g = Dataset::Ok.generate_scaled(0.01);
+        let mut stream: Box<dyn EdgeStream> = Box::new(g.stream());
+        let out = JobSpec::stream(&mut stream).k(4).run().unwrap();
+        assert_eq!(out.metrics.num_edges, g.num_edges());
+    }
+
+    #[test]
+    fn serial_extra_sink_sees_all_assignments() {
+        let g = Dataset::Ok.generate_scaled(0.01);
+        let mut extra = VecSink::new();
+        let mut stream = g.stream();
+        let out = JobSpec::stream(&mut stream)
+            .k(4)
+            .num_vertices(g.num_vertices())
+            .extra_sink(&mut extra)
+            .run()
+            .unwrap();
+        assert_eq!(extra.assignments().len() as u64, g.num_edges());
         assert_eq!(out.metrics.num_edges, g.num_edges());
     }
 

@@ -21,7 +21,8 @@
 //!   run parameters and reports; implemented by 2PS-L here and by every
 //!   baseline in `tps-baselines`.
 //! * [`sink`] — assignment sinks: where `(edge, partition)` decisions go
-//!   (quality tracking, in-memory collection, per-partition files).
+//!   (quality tracking, in-memory collection, per-partition files), and the
+//!   bounded batch they travel in.
 //! * [`balance`] — per-partition load accounting with the hard balance cap.
 //! * [`two_phase`] — the 2PS-L implementation (and its 2PS-HDRF variant).
 //! * [`parallel`] — the chunk-parallel execution layer: [`parallel::ParallelRunner`]
@@ -30,10 +31,8 @@
 //!   load reservation — see the module docs for the scheme and its
 //!   determinism/quality bounds).
 //! * [`job`] — the unified [`JobSpec`] builder describing a run (input,
-//!   engine, execution knobs) for every front-end; the four historical
-//!   `run_partitioner*` entry points in [`runner`] are deprecated shims
-//!   over it.
-//! * [`runner`] — [`RunOutcome`] plus the deprecated convenience shims.
+//!   engine, execution knobs) for every front-end; the only entry point.
+//! * [`runner`] — [`RunOutcome`], what a job returns.
 //! * [`incremental`] — the dynamic-graph transformation (§VI): retained
 //!   phase state, O(1) insert/remove, snapshot/restore — the write path of
 //!   the `tps serve` daemon.

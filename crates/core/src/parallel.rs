@@ -370,10 +370,7 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         stream: &mut dyn EdgeStream,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<()> {
-        stream.reset()?;
-        while let Some(edge) = stream.next_edge()? {
-            self.inner.prepartition_edge(edge, sink)?;
-        }
+        self.inner.prepartition_pass(stream, sink)?;
         self.inner.loads.commit_to_ledger();
         Ok(())
     }
@@ -385,14 +382,7 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         stream: &mut dyn EdgeStream,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<()> {
-        stream.reset()?;
-        while let Some(edge) = stream.next_edge()? {
-            if self.config.prepartitioning && self.inner.prepartition_target(edge).is_some() {
-                continue; // handled by the pre-partitioning subpass
-            }
-            self.inner
-                .assign_remaining(edge, self.config.strategy, sink)?;
-        }
+        self.inner.remaining_pass(stream, sink, &self.config)?;
         self.inner.loads.commit_to_ledger();
         Ok(())
     }
@@ -509,12 +499,6 @@ impl ParallelRunner {
     /// The worker thread count in use.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured spool factory, if one replaced the in-memory default
-    /// (lets `JobSpec` shims rebuild an equivalent run).
-    pub fn spool_factory_handle(&self) -> Option<Arc<dyn SpoolFactory + Send + Sync>> {
-        self.spool_factory.clone()
     }
 
     /// The two-phase configuration in use.

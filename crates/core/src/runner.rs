@@ -1,19 +1,11 @@
-//! Run outcomes, plus the deprecated convenience shims that predate the
-//! unified [`crate::job::JobSpec`] builder.
-//!
-//! Each run ends with a `tps_obs::drain_local()` barrier so span events
-//! recorded on the harness thread are flushed before the caller snapshots
-//! the trace.
+//! What one partitioning run produces: [`RunOutcome`]. Runs are described
+//! and executed through [`crate::job::JobSpec`].
 
-use std::io;
 use std::time::Duration;
 
-use tps_graph::stream::EdgeStream;
 use tps_metrics::quality::PartitionMetrics;
 
-use crate::job::{JobSpec, ThreadMode};
-use crate::partitioner::{PartitionParams, Partitioner, RunReport};
-use crate::sink::AssignmentSink;
+use crate::partitioner::RunReport;
 
 /// Everything one partitioning run produces.
 #[derive(Clone, Debug)]
@@ -35,121 +27,5 @@ impl RunOutcome {
     /// Wall time in seconds.
     pub fn seconds(&self) -> f64 {
         self.wall_time.as_secs_f64()
-    }
-}
-
-/// Run `partitioner` over `stream`, measuring quality, time and peak heap.
-#[deprecated(note = "build the run through `tps_core::job::JobSpec` instead")]
-pub fn run_partitioner<S: EdgeStream + ?Sized>(
-    partitioner: &mut dyn Partitioner,
-    stream: &mut S,
-    num_vertices: u64,
-    params: &PartitionParams,
-) -> io::Result<RunOutcome> {
-    // `&mut S` is itself an `EdgeStream` (blanket impl), giving a sized
-    // handle castable to `&mut dyn EdgeStream` even for `S: ?Sized`.
-    let mut stream = stream;
-    JobSpec::stream(&mut stream)
-        .partitioner(partitioner)
-        .params(params)
-        .num_vertices(num_vertices)
-        .run()
-}
-
-/// Run with an additional sink receiving every assignment (e.g. a
-/// [`crate::sink::VecSink`] feeding the processing simulator) while still
-/// collecting ground-truth metrics.
-#[deprecated(note = "use `tps_core::job::JobSpec` with `.extra_sink(..)` instead")]
-pub fn run_partitioner_with_sink<S: EdgeStream + ?Sized>(
-    partitioner: &mut dyn Partitioner,
-    stream: &mut S,
-    num_vertices: u64,
-    params: &PartitionParams,
-    extra: &mut dyn AssignmentSink,
-) -> io::Result<RunOutcome> {
-    let mut stream = stream;
-    JobSpec::stream(&mut stream)
-        .partitioner(partitioner)
-        .params(params)
-        .num_vertices(num_vertices)
-        .extra_sink(extra)
-        .run()
-}
-
-/// Run `partitioner` over `stream`, resolving the vertex count from the
-/// stream's hints (or a discovery pass when a hint is missing).
-#[deprecated(note = "build the run through `tps_core::job::JobSpec` instead")]
-pub fn run_partitioner_auto(
-    partitioner: &mut dyn Partitioner,
-    stream: &mut dyn EdgeStream,
-    params: &PartitionParams,
-) -> io::Result<RunOutcome> {
-    JobSpec::stream(stream)
-        .partitioner(partitioner)
-        .params(params)
-        .run()
-}
-
-/// Run a [`crate::parallel::ParallelRunner`] over a ranged source, measuring
-/// quality and time the same way the serial path does (benches compare the
-/// two outcomes directly).
-#[deprecated(note = "use `tps_core::job::JobSpec` with `.threads(..)` instead")]
-pub fn run_parallel_partitioner(
-    runner: &crate::parallel::ParallelRunner,
-    source: &dyn tps_graph::ranged::RangedEdgeSource,
-    params: &PartitionParams,
-) -> io::Result<RunOutcome> {
-    let mut spec = JobSpec::ranged(source)
-        .two_phase(*runner.config())
-        .params(params)
-        .threads(ThreadMode::Count(runner.threads()));
-    if let Some(factory) = runner.spool_factory_handle() {
-        spec = spec.spool_factory(factory);
-    }
-    spec.run()
-}
-
-#[cfg(test)]
-#[allow(deprecated)] // the shims stay covered until their last caller is gone
-mod tests {
-    use super::*;
-    use crate::sink::VecSink;
-    use crate::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
-    use tps_graph::datasets::Dataset;
-
-    #[test]
-    fn run_partitioner_collects_metrics_and_report() {
-        let g = Dataset::Ok.generate_scaled(0.01);
-        let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
-        let params = PartitionParams::new(4);
-        let mut stream = g.stream();
-        let out = run_partitioner(&mut p, &mut stream, g.num_vertices(), &params).unwrap();
-        assert_eq!(out.name, "2PS-L");
-        assert_eq!(out.metrics.num_edges, g.num_edges());
-        assert!(out.wall_time > Duration::ZERO);
-        assert!(!out.report.phases.phases().is_empty());
-    }
-
-    #[test]
-    fn run_partitioner_auto_resolves_vertex_count() {
-        let g = Dataset::Ok.generate_scaled(0.01);
-        let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
-        let mut stream: Box<dyn tps_graph::stream::EdgeStream> = Box::new(g.stream());
-        let out = run_partitioner_auto(&mut p, &mut stream, &PartitionParams::new(4)).unwrap();
-        assert_eq!(out.metrics.num_edges, g.num_edges());
-    }
-
-    #[test]
-    fn extra_sink_sees_all_assignments() {
-        let g = Dataset::Ok.generate_scaled(0.01);
-        let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
-        let params = PartitionParams::new(4);
-        let mut extra = VecSink::new();
-        let mut stream = g.stream();
-        let out =
-            run_partitioner_with_sink(&mut p, &mut stream, g.num_vertices(), &params, &mut extra)
-                .unwrap();
-        assert_eq!(extra.assignments().len() as u64, g.num_edges());
-        assert_eq!(out.metrics.num_edges, g.num_edges());
     }
 }

@@ -1,8 +1,13 @@
 //! Assignment sinks: consumers of `(edge, partition)` decisions.
 //!
-//! A streaming partitioner must not buffer its output — each decision is
-//! handed to a sink immediately ("each edge ... is immediately assigned to a
-//! partition", paper §II-B). Sinks provided here:
+//! A streaming partitioner *decides* each edge immediately and never
+//! revisits it ("each edge ... is immediately assigned to a partition", paper
+//! §II-B); the decisions *move* in batches. The pass loops collect them in a
+//! bounded [`SinkBatch`] — at most [`SINK_BATCH`] records — and hand the sink
+//! whole runs through [`AssignmentSink::assign_batch`], once per input chunk
+//! and before the pass returns, so a sink error fails the pass it occurred
+//! in. A sink sees every assignment exactly once, in decision order, whether
+//! it arrives through `assign` or `assign_batch`. Sinks provided here:
 //!
 //! * [`NullSink`] — discard (pure timing runs).
 //! * [`CountingSink`] — per-partition edge counts only.
@@ -16,6 +21,7 @@
 use std::io;
 
 use tps_graph::formats::binary::PartitionFileWriter;
+use tps_graph::stream::{for_each_chunk, EdgeStream};
 use tps_graph::types::{Edge, PartitionId};
 use tps_metrics::quality::{PartitionMetrics, QualityTracker};
 
@@ -23,6 +29,97 @@ use tps_metrics::quality::{PartitionMetrics, QualityTracker};
 pub trait AssignmentSink {
     /// Record that `edge` belongs to partition `p`.
     fn assign(&mut self, edge: Edge, p: PartitionId) -> io::Result<()>;
+
+    /// Record a run of assignments, in order — what the engine calls. The
+    /// default loops over [`assign`](AssignmentSink::assign) and stops at
+    /// the first error; sinks with a cheaper bulk form override it.
+    fn assign_batch(&mut self, batch: &[(Edge, PartitionId)]) -> io::Result<()> {
+        batch.iter().try_for_each(|&(edge, p)| self.assign(edge, p))
+    }
+}
+
+/// Records a [`SinkBatch`] holds before it must be flushed (96 KiB).
+pub const SINK_BATCH: usize = 1 << 13;
+
+/// The bounded out-buffer between a pass loop's per-edge kernel and its
+/// sink: `push` is an inlined store, `flush` one `assign_batch` call.
+///
+/// The buffer does not flush itself: the pass loop ([`batched_pass`]) feeds
+/// it at most [`SINK_BATCH`] input edges between flushes — each yields at
+/// most one assignment — and flushes before it returns.
+pub struct SinkBatch<'s, K: AssignmentSink + ?Sized> {
+    sink: &'s mut K,
+    buf: Vec<(Edge, PartitionId)>,
+}
+
+impl<'s, K: AssignmentSink + ?Sized> SinkBatch<'s, K> {
+    /// An empty batch in front of `sink`.
+    pub fn new(sink: &'s mut K) -> Self {
+        SinkBatch {
+            sink,
+            buf: Vec::with_capacity(SINK_BATCH),
+        }
+    }
+
+    /// Buffer one assignment.
+    #[inline]
+    pub fn push(&mut self, edge: Edge, p: PartitionId) {
+        debug_assert!(self.buf.len() < SINK_BATCH, "pass loop skipped a flush");
+        self.buf.push((edge, p));
+    }
+
+    /// [`push`](SinkBatch::push) for a producer that emits at its own pace
+    /// rather than at most once per input edge (a windowed baseline): a full
+    /// batch is flushed first.
+    #[inline]
+    pub fn push_flushing(&mut self, edge: Edge, p: PartitionId) -> io::Result<()> {
+        if self.buf.len() == SINK_BATCH {
+            self.flush()?;
+        }
+        self.buf.push((edge, p));
+        Ok(())
+    }
+
+    /// Hand everything buffered to the sink, in order.
+    pub fn flush(&mut self) -> io::Result<()> {
+        let result = self.sink.assign_batch(&self.buf);
+        self.buf.clear();
+        result
+    }
+}
+
+/// Hand `assignments` to `sink` in order, in runs of at most [`SINK_BATCH`]
+/// — short enough that the second sink of a tee finds the run in cache.
+pub fn assign_in_runs<K: AssignmentSink + ?Sized>(
+    sink: &mut K,
+    assignments: &[(Edge, PartitionId)],
+) -> io::Result<()> {
+    assignments
+        .chunks(SINK_BATCH)
+        .try_for_each(|run| sink.assign_batch(run))
+}
+
+/// One complete pass of a deciding kernel: reset `stream`, run `kernel` on
+/// every edge in order with a [`SinkBatch`] in front of `sink`, and flush
+/// after every [`SINK_BATCH`] input edges and at the end of every chunk —
+/// so nothing is buffered when the pass returns, and the first sink or
+/// stream error ends it.
+pub fn batched_pass<S, K, F>(stream: &mut S, sink: &mut K, mut kernel: F) -> io::Result<()>
+where
+    S: EdgeStream + ?Sized,
+    K: AssignmentSink + ?Sized,
+    F: FnMut(Edge, &mut SinkBatch<'_, K>),
+{
+    let mut out = SinkBatch::new(sink);
+    for_each_chunk(stream, |chunk| {
+        for run in chunk.chunks(SINK_BATCH) {
+            for &edge in run {
+                kernel(edge, &mut out);
+            }
+            out.flush()?;
+        }
+        Ok(())
+    })
 }
 
 /// Discards assignments.
@@ -132,6 +229,11 @@ impl AssignmentSink for VecSink {
         self.assignments.push((edge, p));
         Ok(())
     }
+
+    fn assign_batch(&mut self, batch: &[(Edge, PartitionId)]) -> io::Result<()> {
+        self.assignments.extend_from_slice(batch);
+        Ok(())
+    }
 }
 
 /// Writes per-partition binary edge-list files.
@@ -166,6 +268,13 @@ impl AssignmentSink for FileSink {
             .expect("sink already finished")
             .write(edge, p)
     }
+
+    fn assign_batch(&mut self, batch: &[(Edge, PartitionId)]) -> io::Result<()> {
+        self.writer
+            .as_mut()
+            .expect("sink already finished")
+            .write_batch(batch)
+    }
 }
 
 /// A replayable per-worker assignment buffer ("run").
@@ -178,7 +287,8 @@ impl AssignmentSink for FileSink {
 /// disk under a byte budget (`tps-io`'s `SpillSpool`).
 pub trait AssignmentSpool: AssignmentSink + Send {
     /// Drain every buffered assignment into `sink` in insertion order,
-    /// consuming the spool's contents.
+    /// consuming the spool's contents. The sink is handed whole runs
+    /// ([`AssignmentSink::assign_batch`]), not single edges.
     fn replay(&mut self, sink: &mut dyn AssignmentSink) -> io::Result<()>;
 }
 
@@ -218,14 +328,16 @@ impl AssignmentSink for VecSpool {
         self.buf.push((edge, p));
         Ok(())
     }
+
+    fn assign_batch(&mut self, batch: &[(Edge, PartitionId)]) -> io::Result<()> {
+        self.buf.extend_from_slice(batch);
+        Ok(())
+    }
 }
 
 impl AssignmentSpool for VecSpool {
     fn replay(&mut self, sink: &mut dyn AssignmentSink) -> io::Result<()> {
-        for (edge, p) in self.buf.drain(..) {
-            sink.assign(edge, p)?;
-        }
-        Ok(())
+        assign_in_runs(sink, &std::mem::take(&mut self.buf))
     }
 }
 
@@ -257,6 +369,11 @@ impl AssignmentSink for TeeSink<'_> {
     fn assign(&mut self, edge: Edge, p: PartitionId) -> io::Result<()> {
         self.first.assign(edge, p)?;
         self.second.assign(edge, p)
+    }
+
+    fn assign_batch(&mut self, batch: &[(Edge, PartitionId)]) -> io::Result<()> {
+        self.first.assign_batch(batch)?;
+        self.second.assign_batch(batch)
     }
 }
 

@@ -16,8 +16,8 @@ use tps_graph::types::{ClusterId, PartitionId};
 /// The cluster→partition map plus the per-partition volume sums.
 #[derive(Clone, Debug)]
 pub struct ClusterPlacement {
-    /// Cluster id → partition id. Clusters with zero volume still get a
-    /// (irrelevant but valid) partition.
+    /// Cluster id → partition id. Clusters with zero volume are never
+    /// scheduled and read as partition 0 (irrelevant but valid).
     c2p: Vec<PartitionId>,
     /// Summed cluster volume per partition (`vol_p` in Algorithm 2).
     partition_volumes: Vec<u64>,
@@ -27,48 +27,33 @@ impl ClusterPlacement {
     /// Graham sorted-list scheduling of `clustering`'s clusters onto `k`
     /// partitions.
     pub fn sorted_list_schedule(clustering: &Clustering, k: u32) -> Self {
-        assert!(k > 0, "k must be positive");
-        let volumes = clustering.volumes();
-        // Sort cluster ids by decreasing volume (stable on id for ties →
-        // deterministic).
-        let mut order: Vec<ClusterId> = (0..volumes.len() as u32).collect();
-        order.sort_by_key(|&c| (Reverse(volumes[c as usize]), c));
-
-        // Min-heap of (load, partition id): pop = least loaded, lowest id on
-        // ties. `O(C log k)`.
-        let mut heap: BinaryHeap<Reverse<(u64, PartitionId)>> =
-            (0..k).map(|p| Reverse((0u64, p))).collect();
-        let mut c2p = vec![0 as PartitionId; volumes.len()];
-        let mut partition_volumes = vec![0u64; k as usize];
-        for c in order {
-            let Reverse((load, p)) = heap.pop().expect("heap holds k entries");
-            c2p[c as usize] = p;
-            let new_load = load + volumes[c as usize];
-            partition_volumes[p as usize] = new_load;
-            heap.push(Reverse((new_load, p)));
-        }
-        ClusterPlacement {
-            c2p,
-            partition_volumes,
-        }
+        Self::schedule(clustering, k, true)
     }
 
     /// First-fit placement in cluster-id order (no sorting) — ablation
     /// baseline showing what Graham's sorting buys.
     pub fn unsorted_schedule(clustering: &Clustering, k: u32) -> Self {
-        assert!(k > 0, "k must be positive");
+        Self::schedule(clustering, k, false)
+    }
+
+    /// Both schedulers, on [`schedule_live_clusters`]: only clusters with
+    /// volume are sorted and heap-scheduled (multi-pass clustering leaves
+    /// hundreds of dead ids per live one); a dead id keeps partition 0,
+    /// which nothing reads — see that function's invariance argument.
+    fn schedule(clustering: &Clustering, k: u32, sorted: bool) -> Self {
         let volumes = clustering.volumes();
-        let mut heap: BinaryHeap<Reverse<(u64, PartitionId)>> =
-            (0..k).map(|p| Reverse((0u64, p))).collect();
+        let mut live: Vec<(ClusterId, u64)> = volumes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &vol)| vol > 0)
+            .map(|(c, &vol)| (c as ClusterId, vol))
+            .collect();
         let mut c2p = vec![0 as PartitionId; volumes.len()];
         let mut partition_volumes = vec![0u64; k as usize];
-        for c in 0..volumes.len() {
-            let Reverse((load, p)) = heap.pop().expect("heap holds k entries");
-            c2p[c] = p;
-            let new_load = load + volumes[c];
-            partition_volumes[p as usize] = new_load;
-            heap.push(Reverse((new_load, p)));
-        }
+        schedule_live_clusters(&mut live, k, sorted, |c, p| {
+            c2p[c as usize] = p;
+            partition_volumes[p as usize] += volumes[c as usize];
+        });
         ClusterPlacement {
             c2p,
             partition_volumes,
@@ -133,17 +118,18 @@ impl ClusterPlacement {
     }
 }
 
-/// Schedule *live* (volume > 0) clusters onto `k` partitions without
-/// materialising a full cluster→partition array — the out-of-core mapping
-/// step, which writes each placement through `place` (into the paged `c2p`
-/// array) as it is decided.
+/// Schedule *live* (volume > 0) clusters onto `k` partitions — the one
+/// scheduler behind every mapping step. Each placement is written through
+/// `place` as it is decided: into a flat `c2p` array
+/// ([`ClusterPlacement::sorted_list_schedule`] /
+/// [`ClusterPlacement::unsorted_schedule`]) or straight into the paged one
+/// (the out-of-core run, which never materialises the full array).
 ///
-/// `live` must list the live clusters in ascending id order (the paged
-/// volume scan's natural order); `sorted` selects Graham LPT
-/// ([`ClusterPlacement::sorted_list_schedule`]) vs. first-fit id order
-/// ([`ClusterPlacement::unsorted_schedule`]).
+/// `live` must list the live clusters in ascending id order (a volume
+/// scan's natural order); `sorted` selects Graham LPT vs. first-fit id
+/// order.
 ///
-/// Bit-identity with the full-array schedulers: zero-volume clusters
+/// Bit-identity with scheduling every cluster id: zero-volume clusters
 /// cannot change any live cluster's placement. Under LPT they sort after
 /// every live cluster, so by the time one is placed all live placements
 /// are already fixed; under first-fit a zero-volume cluster pops the
@@ -272,6 +258,27 @@ mod tests {
         assert_eq!(p.makespan(), 0);
     }
 
+    /// The scheduler this module had before it skipped dead ids: every
+    /// cluster id, zero-volume ones included, goes through the sort and the
+    /// heap. Kept as the reference the live-only scheduler is pinned to.
+    fn schedule_every_id(volumes: &[u64], k: u32, sorted: bool) -> (Vec<PartitionId>, Vec<u64>) {
+        let mut order: Vec<ClusterId> = (0..volumes.len() as u32).collect();
+        if sorted {
+            order.sort_by_key(|&c| (Reverse(volumes[c as usize]), c));
+        }
+        let mut heap: BinaryHeap<Reverse<(u64, PartitionId)>> =
+            (0..k).map(|p| Reverse((0u64, p))).collect();
+        let mut c2p = vec![0 as PartitionId; volumes.len()];
+        let mut partition_volumes = vec![0u64; k as usize];
+        for c in order {
+            let Reverse((load, p)) = heap.pop().expect("heap holds k entries");
+            c2p[c as usize] = p;
+            partition_volumes[p as usize] = load + volumes[c as usize];
+            heap.push(Reverse((partition_volumes[p as usize], p)));
+        }
+        (c2p, partition_volumes)
+    }
+
     #[test]
     fn live_schedule_matches_full_schedulers() {
         // Zero-volume holes, as multi-pass clustering leaves them behind.
@@ -287,22 +294,23 @@ mod tests {
         let c = clustering_with_volumes(vols.clone());
         for k in [2u32, 3, 7] {
             for sorted in [true, false] {
-                let full = if sorted {
+                let (full_c2p, full_volumes) = schedule_every_id(&vols, k, sorted);
+                let placement = if sorted {
                     ClusterPlacement::sorted_list_schedule(&c, k)
                 } else {
                     ClusterPlacement::unsorted_schedule(&c, k)
                 };
-                let mut live: Vec<(u32, u64)> = vols
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v > 0)
-                    .map(|(i, &v)| (i as u32, v))
-                    .collect();
-                let mut placed = Vec::new();
-                schedule_live_clusters(&mut live, k, sorted, |c, p| placed.push((c, p)));
-                assert_eq!(placed.len(), vols.iter().filter(|&&v| v > 0).count());
-                for (cl, p) in placed {
-                    assert_eq!(p, full.partition_of(cl), "k={k} sorted={sorted} c={cl}");
+                assert_eq!(placement.partition_volumes(), full_volumes);
+                for (cl, &vol) in vols.iter().enumerate() {
+                    if vol > 0 {
+                        assert_eq!(
+                            placement.partition_of(cl as u32),
+                            full_c2p[cl],
+                            "k={k} sorted={sorted} c={cl}"
+                        );
+                    } else {
+                        assert_eq!(placement.partition_of(cl as u32), 0);
+                    }
                 }
             }
         }

@@ -32,7 +32,7 @@ use tps_metrics::bitmatrix::{ReplicaSet, ReplicationMatrix};
 
 use crate::balance::{LoadTracker, PartitionLoads};
 use crate::partitioner::{PartitionParams, Partitioner, RunReport};
-use crate::sink::AssignmentSink;
+use crate::sink::{batched_pass, AssignmentSink, SinkBatch};
 use crate::two_phase::mapping::ClusterPlacement;
 use crate::two_phase::scoring::{hdrf_score, two_choice_best, EdgeScoreInputs, HdrfParams};
 
@@ -320,36 +320,22 @@ impl TwoPhasePartitioner {
     /// and the counters both runners report.
     fn assign_edges<C: ClusterView>(
         &self,
-        state: EdgeAssigner<'_, PartitionLoads, ReplicationMatrix, C>,
+        mut state: EdgeAssigner<'_, PartitionLoads, ReplicationMatrix, C>,
         summary: ClusterSummary,
         stream: &mut dyn EdgeStream,
         sink: &mut dyn AssignmentSink,
         report: &mut RunReport,
     ) -> io::Result<()> {
-        // Moved into a local on purpose. Used in place, the argument (which
-        // arrives by reference) measured 13 % slower on `social_serial`'s
-        // scoring sub-pass: the assigner's table pointers and counters were
-        // reloaded around every `stream`/`sink` call.
-        let mut state = state;
         // Phase 2 step 2: pre-partitioning pass.
         if self.config.prepartitioning {
             let s3 = tps_obs::span("prepartition");
-            stream.reset()?;
-            while let Some(edge) = stream.next_edge()? {
-                state.prepartition_edge(edge, sink)?;
-            }
+            state.prepartition_pass(stream, sink)?;
             report.phases.record("prepartition", s3.end());
         }
 
         // Phase 2 step 3: score-and-assign the remaining edges.
         let s4 = tps_obs::span("partition");
-        stream.reset()?;
-        while let Some(edge) = stream.next_edge()? {
-            if self.config.prepartitioning && state.prepartition_target(edge).is_some() {
-                continue; // already assigned in the pre-partitioning pass
-            }
-            state.assign_remaining(edge, self.config.strategy, sink)?;
-        }
+        state.remaining_pass(stream, sink, &self.config)?;
         report.phases.record("partition", s4.end());
 
         let counters = state.counters;
@@ -549,18 +535,48 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
         }
     }
 
-    /// Commit `edge` to `p`: update replication state, loads, and the sink.
+    /// The pre-partitioning pass (phase 2 step 2) over `stream`: chunks in,
+    /// batches out.
+    pub(crate) fn prepartition_pass(
+        &mut self,
+        stream: &mut dyn EdgeStream,
+        sink: &mut dyn AssignmentSink,
+    ) -> io::Result<()> {
+        batched_pass(stream, sink, |edge, out| {
+            self.prepartition_edge(edge, out);
+        })
+    }
+
+    /// The scoring pass (phase 2 step 3) over `stream`, skipping the edges
+    /// the pre-partitioning pass handled.
+    pub(crate) fn remaining_pass(
+        &mut self,
+        stream: &mut dyn EdgeStream,
+        sink: &mut dyn AssignmentSink,
+        config: &TwoPhaseConfig,
+    ) -> io::Result<()> {
+        let (skip_prepartitioned, strategy) = (config.prepartitioning, config.strategy);
+        batched_pass(stream, sink, |edge, out| {
+            if skip_prepartitioned && self.prepartition_target(edge).is_some() {
+                return; // already assigned in the pre-partitioning pass
+            }
+            self.assign_remaining(edge, strategy, out);
+        })
+    }
+
+    /// Commit `edge` to `p`: update replication state and loads, and queue
+    /// the decision for the sink.
     #[inline]
-    fn commit(
+    fn commit<K: AssignmentSink + ?Sized>(
         &mut self,
         edge: Edge,
         p: PartitionId,
-        sink: &mut dyn AssignmentSink,
-    ) -> io::Result<()> {
+        out: &mut SinkBatch<'_, K>,
+    ) {
         self.v2p.insert(edge.src, p);
         self.v2p.insert(edge.dst, p);
         self.loads.add(p);
-        sink.assign(edge, p)
+        out.push(edge, p);
     }
 
     /// The balance-cap fallback chain: degree-based hash of the higher-degree
@@ -601,13 +617,13 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
     /// Phase 2 step 2 for one edge: assign it if it satisfies the
     /// pre-partitioning condition. Returns whether the edge was handled.
     #[inline]
-    pub(crate) fn prepartition_edge(
+    pub(crate) fn prepartition_edge<K: AssignmentSink + ?Sized>(
         &mut self,
         edge: Edge,
-        sink: &mut dyn AssignmentSink,
-    ) -> io::Result<bool> {
+        out: &mut SinkBatch<'_, K>,
+    ) -> bool {
         let Some(target) = self.prepartition_target(edge) else {
-            return Ok(false);
+            return false;
         };
         let target = if self.loads.is_full(target) {
             self.counters.prepartition_overflow += 1;
@@ -616,19 +632,19 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
             self.counters.prepartitioned += 1;
             target
         };
-        self.commit(edge, target, sink)?;
-        Ok(true)
+        self.commit(edge, target, out);
+        true
     }
 
     /// Phase 2 step 3 for one edge that was *not* pre-partitioned: score the
     /// candidate partitions and commit the winner (with the fallback chain
     /// when candidates are full).
-    pub(crate) fn assign_remaining(
+    pub(crate) fn assign_remaining<K: AssignmentSink + ?Sized>(
         &mut self,
         edge: Edge,
         strategy: RemainingStrategy,
-        sink: &mut dyn AssignmentSink,
-    ) -> io::Result<()> {
+        out: &mut SinkBatch<'_, K>,
+    ) {
         self.counters.remaining += 1;
         let cu = self.view.cluster_of(edge.src);
         let cv = self.view.cluster_of(edge.dst);
@@ -695,7 +711,7 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
         } else {
             target
         };
-        self.commit(edge, target, sink)
+        self.commit(edge, target, out);
     }
 }
 
@@ -741,14 +757,7 @@ impl Partitioner for TwoPhasePartitioner {
 
         // Phase 2 step 1: map clusters to partitions (no streaming pass).
         let s2 = tps_obs::span("mapping");
-        let placement = match self.config.mapping {
-            MappingStrategy::SortedGraham => {
-                ClusterPlacement::sorted_list_schedule(&clustering, params.k)
-            }
-            MappingStrategy::UnsortedFirstFit => {
-                ClusterPlacement::unsorted_schedule(&clustering, params.k)
-            }
-        };
+        let placement = crate::parallel::cluster_placement(&self.config, &clustering, params.k);
         report.phases.record("mapping", s2.end());
 
         let state = EdgeAssigner::new(

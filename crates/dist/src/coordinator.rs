@@ -934,19 +934,20 @@ impl Coordinator<'_> {
         loop {
             match self.recv_current(t, s, "emit").map_err(StageErr::Worker)? {
                 Message::Run { batch, .. } => {
-                    for (edge, p) in batch {
-                        if skip > 0 {
-                            skip -= 1;
-                            continue;
-                        }
-                        if p >= self.k {
-                            return Err(StageErr::worker(format!(
-                                "shard {s} assigned partition {p} (k = {})",
-                                self.k
-                            )));
-                        }
-                        sink.assign(edge, p).map_err(StageErr::Fatal)?;
-                        self.states[s].emitted += 1;
+                    let skipped = batch.len().min(usize::try_from(skip).unwrap_or(usize::MAX));
+                    skip -= skipped as u64;
+                    let fresh = &batch[skipped..];
+                    // The sink gets the frame as one run, up to the first
+                    // record a sane worker cannot have sent.
+                    let sane = fresh.iter().take_while(|&&(_, p)| p < self.k).count();
+                    let (good, bad) = fresh.split_at(sane);
+                    sink.assign_batch(good).map_err(StageErr::Fatal)?;
+                    self.states[s].emitted += good.len() as u64;
+                    if let Some(&(_, p)) = bad.first() {
+                        return Err(StageErr::worker(format!(
+                            "shard {s} assigned partition {p} (k = {})",
+                            self.k
+                        )));
                     }
                 }
                 Message::RunsDone { .. } => {

@@ -412,9 +412,20 @@ impl RunSender<'_> {
 impl AssignmentSink for RunSender<'_> {
     #[inline]
     fn assign(&mut self, edge: Edge, p: PartitionId) -> io::Result<()> {
-        self.batch.push((edge, p));
-        if self.batch.len() >= RUN_BATCH_EDGES {
-            self.flush()?;
+        self.assign_batch(&[(edge, p)])
+    }
+
+    /// Frames are cut at [`RUN_BATCH_EDGES`] records however the records
+    /// arrive.
+    fn assign_batch(&mut self, mut batch: &[(Edge, PartitionId)]) -> io::Result<()> {
+        while !batch.is_empty() {
+            let room = RUN_BATCH_EDGES - self.batch.len();
+            let (head, tail) = batch.split_at(room.min(batch.len()));
+            self.batch.extend_from_slice(head);
+            if self.batch.len() >= RUN_BATCH_EDGES {
+                self.flush()?;
+            }
+            batch = tail;
         }
         Ok(())
     }

@@ -12,12 +12,15 @@
 //!
 //! The payload matches the paper's "binary edge list with 32-bit vertex IDs";
 //! the 24-byte header lets streams report exact hints without a discovery
-//! pass. [`BinaryEdgeFile`] reads it with a buffered reader, 8 bytes per edge,
-//! and supports `reset` by seeking — this is the faithful out-of-core path.
+//! pass. [`BinaryEdgeFile`] reads it a block of records at a time, straight
+//! into the edge buffer its bulk read lends, and supports `reset` by seeking
+//! — this is the faithful out-of-core path. Every v1 opener (here and in
+//! `tps-io`) validates the header's edge count against the file's length
+//! with [`check_payload_len`].
 //!
 //! ## Other readers and the v2 format
 //!
-//! This buffered reader is the *baseline* backend. The `tps-io` crate layers
+//! This block reader is the *baseline* backend. The `tps-io` crate layers
 //! faster paths over the same on-disk bytes, all behind
 //! [`EdgeStream`]:
 //!
@@ -34,10 +37,11 @@
 //! `tps partition --reader buffered|mmap|prefetch`.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::stream::EdgeStream;
+use crate::ranged::check_range;
+use crate::stream::{EdgeStream, CHUNK_EDGES};
 use crate::types::{Edge, GraphInfo};
 
 /// Magic bytes identifying the format (also versions it).
@@ -75,30 +79,57 @@ pub fn write_binary_edge_list<P: AsRef<Path>>(
     })
 }
 
-/// A streaming reader over a binary edge-list file.
+/// A streaming reader over a binary edge-list file, or over a contiguous
+/// range of its records.
 ///
-/// Memory use is one `BufReader` buffer regardless of the file size: this is
-/// the out-of-core ingestion path of every streaming partitioner.
+/// Memory use is one block of [`CHUNK_EDGES`] records regardless of the file
+/// size: this is the out-of-core ingestion path of every streaming
+/// partitioner. Each block is read straight into the edge buffer the bulk
+/// read ([`EdgeStream::next_chunk`]) lends.
 pub struct BinaryEdgeFile {
     path: PathBuf,
-    reader: BufReader<File>,
+    file: File,
     info: GraphInfo,
-    remaining: u64,
+    /// Record range `[start, end)` this stream covers.
+    start: u64,
+    end: u64,
+    /// Next record index to read from the file.
+    next: u64,
+    buf: Vec<Edge>,
+    pos: usize,
 }
 
 impl BinaryEdgeFile {
-    /// Open `path`, validating the header.
+    /// Open `path`, validating the header against the file's length.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::open(&path)?;
-        let mut reader = BufReader::with_capacity(1 << 16, file);
-        let info = read_header(&mut reader)?;
-        Ok(BinaryEdgeFile {
-            path,
-            reader,
-            remaining: info.num_edges,
+        Self::open_records(path.as_ref(), None)
+    }
+
+    /// Open records `[start, end)` of `path`; `reset` rewinds to `start`.
+    /// Errors if the range is not within the file's edge count.
+    pub fn open_range<P: AsRef<Path>>(path: P, start: u64, end: u64) -> io::Result<Self> {
+        Self::open_records(path.as_ref(), Some((start, end)))
+    }
+
+    fn open_records(path: &Path, range: Option<(u64, u64)>) -> io::Result<Self> {
+        let mut file = File::open(path)?;
+        let info = read_checked_header(&mut file)?;
+        let (start, end) = range.unwrap_or((0, info.num_edges));
+        check_range(start, end, info.num_edges)?;
+        let mut stream = BinaryEdgeFile {
+            path: path.to_path_buf(),
+            file,
             info,
-        })
+            start,
+            end,
+            next: start,
+            buf: Vec::new(),
+            pos: 0,
+        };
+        if start != 0 {
+            stream.reset()?;
+        }
+        Ok(stream)
     }
 
     /// The graph summary from the header.
@@ -115,6 +146,21 @@ impl BinaryEdgeFile {
     /// charge I/O time per pass).
     pub fn pass_bytes(&self) -> u64 {
         HEADER_LEN + self.info.num_edges * EDGE_RECORD_LEN
+    }
+
+    /// Read the next block into the (drained) buffer; `false` at the end of
+    /// the range.
+    fn refill(&mut self) -> io::Result<bool> {
+        // Sized by the constant, never by the header's count.
+        let n = (self.end - self.next).min(CHUNK_EDGES as u64) as usize;
+        self.pos = 0;
+        self.buf.clear();
+        if n == 0 {
+            return Ok(false);
+        }
+        read_records(&mut self.file, n, &mut self.buf)?;
+        self.next += n as u64;
+        Ok(true)
     }
 }
 
@@ -141,27 +187,134 @@ pub fn read_header<R: Read>(r: &mut R) -> io::Result<GraphInfo> {
     })
 }
 
+/// The one length check of every v1 opener. The header's edge count is
+/// untrusted input: a count whose payload overflows or that the file does
+/// not hold (`file_len` bytes in all) is an error here, at open — not a
+/// short read three passes in.
+pub fn check_payload_len(info: &GraphInfo, file_len: u64) -> io::Result<()> {
+    let need = info
+        .num_edges
+        .checked_mul(EDGE_RECORD_LEN)
+        .and_then(|payload| payload.checked_add(HEADER_LEN))
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "header promises an impossible edge count {}",
+                    info.num_edges
+                ),
+            )
+        })?;
+    if file_len < need {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("file holds {file_len} bytes, header promises {need}"),
+        ));
+    }
+    Ok(())
+}
+
+/// [`read_header`] + [`check_payload_len`] for an open file, leaving the
+/// cursor at the first edge record.
+pub fn read_checked_header(file: &mut File) -> io::Result<GraphInfo> {
+    let info = read_header(file)?;
+    check_payload_len(&info, file.metadata()?.len())?;
+    Ok(info)
+}
+
+/// Append exactly `n` records read from `r` to `out`, with no staging
+/// buffer: the bytes land in the edge buffer itself.
+pub fn read_records<R: Read>(r: &mut R, n: usize, out: &mut Vec<Edge>) -> io::Result<()> {
+    let old = out.len();
+    out.resize(old + n, Edge { src: 0, dst: 0 });
+    let fresh = &mut out[old..];
+    // SAFETY: `Edge` is `repr(C)` — two `u32`s, 8 bytes, no padding, every
+    // bit pattern valid — so its slice may be written as `n * 8` plain bytes;
+    // `fresh` is initialised, exclusively borrowed, and `u8` has no
+    // alignment requirement.
+    let bytes = unsafe {
+        std::slice::from_raw_parts_mut(
+            fresh.as_mut_ptr().cast::<u8>(),
+            n * EDGE_RECORD_LEN as usize,
+        )
+    };
+    if let Err(e) = r.read_exact(bytes) {
+        out.truncate(old);
+        return Err(e);
+    }
+    if cfg!(target_endian = "big") {
+        for e in &mut out[old..] {
+            *e = Edge {
+                src: u32::from_le(e.src),
+                dst: u32::from_le(e.dst),
+            };
+        }
+    }
+    Ok(())
+}
+
+/// View a v1 record payload as edges without copying, where the layout
+/// allows it (little-endian target, 4-byte aligned — a mapping past the
+/// 24-byte header always is); `None` sends the caller to
+/// [`decode_records`].
+pub fn cast_records(payload: &[u8]) -> Option<&[Edge]> {
+    let aligned = payload.as_ptr().align_offset(std::mem::align_of::<Edge>()) == 0;
+    if cfg!(target_endian = "big") || !aligned {
+        return None;
+    }
+    // SAFETY: `Edge` is `repr(C)`, 8 bytes, valid for every bit pattern; the
+    // pointer is aligned (checked above), the length is rounded down to whole
+    // records, and the result borrows `payload`.
+    Some(unsafe {
+        std::slice::from_raw_parts(
+            payload.as_ptr().cast::<Edge>(),
+            payload.len() / EDGE_RECORD_LEN as usize,
+        )
+    })
+}
+
+/// Append the records of `payload` to `out` (the portable bulk parse).
+pub fn decode_records(payload: &[u8], out: &mut Vec<Edge>) {
+    out.extend(
+        payload
+            .chunks_exact(EDGE_RECORD_LEN as usize)
+            .map(|rec| Edge {
+                src: u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]),
+                dst: u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]),
+            }),
+    );
+}
+
 impl EdgeStream for BinaryEdgeFile {
     fn reset(&mut self) -> io::Result<()> {
-        self.reader.seek(SeekFrom::Start(HEADER_LEN))?;
-        self.remaining = self.info.num_edges;
+        self.file
+            .seek(SeekFrom::Start(HEADER_LEN + self.start * EDGE_RECORD_LEN))?;
+        self.next = self.start;
+        self.buf.clear();
+        self.pos = 0;
         Ok(())
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        if self.remaining == 0 {
+        if self.pos == self.buf.len() && !self.refill()? {
             return Ok(None);
         }
-        let mut rec = [0u8; 8];
-        self.reader.read_exact(&mut rec)?;
-        self.remaining -= 1;
-        let src = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
-        let dst = u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]);
-        Ok(Some(Edge { src, dst }))
+        let e = self.buf[self.pos];
+        self.pos += 1;
+        Ok(Some(e))
+    }
+
+    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        if self.pos == self.buf.len() {
+            self.refill()?;
+        }
+        let run = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        Ok(run)
     }
 
     fn len_hint(&self) -> Option<u64> {
-        Some(self.info.num_edges)
+        Some(self.end - self.start)
     }
 
     fn num_vertices_hint(&self) -> Option<u64> {
@@ -202,12 +355,19 @@ impl PartitionFileWriter {
     }
 
     /// Append an edge to partition `p`.
+    #[inline]
     pub fn write(&mut self, edge: Edge, p: u32) -> io::Result<()> {
-        let w = &mut self.writers[p as usize];
-        w.write_all(&edge.src.to_le_bytes())?;
-        w.write_all(&edge.dst.to_le_bytes())?;
+        let mut rec = [0u8; EDGE_RECORD_LEN as usize];
+        rec[..4].copy_from_slice(&edge.src.to_le_bytes());
+        rec[4..].copy_from_slice(&edge.dst.to_le_bytes());
+        self.writers[p as usize].write_all(&rec)?;
         self.counts[p as usize] += 1;
         Ok(())
+    }
+
+    /// Append every `(edge, partition)` of `batch`, in order.
+    pub fn write_batch(&mut self, batch: &[(Edge, u32)]) -> io::Result<()> {
+        batch.iter().try_for_each(|&(edge, p)| self.write(edge, p))
     }
 
     /// Patch edge counts into all headers and close the files.
@@ -292,6 +452,41 @@ mod tests {
         let mut f = BinaryEdgeFile::open(&path).unwrap();
         assert_eq!(f.next_edge().unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn record_views_agree_and_refuse_a_misaligned_payload() {
+        let edges: Vec<Edge> = (0..9).map(|i| Edge::new(i * 3, u32::MAX - i)).collect();
+        let mut payload = Vec::new();
+        for e in &edges {
+            payload.extend_from_slice(&e.src.to_le_bytes());
+            payload.extend_from_slice(&e.dst.to_le_bytes());
+        }
+        let mut read = Vec::new();
+        read_records(&mut &payload[..], edges.len(), &mut read).unwrap();
+        assert_eq!(read, edges);
+        assert!(read_records(&mut &payload[..], edges.len() + 1, &mut read).is_err());
+        assert_eq!(read, edges, "a short read leaves the buffer as it was");
+
+        // The same payload twice in one buffer: once 4-byte aligned, once
+        // one byte past an aligned address.
+        let mut buf = vec![0u8; 4 + 2 * payload.len() + 1];
+        let aligned = buf.as_ptr().align_offset(4);
+        let misaligned = aligned + payload.len() + 1;
+        buf[aligned..][..payload.len()].copy_from_slice(&payload);
+        buf[misaligned..][..payload.len()].copy_from_slice(&payload);
+        for at in [aligned, misaligned] {
+            let mut decoded = Vec::new();
+            decode_records(&buf[at..][..payload.len()], &mut decoded);
+            assert_eq!(decoded, edges);
+        }
+        assert_eq!(cast_records(&buf[misaligned..][..payload.len()]), None);
+        let cast = cast_records(&buf[aligned..][..payload.len()]);
+        if cfg!(target_endian = "little") {
+            assert_eq!(cast, Some(&edges[..]));
+        } else {
+            assert_eq!(cast, None);
+        }
     }
 
     #[test]

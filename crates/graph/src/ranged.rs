@@ -16,7 +16,7 @@
 
 use std::io;
 
-use crate::stream::{EdgeStream, InMemoryGraph};
+use crate::stream::{lend_run, EdgeStream, InMemoryGraph};
 use crate::types::{Edge, GraphInfo};
 
 /// A thread-safe factory of edge streams over sub-ranges of the edge order.
@@ -91,6 +91,10 @@ impl EdgeStream for EdgeSliceStream<'_> {
             }
             None => Ok(None),
         }
+    }
+
+    fn next_chunk<'b>(&'b mut self, _scratch: &'b mut Vec<Edge>) -> io::Result<&'b [Edge]> {
+        Ok(lend_run(self.edges, &mut self.cursor))
     }
 
     fn len_hint(&self) -> Option<u64> {

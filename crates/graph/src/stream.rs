@@ -1,11 +1,23 @@
 //! The out-of-core edge-stream abstraction.
 //!
-//! Streaming edge partitioning (paper §II-B) ingests the graph *one edge at a
-//! time* and may perform several complete passes (degree pass, clustering
-//! pass(es), pre-partitioning pass, partitioning pass). [`EdgeStream`] is that
-//! contract: `reset` rewinds to the beginning, `next_edge` yields edges in the
-//! stream's fixed order. A conforming consumer never stores the edge set, so
-//! its memory use is `O(|V|·k)` at most — exactly the paper's Table II bound.
+//! Streaming edge partitioning (paper §II-B) decides *one edge at a time* and
+//! may perform several complete passes (degree pass, clustering pass(es),
+//! pre-partitioning pass, partitioning pass). [`EdgeStream`] is that
+//! contract: `reset` rewinds to the beginning, and the pass is then read in
+//! the stream's fixed order. A conforming consumer never stores the edge set,
+//! so its memory use is `O(|V|·k)` at most — exactly the paper's Table II
+//! bound.
+//!
+//! Edges *move* in chunks. [`EdgeStream::next_chunk`] is the read every pass
+//! loop of the engine uses: it lends a run of the stream's own buffer — a
+//! block read from disk, a decoded v2 chunk, a window of a mapping — so a
+//! pass pays one (possibly virtual) call per chunk and the per-edge work is
+//! a plain slice iteration the compiler can inline the kernel into.
+//! [`EdgeStream::next_edge`] stays the required primitive (a stream that
+//! implements nothing else gets a `next_chunk` that fills a scratch buffer
+//! from it), and the two reads may be mixed freely within a pass: both
+//! advance the same cursor. [`for_each_chunk`] / [`for_each_edge`] run one
+//! whole pass.
 //!
 //! Implementations in this workspace:
 //!
@@ -13,12 +25,17 @@
 //!   generators and the benchmark harness (the paper itself evaluates with the
 //!   page cache hot, which this models faithfully).
 //! * [`formats::binary::BinaryEdgeFile`](crate::formats::binary) — the
-//!   on-disk binary edge list, streamed with a buffered reader.
+//!   on-disk binary edge list, read a block of records at a time.
 //! * `tps_storage::DeviceStream` — a throttled, virtual-clock device model.
 
 use std::io;
 
 use crate::types::{Edge, GraphInfo, VertexId};
+
+/// Edges per run of the bulk read: what a block reader fetches per `read`
+/// and the longest window a slice-backed stream lends. 64 KiB of v1 records
+/// — a constant of the data plane, not a knob.
+pub const CHUNK_EDGES: usize = 1 << 13;
 
 /// A resettable, multi-pass stream of edges — the out-of-core view of a graph.
 ///
@@ -31,6 +48,26 @@ pub trait EdgeStream {
 
     /// The next edge of the current pass, or `None` when the pass is done.
     fn next_edge(&mut self) -> io::Result<Option<Edge>>;
+
+    /// The next run of edges of the current pass; empty when the pass is
+    /// done.
+    ///
+    /// Readers override this to lend their own buffer, in which case
+    /// `scratch` is left untouched; the default fills `scratch` with up to
+    /// [`CHUNK_EDGES`] edges from [`next_edge`](EdgeStream::next_edge). A
+    /// run is never longer than what the stream already buffers, so a
+    /// consumer holds no second copy of it. Advances the same cursor as
+    /// `next_edge`.
+    fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        scratch.clear();
+        while scratch.len() < CHUNK_EDGES {
+            match self.next_edge()? {
+                Some(e) => scratch.push(e),
+                None => break,
+            }
+        }
+        Ok(scratch)
+    }
 
     /// Number of edges per pass, if known ahead of time.
     fn len_hint(&self) -> Option<u64> {
@@ -56,6 +93,9 @@ impl<S: EdgeStream + ?Sized> EdgeStream for &mut S {
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
         (**self).next_edge()
     }
+    fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        (**self).next_chunk(scratch)
+    }
     fn len_hint(&self) -> Option<u64> {
         (**self).len_hint()
     }
@@ -71,11 +111,34 @@ impl<S: EdgeStream + ?Sized> EdgeStream for Box<S> {
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
         (**self).next_edge()
     }
+    fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        (**self).next_chunk(scratch)
+    }
     fn len_hint(&self) -> Option<u64> {
         (**self).len_hint()
     }
     fn num_vertices_hint(&self) -> Option<u64> {
         (**self).num_vertices_hint()
+    }
+}
+
+/// Run one complete pass over the stream, calling `f` per chunk; an error
+/// from `f` ends the pass.
+///
+/// Resets the stream first, so each call is an independent pass.
+pub fn for_each_chunk<S, F>(stream: &mut S, mut f: F) -> io::Result<()>
+where
+    S: EdgeStream + ?Sized,
+    F: FnMut(&[Edge]) -> io::Result<()>,
+{
+    stream.reset()?;
+    let mut scratch = Vec::new();
+    loop {
+        let chunk = stream.next_chunk(&mut scratch)?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        f(chunk)?;
     }
 }
 
@@ -87,11 +150,20 @@ where
     S: EdgeStream + ?Sized,
     F: FnMut(Edge),
 {
-    stream.reset()?;
-    while let Some(e) = stream.next_edge()? {
-        f(e);
-    }
-    Ok(())
+    for_each_chunk(stream, |chunk| {
+        chunk.iter().for_each(|&e| f(e));
+        Ok(())
+    })
+}
+
+/// Advance `cursor` over `edges` by one lent run of at most [`CHUNK_EDGES`]
+/// (the bulk read of every slice-backed stream).
+#[inline]
+pub fn lend_run<'a>(edges: &'a [Edge], cursor: &mut usize) -> &'a [Edge] {
+    let start = *cursor;
+    let end = edges.len().min(start + CHUNK_EDGES);
+    *cursor = end;
+    &edges[start..end]
 }
 
 /// Discover `(num_vertices, num_edges)` with a single pass, for streams that
@@ -210,6 +282,10 @@ impl EdgeStream for InMemoryGraph {
             }
             None => Ok(None),
         }
+    }
+
+    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        Ok(lend_run(&self.edges, &mut self.cursor))
     }
 
     fn len_hint(&self) -> Option<u64> {

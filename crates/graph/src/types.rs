@@ -24,7 +24,12 @@ pub type ClusterId = u32;
 /// preserve the order in which endpoints appear in the input because the
 /// algorithms in the paper are sensitive to it (e.g. tie-breaking in the
 /// two-choice scoring favours the first endpoint's cluster partition).
+///
+/// `repr(C)`: on a little-endian target the in-memory layout is the 8-byte
+/// `TPSBEL1` record, which is what lets the v1 readers fill and lend edge
+/// buffers without a per-edge decode (see `formats::binary`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(C)]
 pub struct Edge {
     /// First endpoint as it appeared in the stream.
     pub src: VertexId,

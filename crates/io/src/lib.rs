@@ -63,8 +63,8 @@ pub use v2::{convert_v1_to_v2, convert_v2_to_v1, write_v2_edge_list, MmapV2EdgeF
 /// How to read an edge file from disk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReaderBackend {
-    /// A `BufReader` over the file — the seed's original path; lowest
-    /// memory, one copy per read.
+    /// Plain sequential `read`s, one block (v1) or chunk (v2) at a time —
+    /// the seed's original path; lowest memory.
     #[default]
     Buffered,
     /// Memory-map the file and decode in place (zero-copy; fastest on warm

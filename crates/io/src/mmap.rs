@@ -16,8 +16,10 @@ use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use tps_graph::formats::binary::{EDGE_RECORD_LEN, HEADER_LEN};
-use tps_graph::stream::EdgeStream;
+use tps_graph::formats::binary::{
+    cast_records, check_payload_len, decode_records, read_header, EDGE_RECORD_LEN, HEADER_LEN,
+};
+use tps_graph::stream::{EdgeStream, CHUNK_EDGES};
 use tps_graph::types::{Edge, GraphInfo};
 
 #[cfg(unix)]
@@ -148,6 +150,38 @@ pub(crate) fn edge_at(payload: &[u8], i: usize) -> Edge {
     }
 }
 
+/// The `num_edges` records past the header of a mapped v1 file whose length
+/// [`check_payload_len`] accepted.
+pub(crate) fn v1_payload(file: &[u8], num_edges: u64) -> &[u8] {
+    let start = HEADER_LEN as usize;
+    &file[start..start + (num_edges * EDGE_RECORD_LEN) as usize]
+}
+
+/// Lend the run of at most [`CHUNK_EDGES`] records of a v1 `payload` that
+/// starts at record `*pos`, advancing `*pos` past it (never past `end`): the
+/// mapped bytes themselves where their layout is an edge slice, else decoded
+/// into `scratch`.
+pub(crate) fn lend_records<'a>(
+    payload: &'a [u8],
+    pos: &mut u64,
+    end: u64,
+    scratch: &'a mut Vec<Edge>,
+) -> &'a [Edge] {
+    let from = *pos as usize;
+    let to = (end as usize).min(from + CHUNK_EDGES);
+    *pos = to as u64;
+    let rec = EDGE_RECORD_LEN as usize;
+    let bytes = &payload[from * rec..to * rec];
+    match cast_records(bytes) {
+        Some(edges) => edges,
+        None => {
+            scratch.clear();
+            decode_records(bytes, scratch);
+            scratch
+        }
+    }
+}
+
 /// A zero-copy [`EdgeStream`] over a memory-mapped TPSBEL1 file.
 pub struct MmapEdgeFile {
     path: PathBuf,
@@ -164,28 +198,8 @@ impl MmapEdgeFile {
         let map = Mmap::map(&file)?;
         let bytes = map.as_slice();
         let mut cursor = bytes;
-        let info = tps_graph::formats::binary::read_header(&mut cursor)?;
-        // The edge count is untrusted file input: a corrupt header must
-        // become an error here, not a wrapped multiply and a later panic.
-        let need = info
-            .num_edges
-            .checked_mul(EDGE_RECORD_LEN)
-            .and_then(|payload| payload.checked_add(HEADER_LEN))
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "header promises an impossible edge count {}",
-                        info.num_edges
-                    ),
-                )
-            })?;
-        if (bytes.len() as u64) < need {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("file holds {} bytes, header promises {need}", bytes.len()),
-            ));
-        }
+        let info = read_header(&mut cursor)?;
+        check_payload_len(&info, bytes.len() as u64)?;
         Ok(MmapEdgeFile {
             path,
             map,
@@ -206,9 +220,7 @@ impl MmapEdgeFile {
 
     /// The raw edge records (zero-copy view past the header).
     pub fn edge_bytes(&self) -> &[u8] {
-        let start = HEADER_LEN as usize;
-        let len = (self.info.num_edges * EDGE_RECORD_LEN) as usize;
-        &self.map.as_slice()[start..start + len]
+        v1_payload(&self.map, self.info.num_edges)
     }
 
     /// Random access to edge `i` without advancing the stream.
@@ -232,6 +244,16 @@ impl EdgeStream for MmapEdgeFile {
         let e = edge_at(self.edge_bytes(), self.cursor as usize);
         self.cursor += 1;
         Ok(Some(e))
+    }
+
+    fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        let payload = v1_payload(&self.map, self.info.num_edges);
+        Ok(lend_records(
+            payload,
+            &mut self.cursor,
+            self.info.num_edges,
+            scratch,
+        ))
     }
 
     fn len_hint(&self) -> Option<u64> {

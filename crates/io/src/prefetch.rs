@@ -43,12 +43,11 @@ pub trait ChunkSource: Send {
 }
 
 /// A [`ChunkSource`] over a v1 `.bel` file, reading whole chunks with a
-/// single large `read` per chunk.
+/// single large `read` per chunk, straight into the edge buffer.
 pub struct V1ChunkSource {
     file: std::fs::File,
     info: GraphInfo,
     remaining: u64,
-    bytes: Vec<u8>,
 }
 
 impl V1ChunkSource {
@@ -56,12 +55,11 @@ impl V1ChunkSource {
     pub fn open<P: AsRef<std::path::Path>>(path: P) -> io::Result<Self> {
         let mut file = std::fs::File::open(path)?;
         // Leaves the cursor at the first record (offset HEADER_LEN).
-        let info = v1::read_header(&mut file)?;
+        let info = v1::read_checked_header(&mut file)?;
         Ok(V1ChunkSource {
             file,
             remaining: info.num_edges,
             info,
-            bytes: Vec::new(),
         })
     }
 }
@@ -75,25 +73,8 @@ impl ChunkSource for V1ChunkSource {
     }
 
     fn fill_chunk(&mut self, buf: &mut Vec<Edge>, max_edges: usize) -> io::Result<usize> {
-        use std::io::Read;
         let n = (self.remaining).min(max_edges as u64) as usize;
-        if n == 0 {
-            return Ok(0);
-        }
-        self.bytes.clear();
-        self.bytes.resize(n * v1::EDGE_RECORD_LEN as usize, 0);
-        self.file.read_exact(&mut self.bytes)?;
-        // Bulk parse: `extend` over an exact-size chunk iterator keeps the
-        // loop free of per-edge growth checks and lets it vectorize.
-        buf.reserve(n);
-        buf.extend(
-            self.bytes
-                .chunks_exact(v1::EDGE_RECORD_LEN as usize)
-                .map(|rec| Edge {
-                    src: u32::from_le_bytes(rec[0..4].try_into().unwrap()),
-                    dst: u32::from_le_bytes(rec[4..8].try_into().unwrap()),
-                }),
-        );
+        v1::read_records(&mut self.file, n, buf)?;
         self.remaining -= n as u64;
         Ok(n)
     }
@@ -325,14 +306,41 @@ impl EdgeStream for PrefetchReader {
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
+        if !self.fill()? {
+            return Ok(None);
+        }
+        let e = self.current[self.pos];
+        self.pos += 1;
+        Ok(Some(e))
+    }
+
+    /// Lends what is left of the block the worker thread produced.
+    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        self.fill()?;
+        let run = &self.current[self.pos..];
+        self.pos = self.current.len();
+        Ok(run)
+    }
+
+    fn len_hint(&self) -> Option<u64> {
+        self.info.map(|i| i.num_edges)
+    }
+
+    fn num_vertices_hint(&self) -> Option<u64> {
+        self.info.map(|i| i.num_vertices)
+    }
+}
+
+impl PrefetchReader {
+    /// Make sure `current` holds unread edges, receiving the worker's next
+    /// block when it is drained; `false` at end of pass.
+    fn fill(&mut self) -> io::Result<bool> {
         loop {
             if self.pos < self.current.len() {
-                let e = self.current[self.pos];
-                self.pos += 1;
-                return Ok(Some(e));
+                return Ok(true);
             }
             if self.pass_done {
-                return Ok(None);
+                return Ok(false);
             }
             if !self.current.is_empty() {
                 let drained = std::mem::take(&mut self.current);
@@ -357,7 +365,7 @@ impl EdgeStream for PrefetchReader {
                 }
                 Ok(None) => {
                     self.pass_done = true;
-                    return Ok(None);
+                    return Ok(false);
                 }
                 Err(e) => {
                     self.pass_done = true;
@@ -365,14 +373,6 @@ impl EdgeStream for PrefetchReader {
                 }
             }
         }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        self.info.map(|i| i.num_edges)
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        self.info.map(|i| i.num_vertices)
     }
 }
 

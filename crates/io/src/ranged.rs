@@ -25,10 +25,10 @@
 //! and disk I/O with partitioning CPU per worker.
 
 use std::fs::File;
-use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::io::{self, BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use tps_graph::formats::binary as v1;
+use tps_graph::formats::binary::{self as v1, BinaryEdgeFile};
 use tps_graph::ranged::{check_range, RangedEdgeSource};
 use tps_graph::stream::EdgeStream;
 use tps_graph::types::{Edge, GraphInfo};
@@ -47,22 +47,12 @@ impl RangedV1File {
     /// Open `path` and validate the v1 header.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
-        let info = v1::read_header(&mut file)?;
+        let info = v1::read_checked_header(&mut File::open(&path)?)?;
         Ok(RangedV1File { path, info })
     }
 
-    fn open_range_stream(&self, start: u64, end: u64) -> io::Result<V1RangeStream> {
-        check_range(start, end, self.info.num_edges)?;
-        let file = File::open(&self.path)?;
-        let mut stream = V1RangeStream {
-            reader: BufReader::with_capacity(1 << 16, file),
-            start,
-            end,
-            pos: start,
-        };
-        stream.seek_to_start()?;
-        Ok(stream)
+    fn open_range_stream(&self, start: u64, end: u64) -> io::Result<BinaryEdgeFile> {
+        BinaryEdgeFile::open_range(&self.path, start, end)
     }
 }
 
@@ -73,46 +63,6 @@ impl RangedEdgeSource for RangedV1File {
 
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
         Ok(Box::new(self.open_range_stream(start, end)?))
-    }
-}
-
-struct V1RangeStream {
-    reader: BufReader<File>,
-    start: u64,
-    end: u64,
-    pos: u64,
-}
-
-impl V1RangeStream {
-    fn seek_to_start(&mut self) -> io::Result<()> {
-        self.reader.seek(SeekFrom::Start(
-            v1::HEADER_LEN + self.start * v1::EDGE_RECORD_LEN,
-        ))?;
-        self.pos = self.start;
-        Ok(())
-    }
-}
-
-impl EdgeStream for V1RangeStream {
-    fn reset(&mut self) -> io::Result<()> {
-        self.seek_to_start()
-    }
-
-    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        if self.pos >= self.end {
-            return Ok(None);
-        }
-        let mut rec = [0u8; v1::EDGE_RECORD_LEN as usize];
-        self.reader.read_exact(&mut rec)?;
-        self.pos += 1;
-        Ok(Some(Edge {
-            src: u32::from_le_bytes(rec[0..4].try_into().unwrap()),
-            dst: u32::from_le_bytes(rec[4..8].try_into().unwrap()),
-        }))
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.end - self.start)
     }
 }
 
@@ -193,6 +143,32 @@ impl RangedEdgeSource for RangedV2File {
     }
 }
 
+/// Hand out up to `max` of the `left` edges a v2 range cursor still owes,
+/// from the unread part of its decoded chunk (shared by the file-backed and
+/// the mapped cursor).
+fn take_decoded<'a>(
+    decoded: &'a [Edge],
+    pos: &mut usize,
+    emitted: &mut u64,
+    left: u64,
+    max: usize,
+) -> &'a [Edge] {
+    let n = (decoded.len() - *pos)
+        .min(max)
+        .min(usize::try_from(left).unwrap_or(usize::MAX));
+    let run = &decoded[*pos..*pos + n];
+    *pos += n;
+    *emitted += n as u64;
+    run
+}
+
+fn directory_exhausted() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "v2 chunk directory exhausted before range end",
+    )
+}
+
 /// A stream over edges `[start, end)` of a v2 file, decoding whole chunks
 /// and skipping the intra-chunk prefix. Generic over borrowed or owned
 /// chunk-directory storage (owned streams can migrate to a prefetch
@@ -255,6 +231,25 @@ impl<C: AsRef<[ChunkMeta]>, U: AsRef<[u64]>> V2RangeStream<C, U> {
         self.next_chunk += 1;
         Ok(())
     }
+
+    /// Take up to `max` unread edges of the range out of the decoded chunk
+    /// (decoding the next one when it is drained); empty at the range end.
+    fn take_run(&mut self, max: usize) -> io::Result<&[Edge]> {
+        let left = (self.end - self.start) - self.emitted;
+        while left > 0 && self.buf_pos == self.buf.len() {
+            if self.next_chunk >= self.chunks.as_ref().len() {
+                return Err(directory_exhausted());
+            }
+            self.decode_next_chunk()?;
+        }
+        Ok(take_decoded(
+            &self.buf,
+            &mut self.buf_pos,
+            &mut self.emitted,
+            left,
+            max,
+        ))
+    }
 }
 
 impl<C: AsRef<[ChunkMeta]>, U: AsRef<[u64]>> EdgeStream for V2RangeStream<C, U> {
@@ -263,24 +258,11 @@ impl<C: AsRef<[ChunkMeta]>, U: AsRef<[u64]>> EdgeStream for V2RangeStream<C, U> 
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        loop {
-            if self.emitted >= self.end - self.start {
-                return Ok(None);
-            }
-            if self.buf_pos < self.buf.len() {
-                let e = self.buf[self.buf_pos];
-                self.buf_pos += 1;
-                self.emitted += 1;
-                return Ok(Some(e));
-            }
-            if self.next_chunk >= self.chunks.as_ref().len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "v2 chunk directory exhausted before range end",
-                ));
-            }
-            self.decode_next_chunk()?;
-        }
+        Ok(self.take_run(1)?.first().copied())
+    }
+
+    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        self.take_run(usize::MAX)
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -309,38 +291,8 @@ impl RangedMmapV1File {
         let map = crate::mmap::Mmap::map(&file)?;
         let mut cursor = map.as_slice();
         let info = v1::read_header(&mut cursor)?;
-        // The edge count is untrusted file input: a corrupt header must
-        // become an error here, not a wrapped multiply and a later panic.
-        let need = info
-            .num_edges
-            .checked_mul(v1::EDGE_RECORD_LEN)
-            .and_then(|payload| payload.checked_add(v1::HEADER_LEN))
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "header promises an impossible edge count {}",
-                        info.num_edges
-                    ),
-                )
-            })?;
-        if (map.as_slice().len() as u64) < need {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!(
-                    "file holds {} bytes, header promises {need}",
-                    map.as_slice().len()
-                ),
-            ));
-        }
+        v1::check_payload_len(&info, map.as_slice().len() as u64)?;
         Ok(RangedMmapV1File { map, info })
-    }
-
-    /// The raw edge records (shared zero-copy view past the header).
-    fn payload(&self) -> &[u8] {
-        let start = v1::HEADER_LEN as usize;
-        let len = (self.info.num_edges * v1::EDGE_RECORD_LEN) as usize;
-        &self.map.as_slice()[start..start + len]
     }
 }
 
@@ -352,7 +304,7 @@ impl RangedEdgeSource for RangedMmapV1File {
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
         check_range(start, end, self.info.num_edges)?;
         Ok(Box::new(MmapV1RangeStream {
-            payload: self.payload(),
+            payload: crate::mmap::v1_payload(&self.map, self.info.num_edges),
             start,
             end,
             pos: start,
@@ -382,6 +334,15 @@ impl EdgeStream for MmapV1RangeStream<'_> {
         let e = crate::mmap::edge_at(self.payload, self.pos as usize);
         self.pos += 1;
         Ok(Some(e))
+    }
+
+    fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        Ok(crate::mmap::lend_records(
+            self.payload,
+            &mut self.pos,
+            self.end,
+            scratch,
+        ))
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -490,6 +451,25 @@ impl MmapV2RangeStream<'_> {
         self.next_chunk += 1;
         Ok(())
     }
+
+    /// Take up to `max` unread edges of the range out of the decoded chunk
+    /// (decoding the next one when it is drained); empty at the range end.
+    fn take_run(&mut self, max: usize) -> io::Result<&[Edge]> {
+        let left = (self.end - self.start) - self.emitted;
+        while left > 0 && self.buf_pos == self.buf.len() {
+            if self.next_chunk >= self.chunks.len() {
+                return Err(directory_exhausted());
+            }
+            self.decode_next_chunk()?;
+        }
+        Ok(take_decoded(
+            &self.buf,
+            &mut self.buf_pos,
+            &mut self.emitted,
+            left,
+            max,
+        ))
+    }
 }
 
 impl EdgeStream for MmapV2RangeStream<'_> {
@@ -498,24 +478,11 @@ impl EdgeStream for MmapV2RangeStream<'_> {
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        loop {
-            if self.emitted >= self.end - self.start {
-                return Ok(None);
-            }
-            if self.buf_pos < self.buf.len() {
-                let e = self.buf[self.buf_pos];
-                self.buf_pos += 1;
-                self.emitted += 1;
-                return Ok(Some(e));
-            }
-            if self.next_chunk >= self.chunks.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "v2 chunk directory exhausted before range end",
-                ));
-            }
-            self.decode_next_chunk()?;
-        }
+        Ok(self.take_run(1)?.first().copied())
+    }
+
+    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        self.take_run(usize::MAX)
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -633,6 +600,8 @@ impl<S: RangedEdgeSource + RangedReopen> RangedPrefetchSource<S> {
 /// worker.
 struct RangeChunkSource {
     stream: Box<dyn EdgeStream + Send + 'static>,
+    /// For a stream without a bulk read of its own; the file streams lend.
+    scratch: Vec<Edge>,
 }
 
 impl ChunkSource for RangeChunkSource {
@@ -641,11 +610,14 @@ impl ChunkSource for RangeChunkSource {
     }
 
     fn fill_chunk(&mut self, buf: &mut Vec<Edge>, max_edges: usize) -> io::Result<usize> {
+        // A lent run is taken whole, so a fill may overshoot `max_edges` by
+        // less than one run (one block of v1 records, one v2 chunk).
         while buf.len() < max_edges {
-            match self.stream.next_edge()? {
-                Some(e) => buf.push(e),
-                None => break,
+            let run = self.stream.next_chunk(&mut self.scratch)?;
+            if run.is_empty() {
+                break;
             }
+            buf.extend_from_slice(run);
         }
         Ok(buf.len())
     }
@@ -659,7 +631,10 @@ impl<S: RangedEdgeSource + RangedReopen> RangedEdgeSource for RangedPrefetchSour
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
         let stream = self.inner.open_range_owned(start, end)?;
         Ok(Box::new(PrefetchReader::new(
-            RangeChunkSource { stream },
+            RangeChunkSource {
+                stream,
+                scratch: Vec::new(),
+            },
             self.config,
         )))
     }

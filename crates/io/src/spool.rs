@@ -17,10 +17,10 @@
 //! replay completion or drop.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use tps_core::sink::{AssignmentSink, AssignmentSpool, SpoolFactory};
+use tps_core::sink::{assign_in_runs, AssignmentSink, AssignmentSpool, SpoolFactory, SINK_BATCH};
 use tps_graph::types::{Edge, PartitionId};
 
 /// Bytes one spooled record occupies on disk: src, dst, partition.
@@ -114,6 +114,21 @@ impl AssignmentSink for SpillSpool {
         }
         Ok(())
     }
+
+    /// Same spill points as one `assign` per record: the buffer is topped
+    /// up to the cap, spilled, and topped up again.
+    fn assign_batch(&mut self, mut batch: &[(Edge, PartitionId)]) -> io::Result<()> {
+        while !batch.is_empty() {
+            let room = self.cap_records - self.buf.len();
+            let (head, tail) = batch.split_at(room.min(batch.len()));
+            self.buf.extend_from_slice(head);
+            if self.buf.len() >= self.cap_records {
+                self.spill()?;
+            }
+            batch = tail;
+        }
+        Ok(())
+    }
 }
 
 impl AssignmentSpool for SpillSpool {
@@ -123,25 +138,31 @@ impl AssignmentSpool for SpillSpool {
         if let Some(mut file) = self.file.take() {
             file.flush()?;
             file.seek(SeekFrom::Start(0))?;
-            let mut reader = BufReader::with_capacity(1 << 16, file);
-            let mut rec = [0u8; RECORD_BYTES];
-            for _ in 0..self.spilled_records {
-                reader.read_exact(&mut rec)?;
-                let edge = Edge {
-                    src: u32::from_le_bytes(rec[0..4].try_into().unwrap()),
-                    dst: u32::from_le_bytes(rec[4..8].try_into().unwrap()),
-                };
-                let p = u32::from_le_bytes(rec[8..12].try_into().unwrap());
-                sink.assign(edge, p)?;
+            // One run of records per read, decoded and handed over whole.
+            let mut run = Vec::with_capacity(SINK_BATCH);
+            while self.spilled_records > 0 {
+                let n = self.spilled_records.min(SINK_BATCH as u64) as usize;
+                self.scratch.resize(n * RECORD_BYTES, 0);
+                file.read_exact(&mut self.scratch)?;
+                run.clear();
+                run.extend(self.scratch.chunks_exact(RECORD_BYTES).map(|rec| {
+                    let word =
+                        |i: usize| u32::from_le_bytes([rec[i], rec[i + 1], rec[i + 2], rec[i + 3]]);
+                    (
+                        Edge {
+                            src: word(0),
+                            dst: word(4),
+                        },
+                        word(8),
+                    )
+                }));
+                sink.assign_batch(&run)?;
+                self.spilled_records -= n as u64;
             }
-            self.spilled_records = 0;
-            drop(reader);
+            drop(file);
             std::fs::remove_file(&self.path).ok();
         }
-        for (edge, p) in self.buf.drain(..) {
-            sink.assign(edge, p)?;
-        }
-        Ok(())
+        assign_in_runs(sink, &std::mem::take(&mut self.buf))
     }
 }
 

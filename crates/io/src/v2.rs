@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tps_graph::formats::binary::BinaryEdgeFile;
-use tps_graph::stream::EdgeStream;
+use tps_graph::stream::{lend_run, EdgeStream};
 use tps_graph::types::{Edge, GraphInfo};
 
 use crate::mmap::Mmap;
@@ -868,6 +868,16 @@ impl V2EdgeFile {
         Ok(out.len())
     }
 
+    /// Decode the next sequential chunk into the stream's own (drained)
+    /// buffer; `false` at end of pass. On error the buffer is left empty.
+    fn decode_next(&mut self) -> io::Result<bool> {
+        let mut buf = std::mem::take(&mut self.buf);
+        self.buf_pos = 0;
+        let n = self.next_chunk_into(&mut buf)?;
+        self.buf = buf;
+        Ok(n > 0)
+    }
+
     /// Fold every edge across chunks in parallel with `threads` workers.
     ///
     /// Each worker opens its own file handle and decodes a contiguous chunk
@@ -944,29 +954,31 @@ impl EdgeStream for V2EdgeFile {
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
         if self.cache_serving {
-            // Warm pass: zero-copy scan of the decoded-edge cache.
-            if self.cache_pos < self.cache.edges.len() {
-                // SAFETY: `cache_pos < cache.edges.len()` checked above.
-                let e = unsafe { *self.cache.edges.get_unchecked(self.cache_pos) };
-                self.cache_pos += 1;
-                return Ok(Some(e));
-            }
+            // Warm pass: scan of the decoded-edge cache.
+            let e = self.cache.edges.get(self.cache_pos).copied();
+            self.cache_pos += usize::from(e.is_some());
+            return Ok(e);
+        }
+        if self.buf_pos == self.buf.len() && !self.decode_next()? {
             return Ok(None);
         }
-        loop {
-            if self.buf_pos < self.buf.len() {
-                let e = self.buf[self.buf_pos];
-                self.buf_pos += 1;
-                return Ok(Some(e));
-            }
-            let mut buf = std::mem::take(&mut self.buf);
-            let n = self.next_chunk_into(&mut buf)?;
-            self.buf = buf;
-            self.buf_pos = 0;
-            if n == 0 {
-                return Ok(None);
-            }
+        let e = self.buf[self.buf_pos];
+        self.buf_pos += 1;
+        Ok(Some(e))
+    }
+
+    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        if self.cache_serving {
+            // Warm pass: lend windows of the decoded-edge cache.
+            return Ok(lend_run(&self.cache.edges, &mut self.cache_pos));
         }
+        if self.buf_pos == self.buf.len() {
+            self.decode_next()?;
+        }
+        // Cold pass: lend what is left of the decoded chunk.
+        let run = &self.buf[self.buf_pos..];
+        self.buf_pos = self.buf.len();
+        Ok(run)
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -1027,6 +1039,59 @@ impl MmapV2EdgeFile {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// The decoded edges this pass reads from, and its cursor into them.
+    ///
+    /// A cacheable file decodes straight into the flat cache and serves out
+    /// of it, cold pass included — no bounce buffer, no absorb copy. Because
+    /// the decoded prefix persists across `reset`, every pass (and every
+    /// re-pass after an early reset) serves already-decoded edges at raw
+    /// scan speed and only decodes chunks the cache has not reached yet. Any
+    /// other file decodes one chunk at a time into `buf`.
+    fn unread(&mut self) -> (&[Edge], &mut usize) {
+        if self.cache.enabled {
+            (&self.cache.edges, &mut self.cache_pos)
+        } else {
+            (&self.buf, &mut self.buf_pos)
+        }
+    }
+
+    /// Make sure unread edges are decoded; `false` at end of pass.
+    fn fill(&mut self) -> io::Result<bool> {
+        let caching = self.cache.enabled;
+        let (decoded, pos, next) = if caching {
+            (
+                &mut self.cache.edges,
+                &mut self.cache_pos,
+                &mut self.cache.chunks_cached,
+            )
+        } else {
+            (&mut self.buf, &mut self.buf_pos, &mut self.next_chunk)
+        };
+        if *pos < decoded.len() {
+            return Ok(true);
+        }
+        let Some(&meta) = self.layout.chunks.get(*next) else {
+            return Ok(false);
+        };
+        // The cache appends; the bounce buffer is replaced.
+        if !caching {
+            decoded.clear();
+            *pos = 0;
+        }
+        let start = decoded.len();
+        let verify = !self.verified[*next];
+        if let Err(e) = decode_chunk_slice(self.map.as_slice(), meta, verify, decoded) {
+            // Keep the decoded edges a clean chunk prefix: a later pass
+            // re-decodes this chunk and reproduces the same error.
+            decoded.truncate(start);
+            return Err(e);
+        }
+        self.verified[*next] = true;
+        *next += 1;
+        self.cache.complete = caching && self.cache.chunks_cached == self.layout.chunks.len();
+        Ok(true)
+    }
 }
 
 impl EdgeStream for MmapV2EdgeFile {
@@ -1039,57 +1104,19 @@ impl EdgeStream for MmapV2EdgeFile {
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        if self.cache.enabled {
-            // Cacheable file: chunks are decoded straight into the flat
-            // cache and served out of it, cold pass included — no bounce
-            // buffer, no absorb copy. Because the decoded prefix persists
-            // across `reset`, every pass (and every re-pass after an early
-            // reset) serves already-decoded edges at raw scan speed and
-            // only decodes chunks the cache has not reached yet.
-            loop {
-                if self.cache_pos < self.cache.edges.len() {
-                    // SAFETY: `cache_pos < cache.edges.len()` checked above.
-                    let e = unsafe { *self.cache.edges.get_unchecked(self.cache_pos) };
-                    self.cache_pos += 1;
-                    return Ok(Some(e));
-                }
-                let idx = self.cache.chunks_cached;
-                let Some(&meta) = self.layout.chunks.get(idx) else {
-                    return Ok(None);
-                };
-                let start = self.cache.edges.len();
-                let verify = !self.verified[idx];
-                if let Err(e) =
-                    decode_chunk_slice(self.map.as_slice(), meta, verify, &mut self.cache.edges)
-                {
-                    // Keep the cache a clean chunk prefix: a later pass
-                    // re-decodes this chunk and reproduces the same error.
-                    self.cache.edges.truncate(start);
-                    return Err(e);
-                }
-                self.verified[idx] = true;
-                self.cache.chunks_cached += 1;
-                if self.cache.chunks_cached == self.layout.chunks.len() {
-                    self.cache.complete = true;
-                }
-            }
+        if !self.fill()? {
+            return Ok(None);
         }
-        loop {
-            if self.buf_pos < self.buf.len() {
-                let e = self.buf[self.buf_pos];
-                self.buf_pos += 1;
-                return Ok(Some(e));
-            }
-            let Some(&meta) = self.layout.chunks.get(self.next_chunk) else {
-                return Ok(None);
-            };
-            self.buf.clear();
-            let verify = !self.verified[self.next_chunk];
-            decode_chunk_slice(self.map.as_slice(), meta, verify, &mut self.buf)?;
-            self.verified[self.next_chunk] = true;
-            self.next_chunk += 1;
-            self.buf_pos = 0;
-        }
+        let (edges, pos) = self.unread();
+        let e = edges[*pos];
+        *pos += 1;
+        Ok(Some(e))
+    }
+
+    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        self.fill()?;
+        let (edges, pos) = self.unread();
+        Ok(lend_run(edges, pos))
     }
 
     fn len_hint(&self) -> Option<u64> {

@@ -76,15 +76,36 @@ pub struct IoAccount {
 /// Wraps an [`EdgeStream`], charging every streamed edge (and every pass
 /// start) to a [`DeviceModel`] on a virtual clock.
 ///
-/// Bytes are accumulated exactly; the simulated time is derived from the
-/// totals on demand, so no per-edge rounding error accrues.
+/// Edges are counted exactly; bytes and the simulated time are derived from
+/// the totals on demand, so no per-edge rounding error accrues and the
+/// account is the same whether the consumer reads edge by edge or chunk by
+/// chunk.
 pub struct DeviceStream<S> {
     inner: S,
     device: DeviceModel,
-    passes: u64,
-    bytes: f64,
+    meter: Meter,
     record_bytes: f64,
+}
+
+/// What a [`DeviceStream`] counts (apart from `inner`, so a lent run can
+/// be charged while it borrows the inner stream).
+#[derive(Default)]
+struct Meter {
+    passes: u64,
+    edges: u64,
     started_pass: bool,
+}
+
+impl Meter {
+    /// Charge `edges` streamed edges, and the per-pass seek on the first
+    /// actual read so that opened-but-never-read passes cost nothing.
+    fn charge(&mut self, edges: usize) {
+        if edges > 0 && !self.started_pass {
+            self.started_pass = true;
+            self.passes += 1;
+        }
+        self.edges += edges as u64;
+    }
 }
 
 impl<S: EdgeStream> DeviceStream<S> {
@@ -105,20 +126,19 @@ impl<S: EdgeStream> DeviceStream<S> {
         DeviceStream {
             inner,
             device,
-            passes: 0,
-            bytes: 0.0,
+            meter: Meter::default(),
             record_bytes,
-            started_pass: false,
         }
     }
 
     /// The accounting so far.
     pub fn account(&self) -> IoAccount {
+        let bytes = self.meter.edges as f64 * self.record_bytes;
         IoAccount {
-            passes: self.passes,
-            bytes: self.bytes.round() as u64,
-            simulated_io: self.device.pass_latency * self.passes as u32
-                + Duration::from_secs_f64(self.bytes / self.device.bandwidth_bytes_per_sec),
+            passes: self.meter.passes,
+            bytes: bytes.round() as u64,
+            simulated_io: self.device.pass_latency * self.meter.passes as u32
+                + Duration::from_secs_f64(bytes / self.device.bandwidth_bytes_per_sec),
         }
     }
 
@@ -136,22 +156,20 @@ impl<S: EdgeStream> DeviceStream<S> {
 impl<S: EdgeStream> EdgeStream for DeviceStream<S> {
     fn reset(&mut self) -> io::Result<()> {
         self.inner.reset()?;
-        self.started_pass = false;
+        self.meter.started_pass = false;
         Ok(())
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
         let e = self.inner.next_edge()?;
-        if e.is_some() {
-            if !self.started_pass {
-                // Charge the per-pass seek on the first actual read so that
-                // opened-but-never-read passes cost nothing.
-                self.started_pass = true;
-                self.passes += 1;
-            }
-            self.bytes += self.record_bytes;
-        }
+        self.meter.charge(usize::from(e.is_some()));
         Ok(e)
+    }
+
+    fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        let run = self.inner.next_chunk(scratch)?;
+        self.meter.charge(run.len());
+        Ok(run)
     }
 
     fn len_hint(&self) -> Option<u64> {

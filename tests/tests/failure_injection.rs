@@ -1,12 +1,15 @@
 //! Failure injection: I/O errors raised mid-stream must propagate out of
-//! every pass of every partitioner — no panic, no partial-success lie.
+//! every pass of every partitioner — no panic, no partial-success lie —
+//! wherever in a chunk or batch they land, and a v1 file whose header lies
+//! about its length is refused when it is opened, by every backend.
 
 use std::io;
 
+use tps_core::job::{JobSpec, ThreadMode};
 use tps_core::partitioner::{PartitionParams, Partitioner};
-use tps_core::sink::{AssignmentSink, VecSink};
+use tps_core::sink::{AssignmentSink, VecSink, SINK_BATCH};
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
-use tps_graph::stream::{EdgeStream, InMemoryGraph};
+use tps_graph::stream::{EdgeStream, InMemoryGraph, CHUNK_EDGES};
 use tps_graph::types::Edge;
 
 /// A stream that fails with an I/O error after `fail_after` successful reads
@@ -70,6 +73,15 @@ fn graph() -> InMemoryGraph {
     tps_graph::gen::gnm::generate(100, 500, 7)
 }
 
+/// Two full chunks / sink batches and a partial one per pass.
+fn graph_of_three_chunks() -> InMemoryGraph {
+    let g = tps_graph::gen::gnm::generate(2_000, 20_000, 7);
+    assert!(g.num_edges() as usize > 2 * CHUNK_EDGES.max(SINK_BATCH));
+    assert!(!(g.num_edges() as usize).is_multiple_of(CHUNK_EDGES));
+    assert!(!(g.num_edges() as usize).is_multiple_of(SINK_BATCH));
+    g
+}
+
 #[test]
 fn stream_errors_propagate_from_every_pass() {
     let g = graph();
@@ -83,6 +95,32 @@ fn stream_errors_propagate_from_every_pass() {
             .expect_err("must surface the injected error");
         assert!(err.to_string().contains("injected device error"), "{err}");
     }
+    // The same through the chunked read: in the first chunk, in the middle
+    // one and in the final partial chunk of each of the 4 passes.
+    let g = graph_of_three_chunks();
+    let e = g.num_edges();
+    for pass in 0..4u64 {
+        for offset in [10, e / 2, e - 5] {
+            let mut stream = FailingStream::new(&g, pass * e + offset);
+            let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
+            let err = p
+                .partition(&mut stream, &PartitionParams::new(4), &mut VecSink::new())
+                .expect_err("must surface the injected error");
+            assert!(
+                err.to_string().contains("injected device error"),
+                "pass {pass} + {offset}: {err}"
+            );
+        }
+    }
+    // (A pass also reads its end-of-stream marker, so the offsets drift by
+    // a few reads per pass; they stay inside the chunk they aim at.) Never
+    // failing, the same stream completes.
+    let mut stream = FailingStream::new(&g, u64::MAX);
+    let mut sink = VecSink::new();
+    TwoPhasePartitioner::new(TwoPhaseConfig::default())
+        .partition(&mut stream, &PartitionParams::new(4), &mut sink)
+        .unwrap();
+    assert_eq!(sink.assignments().len() as u64, e);
 }
 
 #[test]
@@ -121,26 +159,130 @@ fn sink_errors_propagate() {
         .partition(&mut g.stream(), &PartitionParams::new(4), &mut sink)
         .expect_err("must surface the sink error");
     assert!(err.to_string().contains("injected sink error"), "{err}");
+
+    // Batched: a failure in the first batch, in a middle one, in the final
+    // partial batch of the pre-partitioning pass and in the final partial
+    // batch of the run — serial, and through a two-worker run's replay.
+    let g = graph_of_three_chunks();
+    let e = g.num_edges();
+    let prepartitioned = {
+        let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
+        let report = p
+            .partition(
+                &mut g.stream(),
+                &PartitionParams::new(4),
+                &mut VecSink::new(),
+            )
+            .unwrap();
+        report.counter("prepartitioned") + report.counter("prepartition_overflow")
+    };
+    assert!(prepartitioned > 0 && prepartitioned < e);
+    for fail_after in [100, e / 2, prepartitioned - 1, e - 1] {
+        let mut sink = FailingSink {
+            assigned: 0,
+            fail_after,
+        };
+        let err = TwoPhasePartitioner::new(TwoPhaseConfig::default())
+            .partition(&mut g.stream(), &PartitionParams::new(4), &mut sink)
+            .expect_err("must surface the sink error");
+        assert!(err.to_string().contains("injected sink error"), "{err}");
+        assert_eq!(sink.assigned, fail_after, "every earlier record arrived");
+
+        let mut sink = FailingSink {
+            assigned: 0,
+            fail_after,
+        };
+        let err = JobSpec::ranged(&g)
+            .k(4)
+            .threads(ThreadMode::Count(2))
+            .extra_sink(&mut sink)
+            .run()
+            .expect_err("must surface the sink error");
+        assert!(err.to_string().contains("injected sink error"), "{err}");
+        assert_eq!(sink.assigned, fail_after);
+    }
+    let mut sink = FailingSink {
+        assigned: 0,
+        fail_after: e,
+    };
+    TwoPhasePartitioner::new(TwoPhaseConfig::default())
+        .partition(&mut g.stream(), &PartitionParams::new(4), &mut sink)
+        .unwrap();
+    assert_eq!(sink.assigned, e);
 }
 
+/// A v1 header is untrusted: a file cut mid-record and a header that
+/// promises more edges than the file holds (or than fit in a `u64` of bytes)
+/// are refused at open by every opener of every backend — not three passes
+/// into a run, and never by a panic or an allocation sized by the header.
 #[test]
 fn truncated_binary_file_is_an_error_not_a_panic() {
+    use tps_graph::formats::binary::{write_binary_edge_list, BinaryEdgeFile};
+    use tps_io::{open_edge_stream, open_ranged_backend, ReaderBackend};
+
     let dir = std::env::temp_dir().join(format!("tps-trunc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.bel");
-    tps_graph::formats::binary::write_binary_edge_list(
+    write_binary_edge_list(
         &path,
         10,
         (0..10u32).map(|i| Edge::new(i % 10, (i + 1) % 10)),
     )
     .unwrap();
-    // Chop the file mid-record.
-    let data = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &data[..data.len() - 5]).unwrap();
-    let mut f = tps_graph::formats::binary::BinaryEdgeFile::open(&path).unwrap();
-    let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
-    let result = p.partition(&mut f, &PartitionParams::new(2), &mut VecSink::new());
-    assert!(result.is_err(), "truncated file must error");
+    let intact = std::fs::read(&path).unwrap();
+    let with_count = |count: u64| {
+        let mut bytes = intact.clone();
+        bytes[16..24].copy_from_slice(&count.to_le_bytes());
+        bytes
+    };
+    let cases: [(&str, Vec<u8>, io::ErrorKind); 4] = [
+        (
+            "cut mid-record",
+            intact[..intact.len() - 5].to_vec(),
+            io::ErrorKind::UnexpectedEof,
+        ),
+        (
+            "one edge too many",
+            with_count(11),
+            io::ErrorKind::UnexpectedEof,
+        ),
+        (
+            "a count no disk holds",
+            with_count(1 << 40),
+            io::ErrorKind::UnexpectedEof,
+        ),
+        (
+            "a count whose byte size overflows",
+            with_count(1 << 61),
+            io::ErrorKind::InvalidData,
+        ),
+    ];
+    for (what, bytes, kind) in cases {
+        std::fs::write(&path, &bytes).unwrap();
+        let mut errors = vec![BinaryEdgeFile::open(&path).err()];
+        for backend in ReaderBackend::ALL {
+            errors.push(open_edge_stream(&path, backend).err());
+            errors.push(open_ranged_backend(&path, backend).err());
+        }
+        for err in errors {
+            let err = err.unwrap_or_else(|| panic!("{what}: an opener accepted the file"));
+            assert_eq!(err.kind(), kind, "{what}: {err}");
+        }
+        // And so the job fails before its first pass.
+        let err = JobSpec::path(&path)
+            .threads(ThreadMode::Serial)
+            .run_with(&tps_io::FileInput)
+            .unwrap_err();
+        assert_eq!(err.kind(), kind, "{what}: {err}");
+    }
+    // The intact file still opens everywhere.
+    std::fs::write(&path, &intact).unwrap();
+    for backend in ReaderBackend::ALL {
+        let mut s = open_edge_stream(&path, backend).unwrap();
+        let mut n = 0;
+        tps_graph::stream::for_each_edge(&mut s, |_| n += 1).unwrap();
+        assert_eq!(n, 10, "{backend:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -153,7 +295,7 @@ fn corrupt_page_store_slot_fails_the_budgeted_job() {
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
     use tps_clustering::paged::{PageBacking, PageStoreProvider};
-    use tps_core::job::{InputProvider, JobSpec, ReaderKind, ThreadMode};
+    use tps_core::job::{InputProvider, ReaderKind};
     use tps_core::sink::SpoolFactory;
     use tps_graph::ranged::RangedEdgeSource;
     use tps_io::{FileInput, FilePageStore};
