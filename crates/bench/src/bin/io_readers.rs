@@ -11,7 +11,7 @@
 //! separately so the cold-pass premium stays visible. Warm v2 passes are
 //! cache-served only when the file's decoded form fits the decode-cache
 //! budget — the cache is all-or-nothing at open (job budget share via
-//! `--mem-budget-mb`, else `TPS_V2_DECODE_CACHE_MB`, default 64 MiB; see
+//! `--mem-budget-mb`, else the 64 MiB default; see
 //! crates/io/README.md) — which holds for every bench scale here; over
 //! budget, warm passes re-decode and look like cold ones. The `v2_vs_v1`
 //! section reports per-backend epoch throughput ratios, which are robust

@@ -6,7 +6,9 @@
 //! own accounting. The parent process generates a G(n,m) graph and writes
 //! it to a v1 `.bel` file **once**; each mode (serial, `--threads 4`,
 //! `--threads 8`, a 2-worker `--dist-local` run) then executes in a
-//! **fresh child process** that streams the file out-of-core (so neither
+//! **fresh child process** as the job `tps partition` would run — a
+//! `JobSpec` through `tps_io::run_job`, so a second matrix held by the job
+//! layer rather than the engine would show — streaming the file (so neither
 //! graph generation nor another mode's high-water mark can leak into the
 //! measurement) and reads `VmHWM` from `/proc/self/status` right before
 //! and after the partitioning call. The reported `peak_rss_mb` is the
@@ -46,10 +48,10 @@
 use std::path::Path;
 use std::time::Instant;
 
-use tps_core::parallel::ParallelRunner;
-use tps_core::partitioner::{PartitionParams, Partitioner};
+use tps_core::job::{JobSpec, ThreadMode};
+use tps_core::partitioner::PartitionParams;
 use tps_core::sink::NullSink;
-use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
+use tps_core::two_phase::TwoPhaseConfig;
 use tps_dist::run_dist_local;
 use tps_graph::gen::planted::{self, PlantedConfig};
 use tps_io::SpillSpoolFactory;
@@ -271,57 +273,55 @@ fn run_parent(quick: bool, k: u32) {
 }
 
 /// Child: stream the file out-of-core through one mode, report its VmHWM.
+///
+/// Every in-process mode goes through the front door `tps partition` uses —
+/// a [`JobSpec`] run by `tps_io::run_job` — so the rows include whatever
+/// the job layer holds on top of the engine (sinks, metrics), not just the
+/// engine's own state. Only `dist2` calls its runner directly: a dist job's
+/// front door is the coordinator process.
 fn run_child(mode: &str, input: &str, k: u32) {
-    let source = tps_io::open_ranged_backend(Path::new(input), tps_io::ReaderBackend::Buffered)
-        .expect("open v1 edge file");
-    let info = source.info();
     let params = PartitionParams::with_alpha(k, BALANCE_ALPHA);
     let config = TwoPhaseConfig::with_passes(CLUSTERING_PASSES);
     let spill_dir = std::env::temp_dir().join(format!("tps-mem-peak-spill-{}", std::process::id()));
     std::fs::create_dir_all(&spill_dir).expect("spill dir");
-
-    let pre_kb = vm_hwm_kb().unwrap_or(0);
-    let start = Instant::now();
-    let mut sink = NullSink;
-    match mode {
-        "serial" | "k32_serial" => {
-            let mut stream = source.open_range(0, info.num_edges).expect("full range");
-            TwoPhasePartitioner::new(config)
-                .partition(&mut *stream, &params, &mut sink)
-                .expect("serial partition");
-        }
-        "t4" | "t8" | "k32_t8" => {
-            let threads = if mode == "t4" { 4 } else { 8 };
-            let factory = SpillSpoolFactory::new(&spill_dir, mode, SPILL_BUDGET_BYTES, threads)
-                .expect("spill factory");
-            ParallelRunner::new(config, threads)
-                .with_spool_factory(std::sync::Arc::new(factory))
-                .partition(&*source, &params, &mut sink)
-                .expect("parallel partition");
-        }
-        "dist2" => {
-            run_dist_local(&*source, &config, &params, 2, &mut sink).expect("dist-local partition");
-        }
-        // The out-of-core pair runs the whole serial job through the
-        // JobSpec front door (the same path `tps partition --mem-budget-mb`
-        // takes), differing only in the budget — so the RSS delta between
-        // the two rows is exactly what cluster paging buys.
-        "oc_unpaged" | "oc_paged" => {
-            drop(source);
-            let mut spec = tps_core::job::JobSpec::path(input)
-                .k(k)
-                .alpha(BALANCE_ALPHA)
-                .threads(tps_core::job::ThreadMode::Serial)
-                .two_phase(config)
-                .extra_sink(&mut sink);
-            if mode == "oc_paged" {
-                spec = spec.mem_budget_mb(OC_BUDGET_MB);
-            }
-            tps_io::run_job(spec).expect("out-of-core partition");
-        }
+    // `None`: not a `JobSpec` job.
+    let threads = match mode {
+        "serial" | "k32_serial" | "oc_unpaged" | "oc_paged" => Some(ThreadMode::Serial),
+        "t4" => Some(ThreadMode::Count(4)),
+        "t8" | "k32_t8" => Some(ThreadMode::Count(8)),
+        "dist2" => None,
         other => die(&format!(
             "unknown mode {other:?} (serial|t4|t8|dist2|k32_serial|k32_t8|oc_unpaged|oc_paged)"
         )),
+    };
+
+    let pre_kb = vm_hwm_kb().unwrap_or(0);
+    let start = Instant::now();
+    match threads {
+        None => {
+            let source =
+                tps_io::open_ranged_backend(Path::new(input), tps_io::ReaderBackend::Buffered)
+                    .expect("open v1 edge file");
+            run_dist_local(&*source, &config, &params, 2, &mut NullSink)
+                .expect("dist-local partition");
+        }
+        Some(threads) => {
+            let mut spec = JobSpec::path(input)
+                .params(&params)
+                .threads(threads)
+                .two_phase(config);
+            if let ThreadMode::Count(workers) = threads {
+                let factory = SpillSpoolFactory::new(&spill_dir, mode, SPILL_BUDGET_BYTES, workers)
+                    .expect("spill factory");
+                spec = spec.spool_factory(std::sync::Arc::new(factory));
+            }
+            // The out-of-core pair differs only in the budget — so the RSS
+            // delta between the two rows is exactly what cluster paging buys.
+            if mode == "oc_paged" {
+                spec = spec.mem_budget_mb(OC_BUDGET_MB);
+            }
+            tps_io::run_job(spec).expect("partition job");
+        }
     }
     let seconds = start.elapsed().as_secs_f64();
     let heap_peak_mb = tps_metrics::alloc::peak_bytes() as f64 / (1 << 20) as f64;

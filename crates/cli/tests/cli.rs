@@ -590,3 +590,99 @@ fn missing_flags_error_cleanly() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+/// The `rf=` / `alpha=` a run prints come from the engine's own end state
+/// (no shadow tracker watches the assignments in a release build), so the
+/// independent check is the output itself: read the partition files back
+/// and recount replicas and loads from scratch.
+#[test]
+fn printed_quality_equals_quality_recomputed_from_the_written_files() {
+    use std::collections::HashSet;
+
+    let dir = tmpdir("quality");
+    let bel = dir.join("ok.bel");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.05", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    let modes: [&[&str]; 3] = [
+        &["--threads", "serial"],
+        &["--threads", "2"],
+        &["--threads", "serial", "--mem-budget-mb", "5"],
+    ];
+    for k in [32u32, 256] {
+        for mode in modes {
+            let parts = dir.join(format!("parts-{k}-{}", mode.join("")));
+            let out = tps()
+                .args(["partition", "--input"])
+                .arg(&bel)
+                .args(["--k", &k.to_string(), "--quiet", "--out"])
+                .arg(&parts)
+                .args(mode)
+                .output()
+                .unwrap();
+            let line = String::from_utf8_lossy(&out.stdout).to_string();
+            assert!(out.status.success(), "{line}");
+
+            let loaded = tps_io::load_partition_dir(&parts).unwrap();
+            assert_eq!(loaded.k, k);
+            let mut replicas = HashSet::new();
+            let mut covered = HashSet::new();
+            for &(e, p) in &loaded.assignments {
+                for v in [e.src, e.dst] {
+                    replicas.insert((v, p));
+                    covered.insert(v);
+                }
+            }
+            let rf = replicas.len() as f64 / covered.len() as f64;
+            let max_load = *loaded.part_counts.iter().max().unwrap();
+            let alpha = max_load as f64 / (loaded.num_edges() as f64 / k as f64);
+            let want = format!("edges={} rf={rf:.4} alpha={alpha:.4} ", loaded.num_edges());
+            assert!(
+                line.contains(&want),
+                "k={k} {mode:?}: want {want:?} in {line:?}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `k` above the open-file limit used to print a bare `os error 24` and
+/// leave the files created so far behind. Both file sinks now say which
+/// file of how many failed and which limit to raise, and clean up.
+#[cfg(unix)]
+#[test]
+fn fd_exhaustion_is_a_precise_error_and_leaves_no_debris() {
+    let dir = tmpdir("emfile");
+    let bel = dir.join("ok.bel");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    for extra in [&[][..], &["--spill-budget-mb", "1"][..]] {
+        let parts = dir.join("parts");
+        // The soft limit is lowered in a shell that then execs `tps`.
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -n 64 && exec \"$0\" \"$@\""])
+            .arg(env!("CARGO_BIN_EXE_tps"))
+            .args(["partition", "--input"])
+            .arg(&bel)
+            .args(["--k", "128", "--threads", "serial", "--quiet", "--out"])
+            .arg(&parts)
+            .args(extra)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        assert!(err.contains("of 128"), "{err}");
+        assert!(err.contains(".bel"), "{err}");
+        assert!(
+            err.contains("RLIMIT_NOFILE") && err.contains("ulimit -n"),
+            "{err}"
+        );
+        assert_eq!(std::fs::read_dir(&parts).unwrap().count(), 0, "{extra:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -8,6 +8,21 @@
 //! with a `tps_obs::drain_local()` barrier so span events recorded on the
 //! calling thread are flushed before the caller snapshots the trace.
 //!
+//! # Who computes [`RunOutcome::metrics`]
+//!
+//! A [`JobEngine::TwoPhase`] job (serial, paged or chunk-parallel) writes
+//! to one sink — the caller's [`JobSpec::extra_sink`], or a `NullSink` —
+//! and takes its metrics from the engine: `RunReport::quality`, computed
+//! from the replication matrix and loads the run finished with, so the run
+//! holds that `O(|V|·k)`-bit state once. A [`JobEngine::Custom`]
+//! partitioner keeps no such state (or none we can read), so a
+//! `QualitySink` is teed in front of the caller's sink and recounts the
+//! metrics from the assignments. In debug builds two-phase jobs get that
+//! tee as well and the two results are asserted equal — every test that
+//! runs a job is a differential test of the engine's numbers. The
+//! distributed coordinator (`tps-dist`) measures with a `QualitySink` too:
+//! its replica state lives in worker processes.
+//!
 //! ```
 //! use tps_core::job::JobSpec;
 //! use tps_graph::datasets::Dataset;
@@ -35,11 +50,12 @@ use std::time::Instant;
 use tps_clustering::paged::PageStoreProvider;
 use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::{discover_info, EdgeStream};
+use tps_metrics::quality::PartitionMetrics;
 
 use crate::parallel::ParallelRunner;
 use crate::partitioner::{PartitionParams, Partitioner, RunReport};
 use crate::runner::RunOutcome;
-use crate::sink::{AssignmentSink, QualitySink, SpoolFactory, TeeSink};
+use crate::sink::{AssignmentSink, NullSink, QualitySink, SpoolFactory, TeeSink};
 use crate::two_phase::{ClusterPaging, TwoPhaseConfig, TwoPhasePartitioner};
 
 /// Reader backend for file inputs, named in core so specs can be built
@@ -356,9 +372,9 @@ impl<'a> JobSpec<'a> {
         self
     }
 
-    /// An additional sink receiving every `(edge, partition)` assignment
-    /// (per-partition files, in-memory collection, …) while ground-truth
-    /// quality metrics are still collected.
+    /// The sink receiving every `(edge, partition)` assignment
+    /// (per-partition files, in-memory collection, …). Quality metrics are
+    /// collected either way (see the module docs for by whom).
     pub fn extra_sink(mut self, sink: &'a mut dyn AssignmentSink) -> Self {
         self.extra_sink = Some(sink);
         self
@@ -429,7 +445,7 @@ impl<'a> JobSpec<'a> {
             spool_factory,
             trace,
             trace_cmd,
-            mut extra_sink,
+            extra_sink,
             ..
         } = self;
 
@@ -453,21 +469,8 @@ impl<'a> JobSpec<'a> {
             tps_obs::set_enabled(true);
         }
 
-        let run = |quality: &mut QualitySink,
-                   extra: &mut Option<&'a mut dyn AssignmentSink>,
-                   run_into: &mut dyn FnMut(&mut dyn AssignmentSink) -> io::Result<RunReport>|
-         -> io::Result<RunReport> {
-            match extra {
-                Some(extra) => {
-                    let mut tee = TeeSink::new(quality, &mut **extra);
-                    run_into(&mut tee)
-                }
-                None => run_into(quality),
-            }
-        };
-
         let start = Instant::now();
-        let (name, info_v, info_e, result) = match plan {
+        let (name, info_v, info_e, result, peak) = match plan {
             ExecPlan::Parallel { .. } => {
                 let cfg = match engine {
                     JobEngine::TwoPhase(cfg) => cfg,
@@ -493,21 +496,16 @@ impl<'a> JobSpec<'a> {
                 };
                 let info = source.info();
                 let nv = num_vertices.unwrap_or(info.num_vertices);
-                let mut quality = QualitySink::new(nv, params.k);
                 let (result, peak) = tps_metrics::alloc::measure_peak(|| {
-                    run(&mut quality, &mut extra_sink, &mut |sink| {
+                    run_measured(true, nv, params.k, extra_sink, &mut |sink| {
                         runner.partition(source, &params, sink)
                     })
                 });
-                (
-                    runner.name(),
-                    nv,
-                    info.num_edges,
-                    result.map(|report| (report, quality.finish(), peak)),
-                )
+                (runner.name(), nv, info.num_edges, result, peak)
             }
             ExecPlan::Serial { .. } => {
                 let mut owned_partitioner;
+                let engine_reports = matches!(engine, JobEngine::TwoPhase(_));
                 let partitioner: &mut dyn Partitioner = match engine {
                     JobEngine::Custom(p) => p,
                     JobEngine::TwoPhase(cfg) => {
@@ -553,21 +551,15 @@ impl<'a> JobSpec<'a> {
                         (info.num_vertices, info.num_edges)
                     }
                 };
-                let mut quality = QualitySink::new(nv, params.k);
                 let (result, peak) = tps_metrics::alloc::measure_peak(|| {
-                    run(&mut quality, &mut extra_sink, &mut |sink| {
+                    run_measured(engine_reports, nv, params.k, extra_sink, &mut |sink| {
                         partitioner.partition(&mut *stream, &params, sink)
                     })
                 });
-                (
-                    partitioner.name(),
-                    nv,
-                    ne,
-                    result.map(|report| (report, quality.finish(), peak)),
-                )
+                (partitioner.name(), nv, ne, result, peak)
             }
         };
-        let (report, metrics, peak) = result?;
+        let (report, metrics) = result?;
         let wall_time = start.elapsed();
         tps_obs::drain_local();
 
@@ -604,6 +596,49 @@ impl<'a> JobSpec<'a> {
             peak_heap_bytes: peak,
         })
     }
+}
+
+/// Run an engine (`run_into`) in front of the sinks its job needs and return
+/// its report with the run's quality metrics.
+///
+/// An engine that reports its own quality (`engine_reports`: the 2PS-L
+/// family, which finishes holding the replication matrix and the loads)
+/// writes to the caller's sink alone — or to a [`NullSink`] — and its
+/// [`RunReport::quality`] is the result. Any other partitioner is measured
+/// from its emitted assignments by a [`QualitySink`] teed in front. Debug
+/// builds tee that sink for reporting engines too and assert the two agree,
+/// so every test that runs a job is a differential test of the engine's
+/// numbers; release builds construct neither the sink nor the tee.
+fn run_measured(
+    engine_reports: bool,
+    num_vertices: u64,
+    k: u32,
+    extra: Option<&mut dyn AssignmentSink>,
+    run_into: &mut dyn FnMut(&mut dyn AssignmentSink) -> io::Result<RunReport>,
+) -> io::Result<(RunReport, PartitionMetrics)> {
+    let mut quality =
+        (!engine_reports || cfg!(debug_assertions)).then(|| QualitySink::new(num_vertices, k));
+    let report = match (quality.as_mut(), extra) {
+        (Some(quality), Some(sink)) => run_into(&mut TeeSink::new(quality, sink)),
+        (Some(quality), None) => run_into(quality),
+        (None, Some(sink)) => run_into(sink),
+        (None, None) => run_into(&mut NullSink),
+    }?;
+    let measured = quality.map(|quality| quality.finish());
+    let metrics = if engine_reports {
+        let reported = report.quality.clone();
+        let reported = reported.expect("a two-phase engine reports its quality");
+        if let Some(measured) = &measured {
+            debug_assert_eq!(
+                &reported, measured,
+                "engine-reported quality differs from the emitted assignments'"
+            );
+        }
+        reported
+    } else {
+        measured.expect("a non-reporting engine runs behind the quality sink")
+    };
+    Ok((report, metrics))
 }
 
 /// The worker count a resolved parallel plan requested (helper so the match

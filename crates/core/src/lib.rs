@@ -27,7 +27,7 @@
 //! * [`two_phase`] — the 2PS-L implementation (and its 2PS-HDRF variant).
 //! * [`parallel`] — the chunk-parallel execution layer: [`parallel::ParallelRunner`]
 //!   runs both phases with one worker per contiguous edge range (mergeable
-//!   clustering state, sharded replication matrices, quota-sliced lock-free
+//!   clustering state, one shared replication matrix, quota-sliced lock-free
 //!   load reservation — see the module docs for the scheme and its
 //!   determinism/quality bounds).
 //! * [`job`] — the unified [`JobSpec`] builder describing a run (input,

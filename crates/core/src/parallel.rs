@@ -56,10 +56,25 @@
 //!    sharded semantics, bit for bit, at `O(|V|·k)` bits total instead of
 //!    `O(T·|V|·k)`.
 //! 5. **emit** — per-worker assignment spools are replayed into the caller's
-//!    [`AssignmentSink`] in worker order, so downstream files and metrics
-//!    are reproducible. Spools default to in-memory buffers; a
-//!    [`SpoolFactory`] can bound them (`tps-io`'s spill-backed spools keep
-//!    parallel runs within `--spill-budget-mb`).
+//!    [`AssignmentSink`] in worker order, so downstream files are
+//!    reproducible. It is a pure replay — a file write per run, or nothing
+//!    at all into a `NullSink`: the metrics were taken before it (below).
+//!    Spools default to in-memory buffers; a [`SpoolFactory`] can bound
+//!    them (`tps-io`'s spill-backed spools keep parallel runs within
+//!    `--spill-budget-mb`).
+//!
+//! # Who computes the metrics
+//!
+//! The runner does, from its own state ([`RunReport::quality`]). When the
+//! scoring subpass has **joined** — not before: a sparse view reads the
+//! shared words on every `contains`, and no worker may see another's
+//! scoring-time replicas — each worker's private rows or overlay are
+//! OR-published into the shared matrix and freed
+//! ([`ShardAssigner::publish_replication`]). The shared matrix is then the
+//! union of everything any worker committed, i.e. exactly the matrix a
+//! `QualitySink` would build from the replayed assignments, and its census
+//! is counted in place (no `snapshot()` — that would be the second
+//! `O(|V|·k)` copy this avoids); the loads are the [`AtomicLoads`] ledger's.
 //!
 //! # The load reservation scheme
 //!
@@ -136,12 +151,15 @@ use tps_graph::stream::EdgeStream;
 use tps_graph::types::PartitionId;
 use tps_metrics::atomic::{AtomicReplicationMatrix, SharedReplicaView};
 use tps_metrics::bitmatrix::{ReplicaSet, ReplicationMatrix};
+use tps_metrics::quality::PartitionMetrics;
 
 use crate::balance::{AtomicLoads, LoadTracker, PartitionLoads};
 use crate::partitioner::{PartitionParams, RunReport};
 use crate::sink::{AssignmentSink, MemorySpoolFactory, SpoolFactory};
 use crate::two_phase::mapping::ClusterPlacement;
-use crate::two_phase::{AssignCounters, EdgeAssigner, MappingStrategy, TwoPhaseConfig};
+use crate::two_phase::{
+    empty_run_report, AssignCounters, EdgeAssigner, MappingStrategy, TwoPhaseConfig,
+};
 
 /// A shard's view of the per-partition loads: deterministic quota slice
 /// locally, optional atomic commit ledger globally (see module docs).
@@ -434,6 +452,14 @@ impl<'a> ShardAssigner<'a, SharedReplicaView<'a>> {
         self.inner.v2p.freeze();
     }
 
+    /// After the scoring subpass of *every* worker has joined: OR this
+    /// worker's private scoring-time replicas into the shared matrix and
+    /// free them (see [`SharedReplicaView::publish`]). Consumes the
+    /// assigner — there is no pass left to run.
+    pub fn publish_replication(self) {
+        self.inner.v2p.publish();
+    }
+
     /// Heap bytes of this worker's private post-freeze replica state
     /// (memory accounting; see [`SharedReplicaView::private_bytes`]).
     pub fn private_bytes(&self) -> usize {
@@ -524,11 +550,11 @@ impl ParallelRunner {
         params: &PartitionParams,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<RunReport> {
-        let mut report = RunReport::default();
         let info = source.info();
         if info.num_edges == 0 {
-            return Ok(report);
+            return Ok(empty_run_report(params.k));
         }
+        let mut report = RunReport::default();
         let threads = self.threads.max(1);
         let ranges = split_even(info.num_edges, threads);
         let factory: &dyn SpoolFactory = match &self.spool_factory {
@@ -609,22 +635,38 @@ impl ParallelRunner {
             let (mut assigner, mut spool) = state;
             let mut s = source.open_range(a, b)?;
             assigner.remaining_pass(&mut s, &mut *spool)?;
-            Ok((spool, assigner.counters(), assigner.overshoot()))
+            Ok((assigner, spool))
         })?;
         report.phases.record("partition", s4.end());
 
-        // Emit: replay per-worker spools in deterministic worker order.
-        let s5 = tps_obs::span("emit");
+        // Every scoring pass has joined, so no view reads the shared words
+        // any more: publish each worker's private scoring-time replicas
+        // into them. The shared matrix then holds the run's final replica
+        // set and the ledger its loads — the state the quality metrics are
+        // counted from, in place (see `# Who computes the metrics`).
         let mut counters = AssignCounters::default();
         let mut overshoot = 0u64;
-        for (mut spool, c, o) in worker_out {
-            counters.merge(&c);
-            overshoot += o;
+        let mut spools = Vec::with_capacity(threads);
+        for (assigner, spool) in worker_out {
+            counters.merge(&assigner.counters());
+            overshoot += assigner.overshoot();
+            assigner.publish_replication();
+            spools.push(spool);
+        }
+        debug_assert_eq!(shared.total(), info.num_edges);
+        report.quality = Some(PartitionMetrics::from_state(
+            params.k,
+            replicas.census(),
+            &shared.snapshot(),
+        ));
+
+        // Emit: replay per-worker spools in deterministic worker order.
+        let s5 = tps_obs::span("emit");
+        for mut spool in spools {
             spool.replay(sink)?;
         }
         report.phases.record("emit", s5.end());
 
-        debug_assert_eq!(shared.total(), info.num_edges);
         report.count("threads", threads as u64);
         record_phase2_counters(&mut report, &counters, overshoot);
         record_clustering_counters(&mut report, &clustering, cap);

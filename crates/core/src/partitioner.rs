@@ -4,14 +4,18 @@
 //! A partitioner consumes a resettable [`EdgeStream`] (it may take several
 //! passes), emits one `(edge, partition)` decision per stream edge into an
 //! [`AssignmentSink`], and returns a
-//! [`RunReport`] with its phase timings and internal counters. Quality
-//! metrics are *not* produced by the partitioner — the harness recomputes
-//! them from the sink so they are ground truth.
+//! [`RunReport`] with its phase timings and internal counters. Who computes
+//! the quality metrics depends on who holds the replication state: the
+//! 2PS-L engines report them from the matrix and loads they finished with
+//! ([`RunReport::quality`]); for every other partitioner the harness
+//! recomputes them from the sink (`QualitySink`), which is also the
+//! reference the engine-reported numbers are tested against.
 
 use std::io;
 
 use tps_graph::stream::EdgeStream;
-use tps_metrics::timer::PhaseTimer;
+use tps_metrics::quality::PartitionMetrics;
+use tps_obs::PhaseTimer;
 
 use crate::sink::AssignmentSink;
 
@@ -46,6 +50,12 @@ pub struct RunReport {
     pub phases: PhaseTimer,
     /// Named counters (e.g. `prepartitioned`, `fallback_hash`).
     pub counters: Vec<(String, u64)>,
+    /// Quality metrics computed from the replication matrix and loads the
+    /// engine finished with — `Some` for the in-process 2PS-L engines
+    /// (serial, paged, chunk-parallel), `None` for partitioners that keep
+    /// no replica state or keep it elsewhere (baselines, the distributed
+    /// coordinator); those are measured through a `QualitySink`.
+    pub quality: Option<PartitionMetrics>,
 }
 
 impl RunReport {

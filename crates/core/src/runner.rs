@@ -12,7 +12,10 @@ use crate::partitioner::RunReport;
 pub struct RunOutcome {
     /// Algorithm name.
     pub name: String,
-    /// Ground-truth quality metrics (from the emitted assignments).
+    /// Quality metrics of the run: the 2PS-L engines' own
+    /// [`RunReport::quality`] (from the replication state they finished
+    /// with), a `QualitySink`'s count of the emitted assignments for any
+    /// other partitioner. The two are equal by test and by debug assertion.
     pub metrics: PartitionMetrics,
     /// The partitioner's own phase/counter report.
     pub report: RunReport,

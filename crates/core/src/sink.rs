@@ -11,12 +11,16 @@
 //!
 //! * [`NullSink`] — discard (pure timing runs).
 //! * [`CountingSink`] — per-partition edge counts only.
-//! * [`QualitySink`] — ground-truth quality metrics via
-//!   [`tps_metrics::QualityTracker`].
+//! * [`QualitySink`] — quality metrics recounted from the assignments via
+//!   [`tps_metrics::QualityTracker`]: the reference the 2PS-L engines' own
+//!   report is tested against, and the measuring sink for partitioners that
+//!   hold no replica state. It owns a second `|V|·k`-bit matrix, so a 2PS-L
+//!   job does not run behind one (see [`crate::job`]).
 //! * [`VecSink`] — collect pairs in memory (tests, the processing simulator).
 //! * [`FileSink`] — write per-partition binary edge lists (the materialised
 //!   out-of-core output, what the paper's tool writes back to storage).
-//! * [`TeeSink`] — duplicate into two sinks.
+//! * [`TeeSink`] — duplicate into two sinks (a measuring sink in front of
+//!   the caller's; not on a 2PS-L job's path in release builds).
 
 use std::io;
 
@@ -166,7 +170,8 @@ impl AssignmentSink for CountingSink {
     }
 }
 
-/// Tracks ground-truth partition quality (replication factor, balance).
+/// Recounts partition quality (replication factor, balance) from the
+/// assignments it is handed, independently of the partitioner's state.
 #[derive(Clone, Debug)]
 pub struct QualitySink {
     tracker: QualityTracker,

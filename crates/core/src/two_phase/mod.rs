@@ -28,7 +28,8 @@ use tps_graph::degree::DegreeTable;
 use tps_graph::hash::seeded_hash_to_partition;
 use tps_graph::stream::{discover_info, EdgeStream};
 use tps_graph::types::{ClusterId, Edge, PartitionId, VertexId};
-use tps_metrics::bitmatrix::{ReplicaSet, ReplicationMatrix};
+use tps_metrics::bitmatrix::{ReplicaCensus, ReplicaSet, ReplicationMatrix};
+use tps_metrics::quality::PartitionMetrics;
 
 use crate::balance::{LoadTracker, PartitionLoads};
 use crate::partitioner::{PartitionParams, Partitioner, RunReport};
@@ -231,11 +232,11 @@ impl TwoPhasePartitioner {
                 ),
             ));
         }
-        let mut report = RunReport::default();
         let info = discover_info(stream)?;
         if info.num_edges == 0 {
-            return Ok(report);
+            return Ok(empty_run_report(params.k));
         }
+        let mut report = RunReport::default();
 
         // Phase 0: exact degrees (one streaming pass).
         let s0 = tps_obs::span("degree");
@@ -317,7 +318,8 @@ impl TwoPhasePartitioner {
 
     /// Phase 2 steps 2 and 3 — the pre-partitioning pass, then the scoring
     /// pass over the remaining edges — against any cluster-state storage,
-    /// and the counters both runners report.
+    /// the counters both runners report, and the quality of the result,
+    /// read off the one replication matrix and load vector the run kept.
     fn assign_edges<C: ClusterView>(
         &self,
         mut state: EdgeAssigner<'_, PartitionLoads, ReplicationMatrix, C>,
@@ -351,7 +353,25 @@ impl TwoPhasePartitioner {
         CORE_ASSIGN_PREPARTITIONED.add(counters.prepartitioned);
         CORE_ASSIGN_REMAINING.add(counters.remaining);
         CORE_ASSIGN_FALLBACK.add(counters.fallback_hash + counters.fallback_least_loaded);
+        report.quality = Some(PartitionMetrics::from_state(
+            state.v2p.k(),
+            state.v2p.census(),
+            state.loads.as_slice(),
+        ));
         Ok(())
+    }
+}
+
+/// The report of a run over an empty stream: no phases, no counters, and
+/// the metrics of `k` empty partitions.
+pub(crate) fn empty_run_report(k: u32) -> RunReport {
+    RunReport {
+        quality: Some(PartitionMetrics::from_state(
+            k,
+            ReplicaCensus::default(),
+            &vec![0; k as usize],
+        )),
+        ..RunReport::default()
     }
 }
 
@@ -732,11 +752,11 @@ impl Partitioner for TwoPhasePartitioner {
         if let Some(paging) = self.paging.clone() {
             return self.partition_paged(&paging, stream, params, sink);
         }
-        let mut report = RunReport::default();
         let info = discover_info(stream)?;
         if info.num_edges == 0 {
-            return Ok(report);
+            return Ok(empty_run_report(params.k));
         }
+        let mut report = RunReport::default();
 
         // Phase 0: exact degrees (one streaming pass).
         let s0 = tps_obs::span("degree");

@@ -322,34 +322,84 @@ impl EdgeStream for BinaryEdgeFile {
     }
 }
 
+/// `EMFILE` — "too many open files" for this process — on Linux, macOS and
+/// the BSDs. `std::io::ErrorKind` has no stable kind for it.
+const EMFILE: i32 = 24;
+
+/// Create the `k` partition files `<stem>.part<i>.bel` in `dir`, each
+/// holding a v1 header with a zero edge count, and return their paths and
+/// the open files, both in partition order — the common first step of every per-partition writer,
+/// all of which hold the `k` files open until their run ends.
+///
+/// All or nothing: if file `i` cannot be created the files made so far are
+/// removed again, and the error names `k`, the file that failed and, when
+/// the cause is the open-file limit (`k` ≳ `RLIMIT_NOFILE`), that limit.
+pub fn create_partition_files(
+    dir: &Path,
+    stem: &str,
+    k: u32,
+    num_vertices: u64,
+) -> io::Result<(Vec<PathBuf>, Vec<File>)> {
+    let mut header = [0u8; HEADER_LEN as usize];
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..16].copy_from_slice(&num_vertices.to_le_bytes());
+    let mut paths = Vec::with_capacity(k as usize);
+    let mut files = Vec::with_capacity(k as usize);
+    for i in 0..k {
+        let path = dir.join(format!("{stem}.part{i}.bel"));
+        let opened = File::create(&path).and_then(|mut file| {
+            file.write_all(&header)?;
+            Ok(file)
+        });
+        match opened {
+            Ok(file) => {
+                paths.push(path);
+                files.push(file);
+            }
+            Err(err) => {
+                drop(files);
+                // `path` too: it may exist with a torn header.
+                for made in paths.iter().chain([&path]) {
+                    let _ = std::fs::remove_file(made);
+                }
+                let hint = if err.raw_os_error() == Some(EMFILE) {
+                    format!(
+                        ": all {k} partition files stay open for the whole run, which \
+                         needs RLIMIT_NOFILE above k — raise it (`ulimit -n`) or lower --k"
+                    )
+                } else {
+                    String::new()
+                };
+                return Err(io::Error::new(
+                    err.kind(),
+                    format!(
+                        "cannot create partition file {} of {k}, {}: {err}{hint}",
+                        i + 1,
+                        path.display()
+                    ),
+                ));
+            }
+        }
+    }
+    Ok((paths, files))
+}
+
 /// A buffered writer producing one binary edge-list file per partition —
 /// the materialised output of an out-of-core partitioning run.
 pub struct PartitionFileWriter {
     writers: Vec<BufWriter<File>>,
     counts: Vec<u64>,
-    num_vertices: u64,
     paths: Vec<PathBuf>,
 }
 
 impl PartitionFileWriter {
-    /// Create `k` files named `<stem>.part<i>.bel` in `dir`.
+    /// Create `k` files named `<stem>.part<i>.bel` in `dir` (all or
+    /// nothing — see [`create_partition_files`]).
     pub fn create(dir: &Path, stem: &str, k: u32, num_vertices: u64) -> io::Result<Self> {
-        let mut writers = Vec::with_capacity(k as usize);
-        let mut paths = Vec::with_capacity(k as usize);
-        for i in 0..k {
-            let path = dir.join(format!("{stem}.part{i}.bel"));
-            let file = File::create(&path)?;
-            let mut w = BufWriter::new(file);
-            w.write_all(&MAGIC)?;
-            w.write_all(&num_vertices.to_le_bytes())?;
-            w.write_all(&0u64.to_le_bytes())?;
-            writers.push(w);
-            paths.push(path);
-        }
+        let (paths, files) = create_partition_files(dir, stem, k, num_vertices)?;
         Ok(PartitionFileWriter {
-            writers,
+            writers: files.into_iter().map(BufWriter::new).collect(),
             counts: vec![0; k as usize],
-            num_vertices,
             paths,
         })
     }
@@ -373,13 +423,11 @@ impl PartitionFileWriter {
     /// Patch edge counts into all headers and close the files.
     /// Returns the per-partition paths and edge counts.
     pub fn finish(self) -> io::Result<Vec<(PathBuf, u64)>> {
-        let _ = self.num_vertices;
         let mut out = Vec::with_capacity(self.writers.len());
         for ((w, count), path) in self.writers.into_iter().zip(self.counts).zip(self.paths) {
             let mut file = w.into_inner()?;
             file.seek(SeekFrom::Start(16))?;
             file.write_all(&count.to_le_bytes())?;
-            file.flush()?;
             out.push((path, count));
         }
         Ok(out)

@@ -15,7 +15,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use tps_core::sink::AssignmentSink;
-use tps_graph::formats::binary::MAGIC;
+use tps_graph::formats::binary::{create_partition_files, HEADER_LEN};
 use tps_graph::types::{Edge, PartitionId};
 
 /// Observability counters of a [`SpillingFileSink`] run.
@@ -41,7 +41,6 @@ pub struct SpillingFileSink {
     buffered_edges: u64,
     scratch: Vec<u8>,
     stats: SpillStats,
-    num_vertices: u64,
 }
 
 /// Bytes one buffered edge occupies on disk.
@@ -51,9 +50,10 @@ static IO_SPILL_SPILLS: tps_obs::Counter = tps_obs::Counter::new("io.spill.spill
 static IO_SPILL_BYTES: tps_obs::Counter = tps_obs::Counter::new("io.spill.bytes");
 
 impl SpillingFileSink {
-    /// Create `k` files named `<stem>.part<i>.bel` in `dir`, buffering at
-    /// most `budget_bytes` of edge records in memory (shared evenly across
-    /// partitions, minimum one edge each).
+    /// Create `k` files named `<stem>.part<i>.bel` in `dir` (all or nothing
+    /// — see [`create_partition_files`]), buffering at most `budget_bytes`
+    /// of edge records in memory (shared evenly across partitions, minimum
+    /// one edge each).
     pub fn create(
         dir: &Path,
         stem: &str,
@@ -64,21 +64,11 @@ impl SpillingFileSink {
         assert!(k > 0, "need at least one partition");
         let per_partition_cap =
             ((budget_bytes / k as u64 / EDGE_BYTES).max(1) as usize).min(1 << 24);
-        let mut files = Vec::with_capacity(k as usize);
-        let mut paths = Vec::with_capacity(k as usize);
-        let mut stats = SpillStats::default();
-        for i in 0..k {
-            let path = dir.join(format!("{stem}.part{i}.bel"));
-            let mut f = File::create(&path)?;
-            let mut header = Vec::with_capacity(24);
-            header.extend_from_slice(&MAGIC);
-            header.extend_from_slice(&num_vertices.to_le_bytes());
-            header.extend_from_slice(&0u64.to_le_bytes());
-            f.write_all(&header)?;
-            stats.bytes_written += header.len() as u64;
-            files.push(f);
-            paths.push(path);
-        }
+        let (paths, files) = create_partition_files(dir, stem, k, num_vertices)?;
+        let stats = SpillStats {
+            bytes_written: k as u64 * HEADER_LEN,
+            ..SpillStats::default()
+        };
         Ok(SpillingFileSink {
             files,
             paths,
@@ -88,7 +78,6 @@ impl SpillingFileSink {
             buffered_edges: 0,
             scratch: Vec::new(),
             stats,
-            num_vertices,
         })
     }
 
@@ -126,7 +115,6 @@ impl SpillingFileSink {
     /// Spill all buffers, patch the per-file edge counts and close.
     /// Returns `(path, edge_count)` per partition and the final stats.
     pub fn finish(mut self) -> io::Result<(Vec<(PathBuf, u64)>, SpillStats)> {
-        let _ = self.num_vertices;
         // The final drain is bookkept as writes, not spills (a spill is a
         // budget-pressure event), so freeze the spill counter across it.
         let pressure_spills = self.stats.spills;
@@ -138,7 +126,6 @@ impl SpillingFileSink {
         for ((mut f, count), path) in self.files.into_iter().zip(self.counts).zip(self.paths) {
             f.seek(SeekFrom::Start(16))?;
             f.write_all(&count.to_le_bytes())?;
-            f.flush()?;
             out.push((path, count));
         }
         Ok((out, self.stats))

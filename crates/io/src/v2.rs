@@ -655,40 +655,26 @@ pub(crate) fn decode_chunk_slice(
 /// and every later pass is served from memory at raw `Vec<Edge>` scan
 /// speed, skipping file I/O, checksumming, and varint decode entirely. The
 /// paper's pipeline makes 4 sequential passes per partitioning run, so this
-/// turns the decode cost from per-pass into per-open. Override
-/// programmatically with [`set_decode_cache_budget`] (what a job-level
-/// `--mem-budget-mb` split does) or, as a fallback when no programmatic
-/// budget is set, with the `TPS_V2_DECODE_CACHE_MB` environment variable
-/// (`0` disables caching).
+/// turns the decode cost from per-pass into per-open. Override with
+/// [`set_decode_cache_budget`] (what a job-level `--mem-budget-mb` split
+/// does; `0` disables caching).
 pub const DECODE_CACHE_DEFAULT_BYTES: u64 = 64 << 20;
 
-/// Programmatic decode-cache budget; `u64::MAX` means "unset, fall back to
-/// the environment variable / default".
-static DECODE_CACHE_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
+/// The decode-cache budget in force (the default until
+/// [`set_decode_cache_budget`] is called).
+static DECODE_CACHE_BUDGET: AtomicU64 = AtomicU64::new(DECODE_CACHE_DEFAULT_BYTES);
 
-/// Set the decode-cache budget for every v2 file opened after this call.
-///
-/// Takes precedence over `TPS_V2_DECODE_CACHE_MB`; `0` disables caching.
+/// Set the decode-cache budget for every v2 file opened after this call;
+/// `0` disables caching.
 /// The budget is consulted once per open (the cache is all-or-nothing per
 /// file), so call this before opening inputs. A job's `--mem-budget-mb`
 /// split routes its decode-cache share here.
 pub fn set_decode_cache_budget(bytes: u64) {
-    DECODE_CACHE_OVERRIDE.store(bytes, Ordering::Relaxed);
+    DECODE_CACHE_BUDGET.store(bytes, Ordering::Relaxed);
 }
 
 fn decode_cache_budget() -> u64 {
-    let over = DECODE_CACHE_OVERRIDE.load(Ordering::Relaxed);
-    if over != u64::MAX {
-        return over;
-    }
-    match std::env::var("TPS_V2_DECODE_CACHE_MB") {
-        Ok(s) => s
-            .trim()
-            .parse::<u64>()
-            .map(|mb| mb << 20)
-            .unwrap_or(DECODE_CACHE_DEFAULT_BYTES),
-        Err(_) => DECODE_CACHE_DEFAULT_BYTES,
-    }
+    DECODE_CACHE_BUDGET.load(Ordering::Relaxed)
 }
 
 /// Per-open decoded-edge cache: the first sequential pass appends each

@@ -21,7 +21,12 @@
 //!   — exactly the "merged matrix plus my own scoring-time replicas" view a
 //!   sharded worker had, which is what keeps the output bit-identical to
 //!   the sharded path (and to `tps-dist`, whose workers still run owned
-//!   per-shard matrices).
+//!   per-shard matrices). Once the scoring subpass has joined, each view is
+//!   [`publish`](SharedReplicaView::publish)ed — its private bits are ORed
+//!   into the shared words and freed — and the shared matrix is the run's
+//!   final replica set, counted in place by
+//!   [`census`](AtomicReplicationMatrix::census): the quality metrics need
+//!   no second matrix.
 //!
 //! # Memory
 //!
@@ -54,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tps_graph::types::{PartitionId, VertexId};
 
-use crate::bitmatrix::{ReplicaSet, ReplicationMatrix};
+use crate::bitmatrix::{ReplicaCensus, ReplicaSet, ReplicationMatrix};
 
 /// A compact word-index → bits map: open addressing, linear probing,
 /// power-of-two capacity, 12 bytes per slot (`u32` key + `u64` bits in
@@ -219,6 +224,14 @@ impl AtomicReplicationMatrix {
         self.bits.len() * 8
     }
 
+    /// Covered vertices and total replicas, counted in place (relaxed
+    /// loads, no copy of the words). The run's final census once every
+    /// worker's view has been [`publish`](SharedReplicaView::publish)ed.
+    pub fn census(&self) -> ReplicaCensus {
+        let words = self.bits.iter().map(|w| w.load(Ordering::Relaxed));
+        ReplicaCensus::of_rows(self.words_per_vertex, words)
+    }
+
     /// An owned snapshot with exact cover counts — for inspection and
     /// tests; the hot paths never materialise one.
     pub fn snapshot(&self) -> ReplicationMatrix {
@@ -281,6 +294,33 @@ impl<'m> SharedReplicaView<'m> {
     /// Whether the view is frozen (keeping inserts private).
     pub fn is_frozen(&self) -> bool {
         !matches!(self.private, Private::Nothing)
+    }
+
+    /// OR this view's private post-freeze replicas into the shared matrix
+    /// and drop them, so the shared matrix alone holds the run's final
+    /// replica set. Only after **every** worker's scoring pass has joined:
+    /// a sparse view reads the shared words on each `contains`, and a
+    /// worker must not see another's scoring-time replicas.
+    pub fn publish(self) {
+        let shared = &self.shared.bits;
+        match self.private {
+            Private::Nothing => {}
+            Private::Dense(rows) => {
+                for (word, row) in shared.iter().zip(rows) {
+                    // Most rows gained nothing after the freeze; skip the RMW.
+                    if row & !word.load(Ordering::Relaxed) != 0 {
+                        word.fetch_or(row, Ordering::Relaxed);
+                    }
+                }
+            }
+            Private::Sparse(overlay) => {
+                for (key, bits) in overlay.keys.into_iter().zip(overlay.bits) {
+                    if key != EMPTY {
+                        shared[key as usize].fetch_or(bits, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
     }
 
     /// Heap bytes this view holds privately: 0 while thawed, 8 B/vertex
@@ -495,6 +535,54 @@ mod tests {
         }
         assert_eq!(narrow.snapshot().total_replicas(), frozen.total_replicas());
         assert!(owned.total_replicas() > frozen.total_replicas());
+
+        // Published after the "join", the private rows (dense) and the
+        // overlay (sparse) land in the shared words: each shared matrix is
+        // now the OR of everything the owned replay holds, and the in-place
+        // census is the owned matrix's. Bystanders publish nothing new.
+        let [by_narrow, by_wide] = bystanders;
+        for view in [dense, by_narrow, sparse, by_wide] {
+            view.publish();
+        }
+        for v in 0..N {
+            for p in 0..K + 64 {
+                let want = p < K && owned.get(v, p);
+                assert_eq!(wide.get(v, p), want, "wide ({v},{p})");
+                if p < K {
+                    assert_eq!(narrow.get(v, p), want, "narrow ({v},{p})");
+                }
+            }
+        }
+        assert_eq!(narrow.census(), owned.census());
+        assert_eq!(wide.census(), owned.census());
+        assert_eq!(narrow.census().total_replicas, owned.total_replicas());
+    }
+
+    #[test]
+    fn publishing_several_frozen_views_yields_their_union() {
+        // Two workers frozen at the same barrier score different replicas;
+        // neither sees the other's until both are published.
+        for k in [8u32, 200] {
+            let shared = AtomicReplicationMatrix::new(10, k);
+            shared.set(0, 1);
+            let mut a = SharedReplicaView::new(&shared);
+            let mut b = SharedReplicaView::new(&shared);
+            a.freeze();
+            b.freeze();
+            a.insert(3, k - 1);
+            a.insert(0, 1); // already shared: nothing to publish
+            b.insert(3, 0);
+            b.insert(9, k - 1);
+            assert!(!b.contains(3, k - 1) && !a.contains(9, k - 1));
+            a.publish();
+            b.publish();
+            let census = shared.census();
+            assert_eq!((census.covered_vertices, census.total_replicas), (3, 4));
+            assert!(shared.get(3, k - 1) && shared.get(3, 0) && shared.get(9, k - 1));
+            // A thawed view has nothing private to publish.
+            SharedReplicaView::new(&shared).publish();
+            assert_eq!(shared.census(), census);
+        }
     }
 
     #[test]

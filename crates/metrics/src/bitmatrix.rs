@@ -32,6 +32,37 @@ pub trait ReplicaSet {
     fn insert(&mut self, v: VertexId, p: PartitionId);
 }
 
+/// What the quality metrics need from a finished replication state: how
+/// many vertices have a replica anywhere, and how many replicas there are.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplicaCensus {
+    /// Vertices replicated on at least one partition.
+    pub covered_vertices: u64,
+    /// `Σ_p |V(p)|` — set bits in the whole matrix.
+    pub total_replicas: u64,
+}
+
+impl ReplicaCensus {
+    /// Count `words` as consecutive `words_per_vertex`-word vertex rows, in
+    /// one pass and without holding more than a row's running sum — what
+    /// lets the shared atomic matrix be counted in place.
+    pub fn of_rows(words_per_vertex: usize, words: impl IntoIterator<Item = u64>) -> Self {
+        let mut census = ReplicaCensus::default();
+        let (mut in_row, mut row_bits) = (0usize, 0u64);
+        for w in words {
+            row_bits += u64::from(w.count_ones());
+            in_row += 1;
+            if in_row == words_per_vertex {
+                census.covered_vertices += u64::from(row_bits > 0);
+                census.total_replicas += row_bits;
+                (in_row, row_bits) = (0, 0);
+            }
+        }
+        debug_assert_eq!(in_row, 0, "words end mid-row");
+        census
+    }
+}
+
 /// Packed replication matrix with incremental cover counts.
 #[derive(Clone, Debug)]
 pub struct ReplicationMatrix {
@@ -222,6 +253,12 @@ impl ReplicationMatrix {
     /// `Σ_p |V(p)|` — the replication-factor numerator.
     pub fn total_replicas(&self) -> u64 {
         self.cover_counts.iter().sum()
+    }
+
+    /// Covered vertices and total replicas of the matrix as it stands
+    /// (one `O(|V|·k/64)` scan; see [`ReplicaCensus`]).
+    pub fn census(&self) -> ReplicaCensus {
+        ReplicaCensus::of_rows(self.words_per_vertex, self.bits.iter().copied())
     }
 
     /// Iterate over the partitions `v` is replicated on.
@@ -586,6 +623,24 @@ mod tests {
         let mut stray = words;
         stray[1] |= 1 << 70u32.rem_euclid(64); // bit for partition 70 of k=70
         assert!(ReplicationMatrix::from_raw_words(3, 70, stray).is_err());
+    }
+
+    #[test]
+    fn census_counts_covered_rows_and_bits() {
+        let mut m = ReplicationMatrix::new(6, 130);
+        assert_eq!(m.census(), ReplicaCensus::default());
+        m.set(0, 0);
+        m.set(0, 129);
+        m.set(3, 64);
+        m.set(5, 63);
+        m.set(5, 63);
+        let census = m.census();
+        assert_eq!(census.covered_vertices, 3);
+        assert_eq!(census.total_replicas, m.total_replicas());
+        assert_eq!(
+            ReplicationMatrix::new(0, 7).census(),
+            ReplicaCensus::default()
+        );
     }
 
     #[test]

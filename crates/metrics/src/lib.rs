@@ -1,9 +1,9 @@
 //! Measurement substrate for the `twophase` workspace.
 //!
 //! Everything the paper's evaluation *measures* lives here, kept strictly
-//! separate from the algorithms so that quality numbers are ground truth
-//! recomputed from the emitted assignment rather than read out of partitioner
-//! internals:
+//! separate from the algorithms: the replication state and the quality
+//! formula are defined once, and a tracker that recounts quality from the
+//! emitted assignments is the reference for whoever else reports it:
 //!
 //! * [`bitmatrix`] — the vertex×partition replication bit matrix (the
 //!   `O(|V|·k)` structure of Table II) and the [`bitmatrix::ReplicaSet`]
@@ -12,13 +12,12 @@
 //!   `fetch_or`), which keeps the chunk-parallel runner at the serial
 //!   `O(|V|·k)` bound instead of `O(T·|V|·k)`.
 //! * [`quality`] — replication factor, balance and load metrics
-//!   (paper §II-A), accumulated edge by edge.
+//!   (paper §II-A): computed from a finished replication state, and the
+//!   edge-by-edge tracker that is their reference.
 //! * [`alloc`] — a counting global allocator: the repo-local proxy for the
 //!   paper's "maximum resident set size" plots (Fig. 4, right column).
 //! * [`stats`] — mean / standard deviation over repeated runs (the paper
 //!   reports 3-run means with error bars).
-//! * [`timer`] — re-export of the `tps-obs` phase timer (Fig. 5 run-time
-//!   dissection); spans in `tps-obs` are the single timing source.
 //! * [`table`] — aligned text tables and CSV output for the bench binaries.
 
 pub mod alloc;
@@ -27,8 +26,7 @@ pub mod bitmatrix;
 pub mod quality;
 pub mod stats;
 pub mod table;
-pub mod timer;
 
 pub use atomic::{AtomicReplicationMatrix, SharedReplicaView};
-pub use bitmatrix::{ReplicaSet, ReplicationMatrix};
+pub use bitmatrix::{ReplicaCensus, ReplicaSet, ReplicationMatrix};
 pub use quality::{PartitionMetrics, QualityTracker};

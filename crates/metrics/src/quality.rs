@@ -2,10 +2,22 @@
 //!
 //! The optimisation objective of edge partitioning is the **replication
 //! factor** `RF(p_1..p_k) = (1/|V|) · Σ_i |V(p_i)|`, under the balancing
-//! constraint `|p_i| ≤ α · |E| / k`. [`QualityTracker`] accumulates both from
-//! the emitted `(edge, partition)` assignments — independently of whatever
-//! state the partitioner keeps, so the numbers reported by the benches are
-//! ground truth.
+//! constraint `|p_i| ≤ α · |E| / k`. Both are a function of a finished
+//! run's replication matrix and per-partition loads —
+//! [`PartitionMetrics::from_state`] — and a run holds that state once:
+//!
+//! * The 2PS-L engines (serial, paged, `--threads N`) already keep the
+//!   matrix and the loads to take their decisions, and report the metrics
+//!   from what they finished with (`RunReport::quality` in `tps-core`).
+//! * [`QualityTracker`] rebuilds the same state from the emitted
+//!   `(edge, partition)` assignments, independently of whatever the
+//!   partitioner keeps. It is the **reference** the engine-reported numbers
+//!   are tested against (and `debug_assert`ed against in every debug-build
+//!   job), and the only source of metrics for partitioners that hold no
+//!   replica state of their own — the stateless baselines and the
+//!   distributed coordinator, whose replicas live in worker processes. It
+//!   costs a second `O(|V|·k)`-bit matrix and two random bit updates per
+//!   edge, which is why the engines do not run behind one.
 //!
 //! `|V|` is taken to be the number of vertices actually covered by at least
 //! one edge. Our generators compact ids so every vertex is covered; on
@@ -14,10 +26,14 @@
 
 use tps_graph::types::{Edge, PartitionId};
 
-use crate::bitmatrix::ReplicationMatrix;
+use crate::bitmatrix::{ReplicaCensus, ReplicationMatrix};
 
 /// Final quality metrics of one partitioning run.
-#[derive(Clone, Debug)]
+///
+/// Two values compare equal only if every field does; the two float fields
+/// are computed from the integer ones by [`PartitionMetrics::from_state`],
+/// so equal states give bit-equal metrics.
+#[derive(Clone, Debug, PartialEq)]
 pub struct PartitionMetrics {
     /// Number of partitions.
     pub k: u32,
@@ -40,6 +56,38 @@ pub struct PartitionMetrics {
 }
 
 impl PartitionMetrics {
+    /// The metrics of a finished run: `k` partitions, the census of its
+    /// replication matrix and its per-partition edge counts. The one place
+    /// RF and α are computed, whoever held the state.
+    pub fn from_state(k: u32, census: ReplicaCensus, loads: &[u64]) -> Self {
+        debug_assert_eq!(loads.len(), k as usize);
+        let num_edges: u64 = loads.iter().sum();
+        let replication_factor = if census.covered_vertices == 0 {
+            0.0
+        } else {
+            census.total_replicas as f64 / census.covered_vertices as f64
+        };
+        let max_load = loads.iter().copied().max().unwrap_or(0);
+        let min_load = loads.iter().copied().min().unwrap_or(0);
+        let expected = num_edges as f64 / k as f64;
+        let alpha = if expected > 0.0 {
+            max_load as f64 / expected
+        } else {
+            0.0
+        };
+        PartitionMetrics {
+            k,
+            num_edges,
+            covered_vertices: census.covered_vertices,
+            total_replicas: census.total_replicas,
+            replication_factor,
+            max_load,
+            min_load,
+            alpha,
+            loads: loads.to_vec(),
+        }
+    }
+
     /// Render the per-partition loads as a short summary string.
     pub fn load_summary(&self) -> String {
         format!(
@@ -98,35 +146,8 @@ impl QualityTracker {
 
     /// Finalise into [`PartitionMetrics`].
     pub fn finish(&self) -> PartitionMetrics {
-        let k = self.matrix.k();
-        let covered = (0..self.matrix.num_vertices())
-            .filter(|&v| self.matrix.replica_count(v as u32) > 0)
-            .count() as u64;
-        let total_replicas = self.matrix.total_replicas();
-        let rf = if covered == 0 {
-            0.0
-        } else {
-            total_replicas as f64 / covered as f64
-        };
-        let max_load = self.loads.iter().copied().max().unwrap_or(0);
-        let min_load = self.loads.iter().copied().min().unwrap_or(0);
-        let expected = self.num_edges as f64 / k as f64;
-        let alpha = if expected > 0.0 {
-            max_load as f64 / expected
-        } else {
-            0.0
-        };
-        PartitionMetrics {
-            k,
-            num_edges: self.num_edges,
-            covered_vertices: covered,
-            total_replicas,
-            replication_factor: rf,
-            max_load,
-            min_load,
-            alpha,
-            loads: self.loads.clone(),
-        }
+        debug_assert_eq!(self.num_edges, self.loads.iter().sum::<u64>());
+        PartitionMetrics::from_state(self.matrix.k(), self.matrix.census(), &self.loads)
     }
 }
 

@@ -393,3 +393,41 @@ fn corrupt_page_store_slot_fails_the_budgeted_job() {
     assert!(err.to_string().contains("checksum"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Both per-partition writers hold `k` files open for the whole run, so
+/// creating them is all or nothing: when file `i` cannot be created (here a
+/// directory squats on its name; under `ulimit -n` it is `EMFILE` — the CLI
+/// test `fd_exhaustion_is_a_precise_error_and_leaves_no_debris` drives that
+/// one), the error names `k` and the file, and the files already created
+/// are gone again.
+#[test]
+fn partition_file_creation_is_all_or_nothing() {
+    use tps_core::sink::FileSink;
+    use tps_io::SpillingFileSink;
+
+    let dir = std::env::temp_dir().join(format!("tps-create-fail-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("g.part5.bel")).unwrap();
+    let errors = [
+        FileSink::create(&dir, "g", 8, 100).err(),
+        SpillingFileSink::create(&dir, "g", 8, 100, 1 << 20).err(),
+    ];
+    for err in errors {
+        let err = err.expect("a directory is not a partition file");
+        let text = err.to_string();
+        assert!(text.contains("partition file 6 of 8"), "{text}");
+        assert!(text.contains("g.part5.bel"), "{text}");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["g.part5.bel"], "debris left behind");
+    }
+    // Without the obstacle the same calls succeed.
+    std::fs::remove_dir(dir.join("g.part5.bel")).unwrap();
+    let parts = FileSink::create(&dir, "g", 8, 100)
+        .unwrap()
+        .finish()
+        .unwrap();
+    assert_eq!(parts.len(), 8);
+    std::fs::remove_dir_all(&dir).ok();
+}
