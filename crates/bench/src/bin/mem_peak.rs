@@ -34,6 +34,14 @@
 //! `O(|V|·k)` state passes here but fails `t4`/`t8`, and a per-worker term
 //! that outgrows one word per vertex fails here.
 //!
+//! The **file pair** (`k32_serial_file`, `k32_t2_file`) runs that k = 32
+//! job the way `tps partition` runs it by default — no spool factory — on a
+//! TPSBEL2 copy of the graph: serial caches the decoded file, two workers
+//! retain their decoded ranges (the same bytes) and add a 1 B/edge decision
+//! log each. `k32_t2_vs_serial_file` is their ratio, gated as a ceiling: the
+//! default path's `O(|E|)` residency beyond the decode budget is the log
+//! and nothing else (12 B/edge of in-memory spools read ≈ 1.45 here).
+//!
 //! A second, vertex-heavy graph (mean degree 2, small k) drives the
 //! **out-of-core pair**: `oc_unpaged` runs the plain serial job, `oc_paged`
 //! the identical job under `--mem-budget-mb` (cluster state paged through
@@ -66,6 +74,10 @@ const MODES: [&str; 4] = ["serial", "t4", "t8", "dist2"];
 /// in-process workers keep dense private replica rows.
 const LOW_K_MODES: [&str; 2] = ["k32_serial", "k32_t8"];
 const LOW_K: u32 = 32;
+
+/// The file pair: the low-k job on the TPSBEL2 copy, on the default path
+/// (decode cache / retained ranges, decision logs, no spill spools).
+const FILE_MODES: [&str; 2] = ["k32_serial_file", "k32_t2_file"];
 
 /// The out-of-core modes: same serial pipeline over a second, vertex-heavy
 /// graph, with and without a `--mem-budget-mb` budget. Gated as a pair —
@@ -202,6 +214,9 @@ fn run_parent(quick: bool, k: u32) {
         )
         .expect("write v1 edge file");
     }
+    let input_v2 = dir.join("g.bel2");
+    tps_io::convert_v1_to_v2(&input, &input_v2, tps_io::v2::DEFAULT_CHUNK_EDGES)
+        .expect("write v2 edge file");
     let (oc_vertices, oc_edges) = oc_dims(quick);
     let oc_input = dir.join("oc.bel");
     {
@@ -233,7 +248,9 @@ fn run_parent(quick: bool, k: u32) {
         .iter()
         .map(|m| (*m, &input, k))
         .chain(LOW_K_MODES.iter().map(|m| (*m, &input, LOW_K)))
+        .chain(FILE_MODES.iter().map(|m| (*m, &input_v2, LOW_K)))
         .chain(OC_MODES.iter().map(|m| (*m, &oc_input, OC_K)));
+    let mut file_pair_mb = Vec::new();
     for (mode, input, k) in children {
         let out = std::process::Command::new(&exe)
             .arg("--mode")
@@ -250,6 +267,12 @@ fn run_parent(quick: bool, k: u32) {
             std::process::exit(1);
         }
         let row = String::from_utf8(out.stdout).expect("child emits UTF-8");
+        if FILE_MODES.contains(&mode) {
+            let peak = tps_bench::gate::parse_json(&row)
+                .ok()
+                .and_then(|r| r.get("peak_rss_mb").and_then(tps_bench::gate::Json::as_f64));
+            file_pair_mb.push(peak.expect("child row carries peak_rss_mb"));
+        }
         rows.push(format!("    {}", row.trim()));
     }
     if std::env::var_os("TPS_MEM_KEEP").is_none() {
@@ -267,6 +290,10 @@ fn run_parent(quick: bool, k: u32) {
     println!(
         "  \"spill_budget_mb\": {},",
         SPILL_BUDGET_BYTES as f64 / (1 << 20) as f64
+    );
+    println!(
+        "  \"ratios\": [{{\"name\": \"k32_t2_vs_serial_file\", \"ratio\": {:.3}}}],",
+        file_pair_mb[1] / file_pair_mb[0]
     );
     println!("  \"modes\": [\n{}\n  ]", rows.join(",\n"));
     println!("}}");
@@ -286,12 +313,16 @@ fn run_child(mode: &str, input: &str, k: u32) {
     std::fs::create_dir_all(&spill_dir).expect("spill dir");
     // `None`: not a `JobSpec` job.
     let threads = match mode {
-        "serial" | "k32_serial" | "oc_unpaged" | "oc_paged" => Some(ThreadMode::Serial),
+        "serial" | "k32_serial" | "k32_serial_file" | "oc_unpaged" | "oc_paged" => {
+            Some(ThreadMode::Serial)
+        }
+        "k32_t2_file" => Some(ThreadMode::Count(2)),
         "t4" => Some(ThreadMode::Count(4)),
         "t8" | "k32_t8" => Some(ThreadMode::Count(8)),
         "dist2" => None,
         other => die(&format!(
-            "unknown mode {other:?} (serial|t4|t8|dist2|k32_serial|k32_t8|oc_unpaged|oc_paged)"
+            "unknown mode {other:?} (serial|t4|t8|dist2|k32_serial|k32_t8|k32_serial_file|\
+             k32_t2_file|oc_unpaged|oc_paged)"
         )),
     };
 
@@ -310,7 +341,8 @@ fn run_child(mode: &str, input: &str, k: u32) {
                 .params(&params)
                 .threads(threads)
                 .two_phase(config);
-            if let ThreadMode::Count(workers) = threads {
+            // The file pair is the default path: decision logs, no spools.
+            if let (ThreadMode::Count(workers), false) = (threads, FILE_MODES.contains(&mode)) {
                 let factory = SpillSpoolFactory::new(&spill_dir, mode, SPILL_BUDGET_BYTES, workers)
                     .expect("spill factory");
                 spec = spec.spool_factory(std::sync::Arc::new(factory));

@@ -380,6 +380,17 @@ pub fn extract_metrics(report: &Json) -> BTreeMap<String, f64> {
                 out.insert(format!("mem_peak.{mode}.peak_rss_mb"), v);
             }
         }
+        // … and the peak-RSS ratios between pairs of modes (a ceiling that
+        // cancels the runner's allocator, as the throughput ratios cancel
+        // its clock).
+        for entry in mem.get("ratios").and_then(Json::as_arr).unwrap_or(&[]) {
+            if let (Some(name), Some(v)) = (
+                entry.get("name").and_then(Json::as_str),
+                entry.get("ratio").and_then(Json::as_f64),
+            ) {
+                out.insert(format!("mem_peak.{name}.ratio"), v);
+            }
+        }
     }
     // scale_up gates the paper's headline bound from both sides: absolute
     // top-scale throughput (floor) and peak RSS (ceiling), plus the two
@@ -428,6 +439,9 @@ const DIRECTION_SUFFIXES: &[(&str, Direction)] = &[
     (".update_ms_per_edge", Direction::Ceiling),
     (".update_scale_ratio", Direction::Ceiling),
     (".growth_ratio", Direction::Ceiling),
+    // Peak RSS of `--threads 2` ÷ serial on the same file (other `.ratio`
+    // keys are throughput ratios, floors).
+    ("mem_peak.k32_t2_vs_serial_file.ratio", Direction::Ceiling),
 ];
 
 /// The compare direction of `metric`, per the suffix table above.
@@ -456,9 +470,14 @@ pub fn is_ceiling(metric: &str) -> bool {
 /// The scale_up `*.growth_ratio` ceilings compare exactly too: they pin
 /// the paper's linear-run-time / flat-RSS claims, where the committed
 /// value (≈1.25) already holds all the jitter headroom — widening it by
-/// another 25% would admit a super-linear pass unchallenged.
+/// another 25% would admit a super-linear pass unchallenged. So does the
+/// `mem_peak` RSS ratio: the regression it exists to catch (per-edge
+/// records resident again) reads 1.45 against a committed 1.3.
 pub fn tolerance_override(metric: &str) -> Option<f64> {
-    (metric.ends_with(".slowdown") || metric.ends_with(".growth_ratio")).then_some(0.0)
+    (metric.ends_with(".slowdown")
+        || metric.ends_with(".growth_ratio")
+        || metric == "mem_peak.k32_t2_vs_serial_file.ratio")
+        .then_some(0.0)
 }
 
 /// Restrict `baseline` to metrics whose section (the prefix before the
@@ -710,6 +729,14 @@ mod tests {
         assert_eq!(direction("x.peak_rss_mb.note"), Direction::Floor);
         assert!(is_ceiling("mem_peak.dist2.peak_rss_mb"));
         assert!(!is_ceiling("mem_peak.dist2.seconds"));
+        // One RSS ratio is a ceiling, compared exactly; throughput ratios
+        // stay floors.
+        assert!(is_ceiling("mem_peak.k32_t2_vs_serial_file.ratio"));
+        assert_eq!(
+            tolerance_override("mem_peak.k32_t2_vs_serial_file.ratio"),
+            Some(0.0)
+        );
+        assert!(!is_ceiling("io_readers.v2_vs_v1.mmap.ratio"));
     }
 
     #[test]
@@ -760,6 +787,7 @@ mod tests {
             r#"{
               "mem_peak": {
                 "graph": {"vertices": 10, "edges": 20, "k": 4},
+                "ratios": [{"name": "k32_t2_vs_serial_file", "ratio": 1.21}],
                 "modes": [
                   {"mode": "serial", "peak_rss_mb": 10.5, "seconds": 0.1},
                   {"mode": "t8", "peak_rss_mb": 12.0, "pre_partition_mb": 2.0},
@@ -770,10 +798,11 @@ mod tests {
         )
         .unwrap();
         let m = extract_metrics(&j);
+        assert_eq!(m["mem_peak.k32_t2_vs_serial_file.ratio"], 1.21);
         assert_eq!(m["mem_peak.serial.peak_rss_mb"], 10.5);
         assert_eq!(m["mem_peak.t8.peak_rss_mb"], 12.0);
         assert_eq!(m["mem_peak.dist2.peak_rss_mb"], 21.0);
-        assert_eq!(m.len(), 3, "seconds/pre_partition are not gated");
+        assert_eq!(m.len(), 4, "seconds/pre_partition are not gated");
     }
 
     #[test]

@@ -929,19 +929,18 @@ fn dist_worker(args: &[String]) -> i32 {
             .map(tps_dist::KillSpec::parse)
             .transpose()?;
         let quiet = flags.has("quiet");
-        let spools: Box<dyn tps_core::sink::SpoolFactory> = if spill_budget > 0 {
-            Box::new(
+        // Without a budget the worker keeps a decision log, no spool.
+        let spools = (spill_budget > 0)
+            .then(|| {
                 SpillSpoolFactory::new(
                     &std::env::temp_dir(),
                     &format!("tps-dist-{}", std::process::id()),
                     spill_budget << 20,
                     1,
                 )
-                .map_err(|e| e.to_string())?,
-            )
-        } else {
-            Box::new(tps_core::sink::MemorySpoolFactory)
-        };
+                .map_err(|e| e.to_string())
+            })
+            .transpose()?;
         let connect_stream = || -> Result<TcpStream, String> {
             // The coordinator may still be binding (or, with --dist-local,
             // is our parent racing us) — retry for ~5 s before giving up.
@@ -971,7 +970,9 @@ fn dist_worker(args: &[String]) -> i32 {
             match tps_dist::run_worker_handshake(
                 &mut *transport,
                 &tps_dist::PathResolver,
-                &*spools,
+                spools
+                    .as_ref()
+                    .map(|f| f as &dyn tps_core::sink::SpoolFactory),
                 handshake,
             ) {
                 Ok(()) => return Ok(()),

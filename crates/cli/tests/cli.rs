@@ -202,6 +202,23 @@ fn convert_and_reader_backends_roundtrip() {
         lines.iter().all(|l| l == &lines[0]),
         "metrics diverged: {lines:?}"
     );
+
+    // A chunk gone bad fails a `--threads 2` run (whose workers retain the
+    // ranges they decode) with exit code 2 and an error naming the file: a
+    // range is retained by the cursor that verified it, never instead.
+    let mut bytes = std::fs::read(&bel2).unwrap();
+    bytes[100] ^= 0x40;
+    std::fs::write(&bel2, &bytes).unwrap();
+    let out = tps()
+        .args(["partition", "--input"])
+        .arg(&bel2)
+        .args(["--k", "4", "--threads", "2", "--quiet"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("checksum"), "{stderr}");
+    assert!(stderr.contains(bel2.to_str().unwrap()), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -148,9 +148,9 @@ pub enum JobEngine<'a> {
 ///
 /// * **½ cluster pages** — the paged cluster table (serial engine; the
 ///   dominant `O(|V|)` term the budget exists to bound);
-/// * **¼ decode cache** — the v2 reader's block decode cache
-///   (all-or-nothing per file; a share too small for the file simply
-///   disables the cache);
+/// * **¼ decode cache** — the v2 readers' decoded-edge cache, per source
+///   (all-or-nothing per file for a sequential reader, per range for a
+///   ranged source; a share too small simply disables it);
 /// * **¼ spill** — the parallel runner's replay spools (an explicit
 ///   [`JobSpec::spill_budget_mb`] overrides this share).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -334,8 +334,9 @@ impl<'a> JobSpec<'a> {
         self
     }
 
-    /// Bound parallel replay memory to `mb` MiB via spill-backed spools
-    /// (0 = unbounded in-memory spools).
+    /// Have parallel workers keep whole records in spill-backed spools
+    /// bounded to `mb` MiB (0 = the default: a decision log of ≤ 2 B per
+    /// edge, emitted by re-reading the input).
     pub fn spill_budget_mb(mut self, mb: u64) -> Self {
         self.spill_budget_bytes = mb << 20;
         self

@@ -55,13 +55,18 @@
 //!    against "merged state ∪ its own scoring replicas" — exactly the
 //!    sharded semantics, bit for bit, at `O(|V|·k)` bits total instead of
 //!    `O(T·|V|·k)`.
-//! 5. **emit** — per-worker assignment spools are replayed into the caller's
-//!    [`AssignmentSink`] in worker order, so downstream files are
-//!    reproducible. It is a pure replay — a file write per run, or nothing
-//!    at all into a `NullSink`: the metrics were taken before it (below).
-//!    Spools default to in-memory buffers; a [`SpoolFactory`] can bound
-//!    them (`tps-io`'s spill-backed spools keep parallel runs within
-//!    `--spill-budget-mb`).
+//! 5. **emit** — in worker order, each worker's decisions reach the
+//!    caller's [`AssignmentSink`]: its pre-partitioning records, then its
+//!    scoring records, so downstream files are reproducible. A worker
+//!    remembers *decisions*, not edges — one tag per stream position in a
+//!    [`DecisionLog`] — and emit re-reads the worker's own range to pair
+//!    each tag with its edge ([`ShardDecisions::emit`]); a source that
+//!    retained the range (`tps-io`'s v2 sources, under the decode budget)
+//!    serves those two scans from memory. It writes files, or nothing at
+//!    all into a `NullSink`: the metrics were taken before it (below). With
+//!    a [`SpoolFactory`] installed (`--spill-budget-mb`, or the spill share
+//!    of `--mem-budget-mb`) the workers fill `tps-io`'s spill-backed spools
+//!    instead and emit replays them.
 //!
 //! # Who computes the metrics
 //!
@@ -133,11 +138,11 @@
 //! are measured by the `mem_peak` bench and gated in CI
 //! ([`ShardAssigner::private_bytes`] reports the term). The remaining
 //! per-worker state is transient — degree tables and
-//! clustering maps during their phases — plus the assignment spools until
-//! the emit barrier (`O(|E|)` with the default in-memory spools;
-//! **bounded** when a spill-backed [`SpoolFactory`] is installed — the CLI
-//! wires `--spill-budget-mb` to `tps-io`'s spill spools for exactly this
-//! reason).
+//! clustering maps during their phases — plus the [`DecisionLog`] until the
+//! emit barrier: 1 B per edge of the worker's range up to k = 128, 2 B up
+//! to k = 32 768, the one `O(|E|)` term of a run (the spool it replaced
+//! held 12 B per edge). Installing a spill-backed [`SpoolFactory`] trades
+//! it for whole records under a byte budget and a run file.
 
 use std::io;
 use std::sync::Arc;
@@ -155,7 +160,9 @@ use tps_metrics::quality::PartitionMetrics;
 
 use crate::balance::{AtomicLoads, LoadTracker, PartitionLoads};
 use crate::partitioner::{PartitionParams, RunReport};
-use crate::sink::{AssignmentSink, MemorySpoolFactory, SpoolFactory};
+use crate::sink::{
+    AssignmentSink, AssignmentSpool, DecisionLog, DecisionOut, SinkBatch, SpoolFactory, Subpass,
+};
 use crate::two_phase::mapping::ClusterPlacement;
 use crate::two_phase::{
     empty_run_report, AssignCounters, EdgeAssigner, MappingStrategy, TwoPhaseConfig,
@@ -382,25 +389,43 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         ShardAssigner { config, inner }
     }
 
-    /// The pre-partitioning subpass over this shard's edges.
+    /// The pre-partitioning subpass over this shard's edges, its decisions
+    /// going to `sink` as whole records.
     pub fn prepartition_pass(
         &mut self,
         stream: &mut dyn EdgeStream,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<()> {
-        self.inner.prepartition_pass(stream, sink)?;
-        self.inner.loads.commit_to_ledger();
-        Ok(())
+        self.prepartition_into(stream, &mut SinkBatch::new(sink))
     }
 
     /// The scoring subpass over this shard's edges (skipping edges the
-    /// pre-partitioning subpass already handled).
+    /// pre-partitioning subpass already handled), its decisions going to
+    /// `sink` as whole records.
     pub fn remaining_pass(
         &mut self,
         stream: &mut dyn EdgeStream,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<()> {
-        self.inner.remaining_pass(stream, sink, &self.config)?;
+        self.remaining_into(stream, &mut SinkBatch::new(sink))
+    }
+
+    fn prepartition_into<O: DecisionOut>(
+        &mut self,
+        stream: &mut dyn EdgeStream,
+        out: &mut O,
+    ) -> io::Result<()> {
+        self.inner.prepartition_pass(stream, out)?;
+        self.inner.loads.commit_to_ledger();
+        Ok(())
+    }
+
+    fn remaining_into<O: DecisionOut>(
+        &mut self,
+        stream: &mut dyn EdgeStream,
+        out: &mut O,
+    ) -> io::Result<()> {
+        self.inner.remaining_pass(stream, out, &self.config)?;
         self.inner.loads.commit_to_ledger();
         Ok(())
     }
@@ -467,6 +492,87 @@ impl<'a> ShardAssigner<'a, SharedReplicaView<'a>> {
     }
 }
 
+/// Where one shard's phase-2 decisions wait for the emit barrier: a
+/// [`DecisionLog`] of tags, or — when a [`SpoolFactory`] was installed — a
+/// budgeted spool of whole records. The in-process runner and `tps-dist`'s
+/// workers drive their shards through this, so both emit the same records in
+/// the same order.
+pub enum ShardDecisions {
+    /// One tag per stream position; emit re-reads the shard's range.
+    Log(DecisionLog),
+    /// Whole records, spilled past a byte budget; emit replays them.
+    Spool(Box<dyn AssignmentSpool>),
+}
+
+impl ShardDecisions {
+    /// The decisions of shard `shard`, `edges` stream positions long, of a
+    /// run into `k` partitions: `spools`' spool if there is a factory, the
+    /// log otherwise.
+    pub fn new(
+        spools: Option<&dyn SpoolFactory>,
+        shard: usize,
+        edges: u64,
+        k: u32,
+    ) -> io::Result<ShardDecisions> {
+        Ok(match spools {
+            Some(factory) => ShardDecisions::Spool(factory.create_spool(shard)?),
+            None => ShardDecisions::Log(DecisionLog::new(edges, k)?),
+        })
+    }
+
+    /// [`ShardAssigner::prepartition_pass`], recorded here.
+    pub fn prepartition_pass<R: ReplicaSet>(
+        &mut self,
+        assigner: &mut ShardAssigner<'_, R>,
+        stream: &mut dyn EdgeStream,
+    ) -> io::Result<()> {
+        match self {
+            ShardDecisions::Log(log) => {
+                let mut pass = log.pass(Subpass::Prepartition);
+                assigner.prepartition_into(stream, &mut pass)?;
+                pass.finish()
+            }
+            ShardDecisions::Spool(spool) => assigner.prepartition_pass(stream, &mut **spool),
+        }
+    }
+
+    /// [`ShardAssigner::remaining_pass`], recorded here. The log tells the
+    /// pass which positions pass 2a decided; a spool leaves it to recompute
+    /// the pre-partitioning condition.
+    pub fn remaining_pass<R: ReplicaSet>(
+        &mut self,
+        assigner: &mut ShardAssigner<'_, R>,
+        stream: &mut dyn EdgeStream,
+    ) -> io::Result<()> {
+        match self {
+            ShardDecisions::Log(log) => {
+                let mut pass = log.pass(Subpass::Remaining);
+                assigner.remaining_into(stream, &mut pass)?;
+                pass.finish()
+            }
+            ShardDecisions::Spool(spool) => assigner.remaining_pass(stream, &mut **spool),
+        }
+    }
+
+    /// Hand `sink` the shard's 2a records, then its 2b records. The log
+    /// re-reads `range` of `source` for the edges (twice: once per subpass
+    /// that decided anything); a spool replays what it holds.
+    pub fn emit(
+        self,
+        source: &dyn RangedEdgeSource,
+        range: (u64, u64),
+        sink: &mut dyn AssignmentSink,
+    ) -> io::Result<()> {
+        match self {
+            ShardDecisions::Log(log) => {
+                let mut stream = source.open_range(range.0, range.1)?;
+                log.emit(&mut *stream, sink)
+            }
+            ShardDecisions::Spool(mut spool) => spool.replay(sink),
+        }
+    }
+}
+
 /// The chunk-parallel two-phase partitioner.
 ///
 /// Unlike [`crate::partitioner::Partitioner`] implementations it consumes a
@@ -514,9 +620,10 @@ impl ParallelRunner {
         }
     }
 
-    /// Replace the default in-memory assignment spools with `factory`'s
-    /// (e.g. `tps-io`'s spill-backed spools for memory-bounded runs).
-    /// Replay order and contents are unaffected — only where the bytes wait.
+    /// Have workers fill `factory`'s spools (e.g. `tps-io`'s spill-backed
+    /// ones, for a byte-budgeted run) instead of their decision logs. The
+    /// emitted records and their order are unaffected — only what waits, and
+    /// where.
     pub fn with_spool_factory(mut self, factory: Arc<dyn SpoolFactory + Send + Sync>) -> Self {
         self.spool_factory = Some(factory);
         self
@@ -557,10 +664,10 @@ impl ParallelRunner {
         let mut report = RunReport::default();
         let threads = self.threads.max(1);
         let ranges = split_even(info.num_edges, threads);
-        let factory: &dyn SpoolFactory = match &self.spool_factory {
-            Some(f) => &**f,
-            None => &MemorySpoolFactory,
-        };
+        let spools = self
+            .spool_factory
+            .as_deref()
+            .map(|f| f as &dyn SpoolFactory);
 
         // Phase 0: degrees, one worker per range, summed.
         let s0 = tps_obs::span("degree");
@@ -611,12 +718,12 @@ impl ParallelRunner {
                 SharedReplicaView::new(&replicas),
                 ShardLoads::with_ledger(&shared, t, threads),
             );
-            let mut spool = factory.create_spool(t)?;
+            let mut decisions = ShardDecisions::new(spools, t, b - a, params.k)?;
             if self.config.prepartitioning {
                 let mut s = source.open_range(a, b)?;
-                assigner.prepartition_pass(&mut s, &mut *spool)?;
+                decisions.prepartition_pass(&mut assigner, &mut s)?;
             }
-            Ok((assigner, spool))
+            Ok((assigner, decisions))
         })?;
         report.phases.record("prepartition", s3.end());
 
@@ -632,10 +739,10 @@ impl ParallelRunner {
         // Phase 2 step 3: score-and-assign the remaining edges per range.
         let s4 = tps_obs::span("partition");
         let worker_out = run_workers_with(&ranges, states, |_, (a, b), state| {
-            let (mut assigner, mut spool) = state;
+            let (mut assigner, mut decisions) = state;
             let mut s = source.open_range(a, b)?;
-            assigner.remaining_pass(&mut s, &mut *spool)?;
-            Ok((assigner, spool))
+            decisions.remaining_pass(&mut assigner, &mut s)?;
+            Ok((assigner, decisions))
         })?;
         report.phases.record("partition", s4.end());
 
@@ -646,12 +753,12 @@ impl ParallelRunner {
         // counted from, in place (see `# Who computes the metrics`).
         let mut counters = AssignCounters::default();
         let mut overshoot = 0u64;
-        let mut spools = Vec::with_capacity(threads);
-        for (assigner, spool) in worker_out {
+        let mut decisions = Vec::with_capacity(threads);
+        for (assigner, shard) in worker_out {
             counters.merge(&assigner.counters());
             overshoot += assigner.overshoot();
             assigner.publish_replication();
-            spools.push(spool);
+            decisions.push(shard);
         }
         debug_assert_eq!(shared.total(), info.num_edges);
         report.quality = Some(PartitionMetrics::from_state(
@@ -660,10 +767,10 @@ impl ParallelRunner {
             &shared.snapshot(),
         ));
 
-        // Emit: replay per-worker spools in deterministic worker order.
+        // Emit: every worker's decisions, in deterministic worker order.
         let s5 = tps_obs::span("emit");
-        for mut spool in spools {
-            spool.replay(sink)?;
+        for (shard, &range) in decisions.into_iter().zip(&ranges) {
+            shard.emit(source, range, sink)?;
         }
         report.phases.record("emit", s5.end());
 
@@ -1025,21 +1132,32 @@ mod tests {
 
     #[test]
     fn custom_spool_factory_sees_every_assignment() {
-        // A factory that counts spools proves the runner routes all output
-        // through it (the spill-backed factory in tps-io relies on this).
+        // An installed factory replaces the decision logs: the runner asks
+        // it for one spool per worker and emits exactly what they replay
+        // (the spill-backed factory in tps-io relies on this).
+        use crate::sink::assign_in_runs;
         use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Records(VecSink);
+        impl AssignmentSink for Records {
+            fn assign(&mut self, edge: Edge, p: PartitionId) -> io::Result<()> {
+                self.0.assign(edge, p)
+            }
+        }
+        impl AssignmentSpool for Records {
+            fn replay(&mut self, sink: &mut dyn AssignmentSink) -> io::Result<()> {
+                assign_in_runs(sink, std::mem::take(&mut self.0).assignments())
+            }
+        }
         #[derive(Default)]
         struct CountingFactory(AtomicUsize);
         impl SpoolFactory for CountingFactory {
-            fn create_spool(
-                &self,
-                _worker: usize,
-            ) -> io::Result<Box<dyn crate::sink::AssignmentSpool>> {
+            fn create_spool(&self, _worker: usize) -> io::Result<Box<dyn AssignmentSpool>> {
                 self.0.fetch_add(1, Ordering::Relaxed);
-                Ok(Box::new(crate::sink::VecSpool::new()))
+                Ok(Box::new(Records(VecSink::new())))
             }
         }
         let g = Dataset::Ok.generate_scaled(0.01);
+        let (logged, _) = parallel_assignments(&g, 8, 3);
         let factory = Arc::new(CountingFactory::default());
         let runner =
             ParallelRunner::new(TwoPhaseConfig::default(), 3).with_spool_factory(factory.clone());
@@ -1047,7 +1165,7 @@ mod tests {
         runner
             .partition(&g, &PartitionParams::new(8), &mut sink)
             .unwrap();
-        assert_eq!(sink.assignments().len() as u64, g.num_edges());
+        assert_eq!(sink.assignments(), logged, "spooled ≠ logged");
         assert_eq!(factory.0.load(Ordering::Relaxed), 3);
     }
 }

@@ -7,7 +7,12 @@
 //! whole runs through [`AssignmentSink::assign_batch`], once per input chunk
 //! and before the pass returns, so a sink error fails the pass it occurred
 //! in. A sink sees every assignment exactly once, in decision order, whether
-//! it arrives through `assign` or `assign_batch`. Sinks provided here:
+//! it arrives through `assign` or `assign_batch`. A pass loop is generic over
+//! *where* its decisions go ([`DecisionOut`]): the serial and paged runners
+//! write through a [`SinkBatch`]; a shard of a `--threads N` or distributed
+//! run writes one tag per stream position into a [`DecisionLog`] and the emit
+//! step re-reads the shard's range to turn the tags back into records. Sinks
+//! provided here:
 //!
 //! * [`NullSink`] — discard (pure timing runs).
 //! * [`CountingSink`] — per-partition edge counts only.
@@ -44,6 +49,32 @@ pub trait AssignmentSink {
 
 /// Records a [`SinkBatch`] holds before it must be flushed (96 KiB).
 pub const SINK_BATCH: usize = 1 << 13;
+
+/// Where a phase-2 pass loop puts its decisions. The driver
+/// ([`decision_pass`]) walks a cursor over the input edges — `begin_run`,
+/// then one kernel call and one `advance` per edge, then `flush` — and the
+/// kernel calls [`decide`](DecisionOut::decide) at most once per edge.
+pub trait DecisionOut {
+    /// A run of `n` input edges begins; the cursor is on its first edge.
+    fn begin_run(&mut self, _n: usize) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// The edge under the cursor goes to partition `p`.
+    fn decide(&mut self, edge: Edge, p: PartitionId);
+
+    /// Move the cursor to the next input edge.
+    fn advance(&mut self) {}
+
+    /// Whether an earlier pass decided the edge under the cursor; `None`
+    /// when this out keeps no record of it and the kernel must recompute.
+    fn decided_earlier(&self) -> Option<bool> {
+        None
+    }
+
+    /// The run is over: hand its decisions on.
+    fn flush(&mut self) -> io::Result<()>;
+}
 
 /// The bounded out-buffer between a pass loop's per-edge kernel and its
 /// sink: `push` is an inlined store, `flush` one `assign_batch` call.
@@ -92,6 +123,17 @@ impl<'s, K: AssignmentSink + ?Sized> SinkBatch<'s, K> {
     }
 }
 
+impl<K: AssignmentSink + ?Sized> DecisionOut for SinkBatch<'_, K> {
+    #[inline]
+    fn decide(&mut self, edge: Edge, p: PartitionId) {
+        self.push(edge, p);
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        SinkBatch::flush(self)
+    }
+}
+
 /// Hand `assignments` to `sink` in order, in runs of at most [`SINK_BATCH`]
 /// — short enough that the second sink of a tee finds the run in cache.
 pub fn assign_in_runs<K: AssignmentSink + ?Sized>(
@@ -104,26 +146,36 @@ pub fn assign_in_runs<K: AssignmentSink + ?Sized>(
 }
 
 /// One complete pass of a deciding kernel: reset `stream`, run `kernel` on
-/// every edge in order with a [`SinkBatch`] in front of `sink`, and flush
-/// after every [`SINK_BATCH`] input edges and at the end of every chunk —
-/// so nothing is buffered when the pass returns, and the first sink or
-/// stream error ends it.
-pub fn batched_pass<S, K, F>(stream: &mut S, sink: &mut K, mut kernel: F) -> io::Result<()>
+/// every edge in order, and flush `out` after every [`SINK_BATCH`] input
+/// edges and at the end of every chunk — so nothing is buffered when the
+/// pass returns, and the first out or stream error ends it.
+pub fn decision_pass<S, O, F>(stream: &mut S, out: &mut O, mut kernel: F) -> io::Result<()>
 where
     S: EdgeStream + ?Sized,
-    K: AssignmentSink + ?Sized,
-    F: FnMut(Edge, &mut SinkBatch<'_, K>),
+    O: DecisionOut,
+    F: FnMut(Edge, &mut O),
 {
-    let mut out = SinkBatch::new(sink);
     for_each_chunk(stream, |chunk| {
         for run in chunk.chunks(SINK_BATCH) {
+            out.begin_run(run.len())?;
             for &edge in run {
-                kernel(edge, &mut out);
+                kernel(edge, out);
+                out.advance();
             }
             out.flush()?;
         }
         Ok(())
     })
+}
+
+/// [`decision_pass`] with a [`SinkBatch`] in front of `sink`.
+pub fn batched_pass<S, K, F>(stream: &mut S, sink: &mut K, kernel: F) -> io::Result<()>
+where
+    S: EdgeStream + ?Sized,
+    K: AssignmentSink + ?Sized,
+    F: FnMut(Edge, &mut SinkBatch<'_, K>),
+{
+    decision_pass(stream, &mut SinkBatch::new(sink), kernel)
 }
 
 /// Discards assignments.
@@ -282,14 +334,285 @@ impl AssignmentSink for FileSink {
     }
 }
 
-/// A replayable per-worker assignment buffer ("run").
+/// One tag per stream position of a shard: the partition the edge went to
+/// and whether the pre-partitioning pass (2a) or the scoring pass (2b)
+/// decided it, in the narrowest of `u8` / `u16` / `u32` that holds `2k − 1`
+/// — 1 B per edge up to k = 128, 2 B up to k = 32 768.
 ///
-/// Parallel and distributed runners buffer each worker's decisions until the
-/// emit barrier, then replay them in worker order so the output stream is
-/// deterministic. A spool is that buffer: an [`AssignmentSink`] whose
-/// contents can be drained back out in insertion order exactly once.
-/// Implementations may hold everything in memory ([`VecSpool`]) or spill to
-/// disk under a byte budget (`tps-io`'s `SpillSpool`).
+/// This is what a shard of a `--threads N` or distributed run remembers
+/// until the emit barrier; it replaced `VecSpool`, which remembered the
+/// edges as well (12 B per edge). The edges are in the input:
+/// [`emit`](DecisionLog::emit) re-reads the shard's range and hands the sink
+/// the 2a records and then the 2b records, each in stream order — the order
+/// the two passes decided them in.
+pub struct DecisionLog {
+    tags: Tags,
+    /// Positions the pre-partitioning pass decided.
+    prepartitioned: u64,
+}
+
+/// `partition << 1 | decided_in_2a`, per stream position.
+enum Tags {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+/// The phase-2 subpass a [`LogPass`] records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Subpass {
+    /// Pass 2a: every decision sets the tag's flag.
+    Prepartition,
+    /// Pass 2b: decides exactly the positions whose flag is clear.
+    Remaining,
+}
+
+static CORE_DECISION_LOG_BYTES: tps_obs::Counter = tps_obs::Counter::new("core.decision_log.bytes");
+static CORE_EMIT_RESTREAMED_EDGES: tps_obs::Counter =
+    tps_obs::Counter::new("core.emit.restreamed_edges");
+
+impl Tags {
+    fn len(&self) -> usize {
+        match self {
+            Tags::U8(t) => t.len(),
+            Tags::U16(t) => t.len(),
+            Tags::U32(t) => t.len(),
+        }
+    }
+
+    /// Replace `window` with the tags of positions `at..at + n`, widened.
+    fn load(&self, at: usize, n: usize, window: &mut Vec<u32>) {
+        window.clear();
+        match self {
+            Tags::U8(t) => window.extend(t[at..at + n].iter().map(|&tag| u32::from(tag))),
+            Tags::U16(t) => window.extend(t[at..at + n].iter().map(|&tag| u32::from(tag))),
+            Tags::U32(t) => window.extend_from_slice(&t[at..at + n]),
+        }
+    }
+
+    /// Write `window` back over positions `at..at + window.len()`. The
+    /// narrowing casts are exact: the width was chosen to hold every tag.
+    fn store(&mut self, at: usize, window: &[u32]) {
+        match self {
+            Tags::U8(t) => {
+                for (tag, &w) in t[at..at + window.len()].iter_mut().zip(window) {
+                    *tag = w as u8;
+                }
+            }
+            Tags::U16(t) => {
+                for (tag, &w) in t[at..at + window.len()].iter_mut().zip(window) {
+                    *tag = w as u16;
+                }
+            }
+            Tags::U32(t) => t[at..at + window.len()].copy_from_slice(window),
+        }
+    }
+}
+
+fn range_mismatch(kind: io::ErrorKind, got: usize, want: usize) -> io::Error {
+    io::Error::new(
+        kind,
+        format!("a pass over the shard's range read {got} edges, the range holds {want}"),
+    )
+}
+
+impl DecisionLog {
+    /// A log for a shard of `edges` stream positions and `k` partitions,
+    /// every position undecided. The tags are zeroed pages until a pass
+    /// writes them. Errors for a `k` above 2³¹ (a tag is a partition id and
+    /// one flag in 32 bits) or a shard longer than the address space.
+    pub fn new(edges: u64, k: u32) -> io::Result<DecisionLog> {
+        let n = match usize::try_from(edges) {
+            Ok(n) if k <= 1 << 31 => n,
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("no decision log for {edges} edges into {k} partitions"),
+                ))
+            }
+        };
+        let max_tag = (u64::from(k) << 1).saturating_sub(1);
+        let tags = if max_tag <= u64::from(u8::MAX) {
+            Tags::U8(vec![0; n])
+        } else if max_tag <= u64::from(u16::MAX) {
+            Tags::U16(vec![0; n])
+        } else {
+            Tags::U32(vec![0; n])
+        };
+        let log = DecisionLog {
+            tags,
+            prepartitioned: 0,
+        };
+        CORE_DECISION_LOG_BYTES.add(log.heap_bytes() as u64);
+        Ok(log)
+    }
+
+    /// Stream positions the log covers.
+    pub fn len(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// Whether the shard's range is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Heap bytes of the tags (1, 2 or 4 per position).
+    pub fn heap_bytes(&self) -> usize {
+        match &self.tags {
+            Tags::U8(t) => t.len(),
+            Tags::U16(t) => t.len() * 2,
+            Tags::U32(t) => t.len() * 4,
+        }
+    }
+
+    /// The [`DecisionOut`] of one pass over the shard's range. Drive it with
+    /// a pass loop, then call [`LogPass::finish`].
+    pub fn pass(&mut self, subpass: Subpass) -> LogPass<'_> {
+        LogPass {
+            log: self,
+            flag: u32::from(subpass == Subpass::Prepartition),
+            base: 0,
+            window: Vec::with_capacity(SINK_BATCH),
+            at: 0,
+            decided: 0,
+        }
+    }
+
+    /// Turn the tags back into records: read `stream` — the shard's own
+    /// range, again — once per subpass that decided anything, and hand
+    /// `sink` the 2a records and then the 2b records, in runs of
+    /// [`SINK_BATCH`]. Errors if the stream no longer yields the range's
+    /// edge count.
+    pub fn emit(
+        &self,
+        stream: &mut dyn EdgeStream,
+        sink: &mut dyn AssignmentSink,
+    ) -> io::Result<()> {
+        let len = self.len();
+        let mut batch: Vec<(Edge, PartitionId)> = Vec::with_capacity(SINK_BATCH.min(len));
+        let mut window = Vec::new();
+        for (flag, wanted) in [
+            (1, self.prepartitioned),
+            (0, len as u64 - self.prepartitioned),
+        ] {
+            if wanted == 0 {
+                continue;
+            }
+            let mut at = 0usize;
+            for_each_chunk(stream, |chunk| {
+                if chunk.len() > len - at {
+                    return Err(range_mismatch(
+                        io::ErrorKind::InvalidData,
+                        at + chunk.len(),
+                        len,
+                    ));
+                }
+                self.tags.load(at, chunk.len(), &mut window);
+                at += chunk.len();
+                for (&edge, &tag) in chunk.iter().zip(&window) {
+                    if tag & 1 == flag {
+                        batch.push((edge, tag >> 1));
+                        if batch.len() == SINK_BATCH {
+                            sink.assign_batch(&batch)?;
+                            batch.clear();
+                        }
+                    }
+                }
+                Ok(())
+            })?;
+            CORE_EMIT_RESTREAMED_EDGES.add(at as u64);
+            if at != len {
+                return Err(range_mismatch(io::ErrorKind::UnexpectedEof, at, len));
+            }
+        }
+        if batch.is_empty() {
+            return Ok(());
+        }
+        sink.assign_batch(&batch)
+    }
+}
+
+/// One pass's writer into a [`DecisionLog`]: a widened window of the
+/// current run's tags, so the pass loop stores plain `u32`s whatever the
+/// log's width.
+pub struct LogPass<'l> {
+    log: &'l mut DecisionLog,
+    /// The tag bit this pass sets: 1 in 2a, 0 in 2b.
+    flag: u32,
+    /// Stream position of the window's first tag.
+    base: usize,
+    window: Vec<u32>,
+    /// The cursor, within the window.
+    at: usize,
+    decided: u64,
+}
+
+impl LogPass<'_> {
+    /// The pass is over: errors if it did not cover the whole range (a tag
+    /// it skipped would emit as partition 0).
+    pub fn finish(self) -> io::Result<()> {
+        if self.base != self.log.len() {
+            return Err(range_mismatch(
+                io::ErrorKind::UnexpectedEof,
+                self.base,
+                self.log.len(),
+            ));
+        }
+        if self.flag == 1 {
+            self.log.prepartitioned = self.decided;
+        }
+        Ok(())
+    }
+}
+
+impl DecisionOut for LogPass<'_> {
+    fn begin_run(&mut self, n: usize) -> io::Result<()> {
+        if n > self.log.len() - self.base {
+            return Err(range_mismatch(
+                io::ErrorKind::InvalidData,
+                self.base + n,
+                self.log.len(),
+            ));
+        }
+        self.log.tags.load(self.base, n, &mut self.window);
+        self.at = 0;
+        Ok(())
+    }
+
+    #[inline]
+    fn decide(&mut self, _edge: Edge, p: PartitionId) {
+        self.window[self.at] = p << 1 | self.flag;
+        self.decided += 1;
+    }
+
+    #[inline]
+    fn advance(&mut self) {
+        self.at += 1;
+    }
+
+    #[inline]
+    fn decided_earlier(&self) -> Option<bool> {
+        Some(self.window[self.at] & 1 == 1)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.log.tags.store(self.base, &self.window);
+        self.base += self.window.len();
+        self.window.clear();
+        Ok(())
+    }
+}
+
+/// A replayable per-worker assignment buffer ("run") — the budgeted
+/// alternative to a [`DecisionLog`].
+///
+/// A spool is an [`AssignmentSink`] whose contents can be drained back out in
+/// insertion order exactly once. The only implementation is `tps-io`'s
+/// `SpillSpool`, which holds whole `(edge, partition)` records under a byte
+/// budget and spills the rest to a run file; the parallel runner and the
+/// distributed workers use it instead of the log when a [`SpoolFactory`] was
+/// installed (`--spill-budget-mb`, or the spill share of `--mem-budget-mb`).
 pub trait AssignmentSpool: AssignmentSink + Send {
     /// Drain every buffered assignment into `sink` in insertion order,
     /// consuming the spool's contents. The sink is handed whole runs
@@ -298,62 +621,10 @@ pub trait AssignmentSpool: AssignmentSink + Send {
 }
 
 /// Creates one spool per worker (`tps-core`'s parallel runner and
-/// `tps-dist`'s workers are both parameterised over this).
+/// `tps-dist`'s workers take an optional one).
 pub trait SpoolFactory: Sync {
     /// A fresh, empty spool for worker `worker`.
     fn create_spool(&self, worker: usize) -> io::Result<Box<dyn AssignmentSpool>>;
-}
-
-/// The default spool: an unbounded in-memory buffer.
-#[derive(Clone, Debug, Default)]
-pub struct VecSpool {
-    buf: Vec<(Edge, PartitionId)>,
-}
-
-impl VecSpool {
-    /// Empty spool.
-    pub fn new() -> Self {
-        VecSpool::default()
-    }
-
-    /// Buffered assignments (not yet replayed).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl AssignmentSink for VecSpool {
-    #[inline]
-    fn assign(&mut self, edge: Edge, p: PartitionId) -> io::Result<()> {
-        self.buf.push((edge, p));
-        Ok(())
-    }
-
-    fn assign_batch(&mut self, batch: &[(Edge, PartitionId)]) -> io::Result<()> {
-        self.buf.extend_from_slice(batch);
-        Ok(())
-    }
-}
-
-impl AssignmentSpool for VecSpool {
-    fn replay(&mut self, sink: &mut dyn AssignmentSink) -> io::Result<()> {
-        assign_in_runs(sink, &std::mem::take(&mut self.buf))
-    }
-}
-
-/// A [`SpoolFactory`] handing out [`VecSpool`]s (the unbounded default).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MemorySpoolFactory;
-
-impl SpoolFactory for MemorySpoolFactory {
-    fn create_spool(&self, _worker: usize) -> io::Result<Box<dyn AssignmentSpool>> {
-        Ok(Box::new(VecSpool::new()))
-    }
 }
 
 /// Duplicates assignments into two sinks (e.g. quality + files).
@@ -440,6 +711,96 @@ mod tests {
         assert_eq!(parts[0].1, 1);
         assert_eq!(parts[1].1, 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two hand-written passes over `n` edges: 2a decides every third
+    /// position, 2b the rest (asking the log which those are).
+    fn logged(n: u32, k: u32) -> (tps_graph::stream::InMemoryGraph, DecisionLog) {
+        let g = tps_graph::stream::InMemoryGraph::from_edges(
+            (0..n).map(|i| Edge::new(i, i + 1)).collect(),
+        );
+        let mut log = DecisionLog::new(u64::from(n), k).unwrap();
+        let mut pass = log.pass(Subpass::Prepartition);
+        decision_pass(&mut g.stream(), &mut pass, |e, out| {
+            if e.src % 3 == 0 {
+                out.decide(e, e.src % k);
+            }
+        })
+        .unwrap();
+        pass.finish().unwrap();
+        let mut pass = log.pass(Subpass::Remaining);
+        decision_pass(&mut g.stream(), &mut pass, |e, out| {
+            let earlier = out.decided_earlier().expect("the log knows");
+            assert_eq!(earlier, e.src % 3 == 0);
+            if !earlier {
+                out.decide(e, (e.src + 1) % k);
+            }
+        })
+        .unwrap();
+        pass.finish().unwrap();
+        (g, log)
+    }
+
+    #[test]
+    fn decision_log_emits_the_2a_records_then_the_2b_records() {
+        let n = 2 * SINK_BATCH as u32 + 77;
+        for (k, bytes_per_tag) in [
+            (1u32, 1usize),
+            (128, 1),
+            (129, 2),
+            (32_768, 2),
+            (32_769, 4),
+            (1 << 31, 4),
+        ] {
+            let (g, log) = logged(n, k);
+            assert_eq!(log.heap_bytes(), n as usize * bytes_per_tag, "k = {k}");
+            let mut sink = VecSink::new();
+            log.emit(&mut g.stream(), &mut sink).unwrap();
+            let first = (0..n).filter(|i| i % 3 == 0).map(|i| (i, i % k));
+            let second = (0..n).filter(|i| i % 3 != 0).map(|i| (i, (i + 1) % k));
+            let want: Vec<_> = first
+                .chain(second)
+                .map(|(i, p)| (Edge::new(i, i + 1), p))
+                .collect();
+            assert_eq!(sink.assignments(), want, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn decision_log_refuses_a_range_that_changed_length() {
+        let (g, log) = logged(100, 8);
+        let stream_of =
+            |n: usize| tps_graph::stream::InMemoryGraph::from_edges(g.edges()[..n].to_vec());
+        let mut longer = g.edges().to_vec();
+        longer.push(Edge::new(7, 8));
+        let mut longer = tps_graph::stream::InMemoryGraph::from_edges(longer);
+        let err = log
+            .emit(&mut stream_of(99), &mut VecSink::new())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        let err = log.emit(&mut longer, &mut VecSink::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+
+        // A pass is held to the same length: too short fails `finish`, too
+        // long fails the run that overflows.
+        let mut log = DecisionLog::new(100, 8).unwrap();
+        let mut pass = log.pass(Subpass::Prepartition);
+        decision_pass(&mut stream_of(99), &mut pass, |_, _| {}).unwrap();
+        assert_eq!(
+            pass.finish().unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        let mut pass = log.pass(Subpass::Remaining);
+        let err = decision_pass(&mut longer, &mut pass, |_, _| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+
+        // An empty shard emits nothing and reads nothing.
+        let log = DecisionLog::new(0, 8).unwrap();
+        assert!(log.is_empty());
+        assert!(DecisionLog::new(1, (1 << 31) + 1).is_err());
+        let mut sink = VecSink::new();
+        log.emit(&mut stream_of(0), &mut sink).unwrap();
+        assert!(sink.assignments().is_empty());
     }
 
     #[test]

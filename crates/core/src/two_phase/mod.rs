@@ -33,7 +33,7 @@ use tps_metrics::quality::PartitionMetrics;
 
 use crate::balance::{LoadTracker, PartitionLoads};
 use crate::partitioner::{PartitionParams, Partitioner, RunReport};
-use crate::sink::{batched_pass, AssignmentSink, SinkBatch};
+use crate::sink::{decision_pass, AssignmentSink, DecisionOut, SinkBatch};
 use crate::two_phase::mapping::ClusterPlacement;
 use crate::two_phase::scoring::{hdrf_score, two_choice_best, EdgeScoreInputs, HdrfParams};
 
@@ -328,16 +328,20 @@ impl TwoPhasePartitioner {
         sink: &mut dyn AssignmentSink,
         report: &mut RunReport,
     ) -> io::Result<()> {
+        // A single cursor decides in emit order, so the decisions go
+        // straight to the sink, a bounded batch at a time.
+        let mut out = SinkBatch::new(sink);
+
         // Phase 2 step 2: pre-partitioning pass.
         if self.config.prepartitioning {
             let s3 = tps_obs::span("prepartition");
-            state.prepartition_pass(stream, sink)?;
+            state.prepartition_pass(stream, &mut out)?;
             report.phases.record("prepartition", s3.end());
         }
 
         // Phase 2 step 3: score-and-assign the remaining edges.
         let s4 = tps_obs::span("partition");
-        state.remaining_pass(stream, sink, &self.config)?;
+        state.remaining_pass(stream, &mut out, &self.config)?;
         report.phases.record("partition", s4.end());
 
         let counters = state.counters;
@@ -556,47 +560,47 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
     }
 
     /// The pre-partitioning pass (phase 2 step 2) over `stream`: chunks in,
-    /// batches out.
-    pub(crate) fn prepartition_pass(
+    /// decisions out — to a sink batch or a shard's decision log.
+    pub(crate) fn prepartition_pass<O: DecisionOut>(
         &mut self,
         stream: &mut dyn EdgeStream,
-        sink: &mut dyn AssignmentSink,
+        out: &mut O,
     ) -> io::Result<()> {
-        batched_pass(stream, sink, |edge, out| {
+        decision_pass(stream, out, |edge, out| {
             self.prepartition_edge(edge, out);
         })
     }
 
     /// The scoring pass (phase 2 step 3) over `stream`, skipping the edges
-    /// the pre-partitioning pass handled.
-    pub(crate) fn remaining_pass(
+    /// the pre-partitioning pass handled — every edge with a
+    /// pre-partitioning target; an out that recorded that pass says so
+    /// itself.
+    pub(crate) fn remaining_pass<O: DecisionOut>(
         &mut self,
         stream: &mut dyn EdgeStream,
-        sink: &mut dyn AssignmentSink,
+        out: &mut O,
         config: &TwoPhaseConfig,
     ) -> io::Result<()> {
         let (skip_prepartitioned, strategy) = (config.prepartitioning, config.strategy);
-        batched_pass(stream, sink, |edge, out| {
-            if skip_prepartitioned && self.prepartition_target(edge).is_some() {
-                return; // already assigned in the pre-partitioning pass
+        decision_pass(stream, out, |edge, out| {
+            let handled = skip_prepartitioned
+                && out
+                    .decided_earlier()
+                    .unwrap_or_else(|| self.prepartition_target(edge).is_some());
+            if !handled {
+                self.assign_remaining(edge, strategy, out);
             }
-            self.assign_remaining(edge, strategy, out);
         })
     }
 
-    /// Commit `edge` to `p`: update replication state and loads, and queue
-    /// the decision for the sink.
+    /// Commit `edge` to `p`: update replication state and loads, and record
+    /// the decision.
     #[inline]
-    fn commit<K: AssignmentSink + ?Sized>(
-        &mut self,
-        edge: Edge,
-        p: PartitionId,
-        out: &mut SinkBatch<'_, K>,
-    ) {
+    fn commit<O: DecisionOut>(&mut self, edge: Edge, p: PartitionId, out: &mut O) {
         self.v2p.insert(edge.src, p);
         self.v2p.insert(edge.dst, p);
         self.loads.add(p);
-        out.push(edge, p);
+        out.decide(edge, p);
     }
 
     /// The balance-cap fallback chain: degree-based hash of the higher-degree
@@ -637,11 +641,7 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
     /// Phase 2 step 2 for one edge: assign it if it satisfies the
     /// pre-partitioning condition. Returns whether the edge was handled.
     #[inline]
-    pub(crate) fn prepartition_edge<K: AssignmentSink + ?Sized>(
-        &mut self,
-        edge: Edge,
-        out: &mut SinkBatch<'_, K>,
-    ) -> bool {
+    pub(crate) fn prepartition_edge<O: DecisionOut>(&mut self, edge: Edge, out: &mut O) -> bool {
         let Some(target) = self.prepartition_target(edge) else {
             return false;
         };
@@ -659,11 +659,11 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
     /// Phase 2 step 3 for one edge that was *not* pre-partitioned: score the
     /// candidate partitions and commit the winner (with the fallback chain
     /// when candidates are full).
-    pub(crate) fn assign_remaining<K: AssignmentSink + ?Sized>(
+    pub(crate) fn assign_remaining<O: DecisionOut>(
         &mut self,
         edge: Edge,
         strategy: RemainingStrategy,
-        out: &mut SinkBatch<'_, K>,
+        out: &mut O,
     ) {
         self.counters.remaining += 1;
         let cu = self.view.cluster_of(edge.src);

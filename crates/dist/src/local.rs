@@ -10,7 +10,7 @@
 use std::io;
 
 use tps_core::partitioner::{PartitionParams, RunReport};
-use tps_core::sink::{AssignmentSink, MemorySpoolFactory};
+use tps_core::sink::AssignmentSink;
 use tps_core::two_phase::TwoPhaseConfig;
 use tps_graph::ranged::RangedEdgeSource;
 
@@ -43,11 +43,7 @@ pub fn run_dist_local(
     std::thread::scope(|scope| {
         let handles: Vec<_> = worker_sides
             .into_iter()
-            .map(|mut t| {
-                scope.spawn(move || {
-                    run_worker(&mut t, &AttachedResolver(source), &MemorySpoolFactory)
-                })
-            })
+            .map(|mut t| scope.spawn(move || run_worker(&mut t, &AttachedResolver(source), None)))
             .collect();
         let report = run_coordinator(
             config,

@@ -35,8 +35,17 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
     w.write_all(frame)
 }
 
+/// The most a frame's buffer grows ahead of the bytes that have arrived,
+/// until that many have.
+const FRAME_READ_STEP: usize = 1 << 20;
+
 /// Read one length-prefixed frame, rejecting lengths beyond
 /// [`MAX_FRAME_LEN`] and mapping short reads to `UnexpectedEof`.
+///
+/// The length prefix is a claim, not an allocation request: the buffer
+/// grows in steps no larger than what has already been received (at least
+/// 1 MiB, `FRAME_READ_STEP`), so a 4-byte header commits at most 1 MiB and a
+/// complete frame ends in a buffer of exactly its length.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -46,17 +55,18 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
             "frame length {len} exceeds cap {MAX_FRAME_LEN} (corrupt stream?)"
         )));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            io::Error::new(
+    let mut buf = Vec::new();
+    while buf.len() < len {
+        let step = (len - buf.len()).min(buf.len().max(FRAME_READ_STEP));
+        buf.reserve_exact(step);
+        let got = r.by_ref().take(step as u64).read_to_end(&mut buf)?;
+        if got < step {
+            return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 format!("truncated frame: promised {len} bytes"),
-            )
-        } else {
-            e
+            ));
         }
-    })?;
+    }
     Ok(buf)
 }
 

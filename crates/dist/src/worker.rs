@@ -4,10 +4,11 @@
 //! ([`shard_degrees`], [`shard_clustering`], [`ShardAssigner`]) — the same
 //! code the in-process `ParallelRunner` schedules onto threads, which is
 //! why a distributed run is bit-identical to `--threads N`. The worker
-//! never sees the whole graph's assignments: its decisions accumulate in an
-//! [`AssignmentSpool`](tps_core::sink::AssignmentSpool) (in-memory or
-//! spill-backed) and stream back as bounded `Run` batches when the
-//! coordinator pulls them.
+//! never sees the whole graph's assignments: its decisions wait in a
+//! [`ShardDecisions`] — a tag per edge of its range, or a spill-backed spool
+//! when a factory was installed — and stream back as bounded `Run` batches
+//! when the coordinator pulls them, the tags paired with their edges by
+//! re-reading the range.
 //!
 //! Workers serve **jobs in a loop**: after a shard's runs are pulled the
 //! worker waits for either a [`Reissue`](Message::Reissue) — another
@@ -21,7 +22,9 @@
 use std::io;
 
 use tps_core::balance::PartitionLoads;
-use tps_core::parallel::{shard_clustering, shard_degrees, ShardAssigner, ShardLoads};
+use tps_core::parallel::{
+    shard_clustering, shard_degrees, ShardAssigner, ShardDecisions, ShardLoads,
+};
 use tps_core::sink::{AssignmentSink, SpoolFactory};
 use tps_core::two_phase::mapping::ClusterPlacement;
 use tps_graph::degree::DegreeTable;
@@ -95,6 +98,8 @@ pub enum Handshake {
 }
 
 /// Serve jobs over `transport` until the coordinator sends `Shutdown`.
+/// Decisions wait for the coordinator's `Pull` in a decision log, or in
+/// `spools`' spools when a factory is given (a byte-budgeted worker).
 ///
 /// On internal failure the worker sends an `Abort` with the cause (so the
 /// coordinator fails the shard's current barrier instead of hanging) and
@@ -103,7 +108,7 @@ pub enum Handshake {
 pub fn run_worker(
     transport: &mut dyn Transport,
     resolver: &dyn SourceResolver,
-    spools: &dyn SpoolFactory,
+    spools: Option<&dyn SpoolFactory>,
 ) -> io::Result<()> {
     run_worker_handshake(transport, resolver, spools, Handshake::Hello)
 }
@@ -112,7 +117,7 @@ pub fn run_worker(
 pub fn run_worker_handshake(
     transport: &mut dyn Transport,
     resolver: &dyn SourceResolver,
-    spools: &dyn SpoolFactory,
+    spools: Option<&dyn SpoolFactory>,
     handshake: Handshake,
 ) -> io::Result<()> {
     let result = serve(transport, resolver, spools, handshake);
@@ -147,7 +152,7 @@ fn protocol_err(phase: &str, got: &Message) -> io::Error {
 fn serve(
     transport: &mut dyn Transport,
     resolver: &dyn SourceResolver,
-    spools: &dyn SpoolFactory,
+    spools: Option<&dyn SpoolFactory>,
     handshake: Handshake,
 ) -> io::Result<()> {
     send_msg(
@@ -177,7 +182,7 @@ fn serve(
 fn serve_job(
     transport: &mut dyn Transport,
     resolver: &dyn SourceResolver,
-    spools: &dyn SpoolFactory,
+    spools: Option<&dyn SpoolFactory>,
     job: Job,
 ) -> io::Result<()> {
     let shard = job.worker_index;
@@ -282,11 +287,16 @@ fn serve_job(
         tps_metrics::bitmatrix::ReplicationMatrix::new(job.num_vertices, job.k),
         loads,
     );
-    let mut spool = spools.create_spool(job.worker_index as usize)?;
+    let mut decisions = ShardDecisions::new(
+        spools,
+        job.worker_index as usize,
+        job.shard.1 - job.shard.0,
+        job.k,
+    )?;
     if job.config.prepartitioning {
         let sp = tps_obs::span("prepartition");
         let mut s = source.open_range(job.shard.0, job.shard.1)?;
-        assigner.prepartition_pass(&mut s, &mut *spool)?;
+        decisions.prepartition_pass(&mut assigner, &mut s)?;
         if job.num_workers > 1 {
             // The replication barrier, in bounded vertex-range chunks
             // (protocol v3), strictly **interleaved**: send chunk `c`,
@@ -338,7 +348,7 @@ fn serve_job(
     {
         let sp = tps_obs::span("partition");
         let mut s = source.open_range(job.shard.0, job.shard.1)?;
-        assigner.remaining_pass(&mut s, &mut *spool)?;
+        decisions.remaining_pass(&mut assigner, &mut s)?;
         sp.end();
     }
     let assigned: u64 = assigner.local_loads().iter().sum();
@@ -364,7 +374,7 @@ fn serve_job(
         },
     )?;
 
-    // Emit: stream the spool back as bounded Run batches when pulled.
+    // Emit: stream the decisions back as bounded Run batches when pulled.
     match expect(transport, "emit")? {
         Message::Pull => {}
         other => return Err(protocol_err("emit", &other)),
@@ -376,7 +386,7 @@ fn serve_job(
             epoch,
             batch: Vec::with_capacity(RUN_BATCH_EDGES),
         };
-        spool.replay(&mut sender)?;
+        decisions.emit(&*source, job.shard, &mut sender)?;
         sender.flush()?;
     }
     send_msg(transport, &Message::RunsDone { shard, epoch })?;

@@ -113,7 +113,7 @@ impl BinaryEdgeFile {
 
     fn open_records(path: &Path, range: Option<(u64, u64)>) -> io::Result<Self> {
         let mut file = File::open(path)?;
-        let info = read_checked_header(&mut file)?;
+        let info = read_checked_header(&mut file).map_err(|e| named(path, e))?;
         let (start, end) = range.unwrap_or((0, info.num_edges));
         check_range(start, end, info.num_edges)?;
         let mut stream = BinaryEdgeFile {
@@ -158,10 +158,16 @@ impl BinaryEdgeFile {
         if n == 0 {
             return Ok(false);
         }
-        read_records(&mut self.file, n, &mut self.buf)?;
+        read_records(&mut self.file, n, &mut self.buf).map_err(|e| named(&self.path, e))?;
         self.next += n as u64;
         Ok(true)
     }
+}
+
+/// `e` with the file it came from in front: a multi-pass run re-reads its
+/// input long after it was opened, and the file may have changed since.
+pub fn named(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 /// Read and validate a TPSBEL1 header from `r`, leaving the cursor at the

@@ -13,7 +13,8 @@
 //! * [`ranged`] — range-addressable sources for chunk-parallel execution:
 //!   every worker thread of `tps-core`'s `ParallelRunner` opens its own
 //!   cursor over a contiguous edge-index range (v1 record seeking, v2
-//!   chunk-index scheduling, optional per-worker prefetch).
+//!   chunk-index scheduling, optional per-worker prefetch); a v2 source
+//!   retains each range it has decoded once, under the decode budget.
 //! * [`spill`] — a memory-bounded spilling assignment sink for materialised
 //!   per-partition output at scale.
 //! * [`page`] — a checksummed slotted page store backing `tps-clustering`'s
@@ -54,7 +55,7 @@ pub use page::{FilePageStore, TempPageStoreProvider};
 pub use prefetch::{ChunkSource, PrefetchConfig, PrefetchReader, V1ChunkSource, V2ChunkSource};
 pub use ranged::{
     open_ranged, open_ranged_backend, open_ranged_mmap, open_ranged_prefetch, RangedMmapV1File,
-    RangedMmapV2File, RangedPrefetchSource, RangedV1File, RangedV2File,
+    RangedMmapV2File, RangedPrefetchSource, RangedV1File, RangedV2File, RetainingSource,
 };
 pub use spill::{SpillStats, SpillingFileSink};
 pub use spool::{SpillSpool, SpillSpoolFactory};

@@ -12,7 +12,11 @@
 //!   binary-searches the chunk containing its start edge, decodes whole
 //!   chunks (checksums verified as in a sequential pass) and skips the
 //!   intra-chunk prefix. Workers therefore schedule disjoint chunk ranges
-//!   off one shared index with no coordination.
+//!   off one shared index with no coordination. Every v2 backend sits
+//!   behind a [`RetainingSource`]: the first complete pass over a range
+//!   leaves the decoded edges with the source (while they fit the decode
+//!   budget), and every later open of that range reads them from memory —
+//!   a worker opens its range six times and decodes it once.
 //!
 //! Ranges are expressed in *edge indices*, not storage offsets, so a
 //! parallel partitioning run makes identical per-thread decisions whether
@@ -24,17 +28,21 @@
 //! background reader thread ([`crate::prefetch`]), overlapping chunk decode
 //! and disk I/O with partitioning CPU per worker.
 
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tps_graph::formats::binary::{self as v1, BinaryEdgeFile};
 use tps_graph::ranged::{check_range, RangedEdgeSource};
-use tps_graph::stream::EdgeStream;
+use tps_graph::stream::{lend_run, EdgeStream};
 use tps_graph::types::{Edge, GraphInfo};
 
 use crate::prefetch::{ChunkSource, PrefetchConfig, PrefetchReader};
-use crate::v2::{read_chunk_at, read_layout, ChunkMeta, V2Layout};
+use crate::v2::{
+    decode_cache_budget, read_chunk_at, read_layout, ChunkMeta, DecodeCache, V2Layout,
+};
 use crate::EdgeFileFormat;
 
 /// A [`RangedEdgeSource`] over a v1 fixed-width `.bel` file.
@@ -490,22 +498,259 @@ impl EdgeStream for MmapV2RangeStream<'_> {
     }
 }
 
-/// Open `path` (v1 or v2, sniffed by magic) as a ranged source.
+static IO_V2_RANGES_RETAINED: tps_obs::Counter = tps_obs::Counter::new("io.v2.ranges_retained");
+static IO_V2_RETAINED_BYTES: tps_obs::Counter = tps_obs::Counter::new("io.v2.retained_bytes");
+
+/// A v2 ranged source that keeps what its cursors decode — the ranged
+/// counterpart of the sequential readers' decode cache, and built on the
+/// same `v2::DecodeCache`.
+///
+/// The first *complete* pass over `open_range(a, b)` deposits the decoded
+/// range with the source, if `8·(b − a)` bytes still fit the decode budget
+/// ([`crate::v2::set_decode_cache_budget`]) next to the ranges already
+/// retained: one reservation across all of a source's ranges,
+/// all-or-nothing per range, taken when the range is opened and given back
+/// if its cursor is dropped before completing a pass. Every later
+/// `open_range(a, b)` lends windows of the retained edges: no file handle,
+/// no checksum, no varint decode, no prefetch thread. A retained range is
+/// never one that skipped verification — it is what a checksumming cursor
+/// produced. Ranges that do not fit are streamed from the inner source on
+/// every open, as before.
+///
+/// Errors from the inner cursors are prefixed with the file's path.
+pub struct RetainingSource<S> {
+    inner: S,
+    path: PathBuf,
+    retained: Mutex<Retained>,
+}
+
+#[derive(Default)]
+struct Retained {
+    /// `None` while the cursor that reserved the range is still decoding it.
+    ranges: HashMap<(u64, u64), Option<Arc<Vec<Edge>>>>,
+    /// Bytes reserved: the retained ranges plus the ones being decoded.
+    bytes: u64,
+}
+
+/// Every update of [`Retained`] is one map operation and one add, so the
+/// data is valid even if a holder panicked.
+fn lock(retained: &Mutex<Retained>) -> MutexGuard<'_, Retained> {
+    retained.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<S: RangedEdgeSource> RetainingSource<S> {
+    /// Wrap `inner`, a ranged source over the v2 file at `path`.
+    pub fn new(inner: S, path: &Path) -> Self {
+        RetainingSource {
+            inner,
+            path: path.to_path_buf(),
+            retained: Mutex::default(),
+        }
+    }
+}
+
+impl<S: RangedEdgeSource> RangedEdgeSource for RetainingSource<S> {
+    fn info(&self) -> GraphInfo {
+        self.inner.info()
+    }
+
+    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
+        let range = (start, end);
+        let bytes = end.saturating_sub(start).saturating_mul(8);
+        let mut reserved = false;
+        {
+            let mut retained = lock(&self.retained);
+            match retained.ranges.get(&range) {
+                Some(Some(edges)) => {
+                    return Ok(Box::new(RetainedStream {
+                        edges: Arc::clone(edges),
+                        pos: 0,
+                    }))
+                }
+                // Another cursor is decoding this range: stream beside it.
+                Some(None) => {}
+                None => {
+                    let fits = retained
+                        .bytes
+                        .checked_add(bytes)
+                        .is_some_and(|total| total <= decode_cache_budget());
+                    if start < end && fits {
+                        retained.bytes += bytes;
+                        retained.ranges.insert(range, None);
+                        reserved = true;
+                    }
+                }
+            }
+        }
+        // From here on dropping the reservation gives the bytes back.
+        let reservation = Reservation {
+            retained: &self.retained,
+            range,
+            held: reserved,
+        };
+        let inner = self
+            .inner
+            .open_range(start, end)
+            .map_err(|e| v1::named(&self.path, e))?;
+        Ok(Box::new(RetainingStream {
+            inner,
+            path: &self.path,
+            absorbing: Absorbing {
+                cache: DecodeCache::new(end - start, reserved),
+                reservation,
+                pos: 0,
+                deposited: None,
+            },
+        }))
+    }
+}
+
+/// A range's share of the decode budget, held by the cursor decoding it
+/// until the range is deposited or the cursor is dropped.
+struct Reservation<'s> {
+    retained: &'s Mutex<Retained>,
+    range: (u64, u64),
+    held: bool,
+}
+
+impl Reservation<'_> {
+    /// The range is complete: other opens may read it from now on.
+    fn deposit(&mut self, edges: Arc<Vec<Edge>>) {
+        IO_V2_RANGES_RETAINED.incr();
+        IO_V2_RETAINED_BYTES.add(edges.len() as u64 * 8);
+        lock(self.retained).ranges.insert(self.range, Some(edges));
+        self.held = false;
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        if self.held {
+            let mut retained = lock(self.retained);
+            retained.ranges.remove(&self.range);
+            retained.bytes -= (self.range.1 - self.range.0) * 8;
+        }
+    }
+}
+
+/// A cursor over a range the source has not retained (yet): streams from
+/// the inner cursor, absorbing what it lends if the range was reserved. Once
+/// a pass has completed the range, the next `reset` swaps the inner cursor
+/// for one over the retained edges (the pass in flight still drains the
+/// file cursor, whose buffer it is being lent).
+struct RetainingStream<'s> {
+    inner: Box<dyn EdgeStream + 's>,
+    path: &'s Path,
+    absorbing: Absorbing<'s>,
+}
+
+/// What a [`RetainingStream`] keeps beside its inner cursor.
+struct Absorbing<'s> {
+    cache: DecodeCache,
+    reservation: Reservation<'s>,
+    /// Edges handed out this pass.
+    pos: usize,
+    /// The range, from the moment this cursor completed and deposited it
+    /// until its next `reset`.
+    deposited: Option<Arc<Vec<Edge>>>,
+}
+
+impl Absorbing<'_> {
+    /// Account for `run` (just lent by the inner cursor) and deposit the
+    /// range with the source the moment it is complete.
+    fn absorb(&mut self, run: &[Edge]) {
+        self.cache.absorb(self.pos, run);
+        self.pos += run.len();
+        if self.cache.complete() {
+            let edges = Arc::new(self.cache.take());
+            self.reservation.deposit(Arc::clone(&edges));
+            self.deposited = Some(edges);
+        }
+    }
+}
+
+impl EdgeStream for RetainingStream<'_> {
+    fn reset(&mut self) -> io::Result<()> {
+        self.absorbing.pos = 0;
+        if let Some(edges) = self.absorbing.deposited.take() {
+            self.inner = Box::new(RetainedStream { edges, pos: 0 });
+        }
+        self.inner.reset().map_err(|e| v1::named(self.path, e))
+    }
+
+    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
+        let e = self
+            .inner
+            .next_edge()
+            .map_err(|e| v1::named(self.path, e))?;
+        self.absorbing.absorb(e.as_slice());
+        Ok(e)
+    }
+
+    fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        let run = self
+            .inner
+            .next_chunk(scratch)
+            .map_err(|e| v1::named(self.path, e))?;
+        self.absorbing.absorb(run);
+        Ok(run)
+    }
+
+    fn len_hint(&self) -> Option<u64> {
+        self.inner.len_hint()
+    }
+}
+
+/// A cursor over a range the source retained: windows of shared memory.
+struct RetainedStream {
+    edges: Arc<Vec<Edge>>,
+    pos: usize,
+}
+
+impl EdgeStream for RetainedStream {
+    fn reset(&mut self) -> io::Result<()> {
+        self.pos = 0;
+        Ok(())
+    }
+
+    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
+        let e = self.edges.get(self.pos).copied();
+        self.pos += usize::from(e.is_some());
+        Ok(e)
+    }
+
+    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        Ok(lend_run(&self.edges, &mut self.pos))
+    }
+
+    fn len_hint(&self) -> Option<u64> {
+        Some(self.edges.len() as u64)
+    }
+}
+
+/// Open `path` (v1 or v2, sniffed by magic) as a ranged source; a v2
+/// source retains the ranges it decodes (see [`RetainingSource`]).
 pub fn open_ranged<P: AsRef<Path>>(path: P) -> io::Result<Box<dyn RangedEdgeSource>> {
     let path = path.as_ref();
     match crate::detect_format(path)? {
         EdgeFileFormat::V1 => Ok(Box::new(RangedV1File::open(path)?)),
-        EdgeFileFormat::V2 => Ok(Box::new(RangedV2File::open(path)?)),
+        EdgeFileFormat::V2 => Ok(Box::new(RetainingSource::new(
+            RangedV2File::open(path)?,
+            path,
+        ))),
     }
 }
 
 /// Like [`open_ranged`], serving every range as a zero-copy (v1) or
-/// in-mapping-decoded (v2) cursor over one shared memory mapping.
+/// in-mapping-decoded, retained (v2) cursor over one shared memory mapping.
 pub fn open_ranged_mmap<P: AsRef<Path>>(path: P) -> io::Result<Box<dyn RangedEdgeSource>> {
     let path = path.as_ref();
     match crate::detect_format(path)? {
         EdgeFileFormat::V1 => Ok(Box::new(RangedMmapV1File::open(path)?)),
-        EdgeFileFormat::V2 => Ok(Box::new(RangedMmapV2File::open(path)?)),
+        EdgeFileFormat::V2 => Ok(Box::new(RetainingSource::new(
+            RangedMmapV2File::open(path)?,
+            path,
+        ))),
     }
 }
 
@@ -530,9 +775,10 @@ pub fn open_ranged_prefetch<P: AsRef<Path>>(path: P) -> io::Result<Box<dyn Range
         EdgeFileFormat::V1 => Ok(Box::new(RangedPrefetchSource::new(RangedV1File::open(
             path,
         )?))),
-        EdgeFileFormat::V2 => Ok(Box::new(RangedPrefetchSource::new(RangedV2File::open(
+        EdgeFileFormat::V2 => Ok(Box::new(RetainingSource::new(
+            RangedPrefetchSource::new(RangedV2File::open(path)?),
             path,
-        )?))),
+        ))),
     }
 }
 

@@ -1,9 +1,11 @@
 //! Spill-backed assignment spools: bounded-memory replay runs.
 //!
-//! The parallel runner and the distributed workers buffer each worker's
-//! `(edge, partition)` decisions until the emit barrier, then replay them in
-//! worker order (`tps_core::sink::AssignmentSpool`). The default in-memory
-//! spool costs `O(|E|)` memory across workers; [`SpillSpool`] bounds it:
+//! The parallel runner and the distributed workers hold each worker's
+//! decisions until the emit barrier and hand them over in worker order. By
+//! default that is a tag per edge (`tps_core::sink::DecisionLog`, ≤ 2 B/edge)
+//! and a re-read of the input; under a spill budget it is a
+//! `tps_core::sink::AssignmentSpool` of whole `(edge, partition)` records,
+//! and [`SpillSpool`] is that spool:
 //! assignments are buffered up to a per-worker record budget and appended to
 //! a private run file in one large sequential write per spill — the same
 //! big-sequential-writes discipline as [`crate::spill::SpillingFileSink`],

@@ -648,72 +648,96 @@ pub(crate) fn decode_chunk_slice(
     decode_chunk_payload(payload, edge_count, verify.then_some(checksum), out)
 }
 
-/// Default budget for the per-open decoded-edge cache, in bytes.
+/// Default budget for the decoded-edge caches, in bytes.
 ///
-/// Files whose decoded size (`num_edges * 8`) exceeds the budget stream
-/// every pass from disk exactly as before; files that fit are decoded once
-/// and every later pass is served from memory at raw `Vec<Edge>` scan
-/// speed, skipping file I/O, checksumming, and varint decode entirely. The
-/// paper's pipeline makes 4 sequential passes per partitioning run, so this
-/// turns the decode cost from per-pass into per-open. Override with
-/// [`set_decode_cache_budget`] (what a job-level `--mem-budget-mb` split
-/// does; `0` disables caching).
+/// The budget is **per source**: a sequential reader ([`V2EdgeFile`],
+/// [`MmapV2EdgeFile`]) caches its whole file or nothing, and a ranged source
+/// (`crate::ranged::RetainingSource`) retains whole ranges, one reservation
+/// across all of them. Spans whose decoded size (8 B per edge) does not fit
+/// stream every pass from disk exactly as before; spans that fit are decoded
+/// (and checksummed) once and every later pass is served from memory at raw
+/// `Vec<Edge>` scan speed, skipping file I/O, checksumming, and varint
+/// decode entirely. The paper's pipeline makes 4 sequential passes per
+/// partitioning run — 6 for a `--threads N` worker, which re-reads its range
+/// twice to emit — so this turns the decode cost from per-pass into
+/// per-source. Override with [`set_decode_cache_budget`] (what a job-level
+/// `--mem-budget-mb` split does; `0` disables caching).
 pub const DECODE_CACHE_DEFAULT_BYTES: u64 = 64 << 20;
 
 /// The decode-cache budget in force (the default until
 /// [`set_decode_cache_budget`] is called).
 static DECODE_CACHE_BUDGET: AtomicU64 = AtomicU64::new(DECODE_CACHE_DEFAULT_BYTES);
 
-/// Set the decode-cache budget for every v2 file opened after this call;
-/// `0` disables caching.
-/// The budget is consulted once per open (the cache is all-or-nothing per
-/// file), so call this before opening inputs. A job's `--mem-budget-mb`
-/// split routes its decode-cache share here.
+/// Set the decode-cache budget; `0` disables caching.
+/// A sequential reader consults it once, at open (its cache is
+/// all-or-nothing per file); a ranged source consults it whenever a range is
+/// opened that it has not retained yet. So call this before opening inputs.
+/// A job's `--mem-budget-mb` split routes its decode-cache share here.
 pub fn set_decode_cache_budget(bytes: u64) {
     DECODE_CACHE_BUDGET.store(bytes, Ordering::Relaxed);
 }
 
-fn decode_cache_budget() -> u64 {
+pub(crate) fn decode_cache_budget() -> u64 {
     DECODE_CACHE_BUDGET.load(Ordering::Relaxed)
 }
 
-/// Per-open decoded-edge cache: the first sequential pass appends each
-/// chunk's edges here as it decodes them; once every chunk has been
-/// absorbed, later passes serve from this flat buffer. All-or-nothing by
-/// decoded size against the budget, decided at open from the header — no
-/// partial caching, no mid-stream eviction, so peak memory is known up
-/// front.
-struct DecodeCache {
+/// Decoded-edge cache over one **span** of a v2 file — the whole file for
+/// the sequential readers below, one range of it for
+/// `crate::ranged::RetainingSource`. The first pass appends each run of
+/// edges it decodes; once the span is covered, later passes serve from this
+/// flat buffer. All-or-nothing: whether the span's decoded size fits the
+/// budget is decided when the cache is created — no partial caching, no
+/// mid-stream eviction, so peak memory is known up front.
+pub(crate) struct DecodeCache {
     edges: Vec<Edge>,
-    /// Chunks absorbed so far; caching only extends a strictly sequential
-    /// prefix (an early `reset` mid-pass just resumes absorbing where the
-    /// previous pass left off once the re-decode catches up).
-    chunks_cached: usize,
-    complete: bool,
+    /// Edges in the span.
+    span: usize,
     enabled: bool,
 }
 
 impl DecodeCache {
-    fn new(num_edges: u64, num_chunks: usize, budget: u64) -> Self {
-        let enabled = num_edges.saturating_mul(8) <= budget;
+    /// A cache over a span of `span` edges; a span too long to index is
+    /// never cached.
+    pub(crate) fn new(span: u64, enabled: bool) -> Self {
+        let span = usize::try_from(span);
         DecodeCache {
             edges: Vec::new(),
-            chunks_cached: 0,
-            complete: enabled && num_chunks == 0,
-            enabled,
+            enabled: enabled && span.is_ok(),
+            span: span.unwrap_or(0),
         }
     }
 
-    /// Absorb chunk `idx`'s decoded edges if they extend the cached prefix.
-    fn absorb(&mut self, idx: usize, edges: &[Edge], total_chunks: usize) {
-        if !self.enabled || self.complete || idx != self.chunks_cached {
+    /// Whether `span` decoded edges fit `budget` bytes.
+    pub(crate) fn fits(span: u64, budget: u64) -> bool {
+        span.saturating_mul(8) <= budget
+    }
+
+    /// Absorb `run`, whose first edge is the `pos`-th of the span, as far as
+    /// it extends the cached prefix: caching only ever grows a strictly
+    /// sequential prefix, so a pass abandoned by an early `reset` just
+    /// resumes absorbing once the next pass catches up.
+    pub(crate) fn absorb(&mut self, pos: usize, run: &[Edge]) {
+        let have = self.edges.len();
+        if !self.enabled || have < pos || have >= pos + run.len() {
             return;
         }
-        self.edges.extend_from_slice(edges);
-        self.chunks_cached += 1;
-        if self.chunks_cached == total_chunks {
-            self.complete = true;
+        if have == 0 {
+            self.edges.reserve_exact(self.span);
         }
+        let fresh = &run[have - pos..];
+        self.edges
+            .extend_from_slice(&fresh[..fresh.len().min(self.span - have)]);
+    }
+
+    /// Whether every edge of the span has been absorbed.
+    pub(crate) fn complete(&self) -> bool {
+        self.enabled && self.edges.len() == self.span
+    }
+
+    /// Give up the (complete) cached span; the cache absorbs nothing more.
+    pub(crate) fn take(&mut self) -> Vec<Edge> {
+        self.enabled = false;
+        std::mem::take(&mut self.edges)
     }
 }
 
@@ -734,6 +758,8 @@ pub struct V2EdgeFile {
     buf_pos: usize,
     verified: Vec<bool>,
     cache: DecodeCache,
+    /// Edges decoded so far this pass (where the next chunk starts).
+    pass_pos: usize,
     cache_pos: usize,
     /// True once a `reset` found the cache complete: serve from memory. Set
     /// only at pass boundaries so a pass that completes the cache mid-flight
@@ -749,11 +775,8 @@ impl V2EdgeFile {
         let layout = read_layout(&mut file)?;
         file.seek(SeekFrom::Start(HEADER_LEN_V2))?;
         let verified = vec![false; layout.chunks.len()];
-        let cache = DecodeCache::new(
-            layout.info.num_edges,
-            layout.chunks.len(),
-            decode_cache_budget(),
-        );
+        let edges = layout.info.num_edges;
+        let cache = DecodeCache::new(edges, DecodeCache::fits(edges, decode_cache_budget()));
         Ok(V2EdgeFile {
             path,
             reader: BufReader::with_capacity(1 << 16, file),
@@ -764,6 +787,7 @@ impl V2EdgeFile {
             buf_pos: 0,
             verified,
             cache,
+            pass_pos: 0,
             cache_pos: 0,
             cache_serving: false,
         })
@@ -848,8 +872,8 @@ impl V2EdgeFile {
         let verify = !self.verified[self.next_chunk];
         read_chunk_at(&mut self.reader, meta, verify, &mut self.scratch, out)?;
         self.verified[self.next_chunk] = true;
-        self.cache
-            .absorb(self.next_chunk, out, self.layout.chunks.len());
+        self.cache.absorb(self.pass_pos, out);
+        self.pass_pos += out.len();
         self.next_chunk += 1;
         Ok(out.len())
     }
@@ -930,8 +954,9 @@ impl EdgeStream for V2EdgeFile {
         self.next_chunk = 0;
         self.buf.clear();
         self.buf_pos = 0;
+        self.pass_pos = 0;
         self.cache_pos = 0;
-        self.cache_serving = self.cache.complete;
+        self.cache_serving = self.cache.complete();
         if !self.cache_serving {
             self.reader.seek(SeekFrom::Start(HEADER_LEN_V2))?;
         }
@@ -987,6 +1012,9 @@ pub struct MmapV2EdgeFile {
     buf_pos: usize,
     verified: Vec<bool>,
     cache: DecodeCache,
+    /// Chunks decoded into the cache so far (it is this reader's decode
+    /// target, not a copy).
+    cached_chunks: usize,
     cache_pos: usize,
 }
 
@@ -998,11 +1026,8 @@ impl MmapV2EdgeFile {
         let layout = read_layout(&mut file)?;
         let map = Mmap::map(&file)?;
         let verified = vec![false; layout.chunks.len()];
-        let cache = DecodeCache::new(
-            layout.info.num_edges,
-            layout.chunks.len(),
-            decode_cache_budget(),
-        );
+        let edges = layout.info.num_edges;
+        let cache = DecodeCache::new(edges, DecodeCache::fits(edges, decode_cache_budget()));
         Ok(MmapV2EdgeFile {
             path,
             map,
@@ -1012,6 +1037,7 @@ impl MmapV2EdgeFile {
             buf_pos: 0,
             verified,
             cache,
+            cached_chunks: 0,
             cache_pos: 0,
         })
     }
@@ -1049,7 +1075,7 @@ impl MmapV2EdgeFile {
             (
                 &mut self.cache.edges,
                 &mut self.cache_pos,
-                &mut self.cache.chunks_cached,
+                &mut self.cached_chunks,
             )
         } else {
             (&mut self.buf, &mut self.buf_pos, &mut self.next_chunk)
@@ -1075,7 +1101,6 @@ impl MmapV2EdgeFile {
         }
         self.verified[*next] = true;
         *next += 1;
-        self.cache.complete = caching && self.cache.chunks_cached == self.layout.chunks.len();
         Ok(true)
     }
 }

@@ -425,9 +425,13 @@ mod tests {
                 shards.push(h.join().unwrap());
             }
         });
-        let mut merged = shards.remove(0);
-        for s in &shards {
-            merged.merge_from(s);
+        let mut merged = ReplicationMatrix::new(64, 96);
+        for shard in &shards {
+            for v in 0..64u32 {
+                for p in shard.partitions_of(v) {
+                    merged.set(v, p);
+                }
+            }
         }
         let snap = shared.snapshot();
         for v in 0..64u32 {

@@ -328,34 +328,6 @@ impl ReplicationMatrix {
         let matrix = ReplicationMatrix::from_raw_words(num_vertices, k, bits)?;
         Ok((matrix, &rest[total * 8..]))
     }
-
-    /// Bitwise-OR `other` into `self`, keeping the cover counts exact.
-    ///
-    /// This is the sharded-state merge of the chunk-parallel partitioner:
-    /// each worker tracks the replicas its own assignments create, and the
-    /// union of the shards is the global replica set. OR is commutative and
-    /// associative, so the merged matrix is independent of worker order.
-    /// Cost is `O(|V|·k/64)` words plus one count per *newly set* bit.
-    ///
-    /// # Panics
-    /// Panics if the matrices' dimensions differ.
-    pub fn merge_from(&mut self, other: &ReplicationMatrix) {
-        assert_eq!(self.k, other.k, "k mismatch in replication-matrix merge");
-        assert_eq!(
-            self.num_vertices, other.num_vertices,
-            "|V| mismatch in replication-matrix merge"
-        );
-        for (i, (word, &theirs)) in self.bits.iter_mut().zip(&other.bits).enumerate() {
-            let mut new = theirs & !*word;
-            *word |= theirs;
-            while new != 0 {
-                let b = new.trailing_zeros();
-                let p = ((i % self.words_per_vertex) as u32) * 64 + b;
-                self.cover_counts[p as usize] += 1;
-                new &= new - 1;
-            }
-        }
-    }
 }
 
 impl ReplicaSet for ReplicationMatrix {
@@ -472,45 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_bits_and_keeps_counts_exact() {
-        let mut a = ReplicationMatrix::new(6, 130);
-        let mut b = ReplicationMatrix::new(6, 130);
-        a.set(0, 0);
-        a.set(1, 64);
-        a.set(5, 129);
-        b.set(0, 0); // overlap — must not double-count
-        b.set(2, 63);
-        b.set(5, 128);
-        a.merge_from(&b);
-        for (v, p) in [(0u32, 0u32), (1, 64), (5, 129), (2, 63), (5, 128)] {
-            assert!(a.get(v, p), "({v},{p}) lost in merge");
-        }
-        assert_eq!(a.total_replicas(), 5);
-        assert_eq!(a.cover_count(0), 1);
-        // Counts agree with a from-scratch recount.
-        let mut recount = vec![0u64; 130];
-        for v in 0..6u32 {
-            for p in a.partitions_of(v) {
-                recount[p as usize] += 1;
-            }
-        }
-        for p in 0..130u32 {
-            assert_eq!(a.cover_count(p), recount[p as usize], "partition {p}");
-        }
-    }
-
-    #[test]
-    fn merge_with_self_is_identity() {
-        let mut a = ReplicationMatrix::new(4, 8);
-        a.set(1, 3);
-        a.set(2, 7);
-        let before = a.total_replicas();
-        let copy = a.clone();
-        a.merge_from(&copy);
-        assert_eq!(a.total_replicas(), before);
-    }
-
-    #[test]
     fn wire_roundtrip_recounts_covers() {
         let mut m = ReplicationMatrix::new(5, 130);
         m.set(0, 0);
@@ -552,14 +485,6 @@ mod tests {
         let mut zero_k = bytes.clone();
         zero_k[8..12].copy_from_slice(&0u32.to_le_bytes());
         assert!(ReplicationMatrix::decode_from(&zero_k).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatch")]
-    fn merge_rejects_dimension_mismatch() {
-        let mut a = ReplicationMatrix::new(4, 8);
-        let b = ReplicationMatrix::new(4, 9);
-        a.merge_from(&b);
     }
 
     #[test]

@@ -2,26 +2,43 @@
 //! batched sink call (`AssignmentSink::assign_batch`) move the same edges in
 //! the same order as the per-edge primitives they sit on — for every reader
 //! backend, format and range shape — and every wrapper forwards them, so the
-//! engine's pass loops make one call per chunk, never one per edge.
+//! engine's pass loops make one call per chunk, never one per edge. A v2
+//! ranged source decodes a range once: later opens lend the retained edges.
 
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use tps_core::job::{JobSpec, ThreadMode};
 use tps_core::partitioner::{PartitionParams, Partitioner};
-use tps_core::sink::{AssignmentSink, AssignmentSpool, TeeSink, VecSink, VecSpool, SINK_BATCH};
+use tps_core::sink::{
+    decision_pass, AssignmentSink, AssignmentSpool, DecisionLog, DecisionOut, Subpass, TeeSink,
+    VecSink, SINK_BATCH,
+};
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::formats::binary::write_binary_edge_list;
 use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::{for_each_chunk, for_each_edge, EdgeStream, InMemoryGraph, CHUNK_EDGES};
 use tps_graph::types::{Edge, GraphInfo, PartitionId};
+use tps_io::v2::set_decode_cache_budget;
 use tps_io::{
     open_edge_stream, open_ranged_backend, write_v2_edge_list, ReaderBackend, SpillSpool,
 };
 use tps_storage::{DeviceModel, DeviceStream};
+
+/// The decode budget and the `io.v2.*` counters are process-wide: every test
+/// here that decodes a v2 file, sets the budget or reads a counter holds
+/// this.
+static V2_GLOBALS: Mutex<()> = Mutex::new(());
+
+fn counter(name: &str) -> u64 {
+    tps_obs::counters_snapshot()
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| v)
+}
 
 fn tmp(tag: &str, ext: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tps-chunked-{tag}-{}.{ext}", std::process::id()))
@@ -123,6 +140,7 @@ proptest! {
         v2_chunk in 2u32..6000,
         cut in (0u32..1000, 0u32..1000),
     ) {
+        let _globals = V2_GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
         let edges: Vec<Edge> = (0..n as u32)
             .map(|i| Edge::new(i.wrapping_mul(2_654_435_761).wrapping_add(seed) % 50_000, (i ^ seed) % 50_000))
             .collect();
@@ -292,21 +310,28 @@ fn tee_and_replay_forward_batches() {
         assert_eq!(sink.got, &assignments[..100]);
     }
 
-    // An in-memory spool and one that spilled most of its records replay
-    // the same runs: one sink call per run, none per edge.
-    let spill_path = tmp("replay", "spool");
-    let mut spools: [Box<dyn AssignmentSpool>; 2] = [
-        Box::new(VecSpool::new()),
-        Box::new(SpillSpool::create(spill_path.clone(), 12 * 1000)),
-    ];
-    for spool in &mut spools {
-        // Fed both ways, as a worker's passes feed it.
-        spool.assign_batch(&assignments[..n / 2]).unwrap();
-        for &(e, p) in &assignments[n / 2..] {
-            spool.assign(e, p).unwrap();
-        }
-        let mut sink = BatchCountingSink::default();
-        spool.replay(&mut sink).unwrap();
+    // A shard's decision log (its first half decided in pass 2a, the rest
+    // in 2b) and a spool that spilled most of its records hand over the
+    // same runs: one sink call per run, none per edge.
+    let g = graph(n as u32);
+    let mut log = DecisionLog::new(n as u64, 7).unwrap();
+    for subpass in [Subpass::Prepartition, Subpass::Remaining] {
+        let mut pass = log.pass(subpass);
+        let mut i = 0;
+        decision_pass(&mut g.stream(), &mut pass, |e, out| {
+            let mine = match subpass {
+                Subpass::Prepartition => i < n / 2,
+                Subpass::Remaining => !out.decided_earlier().expect("the log recorded 2a"),
+            };
+            if mine {
+                out.decide(e, i as u32 % 7);
+            }
+            i += 1;
+        })
+        .unwrap();
+        pass.finish().unwrap();
+    }
+    let few_runs = |sink: &BatchCountingSink| {
         assert_eq!(sink.got, assignments);
         assert_eq!(sink.singles, 0);
         assert!(
@@ -314,11 +339,28 @@ fn tee_and_replay_forward_batches() {
             "{} sink calls for {n} records",
             sink.batches
         );
-        // Replay consumed the spool.
-        let mut again = BatchCountingSink::default();
-        spool.replay(&mut again).unwrap();
-        assert!(again.got.is_empty());
+    };
+    // Emitting reads the log, it does not consume it.
+    for _ in 0..2 {
+        let mut sink = BatchCountingSink::default();
+        log.emit(&mut g.stream(), &mut sink).unwrap();
+        few_runs(&sink);
     }
+
+    let spill_path = tmp("replay", "spool");
+    let mut spool = SpillSpool::create(spill_path.clone(), 12 * 1000);
+    // Fed both ways, as a worker's passes feed it.
+    spool.assign_batch(&assignments[..n / 2]).unwrap();
+    for &(e, p) in &assignments[n / 2..] {
+        spool.assign(e, p).unwrap();
+    }
+    let mut sink = BatchCountingSink::default();
+    spool.replay(&mut sink).unwrap();
+    few_runs(&sink);
+    // Replay consumed the spool.
+    let mut again = BatchCountingSink::default();
+    spool.replay(&mut again).unwrap();
+    assert!(again.got.is_empty());
     assert!(!spill_path.exists(), "replay removes the run file");
 }
 
@@ -342,8 +384,8 @@ impl RangedEdgeSource for CountingSource {
 }
 
 /// The acceptance criterion itself: a whole run — serial, and two workers
-/// with their replay — reads its input and feeds its sink through the bulk
-/// calls only, and emits what a per-edge sink collects.
+/// with their emit scans — reads its input and feeds its sink through the
+/// bulk calls only, and emits what a per-edge sink collects.
 #[test]
 fn the_engine_makes_no_per_edge_call() {
     let g = tps_graph::gen::gnm::generate(3_000, 2 * CHUNK_EDGES as u64 + 500, 11);
@@ -375,7 +417,7 @@ fn the_engine_makes_no_per_edge_call() {
         calls: Arc::new(Calls::default()),
     };
     let mut sink = BatchCountingSink::default();
-    JobSpec::ranged(&source)
+    let outcome = JobSpec::ranged(&source)
         .k(8)
         .threads(ThreadMode::Count(2))
         .extra_sink(&mut sink)
@@ -384,9 +426,13 @@ fn the_engine_makes_no_per_edge_call() {
     assert_eq!(sink.got.len(), n);
     assert_eq!(sink.singles, 0);
     assert_eq!(source.calls.edge.load(Ordering::Relaxed), 0);
+    // Per worker: degree, clustering, pre-partitioning, scoring, and one
+    // emit scan for each of the two subpasses' records.
+    assert!(outcome.report.counter("prepartitioned") > 0);
+    assert!(outcome.report.counter("remaining") > 0);
     assert_eq!(
         source.calls.chunk.load(Ordering::Relaxed),
-        4 * 2 * chunk_calls(n / 2)
+        (4 + 2) * 2 * chunk_calls(n / 2)
     );
 
     // And `for_each_edge` is the same pass.
@@ -394,4 +440,120 @@ fn the_engine_makes_no_per_edge_call() {
     for_each_edge(&mut stream, |_| seen += 1).unwrap();
     assert_eq!(seen, n);
     assert_eq!(calls.edge.load(Ordering::Relaxed), 0);
+}
+
+/// A v2 file of `n` edges in chunks of 700, and the edges.
+fn v2_file(tag: &str, n: u32) -> (PathBuf, Vec<Edge>) {
+    let edges = graph(n).edges().to_vec();
+    let path = tmp(tag, "bel2");
+    write_v2_edge_list(&path, 4096, edges.iter().copied(), 700).unwrap();
+    (path, edges)
+}
+
+/// Ranged v2 sources retain what they decode: for every backend and range
+/// shape, the second `open_range` lends the reference sequence out of
+/// memory — no chunk decoded, the scratch untouched — and only a *complete*
+/// first pass publishes anything.
+#[test]
+fn a_v2_range_is_decoded_once_per_source() {
+    let _globals = V2_GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
+    let (path, edges) = v2_file("retain", 5_000);
+    let n = edges.len() as u64;
+    // Whole file, a range that starts and ends inside a chunk, two
+    // neighbours sharing a chunk, and the empty range.
+    let ranges = [(0, n), (1_001, 3_456), (3_456, 4_000), (2_000, 2_000)];
+    for backend in ReaderBackend::ALL {
+        let source = open_ranged_backend(&path, backend).unwrap();
+        let retained_before = counter("io.v2.ranges_retained");
+        let bytes_before = counter("io.v2.retained_bytes");
+        for (a, b) in ranges {
+            let want = &edges[a as usize..b as usize];
+            let what = format!("{backend:?} [{a}, {b})");
+
+            // A pass abandoned half way publishes nothing: the next open
+            // decodes again.
+            let mut first = source.open_range(a, b).unwrap();
+            first.reset().unwrap();
+            for _ in 0..want.len() / 2 {
+                first.next_edge().unwrap();
+            }
+            first.reset().unwrap();
+            let decoded = counter("io.v2.chunks_decoded");
+            assert_eq!(chunked(&mut *source.open_range(a, b).unwrap()), want);
+            if a < b {
+                assert!(counter("io.v2.chunks_decoded") > decoded, "{what}");
+            }
+            // The abandoned cursor still holds the range's reservation;
+            // completing its pass is what deposits the range …
+            assert_eq!(chunked(&mut *first), want, "{what}: first pass");
+            drop(first);
+
+            // … and every later open is served from memory, whichever way
+            // it is read.
+            let decoded = counter("io.v2.chunks_decoded");
+            let mut second = source.open_range(a, b).unwrap();
+            check_stream(&mut *second, want, &what);
+            assert_eq!(counter("io.v2.chunks_decoded"), decoded, "{what}");
+        }
+        let nonempty = ranges.iter().filter(|(a, b)| a < b);
+        assert_eq!(
+            counter("io.v2.ranges_retained") - retained_before,
+            nonempty.clone().count() as u64,
+            "{backend:?}"
+        );
+        assert_eq!(
+            counter("io.v2.retained_bytes") - bytes_before,
+            nonempty.map(|(a, b)| (b - a) * 8).sum::<u64>(),
+            "{backend:?}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The retained ranges of one source share one reservation against the
+/// decode budget, all-or-nothing per range.
+#[test]
+fn retention_stays_within_the_decode_budget() {
+    let _globals = V2_GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let (path, edges) = v2_file("budget", 4_000);
+    let halves = [(0u64, 2_000u64), (2_000, 4_000)];
+    let decodes_on_reopen = |budget: u64| {
+        set_decode_cache_budget(budget);
+        let source = open_ranged_backend(&path, ReaderBackend::Buffered).unwrap();
+        let retained = counter("io.v2.ranges_retained");
+        let mut decoding = 0;
+        for (a, b) in halves {
+            let want = &edges[a as usize..b as usize];
+            assert_eq!(chunked(&mut *source.open_range(a, b).unwrap()), want);
+            let decoded = counter("io.v2.chunks_decoded");
+            assert_eq!(chunked(&mut *source.open_range(a, b).unwrap()), want);
+            decoding += usize::from(counter("io.v2.chunks_decoded") > decoded);
+        }
+        (decoding, counter("io.v2.ranges_retained") - retained)
+    };
+    // Below one range: nothing is retained and every open decodes.
+    assert_eq!(decodes_on_reopen(2_000 * 8 - 1), (2, 0));
+    assert_eq!(decodes_on_reopen(0), (2, 0));
+    // Room for one of the two: exactly the first is retained.
+    assert_eq!(decodes_on_reopen(2_000 * 8), (1, 1));
+    assert_eq!(decodes_on_reopen(2 * 2_000 * 8 - 1), (1, 1));
+    // Room for both.
+    assert_eq!(decodes_on_reopen(2 * 2_000 * 8), (0, 2));
+
+    // A cursor dropped before it completes a pass gives its share back.
+    set_decode_cache_budget(2_000 * 8);
+    let source = open_ranged_backend(&path, ReaderBackend::Buffered).unwrap();
+    let mut abandoned = source.open_range(0, 2_000).unwrap();
+    abandoned.next_edge().unwrap();
+    drop(abandoned);
+    let retained = counter("io.v2.ranges_retained");
+    assert_eq!(
+        chunked(&mut *source.open_range(2_000, 4_000).unwrap()),
+        &edges[2_000..]
+    );
+    assert_eq!(counter("io.v2.ranges_retained"), retained + 1);
+
+    set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
+    std::fs::remove_file(&path).ok();
 }

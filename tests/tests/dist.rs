@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 use tps_core::parallel::ParallelRunner;
 use tps_core::partitioner::PartitionParams;
-use tps_core::sink::{MemorySpoolFactory, VecSink};
+use tps_core::sink::VecSink;
 use tps_core::two_phase::TwoPhaseConfig;
 use tps_dist::transport::TraceEvent;
 use tps_dist::{
@@ -76,11 +76,7 @@ fn dist_traced(
     std::thread::scope(|scope| {
         let handles: Vec<_> = worker_sides
             .into_iter()
-            .map(|mut t| {
-                scope.spawn(move || {
-                    run_worker(&mut *t, &AttachedResolver(source), &MemorySpoolFactory)
-                })
-            })
+            .map(|mut t| scope.spawn(move || run_worker(&mut *t, &AttachedResolver(source), None)))
             .collect();
         run_coordinator(
             &config,
@@ -328,7 +324,7 @@ fn worker_survives_coordinator_disconnect() {
     let g = InMemoryGraph::from_edges(vec![Edge::new(0, 1), Edge::new(1, 2)]);
     let (c, mut w) = loopback_pair();
     drop(c);
-    let err = run_worker(&mut w, &AttachedResolver(&g), &MemorySpoolFactory).unwrap_err();
+    let err = run_worker(&mut w, &AttachedResolver(&g), None).unwrap_err();
     // Depending on timing the worker fails sending Hello (BrokenPipe) or
     // waiting for the Job (UnexpectedEof) — either way, an error, no hang.
     assert!(
@@ -352,7 +348,7 @@ fn mismatched_job_info_aborts_the_run() {
     std::thread::scope(|scope| {
         let handle = scope.spawn(move || {
             let mut w = w;
-            run_worker(&mut w, &AttachedResolver(&lying), &MemorySpoolFactory)
+            run_worker(&mut w, &AttachedResolver(&lying), None)
         });
         let err = run_coordinator(
             &TwoPhaseConfig::default(),

@@ -18,7 +18,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use tps_core::parallel::ParallelRunner;
 use tps_core::partitioner::{PartitionParams, RunReport};
-use tps_core::sink::{MemorySpoolFactory, VecSink};
+use tps_core::sink::VecSink;
 use tps_core::two_phase::TwoPhaseConfig;
 use tps_dist::{
     loopback_pair, run_coordinator, run_worker, run_worker_handshake, AttachedResolver,
@@ -43,12 +43,8 @@ impl<'s, 'e, 'g: 'e> WorkerSupply for ScopedSupply<'s, 'e, 'g> {
         let source = self.source;
         self.spawned.fetch_add(1, Ordering::Relaxed);
         self.scope.spawn(move || {
-            let _ = run_worker_handshake(
-                &mut w,
-                &AttachedResolver(source),
-                &MemorySpoolFactory,
-                Handshake::Rejoin,
-            );
+            let _ =
+                run_worker_handshake(&mut w, &AttachedResolver(source), None, Handshake::Rejoin);
         });
         Ok(Some(Box::new(c)))
     }
@@ -78,12 +74,12 @@ fn dist_chaos(
                 scope.spawn(move || {
                     // Killed workers error out by design; their result is
                     // the fault being injected.
-                    let _ = run_worker(&mut t, &AttachedResolver(source), &MemorySpoolFactory);
+                    let _ = run_worker(&mut t, &AttachedResolver(source), None);
                 });
             } else {
                 let mut t = wk;
                 scope.spawn(move || {
-                    let _ = run_worker(&mut t, &AttachedResolver(source), &MemorySpoolFactory);
+                    let _ = run_worker(&mut t, &AttachedResolver(source), None);
                 });
             }
         }
@@ -330,7 +326,7 @@ fn stale_epoch_frames_are_discarded_not_merged_twice() {
             KillMode::Sever,
         );
         scope.spawn(move || {
-            let _ = run_worker(&mut doomed, &AttachedResolver(g), &MemorySpoolFactory);
+            let _ = run_worker(&mut doomed, &AttachedResolver(g), None);
         });
 
         struct StaleSupply<'s, 'e, 'g> {
@@ -349,7 +345,7 @@ fn stale_epoch_frames_are_discarded_not_merged_twice() {
                     let _ = run_worker_handshake(
                         &mut t,
                         &AttachedResolver(source),
-                        &MemorySpoolFactory,
+                        None,
                         Handshake::Rejoin,
                     );
                 });
@@ -395,7 +391,7 @@ fn future_epoch_frames_are_rejected() {
             KillMode::Sever,
         );
         scope.spawn(move || {
-            let _ = run_worker(&mut doomed, &AttachedResolver(g), &MemorySpoolFactory);
+            let _ = run_worker(&mut doomed, &AttachedResolver(g), None);
         });
         // ...and the replacement (serving epoch 1) forges every envelope up
         // to epoch 2. The budget allows the one real loss but not the
@@ -416,7 +412,7 @@ fn future_epoch_frames_are_rejected() {
                     let _ = run_worker_handshake(
                         &mut t,
                         &AttachedResolver(source),
-                        &MemorySpoolFactory,
+                        None,
                         Handshake::Rejoin,
                     );
                 });
@@ -476,7 +472,7 @@ fn frame_timeout_detects_hung_worker_and_standby_recovers() {
             // The standby: a real worker, accepted up-front.
             let (c_standby, mut w_standby) = loopback_pair();
             scope.spawn(move || {
-                let _ = run_worker(&mut w_standby, &AttachedResolver(g), &MemorySpoolFactory);
+                let _ = run_worker(&mut w_standby, &AttachedResolver(g), None);
             });
             let policy = FaultPolicy {
                 max_retries: 1,
@@ -534,12 +530,12 @@ fn completed_worker_serves_a_reissue() {
                 let mut t =
                     FaultTransport::new(wk, KillSpec::parse("recv:pull").unwrap(), KillMode::Sever);
                 scope.spawn(move || {
-                    let _ = run_worker(&mut t, &AttachedResolver(g), &MemorySpoolFactory);
+                    let _ = run_worker(&mut t, &AttachedResolver(g), None);
                 });
             } else {
                 let mut t = wk;
                 scope.spawn(move || {
-                    let _ = run_worker(&mut t, &AttachedResolver(g), &MemorySpoolFactory);
+                    let _ = run_worker(&mut t, &AttachedResolver(g), None);
                 });
             }
         }
@@ -583,7 +579,7 @@ fn zero_retry_budget_fails_on_first_loss() {
             KillMode::Sever,
         );
         scope.spawn(move || {
-            let _ = run_worker(&mut t, &AttachedResolver(g), &MemorySpoolFactory);
+            let _ = run_worker(&mut t, &AttachedResolver(g), None);
         });
         run_coordinator(
             &TwoPhaseConfig::default(),
@@ -622,7 +618,7 @@ fn no_replacement_available_is_an_error_not_a_hang() {
             KillMode::Sever,
         );
         scope.spawn(move || {
-            let _ = run_worker(&mut t, &AttachedResolver(g), &MemorySpoolFactory);
+            let _ = run_worker(&mut t, &AttachedResolver(g), None);
         });
         run_coordinator(
             &TwoPhaseConfig::default(),

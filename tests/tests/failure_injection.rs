@@ -1,7 +1,9 @@
 //! Failure injection: I/O errors raised mid-stream must propagate out of
 //! every pass of every partitioner — no panic, no partial-success lie —
 //! wherever in a chunk or batch they land, and a v1 file whose header lies
-//! about its length is refused when it is opened, by every backend.
+//! about its length is refused when it is opened, by every backend. A
+//! `--threads N` run reads its input once more to emit: an input that
+//! changed since the passes fails the run there, naming the file.
 
 use std::io;
 
@@ -162,7 +164,8 @@ fn sink_errors_propagate() {
 
     // Batched: a failure in the first batch, in a middle one, in the final
     // partial batch of the pre-partitioning pass and in the final partial
-    // batch of the run — serial, and through a two-worker run's replay.
+    // batch of the run — serial, and through a two-worker run's emit, whose
+    // batches are cut from the decision logs.
     let g = graph_of_three_chunks();
     let e = g.num_edges();
     let prepartitioned = {
@@ -429,5 +432,135 @@ fn partition_file_creation_is_all_or_nothing() {
         .finish()
         .unwrap();
     assert_eq!(parts.len(), 8);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A file-backed ranged source that runs `tamper` just before its
+/// `at_open`-th `open_range`.
+struct TamperingSource<'a> {
+    inner: Box<dyn tps_graph::ranged::RangedEdgeSource>,
+    opens: std::sync::atomic::AtomicUsize,
+    at_open: usize,
+    tamper: &'a (dyn Fn() + Sync),
+}
+
+impl tps_graph::ranged::RangedEdgeSource for TamperingSource<'_> {
+    fn info(&self) -> tps_graph::types::GraphInfo {
+        self.inner.info()
+    }
+    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
+        use std::sync::atomic::Ordering;
+        if self.opens.fetch_add(1, Ordering::SeqCst) == self.at_open {
+            (self.tamper)();
+        }
+        self.inner.open_range(start, end)
+    }
+}
+
+/// Tests that set the v2 decode budget, or rely on its default, hold this.
+static DECODE_BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn ranges_retained() -> u64 {
+    tps_obs::counters_snapshot()
+        .into_iter()
+        .find(|(n, _)| n == "io.v2.ranges_retained")
+        .map_or(0, |(_, v)| v)
+}
+
+/// Workers remember decisions, not edges, so emit reads the input again —
+/// two workers open their ranges four times each for the passes, and the
+/// ninth open is shard 0's emit. A v1 file truncated, or a v2 file (over the
+/// decode budget, so nothing of it is retained) with a chunk gone bad, in
+/// between fails the job there with an error naming the file: no panic, no
+/// partition file quietly short. The same job on the untouched file
+/// succeeds, and `tps partition` turns any job error into exit code 2.
+#[test]
+fn input_changed_between_the_passes_and_emit_fails_the_job() {
+    use std::os::unix::fs::FileExt;
+    use tps_io::{open_ranged_backend, ReaderBackend};
+
+    let _budget = DECODE_BUDGET.lock().unwrap_or_else(|e| e.into_inner());
+    let g = graph_of_three_chunks();
+    let dir = std::env::temp_dir().join(format!("tps-emit-reread-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1 = dir.join("g.bel");
+    let v2 = dir.join("g.bel2");
+    let write_inputs = || {
+        tps_graph::formats::binary::write_binary_edge_list(
+            &v1,
+            g.num_vertices(),
+            g.edges().iter().copied(),
+        )
+        .unwrap();
+        tps_io::write_v2_edge_list(&v2, g.num_vertices(), g.edges().iter().copied(), 1_000)
+            .unwrap();
+    };
+    let truncate_v1 = || {
+        let f = std::fs::OpenOptions::new().write(true).open(&v1).unwrap();
+        f.set_len(f.metadata().unwrap().len() - 40).unwrap();
+    };
+    let corrupt_v2 = || {
+        // Inside the first chunk's payload (32 B header, 12 B chunk header).
+        let f = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&v2)
+            .unwrap();
+        let mut byte = [0u8];
+        f.read_exact_at(&mut byte, 100).unwrap();
+        f.write_all_at(&[byte[0] ^ 0x40], 100).unwrap();
+    };
+    let run = |path: &std::path::Path, at_open: usize, tamper: &(dyn Fn() + Sync)| {
+        write_inputs();
+        let source = TamperingSource {
+            inner: open_ranged_backend(path, ReaderBackend::Buffered).unwrap(),
+            opens: Default::default(),
+            at_open,
+            tamper,
+        };
+        let mut sink = VecSink::new();
+        JobSpec::ranged(&source)
+            .k(4)
+            .threads(ThreadMode::Count(2))
+            .extra_sink(&mut sink)
+            .run()
+            .map(|outcome| (outcome, sink.into_assignments().len() as u64))
+    };
+
+    tps_io::v2::set_decode_cache_budget(0);
+    let retained = ranges_retained();
+    for (path, tamper) in [
+        (&v1, &truncate_v1 as &(dyn Fn() + Sync)),
+        (&v2, &corrupt_v2),
+    ] {
+        let (_, emitted) = run(path, usize::MAX, &|| {}).unwrap();
+        assert_eq!(emitted, g.num_edges());
+        let err = run(path, 8, tamper).expect_err("emit must notice the input changed");
+        let text = err.to_string();
+        assert!(text.contains(path.to_str().unwrap()), "{text}");
+        let kind = if path == &v1 {
+            io::ErrorKind::UnexpectedEof
+        } else {
+            assert!(text.contains("checksum"), "{text}");
+            io::ErrorKind::InvalidData
+        };
+        assert_eq!(err.kind(), kind, "{text}");
+    }
+    assert_eq!(ranges_retained(), retained, "budget 0 retains nothing");
+
+    // With retention on, a chunk that is bad before the first pass is still
+    // caught by its checksum — a range is retained by the cursor that
+    // verified it, never instead of verifying it — so at most the other
+    // worker's (intact) range is; tampering before emit goes unnoticed only
+    // because emit then reads the verified copy, not the file.
+    tps_io::v2::set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
+    let err = run(&v2, 0, &corrupt_v2).expect_err("the first decode verifies");
+    assert!(err.to_string().contains("checksum"), "{err}");
+    assert!(err.to_string().contains(v2.to_str().unwrap()), "{err}");
+    assert!(ranges_retained() - retained <= 1);
+    let retained = ranges_retained();
+    let (_, emitted) = run(&v2, 8, &corrupt_v2).unwrap();
+    assert_eq!(emitted, g.num_edges());
+    assert_eq!(ranges_retained(), retained + 2);
     std::fs::remove_dir_all(&dir).ok();
 }

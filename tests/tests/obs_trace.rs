@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 
 use tps_core::job::{JobSpec, ThreadMode};
 use tps_core::partitioner::PartitionParams;
-use tps_core::sink::{MemorySpoolFactory, VecSink};
+use tps_core::sink::VecSink;
 use tps_core::two_phase::TwoPhaseConfig;
 use tps_dist::{
     loopback_pair, run_coordinator, run_worker, AttachedResolver, FaultPolicy, InputDescriptor,
@@ -72,9 +72,7 @@ fn dist_run(g: &InMemoryGraph, workers: usize) -> Vec<(Edge, u32)> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = worker_sides
             .into_iter()
-            .map(|mut t| {
-                scope.spawn(move || run_worker(&mut *t, &AttachedResolver(g), &MemorySpoolFactory))
-            })
+            .map(|mut t| scope.spawn(move || run_worker(&mut *t, &AttachedResolver(g), None)))
             .collect();
         run_coordinator(
             &TwoPhaseConfig::default(),

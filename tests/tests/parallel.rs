@@ -10,7 +10,9 @@
 //! * replication factor within a fixed epsilon of the serial runner on
 //!   generated R-MAT graphs;
 //! * storage-backend independence — in-memory, v1, v2 and prefetch-wrapped
-//!   sources produce identical parallel assignments.
+//!   sources produce identical parallel assignments;
+//! * emit order — what the runner's decision logs emit is what its shards'
+//!   passes decided, 2a records then 2b records, shard by shard.
 
 use proptest::prelude::*;
 use tps_clustering::merge::merge_clusterings;
@@ -62,12 +64,24 @@ fn arb_k_across_row_widths() -> impl Strategy<Value = u32> {
 }
 
 /// The pre-atomic **sharded** phase 2, hand-driven through the public
-/// kernels: one owned replication-matrix shard per worker, OR-merged with
-/// `merge_from` at the barrier and installed back into every worker — the
+/// kernels: one owned replication-matrix shard per worker, OR-merged at the
+/// barrier and installed back into every worker — the
 /// reference the shared `AtomicReplicationMatrix` path must reproduce bit
 /// for bit (and exactly what a distributed worker still executes).
 fn sharded_reference(source: &dyn RangedEdgeSource, k: u32, threads: usize) -> Vec<(Edge, u32)> {
-    let config = TwoPhaseConfig::default();
+    sharded_reference_with(source, TwoPhaseConfig::default(), k, threads)
+}
+
+/// [`sharded_reference`] for any configuration. Each shard's two passes
+/// write whole records into one `VecSink` and the shards' sinks are
+/// concatenated: the order a replayed per-shard spool produced, which is the
+/// order the decision logs must emit.
+fn sharded_reference_with(
+    source: &dyn RangedEdgeSource,
+    config: TwoPhaseConfig,
+    k: u32,
+    threads: usize,
+) -> Vec<(Edge, u32)> {
     let info = source.info();
     let ranges = split_even(info.num_edges, threads);
 
@@ -111,14 +125,21 @@ fn sharded_reference(source: &dyn RangedEdgeSource, k: u32, threads: usize) -> V
             )
         })
         .collect();
-    for (t, (assigner, sink)) in workers.iter_mut().enumerate() {
-        let mut s = source.open_range(ranges[t].0, ranges[t].1).unwrap();
-        assigner.prepartition_pass(&mut s, sink).unwrap();
+    if config.prepartitioning {
+        for (t, (assigner, sink)) in workers.iter_mut().enumerate() {
+            let mut s = source.open_range(ranges[t].0, ranges[t].1).unwrap();
+            assigner.prepartition_pass(&mut s, sink).unwrap();
+        }
     }
     if threads > 1 {
-        let mut merged = workers[0].0.replication_shard().clone();
-        for (assigner, _) in &workers[1..] {
-            merged.merge_from(assigner.replication_shard());
+        let mut merged = ReplicationMatrix::new(info.num_vertices, k);
+        for (assigner, _) in &workers {
+            let shard = assigner.replication_shard();
+            for v in 0..info.num_vertices as u32 {
+                for p in shard.partitions_of(v) {
+                    merged.set(v, p);
+                }
+            }
         }
         for (assigner, _) in workers.iter_mut() {
             assigner.install_replication(merged.clone());
@@ -184,7 +205,7 @@ proptest! {
     /// The tentpole invariant of the shared `AtomicReplicationMatrix`
     /// design: phase 2 over one shared `O(|V|·k)` matrix (write-through
     /// prepartition, frozen + private rows or overlays for scoring) is
-    /// **bit-identical** to the old sharded+`merge_from` path, at every
+    /// **bit-identical** to the old sharded, OR-merged path, at every
     /// thread count, for every storage backend and for both private
     /// representations.
     #[test]
@@ -234,6 +255,39 @@ proptest! {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The log is the old spool, observably: at every tag width (`u8` up to
+    /// k = 128, `u16` up to 32 768, `u32` above), with more workers than
+    /// edges (empty ranges), with and without a pass 2a, a `ParallelRunner`
+    /// emits record for record what its shards' passes wrote into per-shard
+    /// sinks — multigraphs with self-loops and parallel edges included.
+    #[test]
+    fn decision_logs_emit_what_the_shard_passes_decided(
+        graph in arb_graph(),
+        k in (0usize..9).prop_map(|i| [1u32, 2, 127, 128, 129, 255, 256, 257, 40_000][i]),
+        variant in 0usize..3,
+    ) {
+        let config = [
+            TwoPhaseConfig::default(),
+            TwoPhaseConfig::hdrf_variant(),
+            TwoPhaseConfig { prepartitioning: false, ..Default::default() },
+        ][variant];
+        for threads in [1usize, 2, 3, 8, graph.num_edges() as usize + 1] {
+            let want = sharded_reference_with(&graph, config, k, threads);
+            let mut sink = VecSink::new();
+            let report = ParallelRunner::new(config, threads)
+                .partition(&graph, &PartitionParams::new(k), &mut sink)
+                .unwrap();
+            prop_assert_eq!(sink.assignments(), &want[..], "k {}, {} threads", k, threads);
+            if !config.prepartitioning {
+                prop_assert_eq!(report.counter("prepartitioned"), 0);
+            }
+        }
     }
 }
 

@@ -74,12 +74,34 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
     assert!(outcome.removed.iter().all(Option::is_some));
     client.update(&delta, &[]).expect("re-insert batch");
 
+    // A two-worker job over a TPSBEL2 file, in this process, registers the
+    // batch path's counters: the decision logs, emit's re-read, the ranges
+    // the source retained.
+    let input = std::env::temp_dir().join(format!("tps-scrape-{}.bel2", std::process::id()));
+    tps_io::write_v2_edge_list(&input, NUM_VERTICES, edges.iter().copied(), 500).expect("input");
+    tps_io::run_job(
+        tps_core::job::JobSpec::path(&input)
+            .k(K)
+            .threads(tps_core::job::ThreadMode::Count(2)),
+    )
+    .expect("partition job");
+    std::fs::remove_file(&input).ok();
+
     // The daemon is now idle: local snapshots and the scrape must agree.
     let scrape1 = parse_exposition(&scrape(&addr).expect("scrape 1")).expect("parse 1");
 
     // Every registered counter appears, with its exact value.
     let counters = counters_snapshot();
     assert!(!counters.is_empty(), "workload registered no counters");
+    for (name, at_least) in [
+        ("core.decision_log.bytes", edges.len() as u64),
+        ("core.emit.restreamed_edges", edges.len() as u64),
+        ("io.v2.ranges_retained", 2),
+        ("io.v2.retained_bytes", 8 * edges.len() as u64),
+    ] {
+        let value = counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        assert!(value >= Some(at_least), "{name} = {value:?}");
+    }
     for (name, v) in &counters {
         assert_eq!(
             value_of(&scrape1, "tps_counter", name),

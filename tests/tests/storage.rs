@@ -43,12 +43,21 @@ fn table5_device_ordering_holds_for_full_runs() {
     let graph = Dataset::Ok.generate_scaled(0.01);
     let mut totals = Vec::new();
     for device in DeviceModel::table5() {
-        let mut stream = DeviceStream::new(graph.stream(), device);
-        let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
-        let start = std::time::Instant::now();
-        p.partition(&mut stream, &PartitionParams::new(32), &mut NullSink)
-            .unwrap();
-        let total = start.elapsed() + stream.account().simulated_io;
+        // The compute half is wall clock, and the page-cache/SSD gap is
+        // ~0.5 ms — less than one scheduler timeslice, which a run loses
+        // whenever the harness's other test threads preempt it. The
+        // fastest of five runs is the one that was not preempted.
+        let total = (0..5)
+            .map(|_| {
+                let mut stream = DeviceStream::new(graph.stream(), device);
+                let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
+                let start = std::time::Instant::now();
+                p.partition(&mut stream, &PartitionParams::new(32), &mut NullSink)
+                    .unwrap();
+                start.elapsed() + stream.account().simulated_io
+            })
+            .min()
+            .expect("five runs");
         totals.push((device.name, total));
     }
     assert!(
