@@ -21,10 +21,10 @@
 //! phase 2) and k = 4096 (the memory-stress regime the ISSUE's motivating
 //! work targets), sized so the replication matrix (`|V|·k` bits)
 //! dominates the heap: a mode that keeps one matrix copy per worker is
-//! immediately visible as a multiple of the serial peak.
-//! Parallel modes replay assignments through spill-backed spools (a fixed
-//! budget) so the `O(|E|)` replay buffers do not mask the matrix term —
-//! the same `--spill-budget-mb` mechanism the CLI exposes.
+//! immediately visible as a multiple of the serial peak. Every mode runs
+//! the default path: a parallel worker's only `O(|E|)` term is its decision
+//! log (1 B/edge at k ≤ 128, 2 B/edge up to k = 32 768), small beside the
+//! matrix.
 //!
 //! The same graph at k = 32 drives the **low-k pair** (`k32_serial`,
 //! `k32_t8`): at k ≤ 64 a replica row is one word and each in-process
@@ -35,8 +35,7 @@
 //! that outgrows one word per vertex fails here.
 //!
 //! The **file pair** (`k32_serial_file`, `k32_t2_file`) runs that k = 32
-//! job the way `tps partition` runs it by default — no spool factory — on a
-//! TPSBEL2 copy of the graph: serial caches the decoded file, two workers
+//! job on a TPSBEL2 copy of the graph: serial caches the decoded file, two workers
 //! retain their decoded ranges (the same bytes) and add a 1 B/edge decision
 //! log each. `k32_t2_vs_serial_file` is their ratio, gated as a ceiling: the
 //! default path's `O(|E|)` residency beyond the decode budget is the log
@@ -62,7 +61,6 @@ use tps_core::sink::NullSink;
 use tps_core::two_phase::TwoPhaseConfig;
 use tps_dist::run_dist_local;
 use tps_graph::gen::planted::{self, PlantedConfig};
-use tps_io::SpillSpoolFactory;
 
 #[global_allocator]
 static ALLOC: tps_metrics::alloc::CountingAllocator = tps_metrics::alloc::CountingAllocator;
@@ -75,8 +73,8 @@ const MODES: [&str; 4] = ["serial", "t4", "t8", "dist2"];
 const LOW_K_MODES: [&str; 2] = ["k32_serial", "k32_t8"];
 const LOW_K: u32 = 32;
 
-/// The file pair: the low-k job on the TPSBEL2 copy, on the default path
-/// (decode cache / retained ranges, decision logs, no spill spools).
+/// The file pair: the low-k job on the TPSBEL2 copy (decode cache /
+/// retained ranges, decision logs).
 const FILE_MODES: [&str; 2] = ["k32_serial_file", "k32_t2_file"];
 
 /// The out-of-core modes: same serial pipeline over a second, vertex-heavy
@@ -95,7 +93,6 @@ const OC_K: u32 = 8;
 /// order of magnitude bigger (the ≥10× regime the ISSUE gates), so the
 /// budget only holds if pages actually evict.
 const OC_BUDGET_MB: u64 = 2;
-const SPILL_BUDGET_BYTES: u64 = 4 << 20;
 const SEED: u64 = 0xA11C;
 
 /// The bench graph's generator configuration: strongly clusterable
@@ -288,10 +285,6 @@ fn run_parent(quick: bool, k: u32) {
         "  \"oc_graph\": {{\"vertices\": {oc_vertices}, \"edges\": {oc_edges}, \"k\": {OC_K}, \"mem_budget_mb\": {OC_BUDGET_MB}}},"
     );
     println!(
-        "  \"spill_budget_mb\": {},",
-        SPILL_BUDGET_BYTES as f64 / (1 << 20) as f64
-    );
-    println!(
         "  \"ratios\": [{{\"name\": \"k32_t2_vs_serial_file\", \"ratio\": {:.3}}}],",
         file_pair_mb[1] / file_pair_mb[0]
     );
@@ -309,8 +302,6 @@ fn run_parent(quick: bool, k: u32) {
 fn run_child(mode: &str, input: &str, k: u32) {
     let params = PartitionParams::with_alpha(k, BALANCE_ALPHA);
     let config = TwoPhaseConfig::with_passes(CLUSTERING_PASSES);
-    let spill_dir = std::env::temp_dir().join(format!("tps-mem-peak-spill-{}", std::process::id()));
-    std::fs::create_dir_all(&spill_dir).expect("spill dir");
     // `None`: not a `JobSpec` job.
     let threads = match mode {
         "serial" | "k32_serial" | "k32_serial_file" | "oc_unpaged" | "oc_paged" => {
@@ -341,12 +332,6 @@ fn run_child(mode: &str, input: &str, k: u32) {
                 .params(&params)
                 .threads(threads)
                 .two_phase(config);
-            // The file pair is the default path: decision logs, no spools.
-            if let (ThreadMode::Count(workers), false) = (threads, FILE_MODES.contains(&mode)) {
-                let factory = SpillSpoolFactory::new(&spill_dir, mode, SPILL_BUDGET_BYTES, workers)
-                    .expect("spill factory");
-                spec = spec.spool_factory(std::sync::Arc::new(factory));
-            }
             // The out-of-core pair differs only in the budget — so the RSS
             // delta between the two rows is exactly what cluster paging buys.
             if mode == "oc_paged" {
@@ -358,7 +343,6 @@ fn run_child(mode: &str, input: &str, k: u32) {
     let seconds = start.elapsed().as_secs_f64();
     let heap_peak_mb = tps_metrics::alloc::peak_bytes() as f64 / (1 << 20) as f64;
     let post_kb = vm_hwm_kb().unwrap_or(0);
-    std::fs::remove_dir_all(&spill_dir).ok();
     println!(
         "{{\"mode\": \"{mode}\", \"peak_rss_mb\": {:.1}, \"pre_partition_mb\": {:.1}, \"heap_peak_mb\": {heap_peak_mb:.1}, \"seconds\": {seconds:.3}}}",
         mb(post_kb),

@@ -81,7 +81,6 @@ pub const COMMON_VALUED: &[&str] = &[
     "passes",
     "reader",
     "threads",
-    "spill-budget-mb",
     "mem-budget-mb",
     "format",
 ];
@@ -101,10 +100,8 @@ pub struct CommonOpts {
     pub reader: ReaderKind,
     /// `--threads` execution policy (default auto).
     pub threads: ThreadMode,
-    /// `--spill-budget-mb` memory bound (default 0 = unbounded).
-    pub spill_budget_mb: u64,
     /// `--mem-budget-mb` whole-job memory budget (default 0 = unbudgeted),
-    /// split deterministically across cluster pages / decode cache / spill.
+    /// split deterministically across cluster pages / decode cache.
     pub mem_budget_mb: u64,
     /// `--format` input-format override (default: by file extension).
     pub format: Option<String>,
@@ -127,7 +124,6 @@ impl CommonOpts {
             passes: flags.get_or("passes", 1)?,
             reader,
             threads,
-            spill_budget_mb: flags.get_or("spill-budget-mb", 0)?,
             mem_budget_mb: flags.get_or("mem-budget-mb", 0)?,
             format: flags.get("format").map(String::from),
         })
@@ -199,7 +195,6 @@ mod tests {
         assert_eq!(c.passes, 1);
         assert_eq!(c.reader, ReaderKind::Buffered);
         assert_eq!(c.threads, ThreadMode::Auto);
-        assert_eq!(c.spill_budget_mb, 0);
         assert_eq!(c.mem_budget_mb, 0);
         assert_eq!(c.format, None);
 
@@ -215,8 +210,6 @@ mod tests {
                 "3",
                 "--algorithm",
                 "2ps-hdrf",
-                "--spill-budget-mb",
-                "64",
                 "--mem-budget-mb",
                 "256",
                 "--format",
@@ -232,7 +225,6 @@ mod tests {
         assert_eq!(c.alpha, 1.2);
         assert_eq!(c.passes, 3);
         assert_eq!(c.algorithm, "2ps-hdrf");
-        assert_eq!(c.spill_budget_mb, 64);
         assert_eq!(c.mem_budget_mb, 256);
         assert_eq!(c.format.as_deref(), Some("text"));
 

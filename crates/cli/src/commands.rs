@@ -18,7 +18,7 @@ use tps_graph::formats::binary::write_binary_edge_list;
 use tps_graph::formats::text::TextEdgeFile;
 use tps_graph::stream::{discover_info, EdgeStream};
 use tps_graph::types::GraphInfo;
-use tps_io::{EdgeFileFormat, ReaderBackend, SpillSpoolFactory, SpillingFileSink};
+use tps_io::{EdgeFileFormat, ReaderBackend};
 
 use crate::args::{CommonOpts, Flags, COMMON_VALUED};
 
@@ -60,15 +60,14 @@ partition options:
                       matches the serial runner bit for bit. Pin N for
                       output that is reproducible across machines.
   --out DIR           write per-partition .bel files into DIR
-  --spill-budget-mb N bound buffering to N MiB: output files spill through
-                      the spilling sink, and parallel replay runs spill
-                      through disk-backed spools (parallel stays parallel)
   --mem-budget-mb N   whole-job memory budget, split deterministically:
                       half pages cluster state out of core (serial runs),
-                      a quarter caps the v2 decode cache, the rest bounds
-                      spill buffering (unless --spill-budget-mb is given).
-                      Output is bit-identical at every budget; see the
-                      README `Memory model` section
+                      a quarter caps the v2 decode cache, the rest is
+                      headroom for what it does not govern (output buffers,
+                      degree table, the decision logs of --threads N).
+                      Only --threads serial is bounded hard. Output is
+                      bit-identical at every budget; see the README
+                      `Memory model` section
   --trace FILE        record a structured trace (JSON lines: phase spans,
                       counters) to FILE; `tps report FILE` renders it.
                       Tracing never changes partitioning output.
@@ -98,8 +97,7 @@ dist coordinator options (2ps-l / 2ps-hdrf on binary inputs):
                       fault injection (--dist-local only): worker I dies at
                       SPEC = recv:TAG[:N] | send:TAG[:N] | frames:N
                       (the CI dist-chaos job drives this)
-  --alpha/--passes/--algorithm/--reader/--out/--spill-budget-mb/
-  --mem-budget-mb/
+  --alpha/--passes/--algorithm/--reader/--out/--mem-budget-mb/
   --trace/--quiet     as for tps partition; --reader selects the backend
                       each worker opens its shard with; --mem-budget-mb is
                       forwarded in the Job frame so every worker caps its
@@ -115,7 +113,6 @@ dist worker options:
   --reconnect N       on failure, reconnect to the coordinator up to N
                       times (handshakes with Rejoin; default 0)
   --kill-at SPEC      fault injection: die at the given protocol point
-  --spill-budget-mb N bound this worker's replay run memory
 
 serve options (the online serving daemon — see crates/serve/README.md):
   --parts DIR         a tps partition --out directory of <stem>.part<i>.bel
@@ -407,7 +404,6 @@ pub fn partition(args: &[String]) -> i32 {
             .num_vertices(info.num_vertices)
             .threads(common.threads)
             .reader(common.reader)
-            .spill_budget_mb(common.spill_budget_mb)
             .mem_budget_mb(common.mem_budget_mb);
         if let Some(path) = flags.get("trace") {
             spec = spec.trace(path).trace_cmd("partition");
@@ -421,9 +417,6 @@ pub fn partition(args: &[String]) -> i32 {
                          thread count; --threads serial for the paper-exact serial runner)"
                     ));
                 }
-                if common.spill_budget_mb > 0 {
-                    note("--spill-budget-mb bounds parallel replay runs via spill-backed spools");
-                }
             }
             ExecPlan::Serial {
                 reason: Some(reason),
@@ -435,51 +428,12 @@ pub fn partition(args: &[String]) -> i32 {
             ExecPlan::Serial { reason: None } => {}
         }
 
-        let outcome = match flags.get("out") {
-            Some(dir) => {
-                let dir = PathBuf::from(dir);
-                std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-                let stem = Path::new(input)
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or("graph");
-                let (outcome, parts) = if common.spill_budget_mb > 0 {
-                    // Memory-bounded output: per-partition buffers spill to
-                    // disk in large sequential writes (tps-io).
-                    let mut files = SpillingFileSink::create(
-                        &dir,
-                        stem,
-                        k,
-                        info.num_vertices,
-                        common.spill_budget_mb << 20,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let outcome =
-                        tps_io::run_job(spec.extra_sink(&mut files)).map_err(|e| e.to_string())?;
-                    let (parts, stats) = files.finish().map_err(|e| e.to_string())?;
-                    if !quiet {
-                        eprintln!(
-                            "spill stats: {} spills, peak {} buffered bytes, {} written",
-                            stats.spills, stats.peak_buffered_bytes, stats.bytes_written
-                        );
-                    }
-                    (outcome, parts)
-                } else {
-                    let mut files = FileSink::create(&dir, stem, k, info.num_vertices)
-                        .map_err(|e| e.to_string())?;
-                    let outcome =
-                        tps_io::run_job(spec.extra_sink(&mut files)).map_err(|e| e.to_string())?;
-                    (outcome, files.finish().map_err(|e| e.to_string())?)
-                };
-                if !quiet {
-                    for (path, count) in parts {
-                        eprintln!("wrote {} ({count} edges)", path.display());
-                    }
-                }
-                outcome
-            }
-            None => tps_io::run_job(spec).map_err(|e| e.to_string())?,
-        };
+        let mut files = open_parts(&flags, input, k, info.num_vertices)?;
+        if let Some(files) = files.as_mut() {
+            spec = spec.extra_sink(files);
+        }
+        let outcome = tps_io::run_job(spec).map_err(|e| e.to_string())?;
+        close_parts(files, quiet)?;
         print_outcome(&outcome, k, quiet);
         Ok(())
     };
@@ -487,6 +441,39 @@ pub fn partition(args: &[String]) -> i32 {
         Ok(()) => 0,
         Err(e) => fail(&e),
     }
+}
+
+/// The partition files `--out DIR` asks for — `<stem>.part<i>.bel` in DIR,
+/// the stem taken from `input` — or `None` without `--out`.
+fn open_parts(
+    flags: &Flags,
+    input: &str,
+    k: u32,
+    num_vertices: u64,
+) -> Result<Option<FileSink>, String> {
+    let Some(dir) = flags.get("out") else {
+        return Ok(None);
+    };
+    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    let stem = Path::new(input)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("graph");
+    FileSink::create(Path::new(dir), stem, k, num_vertices)
+        .map(Some)
+        .map_err(|e| e.to_string())
+}
+
+/// Finish what [`open_parts`] opened and say what was written.
+fn close_parts(files: Option<FileSink>, quiet: bool) -> Result<(), String> {
+    let Some(files) = files else { return Ok(()) };
+    let parts = files.finish().map_err(|e| e.to_string())?;
+    if !quiet {
+        for (path, count) in parts {
+            eprintln!("wrote {} ({count} edges)", path.display());
+        }
+    }
+    Ok(())
 }
 
 /// Run a partitioning job and print metrics/outputs for
@@ -516,58 +503,12 @@ fn execute_and_report(
         let params = PartitionParams::with_alpha(k, alpha);
         let mut quality = QualitySink::new(info.num_vertices, k);
         let start = std::time::Instant::now();
-        let report = match flags.get("out") {
-            Some(dir) => {
-                let dir = PathBuf::from(dir);
-                std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-                let stem = Path::new(input)
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or("graph");
-                let spill_budget: u64 = flags.get_or("spill-budget-mb", 0)?;
-                // The partition call is identical for both sinks; only the
-                // sink construction and finish differ.
-                let mut partition_into = |quality: &mut QualitySink,
-                                          files: &mut dyn AssignmentSink|
-                 -> Result<RunReport, String> {
-                    let mut tee = TeeSink::new(quality, files);
-                    run(&params, &mut tee)
-                };
-                let (report, parts) = if spill_budget > 0 {
-                    // Memory-bounded output: per-partition buffers spill to
-                    // disk in large sequential writes (tps-io).
-                    let mut files = SpillingFileSink::create(
-                        &dir,
-                        stem,
-                        k,
-                        info.num_vertices,
-                        spill_budget << 20,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let report = partition_into(&mut quality, &mut files)?;
-                    let (parts, stats) = files.finish().map_err(|e| e.to_string())?;
-                    if !flags.has("quiet") {
-                        eprintln!(
-                            "spill stats: {} spills, peak {} buffered bytes, {} written",
-                            stats.spills, stats.peak_buffered_bytes, stats.bytes_written
-                        );
-                    }
-                    (report, parts)
-                } else {
-                    let mut files = FileSink::create(&dir, stem, k, info.num_vertices)
-                        .map_err(|e| e.to_string())?;
-                    let report = partition_into(&mut quality, &mut files)?;
-                    (report, files.finish().map_err(|e| e.to_string())?)
-                };
-                if !flags.has("quiet") {
-                    for (path, count) in parts {
-                        eprintln!("wrote {} ({count} edges)", path.display());
-                    }
-                }
-                report
-            }
+        let mut files = open_parts(flags, input, k, info.num_vertices)?;
+        let report = match files.as_mut() {
+            Some(files) => run(&params, &mut TeeSink::new(&mut quality, files))?,
             None => run(&params, &mut quality)?,
         };
+        close_parts(files, flags.has("quiet"))?;
         let elapsed = start.elapsed();
         let metrics = quality.finish();
         println!(
@@ -632,7 +573,6 @@ pub fn dist(args: &[String]) -> i32 {
 struct RespawnSpec {
     exe: PathBuf,
     addr: String,
-    spill_budget: u64,
 }
 
 impl RespawnSpec {
@@ -641,9 +581,6 @@ impl RespawnSpec {
     fn command(&self) -> std::process::Command {
         let mut cmd = std::process::Command::new(&self.exe);
         cmd.args(["dist", "worker", "--connect"]).arg(&self.addr);
-        if self.spill_budget > 0 {
-            cmd.args(["--spill-budget-mb", &self.spill_budget.to_string()]);
-        }
         cmd
     }
 }
@@ -801,11 +738,9 @@ fn dist_coordinator(args: &[String]) -> i32 {
             );
         }
 
-        let spill_budget = common.spill_budget_mb;
         let respawn = RespawnSpec {
             exe: std::env::current_exe().map_err(|e| e.to_string())?,
             addr: addr.to_string(),
-            spill_budget,
         };
         let mut children = Vec::new();
 
@@ -827,9 +762,8 @@ fn dist_coordinator(args: &[String]) -> i32 {
                 // connection order == role: workers 0..N-1 hold shards
                 // 0..N-1 and the rest are standbys. This is what makes
                 // --kill-worker target a *specific* role deterministically
-                // (the chaos gate depends on it). Memory-bound flags apply
-                // per worker too: forward the spill budget so spawned
-                // workers use spill-backed replay spools.
+                // (the chaos gate depends on it). The memory budget
+                // reaches spawned workers in the Job frame.
                 for i in 0..initial {
                     let mut cmd = respawn.command();
                     if let (Some(spec), true) = (kill_at, i == kill_worker) {
@@ -912,35 +846,18 @@ fn dist_coordinator(args: &[String]) -> i32 {
 }
 
 fn dist_worker(args: &[String]) -> i32 {
-    let flags = match Flags::parse(
-        args,
-        &["quiet"],
-        &["connect", "spill-budget-mb", "reconnect", "kill-at"],
-    ) {
+    let flags = match Flags::parse(args, &["quiet"], &["connect", "reconnect", "kill-at"]) {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };
     let run = || -> Result<(), String> {
         let connect = flags.require("connect")?;
-        let spill_budget: u64 = flags.get_or("spill-budget-mb", 0)?;
         let reconnects: u32 = flags.get_or("reconnect", 0)?;
         let kill = flags
             .get("kill-at")
             .map(tps_dist::KillSpec::parse)
             .transpose()?;
         let quiet = flags.has("quiet");
-        // Without a budget the worker keeps a decision log, no spool.
-        let spools = (spill_budget > 0)
-            .then(|| {
-                SpillSpoolFactory::new(
-                    &std::env::temp_dir(),
-                    &format!("tps-dist-{}", std::process::id()),
-                    spill_budget << 20,
-                    1,
-                )
-                .map_err(|e| e.to_string())
-            })
-            .transpose()?;
         let connect_stream = || -> Result<TcpStream, String> {
             // The coordinator may still be binding (or, with --dist-local,
             // is our parent racing us) — retry for ~5 s before giving up.
@@ -970,9 +887,6 @@ fn dist_worker(args: &[String]) -> i32 {
             match tps_dist::run_worker_handshake(
                 &mut *transport,
                 &tps_dist::PathResolver,
-                spools
-                    .as_ref()
-                    .map(|f| f as &dyn tps_core::sink::SpoolFactory),
                 handshake,
             ) {
                 Ok(()) => return Ok(()),

@@ -9,11 +9,11 @@
 //! tps partition --input graph.bel -k 32 [--algorithm 2ps-l] [--alpha 1.05]
 //!               [--passes 1] [--threads N|auto|serial] [--out DIR]
 //!               [--format bel|text] [--reader buffered|mmap|prefetch]
-//!               [--spill-budget-mb N]
+//!               [--mem-budget-mb N] [--trace FILE] [--quiet]
 //! tps dist coordinator --input graph.bel --k 32 --workers N
 //!               [--listen ADDR] [--dist-local] [--standby N]
 //!               [--max-retries N] [--frame-timeout-ms N] [partition options]
-//! tps dist worker --connect HOST:PORT [--reconnect N] [--spill-budget-mb N]
+//! tps dist worker --connect HOST:PORT [--reconnect N]
 //! tps serve     --parts DIR [--listen ADDR] [--addr-file FILE] [--cache N]
 //!               [--state FILE] [--save-state FILE] [--headroom F]
 //! tps lookup    --connect HOST:PORT [--edge S,D] [--replicas V] [--insert S,D]

@@ -3,7 +3,7 @@
 //! serving daemon) uses to describe a partitioning run.
 //!
 //! It is the only entry point: callers state *what* to run (input,
-//! algorithm, `k`/`α`) and *how* (threads, reader backend, spill budget,
+//! algorithm, `k`/`α`) and *how* (threads, reader backend, memory budget,
 //! trace) and the spec resolves the execution plan itself. Each run ends
 //! with a `tps_obs::drain_local()` barrier so span events recorded on the
 //! calling thread are flushed before the caller snapshots the trace.
@@ -55,7 +55,7 @@ use tps_metrics::quality::PartitionMetrics;
 use crate::parallel::ParallelRunner;
 use crate::partitioner::{PartitionParams, Partitioner, RunReport};
 use crate::runner::RunOutcome;
-use crate::sink::{AssignmentSink, NullSink, QualitySink, SpoolFactory, TeeSink};
+use crate::sink::{AssignmentSink, NullSink, QualitySink, TeeSink};
 use crate::two_phase::{ClusterPaging, TwoPhaseConfig, TwoPhasePartitioner};
 
 /// Reader backend for file inputs, named in core so specs can be built
@@ -142,41 +142,37 @@ pub enum JobEngine<'a> {
 }
 
 /// How a unified memory budget ([`JobSpec::mem_budget_mb`]) is split
-/// across the three budget-aware subsystems. The split is a fixed,
-/// deterministic policy — the same budget always produces the same
-/// shares, so runs are reproducible from the flag alone:
+/// across the budget-aware subsystems. The split is a fixed, deterministic
+/// policy — the same budget always produces the same shares, so runs are
+/// reproducible from the flag alone:
 ///
 /// * **½ cluster pages** — the paged cluster table (serial engine; the
 ///   dominant `O(|V|)` term the budget exists to bound);
 /// * **¼ decode cache** — the v2 readers' decoded-edge cache, per source
 ///   (all-or-nothing per file for a sequential reader, per range for a
 ///   ranged source; a share too small simply disables it);
-/// * **¼ spill** — the parallel runner's replay spools (an explicit
-///   [`JobSpec::spill_budget_mb`] overrides this share).
+/// * **¼ headroom** — for what the budget does not govern: the partition
+///   files' write buffers, the degree table, and the decision logs of a
+///   chunk-parallel or distributed run (1, 2 or 4 B per edge).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemBudgetSplit {
     /// Bytes for resident cluster-table pages.
     pub cluster_pages: u64,
     /// Bytes for the v2 decode cache.
     pub decode_cache: u64,
-    /// Bytes for spill-backed replay spools.
-    pub spill: u64,
 }
 
 impl MemBudgetSplit {
-    /// Split `total_bytes` by the ½ / ¼ / ¼ policy.
+    /// Split `total_bytes` by the ½ / ¼ policy (the last ¼ is headroom).
     pub fn of(total_bytes: u64) -> Self {
-        let cluster_pages = total_bytes / 2;
-        let decode_cache = total_bytes / 4;
         MemBudgetSplit {
-            cluster_pages,
-            decode_cache,
-            spill: total_bytes - cluster_pages - decode_cache,
+            cluster_pages: total_bytes / 2,
+            decode_cache: total_bytes / 4,
         }
     }
 }
 
-/// Opens path inputs and spill spools on behalf of a [`JobSpec`] — the
+/// Opens path inputs and page stores on behalf of a [`JobSpec`] — the
 /// seam that lets `tps-core` describe file jobs without depending on
 /// `tps-io` (which implements the standard provider as `FileInput`).
 pub trait InputProvider {
@@ -185,12 +181,6 @@ pub trait InputProvider {
     /// Open `path` as a ranged source for chunk-parallel execution.
     fn open_ranged(&self, path: &Path, reader: ReaderKind)
         -> io::Result<Box<dyn RangedEdgeSource>>;
-    /// A spool factory bounding parallel replay memory to `budget_bytes`.
-    fn spool_factory(
-        &self,
-        budget_bytes: u64,
-        threads: usize,
-    ) -> io::Result<Arc<dyn SpoolFactory + Send + Sync>>;
     /// A page-store provider backing out-of-core cluster paging
     /// ([`JobSpec::mem_budget_mb`]). Default: not available.
     fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {
@@ -203,8 +193,8 @@ pub trait InputProvider {
     fn set_decode_cache_budget(&self, _bytes: u64) {}
 }
 
-/// The provider used by [`JobSpec::run`]: rejects path inputs and spill
-/// budgets, which need a real I/O layer (`tps_io::run_job`).
+/// The provider used by [`JobSpec::run`]: rejects path inputs and cluster
+/// paging, which need a real I/O layer (`tps_io::run_job`).
 pub struct NoFiles;
 
 impl InputProvider for NoFiles {
@@ -217,15 +207,6 @@ impl InputProvider for NoFiles {
         _reader: ReaderKind,
     ) -> io::Result<Box<dyn RangedEdgeSource>> {
         Err(unsupported(path))
-    }
-    fn spool_factory(
-        &self,
-        _budget_bytes: u64,
-        _threads: usize,
-    ) -> io::Result<Arc<dyn SpoolFactory + Send + Sync>> {
-        Err(io::Error::other(
-            "spill budgets need an I/O provider (use tps_io::run_job)",
-        ))
     }
 }
 
@@ -256,9 +237,7 @@ pub struct JobSpec<'a> {
     num_vertices: Option<u64>,
     threads: ThreadMode,
     reader: ReaderKind,
-    spill_budget_bytes: u64,
     mem_budget_bytes: u64,
-    spool_factory: Option<Arc<dyn SpoolFactory + Send + Sync>>,
     trace: Option<PathBuf>,
     trace_cmd: String,
     extra_sink: Option<&'a mut dyn AssignmentSink>,
@@ -274,9 +253,7 @@ impl<'a> JobSpec<'a> {
             num_vertices: None,
             threads: ThreadMode::default(),
             reader: ReaderKind::default(),
-            spill_budget_bytes: 0,
             mem_budget_bytes: 0,
-            spool_factory: None,
             trace: None,
             trace_cmd: "job".to_string(),
             extra_sink: None,
@@ -334,29 +311,15 @@ impl<'a> JobSpec<'a> {
         self
     }
 
-    /// Have parallel workers keep whole records in spill-backed spools
-    /// bounded to `mb` MiB (0 = the default: a decision log of ≤ 2 B per
-    /// edge, emitted by re-reading the input).
-    pub fn spill_budget_mb(mut self, mb: u64) -> Self {
-        self.spill_budget_bytes = mb << 20;
-        self
-    }
-
     /// Bound the job's budget-aware memory consumers to `mb` MiB total,
     /// split deterministically by [`MemBudgetSplit`]: paged cluster table
-    /// (serial engine), v2 decode cache, and spill spools (parallel
-    /// engine). 0 = unbounded (the default). The serial two-phase engine
-    /// then pages cluster state to disk, so peak RSS stays bounded by the
-    /// budget plus fixed per-run overhead even when the graph is many
-    /// times larger.
+    /// (serial engine) and v2 decode cache. 0 = unbounded (the default).
+    /// The serial two-phase engine then pages cluster state to disk, so
+    /// peak RSS stays bounded by the budget plus fixed per-run overhead
+    /// even when the graph is many times larger. A chunk-parallel run
+    /// honours the decode share only and still holds its decision logs.
     pub fn mem_budget_mb(mut self, mb: u64) -> Self {
         self.mem_budget_bytes = mb << 20;
-        self
-    }
-
-    /// Use a specific spool factory (overrides `spill_budget_mb`).
-    pub fn spool_factory(mut self, factory: Arc<dyn SpoolFactory + Send + Sync>) -> Self {
-        self.spool_factory = Some(factory);
         self
     }
 
@@ -426,7 +389,7 @@ impl<'a> JobSpec<'a> {
     }
 
     /// Run the job with the in-memory provider ([`NoFiles`]) — path inputs
-    /// and spill budgets need [`JobSpec::run_with`] and a real provider
+    /// and cluster paging need [`JobSpec::run_with`] and a real provider
     /// (`tps_io::run_job`).
     pub fn run(self) -> io::Result<RunOutcome> {
         self.run_with(&NoFiles)
@@ -441,9 +404,7 @@ impl<'a> JobSpec<'a> {
             params,
             num_vertices,
             reader,
-            mut spill_budget_bytes,
             mem_budget_bytes,
-            spool_factory,
             trace,
             trace_cmd,
             extra_sink,
@@ -451,15 +412,11 @@ impl<'a> JobSpec<'a> {
         } = self;
 
         // A unified memory budget splits deterministically across the
-        // budget-aware subsystems; an explicit spill budget wins over its
-        // share. Applied before any input is opened — the v2 decode cache
-        // sizes itself at open time.
+        // budget-aware subsystems. Applied before any input is opened — the
+        // v2 decode cache sizes itself at open time.
         let mem_split = (mem_budget_bytes > 0).then(|| MemBudgetSplit::of(mem_budget_bytes));
         if let Some(split) = mem_split {
             provider.set_decode_cache_budget(split.decode_cache);
-            if spill_budget_bytes == 0 {
-                spill_budget_bytes = split.spill;
-            }
         }
 
         if trace.is_some() {
@@ -477,15 +434,7 @@ impl<'a> JobSpec<'a> {
                     JobEngine::TwoPhase(cfg) => cfg,
                     JobEngine::Custom(_) => unreachable!("plan() keeps custom engines serial"),
                 };
-                let mut runner = ParallelRunner::new(cfg, self_threads(&plan));
-                let factory = match (spool_factory, spill_budget_bytes) {
-                    (Some(f), _) => Some(f),
-                    (None, 0) => None,
-                    (None, budget) => Some(provider.spool_factory(budget, runner.threads())?),
-                };
-                if let Some(f) = factory {
-                    runner = runner.with_spool_factory(f);
-                }
+                let runner = ParallelRunner::new(cfg, self_threads(&plan));
                 let owned;
                 let source: &dyn RangedEdgeSource = match input {
                     JobInput::Ranged(s) => s,
@@ -514,8 +463,8 @@ impl<'a> JobSpec<'a> {
                         if let Some(split) = mem_split {
                             // The serial engine is the one that pages its
                             // cluster state; parallel/dist workers honour
-                            // the decode-cache and spill shares only (see
-                            // README "Memory model").
+                            // the decode-cache share only (see README
+                            // "Memory model").
                             p = p.with_cluster_paging(ClusterPaging::new(
                                 split.cluster_pages,
                                 provider.page_store_provider()?,
@@ -768,10 +717,9 @@ mod tests {
         let s = MemBudgetSplit::of(100 << 20);
         assert_eq!(s.cluster_pages, 50 << 20);
         assert_eq!(s.decode_cache, 25 << 20);
-        assert_eq!(s.spill, 25 << 20);
-        // Odd totals: every byte lands in exactly one share.
+        // Odd totals round each share down; what is left is headroom.
         let s = MemBudgetSplit::of(7);
-        assert_eq!(s.cluster_pages + s.decode_cache + s.spill, 7);
+        assert_eq!((s.cluster_pages, s.decode_cache), (3, 1));
     }
 
     /// An in-memory provider with a page store — what a mem-budgeted serial
@@ -787,13 +735,6 @@ mod tests {
             _reader: ReaderKind,
         ) -> io::Result<Box<dyn RangedEdgeSource>> {
             Err(unsupported(path))
-        }
-        fn spool_factory(
-            &self,
-            _budget_bytes: u64,
-            _threads: usize,
-        ) -> io::Result<Arc<dyn SpoolFactory + Send + Sync>> {
-            Err(io::Error::other("no spools here"))
         }
         fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {
             Ok(Arc::new(tps_clustering::paged::MemPageStoreProvider))

@@ -60,13 +60,10 @@
 //!    scoring records, so downstream files are reproducible. A worker
 //!    remembers *decisions*, not edges — one tag per stream position in a
 //!    [`DecisionLog`] — and emit re-reads the worker's own range to pair
-//!    each tag with its edge ([`ShardDecisions::emit`]); a source that
+//!    each tag with its edge ([`DecisionLog::emit`]); a source that
 //!    retained the range (`tps-io`'s v2 sources, under the decode budget)
 //!    serves those two scans from memory. It writes files, or nothing at
-//!    all into a `NullSink`: the metrics were taken before it (below). With
-//!    a [`SpoolFactory`] installed (`--spill-budget-mb`, or the spill share
-//!    of `--mem-budget-mb`) the workers fill `tps-io`'s spill-backed spools
-//!    instead and emit replays them.
+//!    all into a `NullSink`: the metrics were taken before it (below).
 //!
 //! # Who computes the metrics
 //!
@@ -141,11 +138,10 @@
 //! clustering maps during their phases — plus the [`DecisionLog`] until the
 //! emit barrier: 1 B per edge of the worker's range up to k = 128, 2 B up
 //! to k = 32 768, the one `O(|E|)` term of a run (the spool it replaced
-//! held 12 B per edge). Installing a spill-backed [`SpoolFactory`] trades
-//! it for whole records under a byte budget and a run file.
+//! held 12 B per edge). `--mem-budget-mb` does not bound it: only a serial
+//! run has no log to hold.
 
 use std::io;
-use std::sync::Arc;
 
 use tps_clustering::merge::merge_clusterings;
 use tps_clustering::model::Clustering;
@@ -160,9 +156,7 @@ use tps_metrics::quality::PartitionMetrics;
 
 use crate::balance::{AtomicLoads, LoadTracker, PartitionLoads};
 use crate::partitioner::{PartitionParams, RunReport};
-use crate::sink::{
-    AssignmentSink, AssignmentSpool, DecisionLog, DecisionOut, SinkBatch, SpoolFactory, Subpass,
-};
+use crate::sink::{AssignmentSink, DecisionLog, DecisionOut, SinkBatch, Subpass};
 use crate::two_phase::mapping::ClusterPlacement;
 use crate::two_phase::{
     empty_run_report, AssignCounters, EdgeAssigner, MappingStrategy, TwoPhaseConfig,
@@ -351,6 +345,11 @@ pub fn cluster_placement(
 /// Phase 2 for one shard: the pre-partitioning and scoring subpasses with
 /// quota-sliced loads, generic over the replication state.
 ///
+/// Each subpass comes in two forms: `*_pass` hands its decisions to a sink
+/// as whole records; `*_logged` writes one tag per position into the
+/// shard's [`DecisionLog`], which the in-process runner and `tps-dist`'s
+/// workers then emit with [`DecisionLog::emit`].
+///
 /// The assigner survives the replication barrier between the two subpasses.
 /// With an owned [`ReplicationMatrix`] (the default — `tps-dist`'s
 /// workers): run [`prepartition_pass`](ShardAssigner::prepartition_pass),
@@ -408,6 +407,30 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<()> {
         self.remaining_into(stream, &mut SinkBatch::new(sink))
+    }
+
+    /// [`prepartition_pass`](ShardAssigner::prepartition_pass), one tag per
+    /// stream position into `log`.
+    pub fn prepartition_logged(
+        &mut self,
+        stream: &mut dyn EdgeStream,
+        log: &mut DecisionLog,
+    ) -> io::Result<()> {
+        let mut pass = log.pass(Subpass::Prepartition);
+        self.prepartition_into(stream, &mut pass)?;
+        pass.finish()
+    }
+
+    /// [`remaining_pass`](ShardAssigner::remaining_pass) into `log`, which
+    /// tells the pass which positions pass 2a decided.
+    pub fn remaining_logged(
+        &mut self,
+        stream: &mut dyn EdgeStream,
+        log: &mut DecisionLog,
+    ) -> io::Result<()> {
+        let mut pass = log.pass(Subpass::Remaining);
+        self.remaining_into(stream, &mut pass)?;
+        pass.finish()
     }
 
     fn prepartition_into<O: DecisionOut>(
@@ -492,108 +515,16 @@ impl<'a> ShardAssigner<'a, SharedReplicaView<'a>> {
     }
 }
 
-/// Where one shard's phase-2 decisions wait for the emit barrier: a
-/// [`DecisionLog`] of tags, or — when a [`SpoolFactory`] was installed — a
-/// budgeted spool of whole records. The in-process runner and `tps-dist`'s
-/// workers drive their shards through this, so both emit the same records in
-/// the same order.
-pub enum ShardDecisions {
-    /// One tag per stream position; emit re-reads the shard's range.
-    Log(DecisionLog),
-    /// Whole records, spilled past a byte budget; emit replays them.
-    Spool(Box<dyn AssignmentSpool>),
-}
-
-impl ShardDecisions {
-    /// The decisions of shard `shard`, `edges` stream positions long, of a
-    /// run into `k` partitions: `spools`' spool if there is a factory, the
-    /// log otherwise.
-    pub fn new(
-        spools: Option<&dyn SpoolFactory>,
-        shard: usize,
-        edges: u64,
-        k: u32,
-    ) -> io::Result<ShardDecisions> {
-        Ok(match spools {
-            Some(factory) => ShardDecisions::Spool(factory.create_spool(shard)?),
-            None => ShardDecisions::Log(DecisionLog::new(edges, k)?),
-        })
-    }
-
-    /// [`ShardAssigner::prepartition_pass`], recorded here.
-    pub fn prepartition_pass<R: ReplicaSet>(
-        &mut self,
-        assigner: &mut ShardAssigner<'_, R>,
-        stream: &mut dyn EdgeStream,
-    ) -> io::Result<()> {
-        match self {
-            ShardDecisions::Log(log) => {
-                let mut pass = log.pass(Subpass::Prepartition);
-                assigner.prepartition_into(stream, &mut pass)?;
-                pass.finish()
-            }
-            ShardDecisions::Spool(spool) => assigner.prepartition_pass(stream, &mut **spool),
-        }
-    }
-
-    /// [`ShardAssigner::remaining_pass`], recorded here. The log tells the
-    /// pass which positions pass 2a decided; a spool leaves it to recompute
-    /// the pre-partitioning condition.
-    pub fn remaining_pass<R: ReplicaSet>(
-        &mut self,
-        assigner: &mut ShardAssigner<'_, R>,
-        stream: &mut dyn EdgeStream,
-    ) -> io::Result<()> {
-        match self {
-            ShardDecisions::Log(log) => {
-                let mut pass = log.pass(Subpass::Remaining);
-                assigner.remaining_into(stream, &mut pass)?;
-                pass.finish()
-            }
-            ShardDecisions::Spool(spool) => assigner.remaining_pass(stream, &mut **spool),
-        }
-    }
-
-    /// Hand `sink` the shard's 2a records, then its 2b records. The log
-    /// re-reads `range` of `source` for the edges (twice: once per subpass
-    /// that decided anything); a spool replays what it holds.
-    pub fn emit(
-        self,
-        source: &dyn RangedEdgeSource,
-        range: (u64, u64),
-        sink: &mut dyn AssignmentSink,
-    ) -> io::Result<()> {
-        match self {
-            ShardDecisions::Log(log) => {
-                let mut stream = source.open_range(range.0, range.1)?;
-                log.emit(&mut *stream, sink)
-            }
-            ShardDecisions::Spool(mut spool) => spool.replay(sink),
-        }
-    }
-}
-
 /// The chunk-parallel two-phase partitioner.
 ///
 /// Unlike [`crate::partitioner::Partitioner`] implementations it consumes a
 /// [`RangedEdgeSource`] rather than a single stream cursor — parallelism
 /// needs independent range streams, which a `&mut dyn EdgeStream` cannot
 /// provide.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ParallelRunner {
     config: TwoPhaseConfig,
     threads: usize,
-    spool_factory: Option<Arc<dyn SpoolFactory + Send + Sync>>,
-}
-
-impl std::fmt::Debug for ParallelRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelRunner")
-            .field("config", &self.config)
-            .field("threads", &self.threads)
-            .field("spool_factory", &self.spool_factory.is_some())
-            .finish()
-    }
 }
 
 impl ParallelRunner {
@@ -613,20 +544,7 @@ impl ParallelRunner {
         } else {
             threads
         };
-        ParallelRunner {
-            config,
-            threads,
-            spool_factory: None,
-        }
-    }
-
-    /// Have workers fill `factory`'s spools (e.g. `tps-io`'s spill-backed
-    /// ones, for a byte-budgeted run) instead of their decision logs. The
-    /// emitted records and their order are unaffected — only what waits, and
-    /// where.
-    pub fn with_spool_factory(mut self, factory: Arc<dyn SpoolFactory + Send + Sync>) -> Self {
-        self.spool_factory = Some(factory);
-        self
+        ParallelRunner { config, threads }
     }
 
     /// The worker thread count in use.
@@ -664,10 +582,6 @@ impl ParallelRunner {
         let mut report = RunReport::default();
         let threads = self.threads.max(1);
         let ranges = split_even(info.num_edges, threads);
-        let spools = self
-            .spool_factory
-            .as_deref()
-            .map(|f| f as &dyn SpoolFactory);
 
         // Phase 0: degrees, one worker per range, summed.
         let s0 = tps_obs::span("degree");
@@ -718,12 +632,12 @@ impl ParallelRunner {
                 SharedReplicaView::new(&replicas),
                 ShardLoads::with_ledger(&shared, t, threads),
             );
-            let mut decisions = ShardDecisions::new(spools, t, b - a, params.k)?;
+            let mut log = DecisionLog::new(b - a, params.k)?;
             if self.config.prepartitioning {
                 let mut s = source.open_range(a, b)?;
-                decisions.prepartition_pass(&mut assigner, &mut s)?;
+                assigner.prepartition_logged(&mut s, &mut log)?;
             }
-            Ok((assigner, decisions))
+            Ok((assigner, log))
         })?;
         report.phases.record("prepartition", s3.end());
 
@@ -739,10 +653,10 @@ impl ParallelRunner {
         // Phase 2 step 3: score-and-assign the remaining edges per range.
         let s4 = tps_obs::span("partition");
         let worker_out = run_workers_with(&ranges, states, |_, (a, b), state| {
-            let (mut assigner, mut decisions) = state;
+            let (mut assigner, mut log) = state;
             let mut s = source.open_range(a, b)?;
-            decisions.remaining_pass(&mut assigner, &mut s)?;
-            Ok((assigner, decisions))
+            assigner.remaining_logged(&mut s, &mut log)?;
+            Ok((assigner, log))
         })?;
         report.phases.record("partition", s4.end());
 
@@ -753,12 +667,12 @@ impl ParallelRunner {
         // counted from, in place (see `# Who computes the metrics`).
         let mut counters = AssignCounters::default();
         let mut overshoot = 0u64;
-        let mut decisions = Vec::with_capacity(threads);
-        for (assigner, shard) in worker_out {
+        let mut logs = Vec::with_capacity(threads);
+        for (assigner, log) in worker_out {
             counters.merge(&assigner.counters());
             overshoot += assigner.overshoot();
             assigner.publish_replication();
-            decisions.push(shard);
+            logs.push(log);
         }
         debug_assert_eq!(shared.total(), info.num_edges);
         report.quality = Some(PartitionMetrics::from_state(
@@ -769,8 +683,8 @@ impl ParallelRunner {
 
         // Emit: every worker's decisions, in deterministic worker order.
         let s5 = tps_obs::span("emit");
-        for (shard, &range) in decisions.into_iter().zip(&ranges) {
-            shard.emit(source, range, sink)?;
+        for (log, &(a, b)) in logs.into_iter().zip(&ranges) {
+            log.emit(&mut *source.open_range(a, b)?, sink)?;
         }
         report.phases.record("emit", s5.end());
 
@@ -1128,44 +1042,5 @@ mod tests {
         assert_eq!(a1, a2, "restarted shard diverged");
         assert_eq!(counters1, counters2);
         assert_eq!(loads1, loads2);
-    }
-
-    #[test]
-    fn custom_spool_factory_sees_every_assignment() {
-        // An installed factory replaces the decision logs: the runner asks
-        // it for one spool per worker and emits exactly what they replay
-        // (the spill-backed factory in tps-io relies on this).
-        use crate::sink::assign_in_runs;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        struct Records(VecSink);
-        impl AssignmentSink for Records {
-            fn assign(&mut self, edge: Edge, p: PartitionId) -> io::Result<()> {
-                self.0.assign(edge, p)
-            }
-        }
-        impl AssignmentSpool for Records {
-            fn replay(&mut self, sink: &mut dyn AssignmentSink) -> io::Result<()> {
-                assign_in_runs(sink, std::mem::take(&mut self.0).assignments())
-            }
-        }
-        #[derive(Default)]
-        struct CountingFactory(AtomicUsize);
-        impl SpoolFactory for CountingFactory {
-            fn create_spool(&self, _worker: usize) -> io::Result<Box<dyn AssignmentSpool>> {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                Ok(Box::new(Records(VecSink::new())))
-            }
-        }
-        let g = Dataset::Ok.generate_scaled(0.01);
-        let (logged, _) = parallel_assignments(&g, 8, 3);
-        let factory = Arc::new(CountingFactory::default());
-        let runner =
-            ParallelRunner::new(TwoPhaseConfig::default(), 3).with_spool_factory(factory.clone());
-        let mut sink = VecSink::new();
-        runner
-            .partition(&g, &PartitionParams::new(8), &mut sink)
-            .unwrap();
-        assert_eq!(sink.assignments(), logged, "spooled ≠ logged");
-        assert_eq!(factory.0.load(Ordering::Relaxed), 3);
     }
 }

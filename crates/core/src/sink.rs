@@ -23,7 +23,9 @@
 //!   job does not run behind one (see [`crate::job`]).
 //! * [`VecSink`] — collect pairs in memory (tests, the processing simulator).
 //! * [`FileSink`] — write per-partition binary edge lists (the materialised
-//!   out-of-core output, what the paper's tool writes back to storage).
+//!   out-of-core output, what the paper's tool writes back to storage; the
+//!   one partition writer of `tps partition` and `tps dist coordinator` in
+//!   every mode).
 //! * [`TeeSink`] — duplicate into two sinks (a measuring sink in front of
 //!   the caller's; not on a 2PS-L job's path in release builds).
 
@@ -602,29 +604,6 @@ impl DecisionOut for LogPass<'_> {
         self.window.clear();
         Ok(())
     }
-}
-
-/// A replayable per-worker assignment buffer ("run") — the budgeted
-/// alternative to a [`DecisionLog`].
-///
-/// A spool is an [`AssignmentSink`] whose contents can be drained back out in
-/// insertion order exactly once. The only implementation is `tps-io`'s
-/// `SpillSpool`, which holds whole `(edge, partition)` records under a byte
-/// budget and spills the rest to a run file; the parallel runner and the
-/// distributed workers use it instead of the log when a [`SpoolFactory`] was
-/// installed (`--spill-budget-mb`, or the spill share of `--mem-budget-mb`).
-pub trait AssignmentSpool: AssignmentSink + Send {
-    /// Drain every buffered assignment into `sink` in insertion order,
-    /// consuming the spool's contents. The sink is handed whole runs
-    /// ([`AssignmentSink::assign_batch`]), not single edges.
-    fn replay(&mut self, sink: &mut dyn AssignmentSink) -> io::Result<()>;
-}
-
-/// Creates one spool per worker (`tps-core`'s parallel runner and
-/// `tps-dist`'s workers take an optional one).
-pub trait SpoolFactory: Sync {
-    /// A fresh, empty spool for worker `worker`.
-    fn create_spool(&self, worker: usize) -> io::Result<Box<dyn AssignmentSpool>>;
 }
 
 /// Duplicates assignments into two sinks (e.g. quality + files).

@@ -43,7 +43,7 @@ pub fn run_dist_local(
     std::thread::scope(|scope| {
         let handles: Vec<_> = worker_sides
             .into_iter()
-            .map(|mut t| scope.spawn(move || run_worker(&mut t, &AttachedResolver(source), None)))
+            .map(|mut t| scope.spawn(move || run_worker(&mut t, &AttachedResolver(source))))
             .collect();
         let report = run_coordinator(
             config,

@@ -5,10 +5,10 @@
 //! code the in-process `ParallelRunner` schedules onto threads, which is
 //! why a distributed run is bit-identical to `--threads N`. The worker
 //! never sees the whole graph's assignments: its decisions wait in a
-//! [`ShardDecisions`] — a tag per edge of its range, or a spill-backed spool
-//! when a factory was installed — and stream back as bounded `Run` batches
-//! when the coordinator pulls them, the tags paired with their edges by
-//! re-reading the range.
+//! [`DecisionLog`] — a tag per edge of its range, 1, 2 or 4 B under any
+//! memory budget — and stream back as bounded `Run` batches when the
+//! coordinator pulls them, the tags paired with their edges by re-reading
+//! the range.
 //!
 //! Workers serve **jobs in a loop**: after a shard's runs are pulled the
 //! worker waits for either a [`Reissue`](Message::Reissue) — another
@@ -22,10 +22,8 @@
 use std::io;
 
 use tps_core::balance::PartitionLoads;
-use tps_core::parallel::{
-    shard_clustering, shard_degrees, ShardAssigner, ShardDecisions, ShardLoads,
-};
-use tps_core::sink::{AssignmentSink, SpoolFactory};
+use tps_core::parallel::{shard_clustering, shard_degrees, ShardAssigner, ShardLoads};
+use tps_core::sink::{AssignmentSink, DecisionLog};
 use tps_core::two_phase::mapping::ClusterPlacement;
 use tps_graph::degree::DegreeTable;
 use tps_graph::ranged::RangedEdgeSource;
@@ -98,29 +96,23 @@ pub enum Handshake {
 }
 
 /// Serve jobs over `transport` until the coordinator sends `Shutdown`.
-/// Decisions wait for the coordinator's `Pull` in a decision log, or in
-/// `spools`' spools when a factory is given (a byte-budgeted worker).
+/// Decisions wait for the coordinator's `Pull` in a decision log.
 ///
 /// On internal failure the worker sends an `Abort` with the cause (so the
 /// coordinator fails the shard's current barrier instead of hanging) and
 /// returns the error — the process-level worker can then reconnect with
 /// [`Handshake::Rejoin`].
-pub fn run_worker(
-    transport: &mut dyn Transport,
-    resolver: &dyn SourceResolver,
-    spools: Option<&dyn SpoolFactory>,
-) -> io::Result<()> {
-    run_worker_handshake(transport, resolver, spools, Handshake::Hello)
+pub fn run_worker(transport: &mut dyn Transport, resolver: &dyn SourceResolver) -> io::Result<()> {
+    run_worker_handshake(transport, resolver, Handshake::Hello)
 }
 
 /// [`run_worker`] with an explicit handshake kind (reconnections `Rejoin`).
 pub fn run_worker_handshake(
     transport: &mut dyn Transport,
     resolver: &dyn SourceResolver,
-    spools: Option<&dyn SpoolFactory>,
     handshake: Handshake,
 ) -> io::Result<()> {
-    let result = serve(transport, resolver, spools, handshake);
+    let result = serve(transport, resolver, handshake);
     if let Err(e) = &result {
         let _ = send_msg(
             transport,
@@ -152,7 +144,6 @@ fn protocol_err(phase: &str, got: &Message) -> io::Error {
 fn serve(
     transport: &mut dyn Transport,
     resolver: &dyn SourceResolver,
-    spools: Option<&dyn SpoolFactory>,
     handshake: Handshake,
 ) -> io::Result<()> {
     send_msg(
@@ -169,9 +160,7 @@ fn serve(
     loop {
         match expect(transport, "assignment")? {
             // First issuance and re-issue run the identical job body.
-            Message::Job(job) | Message::Reissue(job) => {
-                serve_job(transport, resolver, spools, job)?
-            }
+            Message::Job(job) | Message::Reissue(job) => serve_job(transport, resolver, job)?,
             // The job is complete (or the graph was empty).
             Message::Shutdown => return Ok(()),
             other => return Err(protocol_err("assignment", &other)),
@@ -182,7 +171,6 @@ fn serve(
 fn serve_job(
     transport: &mut dyn Transport,
     resolver: &dyn SourceResolver,
-    spools: Option<&dyn SpoolFactory>,
     job: Job,
 ) -> io::Result<()> {
     let shard = job.worker_index;
@@ -287,16 +275,11 @@ fn serve_job(
         tps_metrics::bitmatrix::ReplicationMatrix::new(job.num_vertices, job.k),
         loads,
     );
-    let mut decisions = ShardDecisions::new(
-        spools,
-        job.worker_index as usize,
-        job.shard.1 - job.shard.0,
-        job.k,
-    )?;
+    let mut log = DecisionLog::new(job.shard.1 - job.shard.0, job.k)?;
     if job.config.prepartitioning {
         let sp = tps_obs::span("prepartition");
         let mut s = source.open_range(job.shard.0, job.shard.1)?;
-        decisions.prepartition_pass(&mut assigner, &mut s)?;
+        assigner.prepartition_logged(&mut s, &mut log)?;
         if job.num_workers > 1 {
             // The replication barrier, in bounded vertex-range chunks
             // (protocol v3), strictly **interleaved**: send chunk `c`,
@@ -348,7 +331,7 @@ fn serve_job(
     {
         let sp = tps_obs::span("partition");
         let mut s = source.open_range(job.shard.0, job.shard.1)?;
-        decisions.remaining_pass(&mut assigner, &mut s)?;
+        assigner.remaining_logged(&mut s, &mut log)?;
         sp.end();
     }
     let assigned: u64 = assigner.local_loads().iter().sum();
@@ -386,7 +369,8 @@ fn serve_job(
             epoch,
             batch: Vec::with_capacity(RUN_BATCH_EDGES),
         };
-        decisions.emit(&*source, job.shard, &mut sender)?;
+        let mut s = source.open_range(job.shard.0, job.shard.1)?;
+        log.emit(&mut *s, &mut sender)?;
         sender.flush()?;
     }
     send_msg(transport, &Message::RunsDone { shard, epoch })?;

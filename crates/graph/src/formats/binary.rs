@@ -334,13 +334,12 @@ const EMFILE: i32 = 24;
 
 /// Create the `k` partition files `<stem>.part<i>.bel` in `dir`, each
 /// holding a v1 header with a zero edge count, and return their paths and
-/// the open files, both in partition order — the common first step of every per-partition writer,
-/// all of which hold the `k` files open until their run ends.
+/// the open files, both in partition order.
 ///
 /// All or nothing: if file `i` cannot be created the files made so far are
 /// removed again, and the error names `k`, the file that failed and, when
 /// the cause is the open-file limit (`k` ≳ `RLIMIT_NOFILE`), that limit.
-pub fn create_partition_files(
+fn create_partition_files(
     dir: &Path,
     stem: &str,
     k: u32,
@@ -399,8 +398,10 @@ pub struct PartitionFileWriter {
 }
 
 impl PartitionFileWriter {
-    /// Create `k` files named `<stem>.part<i>.bel` in `dir` (all or
-    /// nothing — see [`create_partition_files`]).
+    /// Create `k` files named `<stem>.part<i>.bel` in `dir`, held open
+    /// until [`finish`](PartitionFileWriter::finish). All or nothing: if
+    /// one cannot be created, those made so far are removed and the error
+    /// names `k`, the file, and `RLIMIT_NOFILE` when that is the cause.
     pub fn create(dir: &Path, stem: &str, k: u32, num_vertices: u64) -> io::Result<Self> {
         let (paths, files) = create_partition_files(dir, stem, k, num_vertices)?;
         Ok(PartitionFileWriter {

@@ -15,8 +15,6 @@
 //!   cursor over a contiguous edge-index range (v1 record seeking, v2
 //!   chunk-index scheduling, optional per-worker prefetch); a v2 source
 //!   retains each range it has decoded once, under the decode budget.
-//! * [`spill`] — a memory-bounded spilling assignment sink for materialised
-//!   per-partition output at scale.
 //! * [`page`] — a checksummed slotted page store backing `tps-clustering`'s
 //!   paged cluster table, so cluster state itself can live out of core
 //!   under a `--mem-budget-mb` budget.
@@ -31,8 +29,6 @@ pub mod page;
 pub mod partread;
 pub mod prefetch;
 pub mod ranged;
-pub mod spill;
-pub mod spool;
 pub mod v2;
 
 use std::fs::File;
@@ -43,7 +39,6 @@ use std::sync::Arc;
 use tps_clustering::paged::PageStoreProvider;
 use tps_core::job::{InputProvider, JobSpec, ReaderKind};
 use tps_core::runner::RunOutcome;
-use tps_core::sink::SpoolFactory;
 use tps_graph::formats::binary::BinaryEdgeFile;
 use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::EdgeStream;
@@ -57,8 +52,6 @@ pub use ranged::{
     open_ranged, open_ranged_backend, open_ranged_mmap, open_ranged_prefetch, RangedMmapV1File,
     RangedMmapV2File, RangedPrefetchSource, RangedV1File, RangedV2File, RetainingSource,
 };
-pub use spill::{SpillStats, SpillingFileSink};
-pub use spool::{SpillSpool, SpillSpoolFactory};
 pub use v2::{convert_v1_to_v2, convert_v2_to_v1, write_v2_edge_list, MmapV2EdgeFile, V2EdgeFile};
 
 /// How to read an edge file from disk.
@@ -165,7 +158,7 @@ impl From<ReaderKind> for ReaderBackend {
 }
 
 /// The standard [`InputProvider`]: opens path inputs through this crate's
-/// format sniffing and reader backends, and serves spill-backed spools out
+/// format sniffing and reader backends, and serves cluster-page stores out
 /// of the system temp directory.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FileInput;
@@ -183,20 +176,6 @@ impl InputProvider for FileInput {
         ranged::open_ranged_backend(path, reader.into())
     }
 
-    fn spool_factory(
-        &self,
-        budget_bytes: u64,
-        threads: usize,
-    ) -> io::Result<Arc<dyn SpoolFactory + Send + Sync>> {
-        let factory = SpillSpoolFactory::new(
-            &std::env::temp_dir(),
-            &format!("tps-job-{}", std::process::id()),
-            budget_bytes,
-            threads,
-        )?;
-        Ok(Arc::new(factory))
-    }
-
     fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {
         let dir = std::env::temp_dir().join(format!("tps-pages-{}", std::process::id()));
         Ok(Arc::new(page::TempPageStoreProvider::new(dir)))
@@ -208,7 +187,7 @@ impl InputProvider for FileInput {
 }
 
 /// Run a [`JobSpec`] with file support: path inputs are opened through
-/// [`FileInput`] and `spill_budget_mb` budgets get disk-backed spools.
+/// [`FileInput`] and `mem_budget_mb` budgets get a disk-backed page store.
 pub fn run_job(spec: JobSpec<'_>) -> io::Result<RunOutcome> {
     spec.run_with(&FileInput)
 }
@@ -259,6 +238,21 @@ mod tests {
         }
         std::fs::remove_file(&v1_path).ok();
         std::fs::remove_file(&v2_path).ok();
+    }
+
+    #[test]
+    fn concurrent_budgeted_jobs_get_separate_page_files() {
+        // Two budgeted jobs in one process each ask `FileInput` for a page
+        // store provider; their stores must not share a file.
+        let pages_a = FileInput.page_store_provider().unwrap();
+        let pages_b = FileInput.page_store_provider().unwrap();
+        let mut a = pages_a.open_store(64).unwrap();
+        let mut b = pages_b.open_store(64).unwrap();
+        a.write_pages(&[(0, vec![0xAA; 64])]).unwrap();
+        b.write_pages(&[(0, vec![0xBB; 64])]).unwrap();
+        let mut buf = vec![0u8; 64];
+        assert!(a.read_page(0, &mut buf).unwrap());
+        assert_eq!(buf, vec![0xAA; 64], "job A read job B's page");
     }
 
     #[test]

@@ -200,22 +200,23 @@ impl PageBacking for FilePageStore {
 }
 
 /// A [`PageStoreProvider`] creating [`FilePageStore`]s in a directory
-/// (typically under the system temp dir). Each store gets a unique file;
-/// stores remove their files on drop, and providers remove the directory
-/// on drop if it emptied.
+/// (typically under the system temp dir). Each store gets a file no other
+/// store of the process shares, even when two providers — two budgeted jobs
+/// — use the same directory; stores remove their files on drop, and
+/// providers remove the directory on drop if it emptied.
 #[derive(Debug)]
 pub struct TempPageStoreProvider {
     dir: PathBuf,
-    counter: AtomicU64,
 }
+
+/// Numbers every store file of the process: a per-provider count would let
+/// a second provider's store truncate and take over a live one's file.
+static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl TempPageStoreProvider {
     /// A provider creating stores inside `dir` (created on first use).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        TempPageStoreProvider {
-            dir: dir.into(),
-            counter: AtomicU64::new(0),
-        }
+        TempPageStoreProvider { dir: dir.into() }
     }
 }
 
@@ -229,7 +230,7 @@ impl Drop for TempPageStoreProvider {
 impl PageStoreProvider for TempPageStoreProvider {
     fn open_store(&self, page_size: usize) -> io::Result<Box<dyn PageBacking>> {
         fs::create_dir_all(&self.dir)?;
-        let n = self.counter.fetch_add(1, Ordering::Relaxed);
+        let n = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
         let path = self
             .dir
             .join(format!("pages-{}-{n}.tpspage", std::process::id()));

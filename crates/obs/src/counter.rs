@@ -36,7 +36,7 @@ fn registry() -> std::sync::MutexGuard<'static, Vec<&'static Counter>> {
 
 impl Counter {
     /// A zero counter with a hierarchical dotted `name`
-    /// (e.g. `"io.spill.bytes"`). `const`, so usable in `static` items.
+    /// (e.g. `"io.v2.chunks_decoded"`). `const`, so usable in `static` items.
     pub const fn new(name: &'static str) -> Counter {
         Counter {
             name,

@@ -14,8 +14,7 @@ use proptest::prelude::*;
 use tps_core::job::{JobSpec, ThreadMode};
 use tps_core::partitioner::{PartitionParams, Partitioner};
 use tps_core::sink::{
-    decision_pass, AssignmentSink, AssignmentSpool, DecisionLog, DecisionOut, Subpass, TeeSink,
-    VecSink, SINK_BATCH,
+    decision_pass, AssignmentSink, DecisionLog, DecisionOut, Subpass, TeeSink, VecSink, SINK_BATCH,
 };
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::formats::binary::write_binary_edge_list;
@@ -23,9 +22,7 @@ use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::{for_each_chunk, for_each_edge, EdgeStream, InMemoryGraph, CHUNK_EDGES};
 use tps_graph::types::{Edge, GraphInfo, PartitionId};
 use tps_io::v2::set_decode_cache_budget;
-use tps_io::{
-    open_edge_stream, open_ranged_backend, write_v2_edge_list, ReaderBackend, SpillSpool,
-};
+use tps_io::{open_edge_stream, open_ranged_backend, write_v2_edge_list, ReaderBackend};
 use tps_storage::{DeviceModel, DeviceStream};
 
 /// The decode budget and the `io.v2.*` counters are process-wide: every test
@@ -311,8 +308,7 @@ fn tee_and_replay_forward_batches() {
     }
 
     // A shard's decision log (its first half decided in pass 2a, the rest
-    // in 2b) and a spool that spilled most of its records hand over the
-    // same runs: one sink call per run, none per edge.
+    // in 2b) hands over the same runs: one sink call per run, none per edge.
     let g = graph(n as u32);
     let mut log = DecisionLog::new(n as u64, 7).unwrap();
     for subpass in [Subpass::Prepartition, Subpass::Remaining] {
@@ -346,22 +342,6 @@ fn tee_and_replay_forward_batches() {
         log.emit(&mut g.stream(), &mut sink).unwrap();
         few_runs(&sink);
     }
-
-    let spill_path = tmp("replay", "spool");
-    let mut spool = SpillSpool::create(spill_path.clone(), 12 * 1000);
-    // Fed both ways, as a worker's passes feed it.
-    spool.assign_batch(&assignments[..n / 2]).unwrap();
-    for &(e, p) in &assignments[n / 2..] {
-        spool.assign(e, p).unwrap();
-    }
-    let mut sink = BatchCountingSink::default();
-    spool.replay(&mut sink).unwrap();
-    few_runs(&sink);
-    // Replay consumed the spool.
-    let mut again = BatchCountingSink::default();
-    spool.replay(&mut again).unwrap();
-    assert!(again.got.is_empty());
-    assert!(!spill_path.exists(), "replay removes the run file");
 }
 
 /// A ranged source handing out counting streams.

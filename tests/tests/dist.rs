@@ -76,7 +76,7 @@ fn dist_traced(
     std::thread::scope(|scope| {
         let handles: Vec<_> = worker_sides
             .into_iter()
-            .map(|mut t| scope.spawn(move || run_worker(&mut *t, &AttachedResolver(source), None)))
+            .map(|mut t| scope.spawn(move || run_worker(&mut *t, &AttachedResolver(source))))
             .collect();
         run_coordinator(
             &config,
@@ -324,7 +324,7 @@ fn worker_survives_coordinator_disconnect() {
     let g = InMemoryGraph::from_edges(vec![Edge::new(0, 1), Edge::new(1, 2)]);
     let (c, mut w) = loopback_pair();
     drop(c);
-    let err = run_worker(&mut w, &AttachedResolver(&g), None).unwrap_err();
+    let err = run_worker(&mut w, &AttachedResolver(&g)).unwrap_err();
     // Depending on timing the worker fails sending Hello (BrokenPipe) or
     // waiting for the Job (UnexpectedEof) — either way, an error, no hang.
     assert!(
@@ -348,7 +348,7 @@ fn mismatched_job_info_aborts_the_run() {
     std::thread::scope(|scope| {
         let handle = scope.spawn(move || {
             let mut w = w;
-            run_worker(&mut w, &AttachedResolver(&lying), None)
+            run_worker(&mut w, &AttachedResolver(&lying))
         });
         let err = run_coordinator(
             &TwoPhaseConfig::default(),

@@ -43,8 +43,7 @@ impl<'s, 'e, 'g: 'e> WorkerSupply for ScopedSupply<'s, 'e, 'g> {
         let source = self.source;
         self.spawned.fetch_add(1, Ordering::Relaxed);
         self.scope.spawn(move || {
-            let _ =
-                run_worker_handshake(&mut w, &AttachedResolver(source), None, Handshake::Rejoin);
+            let _ = run_worker_handshake(&mut w, &AttachedResolver(source), Handshake::Rejoin);
         });
         Ok(Some(Box::new(c)))
     }
@@ -74,12 +73,12 @@ fn dist_chaos(
                 scope.spawn(move || {
                     // Killed workers error out by design; their result is
                     // the fault being injected.
-                    let _ = run_worker(&mut t, &AttachedResolver(source), None);
+                    let _ = run_worker(&mut t, &AttachedResolver(source));
                 });
             } else {
                 let mut t = wk;
                 scope.spawn(move || {
-                    let _ = run_worker(&mut t, &AttachedResolver(source), None);
+                    let _ = run_worker(&mut t, &AttachedResolver(source));
                 });
             }
         }
@@ -326,7 +325,7 @@ fn stale_epoch_frames_are_discarded_not_merged_twice() {
             KillMode::Sever,
         );
         scope.spawn(move || {
-            let _ = run_worker(&mut doomed, &AttachedResolver(g), None);
+            let _ = run_worker(&mut doomed, &AttachedResolver(g));
         });
 
         struct StaleSupply<'s, 'e, 'g> {
@@ -342,12 +341,8 @@ fn stale_epoch_frames_are_discarded_not_merged_twice() {
                         inner: w,
                         forge: |e| e - 1,
                     };
-                    let _ = run_worker_handshake(
-                        &mut t,
-                        &AttachedResolver(source),
-                        None,
-                        Handshake::Rejoin,
-                    );
+                    let _ =
+                        run_worker_handshake(&mut t, &AttachedResolver(source), Handshake::Rejoin);
                 });
                 Ok(Some(Box::new(c)))
             }
@@ -391,7 +386,7 @@ fn future_epoch_frames_are_rejected() {
             KillMode::Sever,
         );
         scope.spawn(move || {
-            let _ = run_worker(&mut doomed, &AttachedResolver(g), None);
+            let _ = run_worker(&mut doomed, &AttachedResolver(g));
         });
         // ...and the replacement (serving epoch 1) forges every envelope up
         // to epoch 2. The budget allows the one real loss but not the
@@ -409,12 +404,8 @@ fn future_epoch_frames_are_rejected() {
                         inner: w,
                         forge: |e| e + 1,
                     };
-                    let _ = run_worker_handshake(
-                        &mut t,
-                        &AttachedResolver(source),
-                        None,
-                        Handshake::Rejoin,
-                    );
+                    let _ =
+                        run_worker_handshake(&mut t, &AttachedResolver(source), Handshake::Rejoin);
                 });
                 Ok(Some(Box::new(c)))
             }
@@ -472,7 +463,7 @@ fn frame_timeout_detects_hung_worker_and_standby_recovers() {
             // The standby: a real worker, accepted up-front.
             let (c_standby, mut w_standby) = loopback_pair();
             scope.spawn(move || {
-                let _ = run_worker(&mut w_standby, &AttachedResolver(g), None);
+                let _ = run_worker(&mut w_standby, &AttachedResolver(g));
             });
             let policy = FaultPolicy {
                 max_retries: 1,
@@ -530,12 +521,12 @@ fn completed_worker_serves_a_reissue() {
                 let mut t =
                     FaultTransport::new(wk, KillSpec::parse("recv:pull").unwrap(), KillMode::Sever);
                 scope.spawn(move || {
-                    let _ = run_worker(&mut t, &AttachedResolver(g), None);
+                    let _ = run_worker(&mut t, &AttachedResolver(g));
                 });
             } else {
                 let mut t = wk;
                 scope.spawn(move || {
-                    let _ = run_worker(&mut t, &AttachedResolver(g), None);
+                    let _ = run_worker(&mut t, &AttachedResolver(g));
                 });
             }
         }
@@ -579,7 +570,7 @@ fn zero_retry_budget_fails_on_first_loss() {
             KillMode::Sever,
         );
         scope.spawn(move || {
-            let _ = run_worker(&mut t, &AttachedResolver(g), None);
+            let _ = run_worker(&mut t, &AttachedResolver(g));
         });
         run_coordinator(
             &TwoPhaseConfig::default(),
@@ -618,7 +609,7 @@ fn no_replacement_available_is_an_error_not_a_hang() {
             KillMode::Sever,
         );
         scope.spawn(move || {
-            let _ = run_worker(&mut t, &AttachedResolver(g), None);
+            let _ = run_worker(&mut t, &AttachedResolver(g));
         });
         run_coordinator(
             &TwoPhaseConfig::default(),

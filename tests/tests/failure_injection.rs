@@ -299,7 +299,6 @@ fn corrupt_page_store_slot_fails_the_budgeted_job() {
     use std::sync::Arc;
     use tps_clustering::paged::{PageBacking, PageStoreProvider};
     use tps_core::job::{InputProvider, ReaderKind};
-    use tps_core::sink::SpoolFactory;
     use tps_graph::ranged::RangedEdgeSource;
     use tps_io::{FileInput, FilePageStore};
 
@@ -356,13 +355,6 @@ fn corrupt_page_store_slot_fails_the_budgeted_job() {
         ) -> io::Result<Box<dyn RangedEdgeSource>> {
             FileInput.open_ranged(path, reader)
         }
-        fn spool_factory(
-            &self,
-            budget_bytes: u64,
-            threads: usize,
-        ) -> io::Result<Arc<dyn SpoolFactory + Send + Sync>> {
-            FileInput.spool_factory(budget_bytes, threads)
-        }
         fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {
             Ok(Arc::new(RottingProvider(self.0.clone(), self.1)))
         }
@@ -397,7 +389,7 @@ fn corrupt_page_store_slot_fails_the_budgeted_job() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Both per-partition writers hold `k` files open for the whole run, so
+/// The per-partition writer holds `k` files open for the whole run, so
 /// creating them is all or nothing: when file `i` cannot be created (here a
 /// directory squats on its name; under `ulimit -n` it is `EMFILE` — the CLI
 /// test `fd_exhaustion_is_a_precise_error_and_leaves_no_debris` drives that
@@ -406,26 +398,21 @@ fn corrupt_page_store_slot_fails_the_budgeted_job() {
 #[test]
 fn partition_file_creation_is_all_or_nothing() {
     use tps_core::sink::FileSink;
-    use tps_io::SpillingFileSink;
 
     let dir = std::env::temp_dir().join(format!("tps-create-fail-{}", std::process::id()));
     std::fs::create_dir_all(dir.join("g.part5.bel")).unwrap();
-    let errors = [
-        FileSink::create(&dir, "g", 8, 100).err(),
-        SpillingFileSink::create(&dir, "g", 8, 100, 1 << 20).err(),
-    ];
-    for err in errors {
-        let err = err.expect("a directory is not a partition file");
-        let text = err.to_string();
-        assert!(text.contains("partition file 6 of 8"), "{text}");
-        assert!(text.contains("g.part5.bel"), "{text}");
-        let left: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert_eq!(left, ["g.part5.bel"], "debris left behind");
-    }
-    // Without the obstacle the same calls succeed.
+    let err = FileSink::create(&dir, "g", 8, 100)
+        .err()
+        .expect("a directory is not a partition file");
+    let text = err.to_string();
+    assert!(text.contains("partition file 6 of 8"), "{text}");
+    assert!(text.contains("g.part5.bel"), "{text}");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["g.part5.bel"], "debris left behind");
+    // Without the obstacle the same call succeeds.
     std::fs::remove_dir(dir.join("g.part5.bel")).unwrap();
     let parts = FileSink::create(&dir, "g", 8, 100)
         .unwrap()

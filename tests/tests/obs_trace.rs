@@ -72,7 +72,7 @@ fn dist_run(g: &InMemoryGraph, workers: usize) -> Vec<(Edge, u32)> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = worker_sides
             .into_iter()
-            .map(|mut t| scope.spawn(move || run_worker(&mut *t, &AttachedResolver(g), None)))
+            .map(|mut t| scope.spawn(move || run_worker(&mut *t, &AttachedResolver(g))))
             .collect();
         run_coordinator(
             &TwoPhaseConfig::default(),

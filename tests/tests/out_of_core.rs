@@ -30,12 +30,12 @@ fn budgeted_file_job_is_bit_identical_to_unbudgeted() {
     )
     .unwrap();
 
-    let run = |budget_mb: u64| {
+    let run = |threads: ThreadMode, budget_mb: u64| {
         let mut sink = VecSink::new();
         let outcome = tps_io::run_job(
             JobSpec::path(&path)
                 .k(8)
-                .threads(ThreadMode::Serial)
+                .threads(threads)
                 .mem_budget_mb(budget_mb)
                 .extra_sink(&mut sink),
         )
@@ -43,20 +43,27 @@ fn budgeted_file_job_is_bit_identical_to_unbudgeted() {
         (sink.into_assignments(), outcome)
     };
 
-    let (base_assign, base) = run(0);
-    // 1 MiB: cluster-page share is 512 KiB against ~8 MiB of cluster state
-    // for this graph — real eviction through the temp-dir page files.
-    for budget_mb in [1u64, 4096] {
-        let (assign, outcome) = run(budget_mb);
-        assert_eq!(assign, base_assign, "budget {budget_mb} MiB diverged");
-        assert_eq!(
-            outcome.metrics.replication_factor, base.metrics.replication_factor,
-            "budget {budget_mb} MiB changed rf"
-        );
-        assert!(
-            outcome.report.counter("paging_budget_bytes") > 0,
-            "budget {budget_mb} MiB did not engage cluster paging"
-        );
+    // Serial pages its cluster state; two workers take only the decode
+    // share of the budget and keep their decision logs.
+    for threads in [ThreadMode::Serial, ThreadMode::Count(2)] {
+        let (base_assign, base) = run(threads, 0);
+        // 1 MiB: cluster-page share is 512 KiB against ~8 MiB of cluster
+        // state for this graph — real eviction through the temp-dir page
+        // files.
+        for budget_mb in [1u64, 4096] {
+            let (assign, outcome) = run(threads, budget_mb);
+            let at = format!("{threads:?} at {budget_mb} MiB");
+            assert_eq!(assign, base_assign, "{at} diverged");
+            assert_eq!(
+                outcome.metrics.replication_factor, base.metrics.replication_factor,
+                "{at} changed rf"
+            );
+            assert_eq!(
+                outcome.report.counter("paging_budget_bytes") > 0,
+                threads == ThreadMode::Serial,
+                "{at}: only the serial engine pages cluster state"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
