@@ -39,7 +39,7 @@
 //! retain their decoded ranges (the same bytes) and add a 1 B/edge decision
 //! log each. `k32_t2_vs_serial_file` is their ratio, gated as a ceiling: the
 //! default path's `O(|E|)` residency beyond the decode budget is the log
-//! and nothing else (12 B/edge of in-memory spools read ≈ 1.45 here).
+//! and nothing else (12 B/edge of in-memory spools read 56.2 MB here).
 //!
 //! A second, vertex-heavy graph (mean degree 2, small k) drives the
 //! **out-of-core pair**: `oc_unpaged` runs the plain serial job, `oc_paged`

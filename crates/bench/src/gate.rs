@@ -472,7 +472,8 @@ pub fn is_ceiling(metric: &str) -> bool {
 /// value (≈1.25) already holds all the jitter headroom — widening it by
 /// another 25% would admit a super-linear pass unchallenged. So does the
 /// `mem_peak` RSS ratio: the regression it exists to catch (per-edge
-/// records resident again) reads 1.45 against a committed 1.3.
+/// records resident again) read 56.2 MB, 1.63× the serial row's 34.5,
+/// against a committed 1.45.
 pub fn tolerance_override(metric: &str) -> Option<f64> {
     (metric.ends_with(".slowdown")
         || metric.ends_with(".growth_ratio")

@@ -305,16 +305,17 @@ fn partition_text_format() {
 fn thrashing_paged_run_explains_itself() {
     let dir = tmpdir("thrash");
     let txt = dir.join("scattered.txt");
-    // 40 k edges between pseudo-random vertices out of 120 k: ~1.4 MB of
-    // cluster state against the 512 KiB page share of a 1 MiB budget.
+    // 20 k edges between pseudo-random vertices out of 400 k: the 1.6 MB
+    // vertex→cluster map alone is three times the 512 KiB page share of a
+    // 1 MiB budget, so compacting cluster ids cannot make it fit.
     let mut x = 12345u64;
     let mut next = || {
         x = x
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        (x >> 33) % 120_000
+        (x >> 33) % 400_000
     };
-    let text: String = (0..40_000)
+    let text: String = (0..20_000)
         .map(|_| format!("{} {}\n", next(), next()))
         .collect();
     std::fs::write(&txt, text).unwrap();

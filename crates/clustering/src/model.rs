@@ -92,33 +92,39 @@ impl Clustering {
     }
 
     /// Drop since-emptied cluster ids, renumbering the survivors
-    /// (volume > 0) in ascending old-id order. Multi-pass streaming
-    /// clustering abandons ids as vertices migrate, so on fragmented
-    /// graphs the id space — and everything indexed by it (the merged
-    /// volumes, the `c2p` placement, the distributed `Plan` frame) — can
-    /// grow far past the live cluster count; compaction restores `O(live)`
-    /// at `O(|V| + ids)` cost. The volume invariant guarantees no member
-    /// references an emptied id (members have degree ≥ 1).
-    pub fn compact_ids(&mut self) {
-        let mut remap = vec![NO_CLUSTER; self.volumes.len()];
-        let mut next = 0u32;
-        for (old, &vol) in self.volumes.iter().enumerate() {
+    /// (volume > 0) in ascending old-id order; returns how many ids it
+    /// dropped. Algorithm 1 founds a singleton for every vertex on first
+    /// sight and abandons ids as vertices migrate, so the id space — and
+    /// everything indexed by it (the volumes, the `c2p` placement, the
+    /// distributed `Plan` frame) — grows far past the live cluster count;
+    /// compaction restores `O(live)` at `O(|V| + ids)` cost, with an
+    /// `IdRemap` of ~0.19 B per old id as its only transient. The volume
+    /// invariant guarantees no member references an emptied id (members
+    /// have degree ≥ 1).
+    ///
+    /// Output-invariant at any point between two edges of a pass: the pass
+    /// tests ids for equality and compares volumes, new ids are appended
+    /// after the survivors, and the mapping step breaks ties by id order,
+    /// which renumbering preserves.
+    pub fn compact_ids(&mut self) -> u32 {
+        let mut remap = IdRemap::new(self.num_cluster_ids());
+        for (c, &vol) in self.volumes.iter().enumerate() {
             if vol > 0 {
-                remap[old] = next;
-                next += 1;
+                remap.mark_live(c as ClusterId);
             }
         }
-        if next as usize == self.volumes.len() {
-            return; // already compact
+        let dropped = self.num_cluster_ids() - remap.rank();
+        if dropped == 0 {
+            return 0;
         }
         self.volumes.retain(|&v| v > 0);
         self.volumes.shrink_to_fit(); // retain keeps capacity; release it
         for c in self.v2c.iter_mut() {
             if *c != NO_CLUSTER {
-                debug_assert_ne!(remap[*c as usize], NO_CLUSTER, "member of an empty cluster");
-                *c = remap[*c as usize];
+                *c = remap.map(*c);
             }
         }
+        dropped
     }
 
     // ----- mutation API used by the streaming algorithms (public so
@@ -188,11 +194,15 @@ impl Clustering {
         let num_vertices = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
         let num_ids = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         let rest = &bytes[12..];
-        let v2c_bytes = (num_vertices as usize)
-            .checked_mul(4)
-            .ok_or("clustering vertex count overflow")?;
-        let vol_bytes = num_ids as usize * 8;
-        take(rest, v2c_bytes + vol_bytes)?;
+        // Checked: a hostile header must not wrap past the length check
+        // into an allocation the bytes do not back.
+        let overflow = || "clustering vertex count overflow".to_string();
+        let v2c_bytes = usize::try_from(num_vertices)
+            .ok()
+            .and_then(|n| n.checked_mul(4))
+            .ok_or_else(overflow)?;
+        let vol_bytes = (num_ids as usize).checked_mul(8).ok_or_else(overflow)?;
+        take(rest, v2c_bytes.checked_add(vol_bytes).ok_or_else(overflow)?)?;
         let mut v2c = Vec::with_capacity(num_vertices as usize);
         for rec in rest[..v2c_bytes].chunks_exact(4) {
             let c = u32::from_le_bytes(rec.try_into().unwrap());
@@ -225,6 +235,57 @@ impl Clustering {
             }
         }
         Ok(())
+    }
+}
+
+/// The old→new map of an order-preserving id compaction: one bit per old
+/// id, set when the id survives, plus the survivors before each 64-id word
+/// — 12 B per 64 ids where a `u32` per id would take 256.
+pub(crate) struct IdRemap {
+    live: Vec<u64>,
+    rank: Vec<u32>,
+}
+
+impl IdRemap {
+    /// A map over old ids `0..num_ids`, none of them marked live yet.
+    pub(crate) fn new(num_ids: u32) -> Self {
+        IdRemap {
+            live: vec![0; num_ids.div_ceil(64) as usize],
+            rank: Vec::new(),
+        }
+    }
+
+    /// Keep old id `c`.
+    #[inline]
+    pub(crate) fn mark_live(&mut self, c: ClusterId) {
+        self.live[(c >> 6) as usize] |= 1 << (c & 63);
+    }
+
+    /// Fix the per-word ranks once every survivor is marked; returns the
+    /// survivor count.
+    pub(crate) fn rank(&mut self) -> u32 {
+        let mut survivors = 0;
+        self.rank = self
+            .live
+            .iter()
+            .map(|w| {
+                let before = survivors;
+                survivors += w.count_ones();
+                before
+            })
+            .collect();
+        survivors
+    }
+
+    /// New id of surviving old id `c`: the survivors below it.
+    #[inline]
+    pub(crate) fn map(&self, c: ClusterId) -> ClusterId {
+        let (word, bit) = ((c >> 6) as usize, c & 63);
+        debug_assert!(
+            (self.live[word] >> bit) & 1 == 1,
+            "member of an empty cluster"
+        );
+        self.rank[word] + (self.live[word] & ((1u64 << bit) - 1)).count_ones()
     }
 }
 
@@ -296,6 +357,46 @@ mod tests {
         // Corrupt a vertex's cluster id to an out-of-range value.
         bytes[12..16].copy_from_slice(&7u32.to_le_bytes());
         assert!(Clustering::decode_from(&bytes).is_err());
+    }
+
+    /// 28 bytes whose header promises 2⁶² − 1 vertices: the byte count
+    /// overflows, which must be an error, not an add-overflow panic or a
+    /// capacity-overflow allocation.
+    #[test]
+    fn wire_rejects_a_header_whose_size_overflows() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&((1u64 << 62) - 1).to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&[0; 16]);
+        assert_eq!(bytes.len(), 28);
+        let err = Clustering::decode_from(&bytes).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+    }
+
+    /// Live ids on both sides of several 64-id word boundaries: survivors
+    /// keep their order and volumes, members follow them, and the dead ids
+    /// are gone.
+    #[test]
+    fn compact_ids_across_word_boundaries() {
+        let live: Vec<ClusterId> = vec![0, 62, 63, 64, 65, 127, 128, 191, 250];
+        let ids = 256;
+        let mut volumes = vec![0u64; ids];
+        for (i, &c) in live.iter().enumerate() {
+            volumes[c as usize] = 10 + i as u64;
+        }
+        // One member per live id, in reverse, and one unassigned vertex.
+        let mut v2c: Vec<ClusterId> = live.iter().rev().copied().collect();
+        v2c.push(NO_CLUSTER);
+        let mut c = Clustering::from_parts(v2c, volumes);
+        assert_eq!(c.compact_ids(), (ids - live.len()) as u32);
+        assert_eq!(c.num_cluster_ids(), live.len() as u32);
+        let want: Vec<u64> = (0..live.len() as u64).map(|i| 10 + i).collect();
+        assert_eq!(c.volumes(), &want[..], "order and volumes survive");
+        for (v, new) in (0..live.len() as ClusterId).rev().enumerate() {
+            assert_eq!(c.raw_cluster_of(v as VertexId), new, "vertex {v}");
+        }
+        assert_eq!(c.cluster_of(live.len() as VertexId), None);
+        assert_eq!(c.compact_ids(), 0, "already compact");
     }
 
     #[test]

@@ -19,21 +19,45 @@
 //! path, so the four accessors inline into the clustering and assignment
 //! loops.
 //!
+//! Compaction: Algorithm 1 founds a singleton cluster for every vertex on
+//! first sight, so `vol` — and `c2p`, sized like it — would span every id
+//! ever handed out (600 k on the ledger's web graph) although mapping and
+//! phase 2 read only the live clusters (~1 000 there). [`compact_ids`]
+//! renumbers the survivors in id order: it scans `vol` page by page,
+//! slides the live volumes down, rewrites `v2c` one resident page at a
+//! time, and demotes the frames of the dead `vol` tail — clean and least
+//! recently used, so new ids grow back into them without a fault and any
+//! other fault takes them first. The serial runner calls it at every pass
+//! boundary. Mid-pass, the pass's [`ClusterTable::between_edges`] hook
+//! calls it when three things hold: the pool is full, `⌈|V|/64⌉` ids were
+//! allocated since the last compaction, and the dead tail holds frames not
+//! yet demoted. Ids never exceed `|V|`, so that is at most 64 mid-pass
+//! compactions of `O(|V|)` each, and phase 1 stays linear. On
+//! endpoint-sorted input whose `v2c` fits the pool, the pool then holds
+//! `v2c` and a few `vol` pages and evicts nothing: on the ledger's web
+//! graph at `--mem-budget-mb 5` (147 `v2c` pages in 160 frames) phase 1
+//! takes 160 faults. The stride is measured, not derived: `⌈|V|/32⌉` left
+//! that pool a page short (681 faults), and pass-boundary compaction
+//! alone leaves 13 931.
+//!
 //! Determinism: page faults and evictions are a pure function of the access
 //! sequence (LRU order is tracked by a monotonic counter, never by wall
-//! time), so two runs over the same stream issue identical reads and
-//! writes — and because every access goes through the same
-//! [`ClusterTable`] calls as the in-memory path, the partitioning output
-//! is bit-identical at **every** budget, including a budget of zero (which
-//! degenerates to a single resident frame: fully external, constant
-//! memory, maximum I/O).
+//! time, and compaction triggers on counts, never on chunk boundaries), so
+//! two runs over the same stream issue identical reads and writes — and
+//! because every access goes through the same [`ClusterTable`] calls as
+//! the in-memory path, and compaction preserves the order of ids, the
+//! partitioning output is bit-identical at **every** budget, including a
+//! budget of zero (which degenerates to a single resident frame: fully
+//! external, constant memory, maximum I/O).
+//!
+//! [`compact_ids`]: PagedClustering::compact_ids
 
 use std::collections::HashMap;
 use std::io;
 
 use tps_graph::types::{ClusterId, PartitionId, VertexId};
 
-use crate::model::NO_CLUSTER;
+use crate::model::{IdRemap, NO_CLUSTER};
 use crate::table::ClusterTable;
 
 /// Default page size: 64 KiB (16 Ki `u32` entries / 8 Ki `u64` entries).
@@ -139,7 +163,8 @@ impl PageStoreProvider for MemPageStoreProvider {
     }
 }
 
-/// Fault/eviction statistics of a [`PagedClustering`] (run reports).
+/// Fault/eviction and compaction statistics of a [`PagedClustering`] (run
+/// reports).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PagingStats {
     /// Page faults (accesses that missed the resident frame pool).
@@ -148,10 +173,18 @@ pub struct PagingStats {
     pub evictions: u64,
     /// Dirty pages pushed through the write-back path.
     pub writebacks: u64,
+    /// Id compactions that dropped at least one id.
+    pub compactions: u64,
+    /// Cluster ids those compactions dropped.
+    pub ids_dropped: u64,
 }
 
 /// Page-table entry of a page that is not resident.
 const ABSENT: u32 = u32::MAX;
+
+/// LRU stamp of a frame whose page a compaction left dead: older than any
+/// access (the clock starts at 1), so it is the next victim.
+const DEMOTED: u64 = 0;
 
 /// Low 40 bits of a page key: the page number within its kind.
 const PAGE_NO_MASK: u64 = (1 << 40) - 1;
@@ -172,6 +205,11 @@ const PAGE_NO_MASK: u64 = (1 << 40) - 1;
 pub struct PagedClustering {
     num_vertices: u64,
     next_id: u32,
+    /// Ids with non-zero volume (exact, since members have degree ≥ 1).
+    live: u32,
+    /// `next_id` at which [`between_edges`](ClusterTable::between_edges)
+    /// next weighs a mid-pass compaction.
+    next_check: u32,
     page_size: usize,
     /// `log2(page_size)`: byte offset → page number by shift, frame index →
     /// pool offset by shift.
@@ -239,9 +277,11 @@ impl PagedClustering {
             "page size must be a power of two >= 8"
         );
         let max_frames = (budget_bytes / page_size as u64).clamp(1, ABSENT as u64 - 1) as usize;
-        PagedClustering {
+        let mut table = PagedClustering {
             num_vertices,
             next_id: 0,
+            live: 0,
+            next_check: 0,
             page_size,
             page_shift: page_size.trailing_zeros(),
             max_frames,
@@ -256,7 +296,9 @@ impl PagedClustering {
             clock: 0,
             stats: PagingStats::default(),
             error: None,
-        }
+        };
+        table.next_check = table.compaction_stride();
+        table
     }
 
     /// Number of vertices.
@@ -334,9 +376,9 @@ impl PagedClustering {
             self.dirty.push(false);
             self.keys.len() - 1
         } else {
-            // Evict the least-recently-used frame (stamps are unique, so
-            // the victim — and therefore the whole I/O sequence — is
-            // deterministic).
+            // Evict the least-recently-used frame (stamps are unique but
+            // for demoted frames, of which the first wins, so the victim —
+            // and therefore the whole I/O sequence — is deterministic).
             let frame = self
                 .stamps
                 .iter()
@@ -451,11 +493,9 @@ impl PagedClustering {
         }
     }
 
-    /// Number of clusters with non-zero volume (scan).
-    pub fn num_nonempty_clusters(&mut self) -> u64 {
-        let mut n = 0;
-        self.for_each_volume(|_, vol| n += u64::from(vol > 0));
-        n
+    /// Number of clusters with non-zero volume.
+    pub fn num_nonempty_clusters(&self) -> u64 {
+        self.live as u64
     }
 
     /// Largest cluster volume (scan; 0 if no clusters).
@@ -463,6 +503,125 @@ impl PagedClustering {
         let mut max = 0;
         self.for_each_volume(|_, vol| max = max.max(vol));
         max
+    }
+
+    /// Drop since-emptied cluster ids, renumbering the survivors in
+    /// ascending old-id order — [`Clustering::compact_ids`] on paged
+    /// state (same remap, same output invariance); returns how many ids
+    /// it dropped. Frames that held the dead tail of `vol` become the
+    /// pool's first victims, clean. Phase 1 only: `c2p` is not remapped,
+    /// so call it before the first
+    /// [`set_partition_of`](Self::set_partition_of).
+    ///
+    /// [`Clustering::compact_ids`]: crate::model::Clustering::compact_ids
+    pub fn compact_ids(&mut self) -> u32 {
+        debug_assert!(
+            self.tables[KIND_C2P as usize].is_empty(),
+            "compaction after placement"
+        );
+        let dropped = self.next_id - self.live;
+        self.next_check = self.live.saturating_add(self.compaction_stride());
+        if dropped == 0 {
+            return 0;
+        }
+        // Scan `vol` a page at a time, sliding each page's survivors down
+        // to their new ids (never above their old ones).
+        let per_page = (self.page_size / 8) as u32;
+        let mut remap = IdRemap::new(self.next_id);
+        let mut survivors = Vec::with_capacity(per_page as usize);
+        let mut next = 0u32;
+        let mut first_dead = NO_CLUSTER;
+        for page_no in 0..self.next_id.div_ceil(per_page) {
+            let first = page_no * per_page;
+            let frame = self.page_frame(KIND_VOL, page_no as usize);
+            let entries = per_page.min(self.next_id - first) as usize;
+            let page = &self.pool[frame << self.page_shift..][..entries * 8];
+            for (i, entry) in page.chunks_exact(8).enumerate() {
+                let vol = u64::from_le_bytes(entry.try_into().expect("8-byte slice"));
+                if vol > 0 {
+                    remap.mark_live(first + i as u32);
+                    survivors.push((first + i as u32, vol));
+                }
+            }
+            for (old, vol) in survivors.drain(..) {
+                if old != next {
+                    first_dead = first_dead.min(next);
+                    self.store_u64(KIND_VOL, next as u64, vol);
+                }
+                next += 1;
+            }
+        }
+        debug_assert_eq!(next, self.live, "live count drifted");
+        remap.rank();
+        // Rewrite every `v2c` page ever touched (the rest is all
+        // `NO_CLUSTER`), one resident page at a time; ids below the first
+        // dead one keep their number.
+        for page_no in 0..self.tables[KIND_V2C as usize].len() {
+            let frame = self.page_frame(KIND_V2C, page_no);
+            let page = &mut self.pool[frame << self.page_shift..][..self.page_size];
+            let mut changed = false;
+            for entry in page.chunks_exact_mut(4) {
+                let c = u32::from_le_bytes((&*entry).try_into().expect("4-byte slice"));
+                if c >= first_dead && c != NO_CLUSTER {
+                    entry.copy_from_slice(&remap.map(c).to_le_bytes());
+                    changed = true;
+                }
+            }
+            self.dirty[frame] |= changed;
+        }
+        // The `vol` pages past the survivors hold nothing anyone reads
+        // again (a new id writes its volume before any read): make their
+        // frames clean and least recently used. New ids grow back into
+        // them without a fault; any other fault takes them first, without
+        // a write-back.
+        let keep = self.vol_pages_kept();
+        for &frame in self.tables[KIND_VOL as usize].iter().skip(keep) {
+            if frame != ABSENT {
+                self.dirty[frame as usize] = false;
+                self.stamps[frame as usize] = DEMOTED;
+            }
+        }
+        self.next_id = self.live;
+        self.stats.compactions += 1;
+        self.stats.ids_dropped += dropped as u64;
+        dropped
+    }
+
+    /// Ids allocated between two mid-pass compactions: `⌈|V|/64⌉`, which
+    /// caps them at 64 per run (module docs, "Compaction").
+    fn compaction_stride(&self) -> u32 {
+        self.num_vertices.div_ceil(64).clamp(1, u32::MAX as u64) as u32
+    }
+
+    /// `vol` pages the live clusters occupy once compacted.
+    fn vol_pages_kept(&self) -> usize {
+        (self.live as usize * 8).div_ceil(self.page_size)
+    }
+
+    /// The frame holding page `page_no` of `kind`, faulted in if need be and
+    /// stamped most-recently-used.
+    fn page_frame(&mut self, kind: u8, page_no: usize) -> usize {
+        self.locate(kind, (page_no as u64) << self.page_shift) >> self.page_shift
+    }
+
+    /// The mid-pass trigger (module docs, "Compaction"): compact if the
+    /// pool is full and compacting frees a resident frame; otherwise look
+    /// again a page of ids later.
+    #[cold]
+    #[inline(never)]
+    fn compact_if_it_frees_frames(&mut self) {
+        let pool_full = self.keys.len() >= self.max_frames;
+        let frees = || {
+            self.tables[KIND_VOL as usize]
+                .iter()
+                .skip(self.vol_pages_kept())
+                .any(|&frame| frame != ABSENT && self.stamps[frame as usize] != DEMOTED)
+        };
+        if pool_full && frees() {
+            self.compact_ids();
+        } else {
+            self.next_check = self.next_id.saturating_add((self.page_size / 8) as u32);
+        }
     }
 }
 
@@ -481,6 +640,7 @@ impl ClusterTable for PagedClustering {
     fn create_cluster(&mut self, v: VertexId, vol: u64) -> ClusterId {
         let id = self.next_id;
         self.next_id += 1;
+        self.live += u32::from(vol > 0);
         self.store_u64(KIND_VOL, id as u64, vol);
         self.store_u32(KIND_V2C, v as u64, id);
         id
@@ -492,10 +652,18 @@ impl ClusterTable for PagedClustering {
         debug_assert_ne!(from, NO_CLUSTER);
         debug_assert_ne!(from, to);
         let from_vol = self.load_u64(KIND_VOL, from as u64);
+        self.live -= u32::from(d > 0 && from_vol == d);
         self.store_u64(KIND_VOL, from as u64, from_vol - d);
         let to_vol = self.load_u64(KIND_VOL, to as u64);
         self.store_u64(KIND_VOL, to as u64, to_vol + d);
         self.store_u32(KIND_V2C, v as u64, to);
+    }
+
+    #[inline]
+    fn between_edges(&mut self) {
+        if self.next_id >= self.next_check {
+            self.compact_if_it_frees_frames();
+        }
     }
 }
 
@@ -562,27 +730,77 @@ mod tests {
     }
 
     fn run_pass(table: &mut impl ClusterTable, g: &InMemoryGraph, passes: u32) -> DegreeTable {
+        run_passes(table, g, passes, |_| {})
+    }
+
+    /// `passes` clustering passes over `g`, with `after_pass` run at every
+    /// pass boundary.
+    fn run_passes<T: ClusterTable>(
+        table: &mut T,
+        g: &InMemoryGraph,
+        passes: u32,
+        mut after_pass: impl FnMut(&mut T),
+    ) -> DegreeTable {
         let mut s = g.stream();
         let degrees = DegreeTable::compute(&mut s, g.num_vertices()).unwrap();
         let cap = VolumeCap::FractionOfTotal(1.0 / 8.0).resolve(degrees.total_volume());
         for _ in 0..passes {
             let mut s = g.stream();
-            clustering_pass_on(&mut s, &degrees, cap, table).unwrap();
+            clustering_pass_on(&mut s, &degrees, cap, &mut *table).unwrap();
+            after_pass(table);
         }
         degrees
     }
 
+    /// A paged table whose mid-pass compaction is off: the pass sees only
+    /// the four accessors, so the paging policy runs alone.
+    struct Uncompacted<'a>(&'a mut PagedClustering);
+
+    impl ClusterTable for Uncompacted<'_> {
+        fn cluster_of(&mut self, v: VertexId) -> ClusterId {
+            self.0.cluster_of(v)
+        }
+        fn volume(&mut self, c: ClusterId) -> u64 {
+            self.0.cluster_volume(c)
+        }
+        fn create_cluster(&mut self, v: VertexId, vol: u64) -> ClusterId {
+            self.0.create_cluster(v, vol)
+        }
+        fn migrate(&mut self, v: VertexId, d: u64, to: ClusterId) {
+            self.0.migrate(v, d, to)
+        }
+    }
+
     /// The tentpole invariant: paged and flat state produce bit-identical
-    /// clusterings at every budget, including zero.
+    /// clusterings at every budget, including zero, when both compact at
+    /// every pass boundary — with the paged table also compacting mid-pass
+    /// wherever its tiny pages and pool trigger it.
     #[test]
     fn bit_identical_to_flat_at_zero_tiny_and_huge_budgets() {
         let g = planted::generate(&PlantedConfig::web(800, 4000), 11);
         let mut flat = Clustering::empty(g.num_vertices());
-        run_pass(&mut flat, &g, 2);
+        run_passes(&mut flat, &g, 3, |c| {
+            c.compact_ids();
+        });
         for budget in [0u64, 256, 1 << 30] {
             let mut paged = mem_table(g.num_vertices(), budget, 64);
-            run_pass(&mut paged, &g, 2);
+            run_passes(&mut paged, &g, 3, |t| {
+                t.compact_ids();
+            });
             paged.check_io().unwrap();
+            let stats = paged.stats();
+            if budget == 256 {
+                assert!(
+                    stats.compactions > 3,
+                    "a full 4-frame pool must compact mid-pass: {stats:?}"
+                );
+            }
+            if budget == 1 << 30 {
+                assert!(
+                    stats.compactions <= 3,
+                    "a pool that never fills compacts per pass"
+                );
+            }
             assert_eq!(
                 paged.num_cluster_ids(),
                 flat.num_cluster_ids(),
@@ -618,9 +836,11 @@ mod tests {
             let g = planted::generate(&PlantedConfig::web(nv, ne), seed);
             let mut flat = Clustering::empty(g.num_vertices());
             run_pass(&mut flat, &g, 1);
+            flat.compact_ids();
             for budget in [0u64, 128, 4096, 1 << 26] {
                 let mut paged = mem_table(g.num_vertices(), budget, 32);
                 run_pass(&mut paged, &g, 1);
+                paged.compact_ids();
                 paged.check_io().unwrap();
                 for v in 0..g.num_vertices() as u32 {
                     assert_eq!(
@@ -803,7 +1023,7 @@ mod tests {
                         page_size,
                         Box::new(backing),
                     );
-                    run_pass(&mut paged, &g, 2);
+                    run_pass(&mut Uncompacted(&mut paged), &g, 2);
                     paged.check_io().unwrap();
                     let case = format!("seed {seed}, page {page_size}, budget {budget}");
                     assert_eq!(paged.stats(), model.stats, "{case}");
@@ -814,7 +1034,8 @@ mod tests {
     }
 
     /// Fault, eviction and write-back counts of one fixed graph, as the
-    /// `HashMap` table produced them at the commit before this one.
+    /// `HashMap` table produced them before the table learned to compact:
+    /// the paging policy alone.
     #[test]
     fn paging_counts_are_pinned() {
         let g = planted::generate(&PlantedConfig::web(500, 2500), 5);
@@ -825,15 +1046,63 @@ mod tests {
             (1 << 20, 1024, 6, 0, 0),
         ] {
             let mut paged = mem_table(g.num_vertices(), budget, page_size);
-            run_pass(&mut paged, &g, 2);
+            run_pass(&mut Uncompacted(&mut paged), &g, 2);
             paged.check_io().unwrap();
             let expected = PagingStats {
                 faults,
                 evictions,
                 writebacks,
+                ..PagingStats::default()
             };
             assert_eq!(paged.stats(), expected, "budget {budget}, page {page_size}");
         }
+    }
+
+    /// Compaction at the pass boundaries and mid-pass, on an endpoint-sorted
+    /// graph whose `v2c` fits the pool but whose `vol` does not: far fewer
+    /// faults than the policy alone, no more than 64 mid-pass compactions,
+    /// and — once pass 1 has compacted — no faults but the pages the pool
+    /// evicted before then.
+    #[test]
+    fn compaction_cuts_faults_within_its_bound() {
+        let mut edges = planted::generate(&PlantedConfig::web(4000, 20_000), 3)
+            .edges()
+            .to_vec();
+        edges.sort_by_key(|e| (e.src.min(e.dst), e.src.max(e.dst)));
+        let g = InMemoryGraph::from_edges(edges);
+        let nv = g.num_vertices();
+        let page = 1024u64;
+        let v2c_pages = (nv * 4).div_ceil(page);
+        let budget = (v2c_pages + 8) * page;
+        let passes = 3;
+
+        let mut plain = mem_table(nv, budget, page as usize);
+        run_pass(&mut Uncompacted(&mut plain), &g, passes);
+        let mut compacting = mem_table(nv, budget, page as usize);
+        let mut after_pass1 = None;
+        run_passes(&mut compacting, &g, passes, |t| {
+            t.compact_ids();
+            after_pass1.get_or_insert(t.stats());
+        });
+        compacting.check_io().unwrap();
+        let (plain, stats, after_pass1) = (plain.stats(), compacting.stats(), after_pass1.unwrap());
+
+        assert!(stats.compactions > passes as u64, "{stats:?}");
+        assert!(stats.compactions <= 64 + passes as u64, "{stats:?}");
+        assert_eq!(
+            stats.ids_dropped + compacting.num_cluster_ids() as u64,
+            nv,
+            "every vertex founded one id; the dead ones were dropped once"
+        );
+        assert!(
+            stats.faults * 3 < plain.faults,
+            "compacting {stats:?} vs plain {plain:?}"
+        );
+        assert!(
+            stats.faults - after_pass1.faults <= v2c_pages + 1,
+            "after pass 1 only cold v2c pages and the one vol page fault: \
+             {after_pass1:?} then {stats:?}"
+        );
     }
 
     #[test]

@@ -120,9 +120,12 @@ pub fn clustering_pass<S: EdgeStream + ?Sized>(
 
 /// [`clustering_pass`], generic over the cluster-state storage: the same
 /// decision sequence runs against the flat in-memory [`Clustering`] or the
-/// budget-bounded [`crate::paged::PagedClustering`], so the two are
-/// bit-identical by construction (every read and write goes through the
-/// same [`ClusterTable`] calls in the same order).
+/// budget-bounded [`crate::paged::PagedClustering`], so the two decide
+/// identically by construction (every read and write goes through the
+/// same [`ClusterTable`] calls in the same order). A table that compacts
+/// in [`ClusterTable::between_edges`] numbers its clusters differently
+/// mid-pass, in the same order; after a [`Clustering::compact_ids`] of
+/// both, the ids match too.
 pub fn clustering_pass_on<S: EdgeStream + ?Sized, T: ClusterTable>(
     stream: &mut S,
     degrees: &DegreeTable,
@@ -130,6 +133,7 @@ pub fn clustering_pass_on<S: EdgeStream + ?Sized, T: ClusterTable>(
     clustering: &mut T,
 ) -> io::Result<()> {
     for_each_edge(stream, |e| {
+        clustering.between_edges();
         let (u, v) = (e.src, e.dst);
         // Lines 11–15: late cluster creation with exact-degree volume.
         let mut cu = clustering.cluster_of(u);

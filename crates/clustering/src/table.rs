@@ -2,7 +2,8 @@
 //!
 //! The streaming clustering pass touches its `O(|V|)` state through four
 //! operations — look up a vertex's cluster, read a cluster's volume, create
-//! a singleton cluster, migrate a vertex between clusters. Everything else
+//! a singleton cluster, migrate a vertex between clusters — and offers the
+//! table one point between edges to renumber its ids. Everything else
 //! about the state (flat arrays vs. disk-backed pages) is a storage policy,
 //! so the pass is generic over this trait: [`crate::model::Clustering`] is
 //! the in-memory implementation, [`crate::paged::PagedClustering`] the
@@ -35,6 +36,14 @@ pub trait ClusterTable {
 
     /// Move `v` (of degree `d`) from its current cluster to `to`.
     fn migrate(&mut self, v: VertexId, d: u64, to: ClusterId);
+
+    /// Called by the pass before every edge, when no cluster id is held
+    /// across the call: the one point at which a table may renumber its
+    /// ids (order-preserving, see [`Clustering::compact_ids`]). The paged
+    /// table compacts here when that frees frames; the default does
+    /// nothing and compiles away.
+    #[inline]
+    fn between_edges(&mut self) {}
 }
 
 impl ClusterTable for Clustering {
@@ -78,6 +87,11 @@ impl<T: ClusterTable + ?Sized> ClusterTable for &mut T {
     #[inline]
     fn migrate(&mut self, v: VertexId, d: u64, to: ClusterId) {
         (**self).migrate(v, d, to)
+    }
+
+    #[inline]
+    fn between_edges(&mut self) {
+        (**self).between_edges()
     }
 }
 

@@ -35,9 +35,12 @@
 //! 1. **degree** — each worker computes a [`DegreeTable`] over its range;
 //!    tables are summed. Exact — identical to the serial pass.
 //! 2. **clustering** — each worker runs `clustering_passes` local streaming
-//!    clustering passes over its range; the per-thread cluster maps are
-//!    combined with [`tps_clustering::merge_clusterings`] (union-by-volume,
-//!    in worker order — deterministic).
+//!    clustering passes over its range, renumbering its cluster ids to the
+//!    live clusters after each pass as the serial runner does (so its
+//!    volumes hold one word per live cluster, not per vertex it ever saw);
+//!    the per-thread cluster maps are combined with
+//!    [`tps_clustering::merge_clusterings`] (union-by-volume, in worker
+//!    order — deterministic).
 //! 3. **mapping** — Graham scheduling of the merged clusters, serial (it is
 //!    `O(C log C)` on cluster counts, not edge counts).
 //! 4. **partition** — each worker runs the shared phase-2 edge kernel
@@ -159,7 +162,8 @@ use crate::partitioner::{PartitionParams, RunReport};
 use crate::sink::{AssignmentSink, DecisionLog, DecisionOut, SinkBatch, Subpass};
 use crate::two_phase::mapping::ClusterPlacement;
 use crate::two_phase::{
-    empty_run_report, AssignCounters, EdgeAssigner, MappingStrategy, TwoPhaseConfig,
+    compact_counted, empty_run_report, AssignCounters, EdgeAssigner, MappingStrategy,
+    TwoPhaseConfig,
 };
 
 /// A shard's view of the per-partition loads: deterministic quota slice
@@ -301,14 +305,13 @@ pub fn resolve_volume_cap(config: &TwoPhaseConfig, k: u32, degrees: &DegreeTable
 /// clustering passes over edge range `range`, against the **merged** exact
 /// degrees.
 ///
-/// `compact_ids` drops since-emptied cluster ids from the local result
-/// (multi-pass clustering abandons ids as vertices migrate) — pass `true`
-/// whenever more than one shard will be merged: it shrinks the local
-/// state, the distributed `LocalClustering` frame, and the merge's
-/// concatenated id space, and the merged (and re-compacted) clustering is
-/// bit-identical either way because local compaction preserves the
-/// relative order of surviving ids. Single-shard runs must pass `false` so
-/// the ids match the serial runner's exactly.
+/// `compact_ids` drops since-emptied cluster ids at every pass boundary,
+/// as the serial runner does: it shrinks the local state, the distributed
+/// `LocalClustering` frame and the merge's concatenated id space, and the
+/// output is identical either way because compaction preserves the order
+/// of surviving ids. Every caller in the engine passes `true`; the
+/// parameter stays because the cost ledger's hand-driven pipeline calls
+/// this function with its seven arguments.
 pub fn shard_clustering(
     source: &dyn RangedEdgeSource,
     range: (u64, u64),
@@ -322,9 +325,9 @@ pub fn shard_clustering(
     let mut c = Clustering::empty(num_vertices);
     for _ in 0..config.clustering_passes {
         clustering_pass(&mut s, degrees, volume_cap, &mut c)?;
-    }
-    if compact_ids {
-        c.compact_ids();
+        if compact_ids {
+            compact_counted(&mut c);
+        }
     }
     Ok(c)
 }
@@ -602,7 +605,7 @@ impl ParallelRunner {
                 &degrees,
                 cap,
                 info.num_vertices,
-                threads > 1,
+                true,
             )
         })?;
         let clustering = merge_clusterings(&locals, &degrees);

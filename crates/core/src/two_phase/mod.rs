@@ -38,6 +38,8 @@ use crate::two_phase::mapping::ClusterPlacement;
 use crate::two_phase::scoring::{hdrf_score, two_choice_best, EdgeScoreInputs, HdrfParams};
 
 static CLUSTERING_CLUSTERS: tps_obs::Counter = tps_obs::Counter::new("clustering.clusters");
+static CLUSTERING_COMPACTIONS: tps_obs::Counter = tps_obs::Counter::new("clustering.compactions");
+static CLUSTERING_IDS_DROPPED: tps_obs::Counter = tps_obs::Counter::new("clustering.ids_dropped");
 static CORE_ASSIGN_PREPARTITIONED: tps_obs::Counter =
     tps_obs::Counter::new("core.assign.prepartitioned");
 static CORE_ASSIGN_REMAINING: tps_obs::Counter = tps_obs::Counter::new("core.assign.remaining");
@@ -257,6 +259,7 @@ impl TwoPhasePartitioner {
         for pass_no in 0..self.config.clustering_passes {
             let pass = tps_obs::span("clustering.pass");
             clustering_pass_on(stream, &degrees, cap, &mut table)?;
+            table.compact_ids();
             table.check_io()?;
             pass.end();
             if pass_no == 0 {
@@ -265,17 +268,13 @@ impl TwoPhasePartitioner {
         }
         report.phases.record("clustering", s1.end());
 
-        // Phase 2 step 1: schedule the live clusters straight into the
-        // paged `c2p` array. The live list is the one transient term that
-        // scales with the clustering, not the budget: O(#live clusters)
-        // (see ARCHITECTURE.md "Memory model" for the accounting).
+        // Phase 2 step 1: schedule the clusters — all live, the ids are
+        // compact — straight into the paged `c2p` array. The list is the
+        // one transient term that scales with the clustering, not the
+        // budget: O(#live clusters) (see ARCHITECTURE.md "Memory model").
         let s2 = tps_obs::span("mapping");
         let mut live: Vec<(ClusterId, u64)> = Vec::new();
-        table.for_each_volume(|c, vol| {
-            if vol > 0 {
-                live.push((c, vol));
-            }
-        });
+        table.for_each_volume(|c, vol| live.push((c, vol)));
         table.check_io()?;
         let num_clusters = live.len() as u64;
         let max_cluster_volume = live.iter().map(|&(_, vol)| vol).max().unwrap_or(0);
@@ -289,6 +288,12 @@ impl TwoPhasePartitioner {
         table.check_io()?;
         report.phases.record("mapping", s2.end());
 
+        let summary = ClusterSummary {
+            clusters: num_clusters,
+            volume_cap: cap,
+            max_volume: max_cluster_volume,
+            ids_dropped: table.stats().ids_dropped,
+        };
         let state = EdgeAssigner::with_view(
             &degrees,
             &mut table,
@@ -296,11 +301,6 @@ impl TwoPhasePartitioner {
             PartitionLoads::new(params.k, info.num_edges, params.alpha),
             self.config.hash_seed,
         );
-        let summary = ClusterSummary {
-            clusters: num_clusters,
-            volume_cap: cap,
-            max_volume: max_cluster_volume,
-        };
         self.assign_edges(state, summary, stream, sink, &mut report)?;
         table.check_io()?;
         let stats = table.stats();
@@ -313,6 +313,8 @@ impl TwoPhasePartitioner {
         CORE_PAGING_FAULTS.add(stats.faults);
         CORE_PAGING_EVICTIONS.add(stats.evictions);
         CORE_PAGING_WRITEBACKS.add(stats.writebacks);
+        CLUSTERING_COMPACTIONS.add(stats.compactions);
+        CLUSTERING_IDS_DROPPED.add(stats.ids_dropped);
         Ok(report)
     }
 
@@ -351,6 +353,7 @@ impl TwoPhasePartitioner {
         report.count("fallback_hash", counters.fallback_hash);
         report.count("fallback_least_loaded", counters.fallback_least_loaded);
         report.count("clusters", summary.clusters);
+        report.count("cluster_ids_dropped", summary.ids_dropped);
         report.count("cluster_volume_cap", summary.volume_cap);
         report.count("max_cluster_volume", summary.max_volume);
         CLUSTERING_CLUSTERS.add(summary.clusters);
@@ -405,6 +408,20 @@ struct ClusterSummary {
     volume_cap: u64,
     /// Largest cluster volume.
     max_volume: u64,
+    /// Dead cluster ids phase 1 dropped.
+    ids_dropped: u64,
+}
+
+/// Compact `clustering`'s ids at a pass boundary (see
+/// [`Clustering::compact_ids`]) and count the work — the one spelling for
+/// every runner that clusters in memory. Returns the ids dropped.
+pub(crate) fn compact_counted(clustering: &mut Clustering) -> u32 {
+    let dropped = clustering.compact_ids();
+    if dropped > 0 {
+        CLUSTERING_COMPACTIONS.add(1);
+        CLUSTERING_IDS_DROPPED.add(dropped as u64);
+    }
+    dropped
 }
 
 /// Counters of the phase-2 edge kernel (summed across workers when the
@@ -768,9 +785,11 @@ impl Partitioner for TwoPhasePartitioner {
         let cap = VolumeCap::FractionOfTotal(self.config.volume_cap_factor / params.k as f64)
             .resolve(degrees.total_volume());
         let mut clustering = Clustering::empty(info.num_vertices);
+        let mut ids_dropped = 0u64;
         for _ in 0..self.config.clustering_passes {
             let pass = tps_obs::span("clustering.pass");
             clustering_pass(stream, &degrees, cap, &mut clustering)?;
+            ids_dropped += compact_counted(&mut clustering) as u64;
             pass.end();
         }
         report.phases.record("clustering", s1.end());
@@ -792,6 +811,7 @@ impl Partitioner for TwoPhasePartitioner {
             clusters: clustering.num_nonempty_clusters() as u64,
             volume_cap: cap,
             max_volume: clustering.max_volume(),
+            ids_dropped,
         };
         self.assign_edges(state, summary, stream, sink, &mut report)?;
         Ok(report)
@@ -1024,6 +1044,7 @@ mod tests {
                     "prepartitioned",
                     "remaining",
                     "clusters",
+                    "cluster_ids_dropped",
                     "max_cluster_volume",
                 ] {
                     assert_eq!(

@@ -235,7 +235,7 @@ fn serve_job(
         &degrees,
         volume_cap,
         job.num_vertices,
-        job.num_workers > 1,
+        true,
     )?;
     sp.end();
     send_msg(

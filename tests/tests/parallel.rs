@@ -101,7 +101,7 @@ fn sharded_reference_with(
                 &degrees,
                 volume_cap,
                 info.num_vertices,
-                threads > 1,
+                true,
             )
             .unwrap()
         })
