@@ -54,18 +54,19 @@ partition options:
   --threads N|auto|serial
                       chunk-parallel 2ps-l/2ps-hdrf execution over N worker
                       threads (default: auto = available parallelism; serial
-                      forces the single-cursor serial runner; binary inputs
+                      forces one shard over a single cursor; binary inputs
                       only — text inputs and other algorithms always run
                       serial). Results are deterministic for a fixed N; N=1
-                      matches the serial runner bit for bit. Pin N for
-                      output that is reproducible across machines.
+                      is one shard too and matches serial bit for bit. Pin
+                      N for output that is reproducible across machines.
   --out DIR           write per-partition .bel files into DIR
   --mem-budget-mb N   whole-job memory budget, split deterministically:
-                      half pages cluster state out of core (serial runs),
-                      a quarter caps the v2 decode cache, the rest is
-                      headroom for what it does not govern (output buffers,
-                      degree table, the decision logs of --threads N).
-                      Only --threads serial is bounded hard. Output is
+                      half pages cluster state out of core (one-shard
+                      runs: serial or 1), a quarter caps the v2 decode
+                      cache, the rest is headroom for what it does not
+                      govern (output buffers, degree table, the decision
+                      logs of --threads N > 1). Only one-shard runs are
+                      bounded hard. Output is
                       bit-identical at every budget; see the README
                       `Memory model` section
   --trace FILE        record a structured trace (JSON lines: phase spans,
@@ -414,7 +415,7 @@ pub fn partition(args: &[String]) -> i32 {
                 if threads > 1 && common.threads == ThreadMode::Auto {
                     note(&format!(
                         "running chunk-parallel on {threads} threads (deterministic per \
-                         thread count; --threads serial for the paper-exact serial runner)"
+                         thread count; --threads serial for the paper-exact serial run)"
                     ));
                 }
             }

@@ -736,3 +736,38 @@ fn removed_spill_flag_is_rejected() {
         );
     }
 }
+
+/// Options no run can execute are input errors — exit 2 with the reason —
+/// not a constructor's panic (`--passes 0`, in every mode) or a silently
+/// wrapped budget (2⁴⁴ MiB of `--mem-budget-mb` wraps to none, 2⁴⁴ + 1 to
+/// 1 MiB).
+#[test]
+fn unrunnable_options_are_input_errors() {
+    let dir = tmpdir("unrunnable");
+    let bel = dir.join("ok.bel");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    let (no_pass, wraps) = ("need at least one clustering pass", "MiB overflows");
+    for (flags, reason) in [
+        ("--passes 0 --threads serial", no_pass),
+        ("--passes 0 --threads 1", no_pass),
+        ("--passes 0 --threads 2", no_pass),
+        ("--mem-budget-mb 17592186044416", wraps),
+        ("--mem-budget-mb 17592186044417", wraps),
+    ] {
+        let out = tps()
+            .args(["partition", "--input"])
+            .arg(&bel)
+            .args(["--k", "4"])
+            .args(flags.split(' '))
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags}: {err}");
+        assert!(err.contains(reason), "{flags}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -21,8 +21,7 @@
 //!   earlier part, so the result depends only on the inputs, not on thread
 //!   scheduling;
 //! * **identity** — merging a single part returns an equivalent clustering
-//!   (same assignments, same volumes), which is what makes one-thread
-//!   parallel runs bit-identical to the serial runner.
+//!   (same assignments, same volumes): a one-worker dist run is serial.
 
 use tps_graph::degree::DegreeTable;
 use tps_graph::types::{ClusterId, VertexId};
@@ -45,8 +44,7 @@ use crate::model::{Clustering, NO_CLUSTER};
 /// travel with their cluster, and both mapping strategies break ties on
 /// ascending id while zero-volume clusters contribute no load — so the
 /// placement of surviving clusters is unchanged. A single part is returned
-/// as-is (identity), which is what keeps one-thread parallel runs
-/// bit-identical to the serial runner.
+/// as-is (identity): a one-worker dist run stays bit-identical to serial.
 ///
 /// # Panics
 /// Panics if the parts disagree on `num_vertices`, or `parts` is empty.
@@ -110,8 +108,8 @@ pub fn merge_clusterings(parts: &[Clustering], degrees: &DegreeTable) -> Cluster
     let mut merged = Clustering::from_parts(v2c, volumes);
     if parts.len() > 1 {
         // Compact the concatenated id space to the surviving clusters (see
-        // the function docs); a single part stays the identity so
-        // one-thread runs match serial bit for bit, including cluster ids.
+        // the function docs); a single part stays the identity so a
+        // one-worker dist run matches serial bit for bit, cluster ids too.
         merged.compact_ids();
     }
     merged

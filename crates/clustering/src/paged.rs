@@ -27,7 +27,7 @@
 //! slides the live volumes down, rewrites `v2c` one resident page at a
 //! time, and demotes the frames of the dead `vol` tail — clean and least
 //! recently used, so new ids grow back into them without a fault and any
-//! other fault takes them first. The serial runner calls it at every pass
+//! other fault takes them first. A one-shard run calls it at every pass
 //! boundary. Mid-pass, the pass's [`ClusterTable::between_edges`] hook
 //! calls it when three things hold: the pool is full, `⌈|V|/64⌉` ids were
 //! allocated since the last compaction, and the dead tail holds frames not

@@ -4,15 +4,13 @@
 //! than α·|E|/k edges assigned", paper §III-B step 3); the stateful baselines
 //! (HDRF, Greedy) use the same structure for their balance terms.
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
-//! * [`PartitionLoads`] — the serial tracker: plain counters plus the cap.
-//! * [`LoadTracker`] — the trait over load state that the phase-2 edge
-//!   kernel ([`crate::two_phase`]) is generic over, so the serial runner and
-//!   the chunk-parallel runner ([`crate::parallel`]) share one decision
-//!   path (and one-thread parallel runs are bit-identical to serial runs).
-//! * [`AtomicLoads`] — the lock-free shared commit ledger of the parallel
-//!   runner. Worker threads *reserve* capacity deterministically up front
+//! * [`PartitionLoads`] — the plain tracker: counters plus the cap (the
+//!   baselines' balance state, and the one cap formula).
+//! * [`AtomicLoads`] — the lock-free shared commit ledger of the 2PS-L
+//!   driver ([`crate::parallel`]). Its shards decide from a `ShardLoads`
+//!   slice: they *reserve* capacity deterministically up front
 //!   (each thread `t` of `T` owns the quota slice
 //!   `⌊(t+1)·cap/T⌋ − ⌊t·cap/T⌋` of every partition's cap, so the quotas
 //!   sum to the cap exactly), count their placements locally, and `commit`
@@ -25,54 +23,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tps_graph::types::PartitionId;
-
-/// Load state a phase-2 edge kernel can run against.
-///
-/// Semantics mirror [`PartitionLoads`]: `least_loaded` returns the lowest
-/// current load (lowest id on ties) *regardless of fullness* — the min-load
-/// partition can only be full when every partition is, which the cap
-/// arithmetic rules out for the serial tracker and makes a counted
-/// degenerate case for quota-sliced parallel trackers.
-pub trait LoadTracker {
-    /// Number of partitions.
-    fn k(&self) -> u32;
-    /// Current load of `p`.
-    fn load(&self, p: PartitionId) -> u64;
-    /// Whether `p` is at capacity.
-    fn is_full(&self, p: PartitionId) -> bool;
-    /// Record one edge on `p`.
-    fn add(&mut self, p: PartitionId);
-    /// The least-loaded partition (lowest id wins ties).
-    fn least_loaded(&self) -> PartitionId;
-    /// Largest current load.
-    fn max_load(&self) -> u64;
-    /// Smallest current load.
-    fn min_load(&self) -> u64;
-}
-
-impl LoadTracker for PartitionLoads {
-    fn k(&self) -> u32 {
-        PartitionLoads::k(self)
-    }
-    fn load(&self, p: PartitionId) -> u64 {
-        PartitionLoads::load(self, p)
-    }
-    fn is_full(&self, p: PartitionId) -> bool {
-        PartitionLoads::is_full(self, p)
-    }
-    fn add(&mut self, p: PartitionId) {
-        PartitionLoads::add(self, p)
-    }
-    fn least_loaded(&self) -> PartitionId {
-        PartitionLoads::least_loaded(self)
-    }
-    fn max_load(&self) -> u64 {
-        PartitionLoads::max_load(self)
-    }
-    fn min_load(&self) -> u64 {
-        PartitionLoads::min_load(self)
-    }
-}
 
 /// Lock-free shared per-partition load counters with the hard cap.
 ///
@@ -249,11 +199,6 @@ impl PartitionLoads {
     /// Total edges recorded.
     pub fn total(&self) -> u64 {
         self.loads.iter().sum()
-    }
-
-    /// Raw loads.
-    pub fn as_slice(&self) -> &[u64] {
-        &self.loads
     }
 }
 

@@ -52,7 +52,7 @@ use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::{discover_info, EdgeStream};
 use tps_metrics::quality::PartitionMetrics;
 
-use crate::parallel::ParallelRunner;
+use crate::parallel::{partition_ranged, ParallelRunner};
 use crate::partitioner::{PartitionParams, Partitioner, RunReport};
 use crate::runner::RunOutcome;
 use crate::sink::{AssignmentSink, NullSink, QualitySink, TeeSink};
@@ -100,7 +100,7 @@ impl std::str::FromStr for ReaderKind {
 /// How many workers a job runs with.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ThreadMode {
-    /// Force the single-cursor serial runner (paper-exact execution).
+    /// Force one shard over a single cursor (paper-exact execution).
     Serial,
     /// One worker per available core (the default).
     #[default]
@@ -146,7 +146,7 @@ pub enum JobEngine<'a> {
 /// policy — the same budget always produces the same shares, so runs are
 /// reproducible from the flag alone:
 ///
-/// * **½ cluster pages** — the paged cluster table (serial engine; the
+/// * **½ cluster pages** — the paged cluster table (one-shard runs; the
 ///   dominant `O(|V|)` term the budget exists to bound);
 /// * **¼ decode cache** — the v2 readers' decoded-edge cache, per source
 ///   (all-or-nothing per file for a sequential reader, per range for a
@@ -237,7 +237,7 @@ pub struct JobSpec<'a> {
     num_vertices: Option<u64>,
     threads: ThreadMode,
     reader: ReaderKind,
-    mem_budget_bytes: u64,
+    mem_budget_mb: u64,
     trace: Option<PathBuf>,
     trace_cmd: String,
     extra_sink: Option<&'a mut dyn AssignmentSink>,
@@ -253,7 +253,7 @@ impl<'a> JobSpec<'a> {
             num_vertices: None,
             threads: ThreadMode::default(),
             reader: ReaderKind::default(),
-            mem_budget_bytes: 0,
+            mem_budget_mb: 0,
             trace: None,
             trace_cmd: "job".to_string(),
             extra_sink: None,
@@ -313,13 +313,15 @@ impl<'a> JobSpec<'a> {
 
     /// Bound the job's budget-aware memory consumers to `mb` MiB total,
     /// split deterministically by [`MemBudgetSplit`]: paged cluster table
-    /// (serial engine) and v2 decode cache. 0 = unbounded (the default).
-    /// The serial two-phase engine then pages cluster state to disk, so
-    /// peak RSS stays bounded by the budget plus fixed per-run overhead
-    /// even when the graph is many times larger. A chunk-parallel run
-    /// honours the decode share only and still holds its decision logs.
+    /// (a one-shard two-phase run: `Serial` or one thread) and v2 decode
+    /// cache. 0 = unbounded (the default); a budget whose bytes overflow
+    /// 64 bits fails the run as invalid input. A one-shard run then pages
+    /// cluster state to disk, so peak RSS stays bounded by the budget plus
+    /// fixed per-run overhead even when the graph is many times larger. A
+    /// run over several shards honours the decode share only and still
+    /// holds its decision logs.
     pub fn mem_budget_mb(mut self, mb: u64) -> Self {
-        self.mem_budget_bytes = mb << 20;
+        self.mem_budget_mb = mb;
         self
     }
 
@@ -404,7 +406,7 @@ impl<'a> JobSpec<'a> {
             params,
             num_vertices,
             reader,
-            mem_budget_bytes,
+            mem_budget_mb,
             trace,
             trace_cmd,
             extra_sink,
@@ -414,10 +416,30 @@ impl<'a> JobSpec<'a> {
         // A unified memory budget splits deterministically across the
         // budget-aware subsystems. Applied before any input is opened — the
         // v2 decode cache sizes itself at open time.
+        let mem_budget_bytes = mem_budget_mb.checked_mul(1 << 20).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("a memory budget of {mem_budget_mb} MiB overflows 64-bit byte counts"),
+            )
+        })?;
         let mem_split = (mem_budget_bytes > 0).then(|| MemBudgetSplit::of(mem_budget_bytes));
         if let Some(split) = mem_split {
             provider.set_decode_cache_budget(split.decode_cache);
         }
+        // Cluster paging is a one-shard run's cluster storage — `Serial` and
+        // one thread page alike; several shards merge their phase-1 state
+        // at a barrier instead (see README "Memory model").
+        let one_shard = matches!(
+            plan,
+            ExecPlan::Serial { .. } | ExecPlan::Parallel { threads: 1 }
+        );
+        let paging = match (mem_split, &engine) {
+            (Some(split), JobEngine::TwoPhase(_)) if one_shard => Some(ClusterPaging::new(
+                split.cluster_pages,
+                provider.page_store_provider()?,
+            )),
+            _ => None,
+        };
 
         if trace.is_some() {
             // Start from a clean slate so the file describes this run only.
@@ -429,12 +451,12 @@ impl<'a> JobSpec<'a> {
 
         let start = Instant::now();
         let (name, info_v, info_e, result, peak) = match plan {
-            ExecPlan::Parallel { .. } => {
+            ExecPlan::Parallel { threads } => {
                 let cfg = match engine {
                     JobEngine::TwoPhase(cfg) => cfg,
                     JobEngine::Custom(_) => unreachable!("plan() keeps custom engines serial"),
                 };
-                let runner = ParallelRunner::new(cfg, self_threads(&plan));
+                let runner = ParallelRunner::new(cfg, threads);
                 let owned;
                 let source: &dyn RangedEdgeSource = match input {
                     JobInput::Ranged(s) => s,
@@ -448,7 +470,7 @@ impl<'a> JobSpec<'a> {
                 let nv = num_vertices.unwrap_or(info.num_vertices);
                 let (result, peak) = tps_metrics::alloc::measure_peak(|| {
                     run_measured(true, nv, params.k, extra_sink, &mut |sink| {
-                        runner.partition(source, &params, sink)
+                        partition_ranged(&cfg, threads, paging.as_ref(), source, &params, sink)
                     })
                 });
                 (runner.name(), nv, info.num_edges, result, peak)
@@ -460,15 +482,8 @@ impl<'a> JobSpec<'a> {
                     JobEngine::Custom(p) => p,
                     JobEngine::TwoPhase(cfg) => {
                         let mut p = TwoPhasePartitioner::new(cfg);
-                        if let Some(split) = mem_split {
-                            // The serial engine is the one that pages its
-                            // cluster state; parallel/dist workers honour
-                            // the decode-cache share only (see README
-                            // "Memory model").
-                            p = p.with_cluster_paging(ClusterPaging::new(
-                                split.cluster_pages,
-                                provider.page_store_provider()?,
-                            ));
+                        if let Some(paging) = paging {
+                            p = p.with_cluster_paging(paging);
                         }
                         owned_partitioner = p;
                         &mut owned_partitioner
@@ -589,15 +604,6 @@ fn run_measured(
         measured.expect("a non-reporting engine runs behind the quality sink")
     };
     Ok((report, metrics))
-}
-
-/// The worker count a resolved parallel plan requested (helper so the match
-/// above stays readable).
-fn self_threads(plan: &ExecPlan) -> usize {
-    match plan {
-        ExecPlan::Parallel { threads } => *threads,
-        ExecPlan::Serial { .. } => 0,
-    }
 }
 
 #[cfg(test)]
@@ -765,6 +771,32 @@ mod tests {
             base.metrics.replication_factor
         );
         assert!(paged.report.counter("paging_budget_bytes") > 0);
+
+        // One thread is one shard too: it pages exactly like `Serial`.
+        let mut one_sink = VecSink::new();
+        let one = JobSpec::ranged(&g)
+            .k(8)
+            .threads(ThreadMode::Count(1))
+            .mem_budget_mb(1)
+            .extra_sink(&mut one_sink)
+            .run_with(&MemPages)
+            .unwrap();
+        assert_eq!(one.name, "2PS-L×1");
+        assert_eq!(one_sink.assignments(), base_sink.assignments());
+        assert_eq!(one.report.counters, paged.report.counters);
+    }
+
+    #[test]
+    fn mem_budget_whose_bytes_overflow_is_invalid_input() {
+        let g = Dataset::Ok.generate_scaled(0.01);
+        for mb in [1u64 << 44, u64::MAX] {
+            let err = JobSpec::ranged(&g)
+                .threads(ThreadMode::Serial)
+                .mem_budget_mb(mb)
+                .run_with(&MemPages)
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
     }
 
     #[test]

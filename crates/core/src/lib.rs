@@ -25,8 +25,9 @@
 //!   bounded batch they travel in.
 //! * [`balance`] — per-partition load accounting with the hard balance cap.
 //! * [`two_phase`] — the 2PS-L implementation (and its 2PS-HDRF variant).
-//! * [`parallel`] — the chunk-parallel execution layer: [`parallel::ParallelRunner`]
-//!   runs both phases with one worker per contiguous edge range (mergeable
+//! * [`parallel`] — the one 2PS-L driver and its per-shard kernels: a
+//!   serial run is one shard, [`parallel::ParallelRunner`] runs both
+//!   phases with one worker per contiguous edge range (mergeable
 //!   clustering state, one shared replication matrix, quota-sliced lock-free
 //!   load reservation — see the module docs for the scheme and its
 //!   determinism/quality bounds).

@@ -1,22 +1,25 @@
-//! Chunk-parallel two-phase partitioning — the [`ParallelRunner`] — and the
-//! per-shard phase kernels it is built from.
+//! The one 2PS-L driver — every serial, paged and `--threads N` run — and
+//! the per-shard phase kernels it is built from.
 //!
-//! Both phases of 2PS-L are embarrassingly parallel over contiguous edge
-//! ranges: phase 1's streaming clustering commutes up to a state merge, and
-//! phase 2 scores each edge against per-vertex state that can be sharded per
-//! worker. The runner splits the canonical edge order into `T` near-equal
-//! ranges (see [`tps_graph::ranged::split_even`]) and runs each phase with
-//! one worker per range over its own [`EdgeStream`], opened through a
+//! A run is a set of **shards**. Both phases of 2PS-L are embarrassingly
+//! parallel over contiguous edge ranges: phase 1's streaming clustering
+//! commutes up to a state merge, and phase 2 scores each edge against
+//! per-vertex state that can be sharded per worker. [`ParallelRunner`]
+//! splits the canonical edge order into `T` near-equal ranges (see
+//! [`tps_graph::ranged::split_even`]) and runs each phase with one worker
+//! per range over its own [`EdgeStream`], opened through a
 //! [`RangedEdgeSource`] — in-memory graphs, v1 `.bel` files and chunked v2
 //! files (via `tps-io`) all implement it, and because ranges are expressed
 //! in *edge indices* the result is identical for every storage backend.
+//! **Serial is one shard**: the caller's stream (`TwoPhasePartitioner`) or
+//! the whole range (`T = 1`), its barriers no-ops.
 //!
 //! # Per-shard kernels
 //!
 //! The phase logic is deliberately **not** owned by the thread pool: the
 //! free functions [`shard_degrees`] and [`shard_clustering`] plus the
 //! [`ShardAssigner`] state machine run one shard of one phase each, and the
-//! runner merely schedules them onto scoped threads ([`run_workers`]) and
+//! driver merely schedules them onto scoped threads ([`run_workers`]) and
 //! merges between barriers. `tps-dist` schedules the *same* kernels onto
 //! worker processes connected over a socket, which is how a distributed run
 //! can be bit-identical to `--threads N` — both execute this module's code
@@ -32,21 +35,22 @@
 //!
 //! # Execution model
 //!
-//! 1. **degree** — each worker computes a [`DegreeTable`] over its range;
-//!    tables are summed. Exact — identical to the serial pass.
-//! 2. **clustering** — each worker runs `clustering_passes` local streaming
-//!    clustering passes over its range, renumbering its cluster ids to the
-//!    live clusters after each pass as the serial runner does (so its
-//!    volumes hold one word per live cluster, not per vertex it ever saw);
-//!    the per-thread cluster maps are combined with
-//!    [`tps_clustering::merge_clusterings`] (union-by-volume, in worker
-//!    order — deterministic).
-//! 3. **mapping** — Graham scheduling of the merged clusters, serial (it is
+//! 1. **degree** — each shard computes a [`DegreeTable`] over its edges;
+//!    several shards' tables are summed. Exact either way.
+//! 2. **clustering** — each shard runs `clustering_passes` local streaming
+//!    clustering passes over its edges, renumbering its cluster ids to the
+//!    live clusters after each pass; several shards' maps are combined
+//!    with [`tps_clustering::merge_clusterings`] (union-by-volume, in shard
+//!    order — deterministic). One shard pages its table under a
+//!    [`ClusterPaging`] budget (paging is one-shard-only).
+//! 3. **mapping** — Graham scheduling of the clusters, serial (it is
 //!    `O(C log C)` on cluster counts, not edge counts).
-//! 4. **partition** — each worker runs the shared phase-2 edge kernel
-//!    ([`crate::two_phase`]'s `EdgeAssigner`) over its range against **one
-//!    shared** [`AtomicReplicationMatrix`] (word-level relaxed `fetch_or`)
-//!    and quota-sliced load tracking (below). The pre-partitioning subpass
+//! 4. **partition** — each shard runs the shared phase-2 edge kernel
+//!    ([`ShardAssigner`]). One shard owns a [`ReplicationMatrix`] and its
+//!    decisions go straight to the caller's [`AssignmentSink`] (decision
+//!    order is emit order). Several share **one**
+//!    [`AtomicReplicationMatrix`] (word-level relaxed `fetch_or`) and
+//!    quota-sliced load tracking (below). The pre-partitioning subpass
 //!    writes replication state but never reads it (targets depend only on
 //!    the merged clustering, placement and quotas), so all workers writing
 //!    the same words is race-free by construction; at the barrier the
@@ -58,23 +62,24 @@
 //!    against "merged state ∪ its own scoring replicas" — exactly the
 //!    sharded semantics, bit for bit, at `O(|V|·k)` bits total instead of
 //!    `O(T·|V|·k)`.
-//! 5. **emit** — in worker order, each worker's decisions reach the
-//!    caller's [`AssignmentSink`]: its pre-partitioning records, then its
-//!    scoring records, so downstream files are reproducible. A worker
-//!    remembers *decisions*, not edges — one tag per stream position in a
-//!    [`DecisionLog`] — and emit re-reads the worker's own range to pair
-//!    each tag with its edge ([`DecisionLog::emit`]); a source that
+//! 5. **emit** (several shards) — in worker order, each worker's decisions
+//!    reach the caller's [`AssignmentSink`]: its pre-partitioning records,
+//!    then its scoring records, so downstream files are reproducible. A
+//!    worker remembers *decisions*, not edges — one tag per stream position
+//!    in a [`DecisionLog`] — and emit re-reads the worker's own range to
+//!    pair each tag with its edge ([`DecisionLog::emit`]); a source that
 //!    retained the range (`tps-io`'s v2 sources, under the decode budget)
 //!    serves those two scans from memory. It writes files, or nothing at
 //!    all into a `NullSink`: the metrics were taken before it (below).
 //!
 //! # Who computes the metrics
 //!
-//! The runner does, from its own state ([`RunReport::quality`]). When the
-//! scoring subpass has **joined** — not before: a sparse view reads the
-//! shared words on every `contains`, and no worker may see another's
-//! scoring-time replicas — each worker's private rows or overlay are
-//! OR-published into the shared matrix and freed
+//! The driver does, from its own state ([`RunReport::quality`]): one shard
+//! from the matrix it owns; several once the scoring subpass has
+//! **joined** — not before: a sparse view reads the shared words on every
+//! `contains`, and no worker may see another's scoring-time replicas —
+//! when each worker's private rows or overlay are OR-published
+//! into the shared matrix and freed
 //! ([`ShardAssigner::publish_replication`]). The shared matrix is then the
 //! union of everything any worker committed, i.e. exactly the matrix a
 //! `QualitySink` would build from the replayed assignments, and its census
@@ -107,10 +112,8 @@
 //! * For a **fixed thread count** the run is fully deterministic: ranges,
 //!   merges and replay order depend only on the input. Two runs with the
 //!   same `--threads` produce identical assignments.
-//! * With **one thread** the runner is bit-for-bit identical to the serial
-//!   [`TwoPhasePartitioner`](crate::two_phase::TwoPhasePartitioner): the ranges degenerate to the full stream, the
-//!   merge is the identity, the quota slice is the full cap, and phase 2
-//!   runs the same kernel code.
+//! * With **one thread** the run *is* the serial run: one shard, the same
+//!   driver and kernels, the full cap as its quota, no decision log.
 //! * **Across thread counts** assignments differ (workers don't see each
 //!   other's clustering migrations or scoring-time replicas), but the
 //!   balance cap holds identically, and the replication factor degrades
@@ -141,30 +144,37 @@
 //! clustering maps during their phases — plus the [`DecisionLog`] until the
 //! emit barrier: 1 B per edge of the worker's range up to k = 128, 2 B up
 //! to k = 32 768, the one `O(|E|)` term of a run (the spool it replaced
-//! held 12 B per edge). `--mem-budget-mb` does not bound it: only a serial
-//! run has no log to hold.
+//! held 12 B per edge). `--mem-budget-mb` does not bound it: only a
+//! one-shard run has no log to hold.
 
 use std::io;
 
 use tps_clustering::merge::merge_clusterings;
-use tps_clustering::model::Clustering;
-use tps_clustering::streaming::{clustering_pass, VolumeCap};
+use tps_clustering::model::{Clustering, NO_CLUSTER};
+use tps_clustering::streaming::{clustering_pass, clustering_pass_on, VolumeCap};
 use tps_graph::degree::DegreeTable;
 use tps_graph::ranged::{split_even, RangedEdgeSource};
-use tps_graph::stream::EdgeStream;
+use tps_graph::stream::{discover_info, EdgeStream};
 use tps_graph::types::PartitionId;
 use tps_metrics::atomic::{AtomicReplicationMatrix, SharedReplicaView};
-use tps_metrics::bitmatrix::{ReplicaSet, ReplicationMatrix};
+use tps_metrics::bitmatrix::{ReplicaCensus, ReplicaSet, ReplicationMatrix};
 use tps_metrics::quality::PartitionMetrics;
 
-use crate::balance::{AtomicLoads, LoadTracker, PartitionLoads};
+use crate::balance::{AtomicLoads, PartitionLoads};
 use crate::partitioner::{PartitionParams, RunReport};
-use crate::sink::{AssignmentSink, DecisionLog, DecisionOut, SinkBatch, Subpass};
-use crate::two_phase::mapping::ClusterPlacement;
+use crate::sink::{AssignmentSink, DecisionLog, SinkBatch, Subpass};
+use crate::two_phase::mapping::{schedule_paged, ClusterPlacement};
 use crate::two_phase::{
-    compact_counted, empty_run_report, AssignCounters, EdgeAssigner, MappingStrategy,
-    TwoPhaseConfig,
+    compact_counted, note_if_thrashing, AssignCounters, ClusterPaging, ClusterView,
+    MappingStrategy, PlanView, TwoPhaseConfig,
 };
+
+static CLUSTERING_CLUSTERS: tps_obs::Counter = tps_obs::Counter::new("clustering.clusters");
+static CORE_ASSIGN_PREPARTITIONED: tps_obs::Counter =
+    tps_obs::Counter::new("core.assign.prepartitioned");
+static CORE_ASSIGN_REMAINING: tps_obs::Counter = tps_obs::Counter::new("core.assign.remaining");
+static CORE_ASSIGN_FALLBACK: tps_obs::Counter = tps_obs::Counter::new("core.assign.fallback");
+static CORE_CAP_OVERSHOOT: tps_obs::Counter = tps_obs::Counter::new("core.cap.overshoot");
 
 /// A shard's view of the per-partition loads: deterministic quota slice
 /// locally, optional atomic commit ledger globally (see module docs).
@@ -228,7 +238,7 @@ impl<'a> ShardLoads<'a> {
     /// Publish the edges added since the last commit to the ledger — `k`
     /// `fetch_add`s, called once at the end of each phase-2 pass so the
     /// per-edge path shares no cache line with other workers.
-    fn commit_to_ledger(&mut self) {
+    pub(crate) fn commit_to_ledger(&mut self) {
         let Some(ledger) = self.ledger else { return };
         for (p, (&now, done)) in self.local.iter().zip(&mut self.committed).enumerate() {
             // Only reachable past the cap through the degenerate
@@ -238,22 +248,34 @@ impl<'a> ShardLoads<'a> {
             *done = now;
         }
     }
-}
 
-impl LoadTracker for ShardLoads<'_> {
-    fn k(&self) -> u32 {
+    // What the edge kernel decides from: the local slice alone.
+
+    #[inline]
+    pub(crate) fn k(&self) -> u32 {
         self.local.len() as u32
     }
-    fn load(&self, p: PartitionId) -> u64 {
+
+    #[inline]
+    pub(crate) fn load(&self, p: PartitionId) -> u64 {
         self.local[p as usize]
     }
-    fn is_full(&self, p: PartitionId) -> bool {
+
+    #[inline]
+    pub(crate) fn is_full(&self, p: PartitionId) -> bool {
         self.local[p as usize] >= self.quota
     }
-    fn add(&mut self, p: PartitionId) {
+
+    #[inline]
+    pub(crate) fn add(&mut self, p: PartitionId) {
         self.local[p as usize] += 1;
     }
-    fn least_loaded(&self) -> PartitionId {
+
+    /// The least-loaded partition (lowest id wins ties), *regardless of
+    /// fullness*: it can only be full when every slice is, which the cap
+    /// arithmetic rules out for one shard and makes a counted degenerate
+    /// case (`cap_overshoot`) for several.
+    pub(crate) fn least_loaded(&self) -> PartitionId {
         let mut best = 0u32;
         let mut best_load = self.local[0];
         for (i, &l) in self.local.iter().enumerate().skip(1) {
@@ -264,10 +286,12 @@ impl LoadTracker for ShardLoads<'_> {
         }
         best
     }
-    fn max_load(&self) -> u64 {
+
+    pub(crate) fn max_load(&self) -> u64 {
         self.local.iter().copied().max().unwrap_or(0)
     }
-    fn min_load(&self) -> u64 {
+
+    pub(crate) fn min_load(&self) -> u64 {
         self.local.iter().copied().min().unwrap_or(0)
     }
 }
@@ -306,7 +330,7 @@ pub fn resolve_volume_cap(config: &TwoPhaseConfig, k: u32, degrees: &DegreeTable
 /// degrees.
 ///
 /// `compact_ids` drops since-emptied cluster ids at every pass boundary,
-/// as the serial runner does: it shrinks the local state, the distributed
+/// as a one-shard run does: it shrinks the local state, the distributed
 /// `LocalClustering` frame and the merge's concatenated id space, and the
 /// output is identical either way because compaction preserves the order
 /// of surviving ids. Every caller in the engine passes `true`; the
@@ -346,28 +370,34 @@ pub fn cluster_placement(
 }
 
 /// Phase 2 for one shard: the pre-partitioning and scoring subpasses with
-/// quota-sliced loads, generic over the replication state.
+/// quota-sliced loads, generic over the replication state and the cluster
+/// storage (the per-edge kernel lives in [`crate::two_phase`]).
 ///
 /// Each subpass comes in two forms: `*_pass` hands its decisions to a sink
-/// as whole records; `*_logged` writes one tag per position into the
-/// shard's [`DecisionLog`], which the in-process runner and `tps-dist`'s
-/// workers then emit with [`DecisionLog::emit`].
+/// as whole records, as a one-shard run does; `*_logged` writes one tag per
+/// position into the shard's [`DecisionLog`], which the in-process driver
+/// and `tps-dist`'s workers then emit with [`DecisionLog::emit`].
 ///
 /// The assigner survives the replication barrier between the two subpasses.
-/// With an owned [`ReplicationMatrix`] (the default — `tps-dist`'s
-/// workers): run [`prepartition_pass`](ShardAssigner::prepartition_pass),
+/// With an owned [`ReplicationMatrix`] (the default — one-shard runs and
+/// `tps-dist`'s workers): run [`prepartition_pass`](ShardAssigner::prepartition_pass),
 /// exchange [`replication_shard`](ShardAssigner::replication_shard) /
 /// [`install_replication`](ShardAssigner::install_replication) (or the
-/// chunked [`install_replication_range`](ShardAssigner::install_replication_range)),
-/// then run [`remaining_pass`](ShardAssigner::remaining_pass). With a
-/// [`SharedReplicaView`] (the in-process runner): the barrier is just
+/// chunked [`install_replication_range`](ShardAssigner::install_replication_range))
+/// with any other shards, then run
+/// [`remaining_pass`](ShardAssigner::remaining_pass). With a
+/// [`SharedReplicaView`] (in-process shards): the barrier is just
 /// [`freeze_replication`](ShardAssigner::freeze_replication) — the shared
 /// matrix already holds the union of every worker's pre-partition writes.
 /// Each pass ends by committing the shard's load deltas to the ledger, if
 /// its [`ShardLoads`] has one.
-pub struct ShardAssigner<'a, R: ReplicaSet = ReplicationMatrix> {
-    config: TwoPhaseConfig,
-    inner: EdgeAssigner<'a, ShardLoads<'a>, R>,
+pub struct ShardAssigner<'a, R: ReplicaSet = ReplicationMatrix, C: ClusterView = PlanView<'a>> {
+    pub(crate) config: TwoPhaseConfig,
+    pub(crate) degrees: &'a DegreeTable,
+    pub(crate) view: C,
+    pub(crate) v2p: R,
+    pub(crate) loads: ShardLoads<'a>,
+    pub(crate) counters: AssignCounters,
 }
 
 impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
@@ -380,15 +410,31 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         replicas: R,
         loads: ShardLoads<'a>,
     ) -> Self {
-        let inner = EdgeAssigner::new(
-            degrees,
+        let view = PlanView {
             clustering,
             placement,
-            replicas,
+        };
+        ShardAssigner::with_view(config, degrees, view, replicas, loads)
+    }
+}
+
+impl<'a, R: ReplicaSet, C: ClusterView> ShardAssigner<'a, R, C> {
+    /// An assigner reading its cluster state through `view`.
+    pub(crate) fn with_view(
+        config: TwoPhaseConfig,
+        degrees: &'a DegreeTable,
+        view: C,
+        replicas: R,
+        loads: ShardLoads<'a>,
+    ) -> Self {
+        ShardAssigner {
+            config,
+            degrees,
+            view,
+            v2p: replicas,
             loads,
-            config.hash_seed,
-        );
-        ShardAssigner { config, inner }
+            counters: AssignCounters::default(),
+        }
     }
 
     /// The pre-partitioning subpass over this shard's edges, its decisions
@@ -436,39 +482,19 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         pass.finish()
     }
 
-    fn prepartition_into<O: DecisionOut>(
-        &mut self,
-        stream: &mut dyn EdgeStream,
-        out: &mut O,
-    ) -> io::Result<()> {
-        self.inner.prepartition_pass(stream, out)?;
-        self.inner.loads.commit_to_ledger();
-        Ok(())
-    }
-
-    fn remaining_into<O: DecisionOut>(
-        &mut self,
-        stream: &mut dyn EdgeStream,
-        out: &mut O,
-    ) -> io::Result<()> {
-        self.inner.remaining_pass(stream, out, &self.config)?;
-        self.inner.loads.commit_to_ledger();
-        Ok(())
-    }
-
     /// This shard's phase-2 counters.
     pub fn counters(&self) -> AssignCounters {
-        self.inner.counters
+        self.counters
     }
 
     /// Edges this shard committed per partition.
     pub fn local_loads(&self) -> &[u64] {
-        self.inner.loads.local_loads()
+        self.loads.local_loads()
     }
 
     /// Ledger-witnessed cap overshoots (see [`ShardLoads::overshoot`]).
     pub fn overshoot(&self) -> u64 {
-        self.inner.loads.overshoot()
+        self.loads.overshoot()
     }
 }
 
@@ -476,12 +502,12 @@ impl<'a> ShardAssigner<'a, ReplicationMatrix> {
     /// The replicas this shard's assignments created so far (what crosses
     /// the prepartition/scoring barrier in a distributed run).
     pub fn replication_shard(&self) -> &ReplicationMatrix {
-        &self.inner.v2p
+        &self.v2p
     }
 
     /// Replace this shard's replica view with the OR-merged global matrix.
     pub fn install_replication(&mut self, merged: ReplicationMatrix) {
-        self.inner.v2p = merged;
+        self.v2p = merged;
     }
 
     /// Replace the packed words of the vertex range starting at `v0` with
@@ -489,7 +515,7 @@ impl<'a> ShardAssigner<'a, ReplicationMatrix> {
     /// the barrier arrives as bounded vertex-range frames rather than one
     /// whole-matrix message).
     pub fn install_replication_range(&mut self, v0: u64, words: &[u64]) -> Result<(), String> {
-        self.inner.v2p.install_range_words(v0, words)
+        self.v2p.install_range_words(v0, words)
     }
 }
 
@@ -500,7 +526,7 @@ impl<'a> ShardAssigner<'a, SharedReplicaView<'a>> {
     /// this worker. Must be called after *all* workers'
     /// pre-partition passes have joined.
     pub fn freeze_replication(&mut self) {
-        self.inner.v2p.freeze();
+        self.v2p.freeze();
     }
 
     /// After the scoring subpass of *every* worker has joined: OR this
@@ -508,13 +534,13 @@ impl<'a> ShardAssigner<'a, SharedReplicaView<'a>> {
     /// free them (see [`SharedReplicaView::publish`]). Consumes the
     /// assigner — there is no pass left to run.
     pub fn publish_replication(self) {
-        self.inner.v2p.publish();
+        self.v2p.publish();
     }
 
     /// Heap bytes of this worker's private post-freeze replica state
     /// (memory accounting; see [`SharedReplicaView::private_bytes`]).
     pub fn private_bytes(&self) -> usize {
-        self.inner.v2p.private_bytes()
+        self.v2p.private_bytes()
     }
 }
 
@@ -523,7 +549,8 @@ impl<'a> ShardAssigner<'a, SharedReplicaView<'a>> {
 /// Unlike [`crate::partitioner::Partitioner`] implementations it consumes a
 /// [`RangedEdgeSource`] rather than a single stream cursor — parallelism
 /// needs independent range streams, which a `&mut dyn EdgeStream` cannot
-/// provide.
+/// provide. One thread runs the source's whole range as one shard: the
+/// serial run.
 #[derive(Clone, Debug)]
 pub struct ParallelRunner {
     config: TwoPhaseConfig,
@@ -531,17 +558,10 @@ pub struct ParallelRunner {
 }
 
 impl ParallelRunner {
-    /// A runner executing `config` on `threads` worker threads.
-    /// `threads = 0` selects [`std::thread::available_parallelism`].
+    /// A runner executing `config` (checked when it runs) on `threads`
+    /// worker threads. `threads = 0` selects
+    /// [`std::thread::available_parallelism`].
     pub fn new(config: TwoPhaseConfig, threads: usize) -> Self {
-        assert!(
-            config.clustering_passes >= 1,
-            "need at least one clustering pass"
-        );
-        assert!(
-            config.volume_cap_factor > 0.0,
-            "volume cap factor must be positive"
-        );
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -553,11 +573,6 @@ impl ParallelRunner {
     /// The worker thread count in use.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The two-phase configuration in use.
-    pub fn config(&self) -> &TwoPhaseConfig {
-        &self.config
     }
 
     /// Algorithm name, matching the serial partitioner's with a thread tag.
@@ -578,128 +593,285 @@ impl ParallelRunner {
         params: &PartitionParams,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<RunReport> {
-        let info = source.info();
-        if info.num_edges == 0 {
-            return Ok(empty_run_report(params.k));
-        }
-        let mut report = RunReport::default();
-        let threads = self.threads.max(1);
-        let ranges = split_even(info.num_edges, threads);
-
-        // Phase 0: degrees, one worker per range, summed.
-        let s0 = tps_obs::span("degree");
-        let tables = run_workers(&ranges, |_, range| {
-            shard_degrees(source, range, info.num_vertices)
-        })?;
-        let degrees = merge_degree_tables(tables);
-        report.phases.record("degree", s0.end());
-
-        // Phase 1: local streaming clustering per range, merged by volume.
-        let s1 = tps_obs::span("clustering");
-        let cap = resolve_volume_cap(&self.config, params.k, &degrees);
-        let locals = run_workers(&ranges, |_, range| {
-            shard_clustering(
-                source,
-                range,
-                &self.config,
-                &degrees,
-                cap,
-                info.num_vertices,
-                true,
-            )
-        })?;
-        let clustering = merge_clusterings(&locals, &degrees);
-        drop(locals);
-        report.phases.record("clustering", s1.end());
-
-        // Phase 2 step 1: cluster→partition mapping (serial, edge-free).
-        let s2 = tps_obs::span("mapping");
-        let placement = cluster_placement(&self.config, &clustering, params.k);
-        report.phases.record("mapping", s2.end());
-
-        // Phase 2 step 2: the pre-partitioning subpass per range. Targets
-        // depend only on the (merged) clustering, placement and load quotas
-        // — not on replica state — so every worker writing its replicas
-        // into the one shared atomic matrix (relaxed fetch_or, no reads)
-        // is deterministic, and the matrix at the barrier equals the
-        // OR-merge of the old per-worker shards for any interleaving.
-        let s3 = tps_obs::span("prepartition");
-        let shared = AtomicLoads::new(params.k, info.num_edges, params.alpha);
-        let replicas = AtomicReplicationMatrix::new(info.num_vertices, params.k);
-        let mut states = run_workers(&ranges, |t, (a, b)| {
-            let mut assigner = ShardAssigner::new(
-                self.config,
-                &degrees,
-                &clustering,
-                &placement,
-                SharedReplicaView::new(&replicas),
-                ShardLoads::with_ledger(&shared, t, threads),
-            );
-            let mut log = DecisionLog::new(b - a, params.k)?;
-            if self.config.prepartitioning {
-                let mut s = source.open_range(a, b)?;
-                assigner.prepartition_logged(&mut s, &mut log)?;
-            }
-            Ok((assigner, log))
-        })?;
-        report.phases.record("prepartition", s3.end());
-
-        // Barrier: freeze every worker's view. No merge — the shared
-        // matrix already holds the union; scoring-subpass writes stay
-        // private to each worker, so it sees exactly "merged ∪ its own
-        // scoring replicas" (the sharded-path semantics, at the serial
-        // memory bound in bits).
-        for (assigner, _) in &mut states {
-            assigner.freeze_replication();
-        }
-
-        // Phase 2 step 3: score-and-assign the remaining edges per range.
-        let s4 = tps_obs::span("partition");
-        let worker_out = run_workers_with(&ranges, states, |_, (a, b), state| {
-            let (mut assigner, mut log) = state;
-            let mut s = source.open_range(a, b)?;
-            assigner.remaining_logged(&mut s, &mut log)?;
-            Ok((assigner, log))
-        })?;
-        report.phases.record("partition", s4.end());
-
-        // Every scoring pass has joined, so no view reads the shared words
-        // any more: publish each worker's private scoring-time replicas
-        // into them. The shared matrix then holds the run's final replica
-        // set and the ledger its loads — the state the quality metrics are
-        // counted from, in place (see `# Who computes the metrics`).
-        let mut counters = AssignCounters::default();
-        let mut overshoot = 0u64;
-        let mut logs = Vec::with_capacity(threads);
-        for (assigner, log) in worker_out {
-            counters.merge(&assigner.counters());
-            overshoot += assigner.overshoot();
-            assigner.publish_replication();
-            logs.push(log);
-        }
-        debug_assert_eq!(shared.total(), info.num_edges);
-        report.quality = Some(PartitionMetrics::from_state(
-            params.k,
-            replicas.census(),
-            &shared.snapshot(),
-        ));
-
-        // Emit: every worker's decisions, in deterministic worker order.
-        let s5 = tps_obs::span("emit");
-        for (log, &(a, b)) in logs.into_iter().zip(&ranges) {
-            log.emit(&mut *source.open_range(a, b)?, sink)?;
-        }
-        report.phases.record("emit", s5.end());
-
-        report.count("threads", threads as u64);
-        record_phase2_counters(&mut report, &counters, overshoot);
-        record_clustering_counters(&mut report, &clustering, cap);
-        Ok(report)
+        partition_ranged(&self.config, self.threads, None, source, params, sink)
     }
 }
 
-/// Append the shared phase-2 counter block to `report` (one spelling for
-/// the parallel and distributed runners).
+/// A run of `threads` shards over `source`: `threads` near-equal edge
+/// ranges, or — at one thread — the whole range as one stream, its cluster
+/// state paged under `paging` when given (several shards do not page).
+pub(crate) fn partition_ranged(
+    config: &TwoPhaseConfig,
+    threads: usize,
+    paging: Option<&ClusterPaging>,
+    source: &dyn RangedEdgeSource,
+    params: &PartitionParams,
+    sink: &mut dyn AssignmentSink,
+) -> io::Result<RunReport> {
+    let num_edges = source.info().num_edges;
+    if threads > 1 {
+        let ranges = split_even(num_edges, threads);
+        return run_shards(config, Shards::Ranged(source, ranges), params, sink);
+    }
+    let mut stream = source.open_range(0, num_edges)?;
+    run_shards(config, Shards::One(&mut *stream, paging), params, sink)
+}
+
+/// The shards of one run.
+pub(crate) enum Shards<'s> {
+    /// One shard: a stream, reset before every pass, and the paging policy
+    /// of its cluster state, if any.
+    One(&'s mut dyn EdgeStream, Option<&'s ClusterPaging>),
+    /// One shard per edge range of a source — at least two — each phase on
+    /// one scoped thread per range, over a freshly opened range stream.
+    Ranged(&'s dyn RangedEdgeSource, Vec<(u64, u64)>),
+}
+
+/// The 2PS-L driver: every run — serial, paged, `--threads N` — is this
+/// function over one shard or several (module docs, "Execution model").
+pub(crate) fn run_shards(
+    config: &TwoPhaseConfig,
+    mut shards: Shards<'_>,
+    params: &PartitionParams,
+    sink: &mut dyn AssignmentSink,
+) -> io::Result<RunReport> {
+    config.check()?;
+    let info = match &mut shards {
+        Shards::One(stream, _) => discover_info(&mut **stream)?,
+        Shards::Ranged(source, _) => source.info(),
+    };
+    if info.num_edges == 0 {
+        // No phases, no counters, and the metrics of `k` empty partitions.
+        let zeros = vec![0; params.k as usize];
+        let quality = PartitionMetrics::from_state(params.k, ReplicaCensus::default(), &zeros);
+        return Ok(RunReport {
+            quality: Some(quality),
+            ..RunReport::default()
+        });
+    }
+    let (nv, k) = (info.num_vertices, params.k);
+    let mut report = RunReport::default();
+    let ledger = AtomicLoads::new(k, info.num_edges, params.alpha);
+
+    // Phase 0: exact degrees of each shard's edges, summed.
+    let s0 = tps_obs::span("degree");
+    let degrees = match &mut shards {
+        Shards::One(stream, _) => DegreeTable::compute(&mut **stream, nv)?,
+        Shards::Ranged(source, ranges) => {
+            let source = *source;
+            merge_degree_tables(run_workers(ranges, |_, range| {
+                shard_degrees(source, range, nv)
+            })?)
+        }
+    };
+    report.phases.record("degree", s0.end());
+
+    // Phase 1: streaming clustering — into the one shard's own table, or
+    // per range and merged by volume.
+    let s1 = tps_obs::span("clustering");
+    let cap = resolve_volume_cap(config, k, &degrees);
+    let clustering = match &mut shards {
+        Shards::One(stream, Some(paging)) => {
+            // A paged run: the same phases against a `PagedClustering`.
+            let mut table = paging.open_table(nv)?;
+            for pass in 0..config.clustering_passes {
+                let span = tps_obs::span("clustering.pass");
+                clustering_pass_on(&mut **stream, &degrees, cap, &mut table)?;
+                table.compact_ids();
+                table.check_io()?;
+                span.end();
+                if pass == 0 {
+                    note_if_thrashing(table.stats().faults, info.num_edges);
+                }
+            }
+            report.phases.record("clustering", s1.end());
+            let s2 = tps_obs::span("mapping");
+            let sorted = config.mapping == MappingStrategy::SortedGraham;
+            let (clusters, max_volume) = schedule_paged(&mut table, k, sorted)?;
+            report.phases.record("mapping", s2.end());
+            let replicas = ReplicationMatrix::new(nv, k);
+            let loads = ShardLoads::with_ledger(&ledger, 0, 1);
+            let mut shard = ShardAssigner::with_view(*config, &degrees, table, replicas, loads);
+            one_shard_phase2(&mut shard, &mut **stream, sink, &mut report)?;
+            shard.view.check_io()?;
+            let stats = shard.view.stats();
+            record_cluster_counters(&mut report, clusters, max_volume, stats.ids_dropped, cap);
+            paging.record(&mut report, stats);
+            return Ok(report);
+        }
+        Shards::One(stream, None) => {
+            let mut clustering = Clustering::empty(nv);
+            for _ in 0..config.clustering_passes {
+                let span = tps_obs::span("clustering.pass");
+                clustering_pass_on(&mut **stream, &degrees, cap, &mut clustering)?;
+                compact_counted(&mut clustering);
+                span.end();
+            }
+            clustering
+        }
+        Shards::Ranged(source, ranges) => {
+            let source = *source;
+            let locals = run_workers(ranges, |_, range| {
+                shard_clustering(source, range, config, &degrees, cap, nv, true)
+            })?;
+            merge_clusterings(&locals, &degrees)
+        }
+    };
+    report.phases.record("clustering", s1.end());
+
+    // Phase 2 step 1: cluster→partition mapping (serial, edge-free).
+    let s2 = tps_obs::span("mapping");
+    let placement = cluster_placement(config, &clustering, k);
+    report.phases.record("mapping", s2.end());
+
+    // Phase 2 steps 2 and 3.
+    match &mut shards {
+        Shards::One(stream, _) => {
+            let replicas = ReplicationMatrix::new(nv, k);
+            let loads = ShardLoads::with_ledger(&ledger, 0, 1);
+            let mut shard =
+                ShardAssigner::new(*config, &degrees, &clustering, &placement, replicas, loads);
+            one_shard_phase2(&mut shard, &mut **stream, sink, &mut report)?;
+        }
+        Shards::Ranged(source, ranges) => {
+            let replicas = AtomicReplicationMatrix::new(nv, k);
+            let assigners = (0..ranges.len())
+                .map(|t| {
+                    let view = SharedReplicaView::new(&replicas);
+                    let loads = ShardLoads::with_ledger(&ledger, t, ranges.len());
+                    ShardAssigner::new(*config, &degrees, &clustering, &placement, view, loads)
+                })
+                .collect();
+            sharded_phase2(
+                assigners,
+                *source,
+                ranges,
+                &replicas,
+                &ledger,
+                sink,
+                &mut report,
+            )?;
+        }
+    }
+    record_clustering_counters(&mut report, &clustering, cap);
+    Ok(report)
+}
+
+/// Phase 2 steps 2 and 3 of a one-shard run: both subpasses straight into
+/// `sink` through one [`SinkBatch`] — with one shard, decision order is
+/// emit order — and the quality read off the matrix and loads the shard
+/// owns.
+fn one_shard_phase2<C: ClusterView>(
+    shard: &mut ShardAssigner<'_, ReplicationMatrix, C>,
+    stream: &mut dyn EdgeStream,
+    sink: &mut dyn AssignmentSink,
+    report: &mut RunReport,
+) -> io::Result<()> {
+    report.count("threads", 1);
+    let mut out = SinkBatch::new(sink);
+    if shard.config.prepartitioning {
+        let s3 = tps_obs::span("prepartition");
+        shard.prepartition_into(stream, &mut out)?;
+        report.phases.record("prepartition", s3.end());
+    }
+    let s4 = tps_obs::span("partition");
+    shard.remaining_into(stream, &mut out)?;
+    report.phases.record("partition", s4.end());
+
+    record_phase2_counters(report, &shard.counters(), shard.overshoot());
+    report.quality = Some(PartitionMetrics::from_state(
+        shard.v2p.k(),
+        shard.v2p.census(),
+        shard.local_loads(),
+    ));
+    Ok(())
+}
+
+/// Phase 2 steps 2 and 3 of a run over several shards — the `ranges` of
+/// `source`, one assigner each over the shared `replicas`: the logged
+/// subpasses with the freeze barrier between them, the quality counted in
+/// place once every worker has published, then the emit step.
+fn sharded_phase2(
+    assigners: Vec<ShardAssigner<'_, SharedReplicaView<'_>>>,
+    source: &dyn RangedEdgeSource,
+    ranges: &[(u64, u64)],
+    replicas: &AtomicReplicationMatrix,
+    ledger: &AtomicLoads,
+    sink: &mut dyn AssignmentSink,
+    report: &mut RunReport,
+) -> io::Result<()> {
+    // Phase 2 step 2: the pre-partitioning subpass per range. Targets
+    // depend only on the (merged) clustering, placement and load quotas
+    // — not on replica state — so every worker writing its replicas
+    // into the one shared atomic matrix (relaxed fetch_or, no reads)
+    // is deterministic, and the matrix at the barrier equals the
+    // OR-merge of the old per-worker shards for any interleaving.
+    let s3 = tps_obs::span("prepartition");
+    let prepartitioning = assigners[0].config.prepartitioning;
+    let mut states = run_workers_with(ranges, assigners, |_, (a, b), mut assigner| {
+        let mut log = DecisionLog::new(b - a, ledger.k())?;
+        if prepartitioning {
+            let mut s = source.open_range(a, b)?;
+            assigner.prepartition_logged(&mut s, &mut log)?;
+        }
+        Ok((assigner, log))
+    })?;
+    report.phases.record("prepartition", s3.end());
+
+    // Barrier: freeze every worker's view. No merge — the shared
+    // matrix already holds the union; scoring-subpass writes stay
+    // private to each worker, so it sees exactly "merged ∪ its own
+    // scoring replicas" (the sharded-path semantics, at the serial
+    // memory bound in bits).
+    for (assigner, _) in &mut states {
+        assigner.freeze_replication();
+    }
+
+    // Phase 2 step 3: score-and-assign the remaining edges per range.
+    let s4 = tps_obs::span("partition");
+    let worker_out = run_workers_with(ranges, states, |_, (a, b), state| {
+        let (mut assigner, mut log) = state;
+        let mut s = source.open_range(a, b)?;
+        assigner.remaining_logged(&mut s, &mut log)?;
+        Ok((assigner, log))
+    })?;
+    report.phases.record("partition", s4.end());
+
+    // Every scoring pass has joined, so no view reads the shared words
+    // any more: publish each worker's private scoring-time replicas
+    // into them. The shared matrix then holds the run's final replica
+    // set and the ledger its loads — the state the quality metrics are
+    // counted from, in place (see `# Who computes the metrics`).
+    let mut counters = AssignCounters::default();
+    let mut overshoot = 0u64;
+    let mut logs = Vec::with_capacity(ranges.len());
+    for (assigner, log) in worker_out {
+        counters.merge(&assigner.counters());
+        overshoot += assigner.overshoot();
+        assigner.publish_replication();
+        logs.push(log);
+    }
+    debug_assert_eq!(ledger.total(), source.info().num_edges);
+    report.quality = Some(PartitionMetrics::from_state(
+        ledger.k(),
+        replicas.census(),
+        &ledger.snapshot(),
+    ));
+
+    // Emit: every worker's decisions, in deterministic worker order.
+    let s5 = tps_obs::span("emit");
+    for (log, &(a, b)) in logs.into_iter().zip(ranges) {
+        log.emit(&mut *source.open_range(a, b)?, sink)?;
+    }
+    report.phases.record("emit", s5.end());
+    report.count("threads", ranges.len() as u64);
+    record_phase2_counters(report, &counters, overshoot);
+    Ok(())
+}
+
+/// Append the shared phase-2 counter block to `report` and count it in the
+/// process's trace counters (one spelling for every driver and the
+/// distributed coordinator).
 pub fn record_phase2_counters(report: &mut RunReport, counters: &AssignCounters, overshoot: u64) {
     report.count("prepartitioned", counters.prepartitioned);
     report.count("prepartition_overflow", counters.prepartition_overflow);
@@ -707,16 +879,39 @@ pub fn record_phase2_counters(report: &mut RunReport, counters: &AssignCounters,
     report.count("fallback_hash", counters.fallback_hash);
     report.count("fallback_least_loaded", counters.fallback_least_loaded);
     report.count("cap_overshoot", overshoot);
+    CORE_ASSIGN_PREPARTITIONED.add(counters.prepartitioned);
+    CORE_ASSIGN_REMAINING.add(counters.remaining);
+    CORE_ASSIGN_FALLBACK.add(counters.fallback_hash + counters.fallback_least_loaded);
     CORE_CAP_OVERSHOOT.add(overshoot);
 }
 
-static CORE_CAP_OVERSHOOT: tps_obs::Counter = tps_obs::Counter::new("core.cap.overshoot");
-
-/// Append the shared clustering counter block to `report`.
+/// Append the shared clustering counter block of a run whose clusters are
+/// `clustering` to `report` (one spelling for every driver and the
+/// distributed coordinator). Every vertex phase 1 clustered founded one
+/// cluster id, and every id but the live clusters' was dropped again.
 pub fn record_clustering_counters(report: &mut RunReport, clustering: &Clustering, cap: u64) {
-    report.count("clusters", clustering.num_nonempty_clusters() as u64);
+    let clusters = clustering.num_nonempty_clusters() as u64;
+    let clustered = (0..clustering.num_vertices())
+        .filter(|&v| clustering.raw_cluster_of(v as u32) != NO_CLUSTER)
+        .count() as u64;
+    let max_volume = clustering.max_volume();
+    record_cluster_counters(report, clusters, max_volume, clustered - clusters, cap);
+}
+
+/// The clustering counter block from its numbers (a paged run's come from
+/// its table).
+fn record_cluster_counters(
+    report: &mut RunReport,
+    clusters: u64,
+    max_volume: u64,
+    ids_dropped: u64,
+    cap: u64,
+) {
+    report.count("clusters", clusters);
+    report.count("cluster_ids_dropped", ids_dropped);
     report.count("cluster_volume_cap", cap);
-    report.count("max_cluster_volume", clustering.max_volume());
+    report.count("max_cluster_volume", max_volume);
+    CLUSTERING_CLUSTERS.add(clusters);
 }
 
 /// The cap-overshoot total a ledger-free (distributed) run reconstructs

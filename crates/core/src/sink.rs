@@ -8,10 +8,11 @@
 //! and before the pass returns, so a sink error fails the pass it occurred
 //! in. A sink sees every assignment exactly once, in decision order, whether
 //! it arrives through `assign` or `assign_batch`. A pass loop is generic over
-//! *where* its decisions go ([`DecisionOut`]): the serial and paged runners
-//! write through a [`SinkBatch`]; a shard of a `--threads N` or distributed
-//! run writes one tag per stream position into a [`DecisionLog`] and the emit
-//! step re-reads the shard's range to turn the tags back into records. Sinks
+//! *where* its decisions go ([`DecisionOut`]): a one-shard run — serial,
+//! paged or `--threads 1` — writes through a [`SinkBatch`]; each shard of a
+//! `--threads N` or distributed run writes one tag per stream position into
+//! a [`DecisionLog`] and the emit step re-reads the shard's range to turn
+//! the tags back into records. Sinks
 //! provided here:
 //!
 //! * [`NullSink`] — discard (pure timing runs).

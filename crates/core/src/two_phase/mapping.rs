@@ -9,8 +9,10 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::io;
 
 use tps_clustering::model::Clustering;
+use tps_clustering::paged::PagedClustering;
 use tps_graph::types::{ClusterId, PartitionId};
 
 /// The cluster→partition map plus the per-partition volume sums.
@@ -156,6 +158,26 @@ pub fn schedule_live_clusters(
         place(c, p);
         heap.push(Reverse((load + vol, p)));
     }
+}
+
+/// The mapping step of a paged run: schedule the table's clusters — all
+/// live, its ids are compact after phase 1 — straight into its paged `c2p`
+/// array. The list is the one transient term that scales with the
+/// clustering, not the budget: O(#live clusters). Returns the live cluster
+/// count and the largest volume.
+pub(crate) fn schedule_paged(
+    table: &mut PagedClustering,
+    k: u32,
+    sorted: bool,
+) -> io::Result<(u64, u64)> {
+    let mut live: Vec<(ClusterId, u64)> = Vec::new();
+    table.for_each_volume(|c, vol| live.push((c, vol)));
+    table.check_io()?;
+    let max_volume = live.iter().map(|&(_, vol)| vol).max().unwrap_or(0);
+    let clusters = live.len() as u64;
+    schedule_live_clusters(&mut live, k, sorted, |c, p| table.set_partition_of(c, p));
+    table.check_io()?;
+    Ok((clusters, max_volume))
 }
 
 #[cfg(test)]

@@ -22,28 +22,21 @@ use std::io;
 use std::sync::Arc;
 
 use tps_clustering::model::{Clustering, NO_CLUSTER};
-use tps_clustering::paged::{PageStoreProvider, PagedClustering, DEFAULT_PAGE_SIZE};
-use tps_clustering::streaming::{clustering_pass, clustering_pass_on, VolumeCap};
-use tps_graph::degree::DegreeTable;
+use tps_clustering::paged::{PageStoreProvider, PagedClustering, PagingStats, DEFAULT_PAGE_SIZE};
 use tps_graph::hash::seeded_hash_to_partition;
-use tps_graph::stream::{discover_info, EdgeStream};
-use tps_graph::types::{ClusterId, Edge, PartitionId, VertexId};
-use tps_metrics::bitmatrix::{ReplicaCensus, ReplicaSet, ReplicationMatrix};
-use tps_metrics::quality::PartitionMetrics;
+use tps_graph::stream::EdgeStream;
+use tps_graph::types::{Edge, PartitionId};
+use tps_metrics::bitmatrix::ReplicaSet;
 
-use crate::balance::{LoadTracker, PartitionLoads};
+use crate::parallel::{run_shards, ShardAssigner, Shards};
 use crate::partitioner::{PartitionParams, Partitioner, RunReport};
-use crate::sink::{decision_pass, AssignmentSink, DecisionOut, SinkBatch};
-use crate::two_phase::mapping::ClusterPlacement;
+use crate::sink::{decision_pass, AssignmentSink, DecisionOut};
 use crate::two_phase::scoring::{hdrf_score, two_choice_best, EdgeScoreInputs, HdrfParams};
 
-static CLUSTERING_CLUSTERS: tps_obs::Counter = tps_obs::Counter::new("clustering.clusters");
+pub(crate) use view::{ClusterView, PlanView};
+
 static CLUSTERING_COMPACTIONS: tps_obs::Counter = tps_obs::Counter::new("clustering.compactions");
 static CLUSTERING_IDS_DROPPED: tps_obs::Counter = tps_obs::Counter::new("clustering.ids_dropped");
-static CORE_ASSIGN_PREPARTITIONED: tps_obs::Counter =
-    tps_obs::Counter::new("core.assign.prepartitioned");
-static CORE_ASSIGN_REMAINING: tps_obs::Counter = tps_obs::Counter::new("core.assign.remaining");
-static CORE_ASSIGN_FALLBACK: tps_obs::Counter = tps_obs::Counter::new("core.assign.fallback");
 static CORE_PAGING_BUDGET_BYTES: tps_obs::Counter =
     tps_obs::Counter::new("core.paging.budget_bytes");
 static CORE_PAGING_FAULTS: tps_obs::Counter = tps_obs::Counter::new("core.paging.faults");
@@ -127,9 +120,22 @@ impl TwoPhaseConfig {
             ..Default::default()
         }
     }
+
+    /// Refuse a configuration no run can execute — the one check every
+    /// driver entry point passes through.
+    pub(crate) fn check(&self) -> io::Result<()> {
+        let problem = if self.clustering_passes == 0 {
+            "need at least one clustering pass"
+        } else if self.volume_cap_factor.is_nan() || self.volume_cap_factor <= 0.0 {
+            "volume cap factor must be positive"
+        } else {
+            return Ok(());
+        };
+        Err(io::Error::new(io::ErrorKind::InvalidInput, problem))
+    }
 }
 
-/// Out-of-core execution policy for the serial runner: keep cluster state
+/// Out-of-core execution policy for a one-shard run: keep cluster state
 /// (`v2c`, volumes, `c2p`) in a [`PagedClustering`] bounded by
 /// `budget_bytes`, spilling cold pages through `provider`'s store.
 #[derive(Clone)]
@@ -164,6 +170,43 @@ impl ClusterPaging {
             provider,
         }
     }
+
+    /// An empty paged cluster table over `num_vertices` vertices, on a
+    /// fresh store. `page_size` is a public field; the table addresses
+    /// pages by shift and mask, so anything but a power of two ≥ 8 is an
+    /// input error here rather than a mis-addressed run.
+    pub(crate) fn open_table(&self, num_vertices: u64) -> io::Result<PagedClustering> {
+        if self.page_size < 8 || !self.page_size.is_power_of_two() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "cluster page size {} is not a power of two >= 8",
+                    self.page_size
+                ),
+            ));
+        }
+        let backing = self.provider.open_store(self.page_size)?;
+        Ok(PagedClustering::with_page_size(
+            num_vertices,
+            self.budget_bytes,
+            self.page_size,
+            backing,
+        ))
+    }
+
+    /// Append the paging counters of a run that paged under this policy.
+    pub(crate) fn record(&self, report: &mut RunReport, stats: PagingStats) {
+        report.count("paging_budget_bytes", self.budget_bytes);
+        report.count("paging_faults", stats.faults);
+        report.count("paging_evictions", stats.evictions);
+        report.count("paging_writebacks", stats.writebacks);
+        CORE_PAGING_BUDGET_BYTES.add(self.budget_bytes);
+        CORE_PAGING_FAULTS.add(stats.faults);
+        CORE_PAGING_EVICTIONS.add(stats.evictions);
+        CORE_PAGING_WRITEBACKS.add(stats.writebacks);
+        CLUSTERING_COMPACTIONS.add(stats.compactions);
+        CLUSTERING_IDS_DROPPED.add(stats.ids_dropped);
+    }
 }
 
 impl std::fmt::Debug for ClusterPaging {
@@ -175,7 +218,9 @@ impl std::fmt::Debug for ClusterPaging {
     }
 }
 
-/// The 2PS-L / 2PS-HDRF partitioner.
+/// The 2PS-L / 2PS-HDRF partitioner over one stream: the run is one shard
+/// of the one 2PS-L driver (see [`crate::parallel`]), the stream reset
+/// before every pass.
 #[derive(Clone, Debug)]
 pub struct TwoPhasePartitioner {
     config: TwoPhaseConfig,
@@ -183,16 +228,8 @@ pub struct TwoPhasePartitioner {
 }
 
 impl TwoPhasePartitioner {
-    /// Create a partitioner with `config`.
+    /// Create a partitioner with `config` (checked when it runs).
     pub fn new(config: TwoPhaseConfig) -> Self {
-        assert!(
-            config.clustering_passes >= 1,
-            "need at least one clustering pass"
-        );
-        assert!(
-            config.volume_cap_factor > 0.0,
-            "volume cap factor must be positive"
-        );
         TwoPhasePartitioner {
             config,
             paging: None,
@@ -206,186 +243,12 @@ impl TwoPhasePartitioner {
         self.paging = Some(paging);
         self
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &TwoPhaseConfig {
-        &self.config
-    }
-
-    /// The out-of-core run: the same five phases as the flat path, with
-    /// every cluster-state access routed through a [`PagedClustering`]
-    /// bounded by the paging budget. The decision sequence is shared (see
-    /// [`EdgeAssigner`]), so output is bit-identical to the flat path.
-    fn partition_paged(
-        &self,
-        paging: &ClusterPaging,
-        stream: &mut dyn EdgeStream,
-        params: &PartitionParams,
-        sink: &mut dyn AssignmentSink,
-    ) -> io::Result<RunReport> {
-        // `page_size` is a public field; the table addresses pages by shift
-        // and mask, so anything but a power of two would mis-address.
-        if paging.page_size < 8 || !paging.page_size.is_power_of_two() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "cluster page size {} is not a power of two >= 8",
-                    paging.page_size
-                ),
-            ));
-        }
-        let info = discover_info(stream)?;
-        if info.num_edges == 0 {
-            return Ok(empty_run_report(params.k));
-        }
-        let mut report = RunReport::default();
-
-        // Phase 0: exact degrees (one streaming pass).
-        let s0 = tps_obs::span("degree");
-        let degrees = DegreeTable::compute(stream, info.num_vertices)?;
-        report.phases.record("degree", s0.end());
-
-        // Phase 1: streaming clustering against the paged table.
-        let s1 = tps_obs::span("clustering");
-        let cap = VolumeCap::FractionOfTotal(self.config.volume_cap_factor / params.k as f64)
-            .resolve(degrees.total_volume());
-        let backing = paging.provider.open_store(paging.page_size)?;
-        let mut table = PagedClustering::with_page_size(
-            info.num_vertices,
-            paging.budget_bytes,
-            paging.page_size,
-            backing,
-        );
-        for pass_no in 0..self.config.clustering_passes {
-            let pass = tps_obs::span("clustering.pass");
-            clustering_pass_on(stream, &degrees, cap, &mut table)?;
-            table.compact_ids();
-            table.check_io()?;
-            pass.end();
-            if pass_no == 0 {
-                note_if_thrashing(table.stats().faults, info.num_edges);
-            }
-        }
-        report.phases.record("clustering", s1.end());
-
-        // Phase 2 step 1: schedule the clusters — all live, the ids are
-        // compact — straight into the paged `c2p` array. The list is the
-        // one transient term that scales with the clustering, not the
-        // budget: O(#live clusters) (see ARCHITECTURE.md "Memory model").
-        let s2 = tps_obs::span("mapping");
-        let mut live: Vec<(ClusterId, u64)> = Vec::new();
-        table.for_each_volume(|c, vol| live.push((c, vol)));
-        table.check_io()?;
-        let num_clusters = live.len() as u64;
-        let max_cluster_volume = live.iter().map(|&(_, vol)| vol).max().unwrap_or(0);
-        mapping::schedule_live_clusters(
-            &mut live,
-            params.k,
-            self.config.mapping == MappingStrategy::SortedGraham,
-            |c, p| table.set_partition_of(c, p),
-        );
-        drop(live);
-        table.check_io()?;
-        report.phases.record("mapping", s2.end());
-
-        let summary = ClusterSummary {
-            clusters: num_clusters,
-            volume_cap: cap,
-            max_volume: max_cluster_volume,
-            ids_dropped: table.stats().ids_dropped,
-        };
-        let state = EdgeAssigner::with_view(
-            &degrees,
-            &mut table,
-            ReplicationMatrix::new(info.num_vertices, params.k),
-            PartitionLoads::new(params.k, info.num_edges, params.alpha),
-            self.config.hash_seed,
-        );
-        self.assign_edges(state, summary, stream, sink, &mut report)?;
-        table.check_io()?;
-        let stats = table.stats();
-
-        report.count("paging_budget_bytes", paging.budget_bytes);
-        report.count("paging_faults", stats.faults);
-        report.count("paging_evictions", stats.evictions);
-        report.count("paging_writebacks", stats.writebacks);
-        CORE_PAGING_BUDGET_BYTES.add(paging.budget_bytes);
-        CORE_PAGING_FAULTS.add(stats.faults);
-        CORE_PAGING_EVICTIONS.add(stats.evictions);
-        CORE_PAGING_WRITEBACKS.add(stats.writebacks);
-        CLUSTERING_COMPACTIONS.add(stats.compactions);
-        CLUSTERING_IDS_DROPPED.add(stats.ids_dropped);
-        Ok(report)
-    }
-
-    /// Phase 2 steps 2 and 3 — the pre-partitioning pass, then the scoring
-    /// pass over the remaining edges — against any cluster-state storage,
-    /// the counters both runners report, and the quality of the result,
-    /// read off the one replication matrix and load vector the run kept.
-    fn assign_edges<C: ClusterView>(
-        &self,
-        mut state: EdgeAssigner<'_, PartitionLoads, ReplicationMatrix, C>,
-        summary: ClusterSummary,
-        stream: &mut dyn EdgeStream,
-        sink: &mut dyn AssignmentSink,
-        report: &mut RunReport,
-    ) -> io::Result<()> {
-        // A single cursor decides in emit order, so the decisions go
-        // straight to the sink, a bounded batch at a time.
-        let mut out = SinkBatch::new(sink);
-
-        // Phase 2 step 2: pre-partitioning pass.
-        if self.config.prepartitioning {
-            let s3 = tps_obs::span("prepartition");
-            state.prepartition_pass(stream, &mut out)?;
-            report.phases.record("prepartition", s3.end());
-        }
-
-        // Phase 2 step 3: score-and-assign the remaining edges.
-        let s4 = tps_obs::span("partition");
-        state.remaining_pass(stream, &mut out, &self.config)?;
-        report.phases.record("partition", s4.end());
-
-        let counters = state.counters;
-        report.count("prepartitioned", counters.prepartitioned);
-        report.count("prepartition_overflow", counters.prepartition_overflow);
-        report.count("remaining", counters.remaining);
-        report.count("fallback_hash", counters.fallback_hash);
-        report.count("fallback_least_loaded", counters.fallback_least_loaded);
-        report.count("clusters", summary.clusters);
-        report.count("cluster_ids_dropped", summary.ids_dropped);
-        report.count("cluster_volume_cap", summary.volume_cap);
-        report.count("max_cluster_volume", summary.max_volume);
-        CLUSTERING_CLUSTERS.add(summary.clusters);
-        CORE_ASSIGN_PREPARTITIONED.add(counters.prepartitioned);
-        CORE_ASSIGN_REMAINING.add(counters.remaining);
-        CORE_ASSIGN_FALLBACK.add(counters.fallback_hash + counters.fallback_least_loaded);
-        report.quality = Some(PartitionMetrics::from_state(
-            state.v2p.k(),
-            state.v2p.census(),
-            state.loads.as_slice(),
-        ));
-        Ok(())
-    }
-}
-
-/// The report of a run over an empty stream: no phases, no counters, and
-/// the metrics of `k` empty partitions.
-pub(crate) fn empty_run_report(k: u32) -> RunReport {
-    RunReport {
-        quality: Some(PartitionMetrics::from_state(
-            k,
-            ReplicaCensus::default(),
-            &vec![0; k as usize],
-        )),
-        ..RunReport::default()
-    }
 }
 
 /// One clustering pass in, the fault rate says whether the input's order
 /// fits the budget; five more passes at a thrashing rate is the run that
 /// takes minutes and prints nothing.
-fn note_if_thrashing(faults: u64, num_edges: u64) {
+pub(crate) fn note_if_thrashing(faults: u64, num_edges: u64) {
     let rate = faults as f64 / num_edges as f64;
     if rate > THRASH_FAULTS_PER_EDGE {
         tps_obs::notice(
@@ -400,28 +263,15 @@ fn note_if_thrashing(faults: u64, num_edges: u64) {
     }
 }
 
-/// What phase 1 and the mapping step leave for the run report.
-struct ClusterSummary {
-    /// Clusters with non-zero volume.
-    clusters: u64,
-    /// The resolved volume cap.
-    volume_cap: u64,
-    /// Largest cluster volume.
-    max_volume: u64,
-    /// Dead cluster ids phase 1 dropped.
-    ids_dropped: u64,
-}
-
 /// Compact `clustering`'s ids at a pass boundary (see
 /// [`Clustering::compact_ids`]) and count the work — the one spelling for
-/// every runner that clusters in memory. Returns the ids dropped.
-pub(crate) fn compact_counted(clustering: &mut Clustering) -> u32 {
+/// every shard that clusters in memory.
+pub(crate) fn compact_counted(clustering: &mut Clustering) {
     let dropped = clustering.compact_ids();
     if dropped > 0 {
         CLUSTERING_COMPACTIONS.add(1);
         CLUSTERING_IDS_DROPPED.add(dropped as u64);
     }
-    dropped
 }
 
 /// Counters of the phase-2 edge kernel (summed across workers when the
@@ -452,153 +302,103 @@ impl AssignCounters {
     }
 }
 
-/// The phase-1+2 state phase 2 reads per edge: a vertex's cluster, a
-/// cluster's volume and a cluster's partition. The in-memory
-/// ([`PlanView`]) and paged ([`PagedClustering`]) storages implement it,
-/// so the per-edge decision kernel is storage-agnostic. Accessors take
-/// `&mut self` because the paged view faults pages (and updates its LRU)
-/// on reads.
-pub(crate) trait ClusterView {
-    /// Raw cluster id of `v` (`NO_CLUSTER` when unassigned).
-    fn cluster_of(&mut self, v: VertexId) -> ClusterId;
-    /// Volume of cluster `c`.
-    fn volume(&mut self, c: ClusterId) -> u64;
-    /// Partition placement of cluster `c`.
-    fn partition_of(&mut self, c: ClusterId) -> PartitionId;
-}
+/// The cluster-state seam of phase 2. Its items are `pub` inside a private
+/// module: nothing outside the crate can name them, yet
+/// [`crate::parallel::ShardAssigner`] may take `ClusterView` storages and
+/// default to `PlanView`.
+mod view {
+    use tps_clustering::model::Clustering;
+    use tps_clustering::paged::PagedClustering;
+    use tps_graph::types::{ClusterId, PartitionId, VertexId};
 
-/// The flat in-memory [`ClusterView`]: a finished [`Clustering`] plus its
-/// [`ClusterPlacement`].
-pub(crate) struct PlanView<'a> {
-    pub(crate) clustering: &'a Clustering,
-    pub(crate) placement: &'a ClusterPlacement,
-}
+    use crate::two_phase::mapping::ClusterPlacement;
 
-impl ClusterView for PlanView<'_> {
-    #[inline]
-    fn cluster_of(&mut self, v: VertexId) -> ClusterId {
-        self.clustering.raw_cluster_of(v)
+    /// The phase-1+2 state phase 2 reads per edge: a vertex's cluster, a
+    /// cluster's volume and a cluster's partition. The in-memory
+    /// ([`PlanView`]) and paged ([`PagedClustering`]) storages implement it,
+    /// so the per-edge decision kernel is storage-agnostic. Accessors take
+    /// `&mut self` because the paged view faults pages (and updates its
+    /// LRU) on reads.
+    pub trait ClusterView {
+        /// Raw cluster id of `v` (`NO_CLUSTER` when unassigned).
+        fn cluster_of(&mut self, v: VertexId) -> ClusterId;
+        /// Volume of cluster `c`.
+        fn volume(&mut self, c: ClusterId) -> u64;
+        /// Partition placement of cluster `c`.
+        fn partition_of(&mut self, c: ClusterId) -> PartitionId;
     }
-    #[inline]
-    fn volume(&mut self, c: ClusterId) -> u64 {
-        self.clustering.volume(c)
-    }
-    #[inline]
-    fn partition_of(&mut self, c: ClusterId) -> PartitionId {
-        self.placement.partition_of(c)
-    }
-}
 
-impl ClusterView for PagedClustering {
-    #[inline]
-    fn cluster_of(&mut self, v: VertexId) -> ClusterId {
-        self.raw_cluster_of(v)
+    /// The flat in-memory [`ClusterView`]: a finished [`Clustering`] plus
+    /// its [`ClusterPlacement`].
+    pub struct PlanView<'a> {
+        pub(crate) clustering: &'a Clustering,
+        pub(crate) placement: &'a ClusterPlacement,
     }
-    #[inline]
-    fn volume(&mut self, c: ClusterId) -> u64 {
-        self.cluster_volume(c)
-    }
-    #[inline]
-    fn partition_of(&mut self, c: ClusterId) -> PartitionId {
-        PagedClustering::partition_of(self, c)
-    }
-}
 
-impl<T: ClusterView + ?Sized> ClusterView for &mut T {
-    #[inline]
-    fn cluster_of(&mut self, v: VertexId) -> ClusterId {
-        (**self).cluster_of(v)
-    }
-    #[inline]
-    fn volume(&mut self, c: ClusterId) -> u64 {
-        (**self).volume(c)
-    }
-    #[inline]
-    fn partition_of(&mut self, c: ClusterId) -> PartitionId {
-        (**self).partition_of(c)
-    }
-}
-
-/// The phase-2 per-edge decision kernel, generic over the load tracker,
-/// the replication state and the cluster-state storage so the serial
-/// runner ([`TwoPhasePartitioner`], flat or paged), the chunk-parallel
-/// runner ([`crate::parallel::ParallelRunner`], over a shared atomic
-/// matrix) and the distributed worker (owned per-shard matrix) execute the
-/// *same* decision path — a one-thread parallel run is bit-identical to a
-/// serial run, and a paged run to an unpaged one, by construction, not by
-/// testing alone.
-pub(crate) struct EdgeAssigner<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView = PlanView<'a>> {
-    pub(crate) degrees: &'a DegreeTable,
-    pub(crate) view: C,
-    pub(crate) v2p: R,
-    pub(crate) loads: L,
-    pub(crate) hash_seed: u64,
-    pub(crate) counters: AssignCounters,
-}
-
-impl<'a, L: LoadTracker, R: ReplicaSet> EdgeAssigner<'a, L, R> {
-    pub(crate) fn new(
-        degrees: &'a DegreeTable,
-        clustering: &'a Clustering,
-        placement: &'a ClusterPlacement,
-        replicas: R,
-        loads: L,
-        hash_seed: u64,
-    ) -> Self {
-        EdgeAssigner::with_view(
-            degrees,
-            PlanView {
-                clustering,
-                placement,
-            },
-            replicas,
-            loads,
-            hash_seed,
-        )
-    }
-}
-
-impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C> {
-    pub(crate) fn with_view(
-        degrees: &'a DegreeTable,
-        view: C,
-        replicas: R,
-        loads: L,
-        hash_seed: u64,
-    ) -> Self {
-        EdgeAssigner {
-            degrees,
-            view,
-            v2p: replicas,
-            loads,
-            hash_seed,
-            counters: AssignCounters::default(),
+    impl ClusterView for PlanView<'_> {
+        #[inline]
+        fn cluster_of(&mut self, v: VertexId) -> ClusterId {
+            self.clustering.raw_cluster_of(v)
+        }
+        #[inline]
+        fn volume(&mut self, c: ClusterId) -> u64 {
+            self.clustering.volume(c)
+        }
+        #[inline]
+        fn partition_of(&mut self, c: ClusterId) -> PartitionId {
+            self.placement.partition_of(c)
         }
     }
 
+    impl ClusterView for PagedClustering {
+        #[inline]
+        fn cluster_of(&mut self, v: VertexId) -> ClusterId {
+            self.raw_cluster_of(v)
+        }
+        #[inline]
+        fn volume(&mut self, c: ClusterId) -> u64 {
+            self.cluster_volume(c)
+        }
+        #[inline]
+        fn partition_of(&mut self, c: ClusterId) -> PartitionId {
+            PagedClustering::partition_of(self, c)
+        }
+    }
+}
+
+/// The phase-2 per-edge decision kernel (paper §III-B steps 2 and 3) of
+/// one shard, whatever its replication state and cluster-state storage:
+/// every shard of every run — one shard flat or paged, in-process shards
+/// over a shared atomic matrix, distributed workers over an owned one —
+/// executes this *same* decision path, so a one-thread run is the serial
+/// run, and a paged run decides like an unpaged one, by construction, not
+/// by testing alone.
+impl<R: ReplicaSet, C: ClusterView> ShardAssigner<'_, R, C> {
     /// The pre-partitioning pass (phase 2 step 2) over `stream`: chunks in,
-    /// decisions out — to a sink batch or a shard's decision log.
-    pub(crate) fn prepartition_pass<O: DecisionOut>(
+    /// decisions out — to a sink batch or the shard's decision log — and
+    /// the pass's loads committed to the ledger.
+    pub(crate) fn prepartition_into<O: DecisionOut>(
         &mut self,
         stream: &mut dyn EdgeStream,
         out: &mut O,
     ) -> io::Result<()> {
         decision_pass(stream, out, |edge, out| {
             self.prepartition_edge(edge, out);
-        })
+        })?;
+        self.loads.commit_to_ledger();
+        Ok(())
     }
 
     /// The scoring pass (phase 2 step 3) over `stream`, skipping the edges
     /// the pre-partitioning pass handled — every edge with a
     /// pre-partitioning target; an out that recorded that pass says so
     /// itself.
-    pub(crate) fn remaining_pass<O: DecisionOut>(
+    pub(crate) fn remaining_into<O: DecisionOut>(
         &mut self,
         stream: &mut dyn EdgeStream,
         out: &mut O,
-        config: &TwoPhaseConfig,
     ) -> io::Result<()> {
-        let (skip_prepartitioned, strategy) = (config.prepartitioning, config.strategy);
+        let (skip_prepartitioned, strategy) = (self.config.prepartitioning, self.config.strategy);
         decision_pass(stream, out, |edge, out| {
             let handled = skip_prepartitioned
                 && out
@@ -607,7 +407,9 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
             if !handled {
                 self.assign_remaining(edge, strategy, out);
             }
-        })
+        })?;
+        self.loads.commit_to_ledger();
+        Ok(())
     }
 
     /// Commit `edge` to `p`: update replication state and loads, and record
@@ -628,7 +430,7 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
         // Endpoint degrees are unpredictable; the index select compiles to a
         // conditional move instead of a branch.
         let hv = [edge.src, edge.dst][usize::from(du < dv)];
-        let p = seeded_hash_to_partition(hv, self.hash_seed, self.loads.k());
+        let p = seeded_hash_to_partition(hv, self.config.hash_seed, self.loads.k());
         if !self.loads.is_full(p) {
             self.counters.fallback_hash += 1;
             p
@@ -642,7 +444,7 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
     /// the same cluster, or clusters mapped to the same partition.
     /// (`&mut self`: a paged view faults pages on reads.)
     #[inline]
-    pub(crate) fn prepartition_target(&mut self, edge: Edge) -> Option<PartitionId> {
+    fn prepartition_target(&mut self, edge: Edge) -> Option<PartitionId> {
         let cu = self.view.cluster_of(edge.src);
         let cv = self.view.cluster_of(edge.dst);
         debug_assert_ne!(cu, NO_CLUSTER, "clustering must cover all stream vertices");
@@ -656,11 +458,11 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
     }
 
     /// Phase 2 step 2 for one edge: assign it if it satisfies the
-    /// pre-partitioning condition. Returns whether the edge was handled.
+    /// pre-partitioning condition.
     #[inline]
-    pub(crate) fn prepartition_edge<O: DecisionOut>(&mut self, edge: Edge, out: &mut O) -> bool {
+    fn prepartition_edge<O: DecisionOut>(&mut self, edge: Edge, out: &mut O) {
         let Some(target) = self.prepartition_target(edge) else {
-            return false;
+            return;
         };
         let target = if self.loads.is_full(target) {
             self.counters.prepartition_overflow += 1;
@@ -670,13 +472,12 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
             target
         };
         self.commit(edge, target, out);
-        true
     }
 
     /// Phase 2 step 3 for one edge that was *not* pre-partitioned: score the
     /// candidate partitions and commit the winner (with the fallback chain
     /// when candidates are full).
-    pub(crate) fn assign_remaining<O: DecisionOut>(
+    fn assign_remaining<O: DecisionOut>(
         &mut self,
         edge: Edge,
         strategy: RemainingStrategy,
@@ -766,61 +567,19 @@ impl Partitioner for TwoPhasePartitioner {
         params: &PartitionParams,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<RunReport> {
-        if let Some(paging) = self.paging.clone() {
-            return self.partition_paged(&paging, stream, params, sink);
-        }
-        let info = discover_info(stream)?;
-        if info.num_edges == 0 {
-            return Ok(empty_run_report(params.k));
-        }
-        let mut report = RunReport::default();
-
-        // Phase 0: exact degrees (one streaming pass).
-        let s0 = tps_obs::span("degree");
-        let degrees = DegreeTable::compute(stream, info.num_vertices)?;
-        report.phases.record("degree", s0.end());
-
-        // Phase 1: streaming clustering (`passes` streaming passes).
-        let s1 = tps_obs::span("clustering");
-        let cap = VolumeCap::FractionOfTotal(self.config.volume_cap_factor / params.k as f64)
-            .resolve(degrees.total_volume());
-        let mut clustering = Clustering::empty(info.num_vertices);
-        let mut ids_dropped = 0u64;
-        for _ in 0..self.config.clustering_passes {
-            let pass = tps_obs::span("clustering.pass");
-            clustering_pass(stream, &degrees, cap, &mut clustering)?;
-            ids_dropped += compact_counted(&mut clustering) as u64;
-            pass.end();
-        }
-        report.phases.record("clustering", s1.end());
-
-        // Phase 2 step 1: map clusters to partitions (no streaming pass).
-        let s2 = tps_obs::span("mapping");
-        let placement = crate::parallel::cluster_placement(&self.config, &clustering, params.k);
-        report.phases.record("mapping", s2.end());
-
-        let state = EdgeAssigner::new(
-            &degrees,
-            &clustering,
-            &placement,
-            ReplicationMatrix::new(info.num_vertices, params.k),
-            PartitionLoads::new(params.k, info.num_edges, params.alpha),
-            self.config.hash_seed,
-        );
-        let summary = ClusterSummary {
-            clusters: clustering.num_nonempty_clusters() as u64,
-            volume_cap: cap,
-            max_volume: clustering.max_volume(),
-            ids_dropped,
-        };
-        self.assign_edges(state, summary, stream, sink, &mut report)?;
-        Ok(report)
+        run_shards(
+            &self.config,
+            Shards::One(stream, self.paging.as_ref()),
+            params,
+            sink,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balance::PartitionLoads;
     use crate::sink::{QualitySink, VecSink};
     use tps_graph::datasets::Dataset;
     use tps_graph::gen::gnm;

@@ -188,7 +188,13 @@ fn serve_job(
         // decode-cache share of the deterministic split as a serial run;
         // cluster-state paging does not apply to shard workers (phase 1
         // state is merged at a barrier, not streamed through pages).
-        let split = tps_core::job::MemBudgetSplit::of(job.mem_budget_mb << 20);
+        let bytes = job.mem_budget_mb.checked_mul(1 << 20).ok_or_else(|| {
+            corrupt(format!(
+                "job memory budget of {} MiB overflows 64-bit byte counts",
+                job.mem_budget_mb
+            ))
+        })?;
+        let split = tps_core::job::MemBudgetSplit::of(bytes);
         tps_io::v2::set_decode_cache_budget(split.decode_cache);
     }
     let source = resolver.open(&job.input)?;

@@ -13,10 +13,10 @@ use tps_graph::types::{PartitionId, VertexId};
 /// replication state: "is vertex `v` replicated on partition `p`?" and
 /// "record that it now is".
 ///
-/// Implemented by the owned [`ReplicationMatrix`] (the serial partitioner
-/// and the distributed worker) and by
-/// [`SharedReplicaView`](crate::atomic::SharedReplicaView) (the chunk-
-/// parallel runner's view of one shared
+/// Implemented by the owned [`ReplicationMatrix`] (a one-shard run and
+/// the distributed worker) and by
+/// [`SharedReplicaView`](crate::atomic::SharedReplicaView) (in-process
+/// shards' view of one shared
 /// [`AtomicReplicationMatrix`](crate::atomic::AtomicReplicationMatrix)),
 /// so the per-edge decision code is written once and the replication
 /// state's memory layout — owned, shared, or shared-plus-overlay — is the

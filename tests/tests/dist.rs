@@ -371,6 +371,40 @@ fn mismatched_job_info_aborts_the_run() {
     });
 }
 
+/// A worker receiving a `Job` whose memory budget overflows 64-bit bytes
+/// refuses it as corrupt instead of running with the wrapped budget (2⁴⁴
+/// MiB wraps to none at all), and the coordinator sees why.
+#[test]
+fn overflowing_job_budget_aborts_the_run() {
+    let g = InMemoryGraph::from_edges(vec![Edge::new(0, 1), Edge::new(1, 2)]);
+    let (c, w) = loopback_pair();
+    let transports: Vec<Box<dyn Transport>> = vec![Box::new(c)];
+    let mut sink = VecSink::new();
+    let source = &g;
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(move || {
+            let mut w = w;
+            run_worker(&mut w, &AttachedResolver(source))
+        });
+        let err = run_coordinator(
+            &TwoPhaseConfig::default(),
+            &PartitionParams::new(2),
+            g.info(),
+            &InputDescriptor::Attached,
+            1,
+            transports,
+            &mut NoReplacements,
+            &FaultPolicy::default(),
+            1 << 44,
+            &mut sink,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+        let worker_err = handle.join().unwrap().unwrap_err();
+        assert_eq!(worker_err.kind(), std::io::ErrorKind::InvalidData);
+    });
+}
+
 /// Abort reasons propagate across real TCP, not just loopback.
 #[test]
 fn abort_propagates_over_tcp() {

@@ -14,7 +14,7 @@ use tps_core::balance::PartitionLoads;
 use tps_core::job::{JobSpec, ThreadMode};
 use tps_core::parallel::ParallelRunner;
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
-use tps_core::sink::{AssignmentSink, QualitySink, VecSink};
+use tps_core::sink::{AssignmentSink, QualitySink, TeeSink, VecSink};
 use tps_core::two_phase::{ClusterPaging, TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::datasets::Dataset;
 use tps_graph::stream::InMemoryGraph;
@@ -150,26 +150,34 @@ fn quality_ordering_on_clustered_graph() {
 const QUALITY_KS: [u32; 7] = [1, 8, 63, 64, 65, 130, 256];
 
 /// Run every in-process way of executing 2PS-L on `g` — serial, paged at a
-/// fully external / five-page / never-evicting budget, chunk-parallel on 1,
-/// 2, 3 and 8 workers — into a [`QualitySink`], and require the metrics the
-/// engine reports from its replication matrix and loads to equal the sink's,
-/// field for field. Returns the largest `cap_overshoot` seen.
+/// fully external / five-page / 1 MiB / never-evicting budget,
+/// chunk-parallel on 1, 2, 3 and 8 workers — into a [`QualitySink`], and
+/// require the metrics the engine reports from its replication matrix and
+/// loads to equal the sink's, field for field. The one-shard runs (serial,
+/// paged, one worker) are one run: every counter the serial report carries,
+/// and every assignment, must be the same in each, with no cap overshoot.
+/// Returns the largest `cap_overshoot` seen.
 fn assert_engines_report_emitted_quality(g: &InMemoryGraph, k: u32, config: TwoPhaseConfig) -> u64 {
     const PAGE: usize = 1024;
     let params = PartitionParams::new(k);
     let mut overshoot = 0;
     let mut check =
-        |mode: String, run: &mut dyn FnMut(&mut dyn AssignmentSink) -> io::Result<RunReport>| {
+        |mode: &str, run: &mut dyn FnMut(&mut dyn AssignmentSink) -> io::Result<RunReport>| {
             let mut sink = QualitySink::new(g.num_vertices(), k);
-            let report = run(&mut sink).unwrap_or_else(|e| panic!("{mode}, k={k}: {e}"));
+            let mut emitted = VecSink::new();
+            let report = run(&mut TeeSink::new(&mut sink, &mut emitted))
+                .unwrap_or_else(|e| panic!("{mode}, k={k}: {e}"));
             assert_eq!(report.quality, Some(sink.finish()), "{mode}, k={k}");
             overshoot = overshoot.max(report.counter("cap_overshoot"));
+            (report, emitted.into_assignments())
         };
-    check("serial".into(), &mut |sink| {
+    let (serial, serial_assignments) = check("serial", &mut |sink| {
         TwoPhasePartitioner::new(config).partition(&mut g.stream(), &params, sink)
     });
-    for budget_bytes in [0, 5 * PAGE as u64, 1 << 30] {
-        check(format!("paged at {budget_bytes} B"), &mut |sink| {
+    let mut one_shard = Vec::new();
+    for budget_bytes in [0, 5 * PAGE as u64, 1 << 20, 1 << 30] {
+        let mode = format!("paged at {budget_bytes} B");
+        let run = check(&mode, &mut |sink| {
             let paging = ClusterPaging {
                 budget_bytes,
                 page_size: PAGE,
@@ -179,11 +187,26 @@ fn assert_engines_report_emitted_quality(g: &InMemoryGraph, k: u32, config: TwoP
                 .with_cluster_paging(paging)
                 .partition(&mut g.stream(), &params, sink)
         });
+        one_shard.push((mode, run));
     }
     for threads in [1usize, 2, 3, 8] {
-        check(format!("--threads {threads}"), &mut |sink| {
+        let mode = format!("--threads {threads}");
+        let run = check(&mode, &mut |sink| {
             ParallelRunner::new(config, threads).partition(g, &params, sink)
         });
+        if threads == 1 {
+            one_shard.push((mode, run));
+        }
+    }
+    for (mode, (report, assignments)) in one_shard {
+        for (key, value) in &serial.counters {
+            assert_eq!(report.counter(key), *value, "{mode}, k={k}: {key}");
+        }
+        assert_eq!(report.counter("cap_overshoot"), 0, "{mode}, k={k}");
+        assert!(
+            assignments == serial_assignments,
+            "{mode}, k={k}: assignments"
+        );
     }
     overshoot
 }

@@ -191,4 +191,33 @@ fn tracing_is_output_neutral_and_ships_worker_spans() {
         report.contains("critical path"),
         "report shows critical path"
     );
+
+    // Every mode feeds the same trace counters: a traced `--threads 2`
+    // run's assignment and cluster counters are its report's.
+    let path = std::env::temp_dir().join(format!("tps-obs-counters-{}.jsonl", std::process::id()));
+    let outcome = JobSpec::ranged(&g)
+        .two_phase(TwoPhaseConfig::default())
+        .params(&PartitionParams::new(K))
+        .threads(ThreadMode::Count(2))
+        .trace(&path)
+        .run()
+        .unwrap();
+    let trace = tps_obs::Trace::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let traced = |name: &str| -> u64 {
+        trace
+            .counters
+            .iter()
+            .filter(|(_, n, _)| n == name)
+            .map(|(_, _, v)| v)
+            .sum()
+    };
+    assert!(outcome.report.counter("prepartitioned") > 0);
+    for (counter, key) in [
+        ("core.assign.prepartitioned", "prepartitioned"),
+        ("core.assign.remaining", "remaining"),
+        ("clustering.clusters", "clusters"),
+    ] {
+        assert_eq!(traced(counter), outcome.report.counter(key), "{counter}");
+    }
 }
