@@ -62,13 +62,15 @@ partition options:
   --out DIR           write per-partition .bel files into DIR
   --mem-budget-mb N   whole-job memory budget, split deterministically:
                       half pages cluster state out of core (one-shard
-                      runs: serial or 1), a quarter caps the v2 decode
-                      cache, the rest is headroom for what it does not
-                      govern (output buffers, degree table, the decision
-                      logs of --threads N > 1). Only one-shard runs are
-                      bounded hard. Output is
-                      bit-identical at every budget; see the README
-                      `Memory model` section
+                      runs: serial or 1) until, at a clustering-pass
+                      boundary, it fits that half flat (4 B/vertex +
+                      12 B/cluster) and the run goes on in memory; a
+                      quarter caps the v2 decode cache; the rest is
+                      headroom for what it does not govern (output
+                      buffers, degree table, the decision logs of
+                      --threads N > 1). Only one-shard runs are bounded
+                      hard. Output is bit-identical at every budget; see
+                      the README `Memory model` section
   --trace FILE        record a structured trace (JSON lines: phase spans,
                       counters) to FILE; `tps report FILE` renders it.
                       Tracing never changes partitioning output.
@@ -337,10 +339,12 @@ fn print_outcome(outcome: &RunOutcome, k: u32, quiet: bool) {
             eprintln!("counter {name}: {v}");
         }
         if outcome.report.counter("paging_budget_bytes") > 0 {
-            eprintln!(
-                "paging: {:.4} faults/edge",
-                outcome.report.counter("paging_faults") as f64 / outcome.metrics.num_edges as f64
-            );
+            let rate =
+                outcome.report.counter("paging_faults") as f64 / outcome.metrics.num_edges as f64;
+            match outcome.report.counter("paging_flat_after_pass") {
+                0 => eprintln!("paging: {rate:.4} faults/edge, paged to the end"),
+                pass => eprintln!("paging: {rate:.4} faults/edge, flat after pass {pass}"),
+            }
         }
     }
 }

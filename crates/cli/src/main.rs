@@ -26,6 +26,11 @@
 //! tps report    trace.jsonl
 //! tps help
 //! ```
+//!
+//! `--mem-budget-mb N` bounds a one-shard `partition` (`--threads serial` or
+//! `1`): half of it pages the cluster table until, at a clustering-pass
+//! boundary, the table fits that half flat and the run goes on in memory.
+//! `tps help` has the full split.
 
 mod args;
 mod commands;

@@ -319,7 +319,7 @@ fn thrashing_paged_run_explains_itself() {
         .map(|_| format!("{} {}\n", next(), next()))
         .collect();
     std::fs::write(&txt, text).unwrap();
-    let run = |quiet: bool| {
+    let run_at = |budget_mb: &str, quiet: bool| {
         let mut cmd = tps();
         cmd.args(["partition", "--input"]).arg(&txt).args([
             "--k",
@@ -329,7 +329,7 @@ fn thrashing_paged_run_explains_itself() {
             "--threads",
             "serial",
             "--mem-budget-mb",
-            "1",
+            budget_mb,
         ]);
         if quiet {
             cmd.arg("--quiet");
@@ -339,11 +339,19 @@ fn thrashing_paged_run_explains_itself() {
         assert!(out.status.success(), "{stderr}");
         stderr
     };
-    let loud = run(false);
+    let loud = run_at("1", false);
     assert!(loud.contains("note: cluster paging is thrashing"), "{loud}");
     assert!(loud.contains("Sort your input first"), "{loud}");
-    assert!(loud.contains("faults/edge"), "{loud}");
-    assert_eq!(run(true), "", "--quiet must silence the engine's notes");
+    assert!(loud.contains("faults/edge, paged to the end"), "{loud}");
+    assert_eq!(
+        run_at("1", true),
+        "",
+        "--quiet must silence the engine's notes"
+    );
+    // A 4 MiB page share holds the whole table flat after the first pass.
+    let roomy = run_at("8", false);
+    assert!(!roomy.contains("thrashing"), "{roomy}");
+    assert!(roomy.contains("faults/edge, flat after pass 1"), "{roomy}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,5 +1,5 @@
 //! Budget-bounded, disk-backed cluster state: the out-of-core counterpart
-//! of [`Clustering`](crate::model::Clustering).
+//! of [`Clustering`].
 //!
 //! The paper's pitch is out-of-core partitioning at linear run-time, but a
 //! flat `Vec`-backed clustering still ties peak RSS to `O(|V|)`.
@@ -40,6 +40,15 @@
 //! that pool a page short (681 faults), and pass-boundary compaction
 //! alone leaves 13 931.
 //!
+//! Promotion: compaction can shrink the state until it fits the budget
+//! flat, and from then on paging buys nothing but the page-table toll. A
+//! one-shard run checks at every pass boundary, once compacted, whether
+//! the flat arrays — `v2c`, `vol` and `c2p`, `4·|V| + 12·live` bytes — fit
+//! the budget; if they do, [`into_clustering`] copies the table out and
+//! the rest of the run takes the in-memory path. Only a table that never
+//! fits pages through mapping and phase 2. On the ledger's web graph at
+//! `--mem-budget-mb 5` that happens after pass 1.
+//!
 //! Determinism: page faults and evictions are a pure function of the access
 //! sequence (LRU order is tracked by a monotonic counter, never by wall
 //! time, and compaction triggers on counts, never on chunk boundaries), so
@@ -51,13 +60,14 @@
 //! external, constant memory, maximum I/O).
 //!
 //! [`compact_ids`]: PagedClustering::compact_ids
+//! [`into_clustering`]: PagedClustering::into_clustering
 
 use std::collections::HashMap;
 use std::io;
 
 use tps_graph::types::{ClusterId, PartitionId, VertexId};
 
-use crate::model::{IdRemap, NO_CLUSTER};
+use crate::model::{Clustering, IdRemap, NO_CLUSTER};
 use crate::table::ClusterTable;
 
 /// Default page size: 64 KiB (16 Ki `u32` entries / 8 Ki `u64` entries).
@@ -587,6 +597,71 @@ impl PagedClustering {
         dropped
     }
 
+    /// The table as a flat [`Clustering`] (module docs, "Promotion"): every
+    /// `v2c` page — resident, written back, or never touched (all
+    /// `NO_CLUSTER`) — and the volumes of ids `0..next_id`, copied without
+    /// faulting. Ids read back are validated, so a corrupt or foreign store
+    /// is an `InvalidData` error, not a panic. Consumes the table: the pool
+    /// and the page store go with it.
+    pub fn into_clustering(mut self) -> io::Result<Clustering> {
+        self.check_io()?;
+        let mut page = vec![0u8; self.page_size];
+        let mut v2c = Vec::with_capacity(self.num_vertices as usize);
+        let v2c_pages = (self.num_vertices * 4).div_ceil(self.page_size as u64);
+        for page_no in 0..v2c_pages as usize {
+            self.copy_page(KIND_V2C, page_no, &mut page)?;
+            let left = (self.num_vertices - v2c.len() as u64).min(self.page_size as u64 / 4);
+            for entry in page[..left as usize * 4].chunks_exact(4) {
+                let c = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));
+                if c != NO_CLUSTER && c >= self.next_id {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "paged vertex {} holds cluster id {c} of {}",
+                            v2c.len(),
+                            self.next_id
+                        ),
+                    ));
+                }
+                v2c.push(c);
+            }
+        }
+        let mut volumes = Vec::with_capacity(self.next_id as usize);
+        for page_no in 0..(self.next_id as usize * 8).div_ceil(self.page_size) {
+            self.copy_page(KIND_VOL, page_no, &mut page)?;
+            let left = (self.next_id as usize - volumes.len()).min(self.page_size / 8);
+            volumes.extend(
+                page[..left * 8]
+                    .chunks_exact(8)
+                    .map(|entry| u64::from_le_bytes(entry.try_into().expect("8-byte slice"))),
+            );
+        }
+        Ok(Clustering::from_parts(v2c, volumes))
+    }
+
+    /// Copy page `page_no` of `kind` into `buf` without bringing it
+    /// resident: from its frame, from the write-back buffer (newest), from
+    /// the backing store, or — never written — the kind's fill.
+    fn copy_page(&mut self, kind: u8, page_no: usize, buf: &mut [u8]) -> io::Result<()> {
+        let key = page_key(kind, page_no as u64);
+        match self.tables[kind as usize].get(page_no) {
+            Some(&frame) if frame != ABSENT => {
+                buf.copy_from_slice(
+                    &self.pool[(frame as usize) << self.page_shift..][..self.page_size],
+                );
+            }
+            _ => match self.pending.iter().find(|(k, _)| *k == key) {
+                Some((_, data)) => buf.copy_from_slice(data),
+                None => {
+                    if !self.backing.read_page(key, buf)? {
+                        buf.fill(fill_byte(kind));
+                    }
+                }
+            },
+        }
+        Ok(())
+    }
+
     /// Ids allocated between two mid-pass compactions: `⌈|V|/64⌉`, which
     /// caps them at 64 per run (module docs, "Compaction").
     fn compaction_stride(&self) -> u32 {
@@ -670,7 +745,6 @@ impl ClusterTable for PagedClustering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Clustering;
     use crate::streaming::{clustering_pass_on, VolumeCap};
     use std::sync::{Arc, Mutex};
     use tps_graph::degree::DegreeTable;
@@ -1142,6 +1216,95 @@ mod tests {
         }
         fn write_pages(&mut self, _pages: &[(u64, Vec<u8>)]) -> io::Result<()> {
             Err(io::Error::other("write exploded"))
+        }
+    }
+
+    /// Promotion copies every `v2c` page — resident, written back, still in
+    /// the write-back buffer, or never touched — and the volumes: after
+    /// evictions at a tiny budget the copy is the flat clustering of the
+    /// same passes, byte for byte.
+    #[test]
+    fn into_clustering_equals_the_flat_clustering_of_the_same_passes() {
+        let g = planted::generate(&PlantedConfig::web(800, 4000), 11);
+        // Vertices past the graph's own: their `v2c` pages are never touched.
+        let nv = g.num_vertices() + 1000;
+        let mut flat = Clustering::empty(nv);
+        run_passes(&mut flat, &g, 2, |c| {
+            c.compact_ids();
+        });
+        let mut want = Vec::new();
+        flat.encode_into(&mut want);
+        for budget in [0u64, 256, 1 << 30] {
+            let mut paged = mem_table(nv, budget, 64);
+            run_passes(&mut paged, &g, 2, |t| {
+                t.compact_ids();
+            });
+            let touched = paged.tables[KIND_V2C as usize].len() as u64;
+            assert!(touched < (nv * 4).div_ceil(64), "budget {budget}");
+            if budget < 1 << 30 {
+                assert!(paged.stats().writebacks > 0, "budget {budget}");
+            }
+            let mut got = Vec::new();
+            paged.into_clustering().unwrap().encode_into(&mut got);
+            assert_eq!(got, want, "budget {budget}");
+        }
+    }
+
+    /// How a [`ReadSwitch`] answers reads.
+    #[derive(Clone, Copy)]
+    enum Reads {
+        Pass,
+        Fail,
+        Garbage(u8),
+    }
+
+    /// A backing whose reads can be made to fail or to return garbage
+    /// after the fact.
+    struct ReadSwitch {
+        inner: MemPageBacking,
+        reads: Arc<Mutex<Reads>>,
+    }
+
+    impl PageBacking for ReadSwitch {
+        fn read_page(&mut self, key: u64, buf: &mut [u8]) -> io::Result<bool> {
+            match *self.reads.lock().unwrap() {
+                Reads::Pass => self.inner.read_page(key, buf),
+                Reads::Fail => Err(io::Error::other("read exploded")),
+                Reads::Garbage(byte) => {
+                    buf.fill(byte);
+                    Ok(true)
+                }
+            }
+        }
+        fn write_pages(&mut self, pages: &[(u64, Vec<u8>)]) -> io::Result<()> {
+            self.inner.write_pages(pages)
+        }
+    }
+
+    /// A store that fails the read of a written-back page, or hands back
+    /// an id past the table's, fails the promotion with an error — never a
+    /// panic in `Clustering::from_parts`.
+    #[test]
+    fn into_clustering_turns_bad_reads_into_errors() {
+        let g = planted::generate(&PlantedConfig::web(800, 4000), 11);
+        for (reads, kind) in [
+            (Reads::Fail, io::ErrorKind::Other),
+            (Reads::Garbage(0x7F), io::ErrorKind::InvalidData),
+        ] {
+            let switch = Arc::new(Mutex::new(Reads::Pass));
+            let backing = ReadSwitch {
+                inner: MemPageBacking::new(),
+                reads: Arc::clone(&switch),
+            };
+            let mut paged =
+                PagedClustering::with_page_size(g.num_vertices(), 256, 64, Box::new(backing));
+            run_passes(&mut paged, &g, 1, |t| {
+                t.compact_ids();
+            });
+            paged.check_io().unwrap();
+            *switch.lock().unwrap() = reads;
+            let err = paged.into_clustering().unwrap_err();
+            assert_eq!(err.kind(), kind, "{err}");
         }
     }
 

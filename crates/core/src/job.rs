@@ -317,7 +317,9 @@ impl<'a> JobSpec<'a> {
     /// cache. 0 = unbounded (the default); a budget whose bytes overflow
     /// 64 bits fails the run as invalid input. A one-shard run then pages
     /// cluster state to disk, so peak RSS stays bounded by the budget plus
-    /// fixed per-run overhead even when the graph is many times larger. A
+    /// fixed per-run overhead even when the graph is many times larger,
+    /// and holds it in memory from the first clustering-pass boundary where
+    /// it fits the page share flat ([`ClusterPaging`]). A
     /// run over several shards honours the decode share only and still
     /// holds its decision logs.
     pub fn mem_budget_mb(mut self, mb: u64) -> Self {

@@ -42,7 +42,9 @@
 //!    live clusters after each pass; several shards' maps are combined
 //!    with [`tps_clustering::merge_clusterings`] (union-by-volume, in shard
 //!    order — deterministic). One shard pages its table under a
-//!    [`ClusterPaging`] budget (paging is one-shard-only).
+//!    [`ClusterPaging`] budget (paging is one-shard-only) until, at a pass
+//!    boundary, the table fits that budget flat: from there on the run is
+//!    the in-memory one.
 //! 3. **mapping** — Graham scheduling of the clusters, serial (it is
 //!    `O(C log C)` on cluster counts, not edge counts).
 //! 4. **partition** — each shard runs the shared phase-2 edge kernel
@@ -670,38 +672,61 @@ pub(crate) fn run_shards(
     // per range and merged by volume.
     let s1 = tps_obs::span("clustering");
     let cap = resolve_volume_cap(config, k, &degrees);
+    // A paged run's policy, paged-pass statistics and the pass after which
+    // its table went flat.
+    let mut promoted = None;
     let clustering = match &mut shards {
-        Shards::One(stream, Some(paging)) => {
-            // A paged run: the same phases against a `PagedClustering`.
-            let mut table = paging.open_table(nv)?;
-            for pass in 0..config.clustering_passes {
-                let span = tps_obs::span("clustering.pass");
-                clustering_pass_on(&mut **stream, &degrees, cap, &mut table)?;
-                table.compact_ids();
-                table.check_io()?;
-                span.end();
-                if pass == 0 {
-                    note_if_thrashing(table.stats().faults, info.num_edges);
+        Shards::One(stream, paging) => {
+            let (mut clustering, paged_passes) = match *paging {
+                None => (Clustering::empty(nv), 0),
+                Some(paging) => {
+                    // A paged run: the same passes against a
+                    // `PagedClustering`, until it fits its share flat.
+                    let mut table = paging.open_table(nv)?;
+                    let mut passes = 0;
+                    let fits = loop {
+                        let span = tps_obs::span("clustering.pass");
+                        clustering_pass_on(&mut **stream, &degrees, cap, &mut table)?;
+                        table.compact_ids();
+                        table.check_io()?;
+                        span.end();
+                        passes += 1;
+                        if passes == 1 {
+                            note_if_thrashing(table.stats().faults, info.num_edges);
+                        }
+                        let fits = paging.fits_flat(nv, table.num_cluster_ids());
+                        if fits || passes == config.clustering_passes {
+                            break fits;
+                        }
+                    };
+                    if !fits {
+                        report.phases.record("clustering", s1.end());
+                        let s2 = tps_obs::span("mapping");
+                        let sorted = config.mapping == MappingStrategy::SortedGraham;
+                        let (clusters, max_volume) = schedule_paged(&mut table, k, sorted)?;
+                        report.phases.record("mapping", s2.end());
+                        let replicas = ReplicationMatrix::new(nv, k);
+                        let loads = ShardLoads::with_ledger(&ledger, 0, 1);
+                        let mut shard =
+                            ShardAssigner::with_view(*config, &degrees, table, replicas, loads);
+                        one_shard_phase2(&mut shard, &mut **stream, sink, &mut report)?;
+                        shard.view.check_io()?;
+                        let stats = shard.view.stats();
+                        record_cluster_counters(
+                            &mut report,
+                            clusters,
+                            max_volume,
+                            stats.ids_dropped,
+                            cap,
+                        );
+                        paging.record(&mut report, stats, 0);
+                        return Ok(report);
+                    }
+                    promoted = Some((paging, table.stats(), passes));
+                    (table.into_clustering()?, passes)
                 }
-            }
-            report.phases.record("clustering", s1.end());
-            let s2 = tps_obs::span("mapping");
-            let sorted = config.mapping == MappingStrategy::SortedGraham;
-            let (clusters, max_volume) = schedule_paged(&mut table, k, sorted)?;
-            report.phases.record("mapping", s2.end());
-            let replicas = ReplicationMatrix::new(nv, k);
-            let loads = ShardLoads::with_ledger(&ledger, 0, 1);
-            let mut shard = ShardAssigner::with_view(*config, &degrees, table, replicas, loads);
-            one_shard_phase2(&mut shard, &mut **stream, sink, &mut report)?;
-            shard.view.check_io()?;
-            let stats = shard.view.stats();
-            record_cluster_counters(&mut report, clusters, max_volume, stats.ids_dropped, cap);
-            paging.record(&mut report, stats);
-            return Ok(report);
-        }
-        Shards::One(stream, None) => {
-            let mut clustering = Clustering::empty(nv);
-            for _ in 0..config.clustering_passes {
+            };
+            for _ in paged_passes..config.clustering_passes {
                 let span = tps_obs::span("clustering.pass");
                 clustering_pass_on(&mut **stream, &degrees, cap, &mut clustering)?;
                 compact_counted(&mut clustering);
@@ -754,6 +779,9 @@ pub(crate) fn run_shards(
         }
     }
     record_clustering_counters(&mut report, &clustering, cap);
+    if let Some((paging, stats, flat_after_pass)) = promoted {
+        paging.record(&mut report, stats, flat_after_pass);
+    }
     Ok(report)
 }
 

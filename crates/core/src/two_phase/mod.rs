@@ -42,6 +42,8 @@ static CORE_PAGING_BUDGET_BYTES: tps_obs::Counter =
 static CORE_PAGING_FAULTS: tps_obs::Counter = tps_obs::Counter::new("core.paging.faults");
 static CORE_PAGING_EVICTIONS: tps_obs::Counter = tps_obs::Counter::new("core.paging.evictions");
 static CORE_PAGING_WRITEBACKS: tps_obs::Counter = tps_obs::Counter::new("core.paging.writebacks");
+static CORE_PAGING_FLAT_AFTER_PASS: tps_obs::Counter =
+    tps_obs::Counter::new("core.paging.flat_after_pass");
 
 /// Page faults per streamed edge, after the first clustering pass of a paged
 /// run, above which the run says so. Endpoint-sorted input at a budget a
@@ -137,7 +139,12 @@ impl TwoPhaseConfig {
 
 /// Out-of-core execution policy for a one-shard run: keep cluster state
 /// (`v2c`, volumes, `c2p`) in a [`PagedClustering`] bounded by
-/// `budget_bytes`, spilling cold pages through `provider`'s store.
+/// `budget_bytes`, spilling cold pages through `provider`'s store — until
+/// it fits `budget_bytes` flat: `v2c` at 4 B per vertex plus `vol` and
+/// `c2p` at 12 B per live cluster. At the first clustering-pass boundary
+/// where it does, the run promotes the table to a flat [`Clustering`] and
+/// goes on in memory; a table that never fits pages through mapping and
+/// phase 2.
 #[derive(Clone)]
 pub struct ClusterPaging {
     /// Byte budget for resident cluster pages (0 = one frame, fully
@@ -194,16 +201,30 @@ impl ClusterPaging {
         ))
     }
 
-    /// Append the paging counters of a run that paged under this policy.
-    pub(crate) fn record(&self, report: &mut RunReport, stats: PagingStats) {
+    /// Whether a compacted table over `num_vertices` vertices and `live`
+    /// cluster ids fits the budget flat: `v2c` at 4 B per vertex, `vol`
+    /// and `c2p` at 12 B per id.
+    pub(crate) fn fits_flat(&self, num_vertices: u64, live: u32) -> bool {
+        num_vertices
+            .saturating_mul(4)
+            .saturating_add(12 * live as u64)
+            <= self.budget_bytes
+    }
+
+    /// Append the paging counters of a run that paged under this policy:
+    /// `stats` of its paged passes, and the pass after which the table
+    /// went flat (0 = paged to the end).
+    pub(crate) fn record(&self, report: &mut RunReport, stats: PagingStats, flat_after_pass: u32) {
         report.count("paging_budget_bytes", self.budget_bytes);
         report.count("paging_faults", stats.faults);
         report.count("paging_evictions", stats.evictions);
         report.count("paging_writebacks", stats.writebacks);
+        report.count("paging_flat_after_pass", flat_after_pass as u64);
         CORE_PAGING_BUDGET_BYTES.add(self.budget_bytes);
         CORE_PAGING_FAULTS.add(stats.faults);
         CORE_PAGING_EVICTIONS.add(stats.evictions);
         CORE_PAGING_WRITEBACKS.add(stats.writebacks);
+        CORE_PAGING_FLAT_AFTER_PASS.add(flat_after_pass as u64);
         CLUSTERING_COMPACTIONS.add(stats.compactions);
         CLUSTERING_IDS_DROPPED.add(stats.ids_dropped);
     }
@@ -237,8 +258,9 @@ impl TwoPhasePartitioner {
     }
 
     /// Run with cluster state paged to disk under `paging`'s budget (the
-    /// out-of-core mode). Output is bit-identical to the unpaged run at
-    /// every budget; only peak memory and I/O traffic change.
+    /// out-of-core mode) until it fits that budget flat, then in memory
+    /// (see [`ClusterPaging`]). Output is bit-identical to the unpaged run
+    /// at every budget; only peak memory, I/O traffic and run time change.
     pub fn with_cluster_paging(mut self, paging: ClusterPaging) -> Self {
         self.paging = Some(paging);
         self
@@ -799,19 +821,11 @@ mod tests {
                     .partition(&mut g.stream(), &params, &mut sink)
                     .unwrap();
                 assert_eq!(sink.assignments(), base.assignments(), "budget {budget}");
-                for key in [
-                    "prepartitioned",
-                    "remaining",
-                    "clusters",
-                    "cluster_ids_dropped",
-                    "max_cluster_volume",
-                ] {
-                    assert_eq!(
-                        report.counter(key),
-                        base_report.counter(key),
-                        "budget {budget}, counter {key}"
-                    );
-                }
+                assert_same_counters(&report, &base_report, &format!("budget {budget}"));
+                // 0 and 8 KiB never fit the 2 000-vertex table flat: mapping
+                // and phase 2 run paged. 1 GiB fits after pass 1.
+                let flat_after = u64::from(budget == 1 << 30);
+                assert_eq!(report.counter("paging_flat_after_pass"), flat_after);
                 if budget == 0 {
                     assert!(
                         report.counter("paging_evictions") > 0,
@@ -819,6 +833,76 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The cluster and phase-2 counters every run reports alike.
+    fn assert_same_counters(report: &RunReport, base: &RunReport, case: &str) {
+        for key in [
+            "prepartitioned",
+            "prepartition_overflow",
+            "remaining",
+            "fallback_hash",
+            "fallback_least_loaded",
+            "cap_overshoot",
+            "clusters",
+            "cluster_ids_dropped",
+            "cluster_volume_cap",
+            "max_cluster_volume",
+        ] {
+            assert_eq!(
+                report.counter(key),
+                base.counter(key),
+                "{case}, counter {key}"
+            );
+        }
+    }
+
+    /// A table promotes at the first pass boundary where it fits its share
+    /// flat — after pass 1, or only after a later pass once clustering has
+    /// merged enough clusters — and decides exactly like the unpaged run.
+    /// The flat passes, mapping and phase 2 after promotion take no fault:
+    /// the run faults as often as one that stops at the promoting pass.
+    #[test]
+    fn paged_run_promotes_where_its_table_first_fits_flat() {
+        use tps_clustering::paged::MemPageStoreProvider;
+        let g = gnm::generate(2_000, 10_000, 13);
+        let params = PartitionParams::new(16);
+        let unpaged = |passes: u32| {
+            let mut sink = VecSink::new();
+            let report = TwoPhasePartitioner::new(TwoPhaseConfig::with_passes(passes))
+                .partition(&mut g.stream(), &params, &mut sink)
+                .unwrap();
+            (sink.into_assignments(), report)
+        };
+        let paged = |passes: u32, budget: u64| {
+            let mut sink = VecSink::new();
+            let paging = ClusterPaging {
+                budget_bytes: budget,
+                page_size: 1024,
+                provider: Arc::new(MemPageStoreProvider),
+            };
+            let report = TwoPhasePartitioner::new(TwoPhaseConfig::with_passes(passes))
+                .with_cluster_paging(paging)
+                .partition(&mut g.stream(), &params, &mut sink)
+                .unwrap();
+            (sink.into_assignments(), report)
+        };
+        // The budget a compacted table fits after pass `p`.
+        let flat_bytes = |p: u32| 4 * g.num_vertices() + 12 * unpaged(p).1.counter("clusters");
+        assert!(flat_bytes(2) < flat_bytes(1), "pass 2 must merge clusters");
+        let (base, base_report) = unpaged(3);
+        for (budget, after) in [(flat_bytes(1), 1u32), (flat_bytes(2), 2)] {
+            let case = format!("budget {budget}");
+            let (assignments, report) = paged(3, budget);
+            assert_eq!(assignments, base, "{case}");
+            assert_same_counters(&report, &base_report, &case);
+            assert_eq!(report.counter("paging_flat_after_pass"), after as u64);
+            let faults = report.counter("paging_faults");
+            assert!(faults > 0, "{case}");
+            let (_, stopped) = paged(after, budget);
+            assert_eq!(stopped.counter("paging_flat_after_pass"), after as u64);
+            assert_eq!(faults, stopped.counter("paging_faults"), "{case}");
         }
     }
 

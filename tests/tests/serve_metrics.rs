@@ -85,6 +85,15 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
             .threads(tps_core::job::ThreadMode::Count(2)),
     )
     .expect("partition job");
+    // A budgeted one-shard job registers the paging counters; its 400-vertex
+    // table fits the budget's page share flat after the first pass.
+    tps_io::run_job(
+        tps_core::job::JobSpec::path(&input)
+            .k(K)
+            .threads(tps_core::job::ThreadMode::Serial)
+            .mem_budget_mb(1),
+    )
+    .expect("paged partition job");
     std::fs::remove_file(&input).ok();
 
     // The daemon is now idle: local snapshots and the scrape must agree.
@@ -98,6 +107,8 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
         ("core.emit.restreamed_edges", edges.len() as u64),
         ("io.v2.ranges_retained", 2),
         ("io.v2.retained_bytes", 8 * edges.len() as u64),
+        ("core.paging.budget_bytes", 1 << 19),
+        ("core.paging.flat_after_pass", 1),
     ] {
         let value = counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
         assert!(value >= Some(at_least), "{name} = {value:?}");
