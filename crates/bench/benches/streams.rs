@@ -34,7 +34,7 @@ fn bench_streams(c: &mut Criterion) {
     });
     group.bench_function("mmap_file", |b| {
         b.iter(|| {
-            let mut s = tps_io::MmapEdgeFile::open(&path).unwrap();
+            let mut s = tps_io::open_edge_stream(&path, tps_io::ReaderBackend::Mmap).unwrap();
             let mut n = 0u64;
             for_each_edge(&mut s, |e| n += e.src as u64).unwrap();
             black_box(n)
@@ -42,7 +42,7 @@ fn bench_streams(c: &mut Criterion) {
     });
     group.bench_function("prefetch_file", |b| {
         b.iter(|| {
-            let mut s = tps_io::PrefetchReader::open_v1(&path).unwrap();
+            let mut s = tps_io::open_edge_stream(&path, tps_io::ReaderBackend::Prefetch).unwrap();
             let mut n = 0u64;
             for_each_edge(&mut s, |e| n += e.src as u64).unwrap();
             black_box(n)

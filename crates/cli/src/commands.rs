@@ -392,7 +392,7 @@ pub fn partition(args: &[String]) -> i32 {
                 .info();
             JobSpec::path(input)
         } else {
-            let mut s = open_stream(input, common.format.as_deref(), common.reader.into())?;
+            let mut s = open_stream(input, common.format.as_deref(), common.reader)?;
             info = discover_info(&mut *s).map_err(|e| e.to_string())?;
             let s = text_stream.insert(s);
             JobSpec::stream(&mut **s)
@@ -722,7 +722,7 @@ fn dist_coordinator(args: &[String]) -> i32 {
         } else if flags.get("kill-worker").is_some() {
             return Err("--kill-worker does nothing without --kill-at".into());
         }
-        let reader: ReaderBackend = common.reader.into();
+        let reader = common.reader;
         let quiet = flags.has("quiet");
 
         // Workers resolve the path themselves, so ship it absolute.
@@ -1012,7 +1012,7 @@ pub fn info(args: &[String]) -> i32 {
     let run = || -> Result<(), String> {
         let common = CommonOpts::from_flags(&flags)?;
         let input = flags.require("input")?;
-        let mut stream = open_stream(input, common.format.as_deref(), common.reader.into())?;
+        let mut stream = open_stream(input, common.format.as_deref(), common.reader)?;
         let info = discover_info(&mut stream).map_err(|e| e.to_string())?;
         // One more pass for degree statistics.
         let degrees = tps_graph::degree::DegreeTable::compute(&mut stream, info.num_vertices)

@@ -391,6 +391,63 @@ fn threads_one_matches_serial_bit_for_bit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A one-shard run over a TPSBEL2 file — `--threads serial` or `--threads
+/// 1` — streams the file as one retained range: each chunk is decoded once,
+/// by the first pass, and the run makes no discovery pass before it.
+#[test]
+fn one_shard_v2_runs_decode_every_chunk_once() {
+    let dir = tmpdir("decode-once");
+    let bel = dir.join("ok.bel");
+    let bel2 = dir.join("ok.bel2");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    // 4 000 edges in chunks of 700: six chunks.
+    let out = tps()
+        .args(["convert", "--input"])
+        .arg(&bel)
+        .arg("--out")
+        .arg(&bel2)
+        .args(["--chunk-edges", "700"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for (threads, reader) in ["serial", "1"]
+        .into_iter()
+        .flat_map(|t| ["buffered", "mmap", "prefetch"].map(|r| (t, r)))
+    {
+        let what = format!("--threads {threads} --reader {reader}");
+        let trace = dir.join(format!("t{threads}-{reader}.jsonl"));
+        let out = tps()
+            .args(["partition", "--input"])
+            .arg(&bel2)
+            .args(["--k", "4", "--threads", threads, "--reader", reader])
+            .args(["--quiet", "--trace"])
+            .arg(&trace)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{what}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let trace = std::fs::read_to_string(&trace).unwrap();
+        for counter in [
+            "\"io.v2.chunks_decoded\",\"v\":6}",
+            "\"io.v2.ranges_retained\",\"v\":1}",
+        ] {
+            assert!(trace.contains(counter), "{what}: {counter}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn threads_parallel_is_deterministic_across_formats_and_readers() {
     let dir = tmpdir("threads-par");

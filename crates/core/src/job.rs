@@ -38,9 +38,11 @@
 //! ```
 //!
 //! File-path inputs need an [`InputProvider`] that knows how to open edge
-//! files; `tps-core` cannot depend on `tps-io` (the dependency points the
-//! other way), so `tps_io::run_job` / `tps_io::FileInput` supply the
-//! standard provider and `JobSpec::run` handles the in-memory cases.
+//! files as ranged sources; `tps-core` cannot depend on `tps-io` (the
+//! dependency points the other way), so `tps_io::run_job` /
+//! `tps_io::FileInput` supply the standard provider and `JobSpec::run`
+//! handles the in-memory cases. A path input is a ranged source from then
+//! on: a one-shard run streams its range `0..|E|`.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -59,8 +61,7 @@ use crate::sink::{AssignmentSink, NullSink, QualitySink, TeeSink};
 use crate::two_phase::{ClusterPaging, TwoPhaseConfig, TwoPhasePartitioner};
 
 /// Reader backend for file inputs, named in core so specs can be built
-/// without a `tps-io` dependency (the provider maps it onto its own
-/// backend enum).
+/// without a `tps-io` dependency (which re-exports it as `ReaderBackend`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReaderKind {
     /// Plain buffered sequential reads (the default).
@@ -73,6 +74,9 @@ pub enum ReaderKind {
 }
 
 impl ReaderKind {
+    /// All backends, for iteration in benches and tests.
+    pub const ALL: [ReaderKind; 3] = [ReaderKind::Buffered, ReaderKind::Mmap, ReaderKind::Prefetch];
+
     /// Stable lower-case name (CLI flag value / JSON field).
     pub fn name(self) -> &'static str {
         match self {
@@ -149,8 +153,7 @@ pub enum JobEngine<'a> {
 /// * **½ cluster pages** — the paged cluster table (one-shard runs; the
 ///   dominant `O(|V|)` term the budget exists to bound);
 /// * **¼ decode cache** — the v2 readers' decoded-edge cache, per source
-///   (all-or-nothing per file for a sequential reader, per range for a
-///   ranged source; a share too small simply disables it);
+///   (all-or-nothing per range; a share too small simply disables it);
 /// * **¼ headroom** — for what the budget does not govern: the partition
 ///   files' write buffers, the degree table, and the decision logs of a
 ///   chunk-parallel or distributed run (1, 2 or 4 B per edge).
@@ -176,9 +179,8 @@ impl MemBudgetSplit {
 /// seam that lets `tps-core` describe file jobs without depending on
 /// `tps-io` (which implements the standard provider as `FileInput`).
 pub trait InputProvider {
-    /// Open `path` as a plain edge stream with the given reader backend.
-    fn open_stream(&self, path: &Path, reader: ReaderKind) -> io::Result<Box<dyn EdgeStream>>;
-    /// Open `path` as a ranged source for chunk-parallel execution.
+    /// Open `path` as a ranged source with the given reader backend: every
+    /// shard of a run streams one range of it, a one-shard run `0..|E|`.
     fn open_ranged(&self, path: &Path, reader: ReaderKind)
         -> io::Result<Box<dyn RangedEdgeSource>>;
     /// A page-store provider backing out-of-core cluster paging
@@ -198,9 +200,6 @@ pub trait InputProvider {
 pub struct NoFiles;
 
 impl InputProvider for NoFiles {
-    fn open_stream(&self, path: &Path, _reader: ReaderKind) -> io::Result<Box<dyn EdgeStream>> {
-        Err(unsupported(path))
-    }
     fn open_ranged(
         &self,
         path: &Path,
@@ -452,6 +451,17 @@ impl<'a> JobSpec<'a> {
         }
 
         let start = Instant::now();
+        // A path input is the provider's ranged source over the file: from
+        // here on it runs exactly like a `Ranged` input.
+        let opened;
+        let input = match input {
+            JobInput::Path(p) => {
+                opened = provider.open_ranged(&p, reader)?;
+                JobInput::Ranged(&*opened)
+            }
+            JobInput::Ranged(s) => JobInput::Ranged(s),
+            JobInput::Stream(s) => JobInput::Stream(s),
+        };
         let (name, info_v, info_e, result, peak) = match plan {
             ExecPlan::Parallel { threads } => {
                 let cfg = match engine {
@@ -459,14 +469,8 @@ impl<'a> JobSpec<'a> {
                     JobEngine::Custom(_) => unreachable!("plan() keeps custom engines serial"),
                 };
                 let runner = ParallelRunner::new(cfg, threads);
-                let owned;
-                let source: &dyn RangedEdgeSource = match input {
-                    JobInput::Ranged(s) => s,
-                    JobInput::Path(p) => {
-                        owned = provider.open_ranged(&p, reader)?;
-                        &*owned
-                    }
-                    JobInput::Stream(_) => unreachable!("plan() keeps streams serial"),
+                let JobInput::Ranged(source) = input else {
+                    unreachable!("plan() keeps streams serial, and paths are sources by now")
                 };
                 let info = source.info();
                 let nv = num_vertices.unwrap_or(info.num_vertices);
@@ -491,8 +495,8 @@ impl<'a> JobSpec<'a> {
                         &mut owned_partitioner
                     }
                 };
-                // Resolve the stream (and a vertex count for the sink).
-                let mut owned_stream;
+                // Resolve the stream (and a vertex count for the sink): a
+                // source is streamed as its one range `0..|E|`.
                 let mut ranged_stream;
                 let (stream, known): (&mut dyn EdgeStream, Option<(u64, u64)>) = match input {
                     JobInput::Stream(s) => (s, None),
@@ -504,10 +508,7 @@ impl<'a> JobSpec<'a> {
                             Some((info.num_vertices, info.num_edges)),
                         )
                     }
-                    JobInput::Path(p) => {
-                        owned_stream = provider.open_stream(&p, reader)?;
-                        (&mut *owned_stream, None)
-                    }
+                    JobInput::Path(_) => unreachable!("paths are sources by now"),
                 };
                 let (nv, ne) = match (num_vertices, known) {
                     (Some(nv), Some((_, ne))) => (nv, ne),
@@ -734,9 +735,6 @@ mod tests {
     /// job needs beyond [`NoFiles`].
     struct MemPages;
     impl InputProvider for MemPages {
-        fn open_stream(&self, path: &Path, _reader: ReaderKind) -> io::Result<Box<dyn EdgeStream>> {
-            Err(unsupported(path))
-        }
         fn open_ranged(
             &self,
             path: &Path,

@@ -24,10 +24,10 @@
 //! faster paths over the same on-disk bytes, all behind
 //! [`EdgeStream`]:
 //!
-//! * `tps_io::MmapEdgeFile` — zero-copy memory-mapped reads of this v1
+//! * `tps_io::RangedMmapV1File` — zero-copy memory-mapped reads of this v1
 //!   format (fastest on a warm page cache).
-//! * `tps_io::PrefetchReader` — double-buffered background-thread reads
-//!   (overlaps I/O with partitioning CPU work).
+//! * `tps_io::RangedPrefetchSource` — double-buffered background-thread
+//!   reads (overlaps I/O with partitioning CPU work).
 //! * `tps_io::v2` — the compressed chunked **TPSBEL2** format: varint-encoded
 //!   edges in checksummed chunks with an index footer, typically 50–70 % of
 //!   the v1 size on skewed graphs, plus order-preserving v1↔v2 converters.

@@ -4,25 +4,27 @@
 //! linear run-time; this crate makes the storage side real. Everything is a
 //! [`tps_graph::stream::EdgeStream`], so partitioners stay oblivious:
 //!
-//! * [`mmap`] — zero-copy streams over memory-mapped v1 `.bel` files.
+//! * [`ranged`] — the readers: range-addressable sources over both formats
+//!   and the three [`ReaderBackend`]s. Every shard of a run opens its own
+//!   cursor over a contiguous edge-index range (v1 record seeking, v2
+//!   chunk-index scheduling), and a whole file is range `0..|E|`; a v2
+//!   source retains each range it has decoded once, under the decode
+//!   budget — the one decode cache.
+//! * [`mmap`] — the read-only memory mapping behind the `mmap` backend.
 //! * [`v2`] — the `TPSBEL2` compressed chunked format: varint-encoded
 //!   edges in checksummed chunks with a seekable index footer, plus
-//!   order-preserving v1↔v2 converters and chunk-parallel scans.
+//!   order-preserving v1↔v2 converters.
 //! * [`prefetch`] — a double-buffered background-thread reader that
-//!   overlaps disk reads with partitioning CPU work.
-//! * [`ranged`] — range-addressable sources for chunk-parallel execution:
-//!   every worker thread of `tps-core`'s `ParallelRunner` opens its own
-//!   cursor over a contiguous edge-index range (v1 record seeking, v2
-//!   chunk-index scheduling, optional per-worker prefetch); a v2 source
-//!   retains each range it has decoded once, under the decode budget.
+//!   overlaps disk reads with partitioning CPU work; the `prefetch` backend
+//!   wraps every range cursor in one.
 //! * [`page`] — a checksummed slotted page store backing `tps-clustering`'s
 //!   paged cluster table, so cluster state itself can live out of core
 //!   under a `--mem-budget-mb` budget.
 //!
-//! [`open_edge_stream`] is the front door: it sniffs the file format (v1 or
-//! v2 by magic) and applies the requested [`ReaderBackend`]. See
-//! `README.md` in this crate for the format layout and a backend-selection
-//! guide.
+//! [`open_ranged_backend`] is the front door: it sniffs the file format (v1
+//! or v2 by magic) and applies the requested [`ReaderBackend`];
+//! [`open_edge_stream`] is its whole-file cursor. See `README.md` in this
+//! crate for the format layout and a backend-selection guide.
 
 pub mod mmap;
 pub mod page;
@@ -37,69 +39,26 @@ use std::path::Path;
 use std::sync::Arc;
 
 use tps_clustering::paged::PageStoreProvider;
-use tps_core::job::{InputProvider, JobSpec, ReaderKind};
+use tps_core::job::{InputProvider, JobSpec};
 use tps_core::runner::RunOutcome;
-use tps_graph::formats::binary::BinaryEdgeFile;
 use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::EdgeStream;
 
 pub use partread::{load_partition_dir, LoadedPartition};
 
-pub use mmap::MmapEdgeFile;
 pub use page::{FilePageStore, TempPageStoreProvider};
-pub use prefetch::{ChunkSource, PrefetchConfig, PrefetchReader, V1ChunkSource, V2ChunkSource};
+pub use prefetch::{ChunkSource, PrefetchConfig, PrefetchReader};
 pub use ranged::{
-    open_ranged, open_ranged_backend, open_ranged_mmap, open_ranged_prefetch, RangedMmapV1File,
-    RangedMmapV2File, RangedPrefetchSource, RangedV1File, RangedV2File, RetainingSource,
+    open_ranged, open_ranged_backend, RangedMmapV1File, RangedMmapV2File, RangedPrefetchSource,
+    RangedV1File, RangedV2File, RetainingSource,
 };
-pub use v2::{convert_v1_to_v2, convert_v2_to_v1, write_v2_edge_list, MmapV2EdgeFile, V2EdgeFile};
-
-/// How to read an edge file from disk.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReaderBackend {
-    /// Plain sequential `read`s, one block (v1) or chunk (v2) at a time —
-    /// the seed's original path; lowest memory.
-    #[default]
-    Buffered,
-    /// Memory-map the file and decode in place (zero-copy; fastest on warm
-    /// page cache, requires a Unix target).
-    Mmap,
-    /// Background-thread double buffering — overlaps I/O with CPU work;
-    /// best when the consumer does real work per edge on a cold cache.
-    Prefetch,
-}
-
-impl ReaderBackend {
-    /// All backends, for iteration in benches/tests.
-    pub const ALL: [ReaderBackend; 3] = [
-        ReaderBackend::Buffered,
-        ReaderBackend::Mmap,
-        ReaderBackend::Prefetch,
-    ];
-
-    /// The CLI flag spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReaderBackend::Buffered => "buffered",
-            ReaderBackend::Mmap => "mmap",
-            ReaderBackend::Prefetch => "prefetch",
-        }
-    }
-}
-
-impl std::str::FromStr for ReaderBackend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "buffered" | "bufreader" => Ok(ReaderBackend::Buffered),
-            "mmap" => Ok(ReaderBackend::Mmap),
-            "prefetch" => Ok(ReaderBackend::Prefetch),
-            other => Err(format!(
-                "unknown reader backend {other:?} (buffered|mmap|prefetch)"
-            )),
-        }
-    }
-}
+/// How to read an edge file from disk: `buffered` (plain sequential reads,
+/// the lowest memory), `mmap` (decode in place out of a read-only mapping;
+/// fastest on a warm page cache, Unix only) or `prefetch` (a background
+/// thread reads ahead of the consumer; best on a cold cache when the
+/// consumer does real work per edge).
+pub use tps_core::job::ReaderKind as ReaderBackend;
+pub use v2::{convert_v1_to_v2, convert_v2_to_v1, write_v2_edge_list};
 
 /// On-disk edge-list container format, sniffed from the magic bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,53 +86,30 @@ pub fn detect_format<P: AsRef<Path>>(path: P) -> io::Result<EdgeFileFormat> {
     }
 }
 
-/// Open `path` (v1 or v2, auto-detected) with the requested backend.
+/// Open `path` (v1 or v2, auto-detected) with the requested backend: the
+/// owned cursor over range `0..|E|` of [`open_ranged_backend`]'s source.
 pub fn open_edge_stream<P: AsRef<Path>>(
     path: P,
     backend: ReaderBackend,
 ) -> io::Result<Box<dyn EdgeStream>> {
-    let path = path.as_ref();
-    match (detect_format(path)?, backend) {
-        (EdgeFileFormat::V1, ReaderBackend::Buffered) => Ok(Box::new(BinaryEdgeFile::open(path)?)),
-        (EdgeFileFormat::V1, ReaderBackend::Mmap) => Ok(Box::new(MmapEdgeFile::open(path)?)),
-        (EdgeFileFormat::V1, ReaderBackend::Prefetch) => {
-            Ok(Box::new(PrefetchReader::open_v1(path)?))
-        }
-        (EdgeFileFormat::V2, ReaderBackend::Buffered) => Ok(Box::new(V2EdgeFile::open(path)?)),
-        (EdgeFileFormat::V2, ReaderBackend::Mmap) => Ok(Box::new(MmapV2EdgeFile::open(path)?)),
-        (EdgeFileFormat::V2, ReaderBackend::Prefetch) => {
-            Ok(Box::new(PrefetchReader::open_v2(path)?))
-        }
-    }
+    let source = ranged::open_file(path.as_ref(), backend)?;
+    let stream: Box<dyn EdgeStream> = source.open_range_owned(0, source.info().num_edges)?;
+    Ok(stream)
 }
 
-impl From<ReaderKind> for ReaderBackend {
-    fn from(kind: ReaderKind) -> Self {
-        match kind {
-            ReaderKind::Buffered => ReaderBackend::Buffered,
-            ReaderKind::Mmap => ReaderBackend::Mmap,
-            ReaderKind::Prefetch => ReaderBackend::Prefetch,
-        }
-    }
-}
-
-/// The standard [`InputProvider`]: opens path inputs through this crate's
-/// format sniffing and reader backends, and serves cluster-page stores out
-/// of the system temp directory.
+/// The standard [`InputProvider`]: opens path inputs as ranged sources
+/// through this crate's format sniffing and reader backends, and serves
+/// cluster-page stores out of the system temp directory.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FileInput;
 
 impl InputProvider for FileInput {
-    fn open_stream(&self, path: &Path, reader: ReaderKind) -> io::Result<Box<dyn EdgeStream>> {
-        open_edge_stream(path, reader.into())
-    }
-
     fn open_ranged(
         &self,
         path: &Path,
-        reader: ReaderKind,
+        reader: ReaderBackend,
     ) -> io::Result<Box<dyn RangedEdgeSource>> {
-        ranged::open_ranged_backend(path, reader.into())
+        open_ranged_backend(path, reader)
     }
 
     fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {
@@ -201,18 +137,10 @@ mod tests {
 
     #[test]
     fn backend_parsing() {
-        assert_eq!(
-            "mmap".parse::<ReaderBackend>().unwrap(),
-            ReaderBackend::Mmap
-        );
-        assert_eq!(
-            "Buffered".parse::<ReaderBackend>().unwrap(),
-            ReaderBackend::Buffered
-        );
-        assert_eq!(
-            "prefetch".parse::<ReaderBackend>().unwrap(),
-            ReaderBackend::Prefetch
-        );
+        for backend in ReaderBackend::ALL {
+            assert_eq!(backend.name().parse::<ReaderBackend>(), Ok(backend));
+        }
+        assert_eq!(ReaderBackend::default(), ReaderBackend::Buffered);
         assert!("spinny-disk".parse::<ReaderBackend>().is_err());
     }
 
@@ -231,6 +159,8 @@ mod tests {
         for path in [&v1_path, &v2_path] {
             for backend in ReaderBackend::ALL {
                 let mut s = open_edge_stream(path, backend).unwrap();
+                assert_eq!(s.len_hint(), Some(5000), "{backend:?} on {path:?}");
+                assert_eq!(s.num_vertices_hint(), Some(4096), "{backend:?} on {path:?}");
                 let mut seen = Vec::new();
                 for_each_edge(&mut s, |e| seen.push(e)).unwrap();
                 assert_eq!(seen, edges, "order diverged: {backend:?} on {path:?}");

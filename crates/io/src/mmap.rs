@@ -1,11 +1,10 @@
-//! Memory-mapped zero-copy edge streams.
+//! The read-only memory mapping behind the `mmap` reader backend.
 //!
-//! [`MmapEdgeFile`] maps a `.bel` (TPSBEL1) file read-only and serves edges
+//! [`Mmap`] maps a whole edge file so its cursors
+//! (`crate::ranged::{RangedMmapV1File, RangedMmapV2File}`) serve edges
 //! straight out of the page cache: no read syscalls, no copy into a user
-//! buffer, and `reset` is a cursor assignment. On re-reads with a warm page
-//! cache this is the fastest backend; on a cold cache the kernel's readahead
-//! (hinted with `madvise(MADV_SEQUENTIAL)`) still keeps it competitive with
-//! buffered reads.
+//! buffer (v1 records are lent in place), and `reset` is a cursor
+//! assignment.
 //!
 //! The mapping is done with a tiny private `mmap(2)` FFI binding — the
 //! workspace builds offline with no `libc`/`memmap2` crates, and the three
@@ -14,13 +13,10 @@
 
 use std::fs::File;
 use std::io;
-use std::path::{Path, PathBuf};
 
-use tps_graph::formats::binary::{
-    cast_records, check_payload_len, decode_records, read_header, EDGE_RECORD_LEN, HEADER_LEN,
-};
-use tps_graph::stream::{EdgeStream, CHUNK_EDGES};
-use tps_graph::types::{Edge, GraphInfo};
+use tps_graph::formats::binary::{cast_records, decode_records, EDGE_RECORD_LEN, HEADER_LEN};
+use tps_graph::stream::CHUNK_EDGES;
+use tps_graph::types::Edge;
 
 #[cfg(unix)]
 mod sys {
@@ -182,94 +178,15 @@ pub(crate) fn lend_records<'a>(
     }
 }
 
-/// A zero-copy [`EdgeStream`] over a memory-mapped TPSBEL1 file.
-pub struct MmapEdgeFile {
-    path: PathBuf,
-    map: Mmap,
-    info: GraphInfo,
-    cursor: u64,
-}
-
-impl MmapEdgeFile {
-    /// Map `path` and validate the v1 header.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::open(&path)?;
-        let map = Mmap::map(&file)?;
-        let bytes = map.as_slice();
-        let mut cursor = bytes;
-        let info = read_header(&mut cursor)?;
-        check_payload_len(&info, bytes.len() as u64)?;
-        Ok(MmapEdgeFile {
-            path,
-            map,
-            info,
-            cursor: 0,
-        })
-    }
-
-    /// The graph summary from the header.
-    pub fn info(&self) -> GraphInfo {
-        self.info
-    }
-
-    /// Path this stream reads from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The raw edge records (zero-copy view past the header).
-    pub fn edge_bytes(&self) -> &[u8] {
-        v1_payload(&self.map, self.info.num_edges)
-    }
-
-    /// Random access to edge `i` without advancing the stream.
-    pub fn edge(&self, i: u64) -> Edge {
-        assert!(i < self.info.num_edges, "edge index out of bounds");
-        edge_at(self.edge_bytes(), i as usize)
-    }
-}
-
-impl EdgeStream for MmapEdgeFile {
-    fn reset(&mut self) -> io::Result<()> {
-        self.cursor = 0;
-        Ok(())
-    }
-
-    #[inline]
-    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        if self.cursor >= self.info.num_edges {
-            return Ok(None);
-        }
-        let e = edge_at(self.edge_bytes(), self.cursor as usize);
-        self.cursor += 1;
-        Ok(Some(e))
-    }
-
-    fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
-        let payload = v1_payload(&self.map, self.info.num_edges);
-        Ok(lend_records(
-            payload,
-            &mut self.cursor,
-            self.info.num_edges,
-            scratch,
-        ))
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.info.num_edges)
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        Some(self.info.num_vertices)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranged::RangedMmapV1File;
+    use std::path::PathBuf;
     use tps_graph::formats::binary::{write_binary_edge_list, MAGIC};
+    use tps_graph::ranged::RangedEdgeSource;
     use tps_graph::stream::for_each_edge;
+    use tps_graph::types::GraphInfo;
 
     fn tmpfile(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("tps-io-mmap-{tag}-{}.bel", std::process::id()))
@@ -282,14 +199,15 @@ mod tests {
             .map(|i| Edge::new(i, (i * 31 + 7) % 2048))
             .collect();
         write_binary_edge_list(&path, 2048, edges.iter().copied()).unwrap();
-        let mut m = MmapEdgeFile::open(&path).unwrap();
+        let src = RangedMmapV1File::open(&path).unwrap();
         assert_eq!(
-            m.info(),
+            src.info(),
             GraphInfo {
                 num_vertices: 2048,
                 num_edges: 1000
             }
         );
+        let mut m = src.open_range(0, 1000).unwrap();
         let mut seen = Vec::new();
         for_each_edge(&mut m, |e| seen.push(e)).unwrap();
         assert_eq!(seen, edges);
@@ -305,9 +223,11 @@ mod tests {
         let path = tmpfile("random");
         let edges: Vec<Edge> = (0..64).map(|i| Edge::new(i * 3, i * 5 + 1)).collect();
         write_binary_edge_list(&path, 1024, edges.iter().copied()).unwrap();
-        let m = MmapEdgeFile::open(&path).unwrap();
-        for (i, &e) in edges.iter().enumerate() {
-            assert_eq!(m.edge(i as u64), e);
+        let src = RangedMmapV1File::open(&path).unwrap();
+        for (i, &e) in edges.iter().enumerate().rev() {
+            let mut one = src.open_range(i as u64, i as u64 + 1).unwrap();
+            assert_eq!(one.next_edge().unwrap(), Some(e));
+            assert_eq!(one.next_edge().unwrap(), None);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -316,7 +236,7 @@ mod tests {
     fn rejects_bad_magic_and_truncation() {
         let path = tmpfile("bad");
         std::fs::write(&path, b"NOTMAGIC________________").unwrap();
-        assert!(MmapEdgeFile::open(&path).is_err());
+        assert!(RangedMmapV1File::open(&path).is_err());
 
         // Valid header promising more edges than the file holds.
         let mut bytes = Vec::new();
@@ -325,7 +245,7 @@ mod tests {
         bytes.extend_from_slice(&100u64.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 16]); // only 2 edges present
         std::fs::write(&path, &bytes).unwrap();
-        let err = MmapEdgeFile::open(&path)
+        let err = RangedMmapV1File::open(&path)
             .err()
             .expect("truncated file must fail");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
@@ -336,7 +256,8 @@ mod tests {
     fn empty_graph_maps_fine() {
         let path = tmpfile("empty");
         write_binary_edge_list(&path, 0, std::iter::empty()).unwrap();
-        let mut m = MmapEdgeFile::open(&path).unwrap();
+        let src = RangedMmapV1File::open(&path).unwrap();
+        let mut m = src.open_range(0, 0).unwrap();
         assert_eq!(m.next_edge().unwrap(), None);
         std::fs::remove_file(&path).ok();
     }

@@ -11,21 +11,20 @@
 //! drained chunk to the worker instead of allocating, so steady-state
 //! memory is `buffers × chunk_edges × 8` bytes regardless of graph size.
 //!
-//! Any [`ChunkSource`] can feed the worker; sources for v1 (`.bel`) and v2
-//! (`TPSBEL2`) files are provided. `reset` is a generation bump: stale
-//! chunks from an abandoned pass are recycled on receipt, so multi-pass
-//! algorithms (the 2PS-L degree/clustering/partitioning passes) observe the
-//! exact same edge order every pass with no worker restart.
+//! Any [`ChunkSource`] can feed the worker; the `prefetch` reader backend
+//! feeds it one range cursor of a file (`crate::ranged::RangedPrefetchSource`).
+//! `reset` is a generation bump: stale chunks from an abandoned pass are
+//! recycled on receipt (and a `reset` before the first read keeps the pass
+//! in flight), so multi-pass algorithms (the 2PS-L degree / clustering /
+//! partitioning passes) observe the exact same edge order every pass with
+//! no worker restart.
 
 use std::io;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 
-use tps_graph::formats::binary as v1;
 use tps_graph::stream::EdgeStream;
 use tps_graph::types::{Edge, GraphInfo};
-
-use crate::v2::V2EdgeFile;
 
 /// A resettable producer of edge chunks, consumed from a worker thread.
 pub trait ChunkSource: Send {
@@ -42,82 +41,11 @@ pub trait ChunkSource: Send {
     }
 }
 
-/// A [`ChunkSource`] over a v1 `.bel` file, reading whole chunks with a
-/// single large `read` per chunk, straight into the edge buffer.
-pub struct V1ChunkSource {
-    file: std::fs::File,
-    info: GraphInfo,
-    remaining: u64,
-}
-
-impl V1ChunkSource {
-    /// Open `path` and validate the v1 header.
-    pub fn open<P: AsRef<std::path::Path>>(path: P) -> io::Result<Self> {
-        let mut file = std::fs::File::open(path)?;
-        // Leaves the cursor at the first record (offset HEADER_LEN).
-        let info = v1::read_checked_header(&mut file)?;
-        Ok(V1ChunkSource {
-            file,
-            remaining: info.num_edges,
-            info,
-        })
-    }
-}
-
-impl ChunkSource for V1ChunkSource {
-    fn reset(&mut self) -> io::Result<()> {
-        use std::io::{Seek, SeekFrom};
-        self.file.seek(SeekFrom::Start(v1::HEADER_LEN))?;
-        self.remaining = self.info.num_edges;
-        Ok(())
-    }
-
-    fn fill_chunk(&mut self, buf: &mut Vec<Edge>, max_edges: usize) -> io::Result<usize> {
-        let n = (self.remaining).min(max_edges as u64) as usize;
-        v1::read_records(&mut self.file, n, buf)?;
-        self.remaining -= n as u64;
-        Ok(n)
-    }
-
-    fn info(&self) -> Option<GraphInfo> {
-        Some(self.info)
-    }
-}
-
-/// A [`ChunkSource`] over a v2 chunked file (one format chunk per fill).
-pub struct V2ChunkSource {
-    file: V2EdgeFile,
-}
-
-impl V2ChunkSource {
-    /// Open `path` and validate the v2 layout.
-    pub fn open<P: AsRef<std::path::Path>>(path: P) -> io::Result<Self> {
-        Ok(V2ChunkSource {
-            file: V2EdgeFile::open(path)?,
-        })
-    }
-}
-
-impl ChunkSource for V2ChunkSource {
-    fn reset(&mut self) -> io::Result<()> {
-        EdgeStream::reset(&mut self.file)
-    }
-
-    fn fill_chunk(&mut self, buf: &mut Vec<Edge>, _max_edges: usize) -> io::Result<usize> {
-        // v2 chunks are the natural prefetch unit; `max_edges` only sizes
-        // the initial buffer allocation.
-        self.file.next_chunk_into(buf)
-    }
-
-    fn info(&self) -> Option<GraphInfo> {
-        Some(self.file.info())
-    }
-}
-
 /// Tuning knobs for [`PrefetchReader`].
 #[derive(Clone, Copy, Debug)]
 pub struct PrefetchConfig {
-    /// Edges per chunk buffer (v2 sources use the file's own chunking).
+    /// Edges per chunk buffer (a fill may overshoot it by less than one of
+    /// the source's own runs).
     pub chunk_edges: usize,
     /// Buffers cycling between worker and consumer (≥ 2 for overlap).
     pub buffers: usize,
@@ -242,6 +170,9 @@ pub struct PrefetchReader {
     current: Vec<Edge>,
     pos: usize,
     pass_done: bool,
+    /// Nothing of the pass in flight has been read yet, so a `reset` may
+    /// keep it instead of restarting the worker.
+    fresh: bool,
     info: Option<GraphInfo>,
 }
 
@@ -264,24 +195,9 @@ impl PrefetchReader {
             current: Vec::new(),
             pos: 0,
             pass_done: false,
+            fresh: true,
             info,
         }
-    }
-
-    /// Prefetch a v1 `.bel` file with the default configuration.
-    pub fn open_v1<P: AsRef<std::path::Path>>(path: P) -> io::Result<Self> {
-        Ok(PrefetchReader::new(
-            V1ChunkSource::open(path)?,
-            PrefetchConfig::default(),
-        ))
-    }
-
-    /// Prefetch a v2 chunked file with the default configuration.
-    pub fn open_v2<P: AsRef<std::path::Path>>(path: P) -> io::Result<Self> {
-        Ok(PrefetchReader::new(
-            V2ChunkSource::open(path)?,
-            PrefetchConfig::default(),
-        ))
     }
 
     fn send(&self, cmd: Cmd) -> io::Result<()> {
@@ -295,6 +211,11 @@ impl PrefetchReader {
 
 impl EdgeStream for PrefetchReader {
     fn reset(&mut self) -> io::Result<()> {
+        if self.fresh {
+            // The pass in flight is unread: it already is a fresh one.
+            return Ok(());
+        }
+        self.fresh = true;
         if !self.current.is_empty() {
             let stale = std::mem::take(&mut self.current);
             let _ = self.send(Cmd::Recycle(stale));
@@ -335,6 +256,7 @@ impl PrefetchReader {
     /// Make sure `current` holds unread edges, receiving the worker's next
     /// block when it is drained; `false` at end of pass.
     fn fill(&mut self) -> io::Result<bool> {
+        self.fresh = false;
         loop {
             if self.pos < self.current.len() {
                 return Ok(true);
@@ -392,7 +314,10 @@ impl Drop for PrefetchReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranged::{RangedPrefetchSource, RangedV1File, RangedV2File};
     use std::path::PathBuf;
+    use tps_graph::formats::binary as v1;
+    use tps_graph::ranged::RangedEdgeSource;
     use tps_graph::stream::for_each_edge;
 
     fn tmpfile(tag: &str, ext: &str) -> PathBuf {
@@ -408,18 +333,22 @@ mod tests {
             .collect()
     }
 
+    /// A v1 file of `es` behind a prefetch thread configured with `cfg`.
+    fn v1_source(path: &PathBuf, es: &[Edge], cfg: PrefetchConfig) -> impl RangedEdgeSource {
+        v1::write_binary_edge_list(path, 4096, es.iter().copied()).unwrap();
+        RangedPrefetchSource::with_config(RangedV1File::open(path).unwrap(), cfg)
+    }
+
     #[test]
     fn v1_prefetch_matches_file_order_across_passes() {
         let path = tmpfile("v1", "bel");
         let es = edges(50_000);
-        v1::write_binary_edge_list(&path, 4096, es.iter().copied()).unwrap();
-        let mut r = PrefetchReader::new(
-            V1ChunkSource::open(&path).unwrap(),
-            PrefetchConfig {
-                chunk_edges: 777,
-                buffers: 3,
-            },
-        );
+        let cfg = PrefetchConfig {
+            chunk_edges: 777,
+            buffers: 3,
+        };
+        let src = v1_source(&path, &es, cfg);
+        let mut r = src.open_range(0, 50_000).unwrap();
         assert_eq!(r.len_hint(), Some(50_000));
         assert_eq!(r.num_vertices_hint(), Some(4096));
         for _pass in 0..3 {
@@ -435,7 +364,9 @@ mod tests {
         let path = tmpfile("v2", "bel2");
         let es = edges(20_000);
         crate::v2::write_v2_edge_list(&path, 4096, es.iter().copied(), 1000).unwrap();
-        let mut r = PrefetchReader::open_v2(&path).unwrap();
+        let src = RangedPrefetchSource::new(RangedV2File::open(&path).unwrap());
+        let mut r = src.open_range(0, 20_000).unwrap();
+        assert_eq!(r.num_vertices_hint(), Some(4096));
         let mut seen = Vec::new();
         for_each_edge(&mut r, |e| seen.push(e)).unwrap();
         assert_eq!(seen, es);
@@ -446,14 +377,12 @@ mod tests {
     fn reset_mid_pass_restarts_cleanly() {
         let path = tmpfile("midreset", "bel");
         let es = edges(10_000);
-        v1::write_binary_edge_list(&path, 4096, es.iter().copied()).unwrap();
-        let mut r = PrefetchReader::new(
-            V1ChunkSource::open(&path).unwrap(),
-            PrefetchConfig {
-                chunk_edges: 64,
-                buffers: 2,
-            },
-        );
+        let cfg = PrefetchConfig {
+            chunk_edges: 64,
+            buffers: 2,
+        };
+        let src = v1_source(&path, &es, cfg);
+        let mut r = src.open_range(0, 10_000).unwrap();
         // Consume a fragment of the first pass, then reset repeatedly.
         for _ in 0..3 {
             for _ in 0..100 {
@@ -470,8 +399,8 @@ mod tests {
     #[test]
     fn empty_stream_yields_nothing() {
         let path = tmpfile("empty", "bel");
-        v1::write_binary_edge_list(&path, 0, std::iter::empty()).unwrap();
-        let mut r = PrefetchReader::open_v1(&path).unwrap();
+        let src = v1_source(&path, &[], PrefetchConfig::default());
+        let mut r = src.open_range(0, 0).unwrap();
         assert_eq!(r.next_edge().unwrap(), None);
         r.reset().unwrap();
         assert_eq!(r.next_edge().unwrap(), None);
@@ -482,9 +411,10 @@ mod tests {
     fn drop_mid_pass_does_not_hang() {
         let path = tmpfile("drop", "bel");
         let es = edges(30_000);
-        v1::write_binary_edge_list(&path, 4096, es.iter().copied()).unwrap();
-        let mut r = PrefetchReader::open_v1(&path).unwrap();
+        let src = v1_source(&path, &es, PrefetchConfig::default());
+        let mut r = src.open_range(0, 30_000).unwrap();
         r.next_edge().unwrap();
         drop(r); // must join the worker without deadlock
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,32 +1,37 @@
-//! Range-addressable file sources — chunk-range scheduling for the
-//! chunk-parallel partitioner.
+//! Range-addressable file sources: every file input is read through one of
+//! these, the whole file being range `0..|E|`.
 //!
 //! Implements [`RangedEdgeSource`] (see `tps_graph::ranged`) for both
-//! on-disk formats, so `tps-core`'s `ParallelRunner` can open one
-//! independent cursor per worker thread:
+//! on-disk formats, so `tps-core`'s shards each open an independent cursor
+//! over their range and a one-shard run streams the whole file through the
+//! same cursor:
 //!
 //! * **v1** (`TPSBEL1`) — records are fixed-width, so a range `[a, b)` is a
 //!   single seek to `HEADER + 8·a` and a countdown.
 //! * **v2** (`TPSBEL2`) — the chunk **index footer** is read once at open
 //!   and a prefix-sum over per-chunk edge counts is kept; a range cursor
 //!   binary-searches the chunk containing its start edge, decodes whole
-//!   chunks (checksums verified as in a sequential pass) and skips the
-//!   intra-chunk prefix. Workers therefore schedule disjoint chunk ranges
-//!   off one shared index with no coordination. Every v2 backend sits
-//!   behind a [`RetainingSource`]: the first complete pass over a range
-//!   leaves the decoded edges with the source (while they fit the decode
-//!   budget), and every later open of that range reads them from memory —
-//!   a worker opens its range six times and decodes it once.
+//!   chunks (checksums verified once per cursor) and skips the intra-chunk
+//!   prefix. Cursors schedule disjoint chunk ranges off one shared index
+//!   with no coordination. Every v2 backend sits behind a
+//!   [`RetainingSource`]: the first complete pass over a range leaves the
+//!   decoded edges with the source (while they fit the decode budget), and
+//!   every later pass or open of that range reads them from memory.
 //!
 //! Ranges are expressed in *edge indices*, not storage offsets, so a
 //! parallel partitioning run makes identical per-thread decisions whether
 //! the graph lives in memory, in a v1 file or in a v2 file.
 //!
-//! [`open_ranged`] is the front door (format sniffing via
-//! [`crate::detect_format`]). [`RangedPrefetchSource`] wraps either source
-//! so each worker's range stream is additionally double-buffered by a
-//! background reader thread ([`crate::prefetch`]), overlapping chunk decode
-//! and disk I/O with partitioning CPU per worker.
+//! Every source here also implements [`RangedReopen`]: its cursors own
+//! their state (a file handle, or `Arc`s of the mapping, the chunk
+//! directory and the retained ranges), so they outlive the source — which
+//! is how [`crate::open_edge_stream`] hands out a whole-file stream and how
+//! [`RangedPrefetchSource`] moves a cursor onto its background thread
+//! ([`crate::prefetch`]), overlapping chunk decode and disk I/O with
+//! partitioning CPU per worker.
+//!
+//! [`open_ranged_backend`] is the front door (format sniffing via
+//! [`crate::detect_format`]).
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -39,11 +44,24 @@ use tps_graph::ranged::{check_range, RangedEdgeSource};
 use tps_graph::stream::{lend_run, EdgeStream};
 use tps_graph::types::{Edge, GraphInfo};
 
+use crate::mmap::Mmap;
 use crate::prefetch::{ChunkSource, PrefetchConfig, PrefetchReader};
 use crate::v2::{
-    decode_cache_budget, read_chunk_at, read_layout, ChunkMeta, DecodeCache, V2Layout,
+    decode_cache_budget, decode_chunk_slice, read_chunk_at, read_layout, ChunkMeta, DecodeCache,
 };
-use crate::EdgeFileFormat;
+use crate::{EdgeFileFormat, ReaderBackend};
+
+/// Sources that open *owned* (`'static` + [`Send`]) range cursors: what a
+/// whole-file stream that outlives its source, and a prefetch thread, need.
+pub trait RangedReopen: RangedEdgeSource {
+    /// Open `[start, end)` as an owned stream (fresh file handle, shared
+    /// metadata).
+    fn open_range_owned(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>>;
+}
 
 /// A [`RangedEdgeSource`] over a v1 fixed-width `.bel` file.
 pub struct RangedV1File {
@@ -58,10 +76,6 @@ impl RangedV1File {
         let info = v1::read_checked_header(&mut File::open(&path)?)?;
         Ok(RangedV1File { path, info })
     }
-
-    fn open_range_stream(&self, start: u64, end: u64) -> io::Result<BinaryEdgeFile> {
-        BinaryEdgeFile::open_range(&self.path, start, end)
-    }
 }
 
 impl RangedEdgeSource for RangedV1File {
@@ -70,7 +84,46 @@ impl RangedEdgeSource for RangedV1File {
     }
 
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        Ok(Box::new(self.open_range_stream(start, end)?))
+        Ok(self.open_range_owned(start, end)?)
+    }
+}
+
+impl RangedReopen for RangedV1File {
+    fn open_range_owned(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
+        Ok(Box::new(BinaryEdgeFile::open_range(
+            &self.path, start, end,
+        )?))
+    }
+}
+
+/// A v2 file's chunk directory, shared by the source and all its cursors.
+struct Directory {
+    chunks: Vec<ChunkMeta>,
+    /// `cum[i]` = edges in chunks `0..i`; `cum[num_chunks]` = `|E|`.
+    cum: Vec<u64>,
+}
+
+impl Directory {
+    fn new(chunks: Vec<ChunkMeta>) -> Arc<Self> {
+        let mut cum = Vec::with_capacity(chunks.len() + 1);
+        let mut total = 0u64;
+        cum.push(0);
+        for c in &chunks {
+            total += c.edge_count as u64;
+            cum.push(total);
+        }
+        Arc::new(Directory { chunks, cum })
+    }
+
+    /// The chunk holding edge `start` (`< |E|`), and how many of its edges
+    /// come before it.
+    fn locate(&self, start: u64) -> (usize, usize) {
+        let chunk = self.cum.partition_point(|&c| c <= start) - 1;
+        (chunk, (start - self.cum[chunk]) as usize)
     }
 }
 
@@ -78,96 +131,53 @@ impl RangedEdgeSource for RangedV1File {
 /// off the shared index footer.
 pub struct RangedV2File {
     path: PathBuf,
-    layout: V2Layout,
-    /// `cum[i]` = edges in chunks `0..i`; `cum[num_chunks]` = `|E|`.
-    cum: Vec<u64>,
+    info: GraphInfo,
+    dir: Arc<Directory>,
 }
 
 impl RangedV2File {
     /// Open `path`, validating header, index and trailer.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
-        let layout = read_layout(&mut file)?;
-        let mut cum = Vec::with_capacity(layout.chunks.len() + 1);
-        let mut total = 0u64;
-        cum.push(0);
-        for c in &layout.chunks {
-            total += c.edge_count as u64;
-            cum.push(total);
-        }
-        Ok(RangedV2File { path, layout, cum })
+        let layout = read_layout(&mut File::open(&path)?)?;
+        Ok(RangedV2File {
+            path,
+            info: layout.info,
+            dir: Directory::new(layout.chunks),
+        })
     }
 
     /// The chunk directory (shared, read-only — workers schedule off it).
     pub fn chunks(&self) -> &[ChunkMeta] {
-        &self.layout.chunks
-    }
-
-    fn open_range_with<C, U>(
-        &self,
-        chunks: C,
-        cum: U,
-        start: u64,
-        end: u64,
-    ) -> io::Result<V2RangeStream<C, U>>
-    where
-        C: AsRef<[ChunkMeta]>,
-        U: AsRef<[u64]>,
-    {
-        check_range(start, end, self.layout.info.num_edges)?;
-        let file = File::open(&self.path)?;
-        let verified = vec![false; chunks.as_ref().len()];
-        let mut stream = V2RangeStream {
-            reader: BufReader::with_capacity(1 << 16, file),
-            chunks,
-            cum,
-            start,
-            end,
-            next_chunk: 0,
-            emitted: 0,
-            scratch: Vec::new(),
-            buf: Vec::new(),
-            buf_pos: 0,
-            verified,
-        };
-        stream.rewind()?;
-        Ok(stream)
+        &self.dir.chunks
     }
 }
 
 impl RangedEdgeSource for RangedV2File {
     fn info(&self) -> GraphInfo {
-        self.layout.info
+        self.info
     }
 
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        Ok(Box::new(self.open_range_with(
-            self.layout.chunks.as_slice(),
-            self.cum.as_slice(),
-            start,
-            end,
-        )?))
+        Ok(self.open_range_owned(start, end)?)
     }
 }
 
-/// Hand out up to `max` of the `left` edges a v2 range cursor still owes,
-/// from the unread part of its decoded chunk (shared by the file-backed and
-/// the mapped cursor).
-fn take_decoded<'a>(
-    decoded: &'a [Edge],
-    pos: &mut usize,
-    emitted: &mut u64,
-    left: u64,
-    max: usize,
-) -> &'a [Edge] {
-    let n = (decoded.len() - *pos)
-        .min(max)
-        .min(usize::try_from(left).unwrap_or(usize::MAX));
-    let run = &decoded[*pos..*pos + n];
-    *pos += n;
-    *emitted += n as u64;
-    run
+impl RangedReopen for RangedV2File {
+    fn open_range_owned(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
+        check_range(start, end, self.info.num_edges)?;
+        let mut stream = V2RangeStream {
+            reader: BufReader::with_capacity(1 << 16, File::open(&self.path)?),
+            cursor: ChunkCursor::new(&self.dir, self.info.num_vertices, start, end),
+            scratch: Vec::new(),
+        };
+        stream.reset()?;
+        Ok(Box::new(stream))
+    }
 }
 
 fn directory_exhausted() -> io::Error {
@@ -177,92 +187,114 @@ fn directory_exhausted() -> io::Error {
     )
 }
 
-/// A stream over edges `[start, end)` of a v2 file, decoding whole chunks
-/// and skipping the intra-chunk prefix. Generic over borrowed or owned
-/// chunk-directory storage (owned streams can migrate to a prefetch
-/// thread).
-struct V2RangeStream<C, U> {
-    reader: BufReader<File>,
-    chunks: C,
-    cum: U,
+/// Where a cursor over edges `[start, end)` of a v2 file stands: the chunk
+/// it decodes next and the unread part of the one it decoded last. Shared by
+/// the file-backed and the mapped cursor, which differ only in where a
+/// chunk's bytes come from.
+struct ChunkCursor {
+    dir: Arc<Directory>,
+    num_vertices: u64,
     start: u64,
     end: u64,
     /// Next chunk index to decode sequentially.
     next_chunk: usize,
+    /// Edges of the next decoded chunk that lie before the range (nonzero
+    /// only for the first chunk of a pass).
+    skip: usize,
     /// Edges already handed out of this range.
     emitted: u64,
-    scratch: Vec<u8>,
     buf: Vec<Edge>,
     buf_pos: usize,
     /// Chunks whose checksum this cursor already verified — multi-pass
-    /// workers (`reset` + re-stream) decode proven chunks checksum-free.
+    /// consumers (`reset` + re-stream) decode proven chunks checksum-free.
     verified: Vec<bool>,
 }
 
-impl<C: AsRef<[ChunkMeta]>, U: AsRef<[u64]>> V2RangeStream<C, U> {
-    /// Position at the chunk containing `start` and skip the intra-chunk
-    /// prefix (decoding is chunk-at-a-time; varints cannot be entered
-    /// mid-stream).
-    fn rewind(&mut self) -> io::Result<()> {
+impl ChunkCursor {
+    fn new(dir: &Arc<Directory>, num_vertices: u64, start: u64, end: u64) -> Self {
+        ChunkCursor {
+            verified: vec![false; dir.chunks.len()],
+            dir: Arc::clone(dir),
+            num_vertices,
+            start,
+            end,
+            next_chunk: 0,
+            skip: 0,
+            emitted: 0,
+            buf: Vec::new(),
+            buf_pos: 0,
+        }
+    }
+
+    /// Start a pass: aim at the chunk containing `start`, to be decoded —
+    /// and its intra-chunk prefix skipped — when the pass first reads.
+    /// Returns that chunk's file offset (`None` for an empty range).
+    fn rewind(&mut self) -> Option<u64> {
         self.emitted = 0;
         self.buf.clear();
         self.buf_pos = 0;
-        if self.start >= self.end || self.chunks.as_ref().is_empty() {
-            return Ok(());
+        if self.start >= self.end {
+            return None;
         }
-        // Last chunk whose cumulative start is <= `start`.
-        self.next_chunk = self
-            .cum
-            .as_ref()
-            .partition_point(|&c| c <= self.start)
-            .saturating_sub(1);
-        self.reader.seek(SeekFrom::Start(
-            self.chunks.as_ref()[self.next_chunk].offset,
-        ))?;
-        let skip = self.start - self.cum.as_ref()[self.next_chunk];
-        self.decode_next_chunk()?;
-        self.buf_pos = skip as usize;
-        Ok(())
+        (self.next_chunk, self.skip) = self.dir.locate(self.start);
+        Some(self.dir.chunks[self.next_chunk].offset)
     }
 
-    /// Decode chunk `next_chunk` into `buf` and advance the counter.
-    fn decode_next_chunk(&mut self) -> io::Result<()> {
-        let meta = self.chunks.as_ref()[self.next_chunk];
-        self.buf.clear();
-        self.buf_pos = 0;
-        let verify = !self.verified[self.next_chunk];
-        let mut buf = std::mem::take(&mut self.buf);
-        let r = read_chunk_at(&mut self.reader, meta, verify, &mut self.scratch, &mut buf);
-        self.buf = buf;
-        r?;
-        self.verified[self.next_chunk] = true;
-        self.next_chunk += 1;
-        Ok(())
-    }
-
-    /// Take up to `max` unread edges of the range out of the decoded chunk
-    /// (decoding the next one when it is drained); empty at the range end.
-    fn take_run(&mut self, max: usize) -> io::Result<&[Edge]> {
+    /// Take up to `max` unread edges of the range out of the decoded chunk,
+    /// decoding the next one with `decode(meta, verify, buf)` when it is
+    /// drained; empty at the range end.
+    fn take_run(
+        &mut self,
+        max: usize,
+        mut decode: impl FnMut(ChunkMeta, bool, &mut Vec<Edge>) -> io::Result<()>,
+    ) -> io::Result<&[Edge]> {
         let left = (self.end - self.start) - self.emitted;
         while left > 0 && self.buf_pos == self.buf.len() {
-            if self.next_chunk >= self.chunks.as_ref().len() {
-                return Err(directory_exhausted());
+            let i = self.next_chunk;
+            let meta = *self.dir.chunks.get(i).ok_or_else(directory_exhausted)?;
+            self.buf.clear();
+            self.buf_pos = 0;
+            if let Err(e) = decode(meta, !self.verified[i], &mut self.buf) {
+                self.buf.clear();
+                return Err(e);
             }
-            self.decode_next_chunk()?;
+            self.verified[i] = true;
+            self.next_chunk += 1;
+            self.buf_pos = std::mem::take(&mut self.skip);
         }
-        Ok(take_decoded(
-            &self.buf,
-            &mut self.buf_pos,
-            &mut self.emitted,
-            left,
-            max,
-        ))
+        let n = (self.buf.len() - self.buf_pos)
+            .min(max)
+            .min(usize::try_from(left).unwrap_or(usize::MAX));
+        let run = &self.buf[self.buf_pos..self.buf_pos + n];
+        self.buf_pos += n;
+        self.emitted += n as u64;
+        Ok(run)
     }
 }
 
-impl<C: AsRef<[ChunkMeta]>, U: AsRef<[u64]>> EdgeStream for V2RangeStream<C, U> {
+/// A stream over edges `[start, end)` of a v2 file, decoding whole chunks
+/// through its own file handle and skipping the intra-chunk prefix.
+struct V2RangeStream {
+    reader: BufReader<File>,
+    cursor: ChunkCursor,
+    scratch: Vec<u8>,
+}
+
+impl V2RangeStream {
+    fn take_run(&mut self, max: usize) -> io::Result<&[Edge]> {
+        let (reader, scratch) = (&mut self.reader, &mut self.scratch);
+        self.cursor.take_run(max, |meta, verify, out| {
+            read_chunk_at(reader, meta, verify, scratch, out)
+        })
+    }
+}
+
+impl EdgeStream for V2RangeStream {
     fn reset(&mut self) -> io::Result<()> {
-        self.rewind()
+        if let Some(offset) = self.cursor.rewind() {
+            self.reader.seek(SeekFrom::Start(offset))?;
+        }
+        Ok(())
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
@@ -274,7 +306,11 @@ impl<C: AsRef<[ChunkMeta]>, U: AsRef<[u64]>> EdgeStream for V2RangeStream<C, U> 
     }
 
     fn len_hint(&self) -> Option<u64> {
-        Some(self.end - self.start)
+        Some(self.cursor.end - self.cursor.start)
+    }
+
+    fn num_vertices_hint(&self) -> Option<u64> {
+        Some(self.cursor.num_vertices)
     }
 }
 
@@ -284,23 +320,25 @@ impl<C: AsRef<[ChunkMeta]>, U: AsRef<[u64]>> EdgeStream for V2RangeStream<C, U> 
 /// Every worker's range stream is a `(start, end, cursor)` triple over the
 /// same mapped payload — no per-worker file handles, no read syscalls, no
 /// decode buffers. `reset` is a cursor assignment. This is the fastest
-/// parallel backend on a warm page cache (the decode copy of the buffered
-/// readers disappears); on a cold cache the kernel's readahead serves
-/// interleaved workers nearly as well as dedicated cursors.
+/// backend on a warm page cache (the decode copy of the buffered readers
+/// disappears); on a cold cache the kernel's readahead (hinted with
+/// `madvise(MADV_SEQUENTIAL)`) serves interleaved workers nearly as well as
+/// dedicated cursors.
 pub struct RangedMmapV1File {
-    map: crate::mmap::Mmap,
+    map: Arc<Mmap>,
     info: GraphInfo,
 }
 
 impl RangedMmapV1File {
     /// Map `path` and validate the v1 header.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let file = File::open(path.as_ref())?;
-        let map = crate::mmap::Mmap::map(&file)?;
-        let mut cursor = map.as_slice();
-        let info = v1::read_header(&mut cursor)?;
-        v1::check_payload_len(&info, map.as_slice().len() as u64)?;
-        Ok(RangedMmapV1File { map, info })
+        let map = Mmap::map(&File::open(path.as_ref())?)?;
+        let info = v1::read_header(&mut map.as_slice())?;
+        v1::check_payload_len(&info, map.len() as u64)?;
+        Ok(RangedMmapV1File {
+            map: Arc::new(map),
+            info,
+        })
     }
 }
 
@@ -310,9 +348,20 @@ impl RangedEdgeSource for RangedMmapV1File {
     }
 
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
+        Ok(self.open_range_owned(start, end)?)
+    }
+}
+
+impl RangedReopen for RangedMmapV1File {
+    fn open_range_owned(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
         check_range(start, end, self.info.num_edges)?;
         Ok(Box::new(MmapV1RangeStream {
-            payload: crate::mmap::v1_payload(&self.map, self.info.num_edges),
+            map: Arc::clone(&self.map),
+            info: self.info,
             start,
             end,
             pos: start,
@@ -321,14 +370,15 @@ impl RangedEdgeSource for RangedMmapV1File {
 }
 
 /// A zero-copy cursor over records `[start, end)` of a shared v1 mapping.
-struct MmapV1RangeStream<'a> {
-    payload: &'a [u8],
+struct MmapV1RangeStream {
+    map: Arc<Mmap>,
+    info: GraphInfo,
     start: u64,
     end: u64,
     pos: u64,
 }
 
-impl EdgeStream for MmapV1RangeStream<'_> {
+impl EdgeStream for MmapV1RangeStream {
     fn reset(&mut self) -> io::Result<()> {
         self.pos = self.start;
         Ok(())
@@ -339,14 +389,16 @@ impl EdgeStream for MmapV1RangeStream<'_> {
         if self.pos >= self.end {
             return Ok(None);
         }
-        let e = crate::mmap::edge_at(self.payload, self.pos as usize);
+        let payload = crate::mmap::v1_payload(&self.map, self.info.num_edges);
+        let e = crate::mmap::edge_at(payload, self.pos as usize);
         self.pos += 1;
         Ok(Some(e))
     }
 
     fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        let payload = crate::mmap::v1_payload(&self.map, self.info.num_edges);
         Ok(crate::mmap::lend_records(
-            self.payload,
+            payload,
             &mut self.pos,
             self.end,
             scratch,
@@ -356,6 +408,10 @@ impl EdgeStream for MmapV1RangeStream<'_> {
     fn len_hint(&self) -> Option<u64> {
         Some(self.end - self.start)
     }
+
+    fn num_vertices_hint(&self) -> Option<u64> {
+        Some(self.info.num_vertices)
+    }
 }
 
 /// A [`RangedEdgeSource`] over a memory-mapped v2 chunked file: chunk-index
@@ -363,10 +419,9 @@ impl EdgeStream for MmapV1RangeStream<'_> {
 /// the shared mapping (checksums still verified) instead of through
 /// per-worker file handles.
 pub struct RangedMmapV2File {
-    map: crate::mmap::Mmap,
-    layout: V2Layout,
-    /// `cum[i]` = edges in chunks `0..i`; `cum[num_chunks]` = `|E|`.
-    cum: Vec<u64>,
+    map: Arc<Mmap>,
+    info: GraphInfo,
+    dir: Arc<Directory>,
 }
 
 impl RangedMmapV2File {
@@ -374,115 +429,60 @@ impl RangedMmapV2File {
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let mut file = File::open(path.as_ref())?;
         let layout = read_layout(&mut file)?;
-        let map = crate::mmap::Mmap::map(&file)?;
-        let mut cum = Vec::with_capacity(layout.chunks.len() + 1);
-        let mut total = 0u64;
-        cum.push(0);
-        for c in &layout.chunks {
-            total += c.edge_count as u64;
-            cum.push(total);
-        }
-        Ok(RangedMmapV2File { map, layout, cum })
+        Ok(RangedMmapV2File {
+            map: Arc::new(Mmap::map(&file)?),
+            info: layout.info,
+            dir: Directory::new(layout.chunks),
+        })
     }
 }
 
 impl RangedEdgeSource for RangedMmapV2File {
     fn info(&self) -> GraphInfo {
-        self.layout.info
+        self.info
     }
 
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        check_range(start, end, self.layout.info.num_edges)?;
+        Ok(self.open_range_owned(start, end)?)
+    }
+}
+
+impl RangedReopen for RangedMmapV2File {
+    fn open_range_owned(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
+        check_range(start, end, self.info.num_edges)?;
         let mut stream = MmapV2RangeStream {
-            bytes: self.map.as_slice(),
-            chunks: &self.layout.chunks,
-            cum: &self.cum,
-            start,
-            end,
-            next_chunk: 0,
-            emitted: 0,
-            buf: Vec::new(),
-            buf_pos: 0,
-            verified: vec![false; self.layout.chunks.len()],
+            map: Arc::clone(&self.map),
+            cursor: ChunkCursor::new(&self.dir, self.info.num_vertices, start, end),
         };
-        stream.rewind()?;
+        stream.reset()?;
         Ok(Box::new(stream))
     }
 }
 
 /// A cursor over edges `[start, end)` of a shared v2 mapping, decoding whole
 /// chunks from the mapped bytes and skipping the intra-chunk prefix.
-struct MmapV2RangeStream<'a> {
-    bytes: &'a [u8],
-    chunks: &'a [ChunkMeta],
-    cum: &'a [u64],
-    start: u64,
-    end: u64,
-    next_chunk: usize,
-    emitted: u64,
-    buf: Vec<Edge>,
-    buf_pos: usize,
-    /// Chunks whose checksum this cursor already verified (see
-    /// [`V2RangeStream::verified`]).
-    verified: Vec<bool>,
+struct MmapV2RangeStream {
+    map: Arc<Mmap>,
+    cursor: ChunkCursor,
 }
 
-impl MmapV2RangeStream<'_> {
-    fn rewind(&mut self) -> io::Result<()> {
-        self.emitted = 0;
-        self.buf.clear();
-        self.buf_pos = 0;
-        if self.start >= self.end || self.chunks.is_empty() {
-            return Ok(());
-        }
-        self.next_chunk = self
-            .cum
-            .partition_point(|&c| c <= self.start)
-            .saturating_sub(1);
-        let skip = self.start - self.cum[self.next_chunk];
-        self.decode_next_chunk()?;
-        self.buf_pos = skip as usize;
-        Ok(())
-    }
-
-    fn decode_next_chunk(&mut self) -> io::Result<()> {
-        self.buf.clear();
-        self.buf_pos = 0;
-        let verify = !self.verified[self.next_chunk];
-        crate::v2::decode_chunk_slice(
-            self.bytes,
-            self.chunks[self.next_chunk],
-            verify,
-            &mut self.buf,
-        )?;
-        self.verified[self.next_chunk] = true;
-        self.next_chunk += 1;
-        Ok(())
-    }
-
-    /// Take up to `max` unread edges of the range out of the decoded chunk
-    /// (decoding the next one when it is drained); empty at the range end.
+impl MmapV2RangeStream {
     fn take_run(&mut self, max: usize) -> io::Result<&[Edge]> {
-        let left = (self.end - self.start) - self.emitted;
-        while left > 0 && self.buf_pos == self.buf.len() {
-            if self.next_chunk >= self.chunks.len() {
-                return Err(directory_exhausted());
-            }
-            self.decode_next_chunk()?;
-        }
-        Ok(take_decoded(
-            &self.buf,
-            &mut self.buf_pos,
-            &mut self.emitted,
-            left,
-            max,
-        ))
+        let bytes = self.map.as_slice();
+        self.cursor.take_run(max, |meta, verify, out| {
+            decode_chunk_slice(bytes, meta, verify, out)
+        })
     }
 }
 
-impl EdgeStream for MmapV2RangeStream<'_> {
+impl EdgeStream for MmapV2RangeStream {
     fn reset(&mut self) -> io::Result<()> {
-        self.rewind()
+        self.cursor.rewind();
+        Ok(())
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
@@ -494,34 +494,37 @@ impl EdgeStream for MmapV2RangeStream<'_> {
     }
 
     fn len_hint(&self) -> Option<u64> {
-        Some(self.end - self.start)
+        Some(self.cursor.end - self.cursor.start)
+    }
+
+    fn num_vertices_hint(&self) -> Option<u64> {
+        Some(self.cursor.num_vertices)
     }
 }
 
 static IO_V2_RANGES_RETAINED: tps_obs::Counter = tps_obs::Counter::new("io.v2.ranges_retained");
 static IO_V2_RETAINED_BYTES: tps_obs::Counter = tps_obs::Counter::new("io.v2.retained_bytes");
 
-/// A v2 ranged source that keeps what its cursors decode — the ranged
-/// counterpart of the sequential readers' decode cache, and built on the
-/// same `v2::DecodeCache`.
+/// A v2 ranged source that keeps what its cursors decode — the one decoded
+/// edge cache of the v2 readers, built on `v2::DecodeCache`.
 ///
 /// The first *complete* pass over `open_range(a, b)` deposits the decoded
 /// range with the source, if `8·(b − a)` bytes still fit the decode budget
 /// ([`crate::v2::set_decode_cache_budget`]) next to the ranges already
 /// retained: one reservation across all of a source's ranges,
 /// all-or-nothing per range, taken when the range is opened and given back
-/// if its cursor is dropped before completing a pass. Every later
-/// `open_range(a, b)` lends windows of the retained edges: no file handle,
-/// no checksum, no varint decode, no prefetch thread. A retained range is
-/// never one that skipped verification — it is what a checksumming cursor
-/// produced. Ranges that do not fit are streamed from the inner source on
-/// every open, as before.
+/// if its cursor is dropped before completing a pass. The cursor's own next
+/// pass, and every later `open_range(a, b)`, lends windows of the retained
+/// edges: no file handle, no checksum, no varint decode, no prefetch
+/// thread. A retained range is never one that skipped verification — it is
+/// what a checksumming cursor produced. Ranges that do not fit are streamed
+/// from the inner source on every pass.
 ///
 /// Errors from the inner cursors are prefixed with the file's path.
 pub struct RetainingSource<S> {
     inner: S,
-    path: PathBuf,
-    retained: Mutex<Retained>,
+    path: Arc<Path>,
+    retained: Arc<Mutex<Retained>>,
 }
 
 #[derive(Default)]
@@ -538,25 +541,36 @@ fn lock(retained: &Mutex<Retained>) -> MutexGuard<'_, Retained> {
     retained.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl<S: RangedEdgeSource> RetainingSource<S> {
+impl<S: RangedReopen> RetainingSource<S> {
     /// Wrap `inner`, a ranged source over the v2 file at `path`.
     pub fn new(inner: S, path: &Path) -> Self {
         RetainingSource {
             inner,
-            path: path.to_path_buf(),
-            retained: Mutex::default(),
+            path: path.into(),
+            retained: Arc::default(),
         }
     }
 }
 
-impl<S: RangedEdgeSource> RangedEdgeSource for RetainingSource<S> {
+impl<S: RangedReopen> RangedEdgeSource for RetainingSource<S> {
     fn info(&self) -> GraphInfo {
         self.inner.info()
     }
 
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
+        Ok(self.open_range_owned(start, end)?)
+    }
+}
+
+impl<S: RangedReopen> RangedReopen for RetainingSource<S> {
+    fn open_range_owned(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
         let range = (start, end);
         let bytes = end.saturating_sub(start).saturating_mul(8);
+        let num_vertices = self.inner.info().num_vertices;
         let mut reserved = false;
         {
             let mut retained = lock(&self.retained);
@@ -564,6 +578,7 @@ impl<S: RangedEdgeSource> RangedEdgeSource for RetainingSource<S> {
                 Some(Some(edges)) => {
                     return Ok(Box::new(RetainedStream {
                         edges: Arc::clone(edges),
+                        num_vertices,
                         pos: 0,
                     }))
                 }
@@ -584,17 +599,18 @@ impl<S: RangedEdgeSource> RangedEdgeSource for RetainingSource<S> {
         }
         // From here on dropping the reservation gives the bytes back.
         let reservation = Reservation {
-            retained: &self.retained,
+            retained: Arc::clone(&self.retained),
             range,
             held: reserved,
         };
         let inner = self
             .inner
-            .open_range(start, end)
+            .open_range_owned(start, end)
             .map_err(|e| v1::named(&self.path, e))?;
         Ok(Box::new(RetainingStream {
             inner,
-            path: &self.path,
+            path: Arc::clone(&self.path),
+            num_vertices,
             absorbing: Absorbing {
                 cache: DecodeCache::new(end - start, reserved),
                 reservation,
@@ -607,26 +623,26 @@ impl<S: RangedEdgeSource> RangedEdgeSource for RetainingSource<S> {
 
 /// A range's share of the decode budget, held by the cursor decoding it
 /// until the range is deposited or the cursor is dropped.
-struct Reservation<'s> {
-    retained: &'s Mutex<Retained>,
+struct Reservation {
+    retained: Arc<Mutex<Retained>>,
     range: (u64, u64),
     held: bool,
 }
 
-impl Reservation<'_> {
+impl Reservation {
     /// The range is complete: other opens may read it from now on.
     fn deposit(&mut self, edges: Arc<Vec<Edge>>) {
         IO_V2_RANGES_RETAINED.incr();
         IO_V2_RETAINED_BYTES.add(edges.len() as u64 * 8);
-        lock(self.retained).ranges.insert(self.range, Some(edges));
+        lock(&self.retained).ranges.insert(self.range, Some(edges));
         self.held = false;
     }
 }
 
-impl Drop for Reservation<'_> {
+impl Drop for Reservation {
     fn drop(&mut self) {
         if self.held {
-            let mut retained = lock(self.retained);
+            let mut retained = lock(&self.retained);
             retained.ranges.remove(&self.range);
             retained.bytes -= (self.range.1 - self.range.0) * 8;
         }
@@ -638,16 +654,17 @@ impl Drop for Reservation<'_> {
 /// a pass has completed the range, the next `reset` swaps the inner cursor
 /// for one over the retained edges (the pass in flight still drains the
 /// file cursor, whose buffer it is being lent).
-struct RetainingStream<'s> {
-    inner: Box<dyn EdgeStream + 's>,
-    path: &'s Path,
-    absorbing: Absorbing<'s>,
+struct RetainingStream {
+    inner: Box<dyn EdgeStream + Send>,
+    path: Arc<Path>,
+    num_vertices: u64,
+    absorbing: Absorbing,
 }
 
 /// What a [`RetainingStream`] keeps beside its inner cursor.
-struct Absorbing<'s> {
+struct Absorbing {
     cache: DecodeCache,
-    reservation: Reservation<'s>,
+    reservation: Reservation,
     /// Edges handed out this pass.
     pos: usize,
     /// The range, from the moment this cursor completed and deposited it
@@ -655,7 +672,7 @@ struct Absorbing<'s> {
     deposited: Option<Arc<Vec<Edge>>>,
 }
 
-impl Absorbing<'_> {
+impl Absorbing {
     /// Account for `run` (just lent by the inner cursor) and deposit the
     /// range with the source the moment it is complete.
     fn absorb(&mut self, run: &[Edge]) {
@@ -669,20 +686,24 @@ impl Absorbing<'_> {
     }
 }
 
-impl EdgeStream for RetainingStream<'_> {
+impl EdgeStream for RetainingStream {
     fn reset(&mut self) -> io::Result<()> {
         self.absorbing.pos = 0;
         if let Some(edges) = self.absorbing.deposited.take() {
-            self.inner = Box::new(RetainedStream { edges, pos: 0 });
+            self.inner = Box::new(RetainedStream {
+                edges,
+                num_vertices: self.num_vertices,
+                pos: 0,
+            });
         }
-        self.inner.reset().map_err(|e| v1::named(self.path, e))
+        self.inner.reset().map_err(|e| v1::named(&self.path, e))
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
         let e = self
             .inner
             .next_edge()
-            .map_err(|e| v1::named(self.path, e))?;
+            .map_err(|e| v1::named(&self.path, e))?;
         self.absorbing.absorb(e.as_slice());
         Ok(e)
     }
@@ -691,7 +712,7 @@ impl EdgeStream for RetainingStream<'_> {
         let run = self
             .inner
             .next_chunk(scratch)
-            .map_err(|e| v1::named(self.path, e))?;
+            .map_err(|e| v1::named(&self.path, e))?;
         self.absorbing.absorb(run);
         Ok(run)
     }
@@ -699,11 +720,16 @@ impl EdgeStream for RetainingStream<'_> {
     fn len_hint(&self) -> Option<u64> {
         self.inner.len_hint()
     }
+
+    fn num_vertices_hint(&self) -> Option<u64> {
+        Some(self.num_vertices)
+    }
 }
 
 /// A cursor over a range the source retained: windows of shared memory.
 struct RetainedStream {
     edges: Arc<Vec<Edge>>,
+    num_vertices: u64,
     pos: usize,
 }
 
@@ -726,97 +752,48 @@ impl EdgeStream for RetainedStream {
     fn len_hint(&self) -> Option<u64> {
         Some(self.edges.len() as u64)
     }
-}
 
-/// Open `path` (v1 or v2, sniffed by magic) as a ranged source; a v2
-/// source retains the ranges it decodes (see [`RetainingSource`]).
-pub fn open_ranged<P: AsRef<Path>>(path: P) -> io::Result<Box<dyn RangedEdgeSource>> {
-    let path = path.as_ref();
-    match crate::detect_format(path)? {
-        EdgeFileFormat::V1 => Ok(Box::new(RangedV1File::open(path)?)),
-        EdgeFileFormat::V2 => Ok(Box::new(RetainingSource::new(
-            RangedV2File::open(path)?,
-            path,
-        ))),
+    fn num_vertices_hint(&self) -> Option<u64> {
+        Some(self.num_vertices)
     }
 }
 
-/// Like [`open_ranged`], serving every range as a zero-copy (v1) or
-/// in-mapping-decoded, retained (v2) cursor over one shared memory mapping.
-pub fn open_ranged_mmap<P: AsRef<Path>>(path: P) -> io::Result<Box<dyn RangedEdgeSource>> {
-    let path = path.as_ref();
-    match crate::detect_format(path)? {
-        EdgeFileFormat::V1 => Ok(Box::new(RangedMmapV1File::open(path)?)),
-        EdgeFileFormat::V2 => Ok(Box::new(RetainingSource::new(
-            RangedMmapV2File::open(path)?,
-            path,
-        ))),
-    }
-}
-
-/// Open `path` as a ranged source with the requested [`ReaderBackend`](crate::ReaderBackend) —
-/// the parallel/distributed analogue of [`crate::open_edge_stream`].
-pub fn open_ranged_backend<P: AsRef<Path>>(
-    path: P,
-    backend: crate::ReaderBackend,
-) -> io::Result<Box<dyn RangedEdgeSource>> {
-    match backend {
-        crate::ReaderBackend::Buffered => open_ranged(path),
-        crate::ReaderBackend::Mmap => open_ranged_mmap(path),
-        crate::ReaderBackend::Prefetch => open_ranged_prefetch(path),
-    }
-}
-
-/// Like [`open_ranged`], with every range stream double-buffered by a
-/// background prefetch thread.
-pub fn open_ranged_prefetch<P: AsRef<Path>>(path: P) -> io::Result<Box<dyn RangedEdgeSource>> {
-    let path = path.as_ref();
-    match crate::detect_format(path)? {
-        EdgeFileFormat::V1 => Ok(Box::new(RangedPrefetchSource::new(RangedV1File::open(
-            path,
-        )?))),
-        EdgeFileFormat::V2 => Ok(Box::new(RetainingSource::new(
+/// Open `path` (v1 or v2, sniffed by magic) as a source of owned cursors
+/// read through `backend`; a v2 source retains the ranges it decodes (see
+/// [`RetainingSource`]).
+pub(crate) fn open_file(path: &Path, backend: ReaderBackend) -> io::Result<Box<dyn RangedReopen>> {
+    Ok(match (crate::detect_format(path)?, backend) {
+        (EdgeFileFormat::V1, ReaderBackend::Buffered) => Box::new(RangedV1File::open(path)?),
+        (EdgeFileFormat::V1, ReaderBackend::Mmap) => Box::new(RangedMmapV1File::open(path)?),
+        (EdgeFileFormat::V1, ReaderBackend::Prefetch) => {
+            Box::new(RangedPrefetchSource::new(RangedV1File::open(path)?))
+        }
+        (EdgeFileFormat::V2, ReaderBackend::Buffered) => {
+            Box::new(RetainingSource::new(RangedV2File::open(path)?, path))
+        }
+        (EdgeFileFormat::V2, ReaderBackend::Mmap) => {
+            Box::new(RetainingSource::new(RangedMmapV2File::open(path)?, path))
+        }
+        (EdgeFileFormat::V2, ReaderBackend::Prefetch) => Box::new(RetainingSource::new(
             RangedPrefetchSource::new(RangedV2File::open(path)?),
             path,
-        ))),
-    }
+        )),
+    })
 }
 
-/// Sources that can open an *owned* (`'static` + [`Send`]) range stream, as
-/// required to move the stream onto a prefetch worker thread.
-pub trait RangedReopen {
-    /// Open `[start, end)` as an owned stream (fresh file handle, owned
-    /// metadata).
-    fn open_range_owned(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>>;
+/// Open `path` (v1 or v2, sniffed by magic) as a ranged source with the
+/// requested [`ReaderBackend`]: what every path input of a job runs over.
+pub fn open_ranged_backend<P: AsRef<Path>>(
+    path: P,
+    backend: ReaderBackend,
+) -> io::Result<Box<dyn RangedEdgeSource>> {
+    let source: Box<dyn RangedEdgeSource> = open_file(path.as_ref(), backend)?;
+    Ok(source)
 }
 
-impl RangedReopen for RangedV1File {
-    fn open_range_owned(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
-        Ok(Box::new(self.open_range_stream(start, end)?))
-    }
-}
-
-impl RangedReopen for RangedV2File {
-    fn open_range_owned(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
-        Ok(Box::new(self.open_range_with(
-            self.layout.chunks.clone(),
-            self.cum.clone(),
-            start,
-            end,
-        )?))
-    }
+/// [`open_ranged_backend`] with the buffered backend.
+pub fn open_ranged<P: AsRef<Path>>(path: P) -> io::Result<Box<dyn RangedEdgeSource>> {
+    open_ranged_backend(path, ReaderBackend::Buffered)
 }
 
 /// Wraps a ranged source so each range stream is served by a background
@@ -827,7 +804,7 @@ pub struct RangedPrefetchSource<S> {
     config: PrefetchConfig,
 }
 
-impl<S: RangedEdgeSource + RangedReopen> RangedPrefetchSource<S> {
+impl<S: RangedReopen> RangedPrefetchSource<S> {
     /// Wrap `inner` with the default prefetch configuration.
     pub fn new(inner: S) -> Self {
         RangedPrefetchSource {
@@ -867,14 +844,31 @@ impl ChunkSource for RangeChunkSource {
         }
         Ok(buf.len())
     }
+
+    fn info(&self) -> Option<GraphInfo> {
+        Some(GraphInfo {
+            num_vertices: self.stream.num_vertices_hint()?,
+            num_edges: self.stream.len_hint()?,
+        })
+    }
 }
 
-impl<S: RangedEdgeSource + RangedReopen> RangedEdgeSource for RangedPrefetchSource<S> {
+impl<S: RangedReopen> RangedEdgeSource for RangedPrefetchSource<S> {
     fn info(&self) -> GraphInfo {
         self.inner.info()
     }
 
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
+        Ok(self.open_range_owned(start, end)?)
+    }
+}
+
+impl<S: RangedReopen> RangedReopen for RangedPrefetchSource<S> {
+    fn open_range_owned(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
         let stream = self.inner.open_range_owned(start, end)?;
         Ok(Box::new(PrefetchReader::new(
             RangeChunkSource {
@@ -1009,7 +1003,7 @@ mod tests {
         write_binary_edge_list(&p1, 4096, es.iter().copied()).unwrap();
         crate::v2::write_v2_edge_list(&p2, 4096, es.iter().copied(), 777).unwrap();
         for p in [&p1, &p2] {
-            let src = open_ranged_mmap(p).unwrap();
+            let src = open_ranged_backend(p, ReaderBackend::Mmap).unwrap();
             assert_eq!(src.info().num_edges, 6_000);
             for parts in [1usize, 3, 5] {
                 let mut seen = Vec::new();
@@ -1043,7 +1037,7 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 16]);
         std::fs::write(&path, &bytes).unwrap();
         assert!(RangedMmapV1File::open(&path).is_err());
-        assert!(crate::mmap::MmapEdgeFile::open(&path).is_err());
+        assert!(crate::open_edge_stream(&path, ReaderBackend::Mmap).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1052,7 +1046,7 @@ mod tests {
         let es = edges(500);
         let path = tmpfile("dispatch", "bel");
         write_binary_edge_list(&path, 4096, es.iter().copied()).unwrap();
-        for backend in crate::ReaderBackend::ALL {
+        for backend in ReaderBackend::ALL {
             let src = open_ranged_backend(&path, backend).unwrap();
             let mut s = src.open_range(100, 200).unwrap();
             assert_eq!(collect(&mut *s), &es[100..200], "{backend:?}");
@@ -1079,6 +1073,41 @@ mod tests {
         let src = RangedV2File::open(&path).unwrap();
         let mut s = src.open_range(50, 50).unwrap();
         assert_eq!(s.next_edge().unwrap(), None);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A v2 cursor verifies each chunk's checksum on its first decode and
+    /// trusts it on later passes; a fresh cursor verifies again.
+    #[test]
+    fn checksums_are_verified_once_per_cursor() {
+        use crate::v2::{CHUNK_HEADER_LEN, HEADER_LEN_V2};
+        use std::os::unix::fs::FileExt;
+
+        let es = edges(2_000);
+        let path = tmpfile("verify-once", "bel2");
+        crate::v2::write_v2_edge_list(&path, 4096, es.iter().copied(), 500).unwrap();
+        let file = RangedV2File::open(&path).unwrap();
+        let mapped = RangedMmapV2File::open(&path).unwrap();
+        let sources: [&dyn RangedEdgeSource; 2] = [&file, &mapped];
+        let mut cursors: Vec<_> = sources.map(|s| s.open_range(0, 2_000).unwrap()).into();
+        for cursor in &mut cursors {
+            assert_eq!(collect(&mut **cursor), es);
+        }
+        // Edge 0 is (0, 7): rewrite its source as another one-byte varint,
+        // so chunk 0 still decodes but no longer matches its checksum.
+        let at = HEADER_LEN_V2 + CHUNK_HEADER_LEN;
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.write_all_at(&[0x01], at).unwrap();
+        for cursor in &mut cursors {
+            let again = collect(&mut **cursor);
+            assert_eq!(again[0], Edge::new(1, 7));
+            assert_eq!(again[1..], es[1..]);
+        }
+        for source in sources {
+            let err = for_each_edge(&mut *source.open_range(0, 2_000).unwrap(), |_| {})
+                .expect_err("a fresh cursor verifies");
+            assert!(err.to_string().contains("checksum"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

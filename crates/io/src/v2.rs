@@ -31,15 +31,14 @@
 //! converters are order-preserving by construction.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tps_graph::formats::binary::BinaryEdgeFile;
-use tps_graph::stream::{lend_run, EdgeStream};
+use tps_graph::ranged::RangedEdgeSource;
+use tps_graph::stream::EdgeStream;
 use tps_graph::types::{Edge, GraphInfo};
-
-use crate::mmap::Mmap;
 
 /// Magic bytes opening a v2 file.
 pub const MAGIC_V2: [u8; 8] = *b"TPSBEL2\0";
@@ -648,14 +647,14 @@ pub(crate) fn decode_chunk_slice(
     decode_chunk_payload(payload, edge_count, verify.then_some(checksum), out)
 }
 
-/// Default budget for the decoded-edge caches, in bytes.
+/// Default budget for the decoded-edge cache, in bytes.
 ///
-/// The budget is **per source**: a sequential reader ([`V2EdgeFile`],
-/// [`MmapV2EdgeFile`]) caches its whole file or nothing, and a ranged source
-/// (`crate::ranged::RetainingSource`) retains whole ranges, one reservation
-/// across all of them. Spans whose decoded size (8 B per edge) does not fit
-/// stream every pass from disk exactly as before; spans that fit are decoded
-/// (and checksummed) once and every later pass is served from memory at raw
+/// The budget is **per source**: a ranged source
+/// (`crate::ranged::RetainingSource`, behind every v2 backend) retains
+/// whole ranges — the whole file being one range — with one reservation
+/// across all of them. A range whose decoded size (8 B per edge) does not
+/// fit streams every pass from disk; a range that fits is decoded (and
+/// checksummed) once and every later pass is served from memory at raw
 /// `Vec<Edge>` scan speed, skipping file I/O, checksumming, and varint
 /// decode entirely. The paper's pipeline makes 4 sequential passes per
 /// partitioning run — 6 for a `--threads N` worker, which re-reads its range
@@ -668,11 +667,10 @@ pub const DECODE_CACHE_DEFAULT_BYTES: u64 = 64 << 20;
 /// [`set_decode_cache_budget`] is called).
 static DECODE_CACHE_BUDGET: AtomicU64 = AtomicU64::new(DECODE_CACHE_DEFAULT_BYTES);
 
-/// Set the decode-cache budget; `0` disables caching.
-/// A sequential reader consults it once, at open (its cache is
-/// all-or-nothing per file); a ranged source consults it whenever a range is
-/// opened that it has not retained yet. So call this before opening inputs.
-/// A job's `--mem-budget-mb` split routes its decode-cache share here.
+/// Set the decode-cache budget; `0` disables caching. A source consults it
+/// whenever a range is opened that it has not retained yet, so call this
+/// before opening inputs. A job's `--mem-budget-mb` split routes its
+/// decode-cache share here.
 pub fn set_decode_cache_budget(bytes: u64) {
     DECODE_CACHE_BUDGET.store(bytes, Ordering::Relaxed);
 }
@@ -681,13 +679,13 @@ pub(crate) fn decode_cache_budget() -> u64 {
     DECODE_CACHE_BUDGET.load(Ordering::Relaxed)
 }
 
-/// Decoded-edge cache over one **span** of a v2 file — the whole file for
-/// the sequential readers below, one range of it for
-/// `crate::ranged::RetainingSource`. The first pass appends each run of
-/// edges it decodes; once the span is covered, later passes serve from this
-/// flat buffer. All-or-nothing: whether the span's decoded size fits the
-/// budget is decided when the cache is created — no partial caching, no
-/// mid-stream eviction, so peak memory is known up front.
+/// Decoded-edge cache over one range of a v2 file, held by the cursor
+/// decoding it for `crate::ranged::RetainingSource`. The first pass appends
+/// each run of edges it decodes; once the range is covered, the cursor
+/// hands the flat buffer to the source. All-or-nothing: whether the range's
+/// decoded size fits the budget is decided when the range is opened — no
+/// partial caching, no mid-stream eviction, so peak memory is known up
+/// front.
 pub(crate) struct DecodeCache {
     edges: Vec<Edge>,
     /// Edges in the span.
@@ -705,11 +703,6 @@ impl DecodeCache {
             enabled: enabled && span.is_ok(),
             span: span.unwrap_or(0),
         }
-    }
-
-    /// Whether `span` decoded edges fit `budget` bytes.
-    pub(crate) fn fits(span: u64, budget: u64) -> bool {
-        span.saturating_mul(8) <= budget
     }
 
     /// Absorb `run`, whose first edge is the `pos`-th of the span, as far as
@@ -741,404 +734,6 @@ impl DecodeCache {
     }
 }
 
-/// A buffered, chunk-at-a-time [`EdgeStream`] over a v2 file.
-///
-/// Chunk checksums are verified on the first decode of each chunk per open;
-/// the multi-pass algorithms (`reset` + re-stream) then decode the already
-/// proven chunks checksum-free. Files small enough for the decoded-edge
-/// cache ([`DECODE_CACHE_DEFAULT_BYTES`]) skip the decode too: passes after
-/// the first serve straight from memory.
-pub struct V2EdgeFile {
-    path: PathBuf,
-    reader: BufReader<File>,
-    layout: V2Layout,
-    next_chunk: usize,
-    scratch: Vec<u8>,
-    buf: Vec<Edge>,
-    buf_pos: usize,
-    verified: Vec<bool>,
-    cache: DecodeCache,
-    /// Edges decoded so far this pass (where the next chunk starts).
-    pass_pos: usize,
-    cache_pos: usize,
-    /// True once a `reset` found the cache complete: serve from memory. Set
-    /// only at pass boundaries so a pass that completes the cache mid-flight
-    /// still drains its own chunk buffer first.
-    cache_serving: bool,
-}
-
-impl V2EdgeFile {
-    /// Open `path`, validating header, index and trailer.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
-        let layout = read_layout(&mut file)?;
-        file.seek(SeekFrom::Start(HEADER_LEN_V2))?;
-        let verified = vec![false; layout.chunks.len()];
-        let edges = layout.info.num_edges;
-        let cache = DecodeCache::new(edges, DecodeCache::fits(edges, decode_cache_budget()));
-        Ok(V2EdgeFile {
-            path,
-            reader: BufReader::with_capacity(1 << 16, file),
-            layout,
-            next_chunk: 0,
-            scratch: Vec::new(),
-            buf: Vec::new(),
-            buf_pos: 0,
-            verified,
-            cache,
-            pass_pos: 0,
-            cache_pos: 0,
-            cache_serving: false,
-        })
-    }
-
-    /// The graph summary from the header.
-    pub fn info(&self) -> GraphInfo {
-        self.layout.info
-    }
-
-    /// Path this stream reads from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Parsed layout (header fields + chunk directory).
-    pub fn layout(&self) -> &V2Layout {
-        &self.layout
-    }
-
-    /// Number of chunks.
-    pub fn num_chunks(&self) -> usize {
-        self.layout.chunks.len()
-    }
-
-    /// Total encoded bytes of one full pass (header + chunks; the index and
-    /// trailer are only read at open).
-    pub fn pass_bytes(&self) -> u64 {
-        let chunk_bytes: u64 = self
-            .layout
-            .chunks
-            .iter()
-            .map(|c| CHUNK_HEADER_LEN + c.payload_len as u64)
-            .sum();
-        HEADER_LEN_V2 + chunk_bytes
-    }
-
-    /// Decode chunk `i` into `out` (cleared first), via the index. On error
-    /// `out` may hold partially decoded edges.
-    pub fn read_chunk(&mut self, i: usize, out: &mut Vec<Edge>) -> io::Result<()> {
-        let meta = *self
-            .layout
-            .chunks
-            .get(i)
-            .ok_or_else(|| invalid("chunk index out of bounds"))?;
-        out.clear();
-        self.reader.seek(SeekFrom::Start(meta.offset))?;
-        let verify = !self.verified[i];
-        read_chunk_at(&mut self.reader, meta, verify, &mut self.scratch, out)?;
-        self.verified[i] = true;
-        // The sequential cursor is now mid-file; re-sync on the next
-        // sequential read by seeking from the chunk directory.
-        self.resync_sequential()?;
-        Ok(())
-    }
-
-    fn resync_sequential(&mut self) -> io::Result<()> {
-        let offset = match self.layout.chunks.get(self.next_chunk) {
-            Some(c) => c.offset,
-            None => return Ok(()),
-        };
-        self.reader.seek(SeekFrom::Start(offset))?;
-        Ok(())
-    }
-
-    /// Decode the next sequential chunk into `out` (cleared first).
-    /// Returns the number of decoded edges; 0 at end of pass.
-    pub fn next_chunk_into(&mut self, out: &mut Vec<Edge>) -> io::Result<usize> {
-        out.clear();
-        let Some(&meta) = self.layout.chunks.get(self.next_chunk) else {
-            return Ok(0);
-        };
-        if self.cache_serving {
-            // Warm pass: the whole file was decoded (and checksummed) on an
-            // earlier pass; serve the chunk with one memcpy, no I/O.
-            let n = meta.edge_count as usize;
-            out.extend_from_slice(&self.cache.edges[self.cache_pos..self.cache_pos + n]);
-            self.cache_pos += n;
-            self.next_chunk += 1;
-            return Ok(n);
-        }
-        let verify = !self.verified[self.next_chunk];
-        read_chunk_at(&mut self.reader, meta, verify, &mut self.scratch, out)?;
-        self.verified[self.next_chunk] = true;
-        self.cache.absorb(self.pass_pos, out);
-        self.pass_pos += out.len();
-        self.next_chunk += 1;
-        Ok(out.len())
-    }
-
-    /// Decode the next sequential chunk into the stream's own (drained)
-    /// buffer; `false` at end of pass. On error the buffer is left empty.
-    fn decode_next(&mut self) -> io::Result<bool> {
-        let mut buf = std::mem::take(&mut self.buf);
-        self.buf_pos = 0;
-        let n = self.next_chunk_into(&mut buf)?;
-        self.buf = buf;
-        Ok(n > 0)
-    }
-
-    /// Fold every edge across chunks in parallel with `threads` workers.
-    ///
-    /// Each worker opens its own file handle and decodes a contiguous chunk
-    /// range; per-worker accumulators (from `init`) are combined with
-    /// `merge`. Only valid for per-edge commutative computations (degree
-    /// counting, byte/edge statistics) — the paper's phase-0 degree pass is
-    /// exactly that shape.
-    pub fn parallel_fold<T, I, F, M>(
-        &self,
-        threads: usize,
-        init: I,
-        fold: F,
-        merge: M,
-    ) -> io::Result<T>
-    where
-        T: Send,
-        I: Fn() -> T + Sync,
-        F: Fn(&mut T, Edge) + Sync,
-        M: Fn(T, T) -> T,
-    {
-        let threads = threads.max(1).min(self.layout.chunks.len().max(1));
-        let chunks = &self.layout.chunks;
-        let path = &self.path;
-        let (init, fold) = (&init, &fold);
-        let per = chunks.len().div_ceil(threads);
-        let results: Vec<io::Result<T>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for range in chunks.chunks(per.max(1)) {
-                handles.push(scope.spawn(move || -> io::Result<T> {
-                    let mut acc = init();
-                    if range.is_empty() {
-                        return Ok(acc);
-                    }
-                    let file = File::open(path)?;
-                    let mut r = BufReader::with_capacity(1 << 16, file);
-                    r.seek(SeekFrom::Start(range[0].offset))?;
-                    let mut scratch = Vec::new();
-                    let mut edges = Vec::new();
-                    for &meta in range {
-                        edges.clear();
-                        read_chunk_at(&mut r, meta, true, &mut scratch, &mut edges)?;
-                        for &e in &edges {
-                            fold(&mut acc, e);
-                        }
-                    }
-                    Ok(acc)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fold worker panicked"))
-                .collect()
-        });
-        let mut acc = init();
-        for r in results {
-            acc = merge(acc, r?);
-        }
-        Ok(acc)
-    }
-}
-
-impl EdgeStream for V2EdgeFile {
-    fn reset(&mut self) -> io::Result<()> {
-        self.next_chunk = 0;
-        self.buf.clear();
-        self.buf_pos = 0;
-        self.pass_pos = 0;
-        self.cache_pos = 0;
-        self.cache_serving = self.cache.complete();
-        if !self.cache_serving {
-            self.reader.seek(SeekFrom::Start(HEADER_LEN_V2))?;
-        }
-        Ok(())
-    }
-
-    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        if self.cache_serving {
-            // Warm pass: scan of the decoded-edge cache.
-            let e = self.cache.edges.get(self.cache_pos).copied();
-            self.cache_pos += usize::from(e.is_some());
-            return Ok(e);
-        }
-        if self.buf_pos == self.buf.len() && !self.decode_next()? {
-            return Ok(None);
-        }
-        let e = self.buf[self.buf_pos];
-        self.buf_pos += 1;
-        Ok(Some(e))
-    }
-
-    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
-        if self.cache_serving {
-            // Warm pass: lend windows of the decoded-edge cache.
-            return Ok(lend_run(&self.cache.edges, &mut self.cache_pos));
-        }
-        if self.buf_pos == self.buf.len() {
-            self.decode_next()?;
-        }
-        // Cold pass: lend what is left of the decoded chunk.
-        let run = &self.buf[self.buf_pos..];
-        self.buf_pos = self.buf.len();
-        Ok(run)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.layout.info.num_edges)
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        Some(self.layout.info.num_vertices)
-    }
-}
-
-/// A zero-copy v2 stream over a memory-mapped file: chunks are decoded out
-/// of the mapping, the payload bytes are never read through a syscall.
-pub struct MmapV2EdgeFile {
-    path: PathBuf,
-    map: Mmap,
-    layout: V2Layout,
-    next_chunk: usize,
-    buf: Vec<Edge>,
-    buf_pos: usize,
-    verified: Vec<bool>,
-    cache: DecodeCache,
-    /// Chunks decoded into the cache so far (it is this reader's decode
-    /// target, not a copy).
-    cached_chunks: usize,
-    cache_pos: usize,
-}
-
-impl MmapV2EdgeFile {
-    /// Map `path` and validate the v2 layout.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
-        let layout = read_layout(&mut file)?;
-        let map = Mmap::map(&file)?;
-        let verified = vec![false; layout.chunks.len()];
-        let edges = layout.info.num_edges;
-        let cache = DecodeCache::new(edges, DecodeCache::fits(edges, decode_cache_budget()));
-        Ok(MmapV2EdgeFile {
-            path,
-            map,
-            layout,
-            next_chunk: 0,
-            buf: Vec::new(),
-            buf_pos: 0,
-            verified,
-            cache,
-            cached_chunks: 0,
-            cache_pos: 0,
-        })
-    }
-
-    /// The graph summary from the header.
-    pub fn info(&self) -> GraphInfo {
-        self.layout.info
-    }
-
-    /// Path this stream reads from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The decoded edges this pass reads from, and its cursor into them.
-    ///
-    /// A cacheable file decodes straight into the flat cache and serves out
-    /// of it, cold pass included — no bounce buffer, no absorb copy. Because
-    /// the decoded prefix persists across `reset`, every pass (and every
-    /// re-pass after an early reset) serves already-decoded edges at raw
-    /// scan speed and only decodes chunks the cache has not reached yet. Any
-    /// other file decodes one chunk at a time into `buf`.
-    fn unread(&mut self) -> (&[Edge], &mut usize) {
-        if self.cache.enabled {
-            (&self.cache.edges, &mut self.cache_pos)
-        } else {
-            (&self.buf, &mut self.buf_pos)
-        }
-    }
-
-    /// Make sure unread edges are decoded; `false` at end of pass.
-    fn fill(&mut self) -> io::Result<bool> {
-        let caching = self.cache.enabled;
-        let (decoded, pos, next) = if caching {
-            (
-                &mut self.cache.edges,
-                &mut self.cache_pos,
-                &mut self.cached_chunks,
-            )
-        } else {
-            (&mut self.buf, &mut self.buf_pos, &mut self.next_chunk)
-        };
-        if *pos < decoded.len() {
-            return Ok(true);
-        }
-        let Some(&meta) = self.layout.chunks.get(*next) else {
-            return Ok(false);
-        };
-        // The cache appends; the bounce buffer is replaced.
-        if !caching {
-            decoded.clear();
-            *pos = 0;
-        }
-        let start = decoded.len();
-        let verify = !self.verified[*next];
-        if let Err(e) = decode_chunk_slice(self.map.as_slice(), meta, verify, decoded) {
-            // Keep the decoded edges a clean chunk prefix: a later pass
-            // re-decodes this chunk and reproduces the same error.
-            decoded.truncate(start);
-            return Err(e);
-        }
-        self.verified[*next] = true;
-        *next += 1;
-        Ok(true)
-    }
-}
-
-impl EdgeStream for MmapV2EdgeFile {
-    fn reset(&mut self) -> io::Result<()> {
-        self.next_chunk = 0;
-        self.buf.clear();
-        self.buf_pos = 0;
-        self.cache_pos = 0;
-        Ok(())
-    }
-
-    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        if !self.fill()? {
-            return Ok(None);
-        }
-        let (edges, pos) = self.unread();
-        let e = edges[*pos];
-        *pos += 1;
-        Ok(Some(e))
-    }
-
-    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
-        self.fill()?;
-        let (edges, pos) = self.unread();
-        Ok(lend_run(edges, pos))
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.layout.info.num_edges)
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        Some(self.layout.info.num_vertices)
-    }
-}
-
 /// Convert a v1 `.bel` file to v2, preserving edge order exactly.
 pub fn convert_v1_to_v2<P: AsRef<Path>, Q: AsRef<Path>>(
     src: P,
@@ -1160,9 +755,10 @@ pub fn convert_v1_to_v2<P: AsRef<Path>, Q: AsRef<Path>>(
 
 /// Convert a v2 file back to v1, preserving edge order exactly.
 pub fn convert_v2_to_v1<P: AsRef<Path>, Q: AsRef<Path>>(src: P, dst: Q) -> io::Result<GraphInfo> {
-    let mut input = V2EdgeFile::open(src)?;
-    input.reset()?;
-    let num_vertices = input.info().num_vertices;
+    let source = crate::ranged::RangedV2File::open(src)?;
+    let info = source.info();
+    let mut input = source.open_range(0, info.num_edges)?;
+    let num_vertices = info.num_vertices;
     let mut iter_err = None;
     let info = tps_graph::formats::binary::write_binary_edge_list(
         dst,
@@ -1185,6 +781,9 @@ pub fn convert_v2_to_v1<P: AsRef<Path>, Q: AsRef<Path>>(src: P, dst: Q) -> io::R
 mod tests {
     use super::*;
     use tps_graph::stream::for_each_edge;
+
+    use crate::ranged::{RangedMmapV2File, RangedV2File};
+    use std::path::PathBuf;
 
     fn tmpfile(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("tps-io-v2-{tag}-{}.bel2", std::process::id()))
@@ -1239,8 +838,9 @@ mod tests {
         let info = write_v2_edge_list(&path, 1024, es.iter().copied(), 256).unwrap();
         assert_eq!(info.num_edges, 10_000);
 
-        let mut f = V2EdgeFile::open(&path).unwrap();
-        assert_eq!(f.num_chunks(), 10_000usize.div_ceil(256));
+        let src = RangedV2File::open(&path).unwrap();
+        assert_eq!(src.chunks().len(), 10_000usize.div_ceil(256));
+        let mut f = src.open_range(0, 10_000).unwrap();
         let mut seen = Vec::new();
         for_each_edge(&mut f, |e| seen.push(e)).unwrap();
         assert_eq!(seen, es);
@@ -1256,7 +856,8 @@ mod tests {
         let path = tmpfile("mmap");
         let es = edges(5_000);
         write_v2_edge_list(&path, 1024, es.iter().copied(), 999).unwrap();
-        let mut f = MmapV2EdgeFile::open(&path).unwrap();
+        let src = RangedMmapV2File::open(&path).unwrap();
+        let mut f = src.open_range(0, 5_000).unwrap();
         let mut seen = Vec::new();
         for_each_edge(&mut f, |e| seen.push(e)).unwrap();
         assert_eq!(seen, es);
@@ -1267,9 +868,9 @@ mod tests {
     fn empty_graph_round_trip() {
         let path = tmpfile("empty");
         write_v2_edge_list(&path, 0, std::iter::empty(), 64).unwrap();
-        let mut f = V2EdgeFile::open(&path).unwrap();
-        assert_eq!(f.num_chunks(), 0);
-        assert_eq!(f.next_edge().unwrap(), None);
+        let src = RangedV2File::open(&path).unwrap();
+        assert_eq!(src.chunks().len(), 0);
+        assert_eq!(src.open_range(0, 0).unwrap().next_edge().unwrap(), None);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1300,36 +901,48 @@ mod tests {
         let path = tmpfile("chunks");
         let es = edges(5_000);
         write_v2_edge_list(&path, 1024, es.iter().copied(), 512).unwrap();
-        let mut f = V2EdgeFile::open(&path).unwrap();
+        let src = RangedV2File::open(&path).unwrap();
 
         // Random access to a middle chunk matches the slice of the original.
         let mut chunk = Vec::new();
-        f.read_chunk(3, &mut chunk).unwrap();
+        for_each_edge(&mut src.open_range(3 * 512, 4 * 512).unwrap(), |e| {
+            chunk.push(e)
+        })
+        .unwrap();
         assert_eq!(chunk.as_slice(), &es[3 * 512..4 * 512]);
 
         // Sequential streaming still works after random access.
         let mut seen = Vec::new();
-        for_each_edge(&mut f, |e| seen.push(e)).unwrap();
+        for_each_edge(&mut src.open_range(0, 5_000).unwrap(), |e| seen.push(e)).unwrap();
         assert_eq!(seen, es);
 
-        // Parallel degree fold == sequential degree fold.
+        // A degree fold over four cursors on four threads == the sequential
+        // degree fold.
         let fold = |acc: &mut Vec<u64>, e: Edge| {
             acc[e.src as usize] += 1;
             acc[e.dst as usize] += 1;
         };
-        let par = f
-            .parallel_fold(
-                4,
-                || vec![0u64; 1024],
-                fold,
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                },
-            )
-            .unwrap();
+        let src = &src;
+        let par = std::thread::scope(|scope| {
+            let workers: Vec<_> = tps_graph::ranged::split_even(5_000, 4)
+                .into_iter()
+                .map(|(a, b)| {
+                    scope.spawn(move || {
+                        let mut acc = vec![0u64; 1024];
+                        let mut s = src.open_range(a, b).unwrap();
+                        for_each_edge(&mut s, |e| fold(&mut acc, e)).unwrap();
+                        acc
+                    })
+                })
+                .collect();
+            let mut sum = vec![0u64; 1024];
+            for w in workers {
+                for (x, y) in sum.iter_mut().zip(w.join().unwrap()) {
+                    *x += y;
+                }
+            }
+            sum
+        });
         let mut seq = vec![0u64; 1024];
         for &e in &es {
             fold(&mut seq, e);
@@ -1349,8 +962,8 @@ mod tests {
         bytes[target] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
-        let mut f = V2EdgeFile::open(&path).unwrap();
-        let err = for_each_edge(&mut f, |_| {}).unwrap_err();
+        let src = RangedV2File::open(&path).unwrap();
+        let err = for_each_edge(&mut src.open_range(0, 1000).unwrap(), |_| {}).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -1361,7 +974,7 @@ mod tests {
         write_v2_edge_list(&path, 1024, edges(1000), 100).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        assert!(V2EdgeFile::open(&path).is_err());
+        assert!(RangedV2File::open(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1369,7 +982,9 @@ mod tests {
     fn bad_magic_rejected() {
         let path = tmpfile("magic");
         std::fs::write(&path, vec![0u8; 100]).unwrap();
-        let err = V2EdgeFile::open(&path).err().expect("bad magic must fail");
+        let err = RangedV2File::open(&path)
+            .err()
+            .expect("bad magic must fail");
         assert!(err.to_string().contains("magic"), "{err}");
         std::fs::remove_file(&path).ok();
     }

@@ -537,3 +537,94 @@ fn retention_stays_within_the_decode_budget() {
     set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
     std::fs::remove_file(&path).ok();
 }
+
+/// A ranged source whose cursors count the passes they start.
+struct PassCountingSource {
+    inner: Box<dyn RangedEdgeSource>,
+    resets: AtomicU64,
+}
+
+struct PassCountingStream<'a> {
+    inner: Box<dyn EdgeStream + 'a>,
+    resets: &'a AtomicU64,
+}
+
+impl RangedEdgeSource for PassCountingSource {
+    fn info(&self) -> GraphInfo {
+        self.inner.info()
+    }
+    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
+        Ok(Box::new(PassCountingStream {
+            inner: self.inner.open_range(start, end)?,
+            resets: &self.resets,
+        }))
+    }
+}
+
+impl EdgeStream for PassCountingStream<'_> {
+    fn reset(&mut self) -> io::Result<()> {
+        self.resets.fetch_add(1, Ordering::Relaxed);
+        self.inner.reset()
+    }
+    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
+        self.inner.next_edge()
+    }
+    fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
+        self.inner.next_chunk(scratch)
+    }
+    fn len_hint(&self) -> Option<u64> {
+        self.inner.len_hint()
+    }
+    fn num_vertices_hint(&self) -> Option<u64> {
+        self.inner.num_vertices_hint()
+    }
+}
+
+/// A one-shard job over a file source streams the pipeline's passes —
+/// degree, clustering × passes, pre-partitioning, scoring — and nothing
+/// else: every cursor of every backend reports the header's vertex count,
+/// so no discovery pass precedes the degree pass. Its assignments are the
+/// in-memory graph's.
+#[test]
+fn a_one_shard_file_job_streams_only_the_pipeline_passes() {
+    let _globals = V2_GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
+    let g = graph(5_000);
+    let v1 = tmp("passes", "bel");
+    let v2 = tmp("passes", "bel2");
+    write_binary_edge_list(&v1, g.num_vertices(), g.edges().iter().copied()).unwrap();
+    write_v2_edge_list(&v2, g.num_vertices(), g.edges().iter().copied(), 700).unwrap();
+    let config = TwoPhaseConfig::with_passes(2);
+    let mut reference = VecSink::new();
+    JobSpec::ranged(&g)
+        .two_phase(config)
+        .k(8)
+        .threads(ThreadMode::Serial)
+        .extra_sink(&mut reference)
+        .run()
+        .unwrap();
+    for path in [&v1, &v2] {
+        for backend in ReaderBackend::ALL {
+            for threads in [ThreadMode::Serial, ThreadMode::Count(1)] {
+                let what = format!("{path:?} {backend:?} {threads:?}");
+                let source = PassCountingSource {
+                    inner: open_ranged_backend(path, backend).unwrap(),
+                    resets: AtomicU64::new(0),
+                };
+                let mut sink = VecSink::new();
+                JobSpec::ranged(&source)
+                    .two_phase(config)
+                    .k(8)
+                    .threads(threads)
+                    .extra_sink(&mut sink)
+                    .run()
+                    .unwrap();
+                let passes = 3 + config.clustering_passes as u64;
+                assert_eq!(source.resets.load(Ordering::Relaxed), passes, "{what}");
+                assert_eq!(sink.assignments(), reference.assignments(), "{what}");
+            }
+        }
+    }
+    std::fs::remove_file(&v1).ok();
+    std::fs::remove_file(&v2).ok();
+}

@@ -345,9 +345,6 @@ fn corrupt_page_store_slot_fails_the_budgeted_job() {
     /// `FileInput` with the page store swapped for the rotting one.
     struct RottingInput(PathBuf, usize);
     impl InputProvider for RottingInput {
-        fn open_stream(&self, path: &Path, reader: ReaderKind) -> io::Result<Box<dyn EdgeStream>> {
-            FileInput.open_stream(path, reader)
-        }
         fn open_ranged(
             &self,
             path: &Path,

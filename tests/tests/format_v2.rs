@@ -3,12 +3,16 @@
 
 use proptest::prelude::*;
 use tps_graph::formats::binary::write_binary_edge_list;
+use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::{for_each_edge, EdgeStream};
 use tps_graph::types::Edge;
 use tps_io::v2::{
     fnv1a32, write_varint, CHUNK_HEADER_LEN, HEADER_LEN_V2, MAGIC_V2, TRAILER_LEN, TRAILER_MAGIC,
 };
-use tps_io::{convert_v1_to_v2, convert_v2_to_v1, write_v2_edge_list, MmapV2EdgeFile, V2EdgeFile};
+use tps_io::{
+    convert_v1_to_v2, convert_v2_to_v1, open_edge_stream, write_v2_edge_list, RangedMmapV2File,
+    RangedV2File, ReaderBackend,
+};
 
 fn tmp(tag: &str, ext: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("tps-fmt2-{tag}-{}.{ext}", std::process::id()))
@@ -24,7 +28,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary edge lists survive write-v2 → stream with identical order,
-    /// for arbitrary (small, adversarial) chunk sizes, across two passes.
+    /// for arbitrary (small, adversarial) chunk sizes, across two passes, on
+    /// every backend.
     #[test]
     fn v2_round_trip_preserves_order(
         pairs in proptest::collection::vec((0u32..100_000, 0u32..100_000), 1..400),
@@ -33,13 +38,15 @@ proptest! {
         let edges: Vec<Edge> = pairs.into_iter().map(Edge::from).collect();
         let path = tmp("prop", "bel2");
         write_v2_edge_list(&path, 100_000, edges.iter().copied(), chunk).unwrap();
-        let mut f = V2EdgeFile::open(&path).unwrap();
-        prop_assert_eq!(f.info().num_edges, edges.len() as u64);
-        let pass1 = collect(&mut f);
-        let pass2 = collect(&mut f);
+        for backend in ReaderBackend::ALL {
+            let mut f = open_edge_stream(&path, backend).unwrap();
+            prop_assert_eq!(f.len_hint(), Some(edges.len() as u64));
+            let pass1 = collect(&mut *f);
+            let pass2 = collect(&mut *f);
+            prop_assert_eq!(&pass1, &edges);
+            prop_assert_eq!(&pass2, &edges);
+        }
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&pass1, &edges);
-        prop_assert_eq!(&pass2, &edges);
     }
 
     /// v1 -> v2 -> v1 is byte-identical for arbitrary graphs.
@@ -123,11 +130,14 @@ proptest! {
         bytes[start + victim_raw % payload0] ^= xor as u8;
         std::fs::write(&path, &bytes).unwrap();
 
-        let mut buffered = V2EdgeFile::open(&path).unwrap();
-        let err = for_each_edge(&mut buffered, |_| {}).expect_err("corrupt payload must fail");
+        let n = edges.len() as u64;
+        let buffered = RangedV2File::open(&path).unwrap();
+        let err = for_each_edge(&mut buffered.open_range(0, n).unwrap(), |_| {})
+            .expect_err("corrupt payload must fail");
         prop_assert_eq!(err.to_string(), "chunk checksum mismatch (corrupt payload)");
-        let mut mapped = MmapV2EdgeFile::open(&path).unwrap();
-        let err = for_each_edge(&mut mapped, |_| {}).expect_err("corrupt payload must fail");
+        let mapped = RangedMmapV2File::open(&path).unwrap();
+        let err = for_each_edge(&mut mapped.open_range(0, n).unwrap(), |_| {})
+            .expect_err("corrupt payload must fail");
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(err.to_string(), "chunk checksum mismatch (corrupt payload)");
     }
@@ -203,8 +213,8 @@ fn converter_golden_counts_and_sizes() {
     // even with chunk/index overhead.
     assert!(v2_bytes * 2 < v1_bytes, "v2 {v2_bytes} vs v1 {v1_bytes}");
 
-    let mut f = V2EdgeFile::open(&v2).unwrap();
-    assert_eq!(collect(&mut f), edges);
+    let mut f = open_edge_stream(&v2, ReaderBackend::Buffered).unwrap();
+    assert_eq!(collect(&mut *f), edges);
     std::fs::remove_file(&v1).ok();
     std::fs::remove_file(&v2).ok();
 }
@@ -219,9 +229,11 @@ fn corrupt_chunk_header_is_detected() {
     let off = HEADER_LEN_V2 as usize;
     bytes[off] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
-    let mut f = V2EdgeFile::open(&path).unwrap();
-    let err = for_each_edge(&mut f, |_| {}).expect_err("corrupt header must fail");
-    assert!(err.to_string().contains("disagrees"), "{err}");
+    for backend in ReaderBackend::ALL {
+        let mut f = open_edge_stream(&path, backend).unwrap();
+        let err = for_each_edge(&mut *f, |_| {}).expect_err("corrupt header must fail");
+        assert!(err.to_string().contains("disagrees"), "{backend:?}: {err}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -233,7 +245,9 @@ fn truncated_chunk_is_detected() {
     let bytes = std::fs::read(&path).unwrap();
     // Cut the file mid-chunk: the missing trailer is caught at open.
     std::fs::write(&path, &bytes[..HEADER_LEN_V2 as usize + 40]).unwrap();
-    assert!(V2EdgeFile::open(&path).is_err());
+    for backend in ReaderBackend::ALL {
+        assert!(open_edge_stream(&path, backend).is_err(), "{backend:?}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -245,7 +259,7 @@ fn corrupt_trailer_magic_is_detected() {
     let n = bytes.len();
     bytes[n - 1] ^= 0xFF; // last byte of TRAILER_MAGIC
     std::fs::write(&path, &bytes).unwrap();
-    let err = V2EdgeFile::open(&path)
+    let err = open_edge_stream(&path, ReaderBackend::Buffered)
         .err()
         .expect("bad trailer must fail");
     assert!(err.to_string().contains("trailer"), "{err}");
@@ -261,7 +275,7 @@ fn index_inconsistent_with_header_is_detected() {
     // check at open must notice.
     bytes[16..24].copy_from_slice(&999u64.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
-    let err = V2EdgeFile::open(&path)
+    let err = open_edge_stream(&path, ReaderBackend::Buffered)
         .err()
         .expect("lying header must fail");
     assert!(err.to_string().contains("promises"), "{err}");

@@ -15,7 +15,7 @@ use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::datasets::Dataset;
 use tps_graph::formats::binary::write_binary_edge_list;
 use tps_graph::stream::for_each_edge;
-use tps_io::{open_edge_stream, ReaderBackend, V2EdgeFile};
+use tps_io::{open_edge_stream, RangedV2File, ReaderBackend};
 use tps_storage::{DeviceModel, DeviceStream, IoAccount};
 
 fn materialize(tag: &str) -> (PathBuf, u64) {
@@ -60,15 +60,23 @@ fn v2_record_bytes_charge_the_compressed_size() {
     let v2_path = v1_path.with_extension("bel2");
     tps_io::convert_v1_to_v2(&v1_path, &v2_path, 4096).unwrap();
 
-    let v2 = V2EdgeFile::open(&v2_path).unwrap();
-    let pass_bytes = v2.pass_bytes();
+    // One full pass reads the header and every chunk (the index and
+    // trailer are only read at open).
+    let v2 = RangedV2File::open(&v2_path).unwrap();
+    let chunk_bytes: u64 = v2
+        .chunks()
+        .iter()
+        .map(|c| tps_io::v2::CHUNK_HEADER_LEN + c.payload_len as u64)
+        .sum();
+    let pass_bytes = tps_io::v2::HEADER_LEN_V2 + chunk_bytes;
     let record_bytes = pass_bytes as f64 / num_edges as f64;
     assert!(
         record_bytes < 8.0,
         "v2 should beat 8 B/edge, got {record_bytes}"
     );
 
-    let mut device = DeviceStream::with_record_bytes(v2, DeviceModel::hdd(), record_bytes);
+    let stream = open_edge_stream(&v2_path, ReaderBackend::Buffered).unwrap();
+    let mut device = DeviceStream::with_record_bytes(stream, DeviceModel::hdd(), record_bytes);
     for_each_edge(&mut device, |_| {}).unwrap();
     for_each_edge(&mut device, |_| {}).unwrap();
     let acc = device.account();
