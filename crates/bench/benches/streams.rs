@@ -2,7 +2,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use tps_graph::datasets::Dataset;
-use tps_graph::formats::binary::{write_binary_edge_list, BinaryEdgeFile};
+use tps_graph::formats::binary::write_binary_edge_list;
 use tps_graph::stream::for_each_edge;
 use tps_storage::{DeviceModel, DeviceStream};
 
@@ -26,7 +26,7 @@ fn bench_streams(c: &mut Criterion) {
     });
     group.bench_function("binary_file", |b| {
         b.iter(|| {
-            let mut s = BinaryEdgeFile::open(&path).unwrap();
+            let mut s = tps_io::open_edge_stream(&path, tps_io::ReaderBackend::Buffered).unwrap();
             let mut n = 0u64;
             for_each_edge(&mut s, |e| n += e.src as u64).unwrap();
             black_box(n)

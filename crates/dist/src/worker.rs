@@ -27,8 +27,7 @@ use tps_core::sink::{AssignmentSink, DecisionLog};
 use tps_core::two_phase::mapping::ClusterPlacement;
 use tps_graph::degree::DegreeTable;
 use tps_graph::ranged::RangedEdgeSource;
-use tps_graph::stream::EdgeStream;
-use tps_graph::types::{Edge, GraphInfo, PartitionId};
+use tps_graph::types::{Edge, PartitionId};
 
 use crate::protocol::{
     InputDescriptor, Job, Message, ReplChunks, PROTOCOL_VERSION, RUN_BATCH_EDGES,
@@ -66,22 +65,9 @@ pub struct AttachedResolver<'g>(pub &'g dyn RangedEdgeSource);
 impl SourceResolver for AttachedResolver<'_> {
     fn open<'s>(&'s self, input: &InputDescriptor) -> io::Result<Box<dyn RangedEdgeSource + 's>> {
         match input {
-            InputDescriptor::Attached => Ok(Box::new(BorrowedSource(self.0))),
+            InputDescriptor::Attached => Ok(Box::new(self.0)),
             InputDescriptor::Path { path, reader } => tps_io::open_ranged_backend(path, *reader),
         }
-    }
-}
-
-/// Forwarding wrapper so a borrowed source can be boxed as a trait object.
-struct BorrowedSource<'a>(&'a dyn RangedEdgeSource);
-
-impl RangedEdgeSource for BorrowedSource<'_> {
-    fn info(&self) -> GraphInfo {
-        self.0.info()
-    }
-
-    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        self.0.open_range(start, end)
     }
 }
 

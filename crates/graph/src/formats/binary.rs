@@ -12,36 +12,20 @@
 //!
 //! The payload matches the paper's "binary edge list with 32-bit vertex IDs";
 //! the 24-byte header lets streams report exact hints without a discovery
-//! pass. [`BinaryEdgeFile`] reads it a block of records at a time, straight
-//! into the edge buffer its bulk read lends, and supports `reset` by seeking
-//! — this is the faithful out-of-core path. Every v1 opener (here and in
-//! `tps-io`) validates the header's edge count against the file's length
-//! with [`check_payload_len`].
-//!
-//! ## Other readers and the v2 format
-//!
-//! This block reader is the *baseline* backend. The `tps-io` crate layers
-//! faster paths over the same on-disk bytes, all behind
-//! [`EdgeStream`]:
-//!
-//! * `tps_io::RangedMmapV1File` — zero-copy memory-mapped reads of this v1
-//!   format (fastest on a warm page cache).
-//! * `tps_io::RangedPrefetchSource` — double-buffered background-thread
-//!   reads (overlaps I/O with partitioning CPU work).
-//! * `tps_io::v2` — the compressed chunked **TPSBEL2** format: varint-encoded
-//!   edges in checksummed chunks with an index footer, typically 50–70 % of
-//!   the v1 size on skewed graphs, plus order-preserving v1↔v2 converters.
-//!
-//! Pick a backend with `tps_io::open_edge_stream(path, ReaderBackend::…)`
-//! (auto-detects v1 vs v2 by magic), or from the CLI via
+//! pass. This module owns the layout: the header reader and its one length
+//! check ([`check_payload_len`], which every v1 opener applies), the record
+//! read ([`read_records`]) and the writers. The reader is `tps-io`'s
+//! `RangedFile`, one cursor for this format and the compressed chunked
+//! **TPSBEL2** alike, through a file handle or a mapping, with a prefetch
+//! thread as an optional wrapper. Open a file with
+//! `tps_io::open_edge_stream(path, ReaderBackend::…)` (auto-detects v1 vs v2
+//! by magic), or from the CLI via
 //! `tps partition --reader buffered|mmap|prefetch`.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::ranged::check_range;
-use crate::stream::{EdgeStream, CHUNK_EDGES};
 use crate::types::{Edge, GraphInfo};
 
 /// Magic bytes identifying the format (also versions it).
@@ -79,91 +63,6 @@ pub fn write_binary_edge_list<P: AsRef<Path>>(
     })
 }
 
-/// A streaming reader over a binary edge-list file, or over a contiguous
-/// range of its records.
-///
-/// Memory use is one block of [`CHUNK_EDGES`] records regardless of the file
-/// size: this is the out-of-core ingestion path of every streaming
-/// partitioner. Each block is read straight into the edge buffer the bulk
-/// read ([`EdgeStream::next_chunk`]) lends.
-pub struct BinaryEdgeFile {
-    path: PathBuf,
-    file: File,
-    info: GraphInfo,
-    /// Record range `[start, end)` this stream covers.
-    start: u64,
-    end: u64,
-    /// Next record index to read from the file.
-    next: u64,
-    buf: Vec<Edge>,
-    pos: usize,
-}
-
-impl BinaryEdgeFile {
-    /// Open `path`, validating the header against the file's length.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        Self::open_records(path.as_ref(), None)
-    }
-
-    /// Open records `[start, end)` of `path`; `reset` rewinds to `start`.
-    /// Errors if the range is not within the file's edge count.
-    pub fn open_range<P: AsRef<Path>>(path: P, start: u64, end: u64) -> io::Result<Self> {
-        Self::open_records(path.as_ref(), Some((start, end)))
-    }
-
-    fn open_records(path: &Path, range: Option<(u64, u64)>) -> io::Result<Self> {
-        let mut file = File::open(path)?;
-        let info = read_checked_header(&mut file).map_err(|e| named(path, e))?;
-        let (start, end) = range.unwrap_or((0, info.num_edges));
-        check_range(start, end, info.num_edges)?;
-        let mut stream = BinaryEdgeFile {
-            path: path.to_path_buf(),
-            file,
-            info,
-            start,
-            end,
-            next: start,
-            buf: Vec::new(),
-            pos: 0,
-        };
-        if start != 0 {
-            stream.reset()?;
-        }
-        Ok(stream)
-    }
-
-    /// The graph summary from the header.
-    pub fn info(&self) -> GraphInfo {
-        self.info
-    }
-
-    /// Path this stream reads from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Total payload bytes of one full pass (used by the storage simulator to
-    /// charge I/O time per pass).
-    pub fn pass_bytes(&self) -> u64 {
-        HEADER_LEN + self.info.num_edges * EDGE_RECORD_LEN
-    }
-
-    /// Read the next block into the (drained) buffer; `false` at the end of
-    /// the range.
-    fn refill(&mut self) -> io::Result<bool> {
-        // Sized by the constant, never by the header's count.
-        let n = (self.end - self.next).min(CHUNK_EDGES as u64) as usize;
-        self.pos = 0;
-        self.buf.clear();
-        if n == 0 {
-            return Ok(false);
-        }
-        read_records(&mut self.file, n, &mut self.buf).map_err(|e| named(&self.path, e))?;
-        self.next += n as u64;
-        Ok(true)
-    }
-}
-
 /// `e` with the file it came from in front: a multi-pass run re-reads its
 /// input long after it was opened, and the file may have changed since.
 pub fn named(path: &Path, e: io::Error) -> io::Error {
@@ -171,8 +70,8 @@ pub fn named(path: &Path, e: io::Error) -> io::Error {
 }
 
 /// Read and validate a TPSBEL1 header from `r`, leaving the cursor at the
-/// first edge record. Shared by every v1 reader backend (buffered here,
-/// mmap/prefetch in `tps-io`) so the header layout lives in one place.
+/// first edge record. Shared by every v1 opener so the header layout lives
+/// in one place.
 pub fn read_header<R: Read>(r: &mut R) -> io::Result<GraphInfo> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -228,9 +127,14 @@ pub fn read_checked_header(file: &mut File) -> io::Result<GraphInfo> {
     Ok(info)
 }
 
-/// Append exactly `n` records read from `r` to `out`, with no staging
-/// buffer: the bytes land in the edge buffer itself.
-pub fn read_records<R: Read>(r: &mut R, n: usize, out: &mut Vec<Edge>) -> io::Result<()> {
+/// Append exactly `n` records to `out`, with no staging buffer: `fill`
+/// writes their `8·n` bytes straight into the edge buffer. On error `out`
+/// is left as it was.
+pub fn read_records(
+    n: usize,
+    out: &mut Vec<Edge>,
+    fill: impl FnOnce(&mut [u8]) -> io::Result<()>,
+) -> io::Result<()> {
     let old = out.len();
     out.resize(old + n, Edge { src: 0, dst: 0 });
     let fresh = &mut out[old..];
@@ -244,7 +148,7 @@ pub fn read_records<R: Read>(r: &mut R, n: usize, out: &mut Vec<Edge>) -> io::Re
             n * EDGE_RECORD_LEN as usize,
         )
     };
-    if let Err(e) = r.read_exact(bytes) {
+    if let Err(e) = fill(bytes) {
         out.truncate(old);
         return Err(e);
     }
@@ -257,75 +161,6 @@ pub fn read_records<R: Read>(r: &mut R, n: usize, out: &mut Vec<Edge>) -> io::Re
         }
     }
     Ok(())
-}
-
-/// View a v1 record payload as edges without copying, where the layout
-/// allows it (little-endian target, 4-byte aligned — a mapping past the
-/// 24-byte header always is); `None` sends the caller to
-/// [`decode_records`].
-pub fn cast_records(payload: &[u8]) -> Option<&[Edge]> {
-    let aligned = payload.as_ptr().align_offset(std::mem::align_of::<Edge>()) == 0;
-    if cfg!(target_endian = "big") || !aligned {
-        return None;
-    }
-    // SAFETY: `Edge` is `repr(C)`, 8 bytes, valid for every bit pattern; the
-    // pointer is aligned (checked above), the length is rounded down to whole
-    // records, and the result borrows `payload`.
-    Some(unsafe {
-        std::slice::from_raw_parts(
-            payload.as_ptr().cast::<Edge>(),
-            payload.len() / EDGE_RECORD_LEN as usize,
-        )
-    })
-}
-
-/// Append the records of `payload` to `out` (the portable bulk parse).
-pub fn decode_records(payload: &[u8], out: &mut Vec<Edge>) {
-    out.extend(
-        payload
-            .chunks_exact(EDGE_RECORD_LEN as usize)
-            .map(|rec| Edge {
-                src: u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]),
-                dst: u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]),
-            }),
-    );
-}
-
-impl EdgeStream for BinaryEdgeFile {
-    fn reset(&mut self) -> io::Result<()> {
-        self.file
-            .seek(SeekFrom::Start(HEADER_LEN + self.start * EDGE_RECORD_LEN))?;
-        self.next = self.start;
-        self.buf.clear();
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        if self.pos == self.buf.len() && !self.refill()? {
-            return Ok(None);
-        }
-        let e = self.buf[self.pos];
-        self.pos += 1;
-        Ok(Some(e))
-    }
-
-    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
-        if self.pos == self.buf.len() {
-            self.refill()?;
-        }
-        let run = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        Ok(run)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.end - self.start)
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        Some(self.info.num_vertices)
-    }
 }
 
 /// `EMFILE` — "too many open files" for this process — on Linux, macOS and
@@ -444,12 +279,22 @@ impl PartitionFileWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::for_each_edge;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tps-binfmt-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Read a v1 file back through the header check and one record read.
+    fn read_back(path: &Path) -> io::Result<(GraphInfo, Vec<Edge>)> {
+        let mut file = File::open(path)?;
+        let info = read_checked_header(&mut file)?;
+        let mut edges = Vec::new();
+        read_records(info.num_edges as usize, &mut edges, |bytes| {
+            file.read_exact(bytes)
+        })?;
+        Ok((info, edges))
     }
 
     #[test]
@@ -459,32 +304,34 @@ mod tests {
         let edges = vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(4, 0)];
         let info = write_binary_edge_list(&path, 5, edges.clone()).unwrap();
         assert_eq!(info.num_edges, 3);
-
-        let mut f = BinaryEdgeFile::open(&path).unwrap();
         assert_eq!(
-            f.info(),
-            GraphInfo {
-                num_vertices: 5,
-                num_edges: 3
-            }
+            read_back(&path).unwrap(),
+            (
+                GraphInfo {
+                    num_vertices: 5,
+                    num_edges: 3
+                },
+                edges
+            )
         );
-        let mut seen = Vec::new();
-        for_each_edge(&mut f, |e| seen.push(e)).unwrap();
-        assert_eq!(seen, edges);
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Re-reading the records from the first one, in blocks as a cursor
+    /// does, yields the one-read pass again.
     #[test]
     fn multi_pass_identical() {
         let dir = tmpdir("multipass");
         let path = dir.join("g.bel");
         let edges: Vec<Edge> = (0..100).map(|i| Edge::new(i, (i * 7 + 1) % 128)).collect();
         write_binary_edge_list(&path, 128, edges.clone()).unwrap();
-        let mut f = BinaryEdgeFile::open(&path).unwrap();
-        let mut p1 = Vec::new();
-        for_each_edge(&mut f, |e| p1.push(e)).unwrap();
+        let (_, p1) = read_back(&path).unwrap();
+        let mut file = File::open(&path).unwrap();
+        file.seek(SeekFrom::Start(HEADER_LEN)).unwrap();
         let mut p2 = Vec::new();
-        for_each_edge(&mut f, |e| p2.push(e)).unwrap();
+        for block in [32, 32, 32, 4] {
+            read_records(block, &mut p2, |bytes| file.read_exact(bytes)).unwrap();
+        }
         assert_eq!(p1, edges);
         assert_eq!(p1, p2);
         std::fs::remove_dir_all(&dir).ok();
@@ -495,7 +342,8 @@ mod tests {
         let dir = tmpdir("badmagic");
         let path = dir.join("bad.bel");
         std::fs::write(&path, b"NOTMAGIC________________").unwrap();
-        assert!(BinaryEdgeFile::open(&path).is_err());
+        let err = read_back(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -504,11 +352,16 @@ mod tests {
         let dir = tmpdir("empty");
         let path = dir.join("e.bel");
         write_binary_edge_list(&path, 0, std::iter::empty()).unwrap();
-        let mut f = BinaryEdgeFile::open(&path).unwrap();
-        assert_eq!(f.next_edge().unwrap(), None);
+        let (info, edges) = read_back(&path).unwrap();
+        assert_eq!(info.num_edges, 0);
+        assert!(edges.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A record read copies a payload into the (aligned) edge buffer, so
+    /// a payload at a misaligned address reads like an aligned one — no
+    /// in-place view of the bytes is ever taken — and a short read is
+    /// refused, leaving the buffer as it was.
     #[test]
     fn record_views_agree_and_refuse_a_misaligned_payload() {
         let edges: Vec<Edge> = (0..9).map(|i| Edge::new(i * 3, u32::MAX - i)).collect();
@@ -518,9 +371,10 @@ mod tests {
             payload.extend_from_slice(&e.dst.to_le_bytes());
         }
         let mut read = Vec::new();
-        read_records(&mut &payload[..], edges.len(), &mut read).unwrap();
+        read_records(edges.len(), &mut read, |b| (&payload[..]).read_exact(b)).unwrap();
         assert_eq!(read, edges);
-        assert!(read_records(&mut &payload[..], edges.len() + 1, &mut read).is_err());
+        let short = read_records(edges.len() + 1, &mut read, |b| (&payload[..]).read_exact(b));
+        assert!(short.is_err());
         assert_eq!(read, edges, "a short read leaves the buffer as it was");
 
         // The same payload twice in one buffer: once 4-byte aligned, once
@@ -531,28 +385,14 @@ mod tests {
         buf[aligned..][..payload.len()].copy_from_slice(&payload);
         buf[misaligned..][..payload.len()].copy_from_slice(&payload);
         for at in [aligned, misaligned] {
-            let mut decoded = Vec::new();
-            decode_records(&buf[at..][..payload.len()], &mut decoded);
-            assert_eq!(decoded, edges);
+            let mut copied = Vec::new();
+            read_records(edges.len(), &mut copied, |b| {
+                b.copy_from_slice(&buf[at..][..payload.len()]);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(copied, edges);
         }
-        assert_eq!(cast_records(&buf[misaligned..][..payload.len()]), None);
-        let cast = cast_records(&buf[aligned..][..payload.len()]);
-        if cfg!(target_endian = "little") {
-            assert_eq!(cast, Some(&edges[..]));
-        } else {
-            assert_eq!(cast, None);
-        }
-    }
-
-    #[test]
-    fn pass_bytes_accounts_header_and_records() {
-        let dir = tmpdir("bytes");
-        let path = dir.join("g.bel");
-        write_binary_edge_list(&path, 4, (0..10).map(|i| Edge::new(i % 4, (i + 1) % 4))).unwrap();
-        let f = BinaryEdgeFile::open(&path).unwrap();
-        assert_eq!(f.pass_bytes(), 24 + 10 * 8);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), f.pass_bytes());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -566,9 +406,8 @@ mod tests {
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].1, 1);
         assert_eq!(parts[1].1, 2);
-        let mut f = BinaryEdgeFile::open(&parts[1].0).unwrap();
-        let mut seen = Vec::new();
-        for_each_edge(&mut f, |e| seen.push(e)).unwrap();
+        let (info, seen) = read_back(&parts[1].0).unwrap();
+        assert_eq!(info.num_vertices, 6);
         assert_eq!(seen, vec![Edge::new(2, 3), Edge::new(4, 5)]);
         std::fs::remove_dir_all(&dir).ok();
     }

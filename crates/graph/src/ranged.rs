@@ -36,6 +36,17 @@ pub trait RangedEdgeSource: Sync {
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>>;
 }
 
+/// A borrowed source is a source, so `&S` can be boxed where a
+/// `Box<dyn RangedEdgeSource>` is expected.
+impl<S: RangedEdgeSource + ?Sized> RangedEdgeSource for &S {
+    fn info(&self) -> GraphInfo {
+        (**self).info()
+    }
+    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
+        (**self).open_range(start, end)
+    }
+}
+
 /// Validate a requested range against the source's edge count.
 pub fn check_range(start: u64, end: u64, num_edges: u64) -> io::Result<()> {
     if start > end || end > num_edges {

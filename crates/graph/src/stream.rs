@@ -24,8 +24,10 @@
 //! * [`InMemoryGraph`] — a `Vec<Edge>` backed stream. Used by tests, the
 //!   generators and the benchmark harness (the paper itself evaluates with the
 //!   page cache hot, which this models faithfully).
-//! * [`formats::binary::BinaryEdgeFile`](crate::formats::binary) — the
-//!   on-disk binary edge list, read a block of records at a time.
+//! * `tps_io::RangedFile`'s cursor — the on-disk edge lists (the
+//!   [`formats::binary`](crate::formats::binary) v1 layout and the
+//!   compressed TPSBEL2 one), read a block at a time through a file handle
+//!   or a mapping; `tps_io::open_edge_stream` opens one.
 //! * `tps_storage::DeviceStream` — a throttled, virtual-clock device model.
 
 use std::io;

@@ -4,12 +4,13 @@
 //! linear run-time; this crate makes the storage side real. Everything is a
 //! [`tps_graph::stream::EdgeStream`], so partitioners stay oblivious:
 //!
-//! * [`ranged`] — the readers: range-addressable sources over both formats
-//!   and the three [`ReaderBackend`]s. Every shard of a run opens its own
-//!   cursor over a contiguous edge-index range (v1 record seeking, v2
-//!   chunk-index scheduling), and a whole file is range `0..|E|`; a v2
-//!   source retains each range it has decoded once, under the decode
-//!   budget — the one decode cache.
+//! * [`ranged`] — the reader: [`RangedFile`], one range-addressable source
+//!   over both formats, whose one cursor type decodes v1 record blocks or
+//!   v2 chunks out of a file handle or a mapping. Every shard of a run
+//!   opens its own cursor over a contiguous edge-index range, and a whole
+//!   file is range `0..|E|`; the three [`ReaderBackend`]s pick the bytes
+//!   and the wrappers, and a v2 source retains each range it has decoded
+//!   once, under the decode budget — the one decode cache.
 //! * [`mmap`] — the read-only memory mapping behind the `mmap` backend.
 //! * [`v2`] — the `TPSBEL2` compressed chunked format: varint-encoded
 //!   edges in checksummed chunks with a seekable index footer, plus
@@ -47,10 +48,9 @@ use tps_graph::stream::EdgeStream;
 pub use partread::{load_partition_dir, LoadedPartition};
 
 pub use page::{FilePageStore, TempPageStoreProvider};
-pub use prefetch::{ChunkSource, PrefetchConfig, PrefetchReader};
+pub use prefetch::PrefetchReader;
 pub use ranged::{
-    open_ranged, open_ranged_backend, RangedMmapV1File, RangedMmapV2File, RangedPrefetchSource,
-    RangedV1File, RangedV2File, RetainingSource,
+    open_ranged, open_ranged_backend, RangedFile, RangedPrefetchSource, RetainingSource,
 };
 /// How to read an edge file from disk: `buffered` (plain sequential reads,
 /// the lowest memory), `mmap` (decode in place out of a read-only mapping;
@@ -168,6 +168,71 @@ mod tests {
         }
         std::fs::remove_file(&v1_path).ok();
         std::fs::remove_file(&v2_path).ok();
+    }
+
+    /// A v1 file round-trips on every backend, pass after pass, and a range
+    /// of it reads its slice; an empty file has one empty pass.
+    #[test]
+    fn v1_files_round_trip_on_every_backend() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let path = dir.join(format!("tps-io-v1-rt-{pid}.bel"));
+        let empty = dir.join(format!("tps-io-v1-empty-{pid}.bel"));
+        // Three v1 blocks and a partial fourth.
+        let n = 3 * tps_graph::stream::CHUNK_EDGES as u32 + 77;
+        let edges: Vec<Edge> = (0..n)
+            .map(|i| Edge::new(i % 700, (i * 7 + 1) % 1024))
+            .collect();
+        write_binary_edge_list(&path, 1024, edges.iter().copied()).unwrap();
+        write_binary_edge_list(&empty, 0, std::iter::empty()).unwrap();
+        for backend in ReaderBackend::ALL {
+            let mut s = open_edge_stream(&path, backend).unwrap();
+            for pass in 0..2 {
+                let mut seen = Vec::new();
+                for_each_edge(&mut s, |e| seen.push(e)).unwrap();
+                assert_eq!(seen, edges, "{backend:?} pass {pass}");
+            }
+            let source = open_ranged_backend(&path, backend).unwrap();
+            let (a, b) = (8_000, 20_000);
+            let mut seen = Vec::new();
+            for_each_edge(&mut *source.open_range(a, b).unwrap(), |e| seen.push(e)).unwrap();
+            assert_eq!(seen, &edges[a as usize..b as usize], "{backend:?}");
+            assert!(source.open_range(0, n as u64 + 1).is_err(), "{backend:?}");
+            assert!(source.open_range(b, a).is_err(), "{backend:?}");
+
+            let mut s = open_edge_stream(&empty, backend).unwrap();
+            assert_eq!(s.len_hint(), Some(0), "{backend:?}");
+            assert_eq!(s.next_edge().unwrap(), None, "{backend:?}");
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&empty).ok();
+    }
+
+    /// A v1 header whose edge count the file does not hold — cut payload,
+    /// or a count whose byte size overflows — is refused at open by every
+    /// backend.
+    #[test]
+    fn v1_headers_are_checked_at_open_on_every_backend() {
+        let path = std::env::temp_dir().join(format!("tps-io-v1-hdr-{}.bel", std::process::id()));
+        write_binary_edge_list(&path, 8, (0..10u32).map(|i| Edge::new(i % 8, 7))).unwrap();
+        let intact = std::fs::read(&path).unwrap();
+        let mut oversized = intact.clone();
+        oversized[16..24].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        let cases = [
+            (
+                intact[..intact.len() - 3].to_vec(),
+                io::ErrorKind::UnexpectedEof,
+            ),
+            (oversized, io::ErrorKind::InvalidData),
+        ];
+        for (bytes, kind) in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            for backend in ReaderBackend::ALL {
+                let err = open_edge_stream(&path, backend).err().expect("must fail");
+                assert_eq!(err.kind(), kind, "{backend:?}: {err}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The read-only memory mapping behind the `mmap` reader backend.
 //!
-//! [`Mmap`] maps a whole edge file so its cursors
-//! (`crate::ranged::{RangedMmapV1File, RangedMmapV2File}`) serve edges
-//! straight out of the page cache: no read syscalls, no copy into a user
-//! buffer (v1 records are lent in place), and `reset` is a cursor
-//! assignment.
+//! [`Mmap`] maps a whole edge file so the cursors of a mapped
+//! [`RangedFile`](crate::ranged::RangedFile) decode straight out of the page
+//! cache: no read syscalls and no byte staging buffer, one mapping shared
+//! by every cursor.
 //!
 //! The mapping is done with a tiny private `mmap(2)` FFI binding — the
 //! workspace builds offline with no `libc`/`memmap2` crates, and the three
@@ -13,10 +12,6 @@
 
 use std::fs::File;
 use std::io;
-
-use tps_graph::formats::binary::{cast_records, decode_records, EDGE_RECORD_LEN, HEADER_LEN};
-use tps_graph::stream::CHUNK_EDGES;
-use tps_graph::types::Edge;
 
 #[cfg(unix)]
 mod sys {
@@ -135,58 +130,15 @@ impl Drop for Mmap {
     }
 }
 
-/// Decode the edge at record index `i` of a raw edge payload.
-#[inline]
-pub(crate) fn edge_at(payload: &[u8], i: usize) -> Edge {
-    let off = i * EDGE_RECORD_LEN as usize;
-    let rec: [u8; 8] = payload[off..off + 8].try_into().expect("record in bounds");
-    Edge {
-        src: u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]),
-        dst: u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]),
-    }
-}
-
-/// The `num_edges` records past the header of a mapped v1 file whose length
-/// [`check_payload_len`] accepted.
-pub(crate) fn v1_payload(file: &[u8], num_edges: u64) -> &[u8] {
-    let start = HEADER_LEN as usize;
-    &file[start..start + (num_edges * EDGE_RECORD_LEN) as usize]
-}
-
-/// Lend the run of at most [`CHUNK_EDGES`] records of a v1 `payload` that
-/// starts at record `*pos`, advancing `*pos` past it (never past `end`): the
-/// mapped bytes themselves where their layout is an edge slice, else decoded
-/// into `scratch`.
-pub(crate) fn lend_records<'a>(
-    payload: &'a [u8],
-    pos: &mut u64,
-    end: u64,
-    scratch: &'a mut Vec<Edge>,
-) -> &'a [Edge] {
-    let from = *pos as usize;
-    let to = (end as usize).min(from + CHUNK_EDGES);
-    *pos = to as u64;
-    let rec = EDGE_RECORD_LEN as usize;
-    let bytes = &payload[from * rec..to * rec];
-    match cast_records(bytes) {
-        Some(edges) => edges,
-        None => {
-            scratch.clear();
-            decode_records(bytes, scratch);
-            scratch
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranged::RangedMmapV1File;
+    use crate::ranged::RangedFile;
     use std::path::PathBuf;
     use tps_graph::formats::binary::{write_binary_edge_list, MAGIC};
     use tps_graph::ranged::RangedEdgeSource;
     use tps_graph::stream::for_each_edge;
-    use tps_graph::types::GraphInfo;
+    use tps_graph::types::{Edge, GraphInfo};
 
     fn tmpfile(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("tps-io-mmap-{tag}-{}.bel", std::process::id()))
@@ -199,7 +151,7 @@ mod tests {
             .map(|i| Edge::new(i, (i * 31 + 7) % 2048))
             .collect();
         write_binary_edge_list(&path, 2048, edges.iter().copied()).unwrap();
-        let src = RangedMmapV1File::open(&path).unwrap();
+        let src = RangedFile::map(&path).unwrap();
         assert_eq!(
             src.info(),
             GraphInfo {
@@ -223,7 +175,7 @@ mod tests {
         let path = tmpfile("random");
         let edges: Vec<Edge> = (0..64).map(|i| Edge::new(i * 3, i * 5 + 1)).collect();
         write_binary_edge_list(&path, 1024, edges.iter().copied()).unwrap();
-        let src = RangedMmapV1File::open(&path).unwrap();
+        let src = RangedFile::map(&path).unwrap();
         for (i, &e) in edges.iter().enumerate().rev() {
             let mut one = src.open_range(i as u64, i as u64 + 1).unwrap();
             assert_eq!(one.next_edge().unwrap(), Some(e));
@@ -236,7 +188,7 @@ mod tests {
     fn rejects_bad_magic_and_truncation() {
         let path = tmpfile("bad");
         std::fs::write(&path, b"NOTMAGIC________________").unwrap();
-        assert!(RangedMmapV1File::open(&path).is_err());
+        assert!(RangedFile::map(&path).is_err());
 
         // Valid header promising more edges than the file holds.
         let mut bytes = Vec::new();
@@ -245,7 +197,7 @@ mod tests {
         bytes.extend_from_slice(&100u64.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 16]); // only 2 edges present
         std::fs::write(&path, &bytes).unwrap();
-        let err = RangedMmapV1File::open(&path)
+        let err = RangedFile::map(&path)
             .err()
             .expect("truncated file must fail");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
@@ -256,7 +208,7 @@ mod tests {
     fn empty_graph_maps_fine() {
         let path = tmpfile("empty");
         write_binary_edge_list(&path, 0, std::iter::empty()).unwrap();
-        let src = RangedMmapV1File::open(&path).unwrap();
+        let src = RangedFile::map(&path).unwrap();
         let mut m = src.open_range(0, 0).unwrap();
         assert_eq!(m.next_edge().unwrap(), None);
         std::fs::remove_file(&path).ok();

@@ -3,17 +3,17 @@
 //! `tps partition --out DIR` (and the dist coordinator) materialise one
 //! standard v1 `.bel` file per partition, named `<stem>.part<i>.bel`. The
 //! serving daemon starts from exactly these files: this module discovers
-//! them, streams every edge back with its partition id, and reconstructs
-//! the vertex→partition replication matrix — the read-side inputs of
-//! `tps-serve`'s packed tables.
+//! them and streams every edge back with its partition id — the read-side
+//! input of `tps-serve`'s packed tables.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use tps_graph::formats::binary::BinaryEdgeFile;
-use tps_graph::stream::EdgeStream;
+use tps_graph::formats::binary::named;
+use tps_graph::stream::for_each_chunk;
 use tps_graph::types::{Edge, PartitionId};
-use tps_metrics::bitmatrix::ReplicationMatrix;
+
+use crate::{open_edge_stream, ReaderBackend};
 
 /// A partitioning read back from a `--out` directory.
 #[derive(Clone, Debug)]
@@ -34,17 +34,6 @@ impl LoadedPartition {
     /// Total edge count.
     pub fn num_edges(&self) -> u64 {
         self.assignments.len() as u64
-    }
-
-    /// Reconstruct the vertex→partition replication bit matrix from the
-    /// loaded assignments.
-    pub fn replication_matrix(&self) -> ReplicationMatrix {
-        let mut m = ReplicationMatrix::new(self.num_vertices, self.k);
-        for &(e, p) in &self.assignments {
-            m.set(e.src, p);
-            m.set(e.dst, p);
-        }
-        m
     }
 }
 
@@ -104,7 +93,8 @@ pub fn load_partition_dir(dir: &Path) -> io::Result<LoadedPartition> {
     let mut assignments = Vec::new();
     let mut part_counts = Vec::with_capacity(k as usize);
     for (idx, _, path) in &found {
-        let mut file = BinaryEdgeFile::open(path)?;
+        let mut file =
+            open_edge_stream(path, ReaderBackend::Buffered).map_err(|e| named(path, e))?;
         let nv = file
             .num_vertices_hint()
             .ok_or_else(|| bad(format!("{} has no vertex count", path.display())))?;
@@ -117,9 +107,10 @@ pub fn load_partition_dir(dir: &Path) -> io::Result<LoadedPartition> {
             )));
         }
         let before = assignments.len();
-        while let Some(e) = file.next_edge()? {
-            assignments.push((e, *idx));
-        }
+        for_each_chunk(&mut file, |run| {
+            assignments.extend(run.iter().map(|&e| (e, *idx)));
+            Ok(())
+        })?;
         part_counts.push((assignments.len() - before) as u64);
     }
     Ok(LoadedPartition {
@@ -172,11 +163,6 @@ mod tests {
         want.sort_unstable_by_key(key);
         got.sort_unstable_by_key(key);
         assert_eq!(want, got);
-        // The matrix covers both endpoints of every edge.
-        let m = loaded.replication_matrix();
-        for &(e, p) in &edges {
-            assert!(m.get(e.src, p) && m.get(e.dst, p));
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

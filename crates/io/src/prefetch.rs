@@ -6,13 +6,12 @@
 //! partitioner consumes the previous chunk, so a pass costs
 //! `max(io_time, cpu_time)` plus one chunk of latency.
 //!
-//! Buffers cycle between the two threads (classic double buffering — the
-//! default is 2 in-flight chunks, configurable): the consumer returns a
-//! drained chunk to the worker instead of allocating, so steady-state
-//! memory is `buffers × chunk_edges × 8` bytes regardless of graph size.
+//! Two buffers of 64 Ki edges cycle between the two threads (classic double
+//! buffering): the consumer returns a drained chunk to the worker instead of
+//! allocating, so steady-state memory is 1 MiB regardless of graph size.
 //!
-//! Any [`ChunkSource`] can feed the worker; the `prefetch` reader backend
-//! feeds it one range cursor of a file (`crate::ranged::RangedPrefetchSource`).
+//! The worker reads any owned [`EdgeStream`]; the `prefetch` reader backend
+//! hands it one range cursor of a file (`crate::ranged::RangedPrefetchSource`).
 //! `reset` is a generation bump: stale chunks from an abandoned pass are
 //! recycled on receipt (and a `reset` before the first read keeps the pass
 //! in flight), so multi-pass algorithms (the 2PS-L degree / clustering /
@@ -24,41 +23,14 @@ use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 
 use tps_graph::stream::EdgeStream;
-use tps_graph::types::{Edge, GraphInfo};
+use tps_graph::types::Edge;
 
-/// A resettable producer of edge chunks, consumed from a worker thread.
-pub trait ChunkSource: Send {
-    /// Rewind to the start of the stream.
-    fn reset(&mut self) -> io::Result<()>;
+/// Edges per chunk buffer (a fill may overshoot it by less than one of the
+/// stream's own runs).
+const PREFETCH_EDGES: usize = 1 << 16;
 
-    /// Fill `buf` (already cleared) with up to `max_edges` edges.
-    /// Returns the number of edges produced; 0 means end of pass.
-    fn fill_chunk(&mut self, buf: &mut Vec<Edge>, max_edges: usize) -> io::Result<usize>;
-
-    /// Graph summary, if known.
-    fn info(&self) -> Option<GraphInfo> {
-        None
-    }
-}
-
-/// Tuning knobs for [`PrefetchReader`].
-#[derive(Clone, Copy, Debug)]
-pub struct PrefetchConfig {
-    /// Edges per chunk buffer (a fill may overshoot it by less than one of
-    /// the source's own runs).
-    pub chunk_edges: usize,
-    /// Buffers cycling between worker and consumer (≥ 2 for overlap).
-    pub buffers: usize,
-}
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        PrefetchConfig {
-            chunk_edges: 1 << 16,
-            buffers: 2,
-        }
-    }
-}
+/// Buffers cycling between the worker and the consumer.
+const BUFFERS: usize = 2;
 
 enum Cmd {
     /// Start (or restart) a pass at the given generation.
@@ -73,15 +45,33 @@ struct Msg {
     payload: io::Result<Option<Vec<Edge>>>,
 }
 
-fn worker_loop<S: ChunkSource>(
-    mut source: S,
-    cfg: PrefetchConfig,
+/// Append the stream's next runs to `buf` until it holds `PREFETCH_EDGES`
+/// or the pass ends. A lent run is taken whole.
+fn fill(
+    stream: &mut dyn EdgeStream,
+    buf: &mut Vec<Edge>,
+    scratch: &mut Vec<Edge>,
+) -> io::Result<()> {
+    while buf.len() < PREFETCH_EDGES {
+        let run = stream.next_chunk(scratch)?;
+        if run.is_empty() {
+            break;
+        }
+        buf.extend_from_slice(run);
+    }
+    Ok(())
+}
+
+fn worker_loop(
+    mut stream: Box<dyn EdgeStream + Send>,
     cmd_rx: Receiver<Cmd>,
     data_tx: Sender<Msg>,
 ) {
-    let mut pool: Vec<Vec<Edge>> = (0..cfg.buffers.max(2))
-        .map(|_| Vec::with_capacity(cfg.chunk_edges))
+    let mut pool: Vec<Vec<Edge>> = (0..BUFFERS)
+        .map(|_| Vec::with_capacity(PREFETCH_EDGES))
         .collect();
+    // For a stream without a bulk read of its own; the file cursors lend.
+    let mut scratch = Vec::new();
     let mut pending: Option<u64> = None;
     loop {
         let generation = match pending.take() {
@@ -95,7 +85,7 @@ fn worker_loop<S: ChunkSource>(
                 Err(_) => return, // consumer dropped
             },
         };
-        if let Err(e) = source.reset() {
+        if let Err(e) = stream.reset() {
             let _ = data_tx.send(Msg {
                 generation,
                 payload: Err(e),
@@ -118,8 +108,8 @@ fn worker_loop<S: ChunkSource>(
                 }
             };
             buf.clear();
-            match source.fill_chunk(&mut buf, cfg.chunk_edges) {
-                Ok(0) => {
+            match fill(&mut *stream, &mut buf, &mut scratch) {
+                Ok(()) if buf.is_empty() => {
                     pool.push(buf);
                     let _ = data_tx.send(Msg {
                         generation,
@@ -127,7 +117,7 @@ fn worker_loop<S: ChunkSource>(
                     });
                     break 'pass;
                 }
-                Ok(_) => {
+                Ok(()) => {
                     if data_tx
                         .send(Msg {
                             generation,
@@ -161,7 +151,7 @@ fn worker_loop<S: ChunkSource>(
     }
 }
 
-/// A background-thread prefetching [`EdgeStream`] over any [`ChunkSource`].
+/// A background-thread prefetching [`EdgeStream`] over an owned stream.
 pub struct PrefetchReader {
     cmd_tx: Option<Sender<Cmd>>,
     data_rx: Receiver<Msg>,
@@ -173,18 +163,20 @@ pub struct PrefetchReader {
     /// Nothing of the pass in flight has been read yet, so a `reset` may
     /// keep it instead of restarting the worker.
     fresh: bool,
-    info: Option<GraphInfo>,
+    len_hint: Option<u64>,
+    num_vertices_hint: Option<u64>,
 }
 
 impl PrefetchReader {
-    /// Spawn the worker over `source` and begin prefetching the first pass.
-    pub fn new<S: ChunkSource + 'static>(source: S, cfg: PrefetchConfig) -> Self {
-        let info = source.info();
+    /// Move `stream` onto a worker thread and begin prefetching its first
+    /// pass.
+    pub fn new(stream: Box<dyn EdgeStream + Send>) -> Self {
+        let (len_hint, num_vertices_hint) = (stream.len_hint(), stream.num_vertices_hint());
         let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
         let (data_tx, data_rx) = std::sync::mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("tps-io-prefetch".into())
-            .spawn(move || worker_loop(source, cfg, cmd_rx, data_tx))
+            .spawn(move || worker_loop(stream, cmd_rx, data_tx))
             .expect("spawn prefetch worker");
         let _ = cmd_tx.send(Cmd::Start(0));
         PrefetchReader {
@@ -196,7 +188,8 @@ impl PrefetchReader {
             pos: 0,
             pass_done: false,
             fresh: true,
-            info,
+            len_hint,
+            num_vertices_hint,
         }
     }
 
@@ -244,11 +237,11 @@ impl EdgeStream for PrefetchReader {
     }
 
     fn len_hint(&self) -> Option<u64> {
-        self.info.map(|i| i.num_edges)
+        self.len_hint
     }
 
     fn num_vertices_hint(&self) -> Option<u64> {
-        self.info.map(|i| i.num_vertices)
+        self.num_vertices_hint
     }
 }
 
@@ -314,11 +307,11 @@ impl Drop for PrefetchReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranged::{RangedPrefetchSource, RangedV1File, RangedV2File};
+    use crate::ranged::{RangedFile, RangedPrefetchSource};
     use std::path::PathBuf;
     use tps_graph::formats::binary as v1;
     use tps_graph::ranged::RangedEdgeSource;
-    use tps_graph::stream::for_each_edge;
+    use tps_graph::stream::{for_each_edge, InMemoryGraph};
 
     fn tmpfile(tag: &str, ext: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -333,24 +326,48 @@ mod tests {
             .collect()
     }
 
-    /// A v1 file of `es` behind a prefetch thread configured with `cfg`.
-    fn v1_source(path: &PathBuf, es: &[Edge], cfg: PrefetchConfig) -> impl RangedEdgeSource {
-        v1::write_binary_edge_list(path, 4096, es.iter().copied()).unwrap();
-        RangedPrefetchSource::with_config(RangedV1File::open(path).unwrap(), cfg)
+    /// A stream with no bulk read of its own: the worker fills its blocks
+    /// one edge at a time through the default `next_chunk`.
+    struct PerEdge(InMemoryGraph);
+
+    impl EdgeStream for PerEdge {
+        fn reset(&mut self) -> io::Result<()> {
+            self.0.reset()
+        }
+        fn next_edge(&mut self) -> io::Result<Option<Edge>> {
+            self.0.next_edge()
+        }
+        fn len_hint(&self) -> Option<u64> {
+            self.0.len_hint()
+        }
+        fn num_vertices_hint(&self) -> Option<u64> {
+            self.0.num_vertices_hint()
+        }
+    }
+
+    /// Several blocks' worth of edges behind a prefetch thread.
+    fn prefetched(es: &[Edge]) -> PrefetchReader {
+        let graph = InMemoryGraph::with_num_vertices(es.to_vec(), 4096);
+        PrefetchReader::new(Box::new(PerEdge(graph)))
     }
 
     #[test]
     fn v1_prefetch_matches_file_order_across_passes() {
         let path = tmpfile("v1", "bel");
         let es = edges(50_000);
-        let cfg = PrefetchConfig {
-            chunk_edges: 777,
-            buffers: 3,
-        };
-        let src = v1_source(&path, &es, cfg);
+        v1::write_binary_edge_list(&path, 4096, es.iter().copied()).unwrap();
+        let src = RangedPrefetchSource::new(RangedFile::read(&path).unwrap());
         let mut r = src.open_range(0, 50_000).unwrap();
         assert_eq!(r.len_hint(), Some(50_000));
         assert_eq!(r.num_vertices_hint(), Some(4096));
+        for _pass in 0..3 {
+            let mut seen = Vec::new();
+            for_each_edge(&mut r, |e| seen.push(e)).unwrap();
+            assert_eq!(seen, es);
+        }
+        // And over a stream that spans several blocks.
+        let es = edges(3 * PREFETCH_EDGES as u32 + 777);
+        let mut r = prefetched(&es);
         for _pass in 0..3 {
             let mut seen = Vec::new();
             for_each_edge(&mut r, |e| seen.push(e)).unwrap();
@@ -364,7 +381,7 @@ mod tests {
         let path = tmpfile("v2", "bel2");
         let es = edges(20_000);
         crate::v2::write_v2_edge_list(&path, 4096, es.iter().copied(), 1000).unwrap();
-        let src = RangedPrefetchSource::new(RangedV2File::open(&path).unwrap());
+        let src = RangedPrefetchSource::new(RangedFile::read(&path).unwrap());
         let mut r = src.open_range(0, 20_000).unwrap();
         assert_eq!(r.num_vertices_hint(), Some(4096));
         let mut seen = Vec::new();
@@ -375,17 +392,12 @@ mod tests {
 
     #[test]
     fn reset_mid_pass_restarts_cleanly() {
-        let path = tmpfile("midreset", "bel");
-        let es = edges(10_000);
-        let cfg = PrefetchConfig {
-            chunk_edges: 64,
-            buffers: 2,
-        };
-        let src = v1_source(&path, &es, cfg);
-        let mut r = src.open_range(0, 10_000).unwrap();
-        // Consume a fragment of the first pass, then reset repeatedly.
-        for _ in 0..3 {
-            for _ in 0..100 {
+        let es = edges(3 * PREFETCH_EDGES as u32 + 100);
+        let mut r = prefetched(&es);
+        // Consume a fragment of the first pass, then reset repeatedly —
+        // once in the first block, once in a later one.
+        for skip in [100, 100, PREFETCH_EDGES + 5] {
+            for _ in 0..skip {
                 r.next_edge().unwrap().expect("stream too short");
             }
             r.reset().unwrap();
@@ -393,28 +405,21 @@ mod tests {
         let mut seen = Vec::new();
         for_each_edge(&mut r, |e| seen.push(e)).unwrap();
         assert_eq!(seen, es);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_stream_yields_nothing() {
-        let path = tmpfile("empty", "bel");
-        let src = v1_source(&path, &[], PrefetchConfig::default());
-        let mut r = src.open_range(0, 0).unwrap();
+        let mut r = prefetched(&[]);
+        assert_eq!(r.len_hint(), Some(0));
         assert_eq!(r.next_edge().unwrap(), None);
         r.reset().unwrap();
         assert_eq!(r.next_edge().unwrap(), None);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn drop_mid_pass_does_not_hang() {
-        let path = tmpfile("drop", "bel");
-        let es = edges(30_000);
-        let src = v1_source(&path, &es, PrefetchConfig::default());
-        let mut r = src.open_range(0, 30_000).unwrap();
+        let mut r = prefetched(&edges(3 * PREFETCH_EDGES as u32));
         r.next_edge().unwrap();
         drop(r); // must join the worker without deadlock
-        std::fs::remove_file(&path).ok();
     }
 }

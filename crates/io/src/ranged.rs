@@ -1,61 +1,63 @@
-//! Range-addressable file sources: every file input is read through one of
-//! these, the whole file being range `0..|E|`.
+//! Range-addressable file sources: every file input is read through one
+//! [`RangedFile`], the whole file being range `0..|E|`.
 //!
-//! Implements [`RangedEdgeSource`] (see `tps_graph::ranged`) for both
-//! on-disk formats, so `tps-core`'s shards each open an independent cursor
-//! over their range and a one-shard run streams the whole file through the
-//! same cursor:
+//! A file is a run of *blocks* that a cursor decodes whole, and the two
+//! on-disk formats differ only in where the blocks lie and how one decodes:
 //!
-//! * **v1** (`TPSBEL1`) — records are fixed-width, so a range `[a, b)` is a
-//!   single seek to `HEADER + 8·a` and a countdown.
+//! * **v1** (`TPSBEL1`) — records are fixed-width, so block `i` is records
+//!   `[i·CHUNK_EDGES, …)`, found by arithmetic and copied straight into the
+//!   cursor's edge buffer.
 //! * **v2** (`TPSBEL2`) — the chunk **index footer** is read once at open
-//!   and a prefix-sum over per-chunk edge counts is kept; a range cursor
-//!   binary-searches the chunk containing its start edge, decodes whole
-//!   chunks (checksums verified once per cursor) and skips the intra-chunk
-//!   prefix. Cursors schedule disjoint chunk ranges off one shared index
-//!   with no coordination. Every v2 backend sits behind a
-//!   [`RetainingSource`]: the first complete pass over a range leaves the
-//!   decoded edges with the source (while they fit the decode budget), and
-//!   every later pass or open of that range reads them from memory.
+//!   and a prefix sum over per-chunk edge counts is kept; block `i` is
+//!   chunk `i`, varint-decoded with its checksum verified once per cursor.
+//!
+//! The bytes come from one file handle (positioned reads, so cursors share
+//! it) or from one shared read-only [`Mmap`]. A range cursor finds the
+//! block holding its start edge, decodes whole blocks and skips the
+//! intra-block prefix; cursors schedule disjoint ranges off the one shared
+//! layout with no coordination. Every v2 backend sits behind a
+//! [`RetainingSource`]: the first complete pass over a range leaves the
+//! decoded edges with the source (while they fit the decode budget), and
+//! every later pass or open of that range reads them from memory.
 //!
 //! Ranges are expressed in *edge indices*, not storage offsets, so a
 //! parallel partitioning run makes identical per-thread decisions whether
 //! the graph lives in memory, in a v1 file or in a v2 file.
 //!
 //! Every source here also implements [`RangedReopen`]: its cursors own
-//! their state (a file handle, or `Arc`s of the mapping, the chunk
-//! directory and the retained ranges), so they outlive the source — which
-//! is how [`crate::open_edge_stream`] hands out a whole-file stream and how
-//! [`RangedPrefetchSource`] moves a cursor onto its background thread
-//! ([`crate::prefetch`]), overlapping chunk decode and disk I/O with
-//! partitioning CPU per worker.
+//! their state (`Arc`s of the open file and of the retained ranges), so
+//! they outlive the source — which is how [`crate::open_edge_stream`] hands
+//! out a whole-file stream and how [`RangedPrefetchSource`] moves a cursor
+//! onto its background thread ([`crate::prefetch`]), overlapping decode and
+//! disk I/O with partitioning CPU per worker.
 //!
 //! [`open_ranged_backend`] is the front door (format sniffing via
 //! [`crate::detect_format`]).
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, BufReader, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::os::unix::fs::FileExt;
+use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use tps_graph::formats::binary::{self as v1, BinaryEdgeFile};
+use tps_graph::formats::binary::{self as v1, EDGE_RECORD_LEN, HEADER_LEN};
 use tps_graph::ranged::{check_range, RangedEdgeSource};
-use tps_graph::stream::{lend_run, EdgeStream};
+use tps_graph::stream::{lend_run, EdgeStream, CHUNK_EDGES};
 use tps_graph::types::{Edge, GraphInfo};
 
 use crate::mmap::Mmap;
-use crate::prefetch::{ChunkSource, PrefetchConfig, PrefetchReader};
+use crate::prefetch::PrefetchReader;
 use crate::v2::{
-    decode_cache_budget, decode_chunk_slice, read_chunk_at, read_layout, ChunkMeta, DecodeCache,
+    decode_cache_budget, decode_chunk, read_layout, ChunkMeta, DecodeCache, CHUNK_HEADER_LEN,
 };
 use crate::{EdgeFileFormat, ReaderBackend};
 
 /// Sources that open *owned* (`'static` + [`Send`]) range cursors: what a
 /// whole-file stream that outlives its source, and a prefetch thread, need.
 pub trait RangedReopen: RangedEdgeSource {
-    /// Open `[start, end)` as an owned stream (fresh file handle, shared
-    /// metadata).
+    /// Open `[start, end)` as an owned stream over the source's shared
+    /// state.
     fn open_range_owned(
         &self,
         start: u64,
@@ -63,99 +65,162 @@ pub trait RangedReopen: RangedEdgeSource {
     ) -> io::Result<Box<dyn EdgeStream + Send + 'static>>;
 }
 
-/// A [`RangedEdgeSource`] over a v1 fixed-width `.bel` file.
-pub struct RangedV1File {
-    path: PathBuf,
-    info: GraphInfo,
+/// Where a file's blocks lie.
+enum Layout {
+    /// `TPSBEL1`: block `i` is records `[i·CHUNK_EDGES, …)` of `num_edges`.
+    V1 { num_edges: u64 },
+    /// `TPSBEL2`: block `i` is chunk `i` of the index footer; `cum[i]` =
+    /// edges in chunks `0..i`, `cum[num_chunks]` = `|E|`.
+    V2 {
+        chunks: Vec<ChunkMeta>,
+        cum: Vec<u64>,
+    },
 }
 
-impl RangedV1File {
-    /// Open `path` and validate the v1 header.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let info = v1::read_checked_header(&mut File::open(&path)?)?;
-        Ok(RangedV1File { path, info })
+impl Layout {
+    fn v2(chunks: Vec<ChunkMeta>) -> Self {
+        let mut cum = vec![0];
+        cum.extend(chunks.iter().scan(0u64, |total, c| {
+            *total += c.edge_count as u64;
+            Some(*total)
+        }));
+        Layout::V2 { chunks, cum }
     }
-}
 
-impl RangedEdgeSource for RangedV1File {
-    fn info(&self) -> GraphInfo {
-        self.info
-    }
-
-    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        Ok(self.open_range_owned(start, end)?)
-    }
-}
-
-impl RangedReopen for RangedV1File {
-    fn open_range_owned(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
-        Ok(Box::new(BinaryEdgeFile::open_range(
-            &self.path, start, end,
-        )?))
-    }
-}
-
-/// A v2 file's chunk directory, shared by the source and all its cursors.
-struct Directory {
-    chunks: Vec<ChunkMeta>,
-    /// `cum[i]` = edges in chunks `0..i`; `cum[num_chunks]` = `|E|`.
-    cum: Vec<u64>,
-}
-
-impl Directory {
-    fn new(chunks: Vec<ChunkMeta>) -> Arc<Self> {
-        let mut cum = Vec::with_capacity(chunks.len() + 1);
-        let mut total = 0u64;
-        cum.push(0);
-        for c in &chunks {
-            total += c.edge_count as u64;
-            cum.push(total);
+    fn blocks(&self) -> usize {
+        match self {
+            Layout::V1 { num_edges } => num_edges.div_ceil(CHUNK_EDGES as u64) as usize,
+            Layout::V2 { chunks, .. } => chunks.len(),
         }
-        Arc::new(Directory { chunks, cum })
     }
 
-    /// The chunk holding edge `start` (`< |E|`), and how many of its edges
+    /// The block holding edge `start` (`< |E|`), and how many of its edges
     /// come before it.
     fn locate(&self, start: u64) -> (usize, usize) {
-        let chunk = self.cum.partition_point(|&c| c <= start) - 1;
-        (chunk, (start - self.cum[chunk]) as usize)
+        match self {
+            Layout::V1 { .. } => {
+                let block = CHUNK_EDGES as u64;
+                ((start / block) as usize, (start % block) as usize)
+            }
+            Layout::V2 { cum, .. } => {
+                let chunk = cum.partition_point(|&c| c <= start) - 1;
+                (chunk, (start - cum[chunk]) as usize)
+            }
+        }
     }
 }
 
-/// A [`RangedEdgeSource`] over a v2 chunked file, scheduling chunk ranges
-/// off the shared index footer.
-pub struct RangedV2File {
-    path: PathBuf,
+/// Where a file's bytes come from.
+enum Bytes {
+    /// Positioned reads through one handle, shared by every cursor.
+    Read(File),
+    /// One read-only mapping of the whole file.
+    Mapped(Mmap),
+}
+
+impl Bytes {
+    /// Fill `buf` with the file's bytes at `offset`.
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        match self {
+            Bytes::Read(file) => file.read_exact_at(buf, offset),
+            Bytes::Mapped(map) => {
+                buf.copy_from_slice(mapped(map, offset, buf.len())?);
+                Ok(())
+            }
+        }
+    }
+
+    /// The `len` bytes at `offset`: lent by the mapping, or read into
+    /// `scratch`.
+    fn view<'a>(
+        &'a self,
+        offset: u64,
+        len: usize,
+        scratch: &'a mut Vec<u8>,
+    ) -> io::Result<&'a [u8]> {
+        match self {
+            Bytes::Read(_) => {
+                // Grow-only: the read overwrites the prefix it uses.
+                if scratch.len() < len {
+                    scratch.resize(len, 0);
+                }
+                self.read_at(&mut scratch[..len], offset)?;
+                Ok(&scratch[..len])
+            }
+            Bytes::Mapped(map) => mapped(map, offset, len),
+        }
+    }
+}
+
+fn mapped(map: &Mmap, offset: u64, len: usize) -> io::Result<&[u8]> {
+    let at = usize::try_from(offset).map_err(|_| io::ErrorKind::UnexpectedEof)?;
+    Ok(map
+        .get(at..at.saturating_add(len))
+        .ok_or(io::ErrorKind::UnexpectedEof)?)
+}
+
+/// An open edge file: what a [`RangedFile`] and all its cursors share.
+struct EdgeFile {
+    path: Arc<Path>,
     info: GraphInfo,
-    dir: Arc<Directory>,
+    layout: Layout,
+    bytes: Bytes,
 }
 
-impl RangedV2File {
-    /// Open `path`, validating header, index and trailer.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let layout = read_layout(&mut File::open(&path)?)?;
-        Ok(RangedV2File {
-            path,
-            info: layout.info,
-            dir: Directory::new(layout.chunks),
-        })
+/// The [`RangedEdgeSource`] over an edge file of either format (sniffed by
+/// magic), read through a file handle or a shared mapping. Cursors over
+/// ranges of it are independent and own their state.
+pub struct RangedFile(Arc<EdgeFile>);
+
+impl RangedFile {
+    /// Open `path`, validating its header (and a v2 file's index and
+    /// trailer); cursors read through one shared file handle.
+    pub fn read<P: AsRef<Path>>(path: P) -> io::Result<Self> {
+        Self::open(path.as_ref(), false)
     }
 
-    /// The chunk directory (shared, read-only — workers schedule off it).
-    pub fn chunks(&self) -> &[ChunkMeta] {
-        &self.dir.chunks
+    /// [`RangedFile::read`], but cursors decode out of one shared read-only
+    /// mapping: no read syscalls, and the kernel's readahead serves
+    /// interleaved cursors (fastest on a warm page cache; Unix only).
+    pub fn map<P: AsRef<Path>>(path: P) -> io::Result<Self> {
+        Self::open(path.as_ref(), true)
+    }
+
+    fn open(path: &Path, map: bool) -> io::Result<Self> {
+        let format = crate::detect_format(path)?;
+        let mut file = File::open(path)?;
+        let (info, layout) = match format {
+            EdgeFileFormat::V1 => {
+                let info = v1::read_checked_header(&mut file)?;
+                let num_edges = info.num_edges;
+                (info, Layout::V1 { num_edges })
+            }
+            EdgeFileFormat::V2 => {
+                let layout = read_layout(&mut file)?;
+                (layout.info, Layout::v2(layout.chunks))
+            }
+        };
+        let bytes = if map {
+            Bytes::Mapped(Mmap::map(&file)?)
+        } else {
+            Bytes::Read(file)
+        };
+        Ok(RangedFile(Arc::new(EdgeFile {
+            path: path.into(),
+            info,
+            layout,
+            bytes,
+        })))
+    }
+
+    fn is_v2(&self) -> bool {
+        matches!(self.0.layout, Layout::V2 { .. })
     }
 }
 
-impl RangedEdgeSource for RangedV2File {
+impl RangedEdgeSource for RangedFile {
     fn info(&self) -> GraphInfo {
-        self.info
+        self.0.info
     }
 
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
@@ -163,103 +228,110 @@ impl RangedEdgeSource for RangedV2File {
     }
 }
 
-impl RangedReopen for RangedV2File {
+impl RangedReopen for RangedFile {
     fn open_range_owned(
         &self,
         start: u64,
         end: u64,
     ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
-        check_range(start, end, self.info.num_edges)?;
-        let mut stream = V2RangeStream {
-            reader: BufReader::with_capacity(1 << 16, File::open(&self.path)?),
-            cursor: ChunkCursor::new(&self.dir, self.info.num_vertices, start, end),
+        check_range(start, end, self.0.info.num_edges)?;
+        let mut cursor = ChunkCursor {
+            verified: vec![false; self.0.layout.blocks()],
+            file: Arc::clone(&self.0),
+            start,
+            end,
+            next_block: 0,
+            skip: 0,
+            emitted: 0,
+            buf: Vec::new(),
+            buf_pos: 0,
             scratch: Vec::new(),
         };
-        stream.reset()?;
-        Ok(Box::new(stream))
+        cursor.rewind();
+        Ok(Box::new(cursor))
     }
 }
 
-fn directory_exhausted() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::UnexpectedEof,
-        "v2 chunk directory exhausted before range end",
-    )
-}
-
-/// Where a cursor over edges `[start, end)` of a v2 file stands: the chunk
-/// it decodes next and the unread part of the one it decoded last. Shared by
-/// the file-backed and the mapped cursor, which differ only in where a
-/// chunk's bytes come from.
+/// The cursor over edges `[start, end)` of an edge file: it decodes whole
+/// blocks into its buffer, lends them, and skips the first block's prefix.
+/// A fresh cursor decodes nothing until it is read. Read errors name the
+/// file: a multi-pass run re-reads it long after opening it.
 struct ChunkCursor {
-    dir: Arc<Directory>,
-    num_vertices: u64,
+    file: Arc<EdgeFile>,
     start: u64,
     end: u64,
-    /// Next chunk index to decode sequentially.
-    next_chunk: usize,
-    /// Edges of the next decoded chunk that lie before the range (nonzero
-    /// only for the first chunk of a pass).
+    /// Next block to decode sequentially.
+    next_block: usize,
+    /// Edges of the next decoded block that lie before the range (nonzero
+    /// only for the first block of a pass).
     skip: usize,
     /// Edges already handed out of this range.
     emitted: u64,
     buf: Vec<Edge>,
     buf_pos: usize,
-    /// Chunks whose checksum this cursor already verified — multi-pass
-    /// consumers (`reset` + re-stream) decode proven chunks checksum-free.
+    /// A v2 chunk's bytes, when they are read rather than mapped.
+    scratch: Vec<u8>,
+    /// Blocks this cursor already decoded once — multi-pass consumers
+    /// (`reset` + re-stream) decode proven v2 chunks checksum-free.
     verified: Vec<bool>,
 }
 
 impl ChunkCursor {
-    fn new(dir: &Arc<Directory>, num_vertices: u64, start: u64, end: u64) -> Self {
-        ChunkCursor {
-            verified: vec![false; dir.chunks.len()],
-            dir: Arc::clone(dir),
-            num_vertices,
-            start,
-            end,
-            next_chunk: 0,
-            skip: 0,
-            emitted: 0,
-            buf: Vec::new(),
-            buf_pos: 0,
-        }
-    }
-
-    /// Start a pass: aim at the chunk containing `start`, to be decoded —
-    /// and its intra-chunk prefix skipped — when the pass first reads.
-    /// Returns that chunk's file offset (`None` for an empty range).
-    fn rewind(&mut self) -> Option<u64> {
+    /// Start a pass: aim at the block containing `start`, to be decoded —
+    /// and its intra-block prefix skipped — when the pass first reads.
+    fn rewind(&mut self) {
         self.emitted = 0;
         self.buf.clear();
         self.buf_pos = 0;
-        if self.start >= self.end {
-            return None;
+        if self.start < self.end {
+            (self.next_block, self.skip) = self.file.layout.locate(self.start);
         }
-        (self.next_chunk, self.skip) = self.dir.locate(self.start);
-        Some(self.dir.chunks[self.next_chunk].offset)
     }
 
-    /// Take up to `max` unread edges of the range out of the decoded chunk,
-    /// decoding the next one with `decode(meta, verify, buf)` when it is
-    /// drained; empty at the range end.
-    fn take_run(
-        &mut self,
-        max: usize,
-        mut decode: impl FnMut(ChunkMeta, bool, &mut Vec<Edge>) -> io::Result<()>,
-    ) -> io::Result<&[Edge]> {
+    /// Decode block `i` into the (empty) buffer: a v1 block's records are
+    /// read straight into it, a v2 chunk is decoded out of its bytes,
+    /// checksum verified if `verify`.
+    fn decode(&mut self, i: usize, verify: bool) -> io::Result<()> {
+        let file = &*self.file;
+        match &file.layout {
+            Layout::V1 { num_edges } => {
+                let first = i as u64 * CHUNK_EDGES as u64;
+                let n = (num_edges - first).min(CHUNK_EDGES as u64) as usize;
+                let offset = HEADER_LEN + first * EDGE_RECORD_LEN;
+                v1::read_records(n, &mut self.buf, |bytes| file.bytes.read_at(bytes, offset))
+            }
+            Layout::V2 { chunks, .. } => {
+                let meta = chunks[i];
+                let len = (CHUNK_HEADER_LEN + meta.payload_len as u64) as usize;
+                let chunk = file
+                    .bytes
+                    .view(meta.offset, len, &mut self.scratch)
+                    .map_err(|e| match e.kind() {
+                        io::ErrorKind::UnexpectedEof => io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "chunk extends past end of file",
+                        ),
+                        _ => e,
+                    })?;
+                decode_chunk(chunk, meta, verify, &mut self.buf)
+            }
+        }
+    }
+
+    /// Take up to `max` unread edges of the range out of the decoded block,
+    /// decoding the next one when it is drained; empty at the range end.
+    fn take_run(&mut self, max: usize) -> io::Result<&[Edge]> {
         let left = (self.end - self.start) - self.emitted;
         while left > 0 && self.buf_pos == self.buf.len() {
-            let i = self.next_chunk;
-            let meta = *self.dir.chunks.get(i).ok_or_else(directory_exhausted)?;
+            let i = self.next_block;
             self.buf.clear();
             self.buf_pos = 0;
-            if let Err(e) = decode(meta, !self.verified[i], &mut self.buf) {
+            if let Err(e) = self.decode(i, !self.verified[i]) {
                 self.buf.clear();
-                return Err(e);
+                return Err(v1::named(&self.file.path, e));
             }
             self.verified[i] = true;
-            self.next_chunk += 1;
+            self.next_block += 1;
             self.buf_pos = std::mem::take(&mut self.skip);
         }
         let n = (self.buf.len() - self.buf_pos)
@@ -272,28 +344,9 @@ impl ChunkCursor {
     }
 }
 
-/// A stream over edges `[start, end)` of a v2 file, decoding whole chunks
-/// through its own file handle and skipping the intra-chunk prefix.
-struct V2RangeStream {
-    reader: BufReader<File>,
-    cursor: ChunkCursor,
-    scratch: Vec<u8>,
-}
-
-impl V2RangeStream {
-    fn take_run(&mut self, max: usize) -> io::Result<&[Edge]> {
-        let (reader, scratch) = (&mut self.reader, &mut self.scratch);
-        self.cursor.take_run(max, |meta, verify, out| {
-            read_chunk_at(reader, meta, verify, scratch, out)
-        })
-    }
-}
-
-impl EdgeStream for V2RangeStream {
+impl EdgeStream for ChunkCursor {
     fn reset(&mut self) -> io::Result<()> {
-        if let Some(offset) = self.cursor.rewind() {
-            self.reader.seek(SeekFrom::Start(offset))?;
-        }
+        self.rewind();
         Ok(())
     }
 
@@ -303,106 +356,6 @@ impl EdgeStream for V2RangeStream {
 
     fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
         self.take_run(usize::MAX)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.cursor.end - self.cursor.start)
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        Some(self.cursor.num_vertices)
-    }
-}
-
-/// A [`RangedEdgeSource`] over a memory-mapped v1 `.bel` file: one shared
-/// read-only mapping, zero-copy range cursors with per-worker offsets.
-///
-/// Every worker's range stream is a `(start, end, cursor)` triple over the
-/// same mapped payload — no per-worker file handles, no read syscalls, no
-/// decode buffers. `reset` is a cursor assignment. This is the fastest
-/// backend on a warm page cache (the decode copy of the buffered readers
-/// disappears); on a cold cache the kernel's readahead (hinted with
-/// `madvise(MADV_SEQUENTIAL)`) serves interleaved workers nearly as well as
-/// dedicated cursors.
-pub struct RangedMmapV1File {
-    map: Arc<Mmap>,
-    info: GraphInfo,
-}
-
-impl RangedMmapV1File {
-    /// Map `path` and validate the v1 header.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let map = Mmap::map(&File::open(path.as_ref())?)?;
-        let info = v1::read_header(&mut map.as_slice())?;
-        v1::check_payload_len(&info, map.len() as u64)?;
-        Ok(RangedMmapV1File {
-            map: Arc::new(map),
-            info,
-        })
-    }
-}
-
-impl RangedEdgeSource for RangedMmapV1File {
-    fn info(&self) -> GraphInfo {
-        self.info
-    }
-
-    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        Ok(self.open_range_owned(start, end)?)
-    }
-}
-
-impl RangedReopen for RangedMmapV1File {
-    fn open_range_owned(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
-        check_range(start, end, self.info.num_edges)?;
-        Ok(Box::new(MmapV1RangeStream {
-            map: Arc::clone(&self.map),
-            info: self.info,
-            start,
-            end,
-            pos: start,
-        }))
-    }
-}
-
-/// A zero-copy cursor over records `[start, end)` of a shared v1 mapping.
-struct MmapV1RangeStream {
-    map: Arc<Mmap>,
-    info: GraphInfo,
-    start: u64,
-    end: u64,
-    pos: u64,
-}
-
-impl EdgeStream for MmapV1RangeStream {
-    fn reset(&mut self) -> io::Result<()> {
-        self.pos = self.start;
-        Ok(())
-    }
-
-    #[inline]
-    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        if self.pos >= self.end {
-            return Ok(None);
-        }
-        let payload = crate::mmap::v1_payload(&self.map, self.info.num_edges);
-        let e = crate::mmap::edge_at(payload, self.pos as usize);
-        self.pos += 1;
-        Ok(Some(e))
-    }
-
-    fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
-        let payload = crate::mmap::v1_payload(&self.map, self.info.num_edges);
-        Ok(crate::mmap::lend_records(
-            payload,
-            &mut self.pos,
-            self.end,
-            scratch,
-        ))
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -410,95 +363,7 @@ impl EdgeStream for MmapV1RangeStream {
     }
 
     fn num_vertices_hint(&self) -> Option<u64> {
-        Some(self.info.num_vertices)
-    }
-}
-
-/// A [`RangedEdgeSource`] over a memory-mapped v2 chunked file: chunk-index
-/// scheduling as in [`RangedV2File`], but chunks are decoded straight out of
-/// the shared mapping (checksums still verified) instead of through
-/// per-worker file handles.
-pub struct RangedMmapV2File {
-    map: Arc<Mmap>,
-    info: GraphInfo,
-    dir: Arc<Directory>,
-}
-
-impl RangedMmapV2File {
-    /// Map `path`, validating header, index and trailer.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let mut file = File::open(path.as_ref())?;
-        let layout = read_layout(&mut file)?;
-        Ok(RangedMmapV2File {
-            map: Arc::new(Mmap::map(&file)?),
-            info: layout.info,
-            dir: Directory::new(layout.chunks),
-        })
-    }
-}
-
-impl RangedEdgeSource for RangedMmapV2File {
-    fn info(&self) -> GraphInfo {
-        self.info
-    }
-
-    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        Ok(self.open_range_owned(start, end)?)
-    }
-}
-
-impl RangedReopen for RangedMmapV2File {
-    fn open_range_owned(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
-        check_range(start, end, self.info.num_edges)?;
-        let mut stream = MmapV2RangeStream {
-            map: Arc::clone(&self.map),
-            cursor: ChunkCursor::new(&self.dir, self.info.num_vertices, start, end),
-        };
-        stream.reset()?;
-        Ok(Box::new(stream))
-    }
-}
-
-/// A cursor over edges `[start, end)` of a shared v2 mapping, decoding whole
-/// chunks from the mapped bytes and skipping the intra-chunk prefix.
-struct MmapV2RangeStream {
-    map: Arc<Mmap>,
-    cursor: ChunkCursor,
-}
-
-impl MmapV2RangeStream {
-    fn take_run(&mut self, max: usize) -> io::Result<&[Edge]> {
-        let bytes = self.map.as_slice();
-        self.cursor.take_run(max, |meta, verify, out| {
-            decode_chunk_slice(bytes, meta, verify, out)
-        })
-    }
-}
-
-impl EdgeStream for MmapV2RangeStream {
-    fn reset(&mut self) -> io::Result<()> {
-        self.cursor.rewind();
-        Ok(())
-    }
-
-    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        Ok(self.take_run(1)?.first().copied())
-    }
-
-    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
-        self.take_run(usize::MAX)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.cursor.end - self.cursor.start)
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        Some(self.cursor.num_vertices)
+        Some(self.file.info.num_vertices)
     }
 }
 
@@ -515,15 +380,12 @@ static IO_V2_RETAINED_BYTES: tps_obs::Counter = tps_obs::Counter::new("io.v2.ret
 /// all-or-nothing per range, taken when the range is opened and given back
 /// if its cursor is dropped before completing a pass. The cursor's own next
 /// pass, and every later `open_range(a, b)`, lends windows of the retained
-/// edges: no file handle, no checksum, no varint decode, no prefetch
-/// thread. A retained range is never one that skipped verification — it is
-/// what a checksumming cursor produced. Ranges that do not fit are streamed
-/// from the inner source on every pass.
-///
-/// Errors from the inner cursors are prefixed with the file's path.
+/// edges: no file read, no checksum, no varint decode, no prefetch thread.
+/// A retained range is never one that skipped verification — it is what a
+/// checksumming cursor produced. Ranges that do not fit are streamed from
+/// the inner source on every pass.
 pub struct RetainingSource<S> {
     inner: S,
-    path: Arc<Path>,
     retained: Arc<Mutex<Retained>>,
 }
 
@@ -542,11 +404,10 @@ fn lock(retained: &Mutex<Retained>) -> MutexGuard<'_, Retained> {
 }
 
 impl<S: RangedReopen> RetainingSource<S> {
-    /// Wrap `inner`, a ranged source over the v2 file at `path`.
-    pub fn new(inner: S, path: &Path) -> Self {
+    /// Wrap `inner`, a ranged source over a v2 file.
+    pub fn new(inner: S) -> Self {
         RetainingSource {
             inner,
-            path: path.into(),
             retained: Arc::default(),
         }
     }
@@ -603,13 +464,9 @@ impl<S: RangedReopen> RangedReopen for RetainingSource<S> {
             range,
             held: reserved,
         };
-        let inner = self
-            .inner
-            .open_range_owned(start, end)
-            .map_err(|e| v1::named(&self.path, e))?;
+        let inner = self.inner.open_range_owned(start, end)?;
         Ok(Box::new(RetainingStream {
             inner,
-            path: Arc::clone(&self.path),
             num_vertices,
             absorbing: Absorbing {
                 cache: DecodeCache::new(end - start, reserved),
@@ -656,7 +513,6 @@ impl Drop for Reservation {
 /// file cursor, whose buffer it is being lent).
 struct RetainingStream {
     inner: Box<dyn EdgeStream + Send>,
-    path: Arc<Path>,
     num_vertices: u64,
     absorbing: Absorbing,
 }
@@ -696,23 +552,17 @@ impl EdgeStream for RetainingStream {
                 pos: 0,
             });
         }
-        self.inner.reset().map_err(|e| v1::named(&self.path, e))
+        self.inner.reset()
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        let e = self
-            .inner
-            .next_edge()
-            .map_err(|e| v1::named(&self.path, e))?;
+        let e = self.inner.next_edge()?;
         self.absorbing.absorb(e.as_slice());
         Ok(e)
     }
 
     fn next_chunk<'a>(&'a mut self, scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
-        let run = self
-            .inner
-            .next_chunk(scratch)
-            .map_err(|e| v1::named(&self.path, e))?;
+        let run = self.inner.next_chunk(scratch)?;
         self.absorbing.absorb(run);
         Ok(run)
     }
@@ -762,22 +612,17 @@ impl EdgeStream for RetainedStream {
 /// read through `backend`; a v2 source retains the ranges it decodes (see
 /// [`RetainingSource`]).
 pub(crate) fn open_file(path: &Path, backend: ReaderBackend) -> io::Result<Box<dyn RangedReopen>> {
-    Ok(match (crate::detect_format(path)?, backend) {
-        (EdgeFileFormat::V1, ReaderBackend::Buffered) => Box::new(RangedV1File::open(path)?),
-        (EdgeFileFormat::V1, ReaderBackend::Mmap) => Box::new(RangedMmapV1File::open(path)?),
-        (EdgeFileFormat::V1, ReaderBackend::Prefetch) => {
-            Box::new(RangedPrefetchSource::new(RangedV1File::open(path)?))
+    let file = match backend {
+        ReaderBackend::Mmap => RangedFile::map(path)?,
+        ReaderBackend::Buffered | ReaderBackend::Prefetch => RangedFile::read(path)?,
+    };
+    Ok(match (file.is_v2(), backend) {
+        (false, ReaderBackend::Prefetch) => Box::new(RangedPrefetchSource::new(file)),
+        (false, _) => Box::new(file),
+        (true, ReaderBackend::Prefetch) => {
+            Box::new(RetainingSource::new(RangedPrefetchSource::new(file)))
         }
-        (EdgeFileFormat::V2, ReaderBackend::Buffered) => {
-            Box::new(RetainingSource::new(RangedV2File::open(path)?, path))
-        }
-        (EdgeFileFormat::V2, ReaderBackend::Mmap) => {
-            Box::new(RetainingSource::new(RangedMmapV2File::open(path)?, path))
-        }
-        (EdgeFileFormat::V2, ReaderBackend::Prefetch) => Box::new(RetainingSource::new(
-            RangedPrefetchSource::new(RangedV2File::open(path)?),
-            path,
-        )),
+        (true, _) => Box::new(RetainingSource::new(file)),
     })
 }
 
@@ -796,60 +641,17 @@ pub fn open_ranged<P: AsRef<Path>>(path: P) -> io::Result<Box<dyn RangedEdgeSour
     open_ranged_backend(path, ReaderBackend::Buffered)
 }
 
-/// Wraps a ranged source so each range stream is served by a background
-/// prefetch thread (double-buffered, see [`crate::prefetch`]): chunk decode
-/// and disk reads overlap with the consumer's partitioning work, per worker.
+/// Wraps a ranged source so each range cursor is served by a background
+/// prefetch thread (double-buffered, see [`crate::prefetch`]): decode and
+/// disk reads overlap with the consumer's partitioning work, per worker.
 pub struct RangedPrefetchSource<S> {
     inner: S,
-    config: PrefetchConfig,
 }
 
 impl<S: RangedReopen> RangedPrefetchSource<S> {
-    /// Wrap `inner` with the default prefetch configuration.
+    /// Wrap `inner`.
     pub fn new(inner: S) -> Self {
-        RangedPrefetchSource {
-            inner,
-            config: PrefetchConfig::default(),
-        }
-    }
-
-    /// Wrap `inner` with an explicit prefetch configuration.
-    pub fn with_config(inner: S, config: PrefetchConfig) -> Self {
-        RangedPrefetchSource { inner, config }
-    }
-}
-
-/// Adapts one owned range stream into a [`ChunkSource`] feeding a prefetch
-/// worker.
-struct RangeChunkSource {
-    stream: Box<dyn EdgeStream + Send + 'static>,
-    /// For a stream without a bulk read of its own; the file streams lend.
-    scratch: Vec<Edge>,
-}
-
-impl ChunkSource for RangeChunkSource {
-    fn reset(&mut self) -> io::Result<()> {
-        self.stream.reset()
-    }
-
-    fn fill_chunk(&mut self, buf: &mut Vec<Edge>, max_edges: usize) -> io::Result<usize> {
-        // A lent run is taken whole, so a fill may overshoot `max_edges` by
-        // less than one run (one block of v1 records, one v2 chunk).
-        while buf.len() < max_edges {
-            let run = self.stream.next_chunk(&mut self.scratch)?;
-            if run.is_empty() {
-                break;
-            }
-            buf.extend_from_slice(run);
-        }
-        Ok(buf.len())
-    }
-
-    fn info(&self) -> Option<GraphInfo> {
-        Some(GraphInfo {
-            num_vertices: self.stream.num_vertices_hint()?,
-            num_edges: self.stream.len_hint()?,
-        })
+        RangedPrefetchSource { inner }
     }
 }
 
@@ -869,20 +671,15 @@ impl<S: RangedReopen> RangedReopen for RangedPrefetchSource<S> {
         start: u64,
         end: u64,
     ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
-        let stream = self.inner.open_range_owned(start, end)?;
-        Ok(Box::new(PrefetchReader::new(
-            RangeChunkSource {
-                stream,
-                scratch: Vec::new(),
-            },
-            self.config,
-        )))
+        let cursor = self.inner.open_range_owned(start, end)?;
+        Ok(Box::new(PrefetchReader::new(cursor)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use tps_graph::formats::binary::write_binary_edge_list;
     use tps_graph::ranged::split_even;
     use tps_graph::stream::for_each_edge;
@@ -908,7 +705,7 @@ mod tests {
         let path = tmpfile("v1", "bel");
         let es = edges(10_000);
         write_binary_edge_list(&path, 4096, es.iter().copied()).unwrap();
-        let src = RangedV1File::open(&path).unwrap();
+        let src = RangedFile::read(&path).unwrap();
         assert_eq!(src.info().num_edges, 10_000);
         for parts in [1usize, 3, 7] {
             let mut seen = Vec::new();
@@ -928,7 +725,7 @@ mod tests {
         for chunk_edges in [64u32, 1000, 4096, 20_000] {
             let path = tmpfile(&format!("v2-{chunk_edges}"), "bel2");
             crate::v2::write_v2_edge_list(&path, 4096, es.iter().copied(), chunk_edges).unwrap();
-            let src = RangedV2File::open(&path).unwrap();
+            let src = RangedFile::read(&path).unwrap();
             for parts in [1usize, 2, 5, 13] {
                 let mut seen = Vec::new();
                 for (a, b) in split_even(10_000, parts) {
@@ -946,7 +743,7 @@ mod tests {
         let es = edges(5_000);
         let path = tmpfile("v2-reset", "bel2");
         crate::v2::write_v2_edge_list(&path, 4096, es.iter().copied(), 777).unwrap();
-        let src = RangedV2File::open(&path).unwrap();
+        let src = RangedFile::read(&path).unwrap();
         // A range starting and ending mid-chunk.
         let mut s = src.open_range(1_000, 3_500).unwrap();
         let first = collect(&mut *s);
@@ -983,8 +780,8 @@ mod tests {
         write_binary_edge_list(&p1, 4096, es.iter().copied()).unwrap();
         crate::v2::write_v2_edge_list(&p2, 4096, es.iter().copied(), 1000).unwrap();
 
-        let v1 = RangedPrefetchSource::new(RangedV1File::open(&p1).unwrap());
-        let v2 = RangedPrefetchSource::new(RangedV2File::open(&p2).unwrap());
+        let v1 = RangedPrefetchSource::new(RangedFile::read(&p1).unwrap());
+        let v2 = RangedPrefetchSource::new(RangedFile::read(&p2).unwrap());
         for (a, b) in split_even(8_000, 4) {
             let mut s1 = v1.open_range(a, b).unwrap();
             let mut s2 = v2.open_range(a, b).unwrap();
@@ -1036,7 +833,7 @@ mod tests {
         bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
         bytes.extend_from_slice(&[0u8; 16]);
         std::fs::write(&path, &bytes).unwrap();
-        assert!(RangedMmapV1File::open(&path).is_err());
+        assert!(RangedFile::map(&path).is_err());
         assert!(crate::open_edge_stream(&path, ReaderBackend::Mmap).is_err());
         std::fs::remove_file(&path).ok();
     }
@@ -1059,7 +856,7 @@ mod tests {
         let es = edges(100);
         let path = tmpfile("oob", "bel");
         write_binary_edge_list(&path, 4096, es.iter().copied()).unwrap();
-        let src = RangedV1File::open(&path).unwrap();
+        let src = RangedFile::read(&path).unwrap();
         assert!(src.open_range(0, 101).is_err());
         assert!(src.open_range(60, 50).is_err());
         std::fs::remove_file(&path).ok();
@@ -1070,7 +867,7 @@ mod tests {
         let es = edges(100);
         let path = tmpfile("emptyrange", "bel2");
         crate::v2::write_v2_edge_list(&path, 4096, es.iter().copied(), 32).unwrap();
-        let src = RangedV2File::open(&path).unwrap();
+        let src = RangedFile::read(&path).unwrap();
         let mut s = src.open_range(50, 50).unwrap();
         assert_eq!(s.next_edge().unwrap(), None);
         std::fs::remove_file(&path).ok();
@@ -1086,8 +883,8 @@ mod tests {
         let es = edges(2_000);
         let path = tmpfile("verify-once", "bel2");
         crate::v2::write_v2_edge_list(&path, 4096, es.iter().copied(), 500).unwrap();
-        let file = RangedV2File::open(&path).unwrap();
-        let mapped = RangedMmapV2File::open(&path).unwrap();
+        let file = RangedFile::read(&path).unwrap();
+        let mapped = RangedFile::map(&path).unwrap();
         let sources: [&dyn RangedEdgeSource; 2] = [&file, &mapped];
         let mut cursors: Vec<_> = sources.map(|s| s.open_range(0, 2_000).unwrap()).into();
         for cursor in &mut cursors {

@@ -35,10 +35,13 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tps_graph::formats::binary::BinaryEdgeFile;
+use tps_graph::formats::binary::named;
 use tps_graph::ranged::RangedEdgeSource;
-use tps_graph::stream::EdgeStream;
+use tps_graph::stream::{for_each_chunk, EdgeStream};
 use tps_graph::types::{Edge, GraphInfo};
+
+use crate::ranged::RangedFile;
+use crate::ReaderBackend;
 
 /// Magic bytes opening a v2 file.
 pub const MAGIC_V2: [u8; 8] = *b"TPSBEL2\0";
@@ -589,56 +592,18 @@ pub fn read_layout(file: &mut File) -> io::Result<V2Layout> {
     })
 }
 
-/// Read + verify + decode the chunk described by `meta` from `r`, which must
-/// be positioned at `meta.offset`. Decoded edges are appended to `out`.
-/// `verify: false` skips the checksum for a chunk this open already proved
-/// intact on an earlier pass.
-pub(crate) fn read_chunk_at<R: Read>(
-    r: &mut R,
-    meta: ChunkMeta,
-    verify: bool,
-    scratch: &mut Vec<u8>,
-    out: &mut Vec<Edge>,
-) -> io::Result<()> {
-    let mut header = [0u8; CHUNK_HEADER_LEN as usize];
-    r.read_exact(&mut header)
-        .map_err(|_| invalid("truncated chunk header"))?;
-    let edge_count = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    let payload_len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    let checksum = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    if edge_count != meta.edge_count || payload_len != meta.payload_len {
-        return Err(invalid("chunk header disagrees with index"));
-    }
-    // Grow-only scratch: `read_exact` overwrites the prefix it uses, so no
-    // per-chunk zeroing of the buffer.
-    let payload_len = payload_len as usize;
-    if scratch.len() < payload_len {
-        scratch.resize(payload_len, 0);
-    }
-    let payload = &mut scratch[..payload_len];
-    r.read_exact(payload)
-        .map_err(|_| invalid("truncated chunk payload"))?;
-    IO_V2_CHUNKS_DECODED.incr();
-    decode_chunk_payload(payload, edge_count, verify.then_some(checksum), out)
-}
-
-/// Decode the chunk described by `meta` from an in-memory byte view.
-/// `verify: false` skips the checksum for a chunk this open already proved
-/// intact on an earlier pass.
-pub(crate) fn decode_chunk_slice(
-    bytes: &[u8],
+/// Verify (if `verify`) and decode one chunk — its 12-byte header and
+/// payload, the bytes `meta` locates — appending its edges to `out`.
+/// `verify: false` skips the checksum for a chunk this cursor already
+/// proved intact on an earlier pass.
+pub(crate) fn decode_chunk(
+    chunk: &[u8],
     meta: ChunkMeta,
     verify: bool,
     out: &mut Vec<Edge>,
 ) -> io::Result<()> {
-    let start = meta.offset as usize;
-    let end = start + (CHUNK_HEADER_LEN + meta.payload_len as u64) as usize;
-    let chunk = bytes
-        .get(start..end)
-        .ok_or_else(|| invalid("chunk extends past end of file"))?;
-    let edge_count = u32::from_le_bytes(chunk[0..4].try_into().unwrap());
-    let payload_len = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
-    let checksum = u32::from_le_bytes(chunk[8..12].try_into().unwrap());
+    let field = |at: usize| u32::from_le_bytes(chunk[at..at + 4].try_into().unwrap());
+    let (edge_count, payload_len, checksum) = (field(0), field(4), field(8));
     if edge_count != meta.edge_count || payload_len != meta.payload_len {
         return Err(invalid("chunk header disagrees with index"));
     }
@@ -740,14 +705,16 @@ pub fn convert_v1_to_v2<P: AsRef<Path>, Q: AsRef<Path>>(
     dst: Q,
     edges_per_chunk: u32,
 ) -> io::Result<GraphInfo> {
-    let mut input = BinaryEdgeFile::open(src)?;
-    let mut w = V2Writer::create(dst, input.info().num_vertices, edges_per_chunk)?;
-    input.reset()?;
-    while let Some(e) = input.next_edge()? {
-        w.push(e)?;
-    }
+    let src = src.as_ref();
+    let mut input =
+        crate::open_edge_stream(src, ReaderBackend::Buffered).map_err(|e| named(src, e))?;
+    let num_vertices = input
+        .num_vertices_hint()
+        .expect("a file cursor reports its header's vertex count");
+    let mut w = V2Writer::create(dst, num_vertices, edges_per_chunk)?;
+    for_each_chunk(&mut input, |run| run.iter().try_for_each(|&e| w.push(e)))?;
     let info = w.finish()?;
-    if info.num_edges != input.info().num_edges {
+    if input.len_hint() != Some(info.num_edges) {
         return Err(invalid("edge count changed during conversion"));
     }
     Ok(info)
@@ -755,7 +722,7 @@ pub fn convert_v1_to_v2<P: AsRef<Path>, Q: AsRef<Path>>(
 
 /// Convert a v2 file back to v1, preserving edge order exactly.
 pub fn convert_v2_to_v1<P: AsRef<Path>, Q: AsRef<Path>>(src: P, dst: Q) -> io::Result<GraphInfo> {
-    let source = crate::ranged::RangedV2File::open(src)?;
+    let source = RangedFile::read(src)?;
     let info = source.info();
     let mut input = source.open_range(0, info.num_edges)?;
     let num_vertices = info.num_vertices;
@@ -782,7 +749,6 @@ mod tests {
     use super::*;
     use tps_graph::stream::for_each_edge;
 
-    use crate::ranged::{RangedMmapV2File, RangedV2File};
     use std::path::PathBuf;
 
     fn tmpfile(tag: &str) -> PathBuf {
@@ -838,8 +804,9 @@ mod tests {
         let info = write_v2_edge_list(&path, 1024, es.iter().copied(), 256).unwrap();
         assert_eq!(info.num_edges, 10_000);
 
-        let src = RangedV2File::open(&path).unwrap();
-        assert_eq!(src.chunks().len(), 10_000usize.div_ceil(256));
+        let layout = read_layout(&mut File::open(&path).unwrap()).unwrap();
+        assert_eq!(layout.chunks.len(), 10_000usize.div_ceil(256));
+        let src = RangedFile::read(&path).unwrap();
         let mut f = src.open_range(0, 10_000).unwrap();
         let mut seen = Vec::new();
         for_each_edge(&mut f, |e| seen.push(e)).unwrap();
@@ -856,7 +823,7 @@ mod tests {
         let path = tmpfile("mmap");
         let es = edges(5_000);
         write_v2_edge_list(&path, 1024, es.iter().copied(), 999).unwrap();
-        let src = RangedMmapV2File::open(&path).unwrap();
+        let src = RangedFile::map(&path).unwrap();
         let mut f = src.open_range(0, 5_000).unwrap();
         let mut seen = Vec::new();
         for_each_edge(&mut f, |e| seen.push(e)).unwrap();
@@ -868,8 +835,9 @@ mod tests {
     fn empty_graph_round_trip() {
         let path = tmpfile("empty");
         write_v2_edge_list(&path, 0, std::iter::empty(), 64).unwrap();
-        let src = RangedV2File::open(&path).unwrap();
-        assert_eq!(src.chunks().len(), 0);
+        let layout = read_layout(&mut File::open(&path).unwrap()).unwrap();
+        assert_eq!(layout.chunks.len(), 0);
+        let src = RangedFile::read(&path).unwrap();
         assert_eq!(src.open_range(0, 0).unwrap().next_edge().unwrap(), None);
         std::fs::remove_file(&path).ok();
     }
@@ -901,7 +869,7 @@ mod tests {
         let path = tmpfile("chunks");
         let es = edges(5_000);
         write_v2_edge_list(&path, 1024, es.iter().copied(), 512).unwrap();
-        let src = RangedV2File::open(&path).unwrap();
+        let src = RangedFile::read(&path).unwrap();
 
         // Random access to a middle chunk matches the slice of the original.
         let mut chunk = Vec::new();
@@ -962,7 +930,7 @@ mod tests {
         bytes[target] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
-        let src = RangedV2File::open(&path).unwrap();
+        let src = RangedFile::read(&path).unwrap();
         let err = for_each_edge(&mut src.open_range(0, 1000).unwrap(), |_| {}).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
         std::fs::remove_file(&path).ok();
@@ -974,7 +942,7 @@ mod tests {
         write_v2_edge_list(&path, 1024, edges(1000), 100).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        assert!(RangedV2File::open(&path).is_err());
+        assert!(RangedFile::read(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -982,9 +950,7 @@ mod tests {
     fn bad_magic_rejected() {
         let path = tmpfile("magic");
         std::fs::write(&path, vec![0u8; 100]).unwrap();
-        let err = RangedV2File::open(&path)
-            .err()
-            .expect("bad magic must fail");
+        let err = RangedFile::read(&path).err().expect("bad magic must fail");
         assert!(err.to_string().contains("magic"), "{err}");
         std::fs::remove_file(&path).ok();
     }

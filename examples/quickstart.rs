@@ -9,7 +9,8 @@ use tps_graph::datasets::Dataset;
 
 fn main() {
     // 1. Get a graph. Any `EdgeStream` works: a generated dataset (here), a
-    //    binary edge-list file (`BinaryEdgeFile::open`), or a text edge list.
+    //    binary edge-list file (`tps_io::open_edge_stream`), or a text edge
+    //    list.
     let graph = Dataset::Ok.generate_scaled(0.1);
     println!(
         "graph: {} vertices, {} edges (com-orkut stand-in at 10 % scale)",

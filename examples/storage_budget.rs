@@ -12,7 +12,8 @@ use tps_core::partitioner::{PartitionParams, Partitioner};
 use tps_core::sink::NullSink;
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::datasets::Dataset;
-use tps_graph::formats::binary::{write_binary_edge_list, BinaryEdgeFile};
+use tps_graph::formats::binary::write_binary_edge_list;
+use tps_io::{open_edge_stream, ReaderBackend};
 use tps_storage::{DeviceModel, DeviceStream};
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
     );
 
     // Partition straight from the file — the real out-of-core code path.
-    let mut file_stream = BinaryEdgeFile::open(&path).expect("open edge list");
+    let mut file_stream = open_edge_stream(&path, ReaderBackend::Buffered).expect("open edge list");
     let mut partitioner = TwoPhasePartitioner::new(TwoPhaseConfig::default());
     let start = std::time::Instant::now();
     partitioner

@@ -146,8 +146,8 @@ proptest! {
             7,
         )
         .unwrap();
-        let v1 = tps_io::RangedV1File::open(&v1_path).unwrap();
-        let v2 = tps_io::RangedV2File::open(&v2_path).unwrap();
+        let v1 = tps_io::RangedFile::read(&v1_path).unwrap();
+        let v2 = tps_io::RangedFile::read(&v2_path).unwrap();
 
         for workers in [1usize, 2, 4] {
             let want = parallel_reference(&graph, k, workers);

@@ -128,8 +128,8 @@ fn any_worker_killed_at_any_frame_is_bit_identical() {
     )
     .unwrap();
     tps_io::write_v2_edge_list(&v2_path, g.num_vertices(), g.edges().iter().copied(), 37).unwrap();
-    let v1 = tps_io::RangedV1File::open(&v1_path).unwrap();
-    let v2 = tps_io::RangedV2File::open(&v2_path).unwrap();
+    let v1 = tps_io::RangedFile::read(&v1_path).unwrap();
+    let v2 = tps_io::RangedFile::read(&v2_path).unwrap();
     let sources: [(&str, &dyn RangedEdgeSource); 3] = [("mem", &g), ("v1", &v1), ("v2", &v2)];
 
     let workers = 2;

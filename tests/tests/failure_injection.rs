@@ -220,8 +220,8 @@ fn sink_errors_propagate() {
 /// into a run, and never by a panic or an allocation sized by the header.
 #[test]
 fn truncated_binary_file_is_an_error_not_a_panic() {
-    use tps_graph::formats::binary::{write_binary_edge_list, BinaryEdgeFile};
-    use tps_io::{open_edge_stream, open_ranged_backend, ReaderBackend};
+    use tps_graph::formats::binary::write_binary_edge_list;
+    use tps_io::{open_edge_stream, open_ranged_backend, RangedFile, ReaderBackend};
 
     let dir = std::env::temp_dir().join(format!("tps-trunc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -262,7 +262,7 @@ fn truncated_binary_file_is_an_error_not_a_panic() {
     ];
     for (what, bytes, kind) in cases {
         std::fs::write(&path, &bytes).unwrap();
-        let mut errors = vec![BinaryEdgeFile::open(&path).err()];
+        let mut errors = vec![RangedFile::read(&path).err(), RangedFile::map(&path).err()];
         for backend in ReaderBackend::ALL {
             errors.push(open_edge_stream(&path, backend).err());
             errors.push(open_ranged_backend(&path, backend).err());

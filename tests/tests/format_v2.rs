@@ -10,8 +10,8 @@ use tps_io::v2::{
     fnv1a32, write_varint, CHUNK_HEADER_LEN, HEADER_LEN_V2, MAGIC_V2, TRAILER_LEN, TRAILER_MAGIC,
 };
 use tps_io::{
-    convert_v1_to_v2, convert_v2_to_v1, open_edge_stream, write_v2_edge_list, RangedMmapV2File,
-    RangedV2File, ReaderBackend,
+    convert_v1_to_v2, convert_v2_to_v1, open_edge_stream, write_v2_edge_list, RangedFile,
+    ReaderBackend,
 };
 
 fn tmp(tag: &str, ext: &str) -> std::path::PathBuf {
@@ -106,9 +106,9 @@ proptest! {
         }
     }
 
-    /// Flipping any payload byte must surface the canonical checksum error
-    /// through the full reader stack — on both the buffered and mmap
-    /// backends, whose hot paths (SWAR decode + fused checksum) differ.
+    /// Flipping any payload byte must surface the canonical checksum error,
+    /// naming the file, through the one file cursor — over both byte
+    /// sources, read and mapped.
     #[test]
     fn corrupt_payload_byte_reports_checksum_mismatch(
         pairs in proptest::collection::vec((0u32..100_000, 0u32..100_000), 8..120),
@@ -131,15 +131,13 @@ proptest! {
         std::fs::write(&path, &bytes).unwrap();
 
         let n = edges.len() as u64;
-        let buffered = RangedV2File::open(&path).unwrap();
-        let err = for_each_edge(&mut buffered.open_range(0, n).unwrap(), |_| {})
-            .expect_err("corrupt payload must fail");
-        prop_assert_eq!(err.to_string(), "chunk checksum mismatch (corrupt payload)");
-        let mapped = RangedMmapV2File::open(&path).unwrap();
-        let err = for_each_edge(&mut mapped.open_range(0, n).unwrap(), |_| {})
-            .expect_err("corrupt payload must fail");
+        let want = format!("{}: chunk checksum mismatch (corrupt payload)", path.display());
+        for source in [RangedFile::read(&path).unwrap(), RangedFile::map(&path).unwrap()] {
+            let err = for_each_edge(&mut source.open_range(0, n).unwrap(), |_| {})
+                .expect_err("corrupt payload must fail");
+            prop_assert_eq!(err.to_string(), want.as_str());
+        }
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(err.to_string(), "chunk checksum mismatch (corrupt payload)");
     }
 }
 

@@ -15,7 +15,7 @@ use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::datasets::Dataset;
 use tps_graph::formats::binary::write_binary_edge_list;
 use tps_graph::stream::for_each_edge;
-use tps_io::{open_edge_stream, RangedV2File, ReaderBackend};
+use tps_io::{open_edge_stream, ReaderBackend};
 use tps_storage::{DeviceModel, DeviceStream, IoAccount};
 
 fn materialize(tag: &str) -> (PathBuf, u64) {
@@ -62,9 +62,9 @@ fn v2_record_bytes_charge_the_compressed_size() {
 
     // One full pass reads the header and every chunk (the index and
     // trailer are only read at open).
-    let v2 = RangedV2File::open(&v2_path).unwrap();
-    let chunk_bytes: u64 = v2
-        .chunks()
+    let layout = tps_io::v2::read_layout(&mut std::fs::File::open(&v2_path).unwrap()).unwrap();
+    let chunk_bytes: u64 = layout
+        .chunks
         .iter()
         .map(|c| tps_io::v2::CHUNK_HEADER_LEN + c.payload_len as u64)
         .sum();

@@ -234,8 +234,8 @@ proptest! {
             7,
         )
         .unwrap();
-        let v1 = tps_io::RangedV1File::open(&v1_path).unwrap();
-        let v2 = tps_io::RangedV2File::open(&v2_path).unwrap();
+        let v1 = tps_io::RangedFile::read(&v1_path).unwrap();
+        let v2 = tps_io::RangedFile::read(&v2_path).unwrap();
 
         for threads in THREAD_COUNTS {
             let want = sharded_reference(&graph, k, threads);
@@ -403,13 +403,13 @@ fn parallel_result_is_independent_of_the_storage_backend() {
     let reference = parallel_assignments(&g, k, threads);
     assert_eq!(reference.len() as u64, g.num_edges());
 
-    let v1 = tps_io::RangedV1File::open(&v1_path).unwrap();
-    let v2 = tps_io::RangedV2File::open(&v2_path).unwrap();
+    let v1 = tps_io::RangedFile::read(&v1_path).unwrap();
+    let v2 = tps_io::RangedFile::read(&v2_path).unwrap();
     assert_eq!(parallel_assignments(&v1, k, threads), reference, "v1 file");
     assert_eq!(parallel_assignments(&v2, k, threads), reference, "v2 file");
 
-    let v1_pf = tps_io::RangedPrefetchSource::new(tps_io::RangedV1File::open(&v1_path).unwrap());
-    let v2_pf = tps_io::RangedPrefetchSource::new(tps_io::RangedV2File::open(&v2_path).unwrap());
+    let v1_pf = tps_io::RangedPrefetchSource::new(tps_io::RangedFile::read(&v1_path).unwrap());
+    let v2_pf = tps_io::RangedPrefetchSource::new(tps_io::RangedFile::read(&v2_path).unwrap());
     assert_eq!(
         parallel_assignments(&v1_pf, k, threads),
         reference,

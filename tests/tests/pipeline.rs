@@ -5,7 +5,8 @@ use tps_core::partitioner::{PartitionParams, Partitioner};
 use tps_core::sink::VecSink;
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::datasets::Dataset;
-use tps_graph::formats::binary::{write_binary_edge_list, BinaryEdgeFile};
+use tps_graph::formats::binary::write_binary_edge_list;
+use tps_io::{open_edge_stream, ReaderBackend};
 use tps_procsim::cost::simulate_pagerank;
 use tps_procsim::{reference_pagerank, ClusterCostModel, DistributedGraph, PageRankConfig};
 
@@ -28,7 +29,7 @@ fn file_stream_partitioning_matches_in_memory() {
         .partition(&mut graph.stream(), &params, &mut mem_sink)
         .unwrap();
 
-    let mut file_stream = BinaryEdgeFile::open(&path).unwrap();
+    let mut file_stream = open_edge_stream(&path, ReaderBackend::Buffered).unwrap();
     let mut file_sink = VecSink::new();
     TwoPhasePartitioner::new(TwoPhaseConfig::default())
         .partition(&mut file_stream, &params, &mut file_sink)
@@ -116,7 +117,7 @@ fn partition_files_round_trip_through_procsim() {
     let parts = files.finish().unwrap();
     let mut assignments = Vec::new();
     for (i, (path, _)) in parts.iter().enumerate() {
-        let mut f = BinaryEdgeFile::open(path).unwrap();
+        let mut f = open_edge_stream(path, ReaderBackend::Buffered).unwrap();
         tps_graph::stream::for_each_edge(&mut f, |e| assignments.push((e, i as u32))).unwrap();
     }
     assert_eq!(assignments.len() as u64, graph.num_edges());

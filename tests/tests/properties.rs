@@ -106,7 +106,7 @@ proptest! {
         ));
         tps_graph::formats::binary::write_binary_edge_list(&path, 1000, edges.iter().copied())
             .unwrap();
-        let mut f = tps_graph::formats::binary::BinaryEdgeFile::open(&path).unwrap();
+        let mut f = tps_io::open_edge_stream(&path, tps_io::ReaderBackend::Buffered).unwrap();
         let mut back = Vec::new();
         tps_graph::stream::for_each_edge(&mut f, |e| back.push(e)).unwrap();
         std::fs::remove_file(&path).ok();
