@@ -227,7 +227,7 @@ fn partition_threads_with_mem_budget_matches_unbudgeted() {
     let bel = dir.join("ok.bel");
     let bel2 = dir.join("ok.bel2");
     tps()
-        .args(["generate", "--dataset", "ok", "--scale", "0.25", "--out"])
+        .args(["generate", "--dataset", "ok", "--scale", "0.5", "--out"])
         .arg(&bel)
         .status()
         .unwrap();
@@ -241,16 +241,16 @@ fn partition_threads_with_mem_budget_matches_unbudgeted() {
 
     let plain = dir.join("plain");
     let budgeted = dir.join("budgeted");
+    let trace = dir.join("budgeted.jsonl");
     // Pin the thread count on both sides. At 1 MiB the decode share is
-    // 256 KiB, less than one worker's 50 000-edge range (400 KB decoded), so
-    // the budgeted workers retain nothing and emit decodes each range again:
-    // the same assignments by another route, so the files and the metrics
-    // line must be identical.
+    // 256 KiB, less than one worker's 100 000-edge range retained packed
+    // (|V| = 8 192: 13-bit ids, 4 B per edge, 400 008 B), so the budgeted
+    // workers retain nothing and emit decodes each range again: the same
+    // assignments by another route, so the files and the metrics line must
+    // be identical.
+    let budget = ["--mem-budget-mb", "1", "--trace", trace.to_str().unwrap()];
     let mut lines = Vec::new();
-    for (out_dir, extra) in [
-        (&plain, &[][..]),
-        (&budgeted, &["--mem-budget-mb", "1"][..]),
-    ] {
+    for (out_dir, extra) in [(&plain, &[][..]), (&budgeted, &budget[..])] {
         let out = tps()
             .args(["partition", "--input"])
             .arg(&bel2)
@@ -274,6 +274,11 @@ fn partition_threads_with_mem_budget_matches_unbudgeted() {
         let b = std::fs::read(budgeted.join(format!("ok.part{i}.bel"))).unwrap();
         assert_eq!(a, b, "partition {i} diverged under the memory budget");
     }
+    // A counter that never moved is absent from the trace: no range was
+    // retained under the budget.
+    let trace = std::fs::read_to_string(&trace).unwrap();
+    assert!(trace.contains("\"io.v2.chunks_decoded\""), "{trace}");
+    assert!(!trace.contains("\"io.v2.ranges_retained\""), "{trace}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -10,7 +10,8 @@
 //!   opens its own cursor over a contiguous edge-index range, and a whole
 //!   file is range `0..|E|`; the three [`ReaderBackend`]s pick the bytes
 //!   and the wrappers, and a v2 source retains each range it has decoded
-//!   once, under the decode budget — the one decode cache.
+//!   once, packed in the bytes its ids need, under the decode budget — the
+//!   one decode cache.
 //! * [`mmap`] — the read-only memory mapping behind the `mmap` backend.
 //! * [`v2`] — the `TPSBEL2` compressed chunked format: varint-encoded
 //!   edges in checksummed chunks with a seekable index footer, plus

@@ -17,8 +17,9 @@
 //! intra-block prefix; cursors schedule disjoint ranges off the one shared
 //! layout with no coordination. Every v2 backend sits behind a
 //! [`RetainingSource`]: the first complete pass over a range leaves the
-//! decoded edges with the source (while they fit the decode budget), and
-//! every later pass or open of that range reads them from memory.
+//! decoded edges with the source, packed in the bytes their ids need
+//! (while they fit the decode budget), and every later pass or open of that
+//! range unpacks them from memory.
 //!
 //! Ranges are expressed in *edge indices*, not storage offsets, so a
 //! parallel partitioning run makes identical per-thread decisions whether
@@ -43,13 +44,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tps_graph::formats::binary::{self as v1, EDGE_RECORD_LEN, HEADER_LEN};
 use tps_graph::ranged::{check_range, RangedEdgeSource};
-use tps_graph::stream::{lend_run, EdgeStream, CHUNK_EDGES};
+use tps_graph::stream::{EdgeStream, CHUNK_EDGES};
 use tps_graph::types::{Edge, GraphInfo};
 
 use crate::mmap::Mmap;
 use crate::prefetch::PrefetchReader;
 use crate::v2::{
-    decode_cache_budget, decode_chunk, read_layout, ChunkMeta, DecodeCache, CHUNK_HEADER_LEN,
+    decode_cache_budget, decode_chunk, read_layout, ChunkMeta, DecodeCache, PackedEdges, Packing,
+    CHUNK_HEADER_LEN,
 };
 use crate::{EdgeFileFormat, ReaderBackend};
 
@@ -374,16 +376,20 @@ static IO_V2_RETAINED_BYTES: tps_obs::Counter = tps_obs::Counter::new("io.v2.ret
 /// edge cache of the v2 readers, built on `v2::DecodeCache`.
 ///
 /// The first *complete* pass over `open_range(a, b)` deposits the decoded
-/// range with the source, if `8·(b − a)` bytes still fit the decode budget
+/// range with the source, packed at ⌈2w/8⌉ bytes per edge (w = the bits of
+/// the header's largest id `|V| − 1`; at most 5 B for |V| ≤ 2²⁰) plus 8
+/// pad bytes, if that packed size still fits the decode budget
 /// ([`crate::v2::set_decode_cache_budget`]) next to the ranges already
 /// retained: one reservation across all of a source's ranges,
 /// all-or-nothing per range, taken when the range is opened and given back
 /// if its cursor is dropped before completing a pass. The cursor's own next
-/// pass, and every later `open_range(a, b)`, lends windows of the retained
+/// pass, and every later `open_range(a, b)`, unpacks runs of the retained
 /// edges: no file read, no checksum, no varint decode, no prefetch thread.
 /// A retained range is never one that skipped verification — it is what a
 /// checksumming cursor produced. Ranges that do not fit are streamed from
-/// the inner source on every pass.
+/// the inner source on every pass, and so is a range holding an id the
+/// header's |V| does not cover: its cursor gives the reservation back the
+/// moment it decodes one, so output never depends on the header.
 pub struct RetainingSource<S> {
     inner: S,
     retained: Arc<Mutex<Retained>>,
@@ -392,7 +398,7 @@ pub struct RetainingSource<S> {
 #[derive(Default)]
 struct Retained {
     /// `None` while the cursor that reserved the range is still decoding it.
-    ranges: HashMap<(u64, u64), Option<Arc<Vec<Edge>>>>,
+    ranges: HashMap<(u64, u64), Option<Arc<PackedEdges>>>,
     /// Bytes reserved: the retained ranges plus the ones being decoded.
     bytes: u64,
 }
@@ -430,28 +436,26 @@ impl<S: RangedReopen> RangedReopen for RetainingSource<S> {
         end: u64,
     ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
         let range = (start, end);
-        let bytes = end.saturating_sub(start).saturating_mul(8);
         let num_vertices = self.inner.info().num_vertices;
+        let bytes = Packing::new(num_vertices).bytes(end.saturating_sub(start));
         let mut reserved = false;
         {
             let mut retained = lock(&self.retained);
             match retained.ranges.get(&range) {
                 Some(Some(edges)) => {
-                    return Ok(Box::new(RetainedStream {
-                        edges: Arc::clone(edges),
+                    return Ok(Box::new(RetainedStream::new(
+                        Arc::clone(edges),
                         num_vertices,
-                        pos: 0,
-                    }))
+                    )))
                 }
                 // Another cursor is decoding this range: stream beside it.
                 Some(None) => {}
                 None => {
-                    let fits = retained
-                        .bytes
-                        .checked_add(bytes)
-                        .is_some_and(|total| total <= decode_cache_budget());
-                    if start < end && fits {
-                        retained.bytes += bytes;
+                    let fits = bytes
+                        .and_then(|bytes| retained.bytes.checked_add(bytes))
+                        .filter(|&total| start < end && total <= decode_cache_budget());
+                    if let Some(total) = fits {
+                        retained.bytes = total;
                         retained.ranges.insert(range, None);
                         reserved = true;
                     }
@@ -462,6 +466,7 @@ impl<S: RangedReopen> RangedReopen for RetainingSource<S> {
         let reservation = Reservation {
             retained: Arc::clone(&self.retained),
             range,
+            bytes: bytes.unwrap_or(0),
             held: reserved,
         };
         let inner = self.inner.open_range_owned(start, end)?;
@@ -469,7 +474,7 @@ impl<S: RangedReopen> RangedReopen for RetainingSource<S> {
             inner,
             num_vertices,
             absorbing: Absorbing {
-                cache: DecodeCache::new(end - start, reserved),
+                cache: DecodeCache::new(end - start, num_vertices, reserved),
                 reservation,
                 pos: 0,
                 deposited: None,
@@ -483,26 +488,33 @@ impl<S: RangedReopen> RangedReopen for RetainingSource<S> {
 struct Reservation {
     retained: Arc<Mutex<Retained>>,
     range: (u64, u64),
+    /// The range's packed size.
+    bytes: u64,
     held: bool,
 }
 
 impl Reservation {
     /// The range is complete: other opens may read it from now on.
-    fn deposit(&mut self, edges: Arc<Vec<Edge>>) {
+    fn deposit(&mut self, edges: Arc<PackedEdges>) {
         IO_V2_RANGES_RETAINED.incr();
-        IO_V2_RETAINED_BYTES.add(edges.len() as u64 * 8);
+        IO_V2_RETAINED_BYTES.add(self.bytes);
         lock(&self.retained).ranges.insert(self.range, Some(edges));
         self.held = false;
+    }
+
+    /// Give the range's share of the budget back, if still held.
+    fn release(&mut self) {
+        if std::mem::take(&mut self.held) {
+            let mut retained = lock(&self.retained);
+            retained.ranges.remove(&self.range);
+            retained.bytes -= self.bytes;
+        }
     }
 }
 
 impl Drop for Reservation {
     fn drop(&mut self) {
-        if self.held {
-            let mut retained = lock(&self.retained);
-            retained.ranges.remove(&self.range);
-            retained.bytes -= (self.range.1 - self.range.0) * 8;
-        }
+        self.release();
     }
 }
 
@@ -525,14 +537,17 @@ struct Absorbing {
     pos: usize,
     /// The range, from the moment this cursor completed and deposited it
     /// until its next `reset`.
-    deposited: Option<Arc<Vec<Edge>>>,
+    deposited: Option<Arc<PackedEdges>>,
 }
 
 impl Absorbing {
     /// Account for `run` (just lent by the inner cursor) and deposit the
-    /// range with the source the moment it is complete.
+    /// range with the source the moment it is complete; a run the header's
+    /// |V| does not cover gives the reservation back at once.
     fn absorb(&mut self, run: &[Edge]) {
-        self.cache.absorb(self.pos, run);
+        if !self.cache.absorb(self.pos, run) {
+            self.reservation.release();
+        }
         self.pos += run.len();
         if self.cache.complete() {
             let edges = Arc::new(self.cache.take());
@@ -546,11 +561,7 @@ impl EdgeStream for RetainingStream {
     fn reset(&mut self) -> io::Result<()> {
         self.absorbing.pos = 0;
         if let Some(edges) = self.absorbing.deposited.take() {
-            self.inner = Box::new(RetainedStream {
-                edges,
-                num_vertices: self.num_vertices,
-                pos: 0,
-            });
+            self.inner = Box::new(RetainedStream::new(edges, self.num_vertices));
         }
         self.inner.reset()
     }
@@ -576,11 +587,25 @@ impl EdgeStream for RetainingStream {
     }
 }
 
-/// A cursor over a range the source retained: windows of shared memory.
+/// A cursor over a range the source retained: it unpacks runs of the
+/// shared packed edges into a buffer of its own and lends that.
 struct RetainedStream {
-    edges: Arc<Vec<Edge>>,
+    edges: Arc<PackedEdges>,
     num_vertices: u64,
     pos: usize,
+    /// Up to [`CHUNK_EDGES`] unpacked edges.
+    buf: Vec<Edge>,
+}
+
+impl RetainedStream {
+    fn new(edges: Arc<PackedEdges>, num_vertices: u64) -> Self {
+        RetainedStream {
+            buf: vec![Edge::new(0, 0); edges.len().min(CHUNK_EDGES)],
+            edges,
+            num_vertices,
+            pos: 0,
+        }
+    }
 }
 
 impl EdgeStream for RetainedStream {
@@ -590,13 +615,19 @@ impl EdgeStream for RetainedStream {
     }
 
     fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        let e = self.edges.get(self.pos).copied();
+        let e = self.edges.get(self.pos);
         self.pos += usize::from(e.is_some());
         Ok(e)
     }
 
     fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
-        Ok(lend_run(&self.edges, &mut self.pos))
+        let n = (self.edges.len() - self.pos).min(self.buf.len());
+        let run = &mut self.buf[..n];
+        if n > 0 {
+            self.edges.unpack(self.pos, run);
+        }
+        self.pos += n;
+        Ok(run)
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -871,6 +902,74 @@ mod tests {
         let mut s = src.open_range(50, 50).unwrap();
         assert_eq!(s.next_edge().unwrap(), None);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The edges of one pass, read one at a time.
+    fn one_by_one(s: &mut dyn EdgeStream) -> Vec<Edge> {
+        s.reset().unwrap();
+        std::iter::from_fn(|| s.next_edge().unwrap()).collect()
+    }
+
+    /// A retained range packs each edge in the bytes the header's |V| needs
+    /// — every width from 1 to 8 below — and reads back exactly, id |V| − 1
+    /// included: on every backend the first pass ≡ the later passes ≡ a
+    /// fresh open of the retained range ≡ the input, in runs and per edge.
+    #[test]
+    fn retained_ranges_read_back_at_every_packed_width() {
+        fn check<S: RangedReopen>(source: RetainingSource<S>, es: &[Edge], bytes: u64) {
+            let n = es.len() as u64;
+            let mut cursor = source.open_range(0, n).unwrap();
+            assert_eq!(collect(&mut *cursor), es, "first pass");
+            {
+                let retained = lock(&source.retained);
+                assert!(matches!(retained.ranges.get(&(0, n)), Some(Some(_))));
+                assert_eq!(retained.bytes, bytes);
+            }
+            assert_eq!(one_by_one(&mut *cursor), es, "second pass");
+            assert_eq!(collect(&mut *cursor), es, "third pass");
+            let mut fresh = source.open_range(0, n).unwrap();
+            assert_eq!(one_by_one(&mut *fresh), es, "fresh open");
+            assert_eq!(collect(&mut *fresh), es, "fresh open, in runs");
+        }
+
+        let n = CHUNK_EDGES as u64 + 1_000;
+        for (num_vertices, width) in [
+            (1u64, 1u64),
+            (2, 1),
+            (1 << 8, 2),
+            (1 << 8 | 1, 3),
+            (1 << 16, 4),
+            (1 << 16 | 1, 5),
+            (1 << 24, 6),
+            (1 << 24 | 1, 7),
+            (1 << 32, 8),
+        ] {
+            let top = num_vertices - 1;
+            let es: Vec<Edge> = (0..n)
+                .map(|i| {
+                    Edge::new(
+                        (i * 2_654_435_761 % num_vertices) as u32,
+                        (top - i % num_vertices) as u32,
+                    )
+                })
+                .collect();
+            let path = tmpfile(&format!("packed-{num_vertices}"), "bel2");
+            crate::v2::write_v2_edge_list(&path, num_vertices, es.iter().copied(), 777).unwrap();
+            let bytes = width * n + 8;
+            check(
+                RetainingSource::new(RangedFile::read(&path).unwrap()),
+                &es,
+                bytes,
+            );
+            check(
+                RetainingSource::new(RangedFile::map(&path).unwrap()),
+                &es,
+                bytes,
+            );
+            let prefetch = RangedPrefetchSource::new(RangedFile::read(&path).unwrap());
+            check(RetainingSource::new(prefetch), &es, bytes);
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     /// A v2 cursor verifies each chunk's checksum on its first decode and

@@ -194,8 +194,10 @@ const SWAR_SLACK: usize = 16;
 fn load_u64(payload: &[u8], pos: usize) -> u64 {
     debug_assert!(pos + 8 <= payload.len());
     // SAFETY: every caller guards `pos + 8 <= payload.len()` (the fast-path
-    // loops check `pos + SWAR_SLACK`); unaligned reads of byte data are
-    // valid at any offset.
+    // loops check `pos + SWAR_SLACK`; `PackedEdges::get` checks the edge
+    // index against a range that keeps `PACK_PAD` bytes past its last edge,
+    // and `unpack_run` checks its whole run once); unaligned reads of byte
+    // data are valid at any offset.
     u64::from_le(unsafe { (payload.as_ptr().add(pos) as *const u64).read_unaligned() })
 }
 
@@ -612,18 +614,21 @@ pub(crate) fn decode_chunk(
     decode_chunk_payload(payload, edge_count, verify.then_some(checksum), out)
 }
 
-/// Default budget for the decoded-edge cache, in bytes.
+/// Default budget for the decode cache, in bytes.
 ///
 /// The budget is **per source**: a ranged source
 /// (`crate::ranged::RetainingSource`, behind every v2 backend) retains
 /// whole ranges — the whole file being one range — with one reservation
-/// across all of them. A range whose decoded size (8 B per edge) does not
-/// fit streams every pass from disk; a range that fits is decoded (and
-/// checksummed) once and every later pass is served from memory at raw
-/// `Vec<Edge>` scan speed, skipping file I/O, checksumming, and varint
-/// decode entirely. The paper's pipeline makes 4 sequential passes per
-/// partitioning run — 6 for a `--threads N` worker, which re-reads its range
-/// twice to emit — so this turns the decode cost from per-pass into
+/// across all of them. A range is retained packed (`Packing`): each edge
+/// in the ⌈2w/8⌉ bytes its ids need, w being the bits of the header's
+/// largest id `|V| − 1` (at most 5 B per edge at |V| ≤ 2²⁰, 8 B only above
+/// 2²⁸), plus 8 pad bytes per range. A range whose packed size does not fit streams
+/// every pass from disk; a range that fits is decoded (and checksummed)
+/// once and every later pass is served from memory, unpacked at about the
+/// speed of scanning a `Vec<Edge>`, skipping file I/O, checksumming, and
+/// varint decode entirely. The paper's pipeline makes 4 sequential passes
+/// per partitioning run — 6 for a `--threads N` worker, which re-reads its
+/// range twice to emit — so this turns the decode cost from per-pass into
 /// per-source. Override with [`set_decode_cache_budget`] (what a job-level
 /// `--mem-budget-mb` split does; `0` disables caching).
 pub const DECODE_CACHE_DEFAULT_BYTES: u64 = 64 << 20;
@@ -644,27 +649,149 @@ pub(crate) fn decode_cache_budget() -> u64 {
     DECODE_CACHE_BUDGET.load(Ordering::Relaxed)
 }
 
+/// Pad bytes after a packed range, so every edge is one 8-byte load.
+const PACK_PAD: usize = 8;
+
+/// How a retained range packs its edges: edge `i` is the `width`-byte
+/// little-endian value `src | dst << bits` at byte `width·i`, `bits` being
+/// what the header's largest id `|V| − 1` needs (1..=32) and `width` =
+/// ⌈2·bits/8⌉ (1..=8).
+#[derive(Clone, Copy)]
+pub(crate) struct Packing {
+    bits: u32,
+    width: usize,
+}
+
+impl Packing {
+    /// The packing of a file whose header counts `num_vertices`.
+    pub(crate) fn new(num_vertices: u64) -> Self {
+        let max_id = num_vertices.saturating_sub(1);
+        let bits = (u64::BITS - max_id.leading_zeros()).clamp(1, 32);
+        Packing {
+            bits,
+            width: (2 * bits).div_ceil(8) as usize,
+        }
+    }
+
+    /// Bytes a packed range of `span` edges takes, pad included; `None` if
+    /// that overflows.
+    pub(crate) fn bytes(self, span: u64) -> Option<u64> {
+        span.checked_mul(self.width as u64)?
+            .checked_add(PACK_PAD as u64)
+    }
+
+    /// Whether every id of `run` fits in `bits` (not so under a header that
+    /// understates |V|).
+    fn holds(self, run: &[Edge]) -> bool {
+        let ids = run.iter().fold(0, |acc, e| acc | e.src | e.dst);
+        u64::from(ids) >> self.bits == 0
+    }
+
+    /// The edge in the low `2·bits` bits of `v`.
+    #[inline(always)]
+    fn unpack(self, v: u64) -> Edge {
+        let mask = (1 << self.bits) - 1;
+        Edge::new((v & mask) as u32, (v >> self.bits & mask) as u32)
+    }
+}
+
+/// Call `$f::<W>(…)` for the runtime packed width `W` ∈ 1..=8: the pack
+/// and unpack loops are monomorphised per width and dispatched once per run.
+macro_rules! per_width {
+    ($width:expr, $f:ident($($arg:expr),*)) => {
+        match $width {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            w => unreachable!("packed width {w}"),
+        }
+    };
+}
+
+/// Pack `run` as edges `first..` of `bytes`.
+fn pack_run<const W: usize>(bytes: &mut [u8], packing: Packing, first: usize, run: &[Edge]) {
+    let slots = &mut bytes[W * first..W * (first + run.len())];
+    for (slot, e) in slots.chunks_exact_mut(W).zip(run) {
+        let packed = u64::from(e.src) | u64::from(e.dst) << packing.bits;
+        slot.copy_from_slice(&packed.to_le_bytes()[..W]);
+    }
+}
+
+/// Unpack edges `first..first + out.len()` of `bytes` into `out`.
+fn unpack_run<const W: usize>(bytes: &[u8], packing: Packing, first: usize, out: &mut [Edge]) {
+    // One check per run: the last load ends before `W·(first + n) + PAD`.
+    assert!(W * (first + out.len()) + PACK_PAD <= bytes.len());
+    for (i, e) in out.iter_mut().enumerate() {
+        *e = packing.unpack(load_u64(bytes, W * (first + i)));
+    }
+}
+
+/// A retained range: its edges packed by a [`Packing`].
+pub(crate) struct PackedEdges {
+    /// At least `width·len + PACK_PAD` bytes, or none while `len` is 0:
+    /// what lets `get` and `unpack_run` load 8 bytes at any of the `len`
+    /// edges.
+    bytes: Vec<u8>,
+    len: usize,
+    packing: Packing,
+}
+
+impl PackedEdges {
+    /// Edges in the range.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Edge `i`, if the range has one.
+    pub(crate) fn get(&self, i: usize) -> Option<Edge> {
+        (i < self.len).then(|| {
+            self.packing
+                .unpack(load_u64(&self.bytes, i * self.packing.width))
+        })
+    }
+
+    /// Unpack edges `first..first + out.len()` into `out`.
+    pub(crate) fn unpack(&self, first: usize, out: &mut [Edge]) {
+        assert!(first + out.len() <= self.len);
+        per_width!(
+            self.packing.width,
+            unpack_run(&self.bytes, self.packing, first, out)
+        )
+    }
+}
+
 /// Decoded-edge cache over one range of a v2 file, held by the cursor
-/// decoding it for `crate::ranged::RetainingSource`. The first pass appends
-/// each run of edges it decodes; once the range is covered, the cursor
-/// hands the flat buffer to the source. All-or-nothing: whether the range's
-/// decoded size fits the budget is decided when the range is opened — no
-/// partial caching, no mid-stream eviction, so peak memory is known up
-/// front.
+/// decoding it for `crate::ranged::RetainingSource`. The first pass packs
+/// each run of edges it decodes into one allocation of the range's packed
+/// size; once the range is covered, the cursor hands the packed range to
+/// the source. All-or-nothing: whether the range's packed size fits the
+/// budget is decided when the range is opened — no partial caching, no
+/// mid-stream eviction, so peak memory is known up front.
 pub(crate) struct DecodeCache {
-    edges: Vec<Edge>,
+    /// The packed prefix; the first absorb allocates its bytes at the
+    /// span's packed size.
+    packed: PackedEdges,
     /// Edges in the span.
     span: usize,
     enabled: bool,
 }
 
 impl DecodeCache {
-    /// A cache over a span of `span` edges; a span too long to index is
-    /// never cached.
-    pub(crate) fn new(span: u64, enabled: bool) -> Self {
+    /// A cache over a span of `span` edges of a file whose header counts
+    /// `num_vertices`; a span too long to index is never cached.
+    pub(crate) fn new(span: u64, num_vertices: u64, enabled: bool) -> Self {
         let span = usize::try_from(span);
         DecodeCache {
-            edges: Vec::new(),
+            packed: PackedEdges {
+                bytes: Vec::new(),
+                len: 0,
+                packing: Packing::new(num_vertices),
+            },
             enabled: enabled && span.is_ok(),
             span: span.unwrap_or(0),
         }
@@ -673,29 +800,47 @@ impl DecodeCache {
     /// Absorb `run`, whose first edge is the `pos`-th of the span, as far as
     /// it extends the cached prefix: caching only ever grows a strictly
     /// sequential prefix, so a pass abandoned by an early `reset` just
-    /// resumes absorbing once the next pass catches up.
-    pub(crate) fn absorb(&mut self, pos: usize, run: &[Edge]) {
-        let have = self.edges.len();
+    /// resumes absorbing once the next pass catches up. Returns `false` if
+    /// the run holds an id the header's |V| does not cover: the cache then
+    /// frees what it packed and absorbs nothing more.
+    pub(crate) fn absorb(&mut self, pos: usize, run: &[Edge]) -> bool {
+        let PackedEdges {
+            bytes,
+            len,
+            packing,
+        } = &mut self.packed;
+        let have = *len;
         if !self.enabled || have < pos || have >= pos + run.len() {
-            return;
-        }
-        if have == 0 {
-            self.edges.reserve_exact(self.span);
+            return true;
         }
         let fresh = &run[have - pos..];
-        self.edges
-            .extend_from_slice(&fresh[..fresh.len().min(self.span - have)]);
+        let fresh = &fresh[..fresh.len().min(self.span - have)];
+        if !packing.holds(fresh) {
+            self.enabled = false;
+            (*bytes, *len) = (Vec::new(), 0);
+            return false;
+        }
+        if bytes.is_empty() {
+            *bytes = vec![0; packing.width * self.span + PACK_PAD];
+        }
+        per_width!(packing.width, pack_run(bytes, *packing, have, fresh));
+        *len += fresh.len();
+        true
     }
 
     /// Whether every edge of the span has been absorbed.
     pub(crate) fn complete(&self) -> bool {
-        self.enabled && self.edges.len() == self.span
+        self.enabled && self.packed.len == self.span
     }
 
     /// Give up the (complete) cached span; the cache absorbs nothing more.
-    pub(crate) fn take(&mut self) -> Vec<Edge> {
+    pub(crate) fn take(&mut self) -> PackedEdges {
         self.enabled = false;
-        std::mem::take(&mut self.edges)
+        let bytes = std::mem::take(&mut self.packed.bytes);
+        PackedEdges {
+            bytes,
+            ..self.packed
+        }
     }
 }
 

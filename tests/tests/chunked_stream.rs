@@ -422,12 +422,23 @@ fn the_engine_makes_no_per_edge_call() {
     assert_eq!(calls.edge.load(Ordering::Relaxed), 0);
 }
 
+/// The vertex count `v2_file` writes in its header.
+const V2_FILE_VERTICES: u64 = 4096;
+
 /// A v2 file of `n` edges in chunks of 700, and the edges.
 fn v2_file(tag: &str, n: u32) -> (PathBuf, Vec<Edge>) {
     let edges = graph(n).edges().to_vec();
     let path = tmp(tag, "bel2");
-    write_v2_edge_list(&path, 4096, edges.iter().copied(), 700).unwrap();
+    write_v2_edge_list(&path, V2_FILE_VERTICES, edges.iter().copied(), 700).unwrap();
     (path, edges)
+}
+
+/// The bytes a source retains for `span` edges of a `v2_file`: each edge
+/// packed in ⌈2w/8⌉ bytes, w the bits of the header's largest id (4095:
+/// w = 12, 3 bytes), plus 8 pad bytes per range.
+fn retained_bytes(span: u64) -> u64 {
+    let w = u64::from(64 - (V2_FILE_VERTICES - 1).leading_zeros());
+    (2 * w).div_ceil(8) * span + 8
 }
 
 /// Ranged v2 sources retain what they decode: for every backend and range
@@ -484,7 +495,7 @@ fn a_v2_range_is_decoded_once_per_source() {
         );
         assert_eq!(
             counter("io.v2.retained_bytes") - bytes_before,
-            nonempty.map(|(a, b)| (b - a) * 8).sum::<u64>(),
+            nonempty.map(|(a, b)| retained_bytes(b - a)).sum::<u64>(),
             "{backend:?}"
         );
     }
@@ -512,17 +523,18 @@ fn retention_stays_within_the_decode_budget() {
         }
         (decoding, counter("io.v2.ranges_retained") - retained)
     };
+    let half = retained_bytes(2_000);
     // Below one range: nothing is retained and every open decodes.
-    assert_eq!(decodes_on_reopen(2_000 * 8 - 1), (2, 0));
+    assert_eq!(decodes_on_reopen(half - 1), (2, 0));
     assert_eq!(decodes_on_reopen(0), (2, 0));
     // Room for one of the two: exactly the first is retained.
-    assert_eq!(decodes_on_reopen(2_000 * 8), (1, 1));
-    assert_eq!(decodes_on_reopen(2 * 2_000 * 8 - 1), (1, 1));
+    assert_eq!(decodes_on_reopen(half), (1, 1));
+    assert_eq!(decodes_on_reopen(2 * half - 1), (1, 1));
     // Room for both.
-    assert_eq!(decodes_on_reopen(2 * 2_000 * 8), (0, 2));
+    assert_eq!(decodes_on_reopen(2 * half), (0, 2));
 
     // A cursor dropped before it completes a pass gives its share back.
-    set_decode_cache_budget(2_000 * 8);
+    set_decode_cache_budget(half);
     let source = open_ranged_backend(&path, ReaderBackend::Buffered).unwrap();
     let mut abandoned = source.open_range(0, 2_000).unwrap();
     abandoned.next_edge().unwrap();
@@ -534,6 +546,57 @@ fn retention_stays_within_the_decode_budget() {
     );
     assert_eq!(counter("io.v2.ranges_retained"), retained + 1);
 
+    set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A header that understates |V| is not trusted: a range holding an id the
+/// header's |V| does not cover streams from the file, exactly, on every pass
+/// of every backend, and is never retained. Its cursor gives the range's
+/// reservation back the moment it meets such an id, mid-pass, so the other
+/// range then fits a budget that holds only one.
+#[test]
+fn a_range_with_ids_beyond_the_header_streams_from_the_file() {
+    let _globals = V2_GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let mut edges = graph(4_000).edges().to_vec();
+    // Past the 12 bits the header's 4096 vertices need.
+    edges[1_500] = Edge::new(4_096, 7);
+    edges[1_600] = Edge::new(3, u32::MAX);
+    let path = tmp("liar", "bel2");
+    write_v2_edge_list(&path, V2_FILE_VERTICES, edges.iter().copied(), 700).unwrap();
+    set_decode_cache_budget(retained_bytes(2_000));
+    let (liars, honest) = edges.split_at(2_000);
+    for backend in ReaderBackend::ALL {
+        let source = open_ranged_backend(&path, backend).unwrap();
+        let retained = counter("io.v2.ranges_retained");
+        let mut liar = source.open_range(0, 2_000).unwrap();
+        liar.reset().unwrap();
+        for want in &liars[..1_700] {
+            assert_eq!(liar.next_edge().unwrap().as_ref(), Some(want));
+        }
+        assert_eq!(
+            chunked(&mut *source.open_range(2_000, 4_000).unwrap()),
+            honest
+        );
+        assert_eq!(
+            counter("io.v2.ranges_retained"),
+            retained + 1,
+            "{backend:?}"
+        );
+
+        let what = format!("{backend:?} liar");
+        let decoded = counter("io.v2.chunks_decoded");
+        check_stream(&mut *liar, liars, &what);
+        assert!(counter("io.v2.chunks_decoded") > decoded, "{what}");
+        drop(liar);
+        let decoded = counter("io.v2.chunks_decoded");
+        check_stream(&mut *source.open_range(0, 2_000).unwrap(), liars, &what);
+        assert!(
+            counter("io.v2.chunks_decoded") > decoded,
+            "{what}: reopened"
+        );
+        assert_eq!(counter("io.v2.ranges_retained"), retained + 1, "{what}");
+    }
     set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
     std::fs::remove_file(&path).ok();
 }

@@ -10,8 +10,8 @@ use tps_io::v2::{
     fnv1a32, write_varint, CHUNK_HEADER_LEN, HEADER_LEN_V2, MAGIC_V2, TRAILER_LEN, TRAILER_MAGIC,
 };
 use tps_io::{
-    convert_v1_to_v2, convert_v2_to_v1, open_edge_stream, write_v2_edge_list, RangedFile,
-    ReaderBackend,
+    convert_v1_to_v2, convert_v2_to_v1, open_edge_stream, open_ranged_backend, write_v2_edge_list,
+    RangedFile, ReaderBackend,
 };
 
 fn tmp(tag: &str, ext: &str) -> std::path::PathBuf {
@@ -22,6 +22,12 @@ fn collect(stream: &mut dyn EdgeStream) -> Vec<Edge> {
     let mut v = Vec::new();
     for_each_edge(stream, |e| v.push(e)).unwrap();
     v
+}
+
+/// The edges of one pass, read one at a time.
+fn one_by_one(stream: &mut dyn EdgeStream) -> Vec<Edge> {
+    stream.reset().unwrap();
+    std::iter::from_fn(|| stream.next_edge().unwrap()).collect()
 }
 
 proptest! {
@@ -45,6 +51,40 @@ proptest! {
             let pass2 = collect(&mut *f);
             prop_assert_eq!(&pass1, &edges);
             prop_assert_eq!(&pass2, &edges);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A range retained packed — in the bytes the header's |V| needs, for
+    /// arbitrary edges and any |V| above their largest id — reads back as
+    /// the input on every backend: the first pass, the retained passes and
+    /// a fresh open of the retained range, in runs and per edge.
+    #[test]
+    fn retained_passes_equal_the_input_at_any_vertex_count(
+        pairs in proptest::collection::vec((0u64..1 << 32, 0u64..1 << 32), 1..300),
+        shift in 0u32..33,
+        slack in 0u64..1_000,
+        chunk in 1u32..70,
+    ) {
+        // Shifting the ids down gives every packed width a turn.
+        let edges: Vec<Edge> = pairs
+            .into_iter()
+            .map(|(s, d)| Edge::new((s >> shift) as u32, (d >> shift) as u32))
+            .collect();
+        let max_id = edges.iter().map(|e| e.src.max(e.dst)).max().unwrap();
+        let num_vertices = u64::from(max_id) + 1 + slack;
+        let n = edges.len() as u64;
+        let path = tmp("prop-retained", "bel2");
+        write_v2_edge_list(&path, num_vertices, edges.iter().copied(), chunk).unwrap();
+        for backend in ReaderBackend::ALL {
+            let source = open_ranged_backend(&path, backend).unwrap();
+            let mut first = source.open_range(0, n).unwrap();
+            prop_assert_eq!(&collect(&mut *first), &edges);
+            prop_assert_eq!(&one_by_one(&mut *first), &edges);
+            prop_assert_eq!(&collect(&mut *first), &edges);
+            let mut fresh = source.open_range(0, n).unwrap();
+            prop_assert_eq!(&one_by_one(&mut *fresh), &edges);
+            prop_assert_eq!(&collect(&mut *fresh), &edges);
         }
         std::fs::remove_file(&path).ok();
     }

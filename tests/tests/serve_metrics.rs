@@ -79,6 +79,10 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
     // the source retained.
     let input = std::env::temp_dir().join(format!("tps-scrape-{}.bel2", std::process::id()));
     tps_io::write_v2_edge_list(&input, NUM_VERTICES, edges.iter().copied(), 500).expect("input");
+    // Each worker's range is retained packed: ⌈2w/8⌉ bytes per edge, w the
+    // bits of the header's largest id, plus 8 pad bytes per range.
+    let w = u64::from(64 - (NUM_VERTICES - 1).leading_zeros());
+    let retained_bytes = (2 * w).div_ceil(8) * edges.len() as u64 + 2 * 8;
     tps_io::run_job(
         tps_core::job::JobSpec::path(&input)
             .k(K)
@@ -106,7 +110,7 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
         ("core.decision_log.bytes", edges.len() as u64),
         ("core.emit.restreamed_edges", edges.len() as u64),
         ("io.v2.ranges_retained", 2),
-        ("io.v2.retained_bytes", 8 * edges.len() as u64),
+        ("io.v2.retained_bytes", retained_bytes),
         ("core.paging.budget_bytes", 1 << 19),
         ("core.paging.flat_after_pass", 1),
     ] {
