@@ -1,11 +1,9 @@
 //! Ablations of 2PS-L's design choices (DESIGN.md §6).
 //!
-//! 1. Cluster volume-cap factor ∈ {0.5, 1.0, 2.0, ∞}.
+//! 1. Cluster volume-cap factor ∈ {0.25, 0.5, 1.0, 2.0, ∞}.
 //! 2. Cluster→partition mapping: Graham sorted vs unsorted first-fit.
 //! 3. Pre-partitioning on/off.
-//! 4. Clustering algorithm: bounded exact-degree (2PS-L) vs the original
-//!    Hollocou partial-degree clustering feeding the same phase 2 (the
-//!    paper's extension #1 motivation).
+//! 4. One vs two clustering passes.
 //!
 //! Run: `cargo run --release -p tps-bench --bin ablations`
 

@@ -20,10 +20,7 @@
 //! * [`paged`] — the budget-bounded, disk-backed
 //!   [`PagedClustering`] (out-of-core mode).
 //! * [`streaming`] — the 2PS-L clustering pass (Algorithm 1).
-//! * [`hollocou`] — the original unbounded, partial-degree algorithm, kept
-//!   as an ablation baseline.
-//! * [`stats`] — cluster statistics and intra-cluster edge fraction
-//!   measurement.
+//! * [`merge`] — the volume-ordered merge of per-shard clusterings.
 //!
 //! ```
 //! use tps_clustering::streaming::{cluster_stream, ClusteringConfig};
@@ -38,11 +35,9 @@
 //! assert!(clustering.num_nonempty_clusters() > 1);
 //! ```
 
-pub mod hollocou;
 pub mod merge;
 pub mod model;
 pub mod paged;
-pub mod stats;
 pub mod streaming;
 pub mod table;
 

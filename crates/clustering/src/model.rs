@@ -152,11 +152,14 @@ impl Clustering {
         self.v2c[v as usize] = to;
     }
 
-    /// Add `delta` to the volume of `c` (partial-degree mode of the Hollocou
-    /// baseline, where volumes grow as degrees are discovered).
-    #[inline]
-    pub fn grow_volume(&mut self, c: ClusterId, delta: u64) {
-        self.volumes[c as usize] += delta;
+    /// Extend the vertex space to `num_vertices`, the new vertices
+    /// unassigned (no-op if it is already that large). In place — an
+    /// amortised `Vec::resize` — so a caller that grows one id at a time
+    /// (the incremental engine's inserts) pays `O(1)` per id.
+    pub fn grow_vertices(&mut self, num_vertices: u64) {
+        if num_vertices > self.num_vertices() {
+            self.v2c.resize(num_vertices as usize, NO_CLUSTER);
+        }
     }
 
     // ----- wire format (the distributed runtime ships clusterings between
@@ -397,6 +400,27 @@ mod tests {
         }
         assert_eq!(c.cluster_of(live.len() as VertexId), None);
         assert_eq!(c.compact_ids(), 0, "already compact");
+    }
+
+    /// Growing the vertex space keeps every cluster, member and volume,
+    /// leaves the new vertices unassigned, and never shrinks.
+    #[test]
+    fn grow_vertices_keeps_every_cluster_and_volume() {
+        let mut c = Clustering::from_parts(vec![1, 0, NO_CLUSTER, 1], vec![5, 9]);
+        for n in 5..70u64 {
+            c.grow_vertices(n);
+            assert_eq!(c.num_vertices(), n);
+        }
+        c.grow_vertices(3);
+        assert_eq!(c.num_vertices(), 69, "never shrinks");
+        assert_eq!(c.volumes(), &[5, 9]);
+        assert_eq!(
+            (0..4).map(|v| c.raw_cluster_of(v)).collect::<Vec<_>>(),
+            [1, 0, NO_CLUSTER, 1]
+        );
+        assert!((4..69).all(|v| c.cluster_of(v).is_none()));
+        let fresh = c.create_cluster(68, 3);
+        assert_eq!((fresh, c.volume(fresh)), (2, 3));
     }
 
     #[test]

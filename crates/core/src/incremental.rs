@@ -4,15 +4,25 @@
 //! into an incremental algorithm to efficiently handle dynamic graphs with
 //! edge insertions and deletions without recomputing the complete
 //! partitioning from scratch" (§VI). This module implements that
-//! transformation:
+//! transformation on top of the engine; it keeps only what an update needs:
 //!
-//! * [`IncrementalTwoPhase::bootstrap`] runs ordinary 2PS-L over the initial
-//!   stream and *retains* the phase state (degrees, clustering, cluster→
-//!   partition placement, replication matrix, loads).
-//! * [`IncrementalTwoPhase::insert`] assigns a new edge in `O(1)` using the
-//!   same two-choice scoring against the retained state. New vertices are
-//!   clustered on first contact exactly as the streaming clustering would
-//!   (joining the heavier endpoint cluster under the volume cap).
+//! * [`IncrementalTwoPhase::adopt`] takes a finished partitioning and derives
+//!   the retained phase state with the engine's own phase-0/1 kernels
+//!   ([`shard_degrees`], [`resolve_volume_cap`], [`shard_clustering`] and
+//!   [`cluster_placement`], as a one-shard run calls them) over the edges in
+//!   the order given; the replica counts and loads come from the
+//!   assignment, which every edge keeps.
+//! * [`IncrementalTwoPhase::bootstrap`] runs [`TwoPhasePartitioner`] over
+//!   the initial stream and adopts its assignment in stream order, so its
+//!   live assignment is the serial run's and its clustering and placement
+//!   are that run's phase 1.
+//! * [`IncrementalTwoPhase::insert`] assigns a new edge in `O(1)` with the
+//!   engine's two-choice score ([`two_choice_best`]) against the retained
+//!   state, whatever `config.strategy` is. New vertices are clustered on
+//!   first contact exactly as the streaming clustering would (joining the
+//!   other endpoint's cluster under the volume cap). Past the headroom cap
+//!   the edge falls back to its hash partition, then to the least-loaded
+//!   one.
 //! * [`IncrementalTwoPhase::remove`] retracts an edge: loads shrink, and
 //!   replica bits are dropped when the edge was the vertex's last edge on
 //!   that partition (tracked with per-(vertex, partition) counts — the
@@ -27,15 +37,18 @@ use std::collections::HashMap;
 use std::io;
 
 use tps_clustering::model::{Clustering, NO_CLUSTER};
-use tps_clustering::streaming::{clustering_pass, VolumeCap};
-use tps_graph::degree::DegreeTable;
 use tps_graph::hash::seeded_hash_to_partition;
-use tps_graph::stream::{discover_info, for_each_edge, EdgeStream};
+use tps_graph::stream::{discover_info, for_each_edge, EdgeStream, InMemoryGraph};
 use tps_graph::types::{Edge, PartitionId, VertexId};
+use tps_metrics::bitmatrix::ReplicaSet;
 
+use crate::balance::PartitionLoads;
+use crate::parallel::{cluster_placement, resolve_volume_cap, shard_clustering, shard_degrees};
+use crate::partitioner::{PartitionParams, Partitioner};
+use crate::sink::VecSink;
 use crate::two_phase::mapping::ClusterPlacement;
 use crate::two_phase::scoring::{two_choice_best, EdgeScoreInputs};
-use crate::two_phase::{MappingStrategy, RemainingStrategy, TwoPhaseConfig};
+use crate::two_phase::{MappingStrategy, RemainingStrategy, TwoPhaseConfig, TwoPhasePartitioner};
 
 /// Replica reference counts per (vertex, partition): the incremental
 /// replacement for the boolean `v2p` matrix, so deletions can retract
@@ -60,23 +73,16 @@ impl ReplicaCounts {
     }
 
     #[inline]
-    fn get(&self, v: VertexId, p: PartitionId) -> bool {
-        self.counts[self.idx(v, p)] > 0
-    }
-
-    #[inline]
     fn add(&mut self, v: VertexId, p: PartitionId) {
         let i = self.idx(v, p);
         self.counts[i] += 1;
     }
 
-    /// Returns true if the last replica on `p` disappeared.
     #[inline]
-    fn remove(&mut self, v: VertexId, p: PartitionId) -> bool {
+    fn remove(&mut self, v: VertexId, p: PartitionId) {
         let i = self.idx(v, p);
         assert!(self.counts[i] > 0, "removing a replica that does not exist");
         self.counts[i] -= 1;
-        self.counts[i] == 0
     }
 
     fn grow_vertices(&mut self, num_vertices: u64) {
@@ -93,6 +99,28 @@ impl ReplicaCounts {
             .chunks(self.k as usize)
             .filter(|row| row.iter().any(|&c| c > 0))
             .count() as u64
+    }
+}
+
+/// The counts as the replica set the engine's score reads: `v` is on `p`
+/// while any live edge of `v` is. Counts change only through
+/// `add`/`remove`, never through the set's idempotent `insert`.
+impl ReplicaSet for ReplicaCounts {
+    fn k(&self) -> u32 {
+        self.k
+    }
+
+    fn num_vertices(&self) -> u64 {
+        (self.counts.len() / self.k as usize) as u64
+    }
+
+    #[inline]
+    fn contains(&self, v: VertexId, p: PartitionId) -> bool {
+        self.counts[self.idx(v, p)] > 0
+    }
+
+    fn insert(&mut self, _v: VertexId, _p: PartitionId) {
+        unreachable!("replica counts change through add and remove")
     }
 }
 
@@ -120,76 +148,135 @@ pub struct IncrementalTwoPhase {
     bootstrap_edges: u64,
 }
 
+fn invalid_input(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg.into())
+}
+
+/// The run parameters both constructors take: `k ≥ 1`, `α ≥ 1` and a
+/// head-room factor `≥ 1`.
+fn check_params(k: u32, alpha: f64, headroom: f64) -> io::Result<()> {
+    let problem = if k == 0 {
+        "k must be positive"
+    } else if alpha.is_nan() || alpha < 1.0 {
+        "alpha must be >= 1"
+    } else if headroom.is_nan() || headroom < 1.0 {
+        "headroom must be >= 1"
+    } else {
+        return Ok(());
+    };
+    Err(invalid_input(problem))
+}
+
 impl IncrementalTwoPhase {
-    /// Run 2PS-L over `stream` and retain all state for incremental updates.
+    /// Run 2PS-L ([`TwoPhasePartitioner`]) over `stream` and adopt the
+    /// result: the live assignment is the serial run's, edge for edge.
     ///
-    /// `extra_capacity_factor ≥ 1` head-room multiplies the per-partition
-    /// cap so future insertions do not immediately saturate partitions.
+    /// `headroom ≥ 1` multiplies the per-partition cap that *insertions*
+    /// respect, so they do not immediately saturate partitions; the
+    /// bootstrap run itself keeps the `α` cap. A stream that holds an edge
+    /// twice (in either direction) is `InvalidInput`.
     pub fn bootstrap<S: EdgeStream + ?Sized>(
         stream: &mut S,
         k: u32,
         alpha: f64,
-        extra_capacity_factor: f64,
+        headroom: f64,
         config: TwoPhaseConfig,
     ) -> io::Result<Self> {
-        assert!(k > 0);
-        assert!(extra_capacity_factor >= 1.0);
-        let info = discover_info(stream)?;
-        let degrees_table = DegreeTable::compute(stream, info.num_vertices)?;
-        let volume_cap = VolumeCap::FractionOfTotal(config.volume_cap_factor / k as f64)
-            .resolve(degrees_table.total_volume().max(1));
-        let mut clustering = Clustering::empty(info.num_vertices);
-        for _ in 0..config.clustering_passes {
-            clustering_pass(stream, &degrees_table, volume_cap, &mut clustering)?;
-        }
-        let placement = ClusterPlacement::sorted_list_schedule(&clustering, k);
+        check_params(k, alpha, headroom)?;
+        let mut stream = stream;
+        let num_vertices = discover_info(&mut stream)?.num_vertices;
+        let mut sink = VecSink::new();
+        TwoPhasePartitioner::new(config).partition(
+            &mut stream,
+            &PartitionParams { k, alpha },
+            &mut sink,
+        )?;
+        // The sink saw the pre-partitioned edges first; adopt re-derives
+        // phase 1 from the edge order, so hand it the stream's.
+        let decided: HashMap<Edge, PartitionId> = sink.into_assignments().into_iter().collect();
+        let mut in_order = Vec::with_capacity(decided.len());
+        for_each_edge(&mut stream, |e| in_order.push((e, decided[&e])))?;
+        Self::adopt(&in_order, num_vertices, k, alpha, headroom, config)
+    }
 
-        let cap = ((alpha * info.num_edges as f64 / k as f64).floor() as u64)
-            .max(info.num_edges.div_ceil(k as u64));
+    /// Adopt a finished partitioning as the bootstrap state: every edge
+    /// keeps the partition it was given — the live assignment equals
+    /// `assignments` bit for bit — and the retained phase state (degrees,
+    /// clustering, placement) is what a one-shard 2PS-L run over
+    /// `assignments`' edges, in that order, computes in phases 0 and 1.
+    /// This is how the serving daemon promotes a partition loaded from
+    /// disk to the incremental write path.
+    ///
+    /// A partition id `≥ k`, an endpoint `≥ num_vertices` or an edge given
+    /// twice (in either direction) is `InvalidInput`.
+    pub fn adopt(
+        assignments: &[(Edge, PartitionId)],
+        num_vertices: u64,
+        k: u32,
+        alpha: f64,
+        headroom: f64,
+        config: TwoPhaseConfig,
+    ) -> io::Result<Self> {
+        check_params(k, alpha, headroom)?;
+        config.check()?;
+        for &(e, p) in assignments {
+            if p >= k || u64::from(e.src.max(e.dst)) >= num_vertices {
+                return Err(invalid_input(format!(
+                    "edge {e:?} on partition {p} is out of range (k = {k}, |V| = {num_vertices})"
+                )));
+            }
+        }
+        let edges = assignments.iter().map(|&(e, _)| e).collect();
+        let graph = InMemoryGraph::with_num_vertices(edges, num_vertices);
+        let all = (0, graph.num_edges());
+        let degrees = shard_degrees(&graph, all, num_vertices)?;
+        let volume_cap = resolve_volume_cap(&config, k, &degrees);
+        let clustering = shard_clustering(
+            &graph,
+            all,
+            &config,
+            &degrees,
+            volume_cap,
+            num_vertices,
+            true,
+        )?;
+        let placement = cluster_placement(&config, &clustering, k);
+        let cap = PartitionLoads::new(k, graph.num_edges(), alpha).cap();
         let mut this = IncrementalTwoPhase {
             config,
             k,
-            cap_per_partition: ((cap as f64) * extra_capacity_factor).ceil() as u64,
+            cap_per_partition: ((cap as f64) * headroom).ceil() as u64,
             volume_cap,
-            degrees: degrees_table.as_slice().to_vec(),
+            degrees: degrees.as_slice().to_vec(),
             clustering,
             placement,
             late_cluster_partitions: Vec::new(),
-            replicas: ReplicaCounts::new(info.num_vertices, k),
+            replicas: ReplicaCounts::new(num_vertices, k),
             loads: vec![0; k as usize],
-            assignment: HashMap::with_capacity(info.num_edges as usize),
+            assignment: HashMap::with_capacity(assignments.len()),
             mutations_since_bootstrap: 0,
-            bootstrap_edges: info.num_edges,
+            bootstrap_edges: graph.num_edges(),
         };
-        // Assign the bootstrap edges with the standard two passes.
-        for prepartition in [true, false] {
-            for_each_edge(stream, |e| {
-                if this.prepartition_target(e).is_some() == prepartition {
-                    let p = this.choose_partition(e);
-                    this.commit(e, p);
-                }
-            })?;
+        for &(e, p) in assignments {
+            if this.assignment.contains_key(&e.canonical()) {
+                return Err(invalid_input(format!(
+                    "duplicate edge {e:?} in adopted assignment"
+                )));
+            }
+            this.commit(e, p);
         }
         Ok(this)
     }
 
+    /// Make room for vertex `v`: every per-vertex array grows in place
+    /// (amortised), so a stream of new ids costs `O(1)` per insert.
     fn ensure_vertex(&mut self, v: VertexId) {
-        if (v as usize) < self.degrees.len() {
-            return;
+        let n = v as u64 + 1;
+        if n > self.num_vertices() {
+            self.degrees.resize(n as usize, 0);
+            self.replicas.grow_vertices(n);
+            self.clustering.grow_vertices(n);
         }
-        let new_len = v as usize + 1;
-        self.degrees.resize(new_len, 0);
-        self.replicas.grow_vertices(new_len as u64);
-        // Clustering needs room too; new vertices are unassigned for now.
-        let mut v2c = vec![NO_CLUSTER; new_len];
-        for (u, slot) in v2c
-            .iter_mut()
-            .take(self.clustering.num_vertices() as usize)
-            .enumerate()
-        {
-            *slot = self.clustering.raw_cluster_of(u as u32);
-        }
-        self.clustering = Clustering::from_parts(v2c, self.clustering.volumes().to_vec());
     }
 
     /// Partition of a cluster, covering clusters created after bootstrap.
@@ -202,6 +289,16 @@ impl IncrementalTwoPhase {
         }
     }
 
+    /// The least-loaded partition (lowest id wins ties).
+    fn least_loaded(&self) -> PartitionId {
+        self.loads
+            .iter()
+            .enumerate()
+            .min_by_key(|&(i, &l)| (l, i))
+            .map(|(i, _)| i as u32)
+            .expect("k >= 1")
+    }
+
     /// Cluster a vertex on first contact, mirroring the streaming rule: join
     /// the other endpoint's cluster if the cap allows, else start fresh
     /// (new clusters are pinned to the currently least-loaded partition).
@@ -211,122 +308,48 @@ impl IncrementalTwoPhase {
         }
         let dv = self.degrees[v as usize].max(1) as u64;
         let co = self.clustering.raw_cluster_of(other);
+        self.clustering.create_cluster(v, dv);
         if co != NO_CLUSTER && self.clustering.volume(co) + dv <= self.volume_cap {
-            self.clustering.create_cluster(v, dv);
             // Merge into the neighbour's cluster immediately.
             self.clustering.migrate(v, dv, co);
-        } else {
-            self.clustering.create_cluster(v, dv);
         }
         // Pin any clusters the placement has not seen.
         while self.placement.num_clusters() as usize + self.late_cluster_partitions.len()
             < self.clustering.num_cluster_ids() as usize
         {
-            let p = self
-                .loads
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, &l)| (l, i))
-                .map(|(i, _)| i as u32)
-                .expect("k >= 1");
+            let p = self.least_loaded();
             self.late_cluster_partitions.push(p);
         }
     }
 
-    #[inline]
-    fn prepartition_target(&self, e: Edge) -> Option<PartitionId> {
-        let cu = self.clustering.raw_cluster_of(e.src);
-        let cv = self.clustering.raw_cluster_of(e.dst);
-        if cu == NO_CLUSTER || cv == NO_CLUSTER {
-            return None;
-        }
-        let pu = self.cluster_partition(cu);
-        if cu == cv {
-            return Some(pu);
-        }
-        (self.cluster_partition(cv) == pu).then_some(pu)
-    }
-
-    /// Two-choice scoring against the retained state (`O(1)` per edge).
+    /// The partition of a new edge whose endpoints are both clustered:
+    /// the two-choice score against the retained state (`O(1)` per edge),
+    /// then — when the winner is at the head-room cap — the hash partition
+    /// of the higher-degree endpoint, then the least-loaded partition.
     fn choose_partition(&self, e: Edge) -> PartitionId {
         let cu = self.clustering.raw_cluster_of(e.src);
         let cv = self.clustering.raw_cluster_of(e.dst);
-        let candidate = if cu == NO_CLUSTER || cv == NO_CLUSTER {
-            None
-        } else {
-            let inputs = EdgeScoreInputs {
-                u: e.src,
-                v: e.dst,
-                du: self.degrees[e.src as usize].max(1) as u64,
-                dv: self.degrees[e.dst as usize].max(1) as u64,
-                vol_cu: self.clustering.volume(cu),
-                vol_cv: self.clustering.volume(cv),
-                pu: self.cluster_partition(cu),
-                pv: self.cluster_partition(cv),
-            };
-            // Score against counts-backed replicas through a bit view.
-            let best = self.two_choice_with_counts(&inputs);
-            Some(best)
+        let (du, dv) = (self.degrees[e.src as usize], self.degrees[e.dst as usize]);
+        let inputs = EdgeScoreInputs {
+            u: e.src,
+            v: e.dst,
+            du: du.into(),
+            dv: dv.into(),
+            vol_cu: self.clustering.volume(cu),
+            vol_cv: self.clustering.volume(cv),
+            pu: self.cluster_partition(cu),
+            pv: self.cluster_partition(cv),
         };
-        let mut p = candidate.unwrap_or_else(|| {
-            let hv = if self.degrees[e.src as usize] >= self.degrees[e.dst as usize] {
-                e.src
-            } else {
-                e.dst
-            };
-            seeded_hash_to_partition(hv, self.config.hash_seed, self.k)
-        });
-        if self.loads[p as usize] >= self.cap_per_partition {
-            // Hash fallback, then least loaded.
-            let hv = if self.degrees[e.src as usize] >= self.degrees[e.dst as usize] {
-                e.src
-            } else {
-                e.dst
-            };
-            p = seeded_hash_to_partition(hv, self.config.hash_seed, self.k);
-            if self.loads[p as usize] >= self.cap_per_partition {
-                p = self
-                    .loads
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(i, &l)| (l, i))
-                    .map(|(i, _)| i as u32)
-                    .expect("k >= 1");
-            }
+        let p = two_choice_best(&inputs, &self.replicas);
+        if self.loads[p as usize] < self.cap_per_partition {
+            return p;
         }
-        p
-    }
-
-    fn two_choice_with_counts(&self, inputs: &EdgeScoreInputs) -> PartitionId {
-        // Build a tiny 2-partition view over the counts (two_choice_best
-        // needs a ReplicationMatrix; avoid constructing one by inlining the
-        // score here for the counts backend).
-        if inputs.pu == inputs.pv {
-            return inputs.pu;
+        let hv = if du >= dv { e.src } else { e.dst };
+        let p = seeded_hash_to_partition(hv, self.config.hash_seed, self.k);
+        if self.loads[p as usize] < self.cap_per_partition {
+            return p;
         }
-        let score = |p: PartitionId| -> f64 {
-            let d_sum = (inputs.du + inputs.dv) as f64;
-            let vol_sum = (inputs.vol_cu + inputs.vol_cv) as f64;
-            let mut s = 0.0;
-            if self.replicas.get(inputs.u, p) {
-                s += 1.0 + (1.0 - inputs.du as f64 / d_sum);
-            }
-            if self.replicas.get(inputs.v, p) {
-                s += 1.0 + (1.0 - inputs.dv as f64 / d_sum);
-            }
-            if inputs.pu == p {
-                s += inputs.vol_cu as f64 / vol_sum;
-            }
-            if inputs.pv == p {
-                s += inputs.vol_cv as f64 / vol_sum;
-            }
-            s
-        };
-        if score(inputs.pv) > score(inputs.pu) {
-            inputs.pv
-        } else {
-            inputs.pu
-        }
+        self.least_loaded()
     }
 
     fn commit(&mut self, e: Edge, p: PartitionId) {
@@ -336,7 +359,7 @@ impl IncrementalTwoPhase {
         self.assignment.insert(e.canonical(), p);
     }
 
-    /// Insert a new edge; returns its partition. `O(1)`.
+    /// Insert a new edge; returns its partition. `O(1)` amortised.
     ///
     /// # Panics
     /// Panics if the (canonicalised) edge is already present.
@@ -412,7 +435,7 @@ impl IncrementalTwoPhase {
 
     /// Whether vertex `v` currently has a replica on partition `p`.
     pub fn has_replica(&self, v: VertexId, p: PartitionId) -> bool {
-        (v as u64) < self.num_vertices() && self.replicas.get(v, p)
+        (v as u64) < self.num_vertices() && self.replicas.contains(v, p)
     }
 
     /// The partitions vertex `v` currently has replicas on, ascending.
@@ -421,68 +444,14 @@ impl IncrementalTwoPhase {
         if (v as u64) >= self.num_vertices() {
             return Vec::new();
         }
-        (0..self.k).filter(|&p| self.replicas.get(v, p)).collect()
+        (0..self.k)
+            .filter(|&p| self.replicas.contains(v, p))
+            .collect()
     }
 
     /// Every live `(edge, partition)` pair, canonicalised, in hash order.
     pub fn assignments(&self) -> impl Iterator<Item = (Edge, PartitionId)> + '_ {
         self.assignment.iter().map(|(&e, &p)| (e, p))
-    }
-
-    /// Adopt a finished partitioning as the bootstrap state: the retained
-    /// phase state (degrees, clustering, placement) is re-derived from the
-    /// edges exactly as [`IncrementalTwoPhase::bootstrap`] would, but every
-    /// edge keeps the partition it was given — the live assignment equals
-    /// `assignments` bit for bit. This is how the serving daemon promotes a
-    /// partition loaded from disk to the incremental write path.
-    pub fn adopt(
-        assignments: &[(Edge, PartitionId)],
-        num_vertices: u64,
-        k: u32,
-        alpha: f64,
-        extra_capacity_factor: f64,
-        config: TwoPhaseConfig,
-    ) -> io::Result<Self> {
-        assert!(k > 0);
-        assert!(extra_capacity_factor >= 1.0);
-        let edges: Vec<Edge> = assignments.iter().map(|&(e, _)| e).collect();
-        let graph = tps_graph::stream::InMemoryGraph::with_num_vertices(edges, num_vertices);
-        let mut stream = graph.stream();
-        let num_edges = assignments.len() as u64;
-        let degrees_table = DegreeTable::compute(&mut stream, num_vertices)?;
-        let volume_cap = VolumeCap::FractionOfTotal(config.volume_cap_factor / k as f64)
-            .resolve(degrees_table.total_volume().max(1));
-        let mut clustering = Clustering::empty(num_vertices);
-        for _ in 0..config.clustering_passes {
-            clustering_pass(&mut stream, &degrees_table, volume_cap, &mut clustering)?;
-        }
-        let placement = ClusterPlacement::sorted_list_schedule(&clustering, k);
-        let cap = ((alpha * num_edges as f64 / k as f64).floor() as u64)
-            .max(num_edges.div_ceil(k as u64));
-        let mut this = IncrementalTwoPhase {
-            config,
-            k,
-            cap_per_partition: ((cap as f64) * extra_capacity_factor).ceil() as u64,
-            volume_cap,
-            degrees: degrees_table.as_slice().to_vec(),
-            clustering,
-            placement,
-            late_cluster_partitions: Vec::new(),
-            replicas: ReplicaCounts::new(num_vertices, k),
-            loads: vec![0; k as usize],
-            assignment: HashMap::with_capacity(assignments.len()),
-            mutations_since_bootstrap: 0,
-            bootstrap_edges: num_edges,
-        };
-        for &(e, p) in assignments {
-            assert!(p < k, "partition id {p} out of range (k = {k})");
-            assert!(
-                !this.assignment.contains_key(&e.canonical()),
-                "duplicate edge {e:?} in adopted assignment"
-            );
-            this.commit(e, p);
-        }
-        Ok(this)
     }
 }
 
@@ -637,7 +606,10 @@ impl IncrementalTwoPhase {
     /// Restore a partitioning from [`IncrementalTwoPhase::write_snapshot`]
     /// bytes. Future `insert`/`remove` decisions are identical to the
     /// snapshotted instance's.
-    pub fn read_snapshot<R: io::Read>(r: &mut R) -> io::Result<Self> {
+    ///
+    /// `k` is the partition count the caller expects; a snapshot of any
+    /// other `k` is `InvalidData`, rejected before anything is sized by it.
+    pub fn read_snapshot<R: io::Read>(r: &mut R, k: u32) -> io::Result<Self> {
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)?;
         let mut rd = SnapReader { bytes: &bytes };
@@ -670,9 +642,11 @@ impl IncrementalTwoPhase {
             prepartitioning,
             hash_seed,
         };
-        let k = rd.u32()?;
-        if k == 0 {
-            return Err(bad_snapshot("snapshot has k = 0"));
+        let snapshot_k = rd.u32()?;
+        if snapshot_k != k || k == 0 {
+            return Err(bad_snapshot(format!(
+                "snapshot has k = {snapshot_k}, expected k = {k}"
+            )));
         }
         let cap_per_partition = rd.u64()?;
         let volume_cap = rd.u64()?;
@@ -683,6 +657,9 @@ impl IncrementalTwoPhase {
         }
         let (clustering, rest) = Clustering::decode_from(rd.bytes).map_err(bad_snapshot)?;
         rd.bytes = rest;
+        if clustering.num_vertices() != n_deg as u64 {
+            return Err(bad_snapshot("clustering and degrees disagree on |V|"));
+        }
         let n_c2p = rd.len("placement")?;
         let mut c2p = Vec::with_capacity(n_c2p);
         for _ in 0..n_c2p {
@@ -749,14 +726,6 @@ impl IncrementalTwoPhase {
         this.bootstrap_edges = rd.u64()?;
         Ok(this)
     }
-}
-
-// `two_choice_best` is used by the streaming path; referenced here so the
-// incremental module stays in sync with any scoring change (compile error on
-// signature drift).
-#[allow(dead_code)]
-fn _assert_scoring_signature(i: &EdgeScoreInputs, m: &tps_metrics::bitmatrix::ReplicationMatrix) {
-    let _ = two_choice_best(i, m);
 }
 
 #[cfg(test)]
@@ -886,7 +855,7 @@ mod tests {
         inc.remove(Edge::new(2_000_000, 2_000_001)).unwrap();
         let mut bytes = Vec::new();
         inc.write_snapshot(&mut bytes).unwrap();
-        let mut restored = IncrementalTwoPhase::read_snapshot(&mut &bytes[..]).unwrap();
+        let mut restored = IncrementalTwoPhase::read_snapshot(&mut &bytes[..], 8).unwrap();
         assert_eq!(restored.num_edges(), inc.num_edges());
         assert_eq!(restored.loads(), inc.loads());
         assert!((restored.staleness() - inc.staleness()).abs() < 1e-12);
@@ -904,6 +873,76 @@ mod tests {
         inc.write_snapshot(&mut a).unwrap();
         restored.write_snapshot(&mut b).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn adopt_rejects_what_it_cannot_hold() {
+        let adopt = |pairs: &[(Edge, PartitionId)], k: u32, alpha: f64| {
+            IncrementalTwoPhase::adopt(pairs, 4, k, alpha, 1.0, TwoPhaseConfig::default())
+                .err()
+                .map(|e| e.kind())
+        };
+        let ok = [(Edge::new(0, 1), 0), (Edge::new(2, 1), 1)];
+        assert_eq!(adopt(&ok, 2, 1.05), None);
+        let invalid = Some(io::ErrorKind::InvalidInput);
+        assert_eq!(adopt(&ok, 1, 1.05), invalid, "partition id >= k");
+        assert_eq!(adopt(&[ok[0], ok[0]], 2, 1.05), invalid, "duplicate");
+        assert_eq!(
+            adopt(&[ok[0], (Edge::new(1, 0), 1)], 2, 1.05),
+            invalid,
+            "duplicate, reversed"
+        );
+        assert_eq!(
+            adopt(&[(Edge::new(0, 4), 0)], 2, 1.05),
+            invalid,
+            "id >= |V|"
+        );
+        assert_eq!(adopt(&ok, 0, 1.05), invalid, "k = 0");
+        assert_eq!(adopt(&ok, 2, 0.5), invalid, "alpha < 1");
+        assert_eq!(adopt(&ok, 2, f64::NAN), invalid, "alpha NaN");
+    }
+
+    /// `k` sizes the loads and the placement's per-partition vector, so a
+    /// snapshot whose `k` is not the caller's is refused before either is
+    /// allocated — at `u32::MAX` that allocation alone is 32 GiB.
+    #[test]
+    fn snapshot_with_a_foreign_k_is_invalid_data() {
+        let (inc, _) = bootstrap(0.01, 8);
+        let mut bytes = Vec::new();
+        inc.write_snapshot(&mut bytes).unwrap();
+        // Magic, passes, volume-cap factor, strategy tag (two-choice: no
+        // parameters), mapping tag, prepartitioning flag, hash seed.
+        let at = 8 + 4 + 8 + 1 + 1 + 1 + 8;
+        assert_eq!(bytes[at..at + 4], 8u32.to_le_bytes());
+        let read = |bytes: &[u8], k: u32| {
+            IncrementalTwoPhase::read_snapshot(&mut &bytes[..], k)
+                .err()
+                .map(|e| e.kind())
+        };
+        let invalid = Some(io::ErrorKind::InvalidData);
+        for k in [u32::MAX, 9] {
+            let mut patched = bytes.clone();
+            patched[at..at + 4].copy_from_slice(&k.to_le_bytes());
+            assert_eq!(read(&patched, 8), invalid, "snapshot k = {k}");
+        }
+        assert_eq!(read(&bytes, 9), invalid, "caller expects k = 9");
+        assert_eq!(read(&bytes, 8), None);
+    }
+
+    /// A snapshot whose clustering covers fewer vertices than its degrees
+    /// would index past `v2c` on the first insert that touches the gap.
+    #[test]
+    fn snapshot_with_a_short_clustering_is_invalid_data() {
+        let (mut inc, g) = bootstrap(0.01, 8);
+        let short = g.num_vertices() as u32 - 1;
+        let v2c = (0..short)
+            .map(|v| inc.clustering.raw_cluster_of(v))
+            .collect();
+        inc.clustering = Clustering::from_parts(v2c, inc.clustering.volumes().to_vec());
+        let mut bytes = Vec::new();
+        inc.write_snapshot(&mut bytes).unwrap();
+        let err = IncrementalTwoPhase::read_snapshot(&mut &bytes[..], 8).err();
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
     }
 
     #[test]

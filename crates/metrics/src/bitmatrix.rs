@@ -113,7 +113,7 @@ impl ReplicationMatrix {
     /// Build a matrix from raw packed words (cover counts are recounted).
     /// Rejects a word count that does not match `num_vertices × ⌈k/64⌉`,
     /// `k = 0`, and stray bits beyond partition `k − 1` — the validation
-    /// every word-level ingress (wire decode, range install) shares.
+    /// every word-level ingress (snapshot, range install) shares.
     pub fn from_raw_words(
         num_vertices: u64,
         k: u32,
@@ -281,53 +281,6 @@ impl ReplicationMatrix {
     pub fn heap_bytes(&self) -> usize {
         self.bits.len() * 8 + self.cover_counts.len() * 8
     }
-
-    /// Serialise into `out`: `|V|` (u64), `k` (u32), then the packed bit
-    /// words little-endian. Cover counts are *not* shipped — they are
-    /// derivable and recomputing them on decode keeps the wire format
-    /// impossible to de-synchronise (the distributed runtime OR-merges
-    /// shards across processes; see `tps-dist`).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(12 + self.bits.len() * 8);
-        out.extend_from_slice(&self.num_vertices.to_le_bytes());
-        out.extend_from_slice(&self.k.to_le_bytes());
-        for &w in &self.bits {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// Inverse of [`ReplicationMatrix::encode_into`]. Consumes exactly the
-    /// encoded bytes from the front of `bytes`, returning the rest; cover
-    /// counts are recounted from the bits. Rejects truncated input, `k = 0`
-    /// and stray bits beyond partition `k − 1`.
-    pub fn decode_from(bytes: &[u8]) -> Result<(ReplicationMatrix, &[u8]), String> {
-        if bytes.len() < 12 {
-            return Err("replication matrix truncated (missing header)".into());
-        }
-        let num_vertices = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-        let k = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if k == 0 {
-            return Err("replication matrix with k = 0".into());
-        }
-        let words_per_vertex = (k as usize).div_ceil(64);
-        let total = words_per_vertex
-            .checked_mul(num_vertices as usize)
-            .ok_or("replication matrix size overflow")?;
-        let rest = &bytes[12..];
-        if rest.len() < total * 8 {
-            return Err(format!(
-                "replication matrix truncated: need {} words, have {} bytes",
-                total,
-                rest.len()
-            ));
-        }
-        let mut bits = Vec::with_capacity(total);
-        for rec in rest[..total * 8].chunks_exact(8) {
-            bits.push(u64::from_le_bytes(rec.try_into().unwrap()));
-        }
-        let matrix = ReplicationMatrix::from_raw_words(num_vertices, k, bits)?;
-        Ok((matrix, &rest[total * 8..]))
-    }
 }
 
 impl ReplicaSet for ReplicationMatrix {
@@ -351,9 +304,9 @@ impl ReplicaSet for ReplicationMatrix {
 
 /// Mask of the unused high bits in a vertex's last packed word, if any
 /// (`None` when `k` is a multiple of 64). Bits at positions ≥ k would
-/// corrupt the cover counts silently; every word-level ingress — wire
-/// decode, range install, the distributed coordinator's chunk merge —
-/// rejects rows where `last_word & mask != 0`.
+/// corrupt the cover counts silently; every word-level ingress — range
+/// install, the distributed coordinator's chunk merge — rejects rows where
+/// `last_word & mask != 0`.
 #[inline]
 pub fn stray_bit_mask(k: u32) -> Option<u64> {
     let tail_bits = ((k as usize).div_ceil(64) * 64 - k as usize) as u32;
@@ -362,7 +315,7 @@ pub fn stray_bit_mask(k: u32) -> Option<u64> {
 
 /// Validate a packed word sequence as whole `⌈k/64⌉`-word vertex rows
 /// with no stray bits beyond partition `k − 1` — the one rule every
-/// word-level ingress shares (wire decode, range install, the distributed
+/// word-level ingress shares (snapshot, range install, the distributed
 /// coordinator's chunk merge), kept here so the ingresses cannot diverge.
 pub fn validate_packed_rows(words: &[u64], k: u32) -> Result<(), String> {
     let wpv = (k as usize).div_ceil(64);
@@ -441,50 +394,6 @@ mod tests {
     fn empty_matrix() {
         let m = ReplicationMatrix::new(0, 4);
         assert_eq!(m.total_replicas(), 0);
-    }
-
-    #[test]
-    fn wire_roundtrip_recounts_covers() {
-        let mut m = ReplicationMatrix::new(5, 130);
-        m.set(0, 0);
-        m.set(1, 64);
-        m.set(4, 129);
-        m.set(4, 63);
-        let mut bytes = Vec::new();
-        m.encode_into(&mut bytes);
-        let (d, rest) = ReplicationMatrix::decode_from(&bytes).unwrap();
-        assert!(rest.is_empty());
-        assert_eq!(d.k(), 130);
-        assert_eq!(d.num_vertices(), 5);
-        for (v, p) in [(0u32, 0u32), (1, 64), (4, 129), (4, 63)] {
-            assert!(d.get(v, p), "({v},{p})");
-        }
-        assert_eq!(d.total_replicas(), 4);
-        assert_eq!(d.cover_count(64), 1);
-        // Trailing bytes survive.
-        bytes.extend_from_slice(&[1, 2]);
-        let (_, rest) = ReplicationMatrix::decode_from(&bytes).unwrap();
-        assert_eq!(rest, &[1, 2]);
-    }
-
-    #[test]
-    fn wire_rejects_truncation_and_stray_bits() {
-        let mut m = ReplicationMatrix::new(3, 10);
-        m.set(2, 9);
-        let mut bytes = Vec::new();
-        m.encode_into(&mut bytes);
-        assert!(ReplicationMatrix::decode_from(&bytes[..bytes.len() - 1]).is_err());
-        assert!(ReplicationMatrix::decode_from(&bytes[..4]).is_err());
-        // Set a bit for partition 13 of a k = 10 matrix: invalid.
-        let mut corrupt = bytes.clone();
-        let mut word0 = u64::from_le_bytes(corrupt[12..20].try_into().unwrap());
-        word0 |= 1 << 13;
-        corrupt[12..20].copy_from_slice(&word0.to_le_bytes());
-        assert!(ReplicationMatrix::decode_from(&corrupt).is_err());
-        // k = 0 is rejected.
-        let mut zero_k = bytes.clone();
-        zero_k[8..12].copy_from_slice(&0u32.to_le_bytes());
-        assert!(ReplicationMatrix::decode_from(&zero_k).is_err());
     }
 
     #[test]

@@ -128,19 +128,10 @@ impl ServeState {
     /// Restore from a written engine snapshot plus the *original* loaded
     /// partition files: the packed table comes from the files, the engine
     /// (with every post-load decision) from the snapshot, and the overlay
-    /// is recomputed as the exact diff between them.
+    /// is recomputed as the exact diff between them. A snapshot of another
+    /// `k` than the directory's is `InvalidData`.
     pub fn restore<R: io::Read>(loaded: &LoadedPartition, r: &mut R) -> io::Result<ServeState> {
-        let engine = IncrementalTwoPhase::read_snapshot(r)?;
-        if engine.k() != loaded.k {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "snapshot has k = {} but the partition directory has k = {}",
-                    engine.k(),
-                    loaded.k
-                ),
-            ));
-        }
+        let engine = IncrementalTwoPhase::read_snapshot(r, loaded.k)?;
         let packed = PackedAssignment::from_assignments(&loaded.assignments, loaded.k)?;
         let mut overlay = HashMap::new();
         for (e, p) in engine.assignments() {

@@ -1,16 +1,18 @@
 //! Property-based tests (proptest) over the incremental 2PS-L engine.
 //!
-//! Pins the contract `tps-serve` builds on: at zero drift the engine *is*
-//! the bootstrap partitioning; novel-edge churn that is fully undone
-//! restores the bootstrap state bit for bit; and the retained books
-//! (per-partition loads, replica reference counts, staleness) stay exact
-//! under arbitrary interleavings of insertions and deletions.
+//! Pins the contract `tps-serve` builds on: bootstrap *is* the serial
+//! 2PS-L run, edge for edge, under every configuration; novel-edge churn
+//! that is fully undone restores the bootstrap state bit for bit; and the
+//! retained books (per-partition loads, replica reference counts,
+//! staleness) stay exact under arbitrary interleavings of insertions and
+//! deletions.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use proptest::prelude::*;
 use tps_core::incremental::IncrementalTwoPhase;
-use tps_core::two_phase::TwoPhaseConfig;
+use tps_core::two_phase::{MappingStrategy, TwoPhaseConfig};
+use tps_core::{PartitionParams, Partitioner, TwoPhasePartitioner, VecSink};
 use tps_graph::stream::InMemoryGraph;
 use tps_graph::types::Edge;
 
@@ -40,6 +42,46 @@ fn arb_simple_graph() -> impl Strategy<Value = InMemoryGraph> {
 /// inserting them never collides with a bootstrap edge.
 fn arb_novel_edges() -> impl Strategy<Value = Vec<Edge>> {
     proptest::collection::vec((48u32..80, 48u32..80), 1..40).prop_map(simple_edges)
+}
+
+/// Simple graphs in draw order and orientation (the first draw of each
+/// undirected edge wins), with up to a few hundred edges over 160 ids, so
+/// multi-member clusters, full partitions and both phase-2 subpasses occur.
+fn arb_stream_graph() -> impl Strategy<Value = InMemoryGraph> {
+    proptest::collection::vec((0u32..160, 0u32..160), 2..480).prop_map(|pairs| {
+        let mut seen = HashSet::new();
+        let mut edges: Vec<Edge> = pairs
+            .into_iter()
+            .filter(|&(a, b)| a != b && seen.insert((a.min(b), a.max(b))))
+            .map(|(a, b)| Edge::new(a, b))
+            .collect();
+        if edges.is_empty() {
+            edges.push(Edge::new(1, 0));
+        }
+        InMemoryGraph::from_edges(edges)
+    })
+}
+
+/// The serial engine's assignment (canonicalised) and loads.
+fn engine_run(
+    graph: &InMemoryGraph,
+    k: u32,
+    config: TwoPhaseConfig,
+) -> (BTreeMap<Edge, u32>, Vec<u64>) {
+    let mut sink = VecSink::new();
+    TwoPhasePartitioner::new(config)
+        .partition(&mut graph.stream(), &PartitionParams::new(k), &mut sink)
+        .expect("in-memory run cannot fail");
+    let mut loads = vec![0u64; k as usize];
+    let live = sink
+        .into_assignments()
+        .into_iter()
+        .map(|(e, p)| {
+            loads[p as usize] += 1;
+            (e.canonical(), p)
+        })
+        .collect();
+    (live, loads)
 }
 
 fn bootstrap(graph: &InMemoryGraph, k: u32) -> IncrementalTwoPhase {
@@ -78,6 +120,50 @@ fn check_books(eng: &IncrementalTwoPhase, k: u32) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Bootstrap is the serial engine run: the same partition for every
+    /// edge and the same loads, for every configuration the engine
+    /// honours (the remaining-edge strategy, pass count, pre-partitioning
+    /// and mapping), every `k` and every head-room factor — head-room only
+    /// loosens the cap that later insertions see.
+    #[test]
+    fn bootstrap_is_the_serial_engine_run(graph in arb_stream_graph()) {
+        let configs = [
+            ("default", TwoPhaseConfig::default()),
+            ("2ps-hdrf", TwoPhaseConfig::hdrf_variant()),
+            ("2 passes", TwoPhaseConfig::with_passes(2)),
+            ("no prepartitioning", TwoPhaseConfig {
+                prepartitioning: false,
+                ..TwoPhaseConfig::default()
+            }),
+            ("unsorted first-fit", TwoPhaseConfig {
+                mapping: MappingStrategy::UnsortedFirstFit,
+                ..TwoPhaseConfig::default()
+            }),
+        ];
+        for (name, config) in configs {
+            for k in [1u32, 2, 8, 65] {
+                let (want, loads) = engine_run(&graph, k, config);
+                for headroom in [1.0, 1.5] {
+                    let eng = IncrementalTwoPhase::bootstrap(
+                        &mut graph.stream(), k, 1.05, headroom, config,
+                    ).expect("bootstrap over a simple graph cannot fail");
+                    prop_assert_eq!(
+                        live_map(&eng), want.clone(),
+                        "{} k={} headroom={}: assignment", name, k, headroom
+                    );
+                    prop_assert_eq!(
+                        eng.loads(), &loads[..],
+                        "{} k={} headroom={}: loads", name, k, headroom
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
