@@ -27,10 +27,11 @@
 //! matrix.
 //!
 //! The same graph at k = 32 drives the **low-k pair** (`k32_serial`,
-//! `k32_t8`): at k ≤ 64 a replica row is one word and each in-process
-//! worker holds a dense private copy of the rows after the freeze
-//! (8 B/vertex/worker — see `tps_metrics::atomic`). The `k32_t8` ceiling
-//! holds that term at `O(T·|V|)` words: a regression to per-worker
+//! `k32_t8`): at k ≤ 64 replica rows are packed into shared words (a
+//! 32-bit row, half a word, at k = 32) and each in-process worker holds a
+//! dense private copy of those words after the freeze (the row bytes,
+//! 4 B/vertex/worker here — see `tps_metrics::atomic`). The `k32_t8`
+//! ceiling holds that term at `O(T·|V|)`: a regression to per-worker
 //! `O(|V|·k)` state passes here but fails `t4`/`t8`, and a per-worker term
 //! that outgrows one word per vertex fails here.
 //!

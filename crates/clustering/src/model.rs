@@ -12,22 +12,53 @@ use tps_graph::types::{ClusterId, VertexId};
 pub const NO_CLUSTER: ClusterId = ClusterId::MAX;
 
 /// A vertex clustering with volume bookkeeping.
+///
+/// As the [`ClusterTable`](crate::ClusterTable) of a clustering pass it
+/// renumbers its ids mid-pass ([`Clustering::compact_ids`], minus the
+/// capacity release) once the dead ids reach `max(live, ⌈|V|/8⌉)`: pass 1
+/// founds a singleton for every vertex it meets, and without renumbering
+/// `volumes` would reach 8 B per vertex although only the live clusters
+/// (~1 000 on a web graph) survive the pass. So it holds at most
+/// `2·live + ⌈|V|/8⌉` volumes after every edge, for at most 8 `O(|V|)`
+/// renumberings in all: each drops ≥ ⌈|V|/8⌉ ids, and a vertex founds an
+/// id only while it has none, so a clustering founds at most |V|.
 #[derive(Clone, Debug)]
 pub struct Clustering {
     /// Vertex → cluster id, `NO_CLUSTER` if unassigned.
     v2c: Vec<ClusterId>,
     /// Cluster id → volume (sum of member degrees). Indexed densely by the
-    /// ids handed out during streaming; emptied clusters keep volume 0.
+    /// ids handed out during streaming; emptied clusters keep volume 0
+    /// until the next renumbering.
     volumes: Vec<u64>,
+    /// Ids with non-zero volume.
+    live: u32,
+    /// Clusters that must still die before the renumbering trigger can
+    /// hold — a lower bound, re-checked when it reaches 0 (see `arm`), so
+    /// the pass pays one test per edge.
+    until_due: u32,
+    /// Mid-pass renumberings since the last [`Clustering::compact_ids`],
+    /// and the ids they dropped.
+    renumbered: (u64, u64),
 }
 
 impl Clustering {
     /// A clustering with no vertices assigned and no clusters allocated.
     pub fn empty(num_vertices: u64) -> Self {
-        Clustering {
-            v2c: vec![NO_CLUSTER; num_vertices as usize],
-            volumes: Vec::new(),
-        }
+        Self::from_vecs(vec![NO_CLUSTER; num_vertices as usize], Vec::new())
+    }
+
+    /// The clustering of `v2c` and `volumes`, with its live count.
+    fn from_vecs(v2c: Vec<ClusterId>, volumes: Vec<u64>) -> Self {
+        let live = volumes.iter().filter(|&&v| v > 0).count() as u32;
+        let mut clustering = Clustering {
+            v2c,
+            volumes,
+            live,
+            until_due: 0,
+            renumbered: (0, 0),
+        };
+        clustering.arm();
+        clustering
     }
 
     /// Construct directly from parts (tests and the ablation baselines).
@@ -41,7 +72,7 @@ impl Clustering {
                 "cluster id {c} out of range"
             );
         }
-        Clustering { v2c, volumes }
+        Self::from_vecs(v2c, volumes)
     }
 
     /// Cluster of `v`, if assigned.
@@ -73,7 +104,7 @@ impl Clustering {
 
     /// Number of clusters with non-zero volume.
     pub fn num_nonempty_clusters(&self) -> usize {
-        self.volumes.iter().filter(|&&v| v > 0).count()
+        self.live as usize
     }
 
     /// Number of vertices (assigned or not).
@@ -105,24 +136,49 @@ impl Clustering {
     /// Output-invariant at any point between two edges of a pass: the pass
     /// tests ids for equality and compares volumes, new ids are appended
     /// after the survivors, and the mapping step breaks ties by id order,
-    /// which renumbering preserves.
+    /// which renumbering preserves. A pass over the flat table renumbers
+    /// mid-pass the same way (type docs); this call also releases the
+    /// capacity those renumberings left.
     pub fn compact_ids(&mut self) -> u32 {
+        let dropped = self.renumber();
+        self.volumes.shrink_to_fit(); // renumbering keeps capacity; release it
+        self.arm();
+        dropped
+    }
+
+    /// Take the count of mid-pass renumberings since the last
+    /// [`compact_ids`](Self::compact_ids) and the ids they dropped — what
+    /// a driver adds to its compaction counters.
+    pub fn take_renumbered(&mut self) -> (u64, u64) {
+        std::mem::take(&mut self.renumbered)
+    }
+
+    /// [`compact_ids`](Self::compact_ids) in place, keeping the capacity.
+    ///
+    /// Branch-free throughout: mid-pass, live and dead ids interleave and
+    /// so do unassigned vertices, and a branch per id or vertex would
+    /// mispredict about every other time.
+    fn renumber(&mut self) -> u32 {
         let mut remap = IdRemap::new(self.num_cluster_ids());
-        for (c, &vol) in self.volumes.iter().enumerate() {
-            if vol > 0 {
-                remap.mark_live(c as ClusterId);
-            }
+        for (word, vols) in remap.live.iter_mut().zip(self.volumes.chunks(64)) {
+            *word = (vols.iter().enumerate()).fold(0, |w, (i, &v)| w | u64::from(v > 0) << i);
         }
         let dropped = self.num_cluster_ids() - remap.rank();
         if dropped == 0 {
             return 0;
         }
-        self.volumes.retain(|&v| v > 0);
-        self.volumes.shrink_to_fit(); // retain keeps capacity; release it
+        let mut kept = 0;
+        for i in 0..self.volumes.len() {
+            let vol = self.volumes[i];
+            self.volumes[kept] = vol;
+            kept += usize::from(vol > 0);
+        }
+        self.volumes.truncate(kept);
+        let stand_in = remap.first_live();
         for c in self.v2c.iter_mut() {
-            if *c != NO_CLUSTER {
-                *c = remap.map(*c);
-            }
+            let assigned = *c != NO_CLUSTER;
+            let new = remap.map(if assigned { *c } else { stand_in });
+            *c = if assigned { new } else { NO_CLUSTER };
         }
         dropped
     }
@@ -137,6 +193,8 @@ impl Clustering {
     pub fn create_cluster(&mut self, v: VertexId, vol: u64) -> ClusterId {
         let id = self.volumes.len() as ClusterId;
         self.volumes.push(vol);
+        self.live += u32::from(vol > 0);
+        self.until_due = self.until_due.saturating_sub(u32::from(vol == 0));
         self.v2c[v as usize] = id;
         id
     }
@@ -148,8 +206,51 @@ impl Clustering {
         debug_assert_ne!(from, NO_CLUSTER);
         debug_assert_ne!(from, to);
         self.volumes[from as usize] -= d;
+        let emptied = u32::from(d > 0 && self.volumes[from as usize] == 0);
+        self.live -= emptied;
+        self.until_due = self.until_due.saturating_sub(emptied);
+        self.live += u32::from(d > 0 && self.volumes[to as usize] == 0);
         self.volumes[to as usize] += d;
         self.v2c[v as usize] = to;
+    }
+
+    /// The trigger of the mid-pass renumbering (type docs), run by a
+    /// clustering pass between edges.
+    #[inline]
+    pub(crate) fn between_edges(&mut self) {
+        if self.until_due == 0 {
+            self.renumber_if_due();
+        }
+    }
+
+    /// Dead ids minus `max(live, ⌈|V|/8⌉)`: the trigger holds at ≥ 0.
+    fn trigger_margin(&self) -> i64 {
+        let dead = (self.volumes.len() - self.live as usize) as i64;
+        dead - (self.live as usize).max(self.v2c.len().div_ceil(8)) as i64
+    }
+
+    /// The mid-pass renumbering of a clustering pass (type docs), when the
+    /// trigger holds; then re-arm it.
+    #[cold]
+    #[inline(never)]
+    fn renumber_if_due(&mut self) {
+        if self.trigger_margin() >= 0 {
+            let dropped = self.renumber();
+            if dropped > 0 {
+                self.renumbered.0 += 1;
+                self.renumbered.1 += u64::from(dropped);
+            }
+        }
+        self.arm();
+    }
+
+    /// Set `until_due`: a dying cluster (or a zero-volume one founded)
+    /// narrows the trigger margin by at most 2 — one more dead id, one
+    /// fewer live — and nothing else narrows it, so the trigger cannot
+    /// hold before half the margin's worth of such events.
+    fn arm(&mut self) {
+        let gap = u64::try_from(-self.trigger_margin()).unwrap_or(0);
+        self.until_due = gap.div_ceil(2).min(u32::MAX.into()) as u32;
     }
 
     /// Extend the vertex space to `num_vertices`, the new vertices
@@ -218,7 +319,10 @@ impl Clustering {
         for rec in rest[v2c_bytes..v2c_bytes + vol_bytes].chunks_exact(8) {
             volumes.push(u64::from_le_bytes(rec.try_into().unwrap()));
         }
-        Ok((Clustering { v2c, volumes }, &rest[v2c_bytes + vol_bytes..]))
+        Ok((
+            Self::from_vecs(v2c, volumes),
+            &rest[v2c_bytes + vol_bytes..],
+        ))
     }
 
     /// Verify that every cluster's volume equals the sum of its members'
@@ -262,6 +366,14 @@ impl IdRemap {
     #[inline]
     pub(crate) fn mark_live(&mut self, c: ClusterId) {
         self.live[(c >> 6) as usize] |= 1 << (c & 63);
+    }
+
+    /// The lowest surviving old id (0 if none survives).
+    fn first_live(&self) -> ClusterId {
+        (0..)
+            .zip(&self.live)
+            .find(|&(_, &w)| w != 0)
+            .map_or(0, |(i, w)| i * 64 + w.trailing_zeros())
     }
 
     /// Fix the per-word ranks once every survivor is marked; returns the

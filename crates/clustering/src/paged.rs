@@ -900,6 +900,84 @@ mod tests {
         }
     }
 
+    /// The flat table renumbers mid-pass once its dead ids reach
+    /// `max(live, ⌈|V|/8⌉)`: after every edge of a first pass — where every
+    /// vertex the stream meets founds a cluster — it holds at most
+    /// `2·live + ⌈|V|/8⌉` ids, renumbers at most 8 times, drops each
+    /// founded id once, and, compacted, equals a paged table that never
+    /// compacts mid-pass (its pool never fills).
+    #[test]
+    fn flat_pass_renumbers_mid_pass_within_its_bound() {
+        struct Bounded<'a> {
+            flat: &'a mut Clustering,
+            edges: u64,
+        }
+        impl Bounded<'_> {
+            fn check(&self) {
+                let (ids, live) = (
+                    self.flat.num_cluster_ids() as u64,
+                    self.flat.num_nonempty_clusters() as u64,
+                );
+                let bound = 2 * live + self.flat.num_vertices().div_ceil(8);
+                assert!(ids <= bound, "edge {}: {ids} ids > {bound}", self.edges);
+            }
+        }
+        impl ClusterTable for Bounded<'_> {
+            fn cluster_of(&mut self, v: VertexId) -> ClusterId {
+                self.flat.raw_cluster_of(v)
+            }
+            fn volume(&mut self, c: ClusterId) -> u64 {
+                self.flat.volume(c)
+            }
+            fn create_cluster(&mut self, v: VertexId, vol: u64) -> ClusterId {
+                self.flat.create_cluster(v, vol)
+            }
+            fn migrate(&mut self, v: VertexId, d: u64, to: ClusterId) {
+                self.flat.migrate(v, d, to)
+            }
+            fn between_edges(&mut self) {
+                self.check();
+                ClusterTable::between_edges(&mut *self.flat);
+                self.check();
+                self.edges += 1;
+            }
+        }
+
+        let g = planted::generate(&PlantedConfig::web(4_000, 20_000), 5);
+        let mut flat = Clustering::empty(g.num_vertices());
+        let mut bounded = Bounded {
+            flat: &mut flat,
+            edges: 0,
+        };
+        run_pass(&mut bounded, &g, 1);
+        bounded.check();
+        assert_eq!(bounded.edges, g.num_edges());
+        let founded = (0..g.num_vertices() as u32)
+            .filter(|&v| flat.cluster_of(v).is_some())
+            .count() as u64;
+        let (renumberings, renumbered) = flat.take_renumbered();
+        assert!((1..=8).contains(&renumberings), "{renumberings}");
+        let dropped = flat.compact_ids() as u64;
+        assert_eq!(
+            renumbered + dropped + flat.num_nonempty_clusters() as u64,
+            founded
+        );
+
+        let mut paged = mem_table(g.num_vertices(), 1 << 30, 64);
+        run_pass(&mut paged, &g, 1);
+        assert_eq!(
+            paged.compact_ids() as u64,
+            founded - flat.num_nonempty_clusters() as u64
+        );
+        assert_eq!(paged.num_cluster_ids(), flat.num_cluster_ids());
+        for v in 0..g.num_vertices() as u32 {
+            assert_eq!(paged.raw_cluster_of(v), flat.raw_cluster_of(v), "v {v}");
+        }
+        for c in 0..flat.num_cluster_ids() {
+            assert_eq!(paged.cluster_volume(c), flat.volume(c), "c {c}");
+        }
+    }
+
     /// Randomised version of the same invariant (a lightweight in-repo
     /// proptest: seeds × budgets, no external crate in the offline set).
     #[test]

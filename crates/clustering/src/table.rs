@@ -39,9 +39,10 @@ pub trait ClusterTable {
 
     /// Called by the pass before every edge, when no cluster id is held
     /// across the call: the one point at which a table may renumber its
-    /// ids (order-preserving, see [`Clustering::compact_ids`]). The paged
-    /// table compacts here when that frees frames; the default does
-    /// nothing and compiles away.
+    /// ids (order-preserving, see [`Clustering::compact_ids`]). The flat
+    /// table renumbers here once its dead ids outnumber its live ones and
+    /// an eighth of |V|, the paged table when that frees frames; the
+    /// default does nothing and compiles away.
     #[inline]
     fn between_edges(&mut self) {}
 }
@@ -65,6 +66,13 @@ impl ClusterTable for Clustering {
     #[inline]
     fn migrate(&mut self, v: VertexId, d: u64, to: ClusterId) {
         Clustering::migrate(self, v, d, to)
+    }
+
+    /// Renumber once dead ids reach `max(live, ⌈|V|/8⌉)` (see
+    /// [`Clustering`]'s type docs).
+    #[inline]
+    fn between_edges(&mut self) {
+        Clustering::between_edges(self)
     }
 }
 

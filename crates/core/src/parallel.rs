@@ -59,8 +59,8 @@
 //!    shared matrix *is* the OR-merge of the old per-worker shards — OR is
 //!    commutative, associative and idempotent — with no merge pass and no
 //!    copies. Each worker's view is then **frozen**: scoring-subpass
-//!    writes stay private to the worker (dense one-word rows at k ≤ 64, a
-//!    sparse overlay above — see `# Memory`), so every worker scores
+//!    writes stay private to the worker (a dense copy of the packed words
+//!    at k ≤ 64, a sparse overlay above — see `# Memory`), so every worker scores
 //!    against "merged state ∪ its own scoring replicas" — exactly the
 //!    sharded semantics, bit for bit, at `O(|V|·k)` bits total instead of
 //!    `O(T·|V|·k)`.
@@ -136,9 +136,9 @@
 //! count: **one** shared `O(|V|·k)`-bit [`AtomicReplicationMatrix`] plus
 //! each worker's private post-freeze state, whose form follows the row
 //! width (see [`tps_metrics::atomic`]): at k ≤ 64 a dense copy of the
-//! one-word rows — 8 B/vertex/worker, below the 16 B/vertex (degree table
-//! and clustering) the worker held through phases 0–1, so the job's peak
-//! does not move — and at k > 64 a sparse overlay proportional to the
+//! packed rows — the row bytes, `k.next_power_of_two()/8` B/vertex/worker
+//! (4 B at k = 32), below the 16 B/vertex (degree table and clustering)
+//! the worker held through phases 0–1, so the job's peak does not move — and at k > 64 a sparse overlay proportional to the
 //! worker's own scoring-time replicas, never `O(T·|V|·k)`. Both regimes
 //! are measured by the `mem_peak` bench and gated in CI
 //! ([`ShardAssigner::private_bytes`] reports the term). The remaining
@@ -652,6 +652,12 @@ pub(crate) fn run_shards(
         });
     }
     let (nv, k) = (info.num_vertices, params.k);
+    if let Shards::Ranged(..) = shards {
+        // Several shards share one matrix: refuse one too large to share
+        // now, not after the degree and clustering passes.
+        AtomicReplicationMatrix::words_needed(nv, k)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    }
     let mut report = RunReport::default();
     let ledger = AtomicLoads::new(k, info.num_edges, params.alpha);
 

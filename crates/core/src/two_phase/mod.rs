@@ -286,13 +286,16 @@ pub(crate) fn note_if_thrashing(faults: u64, num_edges: u64) {
 }
 
 /// Compact `clustering`'s ids at a pass boundary (see
-/// [`Clustering::compact_ids`]) and count the work — the one spelling for
-/// every shard that clusters in memory.
+/// [`Clustering::compact_ids`]) and count the work, the pass's mid-pass
+/// renumberings included — the one spelling for every shard that clusters
+/// in memory.
 pub(crate) fn compact_counted(clustering: &mut Clustering) {
+    let (renumberings, renumbered) = clustering.take_renumbered();
     let dropped = clustering.compact_ids();
-    if dropped > 0 {
-        CLUSTERING_COMPACTIONS.add(1);
-        CLUSTERING_IDS_DROPPED.add(dropped as u64);
+    let compactions = renumberings + u64::from(dropped > 0);
+    if compactions > 0 {
+        CLUSTERING_COMPACTIONS.add(compactions);
+        CLUSTERING_IDS_DROPPED.add(renumbered + u64::from(dropped));
     }
 }
 

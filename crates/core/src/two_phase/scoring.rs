@@ -58,7 +58,7 @@ pub struct EdgeScoreInputs {
 /// here mispredicts constantly. The multiply-by-{0.0, 1.0} form keeps the
 /// replicated value bit-identical to the branchy
 /// `1.0 + (1.0 - d_self / d_sum)` expression.
-#[inline]
+#[inline(always)]
 fn g_term(replicated: bool, d_self: u64, d_sum: u64) -> f64 {
     debug_assert!(d_sum > 0, "edge endpoints must have positive degrees");
     f64::from(replicated) * (1.0 + (1.0 - d_self as f64 / d_sum as f64))
@@ -68,7 +68,12 @@ fn g_term(replicated: bool, d_self: u64, d_sum: u64) -> f64 {
 /// the replication state so the owned-matrix (serial, dist worker) and
 /// shared-matrix (chunk-parallel) kernels score identically by
 /// construction.
-#[inline]
+///
+/// Always inlined, as are [`two_choice_best`] and `g_term`: out of line
+/// (two calls per scored edge) the scoring subpass runs 20–40 % slower,
+/// and a wider replica-row index is enough to tip the inliner. CI fails
+/// the build if the release binary holds an out-of-line copy.
+#[inline(always)]
 pub fn two_choice_score<R: ReplicaSet>(inputs: &EdgeScoreInputs, p: PartitionId, v2p: &R) -> f64 {
     let d_sum = inputs.du + inputs.dv;
     let vol_sum = (inputs.vol_cu + inputs.vol_cv) as f64;
@@ -91,7 +96,7 @@ pub fn two_choice_score<R: ReplicaSet>(inputs: &EdgeScoreInputs, p: PartitionId,
 /// Pick the better of the two candidate partitions `{pu, pv}` for the edge.
 /// Ties favour `pu` (the first endpoint's cluster partition), matching the
 /// strict `>` comparison of Algorithm 2.
-#[inline]
+#[inline(always)]
 pub fn two_choice_best<R: ReplicaSet>(inputs: &EdgeScoreInputs, v2p: &R) -> PartitionId {
     if inputs.pu == inputs.pv {
         return inputs.pu;

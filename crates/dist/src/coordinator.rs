@@ -856,11 +856,14 @@ impl Coordinator<'_> {
                         // Reject malformed rows *before* merging: the
                         // accumulator is immutable once encoded, so one
                         // poisoned contribution (e.g. stray bits beyond
-                        // partition k−1) would otherwise fail every
-                        // worker's install of the merged chunk (and every
-                        // catch-up replay of it) — a whole-job failure
-                        // where dropping the one faulty worker suffices.
-                        if let Err(e) = tps_metrics::bitmatrix::validate_packed_rows(&words, self.k)
+                        // partition k−1, or in a lane past |V|) would
+                        // otherwise fail every worker's install of the
+                        // merged chunk (and every catch-up replay of it) —
+                        // a whole-job failure where dropping the one
+                        // faulty worker suffices.
+                        let (v0, v1) = self.repl_chunks.vertex_range(c);
+                        if let Err(e) =
+                            tps_metrics::bitmatrix::validate_packed_rows(&words, self.k, v1 - v0)
                         {
                             return Err(StageErr::worker(format!(
                                 "shard {s}, replication chunk {c}: {e}"

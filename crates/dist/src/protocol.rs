@@ -71,6 +71,7 @@ use tps_core::two_phase::scoring::HdrfParams;
 use tps_core::two_phase::{AssignCounters, MappingStrategy, RemainingStrategy, TwoPhaseConfig};
 use tps_graph::types::{Edge, PartitionId};
 use tps_io::ReaderBackend;
+use tps_metrics::bitmatrix::RowLayout;
 
 use crate::wire::{
     corrupt, put_f64, put_string, put_u32, put_u64, put_vec_u32, put_vec_u64, put_word_runs, Reader,
@@ -90,8 +91,11 @@ use crate::wire::{
 /// a v5 endpoint can therefore tell a misdirected serve frame from a
 /// corrupt one. v6 appended `mem_budget_mb` to `Job` (same appended-last
 /// discipline as the v4 `trace` flag) so workers honour the coordinator's
-/// `--mem-budget-mb` decode-cache share.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// `--mem-budget-mb` decode-cache share. v7 packs replica rows at k ≤ 64
+/// into shared words ([`RowLayout`]), so the barrier's chunks are cut on
+/// word boundaries and carry half the words at k = 32; a v6 peer would
+/// misread every chunk's rows.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// First message tag reserved for the `tps-serve` frame family (see the
 /// v5 note on [`PROTOCOL_VERSION`]).
@@ -102,9 +106,9 @@ pub const SERVE_TAG_BASE: u8 = 32;
 pub const RUN_BATCH_EDGES: usize = 8192;
 
 /// Target packed words per replication chunk (1 MiB of bits). The actual
-/// per-frame word count is `chunk_vertices × ⌈k/64⌉ ≤ max(this, ⌈k/64⌉)`
-/// — a chunk never splits a vertex row, so a single row larger than the
-/// target (k beyond 8M partitions) becomes one chunk by itself.
+/// per-frame word count is at most `max(this, ⌈k/64⌉)` — a chunk never
+/// splits a word or a vertex row, so a single row larger than the target
+/// (k beyond 8M partitions) becomes one chunk by itself.
 pub const REPL_CHUNK_WORDS: usize = 1 << 17;
 
 /// The deterministic vertex-range chunking of the replication barrier,
@@ -113,20 +117,22 @@ pub const REPL_CHUNK_WORDS: usize = 1 << 17;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplChunks {
     num_vertices: u64,
-    words_per_vertex: usize,
+    layout: RowLayout,
     chunk_vertices: u64,
 }
 
 impl ReplChunks {
-    /// The chunking for a `num_vertices × k` replication matrix.
+    /// The chunking for a `num_vertices × k` replication matrix: whole
+    /// words of [`RowLayout::new(k)`](RowLayout::new), so every chunk
+    /// starts at an aligned vertex.
     pub fn new(num_vertices: u64, k: u32) -> ReplChunks {
         assert!(k > 0, "k must be positive");
-        let words_per_vertex = (k as usize).div_ceil(64);
-        let chunk_vertices = (REPL_CHUNK_WORDS / words_per_vertex).max(1) as u64;
+        let layout = RowLayout::new(k);
+        let chunk_words = (REPL_CHUNK_WORDS / layout.words_per_row()).max(1) as u64;
         ReplChunks {
             num_vertices,
-            words_per_vertex,
-            chunk_vertices,
+            layout,
+            chunk_vertices: chunk_words * layout.rows_per_word(),
         }
     }
 
@@ -147,12 +153,12 @@ impl ReplChunks {
     /// Packed words carried by `chunk`.
     pub fn words_in_chunk(&self, chunk: u32) -> usize {
         let (v0, v1) = self.vertex_range(chunk);
-        (v1 - v0) as usize * self.words_per_vertex
+        self.layout.words_for(v1 - v0).expect("a chunk fits memory")
     }
 
-    /// Packed words per vertex row (`⌈k/64⌉`).
-    pub fn words_per_vertex(&self) -> usize {
-        self.words_per_vertex
+    /// How the chunks' rows are packed.
+    pub fn layout(&self) -> RowLayout {
+        self.layout
     }
 }
 
@@ -1052,32 +1058,46 @@ mod tests {
 
     #[test]
     fn chunk_geometry_is_deterministic_and_bounded() {
-        // Small graphs: one chunk covering everything.
+        // Small graphs: one chunk covering everything. At k = 8 a row is an
+        // 8-bit lane and eight rows share a word.
         let small = ReplChunks::new(1000, 8);
         assert_eq!(small.count(), 1);
         assert_eq!(small.vertex_range(0), (0, 1000));
-        assert_eq!(small.words_in_chunk(0), 1000);
+        assert_eq!(small.words_in_chunk(0), 125);
 
         // Empty vertex set: no chunks.
         assert_eq!(ReplChunks::new(0, 8).count(), 0);
 
-        // Beyond the target: multiple chunks, exact cover, bounded words,
-        // ragged tail.
-        let big = ReplChunks::new(300_000, 8);
+        // 300 000 rows are 37 500 words: still one chunk at k = 8.
+        let mid = ReplChunks::new(300_000, 8);
+        assert_eq!(mid.count(), 1);
+        assert_eq!(mid.words_in_chunk(0), 37_500);
+
+        // Beyond the target (2^17 words = 2^20 rows at k = 8): multiple
+        // chunks, exact cover, aligned starts, bounded words, and a ragged
+        // tail whose last word is part-filled.
+        let big = ReplChunks::new(2_400_003, 8);
         assert_eq!(big.count(), 3);
         let mut covered = 0;
         for c in 0..big.count() {
             let (v0, v1) = big.vertex_range(c);
             assert_eq!(v0, covered, "chunks must tile the vertex space");
+            assert_eq!(v0 % 8, 0, "chunks start on a word boundary");
             assert!(big.words_in_chunk(c) <= REPL_CHUNK_WORDS);
             covered = v1;
         }
-        assert_eq!(covered, 300_000);
-        assert_eq!(big.words_in_chunk(2), 300_000 - 2 * REPL_CHUNK_WORDS);
+        assert_eq!(covered, 2_400_003);
+        assert_eq!(big.words_in_chunk(0), REPL_CHUNK_WORDS);
+        assert_eq!(big.vertex_range(2), (2 << 20, 2_400_003));
+        assert_eq!(
+            big.words_in_chunk(2),
+            (2_400_003 - (2 << 20) as usize).div_ceil(8)
+        );
 
         // Wide k: fewer vertices per chunk, same bound.
         let wide = ReplChunks::new(300_000, 130);
-        assert_eq!(wide.words_per_vertex(), 3);
+        assert_eq!(wide.layout().words_per_row(), 3);
+        assert_eq!(wide.count(), 7);
         assert!(wide.count() > big.count());
         for c in 0..wide.count() {
             assert!(wide.words_in_chunk(c) <= REPL_CHUNK_WORDS);
@@ -1087,7 +1107,7 @@ mod tests {
         // vertex per chunk, frame = one row.
         let row = ReplChunks::new(4, u32::MAX);
         assert_eq!(row.count(), 4);
-        assert_eq!(row.words_in_chunk(0), row.words_per_vertex());
+        assert_eq!(row.words_in_chunk(0), row.layout().words_per_row());
     }
 
     #[test]

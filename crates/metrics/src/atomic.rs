@@ -33,11 +33,13 @@
 //! The private state after the freeze has two representations, chosen from
 //! the row width alone:
 //!
-//! * **k ≤ 64 — dense private rows.** A row is one word, so `freeze` copies
-//!   the now-immutable shared words into a private `Vec<u64>` and every
-//!   later `contains`/`insert` is one array access, as cheap as the serial
-//!   [`ReplicationMatrix`]. That is 8 B/vertex/worker — `O(|V|)` words, not
-//!   `O(|V|·k)` bits — and half of the 16 B/vertex (degree table +
+//! * **k ≤ 64 — dense private rows.** A row is one lane of
+//!   `k.next_power_of_two()` bits in a word shared with its neighbours
+//!   ([`RowLayout`]), so `freeze` copies the now-immutable shared words
+//!   into a private `Vec<u64>` and every later `contains`/`insert` is one
+//!   array access, as cheap as the serial [`ReplicationMatrix`]. That is the row bytes, `k.next_power_of_two()/8`
+//!   B/vertex/worker (4 B at k = 32, 8 B at k = 64) — `O(|V|)`, not
+//!   `O(|V|·k)` bits — and at most half of the 16 B/vertex (degree table +
 //!   clustering) the same worker held through phases 0–1, so it does not
 //!   raise the job's peak.
 //! * **k > 64 — sparse overlay.** A dense copy would be the `O(T·|V|·k)`
@@ -59,7 +61,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tps_graph::types::{PartitionId, VertexId};
 
-use crate::bitmatrix::{ReplicaCensus, ReplicaSet, ReplicationMatrix};
+use crate::bitmatrix::{ReplicaCensus, ReplicaSet, ReplicationMatrix, RowLayout};
 
 /// A compact word-index → bits map: open addressing, linear probing,
 /// power-of-two capacity, 12 bytes per slot (`u32` key + `u64` bits in
@@ -68,8 +70,9 @@ use crate::bitmatrix::{ReplicaCensus, ReplicaSet, ReplicationMatrix};
 /// spends ~3× more per entry once growth slack and SipHash are counted.
 ///
 /// Keys are word indices into the shared matrix and must fit `u32`; the
-/// matrix constructor enforces that bound (`|V|·⌈k/64⌉ < 2^32` words ≈
-/// 32 GiB of packed bits — beyond in-process scale).
+/// matrix constructor enforces that bound (fewer than `2^32 − 1` packed
+/// words ≈ 32 GiB of bits — beyond in-process scale; see
+/// [`AtomicReplicationMatrix::words_needed`]).
 struct WordOverlay {
     /// Word index per slot; `EMPTY` marks a free slot.
     keys: Vec<u32>,
@@ -154,40 +157,48 @@ impl WordOverlay {
 /// A packed `O(|V|·k)`-bit replication matrix shared by all phase-2
 /// workers, written with relaxed word-level `fetch_or`.
 pub struct AtomicReplicationMatrix {
-    words_per_vertex: usize,
+    layout: RowLayout,
     bits: Vec<AtomicU64>,
-    k: u32,
     num_vertices: u64,
 }
 
 impl AtomicReplicationMatrix {
     /// An all-zero shared matrix for `num_vertices` vertices and `k`
-    /// partitions.
+    /// partitions. Panics where [`words_needed`](Self::words_needed) errs.
     pub fn new(num_vertices: u64, k: u32) -> Self {
         assert!(k > 0, "k must be positive");
-        let words_per_vertex = (k as usize).div_ceil(64);
-        let total = words_per_vertex
-            .checked_mul(num_vertices as usize)
-            .expect("replication matrix size overflow");
-        assert!(
-            total < u32::MAX as usize,
-            "shared replication matrix of {total} words exceeds the in-process bound \
-             (2^32 − 1 words); use the distributed runtime for matrices this large"
-        );
+        let total = Self::words_needed(num_vertices, k).unwrap_or_else(|e| panic!("{e}"));
         let mut bits = Vec::with_capacity(total);
         bits.resize_with(total, || AtomicU64::new(0));
         AtomicReplicationMatrix {
-            words_per_vertex,
+            layout: RowLayout::new(k),
             bits,
-            k,
             num_vertices,
         }
+    }
+
+    /// The packed words a shared `num_vertices × k` matrix takes, or why
+    /// it cannot be built in process: word indices must stay below
+    /// `2^32 − 1` (the sparse overlay keys them as `u32`). Checked by the
+    /// driver before its first pass, so a matrix too large to share is
+    /// refused before any work, not after the clustering passes.
+    pub fn words_needed(num_vertices: u64, k: u32) -> Result<usize, String> {
+        RowLayout::new(k)
+            .words_for(num_vertices)
+            .filter(|&words| words < u32::MAX as usize)
+            .ok_or_else(|| {
+                format!(
+                    "a shared replication matrix for |V| = {num_vertices} and k = {k} exceeds \
+                     the in-process bound of 2^32 − 1 packed words; use the distributed \
+                     runtime for matrices this large"
+                )
+            })
     }
 
     /// Number of partitions.
     #[inline]
     pub fn k(&self) -> u32 {
-        self.k
+        self.layout.k()
     }
 
     /// Number of vertices.
@@ -198,10 +209,7 @@ impl AtomicReplicationMatrix {
 
     #[inline]
     fn index(&self, v: VertexId, p: PartitionId) -> (usize, u64) {
-        debug_assert!(p < self.k, "partition {p} out of range (k = {})", self.k);
-        let word = v as usize * self.words_per_vertex + (p as usize >> 6);
-        let mask = 1u64 << (p & 63);
-        (word, mask)
+        self.layout.index(v, p)
     }
 
     /// Mark `v` as replicated on `p` — one relaxed `fetch_or`, callable
@@ -229,7 +237,7 @@ impl AtomicReplicationMatrix {
     /// worker's view has been [`publish`](SharedReplicaView::publish)ed.
     pub fn census(&self) -> ReplicaCensus {
         let words = self.bits.iter().map(|w| w.load(Ordering::Relaxed));
-        ReplicaCensus::of_rows(self.words_per_vertex, words)
+        self.layout.census(words)
     }
 
     /// An owned snapshot with exact cover counts — for inspection and
@@ -240,7 +248,7 @@ impl AtomicReplicationMatrix {
             .iter()
             .map(|w| w.load(Ordering::Relaxed))
             .collect();
-        ReplicationMatrix::from_raw_words(self.num_vertices, self.k, words)
+        ReplicationMatrix::from_raw_words(self.num_vertices, self.k(), words)
             .expect("set() never writes stray bits")
     }
 }
@@ -250,8 +258,8 @@ impl AtomicReplicationMatrix {
 enum Private {
     /// Thawed: inserts write through, nothing is private.
     Nothing,
-    /// Frozen, one-word rows (k ≤ 64): the frozen shared rows plus this
-    /// worker's own scoring-time replicas, one word per vertex.
+    /// Frozen, rows within one word (k ≤ 64): the frozen shared words plus
+    /// this worker's own scoring-time replicas, in the shared layout.
     Dense(Vec<u64>),
     /// Frozen, wider rows: word index → additional bits, only for words
     /// this worker's own scoring commits touch.
@@ -283,7 +291,7 @@ impl<'m> SharedReplicaView<'m> {
         if self.is_frozen() {
             return;
         }
-        self.private = if self.shared.words_per_vertex == 1 {
+        self.private = if self.shared.layout.words_per_row() == 1 {
             let rows = self.shared.bits.iter();
             Private::Dense(rows.map(|w| w.load(Ordering::Relaxed)).collect())
         } else {
@@ -323,8 +331,9 @@ impl<'m> SharedReplicaView<'m> {
         }
     }
 
-    /// Heap bytes this view holds privately: 0 while thawed, 8 B/vertex
-    /// for dense rows, 12 B per allocated slot for the sparse overlay.
+    /// Heap bytes this view holds privately: 0 while thawed, the packed
+    /// row bytes (`k.next_power_of_two()/8` B/vertex) for dense rows, 12 B
+    /// per allocated slot for the sparse overlay.
     pub fn private_bytes(&self) -> usize {
         match &self.private {
             Private::Nothing => 0,
@@ -560,6 +569,72 @@ mod tests {
         assert_eq!(narrow.census(), owned.census());
         assert_eq!(wide.census(), owned.census());
         assert_eq!(narrow.census().total_replicas, owned.total_replicas());
+    }
+
+    #[test]
+    fn packed_dense_views_publish_to_the_owned_matrix() {
+        // k = 8 and k = 32 pack 8 and 2 rows per word, so two workers'
+        // rows share words: write-through inserts, a freeze (a private copy
+        // of the packed words, |V|·k.next_power_of_two()/8 bytes), private
+        // inserts each view alone sees, then both published — the shared
+        // matrix equals one owned matrix that replayed every insert.
+        const N: u32 = 203;
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 33) as u32 % bound
+        };
+        for k in [8u32, 32] {
+            let shared = AtomicReplicationMatrix::new(N as u64, k);
+            let mut owned = ReplicationMatrix::new(N as u64, k);
+            let mut views = [
+                SharedReplicaView::new(&shared),
+                SharedReplicaView::new(&shared),
+            ];
+            for i in 0..300 {
+                let (v, p) = (next(N), next(k));
+                views[i % 2].insert(v, p);
+                owned.set(v, p);
+            }
+            let frozen = shared.snapshot();
+            for view in &mut views {
+                view.freeze();
+                let row_bytes = k.next_power_of_two() as usize / 8;
+                assert_eq!(
+                    view.private_bytes(),
+                    (N as usize * row_bytes).next_multiple_of(8)
+                );
+            }
+            let mut mine = [
+                ReplicationMatrix::new(N as u64, k),
+                ReplicationMatrix::new(N as u64, k),
+            ];
+            for step in 0..600 {
+                let (w, v, p) = (step % 2, next(N), next(k));
+                views[w].insert(v, p);
+                mine[w].set(v, p);
+                owned.set(v, p);
+                for (i, view) in views.iter().enumerate() {
+                    let want = frozen.get(v, p) || mine[i].get(v, p);
+                    assert_eq!(view.contains(v, p), want, "k {k}, step {step}, view {i}");
+                }
+            }
+            for view in views {
+                view.publish();
+            }
+            let published = shared.snapshot();
+            for v in 0..N {
+                for p in 0..k {
+                    assert_eq!(published.get(v, p), owned.get(v, p), "k {k}, ({v}, {p})");
+                }
+            }
+            for p in 0..k {
+                assert_eq!(published.cover_count(p), owned.cover_count(p), "k {k}, {p}");
+            }
+            assert_eq!(shared.census(), owned.census());
+        }
     }
 
     #[test]

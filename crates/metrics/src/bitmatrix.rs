@@ -1,11 +1,13 @@
 //! The vertex × partition replication bit matrix (`v2p` in the paper's
 //! Algorithm 2).
 //!
-//! One bit per (vertex, partition) pair, packed into 64-bit words:
-//! `⌈k/64⌉` words per vertex, `O(|V|·k)` bits total — the dominant term of
-//! 2PS-L's space complexity (Table II). The matrix also keeps the per-
-//! partition cover counts `|V(p)|` incrementally, so the replication factor
-//! is available in `O(k)` at any time.
+//! One bit per (vertex, partition) pair, packed into 64-bit words by a
+//! [`RowLayout`]: at k ≤ 64 a vertex row is `k.next_power_of_two()` bits
+//! and `64 / that` rows share a word (4 B per vertex at k = 32, 1 B at
+//! k = 8); above 64 a row is `⌈k/64⌉` words. `O(|V|·k)` bits total — the
+//! dominant term of 2PS-L's space complexity (Table II). The matrix also
+//! keeps the per-partition cover counts `|V(p)|` incrementally, so the
+//! replication factor is available in `O(k)` at any time.
 
 use tps_graph::types::{PartitionId, VertexId};
 
@@ -42,53 +44,37 @@ pub struct ReplicaCensus {
     pub total_replicas: u64,
 }
 
-impl ReplicaCensus {
-    /// Count `words` as consecutive `words_per_vertex`-word vertex rows, in
-    /// one pass and without holding more than a row's running sum — what
-    /// lets the shared atomic matrix be counted in place.
-    pub fn of_rows(words_per_vertex: usize, words: impl IntoIterator<Item = u64>) -> Self {
-        let mut census = ReplicaCensus::default();
-        let (mut in_row, mut row_bits) = (0usize, 0u64);
-        for w in words {
-            row_bits += u64::from(w.count_ones());
-            in_row += 1;
-            if in_row == words_per_vertex {
-                census.covered_vertices += u64::from(row_bits > 0);
-                census.total_replicas += row_bits;
-                (in_row, row_bits) = (0, 0);
-            }
-        }
-        debug_assert_eq!(in_row, 0, "words end mid-row");
-        census
-    }
-}
-
-/// Packed replication matrix with incremental cover counts.
-#[derive(Clone, Debug)]
-pub struct ReplicationMatrix {
-    words_per_vertex: usize,
-    bits: Vec<u64>,
-    /// `|V(p)|` per partition — number of vertices with the bit set.
-    cover_counts: Vec<u64>,
+/// Where each (vertex, partition) bit lives in a packed matrix — shared
+/// by the owned, atomic and wire forms so they cannot disagree.
+///
+/// At k ≤ 64 a row is one *lane* of `2^r = k.next_power_of_two()` bits
+/// and `2^s = 64 / 2^r` rows share a word: vertex `v` sits in word
+/// `v >> s` at bit offset `(v << r) & 63`. Above 64 a row is `⌈k/64⌉`
+/// whole words, i.e. `r = 6`, `s = 0` and one 64-bit lane per word. One
+/// formula serves both: word `(v >> s)·⌈k/64⌉ + p/64`, bit
+/// `((v << r) & 63) | (p & 63)`. A word range is *aligned* when it starts
+/// at a vertex that is a multiple of [`rows_per_word`](Self::rows_per_word).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowLayout {
     k: u32,
-    num_vertices: u64,
+    /// `s`: log2 of the rows sharing one word.
+    row_shift: u32,
+    /// `r`: log2 of a lane's width in bits.
+    lane_shift: u32,
+    /// Words per row (1 at k ≤ 64).
+    words_per_row: usize,
 }
 
-impl ReplicationMatrix {
-    /// Create an all-zero matrix for `num_vertices` vertices and `k`
-    /// partitions.
-    pub fn new(num_vertices: u64, k: u32) -> Self {
-        assert!(k > 0, "k must be positive");
-        let words_per_vertex = (k as usize).div_ceil(64);
-        let total = words_per_vertex
-            .checked_mul(num_vertices as usize)
-            .expect("replication matrix size overflow");
-        ReplicationMatrix {
-            words_per_vertex,
-            bits: vec![0u64; total],
-            cover_counts: vec![0u64; k as usize],
+impl RowLayout {
+    /// The layout of a matrix with `k` partitions (`k = 0` is the
+    /// caller's error to reject; it lays out like `k = 1`).
+    pub fn new(k: u32) -> Self {
+        let lane_shift = k.clamp(1, 64).next_power_of_two().trailing_zeros();
+        RowLayout {
             k,
-            num_vertices,
+            row_shift: 6 - lane_shift,
+            lane_shift,
+            words_per_row: (k as usize).div_ceil(64).max(1),
         }
     }
 
@@ -98,22 +84,172 @@ impl ReplicationMatrix {
         self.k
     }
 
+    /// Vertex rows per word (`64 / k.next_power_of_two()` at k ≤ 64, else 1).
+    #[inline]
+    pub fn rows_per_word(&self) -> u64 {
+        1 << self.row_shift
+    }
+
+    /// Words per vertex row (`⌈k/64⌉`; 1 at k ≤ 64, where rows share it).
+    #[inline]
+    pub fn words_per_row(&self) -> usize {
+        self.words_per_row
+    }
+
+    /// Words that hold `rows` vertex rows, `None` if that overflows.
+    pub fn words_for(&self, rows: u64) -> Option<usize> {
+        usize::try_from(rows.div_ceil(self.rows_per_word()))
+            .ok()?
+            .checked_mul(self.words_per_row)
+    }
+
+    /// The word index and bit mask of `(v, p)`.
+    #[inline(always)]
+    pub fn index(&self, v: VertexId, p: PartitionId) -> (usize, u64) {
+        debug_assert!(p < self.k, "partition {p} out of range (k = {})", self.k);
+        let v = v as usize;
+        let word = (v >> self.row_shift) * self.words_per_row + (p as usize >> 6);
+        let bit = ((v << self.lane_shift) & 63) | (p as usize & 63);
+        (word, 1u64 << bit)
+    }
+
+    /// The first word of `v`'s row and the row's bit offset in it.
+    #[inline]
+    fn row_start(&self, v: VertexId) -> (usize, u32) {
+        let v = v as usize;
+        let base = (v >> self.row_shift) * self.words_per_row;
+        (base, ((v << self.lane_shift) & 63) as u32)
+    }
+
+    /// Mask of one lane's bits at offset 0.
+    #[inline]
+    fn lane_mask(&self) -> u64 {
+        !0u64 >> (64 - (1u32 << self.lane_shift))
+    }
+
+    /// Bit 0 of every lane in a word.
+    fn lane_low_bits(&self) -> u64 {
+        u64::MAX / self.lane_mask()
+    }
+
+    /// Partition of bit `bit` of word `word` (an index into the matrix).
+    #[inline]
+    fn partition_of_bit(&self, word: usize, bit: u32) -> PartitionId {
+        ((word % self.words_per_row) as u32) * 64 + (bit & ((1 << self.lane_shift) - 1))
+    }
+
+    /// Bits of a row's last word that no partition `< k` sets, across
+    /// every lane of the word (the other words of a row have none).
+    fn stray_mask(&self) -> u64 {
+        let bits_in_last = self.k - (self.words_per_row as u32 - 1) * 64;
+        let valid = !0u64 >> (64 - bits_in_last.clamp(1, 64));
+        (self.lane_mask() & !valid) * self.lane_low_bits()
+    }
+
+    /// How many lanes of `x` have a bit set.
+    fn nonzero_lanes(&self, mut x: u64) -> u32 {
+        let mut shift = 1;
+        while shift < 1 << self.lane_shift {
+            x |= x >> shift;
+            shift <<= 1;
+        }
+        (x & self.lane_low_bits()).count_ones()
+    }
+
+    /// Count `words` — whole rows in this layout, lanes past the last
+    /// vertex zero — in one pass, holding no more than a row's running
+    /// OR: what lets the shared atomic matrix be counted in place.
+    pub fn census(&self, words: impl IntoIterator<Item = u64>) -> ReplicaCensus {
+        let mut census = ReplicaCensus::default();
+        let (mut in_row, mut row_bits) = (0usize, 0u64);
+        for w in words {
+            census.total_replicas += u64::from(w.count_ones());
+            row_bits |= w;
+            in_row += 1;
+            if in_row == self.words_per_row {
+                census.covered_vertices += u64::from(self.nonzero_lanes(row_bits));
+                (in_row, row_bits) = (0, 0);
+            }
+        }
+        debug_assert_eq!(in_row, 0, "words end mid-row");
+        census
+    }
+
+    /// Validate `words` as the aligned packing of `rows` vertex rows: the
+    /// word count fits, no lane sets a bit at partition ≥ k, and no lane
+    /// past the last row sets anything — the one rule every word-level
+    /// ingress shares (snapshot, range install, the distributed
+    /// coordinator's chunk merge), kept here so they cannot diverge.
+    pub fn validate(&self, words: &[u64], rows: u64) -> Result<(), String> {
+        let wpr = self.words_per_row;
+        if self.words_for(rows) != Some(words.len()) {
+            return Err(format!(
+                "{} words are not the packing of {rows} vertex rows ({wpr} words per row, \
+                 {} rows per word)",
+                words.len(),
+                self.rows_per_word()
+            ));
+        }
+        let stray = self.stray_mask();
+        if stray != 0
+            && words
+                .iter()
+                .skip(wpr - 1)
+                .step_by(wpr)
+                .any(|&w| w & stray != 0)
+        {
+            return Err("packed rows have bits beyond partition k-1".into());
+        }
+        let tail_rows = rows % self.rows_per_word();
+        if tail_rows != 0 && words[words.len() - 1] >> (tail_rows << self.lane_shift) != 0 {
+            return Err(format!("packed rows have bits past vertex row {rows}"));
+        }
+        Ok(())
+    }
+}
+
+/// Packed replication matrix with incremental cover counts.
+#[derive(Clone, Debug)]
+pub struct ReplicationMatrix {
+    layout: RowLayout,
+    bits: Vec<u64>,
+    /// `|V(p)|` per partition — number of vertices with the bit set.
+    cover_counts: Vec<u64>,
+    num_vertices: u64,
+}
+
+impl ReplicationMatrix {
+    /// Create an all-zero matrix for `num_vertices` vertices and `k`
+    /// partitions.
+    pub fn new(num_vertices: u64, k: u32) -> Self {
+        assert!(k > 0, "k must be positive");
+        let layout = RowLayout::new(k);
+        let total = layout
+            .words_for(num_vertices)
+            .expect("replication matrix size overflow");
+        ReplicationMatrix {
+            layout,
+            bits: vec![0u64; total],
+            cover_counts: vec![0u64; k as usize],
+            num_vertices,
+        }
+    }
+
+    /// Number of partitions.
+    #[inline]
+    pub fn k(&self) -> u32 {
+        self.layout.k()
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> u64 {
         self.num_vertices
     }
 
-    /// Packed words per vertex row (`⌈k/64⌉`).
-    #[inline]
-    pub fn words_per_vertex(&self) -> usize {
-        self.words_per_vertex
-    }
-
     /// Build a matrix from raw packed words (cover counts are recounted).
-    /// Rejects a word count that does not match `num_vertices × ⌈k/64⌉`,
-    /// `k = 0`, and stray bits beyond partition `k − 1` — the validation
-    /// every word-level ingress (snapshot, range install) shares.
+    /// Rejects `k = 0` and words that are not the packing of
+    /// `num_vertices` rows ([`RowLayout::validate`]).
     pub fn from_raw_words(
         num_vertices: u64,
         k: u32,
@@ -122,57 +258,67 @@ impl ReplicationMatrix {
         if k == 0 {
             return Err("replication matrix with k = 0".into());
         }
-        let words_per_vertex = (k as usize).div_ceil(64);
-        let total = words_per_vertex
-            .checked_mul(num_vertices as usize)
-            .ok_or("replication matrix size overflow")?;
-        if bits.len() != total {
-            return Err(format!(
-                "replication matrix has {} words, expected {total}",
-                bits.len()
-            ));
-        }
-        validate_packed_rows(&bits, k)?;
-        let mut cover_counts = vec![0u64; k as usize];
-        for (i, &w) in bits.iter().enumerate() {
-            let mut w = w;
-            let base = ((i % words_per_vertex) as u32) * 64;
-            while w != 0 {
-                let b = w.trailing_zeros();
-                cover_counts[(base + b) as usize] += 1;
-                w &= w - 1;
-            }
-        }
-        Ok(ReplicationMatrix {
-            words_per_vertex,
+        let layout = RowLayout::new(k);
+        layout.validate(&bits, num_vertices)?;
+        let mut matrix = ReplicationMatrix {
+            layout,
             bits,
-            cover_counts,
-            k,
+            cover_counts: vec![0u64; k as usize],
             num_vertices,
-        })
+        };
+        for i in 0..matrix.bits.len() {
+            matrix.count_bits(i, matrix.bits[i], 1);
+        }
+        Ok(matrix)
+    }
+
+    /// Add `delta` to the cover count of every partition set in `bits`,
+    /// read as word `word` of the matrix.
+    fn count_bits(&mut self, word: usize, mut bits: u64, delta: i64) {
+        while bits != 0 {
+            let p = self.layout.partition_of_bit(word, bits.trailing_zeros());
+            let count = &mut self.cover_counts[p as usize];
+            *count = count.wrapping_add_signed(delta);
+            bits &= bits - 1;
+        }
     }
 
     /// The packed words of the vertex range `[v0, v1)` — what one
     /// vertex-range chunk of the distributed replication barrier carries.
+    /// `v0` must be aligned, and `v1` too unless it is `|V|`.
     pub fn range_words(&self, v0: u64, v1: u64) -> &[u64] {
+        let rpw = self.layout.rows_per_word();
         assert!(
             v0 <= v1 && v1 <= self.num_vertices,
             "vertex range [{v0}, {v1}) out of bounds for |V| = {}",
             self.num_vertices
         );
-        &self.bits[v0 as usize * self.words_per_vertex..v1 as usize * self.words_per_vertex]
+        assert!(
+            v0.is_multiple_of(rpw) && (v1.is_multiple_of(rpw) || v1 == self.num_vertices),
+            "vertex range [{v0}, {v1}) splits a word of {rpw} rows"
+        );
+        let start = (v0 / rpw) as usize * self.layout.words_per_row;
+        let len = self.layout.words_for(v1 - v0).expect("in bounds");
+        &self.bits[start..start + len]
     }
 
-    /// Replace the packed words of the vertex range starting at `v0` with
-    /// `words`, keeping the cover counts exact (per-word bit deltas). The
-    /// inverse of [`ReplicationMatrix::range_words`] — how a distributed
-    /// worker installs one merged vertex-range chunk. Rejects misaligned
-    /// or out-of-bounds ranges and stray bits beyond partition `k − 1`.
+    /// Replace the packed words of the aligned vertex range starting at
+    /// `v0` with `words`, keeping the cover counts exact (per-word bit
+    /// deltas). The inverse of [`ReplicationMatrix::range_words`] — how a
+    /// distributed worker installs one merged vertex-range chunk. Rejects
+    /// misaligned or out-of-bounds ranges and words that are not valid
+    /// packed rows ([`RowLayout::validate`]).
     pub fn install_range_words(&mut self, v0: u64, words: &[u64]) -> Result<(), String> {
-        let wpv = self.words_per_vertex;
-        let start = (v0 as usize)
-            .checked_mul(wpv)
-            .filter(|s| s + words.len() <= self.bits.len())
+        let (rpw, wpr) = (self.layout.rows_per_word(), self.layout.words_per_row);
+        if !v0.is_multiple_of(rpw) {
+            return Err(format!(
+                "chunk at vertex {v0} is not aligned to {rpw} rows per word"
+            ));
+        }
+        let start = usize::try_from(v0 / rpw)
+            .ok()
+            .and_then(|w| w.checked_mul(wpr))
+            .filter(|s| v0 <= self.num_vertices && s + words.len() <= self.bits.len())
             .ok_or_else(|| {
                 format!(
                     "chunk at vertex {v0} ({} words) exceeds |V| = {}",
@@ -180,52 +326,30 @@ impl ReplicationMatrix {
                     self.num_vertices
                 )
             })?;
-        validate_packed_rows(words, self.k)?;
-        for (i, (dst, &src)) in self.bits[start..start + words.len()]
-            .iter_mut()
-            .zip(words)
-            .enumerate()
-        {
-            if *dst == src {
-                continue;
+        let rows = ((words.len() / wpr) as u64 * rpw).min(self.num_vertices - v0);
+        self.layout.validate(words, rows)?;
+        for (i, &src) in words.iter().enumerate() {
+            let dst = self.bits[start + i];
+            if dst != src {
+                self.count_bits(start + i, src & !dst, 1);
+                self.count_bits(start + i, dst & !src, -1);
+                self.bits[start + i] = src;
             }
-            let base = (((start + i) % wpv) as u32) * 64;
-            let mut added = src & !*dst;
-            while added != 0 {
-                let b = added.trailing_zeros();
-                self.cover_counts[(base + b) as usize] += 1;
-                added &= added - 1;
-            }
-            let mut removed = *dst & !src;
-            while removed != 0 {
-                let b = removed.trailing_zeros();
-                self.cover_counts[(base + b) as usize] -= 1;
-                removed &= removed - 1;
-            }
-            *dst = src;
         }
         Ok(())
-    }
-
-    #[inline]
-    fn index(&self, v: VertexId, p: PartitionId) -> (usize, u64) {
-        debug_assert!(p < self.k, "partition {p} out of range (k = {})", self.k);
-        let word = v as usize * self.words_per_vertex + (p as usize >> 6);
-        let mask = 1u64 << (p & 63);
-        (word, mask)
     }
 
     /// Whether `v` is replicated on `p`.
     #[inline]
     pub fn get(&self, v: VertexId, p: PartitionId) -> bool {
-        let (word, mask) = self.index(v, p);
+        let (word, mask) = self.layout.index(v, p);
         self.bits[word] & mask != 0
     }
 
     /// Mark `v` as replicated on `p`. Returns `true` if the bit was newly set.
     #[inline]
     pub fn set(&mut self, v: VertexId, p: PartitionId) -> bool {
-        let (word, mask) = self.index(v, p);
+        let (word, mask) = self.layout.index(v, p);
         let newly = self.bits[word] & mask == 0;
         if newly {
             self.bits[word] |= mask;
@@ -234,14 +358,18 @@ impl ReplicationMatrix {
         newly
     }
 
+    /// `v`'s row, one lane per row word, shifted to bit 0.
+    fn row(&self, v: VertexId) -> impl Iterator<Item = u64> + '_ {
+        let (base, offset) = self.layout.row_start(v);
+        let mask = self.layout.lane_mask();
+        let words = &self.bits[base..base + self.layout.words_per_row];
+        words.iter().map(move |&w| (w >> offset) & mask)
+    }
+
     /// Number of partitions `v` is replicated on.
     #[inline]
     pub fn replica_count(&self, v: VertexId) -> u32 {
-        let base = v as usize * self.words_per_vertex;
-        self.bits[base..base + self.words_per_vertex]
-            .iter()
-            .map(|w| w.count_ones())
-            .sum()
+        self.row(v).map(|w| w.count_ones()).sum()
     }
 
     /// `|V(p)|` — vertices covered by partition `p`.
@@ -256,24 +384,21 @@ impl ReplicationMatrix {
     }
 
     /// Covered vertices and total replicas of the matrix as it stands
-    /// (one `O(|V|·k/64)` scan; see [`ReplicaCensus`]).
+    /// (one `O(|V|·k/64)` scan; see [`RowLayout::census`]).
     pub fn census(&self) -> ReplicaCensus {
-        ReplicaCensus::of_rows(self.words_per_vertex, self.bits.iter().copied())
+        self.layout.census(self.bits.iter().copied())
     }
 
-    /// Iterate over the partitions `v` is replicated on.
+    /// Iterate over the partitions `v` is replicated on, ascending.
     pub fn partitions_of(&self, v: VertexId) -> impl Iterator<Item = PartitionId> + '_ {
-        let base = v as usize * self.words_per_vertex;
-        let words = &self.bits[base..base + self.words_per_vertex];
-        words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            let mut out = Vec::with_capacity(w.count_ones() as usize);
-            while w != 0 {
-                let b = w.trailing_zeros();
-                out.push((wi as u32) * 64 + b);
-                w &= w - 1;
-            }
-            out
+        self.row(v).enumerate().flat_map(|(wi, mut w)| {
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let b = w.trailing_zeros();
+                    w &= w - 1;
+                    wi as u32 * 64 + b
+                })
+            })
         })
     }
 
@@ -302,37 +427,11 @@ impl ReplicaSet for ReplicationMatrix {
     }
 }
 
-/// Mask of the unused high bits in a vertex's last packed word, if any
-/// (`None` when `k` is a multiple of 64). Bits at positions ≥ k would
-/// corrupt the cover counts silently; every word-level ingress — range
-/// install, the distributed coordinator's chunk merge — rejects rows where
-/// `last_word & mask != 0`.
-#[inline]
-pub fn stray_bit_mask(k: u32) -> Option<u64> {
-    let tail_bits = ((k as usize).div_ceil(64) * 64 - k as usize) as u32;
-    (tail_bits > 0).then(|| !0u64 << (64 - tail_bits))
-}
-
-/// Validate a packed word sequence as whole `⌈k/64⌉`-word vertex rows
-/// with no stray bits beyond partition `k − 1` — the one rule every
-/// word-level ingress shares (snapshot, range install, the distributed
-/// coordinator's chunk merge), kept here so the ingresses cannot diverge.
-pub fn validate_packed_rows(words: &[u64], k: u32) -> Result<(), String> {
-    let wpv = (k as usize).div_ceil(64);
-    if !words.len().is_multiple_of(wpv) {
-        return Err(format!(
-            "chunk of {} words is not a whole number of {wpv}-word vertex rows",
-            words.len()
-        ));
-    }
-    if let Some(mask) = stray_bit_mask(k) {
-        for row in words.chunks_exact(wpv) {
-            if row[wpv - 1] & mask != 0 {
-                return Err("packed rows have bits beyond partition k-1".into());
-            }
-        }
-    }
-    Ok(())
+/// Validate `words` as the aligned packing of `rows` vertex rows of a
+/// `k`-partition matrix ([`RowLayout::validate`]) — the check the
+/// distributed coordinator runs on every chunk before merging it.
+pub fn validate_packed_rows(words: &[u64], k: u32, rows: u64) -> Result<(), String> {
+    RowLayout::new(k).validate(words, rows)
 }
 
 #[cfg(test)]
@@ -427,9 +526,14 @@ mod tests {
 
     #[test]
     fn install_range_rejects_bad_shapes_and_stray_bits() {
-        let mut m = ReplicationMatrix::new(4, 10);
-        assert!(m.install_range_words(0, &[0, 0, 0]).is_ok());
-        assert!(m.install_range_words(3, &[0, 0]).is_err(), "out of bounds");
+        // k = 10: 16-bit lanes, four rows per word, so |V| = 6 is 2 words.
+        let mut m = ReplicationMatrix::new(6, 10);
+        assert!(m.install_range_words(0, &[0, 0]).is_ok());
+        assert!(m.install_range_words(4, &[1]).is_ok(), "aligned tail word");
+        assert!(m.get(4, 0));
+        assert!(m.install_range_words(4, &[0, 0]).is_err(), "out of bounds");
+        assert!(m.install_range_words(3, &[0]).is_err(), "not word-aligned");
+        assert!(m.install_range_words(8, &[]).is_err(), "starts past |V|");
         let wide = ReplicationMatrix::new(4, 130);
         let mut m2 = ReplicationMatrix::new(4, 130);
         assert!(
@@ -438,9 +542,18 @@ mod tests {
             "not a whole vertex row"
         );
         assert!(
-            m.install_range_words(1, &[1u64 << 13]).is_err(),
-            "bit beyond k-1"
+            m.install_range_words(0, &[1u64 << 13]).is_err(),
+            "bit beyond k-1 in lane 0"
         );
+        assert!(
+            m.install_range_words(0, &[1u64 << (16 * 2 + 10)]).is_err(),
+            "bit beyond k-1 in a middle lane"
+        );
+        assert!(
+            m.install_range_words(4, &[1u64 << (16 * 2)]).is_err(),
+            "bit in a lane past |V|"
+        );
+        assert!(m.get(4, 0), "a rejected install changes nothing");
     }
 
     #[test]
@@ -457,6 +570,45 @@ mod tests {
         let mut stray = words;
         stray[1] |= 1 << 70u32.rem_euclid(64); // bit for partition 70 of k=70
         assert!(ReplicationMatrix::from_raw_words(3, 70, stray).is_err());
+    }
+
+    #[test]
+    fn packed_ingress_rejects_middle_lane_strays_and_lanes_past_v() {
+        // Lanes of 4, 8 and 32 bits with a part-filled last word: a bit at
+        // partition k in a middle lane of word 0, or any bit in the first
+        // lane past |V| of the last word, is refused by every ingress.
+        for (k, nv) in [(3u32, 21u64), (5, 11), (17, 3)] {
+            let layout = RowLayout::new(k);
+            let (rpw, lane) = (layout.rows_per_word(), 64 / layout.rows_per_word());
+            let mut src = ReplicationMatrix::new(nv, k);
+            for v in 0..nv as u32 {
+                src.set(v, v % k);
+            }
+            let good = src.range_words(0, nv).to_vec();
+            let last = good.len() - 1;
+            let mut middle = good.clone();
+            middle[0] |= 1 << ((rpw / 2) * lane + k as u64);
+            let mut past = good.clone();
+            past[last] |= 1 << ((nv % rpw) * lane);
+            assert!(validate_packed_rows(&good, k, nv).is_ok());
+            assert!(ReplicationMatrix::from_raw_words(nv, k, good.clone()).is_ok());
+            for (bad, why) in [(middle, "middle-lane stray"), (past, "lane past |V|")] {
+                assert!(validate_packed_rows(&bad, k, nv).is_err(), "k {k}: {why}");
+                assert!(
+                    ReplicationMatrix::from_raw_words(nv, k, bad.clone()).is_err(),
+                    "k {k}: {why}"
+                );
+                let mut dst = ReplicationMatrix::new(nv, k);
+                assert!(dst.install_range_words(0, &bad).is_err(), "k {k}: {why}");
+                assert_eq!(dst.census(), ReplicaCensus::default(), "nothing installed");
+                let tail_start = last as u64 * rpw;
+                assert_eq!(
+                    dst.install_range_words(tail_start, &bad[last..]).is_err(),
+                    why == "lane past |V|",
+                    "k {k}: {why}, last word alone"
+                );
+            }
+        }
     }
 
     #[test]

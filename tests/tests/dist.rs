@@ -209,9 +209,9 @@ fn traces_follow_the_documented_message_sequence() {
 }
 
 /// A graph whose vertex-id space spans several replication chunks
-/// (`ReplChunks` targets 2^17 words per frame; at k = 8 that is 131072
-/// vertices per chunk), with edges scattered across the whole range so
-/// every chunk carries bits.
+/// (`ReplChunks` targets 2^17 words per frame; at k = 64 a row is one
+/// whole word, so that is 131072 vertices per chunk), with edges
+/// scattered across the whole range so every chunk carries bits.
 #[test]
 fn replication_barrier_spans_multiple_chunks_bit_identically() {
     let num_vertices: u32 = 300_000;
@@ -223,7 +223,7 @@ fn replication_barrier_spans_multiple_chunks_bit_identically() {
     }
     edges.push(Edge::new(0, num_vertices - 1)); // pin the id space
     let g = InMemoryGraph::from_edges(edges);
-    let k = 8;
+    let k = 64;
     let chunks = tps_dist::ReplChunks::new(g.num_vertices(), k);
     assert!(
         chunks.count() >= 3,
@@ -438,4 +438,40 @@ fn abort_propagates_over_tcp() {
     assert!(err.to_string().contains("protocol"), "{err}");
     let got = client.join().unwrap();
     assert!(matches!(got, tps_dist::Message::Abort { .. }));
+}
+
+/// A worker built before replica rows were packed (protocol v6) would
+/// misread every replication chunk at k ≤ 32: the handshake refuses it,
+/// as a fresh `Hello` and as a `Rejoin`, naming both versions.
+#[test]
+fn handshake_refuses_a_v6_worker() {
+    assert_eq!(tps_dist::PROTOCOL_VERSION, 7);
+    let g = InMemoryGraph::from_edges(vec![Edge::new(0, 1)]);
+    for hello in [
+        tps_dist::Message::Hello { version: 6 },
+        tps_dist::Message::Rejoin { version: 6 },
+    ] {
+        let (c, mut w) = loopback_pair();
+        w.send(&hello.encode()).unwrap();
+        let err = run_coordinator(
+            &TwoPhaseConfig::default(),
+            &PartitionParams::new(2),
+            g.info(),
+            &InputDescriptor::Attached,
+            1,
+            vec![Box::new(c) as Box<dyn Transport>],
+            &mut NoReplacements,
+            &FaultPolicy::default(),
+            0,
+            &mut VecSink::new(),
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("worker speaks protocol 6, coordinator 7"),
+            "{err}"
+        );
+        let reply = tps_dist::Message::decode(&w.recv().unwrap()).unwrap();
+        assert!(matches!(reply, tps_dist::Message::Abort { .. }));
+    }
 }

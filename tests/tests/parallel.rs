@@ -439,3 +439,35 @@ fn restreaming_and_hdrf_variants_run_parallel() {
         }
     }
 }
+
+/// Several shards share one replication matrix whose word indices must fit
+/// `u32`. A 72-byte v1 file whose header claims |V| = 70 000 000 asks for
+/// 4.48 × 10⁹ packed words at k = 4096: the runner refuses it as
+/// `InvalidInput` naming |V|, k and the bound before its first pass — no
+/// degree table or clustering of 70 M vertices is allocated first — where
+/// it used to panic in the matrix constructor after phase 1. (`tps
+/// partition --threads 2` prints the message and exits 2.)
+#[test]
+fn a_replica_matrix_too_large_to_share_is_refused_before_the_first_pass() {
+    let dir = std::env::temp_dir().join(format!("tps-par-huge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.bel");
+    let mut bytes = b"TPSBEL1\0".to_vec();
+    bytes.extend_from_slice(&70_000_000u64.to_le_bytes());
+    bytes.extend_from_slice(&8u64.to_le_bytes());
+    for v in 0..8u32 {
+        bytes.extend_from_slice(&v.to_le_bytes());
+        bytes.extend_from_slice(&(v + 1).to_le_bytes());
+    }
+    std::fs::write(&path, bytes).unwrap();
+    let source = tps_io::open_ranged(&path).unwrap();
+    let err = ParallelRunner::new(TwoPhaseConfig::default(), 2)
+        .partition(&*source, &PartitionParams::new(4096), &mut VecSink::new())
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    let msg = err.to_string();
+    for needle in ["|V| = 70000000", "k = 4096", "2^32 − 1 packed words"] {
+        assert!(msg.contains(needle), "{needle}: {msg}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -157,3 +157,76 @@ proptest! {
         );
     }
 }
+
+/// The partition counts the replica-matrix property runs at: both sides of
+/// every lane width (1, 2, 4, …, 64 bits) and of the one- and two-word
+/// rows above 64.
+const MATRIX_KS: [u32; 16] = [1, 2, 3, 7, 8, 9, 16, 17, 31, 32, 33, 63, 64, 65, 128, 200];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `ReplicationMatrix` against a `HashSet<(v, p)>` oracle at every k of
+    /// [`MATRIX_KS`], with |V| never a multiple of the rows per word (the
+    /// last word is part-filled): set/get, `replica_count`,
+    /// `partitions_of`, the cover counts, `census`, and `range_words` →
+    /// `install_range_words` over word-aligned ranges.
+    #[test]
+    fn replication_matrix_matches_a_set_oracle(
+        nv in 1u64..150,
+        ops in proptest::collection::vec((0u64..1 << 20, 0u32..1 << 20), 0..400),
+        cut in (0u64..1 << 20, 0u64..1 << 20),
+    ) {
+        use std::collections::{BTreeSet, HashSet};
+        use tps_metrics::bitmatrix::{ReplicaCensus, ReplicationMatrix, RowLayout};
+        for k in MATRIX_KS {
+            let rpw = RowLayout::new(k).rows_per_word();
+            let nv = if rpw > 1 && nv % rpw == 0 { nv + 1 } else { nv };
+            let mut m = ReplicationMatrix::new(nv, k);
+            let mut oracle = HashSet::new();
+            for &(v, p) in &ops {
+                let (v, p) = ((v % nv) as u32, p % k);
+                prop_assert_eq!(m.set(v, p), oracle.insert((v, p)), "set ({}, {}) at k {}", v, p, k);
+            }
+            let mut census = ReplicaCensus::default();
+            for v in 0..nv as u32 {
+                let row: BTreeSet<u32> = (0..k).filter(|&p| oracle.contains(&(v, p))).collect();
+                for p in 0..k {
+                    prop_assert_eq!(m.get(v, p), row.contains(&p), "get ({}, {}) at k {}", v, p, k);
+                }
+                prop_assert_eq!(m.replica_count(v) as usize, row.len());
+                prop_assert_eq!(m.partitions_of(v).collect::<Vec<_>>(), row.iter().copied().collect::<Vec<_>>());
+                census.covered_vertices += u64::from(!row.is_empty());
+                census.total_replicas += row.len() as u64;
+            }
+            for p in 0..k {
+                let want = oracle.iter().filter(|&&(_, q)| q == p).count() as u64;
+                prop_assert_eq!(m.cover_count(p), want, "cover count of {} at k {}", p, k);
+            }
+            prop_assert_eq!(m.census(), census);
+
+            // A word-aligned range [v0, v1) installed over another matrix takes
+            // the source's rows there, keeps its own elsewhere, and recounts.
+            let v0 = (cut.0 % nv) / rpw * rpw;
+            let v1 = (v0 + cut.1 % (nv - v0 + 1)).div_ceil(rpw) * rpw;
+            let v1 = v1.min(nv);
+            let mut dst = ReplicationMatrix::new(nv, k);
+            for v in 0..nv as u32 {
+                dst.set(v, (v * 7 + 3) % k);
+            }
+            let before = dst.clone();
+            dst.install_range_words(v0, m.range_words(v0, v1)).unwrap();
+            for v in 0..nv as u32 {
+                let from = if (v0..v1).contains(&(v as u64)) { &m } else { &before };
+                for p in 0..k {
+                    prop_assert_eq!(dst.get(v, p), from.get(v, p), "({}, {}) at k {}, [{}, {})", v, p, k, v0, v1);
+                }
+            }
+            let whole = ReplicationMatrix::from_raw_words(nv, k, dst.range_words(0, nv).to_vec()).unwrap();
+            for p in 0..k {
+                prop_assert_eq!(dst.cover_count(p), whole.cover_count(p), "recount of {} at k {}", p, k);
+            }
+            prop_assert_eq!(dst.census(), whole.census());
+        }
+    }
+}
