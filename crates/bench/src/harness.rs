@@ -1,6 +1,7 @@
 //! Common command-line plumbing for the experiment binaries.
 //!
-//! Every `fig*`/`table*` binary accepts:
+//! `repro` and the JSON bench binaries (`io_readers`, `parallel_scaling`,
+//! `dist_scaling`, `serve_scaling`) accept:
 //!
 //! * `--scale <f>`   dataset scale factor (default 1.0; DESIGN.md §2)
 //! * `--repeats <n>` measurement repetitions (default 3, as in the paper)

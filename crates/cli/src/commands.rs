@@ -1,5 +1,6 @@
 //! Implementations of the `tps` subcommands.
 
+use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 
@@ -259,12 +260,41 @@ pub(crate) fn fail(msg: &str) -> i32 {
     2
 }
 
-/// Write a bound socket address to `path` atomically (tmp + rename) so
-/// pollers never observe a partially written address.
+/// Write a bound socket address to `path` atomically, so pollers never
+/// observe a partially written address.
 pub(crate) fn write_addr_file(path: &str, addr: &str) -> Result<(), String> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, format!("{addr}\n")).map_err(|e| format!("{tmp}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("{path}: {e}"))
+    replace_file(Path::new(path), |f| writeln!(f, "{addr}"))
+}
+
+/// Replace `path` with what `write` writes, so that neither a crash nor a
+/// failed write leaves it torn: the bytes go to `PATH.tmp` in the same
+/// directory, which is synced and renamed over `path`, and then the
+/// directory is synced. A failed step deletes the temp file and leaves
+/// `path` as it was.
+pub(crate) fn replace_file(
+    path: &Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let staged = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            write(&mut f)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = staged {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(format!("{}: {e}", path.display()));
+    }
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| format!("{}: {e}", dir.display()))
 }
 
 /// Start the coordinator's `--metrics-addr` scrape endpoint: the body is
@@ -497,14 +527,7 @@ fn execute_and_report(
     run: &mut dyn FnMut(&PartitionParams, &mut dyn AssignmentSink) -> Result<RunReport, String>,
 ) -> Result<(), String> {
     {
-        let trace_path = flags.get("trace");
-        if trace_path.is_some() {
-            // Start the trace from a clean slate so the file describes this
-            // run only. Counters are always on; events need the switch.
-            tps_obs::reset_events();
-            tps_obs::reset_counters();
-            tps_obs::set_enabled(true);
-        }
+        let trace = flags.get("trace").map(tps_obs::TraceRecording::begin);
         let params = PartitionParams::with_alpha(k, alpha);
         let mut quality = QualitySink::new(info.num_vertices, k);
         let start = std::time::Instant::now();
@@ -531,16 +554,7 @@ fn execute_and_report(
                 eprintln!("counter {name}: {v}");
             }
         }
-        if let Some(path) = trace_path {
-            tps_obs::set_enabled(false);
-            let events = tps_obs::take_events();
-            // Local counters are worker 0; dist shard snapshots keep the
-            // worker id the coordinator tagged them with.
-            let mut counters: Vec<(u32, String, u64)> = tps_obs::counters_snapshot()
-                .into_iter()
-                .map(|(n, v)| (0, n, v))
-                .collect();
-            counters.extend(tps_obs::take_remote_counters());
+        if let Some(trace) = trace {
             let meta = tps_obs::TraceMeta {
                 cmd: cmd.to_string(),
                 algo: name.to_string(),
@@ -549,16 +563,10 @@ fn execute_and_report(
                 vertices: info.num_vertices,
                 edges: info.num_edges,
             };
-            let path = PathBuf::from(path);
-            tps_obs::write_trace(&path, &meta, &events, &counters)
-                .map_err(|e| format!("writing trace {}: {e}", path.display()))?;
+            let path = trace.path().display().to_string();
+            let (events, counters) = trace.finish(&meta).map_err(|e| e.to_string())?;
             if !flags.has("quiet") {
-                eprintln!(
-                    "trace: {} events, {} counters -> {}",
-                    events.len(),
-                    counters.len(),
-                    path.display()
-                );
+                eprintln!("trace: {events} events, {counters} counters -> {path}");
             }
         }
         Ok(())

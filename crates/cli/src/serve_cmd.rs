@@ -14,7 +14,7 @@ use tps_graph::types::Edge;
 use tps_serve::{ServeClient, ServeHandle, ServeOptions, ServeState, ServerConfig};
 
 use crate::args::{CommonOpts, Flags};
-use crate::commands::{fail, two_phase_config, write_addr_file};
+use crate::commands::{fail, replace_file, two_phase_config, write_addr_file};
 
 /// `tps serve`
 pub fn serve(args: &[String]) -> i32 {
@@ -109,15 +109,7 @@ pub fn serve(args: &[String]) -> i32 {
             None => None,
         };
 
-        let trace_path = flags.get("trace");
-        if trace_path.is_some() {
-            // Start the trace from a clean slate so the file describes this
-            // serving session only. Counters are always on; events need the
-            // switch.
-            tps_obs::reset_events();
-            tps_obs::reset_counters();
-            tps_obs::set_enabled(true);
-        }
+        let trace = flags.get("trace").map(tps_obs::TraceRecording::begin);
 
         let cfg = ServerConfig {
             cache_capacity: flags.get_or("cache", 4096)?,
@@ -127,13 +119,7 @@ pub fn serve(args: &[String]) -> i32 {
         tps_serve::serve_listener(listener, state.clone(), cfg, &handle)
             .map_err(|e| e.to_string())?;
 
-        if let Some(path) = trace_path {
-            tps_obs::set_enabled(false);
-            let events = tps_obs::take_events();
-            let counters: Vec<(u32, String, u64)> = tps_obs::counters_snapshot()
-                .into_iter()
-                .map(|(n, v)| (0, n, v))
-                .collect();
+        if let Some(trace) = trace {
             let st = state.read().unwrap_or_else(|e| e.into_inner());
             let meta = tps_obs::TraceMeta {
                 cmd: "serve".to_string(),
@@ -144,22 +130,16 @@ pub fn serve(args: &[String]) -> i32 {
                 edges: st.num_edges(),
             };
             drop(st);
-            tps_obs::write_trace(Path::new(path), &meta, &events, &counters)
-                .map_err(|e| format!("writing trace {path}: {e}"))?;
+            let path = trace.path().display().to_string();
+            let (events, counters) = trace.finish(&meta).map_err(|e| e.to_string())?;
             if !quiet {
-                eprintln!(
-                    "trace: {} events, {} counters -> {path}",
-                    events.len(),
-                    counters.len()
-                );
+                eprintln!("trace: {events} events, {counters} counters -> {path}");
             }
         }
 
         let st = state.read().unwrap_or_else(|e| e.into_inner());
         if let Some(path) = flags.get("save-state") {
-            let mut f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            st.write_snapshot(&mut f)
-                .map_err(|e| format!("{path}: {e}"))?;
+            replace_file(Path::new(path), |f| st.write_snapshot(f))?;
             if !quiet {
                 eprintln!("note: wrote engine snapshot to {path}");
             }
@@ -391,6 +371,28 @@ mod tests {
         assert_eq!(edges, vec![Edge::new(1, 2), Edge::new(3, 4)]);
         std::fs::write(&path, "1 2 3\n").unwrap();
         assert!(read_edge_file(path.to_str().unwrap()).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_save_that_fails_midway_leaves_the_previous_snapshot() {
+        use std::io::Write;
+        let dir = std::env::temp_dir().join(format!("tps-save-state-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, tmp) = (dir.join("snap.bin"), dir.join("snap.bin.tmp"));
+        std::fs::write(&path, b"previous snapshot").unwrap();
+        let err = replace_file(&path, |f| {
+            f.write_all(b"half a snap")?;
+            Err(std::io::Error::other("disk full"))
+        })
+        .unwrap_err();
+        assert!(err.contains("disk full"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), b"previous snapshot");
+        assert!(!tmp.exists(), "the temp file outlived the failed save");
+
+        replace_file(&path, |f| f.write_all(b"next snapshot")).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"next snapshot");
+        assert!(!tmp.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

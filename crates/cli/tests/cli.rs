@@ -1,7 +1,7 @@
 //! End-to-end tests of the `tps` binary.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 fn tps() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tps"))
@@ -837,6 +837,92 @@ fn unrunnable_options_are_input_errors() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flags}: {err}");
         assert!(err.contains(reason), "{flags}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A spawned `tps serve`, killed if the test fails before shutting it down.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Run `tps lookup` against `addr` and return its stdout.
+fn lookup(addr: &str, args: &[&str]) -> String {
+    let out = tps()
+        .args(["lookup", "--connect", addr])
+        .args(args)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn save_state_over_the_restored_snapshot_still_restores() {
+    let dir = tmpdir("save-state");
+    let bel = dir.join("ok.bel");
+    let parts = dir.join("parts");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    let status = tps()
+        .args(["partition", "--input"])
+        .arg(&bel)
+        .args(["--k", "4", "--quiet", "--out"])
+        .arg(&parts)
+        .status()
+        .unwrap();
+    assert!(status.success());
+
+    // The restart loop restores from and saves to the same file: each
+    // shutdown replaces the snapshot the daemon booted from.
+    let snap = dir.join("snap.bin");
+    let wait_addr = |path: &Path| {
+        for _ in 0..500 {
+            if let Ok(addr) = std::fs::read_to_string(path) {
+                return addr.trim().to_string();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        panic!("serve never wrote {}", path.display());
+    };
+    for round in 0..3 {
+        let addr_file = dir.join(format!("addr{round}"));
+        let mut daemon = Daemon(
+            tps()
+                .args(["serve", "--quiet", "--parts"])
+                .arg(&parts)
+                .arg("--addr-file")
+                .arg(&addr_file)
+                .arg("--state")
+                .arg(&snap)
+                .arg("--save-state")
+                .arg(&snap)
+                .stdout(Stdio::null())
+                .spawn()
+                .unwrap(),
+        );
+        let addr = wait_addr(&addr_file);
+        if round == 0 {
+            lookup(&addr, &["--insert", "900000,900001"]);
+        }
+        let answer = lookup(&addr, &["--edge", "900000,900001"]);
+        assert!(!answer.contains("not found"), "round {round}: {answer}");
+        lookup(&addr, &["--shutdown"]);
+        assert!(daemon.0.wait().unwrap().success());
+        assert!(snap.exists());
+        assert!(!dir.join("snap.bin.tmp").exists());
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -129,15 +129,6 @@ impl PartitionLoads {
         }
     }
 
-    /// Loads without any cap (stateless partitioners that only count).
-    pub fn uncapped(k: u32) -> Self {
-        assert!(k > 0, "k must be positive");
-        PartitionLoads {
-            loads: vec![0; k as usize],
-            cap: u64::MAX,
-        }
-    }
-
     /// Number of partitions.
     #[inline]
     pub fn k(&self) -> u32 {
@@ -250,15 +241,6 @@ mod tests {
         l.add(1);
         l.add(2);
         assert_eq!(l.least_loaded(), 0);
-    }
-
-    #[test]
-    fn uncapped_never_fills() {
-        let mut l = PartitionLoads::uncapped(1);
-        for _ in 0..1000 {
-            l.add(0);
-        }
-        assert!(!l.is_full(0));
     }
 
     #[test]

@@ -444,13 +444,7 @@ impl<'a> JobSpec<'a> {
             _ => None,
         };
 
-        if trace.is_some() {
-            // Start from a clean slate so the file describes this run only.
-            // Counters are always on; events need the switch.
-            tps_obs::reset_events();
-            tps_obs::reset_counters();
-            tps_obs::set_enabled(true);
-        }
+        let trace = trace.map(tps_obs::TraceRecording::begin);
 
         let start = Instant::now();
         // A path input is the provider's ranged source over the file: from
@@ -533,16 +527,7 @@ impl<'a> JobSpec<'a> {
         let wall_time = start.elapsed();
         tps_obs::drain_local();
 
-        if let Some(path) = trace {
-            tps_obs::set_enabled(false);
-            let events = tps_obs::take_events();
-            // Local counters are worker 0; dist shard snapshots keep the
-            // worker id the coordinator tagged them with.
-            let mut counters: Vec<(u32, String, u64)> = tps_obs::counters_snapshot()
-                .into_iter()
-                .map(|(n, v)| (0, n, v))
-                .collect();
-            counters.extend(tps_obs::take_remote_counters());
+        if let Some(trace) = trace {
             let meta = tps_obs::TraceMeta {
                 cmd: trace_cmd,
                 algo: name.clone(),
@@ -555,7 +540,7 @@ impl<'a> JobSpec<'a> {
                     metrics.num_edges
                 },
             };
-            tps_obs::write_trace(&path, &meta, &events, &counters)?;
+            trace.finish(&meta)?;
         }
 
         Ok(RunOutcome {

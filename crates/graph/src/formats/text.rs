@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, Seek, SeekFrom};
 use std::path::Path;
 
 use crate::stream::EdgeStream;
@@ -79,21 +79,6 @@ impl EdgeStream for TextEdgeFile {
             }
         }
     }
-}
-
-/// Write edges as a text edge list (one `src dst` line per edge).
-pub fn write_text_edge_list<P: AsRef<Path>>(
-    path: P,
-    edges: impl IntoIterator<Item = Edge>,
-) -> io::Result<u64> {
-    let mut w = io::BufWriter::new(File::create(path)?);
-    let mut n = 0u64;
-    for e in edges {
-        writeln!(w, "{} {}", e.src, e.dst)?;
-        n += 1;
-    }
-    w.flush()?;
-    Ok(n)
 }
 
 /// Remap arbitrary (possibly sparse) vertex ids to a dense `0..n` range,
@@ -177,7 +162,7 @@ mod tests {
     fn text_round_trip() {
         let path = tmpfile("rt");
         let edges = vec![Edge::new(3, 4), Edge::new(4, 5)];
-        write_text_edge_list(&path, edges.clone()).unwrap();
+        std::fs::write(&path, "3 4\n4 5\n").unwrap();
         let mut f = TextEdgeFile::open(&path).unwrap();
         let mut seen = Vec::new();
         for_each_edge(&mut f, |e| seen.push(e)).unwrap();

@@ -75,18 +75,17 @@ impl Summary {
     }
 }
 
-/// Collect a summary from an iterator of samples.
-pub fn summarize(samples: impl IntoIterator<Item = f64>) -> Summary {
-    let mut s = Summary::new();
-    for x in samples {
-        s.add(x);
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn summarize(samples: impl IntoIterator<Item = f64>) -> Summary {
+        let mut s = Summary::new();
+        for x in samples {
+            s.add(x);
+        }
+        s
+    }
 
     #[test]
     fn mean_and_std_of_known_sequence() {

@@ -170,17 +170,6 @@ pub fn hists_snapshot() -> Vec<HistSnapshot> {
     out
 }
 
-/// Reset every registered histogram to empty (test / bench isolation).
-pub fn reset_hists() {
-    for h in registry().iter() {
-        for b in &h.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        h.sum.store(0, Ordering::Relaxed);
-        h.max.store(0, Ordering::Relaxed);
-    }
-}
-
 /// A plain-data histogram: per-bucket counts plus exact sum and max.
 ///
 /// Merging is per-bucket addition, so it is exact, associative and

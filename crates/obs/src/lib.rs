@@ -52,8 +52,8 @@ pub use export::{
 };
 pub use gauge::{gauges_snapshot, reset_gauges, set_gauge, Gauge};
 pub use hist::{
-    bucket_bound, bucket_index, hists_snapshot, metrics_enabled, reset_hists, set_metrics_enabled,
-    Hist, HistSnapshot, MIN_VALUE, NUM_BUCKETS,
+    bucket_bound, bucket_index, hists_snapshot, metrics_enabled, set_metrics_enabled, Hist,
+    HistSnapshot, MIN_VALUE, NUM_BUCKETS,
 };
 pub use recorder::{
     drain_local, enabled, instant, instant_with, notice, record_remote, record_remote_counters,
@@ -62,7 +62,7 @@ pub use recorder::{
 };
 pub use report::{build_span_forest, render_report, SpanNode, ThreadSpans};
 pub use timer::PhaseTimer;
-pub use trace::{render_trace, write_trace, Trace, TraceMeta};
+pub use trace::{render_trace, write_trace, Trace, TraceMeta, TraceRecording};
 
 /// Run `$body` inside a span named `$name`, recording the measured duration
 /// into `$timer` (a [`PhaseTimer`]) under the same name.

@@ -23,9 +23,13 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 
-use crate::recorder::{EventKind, TraceEvent};
+use crate::counter::{counters_snapshot, reset_counters};
+use crate::recorder::{
+    reset_events, set_enabled, take_events, take_remote_counters, EventKind, TraceEvent,
+};
 
 /// The run header stored on a trace's `meta` line.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -126,6 +130,49 @@ pub fn write_trace(
     counters: &[(u32, String, u64)],
 ) -> std::io::Result<()> {
     fs::write(path, render_trace(meta, events, counters))
+}
+
+/// One traced run, from [`TraceRecording::begin`] to the file that
+/// [`TraceRecording::finish`] writes.
+pub struct TraceRecording {
+    path: PathBuf,
+}
+
+impl TraceRecording {
+    /// Start recording from a clean slate, so the file describes this run
+    /// only: reset events and counters and switch event recording on
+    /// (counters are always on; events need the switch).
+    pub fn begin(path: impl Into<PathBuf>) -> Self {
+        reset_events();
+        reset_counters();
+        set_enabled(true);
+        TraceRecording { path: path.into() }
+    }
+
+    /// The file [`TraceRecording::finish`] writes.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Stop recording and write `meta`, the recorded events, the local
+    /// counters as worker 0 and the remote ones under the worker id the dist
+    /// coordinator tagged them with. Returns the event and counter counts.
+    pub fn finish(self, meta: &TraceMeta) -> io::Result<(usize, usize)> {
+        set_enabled(false);
+        let events = take_events();
+        let mut counters: Vec<(u32, String, u64)> = counters_snapshot()
+            .into_iter()
+            .map(|(n, v)| (0, n, v))
+            .collect();
+        counters.extend(take_remote_counters());
+        write_trace(&self.path, meta, &events, &counters).map_err(|e| {
+            io::Error::new(
+                e.kind(),
+                format!("writing trace {}: {e}", self.path.display()),
+            )
+        })?;
+        Ok((events.len(), counters.len()))
+    }
 }
 
 #[derive(Debug, PartialEq)]
