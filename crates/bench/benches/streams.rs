@@ -32,22 +32,6 @@ fn bench_streams(c: &mut Criterion) {
             black_box(n)
         })
     });
-    group.bench_function("mmap_file", |b| {
-        b.iter(|| {
-            let mut s = tps_io::open_edge_stream(&path, tps_io::ReaderBackend::Mmap).unwrap();
-            let mut n = 0u64;
-            for_each_edge(&mut s, |e| n += e.src as u64).unwrap();
-            black_box(n)
-        })
-    });
-    group.bench_function("prefetch_file", |b| {
-        b.iter(|| {
-            let mut s = tps_io::open_edge_stream(&path, tps_io::ReaderBackend::Prefetch).unwrap();
-            let mut n = 0u64;
-            for_each_edge(&mut s, |e| n += e.src as u64).unwrap();
-            black_box(n)
-        })
-    });
     group.bench_function("device_model_wrapped", |b| {
         b.iter(|| {
             let mut s = DeviceStream::new(graph.stream(), DeviceModel::ssd());

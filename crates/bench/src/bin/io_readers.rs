@@ -1,23 +1,23 @@
-//! Reader-backend comparison: buffered vs mmap vs prefetch, v1 vs v2.
+//! File-reader throughput: TPSBEL1 vs TPSBEL2 on the one reader.
 //!
 //! Writes an R-MAT-skewed stand-in graph as both TPSBEL1 and TPSBEL2, then
-//! times a 4-pass streaming *epoch* per (format × backend) combination — one
-//! open, then `EPOCH_PASSES` (4) sequential fingerprint passes, the exact
-//! access pattern of a 2PS-L partitioning run (degree, clustering,
-//! prepartition, partition) — and a full 2PS-L partition per backend on the
-//! v1 file, emitting a JSON report on stdout. The headline
-//! `medges_per_sec` is the per-pass average over the epoch; the cold
-//! (first, checksummed + decoded) and warm passes are also reported
-//! separately so the cold-pass premium stays visible. Warm v2 passes are
-//! cache-served only when the file's decoded form fits the decode-cache
-//! budget — the cache is all-or-nothing at open (job budget share via
-//! `--mem-budget-mb`, else the 64 MiB default; see
-//! crates/io/README.md) — which holds for every bench scale here; over
-//! budget, warm passes re-decode and look like cold ones. The `v2_vs_v1`
-//! section reports per-backend epoch throughput ratios, which are robust
-//! to container-speed drift unlike absolute Medges/s.
+//! times a 4-pass streaming *epoch* per format — one open, then
+//! `EPOCH_PASSES` (4) sequential fingerprint passes, the exact access
+//! pattern of a 2PS-L partitioning run (degree, clustering, prepartition,
+//! partition) — and a full 2PS-L partition on the v1 file, emitting a JSON
+//! report on stdout. The headline `medges_per_sec` is the per-pass average
+//! over the epoch; the cold (first, checksummed + decoded) and warm passes
+//! are also reported separately so the cold-pass premium stays visible.
+//! Warm v2 passes are cache-served only when the file's decoded form fits
+//! the decode-cache budget (job budget share via `--mem-budget-mb`, else
+//! the 64 MiB default; see crates/io/README.md), which holds for every
+//! bench scale here; over budget, warm passes re-decode and look like cold
+//! ones. The `v2_vs_v1` section reports the epoch throughput ratio, which
+//! is robust to container-speed drift unlike absolute Medges/s. Entries
+//! keep a `"backend": "buffered"` field, the reader's name, so the perf
+//! gate's metric names stay stable.
 //!
-//! Every backend must observe the bit-identical edge order — the paper's
+//! Both formats must yield the bit-identical edge order — the paper's
 //! multi-pass algorithms depend on it — so each pass is fingerprinted with
 //! an order-sensitive FNV-1a hash and the run aborts on divergence.
 //!
@@ -76,114 +76,91 @@ fn main() {
     let v2_bytes = std::fs::metadata(&v2_path).unwrap().len();
 
     const EPOCH_PASSES: usize = 4;
-    #[derive(Default)]
+    let backend = ReaderBackend::Buffered.name();
     struct Acc {
         best_epoch: f64,
         best_cold: f64,
         best_warm: f64,
         total_epoch: f64,
     }
-    let mut accs: std::collections::BTreeMap<(&str, &str), Acc> = std::collections::BTreeMap::new();
+    let formats = [("v1", &v1_path), ("v2", &v2_path)];
+    let mut accs = formats.map(|_| Acc {
+        best_epoch: f64::INFINITY,
+        best_cold: f64::INFINITY,
+        best_warm: f64::INFINITY,
+        total_epoch: 0.0,
+    });
     let mut reference: Option<(u64, u64)> = None;
     // Repeats are the OUTER loop so each repeat measures v1 and v2
-    // back-to-back per backend: the container CPU clock drifts over a run
-    // (turbo at the start, sustained later), and interleaving keeps each
-    // ratio's numerator and denominator under the same clock.
+    // back-to-back: the container CPU clock drifts over a run (turbo at
+    // the start, sustained later), and interleaving keeps the ratio's
+    // numerator and denominator under the same clock.
     for _ in 0..args.repeats {
-        for backend in ReaderBackend::ALL {
-            for (format, path) in [("v1", &v1_path), ("v2", &v2_path)] {
-                let mut stream = open_edge_stream(path, backend).expect("open stream");
-                let start = Instant::now();
-                let (hash, n) = stream_fingerprint(&mut stream).expect("stream pass");
-                let cold = start.elapsed().as_secs_f64();
-                let expected = *reference.get_or_insert((hash, n));
-                assert_eq!(
-                    (hash, n),
-                    expected,
-                    "backend {} diverged from reference edge order on {format}",
-                    backend.name()
-                );
-                let warm_start = Instant::now();
-                for pass in 1..EPOCH_PASSES {
-                    let got = stream_fingerprint(&mut stream).expect("stream pass");
-                    assert_eq!(
-                        got,
-                        expected,
-                        "backend {} diverged on warm pass {pass} of {format}",
-                        backend.name()
-                    );
-                }
-                let warm = warm_start.elapsed().as_secs_f64();
-                let epoch = start.elapsed().as_secs_f64();
-                let acc = accs.entry((format, backend.name())).or_insert(Acc {
-                    best_epoch: f64::INFINITY,
-                    best_cold: f64::INFINITY,
-                    best_warm: f64::INFINITY,
-                    total_epoch: 0.0,
-                });
-                acc.best_epoch = acc.best_epoch.min(epoch);
-                acc.best_cold = acc.best_cold.min(cold);
-                acc.best_warm = acc.best_warm.min(warm);
-                acc.total_epoch += epoch;
+        for ((format, path), acc) in formats.iter().zip(&mut accs) {
+            let mut stream = open_edge_stream(path, ReaderBackend::Buffered).expect("open stream");
+            let start = Instant::now();
+            let (hash, n) = stream_fingerprint(&mut stream).expect("stream pass");
+            let cold = start.elapsed().as_secs_f64();
+            let expected = *reference.get_or_insert((hash, n));
+            assert_eq!(
+                (hash, n),
+                expected,
+                "{format} diverged from reference edge order"
+            );
+            let warm_start = Instant::now();
+            for pass in 1..EPOCH_PASSES {
+                let got = stream_fingerprint(&mut stream).expect("stream pass");
+                assert_eq!(got, expected, "{format} diverged on warm pass {pass}");
             }
+            let warm = warm_start.elapsed().as_secs_f64();
+            let epoch = start.elapsed().as_secs_f64();
+            acc.best_epoch = acc.best_epoch.min(epoch);
+            acc.best_cold = acc.best_cold.min(cold);
+            acc.best_warm = acc.best_warm.min(warm);
+            acc.total_epoch += epoch;
         }
     }
 
     let edges = graph.num_edges() as f64;
     let mut results = Vec::new();
-    for (format, _) in [("v1", &v1_path), ("v2", &v2_path)] {
-        for backend in ReaderBackend::ALL {
-            let acc = &accs[&(format, backend.name())];
-            results.push(format!(
-                "    {{\"format\": \"{format}\", \"backend\": \"{}\", \"passes\": {EPOCH_PASSES}, \
-                 \"epoch_seconds\": {:.6}, \"medges_per_sec\": {:.2}, \
-                 \"cold_medges_per_sec\": {:.2}, \"warm_medges_per_sec\": {:.2}}}",
-                backend.name(),
-                acc.best_epoch,
-                edges * EPOCH_PASSES as f64 / acc.best_epoch / 1e6,
-                edges / acc.best_cold / 1e6,
-                edges * (EPOCH_PASSES - 1) as f64 / acc.best_warm / 1e6
-            ));
-        }
-    }
-
-    // Per-backend v2/v1 epoch-throughput ratios: the size saving is only
-    // free once these hold at >= 1.0. Ratios use *total* epoch time over
-    // all (interleaved) repeats, not best-of — clock drift hits both sides
-    // equally and cancels, where best-of favors whichever format caught
-    // the fastest clock window.
-    let mut ratio_results = Vec::new();
-    for backend in ReaderBackend::ALL {
-        let v1 = &accs[&("v1", backend.name())];
-        let v2 = &accs[&("v2", backend.name())];
-        ratio_results.push(format!(
-            "    {{\"backend\": \"{}\", \"ratio\": {:.4}, \
-             \"v1_medges_per_sec\": {:.2}, \"v2_medges_per_sec\": {:.2}}}",
-            backend.name(),
-            v1.total_epoch / v2.total_epoch,
-            edges * EPOCH_PASSES as f64 / v1.best_epoch / 1e6,
-            edges * EPOCH_PASSES as f64 / v2.best_epoch / 1e6
+    for ((format, _), acc) in formats.iter().zip(&accs) {
+        results.push(format!(
+            "    {{\"format\": \"{format}\", \"backend\": \"{backend}\", \"passes\": {EPOCH_PASSES}, \
+             \"epoch_seconds\": {:.6}, \"medges_per_sec\": {:.2}, \
+             \"cold_medges_per_sec\": {:.2}, \"warm_medges_per_sec\": {:.2}}}",
+            acc.best_epoch,
+            edges * EPOCH_PASSES as f64 / acc.best_epoch / 1e6,
+            edges / acc.best_cold / 1e6,
+            edges * (EPOCH_PASSES - 1) as f64 / acc.best_warm / 1e6
         ));
     }
 
-    // End-to-end: a full 2PS-L partition (4 passes over the stream) per
-    // backend on the v1 file.
-    let mut partition_results = Vec::new();
-    for backend in ReaderBackend::ALL {
-        let mut best = f64::INFINITY;
-        for _ in 0..args.repeats {
-            let mut stream = open_edge_stream(&v1_path, backend).expect("open stream");
-            let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
-            let start = Instant::now();
-            p.partition(&mut stream, &PartitionParams::new(32), &mut NullSink)
-                .expect("partition");
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        partition_results.push(format!(
-            "    {{\"backend\": \"{}\", \"partition_seconds\": {best:.6}}}",
-            backend.name()
-        ));
+    // The v2/v1 epoch-throughput ratio: the size saving is only free once
+    // it holds at >= 1.0. It uses *total* epoch time over all (interleaved)
+    // repeats, not best-of — clock drift hits both sides equally and
+    // cancels, where best-of favors whichever format caught the fastest
+    // clock window.
+    let [v1, v2] = &accs;
+    let ratio = format!(
+        "    {{\"backend\": \"{backend}\", \"ratio\": {:.4}, \
+         \"v1_medges_per_sec\": {:.2}, \"v2_medges_per_sec\": {:.2}}}",
+        v1.total_epoch / v2.total_epoch,
+        edges * EPOCH_PASSES as f64 / v1.best_epoch / 1e6,
+        edges * EPOCH_PASSES as f64 / v2.best_epoch / 1e6
+    );
+
+    // End-to-end: a full 2PS-L partition (4 passes over the stream) on the
+    // v1 file.
+    let mut best = f64::INFINITY;
+    for _ in 0..args.repeats {
+        let mut stream = open_edge_stream(&v1_path, ReaderBackend::Buffered).expect("open stream");
+        let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
+        let start = Instant::now();
+        p.partition(&mut stream, &PartitionParams::new(32), &mut NullSink)
+            .expect("partition");
+        best = best.min(start.elapsed().as_secs_f64());
     }
+    let partition = format!("    {{\"backend\": \"{backend}\", \"partition_seconds\": {best:.6}}}");
 
     println!("{{");
     println!(
@@ -197,11 +174,8 @@ fn main() {
         v2_bytes as f64 / v1_bytes as f64
     );
     println!("  \"stream_pass\": [\n{}\n  ],", results.join(",\n"));
-    println!("  \"v2_vs_v1\": [\n{}\n  ],", ratio_results.join(",\n"));
-    println!(
-        "  \"partition_2psl_k32\": [\n{}\n  ]",
-        partition_results.join(",\n")
-    );
+    println!("  \"v2_vs_v1\": [\n{ratio}\n  ],");
+    println!("  \"partition_2psl_k32\": [\n{partition}\n  ]");
     println!("}}");
 
     assert!(

@@ -323,9 +323,7 @@ fn run_child(mode: &str, input: &str, k: u32) {
     let start = Instant::now();
     match threads {
         None => {
-            let source =
-                tps_io::open_ranged_backend(Path::new(input), tps_io::ReaderBackend::Buffered)
-                    .expect("open v1 edge file");
+            let source = tps_io::open_ranged(Path::new(input)).expect("open v1 edge file");
             run_dist_local(&*source, &config, &params, 2, &mut NullSink)
                 .expect("dist-local partition");
         }

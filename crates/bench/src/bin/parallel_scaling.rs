@@ -293,13 +293,14 @@ fn trace_overhead(
     const THREADS: usize = 4;
     const TARGET_SAMPLE_SECS: f64 = 0.3;
     let samples = args.repeats.max(3);
-    let run_once = || {
-        let out = JobSpec::ranged(graph)
+    let job = || {
+        JobSpec::ranged(graph)
             .two_phase(TwoPhaseConfig::default())
             .params(params)
             .threads(ThreadMode::Count(THREADS))
-            .run()
-            .expect("parallel partition");
+    };
+    let run_once = || {
+        let out = job().run().expect("parallel partition");
         Measured {
             seconds: out.seconds(),
             metrics: out.metrics,
@@ -349,29 +350,14 @@ fn trace_overhead(
     );
 
     if let Some(path) = trace_path {
-        // One clean traced run for the artifact, from fresh buffers so the
-        // file describes exactly one run.
-        tps_obs::reset_events();
-        tps_obs::reset_counters();
-        tps_obs::set_enabled(true);
-        let _ = run_once();
-        tps_obs::set_enabled(false);
-        let events = tps_obs::take_events();
-        let counters: Vec<(u32, String, u64)> = tps_obs::counters_snapshot()
-            .into_iter()
-            .map(|(n, v)| (0, n, v))
-            .collect();
-        let meta = tps_obs::TraceMeta {
-            cmd: "bench".to_string(),
-            algo: format!("2PS-L×{THREADS}"),
-            k: K,
-            alpha: params.alpha,
-            vertices: graph.num_vertices(),
-            edges: graph.num_edges(),
-        };
-        tps_obs::write_trace(std::path::Path::new(path), &meta, &events, &counters)
-            .expect("writing trace");
-        eprintln!("trace: {} events -> {path}", events.len());
+        // One clean traced run for the artifact: the job records from fresh
+        // buffers, so the file describes exactly one run.
+        job()
+            .trace(path)
+            .trace_cmd("bench")
+            .run()
+            .expect("traced partition");
+        eprintln!("trace -> {path}");
     }
 
     let medges = graph.num_edges() as f64 * iters as f64 / 1e6;

@@ -4,7 +4,8 @@
 
 use std::collections::HashMap;
 
-use tps_core::job::{ReaderKind, ThreadMode};
+use tps_core::job::ThreadMode;
+use tps_io::ReaderBackend;
 
 /// Parsed `--flag value` pairs plus boolean switches.
 #[derive(Clone, Debug, Default)]
@@ -96,8 +97,6 @@ pub struct CommonOpts {
     pub alpha: f64,
     /// `--passes` clustering passes (default 1).
     pub passes: u32,
-    /// `--reader` backend for file inputs (default buffered).
-    pub reader: ReaderKind,
     /// `--threads` execution policy (default auto).
     pub threads: ThreadMode,
     /// `--mem-budget-mb` whole-job memory budget (default 0 = unbudgeted),
@@ -110,10 +109,12 @@ pub struct CommonOpts {
 impl CommonOpts {
     /// Parse the shared flags out of `flags`.
     pub fn from_flags(flags: &Flags) -> Result<CommonOpts, String> {
-        let reader = match flags.get("reader") {
-            None => ReaderKind::Buffered,
-            Some(name) => name.parse().map_err(|e| format!("--reader: {e}"))?,
-        };
+        // `--reader` names the one way a file is read; anything else is an
+        // input error.
+        if let Some(name) = flags.get("reader") {
+            name.parse::<ReaderBackend>()
+                .map_err(|e| format!("--reader: {e}"))?;
+        }
         let threads = match flags.get("threads") {
             None => ThreadMode::Auto,
             Some(mode) => mode.parse().map_err(|e| format!("--threads: {e}"))?,
@@ -122,7 +123,6 @@ impl CommonOpts {
             algorithm: flags.get("algorithm").unwrap_or("2ps-l").to_string(),
             alpha: flags.get_or("alpha", 1.05)?,
             passes: flags.get_or("passes", 1)?,
-            reader,
             threads,
             mem_budget_mb: flags.get_or("mem-budget-mb", 0)?,
             format: flags.get("format").map(String::from),
@@ -193,7 +193,6 @@ mod tests {
         assert_eq!(c.algorithm, "2ps-l");
         assert_eq!(c.alpha, 1.05);
         assert_eq!(c.passes, 1);
-        assert_eq!(c.reader, ReaderKind::Buffered);
         assert_eq!(c.threads, ThreadMode::Auto);
         assert_eq!(c.mem_budget_mb, 0);
         assert_eq!(c.format, None);
@@ -201,7 +200,7 @@ mod tests {
         let f = Flags::parse(
             &argv(&[
                 "--reader",
-                "mmap",
+                "buffered",
                 "--threads",
                 "serial",
                 "--alpha",
@@ -220,7 +219,6 @@ mod tests {
         )
         .unwrap();
         let c = CommonOpts::from_flags(&f).unwrap();
-        assert_eq!(c.reader, ReaderKind::Mmap);
         assert_eq!(c.threads, ThreadMode::Serial);
         assert_eq!(c.alpha, 1.2);
         assert_eq!(c.passes, 3);
@@ -228,9 +226,14 @@ mod tests {
         assert_eq!(c.mem_budget_mb, 256);
         assert_eq!(c.format.as_deref(), Some("text"));
 
-        let f = Flags::parse(&argv(&["--reader", "floppy"]), &[], COMMON_VALUED).unwrap();
-        let err = CommonOpts::from_flags(&f).unwrap_err();
-        assert!(err.contains("--reader"), "{err}");
+        for gone in ["floppy", "mmap", "prefetch"] {
+            let f = Flags::parse(&argv(&["--reader", gone]), &[], COMMON_VALUED).unwrap();
+            let err = CommonOpts::from_flags(&f).unwrap_err();
+            assert!(
+                err.contains("--reader") && err.contains("buffered"),
+                "{err}"
+            );
+        }
         let f = Flags::parse(&argv(&["--threads", "zero"]), &[], COMMON_VALUED).unwrap();
         assert!(CommonOpts::from_flags(&f).is_err());
     }

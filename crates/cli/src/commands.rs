@@ -45,7 +45,8 @@ USAGE:
 partition options:
   --input FILE        binary (.bel / TPSBEL2) or text edge list
   --format bel|text   input format (default: by file extension)
-  --reader NAME       buffered | mmap | prefetch   (default: buffered)
+  --reader buffered   how binary inputs are read: positioned reads, the
+                      only reader (the flag accepts nothing else)
   --k N               number of partitions (required; also -k via --k)
   --algorithm NAME    2ps-l | 2ps-hdrf | hdrf | dbh | grid | random | greedy |
                       adwise | ne | sne | dne | hep-1 | hep-10 | hep-100 |
@@ -102,8 +103,7 @@ dist coordinator options (2ps-l / 2ps-hdrf on binary inputs):
                       SPEC = recv:TAG[:N] | send:TAG[:N] | frames:N
                       (the CI dist-chaos job drives this)
   --alpha/--passes/--algorithm/--reader/--out/--mem-budget-mb/
-  --trace/--quiet     as for tps partition; --reader selects the backend
-                      each worker opens its shard with; --mem-budget-mb is
+  --trace/--quiet     as for tps partition; --mem-budget-mb is
                       forwarded in the Job frame so every worker caps its
                       v2 decode cache at the budget's decode share. With --trace,
                       workers record their shard phases too and ship them
@@ -181,7 +181,7 @@ convert options:
 
 info options:
   --input FILE        binary (v1/v2) or text edge list
-  --reader NAME       buffered | mmap | prefetch   (default: buffered)
+  --reader buffered   as for tps partition
 
 profile options:
   --path FILE         file to read
@@ -207,23 +207,17 @@ fn resolve_format(path: &str, format: Option<&str>) -> String {
 }
 
 /// Whether `fmt` names the binary container (v1/v2 — the chunk-parallel
-/// runner and reader backends apply to these only).
+/// runner applies to these only).
 fn is_binary_format(fmt: &str) -> bool {
     matches!(fmt, "bel" | "bel2" | "v2")
 }
 
-fn open_stream(
-    path: &str,
-    format: Option<&str>,
-    reader: ReaderBackend,
-) -> Result<Box<dyn EdgeStream>, String> {
+fn open_stream(path: &str, format: Option<&str>) -> Result<Box<dyn EdgeStream>, String> {
     let fmt = resolve_format(path, format);
     match fmt.as_str() {
-        // v1 and v2 binary files are auto-detected by magic; the reader
-        // backend (buffered / mmap / prefetch) applies to both.
-        _ if is_binary_format(&fmt) => {
-            tps_io::open_edge_stream(path, reader).map_err(|e| format!("{path}: {e}"))
-        }
+        // v1 and v2 binary files are auto-detected by magic.
+        _ if is_binary_format(&fmt) => tps_io::open_edge_stream(path, ReaderBackend::Buffered)
+            .map_err(|e| format!("{path}: {e}")),
         "text" | "txt" | "el" | "edges" => Ok(Box::new(
             TextEdgeFile::open(path).map_err(|e| format!("{path}: {e}"))?,
         )),
@@ -422,7 +416,7 @@ pub fn partition(args: &[String]) -> i32 {
                 .info();
             JobSpec::path(input)
         } else {
-            let mut s = open_stream(input, common.format.as_deref(), common.reader)?;
+            let mut s = open_stream(input, common.format.as_deref())?;
             info = discover_info(&mut *s).map_err(|e| e.to_string())?;
             let s = text_stream.insert(s);
             JobSpec::stream(&mut **s)
@@ -438,7 +432,6 @@ pub fn partition(args: &[String]) -> i32 {
             .params(&PartitionParams::with_alpha(k, common.alpha))
             .num_vertices(info.num_vertices)
             .threads(common.threads)
-            .reader(common.reader)
             .mem_budget_mb(common.mem_budget_mb);
         if let Some(path) = flags.get("trace") {
             spec = spec.trace(path).trace_cmd("partition");
@@ -730,7 +723,6 @@ fn dist_coordinator(args: &[String]) -> i32 {
         } else if flags.get("kill-worker").is_some() {
             return Err("--kill-worker does nothing without --kill-at".into());
         }
-        let reader = common.reader;
         let quiet = flags.has("quiet");
 
         // Workers resolve the path themselves, so ship it absolute.
@@ -795,7 +787,6 @@ fn dist_coordinator(args: &[String]) -> i32 {
         let result = accepted.and_then(|transports| {
             let input_desc = tps_dist::InputDescriptor::Path {
                 path: abs.to_string_lossy().into_owned(),
-                reader,
             };
             let base = match config.strategy {
                 tps_core::two_phase::RemainingStrategy::TwoChoice => "2PS-L",
@@ -1020,7 +1011,7 @@ pub fn info(args: &[String]) -> i32 {
     let run = || -> Result<(), String> {
         let common = CommonOpts::from_flags(&flags)?;
         let input = flags.require("input")?;
-        let mut stream = open_stream(input, common.format.as_deref(), common.reader)?;
+        let mut stream = open_stream(input, common.format.as_deref())?;
         let info = discover_info(&mut stream).map_err(|e| e.to_string())?;
         // One more pass for degree statistics.
         let degrees = tps_graph::degree::DegreeTable::compute(&mut stream, info.num_vertices)

@@ -8,7 +8,7 @@
 //! ```text
 //! tps partition --input graph.bel -k 32 [--algorithm 2ps-l] [--alpha 1.05]
 //!               [--passes 1] [--threads N|auto|serial] [--out DIR]
-//!               [--format bel|text] [--reader buffered|mmap|prefetch]
+//!               [--format bel|text] [--reader buffered]
 //!               [--mem-budget-mb N] [--trace FILE] [--quiet]
 //! tps dist coordinator --input graph.bel --k 32 --workers N
 //!               [--listen ADDR] [--dist-local] [--standby N]
@@ -21,7 +21,7 @@
 //! tps top       HOST:PORT [--interval-ms N] [--samples N] [--once]
 //! tps generate  --dataset ok [--scale 1.0] --out graph.bel
 //! tps convert   --input graph.bel --out graph.bel2 [--to v1|v2] [--chunk-edges N]
-//! tps info      --input graph.bel [--format bel|text] [--reader NAME]
+//! tps info      --input graph.bel [--format bel|text] [--reader buffered]
 //! tps profile   --path some.file [--block-size 104857600]
 //! tps report    trace.jsonl
 //! tps help
@@ -30,7 +30,8 @@
 //! `--mem-budget-mb N` bounds a one-shard `partition` (`--threads serial` or
 //! `1`): half of it pages the cluster table until, at a clustering-pass
 //! boundary, the table fits that half flat and the run goes on in memory.
-//! `tps help` has the full split.
+//! `tps help` has the full split. `--reader` accepts only `buffered`, the
+//! one way a binary input is read (positioned reads of one file handle).
 
 mod args;
 mod commands;

@@ -176,26 +176,24 @@ fn convert_and_reader_backends_roundtrip() {
     );
     assert_eq!(std::fs::read(&bel).unwrap(), std::fs::read(&back).unwrap());
 
-    // Every reader backend partitions both formats with identical metrics.
+    // The reader partitions both formats with identical metrics.
     let mut lines = Vec::new();
     for input in [&bel, &bel2] {
-        for reader in ["buffered", "mmap", "prefetch"] {
-            let out = tps()
-                .args(["partition", "--input"])
-                .arg(input)
-                .args(["--k", "4", "--reader", reader, "--quiet"])
-                .output()
-                .unwrap();
-            assert!(
-                out.status.success(),
-                "{reader}: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            // Strip the wall-clock field; everything else is deterministic.
-            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-            let metrics = stdout.split(" time_s=").next().unwrap().to_string();
-            lines.push(metrics);
-        }
+        let out = tps()
+            .args(["partition", "--input"])
+            .arg(input)
+            .args(["--k", "4", "--reader", "buffered", "--quiet"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{input:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // Strip the wall-clock field; everything else is deterministic.
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let metrics = stdout.split(" time_s=").next().unwrap().to_string();
+        lines.push(metrics);
     }
     assert!(
         lines.iter().all(|l| l == &lines[0]),
@@ -422,16 +420,13 @@ fn one_shard_v2_runs_decode_every_chunk_once() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    for (threads, reader) in ["serial", "1"]
-        .into_iter()
-        .flat_map(|t| ["buffered", "mmap", "prefetch"].map(|r| (t, r)))
-    {
-        let what = format!("--threads {threads} --reader {reader}");
-        let trace = dir.join(format!("t{threads}-{reader}.jsonl"));
+    for threads in ["serial", "1"] {
+        let what = format!("--threads {threads}");
+        let trace = dir.join(format!("t{threads}.jsonl"));
         let out = tps()
             .args(["partition", "--input"])
             .arg(&bel2)
-            .args(["--k", "4", "--threads", threads, "--reader", reader])
+            .args(["--k", "4", "--threads", threads])
             .args(["--quiet", "--trace"])
             .arg(&trace)
             .output()
@@ -471,24 +466,30 @@ fn threads_parallel_is_deterministic_across_formats_and_readers() {
         .unwrap();
 
     // The same --threads value must give identical metrics regardless of
-    // run, input format, or reader backend (ranges are edge-indexed).
+    // run or input format (ranges are edge-indexed).
     let mut lines = Vec::new();
     for input in [&bel, &bel, &bel2] {
-        for reader in ["buffered", "mmap", "prefetch"] {
-            let out = tps()
-                .args(["partition", "--input"])
-                .arg(input)
-                .args(["--k", "4", "--threads", "3", "--reader", reader, "--quiet"])
-                .output()
-                .unwrap();
-            assert!(
-                out.status.success(),
-                "{reader}: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-            lines.push(stdout.split(" time_s=").next().unwrap().to_string());
-        }
+        let out = tps()
+            .args(["partition", "--input"])
+            .arg(input)
+            .args([
+                "--k",
+                "4",
+                "--threads",
+                "3",
+                "--reader",
+                "buffered",
+                "--quiet",
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{input:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        lines.push(stdout.split(" time_s=").next().unwrap().to_string());
     }
     assert!(
         lines.iter().all(|l| l == &lines[0]),
@@ -804,6 +805,96 @@ fn removed_spill_flag_is_rejected() {
             "{cmd:?}: {err}"
         );
     }
+}
+
+/// A file is read one way: `--reader` accepts `buffered` only, and a
+/// script that still asks for a deleted reader stops with exit 2 and a
+/// message naming the one that is left, on every command that takes it.
+#[test]
+fn removed_readers_are_rejected() {
+    for reader in ["mmap", "prefetch"] {
+        for cmd in [
+            &["partition", "--input", "g.bel", "--k", "4"][..],
+            &["dist", "coordinator", "--input", "g.bel", "--k", "4"][..],
+            &["info", "--input", "g.bel"][..],
+        ] {
+            let out = tps().args(cmd).args(["--reader", reader]).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{cmd:?} {reader}: {err}");
+            assert!(
+                err.contains("--reader") && err.contains("buffered"),
+                "{cmd:?} {reader}: {err}"
+            );
+        }
+    }
+}
+
+/// Vertex ids are 32 bits, so a header |V| above 2³² is corrupt: `info`,
+/// `partition` (every mode) and `convert` refuse it with exit 2 and the
+/// reason, in both formats, before anything is sized by it — never an
+/// allocation failure (exit 134).
+#[test]
+fn a_header_vertex_count_past_32_bit_ids_is_an_input_error() {
+    let dir = tmpdir("huge-v");
+    let bel = dir.join("g.bel");
+    let bel2 = dir.join("g.bel2");
+    // A 32-byte TPSBEL1 file with one edge and the largest valid |V|, 2^32,
+    // converts; then both headers are patched to |V| = 2^40 (bytes 8..16
+    // in either format).
+    let mut bytes = b"TPSBEL1\0".to_vec();
+    bytes.extend_from_slice(&(1u64 << 32).to_le_bytes());
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&[0, 0, 0, 0, 1, 0, 0, 0]);
+    std::fs::write(&bel, &bytes).unwrap();
+    let out = tps()
+        .args(["convert", "--input"])
+        .arg(&bel)
+        .arg("--out")
+        .arg(&bel2)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for path in [&bel, &bel2] {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+    }
+    let converted = dir.join("converted");
+    let converted = converted.to_str().unwrap();
+    for input in [&bel, &bel2] {
+        let runs: [&[&str]; 5] = [
+            &["info"],
+            &["partition", "--k", "4", "--threads", "serial"],
+            &["partition", "--k", "4", "--threads", "2"],
+            &[
+                "partition",
+                "--k",
+                "4",
+                "--threads",
+                "serial",
+                "--mem-budget-mb",
+                "8",
+            ],
+            &["convert", "--out", converted],
+        ];
+        for run in runs {
+            let out = tps()
+                .args(&run[..1])
+                .arg("--input")
+                .arg(input)
+                .args(&run[1..])
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{input:?} {run:?}: {err}");
+            assert!(err.contains("2^32"), "{input:?} {run:?}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Options no run can execute are input errors — exit 2 with the reason —

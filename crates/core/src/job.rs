@@ -3,7 +3,7 @@
 //! serving daemon) uses to describe a partitioning run.
 //!
 //! It is the only entry point: callers state *what* to run (input,
-//! algorithm, `k`/`α`) and *how* (threads, reader backend, memory budget,
+//! algorithm, `k`/`α`) and *how* (threads, memory budget,
 //! trace) and the spec resolves the execution plan itself. Each run ends
 //! with a `tps_obs::drain_local()` barrier so span events recorded on the
 //! calling thread are flushed before the caller snapshots the trace.
@@ -59,47 +59,6 @@ use crate::partitioner::{PartitionParams, Partitioner, RunReport};
 use crate::runner::RunOutcome;
 use crate::sink::{AssignmentSink, NullSink, QualitySink, TeeSink};
 use crate::two_phase::{ClusterPaging, TwoPhaseConfig, TwoPhasePartitioner};
-
-/// Reader backend for file inputs, named in core so specs can be built
-/// without a `tps-io` dependency (which re-exports it as `ReaderBackend`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReaderKind {
-    /// Plain buffered sequential reads (the default).
-    #[default]
-    Buffered,
-    /// Memory-mapped input.
-    Mmap,
-    /// Background prefetch thread ahead of the consumer.
-    Prefetch,
-}
-
-impl ReaderKind {
-    /// All backends, for iteration in benches and tests.
-    pub const ALL: [ReaderKind; 3] = [ReaderKind::Buffered, ReaderKind::Mmap, ReaderKind::Prefetch];
-
-    /// Stable lower-case name (CLI flag value / JSON field).
-    pub fn name(self) -> &'static str {
-        match self {
-            ReaderKind::Buffered => "buffered",
-            ReaderKind::Mmap => "mmap",
-            ReaderKind::Prefetch => "prefetch",
-        }
-    }
-}
-
-impl std::str::FromStr for ReaderKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "buffered" => Ok(ReaderKind::Buffered),
-            "mmap" => Ok(ReaderKind::Mmap),
-            "prefetch" => Ok(ReaderKind::Prefetch),
-            other => Err(format!(
-                "unknown reader {other:?} (buffered | mmap | prefetch)"
-            )),
-        }
-    }
-}
 
 /// How many workers a job runs with.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -181,10 +140,9 @@ impl MemBudgetSplit {
 /// seam that lets `tps-core` describe file jobs without depending on
 /// `tps-io` (which implements the standard provider as `FileInput`).
 pub trait InputProvider {
-    /// Open `path` as a ranged source with the given reader backend: every
-    /// shard of a run streams one range of it, a one-shard run `0..|E|`.
-    fn open_ranged(&self, path: &Path, reader: ReaderKind)
-        -> io::Result<Box<dyn RangedEdgeSource>>;
+    /// Open `path` as a ranged source: every shard of a run streams one
+    /// range of it, a one-shard run `0..|E|`.
+    fn open_ranged(&self, path: &Path) -> io::Result<Box<dyn RangedEdgeSource>>;
     /// A page-store provider backing out-of-core cluster paging
     /// ([`JobSpec::mem_budget_mb`]). Default: not available.
     fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {
@@ -202,11 +160,7 @@ pub trait InputProvider {
 pub struct NoFiles;
 
 impl InputProvider for NoFiles {
-    fn open_ranged(
-        &self,
-        path: &Path,
-        _reader: ReaderKind,
-    ) -> io::Result<Box<dyn RangedEdgeSource>> {
+    fn open_ranged(&self, path: &Path) -> io::Result<Box<dyn RangedEdgeSource>> {
         Err(unsupported(path))
     }
 }
@@ -237,7 +191,6 @@ pub struct JobSpec<'a> {
     params: PartitionParams,
     num_vertices: Option<u64>,
     threads: ThreadMode,
-    reader: ReaderKind,
     mem_budget_mb: u64,
     trace: Option<PathBuf>,
     trace_cmd: String,
@@ -253,7 +206,6 @@ impl<'a> JobSpec<'a> {
             params: PartitionParams::new(2),
             num_vertices: None,
             threads: ThreadMode::default(),
-            reader: ReaderKind::default(),
             mem_budget_mb: 0,
             trace: None,
             trace_cmd: "job".to_string(),
@@ -303,12 +255,6 @@ impl<'a> JobSpec<'a> {
     /// Worker-thread policy (default [`ThreadMode::Auto`]).
     pub fn threads(mut self, mode: ThreadMode) -> Self {
         self.threads = mode;
-        self
-    }
-
-    /// Reader backend for path inputs (default [`ReaderKind::Buffered`]).
-    pub fn reader(mut self, reader: ReaderKind) -> Self {
-        self.reader = reader;
         self
     }
 
@@ -408,7 +354,6 @@ impl<'a> JobSpec<'a> {
             engine,
             params,
             num_vertices,
-            reader,
             mem_budget_mb,
             trace,
             trace_cmd,
@@ -452,7 +397,7 @@ impl<'a> JobSpec<'a> {
         let opened;
         let input = match input {
             JobInput::Path(p) => {
-                opened = provider.open_ranged(&p, reader)?;
+                opened = provider.open_ranged(&p)?;
                 JobInput::Ranged(&*opened)
             }
             JobInput::Ranged(s) => JobInput::Ranged(s),
@@ -722,11 +667,7 @@ mod tests {
     /// job needs beyond [`NoFiles`].
     struct MemPages;
     impl InputProvider for MemPages {
-        fn open_ranged(
-            &self,
-            path: &Path,
-            _reader: ReaderKind,
-        ) -> io::Result<Box<dyn RangedEdgeSource>> {
+        fn open_ranged(&self, path: &Path) -> io::Result<Box<dyn RangedEdgeSource>> {
             Err(unsupported(path))
         }
         fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {

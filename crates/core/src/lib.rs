@@ -66,7 +66,7 @@ pub mod runner;
 pub mod sink;
 pub mod two_phase;
 
-pub use job::{ExecPlan, InputProvider, JobEngine, JobInput, JobSpec, ReaderKind, ThreadMode};
+pub use job::{ExecPlan, InputProvider, JobEngine, JobInput, JobSpec, ThreadMode};
 pub use parallel::ParallelRunner;
 pub use partitioner::{PartitionParams, Partitioner, RunReport};
 pub use runner::RunOutcome;

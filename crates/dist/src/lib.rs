@@ -20,8 +20,8 @@
 //! ```
 //!
 //! Each worker opens its contiguous edge-index range through any
-//! [`RangedEdgeSource`](tps_graph::ranged::RangedEdgeSource) backend (v1
-//! record seeks, v2 chunk-index scheduling, mmap, prefetch) and runs the
+//! [`RangedEdgeSource`](tps_graph::ranged::RangedEdgeSource) (in memory, or
+//! a file: v1 record seeks, v2 chunk-index scheduling) and runs the
 //! *same* per-shard kernels as `--threads N` (`tps_core::parallel`). The
 //! coordinator owns the shard map, performs the merges in worker order, and
 //! replays per-worker assignment runs in shard order — so for a fixed shard

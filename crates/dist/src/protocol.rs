@@ -70,7 +70,6 @@ use tps_clustering::model::Clustering;
 use tps_core::two_phase::scoring::HdrfParams;
 use tps_core::two_phase::{AssignCounters, MappingStrategy, RemainingStrategy, TwoPhaseConfig};
 use tps_graph::types::{Edge, PartitionId};
-use tps_io::ReaderBackend;
 use tps_metrics::bitmatrix::RowLayout;
 
 use crate::wire::{
@@ -94,8 +93,10 @@ use crate::wire::{
 /// `--mem-budget-mb` decode-cache share. v7 packs replica rows at k ≤ 64
 /// into shared words ([`RowLayout`]), so the barrier's chunks are cut on
 /// word boundaries and carry half the words at k = 32; a v6 peer would
-/// misread every chunk's rows.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// misread every chunk's rows. v8 drops the reader-backend byte from a
+/// `Job`'s path input: every worker reads its file one way, so a v7 peer
+/// would misread the path.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// First message tag reserved for the `tps-serve` frame family (see the
 /// v5 note on [`PROTOCOL_VERSION`]).
@@ -168,12 +169,10 @@ pub enum InputDescriptor {
     /// The worker already holds the source (in-process loopback workers).
     Attached,
     /// Open `path` — a v1/v2 edge file on a filesystem shared with the
-    /// coordinator — with the given reader backend.
+    /// coordinator.
     Path {
         /// Absolute path of the input file.
         path: String,
-        /// Reader backend for the worker's range cursors.
-        reader: ReaderBackend,
     },
 }
 
@@ -730,13 +729,8 @@ fn encode_job(out: &mut Vec<u8>, job: &Job) {
     put_u64(out, job.shard.1);
     match &job.input {
         InputDescriptor::Attached => out.push(0),
-        InputDescriptor::Path { path, reader } => {
+        InputDescriptor::Path { path } => {
             out.push(1);
-            out.push(match reader {
-                ReaderBackend::Buffered => 0,
-                ReaderBackend::Mmap => 1,
-                ReaderBackend::Prefetch => 2,
-            });
             put_string(out, path);
         }
     }
@@ -778,18 +772,7 @@ fn decode_job(r: &mut Reader) -> io::Result<Job> {
     let shard = (r.u64()?, r.u64()?);
     let input = match r.u8()? {
         0 => InputDescriptor::Attached,
-        1 => {
-            let reader = match r.u8()? {
-                0 => ReaderBackend::Buffered,
-                1 => ReaderBackend::Mmap,
-                2 => ReaderBackend::Prefetch,
-                other => return Err(corrupt(format!("unknown reader backend {other}"))),
-            };
-            InputDescriptor::Path {
-                path: r.string()?,
-                reader,
-            }
-        }
+        1 => InputDescriptor::Path { path: r.string()? },
         other => return Err(corrupt(format!("unknown input descriptor {other}"))),
     };
     let trace = match r.u8()? {
@@ -860,7 +843,6 @@ mod tests {
                 TwoPhaseConfig::hdrf_variant(),
                 InputDescriptor::Path {
                     path: "/data/graph.bel".into(),
-                    reader: ReaderBackend::Mmap,
                 },
             ),
         ] {

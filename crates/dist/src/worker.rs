@@ -49,7 +49,7 @@ pub struct PathResolver;
 impl SourceResolver for PathResolver {
     fn open<'s>(&'s self, input: &InputDescriptor) -> io::Result<Box<dyn RangedEdgeSource + 's>> {
         match input {
-            InputDescriptor::Path { path, reader } => tps_io::open_ranged_backend(path, *reader),
+            InputDescriptor::Path { path } => tps_io::open_ranged(path),
             InputDescriptor::Attached => Err(corrupt(
                 "job says the input is attached, but this worker is out-of-process",
             )),
@@ -66,7 +66,7 @@ impl SourceResolver for AttachedResolver<'_> {
     fn open<'s>(&'s self, input: &InputDescriptor) -> io::Result<Box<dyn RangedEdgeSource + 's>> {
         match input {
             InputDescriptor::Attached => Ok(Box::new(self.0)),
-            InputDescriptor::Path { path, reader } => tps_io::open_ranged_backend(path, *reader),
+            InputDescriptor::Path { path } => tps_io::open_ranged(path),
         }
     }
 }

@@ -16,11 +16,10 @@
 //! check ([`check_payload_len`], which every v1 opener applies), the record
 //! read ([`read_records`]) and the writers. The reader is `tps-io`'s
 //! `RangedFile`, one cursor for this format and the compressed chunked
-//! **TPSBEL2** alike, through a file handle or a mapping, with a prefetch
-//! thread as an optional wrapper. Open a file with
-//! `tps_io::open_edge_stream(path, ReaderBackend::…)` (auto-detects v1 vs v2
-//! by magic), or from the CLI via
-//! `tps partition --reader buffered|mmap|prefetch`.
+//! **TPSBEL2** alike, through positioned reads of one file handle. Open a
+//! file with `tps_io::open_ranged(path)` or
+//! `tps_io::open_edge_stream(path, ReaderBackend::Buffered)` (both
+//! auto-detect v1 vs v2 by magic).
 
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -86,10 +85,24 @@ pub fn read_header<R: Read>(r: &mut R) -> io::Result<GraphInfo> {
     let num_vertices = u64::from_le_bytes(buf);
     r.read_exact(&mut buf)?;
     let num_edges = u64::from_le_bytes(buf);
+    check_num_vertices(num_vertices)?;
     Ok(GraphInfo {
         num_vertices,
         num_edges,
     })
+}
+
+/// The vertex-count check of every edge-file header (v1 and v2). Vertex ids
+/// are `u32`, so a header |V| above 2³² can never be valid: refused here,
+/// before any table is sized from it.
+pub fn check_num_vertices(num_vertices: u64) -> io::Result<()> {
+    if num_vertices > 1 << 32 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("header promises {num_vertices} vertices; 32-bit ids allow at most 2^32"),
+        ));
+    }
+    Ok(())
 }
 
 /// The one length check of every v1 opener. The header's edge count is
@@ -344,6 +357,30 @@ mod tests {
         std::fs::write(&path, b"NOTMAGIC________________").unwrap();
         let err = read_back(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Ids are `u32`: a header |V| of 2³² is the largest valid one, and a
+    /// larger one is refused at the header, before a table is sized by it.
+    #[test]
+    fn rejects_a_vertex_count_past_32_bit_ids() {
+        let dir = tmpdir("hugev");
+        let path = dir.join("v.bel");
+        for (num_vertices, ok) in [
+            (1u64 << 32, true),
+            ((1 << 32) + 1, false),
+            (u64::MAX, false),
+        ] {
+            write_binary_edge_list(&path, num_vertices, [Edge::new(0, 1)]).unwrap();
+            match read_back(&path) {
+                Ok((info, _)) => assert!(ok && info.num_vertices == num_vertices),
+                Err(err) => {
+                    assert!(!ok, "{num_vertices}: {err}");
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                    assert!(err.to_string().contains("2^32"), "{err}");
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,7 +10,7 @@
 //!
 //! Edges *move* in chunks. [`EdgeStream::next_chunk`] is the read every pass
 //! loop of the engine uses: it lends a run of the stream's own buffer — a
-//! block read from disk, a decoded v2 chunk, a window of a mapping — so a
+//! block read from disk, a decoded v2 chunk, a run of the decode cache — so a
 //! pass pays one (possibly virtual) call per chunk and the per-edge work is
 //! a plain slice iteration the compiler can inline the kernel into.
 //! [`EdgeStream::next_edge`] stays the required primitive (a stream that
@@ -26,8 +26,8 @@
 //!   page cache hot, which this models faithfully).
 //! * `tps_io::RangedFile`'s cursor — the on-disk edge lists (the
 //!   [`formats::binary`](crate::formats::binary) v1 layout and the
-//!   compressed TPSBEL2 one), read a block at a time through a file handle
-//!   or a mapping; `tps_io::open_edge_stream` opens one.
+//!   compressed TPSBEL2 one), read a block at a time through a file
+//!   handle; `tps_io::open_edge_stream` opens one.
 //! * `tps_storage::DeviceStream` — a throttled, virtual-clock device model.
 
 use std::io;

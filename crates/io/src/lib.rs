@@ -6,32 +6,24 @@
 //!
 //! * [`ranged`] — the reader: [`RangedFile`], one range-addressable source
 //!   over both formats, whose one cursor type decodes v1 record blocks or
-//!   v2 chunks out of a file handle or a mapping. Every shard of a run
-//!   opens its own cursor over a contiguous edge-index range, and a whole
-//!   file is range `0..|E|`; the three [`ReaderBackend`]s pick the bytes
-//!   and the wrappers, and a v2 source retains each range it has decoded
-//!   once, packed in the bytes its ids need, under the decode budget — the
-//!   one decode cache.
-//! * [`mmap`] — the read-only memory mapping behind the `mmap` backend.
+//!   v2 chunks out of positioned reads of one file handle. Every shard of a
+//!   run opens its own cursor over a contiguous edge-index range, and a
+//!   whole file is range `0..|E|`; a v2 source retains each range it has
+//!   decoded once, packed in the bytes its ids need, under the decode
+//!   budget — the one decode cache.
 //! * [`v2`] — the `TPSBEL2` compressed chunked format: varint-encoded
 //!   edges in checksummed chunks with a seekable index footer, plus
 //!   order-preserving v1↔v2 converters.
-//! * [`prefetch`] — a double-buffered background-thread reader that
-//!   overlaps disk reads with partitioning CPU work; the `prefetch` backend
-//!   wraps every range cursor in one.
 //! * [`page`] — a checksummed slotted page store backing `tps-clustering`'s
 //!   paged cluster table, so cluster state itself can live out of core
 //!   under a `--mem-budget-mb` budget.
 //!
-//! [`open_ranged_backend`] is the front door: it sniffs the file format (v1
-//! or v2 by magic) and applies the requested [`ReaderBackend`];
-//! [`open_edge_stream`] is its whole-file cursor. See `README.md` in this
-//! crate for the format layout and a backend-selection guide.
+//! [`open_ranged`] is the front door: it sniffs the file format (v1 or v2
+//! by magic); [`open_edge_stream`] is its whole-file cursor. See
+//! `README.md` in this crate for the format layout.
 
-pub mod mmap;
 pub mod page;
 pub mod partread;
-pub mod prefetch;
 pub mod ranged;
 pub mod v2;
 
@@ -49,17 +41,40 @@ use tps_graph::stream::EdgeStream;
 pub use partread::{load_partition_dir, LoadedPartition};
 
 pub use page::{FilePageStore, TempPageStoreProvider};
-pub use prefetch::PrefetchReader;
-pub use ranged::{
-    open_ranged, open_ranged_backend, RangedFile, RangedPrefetchSource, RetainingSource,
-};
-/// How to read an edge file from disk: `buffered` (plain sequential reads,
-/// the lowest memory), `mmap` (decode in place out of a read-only mapping;
-/// fastest on a warm page cache, Unix only) or `prefetch` (a background
-/// thread reads ahead of the consumer; best on a cold cache when the
-/// consumer does real work per edge).
-pub use tps_core::job::ReaderKind as ReaderBackend;
+pub use ranged::{open_ranged, RangedFile, RetainingSource};
 pub use v2::{convert_v1_to_v2, convert_v2_to_v1, write_v2_edge_list};
+
+/// How an edge file is read: `buffered`, positioned reads through one file
+/// handle — the only way. The name survives as a value so that callers that
+/// pass it, and the `--reader` flag that names it, keep working.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ReaderBackend {
+    /// Positioned reads through one shared file handle.
+    #[default]
+    Buffered,
+}
+
+impl ReaderBackend {
+    /// Every backend, for iteration in benches and tests.
+    pub const ALL: [ReaderBackend; 1] = [ReaderBackend::Buffered];
+
+    /// Stable lower-case name (CLI flag value).
+    pub fn name(self) -> &'static str {
+        match self {
+            ReaderBackend::Buffered => "buffered",
+        }
+    }
+}
+
+impl std::str::FromStr for ReaderBackend {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "buffered" => Ok(ReaderBackend::Buffered),
+            other => Err(format!("unknown reader {other:?} (the one reader is buffered)")),
+        }
+    }
+}
 
 /// On-disk edge-list container format, sniffed from the magic bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,30 +102,27 @@ pub fn detect_format<P: AsRef<Path>>(path: P) -> io::Result<EdgeFileFormat> {
     }
 }
 
-/// Open `path` (v1 or v2, auto-detected) with the requested backend: the
-/// owned cursor over range `0..|E|` of [`open_ranged_backend`]'s source.
+/// Open `path` (v1 or v2, auto-detected): the owned cursor over range
+/// `0..|E|` of [`open_ranged`]'s source.
 pub fn open_edge_stream<P: AsRef<Path>>(
     path: P,
     backend: ReaderBackend,
 ) -> io::Result<Box<dyn EdgeStream>> {
-    let source = ranged::open_file(path.as_ref(), backend)?;
+    let ReaderBackend::Buffered = backend;
+    let source = ranged::open_file(path.as_ref())?;
     let stream: Box<dyn EdgeStream> = source.open_range_owned(0, source.info().num_edges)?;
     Ok(stream)
 }
 
 /// The standard [`InputProvider`]: opens path inputs as ranged sources
-/// through this crate's format sniffing and reader backends, and serves
-/// cluster-page stores out of the system temp directory.
+/// through this crate's format sniffing, and serves cluster-page stores out
+/// of the system temp directory.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FileInput;
 
 impl InputProvider for FileInput {
-    fn open_ranged(
-        &self,
-        path: &Path,
-        reader: ReaderBackend,
-    ) -> io::Result<Box<dyn RangedEdgeSource>> {
-        open_ranged_backend(path, reader)
+    fn open_ranged(&self, path: &Path) -> io::Result<Box<dyn RangedEdgeSource>> {
+        open_ranged(path)
     }
 
     fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {
@@ -142,7 +154,10 @@ mod tests {
             assert_eq!(backend.name().parse::<ReaderBackend>(), Ok(backend));
         }
         assert_eq!(ReaderBackend::default(), ReaderBackend::Buffered);
-        assert!("spinny-disk".parse::<ReaderBackend>().is_err());
+        for gone in ["spinny-disk", "mmap", "prefetch"] {
+            let err = gone.parse::<ReaderBackend>().unwrap_err();
+            assert!(err.contains("buffered"), "{err}");
+        }
     }
 
     #[test]
@@ -193,7 +208,7 @@ mod tests {
                 for_each_edge(&mut s, |e| seen.push(e)).unwrap();
                 assert_eq!(seen, edges, "{backend:?} pass {pass}");
             }
-            let source = open_ranged_backend(&path, backend).unwrap();
+            let source = open_ranged(&path).unwrap();
             let (a, b) = (8_000, 20_000);
             let mut seen = Vec::new();
             for_each_edge(&mut *source.open_range(a, b).unwrap(), |e| seen.push(e)).unwrap();

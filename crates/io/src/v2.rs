@@ -531,6 +531,7 @@ pub fn read_layout(file: &mut File) -> io::Result<V2Layout> {
     if edges_per_chunk == 0 {
         return Err(invalid("edges_per_chunk must be positive"));
     }
+    tps_graph::formats::binary::check_num_vertices(num_vertices)?;
 
     let mut trailer = [0u8; TRAILER_LEN as usize];
     file.seek(SeekFrom::Start(file_len - TRAILER_LEN))?;
@@ -964,19 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn mmap_v2_round_trip() {
-        let path = tmpfile("mmap");
-        let es = edges(5_000);
-        write_v2_edge_list(&path, 1024, es.iter().copied(), 999).unwrap();
-        let src = RangedFile::map(&path).unwrap();
-        let mut f = src.open_range(0, 5_000).unwrap();
-        let mut seen = Vec::new();
-        for_each_edge(&mut f, |e| seen.push(e)).unwrap();
-        assert_eq!(seen, es);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn empty_graph_round_trip() {
         let path = tmpfile("empty");
         write_v2_edge_list(&path, 0, std::iter::empty(), 64).unwrap();
@@ -1088,6 +1076,27 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
         assert!(RangedFile::read(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Ids are `u32`: a header |V| past 2³² is refused with the layout,
+    /// before any per-vertex table is sized by it.
+    #[test]
+    fn vertex_count_past_32_bit_ids_rejected_at_open() {
+        let path = tmpfile("hugev");
+        write_v2_edge_list(&path, 1 << 32, edges(10), 100).unwrap();
+        assert_eq!(
+            RangedFile::read(&path).unwrap().info().num_vertices,
+            1 << 32
+        );
+        let mut bytes = std::fs::read(&path).unwrap();
+        for num_vertices in [(1u64 << 32) + 1, u64::MAX] {
+            bytes[8..16].copy_from_slice(&num_vertices.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = read_layout(&mut File::open(&path).unwrap()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("2^32"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

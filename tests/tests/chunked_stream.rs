@@ -1,7 +1,7 @@
 //! Chunked ≡ per-edge: the bulk read (`EdgeStream::next_chunk`) and the
 //! batched sink call (`AssignmentSink::assign_batch`) move the same edges in
-//! the same order as the per-edge primitives they sit on — for every reader
-//! backend, format and range shape — and every wrapper forwards them, so the
+//! the same order as the per-edge primitives they sit on — for every format
+//! and range shape — and every wrapper forwards them, so the
 //! engine's pass loops make one call per chunk, never one per edge. A v2
 //! ranged source decodes a range once: later opens lend the retained edges.
 
@@ -22,7 +22,7 @@ use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::{for_each_chunk, for_each_edge, EdgeStream, InMemoryGraph, CHUNK_EDGES};
 use tps_graph::types::{Edge, GraphInfo, PartitionId};
 use tps_io::v2::set_decode_cache_budget;
-use tps_io::{open_edge_stream, open_ranged_backend, write_v2_edge_list, ReaderBackend};
+use tps_io::{open_edge_stream, open_ranged, write_v2_edge_list, ReaderBackend};
 use tps_storage::{DeviceModel, DeviceStream};
 
 /// The decode budget and the `io.v2.*` counters are process-wide: every test
@@ -127,7 +127,7 @@ fn check_stream(s: &mut dyn EdgeStream, want: &[Edge], what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// {v1, v2} × {buffered, mmap, prefetch} × {whole file, a range that
+    /// {v1, v2} × {whole file, a range that
     /// starts and ends inside a v2 chunk (and, when the file is long enough,
     /// spans several v1 blocks), the empty range}.
     #[test]
@@ -151,16 +151,14 @@ proptest! {
         let inside = |x: usize| x + usize::from(x.is_multiple_of(v2_chunk as usize) && x + 1 < n);
         let (a, b) = (inside(a), inside(b).max(inside(a)));
         for path in [&v1, &v2] {
-            for backend in ReaderBackend::ALL {
-                let what = format!("{path:?} {backend:?}");
-                let mut whole = open_edge_stream(path, backend).unwrap();
-                check_stream(&mut *whole, &edges, &what);
-                drop(whole);
-                let source = open_ranged_backend(path, backend).unwrap();
-                for (lo, hi) in [(0, n), (a, b), (a, a), (n, n)] {
-                    let mut s = source.open_range(lo as u64, hi as u64).unwrap();
-                    check_stream(&mut *s, &edges[lo..hi], &format!("{what} [{lo}, {hi})"));
-                }
+            let what = format!("{path:?}");
+            let mut whole = open_edge_stream(path, ReaderBackend::Buffered).unwrap();
+            check_stream(&mut *whole, &edges, &what);
+            drop(whole);
+            let source = open_ranged(path).unwrap();
+            for (lo, hi) in [(0, n), (a, b), (a, a), (n, n)] {
+                let mut s = source.open_range(lo as u64, hi as u64).unwrap();
+                check_stream(&mut *s, &edges[lo..hi], &format!("{what} [{lo}, {hi})"));
             }
         }
         std::fs::remove_file(&v1).ok();
@@ -441,8 +439,7 @@ fn retained_bytes(span: u64) -> u64 {
     (2 * w).div_ceil(8) * span + 8
 }
 
-/// Ranged v2 sources retain what they decode: for every backend and range
-/// shape, the second `open_range` lends the reference sequence out of
+/// Ranged v2 sources retain what they decode: for every range shape, the second `open_range` lends the reference sequence out of
 /// memory — no chunk decoded, the scratch untouched — and only a *complete*
 /// first pass publishes anything.
 #[test]
@@ -454,51 +451,47 @@ fn a_v2_range_is_decoded_once_per_source() {
     // Whole file, a range that starts and ends inside a chunk, two
     // neighbours sharing a chunk, and the empty range.
     let ranges = [(0, n), (1_001, 3_456), (3_456, 4_000), (2_000, 2_000)];
-    for backend in ReaderBackend::ALL {
-        let source = open_ranged_backend(&path, backend).unwrap();
-        let retained_before = counter("io.v2.ranges_retained");
-        let bytes_before = counter("io.v2.retained_bytes");
-        for (a, b) in ranges {
-            let want = &edges[a as usize..b as usize];
-            let what = format!("{backend:?} [{a}, {b})");
+    let source = open_ranged(&path).unwrap();
+    let retained_before = counter("io.v2.ranges_retained");
+    let bytes_before = counter("io.v2.retained_bytes");
+    for (a, b) in ranges {
+        let want = &edges[a as usize..b as usize];
+        let what = format!("[{a}, {b})");
 
-            // A pass abandoned half way publishes nothing: the next open
-            // decodes again.
-            let mut first = source.open_range(a, b).unwrap();
-            first.reset().unwrap();
-            for _ in 0..want.len() / 2 {
-                first.next_edge().unwrap();
-            }
-            first.reset().unwrap();
-            let decoded = counter("io.v2.chunks_decoded");
-            assert_eq!(chunked(&mut *source.open_range(a, b).unwrap()), want);
-            if a < b {
-                assert!(counter("io.v2.chunks_decoded") > decoded, "{what}");
-            }
-            // The abandoned cursor still holds the range's reservation;
-            // completing its pass is what deposits the range …
-            assert_eq!(chunked(&mut *first), want, "{what}: first pass");
-            drop(first);
-
-            // … and every later open is served from memory, whichever way
-            // it is read.
-            let decoded = counter("io.v2.chunks_decoded");
-            let mut second = source.open_range(a, b).unwrap();
-            check_stream(&mut *second, want, &what);
-            assert_eq!(counter("io.v2.chunks_decoded"), decoded, "{what}");
+        // A pass abandoned half way publishes nothing: the next open
+        // decodes again.
+        let mut first = source.open_range(a, b).unwrap();
+        first.reset().unwrap();
+        for _ in 0..want.len() / 2 {
+            first.next_edge().unwrap();
         }
-        let nonempty = ranges.iter().filter(|(a, b)| a < b);
-        assert_eq!(
-            counter("io.v2.ranges_retained") - retained_before,
-            nonempty.clone().count() as u64,
-            "{backend:?}"
-        );
-        assert_eq!(
-            counter("io.v2.retained_bytes") - bytes_before,
-            nonempty.map(|(a, b)| retained_bytes(b - a)).sum::<u64>(),
-            "{backend:?}"
-        );
+        first.reset().unwrap();
+        let decoded = counter("io.v2.chunks_decoded");
+        assert_eq!(chunked(&mut *source.open_range(a, b).unwrap()), want);
+        if a < b {
+            assert!(counter("io.v2.chunks_decoded") > decoded, "{what}");
+        }
+        // The abandoned cursor still holds the range's reservation;
+        // completing its pass is what deposits the range …
+        assert_eq!(chunked(&mut *first), want, "{what}: first pass");
+        drop(first);
+
+        // … and every later open is served from memory, whichever way
+        // it is read.
+        let decoded = counter("io.v2.chunks_decoded");
+        let mut second = source.open_range(a, b).unwrap();
+        check_stream(&mut *second, want, &what);
+        assert_eq!(counter("io.v2.chunks_decoded"), decoded, "{what}");
     }
+    let nonempty = ranges.iter().filter(|(a, b)| a < b);
+    assert_eq!(
+        counter("io.v2.ranges_retained") - retained_before,
+        nonempty.clone().count() as u64
+    );
+    assert_eq!(
+        counter("io.v2.retained_bytes") - bytes_before,
+        nonempty.map(|(a, b)| retained_bytes(b - a)).sum::<u64>()
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -511,7 +504,7 @@ fn retention_stays_within_the_decode_budget() {
     let halves = [(0u64, 2_000u64), (2_000, 4_000)];
     let decodes_on_reopen = |budget: u64| {
         set_decode_cache_budget(budget);
-        let source = open_ranged_backend(&path, ReaderBackend::Buffered).unwrap();
+        let source = open_ranged(&path).unwrap();
         let retained = counter("io.v2.ranges_retained");
         let mut decoding = 0;
         for (a, b) in halves {
@@ -535,7 +528,7 @@ fn retention_stays_within_the_decode_budget() {
 
     // A cursor dropped before it completes a pass gives its share back.
     set_decode_cache_budget(half);
-    let source = open_ranged_backend(&path, ReaderBackend::Buffered).unwrap();
+    let source = open_ranged(&path).unwrap();
     let mut abandoned = source.open_range(0, 2_000).unwrap();
     abandoned.next_edge().unwrap();
     drop(abandoned);
@@ -551,8 +544,8 @@ fn retention_stays_within_the_decode_budget() {
 }
 
 /// A header that understates |V| is not trusted: a range holding an id the
-/// header's |V| does not cover streams from the file, exactly, on every pass
-/// of every backend, and is never retained. Its cursor gives the range's
+/// header's |V| does not cover streams from the file, exactly, on every
+/// pass, and is never retained. Its cursor gives the range's
 /// reservation back the moment it meets such an id, mid-pass, so the other
 /// range then fits a budget that holds only one.
 #[test]
@@ -566,37 +559,31 @@ fn a_range_with_ids_beyond_the_header_streams_from_the_file() {
     write_v2_edge_list(&path, V2_FILE_VERTICES, edges.iter().copied(), 700).unwrap();
     set_decode_cache_budget(retained_bytes(2_000));
     let (liars, honest) = edges.split_at(2_000);
-    for backend in ReaderBackend::ALL {
-        let source = open_ranged_backend(&path, backend).unwrap();
-        let retained = counter("io.v2.ranges_retained");
-        let mut liar = source.open_range(0, 2_000).unwrap();
-        liar.reset().unwrap();
-        for want in &liars[..1_700] {
-            assert_eq!(liar.next_edge().unwrap().as_ref(), Some(want));
-        }
-        assert_eq!(
-            chunked(&mut *source.open_range(2_000, 4_000).unwrap()),
-            honest
-        );
-        assert_eq!(
-            counter("io.v2.ranges_retained"),
-            retained + 1,
-            "{backend:?}"
-        );
-
-        let what = format!("{backend:?} liar");
-        let decoded = counter("io.v2.chunks_decoded");
-        check_stream(&mut *liar, liars, &what);
-        assert!(counter("io.v2.chunks_decoded") > decoded, "{what}");
-        drop(liar);
-        let decoded = counter("io.v2.chunks_decoded");
-        check_stream(&mut *source.open_range(0, 2_000).unwrap(), liars, &what);
-        assert!(
-            counter("io.v2.chunks_decoded") > decoded,
-            "{what}: reopened"
-        );
-        assert_eq!(counter("io.v2.ranges_retained"), retained + 1, "{what}");
+    let source = open_ranged(&path).unwrap();
+    let retained = counter("io.v2.ranges_retained");
+    let mut liar = source.open_range(0, 2_000).unwrap();
+    liar.reset().unwrap();
+    for want in &liars[..1_700] {
+        assert_eq!(liar.next_edge().unwrap().as_ref(), Some(want));
     }
+    assert_eq!(
+        chunked(&mut *source.open_range(2_000, 4_000).unwrap()),
+        honest
+    );
+    assert_eq!(counter("io.v2.ranges_retained"), retained + 1);
+
+    let what = "liar";
+    let decoded = counter("io.v2.chunks_decoded");
+    check_stream(&mut *liar, liars, what);
+    assert!(counter("io.v2.chunks_decoded") > decoded, "{what}");
+    drop(liar);
+    let decoded = counter("io.v2.chunks_decoded");
+    check_stream(&mut *source.open_range(0, 2_000).unwrap(), liars, what);
+    assert!(
+        counter("io.v2.chunks_decoded") > decoded,
+        "{what}: reopened"
+    );
+    assert_eq!(counter("io.v2.ranges_retained"), retained + 1, "{what}");
     set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
     std::fs::remove_file(&path).ok();
 }
@@ -645,7 +632,7 @@ impl EdgeStream for PassCountingStream<'_> {
 
 /// A one-shard job over a file source streams the pipeline's passes —
 /// degree, clustering × passes, pre-partitioning, scoring — and nothing
-/// else: every cursor of every backend reports the header's vertex count,
+/// else: every cursor reports the header's vertex count,
 /// so no discovery pass precedes the degree pass. Its assignments are the
 /// in-memory graph's.
 #[test]
@@ -667,25 +654,23 @@ fn a_one_shard_file_job_streams_only_the_pipeline_passes() {
         .run()
         .unwrap();
     for path in [&v1, &v2] {
-        for backend in ReaderBackend::ALL {
-            for threads in [ThreadMode::Serial, ThreadMode::Count(1)] {
-                let what = format!("{path:?} {backend:?} {threads:?}");
-                let source = PassCountingSource {
-                    inner: open_ranged_backend(path, backend).unwrap(),
-                    resets: AtomicU64::new(0),
-                };
-                let mut sink = VecSink::new();
-                JobSpec::ranged(&source)
-                    .two_phase(config)
-                    .k(8)
-                    .threads(threads)
-                    .extra_sink(&mut sink)
-                    .run()
-                    .unwrap();
-                let passes = 3 + config.clustering_passes as u64;
-                assert_eq!(source.resets.load(Ordering::Relaxed), passes, "{what}");
-                assert_eq!(sink.assignments(), reference.assignments(), "{what}");
-            }
+        for threads in [ThreadMode::Serial, ThreadMode::Count(1)] {
+            let what = format!("{path:?} {threads:?}");
+            let source = PassCountingSource {
+                inner: open_ranged(path).unwrap(),
+                resets: AtomicU64::new(0),
+            };
+            let mut sink = VecSink::new();
+            JobSpec::ranged(&source)
+                .two_phase(config)
+                .k(8)
+                .threads(threads)
+                .extra_sink(&mut sink)
+                .run()
+                .unwrap();
+            let passes = 3 + config.clustering_passes as u64;
+            assert_eq!(source.resets.load(Ordering::Relaxed), passes, "{what}");
+            assert_eq!(sink.assignments(), reference.assignments(), "{what}");
         }
     }
     std::fs::remove_file(&v1).ok();

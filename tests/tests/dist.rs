@@ -271,27 +271,6 @@ fn replication_barrier_spans_multiple_chunks_bit_identically() {
     }
 }
 
-#[test]
-fn dist_handles_the_prefetch_and_mmap_backends_too() {
-    let g = tps_graph::datasets::Dataset::Ok.generate_scaled(0.01);
-    let dir = std::env::temp_dir().join(format!("tps-dist-backends-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let v1_path = dir.join("g.bel");
-    tps_graph::formats::binary::write_binary_edge_list(
-        &v1_path,
-        g.num_vertices(),
-        g.edges().iter().copied(),
-    )
-    .unwrap();
-    let want = parallel_reference(&g, 8, 3);
-    for backend in tps_io::ReaderBackend::ALL {
-        let source = tps_io::open_ranged_backend(&v1_path, backend).unwrap();
-        let (out, _) = dist_traced(&*source, 8, 3, Wire::Loopback);
-        assert_eq!(out, want, "{backend:?}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 // ---- error paths: a corrupt peer must produce errors, not hangs ----
 
 /// Feed the coordinator a worker that sends garbage instead of `Hello`.
@@ -441,16 +420,20 @@ fn abort_propagates_over_tcp() {
 }
 
 /// A worker built before replica rows were packed (protocol v6) would
-/// misread every replication chunk at k ≤ 32: the handshake refuses it,
-/// as a fresh `Hello` and as a `Rejoin`, naming both versions.
+/// misread every replication chunk at k ≤ 32, and one built before the
+/// `Job` frame lost its reader byte (v7) would misread the input path: the
+/// handshake refuses both, as a fresh `Hello` and as a `Rejoin`, naming
+/// both versions.
 #[test]
 fn handshake_refuses_a_v6_worker() {
-    assert_eq!(tps_dist::PROTOCOL_VERSION, 7);
+    assert_eq!(tps_dist::PROTOCOL_VERSION, 8);
     let g = InMemoryGraph::from_edges(vec![Edge::new(0, 1)]);
-    for hello in [
-        tps_dist::Message::Hello { version: 6 },
-        tps_dist::Message::Rejoin { version: 6 },
-    ] {
+    for (version, hello) in [6, 7].into_iter().flat_map(|version| {
+        [
+            (version, tps_dist::Message::Hello { version }),
+            (version, tps_dist::Message::Rejoin { version }),
+        ]
+    }) {
         let (c, mut w) = loopback_pair();
         w.send(&hello.encode()).unwrap();
         let err = run_coordinator(
@@ -468,7 +451,7 @@ fn handshake_refuses_a_v6_worker() {
         .unwrap_err();
         assert!(
             err.to_string()
-                .contains("worker speaks protocol 6, coordinator 7"),
+                .contains(&format!("worker speaks protocol {version}, coordinator 8")),
             "{err}"
         );
         let reply = tps_dist::Message::decode(&w.recv().unwrap()).unwrap();

@@ -216,12 +216,12 @@ fn sink_errors_propagate() {
 
 /// A v1 header is untrusted: a file cut mid-record and a header that
 /// promises more edges than the file holds (or than fit in a `u64` of bytes)
-/// are refused at open by every opener of every backend — not three passes
+/// are refused at open by every opener — not three passes
 /// into a run, and never by a panic or an allocation sized by the header.
 #[test]
 fn truncated_binary_file_is_an_error_not_a_panic() {
     use tps_graph::formats::binary::write_binary_edge_list;
-    use tps_io::{open_edge_stream, open_ranged_backend, RangedFile, ReaderBackend};
+    use tps_io::{open_edge_stream, open_ranged, RangedFile, ReaderBackend};
 
     let dir = std::env::temp_dir().join(format!("tps-trunc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -262,11 +262,11 @@ fn truncated_binary_file_is_an_error_not_a_panic() {
     ];
     for (what, bytes, kind) in cases {
         std::fs::write(&path, &bytes).unwrap();
-        let mut errors = vec![RangedFile::read(&path).err(), RangedFile::map(&path).err()];
-        for backend in ReaderBackend::ALL {
-            errors.push(open_edge_stream(&path, backend).err());
-            errors.push(open_ranged_backend(&path, backend).err());
-        }
+        let errors = [
+            RangedFile::read(&path).err(),
+            open_edge_stream(&path, ReaderBackend::Buffered).err(),
+            open_ranged(&path).err(),
+        ];
         for err in errors {
             let err = err.unwrap_or_else(|| panic!("{what}: an opener accepted the file"));
             assert_eq!(err.kind(), kind, "{what}: {err}");
@@ -298,7 +298,7 @@ fn corrupt_page_store_slot_fails_the_budgeted_job() {
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
     use tps_clustering::paged::{PageBacking, PageStoreProvider};
-    use tps_core::job::{InputProvider, ReaderKind};
+    use tps_core::job::InputProvider;
     use tps_graph::ranged::RangedEdgeSource;
     use tps_io::{FileInput, FilePageStore};
 
@@ -345,12 +345,8 @@ fn corrupt_page_store_slot_fails_the_budgeted_job() {
     /// `FileInput` with the page store swapped for the rotting one.
     struct RottingInput(PathBuf, usize);
     impl InputProvider for RottingInput {
-        fn open_ranged(
-            &self,
-            path: &Path,
-            reader: ReaderKind,
-        ) -> io::Result<Box<dyn RangedEdgeSource>> {
-            FileInput.open_ranged(path, reader)
+        fn open_ranged(&self, path: &Path) -> io::Result<Box<dyn RangedEdgeSource>> {
+            FileInput.open_ranged(path)
         }
         fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {
             Ok(Arc::new(RottingProvider(self.0.clone(), self.1)))
@@ -461,8 +457,6 @@ fn ranges_retained() -> u64 {
 #[test]
 fn input_changed_between_the_passes_and_emit_fails_the_job() {
     use std::os::unix::fs::FileExt;
-    use tps_io::{open_ranged_backend, ReaderBackend};
-
     let _budget = DECODE_BUDGET.lock().unwrap_or_else(|e| e.into_inner());
     let g = graph_of_three_chunks();
     let dir = std::env::temp_dir().join(format!("tps-emit-reread-{}", std::process::id()));
@@ -497,7 +491,7 @@ fn input_changed_between_the_passes_and_emit_fails_the_job() {
     let run = |path: &std::path::Path, at_open: usize, tamper: &(dyn Fn() + Sync)| {
         write_inputs();
         let source = TamperingSource {
-            inner: open_ranged_backend(path, ReaderBackend::Buffered).unwrap(),
+            inner: tps_io::open_ranged(path).unwrap(),
             opens: Default::default(),
             at_open,
             tamper,
