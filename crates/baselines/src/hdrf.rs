@@ -121,8 +121,8 @@ impl Partitioner for HdrfPartitioner {
         if !self.partial_degrees {
             let t = tps_obs::span("degree");
             let exact = tps_graph::degree::DegreeTable::compute(stream, info.num_vertices)?;
-            for (d, &e) in degrees.iter_mut().zip(exact.as_slice()) {
-                *d = e as u64;
+            for (d, e) in degrees.iter_mut().zip(exact.iter()) {
+                *d = u64::from(e);
             }
             report.phases.record("degree", t.end());
         }

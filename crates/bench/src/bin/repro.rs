@@ -227,6 +227,10 @@ fn fig2(args: &BenchArgs) -> Vec<Section> {
 /// partitioner only run on the two smallest graphs (the paper aborted them
 /// beyond 12 h); SNE refuses high k relative to its chunk capacity and is
 /// reported as FAIL, exactly like the paper's "SNE FAIL" annotations.
+/// DNE races its expansion threads by design, so its replication factor
+/// varies from run to run (1.750–1.802 on OK at k = 4): its cell is the
+/// min–max over `--repeats`, labelled non-deterministic, not a mean ± std
+/// that reads like a measurement error around one value.
 ///
 /// The full sweep at scale 1.0 takes tens of minutes; `--quick` runs a
 /// reduced, representative sweep (no k = 256 below scale 0.5).
@@ -261,7 +265,11 @@ fn fig4(args: &BenchArgs) -> Vec<Section> {
                 let mut engine = JobEngine::Custom(p.as_mut());
                 let cells = match repeat(repeats, || job(graph, k, &mut engine).map(readings)) {
                     Ok([rf, time, heap, alpha]) => vec![
-                        rf.display(),
+                        if name == "DNE" {
+                            format!("{:.3}–{:.3} (non-deterministic)", rf.min(), rf.max())
+                        } else {
+                            rf.display()
+                        },
                         time.display(),
                         format!("{:.1}", heap.mean()),
                         format!("{:.3}", alpha.mean()),

@@ -247,7 +247,7 @@ impl IncrementalTwoPhase {
             k,
             cap_per_partition: ((cap as f64) * headroom).ceil() as u64,
             volume_cap,
-            degrees: degrees.as_slice().to_vec(),
+            degrees: degrees.iter().collect(),
             clustering,
             placement,
             late_cluster_partitions: Vec::new(),

@@ -137,11 +137,16 @@
 //! each worker's private post-freeze state, whose form follows the row
 //! width (see [`tps_metrics::atomic`]): at k ≤ 64 a dense copy of the
 //! packed rows — the row bytes, `k.next_power_of_two()/8` B/vertex/worker
-//! (4 B at k = 32), below the 16 B/vertex (degree table and clustering)
-//! the worker held through phases 0–1, so the job's peak does not move — and at k > 64 a sparse overlay proportional to the
+//! (4 B at k = 32), at k ≤ 32 no more than the 4 B/vertex `u32` cluster
+//! map the worker held through phase 1, so the job's peak does not move —
+//! and at k > 64 a sparse overlay proportional to the
 //! worker's own scoring-time replicas, never `O(T·|V|·k)`. Both regimes
 //! are measured by the `mem_peak` bench and gated in CI
-//! ([`ShardAssigner::private_bytes`] reports the term). The remaining
+//! ([`ShardAssigner::private_bytes`] reports the term). Every shard reads
+//! one shared [`ClusterPlan`]: the merged cluster ids packed to the bytes
+//! the id space needs, built at the placement barrier, which drops the
+//! merged `u32` table before the replica rows are allocated; the merged
+//! degrees are packed the same way. The remaining
 //! per-worker state is transient — degree tables and
 //! clustering maps during their phases — plus the [`DecisionLog`] until the
 //! emit barrier: 1 B per edge of the worker's range up to k = 128, 2 B up
@@ -166,9 +171,10 @@ use crate::balance::{AtomicLoads, PartitionLoads};
 use crate::partitioner::{PartitionParams, RunReport};
 use crate::sink::{AssignmentSink, DecisionLog, SinkBatch, Subpass};
 use crate::two_phase::mapping::{schedule_paged, ClusterPlacement};
+use crate::two_phase::plan::ClusterPlan;
 use crate::two_phase::{
     compact_counted, note_if_thrashing, AssignCounters, ClusterPaging, ClusterView,
-    MappingStrategy, PlanView, TwoPhaseConfig,
+    MappingStrategy, TwoPhaseConfig,
 };
 
 static CLUSTERING_CLUSTERS: tps_obs::Counter = tps_obs::Counter::new("clustering.clusters");
@@ -177,6 +183,9 @@ static CORE_ASSIGN_PREPARTITIONED: tps_obs::Counter =
 static CORE_ASSIGN_REMAINING: tps_obs::Counter = tps_obs::Counter::new("core.assign.remaining");
 static CORE_ASSIGN_FALLBACK: tps_obs::Counter = tps_obs::Counter::new("core.assign.fallback");
 static CORE_CAP_OVERSHOOT: tps_obs::Counter = tps_obs::Counter::new("core.cap.overshoot");
+static CORE_MEM_DEGREE_BYTES: tps_obs::Counter = tps_obs::Counter::new("core.mem.degree_bytes");
+static CORE_MEM_CLUSTER_MAP_BYTES: tps_obs::Counter =
+    tps_obs::Counter::new("core.mem.cluster_map_bytes");
 
 /// A shard's view of the per-partition loads: deterministic quota slice
 /// locally, optional atomic commit ledger globally (see module docs).
@@ -312,9 +321,9 @@ pub fn shard_degrees(
 pub fn merge_degree_tables(tables: Vec<DegreeTable>) -> DegreeTable {
     let mut it = tables.into_iter();
     let first = it.next().expect("at least one worker");
-    let mut sum: Vec<u32> = first.as_slice().to_vec();
+    let mut sum: Vec<u32> = first.iter().collect();
     for t in it {
-        for (acc, &d) in sum.iter_mut().zip(t.as_slice()) {
+        for (acc, d) in sum.iter_mut().zip(t.iter()) {
             *acc = acc.saturating_add(d);
         }
     }
@@ -393,7 +402,7 @@ pub fn cluster_placement(
 /// matrix already holds the union of every worker's pre-partition writes.
 /// Each pass ends by committing the shard's load deltas to the ledger, if
 /// its [`ShardLoads`] has one.
-pub struct ShardAssigner<'a, R: ReplicaSet = ReplicationMatrix, C: ClusterView = PlanView<'a>> {
+pub struct ShardAssigner<'a, R: ReplicaSet = ReplicationMatrix, C: ClusterView = ClusterPlan> {
     pub(crate) config: TwoPhaseConfig,
     pub(crate) degrees: &'a DegreeTable,
     pub(crate) view: C,
@@ -403,7 +412,8 @@ pub struct ShardAssigner<'a, R: ReplicaSet = ReplicationMatrix, C: ClusterView =
 }
 
 impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
-    /// An assigner over the merged phase-1 state for one shard.
+    /// An assigner over the merged phase-1 state for one shard, reading its
+    /// own [`ClusterPlan`] of `clustering` and `placement`.
     pub fn new(
         config: TwoPhaseConfig,
         degrees: &'a DegreeTable,
@@ -412,11 +422,20 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         replicas: R,
         loads: ShardLoads<'a>,
     ) -> Self {
-        let view = PlanView {
-            clustering,
-            placement,
-        };
-        ShardAssigner::with_view(config, degrees, view, replicas, loads)
+        let plan = ClusterPlan::new(clustering, placement);
+        ShardAssigner::from_plan(config, degrees, plan, replicas, loads)
+    }
+
+    /// An assigner over `plan`, for a caller that has dropped the
+    /// clustering the plan was built from (a distributed worker).
+    pub fn from_plan(
+        config: TwoPhaseConfig,
+        degrees: &'a DegreeTable,
+        plan: ClusterPlan,
+        replicas: R,
+        loads: ShardLoads<'a>,
+    ) -> Self {
+        ShardAssigner::with_view(config, degrees, plan, replicas, loads)
     }
 }
 
@@ -500,7 +519,7 @@ impl<'a, R: ReplicaSet, C: ClusterView> ShardAssigner<'a, R, C> {
     }
 }
 
-impl<'a> ShardAssigner<'a, ReplicationMatrix> {
+impl<C: ClusterView> ShardAssigner<'_, ReplicationMatrix, C> {
     /// The replicas this shard's assignments created so far (what crosses
     /// the prepartition/scoring barrier in a distributed run).
     pub fn replication_shard(&self) -> &ReplicationMatrix {
@@ -521,7 +540,7 @@ impl<'a> ShardAssigner<'a, ReplicationMatrix> {
     }
 }
 
-impl<'a> ShardAssigner<'a, SharedReplicaView<'a>> {
+impl<'a, C: ClusterView> ShardAssigner<'a, SharedReplicaView<'a>, C> {
     /// The in-process replication barrier: stop writing through to the
     /// shared matrix (it now holds the union of every worker's
     /// pre-partition replicas) and keep scoring-subpass writes private to
@@ -673,6 +692,7 @@ pub(crate) fn run_shards(
         }
     };
     report.phases.record("degree", s0.end());
+    CORE_MEM_DEGREE_BYTES.add(degrees.heap_bytes() as u64);
 
     // Phase 1: streaming clustering — into the one shard's own table, or
     // per range and merged by volume.
@@ -718,13 +738,12 @@ pub(crate) fn run_shards(
                         one_shard_phase2(&mut shard, &mut **stream, sink, &mut report)?;
                         shard.view.check_io()?;
                         let stats = shard.view.stats();
-                        record_cluster_counters(
-                            &mut report,
+                        let census = ClusterCensus {
                             clusters,
                             max_volume,
-                            stats.ids_dropped,
-                            cap,
-                        );
+                            ids_dropped: stats.ids_dropped,
+                        };
+                        census.record(&mut report, cap);
                         paging.record(&mut report, stats, 0);
                         return Ok(report);
                     }
@@ -750,18 +769,22 @@ pub(crate) fn run_shards(
     };
     report.phases.record("clustering", s1.end());
 
-    // Phase 2 step 1: cluster→partition mapping (serial, edge-free).
+    // Phase 2 step 1: cluster→partition mapping (serial, edge-free), and
+    // the plan every shard reads in place of the phase-1 table, which goes
+    // before the replica rows arrive.
     let s2 = tps_obs::span("mapping");
-    let placement = cluster_placement(config, &clustering, k);
+    let plan = ClusterPlan::new(&clustering, &cluster_placement(config, &clustering, k));
     report.phases.record("mapping", s2.end());
+    CORE_MEM_CLUSTER_MAP_BYTES.add(plan.cluster_map_bytes() as u64);
+    let census = ClusterCensus::of(&clustering);
+    drop(clustering);
 
     // Phase 2 steps 2 and 3.
     match &mut shards {
         Shards::One(stream, _) => {
             let replicas = ReplicationMatrix::new(nv, k);
             let loads = ShardLoads::with_ledger(&ledger, 0, 1);
-            let mut shard =
-                ShardAssigner::new(*config, &degrees, &clustering, &placement, replicas, loads);
+            let mut shard = ShardAssigner::with_view(*config, &degrees, &plan, replicas, loads);
             one_shard_phase2(&mut shard, &mut **stream, sink, &mut report)?;
         }
         Shards::Ranged(source, ranges) => {
@@ -770,7 +793,7 @@ pub(crate) fn run_shards(
                 .map(|t| {
                     let view = SharedReplicaView::new(&replicas);
                     let loads = ShardLoads::with_ledger(&ledger, t, ranges.len());
-                    ShardAssigner::new(*config, &degrees, &clustering, &placement, view, loads)
+                    ShardAssigner::with_view(*config, &degrees, &plan, view, loads)
                 })
                 .collect();
             sharded_phase2(
@@ -784,7 +807,7 @@ pub(crate) fn run_shards(
             )?;
         }
     }
-    record_clustering_counters(&mut report, &clustering, cap);
+    census.record(&mut report, cap);
     if let Some((paging, stats, flat_after_pass)) = promoted {
         paging.record(&mut report, stats, flat_after_pass);
     }
@@ -826,7 +849,7 @@ fn one_shard_phase2<C: ClusterView>(
 /// subpasses with the freeze barrier between them, the quality counted in
 /// place once every worker has published, then the emit step.
 fn sharded_phase2(
-    assigners: Vec<ShardAssigner<'_, SharedReplicaView<'_>>>,
+    assigners: Vec<ShardAssigner<'_, SharedReplicaView<'_>, &ClusterPlan>>,
     source: &dyn RangedEdgeSource,
     ranges: &[(u64, u64)],
     replicas: &AtomicReplicationMatrix,
@@ -921,31 +944,43 @@ pub fn record_phase2_counters(report: &mut RunReport, counters: &AssignCounters,
 
 /// Append the shared clustering counter block of a run whose clusters are
 /// `clustering` to `report` (one spelling for every driver and the
-/// distributed coordinator). Every vertex phase 1 clustered founded one
-/// cluster id, and every id but the live clusters' was dropped again.
+/// distributed coordinator).
 pub fn record_clustering_counters(report: &mut RunReport, clustering: &Clustering, cap: u64) {
-    let clusters = clustering.num_nonempty_clusters() as u64;
-    let clustered = (0..clustering.num_vertices())
-        .filter(|&v| clustering.raw_cluster_of(v as u32) != NO_CLUSTER)
-        .count() as u64;
-    let max_volume = clustering.max_volume();
-    record_cluster_counters(report, clusters, max_volume, clustered - clusters, cap);
+    ClusterCensus::of(clustering).record(report, cap);
 }
 
-/// The clustering counter block from its numbers (a paged run's come from
-/// its table).
-fn record_cluster_counters(
-    report: &mut RunReport,
+/// What the clustering counter block reports of a finished clustering —
+/// taken before the driver drops it for its [`ClusterPlan`], or read off a
+/// paged run's table.
+struct ClusterCensus {
     clusters: u64,
     max_volume: u64,
     ids_dropped: u64,
-    cap: u64,
-) {
-    report.count("clusters", clusters);
-    report.count("cluster_ids_dropped", ids_dropped);
-    report.count("cluster_volume_cap", cap);
-    report.count("max_cluster_volume", max_volume);
-    CLUSTERING_CLUSTERS.add(clusters);
+}
+
+impl ClusterCensus {
+    /// Every vertex phase 1 clustered founded one cluster id, and every id
+    /// but the live clusters' was dropped again.
+    fn of(clustering: &Clustering) -> ClusterCensus {
+        let clusters = clustering.num_nonempty_clusters() as u64;
+        let clustered = (0..clustering.num_vertices())
+            .filter(|&v| clustering.raw_cluster_of(v as u32) != NO_CLUSTER)
+            .count() as u64;
+        ClusterCensus {
+            clusters,
+            max_volume: clustering.max_volume(),
+            ids_dropped: clustered - clusters,
+        }
+    }
+
+    /// Append the clustering counter block to `report`.
+    fn record(&self, report: &mut RunReport, cap: u64) {
+        report.count("clusters", self.clusters);
+        report.count("cluster_ids_dropped", self.ids_dropped);
+        report.count("cluster_volume_cap", cap);
+        report.count("max_cluster_volume", self.max_volume);
+        CLUSTERING_CLUSTERS.add(self.clusters);
+    }
 }
 
 /// The cap-overshoot total a ledger-free (distributed) run reconstructs
@@ -1196,7 +1231,7 @@ mod tests {
         // Degrees and clustering: pure functions of (source, range, inputs).
         let d1 = shard_degrees(&g, ranges[shard], g.num_vertices()).unwrap();
         let d2 = shard_degrees(&g, ranges[shard], g.num_vertices()).unwrap();
-        assert_eq!(d1.as_slice(), d2.as_slice());
+        assert_eq!(d1, d2);
         let merged = merge_degree_tables(vec![
             shard_degrees(&g, ranges[0], g.num_vertices()).unwrap(),
             d1,

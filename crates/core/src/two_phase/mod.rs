@@ -16,6 +16,7 @@
 //! factors, linear-in-`k` run-time.
 
 pub mod mapping;
+pub mod plan;
 pub mod scoring;
 
 use std::io;
@@ -33,7 +34,7 @@ use crate::partitioner::{PartitionParams, Partitioner, RunReport};
 use crate::sink::{decision_pass, AssignmentSink, DecisionOut};
 use crate::two_phase::scoring::{hdrf_score, two_choice_best, EdgeScoreInputs, HdrfParams};
 
-pub(crate) use view::{ClusterView, PlanView};
+pub(crate) use view::ClusterView;
 
 static CLUSTERING_COMPACTIONS: tps_obs::Counter = tps_obs::Counter::new("clustering.compactions");
 static CLUSTERING_IDS_DROPPED: tps_obs::Counter = tps_obs::Counter::new("clustering.ids_dropped");
@@ -330,20 +331,19 @@ impl AssignCounters {
 /// The cluster-state seam of phase 2. Its items are `pub` inside a private
 /// module: nothing outside the crate can name them, yet
 /// [`crate::parallel::ShardAssigner`] may take `ClusterView` storages and
-/// default to `PlanView`.
+/// default to an owned [`ClusterPlan`].
 mod view {
-    use tps_clustering::model::Clustering;
     use tps_clustering::paged::PagedClustering;
     use tps_graph::types::{ClusterId, PartitionId, VertexId};
 
-    use crate::two_phase::mapping::ClusterPlacement;
+    use crate::two_phase::plan::ClusterPlan;
 
     /// The phase-1+2 state phase 2 reads per edge: a vertex's cluster, a
     /// cluster's volume and a cluster's partition. The in-memory
-    /// ([`PlanView`]) and paged ([`PagedClustering`]) storages implement it,
-    /// so the per-edge decision kernel is storage-agnostic. Accessors take
-    /// `&mut self` because the paged view faults pages (and updates its
-    /// LRU) on reads.
+    /// ([`ClusterPlan`], owned or shared by reference) and paged
+    /// ([`PagedClustering`]) storages implement it, so the per-edge
+    /// decision kernel is storage-agnostic. Accessors take `&mut self`
+    /// because the paged view faults pages (and updates its LRU) on reads.
     pub trait ClusterView {
         /// Raw cluster id of `v` (`NO_CLUSTER` when unassigned).
         fn cluster_of(&mut self, v: VertexId) -> ClusterId;
@@ -353,25 +353,33 @@ mod view {
         fn partition_of(&mut self, c: ClusterId) -> PartitionId;
     }
 
-    /// The flat in-memory [`ClusterView`]: a finished [`Clustering`] plus
-    /// its [`ClusterPlacement`].
-    pub struct PlanView<'a> {
-        pub(crate) clustering: &'a Clustering,
-        pub(crate) placement: &'a ClusterPlacement,
-    }
-
-    impl ClusterView for PlanView<'_> {
+    impl ClusterView for &ClusterPlan {
         #[inline]
         fn cluster_of(&mut self, v: VertexId) -> ClusterId {
-            self.clustering.raw_cluster_of(v)
+            ClusterPlan::cluster_of(self, v)
         }
         #[inline]
         fn volume(&mut self, c: ClusterId) -> u64 {
-            self.clustering.volume(c)
+            ClusterPlan::volume(self, c)
         }
         #[inline]
         fn partition_of(&mut self, c: ClusterId) -> PartitionId {
-            self.placement.partition_of(c)
+            ClusterPlan::partition_of(self, c)
+        }
+    }
+
+    impl ClusterView for ClusterPlan {
+        #[inline]
+        fn cluster_of(&mut self, v: VertexId) -> ClusterId {
+            ClusterPlan::cluster_of(self, v)
+        }
+        #[inline]
+        fn volume(&mut self, c: ClusterId) -> u64 {
+            ClusterPlan::volume(self, c)
+        }
+        #[inline]
+        fn partition_of(&mut self, c: ClusterId) -> PartitionId {
+            ClusterPlan::partition_of(self, c)
         }
     }
 

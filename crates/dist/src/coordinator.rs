@@ -367,7 +367,7 @@ impl Coordinator<'_> {
         let volume_cap = resolve_volume_cap(&self.config, self.k, &degrees);
         self.globals_frame = Some(
             Message::Globals {
-                degrees: degrees.as_slice().to_vec(),
+                degrees: degrees.iter().collect(),
                 volume_cap,
             }
             .encode(),

@@ -25,6 +25,7 @@ use tps_core::balance::PartitionLoads;
 use tps_core::parallel::{shard_clustering, shard_degrees, ShardAssigner, ShardLoads};
 use tps_core::sink::{AssignmentSink, DecisionLog};
 use tps_core::two_phase::mapping::ClusterPlacement;
+use tps_core::two_phase::plan::ClusterPlan;
 use tps_graph::degree::DegreeTable;
 use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::types::{Edge, PartitionId};
@@ -201,7 +202,7 @@ fn serve_job(
         &Message::Degrees {
             shard,
             epoch,
-            degrees: local_degrees.as_slice().to_vec(),
+            degrees: local_degrees.iter().collect(),
         },
     )?;
     drop(local_degrees);
@@ -248,7 +249,13 @@ fn serve_job(
     if c2p.len() < clustering.num_cluster_ids() as usize || c2p.iter().any(|&p| p >= job.k) {
         return Err(corrupt("cluster placement is inconsistent with the plan"));
     }
-    let placement = ClusterPlacement::from_c2p(c2p, &clustering, job.k);
+    // Phase 2 reads the plan; the merged clustering goes before the
+    // replica rows arrive, as in the in-process driver.
+    let plan = ClusterPlan::new(
+        &clustering,
+        &ClusterPlacement::from_c2p(c2p, &clustering, job.k),
+    );
+    drop(clustering);
 
     // Phase 2: prepartition + score with the quota-sliced standalone loads
     // (identical decisions to the in-process ledger tracker).
@@ -259,11 +266,10 @@ fn serve_job(
         job.worker_index as usize,
         job.num_workers as usize,
     );
-    let mut assigner = ShardAssigner::new(
+    let mut assigner = ShardAssigner::from_plan(
         job.config,
         &degrees,
-        &clustering,
-        &placement,
+        plan,
         tps_metrics::bitmatrix::ReplicationMatrix::new(job.num_vertices, job.k),
         loads,
     );

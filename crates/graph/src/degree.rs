@@ -6,19 +6,22 @@
 //! vertex ID that is seen in an edge, which is a lightweight, linear-time
 //! operation." DBH likewise hashes on the lower-degree endpoint.
 //!
-//! [`DegreeTable`] is that counter array: `O(|V|)` memory, one `u32` per
-//! vertex (a real-world maximum degree comfortably fits; we saturate rather
-//! than wrap in release builds).
+//! [`DegreeTable`] is that counter array: `O(|V|)` memory. The pass counts
+//! in one `u32` per vertex (saturating rather than wrapping), then packs
+//! the table into the bytes its largest degree needs ([`PackedU32s`]): one
+//! byte per vertex on a web graph whose largest degree is below 256, two
+//! on a social graph below 65 536.
 
 use std::io;
 
+use crate::packed::PackedU32s;
 use crate::stream::{for_each_edge, EdgeStream};
 use crate::types::VertexId;
 
 /// Exact vertex degrees, computed in one streaming pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DegreeTable {
-    degrees: Vec<u32>,
+    degrees: PackedU32s,
 }
 
 impl DegreeTable {
@@ -42,19 +45,32 @@ impl DegreeTable {
                 io::ErrorKind::InvalidData,
                 format!("edge references vertex {v} >= |V| = {num_vertices}"),
             )),
-            None => Ok(DegreeTable { degrees }),
+            None => Ok(DegreeTable::from_vec(degrees)),
         }
     }
 
-    /// Build from a pre-computed degree array (tests, generators).
+    /// Pack a counted degree array (a pass's counters, a merge's sums, a
+    /// distributed worker's `Globals` frame).
     pub fn from_vec(degrees: Vec<u32>) -> Self {
-        DegreeTable { degrees }
+        DegreeTable {
+            degrees: PackedU32s::from_values(&degrees),
+        }
     }
 
     /// Degree of `v`. Zero for isolated vertices.
     #[inline]
     pub fn degree(&self, v: VertexId) -> u32 {
-        self.degrees[v as usize]
+        self.degrees.get(v as usize)
+    }
+
+    /// Every vertex's degree, in id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.degrees.iter()
+    }
+
+    /// Heap bytes of the packed table.
+    pub fn heap_bytes(&self) -> usize {
+        self.degrees.heap_bytes()
     }
 
     /// Number of vertices covered.
@@ -69,22 +85,16 @@ impl DegreeTable {
         self.degrees.is_empty()
     }
 
-    /// Borrow the raw array.
-    #[inline]
-    pub fn as_slice(&self) -> &[u32] {
-        &self.degrees
-    }
-
     /// Sum of all degrees — equals `2|E|` for a well-formed undirected edge
     /// list (self-loops contribute 2 as well, since both endpoint slots refer
     /// to the same vertex).
     pub fn total_volume(&self) -> u64 {
-        self.degrees.iter().map(|&d| d as u64).sum()
+        self.iter().map(u64::from).sum()
     }
 
     /// Maximum degree over all vertices (0 for empty graphs).
     pub fn max_degree(&self) -> u32 {
-        self.degrees.iter().copied().max().unwrap_or(0)
+        self.iter().max().unwrap_or(0)
     }
 }
 
@@ -142,6 +152,21 @@ mod tests {
         let mut g = InMemoryGraph::from_edges(edges);
         let d = DegreeTable::compute(&mut g, 10).unwrap();
         assert_eq!(d.total_volume(), 100);
+    }
+
+    #[test]
+    fn packs_to_the_bytes_the_largest_degree_needs() {
+        // A star with 300 leaves: the hub's degree needs two bytes.
+        let star: Vec<Edge> = (1..=300).map(|v| Edge::new(0, v)).collect();
+        let d = DegreeTable::compute(&mut InMemoryGraph::from_edges(star), 301).unwrap();
+        assert_eq!(d.heap_bytes(), 2 * 301 + 3);
+        assert_eq!(d.degree(0), 300);
+        assert!(d.iter().skip(1).all(|x| x == 1));
+        // Leaves alone fit one byte; a saturated counter needs four.
+        assert_eq!(DegreeTable::from_vec(vec![1; 300]).heap_bytes(), 300 + 3);
+        let saturated = DegreeTable::from_vec(vec![u32::MAX, 0]);
+        assert_eq!(saturated.degree(0), u32::MAX);
+        assert_eq!(saturated.heap_bytes(), 4 * 2 + 3);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::{finalize, GenOptions};
+use super::{finalize, EdgeSet, GenOptions};
 use crate::stream::InMemoryGraph;
 use crate::types::Edge;
 
@@ -28,7 +28,7 @@ pub fn generate(n: u64, m: u64, seed: u64) -> InMemoryGraph {
         ..Default::default()
     };
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut seen = std::collections::HashSet::with_capacity(m as usize * 2);
+    let mut seen = EdgeSet::with_capacity(m as usize);
     let mut edges = Vec::with_capacity(m as usize);
     while (edges.len() as u64) < m {
         let u = rng.gen_range(0..n) as u32;
@@ -36,8 +36,7 @@ pub fn generate(n: u64, m: u64, seed: u64) -> InMemoryGraph {
         if u == v {
             continue;
         }
-        let e = Edge::new(u, v).canonical();
-        if seen.insert(((e.src as u64) << 32) | e.dst as u64) {
+        if seen.insert(Edge::new(u, v)) {
             edges.push(Edge::new(u, v));
         }
     }

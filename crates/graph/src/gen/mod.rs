@@ -25,11 +25,10 @@ pub mod planted;
 pub mod rmat;
 pub mod social;
 
-use std::collections::HashSet;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::hash::splitmix64;
 use crate::stream::InMemoryGraph;
 use crate::types::{Edge, VertexId};
 
@@ -61,6 +60,73 @@ impl Default for GenOptions {
     }
 }
 
+/// The dedup key of an undirected edge: its canonical endpoints, `src` high.
+fn edge_key(e: Edge) -> u64 {
+    let c = e.canonical();
+    u64::from(c.src) << 32 | u64::from(c.dst)
+}
+
+/// The generators' dedup set of [`edge_key`]s: open addressing with linear
+/// probing on [`splitmix64`], at most half full. A generator only asks
+/// whether a key is new, so nothing here depends on the probe order.
+struct EdgeSet {
+    /// `FREE` marks an empty slot; the key `FREE` itself, the self-loop of
+    /// id `u32::MAX`, is kept out of band in `has_free_key`.
+    slots: Vec<u64>,
+    len: usize,
+    has_free_key: bool,
+}
+
+const FREE: u64 = u64::MAX;
+
+impl EdgeSet {
+    /// A set with room for `keys` keys before it grows.
+    fn with_capacity(keys: usize) -> EdgeSet {
+        EdgeSet {
+            slots: vec![FREE; (2 * keys).next_power_of_two().max(16)],
+            len: 0,
+            has_free_key: false,
+        }
+    }
+
+    /// Insert `e`'s key; whether it was new.
+    fn insert(&mut self, e: Edge) -> bool {
+        self.insert_key(edge_key(e))
+    }
+
+    fn insert_key(&mut self, key: u64) -> bool {
+        if key == FREE {
+            return !std::mem::replace(&mut self.has_free_key, true);
+        }
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = splitmix64(key) as usize & mask;
+        loop {
+            match self.slots[i] {
+                FREE => {
+                    self.slots[i] = key;
+                    self.len += 1;
+                    return true;
+                }
+                k if k == key => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Double the table and re-insert every key.
+    fn grow(&mut self) {
+        let doubled = vec![FREE; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.len = 0;
+        for key in old.into_iter().filter(|&k| k != FREE) {
+            self.insert_key(key);
+        }
+    }
+}
+
 /// Finalise a raw edge sample into an [`InMemoryGraph`]:
 /// dedup / loop-removal per `opts`, id compaction (removes isolated vertices
 /// so that `|V|` matches the covered vertex set, as in the real datasets),
@@ -71,11 +137,8 @@ pub(crate) fn finalize(mut edges: Vec<Edge>, opts: GenOptions, seed: u64) -> InM
         edges.retain(|e| !e.is_self_loop());
     }
     if opts.dedup {
-        let mut seen: HashSet<u64> = HashSet::with_capacity(edges.len() * 2);
-        edges.retain(|e| {
-            let c = e.canonical();
-            seen.insert(((c.src as u64) << 32) | c.dst as u64)
-        });
+        let mut seen = EdgeSet::with_capacity(edges.len());
+        edges.retain(|&e| seen.insert(e));
     }
     // Compact ids to 0..n preserving relative order (keeps web-graph locality).
     let max_id = edges
@@ -121,6 +184,88 @@ pub(crate) fn finalize(mut edges: Vec<Edge>, opts: GenOptions, seed: u64) -> InM
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over |V| and the edge sequence.
+    fn digest(g: &InMemoryGraph) -> u64 {
+        let words = std::iter::once(g.num_vertices()).chain(
+            g.edges()
+                .iter()
+                .map(|e| u64::from(e.src) << 32 | u64::from(e.dst)),
+        );
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// Every generator's exact output at small scale, pinned: a change to
+    /// how a generator samples or deduplicates must keep these bytes (the
+    /// benchmark's inputs and every test graph depend on them).
+    #[test]
+    fn generator_outputs_are_pinned() {
+        let loops: Vec<Edge> = (0..400u32)
+            .map(|i| Edge::new(i % 37, (i * 11) % 37))
+            .collect();
+        let keep_loops = GenOptions {
+            drop_self_loops: false,
+            ..Default::default()
+        };
+        let got = [
+            digest(&social::generate(
+                &social::SocialConfig::new(12, 20_000, 0.5),
+                1,
+            )),
+            digest(&planted::generate(
+                &planted::PlantedConfig::web(4_000, 20_000),
+                1,
+            )),
+            digest(&rmat::generate_exact(
+                &rmat::RmatConfig::social(12, 20_000),
+                1,
+            )),
+            digest(&rmat::generate(&rmat::RmatConfig::social(12, 20_000), 1)),
+            digest(&gnm::generate(2_000, 10_000, 1)),
+            digest(&finalize(loops, keep_loops, 1)),
+        ];
+        let want = [
+            0xda26_c62a_d0b4_4248,
+            0x13f8_ecbd_053b_6e64,
+            0x1e40_7ef4_89a2_a680,
+            0x9b13_9eb2_1cbf_825a,
+            0x2b22_1f0f_9453_cecd,
+            0xa862_214b_646c_8ac0,
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn edge_set_answers_like_a_hash_set_and_grows() {
+        // Sized for 4 keys, fed thousands (with repeats): the table grows,
+        // and every answer matches std's set.
+        let mut set = EdgeSet::with_capacity(4);
+        let mut std_set = std::collections::HashSet::new();
+        for i in 0..5_000u32 {
+            let e = Edge::new(i % 97, (i * 31) % 89);
+            assert_eq!(set.insert(e), std_set.insert(edge_key(e)), "edge {e:?}");
+        }
+        assert_eq!(set.len, std_set.len());
+        assert!(2 * set.len <= set.slots.len());
+    }
+
+    #[test]
+    fn edge_set_keeps_the_free_slot_key_out_of_band() {
+        // The self-loop of id u32::MAX has the key that marks a free slot.
+        let top = Edge::new(u32::MAX, u32::MAX);
+        assert_eq!(edge_key(top), FREE);
+        let mut set = EdgeSet::with_capacity(2);
+        assert!(set.insert(top));
+        assert!(!set.insert(top));
+        assert!(set.insert(Edge::new(u32::MAX, u32::MAX - 1)));
+        assert!(set.insert(Edge::new(0, 0)));
+        assert!(!set.insert(Edge::new(u32::MAX - 1, u32::MAX)));
+        assert_eq!(set.len, 2);
+    }
 
     #[test]
     fn finalize_removes_self_loops_and_dups() {

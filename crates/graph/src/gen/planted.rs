@@ -15,7 +15,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::{finalize, GenOptions};
+use super::{finalize, EdgeSet, GenOptions};
 use crate::stream::InMemoryGraph;
 use crate::types::Edge;
 
@@ -126,7 +126,7 @@ pub fn generate(cfg: &PlantedConfig, seed: u64) -> InMemoryGraph {
         cum.partition_point(|&c| c <= t)
     };
 
-    let mut seen = std::collections::HashSet::with_capacity(cfg.edges as usize * 2);
+    let mut seen = EdgeSet::with_capacity(cfg.edges as usize);
     let mut edges = Vec::with_capacity(cfg.edges as usize);
     let max_attempts = cfg.edges.saturating_mul(30).max(1000);
     let mut attempts = 0u64;
@@ -165,9 +165,7 @@ pub fn generate(cfg: &PlantedConfig, seed: u64) -> InMemoryGraph {
             if cfg.opts.drop_self_loops && e.is_self_loop() {
                 continue;
             }
-            let c = e.canonical();
-            let key = ((c.src as u64) << 32) | c.dst as u64;
-            if !cfg.opts.dedup || seen.insert(key) {
+            if !cfg.opts.dedup || seen.insert(e) {
                 edges.push(e);
                 continue 'outer;
             }

@@ -11,7 +11,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::{finalize, GenOptions};
+use super::{finalize, EdgeSet, GenOptions};
 use crate::stream::InMemoryGraph;
 use crate::types::Edge;
 
@@ -104,7 +104,7 @@ pub fn generate(cfg: &RmatConfig, seed: u64) -> InMemoryGraph {
 pub fn generate_exact(cfg: &RmatConfig, seed: u64) -> InMemoryGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut raw: Vec<Edge> = Vec::with_capacity(cfg.edges as usize + cfg.edges as usize / 4);
-    let mut seen = std::collections::HashSet::with_capacity(cfg.edges as usize * 2);
+    let mut seen = EdgeSet::with_capacity(cfg.edges as usize);
     let mut distinct = 0u64;
     let max_attempts = cfg.edges.saturating_mul(20).max(1000);
     let mut attempts = 0u64;
@@ -114,9 +114,7 @@ pub fn generate_exact(cfg: &RmatConfig, seed: u64) -> InMemoryGraph {
         if cfg.opts.drop_self_loops && e.is_self_loop() {
             continue;
         }
-        let c = e.canonical();
-        let key = ((c.src as u64) << 32) | c.dst as u64;
-        if !cfg.opts.dedup || seen.insert(key) {
+        if !cfg.opts.dedup || seen.insert(e) {
             raw.push(e);
             distinct += 1;
         }

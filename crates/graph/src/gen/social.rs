@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use super::rmat::RmatConfig;
-use super::{finalize, GenOptions};
+use super::{finalize, EdgeSet, GenOptions};
 use crate::stream::InMemoryGraph;
 use crate::types::Edge;
 
@@ -71,7 +71,7 @@ pub fn generate(cfg: &SocialConfig, seed: u64) -> InMemoryGraph {
         covered += size;
     }
 
-    let mut seen = std::collections::HashSet::with_capacity(cfg.edges as usize * 2);
+    let mut seen = EdgeSet::with_capacity(cfg.edges as usize);
     let mut edges: Vec<Edge> = Vec::with_capacity(cfg.edges as usize);
     let max_attempts = cfg.edges.saturating_mul(40).max(1000);
     let mut attempts = 0u64;
@@ -100,9 +100,7 @@ pub fn generate(cfg: &SocialConfig, seed: u64) -> InMemoryGraph {
             if e.is_self_loop() {
                 continue;
             }
-            let c = e.canonical();
-            let key = ((c.src as u64) << 32) | c.dst as u64;
-            if seen.insert(key) {
+            if seen.insert(e) {
                 edges.push(e);
                 continue 'outer;
             }

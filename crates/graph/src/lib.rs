@@ -22,6 +22,8 @@
 //!   seven real-world graphs (Table III) plus the Wikipedia graph of Table IV.
 //! * [`hash`] — the deterministic 64-bit mixers used by the stateless
 //!   partitioners.
+//! * [`packed`] — per-vertex `u32` tables in the bytes their largest value
+//!   needs (the degree table, phase 2's vertex→cluster map).
 //!
 //! # Quick example
 //!
@@ -45,6 +47,7 @@ pub mod degree;
 pub mod formats;
 pub mod gen;
 pub mod hash;
+pub mod packed;
 pub mod ranged;
 pub mod stream;
 pub mod types;

@@ -71,7 +71,9 @@ impl std::str::FromStr for ReaderBackend {
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "buffered" => Ok(ReaderBackend::Buffered),
-            other => Err(format!("unknown reader {other:?} (the one reader is buffered)")),
+            other => Err(format!(
+                "unknown reader {other:?} (the one reader is buffered)"
+            )),
         }
     }
 }

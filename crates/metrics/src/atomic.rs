@@ -39,8 +39,8 @@
 //!   into a private `Vec<u64>` and every later `contains`/`insert` is one
 //!   array access, as cheap as the serial [`ReplicationMatrix`]. That is the row bytes, `k.next_power_of_two()/8`
 //!   B/vertex/worker (4 B at k = 32, 8 B at k = 64) — `O(|V|)`, not
-//!   `O(|V|·k)` bits — and at most half of the 16 B/vertex (degree table +
-//!   clustering) the same worker held through phases 0–1, so it does not
+//!   `O(|V|·k)` bits — and at k ≤ 32 no more than the 4 B/vertex `u32`
+//!   cluster map the same worker held through phase 1, so it does not
 //!   raise the job's peak.
 //! * **k > 64 — sparse overlay.** A dense copy would be the `O(T·|V|·k)`
 //!   bits this module exists to avoid, so inserts land in a word-index →

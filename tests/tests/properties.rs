@@ -34,6 +34,30 @@ fn assert_complete(
     Ok(())
 }
 
+/// `ClusterPlan` of `clustering` against the clustering and its Graham
+/// placement onto `k` partitions, vertex by vertex.
+fn check_plan(clustering: &tps_clustering::model::Clustering, k: u32) -> Result<(), TestCaseError> {
+    use tps_clustering::model::NO_CLUSTER;
+    use tps_core::two_phase::mapping::ClusterPlacement;
+    use tps_core::two_phase::plan::ClusterPlan;
+    let placement = ClusterPlacement::sorted_list_schedule(clustering, k);
+    let plan = ClusterPlan::new(clustering, &placement);
+    for v in 0..clustering.num_vertices() as u32 {
+        let c = plan.cluster_of(v);
+        prop_assert_eq!(c, clustering.raw_cluster_of(v), "vertex {}", v);
+        if c != NO_CLUSTER {
+            prop_assert_eq!(plan.volume(c), clustering.volume(c), "cluster {}", c);
+            prop_assert_eq!(
+                plan.partition_of(c),
+                placement.partition_of(c),
+                "cluster {}",
+                c
+            );
+        }
+    }
+    Ok(())
+}
+
 // A wrapper so `assert_complete` can use prop_assert inside a helper.
 fn check_partitioner(
     p: &mut dyn Partitioner,
@@ -94,6 +118,43 @@ proptest! {
                 prop_assert!(clustering.cluster_of(v).is_some(), "vertex {v} unclustered");
             }
         }
+    }
+
+    /// Phase 2's packed plan answers every vertex's cluster, and every
+    /// cluster's volume and partition, exactly as the clustering and its
+    /// placement do (unclustered vertices included).
+    #[test]
+    fn cluster_plan_answers_like_clustering_and_placement(
+        graph in arb_graph(),
+        passes in 1u32..4,
+        k in 1u32..9,
+    ) {
+        let mut stream = graph.stream();
+        let degrees = DegreeTable::compute(&mut stream, graph.num_vertices()).unwrap();
+        let cfg = tps_clustering::streaming::ClusteringConfig::for_partitions(k, 1.0, passes);
+        let clustering =
+            tps_clustering::streaming::cluster_stream(&mut stream, &degrees, &cfg).unwrap();
+        check_plan(&clustering, k)?;
+    }
+
+    /// The same at every id-space width: up to 70 000 cluster ids, so the
+    /// map packs to 1, 2 or 3 bytes, with arbitrary unclustered vertices.
+    #[test]
+    fn cluster_plan_answers_like_clustering_at_any_id_width(
+        ids in 1u32..70_000,
+        slots in proptest::collection::vec((0u32..10, 0u32..u32::MAX), 1..300),
+        k in 1u32..9,
+    ) {
+        use tps_clustering::model::{Clustering, NO_CLUSTER};
+        // One vertex in ten unclustered; the largest id always used, so the
+        // width is the id space's.
+        let mut v2c: Vec<u32> = slots
+            .iter()
+            .map(|&(roll, c)| if roll == 0 { NO_CLUSTER } else { c % ids })
+            .collect();
+        v2c[0] = ids - 1;
+        let volumes = (0..ids).map(|c| u64::from(c % 5)).collect();
+        check_plan(&Clustering::from_parts(v2c, volumes), k)?;
     }
 
     #[test]

@@ -90,7 +90,9 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
     )
     .expect("partition job");
     // A budgeted one-shard job registers the paging counters; its 400-vertex
-    // table fits the budget's page share flat after the first pass.
+    // table fits the budget's page share flat after the first pass. Each
+    // job packs a degree table and a cluster map of at least 1 B per
+    // vertex plus 3 pad bytes.
     tps_io::run_job(
         tps_core::job::JobSpec::path(&input)
             .k(K)
@@ -113,6 +115,8 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
         ("io.v2.retained_bytes", retained_bytes),
         ("core.paging.budget_bytes", 1 << 19),
         ("core.paging.flat_after_pass", 1),
+        ("core.mem.degree_bytes", 2 * (NUM_VERTICES + 3)),
+        ("core.mem.cluster_map_bytes", 2 * (NUM_VERTICES + 3)),
     ] {
         let value = counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
         assert!(value >= Some(at_least), "{name} = {value:?}");
