@@ -38,7 +38,7 @@
 //! The **file pair** (`k32_serial_file`, `k32_t2_file`) runs that k = 32
 //! job on a TPSBEL2 copy of the graph: serial retains the decoded file, two
 //! workers retain their decoded ranges (the same bytes: each edge packed in
-//! the ⌈2w/8⌉ bytes its ids need, 5 B at this graph's 19- or 20-bit ids)
+//! the 2w bits its ids need, 38 or 40 at this graph's 19- or 20-bit ids)
 //! and add a 1 B/edge decision log each. `k32_t2_vs_serial_file` is their ratio, gated as a ceiling: the
 //! default path's `O(|E|)` residency beyond the decode budget is the log
 //! and nothing else (12 B/edge of in-memory spools read 56.2 MB here).

@@ -22,6 +22,7 @@ use tps_graph::types::GraphInfo;
 use tps_io::{EdgeFileFormat, ReaderBackend};
 
 use crate::args::{CommonOpts, Flags, COMMON_VALUED};
+use crate::{fail, write_stdout};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -249,11 +250,6 @@ fn make_partitioner(name: &str, passes: u32) -> Result<Box<dyn Partitioner>, Str
     })
 }
 
-pub(crate) fn fail(msg: &str) -> i32 {
-    eprintln!("error: {msg}");
-    2
-}
-
 /// Write a bound socket address to `path` atomically, so pollers never
 /// observe a partially written address.
 pub(crate) fn write_addr_file(path: &str, addr: &str) -> Result<(), String> {
@@ -344,17 +340,23 @@ pub(crate) fn two_phase_config(algo: &str, passes: u32) -> Option<TwoPhaseConfig
     }
 }
 
+/// The run parameters of `--k` and `--alpha`; an `--alpha` below 1 (or
+/// not a number) is an input error.
+fn alpha_params(k: u32, alpha: f64) -> Result<PartitionParams, String> {
+    PartitionParams::try_with_alpha(k, alpha).map_err(|e| format!("--alpha: {e}"))
+}
+
 /// Print the standard metrics line (and phases/counters when not quiet)
 /// for a finished job.
-fn print_outcome(outcome: &RunOutcome, k: u32, quiet: bool) {
-    println!(
+fn print_outcome(outcome: &RunOutcome, k: u32, quiet: bool) -> Result<(), String> {
+    say!(
         "algorithm={} k={k} edges={} rf={:.4} alpha={:.4} time_s={:.3}",
         outcome.name,
         outcome.metrics.num_edges,
         outcome.metrics.replication_factor,
         outcome.metrics.alpha,
         outcome.seconds()
-    );
+    )?;
     if !quiet {
         for (name, d) in outcome.report.phases.phases() {
             eprintln!("phase {name}: {:.3} s", d.as_secs_f64());
@@ -371,6 +373,7 @@ fn print_outcome(outcome: &RunOutcome, k: u32, quiet: bool) {
             }
         }
     }
+    Ok(())
 }
 
 /// `tps partition` — a thin front-end over [`JobSpec`]: the flags map onto
@@ -429,7 +432,7 @@ pub fn partition(args: &[String]) -> i32 {
             }
         };
         spec = spec
-            .params(&PartitionParams::with_alpha(k, common.alpha))
+            .params(&alpha_params(k, common.alpha)?)
             .num_vertices(info.num_vertices)
             .threads(common.threads)
             .mem_budget_mb(common.mem_budget_mb);
@@ -462,7 +465,7 @@ pub fn partition(args: &[String]) -> i32 {
         }
         let outcome = tps_io::run_job(spec).map_err(|e| e.to_string())?;
         close_parts(files, quiet)?;
-        print_outcome(&outcome, k, quiet);
+        print_outcome(&outcome, k, quiet)?;
         Ok(())
     };
     match run() {
@@ -521,7 +524,7 @@ fn execute_and_report(
 ) -> Result<(), String> {
     {
         let trace = flags.get("trace").map(tps_obs::TraceRecording::begin);
-        let params = PartitionParams::with_alpha(k, alpha);
+        let params = alpha_params(k, alpha)?;
         let mut quality = QualitySink::new(info.num_vertices, k);
         let start = std::time::Instant::now();
         let mut files = open_parts(flags, input, k, info.num_vertices)?;
@@ -532,13 +535,13 @@ fn execute_and_report(
         close_parts(files, flags.has("quiet"))?;
         let elapsed = start.elapsed();
         let metrics = quality.finish();
-        println!(
+        say!(
             "algorithm={name} k={k} edges={} rf={:.4} alpha={:.4} time_s={:.3}",
             metrics.num_edges,
             metrics.replication_factor,
             metrics.alpha,
             elapsed.as_secs_f64()
-        );
+        )?;
         if !flags.has("quiet") {
             for (name, d) in report.phases.phases() {
                 eprintln!("phase {name}: {:.3} s", d.as_secs_f64());
@@ -685,7 +688,7 @@ fn dist_coordinator(args: &[String]) -> i32 {
         if k == 0 {
             return Err("--k is required and must be >= 1".into());
         }
-        let alpha = common.alpha;
+        let alpha = alpha_params(k, common.alpha)?.alpha;
         let algo = common.algorithm.as_str();
         let config = two_phase_config(algo, common.passes)
             .ok_or_else(|| format!("tps dist runs 2ps-l / 2ps-hdrf only, not {algo:?}"))?;
@@ -932,12 +935,12 @@ pub fn generate(args: &[String]) -> i32 {
         let graph = ds.generate_scaled(scale);
         let info = write_binary_edge_list(out, graph.num_vertices(), graph.edges().iter().copied())
             .map_err(|e| e.to_string())?;
-        println!(
+        say!(
             "wrote {out}: {} vertices, {} edges ({} stand-in at scale {scale})",
             info.num_vertices,
             info.num_edges,
             ds.full_name()
-        );
+        )?;
         Ok(())
     };
     match run() {
@@ -987,12 +990,12 @@ pub fn convert(args: &[String]) -> i32 {
         };
         let in_bytes = std::fs::metadata(input).map_err(|e| e.to_string())?.len();
         let out_bytes = std::fs::metadata(out).map_err(|e| e.to_string())?.len();
-        println!(
+        say!(
             "converted {input} ({from:?}, {in_bytes} B) -> {out} ({to:?}, {out_bytes} B, {:.1}% of input): {} vertices, {} edges",
             100.0 * out_bytes as f64 / in_bytes.max(1) as f64,
             info.num_vertices,
             info.num_edges,
-        );
+        )?;
         Ok(())
     };
     match run() {
@@ -1016,11 +1019,11 @@ pub fn info(args: &[String]) -> i32 {
         // One more pass for degree statistics.
         let degrees = tps_graph::degree::DegreeTable::compute(&mut stream, info.num_vertices)
             .map_err(|e| e.to_string())?;
-        println!("file: {input}");
-        println!("vertices: {}", info.num_vertices);
-        println!("edges: {}", info.num_edges);
-        println!("mean degree: {:.2}", info.mean_degree());
-        println!("max degree: {}", degrees.max_degree());
+        say!("file: {input}")?;
+        say!("vertices: {}", info.num_vertices)?;
+        say!("edges: {}", info.num_edges)?;
+        say!("mean degree: {:.2}", info.mean_degree())?;
+        say!("max degree: {}", degrees.max_degree())?;
         Ok(())
     };
     match run() {
@@ -1040,12 +1043,12 @@ pub fn profile(args: &[String]) -> i32 {
         let block: usize = flags.get_or("block-size", 100 << 20)?;
         let p = tps_storage::profile_sequential_read(Path::new(path), block)
             .map_err(|e| e.to_string())?;
-        println!(
+        say!(
             "read {} bytes in {:.3} s -> {:.1} MB/s",
             p.bytes,
             p.seconds,
             p.bandwidth() / 1e6
-        );
+        )?;
         Ok(())
     };
     match run() {
@@ -1063,7 +1066,7 @@ pub fn report(args: &[String]) -> i32 {
     };
     let run = || -> Result<(), String> {
         let trace = tps_obs::Trace::load(&path)?;
-        print!("{}", tps_obs::render_report(&trace)?);
+        write_stdout(format_args!("{}", tps_obs::render_report(&trace)?))?;
         Ok(())
     };
     match run() {

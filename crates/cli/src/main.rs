@@ -32,11 +32,51 @@
 //! boundary, the table fits that half flat and the run goes on in memory.
 //! `tps help` has the full split. `--reader` accepts only `buffered`, the
 //! one way a binary input is read (positioned reads of one file handle).
+//!
+//! Exit status: 0 on success, and also when the reader of stdout has gone
+//! (`tps info … | head -0`); 2 with one `error:` line on stderr otherwise.
+
+use std::fmt;
+use std::io::{self, Write as _};
+
+/// `println!` that returns: one line through [`write_stdout`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 mod args;
 mod commands;
 mod serve_cmd;
 mod top_cmd;
+
+/// What [`write_stdout`] returns once the reader of stdout has gone
+/// (`tps info … | head -0`): the command stops, and [`fail`] ends it
+/// quietly with exit 0, since nobody is left to read the rest.
+const STDOUT_CLOSED: &str = "stdout closed by its reader";
+
+/// Write `args` to the locked stdout and flush it. A broken pipe is
+/// [`STDOUT_CLOSED`]; any other write error is a failure of the command.
+pub(crate) fn write_stdout(args: fmt::Arguments) -> Result<(), String> {
+    let mut out = io::stdout().lock();
+    out.write_fmt(args)
+        .and_then(|()| out.flush())
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::BrokenPipe => STDOUT_CLOSED.to_string(),
+            _ => format!("writing to stdout: {e}"),
+        })
+}
+
+/// End a command that failed with `msg`: `error: msg` on stderr and exit
+/// 2, except for a closed stdout, which ends it with exit 0 and no message.
+pub(crate) fn fail(msg: &str) -> i32 {
+    if msg == STDOUT_CLOSED {
+        return 0;
+    }
+    eprintln!("error: {msg}");
+    2
+}
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -52,8 +92,10 @@ fn main() {
         Some("profile") => commands::profile(&argv[1..]),
         Some("report") => commands::report(&argv[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{}", commands::USAGE);
-            0
+            match write_stdout(format_args!("{}", commands::USAGE)) {
+                Ok(()) => 0,
+                Err(e) => fail(&e),
+            }
         }
         Some(other) => {
             eprintln!("error: unknown command {other:?}\n\n{}", commands::USAGE);

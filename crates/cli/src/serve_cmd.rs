@@ -14,7 +14,8 @@ use tps_graph::types::Edge;
 use tps_serve::{ServeClient, ServeHandle, ServeOptions, ServeState, ServerConfig};
 
 use crate::args::{CommonOpts, Flags};
-use crate::commands::{fail, replace_file, two_phase_config, write_addr_file};
+use crate::commands::{replace_file, two_phase_config, write_addr_file};
+use crate::fail;
 
 /// `tps serve`
 pub fn serve(args: &[String]) -> i32 {
@@ -88,7 +89,7 @@ pub fn serve(args: &[String]) -> i32 {
         let listener = TcpListener::bind(flags.get("listen").unwrap_or("127.0.0.1:0"))
             .map_err(|e| format!("bind: {e}"))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
-        println!("serving {parts} on {addr}");
+        say!("serving {parts} on {addr}")?;
         if let Some(path) = flags.get("addr-file") {
             write_addr_file(path, &addr.to_string())?;
         }
@@ -100,7 +101,7 @@ pub fn serve(args: &[String]) -> i32 {
                 let server = tps_serve::start_metrics(maddr, state.clone())
                     .map_err(|e| format!("metrics bind {maddr}: {e}"))?;
                 let bound = server.addr();
-                println!("metrics on http://{bound}/metrics");
+                say!("metrics on http://{bound}/metrics")?;
                 if let Some(path) = flags.get("metrics-addr-file") {
                     write_addr_file(path, &bound.to_string())?;
                 }
@@ -145,10 +146,13 @@ pub fn serve(args: &[String]) -> i32 {
             }
         }
         let stats = st.stats();
-        println!(
+        say!(
             "served {} lookups, {} mutations; staleness {:.4}, epoch {}",
-            stats.lookups, stats.updates, stats.staleness, stats.epoch
-        );
+            stats.lookups,
+            stats.updates,
+            stats.staleness,
+            stats.epoch
+        )?;
         Ok(())
     };
     match run() {
@@ -230,8 +234,8 @@ pub fn lookup(args: &[String]) -> i32 {
             let parts = client.lookup_batch(&edges).map_err(|e| e.to_string())?;
             for (e, p) in edges.iter().zip(parts) {
                 match p {
-                    Some(p) => println!("{},{} -> {p}", e.src, e.dst),
-                    None => println!("{},{} -> not found", e.src, e.dst),
+                    Some(p) => say!("{},{} -> {p}", e.src, e.dst)?,
+                    None => say!("{},{} -> not found", e.src, e.dst)?,
                 }
             }
         }
@@ -244,7 +248,7 @@ pub fn lookup(args: &[String]) -> i32 {
             let sets = client.replica_sets(&vertices).map_err(|e| e.to_string())?;
             for (v, set) in vertices.iter().zip(sets) {
                 let list: Vec<String> = set.iter().map(|p| p.to_string()).collect();
-                println!("{v} -> [{}]", list.join(","));
+                say!("{v} -> [{}]", list.join(","))?;
             }
         }
 
@@ -268,13 +272,13 @@ pub fn lookup(args: &[String]) -> i32 {
                 .map_err(|e| e.to_string())?;
             let ins = out.inserted.iter().filter(|p| p.is_some()).count();
             let rem = out.removed.iter().filter(|p| p.is_some()).count();
-            println!(
+            say!(
                 "applied {ins}/{} inserts, {rem}/{} removes; staleness {:.4}, epoch {}",
                 inserts.len(),
                 removes.len(),
                 out.staleness,
                 out.epoch
-            );
+            )?;
         }
 
         if let Some(dir) = flags.get("verify-parts") {
@@ -302,41 +306,45 @@ pub fn lookup(args: &[String]) -> i32 {
                     loaded.assignments.len()
                 ));
             }
-            println!(
+            say!(
                 "verified {} edges against {dir}: all match",
                 loaded.assignments.len()
-            );
+            )?;
         }
 
         if flags.has("stats") {
             let s = client.stats().map_err(|e| e.to_string())?;
-            println!("k: {}", s.k);
-            println!("vertices: {}", s.num_vertices);
-            println!("edges: {}", s.num_edges);
-            println!("replication factor: {:.4}", s.replication_factor);
-            println!("staleness: {:.4}", s.staleness);
-            println!("epoch: {}", s.epoch);
+            say!("k: {}", s.k)?;
+            say!("vertices: {}", s.num_vertices)?;
+            say!("edges: {}", s.num_edges)?;
+            say!("replication factor: {:.4}", s.replication_factor)?;
+            say!("staleness: {:.4}", s.staleness)?;
+            say!("epoch: {}", s.epoch)?;
             let loads: Vec<String> = s.loads.iter().map(|l| l.to_string()).collect();
-            println!("loads: [{}]", loads.join(","));
-            println!("lookups: {}", s.lookups);
-            println!("updates: {}", s.updates);
-            println!("cache: {} hits / {} misses", s.cache_hits, s.cache_misses);
-            println!("uptime: {:.1} s", s.uptime_secs);
+            say!("loads: [{}]", loads.join(","))?;
+            say!("lookups: {}", s.lookups)?;
+            say!("updates: {}", s.updates)?;
+            say!("cache: {} hits / {} misses", s.cache_hits, s.cache_misses)?;
+            say!("uptime: {:.1} s", s.uptime_secs)?;
             for (op, l) in [
                 ("lookup", &s.lookup_latency),
                 ("replicas", &s.replicas_latency),
                 ("update", &s.update_latency),
             ] {
-                println!(
+                say!(
                     "latency {op}: n={} p50={} p90={} p99={} max={} ns",
-                    l.count, l.p50_ns, l.p90_ns, l.p99_ns, l.max_ns
-                );
+                    l.count,
+                    l.p50_ns,
+                    l.p90_ns,
+                    l.p99_ns,
+                    l.max_ns
+                )?;
             }
         }
 
         if flags.has("shutdown") {
             client.shutdown().map_err(|e| e.to_string())?;
-            println!("daemon shut down");
+            say!("daemon shut down")?;
         }
         Ok(())
     };

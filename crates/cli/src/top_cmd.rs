@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use tps_obs::{parse_exposition, scrape, Sample};
 
 use crate::args::Flags;
-use crate::commands::fail;
+use crate::{fail, write_stdout};
 
 /// One parsed scrape plus when it was taken (rates need the wall-clock gap).
 struct Frame {
@@ -256,12 +256,10 @@ pub fn top(args: &[String]) -> i32 {
             tick += 1;
             let body = render(addr, &cur, prev.as_ref(), tick);
             if samples == 1 {
-                print!("{body}");
+                write_stdout(format_args!("{body}"))?;
             } else {
                 // Clear + home, then the frame — a full redraw in place.
-                print!("\x1b[2J\x1b[H{body}");
-                use std::io::Write as _;
-                std::io::stdout().flush().ok();
+                write_stdout(format_args!("\x1b[2J\x1b[H{body}"))?;
             }
             if samples != 0 && tick >= samples {
                 return Ok(());

@@ -242,7 +242,7 @@ fn partition_threads_with_mem_budget_matches_unbudgeted() {
     let trace = dir.join("budgeted.jsonl");
     // Pin the thread count on both sides. At 1 MiB the decode share is
     // 256 KiB, less than one worker's 100 000-edge range retained packed
-    // (|V| = 8 192: 13-bit ids, 4 B per edge, 400 008 B), so the budgeted
+    // (|V| = 8 192: 13-bit ids, 26 bits per edge, 325 008 B), so the budgeted
     // workers retain nothing and emit decodes each range again: the same
     // assignments by another route, so the files and the metrics line must
     // be identical.
@@ -929,6 +929,73 @@ fn unrunnable_options_are_input_errors() {
         assert_eq!(out.status.code(), Some(2), "{flags}: {err}");
         assert!(err.contains(reason), "{flags}: {err}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An `--alpha` below 1 or not a number is an input error in every mode —
+/// exit 2 with one `error:` line naming the flag — not a constructor's
+/// panic.
+#[test]
+fn alpha_below_one_or_nan_is_an_input_error() {
+    let dir = tmpdir("alpha");
+    let bel = dir.join("ok.bel");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    for (cmd, alpha) in [
+        ("partition --threads serial", "0.5"),
+        ("partition --threads 2", "nan"),
+        ("partition --algorithm hdrf", "0.5"),
+        ("dist coordinator --dist-local --workers 1", "0.5"),
+    ] {
+        let out = tps()
+            .args(cmd.split(' '))
+            .arg("--input")
+            .arg(&bel)
+            .args(["--k", "4", "--alpha", alpha])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd} --alpha {alpha}: {err}");
+        assert_eq!(err.lines().count(), 1, "{cmd} --alpha {alpha}: {err}");
+        assert!(
+            err.starts_with("error: --alpha"),
+            "{cmd} --alpha {alpha}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closed stdout (`tps info … | head -0`) ends the command
+/// quietly with exit 0: no panic, no message. The pipe's read end is gone
+/// before `tps` starts, so every write to it fails.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let dir = tmpdir("closed-stdout");
+    let bel = dir.join("ok.bel");
+    let closed = || {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        writer
+    };
+    let mut generate = tps();
+    generate
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel);
+    let mut info = tps();
+    info.args(["info", "--input"]).arg(&bel);
+    let mut help = tps();
+    help.arg("help");
+    for (name, cmd) in [("generate", generate), ("info", info), ("help", help)] {
+        let mut cmd = cmd;
+        let out = cmd.stdout(closed()).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{name}: {err}");
+        assert!(err.is_empty(), "{name}: {err}");
+    }
+    assert!(bel.exists(), "generate wrote its file before printing");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,7 +14,8 @@
 //! Modules:
 //!
 //! * [`model`] — the [`Clustering`] result type
-//!   (vertex→cluster map + cluster volumes) and its invariants.
+//!   (vertex→cluster map + cluster volumes), its invariants, and the
+//!   [`ClusterPlan`] phase 2 reads once it is frozen.
 //! * [`table`] — the [`ClusterTable`] storage abstraction the streaming
 //!   pass is generic over.
 //! * [`paged`] — the budget-bounded, disk-backed
@@ -42,7 +43,7 @@ pub mod streaming;
 pub mod table;
 
 pub use merge::merge_clusterings;
-pub use model::{Clustering, NO_CLUSTER};
+pub use model::{ClusterPlan, Clustering, NO_CLUSTER};
 pub use paged::{
     MemPageBacking, MemPageStoreProvider, PageBacking, PageStoreProvider, PagedClustering,
 };

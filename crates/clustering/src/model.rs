@@ -4,15 +4,37 @@
 //! the degree array stays in [`tps_graph::degree::DegreeTable`] and is shared
 //! with the partitioning phase ("the preprocessing phase has no additional
 //! memory overhead in excess of the streaming partitioning phase", §IV-B).
+//!
+//! `v2c` is one [`PackedU32s`] for both phases, holding `id + 1` per vertex
+//! and 0 for none: phase 1 writes it at the width of |V|, which bounds
+//! every cluster id (see [`Clustering`]), and [`Clustering::freeze`]
+//! narrows it in place to the width of the finished id space for phase 2's
+//! [`ClusterPlan`]. With 0 for "no cluster", a new table is zeroed memory,
+//! which costs nothing until a vertex is assigned, and a read is one
+//! subtraction: 0 wraps to [`NO_CLUSTER`].
 
 use tps_graph::degree::DegreeTable;
-use tps_graph::types::{ClusterId, VertexId};
+use tps_graph::packed::PackedU32s;
+use tps_graph::types::{ClusterId, PartitionId, VertexId};
 
 /// Sentinel for "vertex has no cluster yet" (isolated vertices keep it).
 pub const NO_CLUSTER: ClusterId = ClusterId::MAX;
 
 /// A vertex clustering with volume bookkeeping.
 ///
+/// # Cluster ids stay below |V|
+/// The id count never exceeds the clustered vertices: a vertex founds a
+/// cluster only while it has none, and never loses its cluster again, so
+/// each founding adds one id and one clustered vertex; a migration adds
+/// neither; a renumbering keeps only the live clusters, each of which has
+/// a member. [`merge_clusterings`](crate::merge_clusterings) concatenates
+/// the parts' id spaces, which can pass |V|, but compacts them to the live
+/// clusters before anyone reads the result. So every id is below |V|, and
+/// `v2c` holds `id + 1` in the bytes |V| needs (3 B up to 2²⁴ − 1
+/// vertices); a founding asserts the bound in debug builds. A table built
+/// from parts whose id count passes |V| is as wide as that count.
+///
+/// # Renumbering
 /// As the [`ClusterTable`](crate::ClusterTable) of a clustering pass it
 /// renumbers its ids mid-pass ([`Clustering::compact_ids`], minus the
 /// capacity release) once the dead ids reach `max(live, ⌈|V|/8⌉)`: pass 1
@@ -20,12 +42,12 @@ pub const NO_CLUSTER: ClusterId = ClusterId::MAX;
 /// `volumes` would reach 8 B per vertex although only the live clusters
 /// (~1 000 on a web graph) survive the pass. So it holds at most
 /// `2·live + ⌈|V|/8⌉` volumes after every edge, for at most 8 `O(|V|)`
-/// renumberings in all: each drops ≥ ⌈|V|/8⌉ ids, and a vertex founds an
-/// id only while it has none, so a clustering founds at most |V|.
+/// renumberings in all: each drops ≥ ⌈|V|/8⌉ ids, and a clustering founds
+/// at most |V| (above).
 #[derive(Clone, Debug)]
 pub struct Clustering {
-    /// Vertex → cluster id, `NO_CLUSTER` if unassigned.
-    v2c: Vec<ClusterId>,
+    /// Vertex → cluster id + 1, 0 if unassigned.
+    v2c: PackedU32s,
     /// Cluster id → volume (sum of member degrees). Indexed densely by the
     /// ids handed out during streaming; emptied clusters keep volume 0
     /// until the next renumbering.
@@ -41,14 +63,35 @@ pub struct Clustering {
     renumbered: (u64, u64),
 }
 
+/// The bytes per `v2c` entry of a table over `num_vertices` vertices and
+/// `num_ids` cluster ids: every id + 1 fits, and so does every id a vertex
+/// may still found.
+pub(crate) fn id_width(num_vertices: u64, num_ids: usize) -> usize {
+    let top = num_vertices.max(num_ids as u64).min(u32::MAX.into());
+    PackedU32s::width_for(top as u32)
+}
+
+/// What `v2c` holds for cluster `c`: `c + 1`, and 0 for [`NO_CLUSTER`].
+#[inline]
+pub(crate) fn pack_id(c: ClusterId) -> u32 {
+    c.wrapping_add(1)
+}
+
+/// The cluster a `v2c` entry holds, [`NO_CLUSTER`] for 0.
+#[inline]
+fn unpack_id(stored: u32) -> ClusterId {
+    stored.wrapping_sub(1)
+}
+
 impl Clustering {
     /// A clustering with no vertices assigned and no clusters allocated.
     pub fn empty(num_vertices: u64) -> Self {
-        Self::from_vecs(vec![NO_CLUSTER; num_vertices as usize], Vec::new())
+        let width = id_width(num_vertices, 0);
+        Self::from_table(PackedU32s::zeroed(num_vertices as usize, width), Vec::new())
     }
 
     /// The clustering of `v2c` and `volumes`, with its live count.
-    fn from_vecs(v2c: Vec<ClusterId>, volumes: Vec<u64>) -> Self {
+    pub(crate) fn from_table(v2c: PackedU32s, volumes: Vec<u64>) -> Self {
         let live = volumes.iter().filter(|&&v| v > 0).count() as u32;
         let mut clustering = Clustering {
             v2c,
@@ -72,13 +115,15 @@ impl Clustering {
                 "cluster id {c} out of range"
             );
         }
-        Self::from_vecs(v2c, volumes)
+        let width = id_width(v2c.len() as u64, volumes.len());
+        let ids = v2c.iter().map(|&c| pack_id(c));
+        Self::from_table(PackedU32s::with_width(ids, v2c.len(), width), volumes)
     }
 
     /// Cluster of `v`, if assigned.
     #[inline]
     pub fn cluster_of(&self, v: VertexId) -> Option<ClusterId> {
-        match self.v2c[v as usize] {
+        match self.raw_cluster_of(v) {
             NO_CLUSTER => None,
             c => Some(c),
         }
@@ -88,7 +133,7 @@ impl Clustering {
     /// accessor used by the partitioning inner loops.
     #[inline]
     pub fn raw_cluster_of(&self, v: VertexId) -> ClusterId {
-        self.v2c[v as usize]
+        unpack_id(self.v2c.get(v as usize))
     }
 
     /// Volume of cluster `c`.
@@ -122,6 +167,11 @@ impl Clustering {
         self.volumes.iter().copied().max().unwrap_or(0)
     }
 
+    /// Heap bytes of the packed vertex→cluster map, pad included.
+    pub fn v2c_bytes(&self) -> usize {
+        self.v2c.heap_bytes()
+    }
+
     /// Drop since-emptied cluster ids, renumbering the survivors
     /// (volume > 0) in ascending old-id order; returns how many ids it
     /// dropped. Algorithm 1 founds a singleton for every vertex on first
@@ -131,7 +181,8 @@ impl Clustering {
     /// compaction restores `O(live)` at `O(|V| + ids)` cost, with an
     /// `IdRemap` of ~0.19 B per old id as its only transient. The volume
     /// invariant guarantees no member references an emptied id (members
-    /// have degree ≥ 1).
+    /// have degree ≥ 1). A table wider than |V| needs (a merge's
+    /// concatenated id space) narrows to it.
     ///
     /// Output-invariant at any point between two edges of a pass: the pass
     /// tests ids for equality and compares volumes, new ids are appended
@@ -142,6 +193,10 @@ impl Clustering {
     pub fn compact_ids(&mut self) -> u32 {
         let dropped = self.renumber();
         self.volumes.shrink_to_fit(); // renumbering keeps capacity; release it
+        let width = id_width(self.num_vertices(), self.volumes.len());
+        if width < self.v2c.width() {
+            self.v2c.rewiden(width);
+        }
         self.arm();
         dropped
     }
@@ -175,11 +230,19 @@ impl Clustering {
         }
         self.volumes.truncate(kept);
         let stand_in = remap.first_live();
-        for c in self.v2c.iter_mut() {
-            let assigned = *c != NO_CLUSTER;
-            let new = remap.map(if assigned { *c } else { stand_in });
-            *c = if assigned { new } else { NO_CLUSTER };
-        }
+        self.v2c.map_in_place(|stored| {
+            let assigned = stored != 0;
+            let new = remap.map(if assigned {
+                unpack_id(stored)
+            } else {
+                stand_in
+            });
+            if assigned {
+                pack_id(new)
+            } else {
+                0
+            }
+        });
         dropped
     }
 
@@ -192,17 +255,22 @@ impl Clustering {
     #[inline]
     pub fn create_cluster(&mut self, v: VertexId, vol: u64) -> ClusterId {
         let id = self.volumes.len() as ClusterId;
+        debug_assert!(
+            u64::from(id) < self.num_vertices(),
+            "cluster id {id} reaches |V| = {}",
+            self.num_vertices()
+        );
         self.volumes.push(vol);
         self.live += u32::from(vol > 0);
         self.until_due = self.until_due.saturating_sub(u32::from(vol == 0));
-        self.v2c[v as usize] = id;
+        self.v2c.set(v as usize, pack_id(id));
         id
     }
 
     /// Move `v` (of degree `d`) from its current cluster to `to`.
     #[inline]
     pub fn migrate(&mut self, v: VertexId, d: u64, to: ClusterId) {
-        let from = self.v2c[v as usize];
+        let from = self.raw_cluster_of(v);
         debug_assert_ne!(from, NO_CLUSTER);
         debug_assert_ne!(from, to);
         self.volumes[from as usize] -= d;
@@ -211,7 +279,7 @@ impl Clustering {
         self.until_due = self.until_due.saturating_sub(emptied);
         self.live += u32::from(d > 0 && self.volumes[to as usize] == 0);
         self.volumes[to as usize] += d;
-        self.v2c[v as usize] = to;
+        self.v2c.set(v as usize, pack_id(to));
     }
 
     /// The trigger of the mid-pass renumbering (type docs), run by a
@@ -254,12 +322,40 @@ impl Clustering {
     }
 
     /// Extend the vertex space to `num_vertices`, the new vertices
-    /// unassigned (no-op if it is already that large). In place — an
-    /// amortised `Vec::resize` — so a caller that grows one id at a time
-    /// (the incremental engine's inserts) pays `O(1)` per id.
+    /// unassigned (no-op if it is already that large). In place and
+    /// amortised `O(1)` per id, so a caller that grows one id at a time (the
+    /// incremental engine's inserts) pays that; the table re-widens, an
+    /// `O(|V|)` copy, only when |V| crosses a width boundary (2⁸, 2¹⁶, 2²⁴).
     pub fn grow_vertices(&mut self, num_vertices: u64) {
         if num_vertices > self.num_vertices() {
-            self.v2c.resize(num_vertices as usize, NO_CLUSTER);
+            let width = id_width(num_vertices, self.volumes.len());
+            if width > self.v2c.width() {
+                self.v2c.rewiden(width);
+            }
+            self.v2c.grow(num_vertices as usize);
+        }
+    }
+
+    /// The finished clustering as phase 2 reads it, each cluster placed on
+    /// `c2p[c]`: `v2c` narrowed in place to the bytes the id space needs
+    /// (2 B up to 65 535 clusters), the volumes moved, nothing copied.
+    ///
+    /// # Panics
+    /// Panics if `c2p` covers fewer clusters than the clustering has ids.
+    pub fn freeze(mut self, c2p: Vec<PartitionId>) -> ClusterPlan {
+        assert!(
+            c2p.len() >= self.volumes.len(),
+            "c2p covers {} clusters, clustering has {}",
+            c2p.len(),
+            self.volumes.len()
+        );
+        // An entry holds at most the id count (the last id + 1).
+        self.v2c
+            .rewiden(PackedU32s::width_for(self.num_cluster_ids()));
+        ClusterPlan {
+            v2c: self.v2c,
+            volumes: self.volumes,
+            c2p,
         }
     }
 
@@ -272,8 +368,8 @@ impl Clustering {
         out.reserve(12 + self.v2c.len() * 4 + self.volumes.len() * 8);
         out.extend_from_slice(&(self.v2c.len() as u64).to_le_bytes());
         out.extend_from_slice(&(self.volumes.len() as u32).to_le_bytes());
-        for &c in &self.v2c {
-            out.extend_from_slice(&c.to_le_bytes());
+        for v in 0..self.v2c.len() {
+            out.extend_from_slice(&self.raw_cluster_of(v as VertexId).to_le_bytes());
         }
         for &v in &self.volumes {
             out.extend_from_slice(&v.to_le_bytes());
@@ -307,20 +403,22 @@ impl Clustering {
             .ok_or_else(overflow)?;
         let vol_bytes = (num_ids as usize).checked_mul(8).ok_or_else(overflow)?;
         take(rest, v2c_bytes.checked_add(vol_bytes).ok_or_else(overflow)?)?;
-        let mut v2c = Vec::with_capacity(num_vertices as usize);
-        for rec in rest[..v2c_bytes].chunks_exact(4) {
-            let c = u32::from_le_bytes(rec.try_into().unwrap());
-            if c != NO_CLUSTER && c >= num_ids {
-                return Err(format!("cluster id {c} out of range ({num_ids} ids)"));
-            }
-            v2c.push(c);
+        let ids = rest[..v2c_bytes]
+            .chunks_exact(4)
+            .map(|rec| u32::from_le_bytes(rec.try_into().unwrap()));
+        if let Some(c) = ids.clone().find(|&c| c != NO_CLUSTER && c >= num_ids) {
+            return Err(format!("cluster id {c} out of range ({num_ids} ids)"));
         }
-        let mut volumes = Vec::with_capacity(num_ids as usize);
-        for rec in rest[v2c_bytes..v2c_bytes + vol_bytes].chunks_exact(8) {
-            volumes.push(u64::from_le_bytes(rec.try_into().unwrap()));
-        }
+        // Packed straight from the frame: no `u32` copy of the map.
+        let nv = num_vertices as usize;
+        let width = id_width(num_vertices, num_ids as usize);
+        let ids = ids.map(pack_id);
+        let volumes = rest[v2c_bytes..v2c_bytes + vol_bytes]
+            .chunks_exact(8)
+            .map(|rec| u64::from_le_bytes(rec.try_into().unwrap()))
+            .collect();
         Ok((
-            Self::from_vecs(v2c, volumes),
+            Self::from_table(PackedU32s::with_width(ids, nv, width), volumes),
             &rest[v2c_bytes + vol_bytes..],
         ))
     }
@@ -329,9 +427,10 @@ impl Clustering {
     /// degrees. `O(|V| + #clusters)`; test/debug helper.
     pub fn check_volume_invariant(&self, degrees: &DegreeTable) -> Result<(), String> {
         let mut recomputed = vec![0u64; self.volumes.len()];
-        for (v, &c) in self.v2c.iter().enumerate() {
+        for v in (0..self.v2c.len()).map(|v| v as VertexId) {
+            let c = self.raw_cluster_of(v);
             if c != NO_CLUSTER {
-                recomputed[c as usize] += degrees.degree(v as VertexId) as u64;
+                recomputed[c as usize] += degrees.degree(v) as u64;
             }
         }
         for (c, (&expected, &actual)) in recomputed.iter().zip(&self.volumes).enumerate() {
@@ -342,6 +441,48 @@ impl Clustering {
             }
         }
         Ok(())
+    }
+}
+
+/// A finished clustering and its placement, as phase 2 reads them: what
+/// [`Clustering::freeze`] makes of the phase-1 table at the placement
+/// barrier, shared read-only by every shard. It answers exactly what the
+/// clustering and its placement answer, so every decision is the one they
+/// would give.
+#[derive(Clone, Debug)]
+pub struct ClusterPlan {
+    /// Vertex → cluster id + 1 (0 for none), in the bytes the id space
+    /// needs.
+    v2c: PackedU32s,
+    /// Cluster id → volume.
+    volumes: Vec<u64>,
+    /// Cluster id → partition.
+    c2p: Vec<PartitionId>,
+}
+
+impl ClusterPlan {
+    /// Raw cluster id of `v` (`NO_CLUSTER` when unassigned), as
+    /// [`Clustering::raw_cluster_of`] answers it.
+    #[inline]
+    pub fn cluster_of(&self, v: VertexId) -> ClusterId {
+        unpack_id(self.v2c.get(v as usize))
+    }
+
+    /// Volume of cluster `c`.
+    #[inline]
+    pub fn volume(&self, c: ClusterId) -> u64 {
+        self.volumes[c as usize]
+    }
+
+    /// Partition of cluster `c`.
+    #[inline]
+    pub fn partition_of(&self, c: ClusterId) -> PartitionId {
+        self.c2p[c as usize]
+    }
+
+    /// Heap bytes of the packed vertex→cluster map.
+    pub fn cluster_map_bytes(&self) -> usize {
+        self.v2c.heap_bytes()
     }
 }
 
@@ -454,6 +595,7 @@ mod tests {
         let (d, rest) = Clustering::decode_from(&bytes).unwrap();
         assert!(rest.is_empty());
         assert_eq!(d.v2c, c.v2c);
+        assert_eq!(d.v2c.width(), 1);
         assert_eq!(d.volumes, c.volumes);
         // Trailing bytes are handed back, not consumed.
         bytes.push(0xAB);
@@ -540,5 +682,117 @@ mod tests {
         let degrees = DegreeTable::from_vec(vec![2, 0]);
         let c = Clustering::from_parts(vec![0, NO_CLUSTER], vec![2]);
         assert!(c.check_volume_invariant(&degrees).is_ok());
+    }
+
+    /// |V| on both sides of the 1- and 2-byte boundaries: the map takes the
+    /// bytes |V| needs (an entry holds id + 1), and every vertex founding its
+    /// own cluster — ids up to |V| − 1, the most a clustering founds —
+    /// reads back, the last vertex too, as do unassigned vertices.
+    #[test]
+    fn v2c_takes_the_bytes_of_v_at_every_width_boundary() {
+        for (nv, width) in [(1u64, 1usize), (255, 1), (256, 2), (65_535, 2), (65_536, 3)] {
+            let mut c = Clustering::empty(nv);
+            assert_eq!(c.v2c_bytes(), width * nv as usize + 3, "|V| = {nv}");
+            assert_eq!(c.cluster_of(nv as VertexId - 1), None);
+            for v in 0..nv as VertexId {
+                assert_eq!(c.create_cluster(v, 1), v);
+            }
+            assert_eq!(c.v2c.width(), width, "|V| = {nv}");
+            for v in (0..nv as VertexId).rev() {
+                assert_eq!(c.cluster_of(v), Some(v), "|V| = {nv}, vertex {v}");
+            }
+        }
+        // The 3- to 4-byte boundary, without a 2²⁴-vertex table.
+        assert_eq!(id_width((1 << 24) - 1, 0), 3);
+        assert_eq!(id_width(1 << 24, 0), 4);
+        assert_eq!(id_width(1 << 32, 0), 4);
+        // A merge's concatenated id space may pass |V|: the ids set the width.
+        assert_eq!(id_width(200, 300), 2);
+    }
+
+    /// The incremental engine grows |V| one id at a time: across 2⁸ and
+    /// 2¹⁶ the map re-widens and keeps every cluster and unassigned vertex.
+    #[test]
+    fn grow_vertices_rewidens_across_width_boundaries() {
+        let mut c = Clustering::empty(200);
+        let mut want = vec![NO_CLUSTER; 200];
+        for n in 201..=70_000u64 {
+            c.grow_vertices(n);
+            let v = n as VertexId - 1;
+            want.push(NO_CLUSTER);
+            if !v.is_multiple_of(3) {
+                want[v as usize] = c.create_cluster(v, 1);
+            }
+            if matches!(n, 255 | 256 | 257 | 65_535 | 65_536 | 65_537) {
+                let got: Vec<ClusterId> = (0..n as VertexId).map(|v| c.raw_cluster_of(v)).collect();
+                assert_eq!(got, want, "|V| = {n}");
+            }
+        }
+        assert_eq!(c.v2c.width(), 3);
+        // Moving the highest id, then renumbering, keeps every member.
+        assert_eq!(c.raw_cluster_of(69_998), c.num_cluster_ids() - 1);
+        c.migrate(69_998, 1, 0);
+        want[69_998] = 0;
+        c.compact_ids();
+        // One member per cluster, but cluster 0 has two.
+        let members = want.iter().filter(|&&c| c != NO_CLUSTER).count();
+        assert_eq!(c.num_cluster_ids() as usize, members - 1);
+        assert!((0..70_000)
+            .all(|v| (c.raw_cluster_of(v) == NO_CLUSTER) == (want[v as usize] == NO_CLUSTER)));
+    }
+
+    /// A clustering of `nv` vertices over `ids` cluster ids: vertex `v` in
+    /// cluster `v % ids`, every seventh vertex unclustered.
+    fn striped(nv: u32, ids: u32) -> Clustering {
+        let v2c = (0..nv)
+            .map(|v| if v % 7 == 3 { NO_CLUSTER } else { v % ids })
+            .collect();
+        Clustering::from_parts(v2c, (0..ids).map(|c| 2 + u64::from(c)).collect())
+    }
+
+    /// Freezing narrows the map to the id space's width, and the plan
+    /// answers as the clustering and its placement did.
+    #[test]
+    fn freeze_answers_like_the_clustering_at_every_width_boundary() {
+        // 255 ids store as 1..=255 in one byte, 256 need two; 65 535
+        // and 65 536 straddle the next boundary.
+        for (ids, width) in [(1u32, 1usize), (255, 1), (256, 2), (65_535, 2), (65_536, 3)] {
+            let c = striped(70_000, ids);
+            assert_eq!(c.v2c_bytes(), 3 * 70_000 + 3, "{ids} ids before");
+            let c2p: Vec<PartitionId> = (0..ids).map(|c| c % 8).collect();
+            let plan = c.clone().freeze(c2p.clone());
+            assert_eq!(plan.cluster_map_bytes(), width * 70_000 + 3, "{ids} ids");
+            for v in 0..70_000u32 {
+                let id = plan.cluster_of(v);
+                assert_eq!(id, c.raw_cluster_of(v), "{ids} ids, vertex {v}");
+                if id != NO_CLUSTER {
+                    assert_eq!(plan.volume(id), c.volume(id));
+                    assert_eq!(plan.partition_of(id), c2p[id as usize]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unclustered_vertex_reads_no_cluster_when_frozen() {
+        let c = Clustering::from_parts(vec![NO_CLUSTER, 0, NO_CLUSTER], vec![4]);
+        let plan = c.freeze(vec![1]);
+        let ids: Vec<ClusterId> = (0..3).map(|v| plan.cluster_of(v)).collect();
+        assert_eq!(ids, [NO_CLUSTER, 0, NO_CLUSTER]);
+    }
+
+    /// A merge's concatenated id space passes |V| until it is compacted;
+    /// then the map narrows to the width of |V|.
+    #[test]
+    fn compaction_narrows_a_table_wider_than_v_needs() {
+        let mut volumes = vec![0u64; 300];
+        volumes[7] = 5;
+        volumes[299] = 1;
+        let mut c = Clustering::from_parts(vec![299, 7, NO_CLUSTER], volumes);
+        assert_eq!(c.v2c.width(), 2);
+        assert_eq!(c.compact_ids(), 298);
+        assert_eq!(c.v2c.width(), 1);
+        let ids: Vec<ClusterId> = (0..3).map(|v| c.raw_cluster_of(v)).collect();
+        assert_eq!(ids, [1, 0, NO_CLUSTER]);
     }
 }

@@ -65,9 +65,10 @@
 use std::collections::HashMap;
 use std::io;
 
+use tps_graph::packed::PackedU32s;
 use tps_graph::types::{ClusterId, PartitionId, VertexId};
 
-use crate::model::{Clustering, IdRemap, NO_CLUSTER};
+use crate::model::{id_width, pack_id, Clustering, IdRemap, NO_CLUSTER};
 use crate::table::ClusterTable;
 
 /// Default page size: 64 KiB (16 Ki `u32` entries / 8 Ki `u64` entries).
@@ -606,25 +607,32 @@ impl PagedClustering {
     pub fn into_clustering(mut self) -> io::Result<Clustering> {
         self.check_io()?;
         let mut page = vec![0u8; self.page_size];
-        let mut v2c = Vec::with_capacity(self.num_vertices as usize);
-        let v2c_pages = (self.num_vertices * 4).div_ceil(self.page_size as u64);
-        for page_no in 0..v2c_pages as usize {
-            self.copy_page(KIND_V2C, page_no, &mut page)?;
-            let left = (self.num_vertices - v2c.len() as u64).min(self.page_size as u64 / 4);
-            for entry in page[..left as usize * 4].chunks_exact(4) {
-                let c = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));
-                if c != NO_CLUSTER && c >= self.next_id {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "paged vertex {} holds cluster id {c} of {}",
-                            v2c.len(),
-                            self.next_id
-                        ),
-                    ));
+        // Packed as it is copied: the promotion holds no `u32` map.
+        let nv = self.num_vertices as usize;
+        let width = id_width(self.num_vertices, self.next_id as usize);
+        let (mut page_no, mut at) = (0, self.page_size);
+        let mut failure = None;
+        let ids = (0..nv).map(|v| {
+            if at == self.page_size {
+                if let Err(e) = self.copy_page(KIND_V2C, page_no, &mut page) {
+                    failure.get_or_insert(e);
                 }
-                v2c.push(c);
+                (page_no, at) = (page_no + 1, 0);
             }
+            let c = u32::from_le_bytes(page[at..at + 4].try_into().expect("4-byte slice"));
+            at += 4;
+            if c != NO_CLUSTER && c >= self.next_id {
+                failure.get_or_insert(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("paged vertex {v} holds cluster id {c} of {}", self.next_id),
+                ));
+                return 0;
+            }
+            pack_id(c)
+        });
+        let v2c = PackedU32s::with_width(ids, nv, width);
+        if let Some(e) = failure {
+            return Err(e);
         }
         let mut volumes = Vec::with_capacity(self.next_id as usize);
         for page_no in 0..(self.next_id as usize * 8).div_ceil(self.page_size) {
@@ -636,7 +644,7 @@ impl PagedClustering {
                     .map(|entry| u64::from_le_bytes(entry.try_into().expect("8-byte slice"))),
             );
         }
-        Ok(Clustering::from_parts(v2c, volumes))
+        Ok(Clustering::from_table(v2c, volumes))
     }
 
     /// Copy page `page_no` of `kind` into `buf` without bringing it

@@ -112,8 +112,8 @@ pub enum JobEngine<'a> {
 /// * **½ cluster pages** — the paged cluster table (one-shard runs; the
 ///   dominant `O(|V|)` term the budget exists to bound);
 /// * **¼ decode cache** — the v2 readers' decoded-edge cache, per source
-///   (all-or-nothing per range, each range at its packed size: ⌈2w/8⌉ B per
-///   edge, w the bits of `|V| − 1`, plus 8; a share too small simply
+///   (all-or-nothing per range, each range at its packed size: 2w bits per
+///   edge, 8 B above w = 28, w the bits of `|V| − 1`, plus 8; a share too small simply
 ///   disables it);
 /// * **¼ headroom** — for what the budget does not govern: the partition
 ///   files' write buffers, the degree table, and the decision logs of a

@@ -137,16 +137,14 @@
 //! each worker's private post-freeze state, whose form follows the row
 //! width (see [`tps_metrics::atomic`]): at k ≤ 64 a dense copy of the
 //! packed rows — the row bytes, `k.next_power_of_two()/8` B/vertex/worker
-//! (4 B at k = 32), at k ≤ 32 no more than the 4 B/vertex `u32` cluster
-//! map the worker held through phase 1, so the job's peak does not move —
-//! and at k > 64 a sparse overlay proportional to the
+//! (4 B at k = 32, about the packed cluster map each worker held
+//! through phase 1) — and at k > 64 a sparse overlay proportional to the
 //! worker's own scoring-time replicas, never `O(T·|V|·k)`. Both regimes
 //! are measured by the `mem_peak` bench and gated in CI
 //! ([`ShardAssigner::private_bytes`] reports the term). Every shard reads
-//! one shared [`ClusterPlan`]: the merged cluster ids packed to the bytes
-//! the id space needs, built at the placement barrier, which drops the
-//! merged `u32` table before the replica rows are allocated; the merged
-//! degrees are packed the same way. The remaining
+//! one shared [`ClusterPlan`]: the merged phase-1 table, whose ids take
+//! the bytes |V| needs, narrowed in place at the placement barrier to the
+//! bytes the id space needs; the merged degrees are packed the same way. The remaining
 //! per-worker state is transient — degree tables and
 //! clustering maps during their phases — plus the [`DecisionLog`] until the
 //! emit barrier: 1 B per edge of the worker's range up to k = 128, 2 B up
@@ -157,7 +155,7 @@
 use std::io;
 
 use tps_clustering::merge::merge_clusterings;
-use tps_clustering::model::{Clustering, NO_CLUSTER};
+use tps_clustering::model::{ClusterPlan, Clustering, NO_CLUSTER};
 use tps_clustering::streaming::{clustering_pass, clustering_pass_on, VolumeCap};
 use tps_graph::degree::DegreeTable;
 use tps_graph::ranged::{split_even, RangedEdgeSource};
@@ -171,7 +169,6 @@ use crate::balance::{AtomicLoads, PartitionLoads};
 use crate::partitioner::{PartitionParams, RunReport};
 use crate::sink::{AssignmentSink, DecisionLog, SinkBatch, Subpass};
 use crate::two_phase::mapping::{schedule_paged, ClusterPlacement};
-use crate::two_phase::plan::ClusterPlan;
 use crate::two_phase::{
     compact_counted, note_if_thrashing, AssignCounters, ClusterPaging, ClusterView,
     MappingStrategy, TwoPhaseConfig,
@@ -186,6 +183,7 @@ static CORE_CAP_OVERSHOOT: tps_obs::Counter = tps_obs::Counter::new("core.cap.ov
 static CORE_MEM_DEGREE_BYTES: tps_obs::Counter = tps_obs::Counter::new("core.mem.degree_bytes");
 static CORE_MEM_CLUSTER_MAP_BYTES: tps_obs::Counter =
     tps_obs::Counter::new("core.mem.cluster_map_bytes");
+static CORE_MEM_V2C_BYTES: tps_obs::Counter = tps_obs::Counter::new("core.mem.v2c_bytes");
 
 /// A shard's view of the per-partition loads: deterministic quota slice
 /// locally, optional atomic commit ledger globally (see module docs).
@@ -413,7 +411,8 @@ pub struct ShardAssigner<'a, R: ReplicaSet = ReplicationMatrix, C: ClusterView =
 
 impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
     /// An assigner over the merged phase-1 state for one shard, reading its
-    /// own [`ClusterPlan`] of `clustering` and `placement`.
+    /// own [`ClusterPlan`]: a frozen copy of `clustering` placed by
+    /// `placement`, for a caller that keeps both.
     pub fn new(
         config: TwoPhaseConfig,
         degrees: &'a DegreeTable,
@@ -422,12 +421,12 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         replicas: R,
         loads: ShardLoads<'a>,
     ) -> Self {
-        let plan = ClusterPlan::new(clustering, placement);
+        let plan = clustering.clone().freeze(placement.c2p().to_vec());
         ShardAssigner::from_plan(config, degrees, plan, replicas, loads)
     }
 
-    /// An assigner over `plan`, for a caller that has dropped the
-    /// clustering the plan was built from (a distributed worker).
+    /// An assigner over `plan`, the frozen clustering (a distributed
+    /// worker's).
     pub fn from_plan(
         config: TwoPhaseConfig,
         degrees: &'a DegreeTable,
@@ -680,6 +679,15 @@ pub(crate) fn run_shards(
     let mut report = RunReport::default();
     let ledger = AtomicLoads::new(k, info.num_edges, params.alpha);
 
+    // A one-shard run that does not page allocates its phase-1 table now,
+    // before the degree pass. The table is zeroed, so its pages cost
+    // nothing until phase 1 assigns a vertex; and glibc maps an allocation
+    // this large on its own while the run has freed none larger, so the
+    // narrowing at the placement barrier gives the freed tail back to the
+    // OS instead of leaving a hole in the heap that the replica rows, which
+    // come next, cannot use (0.5 MB of `web_serial`'s phase-2 peak).
+    let mut flat = matches!(shards, Shards::One(_, None)).then(|| Clustering::empty(nv));
+
     // Phase 0: exact degrees of each shard's edges, summed.
     let s0 = tps_obs::span("degree");
     let degrees = match &mut shards {
@@ -704,7 +712,7 @@ pub(crate) fn run_shards(
     let clustering = match &mut shards {
         Shards::One(stream, paging) => {
             let (mut clustering, paged_passes) = match *paging {
-                None => (Clustering::empty(nv), 0),
+                None => (flat.take().expect("allocated before the degree pass"), 0),
                 Some(paging) => {
                     // A paged run: the same passes against a
                     // `PagedClustering`, until it fits its share flat.
@@ -769,15 +777,15 @@ pub(crate) fn run_shards(
     };
     report.phases.record("clustering", s1.end());
 
-    // Phase 2 step 1: cluster→partition mapping (serial, edge-free), and
-    // the plan every shard reads in place of the phase-1 table, which goes
-    // before the replica rows arrive.
+    // Phase 2 step 1: cluster→partition mapping (serial, edge-free); the
+    // phase-1 table, frozen in place, is the plan every shard reads.
+    let census = ClusterCensus::of(&clustering);
+    CORE_MEM_V2C_BYTES.add(clustering.v2c_bytes() as u64);
     let s2 = tps_obs::span("mapping");
-    let plan = ClusterPlan::new(&clustering, &cluster_placement(config, &clustering, k));
+    let placement = cluster_placement(config, &clustering, k);
+    let plan = clustering.freeze(placement.into_c2p());
     report.phases.record("mapping", s2.end());
     CORE_MEM_CLUSTER_MAP_BYTES.add(plan.cluster_map_bytes() as u64);
-    let census = ClusterCensus::of(&clustering);
-    drop(clustering);
 
     // Phase 2 steps 2 and 3.
     match &mut shards {
@@ -950,8 +958,8 @@ pub fn record_clustering_counters(report: &mut RunReport, clustering: &Clusterin
 }
 
 /// What the clustering counter block reports of a finished clustering —
-/// taken before the driver drops it for its [`ClusterPlan`], or read off a
-/// paged run's table.
+/// taken before the driver freezes it into its [`ClusterPlan`], or read off
+/// a paged run's table.
 struct ClusterCensus {
     clusters: u64,
     max_volume: u64,

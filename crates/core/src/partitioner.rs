@@ -36,10 +36,26 @@ impl PartitionParams {
         PartitionParams { k, alpha: 1.05 }
     }
 
-    /// Parameters with an explicit balance factor.
+    /// Parameters with an explicit balance factor; `InvalidInput` unless
+    /// `alpha ≥ 1` (a NaN is not).
+    pub fn try_with_alpha(k: u32, alpha: f64) -> io::Result<Self> {
+        if alpha >= 1.0 {
+            Ok(PartitionParams { k, alpha })
+        } else {
+            Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("alpha must be >= 1, not {alpha}"),
+            ))
+        }
+    }
+
+    /// [`try_with_alpha`](Self::try_with_alpha) for a balance factor known
+    /// to be valid.
+    ///
+    /// # Panics
+    /// Panics unless `alpha ≥ 1`.
     pub fn with_alpha(k: u32, alpha: f64) -> Self {
-        assert!(alpha >= 1.0, "alpha must be >= 1");
-        PartitionParams { k, alpha }
+        Self::try_with_alpha(k, alpha).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -109,6 +125,15 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn rejects_alpha_below_one() {
         PartitionParams::with_alpha(4, 0.9);
+    }
+
+    #[test]
+    fn try_with_alpha_refuses_below_one_and_nan() {
+        for alpha in [0.5, f64::NAN, -1.0] {
+            let err = PartitionParams::try_with_alpha(4, alpha).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "alpha {alpha}");
+        }
+        assert_eq!(PartitionParams::try_with_alpha(4, 1.0).unwrap().alpha, 1.0);
     }
 
     #[test]

@@ -102,6 +102,12 @@ impl ClusterPlacement {
         &self.c2p
     }
 
+    /// The cluster→partition map, the volume sums dropped: what
+    /// [`Clustering::freeze`] takes.
+    pub fn into_c2p(self) -> Vec<PartitionId> {
+        self.c2p
+    }
+
     /// Number of clusters this placement covers (clusters created after the
     /// placement — e.g. by incremental insertion — are not in it).
     #[inline]

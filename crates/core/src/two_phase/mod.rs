@@ -16,7 +16,6 @@
 //! factors, linear-in-`k` run-time.
 
 pub mod mapping;
-pub mod plan;
 pub mod scoring;
 
 use std::io;
@@ -333,10 +332,9 @@ impl AssignCounters {
 /// [`crate::parallel::ShardAssigner`] may take `ClusterView` storages and
 /// default to an owned [`ClusterPlan`].
 mod view {
+    use tps_clustering::model::ClusterPlan;
     use tps_clustering::paged::PagedClustering;
     use tps_graph::types::{ClusterId, PartitionId, VertexId};
-
-    use crate::two_phase::plan::ClusterPlan;
 
     /// The phase-1+2 state phase 2 reads per edge: a vertex's cluster, a
     /// cluster's volume and a cluster's partition. The in-memory

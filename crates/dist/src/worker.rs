@@ -24,8 +24,6 @@ use std::io;
 use tps_core::balance::PartitionLoads;
 use tps_core::parallel::{shard_clustering, shard_degrees, ShardAssigner, ShardLoads};
 use tps_core::sink::{AssignmentSink, DecisionLog};
-use tps_core::two_phase::mapping::ClusterPlacement;
-use tps_core::two_phase::plan::ClusterPlan;
 use tps_graph::degree::DegreeTable;
 use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::types::{Edge, PartitionId};
@@ -249,13 +247,9 @@ fn serve_job(
     if c2p.len() < clustering.num_cluster_ids() as usize || c2p.iter().any(|&p| p >= job.k) {
         return Err(corrupt("cluster placement is inconsistent with the plan"));
     }
-    // Phase 2 reads the plan; the merged clustering goes before the
-    // replica rows arrive, as in the in-process driver.
-    let plan = ClusterPlan::new(
-        &clustering,
-        &ClusterPlacement::from_c2p(c2p, &clustering, job.k),
-    );
-    drop(clustering);
+    // Phase 2 reads the merged clustering frozen in place, as in the
+    // in-process driver.
+    let plan = clustering.freeze(c2p);
 
     // Phase 2: prepartition + score with the quota-sliced standalone loads
     // (identical decisions to the in-process ledger tracker).

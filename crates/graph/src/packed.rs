@@ -1,13 +1,15 @@
 //! Per-vertex `u32` tables stored in the bytes their largest value needs.
 //!
 //! 2PS-L keeps a few `O(|V|)` arrays beside the replica bits: the degree
-//! table and phase 2's vertex→cluster map. Their values are usually far
-//! below `u32::MAX` — a web graph's largest degree fits one byte, a few
-//! thousand clusters two — so a fixed 4 B per vertex mostly holds zeros.
-//! [`PackedU32s`] stores each value little-endian in `w` = ⌈bits(max)/8⌉
-//! bytes (1 ≤ `w` ≤ 4) and reads it back as one unaligned 4-byte load
-//! masked to `w` bytes: no branch on the width, and 3 pad bytes after the
-//! last value keep that load inside the buffer.
+//! table and the vertex→cluster map. Their values are usually far below
+//! `u32::MAX` — a web graph's largest degree fits one byte, a cluster id
+//! below |V| = 300 000 three — so a fixed 4 B per vertex mostly holds
+//! zeros. [`PackedU32s`] stores each value little-endian in `w` =
+//! ⌈bits(max)/8⌉ bytes (1 ≤ `w` ≤ 4) and reads it back as one unaligned
+//! 4-byte load masked to `w` bytes: no branch on the width, and 3 pad bytes
+//! after the last value keep that load inside the buffer, so the index
+//! check is the only bounds check. A store is the same 4-byte word with the
+//! low `w` bytes replaced.
 
 /// Pad bytes after the last value: a 4-byte load at the last index ends
 /// exactly at the buffer's end when `w` = 1.
@@ -16,7 +18,8 @@ const PAD: usize = 3;
 /// A fixed-length array of `u32`s, each in the same `w` ∈ 1..=4 bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PackedU32s {
-    /// `width·len + PAD` bytes: value `i` in bytes `width·i..width·(i+1)`.
+    /// `width·len + PAD` bytes: value `i` in bytes `width·i..width·(i+1)`,
+    /// then `PAD` zero bytes.
     bytes: Vec<u8>,
     len: usize,
     width: usize,
@@ -32,7 +35,7 @@ impl PackedU32s {
     }
 
     /// The largest value `width` bytes hold: all of them set.
-    pub fn all_ones(width: usize) -> u32 {
+    fn all_ones(width: usize) -> u32 {
         u32::MAX >> (32 - 8 * width)
     }
 
@@ -52,10 +55,12 @@ impl PackedU32s {
         let mask = Self::all_ones(width);
         let mut bytes = vec![0u8; width * len + PAD];
         let mut values = values.into_iter();
-        for slot in bytes[..width * len].chunks_exact_mut(width) {
+        for at in (0..len).map(|i| width * i) {
             let v = values.next().expect("fewer values than the length");
             assert!(v <= mask, "{v} does not fit {width} bytes");
-            slot.copy_from_slice(&v.to_le_bytes()[..width]);
+            // A whole word: its zero high bytes land in the next value's
+            // slot, which the next store fills.
+            bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
         }
         assert!(values.next().is_none(), "more values than the length");
         PackedU32s {
@@ -66,16 +71,123 @@ impl PackedU32s {
         }
     }
 
+    /// `len` zeros in `width` bytes each: zeroed memory, which the OS
+    /// backs only once a value is written.
+    ///
+    /// # Panics
+    /// Panics if `width` is not in 1..=4.
+    pub fn zeroed(len: usize, width: usize) -> Self {
+        assert!((1..=4).contains(&width), "width {width} is not 1..=4 bytes");
+        PackedU32s {
+            bytes: vec![0; width * len + PAD],
+            len,
+            width,
+            mask: Self::all_ones(width),
+        }
+    }
+
     /// Value `i`.
     ///
     /// # Panics
-    /// Panics if `i >= len`: with exactly 3 pad bytes after the last
-    /// value, the 4-byte slice fits the buffer precisely for `i < len`.
+    /// Panics if `i >= len`.
     #[inline]
     pub fn get(&self, i: usize) -> u32 {
-        let at = i * self.width;
-        let word: [u8; 4] = self.bytes[at..at + 4].try_into().expect("4 bytes");
-        u32::from_le_bytes(word) & self.mask
+        assert!(
+            i < self.len,
+            "index {i} out of range for {} values",
+            self.len
+        );
+        // SAFETY: `bytes` holds `width·len + PAD` bytes and `width ≥ 1`, so
+        // the word at `width·i` ends by `width·(len − 1) + 4 ≤ bytes.len()`.
+        // One index check instead of the slice's two (start overflow and
+        // end): this read sits on the clustering pass's hot path.
+        let word =
+            unsafe { (self.bytes.as_ptr().add(i * self.width) as *const u32).read_unaligned() };
+        u32::from_le(word) & self.mask
+    }
+
+    /// Set value `i` to `v`.
+    ///
+    /// # Panics
+    /// Panics if `i >= len` or `v` does not fit the width (it would spill
+    /// into the next value).
+    #[inline]
+    pub fn set(&mut self, i: usize, v: u32) {
+        assert!(v <= self.mask, "{v} does not fit {} bytes", self.width);
+        assert!(
+            i < self.len,
+            "index {i} out of range for {} values",
+            self.len
+        );
+        // SAFETY: the word at `width·i` lies in `bytes`, as in `get`.
+        unsafe {
+            let word = self.bytes.as_mut_ptr().add(i * self.width) as *mut u32;
+            word.write_unaligned(u32::to_le(
+                u32::from_le(word.read_unaligned()) & !self.mask | v,
+            ));
+        }
+    }
+
+    /// Replace every value `v` by `f(v)`, in index order.
+    ///
+    /// One 4-byte store per value, as [`set`](Self::set), but its bytes past
+    /// the value come from the next value's load, issued before the store:
+    /// a loop of `set`s would load each value from a word the previous
+    /// store only half covered, which stalls store-to-load forwarding.
+    ///
+    /// # Panics
+    /// Panics if an `f(v)` does not fit the width.
+    pub fn map_in_place(&mut self, mut f: impl FnMut(u32) -> u32) {
+        let Some(last) = self.len.checked_sub(1) else {
+            return;
+        };
+        let width = self.width;
+        let word = |bytes: &[u8], at: usize| -> u32 {
+            u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+        };
+        let mut next = word(&self.bytes, 0);
+        for i in 0..last {
+            let v = f(next & self.mask);
+            assert!(v <= self.mask, "{v} does not fit {width} bytes");
+            next = word(&self.bytes, width * (i + 1));
+            let merged = (u64::from(next) << (8 * width)) as u32 | v;
+            self.bytes[width * i..width * i + 4].copy_from_slice(&merged.to_le_bytes());
+        }
+        let v = f(next & self.mask);
+        self.set(last, v);
+    }
+
+    /// Grow to `len` values, the new ones 0 (no-op if the table is that
+    /// long already). Amortised `O(1)` per value, as `Vec::resize`: the pad
+    /// bytes are zero, so the new values start where they are.
+    pub fn grow(&mut self, len: usize) {
+        if len > self.len {
+            self.bytes.resize(self.width * len + PAD, 0);
+            self.len = len;
+        }
+    }
+
+    /// Store every value in `width` bytes instead. Narrowing works in place
+    /// and gives the freed bytes back; widening copies.
+    ///
+    /// # Panics
+    /// Panics if `width` is not in 1..=4 or a value does not fit it.
+    pub fn rewiden(&mut self, width: usize) {
+        let mask = Self::all_ones(width);
+        if width > self.width {
+            *self = Self::with_width(self.iter(), self.len, width);
+        } else if width < self.width {
+            // Value `i` moves down to `width·i`: never past a value not yet read.
+            for i in 0..self.len {
+                let v = self.get(i);
+                assert!(v <= mask, "{v} does not fit {width} bytes");
+                self.bytes[width * i..width * (i + 1)].copy_from_slice(&v.to_le_bytes()[..width]);
+            }
+            self.bytes.truncate(width * self.len);
+            self.bytes.extend_from_slice(&[0; PAD]);
+            self.bytes.shrink_to_fit();
+            (self.width, self.mask) = (width, mask);
+        }
     }
 
     /// Every value, in index order.
@@ -95,9 +207,9 @@ impl PackedU32s {
         self.len == 0
     }
 
-    /// The largest value the table's width holds ([`PackedU32s::all_ones`]).
-    pub fn max_value(&self) -> u32 {
-        self.mask
+    /// Bytes per value.
+    pub fn width(&self) -> usize {
+        self.width
     }
 
     /// Heap bytes of the table, pad included.
@@ -170,7 +282,6 @@ mod tests {
             let max = PackedU32s::all_ones(width);
             let packed = PackedU32s::with_width([max], 1, width);
             assert_eq!(packed.get(0), max);
-            assert_eq!(packed.max_value(), max);
         }
     }
 
@@ -181,7 +292,7 @@ mod tests {
             let all_ones = PackedU32s::all_ones(width);
             let values = [all_ones, 0, all_ones - 1, all_ones];
             let packed = PackedU32s::with_width(values, values.len(), width);
-            let ones: Vec<bool> = packed.iter().map(|v| v == packed.max_value()).collect();
+            let ones: Vec<bool> = packed.iter().map(|v| v == all_ones).collect();
             assert_eq!(ones, [true, false, false, true], "width {width}");
         }
     }
@@ -196,6 +307,81 @@ mod tests {
     #[should_panic(expected = "does not fit")]
     fn a_value_wider_than_the_width_is_refused() {
         PackedU32s::with_width([256], 1, 1);
+    }
+
+    #[test]
+    fn set_touches_only_its_own_value_at_every_width() {
+        for width in 1..=4 {
+            let max = PackedU32s::all_ones(width);
+            let mut packed = PackedU32s::with_width([max; 5], 5, width);
+            packed.set(0, 0);
+            packed.set(2, 1);
+            packed.set(4, max - 1);
+            assert_eq!(
+                packed.iter().collect::<Vec<_>>(),
+                [0, max, 1, max, max - 1],
+                "width {width}"
+            );
+        }
+    }
+
+    #[test]
+    fn map_in_place_maps_every_value_at_every_width() {
+        for width in 1..=4 {
+            let max = PackedU32s::all_ones(width);
+            let values: Vec<u32> = (0..300).map(|i| (i * 37) & max).collect();
+            let mut packed = PackedU32s::with_width(values.iter().copied(), 300, width);
+            packed.map_in_place(|v| max - v);
+            let want: Vec<u32> = values.iter().map(|v| max - v).collect();
+            assert_eq!(packed.iter().collect::<Vec<_>>(), want, "width {width}");
+        }
+        let mut one = PackedU32s::from_values(&[5]);
+        one.map_in_place(|v| v + 1);
+        assert_eq!(one.get(0), 6);
+        PackedU32s::from_values(&[]).map_in_place(|_| unreachable!());
+    }
+
+    #[test]
+    fn grow_appends_zeros_and_keeps_the_pad() {
+        let mut packed = PackedU32s::from_values(&[1, 300]);
+        packed.set(1, 65_535);
+        packed.grow(5);
+        packed.grow(3); // never shrinks
+        assert_eq!(packed.iter().collect::<Vec<_>>(), [1, 65_535, 0, 0, 0]);
+        assert_eq!(packed.heap_bytes(), 2 * 5 + PAD);
+        packed.set(4, 65_535);
+        assert_eq!(packed.get(4), 65_535);
+    }
+
+    /// Re-widening keeps every value, both ways, at every pair of widths
+    /// that holds them.
+    #[test]
+    fn rewiden_keeps_every_value() {
+        for from in 1..=4 {
+            for to in 1..=4 {
+                let values = [0, 200, PackedU32s::all_ones(from.min(to)), 5];
+                let mut packed = PackedU32s::with_width(values, 4, from);
+                packed.rewiden(to);
+                assert_eq!(packed.iter().collect::<Vec<_>>(), values, "{from} → {to}");
+                assert_eq!(packed.width(), to);
+                assert_eq!(packed.heap_bytes(), 4 * to + PAD);
+            }
+        }
+    }
+
+    #[test]
+    fn zeroed_reads_zero_at_every_width() {
+        for width in 1..=4 {
+            let packed = PackedU32s::zeroed(300, width);
+            assert_eq!(packed.heap_bytes(), width * 300 + PAD);
+            assert!(packed.iter().all(|v| v == 0), "width {width}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn narrowing_below_a_value_is_refused() {
+        PackedU32s::from_values(&[300, 1]).rewiden(1);
     }
 
     #[test]

@@ -313,9 +313,9 @@ static IO_V2_RETAINED_BYTES: tps_obs::Counter = tps_obs::Counter::new("io.v2.ret
 /// edge cache of the v2 readers, built on `v2::DecodeCache`.
 ///
 /// The first *complete* pass over `open_range(a, b)` deposits the decoded
-/// range with the source, packed at ⌈2w/8⌉ bytes per edge (w = the bits of
-/// the header's largest id `|V| − 1`; at most 5 B for |V| ≤ 2²⁰) plus 8
-/// pad bytes, if that packed size still fits the decode budget
+/// range with the source, packed at 2w bits per edge (w = the bits of the
+/// header's largest id `|V| − 1`; 8 B above w = 28) plus 8 pad bytes, if
+/// that packed size still fits the decode budget
 /// ([`crate::v2::set_decode_cache_budget`]) next to the ranges already
 /// retained: one reservation across all of a source's ranges,
 /// all-or-nothing per range, taken when the range is opened and given back
@@ -734,10 +734,11 @@ mod tests {
         std::iter::from_fn(|| s.next_edge().unwrap()).collect()
     }
 
-    /// A retained range packs each edge in the bytes the header's |V| needs
-    /// — every width from 1 to 8 below — and reads back exactly, id |V| − 1
-    /// included: the first pass ≡ the later passes ≡ a fresh open of the
-    /// retained range ≡ the input, in runs and per edge.
+    /// A retained range packs each edge in the 2w bits the header's |V|
+    /// needs — every w from 1 to 32 below, the stride turning to 64 bits
+    /// above w = 28 — and reads back exactly, id |V| − 1 included: the first
+    /// pass ≡ the later passes ≡ a fresh open of the retained range ≡ the
+    /// input, in runs and per edge, the last edge too.
     #[test]
     fn retained_ranges_read_back_at_every_packed_width() {
         fn check(source: RetainingSource, es: &[Edge], bytes: u64) {
@@ -746,8 +747,16 @@ mod tests {
             assert_eq!(collect(&mut *cursor), es, "first pass");
             {
                 let retained = lock(&source.retained);
-                assert!(matches!(retained.ranges.get(&(0, n)), Some(Some(_))));
+                let Some(Some(packed)) = retained.ranges.get(&(0, n)) else {
+                    panic!("range not retained");
+                };
                 assert_eq!(retained.bytes, bytes);
+                let last = es.len() - 1;
+                assert_eq!(packed.get(last), Some(es[last]), "get, last edge");
+                assert_eq!(packed.get(last + 1), None);
+                let mut tail = [Edge::new(0, 0); 3];
+                packed.unpack(last - 2, &mut tail);
+                assert_eq!(tail, es[last - 2..], "unpack, last edges");
             }
             assert_eq!(one_by_one(&mut *cursor), es, "second pass");
             assert_eq!(collect(&mut *cursor), es, "third pass");
@@ -756,18 +765,11 @@ mod tests {
             assert_eq!(collect(&mut *fresh), es, "fresh open, in runs");
         }
 
-        let n = CHUNK_EDGES as u64 + 1_000;
-        for (num_vertices, width) in [
-            (1u64, 1u64),
-            (2, 1),
-            (1 << 8, 2),
-            (1 << 8 | 1, 3),
-            (1 << 16, 4),
-            (1 << 16 | 1, 5),
-            (1 << 24, 6),
-            (1 << 24 | 1, 7),
-            (1 << 32, 8),
-        ] {
+        // An odd edge count, so no stride ends the range on a word.
+        let n = CHUNK_EDGES as u64 + 1_001;
+        for w in 1..=32u64 {
+            let num_vertices = 1 << w;
+            let stride = if w <= 28 { 2 * w } else { 64 };
             let top = num_vertices - 1;
             let es: Vec<Edge> = (0..n)
                 .map(|i| {
@@ -777,12 +779,12 @@ mod tests {
                     )
                 })
                 .collect();
-            let path = tmpfile(&format!("packed-{num_vertices}"), "bel2");
+            let path = tmpfile(&format!("packed-{w}"), "bel2");
             crate::v2::write_v2_edge_list(&path, num_vertices, es.iter().copied(), 777).unwrap();
             check(
                 RetainingSource::new(RangedFile::read(&path).unwrap()),
                 &es,
-                width * n + 8,
+                (stride * n).div_ceil(8) + 8,
             );
             std::fs::remove_file(&path).ok();
         }

@@ -196,7 +196,7 @@ fn load_u64(payload: &[u8], pos: usize) -> u64 {
     // SAFETY: every caller guards `pos + 8 <= payload.len()` (the fast-path
     // loops check `pos + SWAR_SLACK`; `PackedEdges::get` checks the edge
     // index against a range that keeps `PACK_PAD` bytes past its last edge,
-    // and `unpack_run` checks its whole run once); unaligned reads of byte
+    // and `Packing::unpack` checks its whole run once); unaligned reads of byte
     // data are valid at any offset.
     u64::from_le(unsafe { (payload.as_ptr().add(pos) as *const u64).read_unaligned() })
 }
@@ -621,9 +621,9 @@ pub(crate) fn decode_chunk(
 /// (`crate::ranged::RetainingSource`, behind every v2 backend) retains
 /// whole ranges — the whole file being one range — with one reservation
 /// across all of them. A range is retained packed (`Packing`): each edge
-/// in the ⌈2w/8⌉ bytes its ids need, w being the bits of the header's
-/// largest id `|V| − 1` (at most 5 B per edge at |V| ≤ 2²⁰, 8 B only above
-/// 2²⁸), plus 8 pad bytes per range. A range whose packed size does not fit streams
+/// in the 2w bits its ids need, w being the bits of the header's largest
+/// id `|V| − 1` (36 bits at |V| ≤ 2¹⁸, 8 B above w = 28), plus 8 pad bytes
+/// per range. A range whose packed size does not fit streams
 /// every pass from disk; a range that fits is decoded (and checksummed)
 /// once and every later pass is served from memory, unpacked at about the
 /// speed of scanning a `Vec<Edge>`, skipping file I/O, checksumming, and
@@ -653,14 +653,16 @@ pub(crate) fn decode_cache_budget() -> u64 {
 /// Pad bytes after a packed range, so every edge is one 8-byte load.
 const PACK_PAD: usize = 8;
 
-/// How a retained range packs its edges: edge `i` is the `width`-byte
-/// little-endian value `src | dst << bits` at byte `width·i`, `bits` being
-/// what the header's largest id `|V| − 1` needs (1..=32) and `width` =
-/// ⌈2·bits/8⌉ (1..=8).
+/// How a retained range packs its edges: edge `i` is the `2·bits`-bit
+/// value `src | dst << bits` at bit `stride·i`, `bits` being what the
+/// header's largest id `|V| − 1` needs (1..=32). An edge is read as one
+/// unaligned 8-byte load at the byte holding its first bit, shifted by
+/// that bit's offset in the byte (0..=7), so the value must end within the
+/// load: `stride` is `2·bits` while `2·bits + 7 ≤ 64` (bits ≤ 28), else 64.
 #[derive(Clone, Copy)]
 pub(crate) struct Packing {
     bits: u32,
-    width: usize,
+    stride: u32,
 }
 
 impl Packing {
@@ -668,16 +670,19 @@ impl Packing {
     pub(crate) fn new(num_vertices: u64) -> Self {
         let max_id = num_vertices.saturating_sub(1);
         let bits = (u64::BITS - max_id.leading_zeros()).clamp(1, 32);
-        Packing {
-            bits,
-            width: (2 * bits).div_ceil(8) as usize,
-        }
+        let stride = if 2 * bits + 7 <= u64::BITS {
+            2 * bits
+        } else {
+            64
+        };
+        Packing { bits, stride }
     }
 
     /// Bytes a packed range of `span` edges takes, pad included; `None` if
     /// that overflows.
     pub(crate) fn bytes(self, span: u64) -> Option<u64> {
-        span.checked_mul(self.width as u64)?
+        span.checked_mul(u64::from(self.stride))?
+            .div_ceil(8)
             .checked_add(PACK_PAD as u64)
     }
 
@@ -688,55 +693,55 @@ impl Packing {
         u64::from(ids) >> self.bits == 0
     }
 
-    /// The edge in the low `2·bits` bits of `v`.
+    /// Edge `i` of `bytes`.
     #[inline(always)]
-    fn unpack(self, v: u64) -> Edge {
+    fn get(self, bytes: &[u8], i: usize) -> Edge {
+        let bit = i * self.stride as usize;
+        let v = load_u64(bytes, bit >> 3) >> (bit & 7);
         let mask = (1 << self.bits) - 1;
         Edge::new((v & mask) as u32, (v >> self.bits & mask) as u32)
     }
-}
 
-/// Call `$f::<W>(…)` for the runtime packed width `W` ∈ 1..=8: the pack
-/// and unpack loops are monomorphised per width and dispatched once per run.
-macro_rules! per_width {
-    ($width:expr, $f:ident($($arg:expr),*)) => {
-        match $width {
-            1 => $f::<1>($($arg),*),
-            2 => $f::<2>($($arg),*),
-            3 => $f::<3>($($arg),*),
-            4 => $f::<4>($($arg),*),
-            5 => $f::<5>($($arg),*),
-            6 => $f::<6>($($arg),*),
-            7 => $f::<7>($($arg),*),
-            8 => $f::<8>($($arg),*),
-            w => unreachable!("packed width {w}"),
+    /// Pack `run` as edges `first..` of `bytes`, whose edges before `first`
+    /// are packed already. A bit accumulator: each full 8-byte word is
+    /// stored once and never loaded back, so no store waits on the last.
+    fn pack(self, bytes: &mut [u8], first: usize, run: &[Edge]) {
+        let start = first * self.stride as usize;
+        let mut at = start >> 3;
+        let mut filled = (start & 7) as u32;
+        // The bits of edge `first − 1` in the byte edge `first` starts in.
+        let mut acc = u64::from(bytes[at]) & ((1 << filled) - 1);
+        for e in run {
+            let v = u64::from(e.src) | u64::from(e.dst) << self.bits;
+            acc |= v << filled;
+            filled += self.stride;
+            if filled >= u64::BITS {
+                bytes[at..at + 8].copy_from_slice(&acc.to_le_bytes());
+                at += 8;
+                filled -= u64::BITS;
+                // The bits of `v` the word had no room for.
+                acc = v.checked_shr(self.stride - filled).unwrap_or(0);
+            }
         }
-    };
-}
-
-/// Pack `run` as edges `first..` of `bytes`.
-fn pack_run<const W: usize>(bytes: &mut [u8], packing: Packing, first: usize, run: &[Edge]) {
-    let slots = &mut bytes[W * first..W * (first + run.len())];
-    for (slot, e) in slots.chunks_exact_mut(W).zip(run) {
-        let packed = u64::from(e.src) | u64::from(e.dst) << packing.bits;
-        slot.copy_from_slice(&packed.to_le_bytes()[..W]);
+        let tail = filled.div_ceil(8) as usize;
+        bytes[at..at + tail].copy_from_slice(&acc.to_le_bytes()[..tail]);
     }
-}
 
-/// Unpack edges `first..first + out.len()` of `bytes` into `out`.
-fn unpack_run<const W: usize>(bytes: &[u8], packing: Packing, first: usize, out: &mut [Edge]) {
-    // One check per run: the last load ends before `W·(first + n) + PAD`.
-    assert!(W * (first + out.len()) + PACK_PAD <= bytes.len());
-    for (i, e) in out.iter_mut().enumerate() {
-        *e = packing.unpack(load_u64(bytes, W * (first + i)));
+    /// Unpack edges `first..first + out.len()` of `bytes` into `out`.
+    fn unpack(self, bytes: &[u8], first: usize, out: &mut [Edge]) {
+        // One check per run: the last load ends within the pad.
+        let end = self.bytes((first + out.len()) as u64);
+        assert!(end.is_some_and(|end| end <= bytes.len() as u64));
+        for (i, e) in out.iter_mut().enumerate() {
+            *e = self.get(bytes, first + i);
+        }
     }
 }
 
 /// A retained range: its edges packed by a [`Packing`].
 pub(crate) struct PackedEdges {
-    /// At least `width·len + PACK_PAD` bytes, or none while `len` is 0:
-    /// what lets `get` and `unpack_run` load 8 bytes at any of the `len`
-    /// edges.
+    /// At least `packing.bytes(len)` bytes, or none while `len` is 0: what
+    /// lets `get` and `unpack` load 8 bytes at any of the `len` edges.
     bytes: Vec<u8>,
     len: usize,
     packing: Packing,
@@ -750,19 +755,13 @@ impl PackedEdges {
 
     /// Edge `i`, if the range has one.
     pub(crate) fn get(&self, i: usize) -> Option<Edge> {
-        (i < self.len).then(|| {
-            self.packing
-                .unpack(load_u64(&self.bytes, i * self.packing.width))
-        })
+        (i < self.len).then(|| self.packing.get(&self.bytes, i))
     }
 
     /// Unpack edges `first..first + out.len()` into `out`.
     pub(crate) fn unpack(&self, first: usize, out: &mut [Edge]) {
         assert!(first + out.len() <= self.len);
-        per_width!(
-            self.packing.width,
-            unpack_run(&self.bytes, self.packing, first, out)
-        )
+        self.packing.unpack(&self.bytes, first, out)
     }
 }
 
@@ -779,6 +778,8 @@ pub(crate) struct DecodeCache {
     packed: PackedEdges,
     /// Edges in the span.
     span: usize,
+    /// The span's packed size.
+    size: usize,
     enabled: bool,
 }
 
@@ -786,15 +787,20 @@ impl DecodeCache {
     /// A cache over a span of `span` edges of a file whose header counts
     /// `num_vertices`; a span too long to index is never cached.
     pub(crate) fn new(span: u64, num_vertices: u64, enabled: bool) -> Self {
+        let packing = Packing::new(num_vertices);
+        let size = packing
+            .bytes(span)
+            .and_then(|size| usize::try_from(size).ok());
         let span = usize::try_from(span);
         DecodeCache {
             packed: PackedEdges {
                 bytes: Vec::new(),
                 len: 0,
-                packing: Packing::new(num_vertices),
+                packing,
             },
-            enabled: enabled && span.is_ok(),
+            enabled: enabled && span.is_ok() && size.is_some(),
             span: span.unwrap_or(0),
+            size: size.unwrap_or(0),
         }
     }
 
@@ -822,9 +828,9 @@ impl DecodeCache {
             return false;
         }
         if bytes.is_empty() {
-            *bytes = vec![0; packing.width * self.span + PACK_PAD];
+            *bytes = vec![0; self.size];
         }
-        per_width!(packing.width, pack_run(bytes, *packing, have, fresh));
+        packing.pack(bytes, have, fresh);
         *len += fresh.len();
         true
     }

@@ -432,11 +432,11 @@ fn v2_file(tag: &str, n: u32) -> (PathBuf, Vec<Edge>) {
 }
 
 /// The bytes a source retains for `span` edges of a `v2_file`: each edge
-/// packed in ⌈2w/8⌉ bytes, w the bits of the header's largest id (4095:
-/// w = 12, 3 bytes), plus 8 pad bytes per range.
+/// packed in 2w bits, w the bits of the header's largest id (4095: w = 12,
+/// 24 bits), plus 8 pad bytes per range.
 fn retained_bytes(span: u64) -> u64 {
     let w = u64::from(64 - (V2_FILE_VERTICES - 1).leading_zeros());
-    (2 * w).div_ceil(8) * span + 8
+    (2 * w * span).div_ceil(8) + 8
 }
 
 /// Ranged v2 sources retain what they decode: for every range shape, the second `open_range` lends the reference sequence out of

@@ -34,14 +34,13 @@ fn assert_complete(
     Ok(())
 }
 
-/// `ClusterPlan` of `clustering` against the clustering and its Graham
+/// The frozen `clustering` against the clustering and its Graham
 /// placement onto `k` partitions, vertex by vertex.
 fn check_plan(clustering: &tps_clustering::model::Clustering, k: u32) -> Result<(), TestCaseError> {
     use tps_clustering::model::NO_CLUSTER;
     use tps_core::two_phase::mapping::ClusterPlacement;
-    use tps_core::two_phase::plan::ClusterPlan;
     let placement = ClusterPlacement::sorted_list_schedule(clustering, k);
-    let plan = ClusterPlan::new(clustering, &placement);
+    let plan = clustering.clone().freeze(placement.c2p().to_vec());
     for v in 0..clustering.num_vertices() as u32 {
         let c = plan.cluster_of(v);
         prop_assert_eq!(c, clustering.raw_cluster_of(v), "vertex {}", v);

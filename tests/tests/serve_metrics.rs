@@ -79,10 +79,10 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
     // the source retained.
     let input = std::env::temp_dir().join(format!("tps-scrape-{}.bel2", std::process::id()));
     tps_io::write_v2_edge_list(&input, NUM_VERTICES, edges.iter().copied(), 500).expect("input");
-    // Each worker's range is retained packed: ⌈2w/8⌉ bytes per edge, w the
-    // bits of the header's largest id, plus 8 pad bytes per range.
+    // Each worker's range is retained packed: 2w bits per edge, w the bits
+    // of the header's largest id, plus 8 pad bytes per range.
     let w = u64::from(64 - (NUM_VERTICES - 1).leading_zeros());
-    let retained_bytes = (2 * w).div_ceil(8) * edges.len() as u64 + 2 * 8;
+    let retained_bytes = (2 * w * edges.len() as u64).div_ceil(8) + 2 * 8;
     tps_io::run_job(
         tps_core::job::JobSpec::path(&input)
             .k(K)
@@ -91,8 +91,8 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
     .expect("partition job");
     // A budgeted one-shard job registers the paging counters; its 400-vertex
     // table fits the budget's page share flat after the first pass. Each
-    // job packs a degree table and a cluster map of at least 1 B per
-    // vertex plus 3 pad bytes.
+    // job packs a degree table, phase 1's cluster map and phase 2's of at
+    // least 1 B per vertex plus 3 pad bytes.
     tps_io::run_job(
         tps_core::job::JobSpec::path(&input)
             .k(K)
@@ -117,6 +117,7 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
         ("core.paging.flat_after_pass", 1),
         ("core.mem.degree_bytes", 2 * (NUM_VERTICES + 3)),
         ("core.mem.cluster_map_bytes", 2 * (NUM_VERTICES + 3)),
+        ("core.mem.v2c_bytes", 2 * (NUM_VERTICES + 3)),
     ] {
         let value = counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
         assert!(value >= Some(at_least), "{name} = {value:?}");
