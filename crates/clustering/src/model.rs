@@ -32,7 +32,8 @@ pub const NO_CLUSTER: ClusterId = ClusterId::MAX;
 /// clusters before anyone reads the result. So every id is below |V|, and
 /// `v2c` holds `id + 1` in the bytes |V| needs (3 B up to 2²⁴ − 1
 /// vertices); a founding asserts the bound in debug builds. A table built
-/// from parts whose id count passes |V| is as wide as that count.
+/// from parts whose id count passes |V| is as wide as that count; a
+/// decoded one only as wide as its id count, until a founding widens it.
 ///
 /// # Renumbering
 /// As the [`ClusterTable`](crate::ClusterTable) of a clustering pass it
@@ -263,8 +264,20 @@ impl Clustering {
         self.volumes.push(vol);
         self.live += u32::from(vol > 0);
         self.until_due = self.until_due.saturating_sub(u32::from(vol == 0));
+        if pack_id(id) > self.v2c.max_value() {
+            self.widen();
+        }
         self.v2c.set(v as usize, pack_id(id));
         id
+    }
+
+    /// Widen a decoded table, sized by its id count, to the bytes |V|
+    /// needs: a founding outgrew it.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self) {
+        self.v2c
+            .rewiden(id_width(self.num_vertices(), self.volumes.len()));
     }
 
     /// Move `v` (of degree `d`) from its current cluster to `to`.
@@ -409,9 +422,11 @@ impl Clustering {
         if let Some(c) = ids.clone().find(|&c| c != NO_CLUSTER && c >= num_ids) {
             return Err(format!("cluster id {c} out of range ({num_ids} ids)"));
         }
-        // Packed straight from the frame: no `u32` copy of the map.
+        // Packed straight from the frame, no `u32` copy of the map, in the
+        // bytes of the id count: a dist worker freezes it as it is, and a
+        // founding that outgrows it widens it.
         let nv = num_vertices as usize;
-        let width = id_width(num_vertices, num_ids as usize);
+        let width = PackedU32s::width_for(num_ids);
         let ids = ids.map(pack_id);
         let volumes = rest[v2c_bytes..v2c_bytes + vol_bytes]
             .chunks_exact(8)
@@ -601,6 +616,25 @@ mod tests {
         bytes.push(0xAB);
         let (_, rest) = Clustering::decode_from(&bytes).unwrap();
         assert_eq!(rest, &[0xAB]);
+    }
+
+    /// A decoded table takes the bytes of its id count, not of |V|, and a
+    /// founding past that width widens it with every assignment kept.
+    #[test]
+    fn decoded_table_widens_when_a_founding_outgrows_it() {
+        let mut v2c = vec![NO_CLUSTER; 300];
+        v2c[7] = 1;
+        let mut bytes = Vec::new();
+        Clustering::from_parts(v2c, vec![0, 3]).encode_into(&mut bytes);
+        let (mut c, _) = Clustering::decode_from(&bytes).unwrap();
+        assert_eq!(c.v2c.width(), 1);
+        for v in 8..262 {
+            c.create_cluster(v, 1);
+        }
+        assert_eq!((c.num_cluster_ids(), c.v2c.width()), (256, 2));
+        assert_eq!(c.raw_cluster_of(7), 1);
+        assert_eq!(c.raw_cluster_of(261), 255);
+        assert_eq!(c.cluster_of(262), None);
     }
 
     #[test]

@@ -207,6 +207,12 @@ impl PackedU32s {
         self.len == 0
     }
 
+    /// The largest value the table's width holds.
+    #[inline]
+    pub fn max_value(&self) -> u32 {
+        self.mask
+    }
+
     /// Bytes per value.
     pub fn width(&self) -> usize {
         self.width
