@@ -22,7 +22,7 @@ use tps_graph::types::GraphInfo;
 use tps_io::{EdgeFileFormat, ReaderBackend};
 
 use crate::args::{CommonOpts, Flags, COMMON_VALUED};
-use crate::{fail, write_stdout};
+use crate::{fail, write_stdout, Failure};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -348,7 +348,7 @@ fn alpha_params(k: u32, alpha: f64) -> Result<PartitionParams, String> {
 
 /// Print the standard metrics line (and phases/counters when not quiet)
 /// for a finished job.
-fn print_outcome(outcome: &RunOutcome, k: u32, quiet: bool) -> Result<(), String> {
+fn print_outcome(outcome: &RunOutcome, k: u32, quiet: bool) -> Result<(), Failure> {
     say!(
         "algorithm={} k={k} edges={} rf={:.4} alpha={:.4} time_s={:.3}",
         outcome.name,
@@ -387,9 +387,9 @@ pub fn partition(args: &[String]) -> i32 {
         .collect();
     let flags = match Flags::parse(args, &["quiet"], &valued) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(e),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let common = CommonOpts::from_flags(&flags)?;
         let input = flags.require("input")?;
         let k: u32 = flags.get_or("k", 0)?;
@@ -470,7 +470,7 @@ pub fn partition(args: &[String]) -> i32 {
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }
 
@@ -521,7 +521,7 @@ fn execute_and_report(
     k: u32,
     alpha: f64,
     run: &mut dyn FnMut(&PartitionParams, &mut dyn AssignmentSink) -> Result<RunReport, String>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     {
         let trace = flags.get("trace").map(tps_obs::TraceRecording::begin);
         let params = alpha_params(k, alpha)?;
@@ -679,9 +679,9 @@ fn dist_coordinator(args: &[String]) -> i32 {
     .collect();
     let flags = match Flags::parse(args, &["quiet", "dist-local"], &valued) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(e),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let common = CommonOpts::from_flags(&flags)?;
         let input = flags.require("input")?;
         let k: u32 = flags.get_or("k", 0)?;
@@ -721,7 +721,8 @@ fn dist_coordinator(args: &[String]) -> i32 {
                     "--kill-worker {kill_worker} is out of range: only {} workers are spawned \
                      ({workers} shards + {standby} standby)",
                     workers + standby
-                ));
+                )
+                .into());
             }
         } else if flags.get("kill-worker").is_some() {
             return Err("--kill-worker does nothing without --kill-at".into());
@@ -787,7 +788,7 @@ fn dist_coordinator(args: &[String]) -> i32 {
             }
             Ok(transports)
         })();
-        let result = accepted.and_then(|transports| {
+        let result = accepted.map_err(Failure::from).and_then(|transports| {
             let input_desc = tps_dist::InputDescriptor::Path {
                 path: abs.to_string_lossy().into_owned(),
             };
@@ -848,16 +849,16 @@ fn dist_coordinator(args: &[String]) -> i32 {
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }
 
 fn dist_worker(args: &[String]) -> i32 {
     let flags = match Flags::parse(args, &["quiet"], &["connect", "reconnect", "kill-at"]) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(e),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let connect = flags.require("connect")?;
         let reconnects: u32 = flags.get_or("reconnect", 0)?;
         let kill = flags
@@ -900,7 +901,7 @@ fn dist_worker(args: &[String]) -> i32 {
                 Err(e) => {
                     attempt += 1;
                     if attempt > reconnects {
-                        return Err(e.to_string());
+                        return Err(e.to_string().into());
                     }
                     if !quiet {
                         eprintln!(
@@ -914,7 +915,7 @@ fn dist_worker(args: &[String]) -> i32 {
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }
 
@@ -922,9 +923,9 @@ fn dist_worker(args: &[String]) -> i32 {
 pub fn generate(args: &[String]) -> i32 {
     let flags = match Flags::parse(args, &[], &["dataset", "scale", "out"]) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(e),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let name = flags.require("dataset")?;
         let scale: f64 = flags.get_or("scale", 1.0)?;
         let out = flags.require("out")?;
@@ -945,7 +946,7 @@ pub fn generate(args: &[String]) -> i32 {
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }
 
@@ -953,9 +954,9 @@ pub fn generate(args: &[String]) -> i32 {
 pub fn convert(args: &[String]) -> i32 {
     let flags = match Flags::parse(args, &[], &["input", "out", "to", "chunk-edges"]) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(e),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let input = flags.require("input")?;
         let out = flags.require("out")?;
         let chunk_edges: u32 = flags.get_or("chunk-edges", tps_io::v2::DEFAULT_CHUNK_EDGES)?;
@@ -967,7 +968,7 @@ pub fn convert(args: &[String]) -> i32 {
         if let Ok(canon_in) = std::fs::canonicalize(input) {
             if let Ok(canon_out) = std::fs::canonicalize(out) {
                 if canon_in == canon_out {
-                    return Err(format!("--out must differ from --input ({input})"));
+                    return Err(format!("--out must differ from --input ({input})").into());
                 }
             }
         }
@@ -975,7 +976,9 @@ pub fn convert(args: &[String]) -> i32 {
         let to = match (flags.get("to"), from) {
             (Some("v1"), _) => EdgeFileFormat::V1,
             (Some("v2"), _) => EdgeFileFormat::V2,
-            (Some(other), _) => return Err(format!("unknown target format {other:?} (v1|v2)")),
+            (Some(other), _) => {
+                return Err(format!("unknown target format {other:?} (v1|v2)").into())
+            }
             (None, EdgeFileFormat::V1) => EdgeFileFormat::V2,
             (None, EdgeFileFormat::V2) => EdgeFileFormat::V1,
         };
@@ -986,7 +989,7 @@ pub fn convert(args: &[String]) -> i32 {
             (EdgeFileFormat::V2, EdgeFileFormat::V1) => {
                 tps_io::convert_v2_to_v1(input, out).map_err(|e| e.to_string())?
             }
-            _ => return Err(format!("{input} is already {to:?}")),
+            _ => return Err(format!("{input} is already {to:?}").into()),
         };
         let in_bytes = std::fs::metadata(input).map_err(|e| e.to_string())?.len();
         let out_bytes = std::fs::metadata(out).map_err(|e| e.to_string())?.len();
@@ -1000,7 +1003,7 @@ pub fn convert(args: &[String]) -> i32 {
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }
 
@@ -1009,9 +1012,9 @@ pub fn info(args: &[String]) -> i32 {
     let valued: Vec<&str> = ["input"].iter().chain(COMMON_VALUED).copied().collect();
     let flags = match Flags::parse(args, &[], &valued) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(e),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let common = CommonOpts::from_flags(&flags)?;
         let input = flags.require("input")?;
         let mut stream = open_stream(input, common.format.as_deref())?;
@@ -1028,7 +1031,7 @@ pub fn info(args: &[String]) -> i32 {
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }
 
@@ -1036,9 +1039,9 @@ pub fn info(args: &[String]) -> i32 {
 pub fn profile(args: &[String]) -> i32 {
     let flags = match Flags::parse(args, &[], &["path", "block-size"]) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(e),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let path = flags.require("path")?;
         let block: usize = flags.get_or("block-size", 100 << 20)?;
         let p = tps_storage::profile_sequential_read(Path::new(path), block)
@@ -1053,7 +1056,7 @@ pub fn profile(args: &[String]) -> i32 {
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }
 
@@ -1064,13 +1067,13 @@ pub fn report(args: &[String]) -> i32 {
         Some(p) if !p.starts_with('-') => PathBuf::from(p),
         _ => return fail("usage: tps report TRACE.jsonl"),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let trace = tps_obs::Trace::load(&path)?;
         write_stdout(format_args!("{}", tps_obs::render_report(&trace)?))?;
         Ok(())
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }

@@ -51,31 +51,62 @@ mod commands;
 mod serve_cmd;
 mod top_cmd;
 
-/// What [`write_stdout`] returns once the reader of stdout has gone
-/// (`tps info … | head -0`): the command stops, and [`fail`] ends it
-/// quietly with exit 0, since nobody is left to read the rest.
-const STDOUT_CLOSED: &str = "stdout closed by its reader";
+/// Why a command stopped short of success.
+pub(crate) enum Failure {
+    /// The reader of stdout has gone (`tps info … | head -0`): nobody is
+    /// left to read the rest, so [`fail`] ends the command with exit 0 and
+    /// no message.
+    StdoutClosed,
+    /// Exit 2 with `error: <message>` on stderr.
+    Error(String),
+}
+
+impl Failure {
+    /// `Ok` for a closed stdout, `Err(self)` otherwise: for output a
+    /// command can do without, such as a daemon's banner lines.
+    pub(crate) fn unless_stdout_closed(self) -> Result<(), Failure> {
+        match self {
+            Failure::StdoutClosed => Ok(()),
+            other => Err(other),
+        }
+    }
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Error(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Error(msg.to_string())
+    }
+}
 
 /// Write `args` to the locked stdout and flush it. A broken pipe is
-/// [`STDOUT_CLOSED`]; any other write error is a failure of the command.
-pub(crate) fn write_stdout(args: fmt::Arguments) -> Result<(), String> {
+/// [`Failure::StdoutClosed`]; any other write error is a failure of the
+/// command.
+pub(crate) fn write_stdout(args: fmt::Arguments) -> Result<(), Failure> {
     let mut out = io::stdout().lock();
     out.write_fmt(args)
         .and_then(|()| out.flush())
         .map_err(|e| match e.kind() {
-            io::ErrorKind::BrokenPipe => STDOUT_CLOSED.to_string(),
-            _ => format!("writing to stdout: {e}"),
+            io::ErrorKind::BrokenPipe => Failure::StdoutClosed,
+            _ => Failure::Error(format!("writing to stdout: {e}")),
         })
 }
 
-/// End a command that failed with `msg`: `error: msg` on stderr and exit
-/// 2, except for a closed stdout, which ends it with exit 0 and no message.
-pub(crate) fn fail(msg: &str) -> i32 {
-    if msg == STDOUT_CLOSED {
-        return 0;
+/// The exit status of a command that stopped with `failure`: 2 after one
+/// `error:` line on stderr, or 0 with no message for a closed stdout.
+pub(crate) fn fail(failure: impl Into<Failure>) -> i32 {
+    match failure.into() {
+        Failure::StdoutClosed => 0,
+        Failure::Error(msg) => {
+            eprintln!("error: {msg}");
+            2
+        }
     }
-    eprintln!("error: {msg}");
-    2
 }
 
 fn main() {
@@ -94,7 +125,7 @@ fn main() {
         Some("help") | Some("--help") | Some("-h") | None => {
             match write_stdout(format_args!("{}", commands::USAGE)) {
                 Ok(()) => 0,
-                Err(e) => fail(&e),
+                Err(e) => fail(e),
             }
         }
         Some(other) => {

@@ -15,7 +15,7 @@ use tps_serve::{ServeClient, ServeHandle, ServeOptions, ServeState, ServerConfig
 
 use crate::args::{CommonOpts, Flags};
 use crate::commands::{replace_file, two_phase_config, write_addr_file};
-use crate::fail;
+use crate::{fail, Failure};
 
 /// `tps serve`
 pub fn serve(args: &[String]) -> i32 {
@@ -39,9 +39,9 @@ pub fn serve(args: &[String]) -> i32 {
         ],
     ) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(e),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let common = CommonOpts::from_flags(&flags)?;
         let parts = flags.require("parts")?;
         let quiet = flags.has("quiet");
@@ -89,7 +89,8 @@ pub fn serve(args: &[String]) -> i32 {
         let listener = TcpListener::bind(flags.get("listen").unwrap_or("127.0.0.1:0"))
             .map_err(|e| format!("bind: {e}"))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
-        say!("serving {parts} on {addr}")?;
+        // A daemon serves on without a reader of its banner lines.
+        say!("serving {parts} on {addr}").or_else(Failure::unless_stdout_closed)?;
         if let Some(path) = flags.get("addr-file") {
             write_addr_file(path, &addr.to_string())?;
         }
@@ -101,7 +102,7 @@ pub fn serve(args: &[String]) -> i32 {
                 let server = tps_serve::start_metrics(maddr, state.clone())
                     .map_err(|e| format!("metrics bind {maddr}: {e}"))?;
                 let bound = server.addr();
-                say!("metrics on http://{bound}/metrics")?;
+                say!("metrics on http://{bound}/metrics").or_else(Failure::unless_stdout_closed)?;
                 if let Some(path) = flags.get("metrics-addr-file") {
                     write_addr_file(path, &bound.to_string())?;
                 }
@@ -152,12 +153,12 @@ pub fn serve(args: &[String]) -> i32 {
             stats.updates,
             stats.staleness,
             stats.epoch
-        )?;
-        Ok(())
+        )
+        .or_else(Failure::unless_stdout_closed)
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }
 
@@ -223,9 +224,9 @@ pub fn lookup(args: &[String]) -> i32 {
         ],
     ) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(e),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let connect = flags.require("connect")?;
         let mut client = ServeClient::connect(connect).map_err(|e| format!("{connect}: {e}"))?;
 
@@ -304,7 +305,8 @@ pub fn lookup(args: &[String]) -> i32 {
                 return Err(format!(
                     "{mismatches} of {} served partitions disagree with {dir}",
                     loaded.assignments.len()
-                ));
+                )
+                .into());
             }
             say!(
                 "verified {} edges against {dir}: all match",
@@ -350,7 +352,7 @@ pub fn lookup(args: &[String]) -> i32 {
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }
 

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use tps_obs::{parse_exposition, scrape, Sample};
 
 use crate::args::Flags;
-use crate::{fail, write_stdout};
+use crate::{fail, write_stdout, Failure};
 
 /// One parsed scrape plus when it was taken (rates need the wall-clock gap).
 struct Frame {
@@ -241,9 +241,9 @@ pub fn top(args: &[String]) -> i32 {
     }
     let flags = match Flags::parse(rest, &["once"], &["interval-ms", "samples"]) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(e),
     };
-    let run = || -> Result<(), String> {
+    let run = || -> Result<(), Failure> {
         let interval = Duration::from_millis(flags.get_or("interval-ms", 1000u64)?);
         // 0 = run until the endpoint goes away (or ^C).
         let samples: u64 = flags.get_or("samples", 0)?;
@@ -270,7 +270,7 @@ pub fn top(args: &[String]) -> i32 {
     };
     match run() {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(e) => fail(e),
     }
 }
 

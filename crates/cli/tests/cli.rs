@@ -1084,3 +1084,52 @@ fn save_state_over_the_restored_snapshot_still_restores() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A daemon whose stdout has no reader still serves: its banner lines are
+/// dropped, not taken for a reason to stop, and it exits 0 only after a
+/// client shut it down.
+#[test]
+fn serve_without_a_reader_of_its_stdout_still_serves() {
+    let dir = tmpdir("serve-closed-stdout");
+    let bel = dir.join("ok.bel");
+    let parts = dir.join("parts");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    let status = tps()
+        .args(["partition", "--input"])
+        .arg(&bel)
+        .args(["--k", "4", "--quiet", "--out"])
+        .arg(&parts)
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let addr_file = dir.join("addr");
+    let mut daemon = Daemon(
+        tps()
+            .args(["serve", "--quiet", "--parts"])
+            .arg(&parts)
+            .arg("--addr-file")
+            .arg(&addr_file)
+            .stdout(writer)
+            .spawn()
+            .unwrap(),
+    );
+    let addr = (0..500)
+        .find_map(|_| {
+            let addr = std::fs::read_to_string(&addr_file).ok();
+            if addr.is_none() {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            addr
+        })
+        .expect("serve never wrote its address");
+    assert!(lookup(addr.trim(), &["--stats"]).contains("k: 4"));
+    lookup(addr.trim(), &["--shutdown"]);
+    assert!(daemon.0.wait().unwrap().success());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -24,9 +24,10 @@
 //!   (same assignments, same volumes): a one-worker dist run is serial.
 
 use tps_graph::degree::DegreeTable;
+use tps_graph::packed::PackedU32s;
 use tps_graph::types::{ClusterId, VertexId};
 
-use crate::model::{Clustering, NO_CLUSTER};
+use crate::model::{id_width, pack_id, unpack_id, Clustering, NO_CLUSTER};
 
 /// Merge per-thread clusterings into one, resolving conflicting vertex
 /// assignments by larger current cluster volume (ties prefer the earlier
@@ -77,8 +78,9 @@ pub fn merge_clusterings(parts: &[Clustering], degrees: &DegreeTable) -> Cluster
         volumes.extend_from_slice(p.volumes());
     }
 
-    // Resolve per-vertex assignments part by part.
-    let mut v2c = vec![NO_CLUSTER; num_vertices as usize];
+    // Resolve per-vertex assignments part by part, straight into the packed
+    // table at the width of the concatenated id space.
+    let mut v2c = PackedU32s::zeroed(num_vertices as usize, id_width(num_vertices, volumes.len()));
     for (t, part) in parts.iter().enumerate() {
         let off = offsets[t];
         for v in 0..num_vertices as VertexId {
@@ -87,9 +89,9 @@ pub fn merge_clusterings(parts: &[Clustering], degrees: &DegreeTable) -> Cluster
                 continue;
             }
             let cand = off + local;
-            let cur = v2c[v as usize];
+            let cur = unpack_id(v2c.get(v as usize));
             if cur == NO_CLUSTER {
-                v2c[v as usize] = cand;
+                v2c.set(v as usize, pack_id(cand));
                 continue;
             }
             // Conflict: the vertex was clustered by an earlier part too.
@@ -98,20 +100,22 @@ pub fn merge_clusterings(parts: &[Clustering], degrees: &DegreeTable) -> Cluster
             let d = degrees.degree(v) as u64;
             if volumes[cand as usize] > volumes[cur as usize] {
                 volumes[cur as usize] -= d;
-                v2c[v as usize] = cand;
+                v2c.set(v as usize, pack_id(cand));
             } else {
                 volumes[cand as usize] -= d;
             }
         }
     }
 
-    let mut merged = Clustering::from_parts(v2c, volumes);
+    let mut merged = Clustering::from_table(v2c, volumes);
     if parts.len() > 1 {
         // Compact the concatenated id space to the surviving clusters (see
         // the function docs); a single part stays the identity so a
         // one-worker dist run matches serial bit for bit, cluster ids too.
         merged.compact_ids();
     }
+    // Every id is below |V| again (see `Clustering`).
+    debug_assert!(u64::from(merged.num_cluster_ids()) <= num_vertices.max(1));
     merged
 }
 

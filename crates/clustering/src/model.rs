@@ -80,7 +80,7 @@ pub(crate) fn pack_id(c: ClusterId) -> u32 {
 
 /// The cluster a `v2c` entry holds, [`NO_CLUSTER`] for 0.
 #[inline]
-fn unpack_id(stored: u32) -> ClusterId {
+pub(crate) fn unpack_id(stored: u32) -> ClusterId {
     stored.wrapping_sub(1)
 }
 

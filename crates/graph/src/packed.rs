@@ -288,6 +288,7 @@ mod tests {
             let max = PackedU32s::all_ones(width);
             let packed = PackedU32s::with_width([max], 1, width);
             assert_eq!(packed.get(0), max);
+            assert_eq!(packed.max_value(), max);
         }
     }
 
@@ -298,7 +299,8 @@ mod tests {
             let all_ones = PackedU32s::all_ones(width);
             let values = [all_ones, 0, all_ones - 1, all_ones];
             let packed = PackedU32s::with_width(values, values.len(), width);
-            let ones: Vec<bool> = packed.iter().map(|v| v == all_ones).collect();
+            assert_eq!(packed.max_value(), all_ones);
+            let ones: Vec<bool> = packed.iter().map(|v| v == packed.max_value()).collect();
             assert_eq!(ones, [true, false, false, true], "width {width}");
         }
     }
@@ -370,6 +372,7 @@ mod tests {
                 packed.rewiden(to);
                 assert_eq!(packed.iter().collect::<Vec<_>>(), values, "{from} → {to}");
                 assert_eq!(packed.width(), to);
+                assert_eq!(packed.max_value(), PackedU32s::all_ones(to));
                 assert_eq!(packed.heap_bytes(), 4 * to + PAD);
             }
         }
