@@ -201,6 +201,16 @@ fn load_u64(payload: &[u8], pos: usize) -> u64 {
     u64::from_le(unsafe { (payload.as_ptr().add(pos) as *const u64).read_unaligned() })
 }
 
+/// Unaligned 8-byte little-endian store.
+#[inline(always)]
+fn store_u64(bytes: &mut [u8], pos: usize, v: u64) {
+    debug_assert!(pos + 8 <= bytes.len());
+    // SAFETY: `Packing::pack` checks once per run that every store of its
+    // edges ends within the range's pad; unaligned writes of byte data
+    // are valid at any offset.
+    unsafe { (bytes.as_mut_ptr().add(pos) as *mut u64).write_unaligned(v.to_le()) }
+}
+
 /// Extract the value of a `len`-byte varint (`len <= 5`) sitting in the low
 /// bytes of `word`: mask the consumed bytes, strip the continuation bits,
 /// then close the 1-bit gaps so byte i contributes value bits 7i..7i+7.
@@ -659,6 +669,11 @@ const PACK_PAD: usize = 8;
 /// unaligned 8-byte load at the byte holding its first bit, shifted by
 /// that bit's offset in the byte (0..=7), so the value must end within the
 /// load: `stride` is `2·bits` while `2·bits + 7 ≤ 64` (bits ≤ 28), else 64.
+///
+/// Eight edges take `stride` bytes, so every group of eight starts on a
+/// byte boundary and its `j`-th edge sits at bit `j·stride` of the group
+/// in every group. The pack and unpack loops go a group at a time: the
+/// offsets are the same eight each time, and no group waits on the last.
 #[derive(Clone, Copy)]
 pub(crate) struct Packing {
     bits: u32,
@@ -693,48 +708,198 @@ impl Packing {
         u64::from(ids) >> self.bits == 0
     }
 
-    /// Edge `i` of `bytes`.
+    /// Check once per run that every 8-byte load or store of edges
+    /// `..end` ends within `bytes`, the pad included.
+    fn check(self, bytes: &[u8], end: usize) {
+        let need = self.bytes(end as u64);
+        assert!(need.is_some_and(|need| need <= bytes.len() as u64));
+    }
+
+    /// The edge whose first bit is bit `shift` (0..=7) of byte `at`.
     #[inline(always)]
-    fn get(self, bytes: &[u8], i: usize) -> Edge {
-        let bit = i * self.stride as usize;
-        let v = load_u64(bytes, bit >> 3) >> (bit & 7);
+    fn read(self, bytes: &[u8], at: usize, shift: usize) -> Edge {
+        let v = load_u64(bytes, at) >> shift;
         let mask = (1 << self.bits) - 1;
         Edge::new((v & mask) as u32, (v >> self.bits & mask) as u32)
     }
 
+    /// Edge `i` of `bytes`.
+    #[inline(always)]
+    fn get(self, bytes: &[u8], i: usize) -> Edge {
+        let bit = i * self.stride as usize;
+        self.read(bytes, bit >> 3, bit & 7)
+    }
+
+    /// The bit offsets of a group's eight edges from its first byte.
+    #[inline(always)]
+    fn group_bits(self) -> [usize; 8] {
+        std::array::from_fn(|j| j * self.stride as usize)
+    }
+
     /// Pack `run` as edges `first..` of `bytes`, whose edges before `first`
-    /// are packed already. A bit accumulator: each full 8-byte word is
-    /// stored once and never loaded back, so no store waits on the last.
+    /// are packed already.
     fn pack(self, bytes: &mut [u8], first: usize, run: &[Edge]) {
+        with_bmi2(
+            #[inline(always)]
+            || self.pack_groups(bytes, first, run),
+        )
+    }
+
+    /// [`Packing::pack`]: the rest of the group edge `first` falls in, on
+    /// top of its earlier edges' bits, then a group at a time, each packed
+    /// by a [`BitWriter`] of its own.
+    #[inline(always)]
+    fn pack_groups(self, bytes: &mut [u8], first: usize, run: &[Edge]) {
+        self.check(bytes, first + run.len());
+        let head = run.len().min(first.wrapping_neg() % 8);
+        let (head, rest) = run.split_at(head);
         let start = first * self.stride as usize;
-        let mut at = start >> 3;
-        let mut filled = (start & 7) as u32;
-        // The bits of edge `first − 1` in the byte edge `first` starts in.
-        let mut acc = u64::from(bytes[at]) & ((1 << filled) - 1);
-        for e in run {
-            let v = u64::from(e.src) | u64::from(e.dst) << self.bits;
-            acc |= v << filled;
-            filled += self.stride;
-            if filled >= u64::BITS {
-                bytes[at..at + 8].copy_from_slice(&acc.to_le_bytes());
-                at += 8;
-                filled -= u64::BITS;
-                // The bits of `v` the word had no room for.
-                acc = v.checked_shr(self.stride - filled).unwrap_or(0);
-            }
+        let mut w = BitWriter::resume(bytes, start);
+        for e in head {
+            w.push(bytes, self.value(e), self.stride);
         }
-        let tail = filled.div_ceil(8) as usize;
-        bytes[at..at + tail].copy_from_slice(&acc.to_le_bytes()[..tail]);
+        w.finish(bytes);
+        // Where the next group starts, once the head has filled its own.
+        let mut base = (first + head.len()) / 8 * self.stride as usize;
+        let mut groups = rest.chunks_exact(8);
+        for group in &mut groups {
+            let mut w = BitWriter::at(base);
+            if 2 * self.stride <= u64::BITS {
+                // Two edges at a time, as one value of twice the stride:
+                // half the accumulator steps.
+                for pair in group.chunks_exact(2) {
+                    let v = self.value(&pair[0]) | self.value(&pair[1]) << self.stride;
+                    w.push(bytes, v, 2 * self.stride);
+                }
+            } else {
+                for e in group {
+                    w.push(bytes, self.value(e), self.stride);
+                }
+            }
+            w.finish(bytes);
+            base += self.stride as usize;
+        }
+        // A writer with nothing to push would store zeros over the head.
+        if !groups.remainder().is_empty() {
+            let mut w = BitWriter::at(base);
+            for e in groups.remainder() {
+                w.push(bytes, self.value(e), self.stride);
+            }
+            w.finish(bytes);
+        }
+    }
+
+    /// The packed value of `e`.
+    #[inline(always)]
+    fn value(self, e: &Edge) -> u64 {
+        u64::from(e.src) | u64::from(e.dst) << self.bits
     }
 
     /// Unpack edges `first..first + out.len()` of `bytes` into `out`.
     fn unpack(self, bytes: &[u8], first: usize, out: &mut [Edge]) {
-        // One check per run: the last load ends within the pad.
-        let end = self.bytes((first + out.len()) as u64);
-        assert!(end.is_some_and(|end| end <= bytes.len() as u64));
-        for (i, e) in out.iter_mut().enumerate() {
+        with_bmi2(
+            #[inline(always)]
+            || self.unpack_groups(bytes, first, out),
+        )
+    }
+
+    /// [`Packing::unpack`]: the rest of the group edge `first` falls in,
+    /// then a group at a time.
+    #[inline(always)]
+    fn unpack_groups(self, bytes: &[u8], first: usize, out: &mut [Edge]) {
+        self.check(bytes, first + out.len());
+        let head = out.len().min(first.wrapping_neg() % 8);
+        let (head, rest) = out.split_at_mut(head);
+        for (i, e) in head.iter_mut().enumerate() {
             *e = self.get(bytes, first + i);
         }
+        let bits = self.group_bits();
+        let mut base = (first + head.len()) / 8 * self.stride as usize;
+        let mut groups = rest.chunks_exact_mut(8);
+        for group in &mut groups {
+            for (e, bit) in group.iter_mut().zip(bits) {
+                *e = self.read(bytes, base + (bit >> 3), bit & 7);
+            }
+            base += self.stride as usize;
+        }
+        for (e, bit) in groups.into_remainder().iter_mut().zip(bits) {
+            *e = self.read(bytes, base + (bit >> 3), bit & 7);
+        }
+    }
+}
+
+/// Run `f` compiled for BMI2 where the CPU has it. The packed loops shift
+/// by amounts known only at run time: BMI2's `shlx`/`shrx` take the count
+/// in any register, one µop each, where baseline x86-64 pins it in `cl`
+/// and spends two. Everything `f` calls is inlined into it, so the one
+/// body is compiled twice, not written twice.
+#[inline(always)]
+fn with_bmi2<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "bmi2")]
+        fn bmi2<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        if std::arch::is_x86_feature_detected!("bmi2") {
+            // SAFETY: the CPU has BMI2.
+            return unsafe { bmi2(f) };
+        }
+    }
+    f()
+}
+
+/// A bit accumulator writing values from byte `at` on: each full 8-byte
+/// word is stored once and never loaded back, so no store waits on a load.
+struct BitWriter {
+    at: usize,
+    filled: u32,
+    acc: u64,
+}
+
+impl BitWriter {
+    /// A writer starting on byte `at`.
+    #[inline(always)]
+    fn at(at: usize) -> Self {
+        BitWriter {
+            at,
+            filled: 0,
+            acc: 0,
+        }
+    }
+
+    /// A writer going on from bit `bit` of `bytes`, keeping the bits
+    /// before it in that byte.
+    #[inline(always)]
+    fn resume(bytes: &[u8], bit: usize) -> Self {
+        let filled = (bit & 7) as u32;
+        BitWriter {
+            at: bit >> 3,
+            filled,
+            acc: u64::from(bytes[bit >> 3]) & ((1 << filled) - 1),
+        }
+    }
+
+    /// Append the `stride` (1..=64) bits of `v`.
+    #[inline(always)]
+    fn push(&mut self, bytes: &mut [u8], v: u64, stride: u32) {
+        self.acc |= v << self.filled;
+        self.filled += stride;
+        if self.filled >= u64::BITS {
+            store_u64(bytes, self.at, self.acc);
+            self.at += 8;
+            self.filled -= u64::BITS;
+            // The bits of `v` the word had no room for: a shift by
+            // `stride − filled`, which is 1..=64, in two steps.
+            self.acc = v >> 1 >> (stride - 1 - self.filled);
+        }
+    }
+
+    /// Store the last, partial word: its bytes, and zeros past them that
+    /// the next writer's stores cover (or the pad, after the last edge).
+    #[inline(always)]
+    fn finish(self, bytes: &mut [u8]) {
+        store_u64(bytes, self.at, self.acc);
     }
 }
 
