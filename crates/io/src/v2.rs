@@ -1078,6 +1078,45 @@ mod tests {
             .collect()
     }
 
+    /// A range packed from runs cut anywhere — inside a group of eight,
+    /// across one, a run of one edge — reads back exactly at every id
+    /// width, by `get` and by `unpack` from every first edge; all-ones ids
+    /// beside zeros show any bit landing in a neighbour.
+    #[test]
+    fn packing_reads_back_runs_cut_anywhere_at_every_width() {
+        let n = 75;
+        for w in 1..=32u32 {
+            let top = (1u64 << w) - 1;
+            let es: Vec<Edge> = (0..n as u64)
+                .map(|i| match i % 4 {
+                    0 => Edge::new(top as u32, top as u32),
+                    1 => Edge::new(0, 0),
+                    _ => Edge::new((i * 2_654_435_761 & top) as u32, (i * 40_503 & top) as u32),
+                })
+                .collect();
+            let mut cache = DecodeCache::new(n as u64, top + 1, true);
+            let mut pos = 0;
+            for len in [1, 2, 3, 5, 8, 1, 9, 7, 16, 4, 19].into_iter().cycle() {
+                let len = len.min(n - pos);
+                assert!(cache.absorb(pos, &es[pos..pos + len]), "w {w}");
+                pos += len;
+                if pos == n {
+                    break;
+                }
+            }
+            assert!(cache.complete(), "w {w}");
+            let packed = cache.take();
+            for (i, &e) in es.iter().enumerate() {
+                assert_eq!(packed.get(i), Some(e), "w {w}, get {i}");
+            }
+            for first in 0..n {
+                let mut out = vec![Edge::new(0, 0); n - first];
+                packed.unpack(first, &mut out);
+                assert_eq!(out, es[first..], "w {w}, unpack from {first}");
+            }
+        }
+    }
+
     #[test]
     fn varint_round_trip() {
         let mut buf = Vec::new();
