@@ -730,12 +730,6 @@ impl Packing {
         self.read(bytes, bit >> 3, bit & 7)
     }
 
-    /// The bit offsets of a group's eight edges from its first byte.
-    #[inline(always)]
-    fn group_bits(self) -> [usize; 8] {
-        std::array::from_fn(|j| j * self.stride as usize)
-    }
-
     /// Pack `run` as edges `first..` of `bytes`, whose edges before `first`
     /// are packed already.
     fn pack(self, bytes: &mut [u8], first: usize, run: &[Edge]) {
@@ -779,7 +773,8 @@ impl Packing {
             w.finish(bytes);
             base += self.stride as usize;
         }
-        // A writer with nothing to push would store zeros over the head.
+        // The run's last, partial group (a writer with nothing to push
+        // would store zeros over the head).
         if !groups.remainder().is_empty() {
             let mut w = BitWriter::at(base);
             for e in groups.remainder() {
@@ -813,7 +808,8 @@ impl Packing {
         for (i, e) in head.iter_mut().enumerate() {
             *e = self.get(bytes, first + i);
         }
-        let bits = self.group_bits();
+        // The bit offsets of a group's eight edges from its first byte.
+        let bits: [usize; 8] = std::array::from_fn(|j| j * self.stride as usize);
         let mut base = (first + head.len()) / 8 * self.stride as usize;
         let mut groups = rest.chunks_exact_mut(8);
         for group in &mut groups {
@@ -1091,7 +1087,10 @@ mod tests {
                 .map(|i| match i % 4 {
                     0 => Edge::new(top as u32, top as u32),
                     1 => Edge::new(0, 0),
-                    _ => Edge::new((i * 2_654_435_761 & top) as u32, (i * 40_503 & top) as u32),
+                    _ => Edge::new(
+                        ((i * 2_654_435_761) & top) as u32,
+                        ((i * 40_503) & top) as u32,
+                    ),
                 })
                 .collect();
             let mut cache = DecodeCache::new(n as u64, top + 1, true);
