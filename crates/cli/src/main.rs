@@ -34,7 +34,8 @@
 //! one way a binary input is read (positioned reads of one file handle).
 //!
 //! Exit status: 0 on success, and also when the reader of stdout has gone
-//! (`tps info … | head -0`); 2 with one `error:` line on stderr otherwise.
+//! (`tps info … | head -0`; `tps serve` serves on without one); 2 with one
+//! `error:` line on stderr otherwise.
 
 use std::fmt;
 use std::io::{self, Write as _};
