@@ -1113,6 +1113,16 @@ mod tests {
                 packed.unpack(first, &mut out);
                 assert_eq!(out, es[first..], "w {w}, unpack from {first}");
             }
+            // The loops as compiled without BMI2, which the copy `pack`
+            // and `unpack` pick on a CPU with it stands in for.
+            let packing = packed.packing;
+            let mut bytes = vec![0; packed.bytes.len()];
+            packing.pack_groups(&mut bytes, 0, &es[..n / 2]);
+            packing.pack_groups(&mut bytes, n / 2, &es[n / 2..]);
+            assert!(bytes == packed.bytes, "w {w}, baseline pack");
+            let mut out = vec![Edge::new(0, 0); n - 3];
+            packing.unpack_groups(&bytes, 3, &mut out);
+            assert_eq!(out, es[3..], "w {w}, baseline unpack");
         }
     }
 
