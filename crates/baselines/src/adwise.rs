@@ -8,7 +8,7 @@
 //! it can beat HDRF on small graphs, (b) the buffer covers too little of a
 //! very large graph to help, and (c) its run-time is far higher.
 //!
-//! ## Fidelity note (see DESIGN.md §2)
+//! ## Fidelity note
 //!
 //! The original scores the whole window per assignment with an adaptive
 //! window size, amortising via score caching. We reproduce the behavioural

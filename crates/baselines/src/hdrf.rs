@@ -16,11 +16,8 @@ use tps_graph::stream::{discover_info, EdgeStream};
 use tps_graph::types::{Edge, PartitionId, VertexId};
 use tps_metrics::bitmatrix::ReplicationMatrix;
 
-/// The HDRF per-edge decision kernel: scoring state plus the commit path,
-/// shared by the serial [`HdrfPartitioner`] and the chunk-parallel runner
-/// (`crate::parallel`) so both take identical decisions for identical
-/// degree inputs.
-pub(crate) struct HdrfScorer {
+/// The HDRF per-edge decision kernel: scoring state plus the commit path.
+struct HdrfScorer {
     v2p: ReplicationMatrix,
     loads: Vec<u64>,
     max_load: u64,
@@ -29,7 +26,7 @@ pub(crate) struct HdrfScorer {
 }
 
 impl HdrfScorer {
-    pub(crate) fn new(num_vertices: u64, k: u32, params: HdrfParams) -> Self {
+    fn new(num_vertices: u64, k: u32, params: HdrfParams) -> Self {
         HdrfScorer {
             v2p: ReplicationMatrix::new(num_vertices, k),
             loads: vec![0u64; k as usize],
@@ -41,7 +38,7 @@ impl HdrfScorer {
 
     /// Score all `k` partitions for `(u, v)` with degrees `(du, dv)`,
     /// commit the edge to the best one, and return it.
-    pub(crate) fn place(&mut self, e: Edge, du: u64, dv: u64) -> PartitionId {
+    fn place(&mut self, e: Edge, du: u64, dv: u64) -> PartitionId {
         let k = self.loads.len() as u32;
         let d_sum = (du + dv) as f64;
         let theta_u = du as f64 / d_sum;
@@ -83,23 +80,12 @@ impl HdrfScorer {
     }
 }
 
-/// The HDRF streaming partitioner.
-#[derive(Clone, Copy, Debug)]
+/// The HDRF streaming partitioner, counting partial degrees as the edges
+/// stream by (the original algorithm).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct HdrfPartitioner {
     /// Scoring parameters (λ = 1.1 per the paper's appendix, ε = 1.0).
     pub params: HdrfParams,
-    /// Use partial degrees (the original algorithm). Switched off, HDRF runs
-    /// an exact degree pass first — used by ablations.
-    pub partial_degrees: bool,
-}
-
-impl Default for HdrfPartitioner {
-    fn default() -> Self {
-        HdrfPartitioner {
-            params: HdrfParams::default(),
-            partial_degrees: true,
-        }
-    }
 }
 
 impl Partitioner for HdrfPartitioner {
@@ -118,22 +104,11 @@ impl Partitioner for HdrfPartitioner {
         let k = params.k;
 
         let mut degrees = vec![0u64; info.num_vertices as usize];
-        if !self.partial_degrees {
-            let t = tps_obs::span("degree");
-            let exact = tps_graph::degree::DegreeTable::compute(stream, info.num_vertices)?;
-            for (d, e) in degrees.iter_mut().zip(exact.iter()) {
-                *d = u64::from(e);
-            }
-            report.phases.record("degree", t.end());
-        }
-
         let t = tps_obs::span("partition");
         let mut scorer = HdrfScorer::new(info.num_vertices, k, self.params);
         batched_pass(stream, sink, |e, out| {
-            if self.partial_degrees {
-                degrees[e.src as usize] += 1;
-                degrees[e.dst as usize] += 1;
-            }
+            degrees[e.src as usize] += 1;
+            degrees[e.dst as usize] += 1;
             let du = degrees[e.src as usize];
             let dv = degrees[e.dst as usize];
             out.push(e, scorer.place(e, du, dv));
@@ -222,21 +197,6 @@ mod tests {
             .partition(&mut g.stream(), &params, &mut b)
             .unwrap();
         assert_eq!(a.assignments(), b.assignments());
-    }
-
-    #[test]
-    fn exact_degree_mode_runs() {
-        let g = gnm::generate(100, 500, 2);
-        let mut p = HdrfPartitioner {
-            partial_degrees: false,
-            ..Default::default()
-        };
-        let mut sink = QualitySink::new(g.num_vertices(), 4);
-        let report = p
-            .partition(&mut g.stream(), &PartitionParams::new(4), &mut sink)
-            .unwrap();
-        assert_eq!(sink.finish().num_edges, 500);
-        assert_eq!(report.phases.phases()[0].0, "degree");
     }
 
     #[test]

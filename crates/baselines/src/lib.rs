@@ -27,7 +27,6 @@ pub mod hdrf;
 pub mod hep;
 pub mod multilevel;
 pub mod ne;
-pub mod parallel;
 pub mod sne;
 pub mod stateless;
 
@@ -38,7 +37,6 @@ pub use hdrf::HdrfPartitioner;
 pub use hep::HepPartitioner;
 pub use multilevel::MultilevelPartitioner;
 pub use ne::NePartitioner;
-pub use parallel::{ParallelBaselineRunner, StreamingBaseline};
 pub use sne::SnePartitioner;
 pub use stateless::{DbhPartitioner, GridPartitioner, RandomPartitioner};
 

@@ -1,48 +1,34 @@
-//! Parallel scaling: chunk-parallel runners against their serial
-//! references, end to end.
+//! Parallel scaling: `--threads N` 2PS-L runs against the serial run, end
+//! to end.
 //!
 //! Generates the R-MAT-skewed OK stand-in, runs a full serial partition and
-//! full parallel partitions at 1/2/4/8 worker threads, and emits a JSON
-//! report of wall times, throughput and speedup plus the quality deltas
-//! (replication factor, balance) so the determinism/quality bounds of
-//! `tps-core::parallel` stay observable. One-thread parallel runs are
-//! asserted bit-compatible with serial quality (same RF, same loads).
+//! full `--threads N` partitions at 1/2/4/8 worker threads (all through
+//! `JobSpec`), and emits a JSON report of wall times, throughput and speedup
+//! plus the quality deltas (replication factor, balance) so the
+//! determinism/quality bounds of `tps-core::parallel` stay observable.
+//! One-thread runs are asserted bit-compatible with serial quality (same
+//! RF, same loads).
 //!
-//! `--algo` selects the algorithm (paper Fig. 4 with a threads axis):
+//! Serial and T = 1 — the same kernels over the same edges — are timed in
+//! alternation, and the report carries their ratio as `t1_vs_serial`
+//! (serial seconds ÷ T = 1 seconds; 1.0 = the one-worker run costs nothing
+//! over the serial one). Like `io_readers`' `v2_vs_v1` it cancels
+//! machine-speed drift, and the perf gate holds it above the committed
+//! `parallel_scaling.t1_vs_serial.ratio` floor.
 //!
-//! * `2ps` (default) — `ParallelRunner` vs the serial 2PS-L partitioner;
-//! * `hdrf` — `ParallelBaselineRunner` vs serial **exact-degree** HDRF
-//!   (partial degree counting is inherently sequential, so the parallel
-//!   runner and its serial reference both use exact degrees);
-//! * `dbh` — `ParallelBaselineRunner` vs serial DBH (whose output the
-//!   parallel runner reproduces identically at every thread count).
-//!
-//! For the default `2ps` algorithm serial and T = 1 — the same kernels over
-//! the same edges — are timed in alternation, and the report carries their
-//! ratio as `t1_vs_serial` (serial seconds ÷ T = 1 seconds; 1.0 = the
-//! one-worker runner costs nothing over the serial one). Like
-//! `io_readers`' `v2_vs_v1` it cancels machine-speed drift, and the perf
-//! gate holds it above the committed `parallel_scaling.t1_vs_serial.ratio`
-//! floor.
-//!
-//! The `2ps` report also carries a `trace_overhead` section: the same
-//! 4-thread run measured untraced and
-//! with `tps-obs` event recording enabled, plus their wall-time ratio
-//! (`slowdown`, the median over alternating traced/untraced run pairs) —
-//! the CI perf gate holds that ratio under the committed
-//! `parallel_scaling.trace_overhead.slowdown` ceiling. `--trace FILE`
-//! additionally writes the traced run's JSON-lines trace to FILE
+//! The report also carries a `trace_overhead` section: the same 4-thread
+//! run measured untraced and with `tps-obs` event recording enabled, plus
+//! their wall-time ratio (`slowdown`, the median over alternating
+//! traced/untraced run pairs) — the CI perf gate holds that ratio under the
+//! committed `parallel_scaling.trace_overhead.slowdown` ceiling. `--trace
+//! FILE` additionally writes the traced run's JSON-lines trace to FILE
 //! (`tps report FILE` renders it).
 //!
-//! Run: `cargo run --release -p tps-bench --bin parallel_scaling -- [--algo 2ps|hdrf|dbh] [--trace file] [--scale f] [--repeats n] [--quick]`
+//! Run: `cargo run --release -p tps-bench --bin parallel_scaling -- [--trace file] [--scale f] [--repeats n] [--quick]`
 
-use std::time::Instant;
-
-use tps_baselines::{DbhPartitioner, HdrfPartitioner, ParallelBaselineRunner, StreamingBaseline};
 use tps_bench::harness::BenchArgs;
 use tps_core::job::{JobSpec, ThreadMode};
-use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
-use tps_core::sink::QualitySink;
+use tps_core::partitioner::{PartitionParams, RunReport};
 use tps_core::two_phase::TwoPhaseConfig;
 use tps_graph::datasets::Dataset;
 use tps_graph::stream::InMemoryGraph;
@@ -60,23 +46,13 @@ struct Measured {
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    let algo = take_value(&mut argv, "--algo").unwrap_or_else(|| "2ps".to_string());
     let trace_path = take_value(&mut argv, "--trace");
     let args = BenchArgs::parse(argv);
     // The OK stand-in is R-MAT-derived: skewed degrees and ids.
     let graph = Dataset::Ok.generate_scaled(args.scale);
     let params = PartitionParams::new(K);
 
-    let is_2ps = matches!(algo.as_str(), "2ps" | "2ps-l");
-    let (serial, parallel) = match algo.as_str() {
-        "2ps" | "2ps-l" => run_2ps(&graph, &params, &args),
-        "hdrf" => run_baseline(StreamingBaseline::hdrf(), &graph, &params, &args),
-        "dbh" => run_baseline(StreamingBaseline::dbh(), &graph, &params, &args),
-        other => {
-            eprintln!("error: unknown --algo {other:?} (2ps|hdrf|dbh)");
-            std::process::exit(2);
-        }
-    };
+    let (serial, parallel) = run_2ps(&graph, &params, &args);
 
     println!("{{");
     println!(
@@ -85,7 +61,7 @@ fn main() {
         graph.num_edges(),
         args.scale
     );
-    println!("  \"algo\": \"{algo}\",");
+    println!("  \"algo\": \"2ps\",");
     println!(
         "  \"hardware_threads\": {},",
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -103,23 +79,17 @@ fn main() {
         .map(|(threads, out)| row(*threads, out, &serial, medges))
         .collect();
     println!("  \"parallel\": [\n{}\n  ],", rows.join(",\n"));
-    if is_2ps {
-        let t1 = &parallel[0].1; // THREAD_COUNTS starts at 1
-        println!(
-            "  \"t1_vs_serial\": {{\"serial_seconds\": {:.6}, \"t1_seconds\": {:.6}, \"ratio\": {:.4}}},",
-            serial.seconds,
-            t1.seconds,
-            serial.seconds / t1.seconds
-        );
-        println!(
-            "  {}",
-            trace_overhead(&graph, &params, &args, trace_path.as_deref())
-        );
-    } else {
-        // Keep the document shape stable across algorithms.
-        println!("  \"t1_vs_serial\": null,");
-        println!("  \"trace_overhead\": null");
-    }
+    let t1 = &parallel[0].1; // THREAD_COUNTS starts at 1
+    println!(
+        "  \"t1_vs_serial\": {{\"serial_seconds\": {:.6}, \"t1_seconds\": {:.6}, \"ratio\": {:.4}}},",
+        serial.seconds,
+        t1.seconds,
+        serial.seconds / t1.seconds
+    );
+    println!(
+        "  {}",
+        trace_overhead(&graph, &params, &args, trace_path.as_deref())
+    );
     println!("}}");
 }
 
@@ -139,14 +109,6 @@ fn keep_faster(best: &mut Option<Measured>, out: Measured) {
     if best.as_ref().is_none_or(|b| out.seconds < b.seconds) {
         *best = Some(out);
     }
-}
-
-fn best_of<F: FnMut() -> Measured>(repeats: u32, mut run: F) -> Measured {
-    let mut best = None;
-    for _ in 0..repeats {
-        keep_faster(&mut best, run());
-    }
-    best.expect("at least one repeat")
 }
 
 fn row(threads: usize, out: &Measured, serial: &Measured, medges: f64) -> String {
@@ -204,59 +166,14 @@ fn run_2ps(
     let serial = serial.expect("at least one repeat");
     let mut parallel = vec![(1, t1.expect("at least one repeat"))];
     for &threads in &THREAD_COUNTS[1..] {
-        parallel.push((threads, best_of(args.repeats, || run_parallel(threads))));
+        let mut best = None;
+        for _ in 0..args.repeats {
+            keep_faster(&mut best, run_parallel(threads));
+        }
+        parallel.push((threads, best.expect("at least one repeat")));
     }
     for (threads, out) in &parallel {
         check_row(out, &serial, graph, *threads);
-    }
-    (serial, parallel)
-}
-
-fn run_baseline(
-    algo: StreamingBaseline,
-    graph: &InMemoryGraph,
-    params: &PartitionParams,
-    args: &BenchArgs,
-) -> (Measured, Vec<(usize, Measured)>) {
-    let serial = best_of(args.repeats, || {
-        let mut sink = QualitySink::new(graph.num_vertices(), params.k);
-        let start = Instant::now();
-        let report = match algo {
-            // The parallel reference point uses exact degrees (see module
-            // docs), so the serial HDRF reference must too.
-            StreamingBaseline::Hdrf(h) => HdrfPartitioner {
-                params: h,
-                partial_degrees: false,
-            }
-            .partition(&mut graph.stream(), params, &mut sink)
-            .expect("serial hdrf"),
-            StreamingBaseline::Dbh { seed } => DbhPartitioner { seed }
-                .partition(&mut graph.stream(), params, &mut sink)
-                .expect("serial dbh"),
-        };
-        Measured {
-            seconds: start.elapsed().as_secs_f64(),
-            metrics: sink.finish(),
-            report,
-        }
-    });
-    let mut parallel = Vec::new();
-    for threads in THREAD_COUNTS {
-        let runner = ParallelBaselineRunner::new(algo, threads);
-        let out = best_of(args.repeats, || {
-            let mut sink = QualitySink::new(graph.num_vertices(), params.k);
-            let start = Instant::now();
-            let report = runner
-                .partition(graph, params, &mut sink)
-                .expect("parallel");
-            Measured {
-                seconds: start.elapsed().as_secs_f64(),
-                metrics: sink.finish(),
-                report,
-            }
-        });
-        check_row(&out, &serial, graph, threads);
-        parallel.push((threads, out));
     }
     (serial, parallel)
 }
@@ -265,7 +182,7 @@ fn check_row(out: &Measured, serial: &Measured, graph: &InMemoryGraph, threads: 
     assert_eq!(
         out.metrics.num_edges,
         graph.num_edges(),
-        "parallel runner dropped edges at {threads} threads"
+        "a {threads}-thread run dropped edges"
     );
     if threads == 1 {
         // One worker executes the serial code path; quality must match

@@ -320,8 +320,9 @@ fn fig5(args: &BenchArgs) -> Vec<Section> {
 ///
 /// Paper finding: pre-partitioning dominates on web graphs (strong
 /// communities → endpoint clusters co-located) and covers a smaller share on
-/// social graphs. See EXPERIMENTS.md for the expected divergence on the
-/// social stand-ins (R-MAT has weaker communities than real social graphs).
+/// social graphs. On the social stand-ins the share is expected to fall
+/// below the paper's, because R-MAT has weaker communities than real social
+/// graphs.
 fn fig6(args: &BenchArgs) -> Vec<Section> {
     let header = ["prepartitioned", "remaining", "prepartitioned %"];
     let table = per_graph(args, &Dataset::TABLE3, &header, |_, graph, row| {
@@ -667,7 +668,7 @@ fn table5(args: &BenchArgs) -> Vec<Section> {
     vec![(None, Some("table5_storage"), table)]
 }
 
-/// Ablations of 2PS-L's design choices (DESIGN.md §6).
+/// Ablations of 2PS-L's design choices.
 ///
 /// 1. Cluster volume-cap factor ∈ {0.25, 0.5, 1.0, 2.0, ∞}.
 /// 2. Cluster→partition mapping: Graham sorted vs unsorted first-fit.

@@ -1,10 +1,8 @@
 //! The CI performance gate: parse bench JSON reports, extract named
 //! throughput metrics, and compare against a committed baseline.
 //!
-//! The workspace vendors no JSON crate, so a minimal recursive-descent
-//! parser lives here — it only needs to read the JSON *our own* bench
-//! binaries emit (objects, arrays, strings, numbers, booleans, null), but
-//! it is a complete parser of that grammar, with tests.
+//! Reports are read with the workspace's one JSON parser,
+//! [`tps_obs::json`], re-exported here as [`parse_json`] and [`Json`].
 //!
 //! Metrics come in two directions, resolved per key by [`direction`]'s
 //! suffix table:
@@ -26,247 +24,8 @@
 //!   `bench/baselines/ci.json`). None are derated by `--write-baseline`.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// A parsed JSON value (just enough for the bench reports).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member of an object by key.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => write!(f, "{n}"),
-            Json::Str(s) => write!(f, "\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
-            Json::Arr(v) => {
-                write!(f, "[")?;
-                for (i, e) in v.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, "]")
-            }
-            Json::Obj(members) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "\"{k}\": {v}")?;
-                }
-                write!(f, "}}")
-            }
-        }
-    }
-}
-
-/// Parse a JSON document. Errors carry a byte offset for context.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_num(b, pos),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or("bad \\u escape")?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(&c) => {
-                // Multi-byte UTF-8 sequences pass through unchanged. The
-                // `&str` input guarantees complete sequences, but stay
-                // panic-free should a byte-level entry point ever appear.
-                let ch_len = match c {
-                    0x00..=0x7F => 1,
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    _ => 4,
-                };
-                let s = b
-                    .get(*pos..*pos + ch_len)
-                    .and_then(|bytes| std::str::from_utf8(bytes).ok())
-                    .ok_or("invalid utf-8 in string")?;
-                out.push_str(s);
-                *pos += ch_len;
-            }
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(out));
-    }
-    loop {
-        out.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(out));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(out));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        out.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(out));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
+pub use tps_obs::json::{parse_json, Json};
 
 /// Extract the gated metrics from a *merged* report
 /// `{"io_readers": ..., "parallel_scaling": ..., "mem_peak": ...}`.
@@ -547,41 +306,6 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_scalars_and_structure() {
-        let j = parse_json(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny"}, "d": true, "e": null}"#)
-            .unwrap();
-        assert_eq!(j.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(
-            j.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(-300.0)
-        );
-        assert_eq!(j.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(j.get("d"), Some(&Json::Bool(true)));
-        assert_eq!(j.get("e"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["{", "[1,", "{\"a\" 1}", "12 34", "\"unterminated"] {
-            assert!(parse_json(bad).is_err(), "{bad:?} should fail");
-        }
-    }
-
-    #[test]
-    fn roundtrips_through_display() {
-        let text = r#"{"k": [1, {"s": "a\"b"}], "n": -2.5}"#;
-        let j = parse_json(text).unwrap();
-        let j2 = parse_json(&j.to_string()).unwrap();
-        assert_eq!(j, j2);
-    }
-
-    #[test]
-    fn parses_utf8_strings() {
-        let j = parse_json(r#"{"name": "2PS-L×4"}"#).unwrap();
-        assert_eq!(j.get("name").unwrap().as_str(), Some("2PS-L×4"));
-    }
 
     fn sample_report() -> Json {
         parse_json(

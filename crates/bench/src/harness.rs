@@ -3,7 +3,8 @@
 //! `repro` and the JSON bench binaries (`io_readers`, `parallel_scaling`,
 //! `dist_scaling`, `serve_scaling`) accept:
 //!
-//! * `--scale <f>`   dataset scale factor (default 1.0; DESIGN.md §2)
+//! * `--scale <f>`   dataset scale factor (default 1.0: the stand-ins of
+//!   `tps_graph::datasets`, ~1000× below the paper's graphs)
 //! * `--repeats <n>` measurement repetitions (default 3, as in the paper)
 //! * `--quick`       shorthand for `--scale 0.1 --repeats 1`
 //! * `--csv <dir>`   also write CSV outputs into `<dir>`

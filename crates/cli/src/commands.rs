@@ -41,7 +41,7 @@ USAGE:
   tps info      --input FILE                  print graph statistics
   tps profile   --path FILE                   measure sequential read speed
   tps report    TRACE.jsonl                   render a trace file's run report
-  tps help                                    show this text
+  tps help                                    show this text (so does CMD --help)
 
 partition options:
   --input FILE        binary (.bel / TPSBEL2) or text edge list
@@ -485,7 +485,7 @@ fn open_parts(
     let Some(dir) = flags.get("out") else {
         return Ok(None);
     };
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("--out {dir}: {e}"))?;
     let stem = Path::new(input)
         .file_stem()
         .and_then(|s| s.to_str())
@@ -935,7 +935,7 @@ pub fn generate(args: &[String]) -> i32 {
             .ok_or_else(|| format!("unknown dataset {name:?} (ok|it|tw|fr|uk|gsh|wdc|wi)"))?;
         let graph = ds.generate_scaled(scale);
         let info = write_binary_edge_list(out, graph.num_vertices(), graph.edges().iter().copied())
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| format!("{out}: {e}"))?;
         say!(
             "wrote {out}: {} vertices, {} edges ({} stand-in at scale {scale})",
             info.num_vertices,
@@ -982,15 +982,14 @@ pub fn convert(args: &[String]) -> i32 {
             (None, EdgeFileFormat::V1) => EdgeFileFormat::V2,
             (None, EdgeFileFormat::V2) => EdgeFileFormat::V1,
         };
-        let info = match (from, to) {
+        let converted = match (from, to) {
             (EdgeFileFormat::V1, EdgeFileFormat::V2) => {
-                tps_io::convert_v1_to_v2(input, out, chunk_edges).map_err(|e| e.to_string())?
+                tps_io::convert_v1_to_v2(input, out, chunk_edges)
             }
-            (EdgeFileFormat::V2, EdgeFileFormat::V1) => {
-                tps_io::convert_v2_to_v1(input, out).map_err(|e| e.to_string())?
-            }
+            (EdgeFileFormat::V2, EdgeFileFormat::V1) => tps_io::convert_v2_to_v1(input, out),
             _ => return Err(format!("{input} is already {to:?}").into()),
         };
+        let info = converted.map_err(|e| format!("converting {input} to {out}: {e}"))?;
         let in_bytes = std::fs::metadata(input).map_err(|e| e.to_string())?.len();
         let out_bytes = std::fs::metadata(out).map_err(|e| e.to_string())?.len();
         say!(

@@ -33,6 +33,8 @@
 //! `tps help` has the full split. `--reader` accepts only `buffered`, the
 //! one way a binary input is read (positioned reads of one file handle).
 //!
+//! `--help` or `-h` after any subcommand prints the usage and exits 0.
+//!
 //! Exit status: 0 on success, and also when the reader of stdout has gone
 //! (`tps info … | head -0`; `tps serve` serves on without one); 2 with one
 //! `error:` line on stderr otherwise.
@@ -110,29 +112,44 @@ pub(crate) fn fail(failure: impl Into<Failure>) -> i32 {
     }
 }
 
+/// A subcommand: its arguments in, its exit status out.
+type Command = fn(&[String]) -> i32;
+
+/// Every subcommand, by name.
+const COMMANDS: &[(&str, Command)] = &[
+    ("partition", commands::partition),
+    ("dist", commands::dist),
+    ("serve", serve_cmd::serve),
+    ("lookup", serve_cmd::lookup),
+    ("top", top_cmd::top),
+    ("generate", commands::generate),
+    ("convert", commands::convert),
+    ("info", commands::info),
+    ("profile", commands::profile),
+    ("report", commands::report),
+];
+
+/// Print the usage to stdout.
+fn usage() -> i32 {
+    match write_stdout(format_args!("{}", commands::USAGE)) {
+        Ok(()) => 0,
+        Err(e) => fail(e),
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let code = match argv.first().map(String::as_str) {
-        Some("partition") => commands::partition(&argv[1..]),
-        Some("dist") => commands::dist(&argv[1..]),
-        Some("serve") => serve_cmd::serve(&argv[1..]),
-        Some("lookup") => serve_cmd::lookup(&argv[1..]),
-        Some("top") => top_cmd::top(&argv[1..]),
-        Some("generate") => commands::generate(&argv[1..]),
-        Some("convert") => commands::convert(&argv[1..]),
-        Some("info") => commands::info(&argv[1..]),
-        Some("profile") => commands::profile(&argv[1..]),
-        Some("report") => commands::report(&argv[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            match write_stdout(format_args!("{}", commands::USAGE)) {
-                Ok(()) => 0,
-                Err(e) => fail(e),
+        Some("help" | "--help" | "-h") | None => usage(),
+        Some(name) => match COMMANDS.iter().find(|(n, _)| *n == name) {
+            // `--help` or `-h` anywhere after a subcommand asks for the usage.
+            Some(_) if argv[1..].iter().any(|a| a == "--help" || a == "-h") => usage(),
+            Some((_, command)) => command(&argv[1..]),
+            None => {
+                eprintln!("error: unknown command {name:?}\n\n{}", commands::USAGE);
+                2
             }
-        }
-        Some(other) => {
-            eprintln!("error: unknown command {other:?}\n\n{}", commands::USAGE);
-            2
-        }
+        },
     };
     std::process::exit(code);
 }

@@ -29,6 +29,76 @@ fn unknown_command_fails() {
 }
 
 #[test]
+fn every_subcommand_prints_usage_on_help() {
+    for cmd in [
+        "partition",
+        "dist",
+        "serve",
+        "lookup",
+        "top",
+        "generate",
+        "convert",
+        "info",
+        "profile",
+        "report",
+    ] {
+        for args in [
+            vec![cmd, "--help"],
+            vec![cmd, "-h"],
+            vec![cmd, "--k", "4", "--help"],
+        ] {
+            let out = tps().args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "tps {args:?}: {stderr}");
+            assert!(stderr.is_empty(), "tps {args:?}: {stderr}");
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(text.contains("tps partition"), "tps {args:?}: {text}");
+        }
+    }
+}
+
+/// An output path under a regular file cannot be created; the error names
+/// the path, not just the OS's reason.
+#[test]
+fn an_output_path_that_cannot_be_created_is_named_in_the_error() {
+    let dir = tmpdir("badout");
+    let bel = dir.join("g.bel");
+    let out = tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let blocked = bel.join("parts");
+    let out = tps()
+        .args(["partition", "--input"])
+        .arg(&bel)
+        .args(["--k", "4", "--out"])
+        .arg(&blocked)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&*blocked.to_string_lossy()), "{stderr}");
+    for (cmd, args) in [
+        ("generate", vec!["--dataset", "ok", "--scale", "0.01"]),
+        ("convert", vec!["--input", bel.to_str().unwrap()]),
+    ] {
+        let out = tps()
+            .arg(cmd)
+            .args(args)
+            .arg("--out")
+            .arg(bel.join("g2.bel"))
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("g.bel/g2.bel"), "{cmd}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn generate_info_partition_roundtrip() {
     let dir = tmpdir("roundtrip");
     let bel = dir.join("ok.bel");

@@ -52,9 +52,10 @@ use std::time::Instant;
 use tps_clustering::paged::PageStoreProvider;
 use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::{discover_info, EdgeStream};
+use tps_metrics::atomic::AtomicReplicationMatrix;
 use tps_metrics::quality::PartitionMetrics;
 
-use crate::parallel::{partition_ranged, ParallelRunner};
+use crate::parallel::partition_ranged;
 use crate::partitioner::{PartitionParams, Partitioner, RunReport};
 use crate::runner::RunOutcome;
 use crate::sink::{AssignmentSink, NullSink, QualitySink, TeeSink};
@@ -68,7 +69,8 @@ pub enum ThreadMode {
     /// One worker per available core (the default).
     #[default]
     Auto,
-    /// An explicit chunk-parallel worker count (deterministic per count).
+    /// An explicit chunk-parallel worker count (deterministic per count;
+    /// 0 is [`ThreadMode::Auto`]).
     Count(usize),
 }
 
@@ -319,22 +321,13 @@ impl<'a> JobSpec<'a> {
             (JobEngine::TwoPhase(_), _) => None,
         };
         match (reason, self.threads) {
-            (None, ThreadMode::Serial) => ExecPlan::Serial { reason: None },
-            (None, mode) => {
-                let requested = match mode {
-                    ThreadMode::Count(n) => n,
-                    _ => 0, // 0 = auto inside ParallelRunner
-                };
-                let cfg = match &self.engine {
-                    JobEngine::TwoPhase(cfg) => *cfg,
-                    JobEngine::Custom(_) => unreachable!("reason is None only for TwoPhase"),
-                };
-                ExecPlan::Parallel {
-                    threads: ParallelRunner::new(cfg, requested).threads(),
-                }
-            }
             (Some(reason), _) => ExecPlan::Serial {
                 reason: Some(reason),
+            },
+            (None, ThreadMode::Serial) => ExecPlan::Serial { reason: None },
+            (None, ThreadMode::Count(threads)) if threads > 0 => ExecPlan::Parallel { threads },
+            (None, _) => ExecPlan::Parallel {
+                threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             },
         }
     }
@@ -409,18 +402,30 @@ impl<'a> JobSpec<'a> {
                     JobEngine::TwoPhase(cfg) => cfg,
                     JobEngine::Custom(_) => unreachable!("plan() keeps custom engines serial"),
                 };
-                let runner = ParallelRunner::new(cfg, threads);
                 let JobInput::Ranged(source) = input else {
                     unreachable!("plan() keeps streams serial, and paths are sources by now")
                 };
                 let info = source.info();
+                if threads > 1 {
+                    // Several shards share one replica matrix: refuse one
+                    // too large to share before any pass, and before a
+                    // debug build's quality sink allocates its own.
+                    AtomicReplicationMatrix::words_needed(info.num_vertices, params.k)
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+                }
                 let nv = num_vertices.unwrap_or(info.num_vertices);
                 let (result, peak) = tps_metrics::alloc::measure_peak(|| {
                     run_measured(true, nv, params.k, extra_sink, &mut |sink| {
                         partition_ranged(&cfg, threads, paging.as_ref(), source, &params, sink)
                     })
                 });
-                (runner.name(), nv, info.num_edges, result, peak)
+                (
+                    threaded_name(&cfg, threads),
+                    nv,
+                    info.num_edges,
+                    result,
+                    peak,
+                )
             }
             ExecPlan::Serial { .. } => {
                 let mut owned_partitioner;
@@ -496,6 +501,12 @@ impl<'a> JobSpec<'a> {
             peak_heap_bytes: peak,
         })
     }
+}
+
+/// The name of a `threads`-worker run of `config`: the serial name with a
+/// thread tag (`2PS-L×4`).
+fn threaded_name(config: &TwoPhaseConfig, threads: usize) -> String {
+    format!("{}×{threads}", TwoPhasePartitioner::new(*config).name())
 }
 
 /// Run an engine (`run_into`) in front of the sinks its job needs and return

@@ -26,7 +26,7 @@
 //! * [`balance`] — per-partition load accounting with the hard balance cap.
 //! * [`two_phase`] — the 2PS-L implementation (and its 2PS-HDRF variant).
 //! * [`parallel`] — the one 2PS-L driver and its per-shard kernels: a
-//!   serial run is one shard, [`parallel::ParallelRunner`] runs both
+//!   serial run is one shard, a `--threads N` job runs both
 //!   phases with one worker per contiguous edge range (mergeable
 //!   clustering state, one shared replication matrix, quota-sliced lock-free
 //!   load reservation — see the module docs for the scheme and its
@@ -67,7 +67,6 @@ pub mod sink;
 pub mod two_phase;
 
 pub use job::{ExecPlan, InputProvider, JobEngine, JobInput, JobSpec, ThreadMode};
-pub use parallel::ParallelRunner;
 pub use partitioner::{PartitionParams, Partitioner, RunReport};
 pub use runner::RunOutcome;
 pub use sink::{AssignmentSink, NullSink, QualitySink, VecSink};

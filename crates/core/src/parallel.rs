@@ -4,13 +4,14 @@
 //! A run is a set of **shards**. Both phases of 2PS-L are embarrassingly
 //! parallel over contiguous edge ranges: phase 1's streaming clustering
 //! commutes up to a state merge, and phase 2 scores each edge against
-//! per-vertex state that can be sharded per worker. [`ParallelRunner`]
-//! splits the canonical edge order into `T` near-equal ranges (see
-//! [`tps_graph::ranged::split_even`]) and runs each phase with one worker
-//! per range over its own [`EdgeStream`], opened through a
-//! [`RangedEdgeSource`] — in-memory graphs, v1 `.bel` files and chunked v2
-//! files (via `tps-io`) all implement it, and because ranges are expressed
-//! in *edge indices* the result is identical for every storage backend.
+//! per-vertex state that can be sharded per worker. A `--threads T` job
+//! ([`crate::job::JobSpec`]) splits the canonical edge order into `T`
+//! near-equal ranges ([`tps_graph::ranged::split_even`]) and runs each
+//! phase with one worker per range over its own [`EdgeStream`], opened
+//! through a [`RangedEdgeSource`] — in-memory graphs, v1 `.bel` files and
+//! chunked v2 files (via `tps-io`) all implement it, and because ranges are
+//! expressed in *edge indices* the result is identical for every storage
+//! backend.
 //! **Serial is one shard**: the caller's stream (`TwoPhasePartitioner`) or
 //! the whole range (`T = 1`), its barriers no-ops.
 //!
@@ -19,7 +20,7 @@
 //! The phase logic is deliberately **not** owned by the thread pool: the
 //! free functions [`shard_degrees`] and [`shard_clustering`] plus the
 //! [`ShardAssigner`] state machine run one shard of one phase each, and the
-//! driver merely schedules them onto scoped threads ([`run_workers`]) and
+//! driver merely schedules them onto scoped threads (`run_workers`) and
 //! merges between barriers. `tps-dist` schedules the *same* kernels onto
 //! worker processes connected over a socket, which is how a distributed run
 //! can be bit-identical to `--threads N` — both execute this module's code
@@ -564,59 +565,6 @@ impl<'a, C: ClusterView> ShardAssigner<'a, SharedReplicaView<'a>, C> {
     }
 }
 
-/// The chunk-parallel two-phase partitioner.
-///
-/// Unlike [`crate::partitioner::Partitioner`] implementations it consumes a
-/// [`RangedEdgeSource`] rather than a single stream cursor — parallelism
-/// needs independent range streams, which a `&mut dyn EdgeStream` cannot
-/// provide. One thread runs the source's whole range as one shard: the
-/// serial run.
-#[derive(Clone, Debug)]
-pub struct ParallelRunner {
-    config: TwoPhaseConfig,
-    threads: usize,
-}
-
-impl ParallelRunner {
-    /// A runner executing `config` (checked when it runs) on `threads`
-    /// worker threads. `threads = 0` selects
-    /// [`std::thread::available_parallelism`].
-    pub fn new(config: TwoPhaseConfig, threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
-        ParallelRunner { config, threads }
-    }
-
-    /// The worker thread count in use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Algorithm name, matching the serial partitioner's with a thread tag.
-    pub fn name(&self) -> String {
-        let base = match self.config.strategy {
-            crate::two_phase::RemainingStrategy::TwoChoice => "2PS-L",
-            crate::two_phase::RemainingStrategy::Hdrf(_) => "2PS-HDRF",
-        };
-        format!("{base}×{}", self.threads)
-    }
-
-    /// Partition `source` into `params.k` parts, emitting every assignment
-    /// into `sink` (in deterministic worker order) and returning the merged
-    /// report.
-    pub fn partition(
-        &self,
-        source: &dyn RangedEdgeSource,
-        params: &PartitionParams,
-        sink: &mut dyn AssignmentSink,
-    ) -> io::Result<RunReport> {
-        partition_ranged(&self.config, self.threads, None, source, params, sink)
-    }
-}
-
 /// A run of `threads` shards over `source`: `threads` near-equal edge
 /// ranges, or — at one thread — the whole range as one stream, its cluster
 /// state paged under `paging` when given (several shards do not page).
@@ -670,12 +618,6 @@ pub(crate) fn run_shards(
         });
     }
     let (nv, k) = (info.num_vertices, params.k);
-    if let Shards::Ranged(..) = shards {
-        // Several shards share one matrix: refuse one too large to share
-        // now, not after the degree and clustering passes.
-        AtomicReplicationMatrix::words_needed(nv, k)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    }
     let mut report = RunReport::default();
     let ledger = AtomicLoads::new(k, info.num_edges, params.alpha);
 
@@ -1002,10 +944,8 @@ pub fn overshoot_from_loads(loads: &[u64], k: u32, num_edges: u64, alpha: f64) -
 }
 
 /// Run `work(t, range)` on one scoped thread per range, collecting results
-/// in range order and propagating the first error. Public so other shard
-/// schedulers (parallel stateless baselines, the loopback distributed
-/// runner) reuse the same deterministic fan-out.
-pub fn run_workers<T, F>(ranges: &[(u64, u64)], work: F) -> io::Result<Vec<T>>
+/// in range order and propagating the first error.
+pub(crate) fn run_workers<T, F>(ranges: &[(u64, u64)], work: F) -> io::Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize, (u64, u64)) -> io::Result<T> + Sync,
@@ -1017,7 +957,7 @@ where
 
 /// Like [`run_workers`], additionally moving one element of `state` into
 /// each worker (resuming per-worker state across a barrier).
-pub fn run_workers_with<W, T, F>(
+pub(crate) fn run_workers_with<W, T, F>(
     ranges: &[(u64, u64)],
     state: Vec<W>,
     work: F,
@@ -1061,7 +1001,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{JobSpec, ThreadMode};
     use crate::partitioner::Partitioner;
+    use crate::runner::RunOutcome;
     use crate::sink::{QualitySink, VecSink};
     use crate::two_phase::TwoPhasePartitioner;
     use tps_graph::datasets::Dataset;
@@ -1076,17 +1018,31 @@ mod tests {
         sink.into_assignments()
     }
 
+    /// A `--threads` run of `config` on `g` into `sink`.
+    fn run_threads(
+        g: &InMemoryGraph,
+        config: TwoPhaseConfig,
+        k: u32,
+        threads: usize,
+        sink: &mut dyn AssignmentSink,
+    ) -> RunOutcome {
+        JobSpec::ranged(g)
+            .two_phase(config)
+            .params(&PartitionParams::new(k))
+            .threads(ThreadMode::Count(threads))
+            .extra_sink(sink)
+            .run()
+            .unwrap()
+    }
+
     fn parallel_assignments(
         g: &InMemoryGraph,
         k: u32,
         threads: usize,
     ) -> (Vec<(Edge, PartitionId)>, RunReport) {
         let mut sink = VecSink::new();
-        let runner = ParallelRunner::new(TwoPhaseConfig::default(), threads);
-        let report = runner
-            .partition(g, &PartitionParams::new(k), &mut sink)
-            .unwrap();
-        (sink.into_assignments(), report)
+        let out = run_threads(g, TwoPhaseConfig::default(), k, threads, &mut sink);
+        (sink.into_assignments(), out.report)
     }
 
     #[test]
@@ -1126,13 +1082,10 @@ mod tests {
         let g = Dataset::Ok.generate_scaled(0.02);
         for threads in [2usize, 4, 8] {
             let mut sink = QualitySink::new(g.num_vertices(), 16);
-            let runner = ParallelRunner::new(TwoPhaseConfig::default(), threads);
-            let report = runner
-                .partition(&g, &PartitionParams::new(16), &mut sink)
-                .unwrap();
+            let out = run_threads(&g, TwoPhaseConfig::default(), 16, threads, &mut sink);
             let cap = crate::balance::PartitionLoads::new(16, g.num_edges(), 1.05).cap();
             let m = sink.finish();
-            assert_eq!(report.counter("cap_overshoot"), 0);
+            assert_eq!(out.report.counter("cap_overshoot"), 0);
             assert!(
                 m.max_load <= cap,
                 "threads {threads}: max load {} > cap {cap}",
@@ -1159,20 +1112,23 @@ mod tests {
 
     #[test]
     fn zero_threads_selects_available_parallelism() {
-        let r = ParallelRunner::new(TwoPhaseConfig::default(), 0);
-        assert!(r.threads() >= 1);
-        assert!(r.name().starts_with("2PS-L×"));
+        let g = Dataset::Ok.generate_scaled(0.01);
+        let spec = || JobSpec::ranged(&g).threads(ThreadMode::Count(0));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(
+            spec().plan(),
+            crate::job::ExecPlan::Parallel { threads: cores }
+        );
+        assert_eq!(spec().run().unwrap().name, format!("2PS-L×{cores}"));
     }
 
     #[test]
     fn hdrf_variant_runs_parallel() {
         let g = Dataset::Ok.generate_scaled(0.01);
         let mut sink = VecSink::new();
-        let runner = ParallelRunner::new(TwoPhaseConfig::hdrf_variant(), 4);
-        runner
-            .partition(&g, &PartitionParams::new(8), &mut sink)
-            .unwrap();
+        let out = run_threads(&g, TwoPhaseConfig::hdrf_variant(), 8, 4, &mut sink);
         assert_eq!(sink.assignments().len() as u64, g.num_edges());
+        assert_eq!(out.name, "2PS-HDRF×4");
     }
 
     #[test]
@@ -1186,9 +1142,7 @@ mod tests {
         let serial_rf = serial_sink.finish().replication_factor;
         for threads in [2usize, 4, 8] {
             let mut sink = QualitySink::new(g.num_vertices(), k);
-            ParallelRunner::new(TwoPhaseConfig::default(), threads)
-                .partition(&g, &PartitionParams::new(k), &mut sink)
-                .unwrap();
+            run_threads(&g, TwoPhaseConfig::default(), k, threads, &mut sink);
             let rf = sink.finish().replication_factor;
             assert!(
                 rf <= serial_rf * 1.35 + 0.05,

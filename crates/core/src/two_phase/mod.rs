@@ -76,11 +76,11 @@ pub struct TwoPhaseConfig {
     pub clustering_passes: u32,
     /// Cluster volume cap as a multiple of the fair share `2|E|/k`.
     /// The paper mandates an explicit cap but not its value; our ablation
-    /// (bench `ablations`) finds 0.5 — i.e. `cap = |E|/k` — strictly better
+    /// (`repro --figure ablations`) finds 0.5 — i.e. `cap = |E|/k` — strictly better
     /// than 1.0 on every dataset (finer clusters pack better under Graham
     /// scheduling and overflow the balance cap less), and values ≥ 2 or
     /// unbounded degrade sharply, which is exactly the failure the paper's
-    /// extension #1 exists to prevent. See DESIGN.md §5.
+    /// extension #1 exists to prevent.
     pub volume_cap_factor: f64,
     /// Scoring strategy for non-pre-partitioned edges.
     pub strategy: RemainingStrategy,

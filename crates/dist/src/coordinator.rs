@@ -1,8 +1,8 @@
 //! The coordinator: shard-map owner, barrier merger, emit sequencer —
 //! fault-tolerant against worker loss at any protocol point.
 //!
-//! The coordinator mirrors `tps_core::parallel::ParallelRunner` exactly,
-//! with transports where the in-process runner has scoped threads:
+//! The coordinator mirrors a `--threads N` job (`tps_core::parallel`)
+//! exactly, with transports where the in-process run has scoped threads:
 //!
 //! * the shard map is [`tps_graph::ranged::split_even`] over the edge count
 //!   — the same ranges `--threads N` uses, which is the precondition for

@@ -3,8 +3,8 @@
 //!
 //! The paper's two-phase design decomposes into per-range passes joined at
 //! two state merges (degrees + clustering after phase 1, replication shards
-//! inside phase 2). The in-process `ParallelRunner` exploits that with
-//! threads; this crate promotes the same decomposition across processes:
+//! inside phase 2). A `--threads N` job exploits that with threads; this
+//! crate promotes the same decomposition across processes:
 //!
 //! ```text
 //!                      coordinator

@@ -21,7 +21,7 @@ use crate::worker::{run_worker, AttachedResolver};
 
 /// Partition `source` with `workers` loopback workers, emitting into `sink`
 /// in shard order. Deterministic for a fixed worker count and bit-identical
-/// to `ParallelRunner` at the same `--threads` (see `tests/tests/dist.rs`).
+/// to a `--threads N` job at N = `workers` (see `tests/tests/dist.rs`).
 /// Loopback workers cannot die spontaneously, so the run uses the fail-fast
 /// [`FaultPolicy`]; the chaos tests drive `run_coordinator` directly with
 /// fault-injecting transports and a respawning supply.
@@ -76,7 +76,8 @@ pub fn run_dist_local(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tps_core::parallel::ParallelRunner;
+    use tps_core::job::{JobSpec, ThreadMode};
+    use tps_core::runner::RunOutcome;
     use tps_core::sink::VecSink;
     use tps_graph::datasets::Dataset;
     use tps_graph::stream::InMemoryGraph;
@@ -95,14 +96,30 @@ mod tests {
         (sink.into_assignments(), report)
     }
 
+    /// The in-process `--threads` job the loopback run must reproduce.
+    fn threads_job(
+        g: &InMemoryGraph,
+        config: TwoPhaseConfig,
+        k: u32,
+        threads: usize,
+        sink: &mut VecSink,
+    ) -> RunOutcome {
+        JobSpec::ranged(g)
+            .two_phase(config)
+            .params(&PartitionParams::new(k))
+            .threads(ThreadMode::Count(threads))
+            .extra_sink(sink)
+            .run()
+            .unwrap()
+    }
+
     #[test]
     fn loopback_matches_parallel_runner_bit_for_bit() {
         let g = Dataset::Ok.generate_scaled(0.02);
         for workers in [1usize, 2, 3, 4] {
             let mut expected = VecSink::new();
-            let runner_report = ParallelRunner::new(TwoPhaseConfig::default(), workers)
-                .partition(&g, &PartitionParams::new(16), &mut expected)
-                .unwrap();
+            let runner_report =
+                threads_job(&g, TwoPhaseConfig::default(), 16, workers, &mut expected).report;
             let mut sink = VecSink::new();
             let report = run_dist_local(
                 &g,
@@ -147,9 +164,7 @@ mod tests {
             TwoPhaseConfig::with_passes(2),
         ] {
             let mut expected = VecSink::new();
-            ParallelRunner::new(config, 2)
-                .partition(&g, &PartitionParams::new(8), &mut expected)
-                .unwrap();
+            threads_job(&g, config, 8, 2, &mut expected);
             let mut sink = VecSink::new();
             run_dist_local(&g, &config, &PartitionParams::new(8), 2, &mut sink).unwrap();
             assert_eq!(sink.assignments(), expected.assignments());
@@ -164,9 +179,7 @@ mod tests {
             ..Default::default()
         };
         let mut expected = VecSink::new();
-        ParallelRunner::new(config, 3)
-            .partition(&g, &PartitionParams::new(8), &mut expected)
-            .unwrap();
+        threads_job(&g, config, 8, 3, &mut expected);
         let mut sink = VecSink::new();
         run_dist_local(&g, &config, &PartitionParams::new(8), 3, &mut sink).unwrap();
         assert_eq!(sink.assignments(), expected.assignments());

@@ -2,8 +2,8 @@
 //!
 //! A worker is a thin state machine around `tps-core`'s per-shard kernels
 //! ([`shard_degrees`], [`shard_clustering`], [`ShardAssigner`]) — the same
-//! code the in-process `ParallelRunner` schedules onto threads, which is
-//! why a distributed run is bit-identical to `--threads N`. The worker
+//! code a `--threads N` job schedules onto threads, which is
+//! why a distributed run is bit-identical to that job. The worker
 //! never sees the whole graph's assignments: its decisions wait in a
 //! [`DecisionLog`] — a tag per edge of its range, 1, 2 or 4 B under any
 //! memory budget — and stream back as bounded `Run` batches when the

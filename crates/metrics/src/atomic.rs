@@ -179,9 +179,9 @@ impl AtomicReplicationMatrix {
 
     /// The packed words a shared `num_vertices × k` matrix takes, or why
     /// it cannot be built in process: word indices must stay below
-    /// `2^32 − 1` (the sparse overlay keys them as `u32`). Checked by the
-    /// driver before its first pass, so a matrix too large to share is
-    /// refused before any work, not after the clustering passes.
+    /// `2^32 − 1` (the sparse overlay keys them as `u32`). Checked where a
+    /// job resolves a run over several shards, so a matrix too large to
+    /// share is refused before any work, not after the clustering passes.
     pub fn words_needed(num_vertices: u64, k: u32) -> Result<usize, String> {
         RowLayout::new(k)
             .words_for(num_vertices)

@@ -15,7 +15,8 @@
 //! * [`trace`] — a flat JSON-lines sink and parser for traces: one meta
 //!   line, one line per event, one line per counter value. Dist workers ship
 //!   their drained events to the coordinator inside the `ShardDone` barrier
-//!   frame, so a single file describes the whole cluster.
+//!   frame, so a single file describes the whole cluster. Traces are read
+//!   back through [`json`], the workspace's one JSON parser.
 //! * [`report`] — reconstructs the span forest from a trace (validating
 //!   nesting and per-thread timestamp monotonicity) and renders the phase
 //!   breakdown, top counters, and fault timeline (`tps report`).
@@ -40,6 +41,7 @@ pub mod counter;
 pub mod export;
 pub mod gauge;
 pub mod hist;
+pub mod json;
 pub mod recorder;
 pub mod report;
 pub mod timer;

@@ -27,6 +27,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::counter::{counters_snapshot, reset_counters};
+use crate::json::{parse_json, Json};
 use crate::recorder::{
     reset_events, set_enabled, take_events, take_remote_counters, EventKind, TraceEvent,
 };
@@ -175,133 +176,36 @@ impl TraceRecording {
     }
 }
 
-#[derive(Debug, PartialEq)]
-enum Scalar {
-    Str(String),
-    Num(f64),
-}
-
-/// Parse one flat JSON object (`{"key":value,...}` with string/number
-/// values) into key/value pairs. Strict: trailing bytes, nesting, or
-/// malformed escapes are errors.
-fn parse_flat(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    let mut fields = Vec::new();
-    let skip_ws = |i: &mut usize| {
-        while *i < bytes.len() && (bytes[*i] as char).is_ascii_whitespace() {
-            *i += 1;
-        }
-    };
-    let parse_string = |i: &mut usize| -> Result<String, String> {
-        if bytes.get(*i) != Some(&b'"') {
-            return Err(format!("expected '\"' at byte {i}", i = *i));
-        }
-        *i += 1;
-        let mut s = String::new();
-        loop {
-            match bytes.get(*i) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *i += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    *i += 1;
-                    match bytes.get(*i) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            let hex = line
-                                .get(*i + 1..*i + 5)
-                                .ok_or_else(|| "short \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *i += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    *i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &line[*i..];
-                    let ch = rest.chars().next().unwrap();
-                    s.push(ch);
-                    *i += ch.len_utf8();
-                }
-            }
-        }
-    };
-    skip_ws(&mut i);
-    if bytes.get(i) != Some(&b'{') {
+/// One record: a flat JSON object whose values are strings or numbers.
+/// Nested objects and arrays are errors.
+fn flat_object(line: &str) -> Result<Json, String> {
+    if !line.trim_start().starts_with('{') {
         return Err("expected '{'".into());
     }
-    i += 1;
-    skip_ws(&mut i);
-    if bytes.get(i) == Some(&b'}') {
-        i += 1;
-    } else {
-        loop {
-            skip_ws(&mut i);
-            let key = parse_string(&mut i)?;
-            skip_ws(&mut i);
-            if bytes.get(i) != Some(&b':') {
-                return Err(format!("expected ':' after key {key:?}"));
-            }
-            i += 1;
-            skip_ws(&mut i);
-            let value = match bytes.get(i) {
-                Some(b'"') => Scalar::Str(parse_string(&mut i)?),
-                Some(c) if c.is_ascii_digit() || *c == b'-' || *c == b'+' => {
-                    let start = i;
-                    while i < bytes.len()
-                        && matches!(bytes[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                    {
-                        i += 1;
-                    }
-                    let num: f64 = line[start..i]
-                        .parse()
-                        .map_err(|_| format!("bad number {:?}", &line[start..i]))?;
-                    Scalar::Num(num)
-                }
-                other => return Err(format!("unsupported value start {other:?}")),
-            };
-            fields.push((key, value));
-            skip_ws(&mut i);
-            match bytes.get(i) {
-                Some(b',') => i += 1,
-                Some(b'}') => {
-                    i += 1;
-                    break;
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
+    let record = parse_json(line)?;
+    let Json::Obj(fields) = &record else {
+        return Err("expected '{'".into());
+    };
+    match fields
+        .iter()
+        .find(|(_, v)| !matches!(v, Json::Str(_) | Json::Num(_)))
+    {
+        Some((key, _)) => Err(format!("field {key:?} is not a string or number")),
+        None => Ok(record),
     }
-    skip_ws(&mut i);
-    if i != bytes.len() {
-        return Err("trailing bytes after object".into());
-    }
-    Ok(fields)
 }
 
-fn get_str(fields: &[(String, Scalar)], key: &str) -> Result<String, String> {
-    match fields.iter().find(|(k, _)| k == key) {
-        Some((_, Scalar::Str(s))) => Ok(s.clone()),
+fn get_str(record: &Json, key: &str) -> Result<String, String> {
+    match record.get(key) {
+        Some(Json::Str(s)) => Ok(s.clone()),
         Some(_) => Err(format!("field {key:?} is not a string")),
         None => Err(format!("missing field {key:?}")),
     }
 }
 
-fn get_num(fields: &[(String, Scalar)], key: &str) -> Result<f64, String> {
-    match fields.iter().find(|(k, _)| k == key) {
-        Some((_, Scalar::Num(n))) => Ok(*n),
+fn get_num(record: &Json, key: &str) -> Result<f64, String> {
+    match record.get(key) {
+        Some(Json::Num(n)) => Ok(*n),
         Some(_) => Err(format!("field {key:?} is not a number")),
         None => Err(format!("missing field {key:?}")),
     }
@@ -315,18 +219,18 @@ enum Record {
 }
 
 fn parse_record(line: &str) -> Result<Record, String> {
-    let fields = parse_flat(line)?;
-    match get_str(&fields, "t")?.as_str() {
+    let record = flat_object(line)?;
+    match get_str(&record, "t")?.as_str() {
         "meta" => Ok(Record::Meta(TraceMeta {
-            cmd: get_str(&fields, "cmd")?,
-            algo: get_str(&fields, "algo")?,
-            k: get_num(&fields, "k")? as u32,
-            alpha: get_num(&fields, "alpha")?,
-            vertices: get_num(&fields, "vertices")? as u64,
-            edges: get_num(&fields, "edges")? as u64,
+            cmd: get_str(&record, "cmd")?,
+            algo: get_str(&record, "algo")?,
+            k: get_num(&record, "k")? as u32,
+            alpha: get_num(&record, "alpha")?,
+            vertices: get_num(&record, "vertices")? as u64,
+            edges: get_num(&record, "edges")? as u64,
         })),
         "e" => {
-            let kind = match get_str(&fields, "k")?.as_str() {
+            let kind = match get_str(&record, "k")?.as_str() {
                 "o" => EventKind::Open,
                 "c" => EventKind::Close,
                 "i" => EventKind::Mark,
@@ -334,17 +238,17 @@ fn parse_record(line: &str) -> Result<Record, String> {
             };
             Ok(Record::Event(TraceEvent {
                 kind,
-                name: get_str(&fields, "n")?,
-                worker: get_num(&fields, "w")? as u32,
-                tid: get_num(&fields, "tid")? as u32,
-                ns: get_num(&fields, "ns")? as u64,
-                detail: get_str(&fields, "d").ok(),
+                name: get_str(&record, "n")?,
+                worker: get_num(&record, "w")? as u32,
+                tid: get_num(&record, "tid")? as u32,
+                ns: get_num(&record, "ns")? as u64,
+                detail: get_str(&record, "d").ok(),
             }))
         }
         "c" => Ok(Record::Counter(
-            get_num(&fields, "w")? as u32,
-            get_str(&fields, "n")?,
-            get_num(&fields, "v")? as u64,
+            get_num(&record, "w")? as u32,
+            get_str(&record, "n")?,
+            get_num(&record, "v")? as u64,
         )),
         _ => Ok(Record::Other),
     }
@@ -457,6 +361,22 @@ mod tests {
         lines[1] = "{\"t\":\"e\",\"k\":\"o\",garbage".into();
         let err = Trace::parse(&lines.join("\n")).unwrap_err();
         assert!(err.contains("line 2"), "got: {err}");
+    }
+
+    #[test]
+    fn nested_values_are_corrupt_records() {
+        let counter = "{\"t\":\"c\",\"w\":0,\"n\":\"y\",\"v\":1}";
+        for nested in [
+            "{\"t\":\"c\",\"w\":0,\"n\":\"y\",\"v\":[1]}",
+            "{\"t\":\"c\",\"w\":0,\"n\":\"y\",\"v\":1,\"x\":{\"a\":1}}",
+            "{\"t\":\"future\",\"x\":[]}",
+        ] {
+            let err = Trace::parse(&format!("{counter}\n{nested}\n{counter}")).unwrap_err();
+            assert!(err.starts_with("line 2: "), "{nested}: {err}");
+            let trace = Trace::parse(&format!("{counter}\n{nested}\n")).unwrap();
+            assert!(trace.truncated, "{nested}");
+            assert_eq!(trace.counters.len(), 1, "{nested}");
+        }
     }
 
     #[test]

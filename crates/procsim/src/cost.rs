@@ -4,8 +4,8 @@
 //! executors, 10 GbE, static PageRank with 100 iterations): per-edge gather
 //! cost, per-replica apply/sync cost, message bytes over shared bandwidth
 //! and a per-round barrier latency, all multiplied by a Spark overhead
-//! factor. Absolute values are documented in EXPERIMENTS.md; the experiment
-//! cares about *which partitioning makes processing faster*, which depends
+//! factor. The constants are [`ClusterCostModel::spark_like`]'s; the
+//! experiment cares about *which partitioning makes processing faster*, which depends
 //! only on the counted quantities.
 //!
 //! The model also reproduces Table IV's failure mode: GraphX spills shuffle

@@ -22,7 +22,7 @@
 //!
 //! The simulated times are *not* meant to match the paper's absolute seconds
 //! (our graphs are ~1000× smaller); the preserved structure is the ordering
-//! and the trade-off — see EXPERIMENTS.md.
+//! and the trade-off, which `repro --figure table4` prints.
 
 pub mod components;
 pub mod cost;

@@ -11,7 +11,7 @@
 //! pass. The simulated I/O time is added to the measured CPU time, which
 //! matches the paper's single-threaded read-process loop (no overlap).
 //! The virtual clock keeps the benches deterministic and fast — no actual
-//! sleeping or disk access is required (see DESIGN.md §2).
+//! sleeping or disk access is required.
 
 pub mod device;
 pub mod profile;

@@ -11,17 +11,42 @@
 //!
 //! This lib target only hosts shared helpers.
 
-use tps_core::partitioner::Partitioner;
+use std::io;
+
+use tps_core::job::{JobSpec, ThreadMode};
+use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
+use tps_core::sink::AssignmentSink;
+use tps_core::two_phase::TwoPhaseConfig;
+use tps_graph::ranged::RangedEdgeSource;
+
+/// A `--threads N` run of `config` over `source`, every assignment into
+/// `sink`: the in-process reference the sharded kernels and `tps dist`
+/// must reproduce.
+pub fn threads_job(
+    source: &dyn RangedEdgeSource,
+    config: TwoPhaseConfig,
+    params: &PartitionParams,
+    threads: usize,
+    sink: &mut dyn AssignmentSink,
+) -> io::Result<RunReport> {
+    JobSpec::ranged(source)
+        .two_phase(config)
+        .params(params)
+        .threads(ThreadMode::Count(threads))
+        .extra_sink(sink)
+        .run()
+        .map(|out| out.report)
+}
 
 /// Every partitioner in the workspace with default settings, including the
 /// 2PS variants. `include_nondeterministic` adds DNE (thread-racy output).
 pub fn full_roster(include_nondeterministic: bool) -> Vec<Box<dyn Partitioner>> {
     let mut v: Vec<Box<dyn Partitioner>> = vec![
         Box::new(tps_core::two_phase::TwoPhasePartitioner::new(
-            tps_core::two_phase::TwoPhaseConfig::default(),
+            TwoPhaseConfig::default(),
         )),
         Box::new(tps_core::two_phase::TwoPhasePartitioner::new(
-            tps_core::two_phase::TwoPhaseConfig::hdrf_variant(),
+            TwoPhaseConfig::hdrf_variant(),
         )),
         Box::new(tps_baselines::HdrfPartitioner::default()),
         Box::new(tps_baselines::GreedyPartitioner),

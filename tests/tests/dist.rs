@@ -3,7 +3,7 @@
 //! Pins the guarantees documented in `tps-dist`:
 //!
 //! * a distributed run over any transport is **bit-identical** to the
-//!   in-process `ParallelRunner` at the same worker count, for every
+//!   in-process `--threads N` job at the same worker count, for every
 //!   storage backend (in-memory, v1 file, v2 file);
 //! * the loopback-channel and loopback-TCP transports carry **identical
 //!   protocol traces** (same message sequence, same frame bytes lengths) —
@@ -12,8 +12,8 @@
 
 use std::sync::{Arc, Mutex};
 
+use integration_tests::threads_job;
 use proptest::prelude::*;
-use tps_core::parallel::ParallelRunner;
 use tps_core::partitioner::PartitionParams;
 use tps_core::sink::VecSink;
 use tps_core::two_phase::TwoPhaseConfig;
@@ -101,9 +101,14 @@ fn dist_traced(
 
 fn parallel_reference(g: &InMemoryGraph, k: u32, workers: usize) -> Vec<(Edge, u32)> {
     let mut sink = VecSink::new();
-    ParallelRunner::new(TwoPhaseConfig::default(), workers)
-        .partition(g, &PartitionParams::new(k), &mut sink)
-        .unwrap();
+    threads_job(
+        g,
+        TwoPhaseConfig::default(),
+        &PartitionParams::new(k),
+        workers,
+        &mut sink,
+    )
+    .unwrap();
     sink.into_assignments()
 }
 

@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::Scope;
 use std::time::Duration;
 
+use integration_tests::threads_job;
 use proptest::prelude::*;
-use tps_core::parallel::ParallelRunner;
 use tps_core::partitioner::{PartitionParams, RunReport};
 use tps_core::sink::VecSink;
 use tps_core::two_phase::TwoPhaseConfig;
@@ -105,9 +105,14 @@ fn dist_chaos(
 
 fn parallel_reference(g: &InMemoryGraph, k: u32, workers: usize) -> Vec<(Edge, u32)> {
     let mut sink = VecSink::new();
-    ParallelRunner::new(TwoPhaseConfig::default(), workers)
-        .partition(g, &PartitionParams::new(k), &mut sink)
-        .unwrap();
+    threads_job(
+        g,
+        TwoPhaseConfig::default(),
+        &PartitionParams::new(k),
+        workers,
+        &mut sink,
+    )
+    .unwrap();
     sink.into_assignments()
 }
 

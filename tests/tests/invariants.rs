@@ -7,12 +7,11 @@
 use std::io;
 use std::sync::Arc;
 
-use integration_tests::full_roster;
+use integration_tests::{full_roster, threads_job};
 use proptest::prelude::*;
 use tps_clustering::paged::MemPageStoreProvider;
 use tps_core::balance::PartitionLoads;
 use tps_core::job::{JobSpec, ThreadMode};
-use tps_core::parallel::ParallelRunner;
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
 use tps_core::sink::{AssignmentSink, QualitySink, TeeSink, VecSink};
 use tps_core::two_phase::{ClusterPaging, TwoPhaseConfig, TwoPhasePartitioner};
@@ -192,7 +191,7 @@ fn assert_engines_report_emitted_quality(g: &InMemoryGraph, k: u32, config: TwoP
     for threads in [1usize, 2, 3, 8] {
         let mode = format!("--threads {threads}");
         let run = check(&mode, &mut |sink| {
-            ParallelRunner::new(config, threads).partition(g, &params, sink)
+            threads_job(g, config, &params, threads, sink)
         });
         if threads == 1 {
             one_shard.push((mode, run));

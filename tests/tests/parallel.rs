@@ -14,12 +14,13 @@
 //! * emit order — what the runner's decision logs emit is what its shards'
 //!   passes decided, 2a records then 2b records, shard by shard.
 
+use integration_tests::threads_job;
 use proptest::prelude::*;
 use tps_clustering::merge::merge_clusterings;
 use tps_core::balance::PartitionLoads;
 use tps_core::parallel::{
     cluster_placement, merge_degree_tables, overshoot_from_loads, resolve_volume_cap,
-    shard_clustering, shard_degrees, ParallelRunner, ShardAssigner, ShardLoads,
+    shard_clustering, shard_degrees, ShardAssigner, ShardLoads,
 };
 use tps_core::partitioner::{PartitionParams, Partitioner};
 use tps_core::sink::{QualitySink, VecSink};
@@ -43,9 +44,14 @@ fn serial_assignments(g: &InMemoryGraph, k: u32) -> Vec<(Edge, u32)> {
 
 fn parallel_assignments(source: &dyn RangedEdgeSource, k: u32, threads: usize) -> Vec<(Edge, u32)> {
     let mut sink = VecSink::new();
-    ParallelRunner::new(TwoPhaseConfig::default(), threads)
-        .partition(source, &PartitionParams::new(k), &mut sink)
-        .unwrap();
+    threads_job(
+        source,
+        TwoPhaseConfig::default(),
+        &PartitionParams::new(k),
+        threads,
+        &mut sink,
+    )
+    .unwrap();
     sink.into_assignments()
 }
 
@@ -263,8 +269,8 @@ proptest! {
 
     /// The log is the old spool, observably: at every tag width (`u8` up to
     /// k = 128, `u16` up to 32 768, `u32` above), with more workers than
-    /// edges (empty ranges), with and without a pass 2a, a `ParallelRunner`
-    /// emits record for record what its shards' passes wrote into per-shard
+    /// edges (empty ranges), with and without a pass 2a, a `--threads`
+    /// job emits record for record what its shards' passes wrote into per-shard
     /// sinks — multigraphs with self-loops and parallel edges included.
     #[test]
     fn decision_logs_emit_what_the_shard_passes_decided(
@@ -280,8 +286,7 @@ proptest! {
         for threads in [1usize, 2, 3, 8, graph.num_edges() as usize + 1] {
             let want = sharded_reference_with(&graph, config, k, threads);
             let mut sink = VecSink::new();
-            let report = ParallelRunner::new(config, threads)
-                .partition(&graph, &PartitionParams::new(k), &mut sink)
+            let report = threads_job(&graph, config, &PartitionParams::new(k), threads, &mut sink)
                 .unwrap();
             prop_assert_eq!(sink.assignments(), &want[..], "k {}, {} threads", k, threads);
             if !config.prepartitioning {
@@ -304,9 +309,14 @@ fn rmat_replication_factor_within_epsilon_of_serial() {
     let cap = PartitionLoads::new(k, g.num_edges(), 1.05).cap();
     for threads in THREAD_COUNTS {
         let mut sink = QualitySink::new(g.num_vertices(), k);
-        let report = ParallelRunner::new(TwoPhaseConfig::default(), threads)
-            .partition(&g, &PartitionParams::new(k), &mut sink)
-            .unwrap();
+        let report = threads_job(
+            &g,
+            TwoPhaseConfig::default(),
+            &PartitionParams::new(k),
+            threads,
+            &mut sink,
+        )
+        .unwrap();
         let m = sink.finish();
         assert_eq!(m.num_edges, g.num_edges());
         assert_eq!(report.counter("cap_overshoot"), 0, "threads {threads}");
@@ -348,9 +358,8 @@ fn per_pass_ledger_commits_count_the_overshoot_a_dist_run_reconstructs() {
     let mut saw_overshoot = false;
     for threads in [2usize, 3, 8] {
         let mut sink = VecSink::new();
-        let report = ParallelRunner::new(TwoPhaseConfig::default(), threads)
-            .partition(&g, &params, &mut sink)
-            .unwrap();
+        let report =
+            threads_job(&g, TwoPhaseConfig::default(), &params, threads, &mut sink).unwrap();
         let mut loads = vec![0u64; k as usize];
         for &(_, p) in sink.assignments() {
             loads[p as usize] += 1;
@@ -420,9 +429,7 @@ fn restreaming_and_hdrf_variants_run_parallel() {
     ] {
         for threads in [2usize, 4] {
             let mut sink = VecSink::new();
-            ParallelRunner::new(cfg, threads)
-                .partition(&g, &PartitionParams::new(8), &mut sink)
-                .unwrap();
+            threads_job(&g, cfg, &PartitionParams::new(8), threads, &mut sink).unwrap();
             assert_eq!(sink.assignments().len() as u64, g.num_edges());
         }
     }
@@ -430,9 +437,10 @@ fn restreaming_and_hdrf_variants_run_parallel() {
 
 /// Several shards share one replication matrix whose word indices must fit
 /// `u32`. A 72-byte v1 file whose header claims |V| = 70 000 000 asks for
-/// 4.48 × 10⁹ packed words at k = 4096: the runner refuses it as
+/// 4.48 × 10⁹ packed words at k = 4096: a `--threads 2` job refuses it as
 /// `InvalidInput` naming |V|, k and the bound before its first pass — no
-/// degree table or clustering of 70 M vertices is allocated first — where
+/// degree table or clustering of 70 M vertices is allocated first, nor the
+/// 35.8 GB |V|·k-bit matrix of the quality sink a debug build tees in — where
 /// it used to panic in the matrix constructor after phase 1. (`tps
 /// partition --threads 2` prints the message and exits 2.)
 #[test]
@@ -449,9 +457,14 @@ fn a_replica_matrix_too_large_to_share_is_refused_before_the_first_pass() {
     }
     std::fs::write(&path, bytes).unwrap();
     let source = tps_io::open_ranged(&path).unwrap();
-    let err = ParallelRunner::new(TwoPhaseConfig::default(), 2)
-        .partition(&*source, &PartitionParams::new(4096), &mut VecSink::new())
-        .unwrap_err();
+    let err = threads_job(
+        &*source,
+        TwoPhaseConfig::default(),
+        &PartitionParams::new(4096),
+        2,
+        &mut VecSink::new(),
+    )
+    .unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     let msg = err.to_string();
     for needle in ["|V| = 70000000", "k = 4096", "2^32 − 1 packed words"] {
