@@ -426,6 +426,12 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         ShardAssigner::from_plan(config, degrees, plan, replicas, loads)
     }
 
+    /// The frozen clustering this shard reads: what its [`DecisionLog`]
+    /// is emitted against.
+    pub fn plan(&self) -> &ClusterPlan {
+        &self.view
+    }
+
     /// An assigner over `plan`, the frozen clustering (a distributed
     /// worker's).
     pub fn from_plan(
@@ -636,7 +642,7 @@ pub(crate) fn run_shards(
         Shards::One(stream, _) => DegreeTable::compute(&mut **stream, nv)?,
         Shards::Ranged(source, ranges) => {
             let source = *source;
-            merge_degree_tables(run_workers(ranges, |_, range| {
+            merge_degree_tables(run_workers(ranges, |range| {
                 shard_degrees(source, range, nv)
             })?)
         }
@@ -711,7 +717,7 @@ pub(crate) fn run_shards(
         }
         Shards::Ranged(source, ranges) => {
             let source = *source;
-            let locals = run_workers(ranges, |_, range| {
+            let locals = run_workers(ranges, |range| {
                 shard_clustering(source, range, config, &degrees, cap, nv, true)
             })?;
             merge_clusterings(&locals, &degrees)
@@ -750,6 +756,7 @@ pub(crate) fn run_shards(
                 assigners,
                 *source,
                 ranges,
+                &plan,
                 &replicas,
                 &ledger,
                 sink,
@@ -795,18 +802,32 @@ fn one_shard_phase2<C: ClusterView>(
 }
 
 /// Phase 2 steps 2 and 3 of a run over several shards — the `ranges` of
-/// `source`, one assigner each over the shared `replicas`: the logged
+/// `source`, one assigner each over `plan` and the shared `replicas`: both
 /// subpasses with the freeze barrier between them, the quality counted in
 /// place once every worker has published, then the emit step.
+///
+/// Shard 0 runs on the calling thread and writes its decisions straight
+/// into `sink`, one [`SinkBatch`] per subpass, as a one-shard run does: its
+/// 2a records and then its 2b records come first in every partition file
+/// anyway. Every other shard logs its decisions and emits them afterwards,
+/// in shard order.
+#[allow(clippy::too_many_arguments)]
 fn sharded_phase2(
     assigners: Vec<ShardAssigner<'_, SharedReplicaView<'_>, &ClusterPlan>>,
     source: &dyn RangedEdgeSource,
     ranges: &[(u64, u64)],
+    plan: &ClusterPlan,
     replicas: &AtomicReplicationMatrix,
     ledger: &AtomicLoads,
     sink: &mut dyn AssignmentSink,
     report: &mut RunReport,
 ) -> io::Result<()> {
+    let prepartitioning = assigners[0].config.prepartitioning;
+    let mut assigners = assigners.into_iter();
+    let mut first = assigners.next().expect("several shards");
+    let (range0, logged) = (ranges[0], &ranges[1..]);
+    let open = |(a, b): (u64, u64)| source.open_range(a, b);
+
     // Phase 2 step 2: the pre-partitioning subpass per range. Targets
     // depend only on the (merged) clustering, placement and load quotas
     // — not on replica state — so every worker writing its replicas
@@ -814,15 +835,23 @@ fn sharded_phase2(
     // is deterministic, and the matrix at the barrier equals the
     // OR-merge of the old per-worker shards for any interleaving.
     let s3 = tps_obs::span("prepartition");
-    let prepartitioning = assigners[0].config.prepartitioning;
-    let mut states = run_workers_with(ranges, assigners, |_, (a, b), mut assigner| {
-        let mut log = DecisionLog::new(b - a, ledger.k())?;
-        if prepartitioning {
-            let mut s = source.open_range(a, b)?;
-            assigner.prepartition_logged(&mut s, &mut log)?;
-        }
-        Ok((assigner, log))
-    })?;
+    let ((), mut states) = beside_workers(
+        || {
+            if prepartitioning {
+                first.prepartition_pass(&mut *open(range0)?, sink)?;
+            }
+            Ok(())
+        },
+        logged,
+        assigners.collect(),
+        |(a, b), mut assigner| {
+            let mut log = DecisionLog::new(b - a, ledger.k())?;
+            if prepartitioning {
+                assigner.prepartition_logged(&mut *open((a, b))?, &mut log)?;
+            }
+            Ok((assigner, log))
+        },
+    )?;
     report.phases.record("prepartition", s3.end());
 
     // Barrier: freeze every worker's view. No merge — the shared
@@ -830,18 +859,22 @@ fn sharded_phase2(
     // private to each worker, so it sees exactly "merged ∪ its own
     // scoring replicas" (the sharded-path semantics, at the serial
     // memory bound in bits).
+    first.freeze_replication();
     for (assigner, _) in &mut states {
         assigner.freeze_replication();
     }
 
     // Phase 2 step 3: score-and-assign the remaining edges per range.
     let s4 = tps_obs::span("partition");
-    let worker_out = run_workers_with(ranges, states, |_, (a, b), state| {
-        let (mut assigner, mut log) = state;
-        let mut s = source.open_range(a, b)?;
-        assigner.remaining_logged(&mut s, &mut log)?;
-        Ok((assigner, log))
-    })?;
+    let ((), states) = beside_workers(
+        || first.remaining_pass(&mut *open(range0)?, sink),
+        logged,
+        states,
+        |range, (mut assigner, mut log)| {
+            assigner.remaining_logged(&mut *open(range)?, &mut log)?;
+            Ok((assigner, log))
+        },
+    )?;
     report.phases.record("partition", s4.end());
 
     // Every scoring pass has joined, so no view reads the shared words
@@ -849,10 +882,11 @@ fn sharded_phase2(
     // into them. The shared matrix then holds the run's final replica
     // set and the ledger its loads — the state the quality metrics are
     // counted from, in place (see `# Who computes the metrics`).
-    let mut counters = AssignCounters::default();
-    let mut overshoot = 0u64;
-    let mut logs = Vec::with_capacity(ranges.len());
-    for (assigner, log) in worker_out {
+    let mut counters = first.counters();
+    let mut overshoot = first.overshoot();
+    first.publish_replication();
+    let mut logs = Vec::with_capacity(states.len());
+    for (assigner, log) in states {
         counters.merge(&assigner.counters());
         overshoot += assigner.overshoot();
         assigner.publish_replication();
@@ -865,10 +899,10 @@ fn sharded_phase2(
         &ledger.snapshot(),
     ));
 
-    // Emit: every worker's decisions, in deterministic worker order.
+    // Emit: the logged workers' decisions, in worker order.
     let s5 = tps_obs::span("emit");
-    for (log, &(a, b)) in logs.into_iter().zip(ranges) {
-        log.emit(&mut *source.open_range(a, b)?, sink)?;
+    for (log, &range) in logs.into_iter().zip(logged) {
+        log.emit(&mut *open(range)?, plan, sink)?;
     }
     report.phases.record("emit", s5.end());
     report.count("threads", ranges.len() as u64);
@@ -943,46 +977,48 @@ pub fn overshoot_from_loads(loads: &[u64], k: u32, num_edges: u64, alpha: f64) -
     loads.iter().map(|&l| l.saturating_sub(cap)).sum()
 }
 
-/// Run `work(t, range)` on one scoped thread per range, collecting results
-/// in range order and propagating the first error.
+/// Run `work(range)` for every range — the first on the calling thread, the
+/// others on one scoped thread each — collecting results in range order and
+/// propagating the first error.
 pub(crate) fn run_workers<T, F>(ranges: &[(u64, u64)], work: F) -> io::Result<Vec<T>>
 where
     T: Send,
-    F: Fn(usize, (u64, u64)) -> io::Result<T> + Sync,
+    F: Fn((u64, u64)) -> io::Result<T> + Sync,
 {
-    run_workers_with(ranges, vec![(); ranges.len()], |t, range, ()| {
-        work(t, range)
-    })
+    let ((t0, _), rest) = beside_workers(
+        || Ok((work(ranges[0])?, ())),
+        &ranges[1..],
+        vec![(); ranges.len() - 1],
+        |range, ()| work(range),
+    )?;
+    Ok(std::iter::once(t0).chain(rest).collect())
 }
 
-/// Like [`run_workers`], additionally moving one element of `state` into
-/// each worker (resuming per-worker state across a barrier).
-pub(crate) fn run_workers_with<W, T, F>(
+/// Run `first` — shard 0 — on the calling thread while `work(range, state)`
+/// runs for each of `ranges` — the other shards — on a scoped thread of its
+/// own, moving one element of `state` into each (resuming per-worker state
+/// across a barrier). Results come in range order; shard 0's error wins,
+/// then the first other shard's. With no other ranges no thread starts.
+fn beside_workers<T0, W, T, F>(
+    first: impl FnOnce() -> io::Result<T0>,
     ranges: &[(u64, u64)],
     state: Vec<W>,
     work: F,
-) -> io::Result<Vec<T>>
+) -> io::Result<(T0, Vec<T>)>
 where
     W: Send,
     T: Send,
-    F: Fn(usize, (u64, u64), W) -> io::Result<T> + Sync,
+    F: Fn((u64, u64), W) -> io::Result<T> + Sync,
 {
     debug_assert_eq!(ranges.len(), state.len());
-    if ranges.len() == 1 {
-        // Skip thread spawn/join overhead on the single-worker path (also
-        // keeps one-thread runs trivially free of scheduler effects).
-        let w = state.into_iter().next().expect("one state per range");
-        return Ok(vec![work(0, ranges[0], w)?]);
-    }
     let work = &work;
-    let results: Vec<io::Result<T>> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .iter()
             .zip(state)
-            .enumerate()
-            .map(|(t, (&range, w))| {
+            .map(|(&range, w)| {
                 scope.spawn(move || {
-                    let out = work(t, range, w);
+                    let out = work(range, w);
                     // Barrier drain: events a kernel recorded on this
                     // thread must survive the thread's exit.
                     tps_obs::drain_local();
@@ -990,12 +1026,13 @@ where
                 })
             })
             .collect();
-        handles
+        let t0 = first();
+        let rest: io::Result<Vec<T>> = handles
             .into_iter()
             .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
+            .collect();
+        Ok((t0?, rest?))
+    })
 }
 
 #[cfg(test)]

@@ -9,10 +9,11 @@
 //! in. A sink sees every assignment exactly once, in decision order, whether
 //! it arrives through `assign` or `assign_batch`. A pass loop is generic over
 //! *where* its decisions go ([`DecisionOut`]): a one-shard run — serial,
-//! paged or `--threads 1` — writes through a [`SinkBatch`]; each shard of a
-//! `--threads N` or distributed run writes one tag per stream position into
-//! a [`DecisionLog`] and the emit step re-reads the shard's range to turn
-//! the tags back into records. Sinks
+//! paged or `--threads 1` — and the first shard of a `--threads N` run
+//! write through a [`SinkBatch`]; every other shard of a `--threads N` run,
+//! and each distributed worker, writes a
+//! 2-bit tag per stream position into a [`DecisionLog`] and the emit step
+//! re-reads the shard's range to turn the tags back into records. Sinks
 //! provided here:
 //!
 //! * [`NullSink`] — discard (pure timing runs).
@@ -32,7 +33,9 @@
 
 use std::io;
 
+use tps_clustering::model::ClusterPlan;
 use tps_graph::formats::binary::PartitionFileWriter;
+use tps_graph::packed::PackedU32s;
 use tps_graph::stream::{for_each_chunk, EdgeStream};
 use tps_graph::types::{Edge, PartitionId};
 use tps_metrics::quality::{PartitionMetrics, QualityTracker};
@@ -63,8 +66,10 @@ pub trait DecisionOut {
         Ok(())
     }
 
-    /// The edge under the cursor goes to partition `p`.
-    fn decide(&mut self, edge: Edge, p: PartitionId);
+    /// The edge under the cursor goes to partition `p`; `ends` are the
+    /// partitions of its endpoints' clusters, `[p(src), p(dst)]`, as the
+    /// kernel read them.
+    fn decide(&mut self, edge: Edge, p: PartitionId, ends: [PartitionId; 2]);
 
     /// Move the cursor to the next input edge.
     fn advance(&mut self) {}
@@ -128,7 +133,7 @@ impl<'s, K: AssignmentSink + ?Sized> SinkBatch<'s, K> {
 
 impl<K: AssignmentSink + ?Sized> DecisionOut for SinkBatch<'_, K> {
     #[inline]
-    fn decide(&mut self, edge: Edge, p: PartitionId) {
+    fn decide(&mut self, edge: Edge, p: PartitionId, _ends: [PartitionId; 2]) {
         self.push(edge, p);
     }
 
@@ -337,80 +342,56 @@ impl AssignmentSink for FileSink {
     }
 }
 
-/// One tag per stream position of a shard: the partition the edge went to
-/// and whether the pre-partitioning pass (2a) or the scoring pass (2b)
-/// decided it, in the narrowest of `u8` / `u16` / `u32` that holds `2k − 1`
-/// — 1 B per edge up to k = 128, 2 B up to k = 32 768.
+/// A shard's decisions until the emit barrier: a 2-bit tag per stream
+/// position naming the partition the edge got — the partition of its
+/// source's cluster, the partition of its destination's cluster (in the
+/// shard's [`ClusterPlan`]), or an **escape** — plus, per escape, its
+/// partition in the bytes `k − 1` needs. Every pre-partitioned edge and
+/// every two-choice winner is one of the first two, so only fallbacks, 2a
+/// overflows and 2PS-HDRF picks off both candidates take an entry.
 ///
-/// This is what a shard of a `--threads N` or distributed run remembers
-/// until the emit barrier; it replaced `VecSpool`, which remembered the
+/// This is what a shard of a `--threads N` run other than the first, or a
+/// worker of a distributed run, remembers; it replaced a byte or more per
+/// edge (`p << 1 | flag`), and before that `VecSpool`, which remembered the
 /// edges as well (12 B per edge). The edges are in the input:
-/// [`emit`](DecisionLog::emit) re-reads the shard's range and hands the sink
-/// the 2a records and then the 2b records, each in stream order — the order
-/// the two passes decided them in.
+/// [`emit`](DecisionLog::emit) re-reads the shard's range, resolves each tag
+/// against the plan, and hands the sink the 2a records and then the 2b
+/// records, each in stream order — the order the two passes decided them
+/// in.
 pub struct DecisionLog {
-    tags: Tags,
-    /// Positions the pre-partitioning pass decided.
+    /// Four tags per byte, position `i` in bits `2·(i % 4)..` of byte `i / 4`.
+    tags: Vec<u8>,
+    /// Stream positions covered.
+    len: usize,
+    /// The partitions of the escapes: the 2a pass's in stream order, then
+    /// the 2b pass's.
+    escapes: PackedU32s,
+    /// How many of `escapes` the 2a pass wrote.
+    escapes_2a: usize,
+    /// Positions the 2a pass decided.
     prepartitioned: u64,
 }
 
-/// `partition << 1 | decided_in_2a`, per stream position.
-enum Tags {
-    U8(Vec<u8>),
-    U16(Vec<u16>),
-    U32(Vec<u32>),
-}
+/// Tags: not decided yet, the source's cluster partition, the
+/// destination's, an escape.
+const UNDECIDED: u8 = 0;
+const SRC: u8 = 1;
+const DST: u8 = 2;
+const ESCAPE: u8 = 3;
 
 /// The phase-2 subpass a [`LogPass`] records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Subpass {
-    /// Pass 2a: every decision sets the tag's flag.
+    /// Pass 2a: decides the edges whose endpoints' clusters share a
+    /// partition.
     Prepartition,
-    /// Pass 2b: decides exactly the positions whose flag is clear.
+    /// Pass 2b: decides exactly the positions 2a left undecided.
     Remaining,
 }
 
 static CORE_DECISION_LOG_BYTES: tps_obs::Counter = tps_obs::Counter::new("core.decision_log.bytes");
 static CORE_EMIT_RESTREAMED_EDGES: tps_obs::Counter =
     tps_obs::Counter::new("core.emit.restreamed_edges");
-
-impl Tags {
-    fn len(&self) -> usize {
-        match self {
-            Tags::U8(t) => t.len(),
-            Tags::U16(t) => t.len(),
-            Tags::U32(t) => t.len(),
-        }
-    }
-
-    /// Replace `window` with the tags of positions `at..at + n`, widened.
-    fn load(&self, at: usize, n: usize, window: &mut Vec<u32>) {
-        window.clear();
-        match self {
-            Tags::U8(t) => window.extend(t[at..at + n].iter().map(|&tag| u32::from(tag))),
-            Tags::U16(t) => window.extend(t[at..at + n].iter().map(|&tag| u32::from(tag))),
-            Tags::U32(t) => window.extend_from_slice(&t[at..at + n]),
-        }
-    }
-
-    /// Write `window` back over positions `at..at + window.len()`. The
-    /// narrowing casts are exact: the width was chosen to hold every tag.
-    fn store(&mut self, at: usize, window: &[u32]) {
-        match self {
-            Tags::U8(t) => {
-                for (tag, &w) in t[at..at + window.len()].iter_mut().zip(window) {
-                    *tag = w as u8;
-                }
-            }
-            Tags::U16(t) => {
-                for (tag, &w) in t[at..at + window.len()].iter_mut().zip(window) {
-                    *tag = w as u16;
-                }
-            }
-            Tags::U32(t) => t[at..at + window.len()].copy_from_slice(window),
-        }
-    }
-}
 
 fn range_mismatch(kind: io::ErrorKind, got: usize, want: usize) -> io::Error {
     io::Error::new(
@@ -419,14 +400,20 @@ fn range_mismatch(kind: io::ErrorKind, got: usize, want: usize) -> io::Error {
     )
 }
 
+/// The partitions of `edge`'s endpoints' clusters, `[p(src), p(dst)]`.
+#[inline]
+fn ends_of(plan: &ClusterPlan, edge: Edge) -> [PartitionId; 2] {
+    [edge.src, edge.dst].map(|v| plan.partition_of(plan.cluster_of(v)))
+}
+
 impl DecisionLog {
     /// A log for a shard of `edges` stream positions and `k` partitions,
     /// every position undecided. The tags are zeroed pages until a pass
-    /// writes them. Errors for a `k` above 2³¹ (a tag is a partition id and
-    /// one flag in 32 bits) or a shard longer than the address space.
+    /// writes them. Errors for `k` = 0 or a shard longer than the address
+    /// space.
     pub fn new(edges: u64, k: u32) -> io::Result<DecisionLog> {
-        let n = match usize::try_from(edges) {
-            Ok(n) if k <= 1 << 31 => n,
+        let len = match usize::try_from(edges) {
+            Ok(len) if k > 0 => len,
             _ => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -434,39 +421,35 @@ impl DecisionLog {
                 ))
             }
         };
-        let max_tag = (u64::from(k) << 1).saturating_sub(1);
-        let tags = if max_tag <= u64::from(u8::MAX) {
-            Tags::U8(vec![0; n])
-        } else if max_tag <= u64::from(u16::MAX) {
-            Tags::U16(vec![0; n])
-        } else {
-            Tags::U32(vec![0; n])
-        };
-        let log = DecisionLog {
-            tags,
+        Ok(DecisionLog {
+            tags: vec![0; len.div_ceil(4)],
+            len,
+            escapes: PackedU32s::zeroed(0, PackedU32s::width_for(k - 1)),
+            escapes_2a: 0,
             prepartitioned: 0,
-        };
-        CORE_DECISION_LOG_BYTES.add(log.heap_bytes() as u64);
-        Ok(log)
+        })
     }
 
     /// Stream positions the log covers.
     pub fn len(&self) -> usize {
-        self.tags.len()
+        self.len
     }
 
     /// Whether the shard's range is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Heap bytes of the tags (1, 2 or 4 per position).
+    /// Heap bytes the log holds: ⌈n/4⌉ for the tags plus the escapes'
+    /// bytes — what `core.decision_log.bytes` counts once the 2b pass is
+    /// over.
     pub fn heap_bytes(&self) -> usize {
-        match &self.tags {
-            Tags::U8(t) => t.len(),
-            Tags::U16(t) => t.len() * 2,
-            Tags::U32(t) => t.len() * 4,
-        }
+        self.tags.len() + self.escapes.len() * self.escapes.width()
+    }
+
+    #[inline]
+    fn tag(&self, i: usize) -> u8 {
+        self.tags[i >> 2] >> (2 * (i & 3)) & 3
     }
 
     /// The [`DecisionOut`] of one pass over the shard's range. Drive it with
@@ -474,35 +457,45 @@ impl DecisionLog {
     pub fn pass(&mut self, subpass: Subpass) -> LogPass<'_> {
         LogPass {
             log: self,
-            flag: u32::from(subpass == Subpass::Prepartition),
-            base: 0,
-            window: Vec::with_capacity(SINK_BATCH),
+            subpass,
             at: 0,
             decided: 0,
         }
     }
 
     /// Turn the tags back into records: read `stream` — the shard's own
-    /// range, again — once per subpass that decided anything, and hand
+    /// range, again — once per subpass that decided anything, resolve each
+    /// tag against `plan` — the plan the passes read; the 2a positions are
+    /// the edges whose endpoints' clusters share a partition — and hand
     /// `sink` the 2a records and then the 2b records, in runs of
     /// [`SINK_BATCH`]. Errors if the stream no longer yields the range's
-    /// edge count.
+    /// edge count, or if the tags do not fit the plan.
     pub fn emit(
         &self,
         stream: &mut dyn EdgeStream,
+        plan: &ClusterPlan,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<()> {
-        let len = self.len();
+        let len = self.len;
         let mut batch: Vec<(Edge, PartitionId)> = Vec::with_capacity(SINK_BATCH.min(len));
-        let mut window = Vec::new();
-        for (flag, wanted) in [
-            (1, self.prepartitioned),
-            (0, len as u64 - self.prepartitioned),
+        let misfit = || {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "the decision log does not fit the plan",
+            )
+        };
+        for (in_2a, wanted, escapes) in [
+            (true, self.prepartitioned, 0..self.escapes_2a),
+            (
+                false,
+                len as u64 - self.prepartitioned,
+                self.escapes_2a..self.escapes.len(),
+            ),
         ] {
             if wanted == 0 {
                 continue;
             }
-            let mut at = 0usize;
+            let (mut at, mut escape) = (0usize, escapes.start);
             for_each_chunk(stream, |chunk| {
                 if chunk.len() > len - at {
                     return Err(range_mismatch(
@@ -511,22 +504,34 @@ impl DecisionLog {
                         len,
                     ));
                 }
-                self.tags.load(at, chunk.len(), &mut window);
-                at += chunk.len();
-                for (&edge, &tag) in chunk.iter().zip(&window) {
-                    if tag & 1 == flag {
-                        batch.push((edge, tag >> 1));
+                for &edge in chunk {
+                    let ends = ends_of(plan, edge);
+                    if (self.prepartitioned > 0 && ends[0] == ends[1]) == in_2a {
+                        let p = match self.tag(at) {
+                            SRC => ends[0],
+                            DST => ends[1],
+                            ESCAPE if escape < escapes.end => {
+                                escape += 1;
+                                self.escapes.get(escape - 1)
+                            }
+                            _ => return Err(misfit()),
+                        };
+                        batch.push((edge, p));
                         if batch.len() == SINK_BATCH {
                             sink.assign_batch(&batch)?;
                             batch.clear();
                         }
                     }
+                    at += 1;
                 }
                 Ok(())
             })?;
             CORE_EMIT_RESTREAMED_EDGES.add(at as u64);
             if at != len {
                 return Err(range_mismatch(io::ErrorKind::UnexpectedEof, at, len));
+            }
+            if escape != escapes.end {
+                return Err(misfit());
             }
         }
         if batch.is_empty() {
@@ -536,34 +541,33 @@ impl DecisionLog {
     }
 }
 
-/// One pass's writer into a [`DecisionLog`]: a widened window of the
-/// current run's tags, so the pass loop stores plain `u32`s whatever the
-/// log's width.
+/// One pass's writer into a [`DecisionLog`]: a cursor over the shard's
+/// positions, each decision ORed into its tag.
 pub struct LogPass<'l> {
     log: &'l mut DecisionLog,
-    /// The tag bit this pass sets: 1 in 2a, 0 in 2b.
-    flag: u32,
-    /// Stream position of the window's first tag.
-    base: usize,
-    window: Vec<u32>,
-    /// The cursor, within the window.
+    subpass: Subpass,
+    /// The position under the cursor.
     at: usize,
     decided: u64,
 }
 
 impl LogPass<'_> {
     /// The pass is over: errors if it did not cover the whole range (a tag
-    /// it skipped would emit as partition 0).
+    /// it skipped would not emit).
     pub fn finish(self) -> io::Result<()> {
-        if self.base != self.log.len() {
+        if self.at != self.log.len {
             return Err(range_mismatch(
                 io::ErrorKind::UnexpectedEof,
-                self.base,
-                self.log.len(),
+                self.at,
+                self.log.len,
             ));
         }
-        if self.flag == 1 {
-            self.log.prepartitioned = self.decided;
+        match self.subpass {
+            Subpass::Prepartition => {
+                self.log.prepartitioned = self.decided;
+                self.log.escapes_2a = self.log.escapes.len();
+            }
+            Subpass::Remaining => CORE_DECISION_LOG_BYTES.add(self.log.heap_bytes() as u64),
         }
         Ok(())
     }
@@ -571,21 +575,31 @@ impl LogPass<'_> {
 
 impl DecisionOut for LogPass<'_> {
     fn begin_run(&mut self, n: usize) -> io::Result<()> {
-        if n > self.log.len() - self.base {
+        if n > self.log.len - self.at {
             return Err(range_mismatch(
                 io::ErrorKind::InvalidData,
-                self.base + n,
-                self.log.len(),
+                self.at + n,
+                self.log.len,
             ));
         }
-        self.log.tags.load(self.base, n, &mut self.window);
-        self.at = 0;
         Ok(())
     }
 
     #[inline]
-    fn decide(&mut self, _edge: Edge, p: PartitionId) {
-        self.window[self.at] = p << 1 | self.flag;
+    fn decide(&mut self, _edge: Edge, p: PartitionId, ends: [PartitionId; 2]) {
+        let tag = if p == ends[0] {
+            SRC
+        } else if p == ends[1] {
+            DST
+        } else {
+            let escapes = &mut self.log.escapes;
+            let n = escapes.len();
+            escapes.grow(n + 1);
+            escapes.set(n, p);
+            ESCAPE
+        };
+        debug_assert_eq!(self.log.tag(self.at), UNDECIDED, "a position decided twice");
+        self.log.tags[self.at >> 2] |= tag << (2 * (self.at & 3));
         self.decided += 1;
     }
 
@@ -596,13 +610,10 @@ impl DecisionOut for LogPass<'_> {
 
     #[inline]
     fn decided_earlier(&self) -> Option<bool> {
-        Some(self.window[self.at] & 1 == 1)
+        Some(self.log.tag(self.at) != UNDECIDED)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.log.tags.store(self.base, &self.window);
-        self.base += self.window.len();
-        self.window.clear();
         Ok(())
     }
 }
@@ -693,72 +704,117 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Two hand-written passes over `n` edges: 2a decides every third
-    /// position, 2b the rest (asking the log which those are).
-    fn logged(n: u32, k: u32) -> (tps_graph::stream::InMemoryGraph, DecisionLog) {
+    /// Edges `(i, i + 1)` for `i < n`, and a plan over their vertices:
+    /// vertex `v` in cluster `v / 3`, cluster `c` on partition `c % k` — so
+    /// two edges of three join one cluster (a pre-partitioned edge), and at
+    /// k > 1 the third spans two partitions.
+    fn graph_and_plan(n: u32, k: u32) -> (tps_graph::stream::InMemoryGraph, ClusterPlan) {
         let g = tps_graph::stream::InMemoryGraph::from_edges(
             (0..n).map(|i| Edge::new(i, i + 1)).collect(),
         );
+        let clusters = n / 3 + 1;
+        let clustering = tps_clustering::model::Clustering::from_parts(
+            (0..=n).map(|v| v / 3).collect(),
+            vec![3; clusters as usize],
+        );
+        (g, clustering.freeze((0..clusters).map(|c| c % k).collect()))
+    }
+
+    /// Two hand-written passes over `graph_and_plan(n, k)`: 2a decides the
+    /// edges whose ends share a partition, 2b the rest (asking the log which
+    /// those are); every fifth decision is an escape to `7·i mod k` where
+    /// that is off both ends, the others go to an end. Returns the log and
+    /// the records the one-shard path hands on: 2a's, then 2b's.
+    fn logged(
+        n: u32,
+        k: u32,
+    ) -> (
+        tps_graph::stream::InMemoryGraph,
+        ClusterPlan,
+        DecisionLog,
+        Vec<(Edge, PartitionId)>,
+    ) {
+        let (g, plan) = graph_and_plan(n, k);
+        let decision = |e: Edge| {
+            let ends = ends_of(&plan, e);
+            let p = match e.src % 5 {
+                0 => e.src.wrapping_mul(7) % k,
+                i => ends[(i % 2) as usize],
+            };
+            (ends[0] == ends[1], p, ends)
+        };
         let mut log = DecisionLog::new(u64::from(n), k).unwrap();
-        let mut pass = log.pass(Subpass::Prepartition);
-        decision_pass(&mut g.stream(), &mut pass, |e, out| {
-            if e.src % 3 == 0 {
-                out.decide(e, e.src % k);
-            }
-        })
-        .unwrap();
-        pass.finish().unwrap();
-        let mut pass = log.pass(Subpass::Remaining);
-        decision_pass(&mut g.stream(), &mut pass, |e, out| {
-            let earlier = out.decided_earlier().expect("the log knows");
-            assert_eq!(earlier, e.src % 3 == 0);
-            if !earlier {
-                out.decide(e, (e.src + 1) % k);
-            }
-        })
-        .unwrap();
-        pass.finish().unwrap();
-        (g, log)
+        let mut want = [Vec::new(), Vec::new()];
+        for (subpass, in_2a) in [(Subpass::Prepartition, true), (Subpass::Remaining, false)] {
+            let mut pass = log.pass(subpass);
+            decision_pass(&mut g.stream(), &mut pass, |e, out| {
+                let (shared, p, ends) = decision(e);
+                if !in_2a {
+                    assert_eq!(out.decided_earlier(), Some(shared), "edge {e:?}");
+                }
+                if shared == in_2a {
+                    out.decide(e, p, ends);
+                    want[usize::from(!in_2a)].push((e, p));
+                }
+            })
+            .unwrap();
+            pass.finish().unwrap();
+        }
+        let [first, second] = want;
+        (g, plan, log, first.into_iter().chain(second).collect())
     }
 
     #[test]
     fn decision_log_emits_the_2a_records_then_the_2b_records() {
         let n = 2 * SINK_BATCH as u32 + 77;
-        for (k, bytes_per_tag) in [
+        for (k, escape_bytes) in [
             (1u32, 1usize),
             (128, 1),
-            (129, 2),
-            (32_768, 2),
-            (32_769, 4),
+            (256, 1),
+            (257, 2),
+            (65_536, 2),
+            (65_537, 3),
             (1 << 31, 4),
         ] {
-            let (g, log) = logged(n, k);
-            assert_eq!(log.heap_bytes(), n as usize * bytes_per_tag, "k = {k}");
+            let (g, plan, log, want) = logged(n, k);
+            let escapes = want
+                .iter()
+                .filter(|&&(e, p)| !ends_of(&plan, e).contains(&p))
+                .count();
+            assert!(k < 3 || escapes > 0, "k = {k}");
+            assert_eq!(
+                log.heap_bytes(),
+                (n as usize).div_ceil(4) + escapes * escape_bytes,
+                "k = {k}"
+            );
             let mut sink = VecSink::new();
-            log.emit(&mut g.stream(), &mut sink).unwrap();
-            let first = (0..n).filter(|i| i % 3 == 0).map(|i| (i, i % k));
-            let second = (0..n).filter(|i| i % 3 != 0).map(|i| (i, (i + 1) % k));
-            let want: Vec<_> = first
-                .chain(second)
-                .map(|(i, p)| (Edge::new(i, i + 1), p))
-                .collect();
+            log.emit(&mut g.stream(), &plan, &mut sink).unwrap();
             assert_eq!(sink.assignments(), want, "k = {k}");
         }
     }
 
     #[test]
     fn decision_log_refuses_a_range_that_changed_length() {
-        let (g, log) = logged(100, 8);
+        let (g, plan, log, _) = logged(100, 8);
         let stream_of =
             |n: usize| tps_graph::stream::InMemoryGraph::from_edges(g.edges()[..n].to_vec());
         let mut longer = g.edges().to_vec();
         longer.push(Edge::new(7, 8));
         let mut longer = tps_graph::stream::InMemoryGraph::from_edges(longer);
         let err = log
-            .emit(&mut stream_of(99), &mut VecSink::new())
+            .emit(&mut stream_of(99), &plan, &mut VecSink::new())
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
-        let err = log.emit(&mut longer, &mut VecSink::new()).unwrap_err();
+        let err = log
+            .emit(&mut longer, &plan, &mut VecSink::new())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+
+        // A plan other than the passes read does not fit the tags.
+        let (_, other) = graph_and_plan(100, 1);
+        let err = log
+            .emit(&mut g.stream(), &other, &mut VecSink::new())
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
 
         // A pass is held to the same length: too short fails `finish`, too
@@ -777,9 +833,9 @@ mod tests {
         // An empty shard emits nothing and reads nothing.
         let log = DecisionLog::new(0, 8).unwrap();
         assert!(log.is_empty());
-        assert!(DecisionLog::new(1, (1 << 31) + 1).is_err());
+        assert!(DecisionLog::new(1, 0).is_err());
         let mut sink = VecSink::new();
-        log.emit(&mut stream_of(0), &mut sink).unwrap();
+        log.emit(&mut stream_of(0), &plan, &mut sink).unwrap();
         assert!(sink.assignments().is_empty());
     }
 

@@ -444,13 +444,19 @@ impl<R: ReplicaSet, C: ClusterView> ShardAssigner<'_, R, C> {
     }
 
     /// Commit `edge` to `p`: update replication state and loads, and record
-    /// the decision.
+    /// the decision with `ends`, the partitions of the endpoints' clusters.
     #[inline]
-    fn commit<O: DecisionOut>(&mut self, edge: Edge, p: PartitionId, out: &mut O) {
+    fn commit<O: DecisionOut>(
+        &mut self,
+        edge: Edge,
+        p: PartitionId,
+        ends: [PartitionId; 2],
+        out: &mut O,
+    ) {
         self.v2p.insert(edge.src, p);
         self.v2p.insert(edge.dst, p);
         self.loads.add(p);
-        out.decide(edge, p);
+        out.decide(edge, p, ends);
     }
 
     /// The balance-cap fallback chain: degree-based hash of the higher-degree
@@ -492,17 +498,17 @@ impl<R: ReplicaSet, C: ClusterView> ShardAssigner<'_, R, C> {
     /// pre-partitioning condition.
     #[inline]
     fn prepartition_edge<O: DecisionOut>(&mut self, edge: Edge, out: &mut O) {
-        let Some(target) = self.prepartition_target(edge) else {
+        let Some(shared) = self.prepartition_target(edge) else {
             return;
         };
-        let target = if self.loads.is_full(target) {
+        let target = if self.loads.is_full(shared) {
             self.counters.prepartition_overflow += 1;
             self.fallback_target(edge)
         } else {
             self.counters.prepartitioned += 1;
-            target
+            shared
         };
-        self.commit(edge, target, out);
+        self.commit(edge, target, [shared; 2], out);
     }
 
     /// Phase 2 step 3 for one edge that was *not* pre-partitioned: score the
@@ -580,7 +586,7 @@ impl<R: ReplicaSet, C: ClusterView> ShardAssigner<'_, R, C> {
         } else {
             target
         };
-        self.commit(edge, target, out);
+        self.commit(edge, target, [inputs.pu, inputs.pv], out);
     }
 }
 

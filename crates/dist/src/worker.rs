@@ -362,7 +362,7 @@ fn serve_job(
             batch: Vec::with_capacity(RUN_BATCH_EDGES),
         };
         let mut s = source.open_range(job.shard.0, job.shard.1)?;
-        log.emit(&mut *s, &mut sender)?;
+        log.emit(&mut *s, assigner.plan(), &mut sender)?;
         sender.flush()?;
     }
     send_msg(transport, &Message::RunsDone { shard, epoch })?;

@@ -305,26 +305,34 @@ fn tee_and_replay_forward_batches() {
         assert_eq!(sink.got, &assignments[..100]);
     }
 
-    // A shard's decision log (its first half decided in pass 2a, the rest
-    // in 2b) hands over the same runs: one sink call per run, none per edge.
+    // A shard's decision log (pass 2a deciding the edges whose endpoints'
+    // clusters share a partition, 2b the rest) hands over the same runs: one
+    // sink call per run, none per edge. Vertex `v` is cluster `v`, placed on
+    // `v % 7`.
     let g = graph(n as u32);
+    let plan = tps_clustering::model::Clustering::from_parts((0..4096).collect(), vec![1; 4096])
+        .freeze((0..4096).map(|c| c % 7).collect());
+    let ends = |e: Edge| [e.src % 7, e.dst % 7];
+    let in_2a = |e: Edge| e.src % 7 == e.dst % 7;
     let mut log = DecisionLog::new(n as u64, 7).unwrap();
     for subpass in [Subpass::Prepartition, Subpass::Remaining] {
         let mut pass = log.pass(subpass);
         let mut i = 0;
         decision_pass(&mut g.stream(), &mut pass, |e, out| {
             let mine = match subpass {
-                Subpass::Prepartition => i < n / 2,
+                Subpass::Prepartition => in_2a(e),
                 Subpass::Remaining => !out.decided_earlier().expect("the log recorded 2a"),
             };
             if mine {
-                out.decide(e, i as u32 % 7);
+                out.decide(e, i as u32 % 7, ends(e));
             }
             i += 1;
         })
         .unwrap();
         pass.finish().unwrap();
     }
+    let (first, second): (Vec<_>, Vec<_>) = assignments.iter().partition(|&&(e, _)| in_2a(e));
+    let assignments = [first, second].concat();
     let few_runs = |sink: &BatchCountingSink| {
         assert_eq!(sink.got, assignments);
         assert_eq!(sink.singles, 0);
@@ -337,7 +345,7 @@ fn tee_and_replay_forward_batches() {
     // Emitting reads the log, it does not consume it.
     for _ in 0..2 {
         let mut sink = BatchCountingSink::default();
-        log.emit(&mut g.stream(), &mut sink).unwrap();
+        log.emit(&mut g.stream(), &plan, &mut sink).unwrap();
         few_runs(&sink);
     }
 }
@@ -404,13 +412,14 @@ fn the_engine_makes_no_per_edge_call() {
     assert_eq!(sink.got.len(), n);
     assert_eq!(sink.singles, 0);
     assert_eq!(source.calls.edge.load(Ordering::Relaxed), 0);
-    // Per worker: degree, clustering, pre-partitioning, scoring, and one
-    // emit scan for each of the two subpasses' records.
+    // Per worker: degree, clustering, pre-partitioning and scoring; and
+    // for the second, which logs its decisions (the first writes them as
+    // it decides), one emit scan for each of the two subpasses' records.
     assert!(outcome.report.counter("prepartitioned") > 0);
     assert!(outcome.report.counter("remaining") > 0);
     assert_eq!(
         source.calls.chunk.load(Ordering::Relaxed),
-        (4 + 2) * 2 * chunk_calls(n / 2)
+        (4 * 2 + 2) * chunk_calls(n / 2)
     );
 
     // And `for_each_edge` is the same pass.

@@ -447,12 +447,13 @@ fn ranges_retained() -> u64 {
         .map_or(0, |(_, v)| v)
 }
 
-/// Workers remember decisions, not edges, so emit reads the input again —
-/// two workers open their ranges four times each for the passes, and the
-/// ninth open is shard 0's emit. A v1 file truncated, or a v2 file (over the
-/// decode budget, so nothing of it is retained) with a chunk gone bad, in
-/// between fails the job there with an error naming the file: no panic, no
-/// partition file quietly short. The same job on the untouched file
+/// A logging worker remembers decisions, not edges, so emit reads the input
+/// again — two workers open their ranges four times each for the passes,
+/// and the ninth open is shard 1's emit (shard 0 writes its records as it
+/// decides them). A v1 file truncated, or a v2 file (over the decode
+/// budget, so nothing of it is retained) with a chunk of shard 1's range
+/// gone bad, in between fails the job there with an error naming the file:
+/// no panic, no partition file quietly short. The same job on the untouched file
 /// succeeds, and `tps partition` turns any job error into exit code 2.
 #[test]
 fn input_changed_between_the_passes_and_emit_fails_the_job() {
@@ -478,15 +479,20 @@ fn input_changed_between_the_passes_and_emit_fails_the_job() {
         f.set_len(f.metadata().unwrap().len() - 40).unwrap();
     };
     let corrupt_v2 = || {
-        // Inside the first chunk's payload (32 B header, 12 B chunk header).
+        // Inside the last chunk's payload, which ends where the chunk
+        // index begins (the trailer's first field).
         let f = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .open(&v2)
             .unwrap();
+        let mut index = [0u8; 8];
+        let trailer = f.metadata().unwrap().len() - tps_io::v2::TRAILER_LEN;
+        f.read_exact_at(&mut index, trailer).unwrap();
+        let at = u64::from_le_bytes(index) - 50;
         let mut byte = [0u8];
-        f.read_exact_at(&mut byte, 100).unwrap();
-        f.write_all_at(&[byte[0] ^ 0x40], 100).unwrap();
+        f.read_exact_at(&mut byte, at).unwrap();
+        f.write_all_at(&[byte[0] ^ 0x40], at).unwrap();
     };
     let run = |path: &std::path::Path, at_open: usize, tamper: &(dyn Fn() + Sync)| {
         write_inputs();

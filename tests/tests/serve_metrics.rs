@@ -75,8 +75,9 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
     client.update(&delta, &[]).expect("re-insert batch");
 
     // A two-worker job over a TPSBEL2 file, in this process, registers the
-    // batch path's counters: the decision logs, emit's re-read, the ranges
-    // the source retained.
+    // batch path's counters: the second worker's decision log (2 bits per
+    // edge of its half, plus its escapes), emit's re-read of that half once
+    // per subpass, the ranges the source retained.
     let input = std::env::temp_dir().join(format!("tps-scrape-{}.bel2", std::process::id()));
     tps_io::write_v2_edge_list(&input, NUM_VERTICES, edges.iter().copied(), 500).expect("input");
     // Each worker's range is retained packed: 2w bits per edge, w the bits
@@ -109,7 +110,10 @@ fn scrape_exposes_every_counter_gauge_and_histogram_with_correct_quantiles() {
     let counters = counters_snapshot();
     assert!(!counters.is_empty(), "workload registered no counters");
     for (name, at_least) in [
-        ("core.decision_log.bytes", edges.len() as u64),
+        (
+            "core.decision_log.bytes",
+            (edges.len() as u64 / 2).div_ceil(4),
+        ),
         ("core.emit.restreamed_edges", edges.len() as u64),
         ("io.v2.ranges_retained", 2),
         ("io.v2.retained_bytes", retained_bytes),
