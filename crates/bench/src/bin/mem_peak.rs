@@ -23,8 +23,8 @@
 //! dominates the heap: a mode that keeps one matrix copy per worker is
 //! immediately visible as a multiple of the serial peak. Every mode runs
 //! the default path: a parallel worker's only `O(|E|)` term is its decision
-//! log (1 B/edge at k ≤ 128, 2 B/edge up to k = 32 768), small beside the
-//! matrix.
+//! log (2 bits per edge plus one entry per escape, none for worker 0),
+//! small beside the matrix.
 //!
 //! The same graph at k = 32 drives the **low-k pair** (`k32_serial`,
 //! `k32_t8`): at k ≤ 64 replica rows are packed into shared words (a
@@ -39,9 +39,12 @@
 //! job on a TPSBEL2 copy of the graph: serial retains the decoded file, two
 //! workers retain their decoded ranges (the same bytes: each edge packed in
 //! the 2w bits its ids need, 38 or 40 at this graph's 19- or 20-bit ids)
-//! and add a 1 B/edge decision log each. `k32_t2_vs_serial_file` is their ratio, gated as a ceiling: the
-//! default path's `O(|E|)` residency beyond the decode budget is the log
-//! and nothing else (12 B/edge of in-memory spools read 56.2 MB here).
+//! and the second worker adds a decision log of 2 bits per edge of its
+//! range plus one entry per escape (the first writes as it decides).
+//! `k32_t2_vs_serial_file` is their ratio, gated as a ceiling: the default
+//! path's `O(|E|)` residency beyond the decode budget is the log and
+//! nothing else (12 B/edge of in-memory spools read 56.2 MB here, a byte
+//! per edge of each worker's range 1.45× the serial peak).
 //!
 //! A second, vertex-heavy graph (mean degree 2, small k) drives the
 //! **out-of-core pair**: `oc_unpaged` runs the plain serial job, `oc_paged`

@@ -71,7 +71,9 @@ partition options:
                       quarter caps the v2 decode cache; the rest is
                       headroom for what it does not govern (output
                       buffers, degree table, the decision logs of
-                      --threads N > 1). Only one-shard runs are bounded
+                      --threads N > 1: 2 bits per edge of shards
+                      1..N-1 plus one entry per escape; shard 0
+                      none). Only one-shard runs are bounded
                       hard. Output is bit-identical at every budget; see
                       the README `Memory model` section
   --trace FILE        record a structured trace (JSON lines: phase spans,
@@ -525,7 +527,7 @@ fn execute_and_report(
     {
         let trace = flags.get("trace").map(tps_obs::TraceRecording::begin);
         let params = alpha_params(k, alpha)?;
-        let mut quality = QualitySink::new(info.num_vertices, k);
+        let mut quality = QualitySink::try_new(info.num_vertices, k).map_err(|e| e.to_string())?;
         let start = std::time::Instant::now();
         let mut files = open_parts(flags, input, k, info.num_vertices)?;
         let report = match files.as_mut() {

@@ -1038,6 +1038,50 @@ fn alpha_below_one_or_nan_is_an_input_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `--k` whose tables cannot be allocated is an input error in every
+/// mode — exit 2 with an error naming `k`, not an allocation abort (exit
+/// 134). The run gets a 4 GB address space, so a 34 GB load ledger, or
+/// the 137 GB replica matrix of a debug build's quality sink, fails to
+/// allocate on any machine.
+#[test]
+fn a_k_whose_tables_cannot_be_allocated_is_an_input_error() {
+    let dir = tmpdir("huge-k");
+    let bel = dir.join("ok.bel");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    for cmd in [
+        "partition --threads serial",
+        "partition --threads 1",
+        "partition --threads serial --mem-budget-mb 4",
+        "partition --threads 2",
+        "partition --algorithm 2ps-hdrf --threads 1",
+        "dist coordinator --dist-local --workers 2",
+    ] {
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 4000000; exec \"$@\"", "sh"])
+            .arg(env!("CARGO_BIN_EXE_tps"))
+            .args(cmd.split(' '))
+            .arg("--input")
+            .arg(&bel)
+            .args(["--k", "4294967295", "--quiet"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
+        // A dist run's workers also report the coordinator's going away.
+        assert!(
+            err.lines()
+                .any(|l| l.starts_with("error: ") && l.contains("k = 4294967295")),
+            "{cmd}: {err}"
+        );
+        assert!(!err.contains("memory allocation"), "{cmd}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A reader that closed stdout (`tps info … | head -0`) ends the command
 /// quietly with exit 0: no panic, no message. The pipe's read end is gone
 /// before `tps` starts, so every write to it fails.

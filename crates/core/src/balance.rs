@@ -20,6 +20,7 @@
 //!   atomic counter is the runtime witness of that invariant and the source
 //!   of the merged per-partition loads, not a lock.
 
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tps_graph::types::PartitionId;
@@ -43,12 +44,26 @@ impl AtomicLoads {
     /// Shared loads for `k` partitions of a graph with `num_edges` edges
     /// under balance factor `alpha` (same cap formula as
     /// [`PartitionLoads::new`]).
+    ///
+    /// # Panics
+    /// Panics where [`try_new`](AtomicLoads::try_new) errs.
     pub fn new(k: u32, num_edges: u64, alpha: f64) -> Self {
-        let cap = PartitionLoads::new(k, num_edges, alpha).cap();
-        AtomicLoads {
-            loads: (0..k).map(|_| AtomicU64::new(0)).collect(),
-            cap,
-        }
+        Self::try_new(k, num_edges, alpha).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](AtomicLoads::new), or `InvalidInput` naming the ledger and
+    /// `k` when its `k` counters cannot be allocated.
+    pub fn try_new(k: u32, num_edges: u64, alpha: f64) -> io::Result<Self> {
+        let cap = PartitionLoads::cap_for(k, num_edges, alpha);
+        let mut loads = Vec::new();
+        loads.try_reserve_exact(k as usize).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("k = {k}: the partition load ledger ({k} × 8 B) cannot be allocated"),
+            )
+        })?;
+        loads.extend((0..k).map(|_| AtomicU64::new(0)));
+        Ok(AtomicLoads { loads, cap })
     }
 
     /// Number of partitions.
@@ -119,14 +134,20 @@ impl PartitionLoads {
     /// feasibility (all edges *can* be placed) even at `α = 1.0`; the second
     /// is the paper's constraint.
     pub fn new(k: u32, num_edges: u64, alpha: f64) -> Self {
+        PartitionLoads {
+            cap: Self::cap_for(k, num_edges, alpha),
+            loads: vec![0; k as usize],
+        }
+    }
+
+    /// The cap of [`new`](PartitionLoads::new)'s tracker, without its `k`
+    /// counters.
+    pub fn cap_for(k: u32, num_edges: u64, alpha: f64) -> u64 {
         assert!(k > 0, "k must be positive");
         assert!(alpha >= 1.0, "alpha must be >= 1");
         let fair = num_edges.div_ceil(k as u64);
         let soft = (alpha * num_edges as f64 / k as f64).floor() as u64;
-        PartitionLoads {
-            loads: vec![0; k as usize],
-            cap: fair.max(soft),
-        }
+        fair.max(soft)
     }
 
     /// Number of partitions.

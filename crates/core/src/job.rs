@@ -119,7 +119,9 @@ pub enum JobEngine<'a> {
 ///   disables it);
 /// * **¼ headroom** — for what the budget does not govern: the partition
 ///   files' write buffers, the degree table, and the decision logs of a
-///   chunk-parallel or distributed run (1, 2 or 4 B per edge).
+///   chunk-parallel or distributed run (2 bits per edge of shards
+///   1..T−1, or of every dist worker, plus one entry per escape; shard 0
+///   of a chunk-parallel run none).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemBudgetSplit {
     /// Bytes for resident cluster-table pages.
@@ -527,8 +529,9 @@ fn run_measured(
     extra: Option<&mut dyn AssignmentSink>,
     run_into: &mut dyn FnMut(&mut dyn AssignmentSink) -> io::Result<RunReport>,
 ) -> io::Result<(RunReport, PartitionMetrics)> {
-    let mut quality =
-        (!engine_reports || cfg!(debug_assertions)).then(|| QualitySink::new(num_vertices, k));
+    let mut quality = (!engine_reports || cfg!(debug_assertions))
+        .then(|| QualitySink::try_new(num_vertices, k))
+        .transpose()?;
     let report = match (quality.as_mut(), extra) {
         (Some(quality), Some(sink)) => run_into(&mut TeeSink::new(quality, sink)),
         (Some(quality), None) => run_into(quality),

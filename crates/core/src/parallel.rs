@@ -67,10 +67,15 @@
 //!    `O(T·|V|·k)`.
 //! 5. **emit** (several shards) — in worker order, each worker's decisions
 //!    reach the caller's [`AssignmentSink`]: its pre-partitioning records,
-//!    then its scoring records, so downstream files are reproducible. A
-//!    worker remembers *decisions*, not edges — one tag per stream position
-//!    in a [`DecisionLog`] — and emit re-reads the worker's own range to
-//!    pair each tag with its edge ([`DecisionLog::emit`]); a source that
+//!    then its scoring records, so downstream files are reproducible.
+//!    Worker 0's records come first, so it runs on the calling thread and
+//!    writes them as it decides, one [`SinkBatch`] per subpass, like a
+//!    one-shard run. Every later worker remembers *decisions*, not edges —
+//!    a 2-bit tag per stream position in a [`DecisionLog`], naming the
+//!    partition of the source's or the destination's cluster, plus one
+//!    entry per other decision (an escape) — and emit re-reads the
+//!    worker's own range to pair each tag with its edge and resolve it
+//!    against the [`ClusterPlan`] ([`DecisionLog::emit`]); a source that
 //!    retained the range (`tps-io`'s v2 sources, under the decode budget)
 //!    serves those two scans from memory. It writes files, or nothing at
 //!    all into a `NullSink`: the metrics were taken before it (below).
@@ -147,11 +152,12 @@
 //! the bytes |V| needs, narrowed in place at the placement barrier to the
 //! bytes the id space needs; the merged degrees are packed the same way. The remaining
 //! per-worker state is transient — degree tables and
-//! clustering maps during their phases — plus the [`DecisionLog`] until the
-//! emit barrier: 1 B per edge of the worker's range up to k = 128, 2 B up
-//! to k = 32 768, the one `O(|E|)` term of a run (the spool it replaced
-//! held 12 B per edge). `--mem-budget-mb` does not bound it: only a
-//! one-shard run has no log to hold.
+//! clustering maps during their phases — plus the [`DecisionLog`]s until
+//! the emit barrier: 2 bits per edge of workers 1..T−1's ranges plus one
+//! entry per escape, in the bytes k − 1 needs, and none for worker 0 — the
+//! one `O(|E|)` term of a run (1 B per edge before, and 12 B per edge in
+//! the spool before that). `--mem-budget-mb` does not bound it: only a
+//! one-shard run and worker 0 have no log to hold.
 
 use std::io;
 
@@ -384,9 +390,10 @@ pub fn cluster_placement(
 /// storage (the per-edge kernel lives in [`crate::two_phase`]).
 ///
 /// Each subpass comes in two forms: `*_pass` hands its decisions to a sink
-/// as whole records, as a one-shard run does; `*_logged` writes one tag per
-/// position into the shard's [`DecisionLog`], which the in-process driver
-/// and `tps-dist`'s workers then emit with [`DecisionLog::emit`].
+/// as whole records, as a one-shard run and the first of several shards
+/// do; `*_logged` writes one 2-bit tag per position into the shard's
+/// [`DecisionLog`], which the in-process driver and `tps-dist`'s workers
+/// then emit with [`DecisionLog::emit`].
 ///
 /// The assigner survives the replication barrier between the two subpasses.
 /// With an owned [`ReplicationMatrix`] (the default — one-shard runs and
@@ -625,7 +632,7 @@ pub(crate) fn run_shards(
     }
     let (nv, k) = (info.num_vertices, params.k);
     let mut report = RunReport::default();
-    let ledger = AtomicLoads::new(k, info.num_edges, params.alpha);
+    let ledger = AtomicLoads::try_new(k, info.num_edges, params.alpha)?;
 
     // A one-shard run that does not page allocates its phase-1 table now,
     // before the degree pass. The table is zeroed, so its pages cost
@@ -687,7 +694,7 @@ pub(crate) fn run_shards(
                         let sorted = config.mapping == MappingStrategy::SortedGraham;
                         let (clusters, max_volume) = schedule_paged(&mut table, k, sorted)?;
                         report.phases.record("mapping", s2.end());
-                        let replicas = ReplicationMatrix::new(nv, k);
+                        let replicas = one_shard_matrix(nv, k)?;
                         let loads = ShardLoads::with_ledger(&ledger, 0, 1);
                         let mut shard =
                             ShardAssigner::with_view(*config, &degrees, table, replicas, loads);
@@ -738,7 +745,7 @@ pub(crate) fn run_shards(
     // Phase 2 steps 2 and 3.
     match &mut shards {
         Shards::One(stream, _) => {
-            let replicas = ReplicationMatrix::new(nv, k);
+            let replicas = one_shard_matrix(nv, k)?;
             let loads = ShardLoads::with_ledger(&ledger, 0, 1);
             let mut shard = ShardAssigner::with_view(*config, &degrees, &plan, replicas, loads);
             one_shard_phase2(&mut shard, &mut **stream, sink, &mut report)?;
@@ -769,6 +776,12 @@ pub(crate) fn run_shards(
         paging.record(&mut report, stats, flat_after_pass);
     }
     Ok(report)
+}
+
+/// The replica matrix a one-shard run owns, or `InvalidInput` naming it
+/// when it cannot be allocated.
+fn one_shard_matrix(nv: u64, k: u32) -> io::Result<ReplicationMatrix> {
+    ReplicationMatrix::try_new(nv, k).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))
 }
 
 /// Phase 2 steps 2 and 3 of a one-shard run: both subpasses straight into
@@ -973,7 +986,7 @@ impl ClusterCensus {
 /// overshoot counts, because each commit claims a disjoint interval of
 /// exactly one counter.
 pub fn overshoot_from_loads(loads: &[u64], k: u32, num_edges: u64, alpha: f64) -> u64 {
-    let cap = PartitionLoads::new(k, num_edges, alpha).cap();
+    let cap = PartitionLoads::cap_for(k, num_edges, alpha);
     loads.iter().map(|&l| l.saturating_sub(cap)).sum()
 }
 

@@ -246,6 +246,14 @@ impl QualitySink {
         }
     }
 
+    /// [`new`](QualitySink::new), or `InvalidInput` naming the table and
+    /// `k` when its tables cannot be allocated.
+    pub fn try_new(num_vertices: u64, k: u32) -> io::Result<Self> {
+        let tracker = QualityTracker::try_new(num_vertices, k)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        Ok(QualitySink { tracker })
+    }
+
     /// Finalise the metrics.
     pub fn finish(&self) -> PartitionMetrics {
         self.tracker.finish()

@@ -5,10 +5,12 @@
 //! code a `--threads N` job schedules onto threads, which is
 //! why a distributed run is bit-identical to that job. The worker
 //! never sees the whole graph's assignments: its decisions wait in a
-//! [`DecisionLog`] — a tag per edge of its range, 1, 2 or 4 B under any
-//! memory budget — and stream back as bounded `Run` batches when the
-//! coordinator pulls them, the tags paired with their edges by re-reading
-//! the range.
+//! [`DecisionLog`] — 2 bits per edge of its range plus one entry per
+//! escape (a decision off both endpoints' cluster partitions, in the bytes
+//! k − 1 needs), under any memory budget — and stream back as bounded
+//! `Run` batches when the coordinator pulls them, the tags paired with
+//! their edges by re-reading the range and resolved against the plan.
+//! Every worker logs, worker 0 too: its records leave only on `Pull`.
 //!
 //! Workers serve **jobs in a loop**: after a shard's runs are pulled the
 //! worker waits for either a [`Reissue`](Message::Reissue) — another
@@ -253,7 +255,7 @@ fn serve_job(
 
     // Phase 2: prepartition + score with the quota-sliced standalone loads
     // (identical decisions to the in-process ledger tracker).
-    let cap = PartitionLoads::new(job.k, job.num_edges, job.alpha).cap();
+    let cap = PartitionLoads::cap_for(job.k, job.num_edges, job.alpha);
     let loads = ShardLoads::standalone(
         job.k,
         cap,
@@ -264,7 +266,8 @@ fn serve_job(
         job.config,
         &degrees,
         plan,
-        tps_metrics::bitmatrix::ReplicationMatrix::new(job.num_vertices, job.k),
+        tps_metrics::bitmatrix::ReplicationMatrix::try_new(job.num_vertices, job.k)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?,
         loads,
     );
     let mut log = DecisionLog::new(job.shard.1 - job.shard.0, job.k)?;

@@ -208,6 +208,23 @@ impl RowLayout {
     }
 }
 
+/// `n` zero words, or `None` when the allocator refuses them: what
+/// `vec![0u64; n]` makes — zeroed pages the OS backs only once written —
+/// without aborting the process.
+pub fn try_zeroed_words(n: usize) -> Option<Vec<u64>> {
+    if n == 0 {
+        return Some(Vec::new());
+    }
+    let layout = std::alloc::Layout::array::<u64>(n).ok()?;
+    // SAFETY: `layout` has a non-zero size; a non-null result holds `n`
+    // zeroed — so initialised — words, allocated by the global allocator
+    // with exactly the layout `Vec` frees them with.
+    unsafe {
+        let ptr = std::alloc::alloc_zeroed(layout).cast::<u64>();
+        (!ptr.is_null()).then(|| Vec::from_raw_parts(ptr, n, n))
+    }
+}
+
 /// Packed replication matrix with incremental cover counts.
 #[derive(Clone, Debug)]
 pub struct ReplicationMatrix {
@@ -221,17 +238,32 @@ pub struct ReplicationMatrix {
 impl ReplicationMatrix {
     /// Create an all-zero matrix for `num_vertices` vertices and `k`
     /// partitions.
+    ///
+    /// # Panics
+    /// Panics where [`try_new`](Self::try_new) errs.
     pub fn new(num_vertices: u64, k: u32) -> Self {
+        Self::try_new(num_vertices, k).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new), or an error naming |V| and `k` when the words or
+    /// the `k` cover counts cannot be allocated.
+    ///
+    /// # Panics
+    /// Panics if `k` is 0.
+    pub fn try_new(num_vertices: u64, k: u32) -> Result<Self, String> {
         assert!(k > 0, "k must be positive");
         let layout = RowLayout::new(k);
-        let total = layout
-            .words_for(num_vertices)
-            .expect("replication matrix size overflow");
-        ReplicationMatrix {
-            layout,
-            bits: vec![0u64; total],
-            cover_counts: vec![0u64; k as usize],
-            num_vertices,
+        let bits = layout.words_for(num_vertices).and_then(try_zeroed_words);
+        match (bits, try_zeroed_words(k as usize)) {
+            (Some(bits), Some(cover_counts)) => Ok(ReplicationMatrix {
+                layout,
+                bits,
+                cover_counts,
+                num_vertices,
+            }),
+            _ => Err(format!(
+                "k = {k}: the replica matrix of |V| = {num_vertices} vertices cannot be allocated"
+            )),
         }
     }
 

@@ -111,11 +111,20 @@ pub struct QualityTracker {
 impl QualityTracker {
     /// Create a tracker for `num_vertices` vertices and `k` partitions.
     pub fn new(num_vertices: u64, k: u32) -> Self {
-        QualityTracker {
-            matrix: ReplicationMatrix::new(num_vertices, k),
-            loads: vec![0; k as usize],
+        Self::try_new(num_vertices, k).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new), or an error naming the table and `k` when its
+    /// matrix or its `k` loads cannot be allocated.
+    pub fn try_new(num_vertices: u64, k: u32) -> Result<Self, String> {
+        let matrix = ReplicationMatrix::try_new(num_vertices, k)?;
+        let loads = crate::bitmatrix::try_zeroed_words(k as usize)
+            .ok_or_else(|| format!("k = {k}: the quality tracker's loads cannot be allocated"))?;
+        Ok(QualityTracker {
+            matrix,
+            loads,
             num_edges: 0,
-        }
+        })
     }
 
     /// Record the assignment of `edge` to partition `p`.

@@ -290,3 +290,117 @@ proptest! {
         }
     }
 }
+
+/// The k of the decision-log round trip: one-byte escapes up to k = 256,
+/// two up to 65 536, three at 65 537.
+const LOG_KS: [u32; 8] = [1, 2, 3, 64, 65, 256, 257, 65_537];
+
+/// One pass of hand-made `decisions` — per edge, whether pass 2a decides
+/// it and the partition it gets — into `out`, the edges of `graph` read
+/// in order. An out that recorded pass 2a must know its positions.
+fn drive_pass<O: tps_core::sink::DecisionOut>(
+    graph: &InMemoryGraph,
+    plan: &tps_clustering::model::ClusterPlan,
+    decisions: &[(bool, u32)],
+    in_2a: bool,
+    out: &mut O,
+) {
+    let mut i = 0;
+    tps_core::sink::decision_pass(&mut graph.stream(), out, |e, out| {
+        let (decided_in_2a, p) = decisions[i];
+        i += 1;
+        if !in_2a {
+            if let Some(earlier) = out.decided_earlier() {
+                assert_eq!(earlier, decided_in_2a, "edge {}", i - 1);
+            }
+        }
+        if decided_in_2a == in_2a {
+            let ends = [e.src, e.dst].map(|v| plan.partition_of(plan.cluster_of(v)));
+            out.decide(e, p, ends);
+        }
+    })
+    .unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A shard's `DecisionLog` against the one-shard path: arbitrary
+    /// decisions — to the source's cluster partition, the destination's,
+    /// or an escape off both — in both subpasses, or with pass 2a off, on
+    /// shards whose length is not a multiple of 4, at every k of
+    /// [`LOG_KS`]. `emit` hands the sink exactly the records a `VecSink`
+    /// gets through a `SinkBatch`, and `heap_bytes()` — what
+    /// `core.decision_log.bytes` counts — is ⌈n/4⌉ plus each escape in the
+    /// bytes `k − 1` needs.
+    #[test]
+    fn decision_log_emits_what_the_one_shard_path_hands_on(
+        ki in 0usize..8,
+        quads in 0usize..5_000,
+        rem in 1usize..4,
+        prepartitioning in 0u32..2,
+        clusters in 1u32..7,
+        seed in 0u64..u64::MAX,
+    ) {
+        use tps_clustering::model::Clustering;
+        use tps_core::sink::{DecisionLog, SinkBatch, Subpass};
+        use tps_graph::packed::PackedU32s;
+
+        let (k, n, prepartitioning) = (LOG_KS[ki], 4 * quads + rem, prepartitioning == 1);
+        // splitmix64 over the case's seed.
+        let mut state = seed;
+        let mut below = |bound: u32| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % u64::from(bound)) as u32
+        };
+        let nv = 40u32;
+        let v2c: Vec<u32> = (0..nv).map(|_| below(clusters)).collect();
+        let c2p: Vec<u32> = (0..clusters).map(|_| below(k)).collect();
+        let plan = Clustering::from_parts(v2c, vec![1; clusters as usize]).freeze(c2p);
+        let graph = InMemoryGraph::with_num_vertices(
+            (0..n).map(|_| Edge::new(below(nv), below(nv))).collect(),
+            u64::from(nv),
+        );
+        // With pass 2a on, it decides exactly the edges whose endpoints'
+        // clusters share a partition; each decision picks an end or any
+        // partition, an escape when that is off both ends.
+        let mut escapes = 0;
+        let decisions: Vec<(bool, u32)> = graph
+            .edges()
+            .iter()
+            .map(|&e| {
+                let ends = [e.src, e.dst].map(|v| plan.partition_of(plan.cluster_of(v)));
+                let p = match below(3) {
+                    2 => below(k),
+                    end => ends[end as usize],
+                };
+                escapes += usize::from(!ends.contains(&p));
+                (prepartitioning && ends[0] == ends[1], p)
+            })
+            .collect();
+        let subpasses = [(Subpass::Prepartition, true), (Subpass::Remaining, false)];
+        let subpasses = &subpasses[usize::from(!prepartitioning)..];
+
+        let mut want = VecSink::new();
+        for &(_, in_2a) in subpasses {
+            drive_pass(&graph, &plan, &decisions, in_2a, &mut SinkBatch::new(&mut want));
+        }
+        let mut log = DecisionLog::new(n as u64, k).unwrap();
+        for &(subpass, in_2a) in subpasses {
+            let mut pass = log.pass(subpass);
+            drive_pass(&graph, &plan, &decisions, in_2a, &mut pass);
+            pass.finish().unwrap();
+        }
+        let mut got = VecSink::new();
+        log.emit(&mut graph.stream(), &plan, &mut got).unwrap();
+        prop_assert_eq!(got.assignments(), want.assignments(), "k {} n {}", k, n);
+        prop_assert_eq!(
+            log.heap_bytes(),
+            n.div_ceil(4) + escapes * PackedU32s::width_for(k - 1),
+            "k {} n {} escapes {}", k, n, escapes
+        );
+    }
+}
