@@ -763,7 +763,6 @@ pub(crate) fn run_shards(
                 assigners,
                 *source,
                 ranges,
-                &plan,
                 &replicas,
                 &ledger,
                 sink,
@@ -815,7 +814,7 @@ fn one_shard_phase2<C: ClusterView>(
 }
 
 /// Phase 2 steps 2 and 3 of a run over several shards — the `ranges` of
-/// `source`, one assigner each over `plan` and the shared `replicas`: both
+/// `source`, one assigner each over one plan and the shared `replicas`: both
 /// subpasses with the freeze barrier between them, the quality counted in
 /// place once every worker has published, then the emit step.
 ///
@@ -824,12 +823,10 @@ fn one_shard_phase2<C: ClusterView>(
 /// 2a records and then its 2b records come first in every partition file
 /// anyway. Every other shard logs its decisions and emits them afterwards,
 /// in shard order.
-#[allow(clippy::too_many_arguments)]
 fn sharded_phase2(
     assigners: Vec<ShardAssigner<'_, SharedReplicaView<'_>, &ClusterPlan>>,
     source: &dyn RangedEdgeSource,
     ranges: &[(u64, u64)],
-    plan: &ClusterPlan,
     replicas: &AtomicReplicationMatrix,
     ledger: &AtomicLoads,
     sink: &mut dyn AssignmentSink,
@@ -838,6 +835,7 @@ fn sharded_phase2(
     let prepartitioning = assigners[0].config.prepartitioning;
     let mut assigners = assigners.into_iter();
     let mut first = assigners.next().expect("several shards");
+    let plan = first.view;
     let (range0, logged) = (ranges[0], &ranges[1..]);
     let open = |(a, b): (u64, u64)| source.open_range(a, b);
 
@@ -998,8 +996,8 @@ where
     T: Send,
     F: Fn((u64, u64)) -> io::Result<T> + Sync,
 {
-    let ((t0, _), rest) = beside_workers(
-        || Ok((work(ranges[0])?, ())),
+    let (t0, rest) = beside_workers(
+        || work(ranges[0]),
         &ranges[1..],
         vec![(); ranges.len() - 1],
         |range, ()| work(range),

@@ -448,9 +448,9 @@ impl DecisionLog {
         self.len == 0
     }
 
-    /// Heap bytes the log holds: ⌈n/4⌉ for the tags plus the escapes'
-    /// bytes — what `core.decision_log.bytes` counts once the 2b pass is
-    /// over.
+    /// Bytes the log's entries take: ⌈n/4⌉ for the tags plus the escapes'
+    /// bytes (not the escape list's growth slack or its 3 pad bytes) —
+    /// what `core.decision_log.bytes` counts once the 2b pass is over.
     pub fn heap_bytes(&self) -> usize {
         self.tags.len() + self.escapes.len() * self.escapes.width()
     }
@@ -514,10 +514,14 @@ impl DecisionLog {
                 }
                 for &edge in chunk {
                     let ends = ends_of(plan, edge);
+                    // Without 2a decisions (pass 2a off, or no edge it
+                    // could take) every position is 2b's.
                     if (self.prepartitioned > 0 && ends[0] == ends[1]) == in_2a {
                         let p = match self.tag(at) {
-                            SRC => ends[0],
-                            DST => ends[1],
+                            // Which end won is data-dependent and
+                            // unpredictable; the index select compiles to
+                            // a load, not a branch.
+                            tag @ (SRC | DST) => ends[usize::from(tag == DST)],
                             ESCAPE if escape < escapes.end => {
                                 escape += 1;
                                 self.escapes.get(escape - 1)

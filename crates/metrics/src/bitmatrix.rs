@@ -210,7 +210,8 @@ impl RowLayout {
 
 /// `n` zero words, or `None` when the allocator refuses them: what
 /// `vec![0u64; n]` makes — zeroed pages the OS backs only once written —
-/// without aborting the process.
+/// without aborting the process. Safe Rust has no fallible zeroed
+/// allocation: `try_reserve_exact` and a `resize` would write every page.
 pub fn try_zeroed_words(n: usize) -> Option<Vec<u64>> {
     if n == 0 {
         return Some(Vec::new());
