@@ -495,6 +495,11 @@ impl ClusterPlan {
         self.c2p[c as usize]
     }
 
+    /// Number of vertices the plan covers.
+    pub fn num_vertices(&self) -> usize {
+        self.v2c.len()
+    }
+
     /// Heap bytes of the packed vertex→cluster map.
     pub fn cluster_map_bytes(&self) -> usize {
         self.v2c.heap_bytes()

@@ -156,7 +156,9 @@
 //! the emit barrier: 2 bits per edge of workers 1..T−1's ranges plus one
 //! entry per escape, in the bytes k − 1 needs, and none for worker 0 — the
 //! one `O(|E|)` term of a run (1 B per edge before, and 12 B per edge in
-//! the spool before that). `--mem-budget-mb` does not bound it: only a
+//! the spool before that) — and, while one is emitted, a vertex→partition
+//! table in those bytes (|V| entries, the size of the freed private rows
+//! at k ≤ 8). `--mem-budget-mb` does not bound it: only a
 //! one-shard run and worker 0 have no log to hold.
 
 use std::io;
