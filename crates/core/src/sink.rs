@@ -487,8 +487,8 @@ impl DecisionLog {
         // Each vertex's cluster partition, resolved once for both scans
         // (the escapes' width holds every partition): 2 loads per edge
         // from |V| small entries instead of 4 dependent ones from the
-        // cluster map and the placement — a third of the emit time of a
-        // shuffled 2M-edge shard of the social graph.
+        // cluster map and the placement (a two-worker dist run on a
+        // shuffled 4M-edge social graph: emit 0.248 → 0.225 s).
         let v2p = PackedU32s::with_width(
             (0..plan.num_vertices() as u32).map(|v| match plan.cluster_of(v) {
                 NO_CLUSTER => 0,
