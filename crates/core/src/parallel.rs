@@ -71,11 +71,13 @@
 //!    Worker 0's records come first, so it runs on the calling thread and
 //!    writes them as it decides, one [`SinkBatch`] per subpass, like a
 //!    one-shard run. Every later worker remembers *decisions*, not edges —
-//!    a 2-bit tag per stream position in a [`DecisionLog`], naming the
-//!    partition of the source's or the destination's cluster, plus one
-//!    entry per other decision (an escape) — and emit re-reads the
-//!    worker's own range to pair each tag with its edge and resolve it
-//!    against the [`ClusterPlan`] ([`DecisionLog::emit`]); a source that
+//!    a 2-bit tag per stream position in a [`DecisionLog`], naming 2a's
+//!    shared partition or 2b's partition of the source's or the
+//!    destination's cluster, plus one entry per other decision (an
+//!    escape) — and emit re-reads the worker's own range to pair each tag
+//!    with its edge and resolve it through one vertex→partition table
+//!    built from the [`ClusterPlan`] for every log ([`EmitPlan`],
+//!    [`DecisionLog::emit`]); a source that
 //!    retained the range (`tps-io`'s v2 sources, under the decode budget)
 //!    serves those two scans from memory. It writes files, or nothing at
 //!    all into a `NullSink`: the metrics were taken before it (below).
@@ -156,9 +158,9 @@
 //! the emit barrier: 2 bits per edge of workers 1..T−1's ranges plus one
 //! entry per escape, in the bytes k − 1 needs, and none for worker 0 — the
 //! one `O(|E|)` term of a run (1 B per edge before, and 12 B per edge in
-//! the spool before that) — and, while one is emitted, a vertex→partition
-//! table in those bytes (|V| entries, the size of the freed private rows
-//! at k ≤ 8). `--mem-budget-mb` does not bound it: only a
+//! the spool before that) — and, while they are emitted, one
+//! vertex→partition table in those bytes (|V| entries, the size of the
+//! freed private rows at k ≤ 8). `--mem-budget-mb` does not bound it: only a
 //! one-shard run and worker 0 have no log to hold.
 
 use std::io;
@@ -176,7 +178,7 @@ use tps_metrics::quality::PartitionMetrics;
 
 use crate::balance::{AtomicLoads, PartitionLoads};
 use crate::partitioner::{PartitionParams, RunReport};
-use crate::sink::{AssignmentSink, DecisionLog, SinkBatch, Subpass};
+use crate::sink::{AssignmentSink, DecisionLog, EmitPlan, SinkBatch, Subpass};
 use crate::two_phase::mapping::{schedule_paged, ClusterPlacement};
 use crate::two_phase::{
     compact_counted, note_if_thrashing, AssignCounters, ClusterPaging, ClusterView,
@@ -914,8 +916,9 @@ fn sharded_phase2(
 
     // Emit: the logged workers' decisions, in worker order.
     let s5 = tps_obs::span("emit");
+    let plan = EmitPlan::new(plan, ledger.k());
     for (log, &range) in logs.into_iter().zip(logged) {
-        log.emit(&mut *open(range)?, plan, sink)?;
+        log.emit(&mut *open(range)?, &plan, sink)?;
     }
     report.phases.record("emit", s5.end());
     report.count("threads", ranges.len() as u64);

@@ -37,8 +37,10 @@ use tps_clustering::model::{ClusterPlan, NO_CLUSTER};
 use tps_graph::formats::binary::PartitionFileWriter;
 use tps_graph::packed::PackedU32s;
 use tps_graph::stream::{for_each_chunk, EdgeStream};
-use tps_graph::types::{Edge, PartitionId};
+use tps_graph::types::{Edge, PartitionId, VertexId};
 use tps_metrics::quality::{PartitionMetrics, QualityTracker};
+
+use crate::two_phase::ClusterView;
 
 /// Receives each edge assignment exactly once, in the order decided.
 pub trait AssignmentSink {
@@ -351,12 +353,20 @@ impl AssignmentSink for FileSink {
 }
 
 /// A shard's decisions until the emit barrier: a 2-bit tag per stream
-/// position naming the partition the edge got — the partition of its
-/// source's cluster, the partition of its destination's cluster (in the
-/// shard's [`ClusterPlan`]), or an **escape** — plus, per escape, its
-/// partition in the bytes `k − 1` needs. Every pre-partitioned edge and
-/// every two-choice winner is one of the first two, so only fallbacks, 2a
-/// overflows and 2PS-HDRF picks off both candidates take an entry.
+/// position naming the partition the edge got and the subpass that decided
+/// it — 2a's shared partition of its endpoints' clusters, 2b's partition of
+/// the source's cluster or of the destination's (in the shard's
+/// [`ClusterPlan`]), or an **escape** — plus, per escape, its partition in
+/// the bytes `k − 1` needs. Every pre-partitioned edge and every two-choice
+/// winner is one of the first three, so only fallbacks, 2a overflows and
+/// 2PS-HDRF picks off both candidates take an entry.
+///
+/// So the log is smaller than a byte per edge only while escapes are rare:
+/// an edge costs 2 bits, and an escape `⌈bits(k − 1)/8⌉` bytes more (the
+/// ledger social graph at `--threads 2`, k = 32: 2.6 % of the logged edges
+/// escape; an escape-only shard at k ≤ 256 would take 1.25 B per edge). The
+/// escape list grows by doubling during the passes and is cut to its
+/// length when the 2b pass ends.
 ///
 /// This is what a shard of a `--threads N` run other than the first, or a
 /// worker of a distributed run, remembers; it replaced a byte or more per
@@ -380,10 +390,11 @@ pub struct DecisionLog {
     prepartitioned: u64,
 }
 
-/// Tags: not decided yet, the source's cluster partition, the
-/// destination's, an escape.
-const UNDECIDED: u8 = 0;
-const SRC: u8 = 1;
+/// Tags: 2b's source end (also what a position holds until a pass decides
+/// it), 2a's shared partition, 2b's destination end, an escape of either
+/// pass. The low bit is set on exactly what the 2a pass writes.
+const SRC: u8 = 0;
+const SHARED: u8 = 1;
 const DST: u8 = 2;
 const ESCAPE: u8 = 3;
 
@@ -405,6 +416,13 @@ fn range_mismatch(kind: io::ErrorKind, got: usize, want: usize) -> io::Error {
     io::Error::new(
         kind,
         format!("a pass over the shard's range read {got} edges, the range holds {want}"),
+    )
+}
+
+fn misfit() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "the decision log does not fit the plan",
     )
 }
 
@@ -443,8 +461,9 @@ impl DecisionLog {
     }
 
     /// Bytes the log's entries take: ⌈n/4⌉ for the tags plus the escapes'
-    /// bytes (not the escape list's growth slack or its 3 pad bytes) —
-    /// what `core.decision_log.bytes` counts once the 2b pass is over.
+    /// bytes (not the escape list's 3 pad bytes, nor, before the 2b pass
+    /// ends, its growth slack) — what `core.decision_log.bytes` counts once
+    /// the 2b pass is over.
     pub fn heap_bytes(&self) -> usize {
         self.tags.len() + self.escapes.len() * self.escapes.width()
     }
@@ -467,43 +486,36 @@ impl DecisionLog {
 
     /// Turn the tags back into records: read `stream` — the shard's own
     /// range, again — once per subpass that decided anything, resolve each
-    /// tag against `plan` — the plan the passes read; the 2a positions are
-    /// the edges whose endpoints' clusters share a partition; a table of
-    /// each vertex's cluster partition, |V| entries in the bytes `k − 1`
-    /// needs, lives as long as the call — and hand
-    /// `sink` the 2a records and then the 2b records, in runs of
-    /// [`SINK_BATCH`]. Errors if the stream no longer yields the range's
-    /// edge count, or if the tags do not fit the plan.
+    /// of that subpass's tags against `plan` — built from the plan the
+    /// passes read — and hand `sink` the 2a records and then the 2b
+    /// records, in runs of [`SINK_BATCH`]. An escape belongs to 2a when its
+    /// edge meets the pre-partitioning condition — the kernel's own test,
+    /// `ClusterView::shared_partition`. Errors if the stream no longer
+    /// yields the range's edge count or names a vertex outside the plan, or
+    /// if the tags do not fit the plan.
     pub fn emit(
         &self,
         stream: &mut dyn EdgeStream,
-        plan: &ClusterPlan,
+        plan: &EmitPlan<'_>,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<()> {
         let len = self.len;
         if len == 0 {
             return Ok(());
         }
-        // Each vertex's cluster partition, resolved once for both scans
-        // (the escapes' width holds every partition): 2 loads per edge
-        // from |V| small entries instead of 4 dependent ones from the
-        // cluster map and the placement (a two-worker dist run on a
-        // shuffled 4M-edge social graph: emit 0.248 → 0.225 s).
-        let v2p = PackedU32s::with_width(
-            (0..plan.num_vertices() as u32).map(|v| match plan.cluster_of(v) {
-                NO_CLUSTER => 0,
-                c => plan.partition_of(c),
-            }),
-            plan.num_vertices(),
-            self.escapes.width(),
-        );
-        let mut batch: Vec<(Edge, PartitionId)> = Vec::with_capacity(SINK_BATCH.min(len));
-        let misfit = || {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "the decision log does not fit the plan",
-            )
+        let decided_in_2a = |edge: Edge| -> io::Result<bool> {
+            if self.escapes_2a == 0 {
+                return Ok(false);
+            }
+            let clusters = plan.plan;
+            if clusters.cluster_of(edge.src) == NO_CLUSTER
+                || clusters.cluster_of(edge.dst) == NO_CLUSTER
+            {
+                return Err(misfit());
+            }
+            Ok((&*clusters).shared_partition(edge.src, edge.dst).is_some())
         };
+        let mut batch: Vec<(Edge, PartitionId)> = Vec::with_capacity(SINK_BATCH.min(len));
         for (in_2a, wanted, escapes) in [
             (true, self.prepartitioned, 0..self.escapes_2a),
             (
@@ -515,7 +527,7 @@ impl DecisionLog {
             if wanted == 0 {
                 continue;
             }
-            let (mut at, mut escape) = (0usize, escapes.start);
+            let (mut at, mut emitted, mut escape) = (0usize, 0u64, escapes.start);
             for_each_chunk(stream, |chunk| {
                 if chunk.len() > len - at {
                     return Err(range_mismatch(
@@ -525,28 +537,33 @@ impl DecisionLog {
                     ));
                 }
                 for &edge in chunk {
-                    let ends = [v2p.get(edge.src as usize), v2p.get(edge.dst as usize)];
-                    // Without 2a decisions (pass 2a off, or no edge it
-                    // could take) every position is 2b's.
-                    if (self.prepartitioned > 0 && ends[0] == ends[1]) == in_2a {
-                        let p = match self.tag(at) {
-                            // Which end won is data-dependent and
-                            // unpredictable; the index select compiles to
-                            // a load, not a branch.
-                            tag @ (SRC | DST) => ends[usize::from(tag == DST)],
-                            ESCAPE if escape < escapes.end => {
-                                escape += 1;
-                                self.escapes.get(escape - 1)
-                            }
-                            _ => return Err(misfit()),
-                        };
-                        batch.push((edge, p));
-                        if batch.len() == SINK_BATCH {
-                            sink.assign_batch(&batch)?;
-                            batch.clear();
-                        }
-                    }
+                    plan.check(edge)?;
+                    let tag = self.tag(at);
                     at += 1;
+                    let p = if tag == ESCAPE {
+                        if decided_in_2a(edge)? != in_2a {
+                            continue;
+                        }
+                        if escape == escapes.end {
+                            return Err(misfit());
+                        }
+                        escape += 1;
+                        self.escapes.get(escape - 1)
+                    } else if (tag == SHARED) == in_2a {
+                        // Which end won is data-dependent and
+                        // unpredictable; the index select compiles to a
+                        // load, not a branch.
+                        let end = [edge.src, edge.dst][usize::from(tag == DST)];
+                        plan.v2p.get(end as usize)
+                    } else {
+                        continue;
+                    };
+                    emitted += 1;
+                    batch.push((edge, p));
+                    if batch.len() == SINK_BATCH {
+                        sink.assign_batch(&batch)?;
+                        batch.clear();
+                    }
                 }
                 Ok(())
             })?;
@@ -554,7 +571,7 @@ impl DecisionLog {
             if at != len {
                 return Err(range_mismatch(io::ErrorKind::UnexpectedEof, at, len));
             }
-            if escape != escapes.end {
+            if emitted != wanted || escape != escapes.end {
                 return Err(misfit());
             }
         }
@@ -562,6 +579,53 @@ impl DecisionLog {
             return Ok(());
         }
         sink.assign_batch(&batch)
+    }
+}
+
+/// A [`ClusterPlan`] as [`DecisionLog::emit`] reads it: the plan itself,
+/// for the pre-partitioning condition of the escapes, and each vertex's
+/// cluster partition — |V| entries in the bytes `k − 1` needs, resolved
+/// once for every log a run emits, so a tag costs one load instead of a
+/// cluster lookup and a placement lookup (the emit phase of a two-worker
+/// dist run on the ledger social graph, 2 vCPUs, median of 25: 0.180 s
+/// with the two lookups, 0.166 s with the table, 0.146 s with the
+/// byte-per-edge log it replaced). A vertex in no cluster reads as
+/// partition 0.
+pub struct EmitPlan<'p> {
+    plan: &'p ClusterPlan,
+    v2p: PackedU32s,
+}
+
+impl<'p> EmitPlan<'p> {
+    /// Resolve `plan`'s vertices to their partitions among `k`.
+    pub fn new(plan: &'p ClusterPlan, k: u32) -> Self {
+        let nv = plan.num_vertices();
+        let v2p = PackedU32s::with_width(
+            (0..nv).map(|v| match plan.cluster_of(v as VertexId) {
+                NO_CLUSTER => 0,
+                c => plan.partition_of(c),
+            }),
+            nv,
+            PackedU32s::width_for(k.max(1) - 1),
+        );
+        EmitPlan { plan, v2p }
+    }
+
+    /// `InvalidData` when `edge` names a vertex the plan does not cover:
+    /// the input changed since the passes.
+    #[inline]
+    fn check(&self, edge: Edge) -> io::Result<()> {
+        let nv = self.v2p.len();
+        if edge.src as usize >= nv || edge.dst as usize >= nv {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "edge ({}, {}) names a vertex outside the plan of {nv} vertices",
+                    edge.src, edge.dst
+                ),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -586,12 +650,16 @@ impl LogPass<'_> {
                 self.log.len,
             ));
         }
+        let log = self.log;
         match self.subpass {
             Subpass::Prepartition => {
-                self.log.prepartitioned = self.decided;
-                self.log.escapes_2a = self.log.escapes.len();
+                log.prepartitioned = self.decided;
+                log.escapes_2a = log.escapes.len();
             }
-            Subpass::Remaining => CORE_DECISION_LOG_BYTES.add(self.log.heap_bytes() as u64),
+            Subpass::Remaining => {
+                log.escapes.shrink_to_fit();
+                CORE_DECISION_LOG_BYTES.add(log.heap_bytes() as u64);
+            }
         }
         Ok(())
     }
@@ -611,8 +679,12 @@ impl DecisionOut for LogPass<'_> {
 
     #[inline]
     fn decide(&mut self, _edge: Edge, p: PartitionId, ends: [PartitionId; 2]) {
+        // A 2a decision's ends are its one shared partition.
         let tag = if p == ends[0] {
-            SRC
+            match self.subpass {
+                Subpass::Prepartition => SHARED,
+                Subpass::Remaining => SRC,
+            }
         } else if p == ends[1] {
             DST
         } else {
@@ -622,7 +694,7 @@ impl DecisionOut for LogPass<'_> {
             escapes.set(n, p);
             ESCAPE
         };
-        debug_assert_eq!(self.log.tag(self.at), UNDECIDED, "a position decided twice");
+        debug_assert_eq!(self.log.tag(self.at), SRC, "a position decided twice");
         self.log.tags[self.at >> 2] |= tag << (2 * (self.at & 3));
         self.decided += 1;
     }
@@ -634,7 +706,7 @@ impl DecisionOut for LogPass<'_> {
 
     #[inline]
     fn decided_earlier(&self) -> Option<bool> {
-        Some(self.log.tag(self.at) != UNDECIDED)
+        Some(self.log.tag(self.at) & 1 == 1)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -817,7 +889,8 @@ mod tests {
                 "k = {k}"
             );
             let mut sink = VecSink::new();
-            log.emit(&mut g.stream(), &plan, &mut sink).unwrap();
+            log.emit(&mut g.stream(), &EmitPlan::new(&plan, k), &mut sink)
+                .unwrap();
             assert_eq!(sink.assignments(), want, "k = {k}");
         }
     }
@@ -825,6 +898,7 @@ mod tests {
     #[test]
     fn decision_log_refuses_a_range_that_changed_length() {
         let (g, plan, log, _) = logged(100, 8);
+        let plan = EmitPlan::new(&plan, 8);
         let stream_of =
             |n: usize| tps_graph::stream::InMemoryGraph::from_edges(g.edges()[..n].to_vec());
         let mut longer = g.edges().to_vec();
@@ -842,7 +916,11 @@ mod tests {
         // A plan other than the passes read does not fit the tags.
         let (_, other) = graph_and_plan(100, 1);
         let err = log
-            .emit(&mut g.stream(), &other, &mut VecSink::new())
+            .emit(
+                &mut g.stream(),
+                &EmitPlan::new(&other, 8),
+                &mut VecSink::new(),
+            )
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
 

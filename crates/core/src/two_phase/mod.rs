@@ -21,7 +21,7 @@ pub mod scoring;
 use std::io;
 use std::sync::Arc;
 
-use tps_clustering::model::{Clustering, NO_CLUSTER};
+use tps_clustering::model::Clustering;
 use tps_clustering::paged::{PageStoreProvider, PagedClustering, PagingStats, DEFAULT_PAGE_SIZE};
 use tps_graph::hash::seeded_hash_to_partition;
 use tps_graph::stream::EdgeStream;
@@ -332,7 +332,7 @@ impl AssignCounters {
 /// [`crate::parallel::ShardAssigner`] may take `ClusterView` storages and
 /// default to an owned [`ClusterPlan`].
 mod view {
-    use tps_clustering::model::ClusterPlan;
+    use tps_clustering::model::{ClusterPlan, NO_CLUSTER};
     use tps_clustering::paged::PagedClustering;
     use tps_graph::types::{ClusterId, PartitionId, VertexId};
 
@@ -349,6 +349,24 @@ mod view {
         fn volume(&mut self, c: ClusterId) -> u64;
         /// Partition placement of cluster `c`.
         fn partition_of(&mut self, c: ClusterId) -> PartitionId;
+
+        /// The pre-partitioning condition (paper §III-B step 2): the
+        /// partition `u`'s and `v`'s clusters share — the same cluster, or
+        /// clusters placed on one partition — if they share one. Pass 2a
+        /// decides exactly these edges, and a decision log's emit tells
+        /// its escapes apart by it.
+        #[inline]
+        fn shared_partition(&mut self, u: VertexId, v: VertexId) -> Option<PartitionId> {
+            let (cu, cv) = (self.cluster_of(u), self.cluster_of(v));
+            debug_assert_ne!(cu, NO_CLUSTER, "clustering must cover all stream vertices");
+            debug_assert_ne!(cv, NO_CLUSTER, "clustering must cover all stream vertices");
+            let pu = self.partition_of(cu);
+            if cu == cv {
+                return Some(pu);
+            }
+            let pv = self.partition_of(cv);
+            (pu == pv).then_some(pu)
+        }
     }
 
     impl ClusterView for &ClusterPlan {
@@ -477,21 +495,12 @@ impl<R: ReplicaSet, C: ClusterView> ShardAssigner<'_, R, C> {
         }
     }
 
-    /// Whether `edge` satisfies the pre-partitioning condition: endpoints in
-    /// the same cluster, or clusters mapped to the same partition.
+    /// The partition `edge` is pre-partitioned to, if it satisfies the
+    /// pre-partitioning condition ([`ClusterView::shared_partition`]).
     /// (`&mut self`: a paged view faults pages on reads.)
     #[inline]
     fn prepartition_target(&mut self, edge: Edge) -> Option<PartitionId> {
-        let cu = self.view.cluster_of(edge.src);
-        let cv = self.view.cluster_of(edge.dst);
-        debug_assert_ne!(cu, NO_CLUSTER, "clustering must cover all stream vertices");
-        debug_assert_ne!(cv, NO_CLUSTER, "clustering must cover all stream vertices");
-        let pu = self.view.partition_of(cu);
-        if cu == cv {
-            return Some(pu);
-        }
-        let pv = self.view.partition_of(cv);
-        (pu == pv).then_some(pu)
+        self.view.shared_partition(edge.src, edge.dst)
     }
 
     /// Phase 2 step 2 for one edge: assign it if it satisfies the

@@ -25,7 +25,7 @@ use std::io;
 
 use tps_core::balance::PartitionLoads;
 use tps_core::parallel::{shard_clustering, shard_degrees, ShardAssigner, ShardLoads};
-use tps_core::sink::{AssignmentSink, DecisionLog};
+use tps_core::sink::{AssignmentSink, DecisionLog, EmitPlan};
 use tps_graph::degree::DegreeTable;
 use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::types::{Edge, PartitionId};
@@ -365,7 +365,7 @@ fn serve_job(
             batch: Vec::with_capacity(RUN_BATCH_EDGES),
         };
         let mut s = source.open_range(job.shard.0, job.shard.1)?;
-        log.emit(&mut *s, assigner.plan(), &mut sender)?;
+        log.emit(&mut *s, &EmitPlan::new(assigner.plan(), job.k), &mut sender)?;
         sender.flush()?;
     }
     send_msg(transport, &Message::RunsDone { shard, epoch })?;

@@ -167,6 +167,12 @@ impl PackedU32s {
         }
     }
 
+    /// Give back the capacity [`grow`](PackedU32s::grow) left beyond the
+    /// values and their pad.
+    pub fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+    }
+
     /// Store every value in `width` bytes instead. Narrowing works in place
     /// and gives the freed bytes back; widening copies.
     ///

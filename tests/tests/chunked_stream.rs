@@ -14,7 +14,8 @@ use proptest::prelude::*;
 use tps_core::job::{JobSpec, ThreadMode};
 use tps_core::partitioner::{PartitionParams, Partitioner};
 use tps_core::sink::{
-    decision_pass, AssignmentSink, DecisionLog, DecisionOut, Subpass, TeeSink, VecSink, SINK_BATCH,
+    decision_pass, AssignmentSink, DecisionLog, DecisionOut, EmitPlan, Subpass, TeeSink, VecSink,
+    SINK_BATCH,
 };
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::formats::binary::write_binary_edge_list;
@@ -345,7 +346,8 @@ fn tee_and_replay_forward_batches() {
     // Emitting reads the log, it does not consume it.
     for _ in 0..2 {
         let mut sink = BatchCountingSink::default();
-        log.emit(&mut g.stream(), &plan, &mut sink).unwrap();
+        log.emit(&mut g.stream(), &EmitPlan::new(&plan, 7), &mut sink)
+            .unwrap();
         few_runs(&sink);
     }
 }

@@ -452,8 +452,9 @@ fn ranges_retained() -> u64 {
 /// and the ninth open is shard 1's emit (shard 0 writes its records as it
 /// decides them). A v1 file truncated, or a v2 file (over the decode
 /// budget, so nothing of it is retained) with a chunk of shard 1's range
-/// gone bad, in between fails the job there with an error naming the file:
-/// no panic, no partition file quietly short. The same job on the untouched file
+/// gone bad, in between fails the job there with an error naming the file
+/// (a v1 rewrite naming a vertex outside the plan, with `InvalidData`): no
+/// panic, no partition file quietly short. The same job on the untouched file
 /// succeeds, and `tps partition` turns any job error into exit code 2.
 #[test]
 fn input_changed_between_the_passes_and_emit_fails_the_job() {
@@ -531,6 +532,19 @@ fn input_changed_between_the_passes_and_emit_fails_the_job() {
         assert_eq!(err.kind(), kind, "{text}");
     }
     assert_eq!(ranges_retained(), retained, "budget 0 retains nothing");
+
+    // A same-length rewrite that names a vertex the plan does not cover —
+    // the last edge's source set to |V| + 5 — is `InvalidData` at emit, not
+    // a panic.
+    let out_of_range_v1 = || {
+        let f = std::fs::OpenOptions::new().write(true).open(&v1).unwrap();
+        let last = f.metadata().unwrap().len() - 8;
+        let id = g.num_vertices() as u32 + 5;
+        f.write_all_at(&id.to_le_bytes(), last).unwrap();
+    };
+    let err = run(&v1, 8, &out_of_range_v1).expect_err("emit must notice the new vertex");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("outside the plan"), "{err}");
 
     // With retention on, a chunk that is bad before the first pass is still
     // caught by its checksum — a range is retained by the cursor that

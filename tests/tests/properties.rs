@@ -343,7 +343,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         use tps_clustering::model::Clustering;
-        use tps_core::sink::{DecisionLog, SinkBatch, Subpass};
+        use tps_core::sink::{DecisionLog, EmitPlan, SinkBatch, Subpass};
         use tps_graph::packed::PackedU32s;
 
         let (k, n, prepartitioning) = (LOG_KS[ki], 4 * quads + rem, prepartitioning == 1);
@@ -395,7 +395,7 @@ proptest! {
             pass.finish().unwrap();
         }
         let mut got = VecSink::new();
-        log.emit(&mut graph.stream(), &plan, &mut got).unwrap();
+        log.emit(&mut graph.stream(), &EmitPlan::new(&plan, k), &mut got).unwrap();
         prop_assert_eq!(got.assignments(), want.assignments(), "k {} n {}", k, n);
         prop_assert_eq!(
             log.heap_bytes(),
