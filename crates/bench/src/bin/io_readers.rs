@@ -8,10 +8,9 @@
 //! report on stdout. The headline `medges_per_sec` is the per-pass average
 //! over the epoch; the cold (first, checksummed + decoded) and warm passes
 //! are also reported separately so the cold-pass premium stays visible.
-//! Warm v2 passes are cache-served only when the file's decoded form fits
-//! the decode-cache budget (job budget share via `--mem-budget-mb`, else
-//! the 64 MiB default; see crates/io/README.md), which holds for every
-//! bench scale here; over budget, warm passes re-decode and look like cold
+//! Warm v2 passes read the range the cold pass spilled to a temp-dir file,
+//! packed in the bits its ids need (see crates/io/README.md); where the
+//! spill cannot be written, warm passes re-decode and look like cold
 //! ones. The `v2_vs_v1` section reports the epoch throughput ratio, which
 //! is robust to container-speed drift unlike absolute Medges/s. Entries
 //! keep a `"backend": "buffered"` field, the reader's name, so the perf

@@ -43,9 +43,9 @@ const VERTEX_BITS: u32 = 22;
 
 /// Whole-job memory budget. Sized so the budget's cluster-page share holds
 /// the 2²²-vertex cluster table resident (this bench gates *flatness at
-/// scale*; eviction under pressure is gated by `mem_peak`'s oc pair) while
-/// the decode-cache share stays far below every scale's decoded size — so
-/// the v2 cache is off uniformly and no scale gets an in-memory shortcut.
+/// scale*; eviction under pressure is gated by `mem_peak`'s oc pair).
+/// Every scale's v2 file is decoded once into a temp-dir spill that the
+/// later passes read, so no scale keeps its edges in memory.
 const BUDGET_MB: u64 = 160;
 
 const K: u32 = 32;

@@ -100,7 +100,7 @@ pub struct CommonOpts {
     /// `--threads` execution policy (default auto).
     pub threads: ThreadMode,
     /// `--mem-budget-mb` whole-job memory budget (default 0 = unbudgeted),
-    /// split deterministically across cluster pages / decode cache.
+    /// split deterministically into cluster pages and headroom.
     pub mem_budget_mb: u64,
     /// `--format` input-format override (default: by file extension).
     pub format: Option<String>,

@@ -67,14 +67,18 @@ partition options:
                       half pages cluster state out of core (one-shard
                       runs: serial or 1) until, at a clustering-pass
                       boundary, it fits that half flat (4 B/vertex +
-                      12 B/cluster) and the run goes on in memory; a
-                      quarter caps the v2 decode cache; the rest is
-                      headroom for what it does not govern (output
-                      buffers, degree table, the decision logs of
-                      --threads N > 1: 2 bits per edge of shards
-                      1..N-1 plus one entry per escape; shard 0
-                      none). Only one-shard runs are bounded
-                      hard. Output is bit-identical at every budget; see
+                      12 B/cluster) and the run goes on in memory; the
+                      other half is headroom for what it does not
+                      govern (output buffers, degree table, the
+                      decision logs of --threads N > 1: 2 bits per
+                      edge of shards 1..N-1 plus one entry per escape;
+                      shard 0 none). Only one-shard runs are bounded
+                      hard. A TPSBEL2 input is decoded once per run into
+                      a temp-dir spill file (2w bits per edge, w = bits
+                      of |V|-1) that the later passes read; it takes no
+                      share, so the bound needs TMPDIR on a disk (on a
+                      tmpfs the spill is RAM outside the budget).
+                      Output is bit-identical at every budget; see
                       the README `Memory model` section
   --trace FILE        record a structured trace (JSON lines: phase spans,
                       counters) to FILE; `tps report FILE` renders it.
@@ -107,8 +111,9 @@ dist coordinator options (2ps-l / 2ps-hdrf on binary inputs):
                       (the CI dist-chaos job drives this)
   --alpha/--passes/--algorithm/--reader/--out/--mem-budget-mb/
   --trace/--quiet     as for tps partition; --mem-budget-mb is
-                      forwarded in the Job frame so every worker caps its
-                      v2 decode cache at the budget's decode share. With --trace,
+                      forwarded in the Job frame, where workers check it
+                      but page nothing; each worker spills the TPSBEL2
+                      range it decodes to its own temp dir. With --trace,
                       workers record their shard phases too and ship them
                       in the ShardDone barrier frame, so the one trace
                       file covers the whole cluster. Output is
@@ -806,7 +811,7 @@ fn dist_coordinator(args: &[String]) -> i32 {
                 children: &mut children,
                 quiet,
             };
-            execute_and_report(
+            let result = execute_and_report(
                 &flags,
                 "dist",
                 &name,
@@ -829,7 +834,13 @@ fn dist_coordinator(args: &[String]) -> i32 {
                     )
                     .map_err(|e| e.to_string())
                 },
-            )
+            );
+            // A job that failed before the coordinator ran (an input error)
+            // never spoke to the workers: dismiss them as the backlog is.
+            for mut t in transports.into_iter().flatten() {
+                let _ = t.send(&tps_dist::Message::Shutdown.encode());
+            }
+            result
         });
         // Reconnecting workers may still sit in the accept backlog with no
         // job to serve: drain them with a Shutdown so they exit.

@@ -310,12 +310,11 @@ fn partition_threads_with_mem_budget_matches_unbudgeted() {
     let plain = dir.join("plain");
     let budgeted = dir.join("budgeted");
     let trace = dir.join("budgeted.jsonl");
-    // Pin the thread count on both sides. At 1 MiB the decode share is
-    // 256 KiB, less than one worker's 100 000-edge range retained packed
-    // (|V| = 8 192: 13-bit ids, 26 bits per edge, 325 008 B), so the budgeted
-    // workers retain nothing and emit decodes each range again: the same
-    // assignments by another route, so the files and the metrics line must
-    // be identical.
+    // Pin the thread count on both sides. A budget governs no decoded
+    // edges: each worker still spills its 100 000-edge range, packed
+    // (|V| = 8 192: 13-bit ids, 26 bits per edge, 325 008 B), whatever the
+    // budget, and emit reads it back — so the files and the metrics line
+    // must be identical.
     let budget = ["--mem-budget-mb", "1", "--trace", trace.to_str().unwrap()];
     let mut lines = Vec::new();
     for (out_dir, extra) in [(&plain, &[][..]), (&budgeted, &budget[..])] {
@@ -342,11 +341,15 @@ fn partition_threads_with_mem_budget_matches_unbudgeted() {
         let b = std::fs::read(budgeted.join(format!("ok.part{i}.bel"))).unwrap();
         assert_eq!(a, b, "partition {i} diverged under the memory budget");
     }
-    // A counter that never moved is absent from the trace: no range was
-    // retained under the budget.
+    // Both workers retained their range under the budget.
     let trace = std::fs::read_to_string(&trace).unwrap();
     assert!(trace.contains("\"io.v2.chunks_decoded\""), "{trace}");
-    assert!(!trace.contains("\"io.v2.ranges_retained\""), "{trace}");
+    for counter in [
+        "\"io.v2.ranges_retained\",\"v\":2}",
+        "\"io.v2.retained_bytes\",\"v\":650016}",
+    ] {
+        assert!(trace.contains(counter), "{counter}: {trace}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -514,6 +517,72 @@ fn one_shard_v2_runs_decode_every_chunk_once() {
             assert!(trace.contains(counter), "{what}: {counter}");
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A TPSBEL2 run spills into `$TMPDIR`, the directory an operator points at
+/// a disk for `--mem-budget-mb` to bound the run's RAM: there the range is
+/// retained and nothing is left behind; where `$TMPDIR` cannot be written,
+/// every pass decodes the file and the output does not change.
+#[test]
+fn v2_runs_spill_into_tmpdir() {
+    let dir = tmpdir("spill-tmpdir");
+    let bel = dir.join("ok.bel");
+    let bel2 = dir.join("ok.bel2");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    // 4 000 edges in chunks of 700: six chunks.
+    let out = tps()
+        .args(["convert", "--input"])
+        .arg(&bel)
+        .arg("--out")
+        .arg(&bel2)
+        .args(["--chunk-edges", "700"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let spill_dir = dir.join("spill");
+    std::fs::create_dir_all(&spill_dir).unwrap();
+    // A directory below a regular file can be neither created nor written.
+    let unwritable = bel.join("spill");
+    let mut runs = Vec::new();
+    for (tag, tmp) in [("disk", &spill_dir), ("unwritable", &unwritable)] {
+        let parts = dir.join(format!("parts-{tag}"));
+        let trace = dir.join(format!("{tag}.jsonl"));
+        let out = tps()
+            .env("TMPDIR", tmp)
+            .args(["partition", "--input"])
+            .arg(&bel2)
+            .args(["--k", "4", "--threads", "serial", "--passes", "3"])
+            .args(["--quiet", "--out"])
+            .arg(&parts)
+            .arg("--trace")
+            .arg(&trace)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let files: Vec<Vec<u8>> = (0..4)
+            .map(|i| std::fs::read(parts.join(format!("ok.part{i}.bel"))).unwrap())
+            .collect();
+        runs.push((files, std::fs::read_to_string(&trace).unwrap()));
+    }
+    assert_eq!(runs[0].0, runs[1].0, "the spill changed the output");
+    let (spilled, unspilled) = (&runs[0].1, &runs[1].1);
+    assert!(spilled.contains("\"io.v2.ranges_retained\",\"v\":1}"));
+    assert!(spilled.contains("\"io.v2.chunks_decoded\",\"v\":6}"));
+    assert!(!unspilled.contains("\"io.v2.ranges_retained\",\"v\":1}"));
+    // Unretained, the file is decoded on every pass, not once.
+    assert!(!unspilled.contains("\"io.v2.chunks_decoded\",\"v\":6}"));
+    assert!(unspilled.contains("\"io.v2.chunks_decoded\""));
+    // The spill was unlinked as it was created.
+    assert_eq!(std::fs::read_dir(&spill_dir).unwrap().count(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1071,12 +1140,11 @@ fn a_k_whose_tables_cannot_be_allocated_is_an_input_error() {
             .unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
-        // A dist run's workers also report the coordinator's going away.
-        assert!(
-            err.lines()
-                .any(|l| l.starts_with("error: ") && l.contains("k = 4294967295")),
-            "{cmd}: {err}"
-        );
+        // One error, the input's: a dist run dismisses its workers, which
+        // exit without a word of their own.
+        let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error: ")).collect();
+        assert_eq!(errors.len(), 1, "{cmd}: {err}");
+        assert!(errors[0].contains("k = 4294967295"), "{cmd}: {err}");
         assert!(!err.contains("memory allocation"), "{cmd}: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();

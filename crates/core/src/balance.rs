@@ -25,6 +25,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use tps_graph::types::PartitionId;
 
+/// `k` zeroed 8-byte per-partition counters, or `InvalidInput` naming
+/// `table` and `k` when they cannot be allocated: a huge `k` is an input
+/// error, not an abort.
+pub(crate) fn try_counters<T: Default>(k: u32, table: &str) -> io::Result<Vec<T>> {
+    let mut counters = Vec::new();
+    counters.try_reserve_exact(k as usize).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("k = {k}: {table} ({k} × 8 B) cannot be allocated"),
+        )
+    })?;
+    counters.resize_with(k as usize, T::default);
+    Ok(counters)
+}
+
 /// Lock-free shared per-partition load counters with the hard cap.
 ///
 /// All mutation is a single `fetch_add` with relaxed ordering — worker
@@ -55,14 +70,7 @@ impl AtomicLoads {
     /// `k` when its `k` counters cannot be allocated.
     pub fn try_new(k: u32, num_edges: u64, alpha: f64) -> io::Result<Self> {
         let cap = PartitionLoads::cap_for(k, num_edges, alpha);
-        let mut loads = Vec::new();
-        loads.try_reserve_exact(k as usize).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("k = {k}: the partition load ledger ({k} × 8 B) cannot be allocated"),
-            )
-        })?;
-        loads.extend((0..k).map(|_| AtomicU64::new(0)));
+        let loads = try_counters(k, "the partition load ledger")?;
         Ok(AtomicLoads { loads, cap })
     }
 

@@ -9,7 +9,7 @@
 //! * [`IncrementalTwoPhase::adopt`] takes a finished partitioning and derives
 //!   the retained phase state with the engine's own phase-0/1 kernels
 //!   ([`shard_degrees`], [`resolve_volume_cap`], [`shard_clustering`] and
-//!   [`cluster_placement`], as a one-shard run calls them) over the edges in
+//!   [`try_cluster_placement`], as a one-shard run calls them) over the edges in
 //!   the order given; the replica counts and loads come from the
 //!   assignment, which every edge keeps.
 //! * [`IncrementalTwoPhase::bootstrap`] runs [`TwoPhasePartitioner`] over
@@ -43,7 +43,7 @@ use tps_graph::types::{Edge, PartitionId, VertexId};
 use tps_metrics::bitmatrix::ReplicaSet;
 
 use crate::balance::PartitionLoads;
-use crate::parallel::{cluster_placement, resolve_volume_cap, shard_clustering, shard_degrees};
+use crate::parallel::{resolve_volume_cap, shard_clustering, shard_degrees, try_cluster_placement};
 use crate::partitioner::{PartitionParams, Partitioner};
 use crate::sink::VecSink;
 use crate::two_phase::mapping::ClusterPlacement;
@@ -240,7 +240,7 @@ impl IncrementalTwoPhase {
             num_vertices,
             true,
         )?;
-        let placement = cluster_placement(&config, &clustering, k);
+        let placement = try_cluster_placement(&config, &clustering, k)?;
         let cap = PartitionLoads::new(k, graph.num_edges(), alpha).cap();
         let mut this = IncrementalTwoPhase {
             config,
@@ -674,7 +674,7 @@ impl IncrementalTwoPhase {
                 "placement covers fewer clusters than clustering",
             ));
         }
-        let placement = ClusterPlacement::from_c2p(c2p, &clustering, k);
+        let placement = ClusterPlacement::from_c2p(c2p, &clustering, k)?;
         let mut loads = Vec::with_capacity(k as usize);
         for _ in 0..k {
             loads.push(rd.u64()?);

@@ -113,29 +113,26 @@ pub enum JobEngine<'a> {
 ///
 /// * **½ cluster pages** — the paged cluster table (one-shard runs; the
 ///   dominant `O(|V|)` term the budget exists to bound);
-/// * **¼ decode cache** — the v2 readers' decoded-edge cache, per source
-///   (all-or-nothing per range, each range at its packed size: 2w bits per
-///   edge, 8 B above w = 28, w the bits of `|V| − 1`, plus 8; a share too small simply
-///   disables it);
-/// * **¼ headroom** — for what the budget does not govern: the partition
+/// * **½ headroom** — for what the budget does not govern: the partition
 ///   files' write buffers, the degree table, and the decision logs of a
 ///   chunk-parallel or distributed run (2 bits per edge of shards
 ///   1..T−1, or of every dist worker, plus one entry per escape; shard 0
 ///   of a chunk-parallel run none).
+///
+/// Decoded TPSBEL2 edges take no share: a v2 source spills them to a
+/// temporary file (2w bits per edge, w the bits of `|V| − 1`), which
+/// lives in the page cache, not in the process's memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemBudgetSplit {
     /// Bytes for resident cluster-table pages.
     pub cluster_pages: u64,
-    /// Bytes for the v2 decode cache.
-    pub decode_cache: u64,
 }
 
 impl MemBudgetSplit {
-    /// Split `total_bytes` by the ½ / ¼ policy (the last ¼ is headroom).
+    /// Split `total_bytes` by the ½ / ½ policy (the second ½ is headroom).
     pub fn of(total_bytes: u64) -> Self {
         MemBudgetSplit {
             cluster_pages: total_bytes / 2,
-            decode_cache: total_bytes / 4,
         }
     }
 }
@@ -154,9 +151,6 @@ pub trait InputProvider {
             "cluster paging needs an I/O provider (use tps_io::run_job)",
         ))
     }
-    /// Bound the provider's input decode caches to `bytes` (the v2
-    /// reader's block cache). Providers without such a cache ignore this.
-    fn set_decode_cache_budget(&self, _bytes: u64) {}
 }
 
 /// The provider used by [`JobSpec::run`]: rejects path inputs and cluster
@@ -263,16 +257,16 @@ impl<'a> JobSpec<'a> {
     }
 
     /// Bound the job's budget-aware memory consumers to `mb` MiB total,
-    /// split deterministically by [`MemBudgetSplit`]: paged cluster table
-    /// (a one-shard two-phase run: `Serial` or one thread) and v2 decode
-    /// cache. 0 = unbounded (the default); a budget whose bytes overflow
+    /// split deterministically by [`MemBudgetSplit`]: the paged cluster
+    /// table of a one-shard two-phase run (`Serial` or one thread), and
+    /// headroom. 0 = unbounded (the default); a budget whose bytes overflow
     /// 64 bits fails the run as invalid input. A one-shard run then pages
     /// cluster state to disk, so peak RSS stays bounded by the budget plus
     /// fixed per-run overhead even when the graph is many times larger,
     /// and holds it in memory from the first clustering-pass boundary where
     /// it fits the page share flat ([`ClusterPaging`]). A
-    /// run over several shards honours the decode share only and still
-    /// holds its decision logs.
+    /// run over several shards pages nothing and still holds its decision
+    /// logs.
     pub fn mem_budget_mb(mut self, mb: u64) -> Self {
         self.mem_budget_mb = mb;
         self
@@ -357,8 +351,7 @@ impl<'a> JobSpec<'a> {
         } = self;
 
         // A unified memory budget splits deterministically across the
-        // budget-aware subsystems. Applied before any input is opened — the
-        // v2 decode cache sizes itself at open time.
+        // budget-aware subsystems.
         let mem_budget_bytes = mem_budget_mb.checked_mul(1 << 20).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -366,9 +359,6 @@ impl<'a> JobSpec<'a> {
             )
         })?;
         let mem_split = (mem_budget_bytes > 0).then(|| MemBudgetSplit::of(mem_budget_bytes));
-        if let Some(split) = mem_split {
-            provider.set_decode_cache_budget(split.decode_cache);
-        }
         // Cluster paging is a one-shard run's cluster storage — `Serial` and
         // one thread page alike; several shards merge their phase-1 state
         // at a barrier instead (see README "Memory model").
@@ -671,10 +661,8 @@ mod tests {
     fn mem_budget_split_is_deterministic_and_lossless() {
         let s = MemBudgetSplit::of(100 << 20);
         assert_eq!(s.cluster_pages, 50 << 20);
-        assert_eq!(s.decode_cache, 25 << 20);
-        // Odd totals round each share down; what is left is headroom.
-        let s = MemBudgetSplit::of(7);
-        assert_eq!((s.cluster_pages, s.decode_cache), (3, 1));
+        // Odd totals round the share down; what is left is headroom.
+        assert_eq!(MemBudgetSplit::of(7).cluster_pages, 3);
     }
 
     /// An in-memory provider with a page store — what a mem-budgeted serial

@@ -78,8 +78,8 @@
 //!    with its edge and resolve it through one vertex→partition table
 //!    built from the [`ClusterPlan`] for every log ([`EmitPlan`],
 //!    [`DecisionLog::emit`]); a source that
-//!    retained the range (`tps-io`'s v2 sources, under the decode budget)
-//!    serves those two scans from memory. It writes files, or nothing at
+//!    retained the range (`tps-io`'s v2 sources, in a spill file) serves
+//!    those two scans from the spill. It writes files, or nothing at
 //!    all into a `NullSink`: the metrics were taken before it (below).
 //!
 //! # Who computes the metrics
@@ -176,7 +176,7 @@ use tps_metrics::atomic::{AtomicReplicationMatrix, SharedReplicaView};
 use tps_metrics::bitmatrix::{ReplicaCensus, ReplicaSet, ReplicationMatrix};
 use tps_metrics::quality::PartitionMetrics;
 
-use crate::balance::{AtomicLoads, PartitionLoads};
+use crate::balance::{try_counters, AtomicLoads, PartitionLoads};
 use crate::partitioner::{PartitionParams, RunReport};
 use crate::sink::{AssignmentSink, DecisionLog, EmitPlan, SinkBatch, Subpass};
 use crate::two_phase::mapping::{schedule_paged, ClusterPlacement};
@@ -215,27 +215,51 @@ pub struct ShardLoads<'a> {
 
 impl<'a> ShardLoads<'a> {
     /// Loads for shard `shard` of `shards`, committing into `ledger`.
+    ///
+    /// # Panics
+    /// Panics where [`try_with_ledger`](ShardLoads::try_with_ledger) errs.
     pub fn with_ledger(ledger: &'a AtomicLoads, shard: usize, shards: usize) -> ShardLoads<'a> {
-        ShardLoads {
-            local: vec![0; ledger.k() as usize],
-            quota: AtomicLoads::quota_slice(ledger.cap(), shard, shards),
-            ledger: Some(ledger),
-            committed: vec![0; ledger.k() as usize],
-            overshoot: 0,
-        }
+        Self::try_with_ledger(ledger, shard, shards).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`with_ledger`](ShardLoads::with_ledger), or `InvalidInput` naming
+    /// `k` when the shard's `k` counters cannot be allocated.
+    pub fn try_with_ledger(
+        ledger: &'a AtomicLoads,
+        shard: usize,
+        shards: usize,
+    ) -> io::Result<ShardLoads<'a>> {
+        let mut loads = Self::try_standalone(ledger.k(), ledger.cap(), shard, shards)?;
+        loads.committed = try_counters(ledger.k(), "a shard's committed partition loads")?;
+        loads.ledger = Some(ledger);
+        Ok(loads)
     }
 
     /// Loads for shard `shard` of `shards` with no shared ledger — the
     /// distributed worker's tracker (`cap` is the full `α·|E|/k` cap; the
     /// quota slice is derived exactly as in [`ShardLoads::with_ledger`]).
+    ///
+    /// # Panics
+    /// Panics where [`try_standalone`](ShardLoads::try_standalone) errs.
     pub fn standalone(k: u32, cap: u64, shard: usize, shards: usize) -> ShardLoads<'static> {
-        ShardLoads {
-            local: vec![0; k as usize],
+        ShardLoads::try_standalone(k, cap, shard, shards).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`standalone`](ShardLoads::standalone), or `InvalidInput` naming `k`
+    /// when the shard's `k` counters cannot be allocated.
+    pub fn try_standalone(
+        k: u32,
+        cap: u64,
+        shard: usize,
+        shards: usize,
+    ) -> io::Result<ShardLoads<'a>> {
+        Ok(ShardLoads {
+            local: try_counters(k, "a shard's partition loads")?,
             quota: AtomicLoads::quota_slice(cap, shard, shards),
             ledger: None,
             committed: Vec::new(),
             overshoot: 0,
-        }
+        })
     }
 
     /// This shard's quota slice of the cap.
@@ -378,15 +402,26 @@ pub fn shard_clustering(
 
 /// Phase 2 step 1: the cluster→partition placement for `config` (serial,
 /// edge-free — runs once, on whichever node holds the merged clustering).
+///
+/// # Panics
+/// Panics where [`try_cluster_placement`] errs.
 pub fn cluster_placement(
     config: &TwoPhaseConfig,
     clustering: &Clustering,
     k: u32,
 ) -> ClusterPlacement {
-    match config.mapping {
-        MappingStrategy::SortedGraham => ClusterPlacement::sorted_list_schedule(clustering, k),
-        MappingStrategy::UnsortedFirstFit => ClusterPlacement::unsorted_schedule(clustering, k),
-    }
+    try_cluster_placement(config, clustering, k).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`cluster_placement`], or `InvalidInput` naming `k` when the placement's
+/// `k` volume sums cannot be allocated.
+pub fn try_cluster_placement(
+    config: &TwoPhaseConfig,
+    clustering: &Clustering,
+    k: u32,
+) -> io::Result<ClusterPlacement> {
+    let sorted = config.mapping == MappingStrategy::SortedGraham;
+    ClusterPlacement::try_schedule(clustering, k, sorted)
 }
 
 /// Phase 2 for one shard: the pre-partitioning and scoring subpasses with
@@ -699,7 +734,7 @@ pub(crate) fn run_shards(
                         let (clusters, max_volume) = schedule_paged(&mut table, k, sorted)?;
                         report.phases.record("mapping", s2.end());
                         let replicas = one_shard_matrix(nv, k)?;
-                        let loads = ShardLoads::with_ledger(&ledger, 0, 1);
+                        let loads = ShardLoads::try_with_ledger(&ledger, 0, 1)?;
                         let mut shard =
                             ShardAssigner::with_view(*config, &degrees, table, replicas, loads);
                         one_shard_phase2(&mut shard, &mut **stream, sink, &mut report)?;
@@ -741,7 +776,7 @@ pub(crate) fn run_shards(
     let census = ClusterCensus::of(&clustering);
     CORE_MEM_V2C_BYTES.add(clustering.v2c_bytes() as u64);
     let s2 = tps_obs::span("mapping");
-    let placement = cluster_placement(config, &clustering, k);
+    let placement = try_cluster_placement(config, &clustering, k)?;
     let plan = clustering.freeze(placement.into_c2p());
     report.phases.record("mapping", s2.end());
     CORE_MEM_CLUSTER_MAP_BYTES.add(plan.cluster_map_bytes() as u64);
@@ -750,7 +785,7 @@ pub(crate) fn run_shards(
     match &mut shards {
         Shards::One(stream, _) => {
             let replicas = one_shard_matrix(nv, k)?;
-            let loads = ShardLoads::with_ledger(&ledger, 0, 1);
+            let loads = ShardLoads::try_with_ledger(&ledger, 0, 1)?;
             let mut shard = ShardAssigner::with_view(*config, &degrees, &plan, replicas, loads);
             one_shard_phase2(&mut shard, &mut **stream, sink, &mut report)?;
         }
@@ -759,10 +794,12 @@ pub(crate) fn run_shards(
             let assigners = (0..ranges.len())
                 .map(|t| {
                     let view = SharedReplicaView::new(&replicas);
-                    let loads = ShardLoads::with_ledger(&ledger, t, ranges.len());
-                    ShardAssigner::with_view(*config, &degrees, &plan, view, loads)
+                    let loads = ShardLoads::try_with_ledger(&ledger, t, ranges.len())?;
+                    Ok(ShardAssigner::with_view(
+                        *config, &degrees, &plan, view, loads,
+                    ))
                 })
-                .collect();
+                .collect::<io::Result<_>>()?;
             sharded_phase2(
                 assigners,
                 *source,

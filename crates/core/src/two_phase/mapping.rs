@@ -15,6 +15,11 @@ use tps_clustering::model::Clustering;
 use tps_clustering::paged::PagedClustering;
 use tps_graph::types::{ClusterId, PartitionId};
 
+use crate::balance::try_counters;
+
+/// What [`try_counters`] names the volume sums.
+const PARTITION_VOLUMES: &str = "the mapping's partition volumes";
+
 /// The cluster→partition map plus the per-partition volume sums.
 #[derive(Clone, Debug)]
 pub struct ClusterPlacement {
@@ -28,21 +33,21 @@ pub struct ClusterPlacement {
 impl ClusterPlacement {
     /// Graham sorted-list scheduling of `clustering`'s clusters onto `k`
     /// partitions.
+    ///
+    /// # Panics
+    /// Panics where [`try_schedule`](ClusterPlacement::try_schedule) errs.
     pub fn sorted_list_schedule(clustering: &Clustering, k: u32) -> Self {
-        Self::schedule(clustering, k, true)
+        Self::try_schedule(clustering, k, true).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// First-fit placement in cluster-id order (no sorting) — ablation
-    /// baseline showing what Graham's sorting buys.
-    pub fn unsorted_schedule(clustering: &Clustering, k: u32) -> Self {
-        Self::schedule(clustering, k, false)
-    }
-
-    /// Both schedulers, on [`schedule_live_clusters`]: only clusters with
-    /// volume are sorted and heap-scheduled (multi-pass clustering leaves
-    /// hundreds of dead ids per live one); a dead id keeps partition 0,
-    /// which nothing reads — see that function's invariance argument.
-    fn schedule(clustering: &Clustering, k: u32, sorted: bool) -> Self {
+    /// Graham's scheduler, or with `sorted` false first-fit placement in
+    /// cluster-id order — the ablation baseline showing what Graham's
+    /// sorting buys — on [`schedule_live_clusters`]: only clusters with volume are sorted and
+    /// heap-scheduled (multi-pass clustering leaves hundreds of dead ids
+    /// per live one); a dead id keeps partition 0, which nothing reads —
+    /// see that function's invariance argument. `InvalidInput` naming `k`
+    /// when the `k` volume sums cannot be allocated.
+    pub fn try_schedule(clustering: &Clustering, k: u32, sorted: bool) -> io::Result<Self> {
         let volumes = clustering.volumes();
         let mut live: Vec<(ClusterId, u64)> = volumes
             .iter()
@@ -51,15 +56,15 @@ impl ClusterPlacement {
             .map(|(c, &vol)| (c as ClusterId, vol))
             .collect();
         let mut c2p = vec![0 as PartitionId; volumes.len()];
-        let mut partition_volumes = vec![0u64; k as usize];
+        let mut partition_volumes = try_counters(k, PARTITION_VOLUMES)?;
         schedule_live_clusters(&mut live, k, sorted, |c, p| {
             c2p[c as usize] = p;
             partition_volumes[p as usize] += volumes[c as usize];
         });
-        ClusterPlacement {
+        Ok(ClusterPlacement {
             c2p,
             partition_volumes,
-        }
+        })
     }
 
     /// Reconstruct a placement from a shipped cluster→partition map (the
@@ -67,10 +72,13 @@ impl ClusterPlacement {
     /// and broadcasts `c2p`; workers rebuild the volume sums from the merged
     /// clustering so makespan reporting stays exact).
     ///
+    /// `InvalidInput` naming `k` when the `k` volume sums cannot be
+    /// allocated.
+    ///
     /// # Panics
     /// Panics if a partition id in `c2p` is `>= k` or `c2p` is shorter than
     /// the clustering's id space.
-    pub fn from_c2p(c2p: Vec<PartitionId>, clustering: &Clustering, k: u32) -> Self {
+    pub fn from_c2p(c2p: Vec<PartitionId>, clustering: &Clustering, k: u32) -> io::Result<Self> {
         assert!(k > 0, "k must be positive");
         assert!(
             c2p.len() >= clustering.num_cluster_ids() as usize,
@@ -78,17 +86,17 @@ impl ClusterPlacement {
             c2p.len(),
             clustering.num_cluster_ids()
         );
-        let mut partition_volumes = vec![0u64; k as usize];
+        let mut partition_volumes = try_counters(k, PARTITION_VOLUMES)?;
         for (c, &p) in c2p.iter().enumerate() {
             assert!(p < k, "partition id {p} out of range (k = {k})");
             if let Some(&vol) = clustering.volumes().get(c) {
                 partition_volumes[p as usize] += vol;
             }
         }
-        ClusterPlacement {
+        Ok(ClusterPlacement {
             c2p,
             partition_volumes,
-        }
+        })
     }
 
     /// Partition of cluster `c`.
@@ -129,8 +137,7 @@ impl ClusterPlacement {
 /// Schedule *live* (volume > 0) clusters onto `k` partitions — the one
 /// scheduler behind every mapping step. Each placement is written through
 /// `place` as it is decided: into a flat `c2p` array
-/// ([`ClusterPlacement::sorted_list_schedule`] /
-/// [`ClusterPlacement::unsorted_schedule`]) or straight into the paged one
+/// ([`ClusterPlacement::try_schedule`]) or straight into the paged one
 /// (the out-of-core run, which never materialises the full array).
 ///
 /// `live` must list the live clusters in ascending id order (a volume
@@ -212,7 +219,7 @@ mod tests {
         let vols = vec![1, 1, 1, 1, 9, 8, 7, 2, 2, 3];
         let c = clustering_with_volumes(vols);
         let sorted = ClusterPlacement::sorted_list_schedule(&c, 3);
-        let unsorted = ClusterPlacement::unsorted_schedule(&c, 3);
+        let unsorted = ClusterPlacement::try_schedule(&c, 3, false).unwrap();
         assert!(sorted.makespan() <= unsorted.makespan());
     }
 
@@ -266,7 +273,7 @@ mod tests {
     fn from_c2p_rebuilds_volumes() {
         let c = clustering_with_volumes(vec![5, 2, 7]);
         let original = ClusterPlacement::sorted_list_schedule(&c, 2);
-        let rebuilt = ClusterPlacement::from_c2p(original.c2p().to_vec(), &c, 2);
+        let rebuilt = ClusterPlacement::from_c2p(original.c2p().to_vec(), &c, 2).unwrap();
         assert_eq!(rebuilt.c2p(), original.c2p());
         assert_eq!(rebuilt.partition_volumes(), original.partition_volumes());
         assert_eq!(rebuilt.makespan(), original.makespan());
@@ -276,7 +283,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn from_c2p_rejects_bad_partition() {
         let c = clustering_with_volumes(vec![1]);
-        ClusterPlacement::from_c2p(vec![5], &c, 2);
+        let _ = ClusterPlacement::from_c2p(vec![5], &c, 2);
     }
 
     #[test]
@@ -326,7 +333,7 @@ mod tests {
                 let placement = if sorted {
                     ClusterPlacement::sorted_list_schedule(&c, k)
                 } else {
-                    ClusterPlacement::unsorted_schedule(&c, k)
+                    ClusterPlacement::try_schedule(&c, k, false).unwrap()
                 };
                 assert_eq!(placement.partition_volumes(), full_volumes);
                 for (cl, &vol) in vols.iter().enumerate() {

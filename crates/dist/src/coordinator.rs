@@ -63,8 +63,8 @@ use std::io;
 use tps_clustering::merge::merge_clusterings;
 use tps_clustering::model::Clustering;
 use tps_core::parallel::{
-    cluster_placement, merge_degree_tables, overshoot_from_loads, record_clustering_counters,
-    record_phase2_counters, resolve_volume_cap,
+    merge_degree_tables, overshoot_from_loads, record_clustering_counters, record_phase2_counters,
+    resolve_volume_cap, try_cluster_placement,
 };
 use tps_core::partitioner::{PartitionParams, RunReport};
 use tps_core::sink::AssignmentSink;
@@ -392,7 +392,7 @@ impl Coordinator<'_> {
 
         // Phase 2 step 1: placement, computed once here, broadcast to shards.
         let s2 = tps_obs::span("mapping");
-        let placement = cluster_placement(&self.config, &clustering, self.k);
+        let placement = try_cluster_placement(&self.config, &clustering, self.k)?;
         report.phases.record("mapping", s2.end());
         self.plan_frame = Some(
             Message::Plan {

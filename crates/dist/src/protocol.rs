@@ -90,7 +90,8 @@ use crate::wire::{
 /// a v5 endpoint can therefore tell a misdirected serve frame from a
 /// corrupt one. v6 appended `mem_budget_mb` to `Job` (same appended-last
 /// discipline as the v4 `trace` flag) so workers honour the coordinator's
-/// `--mem-budget-mb` decode-cache share. v7 packs replica rows at k ≤ 64
+/// `--mem-budget-mb` decode-cache share (gone since decoded ranges spill
+/// to disk: workers only check the field). v7 packs replica rows at k ≤ 64
 /// into shared words ([`RowLayout`]), so the barrier's chunks are cut on
 /// word boundaries and carry half the words at k = 32; a v6 peer would
 /// misread every chunk's rows. v8 drops the reader-backend byte from a
@@ -205,10 +206,11 @@ pub struct Job {
     /// counter snapshot) in its `ShardDone` frame. Mirrors the
     /// coordinator's `--trace` state; does not change assignment output.
     pub trace: bool,
-    /// The job's `--mem-budget-mb` (0 = unbudgeted). Workers apply their
-    /// decode-cache share of the deterministic split (`MemBudgetSplit`);
-    /// cluster-state paging is a serial-mode concern and does not apply to
-    /// shard workers. Does not change assignment output.
+    /// The job's `--mem-budget-mb` (0 = unbudgeted). Workers check it and
+    /// otherwise leave it unused: cluster-state paging is a one-shard
+    /// concern, and decoded v2 ranges spill to disk rather than to a
+    /// budgeted cache. It stays on the wire for a worker memory plan.
+    /// Does not change assignment output.
     pub mem_budget_mb: u64,
 }
 

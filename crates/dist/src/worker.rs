@@ -169,20 +169,14 @@ fn serve_job(
         tps_obs::set_enabled(true);
         let _ = tps_obs::take_thread_events();
     }
-    if job.mem_budget_mb > 0 {
-        // Honour the coordinator's budget before the source opens: the v2
-        // decode cache is all-or-nothing per open. Workers take the same
-        // decode-cache share of the deterministic split as a serial run;
-        // cluster-state paging does not apply to shard workers (phase 1
-        // state is merged at a barrier, not streamed through pages).
-        let bytes = job.mem_budget_mb.checked_mul(1 << 20).ok_or_else(|| {
-            corrupt(format!(
-                "job memory budget of {} MiB overflows 64-bit byte counts",
-                job.mem_budget_mb
-            ))
-        })?;
-        let split = tps_core::job::MemBudgetSplit::of(bytes);
-        tps_io::v2::set_decode_cache_budget(split.decode_cache);
+    // The budget does not reach a worker's memory (no cluster paging, and
+    // decoded v2 ranges spill to disk), but a budget whose bytes overflow
+    // is a corrupt job, not a bigger one.
+    if job.mem_budget_mb.checked_mul(1 << 20).is_none() {
+        return Err(corrupt(format!(
+            "job memory budget of {} MiB overflows 64-bit byte counts",
+            job.mem_budget_mb
+        )));
     }
     let source = resolver.open(&job.input)?;
     let info = source.info();
@@ -256,12 +250,12 @@ fn serve_job(
     // Phase 2: prepartition + score with the quota-sliced standalone loads
     // (identical decisions to the in-process ledger tracker).
     let cap = PartitionLoads::cap_for(job.k, job.num_edges, job.alpha);
-    let loads = ShardLoads::standalone(
+    let loads = ShardLoads::try_standalone(
         job.k,
         cap,
         job.worker_index as usize,
         job.num_workers as usize,
-    );
+    )?;
     let mut assigner = ShardAssigner::from_plan(
         job.config,
         &degrees,

@@ -10,7 +10,7 @@
 //!
 //! Edges *move* in chunks. [`EdgeStream::next_chunk`] is the read every pass
 //! loop of the engine uses: it lends a run of the stream's own buffer — a
-//! block read from disk, a decoded v2 chunk, a run of the decode cache — so a
+//! block read from disk, a decoded v2 chunk, an unpacked spilled block — so a
 //! pass pays one (possibly virtual) call per chunk and the per-edge work is
 //! a plain slice iteration the compiler can inline the kernel into.
 //! [`EdgeStream::next_edge`] stays the required primitive (a stream that

@@ -8,9 +8,9 @@
 //!   over both formats, whose one cursor type decodes v1 record blocks or
 //!   v2 chunks out of positioned reads of one file handle. Every shard of a
 //!   run opens its own cursor over a contiguous edge-index range, and a
-//!   whole file is range `0..|E|`; a v2 source retains each range it has
-//!   decoded once, packed in the bytes its ids need, under the decode
-//!   budget — the one decode cache.
+//!   whole file is range `0..|E|`; a v2 source spills each range it has
+//!   decoded once, packed in the bits its ids need, to an unlinked file in
+//!   the temp directory, and reads the later passes from there.
 //! * [`v2`] — the `TPSBEL2` compressed chunked format: varint-encoded
 //!   edges in checksummed chunks with a seekable index footer, plus
 //!   order-preserving v1↔v2 converters.
@@ -117,8 +117,8 @@ pub fn open_edge_stream<P: AsRef<Path>>(
 }
 
 /// The standard [`InputProvider`]: opens path inputs as ranged sources
-/// through this crate's format sniffing, and serves cluster-page stores out
-/// of the system temp directory.
+/// through this crate's format sniffing (a v2 source spilling into the
+/// system temp directory), and serves cluster-page stores out of it too.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FileInput;
 
@@ -130,10 +130,6 @@ impl InputProvider for FileInput {
     fn page_store_provider(&self) -> io::Result<Arc<dyn PageStoreProvider>> {
         let dir = std::env::temp_dir().join(format!("tps-pages-{}", std::process::id()));
         Ok(Arc::new(page::TempPageStoreProvider::new(dir)))
-    }
-
-    fn set_decode_cache_budget(&self, bytes: u64) {
-        v2::set_decode_cache_budget(bytes);
     }
 }
 

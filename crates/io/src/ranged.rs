@@ -1,8 +1,8 @@
 //! Range-addressable file sources: every file input is read through one
 //! [`RangedFile`], the whole file being range `0..|E|`.
 //!
-//! A file is a run of *blocks* that a cursor decodes whole, and the two
-//! on-disk formats differ only in where the blocks lie and how one decodes:
+//! A file is a run of *blocks* that a cursor decodes whole, and the
+//! layouts differ only in where the blocks lie and how one decodes:
 //!
 //! * **v1** (`TPSBEL1`) — records are fixed-width, so block `i` is records
 //!   `[i·CHUNK_EDGES, …)`, found by arithmetic and copied straight into the
@@ -10,15 +10,19 @@
 //! * **v2** (`TPSBEL2`) — the chunk **index footer** is read once at open
 //!   and a prefix sum over per-chunk edge counts is kept; block `i` is
 //!   chunk `i`, varint-decoded with its checksum verified once per cursor.
+//! * **spill** — a v2 range a [`RetainingSource`] kept: block `i` is edges
+//!   `[i·CHUNK_EDGES, …)` of the range, packed in the bits their ids need
+//!   in a temporary file, unpacked with its checksum verified once per
+//!   cursor.
 //!
 //! The bytes come from positioned reads through one file handle, so
 //! cursors share it. A range cursor finds the block holding its start edge,
 //! decodes whole blocks and skips the intra-block prefix; cursors schedule
 //! disjoint ranges off the one shared layout with no coordination. A v2
 //! file sits behind a [`RetainingSource`]: the first complete pass over a
-//! range leaves the decoded edges with the source, packed in the bytes
-//! their ids need (while they fit the decode budget), and every later pass
-//! or open of that range unpacks them from memory.
+//! range spills the decoded edges, packed, to an unlinked file in the
+//! source's spill directory, and every later pass or open of that range
+//! reads the spill instead of decoding the file again.
 //!
 //! Ranges are expressed in *edge indices*, not storage offsets, so a
 //! parallel partitioning run makes identical per-thread decisions whether
@@ -33,10 +37,11 @@
 //! [`crate::detect_format`]).
 
 use std::collections::HashMap;
-use std::fs::File;
+use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tps_graph::formats::binary::{self as v1, EDGE_RECORD_LEN, HEADER_LEN};
@@ -44,9 +49,9 @@ use tps_graph::ranged::{check_range, RangedEdgeSource};
 use tps_graph::stream::{EdgeStream, CHUNK_EDGES};
 use tps_graph::types::{Edge, GraphInfo};
 
+use crate::page::page_checksum;
 use crate::v2::{
-    decode_cache_budget, decode_chunk, read_layout, ChunkMeta, DecodeCache, PackedEdges, Packing,
-    CHUNK_HEADER_LEN,
+    decode_chunk, invalid, read_layout, ChunkMeta, Packing, CHUNK_HEADER_LEN, PACK_PAD,
 };
 use crate::EdgeFileFormat;
 
@@ -72,6 +77,14 @@ enum Layout {
         chunks: Vec<ChunkMeta>,
         cum: Vec<u64>,
     },
+    /// A spilled range of `num_edges` edges: block `i` is its edges
+    /// `[i·CHUNK_EDGES, …)` packed by `packing` (see [`spill_block`]),
+    /// `sums[i]` the block's checksum.
+    Spill {
+        num_edges: u64,
+        packing: Packing,
+        sums: Vec<u64>,
+    },
 }
 
 impl Layout {
@@ -88,6 +101,7 @@ impl Layout {
         match self {
             Layout::V1 { num_edges } => num_edges.div_ceil(CHUNK_EDGES as u64) as usize,
             Layout::V2 { chunks, .. } => chunks.len(),
+            Layout::Spill { sums, .. } => sums.len(),
         }
     }
 
@@ -95,7 +109,7 @@ impl Layout {
     /// come before it.
     fn locate(&self, start: u64) -> (usize, usize) {
         match self {
-            Layout::V1 { .. } => {
+            Layout::V1 { .. } | Layout::Spill { .. } => {
                 let block = CHUNK_EDGES as u64;
                 ((start / block) as usize, (start % block) as usize)
             }
@@ -107,7 +121,18 @@ impl Layout {
     }
 }
 
-/// An open edge file: what a [`RangedFile`] and all its cursors share.
+/// Block `i` of a spilled range of `num_edges` edges: its byte offset in
+/// the spill, its packed bytes (no pad) and its edges. Every block but the
+/// last holds [`CHUNK_EDGES`] edges, which end on a byte.
+fn spill_block(packing: Packing, num_edges: u64, i: usize) -> (u64, usize, usize) {
+    let first = i as u64 * CHUNK_EDGES as u64;
+    let edges = (num_edges - first).min(CHUNK_EDGES as u64);
+    let bytes = |n| packing.span_bytes(n).expect("a block's bytes fit");
+    (bytes(first), bytes(edges) as usize, edges as usize)
+}
+
+/// An open edge file: what a [`RangedFile`] and all its cursors share. A
+/// spill is one too, `path` naming the input it holds a range of.
 struct EdgeFile {
     path: Arc<Path>,
     info: GraphInfo,
@@ -168,20 +193,7 @@ impl RangedReopen for RangedFile {
         end: u64,
     ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
         check_range(start, end, self.0.info.num_edges)?;
-        let mut cursor = ChunkCursor {
-            verified: vec![false; self.0.layout.blocks()],
-            file: Arc::clone(&self.0),
-            start,
-            end,
-            next_block: 0,
-            skip: 0,
-            emitted: 0,
-            buf: Vec::new(),
-            buf_pos: 0,
-            scratch: Vec::new(),
-        };
-        cursor.rewind();
-        Ok(Box::new(cursor))
+        Ok(ChunkCursor::open(Arc::clone(&self.0), start, end))
     }
 }
 
@@ -202,30 +214,52 @@ struct ChunkCursor {
     emitted: u64,
     buf: Vec<Edge>,
     buf_pos: usize,
-    /// A v2 chunk's bytes.
+    /// A v2 chunk's or a spilled block's bytes.
     scratch: Vec<u8>,
     /// Blocks this cursor already decoded once — multi-pass consumers
-    /// (`reset` + re-stream) decode proven v2 chunks checksum-free.
+    /// (`reset` + re-stream) decode proven blocks checksum-free.
     verified: Vec<bool>,
 }
 
 impl ChunkCursor {
+    /// A cursor over `[start, end)` (a valid range) of `file`.
+    fn open(file: Arc<EdgeFile>, start: u64, end: u64) -> Box<Self> {
+        let mut cursor = ChunkCursor {
+            verified: vec![false; file.layout.blocks()],
+            file,
+            start,
+            end,
+            next_block: 0,
+            skip: 0,
+            emitted: 0,
+            buf: Vec::new(),
+            buf_pos: 0,
+            scratch: Vec::new(),
+        };
+        cursor.rewind();
+        Box::new(cursor)
+    }
+
     /// Start a pass: aim at the block containing `start`, to be decoded —
     /// and its intra-block prefix skipped — when the pass first reads.
     fn rewind(&mut self) {
         self.emitted = 0;
-        self.buf.clear();
-        self.buf_pos = 0;
+        self.buf_pos = self.buf.len();
         if self.start < self.end {
             (self.next_block, self.skip) = self.file.layout.locate(self.start);
         }
     }
 
-    /// Decode block `i` into the (empty) buffer: a v1 block's records are
-    /// read straight into it, a v2 chunk is decoded out of its bytes,
-    /// checksum verified if `verify`.
+    /// Decode block `i` into the buffer: a v1 block's records are read
+    /// straight into it, a v2 chunk is decoded out of its bytes, checksum
+    /// verified if `verify` — both into the emptied buffer — and a spilled
+    /// block is unpacked out of its bytes over the last block's edges,
+    /// with no fill before.
     fn decode(&mut self, i: usize, verify: bool) -> io::Result<()> {
         let file = &*self.file;
+        if !matches!(file.layout, Layout::Spill { .. }) {
+            self.buf.clear();
+        }
         match &file.layout {
             Layout::V1 { num_edges } => {
                 let first = i as u64 * CHUNK_EDGES as u64;
@@ -246,13 +280,38 @@ impl ChunkCursor {
                 file.file
                     .read_exact_at(chunk, meta.offset)
                     .map_err(|e| match e.kind() {
-                        io::ErrorKind::UnexpectedEof => io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "chunk extends past end of file",
-                        ),
+                        io::ErrorKind::UnexpectedEof => invalid("chunk extends past end of file"),
                         _ => e,
                     })?;
                 decode_chunk(chunk, meta, verify, &mut self.buf)
+            }
+            Layout::Spill {
+                num_edges,
+                packing,
+                sums,
+            } => {
+                let (offset, len, n) = spill_block(*packing, *num_edges, i);
+                // Grow-only, with the pad the last edge's load reads.
+                if self.scratch.len() < len + PACK_PAD {
+                    self.scratch.resize(len + PACK_PAD, 0);
+                }
+                let block = &mut self.scratch[..len];
+                file.file
+                    .read_exact_at(block, offset)
+                    .map_err(|e| match e.kind() {
+                        io::ErrorKind::UnexpectedEof => {
+                            invalid(format!("spilled block {i} is cut short"))
+                        }
+                        _ => e,
+                    })?;
+                if verify && page_checksum(block) != sums[i] {
+                    return Err(invalid(format!(
+                        "spilled block {i}: checksum mismatch (corrupt spill)"
+                    )));
+                }
+                self.buf.resize(n, Edge::new(0, 0));
+                packing.unpack(&self.scratch, 0, &mut self.buf);
+                Ok(())
             }
         }
     }
@@ -263,7 +322,6 @@ impl ChunkCursor {
         let left = (self.end - self.start) - self.emitted;
         while left > 0 && self.buf_pos == self.buf.len() {
             let i = self.next_block;
-            self.buf.clear();
             self.buf_pos = 0;
             if let Err(e) = self.decode(i, !self.verified[i]) {
                 self.buf.clear();
@@ -309,48 +367,47 @@ impl EdgeStream for ChunkCursor {
 static IO_V2_RANGES_RETAINED: tps_obs::Counter = tps_obs::Counter::new("io.v2.ranges_retained");
 static IO_V2_RETAINED_BYTES: tps_obs::Counter = tps_obs::Counter::new("io.v2.retained_bytes");
 
-/// A v2 ranged source that keeps what its cursors decode — the one decoded
-/// edge cache of the v2 readers, built on `v2::DecodeCache`.
+/// A v2 ranged source that keeps what its cursors decode, in spill files
+/// rather than in memory.
 ///
-/// The first *complete* pass over `open_range(a, b)` deposits the decoded
-/// range with the source, packed at 2w bits per edge (w = the bits of the
-/// header's largest id `|V| − 1`; 8 B above w = 28) plus 8 pad bytes, if
-/// that packed size still fits the decode budget
-/// ([`crate::v2::set_decode_cache_budget`]) next to the ranges already
-/// retained: one reservation across all of a source's ranges,
-/// all-or-nothing per range, taken when the range is opened and given back
-/// if its cursor is dropped before completing a pass. The cursor's own next
-/// pass, and every later `open_range(a, b)`, unpacks runs of the retained
-/// edges: no file read, no checksum, no varint decode.
-/// A retained range is never one that skipped verification — it is what a
-/// checksumming cursor produced. Ranges that do not fit are streamed from
-/// the inner source on every pass, and so is a range holding an id the
-/// header's |V| does not cover: its cursor gives the reservation back the
-/// moment it decodes one, so output never depends on the header.
+/// The first *complete* pass over `open_range(a, b)` spills the decoded
+/// range: each edge packed at 2w bits (w = the bits of the header's largest
+/// id `|V| − 1`; 8 B above w = 28), a block of [`CHUNK_EDGES`] edges at a
+/// time, to an unlinked file in the spill directory, then 8 pad bytes; one
+/// checksum per block stays in memory. The cursor's own next pass, and
+/// every later `open_range(a, b)`, reads the spill as a third block
+/// layout: no varint decode, the blocks checksummed once per cursor. A
+/// spilled range is never one that skipped verification — it is what a
+/// checksumming cursor produced.
+///
+/// The cursor that opens a range first claims it, and gives the claim up
+/// if it is dropped before completing a pass; others open meanwhile stream
+/// the file beside it. A range streams from the file on every pass when
+/// its spill cannot be created or written (a full disk, a directory that
+/// cannot be written), and so does a range holding an id the header's |V|
+/// does not cover: output never depends on the spill or on the header.
 pub struct RetainingSource {
     inner: RangedFile,
+    spill_dir: Arc<Path>,
     retained: Arc<Mutex<Retained>>,
 }
 
-#[derive(Default)]
-struct Retained {
-    /// `None` while the cursor that reserved the range is still decoding it.
-    ranges: HashMap<(u64, u64), Option<Arc<PackedEdges>>>,
-    /// Bytes reserved: the retained ranges plus the ones being decoded.
-    bytes: u64,
-}
+/// Ranges by `(start, end)`: `None` while the cursor that claimed the range
+/// is still spilling it.
+type Retained = HashMap<(u64, u64), Option<Arc<EdgeFile>>>;
 
-/// Every update of [`Retained`] is one map operation and one add, so the
-/// data is valid even if a holder panicked.
+/// Every update of [`Retained`] is one map operation, so the data is valid
+/// even if a holder panicked.
 fn lock(retained: &Mutex<Retained>) -> MutexGuard<'_, Retained> {
     retained.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl RetainingSource {
-    /// Wrap `inner`, a v2 file.
-    pub fn new(inner: RangedFile) -> Self {
+    /// Wrap `inner`, a v2 file, spilling retained ranges into `spill_dir`.
+    pub fn new(inner: RangedFile, spill_dir: impl Into<PathBuf>) -> Self {
         RetainingSource {
             inner,
+            spill_dir: spill_dir.into().into(),
             retained: Arc::default(),
         }
     }
@@ -373,46 +430,42 @@ impl RangedReopen for RetainingSource {
         end: u64,
     ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
         let range = (start, end);
-        let num_vertices = self.inner.info().num_vertices;
-        let bytes = Packing::new(num_vertices).bytes(end.saturating_sub(start));
-        let mut reserved = false;
-        {
+        let claim = {
             let mut retained = lock(&self.retained);
-            match retained.ranges.get(&range) {
-                Some(Some(edges)) => {
-                    return Ok(Box::new(RetainedStream::new(
-                        Arc::clone(edges),
-                        num_vertices,
-                    )))
+            match retained.get(&range) {
+                Some(Some(spill)) => {
+                    return Ok(ChunkCursor::open(Arc::clone(spill), 0, end - start))
                 }
-                // Another cursor is decoding this range: stream beside it.
-                Some(None) => {}
-                None => {
-                    let fits = bytes
-                        .and_then(|bytes| retained.bytes.checked_add(bytes))
-                        .filter(|&total| start < end && total <= decode_cache_budget());
-                    if let Some(total) = fits {
-                        retained.bytes = total;
-                        retained.ranges.insert(range, None);
-                        reserved = true;
+                // Another cursor is spilling this range: stream beside it.
+                Some(None) => None,
+                None => (start < end).then(|| {
+                    retained.insert(range, None);
+                    Claim {
+                        retained: Arc::clone(&self.retained),
+                        range,
+                        held: true,
                     }
-                }
+                }),
             }
-        }
-        // From here on dropping the reservation gives the bytes back.
-        let reservation = Reservation {
-            retained: Arc::clone(&self.retained),
-            range,
-            bytes: bytes.unwrap_or(0),
-            held: reserved,
         };
+        // From here on dropping the claim gives the range back.
         let inner = self.inner.open_range_owned(start, end)?;
+        let Some(claim) = claim else {
+            return Ok(inner);
+        };
+        let file = &self.inner.0;
         Ok(Box::new(RetainingStream {
             inner,
-            num_vertices,
             absorbing: Absorbing {
-                cache: DecodeCache::new(end - start, num_vertices, reserved),
-                reservation,
+                spill: Some(SpillWriter::new(
+                    Arc::clone(&self.spill_dir),
+                    Arc::clone(&file.path),
+                    GraphInfo {
+                        num_vertices: file.info.num_vertices,
+                        num_edges: end - start,
+                    },
+                )),
+                claim,
                 pos: 0,
                 deposited: None,
             },
@@ -420,76 +473,198 @@ impl RangedReopen for RetainingSource {
     }
 }
 
-/// A range's share of the decode budget, held by the cursor decoding it
-/// until the range is deposited or the cursor is dropped.
-struct Reservation {
+/// A range claimed by the cursor spilling it, held until the range is
+/// deposited or given up, or the cursor is dropped.
+struct Claim {
     retained: Arc<Mutex<Retained>>,
     range: (u64, u64),
-    /// The range's packed size.
-    bytes: u64,
     held: bool,
 }
 
-impl Reservation {
-    /// The range is complete: other opens may read it from now on.
-    fn deposit(&mut self, edges: Arc<PackedEdges>) {
-        IO_V2_RANGES_RETAINED.incr();
-        IO_V2_RETAINED_BYTES.add(self.bytes);
-        lock(&self.retained).ranges.insert(self.range, Some(edges));
+impl Claim {
+    /// The range is spilled: other opens read it from now on.
+    fn deposit(&mut self, spill: Arc<EdgeFile>) {
+        lock(&self.retained).insert(self.range, Some(spill));
         self.held = false;
     }
 
-    /// Give the range's share of the budget back, if still held.
+    /// Give the range up, if still held.
     fn release(&mut self) {
         if std::mem::take(&mut self.held) {
-            let mut retained = lock(&self.retained);
-            retained.ranges.remove(&self.range);
-            retained.bytes -= self.bytes;
+            lock(&self.retained).remove(&self.range);
         }
     }
 }
 
-impl Drop for Reservation {
+impl Drop for Claim {
     fn drop(&mut self) {
         self.release();
     }
 }
 
-/// A cursor over a range the source has not retained (yet): streams from
-/// the inner cursor, absorbing what it lends if the range was reserved. Once
-/// a pass has completed the range, the next `reset` swaps the inner cursor
-/// for one over the retained edges (the pass in flight still drains the
-/// file cursor, whose buffer it is being lent).
+/// Numbers every spill file of the process.
+static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A new, already unlinked file in `dir`: it lives as long as its handles.
+fn create_spill(dir: &Path) -> io::Result<File> {
+    let n = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("tps-spill-{}-{n}", std::process::id()));
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create_new(true)
+        .open(&path)?;
+    fs::remove_file(&path)?;
+    Ok(file)
+}
+
+/// The spill of one range, written by the cursor that claimed it during
+/// its first pass: the edges are packed into one block buffer, and each
+/// block goes to the spill file as it fills, its checksum kept.
+struct SpillWriter {
+    dir: Arc<Path>,
+    /// The input, which the spill's read errors name.
+    path: Arc<Path>,
+    /// The header's |V|, and the range's edges.
+    info: GraphInfo,
+    packing: Packing,
+    /// Created with the first block.
+    file: Option<File>,
+    /// Edges spilled or packed so far: a strictly sequential prefix.
+    have: u64,
+    /// The block being packed; allocated by the first edge.
+    block: Vec<u8>,
+    sums: Vec<u64>,
+}
+
+impl SpillWriter {
+    fn new(dir: Arc<Path>, path: Arc<Path>, info: GraphInfo) -> Self {
+        SpillWriter {
+            dir,
+            path,
+            packing: Packing::new(info.num_vertices),
+            info,
+            file: None,
+            have: 0,
+            block: Vec::new(),
+            sums: Vec::new(),
+        }
+    }
+
+    /// Pack `run`, edges `pos..` of the range, as far as it extends the
+    /// packed prefix: the prefix only ever grows sequentially, so a pass
+    /// abandoned by an early `reset` just resumes once the next pass
+    /// catches up. An error means the range cannot be retained: the run
+    /// holds an id the header's |V| does not cover, or a block could not
+    /// be written.
+    fn absorb(&mut self, pos: u64, run: &[Edge]) -> io::Result<()> {
+        let have = self.have;
+        if have < pos || have >= pos + run.len() as u64 {
+            return Ok(());
+        }
+        let mut run = &run[(have - pos) as usize..];
+        if !self.packing.holds(run) {
+            return Err(invalid("an id the header's vertex count does not cover"));
+        }
+        if self.block.is_empty() {
+            let bytes = self.packing.bytes(CHUNK_EDGES as u64);
+            self.block = vec![0; bytes.expect("a block's bytes fit") as usize];
+        }
+        while !run.is_empty() {
+            let at = (self.have % CHUNK_EDGES as u64) as usize;
+            let (now, rest) = run.split_at(run.len().min(CHUNK_EDGES - at));
+            self.packing.pack(&mut self.block, at, now);
+            self.have += now.len() as u64;
+            run = rest;
+            if at + now.len() == CHUNK_EDGES || self.complete() {
+                self.write_block()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Write the packed block, and after the range's last block the pad,
+    /// so the spill takes the range's packed size.
+    fn write_block(&mut self) -> io::Result<()> {
+        let i = self.sums.len();
+        let (offset, len, _) = spill_block(self.packing, self.info.num_edges, i);
+        let end = if self.complete() {
+            self.block[len..len + PACK_PAD].fill(0);
+            len + PACK_PAD
+        } else {
+            len
+        };
+        let file = match &self.file {
+            Some(file) => file,
+            None => self.file.insert(create_spill(&self.dir)?),
+        };
+        file.write_all_at(&self.block[..end], offset)?;
+        self.sums.push(page_checksum(&self.block[..len]));
+        Ok(())
+    }
+
+    fn complete(&self) -> bool {
+        self.have == self.info.num_edges
+    }
+
+    /// The spilled range, as a file cursors read (once complete).
+    fn finish(self) -> EdgeFile {
+        let file = self.file.expect("a complete spill has written its blocks");
+        EdgeFile {
+            path: self.path,
+            info: self.info,
+            layout: Layout::Spill {
+                num_edges: self.info.num_edges,
+                packing: self.packing,
+                sums: self.sums,
+            },
+            file,
+        }
+    }
+}
+
+/// A cursor over a range the source has not retained (yet), which it
+/// claimed: streams from the inner cursor, spilling what it lends. Once a
+/// pass has completed the range, the next `reset` swaps the inner cursor
+/// for one over the spill (the pass in flight still drains the file
+/// cursor, whose buffer it is being lent).
 struct RetainingStream {
     inner: Box<dyn EdgeStream + Send>,
-    num_vertices: u64,
     absorbing: Absorbing,
 }
 
 /// What a [`RetainingStream`] keeps beside its inner cursor.
 struct Absorbing {
-    cache: DecodeCache,
-    reservation: Reservation,
+    /// The range's spill while this cursor writes it.
+    spill: Option<SpillWriter>,
+    claim: Claim,
     /// Edges handed out this pass.
-    pos: usize,
-    /// The range, from the moment this cursor completed and deposited it
-    /// until its next `reset`.
-    deposited: Option<Arc<PackedEdges>>,
+    pos: u64,
+    /// The spilled range, from the moment this cursor completed and
+    /// deposited it until its next `reset`.
+    deposited: Option<Arc<EdgeFile>>,
 }
 
 impl Absorbing {
-    /// Account for `run` (just lent by the inner cursor) and deposit the
-    /// range with the source the moment it is complete; a run the header's
-    /// |V| does not cover gives the reservation back at once.
+    /// Spill `run` (just lent by the inner cursor) and deposit the range
+    /// with the source the moment it is complete; a range that cannot be
+    /// spilled is given up at once.
     fn absorb(&mut self, run: &[Edge]) {
-        if !self.cache.absorb(self.pos, run) {
-            self.reservation.release();
-        }
-        self.pos += run.len();
-        if self.cache.complete() {
-            let edges = Arc::new(self.cache.take());
-            self.reservation.deposit(Arc::clone(&edges));
-            self.deposited = Some(edges);
+        let pos = self.pos;
+        self.pos += run.len() as u64;
+        let Some(spill) = &mut self.spill else {
+            return;
+        };
+        if spill.absorb(pos, run).is_err() {
+            self.spill = None;
+            self.claim.release();
+        } else if spill.complete() {
+            let spill = self.spill.take().expect("spilling").finish();
+            IO_V2_RANGES_RETAINED.incr();
+            IO_V2_RETAINED_BYTES.add(spill.file.metadata().map_or(0, |m| m.len()));
+            let spill = Arc::new(spill);
+            self.claim.deposit(Arc::clone(&spill));
+            self.deposited = Some(spill);
         }
     }
 }
@@ -497,8 +672,9 @@ impl Absorbing {
 impl EdgeStream for RetainingStream {
     fn reset(&mut self) -> io::Result<()> {
         self.absorbing.pos = 0;
-        if let Some(edges) = self.absorbing.deposited.take() {
-            self.inner = Box::new(RetainedStream::new(edges, self.num_vertices));
+        if let Some(spill) = self.absorbing.deposited.take() {
+            let len = spill.info.num_edges;
+            self.inner = ChunkCursor::open(spill, 0, len);
         }
         self.inner.reset()
     }
@@ -520,68 +696,17 @@ impl EdgeStream for RetainingStream {
     }
 
     fn num_vertices_hint(&self) -> Option<u64> {
-        Some(self.num_vertices)
-    }
-}
-
-/// A cursor over a range the source retained: it unpacks runs of the
-/// shared packed edges into a buffer of its own and lends that.
-struct RetainedStream {
-    edges: Arc<PackedEdges>,
-    num_vertices: u64,
-    pos: usize,
-    /// Up to [`CHUNK_EDGES`] unpacked edges.
-    buf: Vec<Edge>,
-}
-
-impl RetainedStream {
-    fn new(edges: Arc<PackedEdges>, num_vertices: u64) -> Self {
-        RetainedStream {
-            buf: vec![Edge::new(0, 0); edges.len().min(CHUNK_EDGES)],
-            edges,
-            num_vertices,
-            pos: 0,
-        }
-    }
-}
-
-impl EdgeStream for RetainedStream {
-    fn reset(&mut self) -> io::Result<()> {
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        let e = self.edges.get(self.pos);
-        self.pos += usize::from(e.is_some());
-        Ok(e)
-    }
-
-    fn next_chunk<'a>(&'a mut self, _scratch: &'a mut Vec<Edge>) -> io::Result<&'a [Edge]> {
-        let n = (self.edges.len() - self.pos).min(self.buf.len());
-        let run = &mut self.buf[..n];
-        if n > 0 {
-            self.edges.unpack(self.pos, run);
-        }
-        self.pos += n;
-        Ok(run)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.edges.len() as u64)
-    }
-
-    fn num_vertices_hint(&self) -> Option<u64> {
-        Some(self.num_vertices)
+        self.inner.num_vertices_hint()
     }
 }
 
 /// Open `path` (v1 or v2, sniffed by magic) as a source of owned cursors;
-/// a v2 source retains the ranges it decodes (see [`RetainingSource`]).
+/// a v2 source spills the ranges it decodes into the system temp directory
+/// (see [`RetainingSource`]).
 pub(crate) fn open_file(path: &Path) -> io::Result<Box<dyn RangedReopen>> {
     let file = RangedFile::read(path)?;
     Ok(if file.is_v2() {
-        Box::new(RetainingSource::new(file))
+        Box::new(RetainingSource::new(file, std::env::temp_dir()))
     } else {
         Box::new(file)
     })
@@ -738,26 +863,17 @@ mod tests {
     /// needs — every w from 1 to 32 below, the stride turning to 64 bits
     /// above w = 28 — and reads back exactly, id |V| − 1 included: the first
     /// pass ≡ the later passes ≡ a fresh open of the retained range ≡ the
-    /// input, in runs and per edge, the last edge too.
+    /// input, in runs and per edge, the last edge too. The spill holds the
+    /// range's packed size, pad included, and nothing else.
     #[test]
     fn retained_ranges_read_back_at_every_packed_width() {
         fn check(source: RetainingSource, es: &[Edge], bytes: u64) {
             let n = es.len() as u64;
             let mut cursor = source.open_range(0, n).unwrap();
             assert_eq!(collect(&mut *cursor), es, "first pass");
-            {
-                let retained = lock(&source.retained);
-                let Some(Some(packed)) = retained.ranges.get(&(0, n)) else {
-                    panic!("range not retained");
-                };
-                assert_eq!(retained.bytes, bytes);
-                let last = es.len() - 1;
-                assert_eq!(packed.get(last), Some(es[last]), "get, last edge");
-                assert_eq!(packed.get(last + 1), None);
-                let mut tail = [Edge::new(0, 0); 3];
-                packed.unpack(last - 2, &mut tail);
-                assert_eq!(tail, es[last - 2..], "unpack, last edges");
-            }
+            let spill = spilled(&source, (0, n));
+            assert_eq!(spill.file.metadata().unwrap().len(), bytes);
+            assert_eq!(spill.layout.blocks() as u64, n.div_ceil(CHUNK_EDGES as u64));
             assert_eq!(one_by_one(&mut *cursor), es, "second pass");
             assert_eq!(collect(&mut *cursor), es, "third pass");
             let mut fresh = source.open_range(0, n).unwrap();
@@ -782,12 +898,88 @@ mod tests {
             let path = tmpfile(&format!("packed-{w}"), "bel2");
             crate::v2::write_v2_edge_list(&path, num_vertices, es.iter().copied(), 777).unwrap();
             check(
-                RetainingSource::new(RangedFile::read(&path).unwrap()),
+                RetainingSource::new(RangedFile::read(&path).unwrap(), std::env::temp_dir()),
                 &es,
                 (stride * n).div_ceil(8) + 8,
             );
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    /// The spill `source` holds for `range`.
+    fn spilled(source: &RetainingSource, range: (u64, u64)) -> Arc<EdgeFile> {
+        match lock(&source.retained).get(&range) {
+            Some(Some(spill)) => Arc::clone(spill),
+            _ => panic!("{range:?} not retained"),
+        }
+    }
+
+    /// A spill that changed after it was written fails the pass that reads
+    /// it with `InvalidData` naming the input — a flipped byte by its
+    /// block's checksum, in the cursor that wrote the spill and in a fresh
+    /// one alike; a cut-short block by its length. Nothing panics.
+    #[test]
+    fn a_damaged_spill_fails_the_next_pass() {
+        let n = 3 * CHUNK_EDGES as u32 + 500;
+        let es = edges(n);
+        let path = tmpfile("damaged-spill", "bel2");
+        crate::v2::write_v2_edge_list(&path, 4096, es.iter().copied(), 1_000).unwrap();
+        let fails = |s: &mut dyn EdgeStream, what: &str| {
+            let err = for_each_edge(s, |_| {}).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(
+                err.to_string().contains(path.to_str().unwrap()),
+                "{what}: {err}"
+            );
+            err.to_string()
+        };
+        let source = RetainingSource::new(RangedFile::read(&path).unwrap(), std::env::temp_dir());
+        let mut writer = source.open_range(0, n as u64).unwrap();
+        assert_eq!(collect(&mut *writer), es);
+        let spill = spilled(&source, (0, n as u64));
+        // A byte of block 1, whose edges the second pass reaches after
+        // block 0's.
+        let (at, _, _) = spill_block(Packing::new(4096), n as u64, 1);
+        let mut byte = [0u8];
+        spill.file.read_exact_at(&mut byte, at + 5).unwrap();
+        spill.file.write_all_at(&[byte[0] ^ 0x10], at + 5).unwrap();
+        let err = fails(&mut *writer, "the writer's next pass");
+        assert!(err.contains("checksum"), "{err}");
+        let err = fails(
+            &mut *source.open_range(0, n as u64).unwrap(),
+            "a fresh open",
+        );
+        assert!(err.contains("checksum"), "{err}");
+        // The last block cut short.
+        spill.file.write_all_at(&byte, at + 5).unwrap();
+        assert_eq!(collect(&mut *source.open_range(0, n as u64).unwrap()), es);
+        spill
+            .file
+            .set_len(spill.file.metadata().unwrap().len() - 20)
+            .unwrap();
+        let err = fails(&mut *source.open_range(0, n as u64).unwrap(), "a cut spill");
+        assert!(err.contains("cut short"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A source whose spill directory cannot take a file retains nothing
+    /// and streams every pass from the file, exactly.
+    #[test]
+    fn a_spill_that_cannot_be_created_leaves_the_range_unretained() {
+        let es = edges(2 * CHUNK_EDGES as u32 + 3);
+        let n = es.len() as u64;
+        let path = tmpfile("no-spill", "bel2");
+        crate::v2::write_v2_edge_list(&path, 4096, es.iter().copied(), 1_000).unwrap();
+        // A directory below a regular file.
+        let source = RetainingSource::new(RangedFile::read(&path).unwrap(), path.join("spill"));
+        let mut cursor = source.open_range(0, n).unwrap();
+        for pass in 0..3 {
+            assert_eq!(collect(&mut *cursor), es, "pass {pass}");
+            assert!(lock(&source.retained).is_empty(), "pass {pass}");
+        }
+        assert_eq!(collect(&mut *source.open_range(0, n).unwrap()), es);
+        assert!(lock(&source.retained).is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     /// A v2 cursor verifies each chunk's checksum on its first decode and

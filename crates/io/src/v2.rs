@@ -33,7 +33,6 @@
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use tps_graph::formats::binary::named;
 use tps_graph::ranged::RangedEdgeSource;
@@ -61,7 +60,7 @@ pub const DEFAULT_CHUNK_EDGES: u32 = 1 << 16;
 /// and a chunk's `payload_len` must fit in u32.
 pub const MAX_CHUNK_EDGES: u32 = u32::MAX / 10;
 
-fn invalid(msg: impl Into<String>) -> io::Error {
+pub(crate) fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
@@ -194,10 +193,9 @@ const SWAR_SLACK: usize = 16;
 fn load_u64(payload: &[u8], pos: usize) -> u64 {
     debug_assert!(pos + 8 <= payload.len());
     // SAFETY: every caller guards `pos + 8 <= payload.len()` (the fast-path
-    // loops check `pos + SWAR_SLACK`; `PackedEdges::get` checks the edge
-    // index against a range that keeps `PACK_PAD` bytes past its last edge,
-    // and `Packing::unpack` checks its whole run once); unaligned reads of byte
-    // data are valid at any offset.
+    // loops check `pos + SWAR_SLACK`; `Packing::unpack` checks its whole
+    // run once against a buffer that keeps `PACK_PAD` bytes past its last
+    // edge); unaligned reads of byte data are valid at any offset.
     u64::from_le(unsafe { (payload.as_ptr().add(pos) as *const u64).read_unaligned() })
 }
 
@@ -625,45 +623,10 @@ pub(crate) fn decode_chunk(
     decode_chunk_payload(payload, edge_count, verify.then_some(checksum), out)
 }
 
-/// Default budget for the decode cache, in bytes.
-///
-/// The budget is **per source**: a ranged source
-/// (`crate::ranged::RetainingSource`, behind every v2 backend) retains
-/// whole ranges — the whole file being one range — with one reservation
-/// across all of them. A range is retained packed (`Packing`): each edge
-/// in the 2w bits its ids need, w being the bits of the header's largest
-/// id `|V| − 1` (36 bits at |V| ≤ 2¹⁸, 8 B above w = 28), plus 8 pad bytes
-/// per range. A range whose packed size does not fit streams
-/// every pass from disk; a range that fits is decoded (and checksummed)
-/// once and every later pass is served from memory, unpacked at about the
-/// speed of scanning a `Vec<Edge>`, skipping file I/O, checksumming, and
-/// varint decode entirely. The paper's pipeline makes 4 sequential passes
-/// per partitioning run — 6 for a `--threads N` worker, which re-reads its
-/// range twice to emit — so this turns the decode cost from per-pass into
-/// per-source. Override with [`set_decode_cache_budget`] (what a job-level
-/// `--mem-budget-mb` split does; `0` disables caching).
-pub const DECODE_CACHE_DEFAULT_BYTES: u64 = 64 << 20;
-
-/// The decode-cache budget in force (the default until
-/// [`set_decode_cache_budget`] is called).
-static DECODE_CACHE_BUDGET: AtomicU64 = AtomicU64::new(DECODE_CACHE_DEFAULT_BYTES);
-
-/// Set the decode-cache budget; `0` disables caching. A source consults it
-/// whenever a range is opened that it has not retained yet, so call this
-/// before opening inputs. A job's `--mem-budget-mb` split routes its
-/// decode-cache share here.
-pub fn set_decode_cache_budget(bytes: u64) {
-    DECODE_CACHE_BUDGET.store(bytes, Ordering::Relaxed);
-}
-
-pub(crate) fn decode_cache_budget() -> u64 {
-    DECODE_CACHE_BUDGET.load(Ordering::Relaxed)
-}
-
 /// Pad bytes after a packed range, so every edge is one 8-byte load.
-const PACK_PAD: usize = 8;
+pub(crate) const PACK_PAD: usize = 8;
 
-/// How a retained range packs its edges: edge `i` is the `2·bits`-bit
+/// How a retained range packs its edges in its spill: edge `i` is the `2·bits`-bit
 /// value `src | dst << bits` at bit `stride·i`, `bits` being what the
 /// header's largest id `|V| − 1` needs (1..=32). An edge is read as one
 /// unaligned 8-byte load at the byte holding its first bit, shifted by
@@ -693,17 +656,20 @@ impl Packing {
         Packing { bits, stride }
     }
 
+    /// Bytes `span` packed edges take, no pad; `None` if that overflows.
+    pub(crate) fn span_bytes(self, span: u64) -> Option<u64> {
+        Some(span.checked_mul(u64::from(self.stride))?.div_ceil(8))
+    }
+
     /// Bytes a packed range of `span` edges takes, pad included; `None` if
     /// that overflows.
     pub(crate) fn bytes(self, span: u64) -> Option<u64> {
-        span.checked_mul(u64::from(self.stride))?
-            .div_ceil(8)
-            .checked_add(PACK_PAD as u64)
+        self.span_bytes(span)?.checked_add(PACK_PAD as u64)
     }
 
     /// Whether every id of `run` fits in `bits` (not so under a header that
     /// understates |V|).
-    fn holds(self, run: &[Edge]) -> bool {
+    pub(crate) fn holds(self, run: &[Edge]) -> bool {
         let ids = run.iter().fold(0, |acc, e| acc | e.src | e.dst);
         u64::from(ids) >> self.bits == 0
     }
@@ -732,7 +698,7 @@ impl Packing {
 
     /// Pack `run` as edges `first..` of `bytes`, whose edges before `first`
     /// are packed already.
-    fn pack(self, bytes: &mut [u8], first: usize, run: &[Edge]) {
+    pub(crate) fn pack(self, bytes: &mut [u8], first: usize, run: &[Edge]) {
         with_bmi2(
             #[inline(always)]
             || self.pack_groups(bytes, first, run),
@@ -791,7 +757,7 @@ impl Packing {
     }
 
     /// Unpack edges `first..first + out.len()` of `bytes` into `out`.
-    fn unpack(self, bytes: &[u8], first: usize, out: &mut [Edge]) {
+    pub(crate) fn unpack(self, bytes: &[u8], first: usize, out: &mut [Edge]) {
         with_bmi2(
             #[inline(always)]
             || self.unpack_groups(bytes, first, out),
@@ -899,119 +865,6 @@ impl BitWriter {
     }
 }
 
-/// A retained range: its edges packed by a [`Packing`].
-pub(crate) struct PackedEdges {
-    /// At least `packing.bytes(len)` bytes, or none while `len` is 0: what
-    /// lets `get` and `unpack` load 8 bytes at any of the `len` edges.
-    bytes: Vec<u8>,
-    len: usize,
-    packing: Packing,
-}
-
-impl PackedEdges {
-    /// Edges in the range.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Edge `i`, if the range has one.
-    pub(crate) fn get(&self, i: usize) -> Option<Edge> {
-        (i < self.len).then(|| self.packing.get(&self.bytes, i))
-    }
-
-    /// Unpack edges `first..first + out.len()` into `out`.
-    pub(crate) fn unpack(&self, first: usize, out: &mut [Edge]) {
-        assert!(first + out.len() <= self.len);
-        self.packing.unpack(&self.bytes, first, out)
-    }
-}
-
-/// Decoded-edge cache over one range of a v2 file, held by the cursor
-/// decoding it for `crate::ranged::RetainingSource`. The first pass packs
-/// each run of edges it decodes into one allocation of the range's packed
-/// size; once the range is covered, the cursor hands the packed range to
-/// the source. All-or-nothing: whether the range's packed size fits the
-/// budget is decided when the range is opened — no partial caching, no
-/// mid-stream eviction, so peak memory is known up front.
-pub(crate) struct DecodeCache {
-    /// The packed prefix; the first absorb allocates its bytes at the
-    /// span's packed size.
-    packed: PackedEdges,
-    /// Edges in the span.
-    span: usize,
-    /// The span's packed size.
-    size: usize,
-    enabled: bool,
-}
-
-impl DecodeCache {
-    /// A cache over a span of `span` edges of a file whose header counts
-    /// `num_vertices`; a span too long to index is never cached.
-    pub(crate) fn new(span: u64, num_vertices: u64, enabled: bool) -> Self {
-        let packing = Packing::new(num_vertices);
-        let size = packing
-            .bytes(span)
-            .and_then(|size| usize::try_from(size).ok());
-        let span = usize::try_from(span);
-        DecodeCache {
-            packed: PackedEdges {
-                bytes: Vec::new(),
-                len: 0,
-                packing,
-            },
-            enabled: enabled && span.is_ok() && size.is_some(),
-            span: span.unwrap_or(0),
-            size: size.unwrap_or(0),
-        }
-    }
-
-    /// Absorb `run`, whose first edge is the `pos`-th of the span, as far as
-    /// it extends the cached prefix: caching only ever grows a strictly
-    /// sequential prefix, so a pass abandoned by an early `reset` just
-    /// resumes absorbing once the next pass catches up. Returns `false` if
-    /// the run holds an id the header's |V| does not cover: the cache then
-    /// frees what it packed and absorbs nothing more.
-    pub(crate) fn absorb(&mut self, pos: usize, run: &[Edge]) -> bool {
-        let PackedEdges {
-            bytes,
-            len,
-            packing,
-        } = &mut self.packed;
-        let have = *len;
-        if !self.enabled || have < pos || have >= pos + run.len() {
-            return true;
-        }
-        let fresh = &run[have - pos..];
-        let fresh = &fresh[..fresh.len().min(self.span - have)];
-        if !packing.holds(fresh) {
-            self.enabled = false;
-            (*bytes, *len) = (Vec::new(), 0);
-            return false;
-        }
-        if bytes.is_empty() {
-            *bytes = vec![0; self.size];
-        }
-        packing.pack(bytes, have, fresh);
-        *len += fresh.len();
-        true
-    }
-
-    /// Whether every edge of the span has been absorbed.
-    pub(crate) fn complete(&self) -> bool {
-        self.enabled && self.packed.len == self.span
-    }
-
-    /// Give up the (complete) cached span; the cache absorbs nothing more.
-    pub(crate) fn take(&mut self) -> PackedEdges {
-        self.enabled = false;
-        let bytes = std::mem::take(&mut self.packed.bytes);
-        PackedEdges {
-            bytes,
-            ..self.packed
-        }
-    }
-}
-
 /// Convert a v1 `.bel` file to v2, preserving edge order exactly.
 pub fn convert_v1_to_v2<P: AsRef<Path>, Q: AsRef<Path>>(
     src: P,
@@ -1093,36 +946,44 @@ mod tests {
                     ),
                 })
                 .collect();
-            let mut cache = DecodeCache::new(n as u64, top + 1, true);
+            let packing = Packing::new(top + 1);
+            let mut packed = vec![0; packing.bytes(n as u64).unwrap() as usize];
             let mut pos = 0;
             for len in [1, 2, 3, 5, 8, 1, 9, 7, 16, 4, 19].into_iter().cycle() {
                 let len = len.min(n - pos);
-                assert!(cache.absorb(pos, &es[pos..pos + len]), "w {w}");
+                let run = &es[pos..pos + len];
+                assert!(packing.holds(run), "w {w}");
+                packing.pack(&mut packed, pos, run);
                 pos += len;
                 if pos == n {
                     break;
                 }
             }
-            assert!(cache.complete(), "w {w}");
-            let packed = cache.take();
+            assert_eq!(
+                packed.len() as u64,
+                packing.span_bytes(n as u64).unwrap() + 8
+            );
             for (i, &e) in es.iter().enumerate() {
-                assert_eq!(packed.get(i), Some(e), "w {w}, get {i}");
+                assert_eq!(packing.get(&packed, i), e, "w {w}, get {i}");
             }
             for first in 0..n {
                 let mut out = vec![Edge::new(0, 0); n - first];
-                packed.unpack(first, &mut out);
+                packing.unpack(&packed, first, &mut out);
                 assert_eq!(out, es[first..], "w {w}, unpack from {first}");
             }
             // The loops as compiled without BMI2, which the copy `pack`
             // and `unpack` pick on a CPU with it stands in for.
-            let packing = packed.packing;
-            let mut bytes = vec![0; packed.bytes.len()];
+            let mut bytes = vec![0; packed.len()];
             packing.pack_groups(&mut bytes, 0, &es[..n / 2]);
             packing.pack_groups(&mut bytes, n / 2, &es[n / 2..]);
-            assert!(bytes == packed.bytes, "w {w}, baseline pack");
+            assert!(bytes == packed, "w {w}, baseline pack");
             let mut out = vec![Edge::new(0, 0); n - 3];
             packing.unpack_groups(&bytes, 3, &mut out);
             assert_eq!(out, es[3..], "w {w}, baseline unpack");
+            // One id past the width is refused.
+            if w < 32 {
+                assert!(!packing.holds(&[Edge::new(0, (top + 1) as u32)]), "w {w}");
+            }
         }
     }
 

@@ -3,7 +3,8 @@
 //! the same order as the per-edge primitives they sit on — for every format
 //! and range shape — and every wrapper forwards them, so the
 //! engine's pass loops make one call per chunk, never one per edge. A v2
-//! ranged source decodes a range once: later opens lend the retained edges.
+//! ranged source decodes a range once: later opens read the range it
+//! spilled.
 
 use std::io;
 use std::path::PathBuf;
@@ -22,13 +23,13 @@ use tps_graph::formats::binary::write_binary_edge_list;
 use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::{for_each_chunk, for_each_edge, EdgeStream, InMemoryGraph, CHUNK_EDGES};
 use tps_graph::types::{Edge, GraphInfo, PartitionId};
-use tps_io::v2::set_decode_cache_budget;
-use tps_io::{open_edge_stream, open_ranged, write_v2_edge_list, ReaderBackend};
+use tps_io::{
+    open_edge_stream, open_ranged, write_v2_edge_list, RangedFile, ReaderBackend, RetainingSource,
+};
 use tps_storage::{DeviceModel, DeviceStream};
 
-/// The decode budget and the `io.v2.*` counters are process-wide: every test
-/// here that decodes a v2 file, sets the budget or reads a counter holds
-/// this.
+/// The `io.v2.*` counters are process-wide: every test here that decodes
+/// a v2 file or reads a counter holds this.
 static V2_GLOBALS: Mutex<()> = Mutex::new(());
 
 fn counter(name: &str) -> u64 {
@@ -442,7 +443,7 @@ fn v2_file(tag: &str, n: u32) -> (PathBuf, Vec<Edge>) {
     (path, edges)
 }
 
-/// The bytes a source retains for `span` edges of a `v2_file`: each edge
+/// The bytes a source spills for `span` edges of a `v2_file`: each edge
 /// packed in 2w bits, w the bits of the header's largest id (4095: w = 12,
 /// 24 bits), plus 8 pad bytes per range.
 fn retained_bytes(span: u64) -> u64 {
@@ -450,13 +451,12 @@ fn retained_bytes(span: u64) -> u64 {
     (2 * w * span).div_ceil(8) + 8
 }
 
-/// Ranged v2 sources retain what they decode: for every range shape, the second `open_range` lends the reference sequence out of
-/// memory — no chunk decoded, the scratch untouched — and only a *complete*
-/// first pass publishes anything.
+/// Ranged v2 sources retain what they decode: for every range shape, the
+/// second `open_range` lends the reference sequence out of the spill — no
+/// chunk decoded — and only a *complete* first pass publishes anything.
 #[test]
 fn a_v2_range_is_decoded_once_per_source() {
     let _globals = V2_GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
-    set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
     let (path, edges) = v2_file("retain", 5_000);
     let n = edges.len() as u64;
     // Whole file, a range that starts and ends inside a chunk, two
@@ -482,12 +482,12 @@ fn a_v2_range_is_decoded_once_per_source() {
         if a < b {
             assert!(counter("io.v2.chunks_decoded") > decoded, "{what}");
         }
-        // The abandoned cursor still holds the range's reservation;
-        // completing its pass is what deposits the range …
+        // The abandoned cursor still holds the range's claim; completing
+        // its pass is what deposits the range …
         assert_eq!(chunked(&mut *first), want, "{what}: first pass");
         drop(first);
 
-        // … and every later open is served from memory, whichever way
+        // … and every later open is served from the spill, whichever way
         // it is read.
         let decoded = counter("io.v2.chunks_decoded");
         let mut second = source.open_range(a, b).unwrap();
@@ -506,16 +506,16 @@ fn a_v2_range_is_decoded_once_per_source() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The retained ranges of one source share one reservation against the
-/// decode budget, all-or-nothing per range.
+/// A v2 file opened through `RangedFile::read` alone is never retained:
+/// every open of every range decodes its chunks again. A cursor dropped
+/// before it completes a pass gives its claim back, so a later open of the
+/// range spills it.
 #[test]
-fn retention_stays_within_the_decode_budget() {
+fn an_unretained_source_decodes_every_open() {
     let _globals = V2_GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
-    let (path, edges) = v2_file("budget", 4_000);
+    let (path, edges) = v2_file("unretained", 4_000);
     let halves = [(0u64, 2_000u64), (2_000, 4_000)];
-    let decodes_on_reopen = |budget: u64| {
-        set_decode_cache_budget(budget);
-        let source = open_ranged(&path).unwrap();
+    let decodes_on_reopen = |source: &dyn RangedEdgeSource| {
         let retained = counter("io.v2.ranges_retained");
         let mut decoding = 0;
         for (a, b) in halves {
@@ -527,38 +527,61 @@ fn retention_stays_within_the_decode_budget() {
         }
         (decoding, counter("io.v2.ranges_retained") - retained)
     };
-    let half = retained_bytes(2_000);
-    // Below one range: nothing is retained and every open decodes.
-    assert_eq!(decodes_on_reopen(half - 1), (2, 0));
-    assert_eq!(decodes_on_reopen(0), (2, 0));
-    // Room for one of the two: exactly the first is retained.
-    assert_eq!(decodes_on_reopen(half), (1, 1));
-    assert_eq!(decodes_on_reopen(2 * half - 1), (1, 1));
-    // Room for both.
-    assert_eq!(decodes_on_reopen(2 * half), (0, 2));
+    assert_eq!(decodes_on_reopen(&RangedFile::read(&path).unwrap()), (2, 0));
+    assert_eq!(decodes_on_reopen(&*open_ranged(&path).unwrap()), (0, 2));
 
-    // A cursor dropped before it completes a pass gives its share back.
-    set_decode_cache_budget(half);
     let source = open_ranged(&path).unwrap();
     let mut abandoned = source.open_range(0, 2_000).unwrap();
     abandoned.next_edge().unwrap();
     drop(abandoned);
     let retained = counter("io.v2.ranges_retained");
     assert_eq!(
-        chunked(&mut *source.open_range(2_000, 4_000).unwrap()),
-        &edges[2_000..]
+        chunked(&mut *source.open_range(0, 2_000).unwrap()),
+        &edges[..2_000]
     );
     assert_eq!(counter("io.v2.ranges_retained"), retained + 1);
+    let decoded = counter("io.v2.chunks_decoded");
+    assert_eq!(
+        chunked(&mut *source.open_range(0, 2_000).unwrap()),
+        &edges[..2_000]
+    );
+    assert_eq!(counter("io.v2.chunks_decoded"), decoded);
+    std::fs::remove_file(&path).ok();
+}
 
-    set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
+/// A source whose spill directory cannot be written runs the same job to
+/// the same assignments, in one shard or two, and retains nothing.
+#[test]
+fn a_spill_dir_that_cannot_be_written_changes_nothing_but_retention() {
+    let _globals = V2_GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let (path, _) = v2_file("unwritable", 30_000);
+    let run = |source: &dyn RangedEdgeSource, threads| {
+        let mut sink = VecSink::new();
+        JobSpec::ranged(source)
+            .two_phase(TwoPhaseConfig::with_passes(2))
+            .k(8)
+            .threads(threads)
+            .extra_sink(&mut sink)
+            .run()
+            .unwrap();
+        sink.into_assignments()
+    };
+    for threads in [ThreadMode::Serial, ThreadMode::Count(2)] {
+        let retained = counter("io.v2.ranges_retained");
+        let spilled = run(&*open_ranged(&path).unwrap(), threads);
+        assert!(counter("io.v2.ranges_retained") > retained, "{threads:?}");
+        let retained = counter("io.v2.ranges_retained");
+        // A directory below a regular file.
+        let nowhere = RetainingSource::new(RangedFile::read(&path).unwrap(), path.join("spill"));
+        assert_eq!(run(&nowhere, threads), spilled, "{threads:?}");
+        assert_eq!(counter("io.v2.ranges_retained"), retained, "{threads:?}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
 /// A header that understates |V| is not trusted: a range holding an id the
 /// header's |V| does not cover streams from the file, exactly, on every
-/// pass, and is never retained. Its cursor gives the range's
-/// reservation back the moment it meets such an id, mid-pass, so the other
-/// range then fits a budget that holds only one.
+/// pass, and is never retained; the other range is.
 #[test]
 fn a_range_with_ids_beyond_the_header_streams_from_the_file() {
     let _globals = V2_GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
@@ -568,7 +591,6 @@ fn a_range_with_ids_beyond_the_header_streams_from_the_file() {
     edges[1_600] = Edge::new(3, u32::MAX);
     let path = tmp("liar", "bel2");
     write_v2_edge_list(&path, V2_FILE_VERTICES, edges.iter().copied(), 700).unwrap();
-    set_decode_cache_budget(retained_bytes(2_000));
     let (liars, honest) = edges.split_at(2_000);
     let source = open_ranged(&path).unwrap();
     let retained = counter("io.v2.ranges_retained");
@@ -595,7 +617,6 @@ fn a_range_with_ids_beyond_the_header_streams_from_the_file() {
         "{what}: reopened"
     );
     assert_eq!(counter("io.v2.ranges_retained"), retained + 1, "{what}");
-    set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
     std::fs::remove_file(&path).ok();
 }
 
@@ -649,7 +670,6 @@ impl EdgeStream for PassCountingStream<'_> {
 #[test]
 fn a_one_shard_file_job_streams_only_the_pipeline_passes() {
     let _globals = V2_GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
-    set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
     let g = graph(5_000);
     let v1 = tmp("passes", "bel");
     let v2 = tmp("passes", "bel2");

@@ -437,9 +437,6 @@ impl tps_graph::ranged::RangedEdgeSource for TamperingSource<'_> {
     }
 }
 
-/// Tests that set the v2 decode budget, or rely on its default, hold this.
-static DECODE_BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn ranges_retained() -> u64 {
     tps_obs::counters_snapshot()
         .into_iter()
@@ -450,8 +447,8 @@ fn ranges_retained() -> u64 {
 /// A logging worker remembers decisions, not edges, so emit reads the input
 /// again — two workers open their ranges four times each for the passes,
 /// and the ninth open is shard 1's emit (shard 0 writes its records as it
-/// decides them). A v1 file truncated, or a v2 file (over the decode
-/// budget, so nothing of it is retained) with a chunk of shard 1's range
+/// decides them). A v1 file truncated, or a v2 file (opened through
+/// `RangedFile::read`, so nothing of it is retained) with a chunk of shard 1's range
 /// gone bad, in between fails the job there with an error naming the file
 /// (a v1 rewrite naming a vertex outside the plan, with `InvalidData`): no
 /// panic, no partition file quietly short. The same job on the untouched file
@@ -459,7 +456,6 @@ fn ranges_retained() -> u64 {
 #[test]
 fn input_changed_between_the_passes_and_emit_fails_the_job() {
     use std::os::unix::fs::FileExt;
-    let _budget = DECODE_BUDGET.lock().unwrap_or_else(|e| e.into_inner());
     let g = graph_of_three_chunks();
     let dir = std::env::temp_dir().join(format!("tps-emit-reread-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -495,10 +491,17 @@ fn input_changed_between_the_passes_and_emit_fails_the_job() {
         f.read_exact_at(&mut byte, at).unwrap();
         f.write_all_at(&[byte[0] ^ 0x40], at).unwrap();
     };
-    let run = |path: &std::path::Path, at_open: usize, tamper: &(dyn Fn() + Sync)| {
+    // `retain`: open through `open_ranged`, whose v2 sources spill the
+    // ranges they decode, else through `RangedFile::read`, which never does.
+    let run = |path: &std::path::Path, retain: bool, at_open: usize, tamper: &(dyn Fn() + Sync)| {
         write_inputs();
+        let inner: Box<dyn tps_graph::ranged::RangedEdgeSource> = if retain {
+            tps_io::open_ranged(path).unwrap()
+        } else {
+            Box::new(tps_io::RangedFile::read(path).unwrap())
+        };
         let source = TamperingSource {
-            inner: tps_io::open_ranged(path).unwrap(),
+            inner,
             opens: Default::default(),
             at_open,
             tamper,
@@ -512,15 +515,14 @@ fn input_changed_between_the_passes_and_emit_fails_the_job() {
             .map(|outcome| (outcome, sink.into_assignments().len() as u64))
     };
 
-    tps_io::v2::set_decode_cache_budget(0);
     let retained = ranges_retained();
     for (path, tamper) in [
         (&v1, &truncate_v1 as &(dyn Fn() + Sync)),
         (&v2, &corrupt_v2),
     ] {
-        let (_, emitted) = run(path, usize::MAX, &|| {}).unwrap();
+        let (_, emitted) = run(path, false, usize::MAX, &|| {}).unwrap();
         assert_eq!(emitted, g.num_edges());
-        let err = run(path, 8, tamper).expect_err("emit must notice the input changed");
+        let err = run(path, false, 8, tamper).expect_err("emit must notice the input changed");
         let text = err.to_string();
         assert!(text.contains(path.to_str().unwrap()), "{text}");
         let kind = if path == &v1 {
@@ -531,7 +533,7 @@ fn input_changed_between_the_passes_and_emit_fails_the_job() {
         };
         assert_eq!(err.kind(), kind, "{text}");
     }
-    assert_eq!(ranges_retained(), retained, "budget 0 retains nothing");
+    assert_eq!(ranges_retained(), retained, "a RangedFile retains nothing");
 
     // A same-length rewrite that names a vertex the plan does not cover —
     // the last edge's source set to |V| + 5 — is `InvalidData` at emit, not
@@ -542,7 +544,7 @@ fn input_changed_between_the_passes_and_emit_fails_the_job() {
         let id = g.num_vertices() as u32 + 5;
         f.write_all_at(&id.to_le_bytes(), last).unwrap();
     };
-    let err = run(&v1, 8, &out_of_range_v1).expect_err("emit must notice the new vertex");
+    let err = run(&v1, false, 8, &out_of_range_v1).expect_err("emit must notice the new vertex");
     assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     assert!(err.to_string().contains("outside the plan"), "{err}");
 
@@ -550,14 +552,13 @@ fn input_changed_between_the_passes_and_emit_fails_the_job() {
     // caught by its checksum — a range is retained by the cursor that
     // verified it, never instead of verifying it — so at most the other
     // worker's (intact) range is; tampering before emit goes unnoticed only
-    // because emit then reads the verified copy, not the file.
-    tps_io::v2::set_decode_cache_budget(tps_io::v2::DECODE_CACHE_DEFAULT_BYTES);
-    let err = run(&v2, 0, &corrupt_v2).expect_err("the first decode verifies");
+    // because emit then reads the verified spill, not the file.
+    let err = run(&v2, true, 0, &corrupt_v2).expect_err("the first decode verifies");
     assert!(err.to_string().contains("checksum"), "{err}");
     assert!(err.to_string().contains(v2.to_str().unwrap()), "{err}");
     assert!(ranges_retained() - retained <= 1);
     let retained = ranges_retained();
-    let (_, emitted) = run(&v2, 8, &corrupt_v2).unwrap();
+    let (_, emitted) = run(&v2, true, 8, &corrupt_v2).unwrap();
     assert_eq!(emitted, g.num_edges());
     assert_eq!(ranges_retained(), retained + 2);
     std::fs::remove_dir_all(&dir).ok();
