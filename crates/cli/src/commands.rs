@@ -11,7 +11,7 @@ use tps_baselines::{
 };
 use tps_core::job::{ExecPlan, JobSpec, ThreadMode};
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
-use tps_core::sink::{AssignmentSink, FileSink, QualitySink, TeeSink};
+use tps_core::sink::{AssignmentSink, FileSink, NullSink};
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_core::RunOutcome;
 use tps_graph::datasets::Dataset;
@@ -517,7 +517,9 @@ fn close_parts(files: Option<FileSink>, quiet: bool) -> Result<(), String> {
 /// Run a partitioning job and print metrics/outputs for
 /// `tps dist coordinator`, which supplies its own runner closure
 /// (`tps partition` builds a [`JobSpec`] instead — the coordinator cannot
-/// yet, because its runner spans a worker fleet, not a local stream).
+/// yet, because its runner spans a worker fleet, not a local stream). The
+/// runner reports the run's quality itself ([`RunReport::quality`]), so the
+/// assignments go only to the `--out` files, if any.
 #[allow(clippy::too_many_arguments)] // the args mirror the CLI surface
 fn execute_and_report(
     flags: &Flags,
@@ -529,51 +531,42 @@ fn execute_and_report(
     alpha: f64,
     run: &mut dyn FnMut(&PartitionParams, &mut dyn AssignmentSink) -> Result<RunReport, String>,
 ) -> Result<(), Failure> {
-    {
-        let trace = flags.get("trace").map(tps_obs::TraceRecording::begin);
-        let params = alpha_params(k, alpha)?;
-        let mut quality = QualitySink::try_new(info.num_vertices, k).map_err(|e| e.to_string())?;
-        let start = std::time::Instant::now();
-        let mut files = open_parts(flags, input, k, info.num_vertices)?;
-        let report = match files.as_mut() {
-            Some(files) => run(&params, &mut TeeSink::new(&mut quality, files))?,
-            None => run(&params, &mut quality)?,
+    let trace = flags.get("trace").map(tps_obs::TraceRecording::begin);
+    let params = alpha_params(k, alpha)?;
+    let start = std::time::Instant::now();
+    let mut files = open_parts(flags, input, k, info.num_vertices)?;
+    let mut report = match files.as_mut() {
+        Some(files) => run(&params, files)?,
+        None => run(&params, &mut NullSink)?,
+    };
+    close_parts(files, flags.has("quiet"))?;
+    let outcome = RunOutcome {
+        name: name.to_string(),
+        metrics: report
+            .quality
+            .take()
+            .ok_or("the coordinator reported no quality metrics")?,
+        report,
+        wall_time: start.elapsed(),
+        peak_heap_bytes: 0,
+    };
+    print_outcome(&outcome, k, flags.has("quiet"))?;
+    if let Some(trace) = trace {
+        let meta = tps_obs::TraceMeta {
+            cmd: cmd.to_string(),
+            algo: name.to_string(),
+            k,
+            alpha,
+            vertices: info.num_vertices,
+            edges: info.num_edges,
         };
-        close_parts(files, flags.has("quiet"))?;
-        let elapsed = start.elapsed();
-        let metrics = quality.finish();
-        say!(
-            "algorithm={name} k={k} edges={} rf={:.4} alpha={:.4} time_s={:.3}",
-            metrics.num_edges,
-            metrics.replication_factor,
-            metrics.alpha,
-            elapsed.as_secs_f64()
-        )?;
+        let path = trace.path().display().to_string();
+        let (events, counters) = trace.finish(&meta).map_err(|e| e.to_string())?;
         if !flags.has("quiet") {
-            for (name, d) in report.phases.phases() {
-                eprintln!("phase {name}: {:.3} s", d.as_secs_f64());
-            }
-            for (name, v) in &report.counters {
-                eprintln!("counter {name}: {v}");
-            }
+            eprintln!("trace: {events} events, {counters} counters -> {path}");
         }
-        if let Some(trace) = trace {
-            let meta = tps_obs::TraceMeta {
-                cmd: cmd.to_string(),
-                algo: name.to_string(),
-                k,
-                alpha,
-                vertices: info.num_vertices,
-                edges: info.num_edges,
-            };
-            let path = trace.path().display().to_string();
-            let (events, counters) = trace.finish(&meta).map_err(|e| e.to_string())?;
-            if !flags.has("quiet") {
-                eprintln!("trace: {events} events, {counters} counters -> {path}");
-            }
-        }
-        Ok(())
     }
+    Ok(())
 }
 
 /// `tps dist` — distributed coordinator/worker execution.

@@ -638,6 +638,21 @@ fn threads_parallel_is_deterministic_across_formats_and_readers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `edges=`, `rf=` and `alpha=` fields of a metrics line.
+fn quality_fields(stdout: &str) -> Vec<String> {
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("algorithm="))
+        .unwrap_or_else(|| panic!("no metrics line in {stdout:?}"));
+    let fields: Vec<String> = line
+        .split(' ')
+        .filter(|f| ["edges=", "rf=", "alpha="].iter().any(|p| f.starts_with(p)))
+        .map(String::from)
+        .collect();
+    assert_eq!(fields.len(), 3, "{line}");
+    fields
+}
+
 #[test]
 fn dist_local_two_workers_is_bit_identical_to_threads_two() {
     let dir = tmpdir("dist");
@@ -662,6 +677,7 @@ fn dist_local_two_workers_is_bit_identical_to_threads_two() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let t2_quality = quality_fields(&String::from_utf8_lossy(&out.stdout));
 
     // The acceptance contract: a 2-worker loopback-TCP distributed run on
     // the same shard map writes byte-identical partition files.
@@ -679,11 +695,10 @@ fn dist_local_two_workers_is_bit_identical_to_threads_two() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("algorithm=2PS-L×2w"),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("algorithm=2PS-L×2w"), "{stdout}");
+    // The coordinator's census counts what `--threads 2` counts.
+    assert_eq!(quality_fields(&stdout), t2_quality, "{stdout}");
     for i in 0..8 {
         let a = std::fs::read(t2.join(format!("ok.part{i}.bel"))).unwrap();
         let b = std::fs::read(d2.join(format!("ok.part{i}.bel"))).unwrap();
@@ -759,6 +774,73 @@ fn dist_local_recovers_from_a_killed_worker_bit_identically() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("kill spec"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The coordinator keeps its recovery frames in an unlinked spill file in
+/// `$TMPDIR`: a worker killed in phase 2 is replaced from them, and
+/// nothing is left there after the run. Where `$TMPDIR` cannot be
+/// written, the frames stay in memory, and the recovered output is the
+/// same bytes.
+#[test]
+fn dist_recovery_frames_spill_into_tmpdir() {
+    let dir = tmpdir("dist-recovery-spill");
+    let bel = dir.join("ok.bel");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.02", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    let t2 = dir.join("t2");
+    assert!(tps()
+        .args(["partition", "--input"])
+        .arg(&bel)
+        .args(["--k", "8", "--threads", "2", "--quiet", "--out"])
+        .arg(&t2)
+        .status()
+        .unwrap()
+        .success());
+    let spill_dir = dir.join("spill");
+    std::fs::create_dir_all(&spill_dir).unwrap();
+    // A directory below a regular file can be neither created nor written.
+    let unwritable = bel.join("spill");
+    for (tag, tmp) in [("disk", &spill_dir), ("unwritable", &unwritable)] {
+        let out_dir = dir.join(format!("parts-{tag}"));
+        let trace = dir.join(format!("{tag}.jsonl"));
+        // Worker 1 dies once it holds the merged replication chunk: its
+        // replacement is caught up from `Globals`, `Plan` and that chunk.
+        let out = tps()
+            .env("TMPDIR", tmp)
+            .args(["dist", "coordinator", "--input"])
+            .arg(&bel)
+            .args(["--k", "8", "--workers", "2", "--dist-local"])
+            .args(["--max-retries", "2", "--kill-worker", "1"])
+            .args(["--kill-at", "recv:mergedreplicationchunk", "--out"])
+            .arg(&out_dir)
+            .arg("--trace")
+            .arg(&trace)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{tag}: {stderr}");
+        assert!(
+            stderr.contains("counter worker_retries: 1"),
+            "{tag}: kill never fired\n{stderr}"
+        );
+        for i in 0..8 {
+            let a = std::fs::read(t2.join(format!("ok.part{i}.bel"))).unwrap();
+            let b = std::fs::read(out_dir.join(format!("ok.part{i}.bel"))).unwrap();
+            assert_eq!(a, b, "{tag}: partition {i} diverged after the catch-up");
+        }
+        let trace = std::fs::read_to_string(&trace).unwrap();
+        assert_eq!(
+            trace.contains("\"dist.recovery.spilled_bytes\""),
+            tag == "disk",
+            "{tag}"
+        );
+    }
+    // The spill was unlinked as it was created.
+    assert_eq!(std::fs::read_dir(&spill_dir).unwrap().count(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -27,8 +27,9 @@ use tps_graph::types::PartitionId;
 
 /// `k` zeroed 8-byte per-partition counters, or `InvalidInput` naming
 /// `table` and `k` when they cannot be allocated: a huge `k` is an input
-/// error, not an abort.
-pub(crate) fn try_counters<T: Default>(k: u32, table: &str) -> io::Result<Vec<T>> {
+/// error, not an abort. Every k-sized table of a run — a driver's or the
+/// distributed coordinator's — is allocated through it.
+pub fn try_counters<T: Default>(k: u32, table: &str) -> io::Result<Vec<T>> {
     let mut counters = Vec::new();
     counters.try_reserve_exact(k as usize).map_err(|_| {
         io::Error::new(

@@ -20,8 +20,9 @@
 //! metrics from the assignments. In debug builds two-phase jobs get that
 //! tee as well and the two results are asserted equal — every test that
 //! runs a job is a differential test of the engine's numbers. The
-//! distributed coordinator (`tps-dist`) measures with a `QualitySink` too:
-//! its replica state lives in worker processes.
+//! distributed coordinator (`tps-dist`) reports its quality the engine's
+//! way, without a sink: its census round ORs the workers' final replica
+//! rows one chunk at a time and counts them.
 //!
 //! ```
 //! use tps_core::job::JobSpec;

@@ -569,6 +569,13 @@ impl<'a, R: ReplicaSet, C: ClusterView> ShardAssigner<'a, R, C> {
     pub fn overshoot(&self) -> u64 {
         self.loads.overshoot()
     }
+
+    /// The cluster view, the replicas, loads and degree borrow freed: what
+    /// a distributed worker keeps to emit its log once its replica rows
+    /// have been counted.
+    pub fn into_view(self) -> C {
+        self.view
+    }
 }
 
 impl<C: ClusterView> ShardAssigner<'_, ReplicationMatrix, C> {
@@ -979,17 +986,12 @@ pub fn record_phase2_counters(report: &mut RunReport, counters: &AssignCounters,
     CORE_CAP_OVERSHOOT.add(overshoot);
 }
 
-/// Append the shared clustering counter block of a run whose clusters are
-/// `clustering` to `report` (one spelling for every driver and the
-/// distributed coordinator).
-pub fn record_clustering_counters(report: &mut RunReport, clustering: &Clustering, cap: u64) {
-    ClusterCensus::of(clustering).record(report, cap);
-}
-
 /// What the clustering counter block reports of a finished clustering —
-/// taken before the driver freezes it into its [`ClusterPlan`], or read off
-/// a paged run's table.
-struct ClusterCensus {
+/// taken before the driver freezes it into its [`ClusterPlan`] (or the
+/// distributed coordinator moves it into its `Plan` frame), or read off a
+/// paged run's table — and appended once phase 2 has run (one spelling for
+/// every driver and the distributed coordinator).
+pub struct ClusterCensus {
     clusters: u64,
     max_volume: u64,
     ids_dropped: u64,
@@ -998,7 +1000,7 @@ struct ClusterCensus {
 impl ClusterCensus {
     /// Every vertex phase 1 clustered founded one cluster id, and every id
     /// but the live clusters' was dropped again.
-    fn of(clustering: &Clustering) -> ClusterCensus {
+    pub fn of(clustering: &Clustering) -> ClusterCensus {
         let clusters = clustering.num_nonempty_clusters() as u64;
         let clustered = (0..clustering.num_vertices())
             .filter(|&v| clustering.raw_cluster_of(v as u32) != NO_CLUSTER)
@@ -1011,7 +1013,7 @@ impl ClusterCensus {
     }
 
     /// Append the clustering counter block to `report`.
-    fn record(&self, report: &mut RunReport, cap: u64) {
+    pub fn record(&self, report: &mut RunReport, cap: u64) {
         report.count("clusters", self.clusters);
         report.count("cluster_ids_dropped", self.ids_dropped);
         report.count("cluster_volume_cap", cap);

@@ -67,10 +67,11 @@ pub struct RunReport {
     /// Named counters (e.g. `prepartitioned`, `fallback_hash`).
     pub counters: Vec<(String, u64)>,
     /// Quality metrics computed from the replication matrix and loads the
-    /// engine finished with — `Some` for the in-process 2PS-L engines
-    /// (serial, paged, chunk-parallel), `None` for partitioners that keep
-    /// no replica state or keep it elsewhere (baselines, the distributed
-    /// coordinator); those are measured through a `QualitySink`.
+    /// engine finished with — `Some` for the 2PS-L engines (serial, paged,
+    /// chunk-parallel, and the distributed coordinator, which counts its
+    /// workers' final rows chunk by chunk), `None` for partitioners that
+    /// keep no replica state (the baselines); those are measured through a
+    /// `QualitySink`.
     pub quality: Option<PartitionMetrics>,
 }
 

@@ -18,6 +18,12 @@
 //!   associative *and idempotent*, so chunk-at-a-time merging — and even
 //!   re-merging a recovering worker's identical resends — cannot change
 //!   the result);
+//! * the run's quality is counted the same way, after the `ShardDone`
+//!   barrier (protocol v9's census round): one chunk of every shard's final
+//!   replica rows at a time, ORed into the same bounded buffer and counted
+//!   ([`RowLayout::census`](tps_metrics::bitmatrix::RowLayout::census)) —
+//!   the census `--threads N` takes of its shared matrix, so
+//!   [`RunReport::quality`] is the same, and no sink has to recount it;
 //! * assignments are pulled back shard-by-shard in shard order as bounded
 //!   [`Run`](crate::protocol::Message::Run) batches, so the coordinator
 //!   never materialises a full shard's output and the emitted stream equals
@@ -44,14 +50,20 @@
 //!    are byte-identical by determinism and discarded when the barrier
 //!    already passed), and phase-2 state is re-entered by re-broadcasting
 //!    the stored encoded `Globals`/`Plan` frames and the merged
-//!    replication chunks the barrier has completed so far;
+//!    replication chunks the barrier has completed so far (a replacement
+//!    joining at the census or the emit answers whichever census chunks
+//!    are still to be pulled, so nothing of that round is replayed);
 //! 4. a shard that died mid-`Run` stream resumes exactly: the coordinator
 //!    skips the records it already emitted (the replacement's replay is
 //!    bit-identical, so the skip is a provably safe fast-forward).
 //!
 //! Every broadcast frame is encoded **once** and the buffer reused across
-//! workers and re-issues — the `O(|V|)` barrier messages dominate protocol
-//! cost, and the stored encodings double as the recovery state.
+//! the workers of its barrier; after the barrier it is needed only for a
+//! catch-up, so it is kept in a spill file, not in memory (`recovery.rs`:
+//! one checksum per frame; in memory only where no spill file can be
+//! written). Through phase 2 the coordinator
+//! holds `O(chunk + k·N)`: one chunk buffer, the shards' loads and one
+//! `Run` batch — no `O(|V|)` frame and no `O(|V|·k)` matrix.
 //!
 //! Output therefore stays bit-identical to `--threads N` no matter which
 //! worker dies at which barrier, as long as the retry budget
@@ -62,9 +74,10 @@ use std::io;
 
 use tps_clustering::merge::merge_clusterings;
 use tps_clustering::model::Clustering;
+use tps_core::balance::try_counters;
 use tps_core::parallel::{
-    merge_degree_tables, overshoot_from_loads, record_clustering_counters, record_phase2_counters,
-    resolve_volume_cap, try_cluster_placement,
+    merge_degree_tables, overshoot_from_loads, record_phase2_counters, resolve_volume_cap,
+    try_cluster_placement, ClusterCensus,
 };
 use tps_core::partitioner::{PartitionParams, RunReport};
 use tps_core::sink::AssignmentSink;
@@ -72,8 +85,14 @@ use tps_core::two_phase::{AssignCounters, TwoPhaseConfig};
 use tps_graph::degree::DegreeTable;
 use tps_graph::ranged::split_even;
 use tps_graph::types::GraphInfo;
+use tps_metrics::bitmatrix::{try_zeroed_words, validate_packed_rows, ReplicaCensus};
+use tps_metrics::quality::PartitionMetrics;
 
-use crate::protocol::{InputDescriptor, Job, Message, ReplChunks, PROTOCOL_VERSION};
+use crate::protocol::{
+    encode_globals, encode_merged_chunk, InputDescriptor, Job, Message, ReplChunks,
+    PROTOCOL_VERSION,
+};
+use crate::recovery::RecoveryFrames;
 use crate::transport::{is_timeout, recv_msg, send_frame, send_msg, Transport};
 use crate::wire::corrupt;
 
@@ -154,6 +173,8 @@ enum Stage {
     MergedRepl(u32),
     /// Receive the shard's phase-2 summary.
     Done,
+    /// Pull the shard's final replica rows of census chunk `c`.
+    Census(u32),
     /// Pull the shard's assignment runs.
     Emit,
 }
@@ -162,7 +183,9 @@ impl Stage {
     /// Protocol-order rank. The chunked replication rounds *interleave*
     /// (`Replication(0) < MergedRepl(0) < Replication(1) < …`), so a
     /// derived enum ordering — all `Replication` before all `MergedRepl` —
-    /// would mis-order them; catch-up depends on this rank.
+    /// would mis-order them; catch-up depends on this rank. The census
+    /// rounds rank with the summary they follow (major 5, the `partition`
+    /// stage of the progress gauges).
     fn rank(self) -> (u8, u64) {
         match self {
             Stage::Degrees => (0, 0),
@@ -172,6 +195,7 @@ impl Stage {
             Stage::Replication(c) => (4, 2 * c as u64),
             Stage::MergedRepl(c) => (4, 2 * c as u64 + 1),
             Stage::Done => (5, 0),
+            Stage::Census(c) => (5, 1 + c as u64),
             Stage::Emit => (6, 0),
         }
     }
@@ -266,11 +290,9 @@ pub fn run_coordinator(
         retries: 0,
         rejoined: 0,
         last_handshake_err: None,
-        globals_frame: None,
-        plan_frame: None,
+        frames: RecoveryFrames::new(std::env::temp_dir()),
         repl_chunks: ReplChunks::new(info.num_vertices, params.k),
-        repl_acc: Vec::new(),
-        merged_repl_frames: Vec::new(),
+        acc: Vec::new(),
     };
     let result = co.drive(sink);
     if let Err(e) = &result {
@@ -305,19 +327,28 @@ struct Coordinator<'a> {
     /// "no replacement available" error, not a spent retry.
     last_handshake_err: Option<io::Error>,
     /// Broadcast frames, encoded once at their barrier and reused for every
-    /// worker and every catch-up (ROADMAP "transport efficiency").
-    globals_frame: Option<Vec<u8>>,
-    plan_frame: Option<Vec<u8>>,
-    /// The deterministic vertex-range chunking of the replication barrier.
+    /// worker of it — and for every catch-up, read back from a spill file:
+    /// `Globals` (frame [`GLOBALS`]), `Plan` ([`PLAN`]), then one merged
+    /// replication chunk per round ([`merged_frame`]).
+    frames: RecoveryFrames,
+    /// The deterministic vertex-range chunking of the replication barrier
+    /// and the census round.
     repl_chunks: ReplChunks,
     /// The chunk currently being merged: one bounded word buffer, ORed
-    /// into by every shard's `Replication(c)` stage, then encoded and
-    /// dropped — the coordinator never holds a whole matrix.
-    repl_acc: Vec<u64>,
-    /// Merged replication chunks, encoded once per completed round and
-    /// reused for every worker and every catch-up (zero-word-run encoded,
-    /// so this recovery state is small on sparse graphs).
-    merged_repl_frames: Vec<Vec<u8>>,
+    /// into by every shard's `Replication(c)` or `Census(c)` stage, then
+    /// encoded or counted and cleared — the coordinator never holds a
+    /// whole matrix. Allocated once, for the largest chunk.
+    acc: Vec<u64>,
+}
+
+/// [`Coordinator::frames`]' index of the `Globals` frame.
+const GLOBALS: usize = 0;
+/// [`Coordinator::frames`]' index of the `Plan` frame.
+const PLAN: usize = 1;
+
+/// [`Coordinator::frames`]' index of merged replication chunk `c`.
+fn merged_frame(c: u32) -> usize {
+    2 + c as usize
 }
 
 impl Coordinator<'_> {
@@ -340,8 +371,25 @@ impl Coordinator<'_> {
             }
         }
 
+        // The k-sized and chunk-sized tables come before any job: a `k`
+        // they cannot be allocated for is an input error, and the workers,
+        // which have not been told anything, are dismissed as after a run.
+        let mut loads = match self.allocate_tables() {
+            Ok(loads) => loads,
+            Err(e) => {
+                self.shutdown_all();
+                self.idle.clear();
+                return Err(e);
+            }
+        };
+
         if self.info.num_edges == 0 {
             self.shutdown_all();
+            report.quality = Some(PartitionMetrics::from_state(
+                self.k,
+                ReplicaCensus::default(),
+                &loads,
+            ));
             return Ok(report);
         }
 
@@ -365,16 +413,12 @@ impl Coordinator<'_> {
         let degrees = merge_degree_tables(tables);
         report.phases.record("degree", s0.end());
         let volume_cap = resolve_volume_cap(&self.config, self.k, &degrees);
-        self.globals_frame = Some(
-            Message::Globals {
-                degrees: degrees.iter().collect(),
-                volume_cap,
-            }
-            .encode(),
-        );
+        self.frames
+            .push("Globals".into(), encode_globals(degrees.iter(), volume_cap));
         for s in 0..self.n {
             self.advance(s, Stage::Globals, sink)?;
         }
+        self.frames.settle();
 
         // Phase 1: merge per-shard clusterings (union-by-volume, shard order).
         let s1 = tps_obs::span("clustering");
@@ -391,49 +435,54 @@ impl Coordinator<'_> {
         report.phases.record("clustering", s1.end());
 
         // Phase 2 step 1: placement, computed once here, broadcast to shards.
+        // The clustering counters are taken first: the clustering and its
+        // placement then move into the one frame that carries them.
+        let clusters = ClusterCensus::of(&clustering);
         let s2 = tps_obs::span("mapping");
         let placement = try_cluster_placement(&self.config, &clustering, self.k)?;
         report.phases.record("mapping", s2.end());
-        self.plan_frame = Some(
-            Message::Plan {
-                clustering: clustering.clone(),
-                c2p: placement.c2p().to_vec(),
-            }
-            .encode(),
-        );
+        let plan = Message::Plan {
+            clustering,
+            c2p: placement.into_c2p(),
+        };
+        self.frames.push("Plan".into(), plan.encode());
+        drop(plan);
         for s in 0..self.n {
             self.advance(s, Stage::Plan, sink)?;
         }
+        self.frames.settle();
 
         // Phase 2 step 2 barrier: OR the replication state one vertex-range
         // chunk at a time (skipped exactly when the in-process runner skips
-        // its barrier). Each round merges every shard's chunk into one
+        // its barrier). Each round merges every shard's chunk into the one
         // bounded buffer, encodes the merged chunk once, broadcasts it, and
-        // drops the buffer — `O(chunk)` live merge state, never `O(|V|·k)`.
+        // clears the buffer — `O(chunk)` live merge state, never `O(|V|·k)`.
         let s3 = tps_obs::span("prepartition");
         if self.replication_active() {
             for c in 0..self.repl_chunks.count() {
-                self.repl_acc = vec![0u64; self.repl_chunks.words_in_chunk(c)];
+                self.chunk_acc(c).fill(0);
                 for s in 0..self.n {
                     self.advance(s, Stage::Replication(c), sink)?;
                 }
-                let words = std::mem::take(&mut self.repl_acc);
-                self.merged_repl_frames
-                    .push(Message::MergedReplicationChunk { chunk: c, words }.encode());
+                let frame = encode_merged_chunk(c, self.chunk_acc(c));
+                debug_assert_eq!(self.frames.len(), merged_frame(c));
+                self.frames
+                    .push(format!("MergedReplicationChunk {c}"), frame);
                 for s in 0..self.n {
                     self.advance(s, Stage::MergedRepl(c), sink)?;
                 }
+                self.frames.settle();
             }
         }
         report.phases.record("prepartition", s3.end());
 
-        // Phase 2 step 3: collect shard summaries.
+        // Phase 2 step 3: collect shard summaries, then count the final
+        // replica rows chunk by chunk (the census round).
         let s4 = tps_obs::span("partition");
         for s in 0..self.n {
             self.advance(s, Stage::Done, sink)?;
         }
         let mut counters = AssignCounters::default();
-        let mut loads = vec![0u64; self.k as usize];
         let mut assigned_total = 0u64;
         for state in &self.states {
             let (c, l, assigned) = state.done.as_ref().expect("done barrier completed");
@@ -443,6 +492,20 @@ impl Coordinator<'_> {
             }
             assigned_total += assigned;
         }
+        let mut census = ReplicaCensus::default();
+        for c in 0..self.repl_chunks.count() {
+            self.chunk_acc(c).fill(0);
+            for s in 0..self.n {
+                self.advance(s, Stage::Census(c), sink)?;
+            }
+            let chunk = self
+                .repl_chunks
+                .layout()
+                .census(self.chunk_acc(c).iter().copied());
+            census.covered_vertices += chunk.covered_vertices;
+            census.total_replicas += chunk.total_replicas;
+        }
+        report.quality = Some(PartitionMetrics::from_state(self.k, census, &loads));
         report.phases.record("partition", s4.end());
 
         // Emit: pull each shard's runs in shard order — bounded batches, one
@@ -472,8 +535,36 @@ impl Coordinator<'_> {
         report.count("workers_rejoined", self.rejoined);
         let overshoot = overshoot_from_loads(&loads, self.k, self.info.num_edges, self.alpha);
         record_phase2_counters(&mut report, &counters, overshoot);
-        record_clustering_counters(&mut report, &clustering, volume_cap);
+        clusters.record(&mut report, volume_cap);
         Ok(report)
+    }
+
+    /// The merged loads (`k` zeros), after allocating the chunk buffer for
+    /// the largest chunk — or `InvalidInput` naming `k` when either cannot
+    /// be allocated.
+    fn allocate_tables(&mut self) -> io::Result<Vec<u64>> {
+        let loads = try_counters(self.k, "the merged partition loads")?;
+        let words = match self.repl_chunks.count() {
+            0 => 0,
+            _ => self.repl_chunks.words_in_chunk(0),
+        };
+        self.acc = try_zeroed_words(words).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "k = {}: the coordinator's replica chunk buffer ({words} × 8 B) cannot be \
+                     allocated",
+                    self.k
+                ),
+            )
+        })?;
+        Ok(loads)
+    }
+
+    /// The merge buffer's words of chunk `c`.
+    fn chunk_acc(&mut self, c: u32) -> &mut [u64] {
+        let n = self.repl_chunks.words_in_chunk(c);
+        &mut self.acc[..n]
     }
 
     fn replication_active(&self) -> bool {
@@ -599,7 +690,10 @@ impl Coordinator<'_> {
             };
             match self.catch_up(&mut *t, s, stage) {
                 Ok(()) => return Ok(t),
-                Err(e) => {
+                // The coordinator's own recovery state failed it: no other
+                // worker would fare better.
+                Err(StageErr::Fatal(e)) => return Err(e),
+                Err(StageErr::Worker(e)) => {
                     drop_failed(t, &e);
                     self.states[s].epoch += 1;
                     DIST_EPOCH_REISSUES.incr();
@@ -659,36 +753,37 @@ impl Coordinator<'_> {
     /// Issue shard `s` to a fresh connection and replay every step strictly
     /// before `target` from the stored barrier state: contribution resends
     /// are received and discarded (they are bit-identical to the merged
-    /// originals by determinism), broadcasts are replayed from the encoded
+    /// originals by determinism), broadcasts are replayed from the stored
     /// frames. The worker computes phase 1 from the source and re-enters
-    /// phase 2 from the re-broadcast merged state.
-    fn catch_up(&mut self, t: &mut dyn Transport, s: usize, target: Stage) -> io::Result<()> {
+    /// phase 2 from the re-broadcast merged state. A stored frame that
+    /// cannot be read back is [`StageErr::Fatal`].
+    fn catch_up(&mut self, t: &mut dyn Transport, s: usize, target: Stage) -> Result<(), StageErr> {
         let job = self.job_for(s);
         let assignment = if job.epoch == 0 {
             Message::Job(job)
         } else {
             Message::Reissue(job)
         };
-        send_msg(t, &assignment)?;
+        let worker = StageErr::Worker;
+        send_msg(t, &assignment).map_err(worker)?;
         if target <= Stage::Degrees {
             return Ok(());
         }
-        self.replay_recv(t, s, 3, "catch-up degrees")?;
+        self.replay_recv(t, s, 3, "catch-up degrees")
+            .map_err(worker)?;
         if target <= Stage::Globals {
             return Ok(());
         }
-        send_frame(t, self.globals_frame.as_ref().expect("past degree barrier"))?;
+        self.replay_frame(t, GLOBALS)?;
         if target <= Stage::Clustering {
             return Ok(());
         }
-        self.replay_recv(t, s, 5, "catch-up clustering")?;
+        self.replay_recv(t, s, 5, "catch-up clustering")
+            .map_err(worker)?;
         if target <= Stage::Plan {
             return Ok(());
         }
-        send_frame(
-            t,
-            self.plan_frame.as_ref().expect("past clustering barrier"),
-        )?;
+        self.replay_frame(t, PLAN)?;
         if self.replication_active() {
             // Replay the completed chunk rounds: the replacement resends
             // every chunk eagerly (bit-identical by determinism), so the
@@ -699,18 +794,27 @@ impl Coordinator<'_> {
                 if target <= Stage::Replication(c) {
                     return Ok(());
                 }
-                self.replay_recv_chunk(t, s, c)?;
+                self.replay_recv_chunk(t, s, c).map_err(worker)?;
                 if target <= Stage::MergedRepl(c) {
                     return Ok(());
                 }
-                send_frame(t, &self.merged_repl_frames[c as usize])?;
+                self.replay_frame(t, merged_frame(c))?;
             }
         }
         if target <= Stage::Done {
             return Ok(());
         }
-        self.replay_recv(t, s, 9, "catch-up summary")?;
-        Ok(())
+        // A worker answers any census pull until its emit starts, so a
+        // census or emit target needs nothing past the summary.
+        self.replay_recv(t, s, 9, "catch-up summary")
+            .map_err(worker)
+    }
+
+    /// Send stored frame `i`: reading it back is the coordinator's part,
+    /// sending it the worker's.
+    fn replay_frame(&self, t: &mut dyn Transport, i: usize) -> Result<(), StageErr> {
+        let frame = self.frames.get(i).map_err(StageErr::Fatal)?;
+        send_frame(t, &frame).map_err(StageErr::Worker)
     }
 
     /// Receive and discard a replayed replication chunk whose round already
@@ -804,11 +908,7 @@ impl Coordinator<'_> {
                 other => Err(unexpected(s, "degree", &other)),
             },
             Stage::Globals => {
-                send_frame(
-                    t,
-                    self.globals_frame.as_ref().expect("encoded at the barrier"),
-                )
-                .map_err(StageErr::Worker)?;
+                self.replay_frame(t, GLOBALS)?;
                 Ok(StageOut::None)
             }
             Stage::Clustering => {
@@ -830,8 +930,7 @@ impl Coordinator<'_> {
                 }
             }
             Stage::Plan => {
-                send_frame(t, self.plan_frame.as_ref().expect("encoded at the barrier"))
-                    .map_err(StageErr::Worker)?;
+                self.replay_frame(t, PLAN)?;
                 Ok(StageOut::None)
             }
             Stage::Replication(c) => {
@@ -840,48 +939,14 @@ impl Coordinator<'_> {
                     .map_err(StageErr::Worker)?
                 {
                     Message::ReplicationChunk { chunk, words, .. } => {
-                        if chunk != c {
-                            return Err(StageErr::worker(format!(
-                                "shard {s} sent replication chunk {chunk} out of order \
-                                 (expected {c})"
-                            )));
-                        }
-                        if words.len() != self.repl_acc.len() {
-                            return Err(StageErr::worker(format!(
-                                "shard {s} sent {} words for replication chunk {c}, expected {}",
-                                words.len(),
-                                self.repl_acc.len()
-                            )));
-                        }
-                        // Reject malformed rows *before* merging: the
-                        // accumulator is immutable once encoded, so one
-                        // poisoned contribution (e.g. stray bits beyond
-                        // partition k−1, or in a lane past |V|) would
-                        // otherwise fail every worker's install of the
-                        // merged chunk (and every catch-up replay of it) —
-                        // a whole-job failure where dropping the one
-                        // faulty worker suffices.
-                        let (v0, v1) = self.repl_chunks.vertex_range(c);
-                        if let Err(e) =
-                            tps_metrics::bitmatrix::validate_packed_rows(&words, self.k, v1 - v0)
-                        {
-                            return Err(StageErr::worker(format!(
-                                "shard {s}, replication chunk {c}: {e}"
-                            )));
-                        }
-                        // OR into the round's accumulator. Idempotent, so a
-                        // recovering worker's identical re-send of an
-                        // already-merged chunk cannot change the result.
-                        for (acc, &w) in self.repl_acc.iter_mut().zip(&words) {
-                            *acc |= w;
-                        }
+                        self.merge_chunk(s, c, "replication", chunk, &words)?;
                         Ok(StageOut::None)
                     }
                     other => Err(unexpected(s, "prepartition", &other)),
                 }
             }
             Stage::MergedRepl(c) => {
-                send_frame(t, &self.merged_repl_frames[c as usize]).map_err(StageErr::Worker)?;
+                self.replay_frame(t, merged_frame(c))?;
                 Ok(StageOut::None)
             }
             Stage::Done => match self
@@ -916,11 +981,68 @@ impl Coordinator<'_> {
                 }
                 other => Err(unexpected(s, "partition", &other)),
             },
+            Stage::Census(c) => {
+                send_msg(t, &Message::CensusPull { chunk: c }).map_err(StageErr::Worker)?;
+                match self
+                    .recv_current(t, s, "census")
+                    .map_err(StageErr::Worker)?
+                {
+                    Message::CensusChunk { chunk, words, .. } => {
+                        self.merge_chunk(s, c, "census", chunk, &words)?;
+                        Ok(StageOut::None)
+                    }
+                    other => Err(unexpected(s, "census", &other)),
+                }
+            }
             Stage::Emit => {
                 self.emit_shard(t, s, sink)?;
                 Ok(StageOut::None)
             }
         }
+    }
+
+    /// OR shard `s`'s `words` of chunk `c` (its replication or census
+    /// chunk `chunk`, as received) into the merge buffer.
+    fn merge_chunk(
+        &mut self,
+        s: usize,
+        c: u32,
+        what: &str,
+        chunk: u32,
+        words: &[u64],
+    ) -> Result<(), StageErr> {
+        if chunk != c {
+            return Err(StageErr::worker(format!(
+                "shard {s} sent {what} chunk {chunk} out of order (expected {c})"
+            )));
+        }
+        let (v0, v1) = self.repl_chunks.vertex_range(c);
+        let k = self.k;
+        let acc = self.chunk_acc(c);
+        if words.len() != acc.len() {
+            return Err(StageErr::worker(format!(
+                "shard {s} sent {} words for {what} chunk {c}, expected {}",
+                words.len(),
+                acc.len()
+            )));
+        }
+        // Reject malformed rows *before* merging: one poisoned contribution
+        // (e.g. stray bits beyond partition k−1, or in a lane past |V|)
+        // would otherwise fail every worker's install of the merged chunk
+        // (and every catch-up replay of it), or miscount the census — a
+        // whole-job failure where dropping the one faulty worker suffices.
+        if let Err(e) = validate_packed_rows(words, k, v1 - v0) {
+            return Err(StageErr::worker(format!(
+                "shard {s}, {what} chunk {c}: {e}"
+            )));
+        }
+        // OR into the round's accumulator. Idempotent, so a recovering
+        // worker's identical re-send of an already-merged chunk cannot
+        // change the result.
+        for (acc, &w) in acc.iter_mut().zip(words) {
+            *acc |= w;
+        }
+        Ok(())
     }
 
     /// Pull shard `s`'s runs, skipping the `emitted` records a previous
@@ -1014,4 +1136,84 @@ fn drop_failed(mut t: Box<dyn Transport>, e: &io::Error) {
         }
         .encode(),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use std::os::unix::fs::FileExt;
+
+    use tps_graph::stream::InMemoryGraph;
+    use tps_graph::types::Edge;
+
+    use super::*;
+    use crate::transport::loopback_pair;
+
+    /// A recovery frame that changed in the spill file fails the catch-up
+    /// that replays it with `InvalidData` naming the frame. That is the
+    /// coordinator's fault, not the worker's: the job fails at once rather
+    /// than spend its retries on replacements that would all be sent the
+    /// same damaged state.
+    #[test]
+    fn a_damaged_recovery_frame_fails_the_catch_up() {
+        let g = InMemoryGraph::from_edges(vec![Edge::new(0, 1), Edge::new(1, 2)]);
+        let degrees = vec![1u32, 2, 1];
+        let mut supply = NoReplacements;
+        let mut co = Coordinator {
+            config: TwoPhaseConfig::default(),
+            k: 2,
+            alpha: 1.05,
+            mem_budget_mb: 0,
+            info: g.info(),
+            input: InputDescriptor::Attached,
+            policy: FaultPolicy::with_retries(3),
+            supply: &mut supply,
+            n: 1,
+            ranges: vec![(0, 2)],
+            conns: vec![None],
+            idle: VecDeque::new(),
+            pending: VecDeque::new(),
+            states: vec![ShardState {
+                epoch: 0,
+                emitted: 0,
+                done: None,
+            }],
+            retries: 0,
+            rejoined: 0,
+            last_handshake_err: None,
+            frames: RecoveryFrames::new(std::env::temp_dir()),
+            repl_chunks: ReplChunks::new(3, 2),
+            acc: Vec::new(),
+        };
+        co.frames
+            .push("Globals".into(), encode_globals(degrees.iter().copied(), 7));
+        co.frames.settle();
+        let file = co.frames.spill_file();
+        let mut byte = [0u8];
+        file.read_exact_at(&mut byte, 6).unwrap();
+        file.write_all_at(&[byte[0] ^ 0x20], 6).unwrap();
+
+        // An idle replacement whose worker has already resent its degrees:
+        // the catch-up to phase 1 then replays the merged degrees.
+        let (c, mut w) = loopback_pair();
+        w.send(
+            &Message::Degrees {
+                shard: 0,
+                epoch: 0,
+                degrees,
+            }
+            .encode(),
+        )
+        .unwrap();
+        co.idle.push_back(Box::new(c));
+        let err = co.acquire(0, Stage::Clustering).err().expect("damaged");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("recovery frame Globals"), "{err}");
+        assert!(err.to_string().contains("checksum"), "{err}");
+        assert_eq!(co.retries, 0, "a coordinator fault spends no retry");
+        // The worker got its job, and nothing after it.
+        assert!(matches!(
+            Message::decode(&w.recv().unwrap()).unwrap(),
+            Message::Job(_)
+        ));
+    }
 }

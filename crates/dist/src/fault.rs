@@ -19,7 +19,7 @@
 use std::io;
 use std::time::Duration;
 
-use crate::protocol::Message;
+use crate::protocol::{Message, SERVE_TAG_BASE};
 use crate::transport::Transport;
 
 /// Which frame event triggers the kill.
@@ -102,7 +102,8 @@ fn parse_count(spec: &str, n: &str) -> Result<u32, String> {
 }
 
 fn tag_by_name(name: &str) -> Result<u8, String> {
-    (1..=16u8)
+    (1..SERVE_TAG_BASE)
+        .filter(|&t| Message::tag_name(t) != "unknown")
         .find(|&t| Message::tag_name(t).eq_ignore_ascii_case(name))
         .ok_or_else(|| format!("unknown message name {name:?} in kill spec"))
 }
@@ -264,11 +265,16 @@ mod tests {
             KillSpec::parse("send:LocalClustering").unwrap().point,
             KillPoint::AfterSend { tag: 5, n: 1 }
         );
+        assert_eq!(
+            KillSpec::parse("send:censuschunk").unwrap().point,
+            KillPoint::AfterSend { tag: 18, n: 1 }
+        );
         for bad in [
             "",
             "frames",
             "frames:x",
             "recv:NoSuchTag",
+            "recv:unknown",
             "send:run:0",
             "whenever",
         ] {

@@ -16,6 +16,8 @@
 //!             │   degrees ↑ / merged ↓        │      barrier 1
 //!             │   clustering ↑ / plan ↓       │      barrier 2
 //!             │   replication ↑ / merged ↓    │      barrier 3
+//!             │   summary ↑                   │      barrier 4
+//!             │   census pull ↓ / rows ↑      │      census, chunk by chunk
 //!             │   runs ↑ (bounded batches)    │      emit, shard order
 //! ```
 //!
@@ -26,7 +28,11 @@
 //! coordinator owns the shard map, performs the merges in worker order, and
 //! replays per-worker assignment runs in shard order — so for a fixed shard
 //! map the output is **bit-identical** to the in-process runner's, whatever
-//! the transport.
+//! the transport. The run's quality (RF, α) is counted like the in-process
+//! runner's too, from the final replica rows: the census round pulls them
+//! from every worker one bounded vertex-range chunk at a time (protocol
+//! v9), so the coordinator never holds a matrix and needs no recount of
+//! the emitted records.
 //!
 //! # Fault tolerance
 //!
@@ -40,7 +46,9 @@
 //! re-broadcasting the stored encoded `Globals`/`Plan` frames and the
 //! merged replication chunks (protocol v3 splits that barrier into
 //! bounded vertex-range `ReplicationChunk`/`MergedReplicationChunk`
-//! frames) through exactly the chunk rounds the barrier has completed;
+//! frames) through exactly the chunk rounds the barrier has completed —
+//! read back from the unlinked `$TMPDIR` spill file they were written to
+//! at their barrier, each checked against its checksum;
 //! a shard that died mid-`Run` stream resumes by skipping the
 //! records already emitted. Output stays **bit-identical to `--threads N`**
 //! no matter which worker dies where — see [`coordinator`] and the chaos
@@ -70,6 +78,7 @@ pub mod coordinator;
 pub mod fault;
 pub mod local;
 pub mod protocol;
+mod recovery;
 pub mod transport;
 pub mod wire;
 pub mod worker;

@@ -14,6 +14,8 @@
 //! | 7 | W → C | `ReplicationChunk` (7) × c | shard/epoch + one vertex-range of pre-partitioning replica bits (N > 1 only) |
 //! | 8 | C → W | `MergedReplicationChunk` (8) × c | OR of all shards over that vertex range (N > 1 only) |
 //! | 9 | W → C | `ShardDone` (9) | shard/epoch + phase-2 counters + per-partition loads + drained trace events + counter snapshot (v4) |
+//! | 9a | C → W | `CensusPull` (17) × c | request one vertex-range chunk of the shard's final replica rows (v9) |
+//! | 9b | W → C | `CensusChunk` (18) × c | shard/epoch + that chunk's packed words (v9) |
 //! | 10 | C → W | `Pull` (10) | request this shard's assignment runs |
 //! | 11 | W → C | `Run` (11) | shard/epoch + one bounded batch of `(edge, partition)` records |
 //! | 12 | W → C | `RunsDone` (12) | shard/epoch: end of this shard's runs |
@@ -22,7 +24,8 @@
 //!
 //! Steps 7/8 are skipped when pre-partitioning is disabled or there is only
 //! one shard — both sides derive that from the `Job`, so the trace stays
-//! deterministic. The coordinator pulls runs shard-by-shard in shard order
+//! deterministic. Steps 9a/9b always run, chunk by chunk in lockstep (the
+//! census round, below). The coordinator pulls runs shard-by-shard in shard order
 //! (step 10), which is what makes the emitted stream bit-identical to the
 //! in-process runner's worker-order replay without the coordinator ever
 //! holding more than one `Run` batch in memory.
@@ -43,6 +46,21 @@
 //! payloads use zero-word-run encoding ([`crate::wire::put_word_runs`]):
 //! replication rows are mostly zero on sparse graphs, so the frames are
 //! usually far below the bound too.
+//!
+//! # The census round (protocol v9)
+//!
+//! The run's quality — replication factor and balance — is counted from
+//! the final replica rows, as `--threads N` counts it from its shared
+//! matrix. Those rows live in the workers, so after the `ShardDone`
+//! barrier the coordinator pulls them in, one [`ReplChunks`] chunk at a
+//! time: for each chunk it sends every shard a
+//! [`CensusPull`](Message::CensusPull) and receives that shard's
+//! [`CensusChunk`](Message::CensusChunk) before asking the next, ORs the
+//! chunks, counts the merged words ([`RowLayout::census`]) and drops
+//! them. Only one chunk is ever in flight, so neither side — nor a
+//! loopback channel between them — holds more than one chunk of a
+//! `O(|V|·k)` matrix. A worker answers pulls until the `Pull` that starts
+//! its emit, and then frees its rows.
 //!
 //! # Fault tolerance (protocol v2)
 //!
@@ -96,8 +114,10 @@ use crate::wire::{
 /// word boundaries and carry half the words at k = 32; a v6 peer would
 /// misread every chunk's rows. v8 drops the reader-backend byte from a
 /// `Job`'s path input: every worker reads its file one way, so a v7 peer
-/// would misread the path.
-pub const PROTOCOL_VERSION: u32 = 8;
+/// would misread the path. v9 adds the census round
+/// (`CensusPull`/`CensusChunk`, tags 17/18) between `ShardDone` and
+/// `Pull`: a v8 worker would take the first pull for a protocol error.
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// First message tag reserved for the `tps-serve` frame family (see the
 /// v5 note on [`PROTOCOL_VERSION`]).
@@ -107,11 +127,12 @@ pub const SERVE_TAG_BASE: u8 = 32;
 /// 8192 records ≈ 96 KiB on the wire).
 pub const RUN_BATCH_EDGES: usize = 8192;
 
-/// Target packed words per replication chunk (1 MiB of bits). The actual
+/// Target packed words per replication and census chunk (128 KiB of
+/// bits): the most either side copies of a matrix at once. The actual
 /// per-frame word count is at most `max(this, ⌈k/64⌉)` — a chunk never
 /// splits a word or a vertex row, so a single row larger than the target
-/// (k beyond 8M partitions) becomes one chunk by itself.
-pub const REPL_CHUNK_WORDS: usize = 1 << 17;
+/// (k beyond 1M partitions) becomes one chunk by itself.
+pub const REPL_CHUNK_WORDS: usize = 1 << 14;
 
 /// The deterministic vertex-range chunking of the replication barrier,
 /// derived identically by the coordinator and every worker from the job's
@@ -303,6 +324,24 @@ pub enum Message {
         /// traced).
         counter_snap: Vec<(String, u64)>,
     },
+    /// Request one chunk of the worker's final replica rows (the census
+    /// round, v9).
+    CensusPull {
+        /// Chunk index in `0..ReplChunks::count()`.
+        chunk: u32,
+    },
+    /// One vertex-range chunk of a shard's final replica rows: its
+    /// pre-partitioning and scoring replicas over that range.
+    CensusChunk {
+        /// Shard index these rows belong to.
+        shard: u32,
+        /// Issuance epoch the sender is serving.
+        epoch: u32,
+        /// Chunk index in `0..ReplChunks::count()`.
+        chunk: u32,
+        /// The chunk's packed words (zero-word-run encoded on the wire).
+        words: Vec<u64>,
+    },
     /// Request the worker's assignment runs.
     Pull,
     /// One bounded batch of assignments, in decision order.
@@ -350,6 +389,8 @@ impl Message {
             Message::Abort { .. } => 14,
             Message::Rejoin { .. } => 15,
             Message::Reissue(_) => 16,
+            Message::CensusPull { .. } => 17,
+            Message::CensusChunk { .. } => 18,
         }
     }
 
@@ -372,6 +413,8 @@ impl Message {
             14 => "Abort",
             15 => "Rejoin",
             16 => "Reissue",
+            17 => "CensusPull",
+            18 => "CensusChunk",
             _ => "unknown",
         }
     }
@@ -384,6 +427,7 @@ impl Message {
             | Message::LocalClustering { shard, epoch, .. }
             | Message::ReplicationChunk { shard, epoch, .. }
             | Message::ShardDone { shard, epoch, .. }
+            | Message::CensusChunk { shard, epoch, .. }
             | Message::Run { shard, epoch, .. }
             | Message::RunsDone { shard, epoch } => Some((*shard, *epoch)),
             _ => None,
@@ -408,10 +452,7 @@ impl Message {
             Message::Globals {
                 degrees,
                 volume_cap,
-            } => {
-                put_u64(&mut out, *volume_cap);
-                put_vec_u32(&mut out, degrees);
-            }
+            } => return encode_globals(degrees.iter().copied(), *volume_cap),
             Message::LocalClustering {
                 shard,
                 epoch,
@@ -430,6 +471,12 @@ impl Message {
                 epoch,
                 chunk,
                 words,
+            }
+            | Message::CensusChunk {
+                shard,
+                epoch,
+                chunk,
+                words,
             } => {
                 put_u32(&mut out, *shard);
                 put_u32(&mut out, *epoch);
@@ -437,9 +484,9 @@ impl Message {
                 put_word_runs(&mut out, words);
             }
             Message::MergedReplicationChunk { chunk, words } => {
-                put_u32(&mut out, *chunk);
-                put_word_runs(&mut out, words);
+                return encode_merged_chunk(*chunk, words)
             }
+            Message::CensusPull { chunk } => put_u32(&mut out, *chunk),
             Message::ShardDone {
                 shard,
                 epoch,
@@ -542,6 +589,18 @@ impl Message {
                 chunk: r.u32()?,
                 words: r.word_runs()?,
             },
+            17 => Message::CensusPull { chunk: r.u32()? },
+            18 => {
+                let shard = r.u32()?;
+                let epoch = r.u32()?;
+                let chunk = r.u32()?;
+                Message::CensusChunk {
+                    shard,
+                    epoch,
+                    chunk,
+                    words: r.word_runs()?,
+                }
+            }
             9 => {
                 let shard = r.u32()?;
                 let epoch = r.u32()?;
@@ -609,6 +668,29 @@ impl Message {
         r.expect_empty()?;
         Ok(msg)
     }
+}
+
+/// The `Globals` frame of merged `degrees` (|V| of them) and the cluster
+/// volume cap, encoded straight from the degree table — the coordinator
+/// never holds the table twice.
+pub fn encode_globals(degrees: impl ExactSizeIterator<Item = u32>, volume_cap: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + 8 + 4 + 4 * degrees.len());
+    out.push(4);
+    put_u64(&mut out, volume_cap);
+    put_u32(&mut out, degrees.len() as u32);
+    for d in degrees {
+        put_u32(&mut out, d);
+    }
+    out
+}
+
+/// The `MergedReplicationChunk` frame of `chunk`'s merged `words`, encoded
+/// from the coordinator's reused merge buffer.
+pub fn encode_merged_chunk(chunk: u32, words: &[u64]) -> Vec<u8> {
+    let mut out = vec![8];
+    put_u32(&mut out, chunk);
+    put_word_runs(&mut out, words);
+    out
 }
 
 /// Sanity cap on shipped trace events per `ShardDone` (a traced worker
@@ -912,6 +994,7 @@ mod tests {
                 trace: vec![],
                 counter_snap: vec![],
             },
+            Message::CensusPull { chunk: 3 },
             Message::Pull,
             Message::Run {
                 shard: 0,
@@ -944,6 +1027,17 @@ mod tests {
             Message::RunsDone { shard: 1, epoch: 9 }.shard_epoch(),
             Some((1, 9))
         );
+        assert_eq!(
+            Message::CensusChunk {
+                shard: 3,
+                epoch: 4,
+                chunk: 0,
+                words: vec![],
+            }
+            .shard_epoch(),
+            Some((3, 4))
+        );
+        assert_eq!(Message::CensusPull { chunk: 1 }.shard_epoch(), None);
         assert_eq!(Message::Pull.shard_epoch(), None);
         assert_eq!(Message::Shutdown.shard_epoch(), None);
         assert_eq!(
@@ -1011,6 +1105,23 @@ mod tests {
             };
             assert_eq!(chunk, 4);
             assert_eq!(back, words);
+
+            let Message::CensusChunk {
+                shard,
+                epoch,
+                chunk,
+                words: back,
+            } = roundtrip(&Message::CensusChunk {
+                shard: 1,
+                epoch: 2,
+                chunk: 5,
+                words: words.clone(),
+            })
+            else {
+                panic!("tag changed");
+            };
+            assert_eq!((shard, epoch, chunk), (1, 2, 5));
+            assert_eq!(back, words);
         }
     }
 
@@ -1052,15 +1163,15 @@ mod tests {
         // Empty vertex set: no chunks.
         assert_eq!(ReplChunks::new(0, 8).count(), 0);
 
-        // 300 000 rows are 37 500 words: still one chunk at k = 8.
-        let mid = ReplChunks::new(300_000, 8);
+        // 100 000 rows are 12 500 words: still one chunk at k = 8.
+        let mid = ReplChunks::new(100_000, 8);
         assert_eq!(mid.count(), 1);
-        assert_eq!(mid.words_in_chunk(0), 37_500);
+        assert_eq!(mid.words_in_chunk(0), 12_500);
 
-        // Beyond the target (2^17 words = 2^20 rows at k = 8): multiple
+        // Beyond the target (2^14 words = 2^17 rows at k = 8): multiple
         // chunks, exact cover, aligned starts, bounded words, and a ragged
         // tail whose last word is part-filled.
-        let big = ReplChunks::new(2_400_003, 8);
+        let big = ReplChunks::new(300_003, 8);
         assert_eq!(big.count(), 3);
         let mut covered = 0;
         for c in 0..big.count() {
@@ -1070,18 +1181,19 @@ mod tests {
             assert!(big.words_in_chunk(c) <= REPL_CHUNK_WORDS);
             covered = v1;
         }
-        assert_eq!(covered, 2_400_003);
+        assert_eq!(covered, 300_003);
         assert_eq!(big.words_in_chunk(0), REPL_CHUNK_WORDS);
-        assert_eq!(big.vertex_range(2), (2 << 20, 2_400_003));
+        assert_eq!(big.vertex_range(2), (2 << 17, 300_003));
         assert_eq!(
             big.words_in_chunk(2),
-            (2_400_003 - (2 << 20) as usize).div_ceil(8)
+            (300_003 - (2 << 17) as usize).div_ceil(8)
         );
 
-        // Wide k: fewer vertices per chunk, same bound.
-        let wide = ReplChunks::new(300_000, 130);
+        // Wide k: fewer vertices per chunk (⌊2^14 / 3⌋ = 5 461 rows), same
+        // bound.
+        let wide = ReplChunks::new(40_000, 130);
         assert_eq!(wide.layout().words_per_row(), 3);
-        assert_eq!(wide.count(), 7);
+        assert_eq!(wide.count(), 8);
         assert!(wide.count() > big.count());
         for c in 0..wide.count() {
             assert!(wide.words_in_chunk(c) <= REPL_CHUNK_WORDS);

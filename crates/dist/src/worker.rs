@@ -11,6 +11,10 @@
 //! `Run` batches when the coordinator pulls them, the tags paired with
 //! their edges by re-reading the range and resolved against the plan.
 //! Every worker logs, worker 0 too: its records leave only on `Pull`.
+//! Before that `Pull`, the worker answers the census round: its final
+//! replica rows go up one chunk per `CensusPull`, and once the `Pull`
+//! arrives the rows and the degree table are freed — the emit holds only
+//! the plan, the log and one `Run` batch.
 //!
 //! Workers serve **jobs in a loop**: after a shard's runs are pulled the
 //! worker waits for either a [`Reissue`](Message::Reissue) — another
@@ -265,6 +269,7 @@ fn serve_job(
         loads,
     );
     let mut log = DecisionLog::new(job.shard.1 - job.shard.0, job.k)?;
+    let chunks = ReplChunks::new(job.num_vertices, job.k);
     if job.config.prepartitioning {
         let sp = tps_obs::span("prepartition");
         let mut s = source.open_range(job.shard.0, job.shard.1)?;
@@ -279,7 +284,6 @@ fn serve_job(
             // front could deadlock a TCP transport once the unread merged
             // frames overflow the socket buffers, with both sides stuck
             // in blocking sends.
-            let chunks = ReplChunks::new(job.num_vertices, job.k);
             for c in 0..chunks.count() {
                 let (v0, v1) = chunks.vertex_range(c);
                 send_msg(
@@ -346,11 +350,40 @@ fn serve_job(
         },
     )?;
 
-    // Emit: stream the decisions back as bounded Run batches when pulled.
-    match expect(transport, "emit")? {
-        Message::Pull => {}
-        other => return Err(protocol_err("emit", &other)),
+    // The census round (v9): the coordinator counts the run's quality from
+    // every shard's final replica rows, pulling them one chunk at a time
+    // until the `Pull` that starts the emit.
+    loop {
+        match expect(transport, "census")? {
+            Message::CensusPull { chunk } => {
+                if chunk >= chunks.count() {
+                    return Err(corrupt(format!(
+                        "census pull for chunk {chunk} of {}",
+                        chunks.count()
+                    )));
+                }
+                let (v0, v1) = chunks.vertex_range(chunk);
+                send_msg(
+                    transport,
+                    &Message::CensusChunk {
+                        shard,
+                        epoch,
+                        chunk,
+                        words: assigner.replication_shard().range_words(v0, v1).to_vec(),
+                    },
+                )?;
+            }
+            Message::Pull => break,
+            other => return Err(protocol_err("census", &other)),
+        }
     }
+    // The rows are counted: the emit needs only the plan, so the replica
+    // matrix and the degree table go before its vertex→partition table is
+    // built.
+    let plan = assigner.into_view();
+    drop(degrees);
+
+    // Emit: stream the decisions back as bounded Run batches.
     {
         let mut sender = RunSender {
             transport,
@@ -359,7 +392,7 @@ fn serve_job(
             batch: Vec::with_capacity(RUN_BATCH_EDGES),
         };
         let mut s = source.open_range(job.shard.0, job.shard.1)?;
-        log.emit(&mut *s, &EmitPlan::new(assigner.plan(), job.k), &mut sender)?;
+        log.emit(&mut *s, &EmitPlan::new(&plan, job.k), &mut sender)?;
         sender.flush()?;
     }
     send_msg(transport, &Message::RunsDone { shard, epoch })?;

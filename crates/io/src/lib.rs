@@ -40,8 +40,8 @@ use tps_graph::stream::EdgeStream;
 
 pub use partread::{load_partition_dir, LoadedPartition};
 
-pub use page::{FilePageStore, TempPageStoreProvider};
-pub use ranged::{open_ranged, RangedFile, RetainingSource};
+pub use page::{page_checksum, FilePageStore, TempPageStoreProvider};
+pub use ranged::{create_spill, open_ranged, RangedFile, RetainingSource};
 pub use v2::{convert_v1_to_v2, convert_v2_to_v1, write_v2_edge_list};
 
 /// How an edge file is read: `buffered`, positioned reads through one file

@@ -40,7 +40,7 @@ const SLOT_HEADER_LEN: u64 = 20;
 /// next multiply, which makes the chain order-sensitive in every bit:
 /// swapped or shifted words land on different lanes or different chain
 /// positions. The payload length seeds the sum.
-pub(crate) fn page_checksum(bytes: &[u8]) -> u64 {
+pub fn page_checksum(bytes: &[u8]) -> u64 {
     const MUL: [u64; 4] = [
         0x9E37_79B9_7F4A_7C15,
         0xC2B2_AE3D_27D4_EB4F,

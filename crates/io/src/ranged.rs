@@ -505,8 +505,11 @@ impl Drop for Claim {
 /// Numbers every spill file of the process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A new, already unlinked file in `dir`: it lives as long as its handles.
-fn create_spill(dir: &Path) -> io::Result<File> {
+/// A new, already unlinked file in `dir`: it lives as long as its handles,
+/// and nothing is left in `dir` however the process ends. Every spill of
+/// the process — a v2 range's decoded edges, the distributed
+/// coordinator's recovery frames — is made here.
+pub fn create_spill(dir: &Path) -> io::Result<File> {
     let n = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
     let path = dir.join(format!("tps-spill-{}-{n}", std::process::id()));
     let file = OpenOptions::new()

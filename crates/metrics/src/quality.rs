@@ -9,13 +9,15 @@
 //! * The 2PS-L engines (serial, paged, `--threads N`) already keep the
 //!   matrix and the loads to take their decisions, and report the metrics
 //!   from what they finished with (`RunReport::quality` in `tps-core`).
+//!   The distributed coordinator does too, though its replicas live in
+//!   worker processes: it ORs their final rows one bounded chunk at a time
+//!   and sums each chunk's [`RowLayout::census`](crate::bitmatrix::RowLayout::census).
 //! * [`QualityTracker`] rebuilds the same state from the emitted
 //!   `(edge, partition)` assignments, independently of whatever the
 //!   partitioner keeps. It is the **reference** the engine-reported numbers
 //!   are tested against (and `debug_assert`ed against in every debug-build
 //!   job), and the only source of metrics for partitioners that hold no
-//!   replica state of their own — the stateless baselines and the
-//!   distributed coordinator, whose replicas live in worker processes. It
+//!   replica state of their own — the stateless baselines. It
 //!   costs a second `O(|V|·k)`-bit matrix and two random bit updates per
 //!   edge, which is why the engines do not run behind one.
 //!

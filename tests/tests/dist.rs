@@ -8,14 +8,17 @@
 //! * the loopback-channel and loopback-TCP transports carry **identical
 //!   protocol traces** (same message sequence, same frame bytes lengths) —
 //!   serialisation lives entirely above the transport;
+//! * a distributed run reports the quality `--threads N` reports — the
+//!   census of the workers' final replica rows equals a recount of the
+//!   emitted records;
 //! * corrupt or truncated frames are errors, never panics or hangs.
 
 use std::sync::{Arc, Mutex};
 
-use integration_tests::threads_job;
 use proptest::prelude::*;
-use tps_core::partitioner::PartitionParams;
-use tps_core::sink::VecSink;
+use tps_core::job::{JobSpec, ThreadMode};
+use tps_core::partitioner::{PartitionParams, RunReport};
+use tps_core::sink::{QualitySink, VecSink};
 use tps_core::two_phase::TwoPhaseConfig;
 use tps_dist::transport::TraceEvent;
 use tps_dist::{
@@ -25,6 +28,7 @@ use tps_dist::{
 use tps_graph::ranged::RangedEdgeSource;
 use tps_graph::stream::InMemoryGraph;
 use tps_graph::types::Edge;
+use tps_metrics::quality::PartitionMetrics;
 
 /// Which transport a dist run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,14 +37,12 @@ enum Wire {
     Tcp,
 }
 
-/// Run a traced distributed job over `wire` and return (assignments,
-/// coordinator-side trace per worker).
-fn dist_traced(
-    source: &dyn RangedEdgeSource,
-    k: u32,
-    workers: usize,
-    wire: Wire,
-) -> (Vec<(Edge, u32)>, Vec<Vec<TraceEvent>>) {
+/// A traced distributed run: its assignments, the coordinator-side trace
+/// per worker, and its report.
+type DistRun = (Vec<(Edge, u32)>, Vec<Vec<TraceEvent>>, RunReport);
+
+/// Run a traced distributed job over `wire`.
+fn dist_traced(source: &dyn RangedEdgeSource, k: u32, workers: usize, wire: Wire) -> DistRun {
     let config = TwoPhaseConfig::default();
     let params = PartitionParams::new(k);
     let traces: Vec<Arc<Mutex<Vec<TraceEvent>>>> = (0..workers)
@@ -73,12 +75,12 @@ fn dist_traced(
     }
 
     let mut sink = VecSink::new();
-    std::thread::scope(|scope| {
+    let report = std::thread::scope(|scope| {
         let handles: Vec<_> = worker_sides
             .into_iter()
             .map(|mut t| scope.spawn(move || run_worker(&mut *t, &AttachedResolver(source))))
             .collect();
-        run_coordinator(
+        let report = run_coordinator(
             &config,
             &params,
             source.info(),
@@ -94,22 +96,35 @@ fn dist_traced(
         for h in handles {
             h.join().unwrap().unwrap();
         }
+        report
     });
     let traces = traces.iter().map(|t| t.lock().unwrap().clone()).collect();
-    (sink.into_assignments(), traces)
+    (sink.into_assignments(), traces, report)
 }
 
-fn parallel_reference(g: &InMemoryGraph, k: u32, workers: usize) -> Vec<(Edge, u32)> {
+/// The `--threads N` run's assignments and its `RunOutcome::metrics`.
+fn parallel_reference(
+    g: &InMemoryGraph,
+    k: u32,
+    workers: usize,
+) -> (Vec<(Edge, u32)>, PartitionMetrics) {
     let mut sink = VecSink::new();
-    threads_job(
-        g,
-        TwoPhaseConfig::default(),
-        &PartitionParams::new(k),
-        workers,
-        &mut sink,
-    )
-    .unwrap();
-    sink.into_assignments()
+    let outcome = JobSpec::ranged(g)
+        .two_phase(TwoPhaseConfig::default())
+        .params(&PartitionParams::new(k))
+        .threads(ThreadMode::Count(workers))
+        .extra_sink(&mut sink)
+        .run()
+        .unwrap();
+    (sink.into_assignments(), outcome.metrics)
+}
+
+/// A `QualitySink`'s recount of `assignments`.
+fn recount(num_vertices: u64, k: u32, assignments: &[(Edge, u32)]) -> PartitionMetrics {
+    use tps_core::sink::AssignmentSink;
+    let mut quality = QualitySink::new(num_vertices, k);
+    quality.assign_batch(assignments).unwrap();
+    quality.finish()
 }
 
 /// Arbitrary small graphs (duplicates and self-loops allowed).
@@ -155,20 +170,22 @@ proptest! {
         let v2 = tps_io::RangedFile::read(&v2_path).unwrap();
 
         for workers in [1usize, 2, 4] {
-            let want = parallel_reference(&graph, k, workers);
-            let (mem_out, mem_trace) = dist_traced(&graph, k, workers, Wire::Loopback);
+            let (want, metrics) = parallel_reference(&graph, k, workers);
+            let (mem_out, mem_trace, mem_report) = dist_traced(&graph, k, workers, Wire::Loopback);
             prop_assert_eq!(&mem_out, &want, "loopback/mem, {} workers", workers);
+            // The census round counts what `--threads N` counts.
+            prop_assert_eq!(mem_report.quality.as_ref(), Some(&metrics), "{} workers", workers);
 
             // Storage backends change nothing: same shard map, same bytes.
-            let (v1_out, v1_trace) = dist_traced(&v1, k, workers, Wire::Loopback);
-            let (v2_out, v2_trace) = dist_traced(&v2, k, workers, Wire::Loopback);
+            let (v1_out, v1_trace, _) = dist_traced(&v1, k, workers, Wire::Loopback);
+            let (v2_out, v2_trace, _) = dist_traced(&v2, k, workers, Wire::Loopback);
             prop_assert_eq!(&v1_out, &want, "loopback/v1, {} workers", workers);
             prop_assert_eq!(&v2_out, &want, "loopback/v2, {} workers", workers);
             prop_assert_eq!(&v1_trace, &mem_trace, "v1 trace, {} workers", workers);
             prop_assert_eq!(&v2_trace, &mem_trace, "v2 trace, {} workers", workers);
 
             // TCP carries the identical protocol trace and output.
-            let (tcp_out, tcp_trace) = dist_traced(&graph, k, workers, Wire::Tcp);
+            let (tcp_out, tcp_trace, _) = dist_traced(&graph, k, workers, Wire::Tcp);
             prop_assert_eq!(&tcp_out, &want, "tcp/mem, {} workers", workers);
             prop_assert_eq!(&tcp_trace, &mem_trace, "tcp trace, {} workers", workers);
         }
@@ -179,7 +196,7 @@ proptest! {
 #[test]
 fn traces_follow_the_documented_message_sequence() {
     let g = tps_graph::datasets::Dataset::Ok.generate_scaled(0.01);
-    let (_, traces) = dist_traced(&g, 8, 2, Wire::Loopback);
+    let (_, traces, _) = dist_traced(&g, 8, 2, Wire::Loopback);
     for trace in &traces {
         let names: Vec<&str> = trace
             .iter()
@@ -203,6 +220,8 @@ fn traces_follow_the_documented_message_sequence() {
                 "ReplicationChunk",
                 "MergedReplicationChunk",
                 "ShardDone",
+                "CensusPull",
+                "CensusChunk",
                 "Pull",
                 "Run",
                 "RunsDone",
@@ -213,13 +232,9 @@ fn traces_follow_the_documented_message_sequence() {
     }
 }
 
-/// A graph whose vertex-id space spans several replication chunks
-/// (`ReplChunks` targets 2^17 words per frame; at k = 64 a row is one
-/// whole word, so that is 131072 vertices per chunk), with edges
-/// scattered across the whole range so every chunk carries bits.
-#[test]
-fn replication_barrier_spans_multiple_chunks_bit_identically() {
-    let num_vertices: u32 = 300_000;
+/// A graph of `num_vertices` ids, 400 edges scattered across the whole
+/// range so that every replication chunk carries bits.
+fn scattered_graph(num_vertices: u32) -> InMemoryGraph {
     let mut edges = Vec::new();
     for i in 0..400u32 {
         let u = (i * 1_499) % num_vertices;
@@ -227,7 +242,15 @@ fn replication_barrier_spans_multiple_chunks_bit_identically() {
         edges.push(Edge::new(u, v));
     }
     edges.push(Edge::new(0, num_vertices - 1)); // pin the id space
-    let g = InMemoryGraph::from_edges(edges);
+    InMemoryGraph::from_edges(edges)
+}
+
+/// A graph whose vertex-id space spans several replication chunks
+/// (`ReplChunks` targets 2^14 words per frame; at k = 64 a row is one
+/// whole word, so that is 16384 vertices per chunk).
+#[test]
+fn replication_barrier_spans_multiple_chunks_bit_identically() {
+    let g = scattered_graph(300_000);
     let k = 64;
     let chunks = tps_dist::ReplChunks::new(g.num_vertices(), k);
     assert!(
@@ -237,8 +260,8 @@ fn replication_barrier_spans_multiple_chunks_bit_identically() {
     );
 
     for workers in [2usize, 3] {
-        let want = parallel_reference(&g, k, workers);
-        let (got, traces) = dist_traced(&g, k, workers, Wire::Loopback);
+        let (want, _) = parallel_reference(&g, k, workers);
+        let (got, traces, _) = dist_traced(&g, k, workers, Wire::Loopback);
         assert_eq!(got, want, "{workers} workers");
         for (w, trace) in traces.iter().enumerate() {
             let recv_chunks = trace
@@ -259,19 +282,51 @@ fn replication_barrier_spans_multiple_chunks_bit_identically() {
                 chunks.count() as usize,
                 "worker {w}: one MergedReplicationChunk per vertex range"
             );
+            let census = trace
+                .iter()
+                .filter(|e| !e.sent && e.name() == "CensusChunk")
+                .count();
+            assert_eq!(
+                census,
+                chunks.count() as usize,
+                "worker {w}: one CensusChunk per vertex range"
+            );
             // Every barrier frame stays far below the frame cap — the
             // point of chunking (zero-run encoding shrinks them further).
-            for e in trace
-                .iter()
-                .filter(|e| e.name() == "ReplicationChunk" || e.name() == "MergedReplicationChunk")
-            {
+            for e in trace.iter().filter(|e| e.name().ends_with("Chunk")) {
                 assert!(
-                    e.len < 1 << 21,
+                    e.len < 1 << 18,
                     "worker {w}: {} frame of {} bytes",
                     e.name(),
                     e.len
                 );
             }
+        }
+    }
+}
+
+/// The quality a distributed run reports is the census of the workers'
+/// final replica rows, ORed one chunk at a time: it equals a recount of
+/// the emitted records and the `RunOutcome::metrics` of `--threads N`, at
+/// every row packing — one-bit lanes (k = 1), lanes sharing words
+/// (k = 63), one word per row (k = 64), rows of several words (k = 65,
+/// 256) — over a vertex space of several census chunks.
+#[test]
+fn dist_quality_is_the_census_of_the_final_replica_rows() {
+    // 1.1 M ids: two chunks even at k = 1, where 64 rows share a word.
+    let g = scattered_graph(1_100_000);
+    for k in [1u32, 63, 64, 65, 256] {
+        let chunks = tps_dist::ReplChunks::new(g.num_vertices(), k);
+        assert!(chunks.count() >= 2, "k = {k}: {} chunks", chunks.count());
+        let (want, metrics) = parallel_reference(&g, k, 2);
+        let (got, traces, report) = dist_traced(&g, k, 2, Wire::Loopback);
+        assert_eq!(got, want, "k = {k}");
+        let census = report.quality.expect("dist reports its quality");
+        assert_eq!(census, recount(g.num_vertices(), k, &got), "k = {k}");
+        assert_eq!(census, metrics, "k = {k}");
+        for trace in &traces {
+            let pulls = trace.iter().filter(|e| e.name() == "CensusPull").count();
+            assert_eq!(pulls, chunks.count() as usize, "k = {k}");
         }
     }
 }
@@ -425,15 +480,16 @@ fn abort_propagates_over_tcp() {
 }
 
 /// A worker built before replica rows were packed (protocol v6) would
-/// misread every replication chunk at k ≤ 32, and one built before the
-/// `Job` frame lost its reader byte (v7) would misread the input path: the
-/// handshake refuses both, as a fresh `Hello` and as a `Rejoin`, naming
-/// both versions.
+/// misread every replication chunk at k ≤ 32, one built before the `Job`
+/// frame lost its reader byte (v7) would misread the input path, and one
+/// built before the census round (v8) would take the first `CensusPull`
+/// for a protocol error: the handshake refuses all three, as a fresh
+/// `Hello` and as a `Rejoin`, naming both versions.
 #[test]
 fn handshake_refuses_a_v6_worker() {
-    assert_eq!(tps_dist::PROTOCOL_VERSION, 8);
+    assert_eq!(tps_dist::PROTOCOL_VERSION, 9);
     let g = InMemoryGraph::from_edges(vec![Edge::new(0, 1)]);
-    for (version, hello) in [6, 7].into_iter().flat_map(|version| {
+    for (version, hello) in [6, 7, 8].into_iter().flat_map(|version| {
         [
             (version, tps_dist::Message::Hello { version }),
             (version, tps_dist::Message::Rejoin { version }),
@@ -456,7 +512,7 @@ fn handshake_refuses_a_v6_worker() {
         .unwrap_err();
         assert!(
             err.to_string()
-                .contains(&format!("worker speaks protocol {version}, coordinator 8")),
+                .contains(&format!("worker speaks protocol {version}, coordinator 9")),
             "{err}"
         );
         let reply = tps_dist::Message::decode(&w.recv().unwrap()).unwrap();

@@ -118,7 +118,7 @@ fn parallel_reference(g: &InMemoryGraph, k: u32, workers: usize) -> Vec<(Edge, u
 
 /// Exhaustive sweep: kill each worker after each frame index, across all
 /// three storage backends. Frame-count kill points cover every barrier
-/// (the worker's protocol is 13 frames plus its `Run` stream).
+/// (the worker's protocol is 15 frames plus its `Run` stream).
 #[test]
 fn any_worker_killed_at_any_frame_is_bit_identical() {
     let g = tps_graph::gen::gnm::generate(64, 400, 11);
@@ -141,10 +141,11 @@ fn any_worker_killed_at_any_frame_is_bit_identical() {
     let want = parallel_reference(&g, 8, workers);
     let policy = FaultPolicy::with_retries(2);
     for (backend, source) in sources {
-        // 15 frames covers the full per-worker exchange of this graph
-        // (one Run frame per shard); the last indices exercise "killed
-        // after its shard completed", which must be a no-op.
-        for frame in 0..=15u32 {
+        // 17 frames covers the full per-worker exchange of this graph
+        // (one census chunk, one Run frame per shard); the last indices
+        // exercise "killed after its shard completed", which must be a
+        // no-op.
+        for frame in 0..=17u32 {
             for killed in 0..workers {
                 let kill = KillSpec {
                     point: KillPoint::Frames(frame),
@@ -180,6 +181,8 @@ fn named_kill_points_recover_including_mid_run_stream() {
         ("recv:globals", 1),                // dies while phase 1 runs
         ("send:localclustering", 1),        // dies pre-plan
         ("recv:mergedreplicationchunk", 1), // dies mid phase 2
+        ("recv:censuspull", 1),             // dies in the census round
+        ("send:censuschunk", 1),            // dies with its rows counted
         ("send:run:1", 1),                  // dies mid-Run stream, after one batch
         ("send:run:2", 1),                  // deeper into the stream
         ("send:runsdone", 0),               // dies with its work fully delivered
@@ -253,6 +256,17 @@ fn with_epoch(msg: &Message, epoch: u32) -> Message {
             chunk,
             words,
         },
+        Message::CensusChunk {
+            shard,
+            chunk,
+            words,
+            ..
+        } => Message::CensusChunk {
+            shard,
+            epoch,
+            chunk,
+            words,
+        },
         Message::ShardDone {
             shard,
             counters,
@@ -310,8 +324,8 @@ impl<T: Transport> Transport for InjectEpoch<T> {
 }
 
 /// Kill the only worker right after its `Job`, then have the replacement
-/// duplicate **every** frame — degrees, clustering, summary, every `Run`
-/// batch, the `RunsDone` — under the stale epoch 0. The coordinator must
+/// duplicate **every** frame — degrees, clustering, summary, census
+/// chunk, every `Run` batch, the `RunsDone` — under the stale epoch 0. The coordinator must
 /// discard each duplicate (nothing merged or emitted twice) and still
 /// produce the bit-identical output.
 #[test]
