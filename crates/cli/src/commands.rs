@@ -14,7 +14,7 @@ use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
 use tps_core::sink::{AssignmentSink, FileSink, NullSink};
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_core::RunOutcome;
-use tps_graph::datasets::Dataset;
+use tps_graph::datasets::{Dataset, DatasetConfig};
 use tps_graph::formats::binary::write_binary_edge_list;
 use tps_graph::formats::text::TextEdgeFile;
 use tps_graph::stream::{discover_info, EdgeStream};
@@ -347,8 +347,8 @@ pub(crate) fn two_phase_config(algo: &str, passes: u32) -> Option<TwoPhaseConfig
     }
 }
 
-/// The run parameters of `--k` and `--alpha`; an `--alpha` below 1 (or
-/// not a number) is an input error.
+/// The run parameters of `--k` and `--alpha`; an `--alpha` below 1, not
+/// finite or not a number is an input error.
 fn alpha_params(k: u32, alpha: f64) -> Result<PartitionParams, String> {
     PartitionParams::try_with_alpha(k, alpha).map_err(|e| format!("--alpha: {e}"))
 }
@@ -939,6 +939,7 @@ pub fn generate(args: &[String]) -> i32 {
             .into_iter()
             .find(|d| d.abbrev().eq_ignore_ascii_case(name))
             .ok_or_else(|| format!("unknown dataset {name:?} (ok|it|tw|fr|uk|gsh|wdc|wi)"))?;
+        check_scale(ds, scale)?;
         let graph = ds.generate_scaled(scale);
         let info = write_binary_edge_list(out, graph.num_vertices(), graph.edges().iter().copied())
             .map_err(|e| format!("{out}: {e}"))?;
@@ -954,6 +955,27 @@ pub fn generate(args: &[String]) -> i32 {
         Ok(()) => 0,
         Err(e) => fail(e),
     }
+}
+
+/// Refuse a `--scale` the generators cannot honour: one that is not a
+/// positive finite number, or whose vertex ids leave the `u32` id space.
+/// Arithmetic on the dataset's configuration only; nothing is allocated.
+fn check_scale(ds: Dataset, scale: f64) -> Result<(), String> {
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!(
+            "--scale must be a positive finite number, not {scale}"
+        ));
+    }
+    let ids = match ds.config_scaled(scale) {
+        DatasetConfig::Social(cfg) => 1u128.checked_shl(cfg.rmat.scale).unwrap_or(u128::MAX),
+        DatasetConfig::Planted(cfg) => u128::from(cfg.vertices),
+    };
+    if ids > 1 << 32 {
+        return Err(format!(
+            "--scale {scale}: the vertex ids would not fit the 32-bit id space"
+        ));
+    }
+    Ok(())
 }
 
 /// `tps convert`
@@ -1074,6 +1096,9 @@ pub fn report(args: &[String]) -> i32 {
     };
     let run = || -> Result<(), Failure> {
         let trace = tps_obs::Trace::load(&path)?;
+        if trace.is_empty() {
+            return Err(format!("{}: not a trace (no complete record)", path.display()).into());
+        }
         write_stdout(format_args!("{}", tps_obs::render_report(&trace)?))?;
         Ok(())
     };

@@ -37,7 +37,15 @@
 //!
 //! Exit status: 0 on success, and also when the reader of stdout has gone
 //! (`tps info … | head -0`; `tps serve` serves on without one); 2 with one
-//! `error:` line on stderr otherwise.
+//! `error:` line on stderr otherwise. Among the exit-2 input errors:
+//!
+//! - an `--alpha` below 1, infinite or not a number (every mode);
+//! - a `tps generate --scale` that is not a positive finite number, or
+//!   whose vertex ids would leave the 32-bit id space (checked before
+//!   anything is generated);
+//! - `tps report` of a file with no complete trace record (an empty file,
+//!   or one junk line); a real trace with a torn last line still renders,
+//!   with a warning.
 
 use std::fmt;
 use std::io::{self, Write as _};

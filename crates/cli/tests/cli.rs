@@ -1153,9 +1153,9 @@ fn unrunnable_options_are_input_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An `--alpha` below 1 or not a number is an input error in every mode —
-/// exit 2 with one `error:` line naming the flag — not a constructor's
-/// panic.
+/// An `--alpha` below 1, infinite or not a number is an input error in
+/// every mode — exit 2 with one `error:` line naming the flag — not a
+/// constructor's panic, and not a run with no balance cap.
 #[test]
 fn alpha_below_one_or_nan_is_an_input_error() {
     let dir = tmpdir("alpha");
@@ -1170,6 +1170,9 @@ fn alpha_below_one_or_nan_is_an_input_error() {
         ("partition --threads 2", "nan"),
         ("partition --algorithm hdrf", "0.5"),
         ("dist coordinator --dist-local --workers 1", "0.5"),
+        ("partition --threads serial", "inf"),
+        ("partition --threads 2", "-inf"),
+        ("dist coordinator --dist-local --workers 1", "inf"),
     ] {
         let out = tps()
             .args(cmd.split(' '))
@@ -1185,6 +1188,80 @@ fn alpha_below_one_or_nan_is_an_input_error() {
             err.starts_with("error: --alpha"),
             "{cmd} --alpha {alpha}: {err}"
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `--scale` that is not a positive finite number, or whose vertex ids
+/// would leave the 32-bit id space, is an input error of `tps generate`:
+/// exit 2 with one `error:` line naming the flag, before anything is
+/// generated or written.
+#[test]
+fn generate_refuses_a_scale_it_cannot_honour() {
+    let dir = tmpdir("scale");
+    let out_path = dir.join("g.bel");
+    for (dataset, scale) in [
+        ("ok", "0"),
+        ("ok", "-1"),
+        ("tw", "nan"),
+        ("gsh", "inf"),
+        ("ok", "1e30"),
+        ("gsh", "1e30"),
+    ] {
+        let out = tps()
+            .args(["generate", "--dataset", dataset, "--scale", scale, "--out"])
+            .arg(&out_path)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        let what = format!("{dataset} --scale {scale}: {err}");
+        assert_eq!(out.status.code(), Some(2), "{what}");
+        assert_eq!(err.lines().count(), 1, "{what}");
+        assert!(err.starts_with("error: --scale"), "{what}");
+        assert!(!err.contains("panicked"), "{what}");
+        assert!(!out_path.exists(), "{what}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `tps report` of a file with no trace record (empty, or one junk line)
+/// is an error naming the file; a real trace whose last line was torn
+/// still renders, with its warning.
+#[test]
+fn report_refuses_a_file_that_is_not_a_trace() {
+    let dir = tmpdir("report");
+    let bel = dir.join("ok.bel");
+    let trace = dir.join("t.jsonl");
+    tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .status()
+        .unwrap();
+    let run = tps()
+        .args(["partition", "--threads", "serial", "--k", "4", "--quiet"])
+        .arg("--input")
+        .arg(&bel)
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(run.status.success());
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let torn = dir.join("torn.jsonl");
+    std::fs::write(&torn, &text[..text.trim_end().len() - 3]).unwrap();
+    let out = tps().arg("report").arg(&torn).output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("warning: trace file was truncated"));
+
+    for (name, body) in [("empty.jsonl", ""), ("junk.jsonl", "not a trace\n")] {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        let out = tps().arg("report").arg(&path).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert_eq!(err.lines().count(), 1, "{name}: {err}");
+        assert!(err.starts_with("error: "), "{name}: {err}");
+        assert!(err.contains(name), "{name}: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

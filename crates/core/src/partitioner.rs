@@ -37,14 +37,15 @@ impl PartitionParams {
     }
 
     /// Parameters with an explicit balance factor; `InvalidInput` unless
-    /// `alpha ≥ 1` (a NaN is not).
+    /// `alpha` is finite and `≥ 1` (a NaN is not; an infinite α would be no
+    /// cap at all, which the paper's α never is).
     pub fn try_with_alpha(k: u32, alpha: f64) -> io::Result<Self> {
-        if alpha >= 1.0 {
+        if alpha >= 1.0 && alpha.is_finite() {
             Ok(PartitionParams { k, alpha })
         } else {
             Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("alpha must be >= 1, not {alpha}"),
+                format!("alpha must be finite and >= 1, not {alpha}"),
             ))
         }
     }
@@ -53,7 +54,7 @@ impl PartitionParams {
     /// to be valid.
     ///
     /// # Panics
-    /// Panics unless `alpha ≥ 1`.
+    /// Panics unless `alpha` is finite and `≥ 1`.
     pub fn with_alpha(k: u32, alpha: f64) -> Self {
         Self::try_with_alpha(k, alpha).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -130,7 +131,7 @@ mod tests {
 
     #[test]
     fn try_with_alpha_refuses_below_one_and_nan() {
-        for alpha in [0.5, f64::NAN, -1.0] {
+        for alpha in [0.5, f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
             let err = PartitionParams::try_with_alpha(4, alpha).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "alpha {alpha}");
         }

@@ -5,7 +5,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::{finalize, EdgeSet, GenOptions};
+use super::{relabel, sample_distinct, GenOptions};
 use crate::stream::InMemoryGraph;
 use crate::types::Edge;
 
@@ -28,19 +28,20 @@ pub fn generate(n: u64, m: u64, seed: u64) -> InMemoryGraph {
         ..Default::default()
     };
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut seen = EdgeSet::with_capacity(m as usize);
-    let mut edges = Vec::with_capacity(m as usize);
-    while (edges.len() as u64) < m {
-        let u = rng.gen_range(0..n) as u32;
-        let v = rng.gen_range(0..n) as u32;
-        if u == v {
-            continue;
-        }
-        if seen.insert(Edge::new(u, v)) {
-            edges.push(Edge::new(u, v));
-        }
-    }
-    finalize(edges, opts, seed)
+    let edges = sample_distinct(
+        &mut rng,
+        m,
+        u64::MAX,
+        1,
+        true,
+        |_| (),
+        |(), rng| {
+            let u = rng.gen_range(0..n) as u32;
+            let v = rng.gen_range(0..n) as u32;
+            (u != v).then(|| Edge::new(u, v))
+        },
+    );
+    relabel(edges, opts, seed)
 }
 
 #[cfg(test)]

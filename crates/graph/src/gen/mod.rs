@@ -19,6 +19,20 @@
 //! All generators are deterministic given a seed, emit a dense vertex id
 //! space with no isolated vertices (ids are compacted after sampling), and
 //! can optionally deduplicate parallel edges and drop self-loops.
+//!
+//! Every sampler with a distinct-edge target ([`social`], [`planted`],
+//! [`rmat::generate_exact`], [`gnm`]) yields distinct, loop-free edges
+//! itself, as far as its [`GenOptions`] ask: one shared loop
+//! (`sample_distinct`) rejects each candidate against a dedup table, and
+//! the kept edges are only relabelled (compacted, permuted, shuffled). Only
+//! [`rmat::generate`], which samples a fixed count, relies on `finalize`'s
+//! filter.
+//!
+//! That loop hides the table's cache miss behind the next draw: while a
+//! candidate's slot loads, it begins the next attempt on a clone of the
+//! RNG. The clone makes exactly the draws the accepting path would make and
+//! is adopted only when the candidate is kept, so the output does not
+//! depend on the speculation.
 
 pub mod gnm;
 pub mod planted;
@@ -94,6 +108,21 @@ impl EdgeSet {
         self.insert_key(edge_key(e))
     }
 
+    /// Start loading `key`'s home slot into the cache; the set is unchanged.
+    #[inline]
+    fn prefetch(&self, key: u64) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let slot = &self.slots[splitmix64(key) as usize & (self.slots.len() - 1)];
+            // SAFETY: a prefetch is a hint that never faults, and `slot` is
+            // a live element of `slots`.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>((slot as *const u64).cast()) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = key;
+    }
+
     fn insert_key(&mut self, key: u64) -> bool {
         if key == FREE {
             return !std::mem::replace(&mut self.has_free_key, true);
@@ -127,12 +156,71 @@ impl EdgeSet {
     }
 }
 
-/// Finalise a raw edge sample into an [`InMemoryGraph`]:
-/// dedup / loop-removal per `opts`, id compaction (removes isolated vertices
-/// so that `|V|` matches the covered vertex set, as in the real datasets),
-/// optional id permutation and edge shuffle.
+/// The sampling loop of the generators with a distinct-edge target: up to
+/// `max_attempts` attempts, each calling `begin` once and `draw` up to
+/// `draws` times, keep the first candidate that is new (any candidate,
+/// without `dedup`) until `target` edges are kept. A `None` draw spends a
+/// draw. Before the table is read, the candidate's slot is prefetched and
+/// the next attempt is begun on a clone of `rng` (if there would be one),
+/// which replaces `rng` only if the candidate is kept.
+fn sample_distinct<A>(
+    rng: &mut SmallRng,
+    target: u64,
+    max_attempts: u64,
+    draws: u32,
+    dedup: bool,
+    begin: impl Fn(&mut SmallRng) -> A,
+    draw: impl Fn(&A, &mut SmallRng) -> Option<Edge>,
+) -> Vec<Edge> {
+    let mut seen = dedup.then(|| EdgeSet::with_capacity(target as usize));
+    let mut edges = Vec::with_capacity(target as usize);
+    let mut attempts = 0u64;
+    // The next attempt and its first draw, made on the adopted clone.
+    let mut ahead: Option<(A, Option<Edge>)> = None;
+    'attempts: while (edges.len() as u64) < target && attempts < max_attempts {
+        attempts += 1;
+        let (attempt, mut candidate) = ahead.take().unwrap_or_else(|| {
+            let attempt = begin(rng);
+            let first = draw(&attempt, rng);
+            (attempt, first)
+        });
+        for i in 0..draws {
+            if i > 0 {
+                candidate = draw(&attempt, rng);
+            }
+            let Some(e) = candidate else { continue };
+            let Some(seen) = seen.as_mut() else {
+                edges.push(e);
+                continue 'attempts;
+            };
+            let key = edge_key(e);
+            seen.prefetch(key);
+            let more = (edges.len() as u64 + 1) < target && attempts < max_attempts;
+            let mut clone = rng.clone();
+            let next = more.then(|| {
+                let attempt = begin(&mut clone);
+                let first = draw(&attempt, &mut clone);
+                if let Some(f) = first {
+                    seen.prefetch(edge_key(f));
+                }
+                (attempt, first)
+            });
+            if seen.insert_key(key) {
+                edges.push(e);
+                if next.is_some() {
+                    *rng = clone;
+                    ahead = next;
+                }
+                continue 'attempts;
+            }
+        }
+    }
+    edges
+}
+
+/// Finalise a raw edge sample into an [`InMemoryGraph`]: loop removal and
+/// dedup per `opts`, then [`relabel`].
 pub(crate) fn finalize(mut edges: Vec<Edge>, opts: GenOptions, seed: u64) -> InMemoryGraph {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xF1AA_11CE_5EED_0001);
     if opts.drop_self_loops {
         edges.retain(|e| !e.is_self_loop());
     }
@@ -140,6 +228,14 @@ pub(crate) fn finalize(mut edges: Vec<Edge>, opts: GenOptions, seed: u64) -> InM
         let mut seen = EdgeSet::with_capacity(edges.len());
         edges.retain(|&e| seen.insert(e));
     }
+    relabel(edges, opts, seed)
+}
+
+/// Turn filtered edges into an [`InMemoryGraph`]: id compaction (removes
+/// isolated vertices so that `|V|` matches the covered vertex set, as in
+/// the real datasets), optional id permutation and edge shuffle.
+pub(crate) fn relabel(mut edges: Vec<Edge>, opts: GenOptions, seed: u64) -> InMemoryGraph {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xF1AA_11CE_5EED_0001);
     // Compact ids to 0..n preserving relative order (keeps web-graph locality).
     let max_id = edges
         .iter()
@@ -235,6 +331,105 @@ mod tests {
             0x9b13_9eb2_1cbf_825a,
             0x2b22_1f0f_9453_cecd,
             0xa862_214b_646c_8ac0,
+        ];
+        assert_eq!(got, want);
+    }
+
+    /// The outputs where a sampling loop leaves its common path, pinned
+    /// beside [`generator_outputs_are_pinned`]: attempts run out before the
+    /// target, a draw yields no candidate (a community of one), one side of
+    /// a mixing or overlay choice is never taken, a filter is off, and the
+    /// target is met on the last attempt allowed.
+    #[test]
+    fn generator_boundary_outputs_are_pinned() {
+        let rmat_opts = |dedup, drop_self_loops| rmat::RmatConfig {
+            opts: GenOptions {
+                dedup,
+                drop_self_loops,
+                ..rmat::RmatConfig::social(8, 3_000).opts
+            },
+            ..rmat::RmatConfig::social(8, 3_000)
+        };
+        // 2^3 ids host 28 loop-free edges; seed 52 finds the 28th on
+        // attempt 1 000, the last one `generate_exact` allows.
+        let last_attempt = rmat::generate_exact(&rmat::RmatConfig::social(3, 28), 52);
+        assert_eq!(last_attempt.num_edges(), 28);
+        let got = [
+            // Attempts exhausted: 16 ids cannot host 500 edges, 40 cannot
+            // host 2 000.
+            digest(&social::generate(
+                &social::SocialConfig::new(4, 500, 0.5),
+                1,
+            )),
+            digest(&planted::generate(
+                &planted::PlantedConfig::web(40, 2_000),
+                1,
+            )),
+            // Communities of one: the overlay never yields a candidate, and
+            // every planted edge is forced between communities.
+            digest(&social::generate(
+                &social::SocialConfig {
+                    min_community: 1,
+                    max_community: 1,
+                    ..social::SocialConfig::new(10, 2_000, 0.5)
+                },
+                1,
+            )),
+            digest(&planted::generate(
+                &planted::PlantedConfig {
+                    min_community: 1,
+                    max_community: 1,
+                    ..planted::PlantedConfig::web(200, 1_000)
+                },
+                1,
+            )),
+            // One side of the choice only.
+            digest(&social::generate(
+                &social::SocialConfig::new(10, 3_000, 0.0),
+                1,
+            )),
+            digest(&social::generate(
+                &social::SocialConfig::new(10, 3_000, 1.0),
+                1,
+            )),
+            digest(&planted::generate(
+                &planted::PlantedConfig {
+                    mixing: 1.0,
+                    ..planted::PlantedConfig::web(2_000, 8_000)
+                },
+                1,
+            )),
+            // Filters off.
+            digest(&rmat::generate_exact(&rmat_opts(false, true), 1)),
+            digest(&rmat::generate_exact(&rmat_opts(true, false), 1)),
+            digest(&planted::generate(
+                &planted::PlantedConfig {
+                    opts: GenOptions {
+                        dedup: false,
+                        drop_self_loops: false,
+                        ..planted::PlantedConfig::web(0, 0).opts
+                    },
+                    ..planted::PlantedConfig::web(300, 3_000)
+                },
+                1,
+            )),
+            // The target met by the last attempt, and by the last edge.
+            digest(&last_attempt),
+            digest(&gnm::generate(6, 15, 1)),
+        ];
+        let want = [
+            0xb04b_8097_3096_2b55,
+            0x8cf7_3ee4_407c_cccd,
+            0xe600_f029_c6ba_0043,
+            0x6947_3c73_5b4c_e9eb,
+            0x2275_4bfe_5a49_5f4c,
+            0xd99f_50fa_96dd_2467,
+            0xc20d_1034_e868_8cf2,
+            0xafd8_f689_e11f_c4f4,
+            0x98f5_a530_6b48_7da5,
+            0xee46_27cb_88ed_38cd,
+            0xfe4c_9a48_09e1_804d,
+            0x0f4f_ae97_93fd_2032,
         ];
         assert_eq!(got, want);
     }

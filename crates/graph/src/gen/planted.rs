@@ -15,7 +15,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::{finalize, EdgeSet, GenOptions};
+use super::{relabel, sample_distinct, GenOptions};
 use crate::stream::InMemoryGraph;
 use crate::types::Edge;
 
@@ -126,52 +126,50 @@ pub fn generate(cfg: &PlantedConfig, seed: u64) -> InMemoryGraph {
         cum.partition_point(|&c| c <= t)
     };
 
-    let mut seen = EdgeSet::with_capacity(cfg.edges as usize);
-    let mut edges = Vec::with_capacity(cfg.edges as usize);
     let max_attempts = cfg.edges.saturating_mul(30).max(1000);
-    let mut attempts = 0u64;
     // Duplicate samples concentrate on intra-community pairs (small, skewed
     // communities saturate first); if a rejected sample were simply redrawn
     // from scratch the effective mixing would drift far above the nominal µ.
     // Instead we re-draw endpoints *within the same intra/inter decision* a
     // few times before giving the slot up.
     const RETRIES_PER_DECISION: u32 = 8;
-    'outer: while (edges.len() as u64) < cfg.edges && attempts < max_attempts {
-        attempts += 1;
-        let ci = pick_community(&mut rng);
-        let (start, size) = communities[ci];
-        let inter = rng.gen::<f64>() < cfg.mixing || size < 2;
-        for _ in 0..RETRIES_PER_DECISION {
+    let edges = sample_distinct(
+        &mut rng,
+        cfg.edges,
+        max_attempts,
+        RETRIES_PER_DECISION,
+        cfg.opts.dedup,
+        |rng| {
+            let ci = pick_community(rng);
+            let inter = rng.gen::<f64>() < cfg.mixing || communities[ci].1 < 2;
+            (ci, inter)
+        },
+        |&(ci, inter), rng| {
+            let (start, size) = communities[ci];
             let (u, v) = if inter {
                 // Inter-community edge: second endpoint from another community.
-                let mut cj = pick_community(&mut rng);
+                let mut cj = pick_community(rng);
                 if communities.len() > 1 {
                     while cj == ci {
-                        cj = pick_community(&mut rng);
+                        cj = pick_community(rng);
                     }
                 }
                 let (s2, z2) = communities[cj];
                 (
-                    pick_member(start, size, cfg.hub_skew, &mut rng),
-                    pick_member(s2, z2, cfg.hub_skew, &mut rng),
+                    pick_member(start, size, cfg.hub_skew, rng),
+                    pick_member(s2, z2, cfg.hub_skew, rng),
                 )
             } else {
                 (
-                    pick_member(start, size, cfg.hub_skew, &mut rng),
-                    pick_member(start, size, cfg.hub_skew, &mut rng),
+                    pick_member(start, size, cfg.hub_skew, rng),
+                    pick_member(start, size, cfg.hub_skew, rng),
                 )
             };
             let e = Edge::new(u, v);
-            if cfg.opts.drop_self_loops && e.is_self_loop() {
-                continue;
-            }
-            if !cfg.opts.dedup || seen.insert(e) {
-                edges.push(e);
-                continue 'outer;
-            }
-        }
-    }
-    finalize(edges, cfg.opts, seed)
+            (!(cfg.opts.drop_self_loops && e.is_self_loop())).then_some(e)
+        },
+    );
+    relabel(edges, cfg.opts, seed)
 }
 
 /// The ground-truth community of a vertex id under a given config+seed

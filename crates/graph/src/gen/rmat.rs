@@ -11,7 +11,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::{finalize, EdgeSet, GenOptions};
+use super::{finalize, relabel, sample_distinct, GenOptions};
 use crate::stream::InMemoryGraph;
 use crate::types::Edge;
 
@@ -55,34 +55,33 @@ impl RmatConfig {
 }
 
 /// Sample one R-MAT edge (shared with the hybrid social generator).
-pub(crate) fn sample_one(cfg: &RmatConfig, rng: &mut SmallRng) -> Edge {
-    sample_edge(cfg, rng)
-}
-
-/// Sample one R-MAT edge.
-fn sample_edge(cfg: &RmatConfig, rng: &mut SmallRng) -> Edge {
+pub(crate) fn sample_edge(cfg: &RmatConfig, rng: &mut SmallRng) -> Edge {
+    // `noise * (u - 0.5)` for the uniform `u = k · 2^-53` that
+    // `rng.gen::<f64>()` draws (`k` = the top 53 bits), in two float
+    // operations instead of four, with the same bits: `u - 0.5` is exactly
+    // `(k - 2^52) · 2^-53`, and `noise · 2^-53` is exact unless `noise` is
+    // below 2^-969, where both products are too small to move `1.0 + …`.
+    let scaled_noise = cfg.noise / (1u64 << 53) as f64;
+    let centred =
+        |rng: &mut SmallRng| ((rng.next_u64() >> 11) as i64 - (1 << 52)) as f64 * scaled_noise;
     let mut src = 0u64;
     let mut dst = 0u64;
     for _ in 0..cfg.scale {
         src <<= 1;
         dst <<= 1;
         // Per-level noisy quadrant probabilities.
-        let na = cfg.a * (1.0 + cfg.noise * (rng.gen::<f64>() - 0.5));
-        let nb = cfg.b * (1.0 + cfg.noise * (rng.gen::<f64>() - 0.5));
-        let nc = cfg.c * (1.0 + cfg.noise * (rng.gen::<f64>() - 0.5));
-        let nd = (1.0 - cfg.a - cfg.b - cfg.c) * (1.0 + cfg.noise * (rng.gen::<f64>() - 0.5));
+        let na = cfg.a * (1.0 + centred(rng));
+        let nb = cfg.b * (1.0 + centred(rng));
+        let nc = cfg.c * (1.0 + centred(rng));
+        let nd = (1.0 - cfg.a - cfg.b - cfg.c) * (1.0 + centred(rng));
         let total = na + nb + nc + nd;
         let r = rng.gen::<f64>() * total;
-        if r < na {
-            // upper-left: neither bit set
-        } else if r < na + nb {
-            dst |= 1;
-        } else if r < na + nb + nc {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
+        // Quadrants a | b / c | d in order along [0, total): `src` is set
+        // in c and d, `dst` in b and d. Comparisons, not branches: the
+        // quadrant is random, so a branch on it mispredicts.
+        let ab = na + nb;
+        src |= u64::from(r >= ab);
+        dst |= u64::from((na <= r) & (r < ab)) | u64::from(r >= ab + nc);
     }
     Edge::new(src as u32, dst as u32)
 }
@@ -103,24 +102,20 @@ pub fn generate(cfg: &RmatConfig, seed: u64) -> InMemoryGraph {
 /// the sample space saturates (tiny scales).
 pub fn generate_exact(cfg: &RmatConfig, seed: u64) -> InMemoryGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut raw: Vec<Edge> = Vec::with_capacity(cfg.edges as usize + cfg.edges as usize / 4);
-    let mut seen = EdgeSet::with_capacity(cfg.edges as usize);
-    let mut distinct = 0u64;
     let max_attempts = cfg.edges.saturating_mul(20).max(1000);
-    let mut attempts = 0u64;
-    while distinct < cfg.edges && attempts < max_attempts {
-        attempts += 1;
-        let e = sample_edge(cfg, &mut rng);
-        if cfg.opts.drop_self_loops && e.is_self_loop() {
-            continue;
-        }
-        if !cfg.opts.dedup || seen.insert(e) {
-            raw.push(e);
-            distinct += 1;
-        }
-    }
-    // `finalize` re-checks dedup/self-loops (cheap; keeps one code path).
-    finalize(raw, cfg.opts, seed)
+    let edges = sample_distinct(
+        &mut rng,
+        cfg.edges,
+        max_attempts,
+        1,
+        cfg.opts.dedup,
+        |_| (),
+        |(), rng| {
+            let e = sample_edge(cfg, rng);
+            (!(cfg.opts.drop_self_loops && e.is_self_loop())).then_some(e)
+        },
+    );
+    relabel(edges, cfg.opts, seed)
 }
 
 #[cfg(test)]
@@ -135,6 +130,49 @@ mod tests {
         assert_eq!(a.edges(), b.edges());
         let c = generate(&cfg, 100);
         assert_ne!(a.edges(), c.edges());
+    }
+
+    /// `sample_edge` draws the edges of the plain per-level formula (a
+    /// branch per quadrant, `noise * (gen::<f64>() - 0.5)`) for noises from
+    /// none through one whose `noise · 2^-53` is subnormal to the largest
+    /// that keeps every probability non-negative.
+    #[test]
+    fn sample_edge_matches_the_plain_formula() {
+        fn plain(cfg: &RmatConfig, rng: &mut SmallRng) -> Edge {
+            let (mut src, mut dst) = (0u64, 0u64);
+            for _ in 0..cfg.scale {
+                src <<= 1;
+                dst <<= 1;
+                let na = cfg.a * (1.0 + cfg.noise * (rng.gen::<f64>() - 0.5));
+                let nb = cfg.b * (1.0 + cfg.noise * (rng.gen::<f64>() - 0.5));
+                let nc = cfg.c * (1.0 + cfg.noise * (rng.gen::<f64>() - 0.5));
+                let d = 1.0 - cfg.a - cfg.b - cfg.c;
+                let nd = d * (1.0 + cfg.noise * (rng.gen::<f64>() - 0.5));
+                let r = rng.gen::<f64>() * (na + nb + nc + nd);
+                if r < na {
+                } else if r < na + nb {
+                    dst |= 1;
+                } else if r < na + nb + nc {
+                    src |= 1;
+                } else {
+                    src |= 1;
+                    dst |= 1;
+                }
+            }
+            Edge::new(src as u32, dst as u32)
+        }
+        for noise in [0.0, 1e-300, 1e-5, 0.1, 1.0, 2.0] {
+            let cfg = RmatConfig {
+                noise,
+                ..RmatConfig::social(16, 0)
+            };
+            let mut fast = SmallRng::seed_from_u64(9);
+            let mut slow = SmallRng::seed_from_u64(9);
+            for _ in 0..2_000 {
+                let e = sample_edge(&cfg, &mut fast);
+                assert_eq!(e, plain(&cfg, &mut slow), "noise {noise}");
+            }
+        }
     }
 
     #[test]

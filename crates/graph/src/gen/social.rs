@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use super::rmat::RmatConfig;
-use super::{finalize, EdgeSet, GenOptions};
+use super::{relabel, sample_distinct, GenOptions};
 use crate::stream::InMemoryGraph;
 use crate::types::Edge;
 
@@ -71,47 +71,43 @@ pub fn generate(cfg: &SocialConfig, seed: u64) -> InMemoryGraph {
         covered += size;
     }
 
-    let mut seen = EdgeSet::with_capacity(cfg.edges as usize);
-    let mut edges: Vec<Edge> = Vec::with_capacity(cfg.edges as usize);
     let max_attempts = cfg.edges.saturating_mul(40).max(1000);
-    let mut attempts = 0u64;
     let pick_member = |start: u64, size: u64, skew: f64, rng: &mut SmallRng| -> u32 {
         let u: f64 = rng.gen();
         let idx = ((size as f64) * u.powf(skew)) as u64;
         (start + idx.min(size - 1)) as u32
     };
-    'outer: while (edges.len() as u64) < cfg.edges && attempts < max_attempts {
-        attempts += 1;
-        let from_overlay = rng.gen::<f64>() < cfg.community_fraction;
-        for _ in 0..8 {
+    // An attempt draws up to 8 edges from the side it picks first.
+    let edges = sample_distinct(
+        &mut rng,
+        cfg.edges,
+        max_attempts,
+        8,
+        true,
+        |rng| rng.gen::<f64>() < cfg.community_fraction,
+        |&from_overlay, rng| {
             let e = if from_overlay {
                 let ci = rng.gen_range(0..communities.len());
                 let (start, size) = communities[ci];
                 if size < 2 {
-                    continue;
+                    return None;
                 }
                 Edge::new(
-                    pick_member(start, size, cfg.hub_skew, &mut rng),
-                    pick_member(start, size, cfg.hub_skew, &mut rng),
+                    pick_member(start, size, cfg.hub_skew, rng),
+                    pick_member(start, size, cfg.hub_skew, rng),
                 )
             } else {
-                super::rmat::sample_one(&cfg.rmat, &mut rng)
+                super::rmat::sample_edge(&cfg.rmat, rng)
             };
-            if e.is_self_loop() {
-                continue;
-            }
-            if seen.insert(e) {
-                edges.push(e);
-                continue 'outer;
-            }
-        }
-    }
+            (!e.is_self_loop()).then_some(e)
+        },
+    );
     let opts = GenOptions {
         permute_ids: true,
         shuffle_edges: true,
         ..Default::default()
     };
-    finalize(edges, opts, seed)
+    relabel(edges, opts, seed)
 }
 
 #[cfg(test)]

@@ -280,6 +280,12 @@ impl Trace {
         Ok(trace)
     }
 
+    /// Whether no line held a meta, event or counter record (an empty
+    /// file, or one whose only line is torn or not a trace line at all).
+    pub fn is_empty(&self) -> bool {
+        self.meta.is_none() && self.events.is_empty() && self.counters.is_empty()
+    }
+
     /// Load and parse the trace file at `path`.
     pub fn load(path: &Path) -> Result<Trace, String> {
         let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
